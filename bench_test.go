@@ -208,7 +208,7 @@ func BenchmarkBQS4DPerPoint(b *testing.B) {
 func benchEngineIngest(b *testing.B, devices int, persist bool) {
 	cfg := EngineConfig{Compressor: "fbqs", Tolerance: 10, Shards: 0}
 	if persist {
-		lg, err := OpenSegmentLog(b.TempDir(), SegmentLogOptions{})
+		lg, err := OpenShardedSegmentLog(b.TempDir(), 1, SegmentLogOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func BenchmarkEnginePersistClose(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lg, err := OpenSegmentLog(filepath.Join(dir, strconv.Itoa(i)), SegmentLogOptions{})
+		lg, err := OpenShardedSegmentLog(filepath.Join(dir, strconv.Itoa(i)), 1, SegmentLogOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

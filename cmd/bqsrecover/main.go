@@ -20,11 +20,11 @@
 // [-t0, -t1] range, pruning via the sealed block indexes where present;
 // a pruning summary goes to stderr. -csv emits device,lat,lon,t rows.
 //
-// Both layouts are understood: a single-log directory and the sharded
-// layout OpenDurableEngine writes (a SHARDS file plus shard-NNN/
-// subdirectories, each itself a single log this tool can also be
-// pointed at directly). Sharded directories are never migrated or
-// re-sharded by this tool.
+// -dir is a log root as OpenDurableEngine and bqsd write it: a SHARDS
+// file plus shard-NNN/ subdirectories. Roots are never re-sharded by
+// this tool, and a root in the older single-log layout (MANIFEST and
+// seg-*.log directly in it) is refused — see DESIGN.md for migrating
+// data that old.
 //
 // By default the directory is opened READ-ONLY: nothing on disk is
 // touched, no lock is taken, and a crash-torn tail is reported but left
@@ -43,34 +43,11 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog"
 )
-
-// logHandle is the surface this tool needs; both segmentlog.Log and
-// segmentlog.ShardedLog satisfy it, so a sharded directory (detected by
-// its SHARDS file) is inspected through the same code paths.
-type logHandle interface {
-	Stats() segmentlog.Stats
-	Devices() []string
-	DeviceSpan(device string) (records int, t0, t1 uint32, ok bool)
-	Query(device string, t0, t1 uint32) ([]segmentlog.Record, error)
-	QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]segmentlog.Record, segmentlog.WindowStats, error)
-	Compact(p segmentlog.CompactionPolicy) (segmentlog.CompactionResult, error)
-	Close() error
-}
-
-// openLog opens dir as a sharded log when a SHARDS file marks it as
-// one, as a single log otherwise.
-func openLog(dir string, opts segmentlog.Options) (logHandle, error) {
-	if _, err := os.Stat(filepath.Join(dir, "SHARDS")); err == nil {
-		return segmentlog.OpenSharded(dir, 0, opts)
-	}
-	return segmentlog.Open(dir, opts)
-}
 
 func main() {
 	dir := flag.String("dir", "", "segment-log directory (required)")
@@ -105,7 +82,7 @@ func main() {
 	}
 
 	writable := *repair || *compact
-	lg, err := openLog(*dir, segmentlog.Options{ReadOnly: !writable})
+	lg, err := segmentlog.OpenSharded(*dir, 0, segmentlog.Options{ReadOnly: !writable})
 	if err != nil {
 		fail(err)
 	}

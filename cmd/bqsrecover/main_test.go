@@ -25,7 +25,7 @@ func buildCmd(t *testing.T) string {
 func seedLog(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	lg, err := segmentlog.Open(dir, segmentlog.Options{})
+	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSmokeRecoverWindow(t *testing.T) {
 func TestSmokeRecoverTornTail(t *testing.T) {
 	bin := buildCmd(t)
 	dir := seedLog(t)
-	seg := filepath.Join(dir, "seg-00000001.log")
+	seg := filepath.Join(dir, "shard-000", "seg-00000001.log")
 	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestSmokeRecoverCompact(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny rotation threshold so the chunked records land in sealed
 	// segments the compactor may rewrite.
-	lg, err := segmentlog.Open(dir, segmentlog.Options{MaxSegmentBytes: 32})
+	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{MaxSegmentBytes: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,17 +13,15 @@ import (
 // restartable. Finalized session trajectories are appended in the
 // delta-varint wire format, Engine.Sync is the durability barrier, and
 // on reopen the log truncates any torn tail left by a crash and rebuilds
-// its device/time index by scanning.
+// its device/time index from the sealed block indexes (scanning where
+// one is missing). There is one log type — ShardedSegmentLog, a single
+// shard being the n = 1 case — and one on-disk format.
 
 // Persister is the durability hook consumed by the engine: Append
 // receives every finalized trajectory, Sync is the durability barrier.
 type Persister = trajstore.Persister
 
-// SegmentLog is an open append-only trajectory log; it implements
-// Persister and answers device/time-range queries straight from disk.
-type SegmentLog = segmentlog.Log
-
-// SegmentLogOptions parameterizes OpenSegmentLog.
+// SegmentLogOptions parameterizes OpenShardedSegmentLog.
 type SegmentLogOptions = segmentlog.Options
 
 // SegmentLogRecord is one persisted trajectory, decoded.
@@ -67,48 +65,38 @@ var ErrDegraded = engine.ErrDegraded
 // the defaults. See engine.RetryPolicy.
 type PersistRetryPolicy = engine.RetryPolicy
 
-// ShardedSegmentLog is a segment log fanned out over per-shard
-// subdirectories, each a complete single log under its own MANIFEST; it
-// implements Persister and routes devices with the same hash the engine
-// shards by, so engine workers append without cross-shard contention.
+// ShardedSegmentLog is an open append-only trajectory log, fanned out
+// over per-shard subdirectories that each hold a complete segment log
+// under its own MANIFEST. It implements Persister, routes devices with
+// the same hash the engine shards by — so engine workers append without
+// cross-shard contention — answers device/time-range and window queries
+// straight from disk, and compacts itself: Compact runs one
+// merge/dedup/ageing pass over the sealed segments and atomically
+// publishes the smaller generation while queries and appends proceed.
 type ShardedSegmentLog = segmentlog.ShardedLog
 
-// OpenSegmentLog opens (creating if necessary) a segment log directory,
-// recovering from any crash-torn tail. Writable opens take the
-// directory's exclusive lock; set SegmentLogOptions.ReadOnly to inspect
-// a directory another process owns.
-func OpenSegmentLog(dir string, opts SegmentLogOptions) (*SegmentLog, error) {
-	return segmentlog.Open(dir, opts)
-}
-
-// OpenShardedSegmentLog opens (creating or migrating if necessary) a
-// sharded segment log. shards only matters for a directory that does
-// not hold a sharded log yet (≤ 0 means GOMAXPROCS): an existing
-// directory keeps the shard count persisted in its SHARDS file, and a
-// legacy single-log directory is migrated in place — crash-safely, with
-// the legacy files as the authoritative copy until the migration
-// commits. OpenDurableEngine opens its log through this.
+// OpenShardedSegmentLog opens (creating if necessary) a segment log,
+// recovering from any crash-torn tail. shards only matters for a
+// directory that does not hold a log yet (≤ 0 means GOMAXPROCS; 1 is
+// the unsharded case): an existing directory keeps the shard count
+// persisted in its SHARDS file. Writable opens take the directory's
+// exclusive lock; set SegmentLogOptions.ReadOnly to inspect a directory
+// another process owns. A directory in the single-log layout older
+// releases wrote (MANIFEST and segment files at the root, no SHARDS) is
+// refused, not migrated. OpenDurableEngine opens its log through this.
 func OpenShardedSegmentLog(dir string, shards int, opts SegmentLogOptions) (*ShardedSegmentLog, error) {
 	return segmentlog.OpenSharded(dir, shards, opts)
 }
 
-// CompactLog runs one merge/dedup/ageing compaction pass over the log's
-// sealed segments and atomically publishes the smaller generation.
-// Queries and appends on the same log proceed concurrently. Compaction
-// also upgrades pre-index (version-1) segments to the current format,
-// sealing block indexes so window queries prune instead of scanning.
-func CompactLog(lg *SegmentLog, policy CompactionPolicy) (CompactionResult, error) {
-	return lg.Compact(policy)
-}
-
 // QueryLogWindow answers a spatio-temporal window query over a segment
-// log: every record — across all devices, in log order — with at least
+// log: every record — across all devices, in log order within a shard
+// and shard order across them — with at least
 // one trajectory segment entering [minX, maxX] × [minY, maxY] (degrees:
 // X longitude, Y latitude) during [t0, t1]. Sealed block indexes and
 // manifest summaries prune the candidate set; candidates are decoded
 // and tested exactly. Engine.QueryWindow is the metric-plane
 // counterpart that additionally merges live in-memory sessions.
-func QueryLogWindow(lg *SegmentLog, minX, minY, maxX, maxY float64, t0, t1 uint32) ([]SegmentLogRecord, error) {
+func QueryLogWindow(lg *ShardedSegmentLog, minX, minY, maxX, maxY float64, t0, t1 uint32) ([]SegmentLogRecord, error) {
 	return lg.QueryWindow(minX, minY, maxX, maxY, t0, t1)
 }
 

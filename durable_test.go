@@ -2,7 +2,6 @@ package bqs
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -148,8 +147,8 @@ func TestDurableShutdownRace(t *testing.T) {
 }
 
 // TestCompactLogFacade exercises the public compaction path: a durable
-// engine with chunked sessions, CompactLog merging the chunks back, and
-// the log staying queryable with fewer bytes.
+// engine with chunked sessions, ShardedSegmentLog.Compact merging the
+// chunks back, and the log staying queryable with fewer bytes.
 func TestCompactLogFacade(t *testing.T) {
 	dir := t.TempDir()
 	e, err := OpenDurableEngineWithLog(dir,
@@ -170,16 +169,13 @@ func TestCompactLogFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Each shard subdirectory is a complete single log; CompactLog works
-	// on it directly (the engine above had one shard, so shard-000 holds
-	// everything).
-	lg, err := OpenSegmentLog(filepath.Join(dir, "shard-000"), SegmentLogOptions{MaxSegmentBytes: 512})
+	lg, err := OpenShardedSegmentLog(dir, 0, SegmentLogOptions{MaxSegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lg.Close()
 	before := lg.Stats()
-	res, err := CompactLog(lg, CompactionPolicy{MergeChunks: true})
+	res, err := lg.Compact(CompactionPolicy{MergeChunks: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -319,7 +319,7 @@ func TestTryIngestSurfacesPersistError(t *testing.T) {
 // device's next fix starts a fresh session.
 func TestFlushSessions(t *testing.T) {
 	dir := t.TempDir()
-	lg, err := segmentlog.Open(dir, segmentlog.Options{})
+	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,17 +66,21 @@ type Config struct {
 	// Persister, when non-nil, durably records every finalized session
 	// trajectory (on idle eviction and on Close) in the delta-varint
 	// wire format. The engine takes ownership: Sync doubles as the
-	// durability barrier and Close closes the persister. See
-	// trajstore.Persister and trajstore/segmentlog.
+	// durability barrier and Close closes the persister. A value that
+	// is a full trajstore.Backend (segmentlog.ShardedLog) additionally
+	// gets per-shard append binding, compaction, durable window queries
+	// and cache/reclaim statistics; one with just these three methods
+	// is used append-only. See trajstore.Persister and
+	// trajstore/segmentlog.
 	Persister trajstore.Persister
 	// MetersPerDegree converts the projected metric plane to the wire
 	// format's degrees when persisting (GeoKeys quantize at 1e-7°, so
 	// the default 1e5 m/° stores positions at 1 cm resolution with a
 	// ±9000 km range).
 	MetersPerDegree float64
-	// CompactInterval, when > 0 and the Persister implements
-	// trajstore.Compacter (segmentlog.Log does, when opened with a
-	// compaction policy), runs a background compaction pass on the
+	// CompactInterval, when > 0 and a Persister is configured, runs a
+	// background compaction pass (trajstore.Backend.CompactNow — for
+	// segmentlog.ShardedLog, the policy it was opened with) on the
 	// persister this often. A failed pass leaves the published data
 	// intact, so it does not poison the Sync durability barrier; it is
 	// reported by CompactErr (self-healing on the next successful pass)
@@ -138,8 +142,7 @@ var ErrBackpressure = errors.New("engine: shard queue full (backpressure)")
 // Stats is a point-in-time snapshot of engine activity, merged across
 // shards. It is safe to read after Close: every field comes from
 // atomics, the in-memory stores, or — for the persister-backed fields
-// (Cache, CompactReclaimed) — degrades to zero once the persister is
-// detached.
+// (Cache, CompactReclaim) — reads zero once Close has begun.
 type Stats struct {
 	ActiveSessions  int             // sessions currently open
 	SessionsOpened  uint64          // sessions ever created
@@ -172,7 +175,11 @@ type Engine struct {
 	clock  func() time.Time
 	shards []*shard
 	stores *trajstore.Sharded
-	pool   sync.Pool // recycled stream.Compressor values (all Resetters)
+	// backend is cfg.Persister resolved once by New: itself when it is
+	// a full trajstore.Backend, an append-only adapter otherwise (also
+	// for no persister at all), so it is never nil.
+	backend trajstore.Backend
+	pool    sync.Pool // recycled stream.Compressor values (all Resetters)
 
 	// Ingest staging: per-shard fix slices and the scatter table that
 	// distributes a caller batch over them are pooled, so the steady-state
@@ -198,8 +205,8 @@ type Engine struct {
 	// tracks every external caller still inside a persister operation —
 	// CompactNow, Heal's probe, QueryWindow's durable read — registered
 	// under mu's read lock before the closed check releases it, so
-	// Close (which waits on it before ClosePersist) can never detach
-	// the persister out from under an admitted call.
+	// Close (which waits on it before closing the backend) can never
+	// close the persister out from under an admitted call.
 	stopCompact chan struct{}
 	compactWG   sync.WaitGroup
 
@@ -262,11 +269,11 @@ type shard struct {
 	parked  []parkedTrail
 	parkedN atomic.Uint64
 
-	// persist, when non-nil, is this shard's private slice of a sharded
-	// persister (trajstore.ShardedPersister with a shard count matching
-	// the engine's): both route devices through trajstore.ShardIndex, so
-	// this worker is the only goroutine appending to it — the write
-	// skips the shared persistHolder lock and the second routing hash.
+	// persist is where this worker appends: its private shard of the
+	// backend when the backend's shard count matches the engine's (both
+	// route devices through trajstore.ShardIndex, so this worker is the
+	// only goroutine appending to it and the write skips the second
+	// routing hash), the whole backend otherwise.
 	persist trajstore.Persister
 
 	active    atomic.Int64
@@ -382,22 +389,21 @@ func New(cfg Config) (*Engine, error) {
 	if retry.MaxDelay < retry.BaseDelay {
 		retry.MaxDelay = retry.BaseDelay
 	}
+	backend, ok := cfg.Persister.(trajstore.Backend)
+	if !ok {
+		backend = trajstore.AppendOnly(cfg.Persister)
+	}
 	e := &Engine{
-		cfg: cfg, clock: cfg.Clock, stores: stores,
+		cfg: cfg, clock: cfg.Clock, stores: stores, backend: backend,
 		persisting: cfg.Persister != nil, mPerDegree: cfg.MetersPerDegree,
 		closing: make(chan struct{}), retry: retry,
 	}
-	stores.SetPersister(cfg.Persister)
 	if e.clock == nil {
 		e.clock = time.Now
 	}
 	if _, ok := probe.(stream.Resetter); ok {
 		e.pool.Put(probe) // the probe seeds the pool instead of being wasted
 	}
-	// When the persister is itself sharded by the same routing function
-	// and count, bind each worker to its own slice of it.
-	sp, spOK := cfg.Persister.(trajstore.ShardedPersister)
-	spOK = spOK && sp.NumShards() == cfg.Shards
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
 		sh := &shard{
@@ -405,9 +411,10 @@ func New(cfg Config) (*Engine, error) {
 			in:       make(chan shardMsg, cfg.QueueDepth),
 			store:    stores.Shard(i),
 			sessions: make(map[string]*session),
+			persist:  backend,
 		}
-		if spOK {
-			sh.persist = sp.ShardPersister(i)
+		if backend.NumShards() == cfg.Shards {
+			sh.persist = backend.ShardPersister(i)
 		}
 		e.shards[i] = sh
 		e.wg.Add(1)
@@ -431,7 +438,7 @@ func (e *Engine) compactLoop(every time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			if err := e.stores.CompactPersist(); err != nil {
+			if err := e.backend.CompactNow(); err != nil {
 				e.compactFails.Add(1)
 				e.compactErr.Store(&err)
 			} else {
@@ -455,7 +462,7 @@ func (e *Engine) CompactErr() error {
 }
 
 // CompactNow runs one synchronous compaction pass on the persister; a
-// no-op when there is no persister or it cannot compact. The engine
+// no-op when there is no persister or it is append-only. The engine
 // lock is NOT held across the pass — a compaction can take minutes and
 // holding even the read lock would let a pending Close writer stall
 // every Ingest/Sync behind it. In-flight passes are tracked in
@@ -470,7 +477,7 @@ func (e *Engine) CompactNow() error {
 	e.compactWG.Add(1)
 	e.mu.RUnlock()
 	defer e.compactWG.Done()
-	err := e.stores.CompactPersist()
+	err := e.backend.CompactNow()
 	if err != nil {
 		e.compactFails.Add(1)
 	}
@@ -687,7 +694,7 @@ func (e *Engine) Sync() error {
 	if err := e.barrier(shardMsg{}); err != nil {
 		return err
 	}
-	syncErr := e.stores.SyncPersist()
+	syncErr := e.backend.Sync()
 	if syncErr != nil {
 		e.persistFails.Add(1)
 		syncErr = fmt.Errorf("engine: persister sync: %w", syncErr)
@@ -759,9 +766,9 @@ func (e *Engine) Heal() error {
 		e.mu.RUnlock()
 		return ErrClosed
 	}
-	e.compactWG.Add(1) // holds ClosePersist off the probe, like CompactNow
+	e.compactWG.Add(1) // holds the backend's Close off the probe, like CompactNow
 	e.mu.RUnlock()
-	probeErr := e.stores.SyncPersist()
+	probeErr := e.backend.Sync()
 	e.compactWG.Done()
 	if probeErr != nil {
 		return fmt.Errorf("engine: heal: persister still failing: %w", probeErr)
@@ -837,8 +844,8 @@ func (e *Engine) QueueStats() QueueStats {
 // atomically but not mutually consistent; call Sync first for a quiescent
 // reading. Unlike the mutating entry points, Stats deliberately skips
 // the closed check: every source it reads is safe after Close (shard
-// atomics, the in-memory stores, and the persistHolder, which answers
-// "not attached" once ClosePersist has detached the persister), so a
+// atomics and the in-memory stores; the backend's cache and reclaim
+// counters are simply not consulted once Close has begun), so a
 // monitoring scrape racing shutdown gets a coherent final snapshot
 // instead of an error.
 func (e *Engine) Stats() Stats {
@@ -855,9 +862,12 @@ func (e *Engine) Stats() Stats {
 	s.Rejected = e.rejected.Load()
 	s.PersistFailures = e.persistFails.Load()
 	s.CompactFailures = e.compactFails.Load()
-	s.CompactReclaim = e.stores.ReclaimedPersist()
-	if cs, ok := e.stores.CacheStatsPersist(); ok {
-		s.Cache = cs
+	e.mu.RLock()
+	closed := e.closed
+	e.mu.RUnlock()
+	if !closed {
+		s.CompactReclaim = e.backend.ReclaimedBytes()
+		s.Cache = e.backend.CacheStats()
 	}
 	return s
 }
@@ -891,9 +901,9 @@ func (e *Engine) Close() error {
 	e.wg.Wait()
 	e.compactWG.Wait() // external CompactNow callers still in flight
 	// Join the persister's close error with any latched asynchronous
-	// persist failure: a failed ClosePersist must not mask the (often
+	// persist failure: a failed close must not mask the (often
 	// root-cause) append error latched earlier, and vice versa.
-	closeErr := e.stores.ClosePersist()
+	closeErr := e.backend.Close()
 	if closeErr != nil {
 		closeErr = fmt.Errorf("engine: persister close: %w", closeErr)
 	}
@@ -1086,12 +1096,7 @@ func (sh *shard) drainParked() {
 func (sh *shard) appendGeo(device string, geo []trajstore.GeoKey) error {
 	e := sh.eng
 	for attempt := 0; ; attempt++ {
-		var err error
-		if sh.persist != nil {
-			err = sh.persist.Append(device, geo)
-		} else {
-			err = e.stores.Persist(device, geo)
-		}
+		err := sh.persist.Append(device, geo)
 		if err != nil {
 			e.persistFails.Add(1)
 		}

@@ -14,13 +14,10 @@ import (
 
 // windowFailPersister accepts appends but cannot answer window queries
 // — the durable half of QueryWindow fails while the live half works.
-type windowFailPersister struct{}
+type windowFailPersister struct{ trajstore.Backend }
 
 var errWindowBoom = errors.New("window boom")
 
-func (windowFailPersister) Append(string, []trajstore.GeoKey) error { return nil }
-func (windowFailPersister) Sync() error                             { return nil }
-func (windowFailPersister) Close() error                            { return nil }
 func (windowFailPersister) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]trajstore.PersistedRecord, error) {
 	return nil, errWindowBoom
 }
@@ -32,7 +29,7 @@ func (windowFailPersister) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 ui
 func TestEngineQueryWindowPartialResult(t *testing.T) {
 	e, err := New(Config{
 		Compressor: "fbqs", Tolerance: 5, Shards: 2,
-		IdleTimeout: time.Hour, Persister: windowFailPersister{},
+		IdleTimeout: time.Hour, Persister: windowFailPersister{trajstore.AppendOnly(nil)},
 		Clock: func() time.Time { return time.Unix(0, 0) },
 	})
 	if err != nil {
@@ -70,7 +67,7 @@ func TestEngineQueryWindowPartialResult(t *testing.T) {
 func TestEngineQueryWindowCloseRace(t *testing.T) {
 	for iter := 0; iter < 5; iter++ {
 		dir := t.TempDir()
-		lg, err := segmentlog.Open(dir, segmentlog.Options{CacheBytes: 1 << 20})
+		lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{CacheBytes: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +132,7 @@ func TestEngineQueryWindowCloseRace(t *testing.T) {
 // Close (the persister is detached; cache stats read as absent).
 func TestEngineStatsCacheCounters(t *testing.T) {
 	dir := t.TempDir()
-	lg, err := segmentlog.Open(dir, segmentlog.Options{CacheBytes: 1 << 20})
+	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +156,7 @@ func TestEngineStatsCacheCounters(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lg2, err := segmentlog.Open(dir, segmentlog.Options{CacheBytes: 1 << 20})
+	lg2, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestEnginePersistDurableAcrossRestart(t *testing.T) {
 		tol     = 10.0
 	)
 	dir := t.TempDir()
-	lg, err := segmentlog.Open(dir, segmentlog.Options{MaxSegmentBytes: 4096})
+	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{MaxSegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestEnginePersistDurableAcrossRestart(t *testing.T) {
 	}
 
 	// Cold restart: reopen the directory and compare per-device content.
-	lg2, err := segmentlog.Open(dir, segmentlog.Options{})
+	lg2, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestEnginePersistOnEviction(t *testing.T) {
 	clock := func() time.Time { return time.Unix(now.Load(), 0) }
 
 	dir := t.TempDir()
-	lg, err := segmentlog.Open(dir, segmentlog.Options{})
+	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestEnginePersistOnEviction(t *testing.T) {
 func TestEnginePersistTrailChunking(t *testing.T) {
 	const tol = 5.0
 	dir := t.TempDir()
-	lg, err := segmentlog.Open(dir, segmentlog.Options{})
+	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestEnginePersistTrailChunking(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lg2, err := segmentlog.Open(dir, segmentlog.Options{})
+	lg2, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,17 +340,15 @@ func TestEngineCloseJoinsErrors(t *testing.T) {
 	}
 }
 
-// compactingPersister counts CompactNow calls (trajstore.Compacter).
+// compactingPersister counts CompactNow calls.
 type compactingPersister struct {
+	trajstore.Backend
 	compactions atomic.Int64
 	fail        atomic.Bool
 }
 
 var errCompactBoom = errors.New("compact boom")
 
-func (p *compactingPersister) Append(string, []trajstore.GeoKey) error { return nil }
-func (p *compactingPersister) Sync() error                             { return nil }
-func (p *compactingPersister) Close() error                            { return nil }
 func (p *compactingPersister) CompactNow() error {
 	p.compactions.Add(1)
 	if p.fail.Load() {
@@ -363,7 +361,7 @@ func (p *compactingPersister) CompactNow() error {
 // CompactNow works on demand, and a compaction failure is latched and
 // surfaced like any persister failure.
 func TestEngineCompactInterval(t *testing.T) {
-	p := &compactingPersister{}
+	p := &compactingPersister{Backend: trajstore.AppendOnly(nil)}
 	e, err := New(Config{
 		Compressor:      "fbqs",
 		Tolerance:       10,
@@ -424,7 +422,7 @@ func TestEngineCompactInterval(t *testing.T) {
 // engine's own hook shrinking it.
 func TestEngineDurableCompaction(t *testing.T) {
 	dir := t.TempDir()
-	lg, err := segmentlog.Open(dir, segmentlog.Options{
+	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{
 		MaxSegmentBytes: 256,
 		Compaction:      &segmentlog.CompactionPolicy{MergeChunks: true},
 	})
@@ -466,7 +464,7 @@ func TestEngineDurableCompaction(t *testing.T) {
 	}
 
 	// The merged log still reproduces the reference compression.
-	lg2, err := segmentlog.Open(dir, segmentlog.Options{})
+	lg2, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,8 +78,8 @@ func pairInWindow(a, b core.Point, minX, minY, maxX, maxY, t0, t1 float64) bool 
 // metric plane: every stored trajectory segment whose bounding box
 // intersects [minX, maxX] × [minY, maxY] and whose observation time
 // overlaps [t0, t1]. Results merge the live in-memory stores with the
-// durable log (when the configured Persister can answer window
-// queries): durable records are split into their consecutive key-point
+// durable log (when the configured Persister is a trajstore.Backend):
+// durable records are split into their consecutive key-point
 // pairs, filtered exactly, and deduplicated against the live set at
 // wire resolution — so a segment both in memory and on disk is
 // reported once, persisted history from before a restart is reported
@@ -98,8 +98,9 @@ func pairInWindow(a, b core.Point, minX, minY, maxX, maxY, t0, t1 float64) bool 
 func (e *Engine) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]trajstore.Segment, error) {
 	// Register in compactWG under the same lock the closed check reads,
 	// exactly like CompactNow/Heal: Close waits on compactWG before
-	// ClosePersist, so an admitted query can never race the persister's
-	// teardown and report a spurious partial result against itself.
+	// closing the backend, so an admitted query can never race the
+	// persister's teardown and report a spurious partial result against
+	// itself.
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
@@ -112,11 +113,11 @@ func (e *Engine) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]t
 	ft0, ft1 := float64(t0), float64(t1)
 	out := e.stores.QueryWindow(minX, minY, maxX, maxY, ft0, ft1)
 	m := e.mPerDegree
-	durable, ok, err := e.stores.QueryWindowPersist(minX/m, minY/m, maxX/m, maxY/m, t0, t1)
+	durable, err := e.backend.QueryWindow(minX/m, minY/m, maxX/m, maxY/m, t0, t1)
 	if err != nil {
 		return out, fmt.Errorf("%w: %w", ErrPartialResult, err)
 	}
-	if !ok {
+	if len(durable) == 0 {
 		return out, nil
 	}
 	seen := make(map[pairKey]bool, len(out))

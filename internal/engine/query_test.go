@@ -61,7 +61,7 @@ func diffSets(a, b map[pairKey]bool) (onlyA, onlyB int) {
 
 // durablePairSet derives the exact-filtered pair set from a raw log's
 // window query — the durable side of the differential comparison.
-func durablePairSet(t *testing.T, lg *segmentlog.Log, minX, minY, maxX, maxY float64, t0, t1 uint32, m float64) map[pairKey]bool {
+func durablePairSet(t *testing.T, lg *segmentlog.ShardedLog, minX, minY, maxX, maxY float64, t0, t1 uint32, m float64) map[pairKey]bool {
 	t.Helper()
 	recs, err := lg.QueryWindow(minX/m, minY/m, maxX/m, maxY/m, t0, t1)
 	if err != nil {
@@ -110,7 +110,7 @@ func diffWindows(rng *rand.Rand) [][6]float64 {
 func TestDifferentialWindowQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dir := t.TempDir()
-	lg, err := segmentlog.Open(dir, segmentlog.Options{MaxSegmentBytes: 4096})
+	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{MaxSegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDifferentialWindowQueries(t *testing.T) {
 		t.Fatalf("degenerate windows: only %d non-empty ground truths", nonEmpty)
 	}
 
-	compare := func(stage string, lg *segmentlog.Log) {
+	compare := func(stage string, lg *segmentlog.ShardedLog) {
 		t.Helper()
 		for i, w := range windows {
 			got := durablePairSet(t, lg, w[0], w[1], w[2], w[3], uint32(w[4]), uint32(w[5]), m)
@@ -173,7 +173,7 @@ func TestDifferentialWindowQueries(t *testing.T) {
 	}
 
 	// Leg 1: clean reopen (block-index load path).
-	lg2, err := segmentlog.Open(dir, segmentlog.Options{})
+	lg2, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestDifferentialWindowQueries(t *testing.T) {
 
 	// Leg 2: crash recovery — a torn append on the active segment is
 	// truncated on reopen without disturbing any committed record.
-	man, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	man, err := os.ReadFile(filepath.Join(dir, "shard-000", "MANIFEST"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestDifferentialWindowQueries(t *testing.T) {
 			}
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(dir, last), os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, "shard-000", last), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestDifferentialWindowQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	lg3, err := segmentlog.Open(dir, segmentlog.Options{})
+	lg3, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestDifferentialWindowQueries(t *testing.T) {
 	}
 
 	// Leg 4: reopen of the compacted log.
-	lg4, err := segmentlog.Open(dir, segmentlog.Options{})
+	lg4, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,9 +263,9 @@ func TestEngineQueryWindowMergesLiveAndDurable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
 	const m = 1e5
-	newEngine := func() (*Engine, *segmentlog.Log) {
+	newEngine := func() (*Engine, *segmentlog.ShardedLog) {
 		t.Helper()
-		lg, err := segmentlog.Open(dir, segmentlog.Options{})
+		lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

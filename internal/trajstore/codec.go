@@ -5,7 +5,10 @@
 // spatially indexes them, and implements the two maintenance procedures —
 // error-bounded merging (deduplicating a new segment against similar
 // historical segments) and error-bounded ageing (re-compressing old
-// trajectories at a coarser tolerance).
+// trajectories at a coarser tolerance). Durability hangs off two
+// interfaces: Persister, the three-method append hook, and Backend, the
+// full durable store the ingestion engine runs on (the segmentlog
+// subpackage implements it).
 package trajstore
 
 import (

@@ -2,7 +2,6 @@ package trajstore
 
 import (
 	"errors"
-	"sync"
 	"syscall"
 
 	"github.com/trajcomp/bqs/internal/cache"
@@ -57,28 +56,6 @@ func ShardIndex(device string, n int) int {
 	return int(h % uint64(n))
 }
 
-// ShardedPersister is optionally implemented by Persisters that are
-// internally sharded by ShardIndex over the device ID (the sharded
-// segment log is). ShardPersister(i) exposes shard i's private
-// persister; appends routed to it must only carry devices for which
-// ShardIndex(device, NumShards()) == i. The engine uses this to bind
-// each shard worker directly to its own log shard when the shard
-// counts line up.
-type ShardedPersister interface {
-	Persister
-	NumShards() int
-	ShardPersister(i int) Persister
-}
-
-// Compacter is optionally implemented by Persisters that can rewrite
-// their sealed storage smaller (merging, ageing — see
-// segmentlog.Compact). CompactNow runs one compaction pass with the
-// implementation's configured policy; it must be safe to call
-// concurrently with Append/Sync.
-type Compacter interface {
-	CompactNow() error
-}
-
 // PersistedRecord is one durably stored trajectory as read back from a
 // Persister's log: the decoded key points plus the indexed time bounds.
 // segmentlog.Record is an alias of this type.
@@ -88,122 +65,59 @@ type PersistedRecord struct {
 	Keys   []GeoKey // the compressed trajectory's key points
 }
 
-// WindowQuerier is optionally implemented by Persisters that can answer
-// spatio-temporal window queries over their durable storage
-// (segmentlog.Log does, via its block indexes). Coordinates are the
-// wire format's degrees — X longitude, Y latitude; QueryWindow returns
-// every record with at least one consecutive key-point pair whose
-// bounding box intersects [minX, maxX] × [minY, maxY] and whose time
-// span overlaps [t0, t1], in log order. It must be safe to call
-// concurrently with Append/Sync/CompactNow.
-type WindowQuerier interface {
+// Backend is the durable storage the ingestion engine runs on: a
+// Persister that is sharded by ShardIndex over the device ID, compacts
+// itself, answers window queries from disk and reports its read-cache
+// and reclaim counters. segmentlog.ShardedLog is the implementation;
+// AppendOnly adapts anything that is only a Persister. Every method
+// must be safe to call concurrently with every other.
+type Backend interface {
+	Persister
+	// NumShards is the shard count; ShardPersister(i) exposes shard i's
+	// private persister. Appends routed to it must only carry devices
+	// for which ShardIndex(device, NumShards()) == i — the engine binds
+	// each shard worker directly to its own log shard when the shard
+	// counts line up.
+	NumShards() int
+	ShardPersister(i int) Persister
+	// CompactNow runs one compaction pass — rewriting sealed storage
+	// smaller by merging and ageing, see segmentlog.ShardedLog.Compact
+	// — with the implementation's configured policy.
+	CompactNow() error
+	// QueryWindow returns, in log order, every record with at least one
+	// consecutive key-point pair whose bounding box intersects
+	// [minX, maxX] × [minY, maxY] — the wire format's degrees, X
+	// longitude, Y latitude — and whose time span overlaps [t0, t1].
 	QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]PersistedRecord, error)
-}
-
-// CacheStatser is optionally implemented by Persisters with a
-// read-side cache (the segment log's record cache). CacheStats
-// snapshots its counters; it must be safe to call concurrently with
-// every other operation.
-type CacheStatser interface {
+	// CacheStats snapshots the read-side record cache's counters.
 	CacheStats() cache.Stats
-}
-
-// Reclaimer is optionally implemented by Persisters whose compaction
-// reports cumulative reclaimed disk bytes (net: an upgrade pass that
-// grows the data subtracts).
-type Reclaimer interface {
+	// ReclaimedBytes is the cumulative net disk space compaction freed.
 	ReclaimedBytes() int64
 }
 
-// persistHolder is the optional persister attachment shared by Store
-// wrappers; Sharded embeds one so the engine can thread durability
-// through the existing storage object without new plumbing types.
-type persistHolder struct {
-	mu sync.RWMutex
-	p  Persister
-}
-
-// SetPersister attaches (or, with nil, detaches) the durability hook.
-func (h *persistHolder) SetPersister(p Persister) {
-	h.mu.Lock()
-	h.p = p
-	h.mu.Unlock()
-}
-
-// Persister returns the attached durability hook, nil when none.
-func (h *persistHolder) Persister() Persister {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.p
-}
-
-// Persist forwards a finalized trajectory to the attached persister; a
-// no-op without one or with an empty trajectory.
-func (h *persistHolder) Persist(device string, keys []GeoKey) error {
-	p := h.Persister()
-	if p == nil || len(keys) == 0 {
-		return nil
-	}
-	return p.Append(device, keys)
-}
-
-// SyncPersist is the durability barrier: a no-op without a persister.
-func (h *persistHolder) SyncPersist() error {
-	p := h.Persister()
+// AppendOnly adapts a bare Persister to Backend: one shard, and nothing
+// to compact, query or count. A nil p yields the "no persister"
+// backend, whose Append, Sync and Close do nothing either.
+func AppendOnly(p Persister) Backend {
 	if p == nil {
-		return nil
+		p = nopPersister{}
 	}
-	return p.Sync()
+	return appendOnly{p}
 }
 
-// CompactPersist runs one compaction pass on the attached persister; a
-// no-op when none is attached or it does not implement Compacter.
-func (h *persistHolder) CompactPersist() error {
-	if c, ok := h.Persister().(Compacter); ok {
-		return c.CompactNow()
-	}
-	return nil
+type appendOnly struct{ Persister }
+
+func (a appendOnly) NumShards() int               { return 1 }
+func (a appendOnly) ShardPersister(int) Persister { return a.Persister }
+func (appendOnly) CompactNow() error              { return nil }
+func (appendOnly) CacheStats() cache.Stats        { return cache.Stats{} }
+func (appendOnly) ReclaimedBytes() int64          { return 0 }
+func (appendOnly) QueryWindow(_, _, _, _ float64, _, _ uint32) ([]PersistedRecord, error) {
+	return nil, nil
 }
 
-// QueryWindowPersist forwards a spatio-temporal window query (degree
-// coordinates: X longitude, Y latitude) to the attached persister; ok
-// is false when none is attached or it cannot answer window queries.
-func (h *persistHolder) QueryWindowPersist(minX, minY, maxX, maxY float64, t0, t1 uint32) (recs []PersistedRecord, ok bool, err error) {
-	q, isQ := h.Persister().(WindowQuerier)
-	if !isQ {
-		return nil, false, nil
-	}
-	recs, err = q.QueryWindow(minX, minY, maxX, maxY, t0, t1)
-	return recs, true, err
-}
+type nopPersister struct{}
 
-// CacheStatsPersist snapshots the attached persister's read-cache
-// counters; ok is false when none is attached or it has no cache
-// statistics to report.
-func (h *persistHolder) CacheStatsPersist() (cache.Stats, bool) {
-	if c, isC := h.Persister().(CacheStatser); isC {
-		return c.CacheStats(), true
-	}
-	return cache.Stats{}, false
-}
-
-// ReclaimedPersist reports the attached persister's cumulative
-// compaction reclaim; zero when unattached or unsupported.
-func (h *persistHolder) ReclaimedPersist() int64 {
-	if r, isR := h.Persister().(Reclaimer); isR {
-		return r.ReclaimedBytes()
-	}
-	return 0
-}
-
-// ClosePersist closes the attached persister, if any, and detaches it.
-func (h *persistHolder) ClosePersist() error {
-	h.mu.Lock()
-	p := h.p
-	h.p = nil
-	h.mu.Unlock()
-	if p == nil {
-		return nil
-	}
-	return p.Close()
-}
+func (nopPersister) Append(string, []GeoKey) error { return nil }
+func (nopPersister) Sync() error                   { return nil }
+func (nopPersister) Close() error                  { return nil }

@@ -3,81 +3,50 @@ package trajstore
 import (
 	"errors"
 	"testing"
+
+	"github.com/trajcomp/bqs/internal/cache"
 )
 
-// recPersister records calls; optionally a Compacter.
+// recPersister records calls.
 type recPersister struct {
-	appends, syncs, closes, compacts int
-	err                              error
+	appends, syncs, closes int
+	err                    error
 }
 
 func (p *recPersister) Append(string, []GeoKey) error { p.appends++; return p.err }
 func (p *recPersister) Sync() error                   { p.syncs++; return p.err }
 func (p *recPersister) Close() error                  { p.closes++; return p.err }
-func (p *recPersister) CompactNow() error             { p.compacts++; return p.err }
 
-// plainPersister does not implement Compacter.
-type plainPersister struct{ recPersister }
-
-func (p *plainPersister) CompactNow() {} // wrong signature: not a Compacter
-
-func TestPersistHolder(t *testing.T) {
-	var h persistHolder
-
-	// Detached: every operation is a successful no-op.
-	if err := h.Persist("d", []GeoKey{{T: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.SyncPersist(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.CompactPersist(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.ClosePersist(); err != nil {
+// TestAppendOnlyBackend: the adapter forwards Append/Sync/Close — errors
+// included — to the one persister it wraps, exposes it as its single
+// shard, and answers every other Backend method with "nothing there".
+// Without a persister the three forwarded methods are no-ops too.
+func TestAppendOnlyBackend(t *testing.T) {
+	none := AppendOnly(nil)
+	if err := errors.Join(none.Append("d", []GeoKey{{T: 1}}), none.Sync(), none.CompactNow(), none.Close()); err != nil {
 		t.Fatal(err)
 	}
 
 	p := &recPersister{}
-	h.SetPersister(p)
-	if h.Persister() != Persister(p) {
-		t.Fatal("Persister() did not return the attachment")
+	b := AppendOnly(p)
+	if b.NumShards() != 1 || b.ShardPersister(0) != Persister(p) {
+		t.Fatal("the wrapped persister is not the adapter's single shard")
 	}
-	if err := h.Persist("d", nil); err != nil || p.appends != 0 {
-		t.Fatalf("empty trajectory reached the persister (%d appends)", p.appends)
+	if err := errors.Join(b.Append("d", []GeoKey{{T: 1}}), b.Sync(), b.Close()); err != nil || p.appends != 1 || p.syncs != 1 || p.closes != 1 {
+		t.Fatalf("not forwarded: err=%v %+v", err, p)
 	}
-	if err := h.Persist("d", []GeoKey{{T: 1}}); err != nil || p.appends != 1 {
-		t.Fatalf("Persist: err=%v appends=%d", err, p.appends)
+	if err := b.CompactNow(); err != nil {
+		t.Fatal(err)
 	}
-	if err := h.SyncPersist(); err != nil || p.syncs != 1 {
-		t.Fatalf("SyncPersist: err=%v syncs=%d", err, p.syncs)
-	}
-	if err := h.CompactPersist(); err != nil || p.compacts != 1 {
-		t.Fatalf("CompactPersist: err=%v compacts=%d", err, p.compacts)
+	if b.CacheStats() != (cache.Stats{}) || b.ReclaimedBytes() != 0 {
+		t.Fatal("append-only backend reports cache or reclaim activity")
 	}
 
-	// Errors propagate.
 	boom := errors.New("boom")
 	p.err = boom
-	if err := h.Persist("d", []GeoKey{{T: 2}}); !errors.Is(err, boom) {
-		t.Fatalf("Persist error lost: %v", err)
-	}
-	if err := h.CompactPersist(); !errors.Is(err, boom) {
-		t.Fatalf("CompactPersist error lost: %v", err)
-	}
-
-	// Close detaches.
-	p.err = nil
-	if err := h.ClosePersist(); err != nil || p.closes != 1 {
-		t.Fatalf("ClosePersist: err=%v closes=%d", err, p.closes)
-	}
-	if h.Persister() != nil {
-		t.Fatal("ClosePersist did not detach")
-	}
-
-	// A non-Compacter persister makes CompactPersist a no-op.
-	h.SetPersister(&plainPersister{})
-	if err := h.CompactPersist(); err != nil {
-		t.Fatal(err)
+	for op, err := range map[string]error{"Append": b.Append("d", []GeoKey{{T: 2}}), "Sync": b.Sync(), "Close": b.Close()} {
+		if !errors.Is(err, boom) {
+			t.Fatalf("%s error lost: %v", op, err)
+		}
 	}
 }

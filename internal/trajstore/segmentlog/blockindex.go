@@ -17,15 +17,15 @@
 //
 //	0..5   magic "BQSIDX"
 //	6      index format version (1)
-//	7      record-format version of the covered segment file
+//	7      record-format version of the covered segment file (2)
 //	body:
 //	  uvarint  segSize      valid bytes of the covered .log file
 //	  uvarint  recordCount
 //	  per record, in file order:
 //	    uvarint  deviceLen, device ID bytes
 //	    u32 t0, u32 t1      indexed time bounds
-//	    u8  flags           bit0: a bounding box follows
-//	    [4 × u32]           bbox as int32 1e-7°: minLat, minLon, maxLat, maxLon
+//	    u8  flags           1: a bounding box follows (always)
+//	    4 × u32             bbox as int32 1e-7°: minLat, minLon, maxLat, maxLon
 //	    uvarint  off        body offset within the segment file
 //	    uvarint  bodyLen
 //	u32  crc32c over every preceding byte
@@ -48,7 +48,8 @@ const (
 	idxHeaderSize = 8
 	// idxVersion is the current block-index format version.
 	idxVersion = 1
-	// idxFlagBBox marks an entry that carries a bounding box.
+	// idxFlagBBox marks an entry that carries a bounding box; every
+	// entry does, and any other flags byte is rejected.
 	idxFlagBBox = 1
 )
 
@@ -85,11 +86,11 @@ func idxPathFor(segPath string) (string, bool) {
 }
 
 // formatBlockIndex renders the index of one sealed segment: its valid
-// size, record-format version and per-record metadata in file order.
-func formatBlockIndex(segSize int64, segVer byte, metas []recordMeta) []byte {
+// size and per-record metadata in file order.
+func formatBlockIndex(segSize int64, metas []recordMeta) []byte {
 	out := make([]byte, 0, idxHeaderSize+16+len(metas)*32)
 	out = append(out, idxMagic[:]...)
-	out = append(out, idxVersion, segVer)
+	out = append(out, idxVersion, version)
 	out = binary.AppendUvarint(out, uint64(segSize))
 	out = binary.AppendUvarint(out, uint64(len(metas)))
 	for i := range metas {
@@ -98,15 +99,11 @@ func formatBlockIndex(segSize int64, segVer byte, metas []recordMeta) []byte {
 		out = append(out, m.device...)
 		out = binary.LittleEndian.AppendUint32(out, m.t0)
 		out = binary.LittleEndian.AppendUint32(out, m.t1)
-		if m.hasBB {
-			out = append(out, idxFlagBBox)
-			out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.minLat))
-			out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.minLon))
-			out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.maxLat))
-			out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.maxLon))
-		} else {
-			out = append(out, 0)
-		}
+		out = append(out, idxFlagBBox)
+		out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.minLat))
+		out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.minLon))
+		out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.maxLat))
+		out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.maxLon))
 		out = binary.AppendUvarint(out, uint64(m.off))
 		out = binary.AppendUvarint(out, uint64(m.bodyLen))
 	}
@@ -120,24 +117,23 @@ func formatBlockIndex(segSize int64, segVer byte, metas []recordMeta) []byte {
 // have indexed. (Queries still CRC-verify each record they read, so
 // even a colliding-CRC forgery cannot produce wrong results — only a
 // read error.)
-func parseBlockIndex(data []byte) (segSize int64, segVer byte, metas []recordMeta, err error) {
+func parseBlockIndex(data []byte) (segSize int64, metas []recordMeta, err error) {
 	if len(data) < idxHeaderSize+4 {
-		return 0, 0, nil, fmt.Errorf("%w: short file", errBadIndex)
+		return 0, nil, fmt.Errorf("%w: short file", errBadIndex)
 	}
 	if [6]byte(data[:6]) != idxMagic {
-		return 0, 0, nil, fmt.Errorf("%w: bad magic", errBadIndex)
+		return 0, nil, fmt.Errorf("%w: bad magic", errBadIndex)
 	}
 	if data[6] != idxVersion {
-		return 0, 0, nil, fmt.Errorf("%w: unsupported index version %d", errBadIndex, data[6])
+		return 0, nil, fmt.Errorf("%w: unsupported index version %d", errBadIndex, data[6])
 	}
-	segVer = data[7]
-	if segVer != versionLegacy && segVer != version {
-		return 0, 0, nil, fmt.Errorf("%w: unsupported segment version %d", errBadIndex, segVer)
+	if data[7] != version {
+		return 0, nil, fmt.Errorf("%w: unsupported segment version %d", errBadIndex, data[7])
 	}
 	covered := data[:len(data)-4]
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.Checksum(covered, castagnoli); got != want {
-		return 0, 0, nil, fmt.Errorf("%w: crc mismatch (%08x != %08x)", errBadIndex, got, want)
+		return 0, nil, fmt.Errorf("%w: crc mismatch (%08x != %08x)", errBadIndex, got, want)
 	}
 	b := covered[idxHeaderSize:]
 	next := func() (uint64, error) {
@@ -150,90 +146,86 @@ func parseBlockIndex(data []byte) (segSize int64, segVer byte, metas []recordMet
 	}
 	size, err := next()
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	if size < headerSize || size > 1<<62 {
-		return 0, 0, nil, fmt.Errorf("%w: implausible segment size %d", errBadIndex, size)
+		return 0, nil, fmt.Errorf("%w: implausible segment size %d", errBadIndex, size)
 	}
 	segSize = int64(size)
 	count, err := next()
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	// Every entry costs ≥ 12 bytes on the wire; a larger count is a lie.
 	if count > uint64(len(b))/12+1 {
-		return 0, 0, nil, fmt.Errorf("%w: implausible record count %d", errBadIndex, count)
+		return 0, nil, fmt.Errorf("%w: implausible record count %d", errBadIndex, count)
 	}
 	metas = make([]recordMeta, 0, count)
 	prevEnd := int64(headerSize)
-	minBody := int64(minBodySizeFor(segVer))
 	for i := uint64(0); i < count; i++ {
 		var m recordMeta
 		devLen, err := next()
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, nil, err
 		}
 		if devLen > uint64(^uint16(0)) || devLen > uint64(len(b)) {
-			return 0, 0, nil, fmt.Errorf("%w: implausible device length %d", errBadIndex, devLen)
+			return 0, nil, fmt.Errorf("%w: implausible device length %d", errBadIndex, devLen)
 		}
 		m.device = string(b[:devLen])
 		b = b[devLen:]
 		if len(b) < 9 {
-			return 0, 0, nil, fmt.Errorf("%w: truncated entry", errBadIndex)
+			return 0, nil, fmt.Errorf("%w: truncated entry", errBadIndex)
 		}
 		m.t0 = binary.LittleEndian.Uint32(b)
 		m.t1 = binary.LittleEndian.Uint32(b[4:])
 		flags := b[8]
 		b = b[9:]
-		if flags&^byte(idxFlagBBox) != 0 {
-			return 0, 0, nil, fmt.Errorf("%w: unknown entry flags %#x", errBadIndex, flags)
+		if flags != idxFlagBBox {
+			return 0, nil, fmt.Errorf("%w: unknown entry flags %#x", errBadIndex, flags)
 		}
 		if m.t0 > m.t1 {
-			return 0, 0, nil, fmt.Errorf("%w: inverted time bounds", errBadIndex)
+			return 0, nil, fmt.Errorf("%w: inverted time bounds", errBadIndex)
 		}
-		if flags&idxFlagBBox != 0 {
-			if len(b) < 16 {
-				return 0, 0, nil, fmt.Errorf("%w: truncated bbox", errBadIndex)
-			}
-			m.hasBB = true
-			m.bb.minLat = int32(binary.LittleEndian.Uint32(b))
-			m.bb.minLon = int32(binary.LittleEndian.Uint32(b[4:]))
-			m.bb.maxLat = int32(binary.LittleEndian.Uint32(b[8:]))
-			m.bb.maxLon = int32(binary.LittleEndian.Uint32(b[12:]))
-			b = b[16:]
-			if m.bb.minLat > m.bb.maxLat || m.bb.minLon > m.bb.maxLon {
-				return 0, 0, nil, fmt.Errorf("%w: inverted bbox", errBadIndex)
-			}
+		if len(b) < 16 {
+			return 0, nil, fmt.Errorf("%w: truncated bbox", errBadIndex)
+		}
+		m.bb.minLat = int32(binary.LittleEndian.Uint32(b))
+		m.bb.minLon = int32(binary.LittleEndian.Uint32(b[4:]))
+		m.bb.maxLat = int32(binary.LittleEndian.Uint32(b[8:]))
+		m.bb.maxLon = int32(binary.LittleEndian.Uint32(b[12:]))
+		b = b[16:]
+		if m.bb.minLat > m.bb.maxLat || m.bb.minLon > m.bb.maxLon {
+			return 0, nil, fmt.Errorf("%w: inverted bbox", errBadIndex)
 		}
 		off, err := next()
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, nil, err
 		}
 		bodyLen, err := next()
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, nil, err
 		}
 		m.off = int64(off)
 		m.bodyLen = int(bodyLen)
-		if int64(bodyLen) < minBody || bodyLen > MaxRecordBytes {
-			return 0, 0, nil, fmt.Errorf("%w: implausible body length %d", errBadIndex, bodyLen)
+		if bodyLen < minBodySize || bodyLen > MaxRecordBytes {
+			return 0, nil, fmt.Errorf("%w: implausible body length %d", errBadIndex, bodyLen)
 		}
 		if m.off < prevEnd+recordHeaderSize || m.off+int64(m.bodyLen) > segSize {
-			return 0, 0, nil, fmt.Errorf("%w: entry outside segment bounds", errBadIndex)
+			return 0, nil, fmt.Errorf("%w: entry outside segment bounds", errBadIndex)
 		}
 		prevEnd = m.off + int64(m.bodyLen)
 		metas = append(metas, m)
 	}
 	if len(b) != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: %d trailing bytes", errBadIndex, len(b))
+		return 0, nil, fmt.Errorf("%w: %d trailing bytes", errBadIndex, len(b))
 	}
-	return segSize, segVer, metas, nil
+	return segSize, metas, nil
 }
 
 // writeBlockIndex persists (and fsyncs) the index of one sealed
 // segment next to it. The write is not atomic: a torn index fails the
 // CRC on load and degrades to a scan, never to wrong results.
-func writeBlockIndex(fsys vfs.FS, segPath string, segSize int64, segVer byte, metas []recordMeta) error {
+func writeBlockIndex(fsys vfs.FS, segPath string, segSize int64, metas []recordMeta) error {
 	path, ok := idxPathFor(segPath)
 	if !ok {
 		return fmt.Errorf("segmentlog: %s is not a canonical segment name", segPath)
@@ -242,7 +234,7 @@ func writeBlockIndex(fsys vfs.FS, segPath string, segSize int64, segVer byte, me
 	if err != nil {
 		return fmt.Errorf("segmentlog: block index: %w", err)
 	}
-	if _, err := f.Write(formatBlockIndex(segSize, segVer, metas)); err != nil {
+	if _, err := f.Write(formatBlockIndex(segSize, metas)); err != nil {
 		_ = f.Close() // publish failed; the write error is the story
 		fsys.Remove(path)
 		return fmt.Errorf("segmentlog: block index: %w", err)
@@ -264,25 +256,25 @@ func writeBlockIndex(fsys vfs.FS, segPath string, segSize int64, segVer byte, me
 // a sealed segment never changes, so any difference means the index
 // belongs to an earlier life of the file (an unpublished rotation) and
 // must not be trusted.
-func loadBlockIndex(fsys vfs.FS, segPath string) (segSize int64, segVer byte, metas []recordMeta, err error) {
+func loadBlockIndex(fsys vfs.FS, segPath string) (segSize int64, metas []recordMeta, err error) {
 	path, ok := idxPathFor(segPath)
 	if !ok {
-		return 0, 0, nil, fmt.Errorf("%w: non-canonical segment name", errBadIndex)
+		return 0, nil, fmt.Errorf("%w: non-canonical segment name", errBadIndex)
 	}
 	data, err := fsys.ReadFile(path)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: %v", errBadIndex, err)
+		return 0, nil, fmt.Errorf("%w: %v", errBadIndex, err)
 	}
-	segSize, segVer, metas, err = parseBlockIndex(data)
+	segSize, metas, err = parseBlockIndex(data)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	fi, err := fsys.Stat(segPath)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: %v", errBadIndex, err)
+		return 0, nil, fmt.Errorf("%w: %v", errBadIndex, err)
 	}
 	if fi.Size() != segSize {
-		return 0, 0, nil, fmt.Errorf("%w: segment is %d bytes, index covers %d", errBadIndex, fi.Size(), segSize)
+		return 0, nil, fmt.Errorf("%w: segment is %d bytes, index covers %d", errBadIndex, fi.Size(), segSize)
 	}
-	return segSize, segVer, metas, nil
+	return segSize, metas, nil
 }

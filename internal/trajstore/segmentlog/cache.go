@@ -9,9 +9,9 @@
 // pread, the CRC re-verification and the delta-varint decode; the CRC
 // was verified when the entry was populated.
 //
-// One cache may be shared by many Logs (the sharded layer shares a
-// single budget across all shard logs); the path component of the key
-// includes the shard directory, so keys never collide across shards.
+// One cache is shared by all shard logs of a ShardedLog (a single
+// budget for the tree); the path component of the key includes the
+// shard directory, so keys never collide across shards.
 package segmentlog
 
 import (
@@ -60,7 +60,7 @@ func newRecordCache(maxBytes int64) *recordCache {
 
 // cacheGet returns a private copy of the cached decode of the record
 // at (gen, path, off), if present.
-func (l *Log) cacheGet(gen uint64, path string, off int64) (Record, bool) {
+func (l *shardLog) cacheGet(gen uint64, path string, off int64) (Record, bool) {
 	v, ok := l.cache.Get(recKey{gen: gen, path: path, off: off})
 	if !ok {
 		return Record{}, false
@@ -71,7 +71,7 @@ func (l *Log) cacheGet(gen uint64, path string, off int64) (Record, bool) {
 }
 
 // cachePut stores a private copy of a freshly decoded record.
-func (l *Log) cachePut(gen uint64, path string, off int64, r Record) {
+func (l *shardLog) cachePut(gen uint64, path string, off int64, r Record) {
 	if l.cache == nil {
 		return
 	}
@@ -81,25 +81,18 @@ func (l *Log) cachePut(gen uint64, path string, off int64, r Record) {
 		cachedRec{device: r.Device, t0: r.T0, t1: r.T1, keys: keys})
 }
 
-// CacheStats snapshots the read cache's counters; all zero when no
-// cache is configured. For shard logs sharing one cache, each shard
-// reports the same shared snapshot — aggregate through
-// ShardedLog.CacheStats instead of summing shards.
-func (l *Log) CacheStats() cache.Stats { return l.cache.Stats() }
-
-// ReclaimedBytes is the cumulative net disk space reclaimed by
-// compactions published over this open handle's lifetime (BytesIn −
-// BytesOut per publish; an upgrade pass that grows the data subtracts).
-func (l *Log) ReclaimedBytes() int64 { return l.reclaimed.Load() }
-
-// CacheStats snapshots the read cache shared by all shards.
+// CacheStats snapshots the read cache shared by all shards; all zero
+// when no cache is configured.
 func (s *ShardedLog) CacheStats() cache.Stats { return s.cache.Stats() }
 
-// ReclaimedBytes sums the shards' cumulative compaction reclaim.
+// ReclaimedBytes is the cumulative net disk space reclaimed by
+// compactions published over this open handle's lifetime, summed over
+// shards (BytesIn − BytesOut per publish; a reseal pass that grows the
+// data subtracts).
 func (s *ShardedLog) ReclaimedBytes() int64 {
 	var n int64
 	for _, lg := range s.shards {
-		n += lg.ReclaimedBytes()
+		n += lg.reclaimed.Load()
 	}
 	return n
 }

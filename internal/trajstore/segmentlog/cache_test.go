@@ -12,19 +12,19 @@ import (
 // windowCacheStats runs one window query over the whole fixture and
 // returns the results with the per-query window stats and the cache
 // counters after it.
-func windowCacheStats(t *testing.T, l *Log) ([]Record, WindowStats, cache.Stats) {
+func windowCacheStats(t *testing.T, l *shardLog) ([]Record, WindowStats, cache.Stats) {
 	t.Helper()
 	recs, ws, err := l.QueryWindowStats(-1, -1, 10, 10, 0, math.MaxUint32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recs, ws, l.CacheStats()
+	return recs, ws, l.cache.Stats()
 }
 
 // fillChunked appends each device's walk as chunks overlapping by one
 // key — the engine's MaxTrailKeys chunking invariant — so a MergeChunks
 // compaction has real work to do and therefore publishes a generation.
-func fillChunked(t *testing.T, l *Log, devs, n, chunk int) {
+func fillChunked(t *testing.T, l *shardLog, devs, n, chunk int) {
 	t.Helper()
 	for d := 0; d < devs; d++ {
 		keys := cellKeys(d, 0, n)

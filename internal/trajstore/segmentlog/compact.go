@@ -18,7 +18,7 @@
 //     paper's merge procedure specialized to the exact-overlap case the
 //     wire format can prove.
 //   - Ageing: records older than CompactionPolicy.MinAge are decoded
-//     and re-run through a registry compressor at CoarseTolerance
+//     and re-run through the FBQS compressor at CoarseTolerance
 //     (Liu et al.'s amnesic compression: fidelity decays with age, but
 //     stays error-bounded). The compressor emits a subset of the input
 //     points, so retained keys are bit-identical and every dropped key
@@ -67,15 +67,6 @@ type CompactionPolicy struct {
 	// MergeChunks enables re-joining consecutive same-device records
 	// that share their boundary key point.
 	MergeChunks bool
-	// NoDedup disables the overlap-dedup pass. Dedup compares each of a
-	// device's records against the kept set — time-window prefiltered
-	// but quadratic per device in the worst case — so a deployment with
-	// huge per-device record counts and no duplicated history can turn
-	// it off.
-	NoDedup bool
-	// AgeCompressor names the registry compressor used for ageing;
-	// empty means "fbqs".
-	AgeCompressor string
 	// MetersPerDegree maps wire-format degrees to the metric plane the
 	// ageing compressor runs in. Default 1e5, matching the engine.
 	MetersPerDegree float64
@@ -111,18 +102,9 @@ type compactRecord struct {
 	keys   []trajstore.GeoKey
 }
 
-// CompactNow runs Compact with the policy configured in
-// Options.Compaction; a no-op when none was configured. It is the
-// entry point for the engine's periodic compaction hook
-// (trajstore.Compacter).
-func (l *Log) CompactNow() error {
-	p := l.opts.Compaction
-	if p == nil {
-		return nil
-	}
-	_, err := l.Compact(*p)
-	return err
-}
+// ageCompressor is the registry compressor ageing re-runs old records
+// through.
+const ageCompressor = "fbqs"
 
 // devRef locates one sealed record of a device for the streaming
 // compactor: enough metadata to read, CRC-verify and decode it without
@@ -159,7 +141,7 @@ type devOut struct {
 // the Workers largest devices, never the whole sealed log. Record reads
 // go through the per-record offsets the block index recovered (pread,
 // CRC-verified), not a whole-file slurp.
-func (l *Log) Compact(p CompactionPolicy) (CompactionResult, error) {
+func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	var res CompactionResult
 	if p.MetersPerDegree == 0 {
 		p.MetersPerDegree = 1e5
@@ -170,13 +152,10 @@ func (l *Log) Compact(p CompactionPolicy) (CompactionResult, error) {
 	if math.IsNaN(p.CoarseTolerance) || p.CoarseTolerance < 0 {
 		return res, fmt.Errorf("segmentlog: CoarseTolerance must be ≥ 0")
 	}
-	if p.AgeCompressor == "" {
-		p.AgeCompressor = "fbqs"
-	}
 	if p.CoarseTolerance > 0 {
-		// Validate the (name, tolerance) pair up front so a bad policy
-		// fails before any IO.
-		if _, err := stream.New(p.AgeCompressor, p.CoarseTolerance); err != nil {
+		// Validate the tolerance up front so a bad policy fails before
+		// any IO.
+		if _, err := stream.New(ageCompressor, p.CoarseTolerance); err != nil {
 			return res, fmt.Errorf("segmentlog: age compressor: %w", err)
 		}
 	}
@@ -220,8 +199,6 @@ func (l *Log) Compact(p CompactionPolicy) (CompactionResult, error) {
 	if m.valid && m.gen == genAtSnap &&
 		m.policy.CoarseTolerance == p.CoarseTolerance &&
 		m.policy.MergeChunks == p.MergeChunks &&
-		m.policy.NoDedup == p.NoDedup &&
-		m.policy.AgeCompressor == p.AgeCompressor &&
 		m.policy.MetersPerDegree == p.MetersPerDegree &&
 		(p.CoarseTolerance == 0 || cutoff < m.nextAgeT1) {
 		return res, nil
@@ -229,10 +206,10 @@ func (l *Log) Compact(p CompactionPolicy) (CompactionResult, error) {
 
 	// Metadata scan: snapshot the sealed segments and group their record
 	// locations per device in append order — no payload is read or
-	// decoded here. A sealed segment in the legacy record format, or one
-	// without a live block index, marks the pass as an upgrade: even a
+	// decoded here. A sealed segment without a live block index (its
+	// write failed at rotation) marks the pass as a reseal: even a
 	// record-identical rewrite is then worthwhile, because the output
-	// carries bounding boxes and sealed indexes the input lacked.
+	// carries the sealed indexes the input lacked.
 	l.mu.Lock()
 	if err := l.ensureAllLoadedLocked(); err != nil {
 		l.mu.Unlock()
@@ -249,12 +226,12 @@ func (l *Log) Compact(p CompactionPolicy) (CompactionResult, error) {
 		res.RecordsIn += len(l.segRecs[si])
 	}
 	l.mu.Unlock()
-	upgrade := false
+	reseal := false
 	for _, sf := range sealed {
 		res.SegmentsIn++
 		res.BytesIn += sf.size
-		if sf.ver != version || !sf.idx {
-			upgrade = true
+		if !sf.idx {
+			reseal = true
 		}
 	}
 	// Open every sealed file once; workers share the handles via pread.
@@ -348,8 +325,8 @@ func (l *Log) Compact(p CompactionPolicy) (CompactionResult, error) {
 	// pass, not a generation bump and fsync storm every interval — and
 	// the memo below makes the next tick O(1). (RecordsIn == 0 with
 	// sealed segments present still publishes, to drop the empty files;
-	// an upgrade pass publishes to gain bboxes and block indexes.)
-	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && res.RecordsIn > 0 && !upgrade {
+	// a reseal pass publishes to gain block indexes.)
+	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && res.RecordsIn > 0 && !reseal {
 		cw.discard()
 		res.RecordsOut = res.RecordsIn
 		res.SegmentsOut = res.SegmentsIn
@@ -400,15 +377,7 @@ func (l *Log) Compact(p CompactionPolicy) (CompactionResult, error) {
 	l.segs = combined
 	l.segRecs = combinedRecs
 	l.rebuildIndexLocked()
-	var bytes int64
-	for i, s := range l.segs {
-		if i == len(l.segs)-1 {
-			bytes += l.off // active logical size includes buffered appends
-		} else {
-			bytes += s.size
-		}
-	}
-	l.stats.Bytes = bytes
+	l.recountBytesLocked()
 	l.mu.Unlock()
 
 	// Delete the superseded generation — segment files and their block
@@ -449,7 +418,7 @@ func (l *Log) Compact(p CompactionPolicy) (CompactionResult, error) {
 // old generation untouched) rather than drop the record and then
 // delete its only copy. out.decoded is reported even on error so the
 // writer's live-memory accounting stays balanced.
-func (l *Log) compactDevice(refs []devRef, sealed []segmentFile, files []vfs.File, p CompactionPolicy, cutoff uint32) (out devOut) {
+func (l *shardLog) compactDevice(refs []devRef, sealed []segmentFile, files []vfs.File, p CompactionPolicy, cutoff uint32) (out devOut) {
 	out.nextAgeT1 = math.MaxUint32
 	decoded := 0
 	defer func() { out.decoded = decoded }()
@@ -461,7 +430,7 @@ func (l *Log) compactDevice(refs []devRef, sealed []segmentFile, files []vfs.Fil
 				filepath.Base(sealed[ref.seg].path), ref.off, err)
 			return out
 		}
-		dev, t0, t1, _, _, payload, err := splitBody(body, sealed[ref.seg].ver)
+		dev, t0, t1, _, payload, err := splitBody(body)
 		if err != nil {
 			out.err = fmt.Errorf("%w: %s: record at offset %d unreadable: %v",
 				ErrCorrupt, sealed[ref.seg].path, ref.off, err)
@@ -479,9 +448,7 @@ func (l *Log) compactDevice(refs []devRef, sealed []segmentFile, files []vfs.Fil
 	if p.MergeChunks {
 		recs, out.merged = mergeChunks(recs)
 	}
-	if !p.NoDedup {
-		recs, out.deduped = dedupContained(recs)
-	}
+	recs, out.deduped = dedupContained(recs)
 	if p.CoarseTolerance > 0 {
 		for i := range recs {
 			if recs[i].t1 > cutoff && recs[i].t1 < out.nextAgeT1 {
@@ -613,7 +580,7 @@ func ageKeys(keys []trajstore.GeoKey, t1, cutoff uint32, p CompactionPolicy) ([]
 	if t1 > cutoff || len(keys) <= 2 {
 		return nil, nil
 	}
-	comp, err := stream.New(p.AgeCompressor, p.CoarseTolerance)
+	comp, err := stream.New(ageCompressor, p.CoarseTolerance)
 	if err != nil {
 		return nil, fmt.Errorf("segmentlog: age compressor: %w", err)
 	}
@@ -659,16 +626,15 @@ func ageKeys(keys []trajstore.GeoKey, t1, cutoff uint32, p CompactionPolicy) ([]
 
 // compactWriter packs a stream of records into fresh segment files
 // (respecting the rotation threshold), fsyncs each on seal, and writes
-// a block index next to it. Every output segment is in the current
-// record format with a live index — compaction is the upgrade path for
-// legacy data. An index write failure aborts the pass: proceeding
-// without one would leave the output permanently flagged for
-// re-upgrade, turning every periodic tick into a full rewrite. The
+// a block index next to it, so every output segment has a live index.
+// An index write failure aborts the pass: proceeding without one would
+// leave the output permanently flagged for resealing, turning every
+// periodic tick into a full rewrite. The
 // files are unreferenced until the caller publishes a manifest naming
 // them, so discard (or a crash) just leaves garbage the next Open
 // sweeps.
 type compactWriter struct {
-	l       *Log
+	l       *shardLog
 	segs    []segmentFile
 	segRecs [][]recordMeta
 	cur     []recordMeta
@@ -695,7 +661,7 @@ func (w *compactWriter) closeCurrent() error {
 		return err
 	}
 	w.f = nil
-	if err := writeBlockIndex(w.l.fs, s.path, s.size, s.ver, w.cur); err != nil {
+	if err := writeBlockIndex(w.l.fs, s.path, s.size, w.cur); err != nil {
 		return err
 	}
 	s.idx = true
@@ -737,7 +703,7 @@ func (w *compactWriter) add(r compactRecord) error {
 		}
 		w.f = nf
 		w.off = headerSize
-		w.segs = append(w.segs, segmentFile{path: path, size: headerSize, ver: version})
+		w.segs = append(w.segs, segmentFile{path: path, size: headerSize})
 	}
 	if _, err := w.f.Write(w.buf); err != nil {
 		w.closeCurrent()
@@ -750,7 +716,6 @@ func (w *compactWriter) add(r compactRecord) error {
 		t0:      r.t0,
 		t1:      r.t1,
 		bb:      bb,
-		hasBB:   true,
 	})
 	w.off += int64(len(w.buf))
 	return nil

@@ -45,7 +45,7 @@ func BenchmarkCompactThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dir := fmt.Sprintf("%s/run-%d", root, i)
-		l, err := Open(dir, Options{MaxSegmentBytes: 8 << 10})
+		l, err := openShardLog(dir, Options{MaxSegmentBytes: 8 << 10})
 		if err != nil {
 			b.Fatal(err)
 		}

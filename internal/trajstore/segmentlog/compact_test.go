@@ -129,9 +129,6 @@ func TestCompactDedup(t *testing.T) {
 	if res.Deduped < 3 {
 		t.Fatalf("expected ≥ 3 deduped records, got %+v", res)
 	}
-	if l.Dir() != dir {
-		t.Fatalf("Dir() = %q", l.Dir())
-	}
 	if devs := l.Devices(); len(devs) != 4 {
 		t.Fatalf("Devices() after dedup = %v", devs)
 	}
@@ -272,7 +269,16 @@ func TestCompactAgeingBound(t *testing.T) {
 func compactionFixture(t *testing.T) (string, map[string][]trajstore.GeoKey) {
 	t.Helper()
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{MaxSegmentBytes: 512})
+	return dir, fillCompactionFixture(t, mustOpen(t, dir, Options{MaxSegmentBytes: 512}))
+}
+
+// fillCompactionFixture writes the fixture content through l — a shard
+// log or a whole ShardedLog — and closes it.
+func fillCompactionFixture(t *testing.T, l interface {
+	trajstore.Persister
+	Stats() Stats
+}) map[string][]trajstore.GeoKey {
+	t.Helper()
 	want := map[string][]trajstore.GeoKey{}
 	for d := 0; d < 3; d++ {
 		dev := fmt.Sprintf("dev-%d", d)
@@ -293,7 +299,7 @@ func compactionFixture(t *testing.T) (string, map[string][]trajstore.GeoKey) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return dir, want
+	return want
 }
 
 // verifyFixture checks a reopened log holds exactly the fixture content.
@@ -355,7 +361,7 @@ func TestCompactCrashAtEveryStep(t *testing.T) {
 			dir, want := compactionFixture(t)
 			fs := vfs.NewFaultFS(int64(k)) // seed varies the torn-rename coin flips
 			fs.AddRule(vfs.Rule{Fault: vfs.FaultCrash, After: k - 1, Count: 1})
-			l, err := Open(dir, Options{MaxSegmentBytes: 512, FS: fs})
+			l, err := openShardLog(dir, Options{MaxSegmentBytes: 512, FS: fs})
 			if err != nil {
 				t.Fatalf("open died before the crash point: %v", err)
 			}
@@ -449,15 +455,16 @@ func TestCompactReadOnlyRefused(t *testing.T) {
 // TestCompactNowPolicy: CompactNow applies Options.Compaction and is a
 // no-op without one.
 func TestCompactNowPolicy(t *testing.T) {
-	dir, want := compactionFixture(t)
-	l := mustOpen(t, dir, Options{MaxSegmentBytes: 512})
+	dir := t.TempDir()
+	want := fillCompactionFixture(t, mustOpenSharded(t, dir, 1, Options{MaxSegmentBytes: 512}))
+	l := mustOpenSharded(t, dir, 1, Options{MaxSegmentBytes: 512})
 	if err := l.CompactNow(); err != nil { // no policy: no-op
 		t.Fatal(err)
 	}
 	g0 := l.Stats().Gen
 	l.Close()
 
-	l = mustOpen(t, dir, Options{
+	l = mustOpenSharded(t, dir, 1, Options{
 		MaxSegmentBytes: 512,
 		Compaction:      &CompactionPolicy{MergeChunks: true},
 	})
@@ -469,7 +476,11 @@ func TestCompactNowPolicy(t *testing.T) {
 		t.Fatalf("CompactNow did not publish a new generation (%d → %d)", g0, g)
 	}
 	for dev, keys := range want {
-		if got := stitch(queryAll(t, l, dev)); !reflect.DeepEqual(got, keys) {
+		recs, err := l.Query(dev, 0, ^uint32(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stitch(recs); !reflect.DeepEqual(got, keys) {
 			t.Fatalf("%s polyline diverged after CompactNow", dev)
 		}
 	}
@@ -480,10 +491,10 @@ func TestCompactNowPolicy(t *testing.T) {
 func TestManifestRoundTrip(t *testing.T) {
 	m := manifest{Gen: 42, Segs: []manifestSeg{
 		{Name: "seg-00000009.log", Idx: true, Sum: &segSummary{
-			records: 3, t0: 1000, t1: 2407, bbAll: true,
+			records: 3, t0: 1000, t1: 2407,
 			bb: bbox{minLat: -386214000, minLon: 1448123000, maxLat: -385900000, maxLon: 1448200000},
 		}},
-		{Name: "seg-00000005.log", Sum: &segSummary{records: 2, t0: 7, t1: 9, bb: emptyBBox()}},
+		{Name: "seg-00000005.log", Sum: &segSummary{records: 2, t0: 7, t1: 9, bb: bbox{minLat: -5, minLon: 0, maxLat: -5, maxLon: 12}}},
 		{Name: "seg-00000003.log"},
 	}}
 	got, err := parseManifest(formatManifest(m))
@@ -504,8 +515,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestLegacyAdopt: a pre-manifest directory is adopted on open,
-// and afterwards unreferenced segment files are swept.
+// TestManifestLegacyAdopt: a directory without a MANIFEST — a crash
+// during its first open — is adopted on open by scanning its segment
+// files in lexical order, and afterwards unreferenced segment files are
+// swept.
 func TestManifestLegacyAdopt(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{MaxSegmentBytes: 128})
@@ -517,19 +530,19 @@ func TestManifestLegacyAdopt(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a legacy directory: no MANIFEST.
+	// Simulate the crashed first open: no MANIFEST.
 	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
 		t.Fatal(err)
 	}
 	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 256})
 	if recs := queryAll(t, l2, "dev"); len(recs) != 8 {
-		t.Fatalf("legacy adopt lost records: %d", len(recs))
+		t.Fatalf("manifest-less open lost records: %d", len(recs))
 	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("open did not adopt the legacy directory: %v", err)
+		t.Fatalf("open did not publish a manifest: %v", err)
 	}
 
 	// An unreferenced (crashed-compaction) segment file is swept.
@@ -567,7 +580,7 @@ func TestManifestCorruptRejected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
+	if _, err := openShardLog(dir, Options{}); err == nil {
 		t.Fatal("corrupt manifest accepted")
 	}
 }

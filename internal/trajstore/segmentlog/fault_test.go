@@ -245,7 +245,7 @@ func runFaultSchedule(t *testing.T, seed int64) {
 			}
 		}
 	}
-	l, err := Open(dir, Options{MaxSegmentBytes: 600, FS: fs})
+	l, err := openShardLog(dir, Options{MaxSegmentBytes: 600, FS: fs})
 	if err != nil {
 		// The schedule killed the open itself — a legal outcome; the
 		// acceptance below still demands a clean reopen.
@@ -286,7 +286,7 @@ func runFaultSchedule(t *testing.T, seed int64) {
 	}
 
 	// Acceptance: reopen through the real filesystem.
-	l2, err := Open(dir, Options{MaxSegmentBytes: 600})
+	l2, err := openShardLog(dir, Options{MaxSegmentBytes: 600})
 	if err != nil {
 		t.Fatalf("reopen after schedule %s: %v", fs, err)
 	}

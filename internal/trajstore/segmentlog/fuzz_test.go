@@ -16,7 +16,7 @@ import (
 func FuzzRecover(f *testing.F) {
 	// Seed: a well-formed file with two records...
 	dir := f.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := openShardLog(dir, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func FuzzRecover(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := Open(dir, Options{})
+		l, err := openShardLog(dir, Options{})
 		if err != nil {
 			return // structurally rejected (bad magic/version) is fine
 		}
@@ -62,7 +62,7 @@ func FuzzRecover(f *testing.F) {
 		}
 
 		// Recovery must be idempotent: reopening truncates nothing more.
-		l2, err := Open(dir, Options{})
+		l2, err := openShardLog(dir, Options{})
 		if err != nil {
 			t.Fatalf("second Open after recovery: %v", err)
 		}
@@ -100,29 +100,31 @@ func FuzzRecover(f *testing.F) {
 func FuzzBlockIndex(f *testing.F) {
 	metas := []recordMeta{
 		{device: "alpha", off: headerSize + recordHeaderSize, bodyLen: 40, t0: 10, t1: 20,
-			bb: bbox{minLat: -50, minLon: -60, maxLat: 70, maxLon: 80}, hasBB: true},
+			bb: bbox{minLat: -50, minLon: -60, maxLat: 70, maxLon: 80}},
 		{device: "bravo", off: headerSize + 2*recordHeaderSize + 40, bodyLen: 30, t0: 15, t1: 35},
 	}
-	f.Add(formatBlockIndex(headerSize+2*recordHeaderSize+70, version, metas))
-	f.Add(formatBlockIndex(headerSize, version, nil))
-	f.Add(formatBlockIndex(headerSize+recordHeaderSize+40, versionLegacy, metas[1:]))
+	f.Add(formatBlockIndex(headerSize+2*recordHeaderSize+70, metas))
+	f.Add(formatBlockIndex(headerSize, nil))
+	v1 := formatBlockIndex(headerSize+recordHeaderSize+40, metas[:1])
+	v1[7] = 1 // an index over a version-1 segment: rejected
+	f.Add(formatBlockIndexReseal(v1[:len(v1)-4]))
 	f.Add([]byte("BQSIDX\x01\x02"))
 	f.Add([]byte{})
 	f.Add([]byte("garbage that is not an index"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		segSize, segVer, metas, err := parseBlockIndex(data)
+		segSize, metas, err := parseBlockIndex(data)
 		if err != nil {
 			return // structurally rejected is fine
 		}
-		re := formatBlockIndex(segSize, segVer, metas)
-		segSize2, segVer2, metas2, err := parseBlockIndex(re)
+		re := formatBlockIndex(segSize, metas)
+		segSize2, metas2, err := parseBlockIndex(re)
 		if err != nil {
 			t.Fatalf("re-rendered index rejected: %v", err)
 		}
-		if segSize2 != segSize || segVer2 != segVer || !reflect.DeepEqual(metas2, metas) {
-			t.Fatalf("round trip changed index: (%d,%d,%+v) → (%d,%d,%+v)",
-				segSize, segVer, metas, segSize2, segVer2, metas2)
+		if segSize2 != segSize || !reflect.DeepEqual(metas2, metas) {
+			t.Fatalf("round trip changed index: (%d,%+v) → (%d,%+v)",
+				segSize, metas, segSize2, metas2)
 		}
 		prevEnd := int64(headerSize)
 		for i, m := range metas {
@@ -132,7 +134,7 @@ func FuzzBlockIndex(f *testing.F) {
 			if m.t0 > m.t1 {
 				t.Fatalf("entry %d has inverted time bounds", i)
 			}
-			if m.hasBB && (m.bb.minLat > m.bb.maxLat || m.bb.minLon > m.bb.maxLon) {
+			if m.bb.minLat > m.bb.maxLat || m.bb.minLon > m.bb.maxLon {
 				t.Fatalf("entry %d has an inverted bbox", i)
 			}
 			prevEnd = m.off + int64(m.bodyLen)
@@ -148,7 +150,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add(formatManifest(manifest{Gen: 1, Segs: []manifestSeg{{Name: "seg-00000001.log"}}}))
 	f.Add(formatManifest(manifest{Gen: 7, Segs: []manifestSeg{
 		{Name: "seg-00000009.log", Idx: true, Sum: &segSummary{
-			records: 2, t0: 10, t1: 90, bbAll: true,
+			records: 2, t0: 10, t1: 90,
 			bb: bbox{minLat: -100, minLon: -200, maxLat: 300, maxLon: 400},
 		}},
 		{Name: "seg-00000003.log"},

@@ -1,10 +1,9 @@
 // Manifest handling: the MANIFEST file is the source of truth for which
-// segment files belong to the log and in which logical order. It replaces
-// the original Glob-and-sort discovery, which broke down as soon as
-// compaction rewrote history — a compacted segment carries a *higher*
-// file number than the newer data it supersedes, so lexical order no
-// longer equals logical order, and files can legitimately exist on disk
-// (a compactor's not-yet-published outputs, a superseded generation not
+// segment files belong to the log and in which logical order. Directory
+// order cannot be: a compacted segment carries a *higher* file number
+// than the newer data it supersedes, so lexical order does not equal
+// logical order, and files can legitimately exist on disk (a
+// compactor's not-yet-published outputs, a superseded generation not
 // yet deleted) without being part of the log.
 //
 // Format — a short, line-oriented text file, CRC-sealed:
@@ -16,23 +15,23 @@
 //	crc 5f3a91c2
 //
 // The first line is magic + format version. "gen" is the generation
-// number, incremented on every publish (open adoption, rotation,
-// compaction). Each "seg" line names one live segment file, base name
-// only, in logical (oldest-first) order; the active segment is last.
+// number, incremented on every publish (open, rotation, compaction).
+// Each "seg" line names one live segment file, base name only, in
+// logical (oldest-first) order; the active segment is last.
 // Two optional fields follow the name on sealed segments:
 //
 //   - "idx" declares the segment's sealed block-index file
 //     (seg-NNNNNNNN.idx, see blockindex.go) live — Open loads the
 //     segment through it, and the unreferenced-file sweep spares it.
-//   - "sum=records,t0,t1[,minLat,minLon,maxLat,maxLon]" is the
+//   - "sum=records,t0,t1,minLat,minLon,maxLat,maxLon" is the
 //     segment-level summary used for window-query pruning: the record
-//     count, the union of record time bounds, and (when every record
-//     carries one) the union of record bounding boxes in 1e-7°.
+//     count, the union of record time bounds, and the union of record
+//     bounding boxes in 1e-7°.
 //
 // The final "crc" line carries the CRC-32C of every preceding byte, so
 // a damaged manifest is detected rather than silently reordering the
-// log. Format 1 manifests (bare "seg name" lines only) parse cleanly;
-// the first writable Open republishes them in the current format.
+// log. Any other magic line — an older format version included — is
+// rejected like any other structural defect.
 //
 // The manifest is always replaced atomically: written to MANIFEST.tmp,
 // fsync'd, renamed over MANIFEST, directory fsync'd. A reader therefore
@@ -59,10 +58,8 @@ const (
 	manifestName = "MANIFEST"
 	// manifestTmpName is the staging name for atomic replacement.
 	manifestTmpName = "MANIFEST.tmp"
-	// manifestMagic is the current first-line magic + version;
-	// manifestMagicV1 is the pre-block-index format, still accepted.
-	manifestMagic   = "BQSMANIFEST 2"
-	manifestMagicV1 = "BQSMANIFEST 1"
+	// manifestMagic is the first-line magic + format version.
+	manifestMagic = "BQSMANIFEST 2"
 	// maxManifestSegs bounds the number of seg lines a parser accepts, so
 	// a corrupt or hostile manifest cannot drive unbounded allocation.
 	maxManifestSegs = 1 << 20
@@ -119,10 +116,8 @@ func formatManifest(m manifest) []byte {
 			b.WriteString(" idx")
 		}
 		if s.Sum != nil {
-			fmt.Fprintf(&b, " sum=%d,%d,%d", s.Sum.records, s.Sum.t0, s.Sum.t1)
-			if s.Sum.bbAll {
-				fmt.Fprintf(&b, ",%d,%d,%d,%d", s.Sum.bb.minLat, s.Sum.bb.minLon, s.Sum.bb.maxLat, s.Sum.bb.maxLon)
-			}
+			fmt.Fprintf(&b, " sum=%d,%d,%d,%d,%d,%d,%d", s.Sum.records, s.Sum.t0, s.Sum.t1,
+				s.Sum.bb.minLat, s.Sum.bb.minLon, s.Sum.bb.maxLat, s.Sum.bb.maxLon)
 		}
 		b.WriteByte('\n')
 	}
@@ -130,11 +125,10 @@ func formatManifest(m manifest) []byte {
 	return b.Bytes()
 }
 
-// parseSum decodes a "sum=" field value. A summary without bounding-box
-// fields describes a segment holding legacy records (bbAll false).
+// parseSum decodes a "sum=" field value.
 func parseSum(v string) (*segSummary, error) {
 	parts := strings.Split(v, ",")
-	if len(parts) != 3 && len(parts) != 7 {
+	if len(parts) != 7 {
 		return nil, fmt.Errorf("%d fields", len(parts))
 	}
 	nums := make([]int64, len(parts))
@@ -145,7 +139,7 @@ func parseSum(v string) (*segSummary, error) {
 		}
 		nums[i] = n
 	}
-	s := &segSummary{bb: emptyBBox()}
+	s := &segSummary{}
 	if nums[0] < 1 || nums[0] > math.MaxInt32 {
 		return nil, fmt.Errorf("bad record count %d", nums[0])
 	}
@@ -154,17 +148,14 @@ func parseSum(v string) (*segSummary, error) {
 	}
 	s.records = int(nums[0])
 	s.t0, s.t1 = uint32(nums[1]), uint32(nums[2])
-	if len(parts) == 7 {
-		for _, n := range nums[3:] {
-			if n < math.MinInt32 || n > math.MaxInt32 {
-				return nil, fmt.Errorf("bbox field out of range")
-			}
+	for _, n := range nums[3:] {
+		if n < math.MinInt32 || n > math.MaxInt32 {
+			return nil, fmt.Errorf("bbox field out of range")
 		}
-		s.bb = bbox{minLat: int32(nums[3]), minLon: int32(nums[4]), maxLat: int32(nums[5]), maxLon: int32(nums[6])}
-		if s.bb.minLat > s.bb.maxLat || s.bb.minLon > s.bb.maxLon {
-			return nil, fmt.Errorf("inverted bbox")
-		}
-		s.bbAll = true
+	}
+	s.bb = bbox{minLat: int32(nums[3]), minLon: int32(nums[4]), maxLat: int32(nums[5]), maxLon: int32(nums[6])}
+	if s.bb.minLat > s.bb.maxLat || s.bb.minLon > s.bb.maxLon {
+		return nil, fmt.Errorf("inverted bbox")
 	}
 	return s, nil
 }
@@ -195,16 +186,11 @@ func parseManifest(data []byte) (manifest, error) {
 	}
 
 	sc := bufio.NewScanner(bytes.NewReader(covered))
-	legacy := false
 	if !sc.Scan() {
 		return m, fmt.Errorf("%w: manifest: empty", ErrCorrupt)
 	}
-	switch sc.Text() {
-	case manifestMagic:
-	case manifestMagicV1:
-		legacy = true
-	default:
-		return m, fmt.Errorf("%w: manifest: bad magic line", ErrCorrupt)
+	if sc.Text() != manifestMagic {
+		return m, fmt.Errorf("%w: manifest: bad magic line %q", ErrCorrupt, sc.Text())
 	}
 	if !sc.Scan() || !strings.HasPrefix(sc.Text(), "gen ") {
 		return m, fmt.Errorf("%w: manifest: missing gen line", ErrCorrupt)
@@ -231,13 +217,13 @@ func parseManifest(data []byte) (manifest, error) {
 			return m, fmt.Errorf("%w: manifest: duplicate segment %q", ErrCorrupt, ms.Name)
 		}
 		// Optional fields, fixed order so format∘parse is the identity:
-		// "idx", then "sum=...". A format-1 manifest has bare names only.
+		// "idx", then "sum=...".
 		i := 1
-		if !legacy && i < len(fields) && fields[i] == "idx" {
+		if i < len(fields) && fields[i] == "idx" {
 			ms.Idx = true
 			i++
 		}
-		if !legacy && i < len(fields) {
+		if i < len(fields) {
 			v, ok := strings.CutPrefix(fields[i], "sum=")
 			if !ok {
 				return m, fmt.Errorf("%w: manifest: unexpected field %q", ErrCorrupt, fields[i])
@@ -265,7 +251,8 @@ func parseManifest(data []byte) (manifest, error) {
 }
 
 // readManifest loads dir's MANIFEST. found is false when none exists
-// (a legacy or empty directory); a present-but-invalid manifest is an
+// (an empty directory, or one whose first open crashed before its
+// publish); a present-but-invalid manifest is an
 // error — guessing at segment order risks serving records out of order.
 func readManifest(fsys vfs.FS, dir string) (m manifest, found bool, err error) {
 	data, err := fsys.ReadFile(filepath.Join(dir, manifestName))

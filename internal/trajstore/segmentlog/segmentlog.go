@@ -16,11 +16,13 @@
 // re-read every byte, and window queries (see window.go) prune records
 // spatially without decoding them.
 //
-// On-disk layout. A log directory holds a MANIFEST (see manifest.go)
-// naming the live segment files in logical order, numbered segment files
-// "seg-00000001.log", "seg-00000002.log", ..., their sealed block
-// indexes "seg-00000001.idx", and a LOCK file granting the owning
-// process exclusive write access. Segment numbers are allocated from a
+// On-disk layout. A log root (see sharded.go) holds SHARDS, the writer
+// LOCK and one shard directory per shard. A shard directory holds a
+// MANIFEST (see manifest.go) naming the live segment files in logical
+// order, numbered segment files "seg-00000001.log", "seg-00000002.log",
+// ..., and their sealed block indexes "seg-00000001.idx". There is one
+// on-disk format; a file or manifest carrying any other version is
+// rejected with ErrCorrupt. Segment numbers are allocated from a
 // monotonic sequence and never reused while referenced; after compaction
 // (see compact.go) a low-numbered file may be superseded by a
 // higher-numbered one holding older data, which is why the MANIFEST —
@@ -33,15 +35,13 @@
 //	body:
 //	  u16 deviceLen, device ID bytes
 //	  u32 t0, u32 t1       time bounds of the trajectory (seconds)
-//	  4 × i32              version ≥ 2: spatial bounding box in 1e-7°
+//	  4 × i32              spatial bounding box in 1e-7°
 //	                       (minLat, minLon, maxLat, maxLon)
 //	  payload              trajstore.DeltaEncode of the key points
 //
-// Version 1 files (no bounding box in the body) remain fully readable;
-// compaction rewrites them into the current format. A record is valid
-// iff its length prefix fits in the file, bodyLen is plausible
-// (≤ MaxRecordBytes) and the CRC matches; the first invalid record ends
-// the scan and the file is truncated there.
+// A record is valid iff its length prefix fits in the file, bodyLen is
+// plausible (≤ MaxRecordBytes) and the CRC matches; the first invalid
+// record ends the scan and the file is truncated there.
 package segmentlog
 
 import (
@@ -69,15 +69,10 @@ const (
 	headerSize = 8
 	// recordHeaderSize prefixes every record: u32 bodyLen + u32 crc32c.
 	recordHeaderSize = 8
-	// version is the current format version byte: record bodies carry a
-	// spatial bounding box between the time bounds and the payload.
+	// version is the format version byte of every segment file: record
+	// bodies carry a spatial bounding box between the time bounds and
+	// the payload.
 	version = 2
-	// versionLegacy is the original format: no bounding box. Legacy
-	// files are readable (window queries decode their records instead
-	// of pruning them); appends never extend one — a writable Open of a
-	// legacy directory seals the old active segment and starts a fresh
-	// current-format file.
-	versionLegacy = 1
 	// MaxRecordBytes caps a single record body. A length prefix above it
 	// is treated as corruption, bounding allocation on malicious or
 	// damaged input. 16 MiB ≈ 1.5 M key points per trajectory.
@@ -86,7 +81,7 @@ const (
 	// leaves it zero.
 	DefaultMaxSegmentBytes = 64 << 20
 	// lockName is the advisory lock file granting a process exclusive
-	// write access to the directory.
+	// write access to a log root.
 	lockName = "LOCK"
 )
 
@@ -113,15 +108,11 @@ var ErrLocked = errors.New("segmentlog: directory locked by another process")
 // back to scanning the segment.
 var ErrCorrupt = errors.New("segmentlog: corrupt segment file")
 
-// Options parameterizes Open.
+// Options parameterizes OpenSharded.
 type Options struct {
 	// MaxSegmentBytes rotates the active segment file once its size
 	// reaches this threshold. Default DefaultMaxSegmentBytes.
 	MaxSegmentBytes int64
-	// SyncOnRotate fsyncs a segment before rotating away from it, so a
-	// completed segment file is always fully durable. Default true is
-	// expressed inverted so the zero value keeps it on.
-	NoSyncOnRotate bool
 	// ReadOnly opens the log purely for inspection: no directory lock is
 	// taken and nothing on disk is modified — a torn tail is skipped
 	// (reported in Stats.Truncated) instead of truncated in place, and
@@ -149,8 +140,7 @@ type Options struct {
 	// and the pre-cache behavior exactly.
 	CacheBytes int64
 	// cache, when non-nil, overrides CacheBytes with an existing cache
-	// instance. The sharded layer sets it so all shard logs share one
-	// budget; single-log callers leave it nil.
+	// instance. OpenSharded sets it so all shard logs share one budget.
 	cache *recordCache
 }
 
@@ -170,11 +160,10 @@ type recordMeta struct {
 	bodyLen int
 	t0, t1  uint32
 	bb      bbox
-	hasBB   bool // current-format records carry a bbox; legacy ones do not
 }
 
 // recordAddr locates one record for the per-device index: the segment
-// slot in Log.segs and the position within that segment's meta list.
+// slot in shardLog.segs and the position within that segment's meta list.
 type recordAddr struct {
 	seg, pos int32
 }
@@ -183,7 +172,6 @@ type recordAddr struct {
 type segmentFile struct {
 	path string
 	size int64 // valid bytes (post-recovery, including header)
-	ver  byte  // record-format version of the file (0 while lazy)
 	idx  bool  // a sealed block-index file is live for this segment
 	lazy bool  // per-record metadata not loaded yet; sum/size come from the manifest/stat
 	sum  segSummary
@@ -194,12 +182,6 @@ type refSnap struct {
 	seg     int
 	off     int64
 	bodyLen int
-}
-
-// segSnap is the per-segment part of a read snapshot.
-type segSnap struct {
-	path string
-	ver  byte
 }
 
 // Stats is a point-in-time snapshot of the log's contents.
@@ -213,15 +195,17 @@ type Stats struct {
 	Gen         uint64 // manifest generation currently published
 }
 
-// Log is an open segment log. All methods are safe for concurrent use;
-// appends are serialized, queries read committed records directly from
-// disk, and Compact rewrites sealed segments concurrently with both.
-type Log struct {
+// shardLog is one shard of a ShardedLog: a complete segment log in its
+// own directory. All methods are safe for concurrent use; appends are
+// serialized, queries read committed records directly from disk, and
+// Compact rewrites sealed segments concurrently with both. It takes no
+// lock of its own — the root LOCK its ShardedLog holds excludes every
+// other writer of the tree.
+type shardLog struct {
 	dir  string
 	opts Options
 	ro   bool
-	fs   vfs.FS   // never nil: Options.FS or vfs.OS
-	lock vfs.File // flock'd LOCK file handle (nil in read-only mode)
+	fs   vfs.FS // never nil: Options.FS or vfs.OS
 
 	// compactMu serializes compactions; it is never held together with
 	// mu except for the brief publish step.
@@ -303,7 +287,7 @@ type Log struct {
 
 // compactLiveAdd advances the live decoded-record count and its
 // high-water mark.
-func (l *Log) compactLiveAdd(n int) {
+func (l *shardLog) compactLiveAdd(n int) {
 	live := l.compactLive.Add(int64(n))
 	for {
 		hwm := l.compactLiveHWM.Load()
@@ -315,8 +299,8 @@ func (l *Log) compactLiveAdd(n int) {
 
 // addRecordLocked indexes one record of segment slot seg: the segment's
 // meta list, the per-device index and the segment summary all advance
-// together. Callers hold mu (or are inside Open).
-func (l *Log) addRecordLocked(seg int, m recordMeta) {
+// together. Callers hold mu (or are inside openShardLog).
+func (l *shardLog) addRecordLocked(seg int, m recordMeta) {
 	l.index[m.device] = append(l.index[m.device], recordAddr{seg: int32(seg), pos: int32(len(l.segRecs[seg]))})
 	l.segRecs[seg] = append(l.segRecs[seg], m)
 	l.segs[seg].sum.add(m)
@@ -327,7 +311,7 @@ func (l *Log) addRecordLocked(seg int, m recordMeta) {
 // count) from segRecs after compaction replaced the segment list.
 // Iterating segments in logical order preserves per-device append
 // order, the Query contract.
-func (l *Log) rebuildIndexLocked() {
+func (l *shardLog) rebuildIndexLocked() {
 	idx := make(map[string][]recordAddr, len(l.index))
 	records := 0
 	for si := range l.segRecs {
@@ -341,31 +325,16 @@ func (l *Log) rebuildIndexLocked() {
 	l.stats.Records = records
 }
 
-// Open opens (creating if necessary) the segment log in dir: it acquires
-// the directory's write lock, loads the MANIFEST (falling back to a
-// lexical scan for pre-manifest directories, which it then adopts),
-// removes files a crashed compaction left unreferenced, rebuilds the
-// index of every live segment — from its sealed block index when one
-// loads cleanly, by scanning the file otherwise — truncates any torn
-// tail, and readies the last segment for appending. With
-// Options.ReadOnly it does none of the mutating parts — no lock, no
-// cleanup, no truncation, no appending.
-func Open(dir string, opts Options) (*Log, error) {
-	return open(dir, opts, true)
-}
-
-// openNoLock is Open without taking the directory flock: full writable
-// recovery semantics, no mutual exclusion. The only legitimate caller
-// is the sharded-log layer, whose top-level lock file IS this
-// directory's LOCK (the sharded root reuses the legacy single-log lock
-// path precisely so legacy and sharded writers exclude each other), so
-// the exclusion already holds and flocking twice in one process would
-// self-deadlock on some platforms.
-func openNoLock(dir string, opts Options) (*Log, error) {
-	return open(dir, opts, false)
-}
-
-func open(dir string, opts Options, takeLock bool) (*Log, error) {
+// openShardLog opens (creating if necessary) the shard log in dir: it
+// loads the MANIFEST (falling back to a lexical scan of the segment
+// files when a crash during the directory's first open left none, and
+// publishing one), removes files a crashed compaction left
+// unreferenced, rebuilds the index of every live segment — from its
+// sealed block index when one loads cleanly, by scanning the file
+// otherwise — truncates any torn tail, and readies the last segment for
+// appending. With Options.ReadOnly it does none of the mutating parts —
+// no cleanup, no truncation, no appending.
+func openShardLog(dir string, opts Options) (*shardLog, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = DefaultMaxSegmentBytes
 	}
@@ -376,7 +345,7 @@ func open(dir string, opts Options, takeLock bool) (*Log, error) {
 	if fsys == nil {
 		fsys = vfs.OS
 	}
-	l := &Log{dir: dir, opts: opts, ro: opts.ReadOnly, fs: fsys, index: make(map[string][]recordAddr)}
+	l := &shardLog{dir: dir, opts: opts, ro: opts.ReadOnly, fs: fsys, index: make(map[string][]recordAddr)}
 	if opts.cache != nil {
 		l.cache = opts.cache
 	} else {
@@ -390,24 +359,9 @@ func open(dir string, opts Options, takeLock bool) (*Log, error) {
 		if !fi.IsDir() {
 			return nil, fmt.Errorf("segmentlog: %s is not a directory", dir)
 		}
-	} else {
-		if err := l.fs.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("segmentlog: %w", err)
-		}
-		if takeLock {
-			lock, err := acquireLock(l.fs, dir)
-			if err != nil {
-				return nil, err
-			}
-			l.lock = lock
-		}
+	} else if err := l.fs.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("segmentlog: %w", err)
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			l.releaseLock()
-		}
-	}()
 
 	man, found, err := readManifest(l.fs, dir)
 	if err != nil {
@@ -418,8 +372,9 @@ func open(dir string, opts Options, takeLock bool) (*Log, error) {
 		l.gen = man.Gen
 		entries = man.Segs
 	} else {
-		// Legacy (pre-manifest) directory: lexical order was logical
-		// order back when files were only ever appended in sequence.
+		// No manifest was ever published here, so no compaction ever
+		// ran either: files were only appended in sequence and lexical
+		// order is logical order.
 		globbed, err := l.fs.Glob(filepath.Join(dir, "seg-*.log"))
 		if err != nil {
 			return nil, fmt.Errorf("segmentlog: %w", err)
@@ -466,7 +421,6 @@ func open(dir string, opts Options, takeLock bool) (*Log, error) {
 	}
 
 	if l.ro {
-		ok = true
 		return l, nil
 	}
 	if len(l.segs) == 0 {
@@ -479,21 +433,9 @@ func open(dir string, opts Options, takeLock bool) (*Log, error) {
 		l.active = f
 		l.off = headerSize
 		l.stats.Bytes += headerSize
-	} else if last := &l.segs[len(l.segs)-1]; last.ver != version {
-		// Legacy final segment: current-format records must never be
-		// appended into a version-1 file, so seal it as recovered and
-		// start a fresh segment — the upgrade is just a rotation.
-		f, seg, err := l.newSegmentFileLocked()
-		if err != nil {
-			return nil, err
-		}
-		l.segs = append(l.segs, seg)
-		l.segRecs = append(l.segRecs, nil)
-		l.active = f
-		l.off = headerSize
-		l.stats.Bytes += headerSize
 	} else {
 		// Reopen the last segment for appending at its recovered size.
+		last := &l.segs[len(l.segs)-1]
 		f, err := l.fs.OpenFile(last.path, os.O_RDWR, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("segmentlog: %w", err)
@@ -507,15 +449,13 @@ func open(dir string, opts Options, takeLock bool) (*Log, error) {
 	}
 	// Whatever recovery read back from disk is the durable baseline.
 	l.syncedOff = l.off
-	// Publish the live set: after a successful writable Open the
-	// MANIFEST always exists and matches memory (adopting legacy
-	// directories and sealing any recovery edits under a fresh
-	// generation).
+	// Publish the live set: after a successful writable open the
+	// MANIFEST always exists and matches memory (sealing any recovery
+	// edits under a fresh generation).
 	if err := l.writeManifestLocked(); err != nil {
 		_ = l.active.Close() // open failed; the publish error is the story
 		return nil, err
 	}
-	ok = true
 	return l, nil
 }
 
@@ -527,11 +467,9 @@ func open(dir string, opts Options, takeLock bool) (*Log, error) {
 // read and no per-record memory until a query actually touches it (see
 // ensureSegLoadedLocked). Everything else loads eagerly: from the block
 // index when it validates, by a full scan otherwise. On writable opens
-// a sealed current-format segment that had to be scanned gets its block
-// index (re)built from the scan, so the next Open is cheap again —
-// legacy version-1 segments are left as they are (compaction is their
-// upgrade path) and keep answering through the scan/decode fallback.
-func (l *Log) loadSegment(path string, ent manifestSeg, final bool) error {
+// a sealed segment that had to be scanned gets its block index
+// (re)built from the scan, so the next open is cheap again.
+func (l *shardLog) loadSegment(path string, ent manifestSeg, final bool) error {
 	if !final && ent.Idx {
 		if ent.Sum != nil {
 			fi, err := l.fs.Stat(path)
@@ -551,18 +489,27 @@ func (l *Log) loadSegment(path string, ent manifestSeg, final bool) error {
 			return nil
 		}
 	}
-	if err := l.scanSegment(path, final); err != nil {
+	metas, valid, err := l.readSegment(path, final)
+	if err != nil {
 		return err
 	}
-	if !l.ro && !final {
-		s := &l.segs[len(l.segs)-1]
-		if s.ver == version {
-			if err := writeBlockIndex(l.fs, s.path, s.size, s.ver, l.segRecs[len(l.segs)-1]); err == nil {
-				s.idx = true
-			}
-		}
-	}
+	idx := !l.ro && !final && writeBlockIndex(l.fs, path, valid, metas) == nil
+	l.addSegment(path, valid, idx, metas)
 	return nil
+}
+
+// addSegment appends one loaded segment and indexes its records.
+func (l *shardLog) addSegment(path string, size int64, idx bool, metas []recordMeta) {
+	seg := len(l.segs)
+	l.segs = append(l.segs, segmentFile{path: path, size: size, idx: idx})
+	l.segRecs = append(l.segRecs, nil)
+	if len(metas) > 0 {
+		l.segRecs[seg] = make([]recordMeta, 0, len(metas))
+	}
+	for _, m := range metas {
+		l.addRecordLocked(seg, m)
+	}
+	l.stats.Bytes += size
 }
 
 // sumMatches reports whether the summary computed from metas reproduces
@@ -576,9 +523,6 @@ func sumMatches(metas []recordMeta, want segSummary) bool {
 	for _, m := range metas {
 		sum.add(m)
 	}
-	if !sum.bbAll {
-		sum.bb = emptyBBox() // the manifest omits a partial union
-	}
 	return sum == want
 }
 
@@ -586,35 +530,28 @@ func sumMatches(metas []recordMeta, want segSummary) bool {
 // means the index is missing, corrupt, stale, or in disagreement with
 // the manifest's segment summary, and the caller must scan the segment
 // file instead.
-func (l *Log) tryLoadIndex(path string, ent manifestSeg) bool {
-	size, ver, metas, err := loadBlockIndex(l.fs, path)
+func (l *shardLog) tryLoadIndex(path string, ent manifestSeg) bool {
+	size, metas, err := loadBlockIndex(l.fs, path)
 	if err != nil {
 		return false
 	}
 	if ent.Sum != nil && !sumMatches(metas, *ent.Sum) {
 		return false
 	}
-	seg := len(l.segs)
-	l.segs = append(l.segs, segmentFile{path: path, size: size, ver: ver, idx: true})
-	l.segRecs = append(l.segRecs, nil)
-	if len(metas) > 0 {
-		l.segRecs[seg] = make([]recordMeta, 0, len(metas))
-	}
-	for _, m := range metas {
-		l.addRecordLocked(seg, m)
-	}
-	l.stats.Bytes += size
+	l.addSegment(path, size, true, metas)
 	return true
 }
 
 // ensureSegLoadedLocked materializes a deferred segment's per-record
 // metadata: through its block index when it validates against the
-// manifest summary, by scanning the segment file otherwise. The loaded
-// records are NOT folded into the per-device index here — segments may
-// load out of logical order, and the index must list a device's
-// records in append order — so the flag indexDirty stays set until
-// ensureAllLoadedLocked rebuilds it. Callers hold mu.
-func (l *Log) ensureSegLoadedLocked(si int) error {
+// manifest summary, by scanning the segment file otherwise — the damage
+// a scan finds is simply discovered at first touch instead of at open,
+// and a writable scan reseals the block index so the next load is cheap
+// again. The loaded records are NOT folded into the per-device index
+// here — segments may load out of logical order, and the index must
+// list a device's records in append order — so the flag indexDirty
+// stays set until ensureAllLoadedLocked rebuilds it. Callers hold mu.
+func (l *shardLog) ensureSegLoadedLocked(si int) error {
 	s := &l.segs[si]
 	if !s.lazy {
 		return nil
@@ -622,13 +559,17 @@ func (l *Log) ensureSegLoadedLocked(si int) error {
 	if l.loadHook != nil {
 		l.loadHook(s.path)
 	}
-	metas, size, ver, idxOK, err := l.lazySegMetas(s)
-	if err != nil {
-		return err
+	size, metas, err := loadBlockIndex(l.fs, s.path)
+	idxOK := err == nil && sumMatches(metas, s.sum)
+	if !idxOK {
+		if metas, size, err = l.readSegment(s.path, false); err != nil {
+			return err
+		}
+		idxOK = !l.ro && writeBlockIndex(l.fs, s.path, size, metas) == nil
 	}
 	// Re-derive the summary and record count from what actually loaded:
 	// a torn-tail truncation in the fallback scan may have salvaged
-	// fewer records than the manifest summary credited at Open.
+	// fewer records than the manifest summary credited at open.
 	l.stats.Records += len(metas) - int(s.sum.records)
 	var sum segSummary
 	for _, m := range metas {
@@ -637,7 +578,6 @@ func (l *Log) ensureSegLoadedLocked(si int) error {
 	l.stats.Bytes += size - s.size
 	s.sum = sum
 	s.size = size
-	s.ver = ver
 	s.idx = idxOK
 	s.lazy = false
 	l.segRecs[si] = metas
@@ -645,79 +585,9 @@ func (l *Log) ensureSegLoadedLocked(si int) error {
 	return nil
 }
 
-// lazySegMetas reads a deferred segment's record metadata: through its
-// block index when it validates against the manifest summary, by
-// scanning the segment file otherwise. The scan applies exactly the
-// sealed-segment recovery policy of scanSegment — drop a legitimately
-// torn tail, refuse mid-file corruption on writable handles, stay
-// lenient read-only — the damage is simply discovered at first touch
-// instead of at Open. A writable scan reseals the block index so the
-// next load is cheap again.
-func (l *Log) lazySegMetas(s *segmentFile) ([]recordMeta, int64, byte, bool, error) {
-	if size, ver, metas, err := loadBlockIndex(l.fs, s.path); err == nil && sumMatches(metas, s.sum) {
-		return metas, size, ver, true, nil
-	}
-	data, err := l.fs.ReadFile(s.path)
-	if err != nil {
-		return nil, 0, 0, false, fmt.Errorf("segmentlog: %w", err)
-	}
-	if len(data) < headerSize {
-		if l.ro {
-			l.stats.Truncated += int64(len(data))
-			return nil, int64(len(data)), version, false, nil
-		}
-		return nil, 0, 0, false, fmt.Errorf("%w: %s: sealed segment shorter than its header", ErrCorrupt, filepath.Base(s.path))
-	}
-	if [6]byte(data[:6]) != magic {
-		return nil, 0, 0, false, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(s.path))
-	}
-	ver := data[6]
-	if ver != versionLegacy && ver != version {
-		return nil, 0, 0, false, fmt.Errorf("%w: %s: unsupported version %d", ErrCorrupt, filepath.Base(s.path), ver)
-	}
-	var metas []recordMeta
-	valid := int64(headerSize)
-	pos := headerSize
-	for {
-		body, bodyOff, next, ok := nextRecord(data, pos)
-		if !ok {
-			break
-		}
-		dev, t0, t1, bb, hasBB, payload, err := splitBody(body, ver)
-		if err != nil || !trajstore.DeltaValidate(payload) {
-			break
-		}
-		metas = append(metas, recordMeta{
-			device: dev, off: int64(bodyOff), bodyLen: len(body),
-			t0: t0, t1: t1, bb: bb, hasBB: hasBB,
-		})
-		valid = int64(next)
-		pos = next
-	}
-	if torn := int64(len(data)) - valid; torn > 0 {
-		if !l.ro {
-			if off := resyncScan(data, int(valid), ver); off >= 0 {
-				return nil, 0, 0, false, fmt.Errorf("%w: %s: invalid record at offset %d but valid data at %d — refusing to truncate a sealed segment mid-file",
-					ErrCorrupt, filepath.Base(s.path), valid, off)
-			}
-			if err := l.fs.Truncate(s.path, valid); err != nil {
-				return nil, 0, 0, false, fmt.Errorf("segmentlog: truncating torn tail: %w", err)
-			}
-		}
-		l.stats.Truncated += torn
-	}
-	idxOK := false
-	if !l.ro && ver == version {
-		if err := writeBlockIndex(l.fs, s.path, valid, ver, metas); err == nil {
-			idxOK = true
-		}
-	}
-	return metas, valid, ver, idxOK, nil
-}
-
 // ensureAllLoadedLocked materializes every deferred segment and rebuilds
 // the per-device index once. Callers hold mu.
-func (l *Log) ensureAllLoadedLocked() error {
+func (l *shardLog) ensureAllLoadedLocked() error {
 	if !l.indexDirty {
 		return nil
 	}
@@ -765,17 +635,6 @@ func acquireLock(fsys vfs.FS, dir string) (vfs.File, error) {
 	return f, nil
 }
 
-// releaseLock drops the directory lock; a no-op in read-only mode or
-// after release.
-func (l *Log) releaseLock() {
-	if l.lock == nil {
-		return
-	}
-	syscall.Flock(int(l.lock.Fd()), syscall.LOCK_UN)
-	_ = l.lock.Close() // the unlock above is what matters; nothing was written
-	l.lock = nil
-}
-
 // cleanUnreferenced removes files a crashed compaction or rotation left
 // behind: a stale manifest temp file, and canonical segment or
 // block-index files the manifest does not reference (either a new
@@ -818,17 +677,10 @@ func cleanUnreferenced(fsys vfs.FS, dir string, man manifest, keep map[string]bo
 	return nil
 }
 
-// manifestLocked renders the current live set as a manifest under the
-// next generation number. Sealed segments publish their block-index
-// reference and bbox/time summary; the last (active) segment's summary
-// is still growing, so it is omitted. Callers hold mu (or are inside
-// Open/publish).
-func (l *Log) manifestLocked() manifest {
-	return manifest{Gen: l.gen + 1, Segs: manifestSegs(l.segs)}
-}
-
-// manifestSegs builds the manifest entries for a logical segment list;
-// the final entry is the active segment and carries no summary.
+// manifestSegs builds the manifest entries for a logical segment list.
+// Sealed segments publish their block-index reference and bbox/time
+// summary; the final entry is the active segment, whose summary is
+// still growing, so it carries none.
 func manifestSegs(segs []segmentFile) []manifestSeg {
 	out := make([]manifestSeg, len(segs))
 	for i, s := range segs {
@@ -844,9 +696,9 @@ func manifestSegs(segs []segmentFile) []manifestSeg {
 
 // writeManifestLocked atomically publishes the current live segment list
 // under the next generation number. Callers hold mu (or are inside
-// Open/publish).
-func (l *Log) writeManifestLocked() error {
-	m := l.manifestLocked()
+// openShardLog).
+func (l *shardLog) writeManifestLocked() error {
+	m := manifest{Gen: l.gen + 1, Segs: manifestSegs(l.segs)}
 	if err := writeManifest(l.fs, l.dir, m); err != nil {
 		return err
 	}
@@ -854,60 +706,52 @@ func (l *Log) writeManifestLocked() error {
 	return nil
 }
 
-// scanSegment reads one segment file, indexes its valid records and
-// handles an invalid tail. Dropping bytes after the first invalid
-// record is only sound where a crash could actually tear a write: the
-// final (active-to-be) segment, or a genuinely record-free tail left by
-// an unsynced rotation. A *non-final* segment whose bad record is
-// followed by more valid records is mid-file corruption of data that
-// was once durable — now that compaction makes sealed segments
-// long-lived archives, that must fail the open (ErrCorrupt) rather
-// than silently destroy everything after the rotten byte. Read-only
-// opens stay lenient throughout: they modify nothing and exist to
-// salvage whatever is readable.
-func (l *Log) scanSegment(path string, final bool) error {
+// readSegment reads one segment file and returns the metadata of its
+// valid records and its valid size, handling an invalid tail. Dropping
+// bytes after the first invalid record is only sound where a crash
+// could actually tear a write: the final (active-to-be) segment, or a
+// genuinely record-free tail left by an unsynced rotation. A
+// *non-final* segment whose bad record is followed by more valid
+// records is mid-file corruption of data that was once durable — now
+// that compaction makes sealed segments long-lived archives, that must
+// fail (ErrCorrupt) rather than silently destroy everything after the
+// rotten byte. Read-only handles stay lenient throughout: they modify
+// nothing and exist to salvage whatever is readable.
+func (l *shardLog) readSegment(path string, final bool) (metas []recordMeta, valid int64, err error) {
 	data, err := l.fs.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("segmentlog: %w", err)
+		return nil, 0, fmt.Errorf("segmentlog: %w", err)
 	}
 	if len(data) < headerSize {
 		// A crash can leave a freshly rotated file with a partial
 		// header; rewrite it as empty rather than failing the open.
 		if l.ro {
-			l.segs = append(l.segs, segmentFile{path: path, size: int64(len(data)), ver: version})
-			l.segRecs = append(l.segRecs, nil)
 			l.stats.Truncated += int64(len(data))
-			return nil
+			return nil, int64(len(data)), nil
 		}
 		if !final {
-			return fmt.Errorf("%w: %s: sealed segment shorter than its header", ErrCorrupt, filepath.Base(path))
+			return nil, 0, fmt.Errorf("%w: %s: sealed segment shorter than its header", ErrCorrupt, filepath.Base(path))
 		}
-		return l.rewriteEmpty(path)
+		return nil, headerSize, l.rewriteEmpty(path)
 	}
 	if [6]byte(data[:6]) != magic {
-		return fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
+		return nil, 0, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
 	}
-	ver := data[6]
-	if ver != versionLegacy && ver != version {
-		return fmt.Errorf("%w: %s: unsupported version %d", ErrCorrupt, filepath.Base(path), ver)
+	if data[6] != version {
+		return nil, 0, fmt.Errorf("%w: %s: unsupported version %d", ErrCorrupt, filepath.Base(path), data[6])
 	}
-	segIdx := len(l.segs)
-	l.segs = append(l.segs, segmentFile{path: path, ver: ver})
-	l.segRecs = append(l.segRecs, nil)
-	valid := int64(headerSize)
-	pos := headerSize
-	for {
+	valid = headerSize
+	for pos := headerSize; ; {
 		body, bodyOff, next, ok := nextRecord(data, pos)
 		if !ok {
 			break
 		}
-		dev, t0, t1, bb, hasBB, payload, err := splitBody(body, ver)
+		dev, t0, t1, bb, payload, err := splitBody(body)
 		if err != nil || !trajstore.DeltaValidate(payload) {
 			break
 		}
-		l.addRecordLocked(segIdx, recordMeta{
-			device: dev, off: int64(bodyOff), bodyLen: len(body),
-			t0: t0, t1: t1, bb: bb, hasBB: hasBB,
+		metas = append(metas, recordMeta{
+			device: dev, off: int64(bodyOff), bodyLen: len(body), t0: t0, t1: t1, bb: bb,
 		})
 		valid = int64(next)
 		pos = next
@@ -918,31 +762,29 @@ func (l *Log) scanSegment(path string, final bool) error {
 			// after the cut — safe to drop) from mid-file corruption
 			// (valid records still follow the bad one — refusing is the
 			// only non-destructive option).
-			if off := resyncScan(data, int(valid), ver); off >= 0 {
-				return fmt.Errorf("%w: %s: invalid record at offset %d but valid data at %d — refusing to truncate a sealed segment mid-file",
+			if off := resyncScan(data, int(valid)); off >= 0 {
+				return nil, 0, fmt.Errorf("%w: %s: invalid record at offset %d but valid data at %d — refusing to truncate a sealed segment mid-file",
 					ErrCorrupt, filepath.Base(path), valid, off)
 			}
 		}
 		if !l.ro {
 			if err := l.fs.Truncate(path, valid); err != nil {
-				return fmt.Errorf("segmentlog: truncating torn tail: %w", err)
+				return nil, 0, fmt.Errorf("segmentlog: truncating torn tail: %w", err)
 			}
 		}
 		l.stats.Truncated += torn
 	}
-	l.segs[segIdx].size = valid
-	l.stats.Bytes += valid
-	return nil
+	return metas, valid, nil
 }
 
 // resyncScan looks for a valid, decodable record anywhere after from;
 // it returns the offset of the first one, or -1. Used to tell mid-file
 // corruption apart from a torn tail (a false positive needs random
 // bytes to pass both plausibility checks and CRC-32C, ~2^-32).
-func resyncScan(data []byte, from int, ver byte) int {
+func resyncScan(data []byte, from int) int {
 	for pos := from + 1; pos+recordHeaderSize <= len(data); pos++ {
 		if body, _, _, ok := nextRecord(data, pos); ok {
-			if _, _, _, _, _, payload, err := splitBody(body, ver); err == nil && trajstore.DeltaValidate(payload) {
+			if _, _, _, _, payload, err := splitBody(body); err == nil && trajstore.DeltaValidate(payload) {
 				return pos
 			}
 		}
@@ -958,7 +800,7 @@ func nextRecord(data []byte, pos int) (body []byte, bodyOff, next int, ok bool) 
 	}
 	bodyLen := int(binary.LittleEndian.Uint32(data[pos:]))
 	crc := binary.LittleEndian.Uint32(data[pos+4:])
-	if bodyLen < minBodySizeV1 || bodyLen > MaxRecordBytes {
+	if bodyLen < minBodySize || bodyLen > MaxRecordBytes {
 		return nil, 0, 0, false
 	}
 	bodyOff = pos + recordHeaderSize
@@ -973,37 +815,20 @@ func nextRecord(data []byte, pos int) (body []byte, bodyOff, next int, ok bool) 
 	return body, bodyOff, next, true
 }
 
-// minBodySizeV1 is the smallest legal version-1 body: device length
-// prefix (may be zero bytes of ID), both time bounds, and a ≥1-byte
-// payload (the delta-varint count). minBodySize adds the current
-// format's 16-byte bounding box.
-const (
-	minBodySizeV1 = 2 + 4 + 4 + 1
-	minBodySize   = minBodySizeV1 + 16
-)
+// minBodySize is the smallest legal body: device length prefix (may be
+// zero bytes of ID), both time bounds, the 16-byte bounding box, and a
+// ≥1-byte payload (the delta-varint count).
+const minBodySize = 2 + 4 + 4 + 16 + 1
 
-// minBodySizeFor returns the smallest legal body for a format version.
-func minBodySizeFor(ver byte) int {
-	if ver == versionLegacy {
-		return minBodySizeV1
-	}
-	return minBodySize
-}
-
-// splitBody splits a validated record body into its fields according
-// to the file's format version. hasBB is false for legacy bodies.
-func splitBody(body []byte, ver byte) (device string, t0, t1 uint32, bb bbox, hasBB bool, payload []byte, err error) {
-	if len(body) < minBodySizeFor(ver) {
-		return "", 0, 0, bb, false, nil, trajstore.ErrShortBuffer
+// splitBody splits a validated record body into its fields.
+func splitBody(body []byte) (device string, t0, t1 uint32, bb bbox, payload []byte, err error) {
+	if len(body) < minBodySize {
+		return "", 0, 0, bb, nil, trajstore.ErrShortBuffer
 	}
 	devLen := int(binary.LittleEndian.Uint16(body))
 	rest := body[2:]
-	need := devLen + 8 + 1
-	if ver != versionLegacy {
-		need += 16
-	}
-	if len(rest) < need {
-		return "", 0, 0, bb, false, nil, trajstore.ErrShortBuffer
+	if len(rest) < devLen+8+16+1 {
+		return "", 0, 0, bb, nil, trajstore.ErrShortBuffer
 	}
 	device = string(rest[:devLen])
 	rest = rest[devLen:]
@@ -1011,20 +836,16 @@ func splitBody(body []byte, ver byte) (device string, t0, t1 uint32, bb bbox, ha
 	t1 = binary.LittleEndian.Uint32(rest[4:])
 	rest = rest[8:]
 	if t0 > t1 {
-		return "", 0, 0, bb, false, nil, fmt.Errorf("segmentlog: inverted record time bounds")
+		return "", 0, 0, bb, nil, fmt.Errorf("segmentlog: inverted record time bounds")
 	}
-	if ver != versionLegacy {
-		bb.minLat = int32(binary.LittleEndian.Uint32(rest))
-		bb.minLon = int32(binary.LittleEndian.Uint32(rest[4:]))
-		bb.maxLat = int32(binary.LittleEndian.Uint32(rest[8:]))
-		bb.maxLon = int32(binary.LittleEndian.Uint32(rest[12:]))
-		rest = rest[16:]
-		if bb.minLat > bb.maxLat || bb.minLon > bb.maxLon {
-			return "", 0, 0, bbox{}, false, nil, fmt.Errorf("segmentlog: inverted record bounding box")
-		}
-		hasBB = true
+	bb.minLat = int32(binary.LittleEndian.Uint32(rest))
+	bb.minLon = int32(binary.LittleEndian.Uint32(rest[4:]))
+	bb.maxLat = int32(binary.LittleEndian.Uint32(rest[8:]))
+	bb.maxLon = int32(binary.LittleEndian.Uint32(rest[12:]))
+	if bb.minLat > bb.maxLat || bb.minLon > bb.maxLon {
+		return "", 0, 0, bbox{}, nil, fmt.Errorf("segmentlog: inverted record bounding box")
 	}
-	return device, t0, t1, bb, hasBB, rest, nil
+	return device, t0, t1, bb, rest[16:], nil
 }
 
 // encodeRecord appends the full wire form of one record — length prefix,
@@ -1076,19 +897,13 @@ func timeBounds(keys []trajstore.GeoKey) (t0, t1 uint32) {
 }
 
 // rewriteEmpty resets path to a bare header (crash during file creation).
-func (l *Log) rewriteEmpty(path string) error {
+func (l *shardLog) rewriteEmpty(path string) error {
 	f, err := l.fs.OpenFile(path, os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("segmentlog: %w", err)
 	}
 	defer f.Close()
-	if err := writeHeader(f); err != nil {
-		return err
-	}
-	l.segs = append(l.segs, segmentFile{path: path, size: headerSize, ver: version})
-	l.segRecs = append(l.segRecs, nil)
-	l.stats.Bytes += headerSize
-	return nil
+	return writeHeader(f)
 }
 
 func writeHeader(f vfs.File) error {
@@ -1105,10 +920,10 @@ func writeHeader(f vfs.File) error {
 // header and fsyncs the directory entry. The file is NOT yet published:
 // callers append it to l.segs and rewrite the manifest — until then
 // recovery treats it as unreferenced garbage, so a crash in between
-// loses nothing. Callers hold mu (or are inside Open). The directory
+// loses nothing. Callers hold mu (or are inside openShardLog). The directory
 // fsync matters because a file whose directory entry is not durable can
 // vanish wholesale in a crash, taking "synced" records with it.
-func (l *Log) newSegmentFileLocked() (vfs.File, segmentFile, error) {
+func (l *shardLog) newSegmentFileLocked() (vfs.File, segmentFile, error) {
 	path := filepath.Join(l.dir, segName(l.nextSeq))
 	f, err := l.fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -1125,7 +940,7 @@ func (l *Log) newSegmentFileLocked() (vfs.File, segmentFile, error) {
 		return nil, segmentFile{}, err
 	}
 	l.nextSeq++
-	return f, segmentFile{path: path, size: headerSize, ver: version}, nil
+	return f, segmentFile{path: path, size: headerSize}, nil
 }
 
 // syncDir fsyncs a directory so entries for newly created files are
@@ -1159,7 +974,7 @@ func syncDir(fsys vfs.FS, dir string) error {
 // segment (which stays active and writable, rotation retried by the
 // next append) or salvaged by the poison path — and any durability
 // consequence resurfaces from the next Append or Sync.
-func (l *Log) Append(device string, keys []trajstore.GeoKey) error {
+func (l *shardLog) Append(device string, keys []trajstore.GeoKey) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -1193,7 +1008,6 @@ func (l *Log) Append(device string, keys []trajstore.GeoKey) error {
 		t0:      t0,
 		t1:      t1,
 		bb:      bb,
-		hasBB:   true,
 	})
 	l.pend = append(l.pend, wbuf...)
 	l.unsynced = append(l.unsynced, wbuf...) // salvage copy until the next successful fsync
@@ -1215,7 +1029,7 @@ func (l *Log) Append(device string, keys []trajstore.GeoKey) error {
 // an unknown amount and corrupts the tail — poisons the active segment:
 // its on-disk state past the durable watermark is no longer trusted,
 // and salvage (healLocked) must move the at-risk bytes to a fresh file.
-func (l *Log) flushLocked() error {
+func (l *shardLog) flushLocked() error {
 	if len(l.pend) == 0 {
 		return nil
 	}
@@ -1237,7 +1051,7 @@ func (l *Log) flushLocked() error {
 // copy) and the segment is logically sealed at the watermark. No
 // further byte is appended to the file; healLocked rewrites the
 // at-risk region into a fresh segment.
-func (l *Log) poisonLocked(cause error) {
+func (l *shardLog) poisonLocked(cause error) {
 	if l.poisoned {
 		return
 	}
@@ -1285,7 +1099,7 @@ func (l *Log) poisonLocked(cause error) {
 // salvage copy is untouched, so the next Append/Sync retries. After a
 // successful heal every previously appended record is durable, so a
 // Sync that triggered it may report success.
-func (l *Log) healLocked() error {
+func (l *shardLog) healLocked() error {
 	f, seg, err := l.newSegmentFileLocked()
 	if err != nil {
 		return err
@@ -1338,13 +1152,7 @@ func (l *Log) healLocked() error {
 			l.fs.Remove(seg.path)
 			return fmt.Errorf("segmentlog: salvage: truncating poisoned segment: %w", err)
 		}
-		sealedIdx := false
-		if l.segs[cur].ver == version {
-			if err := writeBlockIndex(l.fs, l.segs[cur].path, l.syncedOff, l.segs[cur].ver, l.segRecs[cur]); err == nil {
-				sealedIdx = true
-			}
-		}
-		l.segs[cur].idx = sealedIdx
+		l.segs[cur].idx = writeBlockIndex(l.fs, l.segs[cur].path, l.syncedOff, l.segRecs[cur]) == nil
 		l.segs = append(l.segs, seg)
 		l.segRecs = append(l.segRecs, nil)
 		if err := l.writeManifestLocked(); err != nil {
@@ -1379,7 +1187,7 @@ func (l *Log) healLocked() error {
 
 // recountBytesLocked recomputes Stats.Bytes from the segment list (the
 // active segment counts its logical size including buffered appends).
-func (l *Log) recountBytesLocked() {
+func (l *shardLog) recountBytesLocked() {
 	var bytes int64
 	for i, s := range l.segs {
 		if i == len(l.segs)-1 && !l.ro {
@@ -1398,7 +1206,7 @@ func (l *Log) recountBytesLocked() {
 // sealed segment's block index is written before the manifest
 // references it; an index write failure only costs the acceleration
 // (the segment scans fine), never the rotation.
-func (l *Log) rotateLocked() error {
+func (l *shardLog) rotateLocked() error {
 	if err := l.flushLocked(); err != nil {
 		// flushLocked poisoned the segment; a successful salvage IS the
 		// rotation (old segment sealed at the watermark, at-risk records
@@ -1408,31 +1216,25 @@ func (l *Log) rotateLocked() error {
 		}
 		return err
 	}
-	if !l.opts.NoSyncOnRotate {
-		if err := l.active.Sync(); err != nil {
-			// After a failed fsync the dirty pages' fate is unknown —
-			// retrying the Sync and trusting the file would be the
-			// fsyncgate bug. Poison the segment and salvage instead.
-			err = fmt.Errorf("segmentlog: %w", err)
-			l.poisonLocked(err)
-			if healErr := l.healLocked(); healErr == nil {
-				return nil
-			}
-			return err
+	// A completed segment file is always fully durable: fsync before
+	// rotating away from it.
+	if err := l.active.Sync(); err != nil {
+		// After a failed fsync the dirty pages' fate is unknown —
+		// retrying the Sync and trusting the file would be the
+		// fsyncgate bug. Poison the segment and salvage instead.
+		err = fmt.Errorf("segmentlog: %w", err)
+		l.poisonLocked(err)
+		if healErr := l.healLocked(); healErr == nil {
+			return nil
 		}
+		return err
 	}
-	// Either the fsync above succeeded or NoSyncOnRotate explicitly
-	// traded durability away; either way the salvage copy must not
-	// outlive the segment its offsets index into.
+	// The salvage copy must not outlive the segment its offsets index
+	// into.
 	l.syncedOff = l.off
 	l.unsynced = l.unsynced[:0]
 	cur := len(l.segs) - 1
-	sealedIdx := false
-	if l.segs[cur].ver == version {
-		if err := writeBlockIndex(l.fs, l.segs[cur].path, l.off, l.segs[cur].ver, l.segRecs[cur]); err == nil {
-			sealedIdx = true
-		}
-	}
+	sealedIdx := writeBlockIndex(l.fs, l.segs[cur].path, l.off, l.segRecs[cur]) == nil
 	f, seg, err := l.newSegmentFileLocked()
 	if err != nil {
 		return err
@@ -1476,13 +1278,13 @@ func (l *Log) rotateLocked() error {
 // active segment is poisoned and the un-synced records are salvaged
 // into a fresh file; when that succeeds the data IS durable and Sync
 // reports success.
-func (l *Log) Sync() error {
+func (l *shardLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.syncLocked()
 }
 
-func (l *Log) syncLocked() error {
+func (l *shardLog) syncLocked() error {
 	if l.closed {
 		return ErrClosed
 	}
@@ -1514,12 +1316,13 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Close flushes, fsyncs and closes the log, releasing the directory
-// lock. It waits for an in-flight Compact to finish first — the lock
-// must not be released while a compactor is still creating files in
-// the directory, or a new owner could collide with the zombie's
-// writes. Further operations return ErrClosed; Close is idempotent.
-func (l *Log) Close() error {
+// Close flushes, fsyncs and closes the log. It waits for an in-flight
+// Compact to finish first — ShardedLog.Close releases the root lock
+// once every shard has closed, and that must not happen while a
+// compactor is still creating files in the directory, or a new owner
+// could collide with the zombie's writes. Further operations return
+// ErrClosed; Close is idempotent.
+func (l *shardLog) Close() error {
 	l.compactMu.Lock() // compactMu before mu, matching Compact
 	defer l.compactMu.Unlock()
 	l.mu.Lock()
@@ -1531,7 +1334,6 @@ func (l *Log) Close() error {
 	if l.ro {
 		return nil
 	}
-	defer l.releaseLock()
 	l.closed = false // syncLocked (and a salvage within it) must still run
 	err := l.syncLocked()
 	l.closed = true
@@ -1545,7 +1347,7 @@ func (l *Log) Close() error {
 // comes from the per-device index, so the first call after an Open that
 // deferred segments materializes them (best-effort: an unreadable
 // deferred segment surfaces on the query paths, not here).
-func (l *Log) Stats() Stats {
+func (l *shardLog) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	_ = l.ensureAllLoadedLocked()
@@ -1561,12 +1363,9 @@ func (l *Log) Stats() Stats {
 	return s
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Devices returns the indexed device IDs, sorted. Deferred segments are
 // materialized first (best-effort, as in Stats).
-func (l *Log) Devices() []string {
+func (l *shardLog) Devices() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	_ = l.ensureAllLoadedLocked()
@@ -1580,7 +1379,7 @@ func (l *Log) Devices() []string {
 
 // DeviceSpan returns the record count and overall time bounds indexed
 // for a device; ok is false for an unknown device.
-func (l *Log) DeviceSpan(device string) (records int, t0, t1 uint32, ok bool) {
+func (l *shardLog) DeviceSpan(device string) (records int, t0, t1 uint32, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	_ = l.ensureAllLoadedLocked()
@@ -1603,7 +1402,7 @@ func (l *Log) DeviceSpan(device string) (records int, t0, t1 uint32, ok bool) {
 }
 
 // metaAt resolves a record address. Callers hold mu.
-func (l *Log) metaAt(a recordAddr) *recordMeta { return &l.segRecs[a.seg][a.pos] }
+func (l *shardLog) metaAt(a recordAddr) *recordMeta { return &l.segRecs[a.seg][a.pos] }
 
 // Query returns the decoded trajectories of device whose time bounds
 // overlap [t0, t1], in append order. Records are read back from disk and
@@ -1611,7 +1410,7 @@ func (l *Log) metaAt(a recordAddr) *recordMeta { return &l.segRecs[a.seg][a.pos]
 // superseded segment already deleted between snapshotting the index and
 // opening the file; it transparently re-snapshots against the newly
 // published generation.
-func (l *Log) Query(device string, t0, t1 uint32) ([]Record, error) {
+func (l *shardLog) Query(device string, t0, t1 uint32) ([]Record, error) {
 	for attempt := 0; ; attempt++ {
 		out, retry, err := l.queryOnce(device, t0, t1)
 		if err != nil && retry && attempt < 4 {
@@ -1629,7 +1428,7 @@ func (l *Log) Query(device string, t0, t1 uint32) ([]Record, error) {
 
 // queryOnce is one snapshot-and-read pass; retry is true when the error
 // was a segment file vanishing under a concurrent compaction.
-func (l *Log) queryOnce(device string, t0, t1 uint32) (out []Record, retry bool, err error) {
+func (l *shardLog) queryOnce(device string, t0, t1 uint32) (out []Record, retry bool, err error) {
 	refs, segs, gen, err := l.snapshotRefs(device, t0, t1)
 	if err != nil {
 		return nil, false, err
@@ -1637,35 +1436,46 @@ func (l *Log) queryOnce(device string, t0, t1 uint32) (out []Record, retry bool,
 	files := newSegReader(l.fs, segs)
 	defer files.close()
 	for _, ref := range refs {
-		if rec, ok := l.cacheGet(gen, segs[ref.seg].path, ref.off); ok {
-			out = append(out, rec)
-			continue
-		}
-		body, err := files.readRecord(ref)
+		rec, _, err := l.loadRecord(files, gen, ref)
 		if err != nil {
 			return nil, errors.Is(err, fs.ErrNotExist), err
 		}
-		dev, rt0, rt1, _, _, payload, err := splitBody(body, segs[ref.seg].ver)
-		if err != nil {
-			return nil, false, fmt.Errorf("segmentlog: indexed record unreadable: %w", err)
-		}
-		keys, err := trajstore.DeltaDecode(payload)
-		if err != nil {
-			return nil, false, fmt.Errorf("segmentlog: %w", err)
-		}
-		rec := Record{Device: dev, T0: rt0, T1: rt1, Keys: keys}
-		l.cachePut(gen, segs[ref.seg].path, ref.off, rec)
 		out = append(out, rec)
 	}
 	return out, false, nil
 }
 
-// snapshotRefs collects, under the lock, the matching refs and a
-// snapshot of the segments they point into, flushing pending writes
+// loadRecord returns the decoded record at ref in generation gen: from
+// the read cache when present (hit), otherwise read back from disk,
+// CRC-verified, decoded and cached.
+func (l *shardLog) loadRecord(files *segReader, gen uint64, ref refSnap) (rec Record, hit bool, err error) {
+	path := files.paths[ref.seg]
+	if rec, hit = l.cacheGet(gen, path, ref.off); hit {
+		return rec, true, nil
+	}
+	body, err := files.readRecord(ref)
+	if err != nil {
+		return Record{}, false, err
+	}
+	dev, t0, t1, _, payload, err := splitBody(body)
+	if err != nil {
+		return Record{}, false, fmt.Errorf("segmentlog: indexed record unreadable: %w", err)
+	}
+	keys, err := trajstore.DeltaDecode(payload)
+	if err != nil {
+		return Record{}, false, fmt.Errorf("segmentlog: %w", err)
+	}
+	rec = Record{Device: dev, T0: t0, T1: t1, Keys: keys}
+	l.cachePut(gen, path, ref.off, rec)
+	return rec, false, nil
+}
+
+// snapshotRefs collects, under the lock, the matching refs and the
+// paths of the segments they point into, flushing pending writes
 // first so disk reads observe every indexed record. gen is the
 // manifest generation the snapshot belongs to — the cache epoch of
 // every ref returned.
-func (l *Log) snapshotRefs(device string, t0, t1 uint32) ([]refSnap, []segSnap, uint64, error) {
+func (l *shardLog) snapshotRefs(device string, t0, t1 uint32) ([]refSnap, []string, uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -1687,23 +1497,28 @@ func (l *Log) snapshotRefs(device string, t0, t1 uint32) ([]refSnap, []segSnap, 
 			refs = append(refs, refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
 		}
 	}
-	segs := make([]segSnap, len(l.segs))
+	return refs, l.segPathsLocked(), l.gen, nil
+}
+
+// segPathsLocked snapshots the segment file paths, indexed like l.segs.
+func (l *shardLog) segPathsLocked() []string {
+	paths := make([]string, len(l.segs))
 	for i, s := range l.segs {
-		segs[i] = segSnap{path: s.path, ver: s.ver}
+		paths[i] = s.path
 	}
-	return refs, segs, l.gen, nil
+	return paths
 }
 
 // segReader reads CRC-verified record bodies from a segment snapshot,
 // caching one open file handle per segment.
 type segReader struct {
 	fs    vfs.FS
-	segs  []segSnap
+	paths []string
 	files map[int]vfs.File
 }
 
-func newSegReader(fsys vfs.FS, segs []segSnap) *segReader {
-	return &segReader{fs: fsys, segs: segs, files: make(map[int]vfs.File)}
+func newSegReader(fsys vfs.FS, paths []string) *segReader {
+	return &segReader{fs: fsys, paths: paths, files: make(map[int]vfs.File)}
 }
 
 func (r *segReader) close() {
@@ -1719,7 +1534,7 @@ func (r *segReader) readRecord(ref refSnap) ([]byte, error) {
 	f := r.files[ref.seg]
 	if f == nil {
 		var err error
-		f, err = r.fs.Open(r.segs[ref.seg].path)
+		f, err = r.fs.Open(r.paths[ref.seg])
 		if err != nil {
 			return nil, fmt.Errorf("segmentlog: %w", err)
 		}

@@ -30,9 +30,9 @@ func genKeys(seed, n int) []trajstore.GeoKey {
 	return keys
 }
 
-func mustOpen(t *testing.T, dir string, opts Options) *Log {
+func mustOpen(t *testing.T, dir string, opts Options) *shardLog {
 	t.Helper()
-	l, err := Open(dir, opts)
+	l, err := openShardLog(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *Log {
 }
 
 // queryAll returns every record of a device.
-func queryAll(t *testing.T, l *Log, device string) []Record {
+func queryAll(t *testing.T, l *shardLog, device string) []Record {
 	t.Helper()
 	recs, err := l.Query(device, 0, ^uint32(0))
 	if err != nil {
@@ -206,7 +206,7 @@ func TestCrashRecoveryArbitraryOffsets(t *testing.T) {
 		if err := os.Truncate(filepath.Join(crashed, "seg-00000001.log"), cut); err != nil {
 			t.Fatal(err)
 		}
-		rl, err := Open(crashed, Options{})
+		rl, err := openShardLog(crashed, Options{})
 		if err != nil {
 			t.Fatalf("cut %d: Open: %v", cut, err)
 		}
@@ -245,7 +245,7 @@ func TestCrashRecoveryArbitraryOffsets(t *testing.T) {
 		if err := rl.Close(); err != nil {
 			t.Fatalf("cut %d: close after recovery: %v", cut, err)
 		}
-		rl2, err := Open(crashed, Options{})
+		rl2, err := openShardLog(crashed, Options{})
 		if err != nil {
 			t.Fatalf("cut %d: second reopen: %v", cut, err)
 		}
@@ -362,7 +362,7 @@ func TestBadMagicRejected(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), []byte("NOTALOGFILE!"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
+	if _, err := openShardLog(dir, Options{}); err == nil {
 		t.Fatal("Open accepted a file with bad magic")
 	}
 }
@@ -537,39 +537,6 @@ func TestRotationFailureKeepsOldActive(t *testing.T) {
 	}
 }
 
-// TestLockExcludesSecondWriter is the inter-process-exclusion bugfix
-// test: a second writable Open must fail with ErrLocked while the first
-// holds the directory, a read-only open must succeed, and the lock must
-// be released by Close.
-func TestLockExcludesSecondWriter(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{})
-	if err := l.Append("dev", genKeys(1, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := Open(dir, Options{}); !errors.Is(err, ErrLocked) {
-		t.Fatalf("second writable Open = %v, want ErrLocked", err)
-	}
-	ro := mustOpen(t, dir, Options{ReadOnly: true})
-	if recs := queryAll(t, ro, "dev"); len(recs) != 1 {
-		t.Fatalf("read-only open of a locked dir saw %d records", len(recs))
-	}
-	ro.Close()
-
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("Open after Close: %v", err)
-	}
-	l2.Close()
-}
-
 // TestReadOnlySemantics: a read-only open never modifies the directory
 // — a torn tail is detected but left in place — and mutating operations
 // return ErrReadOnly.
@@ -619,7 +586,7 @@ func TestReadOnlySemantics(t *testing.T) {
 	// A read-only open of a missing directory errors instead of
 	// creating it.
 	missing := filepath.Join(t.TempDir(), "nope")
-	if _, err := Open(missing, Options{ReadOnly: true}); err == nil {
+	if _, err := openShardLog(missing, Options{ReadOnly: true}); err == nil {
 		t.Fatal("read-only open conjured a missing directory")
 	}
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,14 +13,17 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
 
-// A ShardedLog fans one logical segment log out over N independent
-// shard logs, each in its own subdirectory with its own MANIFEST,
+// A ShardedLog is an open segment log — the one log type of this
+// package and the trajstore.Backend the ingestion engine persists into.
+// It fans one logical log out over N independent shard logs (N = 1 for
+// the single case), each in its own subdirectory with its own MANIFEST,
 // segment files and block indexes. Devices are routed by
 // trajstore.ShardIndex — the same function the ingestion engine uses —
 // so when engine and log shard counts agree, each engine shard appends
@@ -30,43 +32,46 @@ import (
 //
 // On-disk layout:
 //
-//	dir/SHARDS      CRC-sealed shard count; its existence marks the
-//	                directory as sharded and is the migration commit point
-//	dir/LOCK        the writer flock — deliberately the same path a
-//	                single Log locks, so legacy and sharded writers
-//	                exclude each other
+//	dir/SHARDS      CRC-sealed shard count; publishing it is the commit
+//	                point of the root's creation
+//	dir/LOCK        the writer flock — the only lock in the tree
 //	dir/shard-000/  a complete, self-contained segment log
 //	dir/shard-001/  ...
 //
-// Each shard directory is a full Log: MANIFEST generations,
-// crash-at-every-step compaction recovery and bqsrecover all work on it
-// unchanged. The shard count is fixed at creation (it determines where
-// every already-persisted device lives) and persisted in SHARDS; later
-// opens use the persisted count regardless of what the caller asks for.
+// Each shard directory carries its own MANIFEST generations and
+// crash-at-every-step compaction recovery. The shard count is fixed at
+// creation (it determines where every already-persisted device lives)
+// and persisted in SHARDS; later opens use the persisted count
+// regardless of what the caller asks for. Shard directories without a
+// SHARDS file are debris of a creation that crashed before its commit
+// point and are rebuilt from scratch.
 //
-// Opening a legacy single-log directory writable migrates it in place:
-// records are re-appended device by device into the shard logs (which
-// also upgrades any version-1 records to the current format), SHARDS is
-// published atomically, and only then are the legacy root files
-// deleted. A crash before the SHARDS rename leaves the legacy log
-// intact and the half-built shard directories as debris the next open
-// removes; a crash after it leaves at worst legacy files the next open
-// finishes deleting. bqsrecover detects SHARDS and recurses.
+// A root that holds single-log files (MANIFEST, seg-*.log) and no
+// SHARDS — the layout that predates sharding — is refused with
+// ErrCorrupt: never migrated, never swept, never treated as empty.
 type ShardedLog struct {
 	dir    string
 	ro     bool
 	fs     vfs.FS // never nil; resolved from Options.FS at open
 	lock   vfs.File
-	shards []*Log
+	shards []*shardLog
+	// compaction is Options.Compaction, the policy CompactNow applies.
+	compaction *CompactionPolicy
 	// cache is the read-side record cache shared by every shard log
 	// (nil when Options.CacheBytes is zero): one byte budget for the
 	// whole tree, instead of N independent budgets that would let a
 	// hot shard starve while cold shards hold empty reserves.
 	cache *recordCache
 
-	mu     sync.Mutex
-	closed bool
+	// closed is set when Close begins; live consults it so every
+	// operation after Close reports ErrClosed.
+	closed    atomic.Bool
+	closeOnce sync.Once
 }
+
+// Compile-time proof: were a method to drift, the engine would silently
+// fall back to using the log append-only.
+var _ trajstore.Backend = (*ShardedLog)(nil)
 
 const (
 	shardsName    = "SHARDS"
@@ -140,8 +145,8 @@ func readShards(fsys vfs.FS, dir string) (n int, found bool, err error) {
 }
 
 // writeShards atomically publishes dir's SHARDS file: temp file, fsync,
-// rename, directory fsync. This is the commit point of both fresh
-// sharded-log creation and legacy migration.
+// rename, directory fsync. This is the commit point of a root's
+// creation.
 func writeShards(fsys vfs.FS, dir string, n int) error {
 	tmp := filepath.Join(dir, shardsTmpName)
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -167,13 +172,13 @@ func writeShards(fsys vfs.FS, dir string, n int) error {
 	return syncDir(fsys, dir)
 }
 
-// OpenSharded opens (creating or migrating if necessary) the sharded
-// segment log in dir. shards is the shard count for a directory that
-// does not hold one yet (≤ 0 means GOMAXPROCS); a directory that does —
-// SHARDS exists — keeps its persisted count, since it determines where
-// every already-stored device lives. A legacy single-log directory is
-// migrated in place (see ShardedLog). With Options.ReadOnly nothing is
-// created, locked or migrated: the directory must already be sharded.
+// OpenSharded opens (creating if necessary) the segment log rooted at
+// dir. shards is the shard count for a directory that does not hold one
+// yet (≤ 0 means GOMAXPROCS); a directory that does — SHARDS exists —
+// keeps its persisted count, since it determines where every
+// already-stored device lives. Writable opens take the root's exclusive
+// LOCK (ErrLocked when another process holds it). With Options.ReadOnly
+// nothing is created or locked: the directory must already hold a log.
 func OpenSharded(dir string, shards int, opts Options) (*ShardedLog, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -185,18 +190,23 @@ func OpenSharded(dir string, shards int, opts Options) (*ShardedLog, error) {
 	if fsys == nil {
 		fsys = vfs.OS
 	}
-	s := &ShardedLog{dir: dir, ro: opts.ReadOnly, fs: fsys}
+	s := &ShardedLog{dir: dir, ro: opts.ReadOnly, fs: fsys, compaction: opts.Compaction}
 	if opts.cache == nil {
 		opts.cache = newRecordCache(opts.CacheBytes)
 	}
 	s.cache = opts.cache
+	// Refuse before anything is created or locked, so a refused
+	// directory is left byte-for-byte untouched.
+	if err := refuseSingleLog(s.fs, dir); err != nil {
+		return nil, err
+	}
 	if s.ro {
 		n, found, err := readShards(s.fs, dir)
 		if err != nil {
 			return nil, err
 		}
 		if !found {
-			return nil, fmt.Errorf("segmentlog: %s is not a sharded log (no SHARDS file); open it as a single log", dir)
+			return nil, fmt.Errorf("segmentlog: %s holds no segment log (no SHARDS file)", dir)
 		}
 		return s, s.openShards(n, opts)
 	}
@@ -220,64 +230,33 @@ func OpenSharded(dir string, shards int, opts Options) (*ShardedLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	if found {
-		// Already sharded. A crash between the SHARDS commit and the end
-		// of migration may have left legacy root files behind — finish
-		// deleting them before anything else re-reads them.
-		if err := removeLegacyFiles(s.fs, dir); err != nil {
-			return nil, err
-		}
-	} else {
+	if !found {
 		n = shards
 		// Shard directories without a SHARDS file are debris of a
-		// migration (or creation) that crashed before its commit point;
-		// the legacy root files are still the authoritative copy, so
-		// rebuild from scratch.
+		// creation that crashed before its commit point: rebuild from
+		// scratch.
 		if err := removeShardDirs(s.fs, dir); err != nil {
 			return nil, err
 		}
-		if hasLegacy, err := hasLegacyLog(s.fs, dir); err != nil {
-			return nil, err
-		} else if hasLegacy {
-			if err := s.migrateLegacy(n, opts); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := s.openShards(n, opts); err != nil {
-				return nil, err
-			}
-			if err := writeShards(s.fs, dir, n); err != nil {
-				s.closeShards()
-				return nil, err
-			}
-		}
-		ok = true
-		return s, nil
 	}
 	if err := s.openShards(n, opts); err != nil {
 		return nil, err
+	}
+	if !found {
+		if err := writeShards(s.fs, dir, n); err != nil {
+			s.closeShards()
+			return nil, err
+		}
 	}
 	ok = true
 	return s, nil
 }
 
-// openShards opens the n shard logs. Writable shard opens take no
-// per-shard flock: the top-level LOCK already excludes every other
-// writer of the tree (including legacy single-log writers, which lock
-// the same path).
+// openShards opens the n shard logs.
 func (s *ShardedLog) openShards(n int, opts Options) error {
-	s.shards = make([]*Log, 0, n)
+	s.shards = make([]*shardLog, 0, n)
 	for i := 0; i < n; i++ {
-		sub := filepath.Join(s.dir, shardDirName(i))
-		var (
-			lg  *Log
-			err error
-		)
-		if s.ro {
-			lg, err = Open(sub, opts)
-		} else {
-			lg, err = openNoLock(sub, opts)
-		}
+		lg, err := openShardLog(filepath.Join(s.dir, shardDirName(i)), opts)
 		if err != nil {
 			s.closeShards()
 			return fmt.Errorf("segmentlog: shard %d: %w", i, err)
@@ -298,19 +277,37 @@ func (s *ShardedLog) closeShards() {
 	s.shards = nil
 }
 
-// hasLegacyLog reports whether dir's root holds a single-log: a
-// MANIFEST, or (pre-manifest layouts) any segment file.
-func hasLegacyLog(fsys vfs.FS, dir string) (bool, error) {
-	if _, err := fsys.Stat(filepath.Join(dir, manifestName)); err == nil {
-		return true, nil
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return false, fmt.Errorf("segmentlog: %w", err)
+// refuseSingleLog rejects a root in the single-log layout: a MANIFEST
+// or segment files directly in dir and no SHARDS beside them. Such a
+// root was written before logs were sharded; this package neither reads
+// nor migrates it, and must not mistake it for an empty directory.
+func refuseSingleLog(fsys vfs.FS, dir string) error {
+	exists := func(name string) (bool, error) {
+		if _, err := fsys.Stat(filepath.Join(dir, name)); err == nil {
+			return true, nil
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			return false, fmt.Errorf("segmentlog: %w", err)
+		}
+		return false, nil
 	}
-	matches, err := fsys.Glob(filepath.Join(dir, "seg-*.log"))
+	if sharded, err := exists(shardsName); err != nil || sharded {
+		return err
+	}
+	single, err := exists(manifestName)
 	if err != nil {
-		return false, fmt.Errorf("segmentlog: %w", err)
+		return err
 	}
-	return len(matches) > 0, nil
+	if !single {
+		segs, err := fsys.Glob(filepath.Join(dir, "seg-*.log"))
+		if err != nil {
+			return fmt.Errorf("segmentlog: %w", err)
+		}
+		single = len(segs) > 0
+	}
+	if single {
+		return fmt.Errorf("%w: %s is in the single-log layout (MANIFEST/seg-*.log at the root, no SHARDS), which is no longer read; migrate it with the last release that did (see DESIGN.md)", ErrCorrupt, dir)
+	}
+	return nil
 }
 
 // removeShardDirs deletes every shard-* subdirectory of dir.
@@ -329,82 +326,6 @@ func removeShardDirs(fsys vfs.FS, dir string) error {
 	return nil
 }
 
-// removeLegacyFiles deletes the single-log files from dir's root: the
-// MANIFEST, its temp file, and every segment and block-index file. Only
-// called once SHARDS exists (the shards hold all the data).
-func removeLegacyFiles(fsys vfs.FS, dir string) error {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("segmentlog: %w", err)
-	}
-	removed := false
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		_, isSeg := parseSegName(name)
-		_, isIdx := parseIdxName(name)
-		if !isSeg && !isIdx && name != manifestName && name != manifestTmpName {
-			continue
-		}
-		if err := fsys.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("segmentlog: removing legacy %s: %w", name, err)
-		}
-		removed = true
-	}
-	if removed {
-		return syncDir(fsys, dir)
-	}
-	return nil
-}
-
-// migrateLegacy converts dir's single log into n shard logs: open the
-// legacy log with full recovery semantics (torn tails, manifest
-// adoption), re-append every record into the shard it routes to — which
-// also re-encodes version-1 records into the current format — sync the
-// shards durable, publish SHARDS (the commit point), and delete the
-// legacy files. The legacy root stays untouched until SHARDS exists, so
-// a crash anywhere before the commit loses nothing.
-func (s *ShardedLog) migrateLegacy(n int, opts Options) error {
-	legacy, err := openNoLock(s.dir, opts)
-	if err != nil {
-		return fmt.Errorf("segmentlog: migrating legacy log: %w", err)
-	}
-	defer legacy.Close()
-	if err := s.openShards(n, opts); err != nil {
-		return err
-	}
-	for _, dev := range legacy.Devices() {
-		recs, err := legacy.Query(dev, 0, math.MaxUint32)
-		if err != nil {
-			s.closeShards()
-			return fmt.Errorf("segmentlog: migrating %q: %w", dev, err)
-		}
-		lg := s.shards[trajstore.ShardIndex(dev, n)]
-		for _, r := range recs {
-			if err := lg.Append(dev, r.Keys); err != nil {
-				s.closeShards()
-				return fmt.Errorf("segmentlog: migrating %q: %w", dev, err)
-			}
-		}
-	}
-	if err := s.each(func(lg *Log) error { return lg.Sync() }); err != nil {
-		s.closeShards()
-		return err
-	}
-	if err := writeShards(s.fs, s.dir, n); err != nil {
-		s.closeShards()
-		return err
-	}
-	if err := legacy.Close(); err != nil {
-		// The migration is already committed; the stale legacy files are
-		// removed below regardless.
-		_ = err
-	}
-	return removeLegacyFiles(s.fs, s.dir)
-}
-
 // releaseLock drops the top-level directory lock; a no-op in read-only
 // mode or after release.
 func (s *ShardedLog) releaseLock() {
@@ -417,76 +338,98 @@ func (s *ShardedLog) releaseLock() {
 }
 
 // each runs f on every shard concurrently and joins the errors.
-func (s *ShardedLog) each(f func(lg *Log) error) error {
+func (s *ShardedLog) each(f func(i int, lg *shardLog) error) error {
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
 	for i, lg := range s.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = f(lg)
+			errs[i] = f(i, lg)
 		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
+// live reports ErrClosed once Close has begun — the one place every
+// operation learns the log is closed. An operation that passes it and
+// then races Close is caught by the shard log's own check.
+func (s *ShardedLog) live() error {
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	return nil
+}
+
 // Dir returns the sharded log's root directory.
 func (s *ShardedLog) Dir() string { return s.dir }
 
-// NumShards returns the shard count (trajstore.ShardedPersister).
+// NumShards returns the shard count (trajstore.Backend).
 func (s *ShardedLog) NumShards() int { return len(s.shards) }
 
-// ShardPersister exposes shard i as a Persister
-// (trajstore.ShardedPersister): the engine binds each of its shard
-// workers straight to the log shard it owns.
+// ShardPersister exposes shard i as a Persister (trajstore.Backend):
+// the engine binds each of its shard workers straight to the log shard
+// it owns.
 func (s *ShardedLog) ShardPersister(i int) trajstore.Persister { return s.shards[i] }
 
-// ShardLog exposes shard i's underlying Log — for tests and tooling
-// (bqsrecover) that need per-shard inspection.
-func (s *ShardedLog) ShardLog(i int) *Log { return s.shards[i] }
-
 // shardFor routes a device to its shard.
-func (s *ShardedLog) shardFor(device string) *Log {
+func (s *ShardedLog) shardFor(device string) *shardLog {
 	return s.shards[trajstore.ShardIndex(device, len(s.shards))]
 }
 
-// Append persists one finalized trajectory into the device's shard.
+// Append persists one finalized trajectory into the device's shard. The
+// record is buffered in the process and durable after the next Sync;
+// empty trajectories are ignored. An error means the record was NOT
+// accepted, so callers may retry or re-route it without creating
+// duplicates (see shardLog.Append for the rotation-failure contract).
 func (s *ShardedLog) Append(device string, keys []trajstore.GeoKey) error {
+	if err := s.live(); err != nil {
+		return err
+	}
 	return s.shardFor(device).Append(device, keys)
 }
 
-// Sync is the durability barrier across all shards; the per-shard
-// fsyncs run concurrently.
+// Sync is the durability barrier across all shards — every Append that
+// returned before Sync was called is durable once Sync returns; the
+// per-shard fsyncs run concurrently.
 func (s *ShardedLog) Sync() error {
-	return s.each(func(lg *Log) error { return lg.Sync() })
+	if err := s.live(); err != nil {
+		return err
+	}
+	return s.each(func(_ int, lg *shardLog) error { return lg.Sync() })
 }
 
 // Close syncs and closes every shard, then releases the top-level lock
 // — strictly last, so no other writer can enter the tree while any
 // shard still has buffered or in-flight state. Each shard's Close
 // serializes behind that shard's running compaction, so a concurrent
-// CompactNow finishes or aborts cleanly first.
+// CompactNow finishes or aborts cleanly first. Further operations
+// return ErrClosed; Close itself is idempotent — a repeated call waits
+// for the first to finish and returns nil.
 func (s *ShardedLog) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.closed = true
-	err := s.each(func(lg *Log) error { return lg.Close() })
-	s.releaseLock()
+	var err error
+	s.closeOnce.Do(func() {
+		s.closed.Store(true)
+		err = s.each(func(_ int, lg *shardLog) error { return lg.Close() })
+		s.releaseLock()
+	})
 	return err
 }
 
-// Query returns the device's records from its shard (same contract as
-// Log.Query).
+// Query returns the decoded trajectories of device whose time bounds
+// overlap [t0, t1], in append order, read back from disk (or the read
+// cache) and CRC-verified. A query racing a concurrent compaction
+// transparently retries against the newly published generation.
 func (s *ShardedLog) Query(device string, t0, t1 uint32) ([]Record, error) {
+	if err := s.live(); err != nil {
+		return nil, err
+	}
 	return s.shardFor(device).Query(device, t0, t1)
 }
 
-// DeviceSpan returns the record count and time bounds indexed for a
-// device (same contract as Log.DeviceSpan).
+// DeviceSpan returns the record count and overall time bounds indexed
+// for a device; ok is false for an unknown device.
 func (s *ShardedLog) DeviceSpan(device string) (records int, t0, t1 uint32, ok bool) {
 	return s.shardFor(device).DeviceSpan(device)
 }
@@ -521,7 +464,7 @@ func (s *ShardedLog) Stats() Stats {
 }
 
 // QueryWindow answers the spatio-temporal window query across all
-// shards (same record contract as Log.QueryWindow). Results concatenate
+// shards (see window.go for the record contract). Results concatenate
 // in shard order: within a shard they are in log order, but there is no
 // global order across shards — callers needing one must sort.
 func (s *ShardedLog) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]Record, error) {
@@ -536,18 +479,14 @@ func (s *ShardedLog) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uin
 		recs []Record
 		ws   WindowStats
 	}
-	outs := make([]shardOut, len(s.shards))
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, lg := range s.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[i].recs, outs[i].ws, errs[i] = lg.QueryWindowStats(minX, minY, maxX, maxY, t0, t1)
-		}()
+	if err := s.live(); err != nil {
+		return nil, WindowStats{}, err
 	}
-	wg.Wait()
-	err := errors.Join(errs...)
+	outs := make([]shardOut, len(s.shards))
+	err := s.each(func(i int, lg *shardLog) (err error) {
+		outs[i].recs, outs[i].ws, err = lg.QueryWindowStats(minX, minY, maxX, maxY, t0, t1)
+		return err
+	})
 	var recs []Record
 	var ws WindowStats
 	for _, o := range outs {
@@ -566,24 +505,24 @@ func (s *ShardedLog) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uin
 	return recs, ws, nil
 }
 
-// Compact runs the compaction pipeline on every shard concurrently and
-// sums the results. Gen is the sum of the generations the shards
+// Compact rewrites every shard's sealed segments (all but the active
+// one) through the merge/dedup/ageing pipeline and atomically publishes
+// each result as a new manifest generation; appends and queries proceed
+// concurrently (see compact.go). Shards run concurrently and the
+// results are summed: Gen is the sum of the generations the shards
 // published (0 iff no shard rewrote anything). Policy Workers applies
 // within each shard; shard-level parallelism comes on top, so a
 // CompactNow over S shards with W workers each may decode S×W devices
 // at once.
 func (s *ShardedLog) Compact(p CompactionPolicy) (CompactionResult, error) {
-	results := make([]CompactionResult, len(s.shards))
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, lg := range s.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = lg.Compact(p)
-		}()
+	if err := s.live(); err != nil {
+		return CompactionResult{}, err
 	}
-	wg.Wait()
+	results := make([]CompactionResult, len(s.shards))
+	err := s.each(func(i int, lg *shardLog) (err error) {
+		results[i], err = lg.Compact(p)
+		return err
+	})
 	var out CompactionResult
 	for _, r := range results {
 		out.SegmentsIn += r.SegmentsIn
@@ -597,19 +536,16 @@ func (s *ShardedLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 		out.Aged += r.Aged
 		out.Gen += r.Gen
 	}
-	return out, errors.Join(errs...)
+	return out, err
 }
 
 // CompactNow runs Compact with the policy configured in
 // Options.Compaction; a no-op when none was configured
-// (trajstore.Compacter, the engine's periodic compaction hook).
+// (trajstore.Backend, the engine's periodic compaction hook).
 func (s *ShardedLog) CompactNow() error {
-	if len(s.shards) == 0 {
-		return ErrClosed
+	if s.compaction == nil {
+		return s.live()
 	}
-	if s.shards[0].opts.Compaction == nil {
-		return nil
-	}
-	_, err := s.Compact(*s.shards[0].opts.Compaction)
+	_, err := s.Compact(*s.compaction)
 	return err
 }

@@ -1,6 +1,7 @@
 package segmentlog
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -91,177 +92,225 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedMigratesLegacy: a single-log directory opened through
-// OpenSharded is migrated in place — every record lands in the shard
-// its device hashes to, the legacy root files disappear, and the
-// migration happens exactly once.
-func TestShardedMigratesLegacy(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{MaxSegmentBytes: 2 << 10})
-	want := map[string][][]trajstore.GeoKey{}
-	for d := 0; d < 9; d++ {
-		dev := fmt.Sprintf("dev-%d", d)
-		for r := 0; r < 3; r++ {
-			keys := genKeys(d*10+r+1, 25)
-			want[dev] = append(want[dev], keys)
-			if err := l.Append(dev, keys); err != nil {
+// TestShardedRefusesSingleLogRoot: a root in the single-log layout — a
+// MANIFEST and/or seg-*.log files directly in it and no SHARDS — is
+// refused, writable and read-only, with an ErrCorrupt that names the
+// layout, and the refusal leaves the directory byte-for-byte untouched:
+// never migrated, never swept, never treated as empty. Once SHARDS
+// exists the shards hold the data and stray root files are ignored —
+// but still not swept.
+func TestShardedRefusesSingleLogRoot(t *testing.T) {
+	// A shard log opened directly on a root writes exactly the old
+	// single-log layout there.
+	single := func(t *testing.T) string {
+		dir := t.TempDir()
+		l := mustOpen(t, dir, Options{MaxSegmentBytes: 256})
+		for i := 0; i < 6; i++ {
+			if err := l.Append("alpha", genKeys(i+1, 12)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, lockName), []byte("4242\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
-	if err := l.Close(); err != nil {
+	refused := func(t *testing.T, dir string) {
+		t.Helper()
+		before := treeFiles(t, dir)
+		for _, ro := range []bool{false, true} {
+			_, err := OpenSharded(dir, 2, Options{ReadOnly: ro})
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "single-log layout") {
+				t.Fatalf("ReadOnly=%v: OpenSharded = %v, want ErrCorrupt naming the single-log layout", ro, err)
+			}
+			if after := treeFiles(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("ReadOnly=%v: refused open modified the directory", ro)
+			}
+		}
+	}
+	t.Run("manifest and segments", func(t *testing.T) {
+		refused(t, single(t))
+	})
+	t.Run("segments only", func(t *testing.T) {
+		dir := single(t)
+		if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, dir)
+	})
+	t.Run("with shard-dir debris", func(t *testing.T) {
+		// Half-built shard dirs beside a single log must not tip the
+		// open into the rebuild-from-scratch path.
+		dir := single(t)
+		mustOpen(t, filepath.Join(dir, shardDirName(0)), Options{}).Close()
+		refused(t, dir)
+	})
+	t.Run("stray files beside SHARDS", func(t *testing.T) {
+		dir := t.TempDir()
+		s := mustOpenSharded(t, dir, 2, Options{})
+		if err := s.Append("alpha", genKeys(1, 20)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		stale := filepath.Join(dir, "seg-99999999.log")
+		for _, p := range []string{stale, filepath.Join(dir, manifestName)} {
+			if err := os.WriteFile(p, []byte("stale"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s2 := mustOpenSharded(t, dir, 0, Options{})
+		defer s2.Close()
+		if recs, err := s2.Query("alpha", 0, math.MaxUint32); err != nil || len(recs) != 1 {
+			t.Fatalf("alpha beside stray root files: %d records, err %v", len(recs), err)
+		}
+		if _, err := os.Stat(stale); err != nil {
+			t.Fatalf("stray root segment was swept: %v", err)
+		}
+	})
+}
+
+// TestShardedCrashedCreationRebuilt: shard directories without a SHARDS
+// file are debris of a creation that crashed before its commit point —
+// whatever they hold was never acknowledged — so a writable open
+// discards them and builds the root from scratch, and a read-only open
+// (which may not modify anything) reports that no log is there.
+func TestShardedCrashedCreationRebuilt(t *testing.T) {
+	dir := t.TempDir()
+	bl := mustOpen(t, filepath.Join(dir, shardDirName(0)), Options{})
+	if err := bl.Append("ghost", genKeys(9, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := bl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, shardDirName(7)), 0o755); err != nil {
 		t.Fatal(err)
 	}
 
-	s := mustOpenSharded(t, dir, 4, Options{})
-	if s.NumShards() != 4 {
-		t.Fatalf("NumShards = %d, want 4", s.NumShards())
+	if _, err := OpenSharded(dir, 2, Options{ReadOnly: true}); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("read-only open of an uncommitted root = %v, want a plain no-log error", err)
 	}
-	for dev, chunks := range want {
-		recs, err := s.Query(dev, 0, math.MaxUint32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != len(chunks) {
-			t.Fatalf("%s: %d records after migration, want %d", dev, len(recs), len(chunks))
-		}
-		for i, rec := range recs {
-			if !reflect.DeepEqual(rec.Keys, chunks[i]) {
-				t.Fatalf("%s record %d: keys mutated by migration", dev, i)
-			}
-		}
-		// The device's records really live in the shard it hashes to.
-		sh := s.ShardLog(trajstore.ShardIndex(dev, 4))
-		if got := queryAll(t, sh, dev); len(got) != len(chunks) {
-			t.Fatalf("%s: %d records in its home shard, want %d", dev, len(got), len(chunks))
-		}
+	s := mustOpenSharded(t, dir, 2, Options{})
+	if devs := s.Devices(); len(devs) != 0 {
+		t.Fatalf("Devices after rebuild = %v, want none", devs)
+	}
+	if err := s.Append("alpha", genKeys(1, 20)); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(filepath.Join(dir, shardDirName(7))); !os.IsNotExist(err) {
+		t.Fatalf("debris shard dir survived the rebuild: %v", err)
+	}
+	s2 := mustOpenSharded(t, dir, 0, Options{ReadOnly: true})
+	defer s2.Close()
+	if s2.NumShards() != 2 || !reflect.DeepEqual(s2.Devices(), []string{"alpha"}) {
+		t.Fatalf("rebuilt root: %d shards, devices %v", s2.NumShards(), s2.Devices())
+	}
+}
 
-	// The legacy root files are gone; only SHARDS + shard dirs remain.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+// TestShardedCloseIdempotent: Close is nil on repeat (engine.Close
+// closes the persister it was given, and the caller's own deferred
+// Close must not then report a spurious error), and every operation
+// after Close — whether or not a compaction policy is configured —
+// reports ErrClosed.
+func TestShardedCloseIdempotent(t *testing.T) {
+	for _, policy := range []*CompactionPolicy{nil, {MergeChunks: true}} {
+		s := mustOpenSharded(t, t.TempDir(), 2, Options{Compaction: policy})
+		if err := s.Append("alpha", genKeys(1, 20)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close #%d = %v, want nil", i+1, err)
+			}
+		}
+		_, qerr := s.Query("alpha", 0, math.MaxUint32)
+		_, werr := s.QueryWindow(-1, -1, 1, 1, 0, math.MaxUint32)
+		_, _, wserr := s.QueryWindowStats(-1, -1, 1, 1, 0, math.MaxUint32)
+		_, cerr := s.Compact(CompactionPolicy{})
+		for op, err := range map[string]error{
+			"Append": s.Append("alpha", genKeys(2, 5)), "Sync": s.Sync(),
+			"Compact": cerr, "CompactNow": s.CompactNow(),
+			"Query": qerr, "QueryWindow": werr, "QueryWindowStats": wserr,
+		} {
+			if err != ErrClosed {
+				t.Errorf("policy %v: %s after Close = %v, want ErrClosed", policy != nil, op, err)
+			}
+		}
+	}
+}
+
+// TestLockExcludesSecondWriter: the root LOCK is the only lock in the
+// tree. A second writable open fails with ErrLocked naming the holder's
+// pid while the first holds the root, a read-only open alongside the
+// writer succeeds, and the lock is released by Close and by every
+// failed-open unwind path.
+func TestLockExcludesSecondWriter(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpenSharded(t, dir, 2, Options{})
+	if err := s.Append("dev", genKeys(1, 6)); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if name == shardsName || name == lockName || strings.HasPrefix(name, "shard-") {
-			continue
-		}
-		t.Fatalf("legacy file %q survived migration", name)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
 	}
 
-	// Idempotent: reopening does not migrate again or lose anything.
-	s2 := mustOpenSharded(t, dir, 0, Options{})
-	defer s2.Close()
-	if s2.NumShards() != 4 {
-		t.Fatalf("second open NumShards = %d", s2.NumShards())
+	_, err := OpenSharded(dir, 2, Options{})
+	if !errors.Is(err, ErrLocked) || !strings.Contains(err.Error(), fmt.Sprintf("held by pid %d", os.Getpid())) {
+		t.Fatalf("second writable open = %v, want ErrLocked naming pid %d", err, os.Getpid())
 	}
-	if st := s2.Stats(); st.Records != 27 {
-		t.Fatalf("second open Stats = %+v", st)
+	ro := mustOpenSharded(t, dir, 0, Options{ReadOnly: true})
+	if recs, err := ro.Query("dev", 0, math.MaxUint32); err != nil || len(recs) != 1 {
+		t.Fatalf("read-only open of a locked root saw %d records, err %v", len(recs), err)
 	}
-}
-
-// TestShardedMigrationDebris: crash shapes around the migration commit
-// point. Before the SHARDS rename the legacy root is authoritative and
-// half-built shard dirs are debris; after it, leftover legacy files are
-// swept on every open.
-func TestShardedMigrationDebris(t *testing.T) {
-	t.Run("pre-commit", func(t *testing.T) {
-		dir := t.TempDir()
-		l := mustOpen(t, dir, Options{})
-		if err := l.Append("alpha", genKeys(1, 20)); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// A crashed migration left shard dirs with bogus contents but no
-		// SHARDS file: they must be discarded, not trusted.
-		bogus := filepath.Join(dir, shardDirName(0))
-		bl := mustOpen(t, bogus, Options{})
-		if err := bl.Append("ghost", genKeys(9, 5)); err != nil {
-			t.Fatal(err)
-		}
-		if err := bl.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		s := mustOpenSharded(t, dir, 2, Options{})
-		defer s.Close()
-		devs := s.Devices()
-		if !reflect.DeepEqual(devs, []string{"alpha"}) {
-			t.Fatalf("Devices after debris cleanup = %v, want [alpha]", devs)
-		}
-		recs, err := s.Query("alpha", 0, math.MaxUint32)
-		if err != nil || len(recs) != 1 {
-			t.Fatalf("alpha after re-migration: %d records, err %v", len(recs), err)
-		}
-	})
-
-	t.Run("post-commit", func(t *testing.T) {
-		dir := t.TempDir()
-		l := mustOpen(t, dir, Options{})
-		if err := l.Append("alpha", genKeys(1, 20)); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s := mustOpenSharded(t, dir, 2, Options{})
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// A crash between the SHARDS rename and the legacy sweep left the
-		// old files behind; they are dead weight, removed on open.
-		stale := filepath.Join(dir, "seg-99999999.log")
-		if err := os.WriteFile(stale, []byte("stale"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("stale"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s2 := mustOpenSharded(t, dir, 0, Options{})
-		defer s2.Close()
-		if _, err := os.Stat(stale); !os.IsNotExist(err) {
-			t.Fatalf("stale legacy segment not swept: %v", err)
-		}
-		recs, err := s2.Query("alpha", 0, math.MaxUint32)
-		if err != nil || len(recs) != 1 {
-			t.Fatalf("alpha after sweep: %d records, err %v", len(recs), err)
-		}
-	})
-}
-
-// TestV1FixtureSharded: the checked-in version-1 single-log fixture
-// migrates through OpenSharded with nothing lost — same records, same
-// window answers as the single-log open.
-func TestV1FixtureSharded(t *testing.T) {
-	single := mustOpen(t, copyFixture(t), Options{})
-	defer single.Close()
-
-	dir := copyFixture(t)
-	s := mustOpenSharded(t, dir, 2, Options{})
-	defer s.Close()
-	if st := s.Stats(); st.Records != 18 || st.Devices != 3 {
-		t.Fatalf("migrated fixture Stats = %+v, want 18 records / 3 devices", st)
+	ro.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for _, w := range fixtureWindows {
-		got, err := s.QueryWindow(w.minX, w.minY, w.maxX, w.maxY, w.t0, w.t1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := single.QueryWindow(w.minX, w.minY, w.maxX, w.maxY, w.t0, w.t1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sortRecs(got)
-		sortRecs(want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("window %s: sharded %d records, single %d", w.name, len(got), len(want))
-		}
+	mustOpenSharded(t, dir, 0, Options{}).Close()
+
+	// Every failed-open unwind path must drop the lock: after the
+	// injected failure a plain open of the same root has to succeed.
+	for _, c := range []struct {
+		name  string
+		fresh bool // open a root that does not exist yet
+		rule  vfs.Rule
+	}{
+		{"reading SHARDS", false, vfs.Rule{Op: vfs.OpReadFile, Path: shardsName, Fault: vfs.FaultEIO}},
+		{"clearing creation debris", true, vfs.Rule{Op: vfs.OpReadDir, Fault: vfs.FaultEIO}},
+		{"opening the second shard", false, vfs.Rule{Op: vfs.OpMkdirAll, Path: shardDirName(1), Fault: vfs.FaultEIO}},
+		{"recovering a shard", false, vfs.Rule{Op: vfs.OpReadFile, Path: manifestName, Fault: vfs.FaultEIO, After: 1}},
+		{"publishing a shard manifest", false, vfs.Rule{Op: vfs.OpRename, Path: manifestName, Fault: vfs.FaultEIO, After: 1}},
+		{"publishing SHARDS", true, vfs.Rule{Op: vfs.OpRename, Path: shardsName, Fault: vfs.FaultENOSPC}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			root := dir
+			if c.fresh {
+				root = filepath.Join(t.TempDir(), "root")
+			}
+			ffs := vfs.NewFaultFS(1)
+			ffs.AddRule(c.rule)
+			if s, err := OpenSharded(root, 2, Options{FS: ffs}); err == nil {
+				s.Close()
+				t.Fatal("fault rule never fired: open succeeded")
+			} else if errors.Is(err, ErrLocked) {
+				t.Fatalf("open failed on the lock itself: %v", err)
+			}
+			s, err := OpenSharded(root, 2, Options{})
+			if err != nil {
+				t.Fatalf("open after a failed open: %v (lock leaked?)", err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -283,7 +332,7 @@ var differentialWindows = []struct {
 // per-device Query and every differential window identically at wire
 // resolution (decoded records compare exactly; coordinates survive the
 // 1e-7 quantization unchanged because genKeys emits exact multiples).
-func diffCompare(t *testing.T, stage string, s *ShardedLog, single *Log, devices []string) {
+func diffCompare(t *testing.T, stage string, s *ShardedLog, single *shardLog, devices []string) {
 	t.Helper()
 	for _, dev := range devices {
 		got, err := s.Query(dev, 0, math.MaxUint32)
@@ -302,7 +351,7 @@ func diffCompare(t *testing.T, stage string, s *ShardedLog, single *Log, devices
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := single.QueryWindow(w.minX, w.minY, w.maxX, w.maxY, w.t0, w.t1)
+		want, _, err := single.QueryWindowStats(w.minX, w.minY, w.maxX, w.maxY, w.t0, w.t1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +476,7 @@ func TestShardedCompactCrashAtEveryStep(t *testing.T) {
 	obs := vfs.NewFaultFS(0)
 	probe := mustOpenSharded(t, probeDir, 0, Options{MaxSegmentBytes: 512, FS: obs})
 	n0 := obs.Ops()
-	if _, err := probe.ShardLog(0).Compact(CompactionPolicy{MergeChunks: true}); err != nil {
+	if _, err := probe.shards[0].Compact(CompactionPolicy{MergeChunks: true}); err != nil {
 		t.Fatal(err)
 	}
 	n1 := obs.Ops()
@@ -451,7 +500,7 @@ func TestShardedCompactCrashAtEveryStep(t *testing.T) {
 			}
 			// The pass usually dies at op k; a crash inside the
 			// best-effort delete sweep can still report success.
-			_, _ = s.ShardLog(0).Compact(CompactionPolicy{MergeChunks: true})
+			_, _ = s.shards[0].Compact(CompactionPolicy{MergeChunks: true})
 			if !fs.Crashed() {
 				t.Fatalf("schedule never crashed: %s", fs)
 			}
@@ -520,7 +569,7 @@ func TestCompactBoundedMemory(t *testing.T) {
 // performance knob, not a semantic one — 1 and 4 workers produce logs
 // with identical query answers and record counts.
 func TestCompactParallelMatchesSequential(t *testing.T) {
-	build := func(t *testing.T) (*Log, []string) {
+	build := func(t *testing.T) (*shardLog, []string) {
 		dir := t.TempDir()
 		l := mustOpen(t, dir, Options{MaxSegmentBytes: 1 << 10})
 		var devices []string
@@ -595,7 +644,7 @@ func TestLazySegmentLoading(t *testing.T) {
 	// A window over one device's cell: the summaries prune the other
 	// cells' segments without touching their bytes.
 	minX, minY, maxX, maxY := cellWindow(2, 2)
-	recs, err := l2.QueryWindow(minX, minY, maxX, maxY, 0, math.MaxUint32)
+	recs, _, err := l2.QueryWindowStats(minX, minY, maxX, maxY, 0, math.MaxUint32)
 	if err != nil {
 		t.Fatal(err)
 	}

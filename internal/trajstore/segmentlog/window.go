@@ -4,9 +4,9 @@
 // during a time range, pruning with two metadata tiers before touching
 // any payload — per-segment summaries (the manifest-level bbox/time
 // union of a whole file) and per-record bounding boxes (from the block
-// index / v2 record headers). The bounding structures only ever prune:
-// a candidate record is decoded and tested exactly, so indexed and
-// fallback (pre-index, legacy v1) paths return identical results.
+// index / record headers). The bounding structures only ever prune: a
+// candidate record is decoded and tested exactly, so the indexed and the
+// scan-fallback paths return identical results.
 package segmentlog
 
 import (
@@ -82,8 +82,7 @@ func keysBBox(keys []trajstore.GeoKey) bbox {
 type segSummary struct {
 	records int
 	t0, t1  uint32 // union of record time bounds; valid when records > 0
-	bb      bbox   // union of record bboxes; usable only when bbAll
-	bbAll   bool   // every record carries a bbox (false for legacy v1 data)
+	bb      bbox   // union of record bboxes; valid when records > 0
 }
 
 // add folds one record's metadata into the summary.
@@ -91,7 +90,6 @@ func (s *segSummary) add(m recordMeta) {
 	if s.records == 0 {
 		s.t0, s.t1 = m.t0, m.t1
 		s.bb = emptyBBox()
-		s.bbAll = true
 	} else {
 		if m.t0 < s.t0 {
 			s.t0 = m.t0
@@ -100,11 +98,7 @@ func (s *segSummary) add(m recordMeta) {
 			s.t1 = m.t1
 		}
 	}
-	if m.hasBB {
-		s.bb.union(m.bb)
-	} else {
-		s.bbAll = false
-	}
+	s.bb.union(m.bb)
 	s.records++
 }
 
@@ -156,23 +150,16 @@ func windowMatch(keys []trajstore.GeoKey, minX, minY, maxX, maxY float64, t0, t1
 	return false
 }
 
-// QueryWindow returns the decoded records — across all devices, in log
-// order — that enter the window [minX, maxX] × [minY, maxY] (degrees:
-// X longitude, Y latitude) during [t0, t1]: records with at least one
-// consecutive key-point pair whose bounding box intersects the window
-// and whose time span overlaps the range. Segment summaries and
-// per-record bounding boxes prune the candidate set; candidates are
-// decoded and tested exactly, so legacy (pre-index) segments answer
-// identically through the decode-everything fallback. Like Query, a
-// call racing a concurrent compaction transparently retries against
+// QueryWindowStats returns the decoded records — across all devices, in
+// log order — that enter the window [minX, maxX] × [minY, maxY]
+// (degrees: X longitude, Y latitude) during [t0, t1]: records with at
+// least one consecutive key-point pair whose bounding box intersects
+// the window and whose time span overlaps the range — plus the pruning
+// statistics. Segment summaries and per-record bounding boxes prune the
+// candidate set; candidates are decoded and tested exactly. Like Query,
+// a call racing a concurrent compaction transparently retries against
 // the newly published generation.
-func (l *Log) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]Record, error) {
-	recs, _, err := l.QueryWindowStats(minX, minY, maxX, maxY, t0, t1)
-	return recs, err
-}
-
-// QueryWindowStats is QueryWindow plus pruning statistics.
-func (l *Log) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]Record, WindowStats, error) {
+func (l *shardLog) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]Record, WindowStats, error) {
 	if math.IsNaN(minX) || math.IsNaN(minY) || math.IsNaN(maxX) || math.IsNaN(maxY) {
 		return nil, WindowStats{}, errors.New("segmentlog: window bounds must not be NaN")
 	}
@@ -193,7 +180,7 @@ func (l *Log) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uint32) ([
 
 // queryWindowOnce is one snapshot-prune-decode pass; retry is true when
 // a segment file vanished under a concurrent compaction.
-func (l *Log) queryWindowOnce(minX, minY, maxX, maxY float64, t0, t1 uint32) (out []Record, ws WindowStats, retry bool, err error) {
+func (l *shardLog) queryWindowOnce(minX, minY, maxX, maxY float64, t0, t1 uint32) (out []Record, ws WindowStats, retry bool, err error) {
 	cands, segs, gen, ws, err := l.snapshotWindow(minX, minY, maxX, maxY, t0, t1)
 	if err != nil {
 		return nil, ws, false, err
@@ -201,28 +188,17 @@ func (l *Log) queryWindowOnce(minX, minY, maxX, maxY float64, t0, t1 uint32) (ou
 	files := newSegReader(l.fs, segs)
 	defer files.close()
 	for _, ref := range cands {
-		rec, hit := l.cacheGet(gen, segs[ref.seg].path, ref.off)
+		// Candidates that fail the exact test below are cached too: they
+		// survived the metadata pruning, so the same window (or a
+		// neighboring one) will keep re-reading them.
+		rec, hit, err := l.loadRecord(files, gen, ref)
+		if err != nil {
+			return nil, ws, errors.Is(err, fs.ErrNotExist), err
+		}
 		if hit {
 			ws.CacheHits++
 		} else {
-			body, err := files.readRecord(ref)
-			if err != nil {
-				return nil, ws, errors.Is(err, fs.ErrNotExist), err
-			}
-			dev, rt0, rt1, _, _, payload, err := splitBody(body, segs[ref.seg].ver)
-			if err != nil {
-				return nil, ws, false, fmt.Errorf("segmentlog: indexed record unreadable: %w", err)
-			}
-			keys, err := trajstore.DeltaDecode(payload)
-			if err != nil {
-				return nil, ws, false, fmt.Errorf("segmentlog: %w", err)
-			}
 			ws.RecordsDecoded++
-			rec = Record{Device: dev, T0: rt0, T1: rt1, Keys: keys}
-			// Candidates that fail the exact test below are cached too:
-			// they survived the metadata pruning, so the same window (or a
-			// neighboring one) will keep re-reading them.
-			l.cachePut(gen, segs[ref.seg].path, ref.off, rec)
 		}
 		if !windowMatch(rec.Keys, minX, minY, maxX, maxY, t0, t1) {
 			continue
@@ -239,7 +215,7 @@ func (l *Log) queryWindowOnce(minX, minY, maxX, maxY float64, t0, t1 uint32) (ou
 // back in (segment, offset) order — log order. gen is the manifest
 // generation the snapshot belongs to — the cache epoch of every
 // candidate returned.
-func (l *Log) snapshotWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]refSnap, []segSnap, uint64, WindowStats, error) {
+func (l *shardLog) snapshotWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]refSnap, []string, uint64, WindowStats, error) {
 	var ws WindowStats
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -258,7 +234,7 @@ func (l *Log) snapshotWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]r
 		sum := &l.segs[si].sum
 		if sum.records == 0 ||
 			sum.t0 > t1 || sum.t1 < t0 ||
-			(sum.bbAll && !sum.bb.intersects(minX, minY, maxX, maxY)) {
+			!sum.bb.intersects(minX, minY, maxX, maxY) {
 			ws.SegmentsPruned++
 			continue
 		}
@@ -271,16 +247,12 @@ func (l *Log) snapshotWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]r
 		for pi := range l.segRecs[si] {
 			m := &l.segRecs[si][pi]
 			ws.RecordsIndexed++
-			if m.t0 > t1 || m.t1 < t0 || (m.hasBB && !m.bb.intersects(minX, minY, maxX, maxY)) {
+			if m.t0 > t1 || m.t1 < t0 || !m.bb.intersects(minX, minY, maxX, maxY) {
 				ws.RecordsPruned++
 				continue
 			}
 			cands = append(cands, refSnap{seg: si, off: m.off, bodyLen: m.bodyLen})
 		}
 	}
-	segs := make([]segSnap, len(l.segs))
-	for i, s := range l.segs {
-		segs[i] = segSnap{path: s.path, ver: s.ver}
-	}
-	return cands, segs, l.gen, ws, nil
+	return cands, l.segPathsLocked(), l.gen, ws, nil
 }

@@ -10,10 +10,10 @@ import (
 // in separate spatial cells, 20 records each (device-major, so sealed
 // segments cover distinct regions), rotated into multiple sealed
 // segments with block indexes.
-func benchWindowLog(b *testing.B) (*Log, int) {
+func benchWindowLog(b *testing.B) (*shardLog, int) {
 	b.Helper()
 	dir := b.TempDir()
-	l, err := Open(dir, Options{MaxSegmentBytes: 16 << 10})
+	l, err := openShardLog(dir, Options{MaxSegmentBytes: 16 << 10})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func BenchmarkQueryWindowFull(b *testing.B) {
 // configuration — see BenchmarkQueryWindowCold) or warm.
 func benchWindowCached(b *testing.B, cacheBytes int64, wantHits bool) {
 	dir := b.TempDir()
-	l, err := Open(dir, Options{MaxSegmentBytes: 16 << 10, CacheBytes: cacheBytes})
+	l, err := openShardLog(dir, Options{MaxSegmentBytes: 16 << 10, CacheBytes: cacheBytes})
 	if err != nil {
 		b.Fatal(err)
 	}

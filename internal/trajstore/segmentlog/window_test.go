@@ -42,7 +42,7 @@ func cellWindow(lo, hi int) (minX, minY, maxX, maxY float64) {
 }
 
 // fillCells appends recs records of n keys for each of devs devices.
-func fillCells(t *testing.T, l *Log, devs, recs, n int) {
+func fillCells(t *testing.T, l *shardLog, devs, recs, n int) {
 	t.Helper()
 	for r := 0; r < recs; r++ {
 		for d := 0; d < devs; d++ {
@@ -56,7 +56,7 @@ func fillCells(t *testing.T, l *Log, devs, recs, n int) {
 // bruteWindow computes the expected QueryWindow result by decoding
 // every record of every device and applying the exact predicate — the
 // reference the pruned path must match.
-func bruteWindow(t *testing.T, l *Log, minX, minY, maxX, maxY float64, t0, t1 uint32) map[string][]Record {
+func bruteWindow(t *testing.T, l *shardLog, minX, minY, maxX, maxY float64, t0, t1 uint32) map[string][]Record {
 	t.Helper()
 	out := make(map[string][]Record)
 	for _, dev := range l.Devices() {
@@ -80,7 +80,7 @@ func byDevice(recs []Record) map[string][]Record {
 
 // checkWindow asserts QueryWindow equals the brute-force reference for
 // one window and returns the stats.
-func checkWindow(t *testing.T, l *Log, minX, minY, maxX, maxY float64, t0, t1 uint32) WindowStats {
+func checkWindow(t *testing.T, l *shardLog, minX, minY, maxX, maxY float64, t0, t1 uint32) WindowStats {
 	t.Helper()
 	got, ws, err := l.QueryWindowStats(minX, minY, maxX, maxY, t0, t1)
 	if err != nil {
@@ -134,16 +134,16 @@ func TestQueryWindowInvalidArgs(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{})
 	defer l.Close()
-	if _, err := l.QueryWindow(1, 0, 0, 1, 0, 1); err == nil {
+	if _, _, err := l.QueryWindowStats(1, 0, 0, 1, 0, 1); err == nil {
 		t.Fatal("inverted X window accepted")
 	}
-	if _, err := l.QueryWindow(0, 1, 1, 0, 0, 1); err == nil {
+	if _, _, err := l.QueryWindowStats(0, 1, 1, 0, 0, 1); err == nil {
 		t.Fatal("inverted Y window accepted")
 	}
-	if _, err := l.QueryWindow(0, 0, 1, 1, 2, 1); err == nil {
+	if _, _, err := l.QueryWindowStats(0, 0, 1, 1, 2, 1); err == nil {
 		t.Fatal("inverted time window accepted")
 	}
-	if _, err := l.QueryWindow(math.NaN(), 0, 1, 1, 0, 1); err == nil {
+	if _, _, err := l.QueryWindowStats(math.NaN(), 0, 1, 1, 0, 1); err == nil {
 		t.Fatal("NaN window accepted")
 	}
 }
@@ -217,9 +217,9 @@ func TestQueryWindowSurvivesReopenAndCompact(t *testing.T) {
 	}
 }
 
-func mustWindow(t *testing.T, l *Log, minX, minY, maxX, maxY float64) []Record {
+func mustWindow(t *testing.T, l *shardLog, minX, minY, maxX, maxY float64) []Record {
 	t.Helper()
-	recs, err := l.QueryWindow(minX, minY, maxX, maxY, 0, math.MaxUint32)
+	recs, _, err := l.QueryWindowStats(minX, minY, maxX, maxY, 0, math.MaxUint32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestQueryWindowConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				recs, err := l.QueryWindow(minX, minY, maxX, maxY, 0, math.MaxUint32)
+				recs, _, err := l.QueryWindowStats(minX, minY, maxX, maxY, 0, math.MaxUint32)
 				if err != nil {
 					fail <- fmt.Errorf("QueryWindow: %w", err)
 					return

@@ -39,13 +39,7 @@ func (st *Store) Snapshot() Stats {
 // shard assignment (the ingestion engine hashes device IDs), which also
 // means merging only deduplicates segments within a shard — the intended
 // trade for linear write scaling.
-//
-// The embedded persistHolder optionally attaches a Persister: the
-// ingestion engine calls Persist with every finalized session trajectory
-// and SyncPersist as its durability barrier, so the in-memory stores and
-// the on-disk log stay behind one storage object.
 type Sharded struct {
-	persistHolder
 	shards []*Store
 }
 
