@@ -77,7 +77,7 @@ func main() {
 	fixesPer := flag.Int("fixes", 500, "engine mode: fixes per device")
 	compName := flag.String("compressor", "fbqs", fmt.Sprintf("engine mode: compressor name %v", stream.Names()))
 	tol := flag.Float64("tol", 10, "engine mode: deviation tolerance in metres")
-	mergeTol := flag.Float64("merge", 5, "engine mode: store merge tolerance in metres (0 disables merging)")
+	mergeTol := flag.Float64("merge", 5, "engine mode without -persist: in-memory store merge tolerance in metres (0 disables merging)")
 	persistDir := flag.String("persist", "", "engine mode: segment-log directory for a durable run ('' keeps the run in-memory)")
 	trailKeys := flag.Int("trail", 0, "engine mode: MaxTrailKeys per session (0 = engine default; small values force chunked records)")
 	segBytes := flag.Int64("segbytes", 0, "engine mode with -persist: segment rotation threshold in bytes (0 = log default; small values seal segments for -compact)")
@@ -361,12 +361,14 @@ func runEngineBench(devices, shards, fixesPer int, compName string, tol, mergeTo
 	if query && persistDir == "" {
 		return fmt.Errorf("-query requires -persist")
 	}
-	durability := "off"
+	// History has one home: the log with -persist, else the in-memory
+	// store (which a durable engine does not keep, and rejects -merge for).
+	history := fmt.Sprintf("in-memory store, merge %g m", mergeTol)
 	if persistDir != "" {
-		durability = "segment log at " + persistDir
+		history = "segment log at " + persistDir
 	}
-	fmt.Printf("engine benchmark: %d devices × %d fixes, %d shards, compressor %q, tol %g m, merge %g m, durability %s\n",
-		devices, fixesPer, shards, compName, tol, mergeTol, durability)
+	fmt.Printf("engine benchmark: %d devices × %d fixes, %d shards, compressor %q, tol %g m, history in %s\n",
+		devices, fixesPer, shards, compName, tol, history)
 
 	// Construct the engine first: a bad compressor name, tolerance or
 	// log directory fails before the (possibly large) workload is
@@ -376,10 +378,11 @@ func runEngineBench(devices, shards, fixesPer int, compName string, tol, mergeTo
 		Tolerance:    tol,
 		Shards:       shards,
 		MaxTrailKeys: trailKeys,
-		Store:        trajstore.Config{MergeTolerance: mergeTol},
 	}
 	var lg *segmentlog.ShardedLog
-	if persistDir != "" {
+	if persistDir == "" {
+		cfg.Store = trajstore.Config{MergeTolerance: mergeTol}
+	} else {
 		var err error
 		lg, err = segmentlog.OpenSharded(persistDir, shards, segmentlog.Options{MaxSegmentBytes: segBytes})
 		if err != nil {
@@ -434,11 +437,7 @@ func runEngineBench(devices, shards, fixesPer int, compName string, tol, mergeTo
 	const batchSize = 4096
 	start := time.Now()
 	for lo := 0; lo < total; lo += batchSize {
-		hi := lo + batchSize
-		if hi > total {
-			hi = total
-		}
-		if err := e.Ingest(fixes[lo:hi]); err != nil {
+		if err := e.Ingest(fixes[lo:min(lo+batchSize, total)]); err != nil {
 			return err
 		}
 	}
@@ -458,9 +457,10 @@ func runEngineBench(devices, shards, fixesPer int, compName string, tol, mergeTo
 		float64(s.Fixes)/elapsed.Seconds(), float64(elapsed.Nanoseconds())/float64(s.Fixes))
 	fmt.Printf("sessions: %d opened, %d evicted\n", s.SessionsOpened, s.SessionsEvicted)
 	fmt.Printf("key points: %d  (compression rate %.4f)\n", s.KeyPoints, s.CompressionRate())
-	fmt.Printf("store: %d segments from %d inserted (%d merged), %s wire bytes\n",
-		s.Store.Segments, s.Store.Inserted, s.Store.Merged, humanBytes(e.Stores().StorageBytes()))
-	if lg != nil {
+	if lg == nil {
+		fmt.Printf("store: %d segments from %d inserted (%d merged), %s wire bytes\n",
+			s.Store.Segments, s.Store.Inserted, s.Store.Merged, humanBytes(e.Stores().StorageBytes()))
+	} else {
 		// The log was closed by e.Close; reopen it to report what landed
 		// on disk (also a cheap recovery self-check).
 		rl, err := segmentlog.OpenSharded(persistDir, shards, segmentlog.Options{MaxSegmentBytes: segBytes, CacheBytes: cacheBytes})
@@ -515,13 +515,7 @@ func runQueryBench(rl *segmentlog.ShardedLog, devices, grid int, cellSep float64
 		minX, minY, maxX, maxY float64
 	}
 	// Selective: the first k cells of row 0 (~3-5% of the fleet).
-	k := devices / 20
-	if k < 1 {
-		k = 1
-	}
-	if k > grid {
-		k = grid
-	}
+	k := min(max(devices/20, 1), grid)
 	margin := 50.0
 	ws := []window{
 		{"selective", k, 20,

@@ -9,7 +9,9 @@ import (
 // compressors. An Engine manages thousands of concurrent device
 // sessions, routing fixes to shard workers by a hash of the device ID so
 // each device's stream is compressed in arrival order by exactly one
-// goroutine, with key points flowing into per-shard trajectory stores.
+// goroutine, with key points flowing into per-shard trajectory stores —
+// or, on a durable engine (see OpenDurableEngine), into the segment log
+// alone.
 //
 //	e, err := bqs.NewEngine(bqs.EngineConfig{Compressor: "fbqs", Tolerance: 10})
 //	if err != nil { ... }

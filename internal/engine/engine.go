@@ -1,8 +1,8 @@
 // Package engine is the server-side ingestion layer: a sharded,
 // goroutine-safe engine that manages many thousands of concurrent device
 // sessions, each owning a streaming compressor from the stream registry
-// and feeding its key points into a per-shard historical trajectory
-// store.
+// and feeding its key points into the durable backend's log or, without
+// one, a per-shard in-memory trajectory store.
 //
 // Fixes are batched into Ingest and routed to a shard worker by an
 // FNV-1a hash of the device ID, so each device's stream is processed by
@@ -56,8 +56,10 @@ type Config struct {
 	// this long without a fix. 0 disables idle eviction: sessions then
 	// live until Close.
 	IdleTimeout time.Duration
-	// Store configures the per-shard trajectory stores that receive
-	// every session's compressed segments.
+	// Store configures the per-shard in-memory trajectory stores, which
+	// receive every compressed segment when there is no Persister or an
+	// append-only one. A durable engine (Persister is a trajstore.Backend)
+	// never feeds them, so New rejects a non-zero Store there.
 	Store trajstore.Config
 	// OnKey, when non-nil, receives every finalized key point in
 	// per-device order. It is called from shard worker goroutines —
@@ -156,7 +158,7 @@ type Stats struct {
 	CompactFailures uint64          // failed compaction passes (periodic or CompactNow)
 	CompactReclaim  int64           // net disk bytes freed by published compactions
 	Cache           cache.Stats     // read-side record cache counters (zero without a cache)
-	Store           trajstore.Stats // merged per-shard store statistics
+	Store           trajstore.Stats // merged per-shard store statistics; all zero on a durable engine
 }
 
 // CompressionRate returns KeyPoints/Fixes (lower is better), 0 when no
@@ -176,9 +178,11 @@ type Engine struct {
 	shards []*shard
 	stores *trajstore.Sharded
 	// backend is cfg.Persister resolved once by New: itself when it is
-	// a full trajstore.Backend, an append-only adapter otherwise (also
-	// for no persister at all), so it is never nil.
+	// a full trajstore.Backend (durable: the log is history's one home,
+	// the stores stay empty), an append-only adapter otherwise (also for
+	// no persister at all), so it is never nil.
 	backend trajstore.Backend
+	durable bool
 	pool    sync.Pool // recycled stream.Compressor values (all Resetters)
 
 	// Ingest staging: per-shard fix slices and the scatter table that
@@ -192,23 +196,17 @@ type Engine struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// closing is closed when Close begins; senders parked on a full
+	// closing is closed when Close begins: senders parked on a full
 	// shard queue select on it so a stalled shard (wedged persister,
-	// full disk) cannot wedge shutdown. ingestWG counts in-flight
-	// senders — registered under mu like compactWG — so Close can wait
-	// for them to retire before closing the shard channels.
-	closing  chan struct{}
-	ingestWG sync.WaitGroup
-
-	// stopCompact ends the periodic compaction goroutine (nil when
-	// CompactInterval is 0); the goroutine is counted in wg. compactWG
-	// tracks every external caller still inside a persister operation —
-	// CompactNow, Heal's probe, QueryWindow's durable read — registered
-	// under mu's read lock before the closed check releases it, so
-	// Close (which waits on it before closing the backend) can never
-	// close the persister out from under an admitted call.
-	stopCompact chan struct{}
-	compactWG   sync.WaitGroup
+	// full disk) cannot wedge shutdown, and it ends the periodic
+	// compaction goroutine (counted in wg). ingestWG counts in-flight
+	// queue senders and compactWG external callers inside a persister
+	// operation (CompactNow, Heal's probe, QueryWindow's durable read),
+	// both admitted by begin: Close waits for the first before closing
+	// the shard channels and for the second before closing the backend.
+	closing   chan struct{}
+	ingestWG  sync.WaitGroup
+	compactWG sync.WaitGroup
 
 	// persistErr latches the first asynchronous persister failure (shard
 	// workers append during eviction); Sync and Close surface it.
@@ -245,10 +243,12 @@ type session struct {
 	haveKey  bool
 	lastSeen time.Time
 	keys     []core.Point // key-point trail, kept only when persisting; capped at MaxTrailKeys
+	lo, hi   core.Point   // componentwise min and max over keys: the trail's box and time span
 	chunked  bool         // the trail starts with the previous chunk's last key
 }
 
-// shard is one worker: a queue, a session table and a trajectory store.
+// shard is one worker: a queue, a session table and (unless the engine
+// is durable) a trajectory store.
 // The activity counters live here, not on the Engine: every counter is
 // written by exactly one worker goroutine, so striping them per shard
 // keeps the multi-core hot path free of shared-cache-line contention
@@ -287,14 +287,14 @@ type shard struct {
 // shardMsg is a unit of work for a shard worker. Exactly one of the
 // fields drives an action; barrier (when non-nil) is closed once the
 // message — and everything queued before it — has been processed. batch,
-// when non-nil, is the pooled buffer backing fixes; the worker returns it
-// to the engine's batch pool after draining.
+// when non-nil, holds fixes to ingest in a pooled buffer the worker
+// returns to the engine's batch pool after draining.
 type shardMsg struct {
-	fixes    []Fix
 	batch    *fixBatch
 	evict    bool
 	flushAll bool
-	drain    bool // re-append parked trails (Heal)
+	drain    bool        // re-append parked trails (Heal)
+	tails    *tailsQuery // report the un-persisted trails in the window (QueryWindow)
 	barrier  chan struct{}
 }
 
@@ -306,31 +306,16 @@ type parkedTrail struct {
 }
 
 // fixBatch is a pooled per-shard staging buffer for Ingest.
-type fixBatch struct {
-	fixes []Fix
-}
+type fixBatch struct{ fixes []Fix }
 
 // scatter is a pooled table distributing one caller batch over the shards.
-type scatter struct {
-	byShard []*fixBatch
-}
+type scatter struct{ byShard []*fixBatch }
 
 // getBatch returns a pooled (or fresh) staging buffer, emptied.
 func (e *Engine) getBatch() *fixBatch {
-	if v := e.batchPool.Get(); v != nil {
-		b := v.(*fixBatch)
-		b.fixes = b.fixes[:0]
-		return b
-	}
-	return &fixBatch{}
-}
-
-// getScatter returns a pooled (or fresh) scatter table with all-nil slots.
-func (e *Engine) getScatter() *scatter {
-	if v := e.scatterPool.Get(); v != nil {
-		return v.(*scatter)
-	}
-	return &scatter{byShard: make([]*fixBatch, len(e.shards))}
+	b := e.batchPool.Get().(*fixBatch)
+	b.fixes = b.fixes[:0]
+	return b
 }
 
 // New returns a started engine; callers must Close it to flush sessions
@@ -377,30 +362,30 @@ func New(cfg Config) (*Engine, error) {
 	if retry.Max == 0 {
 		retry.Max = 4
 	}
-	if retry.Max < 0 {
-		retry.Max = 0 // explicit opt-out: no transient retries
-	}
+	retry.Max = max(retry.Max, 0) // negative is the explicit opt-out: no transient retries
 	if retry.BaseDelay <= 0 {
 		retry.BaseDelay = 10 * time.Millisecond
 	}
 	if retry.MaxDelay <= 0 {
 		retry.MaxDelay = 500 * time.Millisecond
 	}
-	if retry.MaxDelay < retry.BaseDelay {
-		retry.MaxDelay = retry.BaseDelay
-	}
-	backend, ok := cfg.Persister.(trajstore.Backend)
-	if !ok {
+	retry.MaxDelay = max(retry.MaxDelay, retry.BaseDelay)
+	backend, durable := cfg.Persister.(trajstore.Backend)
+	if !durable {
 		backend = trajstore.AppendOnly(cfg.Persister)
+	} else if cfg.Store != (trajstore.Config{}) {
+		return nil, errors.New("engine: Store is set but the Persister answers window queries itself: the in-memory stores are not fed on the durable path")
 	}
 	e := &Engine{
-		cfg: cfg, clock: cfg.Clock, stores: stores, backend: backend,
+		cfg: cfg, clock: cfg.Clock, stores: stores, backend: backend, durable: durable,
 		persisting: cfg.Persister != nil, mPerDegree: cfg.MetersPerDegree,
 		closing: make(chan struct{}), retry: retry,
 	}
 	if e.clock == nil {
 		e.clock = time.Now
 	}
+	e.batchPool.New = func() any { return &fixBatch{} }
+	e.scatterPool.New = func() any { return &scatter{byShard: make([]*fixBatch, len(e.shards))} }
 	if _, ok := probe.(stream.Resetter); ok {
 		e.pool.Put(probe) // the probe seeds the pool instead of being wasted
 	}
@@ -409,9 +394,11 @@ func New(cfg Config) (*Engine, error) {
 		sh := &shard{
 			eng:      e,
 			in:       make(chan shardMsg, cfg.QueueDepth),
-			store:    stores.Shard(i),
 			sessions: make(map[string]*session),
 			persist:  backend,
+		}
+		if !durable {
+			sh.store = stores.Shard(i)
 		}
 		if backend.NumShards() == cfg.Shards {
 			sh.persist = backend.ShardPersister(i)
@@ -421,7 +408,6 @@ func New(cfg Config) (*Engine, error) {
 		go sh.run()
 	}
 	if cfg.CompactInterval > 0 && e.persisting {
-		e.stopCompact = make(chan struct{})
 		e.wg.Add(1)
 		go e.compactLoop(cfg.CompactInterval)
 	}
@@ -444,7 +430,7 @@ func (e *Engine) compactLoop(every time.Duration) {
 			} else {
 				e.compactErr.Store(nil)
 			}
-		case <-e.stopCompact:
+		case <-e.closing:
 			return
 		}
 	}
@@ -462,20 +448,13 @@ func (e *Engine) CompactErr() error {
 }
 
 // CompactNow runs one synchronous compaction pass on the persister; a
-// no-op when there is no persister or it is append-only. The engine
-// lock is NOT held across the pass — a compaction can take minutes and
-// holding even the read lock would let a pending Close writer stall
-// every Ingest/Sync behind it. In-flight passes are tracked in
-// compactWG (registered under the same lock as the closed check) so
-// Close can wait for them before closing the persister.
+// no-op when there is no persister or it is append-only. In-flight
+// passes are tracked in compactWG (see begin) so Close can wait for them
+// before closing the persister.
 func (e *Engine) CompactNow() error {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return ErrClosed
+	if err := e.begin(&e.compactWG); err != nil {
+		return err
 	}
-	e.compactWG.Add(1)
-	e.mu.RUnlock()
 	defer e.compactWG.Done()
 	err := e.backend.CompactNow()
 	if err != nil {
@@ -484,26 +463,19 @@ func (e *Engine) CompactNow() error {
 	return err
 }
 
-// shardIndex routes a device ID to a shard. The hash lives in
-// trajstore.ShardIndex so the sharded segment log routes identically —
-// the alignment the per-shard persister fast path depends on.
-func (e *Engine) shardIndex(device string) int {
-	return trajstore.ShardIndex(device, len(e.shards))
-}
-
-// beginSend registers the caller as an in-flight queue sender. The
-// closed check and the ingestWG registration happen under the same lock
-// Close writes closed under, so Close's ingestWG.Wait() observes every
-// sender admitted before it; the lock is NOT held while the caller then
-// parks on a shard queue.
-func (e *Engine) beginSend() error {
+// begin admits the caller to an open engine and counts it in wg. The
+// closed check and the registration happen under the same lock Close
+// writes closed under, so Close's wg.Wait() observes every caller
+// admitted before it; the lock is NOT held while the caller then parks
+// on a shard queue or runs a minutes-long compaction — even the read
+// lock would let a pending Close writer stall every Ingest/Sync behind it.
+func (e *Engine) begin(wg *sync.WaitGroup) error {
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if e.closed {
-		e.mu.RUnlock()
 		return ErrClosed
 	}
-	e.ingestWG.Add(1)
-	e.mu.RUnlock()
+	wg.Add(1)
 	return nil
 }
 
@@ -529,13 +501,20 @@ func (e *Engine) send(sh *shard, msg shardMsg) error {
 	}
 }
 
-// scatterFixes distributes a caller batch over per-shard staging buffers.
-// The returned scatter table must go back to scatterPool with all slots
-// nil.
+// scatterFixes distributes a caller batch over per-shard staging buffers
+// (one shard takes it whole, unhashed). The returned scatter table must
+// go back to scatterPool with all slots nil.
 func (e *Engine) scatterFixes(fixes []Fix) *scatter {
-	sc := e.getScatter()
+	sc := e.scatterPool.Get().(*scatter)
+	if len(e.shards) == 1 && len(fixes) > 0 {
+		sc.byShard[0] = e.getBatch()
+		sc.byShard[0].fixes = append(sc.byShard[0].fixes, fixes...)
+		return sc
+	}
 	for _, f := range fixes {
-		i := e.shardIndex(f.Device)
+		// The sharded segment log routes by the same hash — the alignment
+		// the per-shard persister fast path depends on.
+		i := trajstore.ShardIndex(f.Device, len(e.shards))
 		b := sc.byShard[i]
 		if b == nil {
 			b = e.getBatch()
@@ -544,6 +523,51 @@ func (e *Engine) scatterFixes(fixes []Fix) *scatter {
 		b.fixes = append(b.fixes, f)
 	}
 	return sc
+}
+
+// dispatch is the body of Ingest (block) and TryIngest (!block): it
+// hands each shard its share of fixes and returns how many it enqueued.
+// Blocking, a send parks on a full queue and an ErrClosed abort recycles
+// the shares not yet sent; non-blocking, a full queue drops that shard's
+// share — ErrBackpressure — and the others still go.
+func (e *Engine) dispatch(fixes []Fix, block bool) (accepted int, err error) {
+	if err := e.begin(&e.ingestWG); err != nil {
+		return 0, err
+	}
+	defer e.ingestWG.Done()
+	if derr := e.degradedErr(); derr != nil {
+		e.rejected.Add(uint64(len(fixes)))
+		return 0, derr
+	}
+	sc := e.scatterFixes(fixes)
+	for i, b := range sc.byShard {
+		if b == nil {
+			continue
+		}
+		sc.byShard[i] = nil
+		// Read before the send: the worker may drain and recycle b, and
+		// another sender refill it, before this goroutine runs again.
+		n, msg := len(b.fixes), shardMsg{batch: b}
+		switch {
+		case err == ErrClosed:
+			e.batchPool.Put(b)
+		case block:
+			if err = e.send(e.shards[i], msg); err == nil {
+				accepted += n
+			}
+		default:
+			select {
+			case e.shards[i].in <- msg:
+				accepted += n
+			default:
+				err = ErrBackpressure
+				e.rejected.Add(uint64(n))
+				e.batchPool.Put(b)
+			}
+		}
+	}
+	e.scatterPool.Put(sc)
+	return accepted, err
 }
 
 // Ingest routes a batch of fixes to their shards. Fixes for the same
@@ -559,33 +583,7 @@ func (e *Engine) Ingest(fixes []Fix) error {
 	if len(fixes) == 0 {
 		return nil
 	}
-	if err := e.beginSend(); err != nil {
-		return err
-	}
-	defer e.ingestWG.Done()
-	if derr := e.degradedErr(); derr != nil {
-		e.rejected.Add(uint64(len(fixes)))
-		return derr
-	}
-	if len(e.shards) == 1 {
-		b := e.getBatch()
-		b.fixes = append(b.fixes, fixes...)
-		return e.send(e.shards[0], shardMsg{fixes: b.fixes, batch: b})
-	}
-	sc := e.scatterFixes(fixes)
-	var err error
-	for i, b := range sc.byShard {
-		if b == nil {
-			continue
-		}
-		sc.byShard[i] = nil
-		if err != nil { // aborted mid-scatter: recycle the rest unsent
-			e.batchPool.Put(b)
-			continue
-		}
-		err = e.send(e.shards[i], shardMsg{fixes: b.fixes, batch: b})
-	}
-	e.scatterPool.Put(sc)
+	_, err := e.dispatch(fixes, true)
 	return err
 }
 
@@ -594,57 +592,21 @@ func (e *Engine) Ingest(fixes []Fix) error {
 // (per-shard granularity — a batch routed entirely to one shard is
 // accepted or rejected whole). It returns how many fixes were accepted
 // and ErrBackpressure when any were not; callers own retrying the
-// remainder after a backoff. A degraded engine (terminal persister
-// failure — see ErrDegraded) rejects the whole batch with an error
-// matching ErrDegraded, and a standing asynchronous persister failure
-// is returned in place of ErrBackpressure — before the Sync durability
-// barrier would surface it — so a caller streaming fixes learns the
-// backend is sick on the next call, not at the next checkpoint; calling
-// TryIngest(nil) is a cheap health probe. The server layer builds its
+// remainder after a backoff. A degraded engine (see ErrDegraded)
+// rejects the whole batch with an error matching ErrDegraded, and a
+// standing asynchronous persister failure is returned in place of
+// ErrBackpressure, so a caller streaming fixes learns the backend is
+// sick on the next call, not at the next Sync barrier; TryIngest(nil)
+// is a cheap health probe. The server layer builds its
 // reject-with-retry-after frames on this.
 func (e *Engine) TryIngest(fixes []Fix) (accepted int, err error) {
-	if err := e.beginSend(); err != nil {
-		return 0, err
-	}
-	defer e.ingestWG.Done()
-	if derr := e.degradedErr(); derr != nil {
-		e.rejected.Add(uint64(len(fixes)))
-		return 0, derr
-	}
-	full := false
-	trySend := func(i int, b *fixBatch) {
-		select {
-		case e.shards[i].in <- shardMsg{fixes: b.fixes, batch: b}:
-			accepted += len(b.fixes)
-		default:
-			full = true
-			e.rejected.Add(uint64(len(b.fixes)))
-			e.batchPool.Put(b)
+	accepted, err = e.dispatch(fixes, false)
+	if err == nil || err == ErrBackpressure {
+		if perr := e.loadPersistErr(); perr != nil {
+			return accepted, perr
 		}
 	}
-	switch {
-	case len(fixes) == 0:
-	case len(e.shards) == 1:
-		b := e.getBatch()
-		b.fixes = append(b.fixes, fixes...)
-		trySend(0, b)
-	default:
-		sc := e.scatterFixes(fixes)
-		for i, b := range sc.byShard {
-			if b != nil {
-				sc.byShard[i] = nil
-				trySend(i, b)
-			}
-		}
-		e.scatterPool.Put(sc)
-	}
-	if perr := e.loadPersistErr(); perr != nil {
-		return accepted, perr
-	}
-	if full {
-		return accepted, ErrBackpressure
-	}
-	return accepted, nil
+	return accepted, err
 }
 
 // IngestOne routes a single fix; a convenience wrapper over Ingest.
@@ -659,7 +621,7 @@ func (e *Engine) IngestOne(device string, p core.Point) error {
 // enqueued are still honoured by the workers' shutdown drain, so
 // abandoning the wait leaks nothing.
 func (e *Engine) barrier(msg shardMsg) error {
-	if err := e.beginSend(); err != nil {
+	if err := e.begin(&e.ingestWG); err != nil {
 		return err
 	}
 	defer e.ingestWG.Done()
@@ -716,11 +678,6 @@ func (e *Engine) Sync() error {
 	return e.loadPersistErr()
 }
 
-// setPersistErr latches the first asynchronous persister failure.
-func (e *Engine) setPersistErr(err error) {
-	e.persistErr.CompareAndSwap(nil, &err)
-}
-
 // loadPersistErr returns the latched persister failure, if any.
 func (e *Engine) loadPersistErr() error {
 	if p := e.persistErr.Load(); p != nil {
@@ -733,7 +690,7 @@ func (e *Engine) loadPersistErr() error {
 // error latch is set too, so Sync/Close report the cause even after a
 // later Heal clears only the degraded state.
 func (e *Engine) enterDegraded(cause error) {
-	e.setPersistErr(cause)
+	e.persistErr.CompareAndSwap(nil, &cause) // first failure wins
 	derr := fmt.Errorf("%w: %w", ErrDegraded, cause)
 	e.degraded.CompareAndSwap(nil, &derr)
 }
@@ -761,13 +718,9 @@ func (e *Engine) Degraded() bool { return e.degraded.Load() != nil }
 // the new cause. Heal is safe to call on a healthy engine (a cheap
 // no-op) and concurrently with ingest and queries.
 func (e *Engine) Heal() error {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return ErrClosed
+	if err := e.begin(&e.compactWG); err != nil { // holds the backend's Close off the probe
+		return err
 	}
-	e.compactWG.Add(1) // holds the backend's Close off the probe, like CompactNow
-	e.mu.RUnlock()
 	probeErr := e.backend.Sync()
 	e.compactWG.Done()
 	if probeErr != nil {
@@ -823,9 +776,7 @@ func (q QueueStats) Fullness() float64 {
 	}
 	m := 0
 	for _, n := range q.Len {
-		if n > m {
-			m = n
-		}
+		m = max(m, n)
 	}
 	return float64(m) / float64(q.Cap)
 }
@@ -872,7 +823,8 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Stores exposes the per-shard trajectory stores for querying.
+// Stores exposes the per-shard trajectory stores for querying. They are
+// empty on a durable engine — its history is in the log; use QueryWindow.
 func (e *Engine) Stores() *trajstore.Sharded { return e.stores }
 
 // Close flushes every open session (emitting final key points and
@@ -886,10 +838,7 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	close(e.closing) // aborts senders parked on full shard queues
-	if e.stopCompact != nil {
-		close(e.stopCompact)
-	}
+	close(e.closing) // aborts senders parked on full shard queues, ends compactLoop
 	e.mu.Unlock()
 	// Every sender registered before closed was set is in ingestWG and
 	// either completes its sends or aborts on closing, so after Wait the
@@ -936,10 +885,11 @@ func (sh *shard) run() {
 			if msg.flushAll {
 				sh.closeAll()
 			}
-			if len(msg.fixes) > 0 {
-				sh.ingestBatch(msg.fixes)
+			if msg.tails != nil {
+				sh.tails(msg.tails)
 			}
 			if msg.batch != nil {
+				sh.ingestBatch(msg.batch.fixes)
 				sh.eng.batchPool.Put(msg.batch)
 			}
 			if msg.barrier != nil {
@@ -997,14 +947,20 @@ func (sh *shard) newSession() *session {
 }
 
 // emit records a finalized key point: consecutive key points form a
-// compressed segment inserted into the shard's store.
+// compressed segment, inserted into the shard's store when it has one;
+// the trail and its running box are kept for the persister.
 func (sh *shard) emit(device string, s *session, kp core.Point) {
-	if s.haveKey {
+	if s.haveKey && sh.store != nil {
 		sh.store.Insert(s.lastKey, kp)
 	}
 	s.lastKey = kp
 	s.haveKey = true
 	if sh.eng.persisting {
+		if len(s.keys) == 0 {
+			s.lo, s.hi = kp, kp
+		}
+		s.lo = core.Point{X: min(s.lo.X, kp.X), Y: min(s.lo.Y, kp.Y), T: min(s.lo.T, kp.T)}
+		s.hi = core.Point{X: max(s.hi.X, kp.X), Y: max(s.hi.Y, kp.Y), T: max(s.hi.T, kp.T)}
 		s.keys = append(s.keys, kp)
 		if len(s.keys) >= sh.eng.cfg.MaxTrailKeys {
 			sh.persistTrail(device, s, false)
@@ -1037,7 +993,7 @@ func (sh *shard) persistTrail(device string, s *session, final bool) {
 	}
 	last := s.keys[len(s.keys)-1]
 	s.keys = append(s.keys[:0], last)
-	s.chunked = true
+	s.lo, s.hi, s.chunked = last, last, true
 }
 
 // persistGeo hands one finalized trajectory to the persister. Transient
@@ -1119,9 +1075,7 @@ func (r RetryPolicy) backoff(attempt int) time.Duration {
 	for i := 0; i < attempt && d < r.MaxDelay; i++ {
 		d *= 2
 	}
-	if d > r.MaxDelay {
-		d = r.MaxDelay
-	}
+	d = min(d, r.MaxDelay)
 	if half := int64(d / 2); half > 0 {
 		d = d/2 + time.Duration(rand.Int63n(half+1))
 	}

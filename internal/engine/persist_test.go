@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -302,6 +303,21 @@ func TestEnginePersistValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Compressor: "fbqs", Tolerance: 10, MaxTrailKeys: -3}); err == nil {
 		t.Fatal("negative MaxTrailKeys accepted")
+	}
+	// No silent dead settings: a durable engine never feeds the stores.
+	for _, st := range []trajstore.Config{{MergeTolerance: 5}, {CellSize: 50}} {
+		cfg := Config{Compressor: "fbqs", Tolerance: 10, Store: st, Persister: trajstore.AppendOnly(nil)}
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "not fed on the durable path") {
+			t.Fatalf("Store %+v with a full Backend: New = %v, want a rejection naming the durable path", st, err)
+		}
+		cfg.Persister = &failingPersister{} // append-only: the store is its only history
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatalf("Store %+v with an append-only persister rejected: %v", st, err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

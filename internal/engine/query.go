@@ -1,26 +1,25 @@
-// Spatio-temporal window queries over the engine's storage: the live
-// in-memory shard stores merged with the durable segment log, so one
-// call sees both persisted history (which survives restarts) and the
-// un-persisted tails of sessions that are still streaming (which only
-// the stores hold until eviction or Close flushes them to the log).
+// Spatio-temporal window queries over the engine's storage: the durable
+// segment log merged with the un-persisted tails of sessions still
+// streaming, so one call sees persisted history and what eviction or
+// Close has yet to flush — or, without a durable backend, the stores.
 package engine
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/trajstore"
 )
 
 // ErrPartialResult reports that QueryWindow could answer from the live
-// in-memory stores but not from the durable log: the returned segments
-// are the live side only, and persisted history (from before a restart,
-// or of already-evicted sessions) is missing. Errors carrying it (match
-// with errors.Is) wrap the durable side's failure. Callers wanting
-// fail-fast semantics treat it as any other error; callers serving
-// best-effort dashboards may use the partial slice knowingly.
+// side (the un-persisted tails) but not from the durable log: persisted
+// history — from before a restart, of flushed chunks and evicted
+// sessions — is missing from the returned segments. Errors carrying it
+// (match with errors.Is) wrap the durable side's failure. Callers may
+// treat it as any other error, or use the partial slice knowingly.
 var ErrPartialResult = errors.New("engine: partial window result (live data only; durable side failed)")
 
 // pairKey identifies one trajectory segment (a consecutive key-point
@@ -74,45 +73,88 @@ func pairInWindow(a, b core.Point, minX, minY, maxX, maxY, t0, t1 float64) bool 
 	return loX <= maxX && hiX >= minX && loY <= maxY && hiY >= minY && loT <= t1 && hiT >= t0
 }
 
+// tailsQuery is one QueryWindow's read of the un-persisted trails: each
+// shard worker answers it in queue order and appends what it finds under
+// mu, which orders the workers against each other and nothing else.
+type tailsQuery struct {
+	minX, minY, maxX, maxY, t0, t1 float64
+
+	mu  sync.Mutex
+	out []trajstore.Segment
+}
+
+// meets reports whether the box spanned by a and b meets the window.
+func (q *tailsQuery) meets(a, b core.Point) bool {
+	return pairInWindow(a, b, q.minX, q.minY, q.maxX, q.maxY, q.t0, q.t1)
+}
+
+// tails reports this shard's history that no log record holds yet: the
+// parked trails (wire keys; rare, so unpruned) and the open sessions'
+// trails, each skipped whole when its running box misses the window.
+func (sh *shard) tails(q *tailsQuery) {
+	var out []trajstore.Segment
+	add := func(a, b core.Point) {
+		if q.meets(a, b) {
+			out = append(out, trajstore.Segment{A: a, B: b, Weight: 1, FirstT: a.T, LastT: b.T})
+		}
+	}
+	m := sh.eng.mPerDegree
+	for _, p := range sh.parked {
+		for i := 1; i < len(p.keys); i++ {
+			add(geoPoint(p.keys[i-1], m), geoPoint(p.keys[i], m))
+		}
+	}
+	for _, s := range sh.sessions {
+		if !q.meets(s.lo, s.hi) {
+			continue
+		}
+		for i := 1; i < len(s.keys); i++ {
+			add(s.keys[i-1], s.keys[i])
+		}
+	}
+	q.mu.Lock()
+	q.out = append(q.out, out...)
+	q.mu.Unlock()
+}
+
 // QueryWindow answers a spatio-temporal window query in the projected
 // metric plane: every stored trajectory segment whose bounding box
 // intersects [minX, maxX] × [minY, maxY] and whose observation time
-// overlaps [t0, t1]. Results merge the live in-memory stores with the
-// durable log (when the configured Persister is a trajstore.Backend):
-// durable records are split into their consecutive key-point
-// pairs, filtered exactly, and deduplicated against the live set at
-// wire resolution — so a segment both in memory and on disk is
-// reported once, persisted history from before a restart is reported
-// from disk, and a still-streaming session's tail is reported from
-// memory. Durable-only segments come back with ID 0 and Weight 1.
+// overlaps [t0, t1]. On a durable engine (the Persister is a
+// trajstore.Backend) history lives in the log and the live side is the
+// tails: the open sessions' un-flushed trails plus any trails parked by
+// degraded mode, read by each shard worker in queue order — so the
+// answer reflects every fix queued before the call, and waits for them.
+// Otherwise history lives in the in-memory stores, read under their own
+// locks: like Stats that is no barrier, and fixes still queued are
+// invisible until processed (call Sync first for a quiescent view).
 //
-// Like Stats, the snapshot is not a barrier: fixes still queued for a
-// shard worker are invisible until processed. Call Sync first for a
-// quiescent view. Results from live stores that were merged under a
-// MergeTolerance, or aged, may not exactly coincide with their durable
-// counterparts; such near-duplicates are reported from both sides.
+// Durable records are split into their consecutive key-point pairs,
+// filtered exactly, and deduplicated against the live set at wire
+// resolution. The tails are read before the log, so a trail flushed
+// between the two reads is reported once and never zero times; tails and
+// log are otherwise disjoint (consecutive chunks share a key point, not
+// a pair). Segments not from a store come back with ID 0 and Weight 1.
 //
 // When the durable side fails, the error matches ErrPartialResult
 // (wrapping the underlying failure) and the returned slice holds the
 // live-side answer only — a documented partial view, not a silent one.
 func (e *Engine) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]trajstore.Segment, error) {
-	// Register in compactWG under the same lock the closed check reads,
-	// exactly like CompactNow/Heal: Close waits on compactWG before
-	// closing the backend, so an admitted query can never race the
-	// persister's teardown and report a spurious partial result against
-	// itself.
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, ErrClosed
+	// Like CompactNow/Heal: Close waits on compactWG before closing the
+	// backend, so an admitted query can never race the persister's
+	// teardown and report a spurious partial result against itself.
+	if err := e.begin(&e.compactWG); err != nil {
+		return nil, err
 	}
-	e.compactWG.Add(1)
-	e.mu.RUnlock()
 	defer e.compactWG.Done()
 
-	ft0, ft1 := float64(t0), float64(t1)
-	out := e.stores.QueryWindow(minX, minY, maxX, maxY, ft0, ft1)
-	m := e.mPerDegree
+	q := tailsQuery{minX: minX, minY: minY, maxX: maxX, maxY: maxY, t0: float64(t0), t1: float64(t1)}
+	if !e.durable {
+		q.out = e.stores.QueryWindow(minX, minY, maxX, maxY, q.t0, q.t1)
+	} else if err := e.barrier(shardMsg{tails: &q}); err != nil {
+		return nil, err
+	}
+	out, m := q.out, e.mPerDegree
 	durable, err := e.backend.QueryWindow(minX/m, minY/m, maxX/m, maxY/m, t0, t1)
 	if err != nil {
 		return out, fmt.Errorf("%w: %w", ErrPartialResult, err)
@@ -128,7 +170,7 @@ func (e *Engine) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]t
 		for i := 0; i+1 < len(rec.Keys); i++ {
 			a := geoPoint(rec.Keys[i], m)
 			b := geoPoint(rec.Keys[i+1], m)
-			if !pairInWindow(a, b, minX, minY, maxX, maxY, ft0, ft1) {
+			if !q.meets(a, b) {
 				continue
 			}
 			k := pairKeyOf(a, b, m)

@@ -59,6 +59,44 @@ func diffSets(a, b map[pairKey]bool) (onlyA, onlyB int) {
 	return onlyA, onlyB
 }
 
+// reference feeds fixes to a persister-less twin of cfg and syncs it.
+// A durable engine keeps no in-memory copy of its history, so the
+// twin's stores — every compressed pair, verbatim — are the ground
+// truth its QueryWindow is held to. The caller closes it (or flushes
+// its sessions) where the engine under test does.
+func reference(t *testing.T, cfg Config, fixes []Fix) *Engine {
+	t.Helper()
+	cfg.Persister = nil
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(fixes); lo += 512 {
+		if err := ref.Ingest(fixes[lo:min(lo+512, len(fixes))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ref.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// queryAll is QueryWindow over everything, as a pair set; duplicate
+// rows fail the test.
+func queryAll(t *testing.T, e *Engine, m float64) map[pairKey]bool {
+	t.Helper()
+	segs, err := e.QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := pairSet(segs, m)
+	if len(set) != len(segs) {
+		t.Fatalf("QueryWindow double-reports: %d rows, %d unique", len(segs), len(set))
+	}
+	return set
+}
+
 // durablePairSet derives the exact-filtered pair set from a raw log's
 // window query — the durable side of the differential comparison.
 func durablePairSet(t *testing.T, lg *segmentlog.ShardedLog, minX, minY, maxX, maxY float64, t0, t1 uint32, m float64) map[pairKey]bool {
@@ -104,9 +142,10 @@ func diffWindows(rng *rand.Rand) [][6]float64 {
 // TestDifferentialWindowQueries is the ground-truth property test: on
 // a randomized multi-device fleet ingested with chunking, the durable
 // log's QueryWindow must return exactly the trajectory segments the
-// in-memory Store.Query ∩ QueryTime ground truth returns — at wire
-// resolution, across randomized windows, and again after
-// crash-recovery and after compaction.
+// in-memory Store.Query ∩ QueryTime ground truth (a persister-less
+// reference engine given the same fixes) returns — at wire resolution,
+// across randomized windows, and again after crash-recovery and after
+// compaction.
 func TestDifferentialWindowQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dir := t.TempDir()
@@ -115,14 +154,14 @@ func TestDifferentialWindowQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	const m = 1e5
-	e, err := New(Config{
+	cfg := Config{
 		Compressor:   "fbqs",
 		Tolerance:    5,
 		Shards:       4,
 		MaxTrailKeys: 7, // force chunked records with the 1-key overlap
 		Persister:    lg,
-		Store:        trajstore.Config{}, // MergeTolerance 0: every pair stored verbatim
-	})
+	}
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +186,16 @@ func TestDifferentialWindowQueries(t *testing.T) {
 	if err := e.Close(); err != nil { // flushes every session to the log
 		t.Fatal(err)
 	}
+	ref := reference(t, cfg, fixes)
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	windows := diffWindows(rng)
 	truth := make([]map[pairKey]bool, len(windows))
 	nonEmpty := 0
 	for i, w := range windows {
-		truth[i] = pairSet(e.Stores().QueryWindow(w[0], w[1], w[2], w[3], w[4], w[5]), m)
+		truth[i] = pairSet(ref.Stores().QueryWindow(w[0], w[1], w[2], w[3], w[4], w[5]), m)
 		if len(truth[i]) > 0 {
 			nonEmpty++
 		}
@@ -255,99 +298,107 @@ func indexByte(s string, b byte) int {
 	return -1
 }
 
-// TestEngineQueryWindowMergesLiveAndDurable: one Engine.QueryWindow
-// call sees un-persisted session tails (live stores), persisted
-// history (durable log), and never double-reports a segment present in
-// both.
+// TestEngineQueryWindowMergesLiveAndDurable: at every stage of a
+// durable engine's life one Engine.QueryWindow call returns exactly the
+// pair set of the persister-less reference given the same fixes —
+// un-persisted session tails, chunks already in the log, history from
+// before a restart — and never reports a pair twice.
 func TestEngineQueryWindowMergesLiveAndDurable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
 	const m = 1e5
-	newEngine := func() (*Engine, *segmentlog.ShardedLog) {
+	cfg := Config{
+		Compressor: "fbqs", Tolerance: 5, Shards: 2, MaxTrailKeys: 7,
+		IdleTimeout: time.Hour, Clock: func() time.Time { return time.Unix(0, 0) },
+	}
+	newEngine := func() *Engine {
 		t.Helper()
-		lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := New(Config{
-			Compressor: "fbqs", Tolerance: 5, Shards: 2,
-			IdleTimeout: time.Hour, Persister: lg,
-			Clock: func() time.Time { return time.Unix(0, 0) },
+		lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{
+			MaxSegmentBytes: 2048,
+			Compaction:      &segmentlog.CompactionPolicy{MergeChunks: true},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e, lg
-	}
-	e, _ := newEngine()
-	track := gridWalk(0, 400, rng)
-	for i := range track {
-		if err := e.IngestOne("roamer", track[i]); err != nil {
+		c := cfg
+		c.Persister = lg
+		e, err := New(c)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return e
+	}
+	var fixes []Fix
+	for d := 0; d < 3; d++ {
+		for _, p := range gridWalk(d, 400, rng) {
+			fixes = append(fixes, Fix{Device: fmt.Sprintf("roamer-%d", d), Point: p})
+		}
+	}
+	same := func(stage string, got, want map[pairKey]bool) {
+		t.Helper()
+		if onlyGot, onlyWant := diffSets(got, want); onlyGot != 0 || onlyWant != 0 {
+			t.Fatalf("%s: %d pairs only in the durable engine, %d only in the reference (truth %d)",
+				stage, onlyGot, onlyWant, len(want))
+		}
+	}
+	refAll := func(ref *Engine) map[pairKey]bool {
+		return pairSet(ref.Stores().QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32), m)
+	}
+
+	// Mid-session: some chunks are in the log, every session has a tail.
+	e, ref := newEngine(), reference(t, cfg, fixes)
+	if err := e.Ingest(fixes); err != nil {
+		t.Fatal(err)
 	}
 	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	mid := refAll(ref)
+	if e.Stats().Persisted == 0 || len(mid) == 0 {
+		t.Fatalf("degenerate: %d chunks persisted, %d reference pairs", e.Stats().Persisted, len(mid))
+	}
+	same("mid-session", queryAll(t, e, m), mid)
+	if n := e.Stats().Store.Segments; n != 0 {
+		t.Fatalf("durable engine mirrors history in memory: %d store segments", n)
+	}
 
-	// Mid-session: nothing persisted yet, the live side answers alone.
-	all := func(e *Engine) []trajstore.Segment {
-		t.Helper()
-		segs, err := e.QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32)
-		if err != nil {
+	// After a flush the compressors' pending tail keys are out too, and
+	// everything is in the log.
+	for _, x := range []*Engine{e, ref} {
+		if err := x.FlushSessions(); err != nil {
 			t.Fatal(err)
 		}
-		return segs
 	}
-	liveOnly := all(e)
-	if len(liveOnly) == 0 {
-		t.Fatal("no live segments")
+	flushed := refAll(ref)
+	if len(flushed) < len(mid) {
+		t.Fatalf("flushed ground truth shrank: %d < %d", len(flushed), len(mid))
 	}
-	if n := len(pairSet(liveOnly, m)); n != len(liveOnly) {
-		t.Fatalf("live result has duplicate pairs: %d unique of %d", n, len(liveOnly))
-	}
-
-	// After a full flush the same segments are also durable. Close
-	// flushes the compressor, which may emit tail key points beyond the
-	// mid-session snapshot; the post-close stores are the ground truth.
+	same("after flush", queryAll(t, e, m), flushed)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flushed := pairSet(e.Stores().QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32), m)
-	if len(flushed) < len(liveOnly) {
-		t.Fatalf("post-close ground truth shrank: %d < %d", len(flushed), len(liveOnly))
-	}
-	e2, _ := newEngine()
-	// Restart: the stores are empty, history must come from the log.
-	fromLog := all(e2)
-	if onlyMem, onlyLog := diffSets(flushed, pairSet(fromLog, m)); onlyMem != 0 || onlyLog != 0 {
-		t.Fatalf("restarted engine durable view diverges: %d only in memory, %d only in log", onlyMem, onlyLog)
-	}
-	// Re-ingest the same walk: every pair is now both live and durable;
-	// dedup must keep the count stable.
-	for i := range track {
-		if err := e2.IngestOne("roamer", track[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e2.Sync(); err != nil {
+
+	// Restart: history must come from the log alone.
+	e2 := newEngine()
+	same("after restart", queryAll(t, e2, m), flushed)
+	// Re-ingest the same walks: every tail pair is also durable; dedup
+	// must keep the set — and the row count — stable.
+	if err := e2.Ingest(fixes); err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.EvictIdle(); err != nil { // IdleTimeout not elapsed: sessions stay
 		t.Fatal(err)
 	}
-	merged := all(e2)
-	if got, want := len(pairSet(merged, m)), len(flushed); got != want {
-		t.Fatalf("merged live+durable set has %d unique pairs, want %d", got, want)
+	same("after re-ingest", queryAll(t, e2, m), flushed)
+	if err := e2.CompactNow(); err != nil {
+		t.Fatal(err)
 	}
-	if len(merged) != len(pairSet(merged, m)) {
-		t.Fatalf("merged result double-reports: %d rows, %d unique", len(merged), len(pairSet(merged, m)))
-	}
+	same("after compaction", queryAll(t, e2, m), flushed)
 
-	// A spatial sub-window agrees with the in-memory ground truth.
-	xs := make([]float64, 0, len(track))
-	for _, p := range track {
-		xs = append(xs, p.X)
+	// A spatial sub-window agrees with the reference too.
+	xs := make([]float64, 0, len(fixes))
+	for _, f := range fixes {
+		xs = append(xs, f.Point.X)
 	}
 	sort.Float64s(xs)
 	midX := xs[len(xs)/2] + 0.005
@@ -355,11 +406,15 @@ func TestEngineQueryWindowMergesLiveAndDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSub := pairSet(e2.Stores().QueryWindow(-1e6, -1e6, midX, 1e6, 0, math.MaxUint32), m)
-	if onlyMem, onlyMerged := diffSets(wantSub, pairSet(sub, m)); onlyMem != 0 || onlyMerged != 0 {
-		t.Fatalf("sub-window merge diverges: %d only in memory, %d extra", onlyMem, onlyMerged)
+	wantSub := pairSet(ref.Stores().QueryWindow(-1e6, -1e6, midX, 1e6, 0, math.MaxUint32), m)
+	if len(wantSub) == 0 || len(wantSub) == len(flushed) {
+		t.Fatalf("degenerate sub-window: %d of %d pairs", len(wantSub), len(flushed))
 	}
+	same("sub-window", pairSet(sub, m), wantSub)
 	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e2.QueryWindow(0, 0, 1, 1, 0, 1); err != ErrClosed {
