@@ -10,9 +10,13 @@ import (
 	"github.com/trajcomp/bqs/internal/eval"
 )
 
-// Benchmarks, one (at least) per table and figure of the paper's
-// evaluation. They run on a reduced suite so `go test -bench=.` completes
-// in minutes; `cmd/bqsbench` regenerates the full-scale numbers.
+// Benchmarks: one (at least) per table and figure of the paper's
+// evaluation, on a reduced suite so `go test -bench=.` completes in
+// minutes (`cmd/bqsbench` prints the tables themselves at full scale),
+// then the N-D cores and the ingestion engine's fleet throughput. Compare
+// two trees on one host with `go test -run '^$' -bench . -count N |
+// benchstat`; the cores axis is `-cpu 1,2,4`. The end-to-end figures and
+// the per-layer ledger come from `go run ./bench`.
 
 var (
 	benchOnce  sync.Once

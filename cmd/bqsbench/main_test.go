@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/trajcomp/bqs/internal/trajstore/segmentlog"
 )
 
 func buildCmd(t *testing.T) string {
@@ -17,83 +19,63 @@ func buildCmd(t *testing.T) string {
 	return bin
 }
 
-func TestSmokeEngineBench(t *testing.T) {
+// TestSmokePaperQuick runs one paper experiment at the smoke scale.
+func TestSmokePaperQuick(t *testing.T) {
 	bin := buildCmd(t)
-	out, err := exec.Command(bin, "-engine", "-devices", "5", "-fixes", "40", "-shards", "2").CombinedOutput()
+	out, err := exec.Command(bin, "-quick", "-exp", "fig6").CombinedOutput()
 	if err != nil {
-		t.Fatalf("bqsbench -engine: %v\n%s", err, out)
+		t.Fatalf("bqsbench -quick -exp fig6: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "ingested 200 fixes") {
+	if !strings.Contains(string(out), "Figure 6 — pruning power, bat data") {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
 }
 
-func TestSmokeEngineBenchPersist(t *testing.T) {
+// TestSmokeServeLoopback drives the wire load generator against its
+// in-process server and checks that -persist leaves a log another
+// process can open — how the verify notes and bqsrecover's docs make one.
+func TestSmokeServeLoopback(t *testing.T) {
 	bin := buildCmd(t)
-	dir := filepath.Join(t.TempDir(), "log")
-	out, err := exec.Command(bin, "-engine", "-devices", "5", "-fixes", "40", "-shards", "2", "-persist", dir).CombinedOutput()
+	dir := filepath.Join(t.TempDir(), "data")
+	out, err := exec.Command(bin, "-serve", "-devices", "8", "-fixes", "200", "-shards", "2", "-persist", dir).CombinedOutput()
 	if err != nil {
-		t.Fatalf("bqsbench -engine -persist: %v\n%s", err, out)
+		t.Fatalf("bqsbench -serve: %v\n%s", err, out)
 	}
 	s := string(out)
-	if !strings.Contains(s, "persisted 5 trajectories") {
-		t.Fatalf("persistence not reported:\n%s", s)
-	}
-	// The durable run writes the sharded layout: per-shard segment files.
-	segs, err := filepath.Glob(filepath.Join(dir, "shard-*", "seg-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segment files written: %v %v", segs, err)
-	}
-}
-
-func TestSmokeEngineBenchCpusMatrix(t *testing.T) {
-	bin := buildCmd(t)
-	dir := filepath.Join(t.TempDir(), "log")
-	out, err := exec.Command(bin, "-engine", "-devices", "5", "-fixes", "40",
-		"-cpus", "1,2", "-persist", dir).CombinedOutput()
-	if err != nil {
-		t.Fatalf("bqsbench -engine -cpus: %v\n%s", err, out)
-	}
-	s := string(out)
-	for _, want := range []string{"=== GOMAXPROCS=1 shards=1 ===", "=== GOMAXPROCS=2 shards=2 ==="} {
+	for _, want := range []string{"server ingest: 1600 fixes", "server query (device):", "server query (full window):"} {
 		if !strings.Contains(s, want) {
-			t.Fatalf("matrix pass header %q missing:\n%s", want, s)
+			t.Fatalf("%q missing from output:\n%s", want, s)
 		}
 	}
-	// Each pass persists into its own subdirectory, sharded per core.
-	for _, sub := range []string{"c1", "c2"} {
-		segs, err := filepath.Glob(filepath.Join(dir, sub, "shard-*", "seg-*.log"))
-		if err != nil || len(segs) == 0 {
-			t.Fatalf("pass %s wrote no segment files: %v %v", sub, segs, err)
-		}
-	}
-	// -cpus without -engine is rejected.
-	if err := exec.Command(bin, "-cpus", "1,2").Run(); err == nil {
-		t.Fatal("-cpus without -engine accepted")
-	}
-}
-
-func TestSmokePersistRequiresEngine(t *testing.T) {
-	bin := buildCmd(t)
-	if err := exec.Command(bin, "-persist", t.TempDir()).Run(); err == nil {
-		t.Fatal("-persist without -engine accepted")
-	}
-}
-
-func TestSmokeEngineBenchQuery(t *testing.T) {
-	bin := buildCmd(t)
-	dir := filepath.Join(t.TempDir(), "log")
-	out, err := exec.Command(bin, "-engine", "-devices", "20", "-fixes", "60", "-shards", "2",
-		"-persist", dir, "-query").CombinedOutput()
+	// The server keeps one log per tenant; the load generator's is "bench".
+	lg, err := segmentlog.OpenSharded(filepath.Join(dir, "bench"), 0, segmentlog.Options{ReadOnly: true})
 	if err != nil {
-		t.Fatalf("bqsbench -engine -persist -query: %v\n%s", err, out)
+		t.Fatalf("reopening the persisted log: %v", err)
 	}
-	s := string(out)
-	if !strings.Contains(s, "query window (selective") || !strings.Contains(s, "query window (full") {
-		t.Fatalf("window-query report missing:\n%s", s)
+	defer lg.Close()
+	if lg.NumShards() != 2 {
+		t.Fatalf("log has %d shards, want 2", lg.NumShards())
 	}
-	// -query without -persist is rejected.
-	if err := exec.Command(bin, "-engine", "-query").Run(); err == nil {
-		t.Fatal("-query without -persist accepted")
+	if st := lg.Stats(); st.Records == 0 {
+		t.Fatalf("persisted log is empty: %+v", st)
+	}
+}
+
+// TestSmokeFlagValidation covers the flag combinations that cannot mean
+// anything: both wire modes at once, and in-process-server settings
+// without the in-process server.
+func TestSmokeFlagValidation(t *testing.T) {
+	bin := buildCmd(t)
+	for _, args := range [][]string{
+		{"-serve", "-client", "127.0.0.1:1"},
+		{"-persist", t.TempDir()},
+		{"-trail", "16"},
+		{"-segbytes", "65536"},
+		{"-client", "127.0.0.1:1", "-persist", t.TempDir()},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("bqsbench %v: err = %v, want exit status 2\n%s", args, err, out)
+		}
 	}
 }

@@ -15,14 +15,14 @@ import (
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog"
 )
 
-// runServerBench measures the network ingest + query path. With serve
+// runServerBench drives the network ingest + query path. With serve
 // set it spins up an in-process bqsd-equivalent on a loopback listener
 // (persisting into persistDir, or a temporary directory) and drives it;
 // with clientAddr set it drives an external daemon instead. Fixes flow
 // through the real wire protocol either way — encode, TCP, decode,
-// TryIngest with retry-after honoring — so the number reported is the
-// full server-path cost, comparable against the in-process `-engine`
-// figure.
+// TryIngest with retry-after honoring. The throughput it prints is a
+// progress report for this host; the figure of record for the wire path
+// is bench/'s server.ingest_kfix_per_s.
 func runServerBench(serve bool, clientAddr string, devices, shards, fixesPer int, compName string, tol float64, persistDir string, trailKeys int, segBytes int64) error {
 	if devices <= 0 || fixesPer <= 0 {
 		return fmt.Errorf("devices and fixes must be positive")
@@ -71,8 +71,8 @@ func runServerBench(serve bool, clientAddr string, devices, shards, fixesPer int
 	}
 	defer c.Close()
 
-	// The `-engine` workload, converted to wire keys (the default 1e5
-	// m/° mapping — what the server inverts on receipt).
+	// Per-device synthetic walks as wire keys (the default 1e5 m/°
+	// mapping — what the server inverts on receipt).
 	fmt.Println("generating workload...")
 	const m = 1e5
 	tracks := make([][]trajstore.GeoKey, devices)

@@ -100,7 +100,7 @@ func main() {
 		log.Fatalf("bqsd: %v", err)
 	}
 	// The bound address goes to stdout on its own line so wrappers
-	// (smoke tests, bqsbench -serve scripts) can use -addr :0.
+	// (smoke tests, bqsbench -client scripts) can use -addr :0.
 	fmt.Printf("bqsd: listening on %s\n", ln.Addr())
 	log.Printf("bqsd: data dir %s, tolerance %g m", *dir, *tol)
 

@@ -297,8 +297,8 @@ func TestTryIngestSurfacesPersistError(t *testing.T) {
 	if !errors.Is(err, errPersistBoom) {
 		t.Fatalf("TryIngest = %v, want the persist failure", err)
 	}
-	if err := e.Err(); !errors.Is(err, errPersistBoom) {
-		t.Fatalf("Err() = %v, want the persist failure", err)
+	if err := e.Sync(); !errors.Is(err, errPersistBoom) {
+		t.Fatalf("Sync() = %v, want the persist failure", err)
 	}
 	// A terminal persist failure degrades the engine: further batches
 	// are rejected whole with a distinguishable ErrDegraded that still

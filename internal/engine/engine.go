@@ -208,22 +208,20 @@ type Engine struct {
 	ingestWG  sync.WaitGroup
 	compactWG sync.WaitGroup
 
-	// persistErr latches the first asynchronous persister failure (shard
-	// workers append during eviction); Sync and Close surface it.
-	persistErr atomic.Pointer[error]
 	// degraded latches the composed ErrDegraded (wrapping the root
-	// cause) once a persist failure proves terminal or exhausts the
-	// retry budget. While set, Ingest/TryIngest reject new fixes and
+	// cause — the first persist failure wins) once a persist failure
+	// proves terminal or exhausts the retry budget. While set,
+	// Ingest/TryIngest reject new fixes, Sync and Close report it, and
 	// shard workers park finalized trails instead of appending them.
 	// Heal clears it after a successful persister probe.
 	degraded atomic.Pointer[error]
 	// retry is cfg.PersistRetry with defaults resolved by New.
 	retry RetryPolicy
 	// compactErr holds the most recent background-compaction failure.
-	// Unlike persistErr it does NOT poison Sync — a failed compaction
-	// pass leaves the published generation (and every durable record)
-	// intact, so it is no durability event. It self-heals: a later
-	// successful pass clears it. Close reports a still-standing one.
+	// Unlike degraded it does NOT poison Sync or ingest — a failed
+	// compaction pass leaves the published generation (and every durable
+	// record) intact, so it is no durability event. It self-heals: a
+	// later successful pass clears it. Close reports a still-standing one.
 	compactErr atomic.Pointer[error]
 	persisting bool    // cfg.Persister != nil, cached for the hot path
 	mPerDegree float64 // metres per degree for GeoKey conversion
@@ -415,8 +413,8 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // compactLoop periodically compacts the persister until Close. A failed
-// pass is latched like an asynchronous persist failure — the log's
-// published generation is unaffected, so the engine keeps running.
+// pass is recorded in compactErr and counted — the log's published
+// generation is unaffected, so the engine keeps running.
 func (e *Engine) compactLoop(every time.Duration) {
 	defer e.wg.Done()
 	t := time.NewTicker(every)
@@ -593,20 +591,13 @@ func (e *Engine) Ingest(fixes []Fix) error {
 // accepted or rejected whole). It returns how many fixes were accepted
 // and ErrBackpressure when any were not; callers own retrying the
 // remainder after a backoff. A degraded engine (see ErrDegraded)
-// rejects the whole batch with an error matching ErrDegraded, and a
-// standing asynchronous persister failure is returned in place of
-// ErrBackpressure, so a caller streaming fixes learns the backend is
-// sick on the next call, not at the next Sync barrier; TryIngest(nil)
-// is a cheap health probe. The server layer builds its
-// reject-with-retry-after frames on this.
+// rejects the whole batch with an error matching ErrDegraded and
+// wrapping the persist failure behind it, so a caller streaming fixes
+// learns the backend is sick on the next call, not at the next Sync
+// barrier; TryIngest(nil) is a cheap health probe. The server layer
+// builds its reject-with-retry-after frames on this.
 func (e *Engine) TryIngest(fixes []Fix) (accepted int, err error) {
-	accepted, err = e.dispatch(fixes, false)
-	if err == nil || err == ErrBackpressure {
-		if perr := e.loadPersistErr(); perr != nil {
-			return accepted, perr
-		}
-	}
-	return accepted, err
+	return e.dispatch(fixes, false)
 }
 
 // IngestOne routes a single fix; a convenience wrapper over Ingest.
@@ -672,25 +663,12 @@ func (e *Engine) Sync() error {
 	if derr := e.degradedErr(); derr != nil {
 		return errors.Join(derr, syncErr)
 	}
-	if syncErr != nil {
-		return syncErr
-	}
-	return e.loadPersistErr()
+	return syncErr
 }
 
-// loadPersistErr returns the latched persister failure, if any.
-func (e *Engine) loadPersistErr() error {
-	if p := e.persistErr.Load(); p != nil {
-		return fmt.Errorf("engine: persist: %w", *p)
-	}
-	return nil
-}
-
-// enterDegraded latches degraded mode with its root cause. The persist
-// error latch is set too, so Sync/Close report the cause even after a
-// later Heal clears only the degraded state.
+// enterDegraded latches degraded mode with its root cause; the first
+// failure wins.
 func (e *Engine) enterDegraded(cause error) {
-	e.persistErr.CompareAndSwap(nil, &cause) // first failure wins
 	derr := fmt.Errorf("%w: %w", ErrDegraded, cause)
 	e.degraded.CompareAndSwap(nil, &derr)
 }
@@ -711,12 +689,12 @@ func (e *Engine) Degraded() bool { return e.degraded.Load() != nil }
 // the underlying fault is believed cleared (space freed, device back).
 // It probes the persister with a durability barrier — a poisoned
 // segment log salvages itself into a fresh file here — and, only if the
-// probe succeeds, clears the degraded and persist-error latches and
-// re-appends the trails parked while degraded, preserving per-device
-// order. A probe failure leaves the engine degraded and reports why; a
-// failure while re-appending parked trails re-enters degraded mode with
-// the new cause. Heal is safe to call on a healthy engine (a cheap
-// no-op) and concurrently with ingest and queries.
+// probe succeeds, clears the degraded latch and re-appends the trails
+// parked while degraded, preserving per-device order. A probe failure
+// leaves the engine degraded and reports why; a failure while
+// re-appending parked trails re-enters degraded mode with the new
+// cause. Heal is safe to call on a healthy engine (a cheap no-op) and
+// concurrently with ingest and queries.
 func (e *Engine) Heal() error {
 	if err := e.begin(&e.compactWG); err != nil { // holds the backend's Close off the probe
 		return err
@@ -726,10 +704,9 @@ func (e *Engine) Heal() error {
 	if probeErr != nil {
 		return fmt.Errorf("engine: heal: persister still failing: %w", probeErr)
 	}
-	if e.degraded.Load() == nil && e.persistErr.Load() == nil {
+	if e.degraded.Load() == nil {
 		return nil
 	}
-	e.persistErr.Store(nil)
 	e.degraded.Store(nil)
 	if err := e.barrier(shardMsg{drain: true}); err != nil {
 		return err
@@ -751,14 +728,6 @@ func (e *Engine) EvictIdle() error { return e.barrier(shardMsg{evict: true}) }
 // ingested before the call durable and queryable from the log; the
 // server's drain and its flush-and-sync frame are built on it.
 func (e *Engine) FlushSessions() error { return e.barrier(shardMsg{flushAll: true}) }
-
-// Err reports the engine's standing asynchronous failures without a
-// barrier: the first latched persister error (also surfaced by
-// Sync/Close and TryIngest) joined with any standing background-
-// compaction failure. nil means healthy.
-func (e *Engine) Err() error {
-	return errors.Join(e.loadPersistErr(), e.CompactErr())
-}
 
 // QueueStats is a point-in-time snapshot of the per-shard ingest queue
 // occupancy, in batches. A shard pinned at Cap is applying
@@ -849,14 +818,14 @@ func (e *Engine) Close() error {
 	}
 	e.wg.Wait()
 	e.compactWG.Wait() // external CompactNow callers still in flight
-	// Join the persister's close error with any latched asynchronous
-	// persist failure: a failed close must not mask the (often
-	// root-cause) append error latched earlier, and vice versa.
+	// Join the persister's close error with a standing degraded cause:
+	// a failed close must not mask the (often root-cause) append error
+	// latched earlier, and vice versa.
 	closeErr := e.backend.Close()
 	if closeErr != nil {
 		closeErr = fmt.Errorf("engine: persister close: %w", closeErr)
 	}
-	return errors.Join(closeErr, e.loadPersistErr(), e.CompactErr())
+	return errors.Join(closeErr, e.degradedErr(), e.CompactErr())
 }
 
 // run is the shard worker loop: single-goroutine ownership of the

@@ -20,9 +20,10 @@
 // Backpressure is explicit: an IngestAck reports which device batches
 // were rejected because their shard queue was full, plus a retry-after
 // hint in milliseconds. The server never buffers rejected fixes — the
-// client owns the retry. A standing backend failure (a latched persist
-// error) rides in the ack's Err field, so a streaming client learns the
-// backend is sick without waiting for a Sync barrier.
+// client owns the retry. A batch refused for good (the engine degraded
+// after a terminal persist failure, or closed) is reported in the ack's
+// Err field, so a streaming client learns the backend is sick without
+// waiting for a Sync barrier.
 package proto
 
 import (
@@ -143,14 +144,13 @@ type Ingest struct {
 
 // IngestAck answers an Ingest frame. Accepted counts fixes enqueued;
 // Rejected lists the indices (into the request's Batches) refused by
-// backpressure — resend those after RetryAfterMillis. Err carries a
-// standing backend failure (latched persist error): fixes may still
-// have been accepted, but durability is no longer assured until the
-// operator intervenes. Degraded marks the engine's degraded read-only
-// mode (terminal persist failure): the batch was rejected whole, resends
-// are futile until the operator clears the fault and heals the engine,
-// but queries keep answering — clients should stop resending rather
-// than retry.
+// backpressure — resend those after RetryAfterMillis. Err says why a
+// batch was refused for good (degraded or closed engine); it is empty
+// whenever every batch was accepted or merely asked to retry. Degraded
+// marks the engine's degraded read-only mode (terminal persist
+// failure): the batch was rejected whole, resends are futile until the
+// operator clears the fault and heals the engine, but queries keep
+// answering — clients should stop resending rather than retry.
 type IngestAck struct {
 	Seq              uint64
 	Accepted         uint64

@@ -422,9 +422,11 @@ func (s *Server) handleConn(conn net.Conn) {
 // ingest runs one Ingest frame through TryIngest batch by batch. A
 // device maps to exactly one shard, so each batch is accepted or
 // rejected whole; rejected indices plus a retry hint go back in the
-// ack. A latched persist error rides in ack.Err even when every batch
-// was accepted — the client learns the backend is sick now, not at the
-// next Sync barrier.
+// ack. ack.Err is set only when a batch was refused for good (degraded
+// engine, or closed) — the client learns the backend is sick now, not
+// at the next Sync barrier. A failed background-compaction pass is not
+// such a refusal: every fix was accepted and stays durable, so it shows
+// in bqs_compact_failures_total and at Shutdown, never in an ack.
 func (s *Server) ingest(tn *tenant, m proto.Ingest, fixes *[]engine.Fix) proto.IngestAck {
 	ack := proto.IngestAck{Seq: m.Seq}
 	for i, b := range m.Batches {
@@ -451,7 +453,7 @@ func (s *Server) ingest(tn *tenant, m proto.Ingest, fixes *[]engine.Fix) proto.I
 			ack.Degraded = true
 			ack.Err = err.Error()
 		default:
-			ack.Err = err.Error() // latched persist error or engine closed
+			ack.Err = err.Error() // engine closed
 		}
 	}
 	if len(ack.Rejected) > 0 {
@@ -459,11 +461,6 @@ func (s *Server) ingest(tn *tenant, m proto.Ingest, fixes *[]engine.Fix) proto.I
 	}
 	if !ack.Degraded && tn.eng.Degraded() {
 		ack.Degraded = true // e.g. an empty Ingest frame used as a probe
-	}
-	if ack.Err == "" {
-		if perr := tn.eng.Err(); perr != nil {
-			ack.Err = perr.Error()
-		}
 	}
 	return ack
 }
