@@ -32,6 +32,14 @@
 // then flushes every tenant's sessions, syncs, runs a final compaction
 // and closes the logs. Exit status is non-zero if the drain surfaced a
 // persistence error.
+//
+// SIGHUP is the operator's heal lever. A tenant whose disk failed for
+// good (full, gone) runs degraded: ingest is refused, queries still
+// answer, and the trajectories acked before the fault wait in memory.
+// After clearing the fault (free space, remount), SIGHUP makes every
+// such tenant re-probe its log, write out what it parked and take fixes
+// again — no restart. The outcome is logged per tenant; on healthy
+// tenants it is a no-op.
 package main
 
 import (
@@ -122,17 +130,24 @@ func main() {
 	}
 
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	select {
-	case s := <-sig:
-		log.Printf("bqsd: %v — draining", s)
-	case err := <-serveErr:
-		if err != nil {
-			log.Printf("bqsd: accept loop failed: %v — draining", err)
+	for serving := true; serving; {
+		select {
+		case s := <-sig:
+			if s == syscall.SIGHUP {
+				heal(srv)
+				continue
+			}
+			log.Printf("bqsd: %v — draining", s)
+		case err := <-serveErr:
+			if err != nil {
+				log.Printf("bqsd: accept loop failed: %v — draining", err)
+			}
 		}
+		serving = false
 	}
 	if msrv != nil {
 		_ = msrv.Close() // scrape connections carry no durable state
@@ -141,4 +156,15 @@ func main() {
 		log.Fatalf("bqsd: drain: %v", err)
 	}
 	log.Print("bqsd: drained clean")
+}
+
+// heal pulls the SIGHUP lever and logs what came of it per tenant: the
+// ones healed, and — one line of the error each — the ones still
+// degraded and why. With no degraded tenant open it is a no-op.
+func heal(srv *server.Server) {
+	healed, err := srv.Heal()
+	log.Printf("bqsd: SIGHUP — heal: parked trails written out and ingest resumed for tenants %q", healed)
+	if err != nil {
+		log.Printf("bqsd: SIGHUP — still degraded: %v", err)
+	}
 }

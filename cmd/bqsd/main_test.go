@@ -2,10 +2,12 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"math"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -26,9 +28,29 @@ func buildCmd(t *testing.T) string {
 	return bin
 }
 
+// logBuffer collects the daemon's stderr; exec copies into it from its
+// own goroutine while the test reads.
+type logBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestDaemonLifecycle is the full smoke pass: start on an ephemeral
-// port, ingest over the wire, flush + query, SIGTERM-drain, then
-// reopen the tenant's log directory and check it recovered clean.
+// port, ingest over the wire, flush + query, SIGHUP (the heal lever: a
+// logged no-op on a healthy daemon, which keeps serving), SIGTERM-drain,
+// then reopen the tenant's log directory and check it recovered clean.
 func TestDaemonLifecycle(t *testing.T) {
 	bin := buildCmd(t)
 	dir := t.TempDir()
@@ -37,7 +59,8 @@ func TestDaemonLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd.Stderr = nil
+	var logs logBuffer
+	cmd.Stderr = &logs
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -80,6 +103,32 @@ func TestDaemonLifecycle(t *testing.T) {
 	if err != nil || len(w) == 0 {
 		t.Fatalf("window query: %d records, err %v", len(w), err)
 	}
+
+	// SIGHUP heals: nothing is degraded, so it only says so …
+	if err := cmd.Process.Signal(syscall.SIGHUP); err != nil {
+		t.Fatalf("signal: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(logs.String(), "SIGHUP — heal: parked trails written out and ingest resumed for tenants []"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("no heal line after SIGHUP; the daemon logged:\n%s", logs.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// … and the daemon goes on taking fixes and answering queries.
+	for i := range keys {
+		keys[i].T += 40 * 30
+	}
+	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "probe", Keys: keys}}, 10); err != nil {
+		t.Fatalf("ingest after SIGHUP: %v", err)
+	}
+	if err := c.Sync(true); err != nil {
+		t.Fatalf("sync after SIGHUP: %v", err)
+	}
+	more, err := c.QueryTime("probe", 0, math.MaxUint32)
+	if err != nil || len(more) <= len(recs) {
+		t.Fatalf("query after SIGHUP: %d records (%d before), err %v", len(more), len(recs), err)
+	}
+	recs = more
 	c.Close()
 
 	// SIGTERM must drain and exit 0 …

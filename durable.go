@@ -51,19 +51,15 @@ var ErrLogLocked = segmentlog.ErrLocked
 var ErrLogReadOnly = segmentlog.ErrReadOnly
 
 // ErrDegraded reports that an engine is in degraded read-only mode: a
-// terminal persister failure (full disk, corrupt log) — or one that
-// outlived the EngineConfig.PersistRetry budget — means new fixes
-// cannot be made durable, so Ingest/TryIngest reject them while
-// queries keep answering. Match with errors.Is; the error wraps the
-// root cause. Engine.Heal re-arms ingestion once the fault is cleared,
-// re-appending the trajectories parked in memory meanwhile.
+// terminal persister failure (full disk, corrupt log) — or a transient
+// one (I/O hiccup, timeout) that outlived the engine's short retry
+// loop — means new fixes cannot be made durable, so Ingest/TryIngest
+// reject them while queries keep answering. Match with errors.Is; the
+// error wraps the root cause. Engine.Heal — SIGHUP on a bqsd daemon —
+// re-arms ingestion once the fault is cleared, re-appending the
+// trajectories parked in memory meanwhile; Engine.State reports the
+// phase, the cause and when it latched.
 var ErrDegraded = engine.ErrDegraded
-
-// PersistRetryPolicy bounds the engine's retry loop for transient
-// persister failures (I/O hiccups, timeouts); terminal failures and
-// exhausted retries degrade the engine instead. The zero value selects
-// the defaults. See engine.RetryPolicy.
-type PersistRetryPolicy = engine.RetryPolicy
 
 // ShardedSegmentLog is an open append-only trajectory log, fanned out
 // over per-shard subdirectories that each hold a complete segment log

@@ -6,7 +6,7 @@ import (
 )
 
 // ErrDiscard reports discarded error results from durability-critical
-// calls: Append, Sync, SyncPersist, Flush, Close, and the
+// calls: Append, Sync, Flush, Close, and the
 // publish-shaped helpers (writeManifest*, writeBlockIndex*,
 // writeShards*, publish*). These are the calls whose errors ARE the
 // durability contract — an Append or Sync whose error vanishes turns
@@ -15,7 +15,7 @@ import (
 //
 // Policy, from strictest to loosest:
 //
-//   - Sync/SyncPersist/Flush/Append and the publish-shaped helpers:
+//   - Sync/Flush/Append and the publish-shaped helpers:
 //     the error must reach a variable or a caller. A bare call
 //     statement, a deferred call, a go statement, and an explicit
 //     `_ =` discard are all reported — if a durability error is truly
@@ -36,7 +36,7 @@ var ErrDiscard = &Analyzer{
 // criticalNames are matched against the called function or method
 // name.
 var criticalNames = map[string]bool{
-	"Append": true, "Sync": true, "SyncPersist": true, "Flush": true, "Close": true,
+	"Append": true, "Sync": true, "Flush": true, "Close": true,
 }
 
 // publishShaped reports helper names that implement an atomic-publish

@@ -25,7 +25,7 @@ import (
 // false alarms). Function literals are analyzed as fresh goroutine
 // contexts. The analysis is intra-procedural — a helper that sends on
 // a channel is not traced through a call — which is exactly the
-// granularity the repo's lock helpers (begin/send) are shaped
+// granularity the repo's lock helpers (admit/send) are shaped
 // for.
 var LockedSend = &Analyzer{
 	Name: "lockedsend",

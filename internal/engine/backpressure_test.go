@@ -306,8 +306,8 @@ func TestTryIngestSurfacesPersistError(t *testing.T) {
 	if n, err := e.TryIngest(batch); n != 0 || !errors.Is(err, ErrDegraded) || !errors.Is(err, errPersistBoom) {
 		t.Fatalf("TryIngest while degraded = (%d, %v), want (0, ErrDegraded wrapping the cause)", n, err)
 	}
-	if !e.Degraded() {
-		t.Fatal("Degraded() = false after a terminal persist failure")
+	if st := e.State(); st.Phase != Degraded || !errors.Is(st.Cause, errPersistBoom) {
+		t.Fatalf("State() = %+v after a terminal persist failure, want Degraded with the cause", st)
 	}
 	if err := e.Close(); !errors.Is(err, errPersistBoom) {
 		t.Fatalf("Close = %v, want the latched persist error", err)

@@ -85,17 +85,10 @@ type Config struct {
 	// segmentlog.ShardedLog, the policy it was opened with) on the
 	// persister this often. A failed pass leaves the published data
 	// intact, so it does not poison the Sync durability barrier; it is
-	// reported by CompactErr (self-healing on the next successful pass)
-	// and by Close if still standing. Zero disables periodic
-	// compaction; CompactNow remains available.
+	// reported by State().CompactErr (self-healing on the next
+	// successful pass) and by Close if still standing. Zero disables
+	// periodic compaction; CompactNow remains available.
 	CompactInterval time.Duration
-	// PersistRetry bounds the retry loop applied to persister append
-	// failures that trajstore.TransientErr classifies as transient (I/O
-	// hiccups, timeouts, interrupted syscalls). Terminal failures — a
-	// full disk, corruption, anything unrecognized — and exhausted
-	// retries instead flip the engine into degraded mode (ErrDegraded).
-	// The zero value selects the defaults documented on RetryPolicy.
-	PersistRetry RetryPolicy
 	// MaxTrailKeys bounds the per-session key-point trail kept for
 	// persistence: a session that accumulates this many key points is
 	// chunked — the trail is persisted as a record and restarted from
@@ -109,30 +102,30 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// RetryPolicy bounds the transient-persist-failure retry loop: up to
-// Max retries per append, sleeping an exponentially growing, jittered
-// delay that starts near BaseDelay and is capped at MaxDelay. Zero
-// fields take the defaults (4 retries, 10ms base, 500ms cap); Max < 0
-// disables retrying entirely — the first failure of any kind degrades
-// the engine.
-type RetryPolicy struct {
-	Max       int
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-}
+// The transient-persist-failure retry loop (appendGeo): an append that
+// fails with a trajstore.TransientErr error is retried up to
+// persistRetries times, sleeping an exponentially growing, jittered
+// delay that starts near persistRetryBase and is capped at
+// persistRetryCap.
+const (
+	persistRetries   = 4
+	persistRetryBase = 10 * time.Millisecond
+	persistRetryCap  = 500 * time.Millisecond
+)
 
 // ErrClosed reports an operation on a closed engine.
 var ErrClosed = errors.New("engine: closed")
 
 // ErrDegraded reports that the engine is in degraded read-only mode: a
-// terminal persister failure (or one that outlived the PersistRetry
-// budget) means new fixes cannot be made durable, so Ingest/TryIngest
-// reject them while queries keep answering from the data already
-// stored. Errors carrying it (match with errors.Is) wrap the root
-// cause. Heal re-arms ingestion once the fault is cleared; trajectory
-// trails that finalized while degraded are parked in memory and
-// re-appended then, so nothing accepted before the fault is lost.
-var ErrDegraded = errors.New("engine: degraded: persistence failing, ingest suspended (queries still served; call Heal after clearing the fault)")
+// terminal persister failure (or a transient one that outlived the
+// retry loop) means new fixes cannot be made durable, so
+// Ingest/TryIngest reject them while queries keep answering from the
+// data already stored. Errors carrying it (match with errors.Is) wrap
+// the root cause. Heal — SIGHUP on a bqsd daemon — re-arms ingestion
+// once the fault is cleared; trajectory trails that finalized while
+// degraded are parked in memory and re-appended then (or by Close), so
+// nothing accepted before the fault is lost.
+var ErrDegraded = errors.New("engine: degraded: persistence failing, ingest suspended (queries still served; after clearing the fault call Heal, or send bqsd SIGHUP)")
 
 // ErrBackpressure reports that TryIngest found a shard queue full: the
 // engine is processing slower than fixes arrive (typically a persister
@@ -192,37 +185,22 @@ type Engine struct {
 	batchPool   sync.Pool // *fixBatch
 	scatterPool sync.Pool // *scatter, byShard sized to len(shards)
 
-	mu     sync.RWMutex // guards closed against Ingest/Sync racing Close
-	closed bool
-	wg     sync.WaitGroup
+	// The lifecycle (lifecycle.go). state is written only by transition
+	// and read through admit and State; inflight counts the callers admit
+	// let in — queue senders, callers inside a persister operation — for
+	// Close to wait out, and mu orders that registration against Close
+	// entering Closing, nothing else.
+	state    atomic.Pointer[State]
+	mu       sync.RWMutex
+	inflight sync.WaitGroup
+	wg       sync.WaitGroup // the shard workers and the compaction ticker
 
 	// closing is closed when Close begins: senders parked on a full
 	// shard queue select on it so a stalled shard (wedged persister,
 	// full disk) cannot wedge shutdown, and it ends the periodic
-	// compaction goroutine (counted in wg). ingestWG counts in-flight
-	// queue senders and compactWG external callers inside a persister
-	// operation (CompactNow, Heal's probe, QueryWindow's durable read),
-	// both admitted by begin: Close waits for the first before closing
-	// the shard channels and for the second before closing the backend.
-	closing   chan struct{}
-	ingestWG  sync.WaitGroup
-	compactWG sync.WaitGroup
+	// compaction goroutine.
+	closing chan struct{}
 
-	// degraded latches the composed ErrDegraded (wrapping the root
-	// cause — the first persist failure wins) once a persist failure
-	// proves terminal or exhausts the retry budget. While set,
-	// Ingest/TryIngest reject new fixes, Sync and Close report it, and
-	// shard workers park finalized trails instead of appending them.
-	// Heal clears it after a successful persister probe.
-	degraded atomic.Pointer[error]
-	// retry is cfg.PersistRetry with defaults resolved by New.
-	retry RetryPolicy
-	// compactErr holds the most recent background-compaction failure.
-	// Unlike degraded it does NOT poison Sync or ingest — a failed
-	// compaction pass leaves the published generation (and every durable
-	// record) intact, so it is no durability event. It self-heals: a
-	// later successful pass clears it. Close reports a still-standing one.
-	compactErr atomic.Pointer[error]
 	persisting bool    // cfg.Persister != nil, cached for the hot path
 	mPerDegree float64 // metres per degree for GeoKey conversion
 
@@ -282,18 +260,16 @@ type shard struct {
 	persisted atomic.Uint64
 }
 
-// shardMsg is a unit of work for a shard worker. Exactly one of the
-// fields drives an action; barrier (when non-nil) is closed once the
-// message — and everything queued before it — has been processed. batch,
-// when non-nil, holds fixes to ingest in a pooled buffer the worker
-// returns to the engine's batch pool after draining.
+// shardMsg is a unit of work for a shard worker: do (when non-nil) runs
+// on the worker, which owns the shard's sessions and parked trails;
+// batch (when non-nil) holds fixes to ingest in a pooled buffer the
+// worker returns to the engine's batch pool after draining; barrier
+// (when non-nil) is closed once the message — and everything queued
+// before it — has been processed.
 type shardMsg struct {
-	batch    *fixBatch
-	evict    bool
-	flushAll bool
-	drain    bool        // re-append parked trails (Heal)
-	tails    *tailsQuery // report the un-persisted trails in the window (QueryWindow)
-	barrier  chan struct{}
+	batch   *fixBatch
+	do      func(*shard)
+	barrier chan struct{}
 }
 
 // parkedTrail is one finalized trajectory held in memory while the
@@ -356,18 +332,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MaxTrailKeys == 0 {
 		cfg.MaxTrailKeys = 8192
 	}
-	retry := cfg.PersistRetry
-	if retry.Max == 0 {
-		retry.Max = 4
-	}
-	retry.Max = max(retry.Max, 0) // negative is the explicit opt-out: no transient retries
-	if retry.BaseDelay <= 0 {
-		retry.BaseDelay = 10 * time.Millisecond
-	}
-	if retry.MaxDelay <= 0 {
-		retry.MaxDelay = 500 * time.Millisecond
-	}
-	retry.MaxDelay = max(retry.MaxDelay, retry.BaseDelay)
 	backend, durable := cfg.Persister.(trajstore.Backend)
 	if !durable {
 		backend = trajstore.AppendOnly(cfg.Persister)
@@ -377,7 +341,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg: cfg, clock: cfg.Clock, stores: stores, backend: backend, durable: durable,
 		persisting: cfg.Persister != nil, mPerDegree: cfg.MetersPerDegree,
-		closing: make(chan struct{}), retry: retry,
+		closing: make(chan struct{}),
 	}
 	if e.clock == nil {
 		e.clock = time.Now
@@ -413,8 +377,10 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // compactLoop periodically compacts the persister until Close. A failed
-// pass is recorded in compactErr and counted — the log's published
-// generation is unaffected, so the engine keeps running.
+// pass is counted and recorded in State().CompactErr until a later pass
+// succeeds. It does NOT poison Sync or ingest: the log's published
+// generation (and every durable record) is unaffected, so the engine
+// keeps running. Close reports one still standing.
 func (e *Engine) compactLoop(every time.Duration) {
 	defer e.wg.Done()
 	t := time.NewTicker(every)
@@ -422,59 +388,31 @@ func (e *Engine) compactLoop(every time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			if err := e.backend.CompactNow(); err != nil {
+			err := e.backend.CompactNow()
+			if err != nil {
 				e.compactFails.Add(1)
-				e.compactErr.Store(&err)
-			} else {
-				e.compactErr.Store(nil)
+				err = fmt.Errorf("engine: compact: %w", err)
 			}
+			e.transition(evCompacted, err, 0)
 		case <-e.closing:
 			return
 		}
 	}
 }
 
-// CompactErr returns the most recent background-compaction failure, nil
-// after a subsequent successful pass. Compaction failures do not affect
-// durability (the published generation is untouched), so they are
-// reported here and from Close rather than poisoning the Sync barrier.
-func (e *Engine) CompactErr() error {
-	if p := e.compactErr.Load(); p != nil {
-		return fmt.Errorf("engine: compact: %w", *p)
-	}
-	return nil
-}
-
 // CompactNow runs one synchronous compaction pass on the persister; a
-// no-op when there is no persister or it is append-only. In-flight
-// passes are tracked in compactWG (see begin) so Close can wait for them
-// before closing the persister.
+// no-op when there is no persister or it is append-only. Close waits for
+// an in-flight pass before closing the persister.
 func (e *Engine) CompactNow() error {
-	if err := e.begin(&e.compactWG); err != nil {
+	if _, err := e.admit(opCall); err != nil {
 		return err
 	}
-	defer e.compactWG.Done()
+	defer e.inflight.Done()
 	err := e.backend.CompactNow()
 	if err != nil {
 		e.compactFails.Add(1)
 	}
 	return err
-}
-
-// begin admits the caller to an open engine and counts it in wg. The
-// closed check and the registration happen under the same lock Close
-// writes closed under, so Close's wg.Wait() observes every caller
-// admitted before it; the lock is NOT held while the caller then parks
-// on a shard queue or runs a minutes-long compaction — even the read
-// lock would let a pending Close writer stall every Ingest/Sync behind it.
-func (e *Engine) begin(wg *sync.WaitGroup) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	wg.Add(1)
-	return nil
 }
 
 // send enqueues msg on the shard, parking WITHOUT any engine lock when
@@ -529,14 +467,13 @@ func (e *Engine) scatterFixes(fixes []Fix) *scatter {
 // the shares not yet sent; non-blocking, a full queue drops that shard's
 // share — ErrBackpressure — and the others still go.
 func (e *Engine) dispatch(fixes []Fix, block bool) (accepted int, err error) {
-	if err := e.begin(&e.ingestWG); err != nil {
+	if _, err := e.admit(opIngest); err != nil {
+		if errors.Is(err, ErrDegraded) {
+			e.rejected.Add(uint64(len(fixes)))
+		}
 		return 0, err
 	}
-	defer e.ingestWG.Done()
-	if derr := e.degradedErr(); derr != nil {
-		e.rejected.Add(uint64(len(fixes)))
-		return 0, derr
-	}
+	defer e.inflight.Done()
 	sc := e.scatterFixes(fixes)
 	for i, b := range sc.byShard {
 		if b == nil {
@@ -605,22 +542,21 @@ func (e *Engine) IngestOne(device string, p core.Point) error {
 	return e.Ingest([]Fix{{Device: device, Point: p}})
 }
 
-// barrier sends msg to every shard with a fresh barrier channel and
-// waits until all shards have drained up to it. Like Ingest, the engine
-// lock is not held across the queue sends, and both the sends and the
-// waits abort with ErrClosed when Close begins — barriers already
-// enqueued are still honoured by the workers' shutdown drain, so
-// abandoning the wait leaks nothing.
-func (e *Engine) barrier(msg shardMsg) error {
-	if err := e.begin(&e.ingestWG); err != nil {
+// barrier has every shard worker run do (nil: nothing) in queue order
+// and waits until all of them have. Like Ingest, the engine lock is not
+// held across the queue sends, and both the sends and the waits abort
+// with ErrClosed when Close begins — barriers already enqueued are still
+// honoured by the workers' shutdown drain, so abandoning the wait leaks
+// nothing.
+func (e *Engine) barrier(do func(*shard)) error {
+	if _, err := e.admit(opCall); err != nil {
 		return err
 	}
-	defer e.ingestWG.Done()
+	defer e.inflight.Done()
 	waits := make([]chan struct{}, 0, len(e.shards))
 	var err error
 	for _, sh := range e.shards {
-		m := msg
-		m.barrier = make(chan struct{})
+		m := shardMsg{do: do, barrier: make(chan struct{})}
 		if err = e.send(sh, m); err != nil {
 			break
 		}
@@ -639,12 +575,16 @@ func (e *Engine) barrier(msg shardMsg) error {
 // Sync blocks until every fix ingested before the call has been fully
 // processed (compressed and stored). With a Persister configured it is
 // also the durability barrier: every trajectory finalized before the
-// call is on disk when Sync returns. A degraded engine reports the
-// cause: the returned error matches ErrDegraded and wraps the persist
-// failure that triggered it. Useful before reading Stats or the stores
-// in tests and benchmarks.
+// call is on disk when Sync returns. It returns nil only if the engine
+// was Healthy — the same Healthy period — before the barrier and after
+// the fsync; Healthy means no trail is parked, so nothing the barrier
+// passed over was still in memory. A degraded engine reports the cause:
+// the returned error matches ErrDegraded and wraps the persist failure
+// that triggered it. Useful before reading Stats or the stores in tests
+// and benchmarks.
 func (e *Engine) Sync() error {
-	if err := e.barrier(shardMsg{}); err != nil {
+	before := e.State()
+	if err := e.barrier(nil); err != nil {
 		return err
 	}
 	syncErr := e.backend.Sync()
@@ -652,73 +592,56 @@ func (e *Engine) Sync() error {
 		e.persistFails.Add(1)
 		syncErr = fmt.Errorf("engine: persister sync: %w", syncErr)
 		// A terminal failure at the durability barrier means acked
-		// fixes cannot be made durable: latch degraded so clients stop
+		// fixes cannot be made durable: degrade so clients stop
 		// streaming into a backend that can only lose their data. A
 		// transient hiccup just reports — the log's own salvage already
 		// absorbed anything it could, and the next barrier retries.
 		if !trajstore.TransientErr(syncErr) {
-			e.enterDegraded(syncErr)
+			e.transition(evFail, syncErr, 0)
 		}
 	}
-	if derr := e.degradedErr(); derr != nil {
-		return errors.Join(derr, syncErr)
+	after, err := e.admit(opSync)
+	if err == nil && after.gen != before.gen {
+		err = fmt.Errorf("%w: healed while this barrier was in flight, so it may have passed trails that were still parked; sync again", ErrDegraded)
 	}
-	return syncErr
+	return errors.Join(err, syncErr)
 }
-
-// enterDegraded latches degraded mode with its root cause; the first
-// failure wins.
-func (e *Engine) enterDegraded(cause error) {
-	derr := fmt.Errorf("%w: %w", ErrDegraded, cause)
-	e.degraded.CompareAndSwap(nil, &derr)
-}
-
-// degradedErr returns the latched degraded error (matching ErrDegraded
-// and wrapping the root cause), nil when the engine is healthy.
-func (e *Engine) degradedErr() error {
-	if p := e.degraded.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// Degraded reports whether the engine is in degraded read-only mode.
-func (e *Engine) Degraded() bool { return e.degraded.Load() != nil }
 
 // Heal attempts to bring a degraded engine back to full service once
 // the underlying fault is believed cleared (space freed, device back).
 // It probes the persister with a durability barrier — a poisoned
 // segment log salvages itself into a fresh file here — and, only if the
-// probe succeeds, clears the degraded latch and re-appends the trails
-// parked while degraded, preserving per-device order. A probe failure
+// probe succeeds, has every shard worker re-append the trails parked
+// while degraded, preserving per-device order; the engine is Healthy,
+// and ingest admitted again, once all of them have. A probe failure
 // leaves the engine degraded and reports why; a failure while
-// re-appending parked trails re-enters degraded mode with the new
-// cause. Heal is safe to call on a healthy engine (a cheap no-op) and
-// concurrently with ingest and queries.
+// re-appending parked trails degrades it again with the new cause. Heal
+// is safe to call on a healthy engine (a cheap no-op) and concurrently
+// with ingest and queries; a second Heal while one is draining is
+// refused like ingest is.
 func (e *Engine) Heal() error {
-	if err := e.begin(&e.compactWG); err != nil { // holds the backend's Close off the probe
+	if _, err := e.admit(opCall); err != nil {
 		return err
 	}
-	probeErr := e.backend.Sync()
-	e.compactWG.Done()
-	if probeErr != nil {
-		return fmt.Errorf("engine: heal: persister still failing: %w", probeErr)
+	defer e.inflight.Done() // holds the backend's Close off the probe
+	if err := e.backend.Sync(); err != nil {
+		return fmt.Errorf("engine: heal: persister still failing: %w", err)
 	}
-	if e.degraded.Load() == nil {
-		return nil
+	if healing, ok := e.transition(evHeal, nil, 0); ok {
+		if err := e.barrier((*shard).drainParked); err != nil {
+			return err
+		}
+		e.transition(evHealed, nil, healing.gen)
 	}
-	e.degraded.Store(nil)
-	if err := e.barrier(shardMsg{drain: true}); err != nil {
-		return err
-	}
-	return e.degradedErr()
+	_, err := e.admit(opSync)
+	return err
 }
 
 // EvictIdle forces an idle-eviction sweep on every shard now, regardless
 // of the automatic eviction ticker, and waits for it to complete.
 // Sessions idle for at least IdleTimeout are flushed and closed; with
 // IdleTimeout 0 the sweep is a no-op.
-func (e *Engine) EvictIdle() error { return e.barrier(shardMsg{evict: true}) }
+func (e *Engine) EvictIdle() error { return e.barrier((*shard).evictIdle) }
 
 // FlushSessions finalizes every open session now — emitting each
 // compressor's pending tail key points and, with a Persister
@@ -727,7 +650,7 @@ func (e *Engine) EvictIdle() error { return e.barrier(shardMsg{evict: true}) }
 // compression restarts). Combined with Sync this makes everything
 // ingested before the call durable and queryable from the log; the
 // server's drain and its flush-and-sync frame are built on it.
-func (e *Engine) FlushSessions() error { return e.barrier(shardMsg{flushAll: true}) }
+func (e *Engine) FlushSessions() error { return e.barrier((*shard).closeAll) }
 
 // QueueStats is a point-in-time snapshot of the per-shard ingest queue
 // occupancy, in batches. A shard pinned at Cap is applying
@@ -762,12 +685,11 @@ func (e *Engine) QueueStats() QueueStats {
 
 // Stats returns a merged snapshot of engine activity. Counters are read
 // atomically but not mutually consistent; call Sync first for a quiescent
-// reading. Unlike the mutating entry points, Stats deliberately skips
-// the closed check: every source it reads is safe after Close (shard
-// atomics and the in-memory stores; the backend's cache and reclaim
-// counters are simply not consulted once Close has begun), so a
-// monitoring scrape racing shutdown gets a coherent final snapshot
-// instead of an error.
+// reading. Unlike the mutating entry points, Stats never refuses: every
+// source it reads is safe after Close (shard atomics and the in-memory
+// stores; the backend's cache and reclaim counters are simply not
+// consulted once Close has begun), so a monitoring scrape racing
+// shutdown gets a coherent final snapshot instead of an error.
 func (e *Engine) Stats() Stats {
 	s := Stats{Store: e.stores.MergedStats()}
 	for _, sh := range e.shards {
@@ -782,12 +704,10 @@ func (e *Engine) Stats() Stats {
 	s.Rejected = e.rejected.Load()
 	s.PersistFailures = e.persistFails.Load()
 	s.CompactFailures = e.compactFails.Load()
-	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
-	if !closed {
+	if _, err := e.admit(opCall); err == nil {
 		s.CompactReclaim = e.backend.ReclaimedBytes()
 		s.Cache = e.backend.CacheStats()
+		e.inflight.Done()
 	}
 	return s
 }
@@ -798,34 +718,52 @@ func (e *Engine) Stores() *trajstore.Sharded { return e.stores }
 
 // Close flushes every open session (emitting final key points and
 // persisting the finalized trajectories when a Persister is configured),
-// stops the workers, waits for them, and closes the persister. Further
-// Ingest/Sync calls return ErrClosed; Close is idempotent.
+// stops the workers, waits for them, and closes the persister. A worker
+// that still holds parked trails — the engine was degraded, or the final
+// flush failed — makes one last, non-retrying attempt to re-append them
+// as it exits (see run); if some remain, an error matching ErrDegraded
+// and wrapping the root cause says how much was dropped, and nothing was
+// lost if Close returns nil. Further Ingest/Sync calls return ErrClosed;
+// Close is idempotent.
 func (e *Engine) Close() error {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	_, ok := e.transition(evClose, nil, 0)
+	if ok {
+		close(e.closing) // aborts senders parked on full shard queues, ends compactLoop
+	}
+	e.mu.Unlock()
+	if !ok {
 		return nil
 	}
-	e.closed = true
-	close(e.closing) // aborts senders parked on full shard queues, ends compactLoop
-	e.mu.Unlock()
-	// Every sender registered before closed was set is in ingestWG and
-	// either completes its sends or aborts on closing, so after Wait the
-	// shard channels have no writers and closing them is safe.
-	e.ingestWG.Wait()
+	// Every caller admitted before Closing is in inflight: a sender either
+	// completes its sends or aborts on closing, so after Wait the shard
+	// channels have no writers and closing them is safe, and nobody is
+	// inside the backend (a CompactNow pass, a query) when it is closed.
+	e.inflight.Wait()
 	for _, sh := range e.shards {
 		close(sh.in)
 	}
 	e.wg.Wait()
-	e.compactWG.Wait() // external CompactNow callers still in flight
-	// Join the persister's close error with a standing degraded cause:
-	// a failed close must not mask the (often root-cause) append error
-	// latched earlier, and vice versa.
+	// Join the persister's close error with the loss report: a failed
+	// close must not mask the (often root-cause) append error latched
+	// earlier, and vice versa.
 	closeErr := e.backend.Close()
 	if closeErr != nil {
 		closeErr = fmt.Errorf("engine: persister close: %w", closeErr)
 	}
-	return errors.Join(closeErr, e.degradedErr(), e.CompactErr())
+	st, _ := e.transition(evClosed, nil, 0)
+	var trails, keys int
+	for _, sh := range e.shards {
+		trails += len(sh.parked)
+		for _, p := range sh.parked {
+			keys += len(p.keys)
+		}
+	}
+	var lost error
+	if trails > 0 {
+		lost = fmt.Errorf("%w; still failing at close: dropped %d parked trails (%d key points)", st.degradedErr(), trails, keys)
+	}
+	return errors.Join(closeErr, lost, st.CompactErr)
 }
 
 // run is the shard worker loop: single-goroutine ownership of the
@@ -843,19 +781,15 @@ func (sh *shard) run() {
 		case msg, ok := <-sh.in:
 			if !ok {
 				sh.closeAll()
+				// The closing edge's rule: one last attempt at what is
+				// still parked, stopping at the first failure and without
+				// retrying (closing is closed, so appendGeo does not back
+				// off). Close reports what stays behind.
+				sh.drainParked()
 				return
 			}
-			if msg.evict {
-				sh.evictIdle()
-			}
-			if msg.drain {
-				sh.drainParked()
-			}
-			if msg.flushAll {
-				sh.closeAll()
-			}
-			if msg.tails != nil {
-				sh.tails(msg.tails)
+			if msg.do != nil {
+				msg.do(sh)
 			}
 			if msg.batch != nil {
 				sh.ingestBatch(msg.batch.fixes)
@@ -970,20 +904,21 @@ func (sh *shard) persistTrail(device string, s *session, final bool) {
 // retries) flips the engine into degraded mode and parks the trajectory
 // on the shard, so data the engine already accepted survives the outage
 // in memory and is re-appended — in order — when Heal succeeds. While
-// anything is parked (or the engine is degraded) new trails join the
-// park queue rather than jumping it: a device's chunked records must
-// reach the log in trail order.
+// anything is parked (or the lifecycle refuses the append) new trails
+// join the park queue rather than jumping it: a device's chunked
+// records must reach the log in trail order. The failure is recorded
+// before the trail is parked, so nothing is ever parked while Healthy.
 func (sh *shard) persistGeo(device string, geo []trajstore.GeoKey) {
-	if len(sh.parked) > 0 || sh.eng.degraded.Load() != nil {
-		sh.park(device, geo)
-		return
+	if len(sh.parked) == 0 {
+		if _, err := sh.eng.admit(opPersist); err == nil {
+			if err = sh.appendGeo(device, geo); err == nil {
+				sh.persisted.Add(1)
+				return
+			}
+			sh.eng.transition(evFail, err, 0)
+		}
 	}
-	if err := sh.appendGeo(device, geo); err != nil {
-		sh.eng.enterDegraded(err)
-		sh.park(device, geo)
-		return
-	}
-	sh.persisted.Add(1)
+	sh.park(device, geo)
 }
 
 // park retains a finalized trajectory in memory for re-append after
@@ -995,13 +930,13 @@ func (sh *shard) park(device string, geo []trajstore.GeoKey) {
 }
 
 // drainParked re-appends the trails parked while degraded, oldest
-// first. A failure re-enters degraded mode (keeping the remainder
+// first. A failure degrades the engine again (keeping the remainder
 // parked) so a premature Heal downgrades gracefully.
 func (sh *shard) drainParked() {
 	for len(sh.parked) > 0 {
 		p := sh.parked[0]
 		if err := sh.appendGeo(p.device, p.keys); err != nil {
-			sh.eng.enterDegraded(err)
+			sh.eng.transition(evFail, err, 0)
 			return
 		}
 		sh.parked[0] = parkedTrail{} // release the drained trail's memory
@@ -1014,8 +949,8 @@ func (sh *shard) drainParked() {
 
 // appendGeo is one persister append wrapped in the transient-failure
 // retry loop: trajstore.TransientErr failures are retried up to
-// retry.Max times behind capped exponential backoff with jitter, and
-// the sleep aborts when Close begins. Terminal failures return
+// persistRetries times behind capped exponential backoff with jitter,
+// and the sleep aborts when Close begins. Terminal failures return
 // immediately. Blocking briefly here is fine — the worker owns its
 // queue, so backpressure propagates naturally to senders.
 func (sh *shard) appendGeo(device string, geo []trajstore.GeoKey) error {
@@ -1025,11 +960,11 @@ func (sh *shard) appendGeo(device string, geo []trajstore.GeoKey) error {
 		if err != nil {
 			e.persistFails.Add(1)
 		}
-		if err == nil || attempt >= e.retry.Max || !trajstore.TransientErr(err) {
+		if err == nil || attempt >= persistRetries || !trajstore.TransientErr(err) {
 			return err
 		}
 		select {
-		case <-time.After(e.retry.backoff(attempt)):
+		case <-time.After(backoff(attempt)):
 		case <-e.closing:
 			return err
 		}
@@ -1037,18 +972,11 @@ func (sh *shard) appendGeo(device string, geo []trajstore.GeoKey) error {
 }
 
 // backoff computes the sleep before retry attempt+1: an exponentially
-// grown base capped at MaxDelay, with the upper half jittered so
+// grown base capped at persistRetryCap, with the upper half jittered so
 // retries across shard workers decorrelate.
-func (r RetryPolicy) backoff(attempt int) time.Duration {
-	d := r.BaseDelay
-	for i := 0; i < attempt && d < r.MaxDelay; i++ {
-		d *= 2
-	}
-	d = min(d, r.MaxDelay)
-	if half := int64(d / 2); half > 0 {
-		d = d/2 + time.Duration(rand.Int63n(half+1))
-	}
-	return d
+func backoff(attempt int) time.Duration {
+	half := min(persistRetryBase<<attempt, persistRetryCap) / 2
+	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
 // closeSession flushes the session's compressor, emits the tail key

@@ -400,11 +400,11 @@ func TestEngineCompactInterval(t *testing.T) {
 	}
 
 	p.fail.Store(true)
-	for e.CompactErr() == nil && time.Now().Before(deadline) {
+	for e.State().CompactErr == nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if err := e.CompactErr(); !errors.Is(err, errCompactBoom) {
-		t.Fatalf("CompactErr = %v, want the compaction failure", err)
+	if err := e.State().CompactErr; !errors.Is(err, errCompactBoom) {
+		t.Fatalf("State().CompactErr = %v, want the compaction failure", err)
 	}
 	// A compaction failure is NOT a durability event: Sync stays clean.
 	if err := e.Sync(); err != nil {
@@ -412,15 +412,15 @@ func TestEngineCompactInterval(t *testing.T) {
 	}
 	// It self-heals once a pass succeeds again...
 	p.fail.Store(false)
-	for e.CompactErr() != nil && time.Now().Before(deadline) {
+	for e.State().CompactErr != nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if err := e.CompactErr(); err != nil {
-		t.Fatalf("CompactErr did not clear after a successful pass: %v", err)
+	if err := e.State().CompactErr; err != nil {
+		t.Fatalf("State().CompactErr did not clear after a successful pass: %v", err)
 	}
 	// ...and a still-standing one is reported by Close.
 	p.fail.Store(true)
-	for e.CompactErr() == nil && time.Now().Before(deadline) {
+	for e.State().CompactErr == nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if err := e.Close(); !errors.Is(err, errCompactBoom) {

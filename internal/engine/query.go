@@ -140,18 +140,18 @@ func (sh *shard) tails(q *tailsQuery) {
 // (wrapping the underlying failure) and the returned slice holds the
 // live-side answer only — a documented partial view, not a silent one.
 func (e *Engine) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]trajstore.Segment, error) {
-	// Like CompactNow/Heal: Close waits on compactWG before closing the
-	// backend, so an admitted query can never race the persister's
-	// teardown and report a spurious partial result against itself.
-	if err := e.begin(&e.compactWG); err != nil {
+	// Like CompactNow/Heal: Close waits for the admitted before closing
+	// the backend, so a query can never race the persister's teardown
+	// and report a spurious partial result against itself.
+	if _, err := e.admit(opCall); err != nil {
 		return nil, err
 	}
-	defer e.compactWG.Done()
+	defer e.inflight.Done()
 
 	q := tailsQuery{minX: minX, minY: minY, maxX: maxX, maxY: maxY, t0: float64(t0), t1: float64(t1)}
 	if !e.durable {
 		q.out = e.stores.QueryWindow(minX, minY, maxX, maxY, q.t0, q.t1)
-	} else if err := e.barrier(shardMsg{tails: &q}); err != nil {
+	} else if err := e.barrier(func(sh *shard) { sh.tails(&q) }); err != nil {
 		return nil, err
 	}
 	out, m := q.out, e.mPerDegree

@@ -148,6 +148,23 @@ func (f *flakyLog) Sync() error {
 // ShardPersister keeps the shard workers' appends on the failing path.
 func (f *flakyLog) ShardPersister(int) trajstore.Persister { return f }
 
+// faultFleet is four devices' 300-fix walks, split in time: the halves
+// the degraded-mode tests ingest before and after the fault.
+func faultFleet(seed int64) (healthy, faulty []Fix) {
+	rng := rand.New(rand.NewSource(seed))
+	for d := 0; d < 4; d++ {
+		for i, p := range gridWalk(d, 300, rng) {
+			f := Fix{Device: fmt.Sprintf("dev-%d", d), Point: p}
+			if i < 150 {
+				healthy = append(healthy, f)
+			} else {
+				faulty = append(faulty, f)
+			}
+		}
+	}
+	return healthy, faulty
+}
+
 // TestQueryWindowParkedTrailsUntilHeal: trails a failing persister
 // refused are parked in memory, and QueryWindow keeps reporting them —
 // next to the chunks that reached the log before the fault — until Heal
@@ -161,20 +178,8 @@ func TestQueryWindowParkedTrailsUntilHeal(t *testing.T) {
 	fl := &flakyLog{ShardedLog: lg}
 	cfg := Config{
 		Compressor: "fbqs", Tolerance: 5, Shards: 2, MaxTrailKeys: 7,
-		PersistRetry: RetryPolicy{Max: -1},
 	}
-	rng := rand.New(rand.NewSource(9))
-	var healthy, faulty []Fix
-	for d := 0; d < 4; d++ {
-		for i, p := range gridWalk(d, 300, rng) {
-			f := Fix{Device: fmt.Sprintf("dev-%d", d), Point: p}
-			if i < 150 {
-				healthy = append(healthy, f)
-			} else {
-				faulty = append(faulty, f)
-			}
-		}
-	}
+	healthy, faulty := faultFleet(9)
 	ref := reference(t, cfg, append(append([]Fix(nil), healthy...), faulty...))
 	cfg.Persister = fl
 	e, err := New(cfg)
@@ -235,6 +240,90 @@ func TestQueryWindowParkedTrailsUntilHeal(t *testing.T) {
 	}
 	if err := ref.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseDrainsParkedTrails: an engine closed while degraded does not
+// walk away from the trails it parked. With the fault cleared, Close's
+// last drain writes every one of them out — the reopened log holds
+// exactly what a persister-less twin compressed — and Close returns nil;
+// with the fault standing, Close says how much it had to drop, in an
+// error matching ErrDegraded that wraps the root cause.
+func TestCloseDrainsParkedTrails(t *testing.T) {
+	const m = 1e5
+	for _, cleared := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cleared=%v", cleared), func(t *testing.T) {
+			dir := t.TempDir()
+			lg, err := segmentlog.OpenSharded(dir, 2, segmentlog.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl := &flakyLog{ShardedLog: lg}
+			cfg := Config{Compressor: "fbqs", Tolerance: 5, Shards: 2, MaxTrailKeys: 7}
+			healthy, faulty := faultFleet(11)
+			cfg.Persister = fl
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Ingest(healthy); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			logged := e.Stats().Persisted
+			if logged == 0 {
+				t.Fatal("no chunk reached the log before the fault")
+			}
+			ref := reference(t, cfg, healthy)
+			fl.fail.Store(true)
+			for _, x := range []*Engine{e, ref} {
+				if err := x.Ingest(faulty); err != nil { // acked: the fault shows only when a trail is appended
+					t.Fatal(err)
+				}
+				if err := x.FlushSessions(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := e.Stats()
+			if st.ParkedTrails == 0 || e.State().Phase != Degraded {
+				t.Fatalf("expected a degraded engine with parked trails: %+v, %+v", e.State(), st)
+			}
+			want := pairSet(ref.Stores().QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, 1<<31), m)
+			if err := ref.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			fl.fail.Store(!cleared)
+			err = e.Close()
+			if cleared {
+				if err != nil {
+					t.Fatalf("Close with the fault cleared = %v", err)
+				}
+			} else {
+				if !errors.Is(err, ErrDegraded) || !errors.Is(err, errDiskGone) {
+					t.Fatalf("Close with the fault standing = %v, want ErrDegraded wrapping the cause", err)
+				}
+				if trails, keys := lossReport(t, err); uint64(trails) != st.ParkedTrails || keys < 2*trails {
+					t.Fatalf("Close = %v, want %d parked trails reported dropped", err, st.ParkedTrails)
+				}
+			}
+			re, err := segmentlog.OpenSharded(dir, 0, segmentlog.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			got := durablePairSet(t, re, -1e6, -1e6, 1e6, 1e6, 0, 1<<31, m)
+			extra, missing := diffSets(got, want)
+			if extra != 0 || cleared && missing != 0 {
+				t.Fatalf("reopened log: %d extra, %d missing of the %d pairs acked", extra, missing, len(want))
+			}
+			// Whatever was dropped, what reached the log before the fault stays.
+			if n := re.Stats().Records; !cleared && n != int(logged) {
+				t.Fatalf("reopened log holds %d records, %d were logged before the fault", n, logged)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,8 @@ package server
 import (
 	"errors"
 	"math"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/engine"
@@ -22,9 +24,99 @@ import (
 // resumes ingest — and the fixes acked while the disk was sick (parked
 // in memory meanwhile) drain to disk, so no acked data is lost.
 func TestDegradedModeEndToEnd(t *testing.T) {
-	fs := vfs.NewFaultFS(7)
+	srv, c, fs, _, trackA, trackB := degradedFleet(t)
+	// Phase 3: the operator clears the fault and heals. The engine
+	// re-probes its persister (salvaging the poisoned segment), drains
+	// the trails parked while degraded, and resumes taking fixes.
+	fs.ClearRules()
+	if healed, err := srv.Heal(); err != nil || len(healed) != 1 || healed[0] != "fleet" {
+		t.Fatalf("Heal after clearing the fault = %v, %v; want the fleet tenant healed", healed, err)
+	}
+	trackD := track(3, 40)
+	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "dev-d", Keys: trackD}}, 20); err != nil {
+		t.Fatalf("IngestAll after heal: %v", err)
+	}
+	if err := c.Sync(true); err != nil {
+		t.Fatalf("Sync after heal: %v", err)
+	}
+
+	// No lost acked fixes: every batch that was acked — including batch
+	// B, acked while the disk was failing — is durable in full.
+	coverage(t, c, "dev-a", trackA, "healed")
+	coverage(t, c, "dev-b", trackB, "healed")
+	coverage(t, c, "dev-d", trackD, "healed")
+}
+
+// TestHealNoop: Heal on a healthy server (and on one with no tenants
+// opened yet) is a no-op; on a shut-down server it reports closure.
+func TestHealNoop(t *testing.T) {
+	srv, addr := startServer(t, Config{Dir: t.TempDir(), Engine: engine.Config{Tolerance: 2}})
+	if healed, err := srv.Heal(); err != nil || len(healed) != 0 {
+		t.Fatalf("Heal with no tenants = %v, %v", healed, err)
+	}
+	c, err := Dial(addr, "fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "dev", Keys: track(0, 8)}}, 20); err != nil {
+		t.Fatal(err)
+	}
+	if healed, err := srv.Heal(); err != nil || len(healed) != 0 {
+		t.Fatalf("Heal on a healthy tenant = %v, %v", healed, err)
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Heal(); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Heal after Shutdown = %v, want ErrServerClosed", err)
+	}
+}
+
+// coverage asserts over the wire that a device's durable records span
+// exactly the acked track.
+func coverage(t *testing.T, c *Client, dev string, keys []trajstore.GeoKey, ctx string) {
+	t.Helper()
+	recs, err := c.QueryTime(dev, 0, math.MaxUint32)
+	if err != nil {
+		t.Fatalf("%s: query %s: %v", ctx, dev, err)
+	}
+	covers(t, recs, dev, keys, ctx)
+}
+
+// covers asserts records span exactly the acked track: first fix time
+// through last fix time.
+func covers(t *testing.T, recs []trajstore.PersistedRecord, dev string, keys []trajstore.GeoKey, ctx string) {
+	t.Helper()
+	if len(recs) == 0 {
+		t.Fatalf("%s: %s has no durable records — acked fixes lost", ctx, dev)
+	}
+	lo, hi := recs[0].T0, recs[0].T1
+	for _, r := range recs[1:] {
+		if r.T0 < lo {
+			lo = r.T0
+		}
+		if r.T1 > hi {
+			hi = r.T1
+		}
+	}
+	if lo != keys[0].T || hi != keys[len(keys)-1].T {
+		t.Fatalf("%s: %s durable span [%d,%d], want [%d,%d]",
+			ctx, dev, lo, hi, keys[0].T, keys[len(keys)-1].T)
+	}
+}
+
+// degradedFleet starts a server over a fault-injected disk and drives
+// its "fleet" tenant into degraded mode: track A lands durably, then the
+// disk "fills" (sustained ENOSPC), track B is acked into memory, and the
+// next flush barrier parks its trail and degrades the engine. The
+// degraded contract is checked on the way: acks carry the flag,
+// IngestAll stops resending, queries keep answering.
+func degradedFleet(t *testing.T) (srv *Server, c *Client, fs *vfs.FaultFS, dir string, trackA, trackB []trajstore.GeoKey) {
+	t.Helper()
+	fs, dir = vfs.NewFaultFS(7), t.TempDir()
 	srv, addr := startServer(t, Config{
-		Dir:    t.TempDir(),
+		Dir:    dir,
 		Engine: engine.Config{Tolerance: 2, Shards: 1, MaxTrailKeys: 16},
 		Log:    segmentlog.Options{FS: fs},
 	})
@@ -32,43 +124,17 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer c.Close()
-
-	// coverage asserts the device's durable records span exactly the
-	// acked track: first fix time through last fix time.
-	coverage := func(dev string, keys []trajstore.GeoKey, ctx string) {
-		t.Helper()
-		recs, err := c.QueryTime(dev, 0, math.MaxUint32)
-		if err != nil {
-			t.Fatalf("%s: query %s: %v", ctx, dev, err)
-		}
-		if len(recs) == 0 {
-			t.Fatalf("%s: %s has no durable records — acked fixes lost", ctx, dev)
-		}
-		lo, hi := recs[0].T0, recs[0].T1
-		for _, r := range recs[1:] {
-			if r.T0 < lo {
-				lo = r.T0
-			}
-			if r.T1 > hi {
-				hi = r.T1
-			}
-		}
-		if lo != keys[0].T || hi != keys[len(keys)-1].T {
-			t.Fatalf("%s: %s durable span [%d,%d], want [%d,%d]",
-				ctx, dev, lo, hi, keys[0].T, keys[len(keys)-1].T)
-		}
-	}
+	t.Cleanup(func() { c.Close() })
 
 	// Phase 1: healthy ingest, made durable by a flush barrier.
-	trackA := track(0, 40)
+	trackA = track(0, 40)
 	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "dev-a", Keys: trackA}}, 20); err != nil {
 		t.Fatalf("healthy IngestAll: %v", err)
 	}
 	if err := c.Sync(true); err != nil {
 		t.Fatalf("healthy Sync: %v", err)
 	}
-	coverage("dev-a", trackA, "healthy phase")
+	coverage(t, c, "dev-a", trackA, "healthy phase")
 
 	// Phase 2: the disk fills. Batch B is small enough (< MaxTrailKeys
 	// key points) to be accepted entirely into the in-memory session —
@@ -77,7 +143,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	// terminal, so the engine parks the trail and latches degraded.
 	fs.AddRule(vfs.Rule{Op: vfs.OpWrite, Fault: vfs.FaultENOSPC})
 	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Fault: vfs.FaultENOSPC})
-	trackB := track(1, 10)
+	trackB = track(1, 10)
 	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "dev-b", Keys: trackB}}, 20); err != nil {
 		t.Fatalf("IngestAll into memory with sick disk: %v", err)
 	}
@@ -100,55 +166,37 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	}
 
 	// Queries still answer from the durable generation.
-	coverage("dev-a", trackA, "degraded phase")
+	coverage(t, c, "dev-a", trackA, "degraded phase")
 	if recs, err := c.QueryWindow(-1, -1, 2, 2, 0, math.MaxUint32); err != nil || len(recs) == 0 {
 		t.Fatalf("window query while degraded: %d records, err %v", len(recs), err)
 	}
-
-	// Phase 3: the operator clears the fault and heals. The engine
-	// re-probes its persister (salvaging the poisoned segment), drains
-	// the trails parked while degraded, and resumes taking fixes.
-	fs.ClearRules()
-	if err := srv.Heal(); err != nil {
-		t.Fatalf("Heal after clearing the fault: %v", err)
-	}
-	trackD := track(3, 40)
-	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "dev-d", Keys: trackD}}, 20); err != nil {
-		t.Fatalf("IngestAll after heal: %v", err)
-	}
-	if err := c.Sync(true); err != nil {
-		t.Fatalf("Sync after heal: %v", err)
-	}
-
-	// No lost acked fixes: every batch that was acked — including batch
-	// B, acked while the disk was failing — is durable in full.
-	coverage("dev-a", trackA, "healed")
-	coverage("dev-b", trackB, "healed")
-	coverage("dev-d", trackD, "healed")
+	return srv, c, fs, dir, trackA, trackB
 }
 
-// TestHealNoop: Heal on a healthy server (and on one with no tenants
-// opened yet) is a no-op; on a shut-down server it reports closure.
-func TestHealNoop(t *testing.T) {
-	srv, addr := startServer(t, Config{Dir: t.TempDir(), Engine: engine.Config{Tolerance: 2}})
-	if err := srv.Heal(); err != nil {
-		t.Fatalf("Heal with no tenants: %v", err)
+// TestShutdownDrainsParkedTrails is the restart path an operator takes
+// when no one sent SIGHUP: the fault is cleared, the tenant is still
+// degraded, the daemon is told to drain. The engine's Close writes the
+// parked trails out itself, so the reopened directory holds every acked
+// fix — including the batch acked while the disk was failing.
+func TestShutdownDrainsParkedTrails(t *testing.T) {
+	srv, c, fs, dir, trackA, trackB := degradedFleet(t)
+	fs.ClearRules()
+	c.Close()
+	// Shutdown's own Sync still reports the degraded engine — no Heal ran —
+	// but Close must have nothing to report dropped.
+	if err := srv.Shutdown(); err != nil && (!errors.Is(err, engine.ErrDegraded) || strings.Contains(err.Error(), "dropped")) {
+		t.Fatalf("Shutdown with the fault cleared = %v", err)
 	}
-	c, err := Dial(addr, "fleet")
+	lg, err := segmentlog.OpenSharded(filepath.Join(dir, "fleet"), 0, segmentlog.Options{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reopen: %v", err)
 	}
-	defer c.Close()
-	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "dev", Keys: track(0, 8)}}, 20); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Heal(); err != nil {
-		t.Fatalf("Heal on a healthy tenant: %v", err)
-	}
-	if err := srv.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Heal(); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("Heal after Shutdown = %v, want ErrServerClosed", err)
+	defer lg.Close()
+	for dev, keys := range map[string][]trajstore.GeoKey{"dev-a": trackA, "dev-b": trackB} {
+		recs, err := lg.Query(dev, 0, math.MaxUint32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		covers(t, recs, dev, keys, "reopened after Shutdown")
 	}
 }

@@ -10,7 +10,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 
 	"github.com/trajcomp/bqs/internal/engine"
@@ -27,26 +26,16 @@ type tenantMetrics struct {
 }
 
 // snapshotMetrics collects a scrape-time snapshot of every open
-// tenant, sorted by name. Tenants still opening (or whose open failed)
-// are skipped — they have no counters yet.
+// tenant, sorted by name.
 func (s *Server) snapshotMetrics() []tenantMetrics {
-	s.mu.Lock()
-	ts := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		ts = append(ts, t)
-	}
-	s.mu.Unlock()
-	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
+	ts := s.openTenants()
 	out := make([]tenantMetrics, 0, len(ts))
 	for _, t := range ts {
-		if t.eng == nil {
-			continue
-		}
 		out = append(out, tenantMetrics{
 			name:     t.name,
 			eng:      t.eng.Stats(),
 			queue:    t.eng.QueueStats(),
-			degraded: t.eng.Degraded(),
+			degraded: t.eng.State().Cause != nil,
 			log:      t.log.Stats(),
 		})
 	}

@@ -258,19 +258,8 @@ func (s *Server) Shutdown() error {
 		<-done
 	}
 
-	// Tenants close in name order for deterministic error joining.
-	s.mu.Lock()
-	ts := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		ts = append(ts, t)
-	}
-	s.mu.Unlock()
-	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
 	var errs []error
-	for _, t := range ts {
-		if t.eng == nil {
-			continue
-		}
+	for _, t := range s.openTenants() {
 		fail := func(op string, err error) {
 			if err != nil {
 				errs = append(errs, fmt.Errorf("tenant %q: %s: %w", t.name, op, err))
@@ -284,35 +273,47 @@ func (s *Server) Shutdown() error {
 	return errors.Join(errs...)
 }
 
-// Heal re-arms ingestion on every open tenant whose engine latched
-// degraded mode (see engine.Heal): the operator clears the underlying
-// fault — frees disk space, remounts the volume — then calls Heal, and
+// Heal re-arms ingestion on every open tenant whose engine is degraded
+// (see engine.Heal): the operator clears the underlying fault — frees
+// disk space, remounts the volume — then calls Heal (bqsd: SIGHUP), and
 // each engine re-probes its persister, drains the trajectories parked
 // while degraded, and resumes accepting fixes. Tenants that were never
-// degraded are no-ops. Per-tenant failures are joined; a tenant whose
-// persister still fails stays degraded and can be healed again later.
-func (s *Server) Heal() error {
+// degraded are no-ops; healed names the ones that were and no longer
+// are. Per-tenant failures are joined; a tenant whose persister still
+// fails stays degraded and can be healed again later.
+func (s *Server) Heal() (healed []string, err error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrServerClosed
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return nil, ErrServerClosed
 	}
+	var errs []error
+	for _, t := range s.openTenants() {
+		was := t.eng.State().Cause != nil
+		if err := t.eng.Heal(); err != nil {
+			errs = append(errs, fmt.Errorf("tenant %q: heal: %w", t.name, err))
+		} else if was {
+			healed = append(healed, t.name)
+		}
+	}
+	return healed, errors.Join(errs...)
+}
+
+// openTenants returns the tenants whose engine is open, in name order —
+// so joined errors and scrapes are deterministic. Tenants still opening
+// (or whose open failed) are skipped.
+func (s *Server) openTenants() []*tenant {
+	s.mu.Lock()
 	ts := make([]*tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
-		ts = append(ts, t)
+		if t.eng != nil {
+			ts = append(ts, t)
+		}
 	}
 	s.mu.Unlock()
 	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
-	var errs []error
-	for _, t := range ts {
-		if t.eng == nil {
-			continue
-		}
-		if err := t.eng.Heal(); err != nil {
-			errs = append(errs, fmt.Errorf("tenant %q: heal: %w", t.name, err))
-		}
-	}
-	return errors.Join(errs...)
+	return ts
 }
 
 // handleConn owns one connection: Hello handshake, then a strict
@@ -459,7 +460,7 @@ func (s *Server) ingest(tn *tenant, m proto.Ingest, fixes *[]engine.Fix) proto.I
 	if len(ack.Rejected) > 0 {
 		ack.RetryAfterMillis = s.retryMillis(tn.eng)
 	}
-	if !ack.Degraded && tn.eng.Degraded() {
+	if !ack.Degraded && tn.eng.State().Cause != nil {
 		ack.Degraded = true // e.g. an empty Ingest frame used as a probe
 	}
 	return ack
