@@ -71,25 +71,16 @@ func runServerBench(serve bool, clientAddr string, devices, shards, fixesPer int
 	}
 	defer c.Close()
 
-	// Per-device synthetic walks as wire keys (the default 1e5 m/°
-	// mapping — what the server inverts on receipt).
+	// Per-device synthetic walks as wire keys (the mapping the server
+	// inverts on receipt).
 	fmt.Println("generating workload...")
-	const m = 1e5
+	const m = trajstore.MetersPerDegree
 	tracks := make([][]trajstore.GeoKey, devices)
 	names := make([]string, devices)
 	for d := range tracks {
 		wcfg := synth.DefaultWalkConfig(int64(d) + 1)
 		wcfg.N = fixesPer
-		pts := synth.Walk(wcfg).Points()
-		keys := make([]trajstore.GeoKey, len(pts))
-		for i, p := range pts {
-			t := p.T
-			if t < 0 {
-				t = 0
-			}
-			keys[i] = trajstore.GeoKey{Lat: p.Y / m, Lon: p.X / m, T: uint32(t)}
-		}
-		tracks[d] = keys
+		tracks[d] = trajstore.PointKeysToGeo(synth.Walk(wcfg).Points(), m, m)
 		names[d] = fmt.Sprintf("dev-%06d", d)
 	}
 

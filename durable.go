@@ -100,11 +100,10 @@ func QueryLogWindow(lg *ShardedSegmentLog, minX, minY, maxX, maxY float64, t0, t
 // OpenDurableEngine opens a sharded segment log in dir and starts an
 // ingestion engine persisting into it: every session finalized by idle
 // eviction or Close durably lands on disk, Sync is the durability
-// barrier, and Close closes the log. The log is then history's one
-// home: Engine.Stores() and EngineStats.Store stay empty (cfg.Store must
-// be zero), Engine.QueryWindow answers from the log plus the open
-// sessions' trails, and resident memory is those trails plus the queues
-// whatever the history's size. Any Persister already set in cfg is
+// barrier, and Close closes the log. The log is history's one home:
+// Engine.QueryWindow answers from it plus the open sessions' trails, and
+// resident memory is those trails plus the queues whatever the history's
+// size. Any Persister already set in cfg is
 // replaced. The log's shard count follows cfg.Shards for a fresh
 // directory; reopening an existing one the persisted count is
 // authoritative and cfg.Shards is overridden to match, so each engine

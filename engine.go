@@ -9,9 +9,11 @@ import (
 // compressors. An Engine manages thousands of concurrent device
 // sessions, routing fixes to shard workers by a hash of the device ID so
 // each device's stream is compressed in arrival order by exactly one
-// goroutine, with key points flowing into per-shard trajectory stores —
-// or, on a durable engine (see OpenDurableEngine), into the segment log
-// alone.
+// goroutine, with key points flowing to EngineConfig.OnKey and, as
+// finalized trails, into the Persister (see OpenDurableEngine) — the one
+// place history is kept. Without a Persister the engine is a pure
+// compressor fan-out: OnKey is its output and QueryWindow returns
+// ErrNoPersister.
 //
 //	e, err := bqs.NewEngine(bqs.EngineConfig{Compressor: "fbqs", Tolerance: 10})
 //	if err != nil { ... }
@@ -33,6 +35,10 @@ type EngineStats = engine.Stats
 
 // ErrEngineClosed reports an operation on a closed engine.
 var ErrEngineClosed = engine.ErrClosed
+
+// ErrNoPersister reports Engine.QueryWindow on an engine built without a
+// Persister: it keeps no history to query.
+var ErrNoPersister = engine.ErrNoPersister
 
 // NewEngine returns a started ingestion engine; Close it to flush every
 // session and stop the shard workers.

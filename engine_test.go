@@ -3,20 +3,31 @@ package bqs_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/trajcomp/bqs"
 )
 
 // TestEngineFacade exercises the public engine surface end to end:
-// named-compressor construction, ingestion, store queries via the
-// sharded-store facade, and a custom registry entry driving the engine.
+// named-compressor construction, ingestion, and a caller-owned Store fed
+// from OnKey — the way to put merge-tolerance storage behind an engine,
+// which keeps no history of its own without a Persister.
 func TestEngineFacade(t *testing.T) {
+	store, err := bqs.NewStore(bqs.StoreConfig{MergeTolerance: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last sync.Map // device → its previous key point
 	e, err := bqs.NewEngine(bqs.EngineConfig{
 		Compressor: "fbqs",
 		Tolerance:  10,
 		Shards:     4,
-		Store:      bqs.StoreConfig{MergeTolerance: 1},
+		OnKey: func(device string, kp bqs.Point) {
+			if prev, ok := last.Swap(device, kp); ok {
+				store.Insert(prev.(bqs.Point), kp)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +44,9 @@ func TestEngineFacade(t *testing.T) {
 	if err := e.Ingest(fixes); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := e.QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, 100); !errors.Is(err, bqs.ErrNoPersister) {
+		t.Fatalf("QueryWindow without a Persister = %v, want ErrNoPersister", err)
+	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +57,11 @@ func TestEngineFacade(t *testing.T) {
 	if s.KeyPoints == 0 || s.CompressionRate() >= 1 {
 		t.Fatalf("no compression: %+v", s)
 	}
-	var stores *bqs.ShardedStore = e.Stores()
-	if stores.Len() == 0 {
+	if store.Len() == 0 {
 		t.Fatal("no segments stored")
 	}
-	var merged bqs.StoreStats = stores.MergedStats()
-	if merged.Merged == 0 {
-		t.Fatalf("collinear duplicate paths did not merge: %+v", merged)
+	if inserted, merged := store.Stats(); merged == 0 {
+		t.Fatalf("collinear duplicate paths did not merge: %d inserted, 0 merged", inserted)
 	}
 	if err := e.IngestOne("late", bqs.Point{X: 1, Y: 1, T: 1}); !errors.Is(err, bqs.ErrEngineClosed) {
 		t.Fatalf("ingest after close = %v, want ErrEngineClosed", err)

@@ -2,9 +2,11 @@
 // engine — the server-side counterpart of the on-device compressor. Many
 // producer goroutines (think gateway connections) batch fixes from
 // hundreds of devices into one engine; each device gets its own
-// compressor session, key points land in per-shard trajectory stores
-// with error-bounded merging, and idle devices are evicted with a final
-// flush.
+// compressor session and idle devices are evicted with a final flush.
+// This engine has no Persister, so it keeps no history itself: its
+// output is OnKey, and the example feeds that into a Store it owns — the
+// paper's Section V-F database with error-bounded merging — which is how
+// to put merge-tolerance storage behind an engine.
 package main
 
 import (
@@ -24,12 +26,24 @@ const (
 )
 
 func main() {
+	store, err := bqs.NewStore(bqs.StoreConfig{MergeTolerance: 5})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Consecutive key points of a device form one stored segment. OnKey
+	// is called from the shard workers — concurrently for distinct
+	// devices, in order for one — and the Store is safe for concurrent use.
+	var last sync.Map // device → its previous key point
 	e, err := bqs.NewEngine(bqs.EngineConfig{
 		Compressor:  "fbqs", // any registered name: bqs.CompressorNames()
 		Tolerance:   tolerance,
 		Shards:      4,
 		IdleTimeout: 30 * time.Second,
-		Store:       bqs.StoreConfig{MergeTolerance: 5},
+		OnKey: func(device string, kp bqs.Point) {
+			if prev, ok := last.Swap(device, kp); ok {
+				store.Insert(prev.(bqs.Point), kp)
+			}
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -78,10 +92,11 @@ func main() {
 		s.Fixes, elapsed.Round(time.Millisecond), float64(s.Fixes)/elapsed.Seconds())
 	fmt.Printf("sessions: %d opened, %d active after close\n", s.SessionsOpened, s.ActiveSessions)
 	fmt.Printf("compressed to %d key points (rate %.4f)\n", s.KeyPoints, s.CompressionRate())
+	_, merged := store.Stats()
 	fmt.Printf("store: %d segments (%d merged as duplicates), %.1f KiB wire format\n",
-		s.Store.Segments, s.Store.Merged, float64(e.Stores().StorageBytes())/1024)
+		store.Len(), merged, float64(store.StorageBytes())/1024)
 
-	// The stores answer fleet-wide queries: who crossed this rectangle?
-	hits := e.Stores().Query(4000, 4000, 6000, 6000)
+	// The store answers fleet-wide queries: who crossed this rectangle?
+	hits := store.Query(4000, 4000, 6000, 6000)
 	fmt.Printf("central 2 km × 2 km window intersects %d stored segments\n", len(hits))
 }

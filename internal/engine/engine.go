@@ -1,8 +1,9 @@
 // Package engine is the server-side ingestion layer: a sharded,
 // goroutine-safe engine that manages many thousands of concurrent device
 // sessions, each owning a streaming compressor from the stream registry
-// and feeding its key points into the durable backend's log or, without
-// one, a per-shard in-memory trajectory store.
+// and feeding its key points to Config.OnKey and, as finalized trails, to
+// the Persister — history's one home; the engine itself keeps only what
+// has not reached it yet.
 //
 // Fixes are batched into Ingest and routed to a shard worker by an
 // FNV-1a hash of the device ID, so each device's stream is processed by
@@ -17,7 +18,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -45,8 +45,7 @@ type Config struct {
 	// Tolerance is the deviation bound in metres handed to every
 	// session's compressor. Required.
 	Tolerance float64
-	// Shards is the number of worker goroutines (and trajectory-store
-	// shards). Default GOMAXPROCS.
+	// Shards is the number of worker goroutines. Default GOMAXPROCS.
 	Shards int
 	// QueueDepth is the per-shard ingest queue depth in batches;
 	// senders block when a shard falls this far behind (backpressure).
@@ -56,14 +55,10 @@ type Config struct {
 	// this long without a fix. 0 disables idle eviction: sessions then
 	// live until Close.
 	IdleTimeout time.Duration
-	// Store configures the per-shard in-memory trajectory stores, which
-	// receive every compressed segment when there is no Persister or an
-	// append-only one. A durable engine (Persister is a trajstore.Backend)
-	// never feeds them, so New rejects a non-zero Store there.
-	Store trajstore.Config
 	// OnKey, when non-nil, receives every finalized key point in
 	// per-device order. It is called from shard worker goroutines —
-	// distinct devices may call it concurrently.
+	// distinct devices may call it concurrently. Without a Persister it
+	// is the engine's only output.
 	OnKey func(device string, kp core.Point)
 	// Persister, when non-nil, durably records every finalized session
 	// trajectory (on idle eviction and on Close) in the delta-varint
@@ -72,14 +67,11 @@ type Config struct {
 	// is a full trajstore.Backend (segmentlog.ShardedLog) additionally
 	// gets per-shard append binding, compaction, durable window queries
 	// and cache/reclaim statistics; one with just these three methods
-	// is used append-only. See trajstore.Persister and
+	// is used append-only: QueryWindow then sees only what has not been
+	// appended yet. Trails are converted to the wire format's degrees
+	// with trajstore.MetersPerDegree. See trajstore.Persister and
 	// trajstore/segmentlog.
 	Persister trajstore.Persister
-	// MetersPerDegree converts the projected metric plane to the wire
-	// format's degrees when persisting (GeoKeys quantize at 1e-7°, so
-	// the default 1e5 m/° stores positions at 1 cm resolution with a
-	// ±9000 km range).
-	MetersPerDegree float64
 	// CompactInterval, when > 0 and a Persister is configured, runs a
 	// background compaction pass (trajstore.Backend.CompactNow — for
 	// segmentlog.ShardedLog, the policy it was opened with) on the
@@ -127,6 +119,10 @@ var ErrClosed = errors.New("engine: closed")
 // nothing accepted before the fault is lost.
 var ErrDegraded = errors.New("engine: degraded: persistence failing, ingest suspended (queries still served; after clearing the fault call Heal, or send bqsd SIGHUP)")
 
+// ErrNoPersister reports a QueryWindow on an engine built without a
+// Persister: it keeps no history to query — its output is Config.OnKey.
+var ErrNoPersister = errors.New("engine: no Persister configured: history is not kept (key points go to OnKey)")
+
 // ErrBackpressure reports that TryIngest found a shard queue full: the
 // engine is processing slower than fixes arrive (typically a persister
 // stalled on disk). Callers should back off and retry rather than
@@ -136,22 +132,21 @@ var ErrBackpressure = errors.New("engine: shard queue full (backpressure)")
 
 // Stats is a point-in-time snapshot of engine activity, merged across
 // shards. It is safe to read after Close: every field comes from
-// atomics, the in-memory stores, or — for the persister-backed fields
-// (Cache, CompactReclaim) — reads zero once Close has begun.
+// atomics or — for the persister-backed fields (Cache, CompactReclaim) —
+// reads zero once Close has begun.
 type Stats struct {
-	ActiveSessions  int             // sessions currently open
-	SessionsOpened  uint64          // sessions ever created
-	SessionsEvicted uint64          // sessions closed by idle eviction
-	Fixes           uint64          // fixes accepted by Ingest
-	KeyPoints       uint64          // key points emitted by all sessions
-	Persisted       uint64          // finalized trajectories handed to the persister
-	ParkedTrails    uint64          // trajectories parked in memory by degraded mode, awaiting Heal
-	Rejected        uint64          // fixes refused by TryIngest backpressure or degraded mode
-	PersistFailures uint64          // failed persister append/sync attempts (retried ones included)
-	CompactFailures uint64          // failed compaction passes (periodic or CompactNow)
-	CompactReclaim  int64           // net disk bytes freed by published compactions
-	Cache           cache.Stats     // read-side record cache counters (zero without a cache)
-	Store           trajstore.Stats // merged per-shard store statistics; all zero on a durable engine
+	ActiveSessions  int         // sessions currently open
+	SessionsOpened  uint64      // sessions ever created
+	SessionsEvicted uint64      // sessions closed by idle eviction
+	Fixes           uint64      // fixes accepted by Ingest
+	KeyPoints       uint64      // key points emitted by all sessions
+	Persisted       uint64      // finalized trajectories handed to the persister
+	ParkedTrails    uint64      // trajectories parked in memory by degraded mode, awaiting Heal
+	Rejected        uint64      // fixes refused by TryIngest backpressure or degraded mode
+	PersistFailures uint64      // failed persister append/sync attempts (retried ones included)
+	CompactFailures uint64      // failed compaction passes (periodic or CompactNow)
+	CompactReclaim  int64       // net disk bytes freed by published compactions
+	Cache           cache.Stats // read-side record cache counters (zero without a cache)
 }
 
 // CompressionRate returns KeyPoints/Fixes (lower is better), 0 when no
@@ -169,13 +164,10 @@ type Engine struct {
 	cfg    Config
 	clock  func() time.Time
 	shards []*shard
-	stores *trajstore.Sharded
 	// backend is cfg.Persister resolved once by New: itself when it is
-	// a full trajstore.Backend (durable: the log is history's one home,
-	// the stores stay empty), an append-only adapter otherwise (also for
-	// no persister at all), so it is never nil.
+	// a full trajstore.Backend, an append-only adapter otherwise (also
+	// for no persister at all), so it is never nil.
 	backend trajstore.Backend
-	durable bool
 	pool    sync.Pool // recycled stream.Compressor values (all Resetters)
 
 	// Ingest staging: per-shard fix slices and the scatter table that
@@ -201,8 +193,7 @@ type Engine struct {
 	// compaction goroutine.
 	closing chan struct{}
 
-	persisting bool    // cfg.Persister != nil, cached for the hot path
-	mPerDegree float64 // metres per degree for GeoKey conversion
+	persisting bool // cfg.Persister != nil, cached for the hot path
 
 	// Failure/reject tallies for Stats. Engine-global atomics, not
 	// per-shard stripes: every increment is on a slow path (a refused
@@ -215,16 +206,13 @@ type Engine struct {
 // session is the per-device state, owned by exactly one shard worker.
 type session struct {
 	comp     stream.Compressor
-	lastKey  core.Point // previous key point: segment start for the store
-	haveKey  bool
 	lastSeen time.Time
 	keys     []core.Point // key-point trail, kept only when persisting; capped at MaxTrailKeys
 	lo, hi   core.Point   // componentwise min and max over keys: the trail's box and time span
 	chunked  bool         // the trail starts with the previous chunk's last key
 }
 
-// shard is one worker: a queue, a session table and (unless the engine
-// is durable) a trajectory store.
+// shard is one worker: a queue and a session table.
 // The activity counters live here, not on the Engine: every counter is
 // written by exactly one worker goroutine, so striping them per shard
 // keeps the multi-core hot path free of shared-cache-line contention
@@ -233,7 +221,6 @@ type session struct {
 type shard struct {
 	eng      *Engine
 	in       chan shardMsg
-	store    *trajstore.Store
 	sessions map[string]*session
 
 	// parked holds finalized trajectories whose persister append failed
@@ -316,32 +303,20 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	stores, err := trajstore.NewSharded(cfg.Shards, cfg.Store)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	if cfg.MetersPerDegree == 0 {
-		cfg.MetersPerDegree = 1e5
-	}
-	if !(cfg.MetersPerDegree > 0) || math.IsInf(cfg.MetersPerDegree, 0) { // also rejects NaN
-		return nil, errors.New("engine: MetersPerDegree must be a finite positive number")
-	}
 	if cfg.MaxTrailKeys < 0 {
 		return nil, errors.New("engine: MaxTrailKeys must be ≥ 0")
 	}
 	if cfg.MaxTrailKeys == 0 {
 		cfg.MaxTrailKeys = 8192
 	}
-	backend, durable := cfg.Persister.(trajstore.Backend)
-	if !durable {
+	backend, ok := cfg.Persister.(trajstore.Backend)
+	if !ok {
 		backend = trajstore.AppendOnly(cfg.Persister)
-	} else if cfg.Store != (trajstore.Config{}) {
-		return nil, errors.New("engine: Store is set but the Persister answers window queries itself: the in-memory stores are not fed on the durable path")
 	}
 	e := &Engine{
-		cfg: cfg, clock: cfg.Clock, stores: stores, backend: backend, durable: durable,
-		persisting: cfg.Persister != nil, mPerDegree: cfg.MetersPerDegree,
-		closing: make(chan struct{}),
+		cfg: cfg, clock: cfg.Clock, backend: backend,
+		persisting: cfg.Persister != nil,
+		closing:    make(chan struct{}),
 	}
 	if e.clock == nil {
 		e.clock = time.Now
@@ -358,9 +333,6 @@ func New(cfg Config) (*Engine, error) {
 			in:       make(chan shardMsg, cfg.QueueDepth),
 			sessions: make(map[string]*session),
 			persist:  backend,
-		}
-		if !durable {
-			sh.store = stores.Shard(i)
 		}
 		if backend.NumShards() == cfg.Shards {
 			sh.persist = backend.ShardPersister(i)
@@ -580,8 +552,7 @@ func (e *Engine) barrier(do func(*shard)) error {
 // the fsync; Healthy means no trail is parked, so nothing the barrier
 // passed over was still in memory. A degraded engine reports the cause:
 // the returned error matches ErrDegraded and wraps the persist failure
-// that triggered it. Useful before reading Stats or the stores in tests
-// and benchmarks.
+// that triggered it. Useful before reading Stats in tests and benchmarks.
 func (e *Engine) Sync() error {
 	before := e.State()
 	if err := e.barrier(nil); err != nil {
@@ -686,12 +657,12 @@ func (e *Engine) QueueStats() QueueStats {
 // Stats returns a merged snapshot of engine activity. Counters are read
 // atomically but not mutually consistent; call Sync first for a quiescent
 // reading. Unlike the mutating entry points, Stats never refuses: every
-// source it reads is safe after Close (shard atomics and the in-memory
-// stores; the backend's cache and reclaim counters are simply not
-// consulted once Close has begun), so a monitoring scrape racing
-// shutdown gets a coherent final snapshot instead of an error.
+// source it reads is safe after Close (shard atomics; the backend's
+// cache and reclaim counters are simply not consulted once Close has
+// begun), so a monitoring scrape racing shutdown gets a coherent final
+// snapshot instead of an error.
 func (e *Engine) Stats() Stats {
-	s := Stats{Store: e.stores.MergedStats()}
+	var s Stats
 	for _, sh := range e.shards {
 		s.ActiveSessions += int(sh.active.Load())
 		s.SessionsOpened += sh.opened.Load()
@@ -711,10 +682,6 @@ func (e *Engine) Stats() Stats {
 	}
 	return s
 }
-
-// Stores exposes the per-shard trajectory stores for querying. They are
-// empty on a durable engine — its history is in the log; use QueryWindow.
-func (e *Engine) Stores() *trajstore.Sharded { return e.stores }
 
 // Close flushes every open session (emitting final key points and
 // persisting the finalized trajectories when a Persister is configured),
@@ -849,15 +816,10 @@ func (sh *shard) newSession() *session {
 	return &session{comp: comp}
 }
 
-// emit records a finalized key point: consecutive key points form a
-// compressed segment, inserted into the shard's store when it has one;
-// the trail and its running box are kept for the persister.
+// emit records a finalized key point: it joins the session's trail (and
+// its running box) when there is a persister to hand the trail to, and
+// goes to OnKey.
 func (sh *shard) emit(device string, s *session, kp core.Point) {
-	if s.haveKey && sh.store != nil {
-		sh.store.Insert(s.lastKey, kp)
-	}
-	s.lastKey = kp
-	s.haveKey = true
 	if sh.eng.persisting {
 		if len(s.keys) == 0 {
 			s.lo, s.hi = kp, kp
@@ -885,11 +847,7 @@ func (sh *shard) persistTrail(device string, s *session, final bool) {
 		s.keys, s.chunked = nil, false
 		return
 	}
-	m := sh.eng.mPerDegree
-	geo := trajstore.PointKeysToGeo(s.keys, m, m)
-	if len(geo) > 0 {
-		sh.persistGeo(device, geo)
-	}
+	sh.persistGeo(device, trajstore.PointKeysToGeo(s.keys, mPerDeg, mPerDeg))
 	if final {
 		s.keys, s.chunked = nil, false
 		return
@@ -980,15 +938,13 @@ func backoff(attempt int) time.Duration {
 }
 
 // closeSession flushes the session's compressor, emits the tail key
-// points, persists the finalized trajectory when durability is on, and
+// points, persists the finalized trail (empty without a persister) and
 // recycles resettable compressor state into the pool.
 func (sh *shard) closeSession(device string, s *session) {
 	for _, kp := range stream.FlushAll(s.comp) {
 		sh.emit(device, s, kp)
 	}
-	if sh.eng.persisting {
-		sh.persistTrail(device, s, true)
-	}
+	sh.persistTrail(device, s, true)
 	if r, ok := s.comp.(stream.Resetter); ok {
 		r.Reset()
 		sh.eng.pool.Put(s.comp)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +12,6 @@ import (
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/stream"
 	"github.com/trajcomp/bqs/internal/synth"
-	"github.com/trajcomp/bqs/internal/trajstore"
 )
 
 // deviceTrack generates a deterministic per-device trajectory from the
@@ -82,7 +80,6 @@ func TestEngineByteIdenticalConcurrent(t *testing.T) {
 		Tolerance:  tol,
 		Shards:     8,
 		OnKey:      kc.add,
-		Store:      trajstore.Config{MergeTolerance: 0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +138,6 @@ func TestEngineByteIdenticalConcurrent(t *testing.T) {
 	}
 	if s.KeyPoints != totalKeys {
 		t.Errorf("KeyPoints = %d, want %d", s.KeyPoints, totalKeys)
-	}
-	// Every session's N key points form N-1 stored segments.
-	if want := int(totalKeys) - devices; s.Store.Inserted != want {
-		t.Errorf("Store.Inserted = %d, want %d", s.Store.Inserted, want)
 	}
 }
 
@@ -274,9 +267,6 @@ func TestEngineConfigValidation(t *testing.T) {
 	if _, err := New(Config{Compressor: "fbqs", Tolerance: 10, IdleTimeout: -time.Second}); err == nil {
 		t.Fatal("negative IdleTimeout accepted")
 	}
-	if _, err := New(Config{Compressor: "fbqs", Tolerance: 10, Store: trajstore.Config{MergeTolerance: math.NaN()}}); err == nil {
-		t.Fatal("NaN merge tolerance accepted")
-	}
 }
 
 // TestEngineChaos hammers one engine from many goroutines — overlapping
@@ -288,7 +278,6 @@ func TestEngineChaos(t *testing.T) {
 		Tolerance:   10,
 		Shards:      4,
 		IdleTimeout: 20 * time.Millisecond,
-		Store:       trajstore.Config{MergeTolerance: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

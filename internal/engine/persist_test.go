@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,7 +34,7 @@ func expectGeo(t *testing.T, comp string, tol float64, track []core.Point) []tra
 		t.Fatal(err)
 	}
 	keys := stream.Compress(c, track)
-	geo := trajstore.PointKeysToGeo(keys, 1e5, 1e5)
+	geo := trajstore.PointKeysToGeo(keys, mPerDeg, mPerDeg)
 	for i := range geo {
 		geo[i] = quantize(geo[i])
 	}
@@ -290,34 +289,11 @@ func TestEnginePersistErrorSurfaced(t *testing.T) {
 	}
 }
 
-// TestEnginePersistValidation checks config validation of the new field.
+// TestEnginePersistValidation checks config validation of the persist
+// path's one knob.
 func TestEnginePersistValidation(t *testing.T) {
-	if _, err := New(Config{Compressor: "fbqs", Tolerance: 10, MetersPerDegree: -1}); err == nil {
-		t.Fatal("negative MetersPerDegree accepted")
-	}
-	if _, err := New(Config{Compressor: "fbqs", Tolerance: 10, MetersPerDegree: math.NaN()}); err == nil {
-		t.Fatal("NaN MetersPerDegree accepted")
-	}
-	if _, err := New(Config{Compressor: "fbqs", Tolerance: 10, MetersPerDegree: math.Inf(1)}); err == nil {
-		t.Fatal("infinite MetersPerDegree accepted")
-	}
 	if _, err := New(Config{Compressor: "fbqs", Tolerance: 10, MaxTrailKeys: -3}); err == nil {
 		t.Fatal("negative MaxTrailKeys accepted")
-	}
-	// No silent dead settings: a durable engine never feeds the stores.
-	for _, st := range []trajstore.Config{{MergeTolerance: 5}, {CellSize: 50}} {
-		cfg := Config{Compressor: "fbqs", Tolerance: 10, Store: st, Persister: trajstore.AppendOnly(nil)}
-		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "not fed on the durable path") {
-			t.Fatalf("Store %+v with a full Backend: New = %v, want a rejection naming the durable path", st, err)
-		}
-		cfg.Persister = &failingPersister{} // append-only: the store is its only history
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatalf("Store %+v with an append-only persister rejected: %v", st, err)
-		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

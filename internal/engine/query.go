@@ -1,7 +1,7 @@
-// Spatio-temporal window queries over the engine's storage: the durable
-// segment log merged with the un-persisted tails of sessions still
-// streaming, so one call sees persisted history and what eviction or
-// Close has yet to flush — or, without a durable backend, the stores.
+// Spatio-temporal window queries over the engine's storage: the backend
+// merged with the un-persisted tails of sessions still streaming, so one
+// call sees persisted history and what eviction or Close has yet to
+// flush.
 package engine
 
 import (
@@ -29,29 +29,21 @@ var ErrPartialResult = errors.New("engine: partial window result (live data only
 // merge drops the durable duplicate.
 type pairKey [6]int64
 
-// quantT clamps a metric-plane timestamp to the wire format's uint32
-// seconds, matching trajstore.PointKeysToGeo.
-func quantT(t float64) int64 {
-	if t < 0 {
-		return 0
-	}
-	if t > math.MaxUint32 {
-		return math.MaxUint32
-	}
-	return int64(uint32(t))
-}
+// mPerDeg is the plane the engine persists and queries in.
+const mPerDeg = trajstore.MetersPerDegree
 
-// pairKeyOf quantizes a metric-plane segment. m is metres per degree.
-func pairKeyOf(a, b core.Point, m float64) pairKey {
+// pairKeyOf quantizes a metric-plane segment as PointKeysToGeo and the
+// codec would.
+func pairKeyOf(a, b core.Point) pairKey {
 	return pairKey{
-		int64(math.Round(a.Y / m * 1e7)), int64(math.Round(a.X / m * 1e7)), quantT(a.T),
-		int64(math.Round(b.Y / m * 1e7)), int64(math.Round(b.X / m * 1e7)), quantT(b.T),
+		int64(math.Round(a.Y / mPerDeg * 1e7)), int64(math.Round(a.X / mPerDeg * 1e7)), int64(trajstore.WireSeconds(a.T)),
+		int64(math.Round(b.Y / mPerDeg * 1e7)), int64(math.Round(b.X / mPerDeg * 1e7)), int64(trajstore.WireSeconds(b.T)),
 	}
 }
 
 // geoPoint maps a persisted key back into the projected metric plane.
-func geoPoint(k trajstore.GeoKey, m float64) core.Point {
-	return core.Point{X: k.Lon * m, Y: k.Lat * m, T: float64(k.T)}
+func geoPoint(k trajstore.GeoKey) core.Point {
+	return core.Point{X: k.Lon * mPerDeg, Y: k.Lat * mPerDeg, T: float64(k.T)}
 }
 
 // pairInWindow is the in-memory ground-truth predicate applied to one
@@ -98,10 +90,9 @@ func (sh *shard) tails(q *tailsQuery) {
 			out = append(out, trajstore.Segment{A: a, B: b, Weight: 1, FirstT: a.T, LastT: b.T})
 		}
 	}
-	m := sh.eng.mPerDegree
 	for _, p := range sh.parked {
 		for i := 1; i < len(p.keys); i++ {
-			add(geoPoint(p.keys[i-1], m), geoPoint(p.keys[i], m))
+			add(geoPoint(p.keys[i-1]), geoPoint(p.keys[i]))
 		}
 	}
 	for _, s := range sh.sessions {
@@ -120,21 +111,20 @@ func (sh *shard) tails(q *tailsQuery) {
 // QueryWindow answers a spatio-temporal window query in the projected
 // metric plane: every stored trajectory segment whose bounding box
 // intersects [minX, maxX] × [minY, maxY] and whose observation time
-// overlaps [t0, t1]. On a durable engine (the Persister is a
-// trajstore.Backend) history lives in the log and the live side is the
-// tails: the open sessions' un-flushed trails plus any trails parked by
-// degraded mode, read by each shard worker in queue order — so the
+// overlaps [t0, t1]. History lives in the Persister; the live side is
+// the tails: the open sessions' un-flushed trails plus any trails parked
+// by degraded mode, read by each shard worker in queue order — so the
 // answer reflects every fix queued before the call, and waits for them.
-// Otherwise history lives in the in-memory stores, read under their own
-// locks: like Stats that is no barrier, and fixes still queued are
-// invisible until processed (call Sync first for a quiescent view).
+// An append-only Persister has nothing to read back, so there the tails
+// are the whole answer; with no Persister at all no trail is kept and
+// the call returns ErrNoPersister.
 //
 // Durable records are split into their consecutive key-point pairs,
 // filtered exactly, and deduplicated against the live set at wire
 // resolution. The tails are read before the log, so a trail flushed
 // between the two reads is reported once and never zero times; tails and
 // log are otherwise disjoint (consecutive chunks share a key point, not
-// a pair). Segments not from a store come back with ID 0 and Weight 1.
+// a pair). Segments come back with ID 0 and Weight 1.
 //
 // When the durable side fails, the error matches ErrPartialResult
 // (wrapping the underlying failure) and the returned slice holds the
@@ -147,33 +137,31 @@ func (e *Engine) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]t
 		return nil, err
 	}
 	defer e.inflight.Done()
+	if !e.persisting {
+		return nil, ErrNoPersister
+	}
 
 	q := tailsQuery{minX: minX, minY: minY, maxX: maxX, maxY: maxY, t0: float64(t0), t1: float64(t1)}
-	if !e.durable {
-		q.out = e.stores.QueryWindow(minX, minY, maxX, maxY, q.t0, q.t1)
-	} else if err := e.barrier(func(sh *shard) { sh.tails(&q) }); err != nil {
+	if err := e.barrier(func(sh *shard) { sh.tails(&q) }); err != nil {
 		return nil, err
 	}
-	out, m := q.out, e.mPerDegree
-	durable, err := e.backend.QueryWindow(minX/m, minY/m, maxX/m, maxY/m, t0, t1)
+	out := q.out
+	durable, err := e.backend.QueryWindow(minX/mPerDeg, minY/mPerDeg, maxX/mPerDeg, maxY/mPerDeg, t0, t1)
 	if err != nil {
 		return out, fmt.Errorf("%w: %w", ErrPartialResult, err)
 	}
-	if len(durable) == 0 {
-		return out, nil
-	}
 	seen := make(map[pairKey]bool, len(out))
 	for _, s := range out {
-		seen[pairKeyOf(s.A, s.B, m)] = true
+		seen[pairKeyOf(s.A, s.B)] = true
 	}
 	for _, rec := range durable {
 		for i := 0; i+1 < len(rec.Keys); i++ {
-			a := geoPoint(rec.Keys[i], m)
-			b := geoPoint(rec.Keys[i+1], m)
+			a := geoPoint(rec.Keys[i])
+			b := geoPoint(rec.Keys[i+1])
 			if !q.meets(a, b) {
 				continue
 			}
-			k := pairKeyOf(a, b, m)
+			k := pairKeyOf(a, b)
 			if seen[k] {
 				continue
 			}

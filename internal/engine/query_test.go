@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,10 +17,11 @@ import (
 )
 
 // gridWalk builds a random walk for device d snapped to the wire
-// format's resolution (0.01 m at the default 1e5 m/°) with whole-second
-// timestamps, so every emitted key point survives the persist round
-// trip bit-exactly and the in-memory and durable ground truths can be
-// compared as equal sets. Device d walks inside its own ~2 km cell.
+// format's resolution (0.01 m on the trajstore.MetersPerDegree plane)
+// with whole-second timestamps, so every emitted key point survives the
+// persist round trip bit-exactly and the in-memory and durable ground
+// truths can be compared as equal sets. Device d walks inside its own
+// ~2 km cell.
 func gridWalk(d, n int, rng *rand.Rand) []core.Point {
 	snap := func(v float64) float64 { return math.Round(v*100) / 100 }
 	x := float64(d%4) * 2000
@@ -36,12 +38,25 @@ func gridWalk(d, n int, rng *rand.Rand) []core.Point {
 }
 
 // pairSet reduces segments to a set of wire-resolution pair keys.
-func pairSet(segs []trajstore.Segment, m float64) map[pairKey]bool {
+func pairSet(segs []trajstore.Segment) map[pairKey]bool {
 	out := make(map[pairKey]bool, len(segs))
 	for _, s := range segs {
-		out[pairKeyOf(s.A, s.B, m)] = true
+		out[pairKeyOf(s.A, s.B)] = true
 	}
 	return out
+}
+
+// TestPairKeySurvivesPersistRoundTrip: a live segment and its durable
+// copy must collide in QueryWindow's dedup whatever a caller put in T —
+// the time is clamped to the wire's uint32 once, by the codec's rule.
+func TestPairKeySurvivesPersistRoundTrip(t *testing.T) {
+	for _, T := range []float64{-1, 0, 1700000000.75, math.MaxUint32, 5e9} {
+		a, b := core.Point{X: 12.34, Y: -56.78, T: T}, core.Point{X: 99.01, Y: 3.5, T: T + 30}
+		geo := trajstore.PointKeysToGeo([]core.Point{a, b}, mPerDeg, mPerDeg)
+		if live, durable := pairKeyOf(a, b), pairKeyOf(geoPoint(geo[0]), geoPoint(geo[1])); live != durable {
+			t.Errorf("T=%v: live pair key %v, durable %v", T, live, durable)
+		}
+	}
 }
 
 // diffSets reports the asymmetric differences between two pair sets.
@@ -59,38 +74,58 @@ func diffSets(a, b map[pairKey]bool) (onlyA, onlyB int) {
 	return onlyA, onlyB
 }
 
-// reference feeds fixes to a persister-less twin of cfg and syncs it.
-// A durable engine keeps no in-memory copy of its history, so the
-// twin's stores — every compressed pair, verbatim — are the ground
-// truth its QueryWindow is held to. The caller closes it (or flushes
-// its sessions) where the engine under test does.
-func reference(t *testing.T, cfg Config, fixes []Fix) *Engine {
+// keyLog is the tests' one differential reference. As the OnKey sink of
+// the engine under test it keeps every device's key points in emission
+// order; window loads them into a plain trajstore.Store — every
+// compressed pair, verbatim — and asks it, so what an engine's storage
+// answers is held to the paper's in-memory database given the same key
+// points. It assumes one session per device: a second session's first key
+// would pair with the first session's last.
+type keyLog struct {
+	mu   sync.Mutex
+	keys map[string][]core.Point
+}
+
+func (k *keyLog) onKey(device string, kp core.Point) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.keys == nil {
+		k.keys = make(map[string][]core.Point)
+	}
+	k.keys[device] = append(k.keys[device], kp)
+}
+
+// window is the pair set of the key points emitted so far that a Store
+// holding them reports for the window.
+func (k *keyLog) window(t *testing.T, minX, minY, maxX, maxY, t0, t1 float64) map[pairKey]bool {
 	t.Helper()
-	cfg.Persister = nil
-	ref, err := New(cfg)
+	st, err := trajstore.NewStore(trajstore.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for lo := 0; lo < len(fixes); lo += 512 {
-		if err := ref.Ingest(fixes[lo:min(lo+512, len(fixes))]); err != nil {
-			t.Fatal(err)
-		}
+	k.mu.Lock()
+	for _, ks := range k.keys {
+		st.InsertTrajectory(ks)
 	}
-	if err := ref.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	return ref
+	k.mu.Unlock()
+	return pairSet(st.QueryWindow(minX, minY, maxX, maxY, t0, t1))
+}
+
+// all is window over everything.
+func (k *keyLog) all(t *testing.T) map[pairKey]bool {
+	t.Helper()
+	return k.window(t, -1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32)
 }
 
 // queryAll is QueryWindow over everything, as a pair set; duplicate
 // rows fail the test.
-func queryAll(t *testing.T, e *Engine, m float64) map[pairKey]bool {
+func queryAll(t *testing.T, e *Engine) map[pairKey]bool {
 	t.Helper()
 	segs, err := e.QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := pairSet(segs, m)
+	set := pairSet(segs)
 	if len(set) != len(segs) {
 		t.Fatalf("QueryWindow double-reports: %d rows, %d unique", len(segs), len(set))
 	}
@@ -99,8 +134,9 @@ func queryAll(t *testing.T, e *Engine, m float64) map[pairKey]bool {
 
 // durablePairSet derives the exact-filtered pair set from a raw log's
 // window query — the durable side of the differential comparison.
-func durablePairSet(t *testing.T, lg *segmentlog.ShardedLog, minX, minY, maxX, maxY float64, t0, t1 uint32, m float64) map[pairKey]bool {
+func durablePairSet(t *testing.T, lg *segmentlog.ShardedLog, minX, minY, maxX, maxY float64, t0, t1 uint32) map[pairKey]bool {
 	t.Helper()
+	const m = mPerDeg
 	recs, err := lg.QueryWindow(minX/m, minY/m, maxX/m, maxY/m, t0, t1)
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +144,9 @@ func durablePairSet(t *testing.T, lg *segmentlog.ShardedLog, minX, minY, maxX, m
 	out := make(map[pairKey]bool)
 	for _, rec := range recs {
 		for i := 0; i+1 < len(rec.Keys); i++ {
-			a, b := geoPoint(rec.Keys[i], m), geoPoint(rec.Keys[i+1], m)
+			a, b := geoPoint(rec.Keys[i]), geoPoint(rec.Keys[i+1])
 			if pairInWindow(a, b, minX, minY, maxX, maxY, float64(t0), float64(t1)) {
-				out[pairKeyOf(a, b, m)] = true
+				out[pairKeyOf(a, b)] = true
 			}
 		}
 	}
@@ -142,8 +178,8 @@ func diffWindows(rng *rand.Rand) [][6]float64 {
 // TestDifferentialWindowQueries is the ground-truth property test: on
 // a randomized multi-device fleet ingested with chunking, the durable
 // log's QueryWindow must return exactly the trajectory segments the
-// in-memory Store.Query ∩ QueryTime ground truth (a persister-less
-// reference engine given the same fixes) returns — at wire resolution,
+// in-memory Store.Query ∩ QueryTime ground truth (keyLog: a Store given
+// the key points the engine emitted) returns — at wire resolution,
 // across randomized windows, and again after crash-recovery and after
 // compaction.
 func TestDifferentialWindowQueries(t *testing.T) {
@@ -153,15 +189,15 @@ func TestDifferentialWindowQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m = 1e5
-	cfg := Config{
+	var ref keyLog
+	e, err := New(Config{
 		Compressor:   "fbqs",
 		Tolerance:    5,
 		Shards:       4,
 		MaxTrailKeys: 7, // force chunked records with the 1-key overlap
 		Persister:    lg,
-	}
-	e, err := New(cfg)
+		OnKey:        ref.onKey,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,16 +222,12 @@ func TestDifferentialWindowQueries(t *testing.T) {
 	if err := e.Close(); err != nil { // flushes every session to the log
 		t.Fatal(err)
 	}
-	ref := reference(t, cfg, fixes)
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	windows := diffWindows(rng)
 	truth := make([]map[pairKey]bool, len(windows))
 	nonEmpty := 0
 	for i, w := range windows {
-		truth[i] = pairSet(ref.Stores().QueryWindow(w[0], w[1], w[2], w[3], w[4], w[5]), m)
+		truth[i] = ref.window(t, w[0], w[1], w[2], w[3], w[4], w[5])
 		if len(truth[i]) > 0 {
 			nonEmpty++
 		}
@@ -207,7 +239,7 @@ func TestDifferentialWindowQueries(t *testing.T) {
 	compare := func(stage string, lg *segmentlog.ShardedLog) {
 		t.Helper()
 		for i, w := range windows {
-			got := durablePairSet(t, lg, w[0], w[1], w[2], w[3], uint32(w[4]), uint32(w[5]), m)
+			got := durablePairSet(t, lg, w[0], w[1], w[2], w[3], uint32(w[4]), uint32(w[5]))
 			if onlyMem, onlyLog := diffSets(truth[i], got); onlyMem != 0 || onlyLog != 0 {
 				t.Fatalf("%s window %d: %d segments only in memory, %d only in log (truth %d)",
 					stage, i, onlyMem, onlyLog, len(truth[i]))
@@ -300,18 +332,17 @@ func indexByte(s string, b byte) int {
 
 // TestEngineQueryWindowMergesLiveAndDurable: at every stage of a
 // durable engine's life one Engine.QueryWindow call returns exactly the
-// pair set of the persister-less reference given the same fixes —
+// pair set of the reference Store given the key points emitted so far —
 // un-persisted session tails, chunks already in the log, history from
 // before a restart — and never reports a pair twice.
 func TestEngineQueryWindowMergesLiveAndDurable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
-	const m = 1e5
 	cfg := Config{
 		Compressor: "fbqs", Tolerance: 5, Shards: 2, MaxTrailKeys: 7,
 		IdleTimeout: time.Hour, Clock: func() time.Time { return time.Unix(0, 0) },
 	}
-	newEngine := func() *Engine {
+	newEngine := func(onKey func(string, core.Point)) *Engine {
 		t.Helper()
 		lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{
 			MaxSegmentBytes: 2048,
@@ -321,7 +352,7 @@ func TestEngineQueryWindowMergesLiveAndDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := cfg
-		c.Persister = lg
+		c.Persister, c.OnKey = lg, onKey
 		e, err := New(c)
 		if err != nil {
 			t.Fatal(err)
@@ -341,46 +372,39 @@ func TestEngineQueryWindowMergesLiveAndDurable(t *testing.T) {
 				stage, onlyGot, onlyWant, len(want))
 		}
 	}
-	refAll := func(ref *Engine) map[pairKey]bool {
-		return pairSet(ref.Stores().QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32), m)
-	}
 
 	// Mid-session: some chunks are in the log, every session has a tail.
-	e, ref := newEngine(), reference(t, cfg, fixes)
+	var ref keyLog
+	e := newEngine(ref.onKey)
 	if err := e.Ingest(fixes); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	mid := refAll(ref)
+	mid := ref.all(t)
 	if e.Stats().Persisted == 0 || len(mid) == 0 {
 		t.Fatalf("degenerate: %d chunks persisted, %d reference pairs", e.Stats().Persisted, len(mid))
 	}
-	same("mid-session", queryAll(t, e, m), mid)
-	if n := e.Stats().Store.Segments; n != 0 {
-		t.Fatalf("durable engine mirrors history in memory: %d store segments", n)
-	}
+	same("mid-session", queryAll(t, e), mid)
 
 	// After a flush the compressors' pending tail keys are out too, and
 	// everything is in the log.
-	for _, x := range []*Engine{e, ref} {
-		if err := x.FlushSessions(); err != nil {
-			t.Fatal(err)
-		}
+	if err := e.FlushSessions(); err != nil {
+		t.Fatal(err)
 	}
-	flushed := refAll(ref)
+	flushed := ref.all(t)
 	if len(flushed) < len(mid) {
 		t.Fatalf("flushed ground truth shrank: %d < %d", len(flushed), len(mid))
 	}
-	same("after flush", queryAll(t, e, m), flushed)
+	same("after flush", queryAll(t, e), flushed)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restart: history must come from the log alone.
-	e2 := newEngine()
-	same("after restart", queryAll(t, e2, m), flushed)
+	e2 := newEngine(nil)
+	same("after restart", queryAll(t, e2), flushed)
 	// Re-ingest the same walks: every tail pair is also durable; dedup
 	// must keep the set — and the row count — stable.
 	if err := e2.Ingest(fixes); err != nil {
@@ -389,11 +413,11 @@ func TestEngineQueryWindowMergesLiveAndDurable(t *testing.T) {
 	if err := e2.EvictIdle(); err != nil { // IdleTimeout not elapsed: sessions stay
 		t.Fatal(err)
 	}
-	same("after re-ingest", queryAll(t, e2, m), flushed)
+	same("after re-ingest", queryAll(t, e2), flushed)
 	if err := e2.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	same("after compaction", queryAll(t, e2, m), flushed)
+	same("after compaction", queryAll(t, e2), flushed)
 
 	// A spatial sub-window agrees with the reference too.
 	xs := make([]float64, 0, len(fixes))
@@ -406,15 +430,12 @@ func TestEngineQueryWindowMergesLiveAndDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSub := pairSet(ref.Stores().QueryWindow(-1e6, -1e6, midX, 1e6, 0, math.MaxUint32), m)
+	wantSub := ref.window(t, -1e6, -1e6, midX, 1e6, 0, math.MaxUint32)
 	if len(wantSub) == 0 || len(wantSub) == len(flushed) {
 		t.Fatalf("degenerate sub-window: %d of %d pairs", len(wantSub), len(flushed))
 	}
-	same("sub-window", pairSet(sub, m), wantSub)
+	same("sub-window", pairSet(sub), wantSub)
 	if err := e2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e2.QueryWindow(0, 0, 1, 1, 0, 1); err != ErrClosed {

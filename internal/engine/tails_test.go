@@ -14,34 +14,6 @@ import (
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog"
 )
 
-// keyLog is an OnKey sink: every device's key points in emission order.
-type keyLog struct {
-	mu   sync.Mutex
-	keys map[string][]core.Point
-}
-
-func (k *keyLog) onKey(device string, kp core.Point) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.keys == nil {
-		k.keys = make(map[string][]core.Point)
-	}
-	k.keys[device] = append(k.keys[device], kp)
-}
-
-// pairs is the set of consecutive key-point pairs emitted so far.
-func (k *keyLog) pairs(m float64) map[pairKey]bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make(map[pairKey]bool)
-	for _, ks := range k.keys {
-		for i := 1; i < len(ks); i++ {
-			out[pairKeyOf(ks[i-1], ks[i], m)] = true
-		}
-	}
-	return out
-}
-
 // TestQueryWindowTailsWhileChunksLand queries a durable engine while a
 // writer streams chunked sessions (MaxTrailKeys 7) through it: whatever
 // moment the query lands on — pair still on a session's trail, chunk
@@ -49,7 +21,6 @@ func (k *keyLog) pairs(m float64) map[pairKey]bool {
 // before the call is reported, exactly once, and nothing that was never
 // emitted is. Run with -race.
 func TestQueryWindowTailsWhileChunksLand(t *testing.T) {
-	const m = 1e5
 	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{MaxSegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -95,13 +66,13 @@ func TestQueryWindowTailsWhileChunksLand(t *testing.T) {
 			done = true // one more probe, over the finished stream
 		default:
 		}
-		before := emitted.pairs(m)
-		probes = append(probes, probe{before, queryAll(t, e, m)})
+		before := emitted.all(t)
+		probes = append(probes, probe{before, queryAll(t, e)})
 	}
 	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	final := emitted.pairs(m)
+	final := emitted.all(t)
 	if st := e.Stats(); st.Persisted < devices || len(final) < 20*devices {
 		t.Fatalf("degenerate run: %d chunks persisted, %d pairs emitted", st.Persisted, len(final))
 	}
@@ -170,19 +141,17 @@ func faultFleet(seed int64) (healthy, faulty []Fix) {
 // next to the chunks that reached the log before the fault — until Heal
 // drains them; then the same pairs come from the log, count unchanged.
 func TestQueryWindowParkedTrailsUntilHeal(t *testing.T) {
-	const m = 1e5
 	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl := &flakyLog{ShardedLog: lg}
-	cfg := Config{
-		Compressor: "fbqs", Tolerance: 5, Shards: 2, MaxTrailKeys: 7,
-	}
+	var ref keyLog
 	healthy, faulty := faultFleet(9)
-	ref := reference(t, cfg, append(append([]Fix(nil), healthy...), faulty...))
-	cfg.Persister = fl
-	e, err := New(cfg)
+	e, err := New(Config{
+		Compressor: "fbqs", Tolerance: 5, Shards: 2, MaxTrailKeys: 7,
+		Persister: fl, OnKey: ref.onKey,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,23 +174,18 @@ func TestQueryWindowParkedTrailsUntilHeal(t *testing.T) {
 	if err := e.Sync(); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Sync = %v, want ErrDegraded", err)
 	}
-	refAll := func() map[pairKey]bool {
-		return pairSet(ref.Stores().QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, 1<<31), m)
-	}
-	if a, b := diffSets(queryAll(t, e, m), refAll()); a != 0 || b != 0 {
+	if a, b := diffSets(queryAll(t, e), ref.all(t)); a != 0 || b != 0 {
 		t.Fatalf("degraded, sessions open: %d extra, %d missing", a, b)
 	}
-	for _, x := range []*Engine{e, ref} {
-		if err := x.FlushSessions(); err != nil {
-			t.Fatal(err)
-		}
+	if err := e.FlushSessions(); err != nil {
+		t.Fatal(err)
 	}
 	st := e.Stats()
 	if st.ParkedTrails == 0 || st.Persisted != logged || st.ActiveSessions != 0 {
 		t.Fatalf("expected everything since the fault parked: %+v", st)
 	}
-	want := refAll()
-	if a, b := diffSets(queryAll(t, e, m), want); a != 0 || b != 0 {
+	want := ref.all(t)
+	if a, b := diffSets(queryAll(t, e), want); a != 0 || b != 0 {
 		t.Fatalf("parked: %d extra, %d missing (truth %d)", a, b, len(want))
 	}
 
@@ -232,13 +196,10 @@ func TestQueryWindowParkedTrailsUntilHeal(t *testing.T) {
 	if st := e.Stats(); st.ParkedTrails != 0 || st.Persisted <= logged {
 		t.Fatalf("Heal did not drain the parked trails: %+v", st)
 	}
-	if a, b := diffSets(queryAll(t, e, m), want); a != 0 || b != 0 {
+	if a, b := diffSets(queryAll(t, e), want); a != 0 || b != 0 {
 		t.Fatalf("healed: %d extra, %d missing (truth %d)", a, b, len(want))
 	}
 	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -246,11 +207,10 @@ func TestQueryWindowParkedTrailsUntilHeal(t *testing.T) {
 // TestCloseDrainsParkedTrails: an engine closed while degraded does not
 // walk away from the trails it parked. With the fault cleared, Close's
 // last drain writes every one of them out — the reopened log holds
-// exactly what a persister-less twin compressed — and Close returns nil;
+// exactly the key points the engine emitted — and Close returns nil;
 // with the fault standing, Close says how much it had to drop, in an
 // error matching ErrDegraded that wraps the root cause.
 func TestCloseDrainsParkedTrails(t *testing.T) {
-	const m = 1e5
 	for _, cleared := range []bool{true, false} {
 		t.Run(fmt.Sprintf("cleared=%v", cleared), func(t *testing.T) {
 			dir := t.TempDir()
@@ -259,10 +219,12 @@ func TestCloseDrainsParkedTrails(t *testing.T) {
 				t.Fatal(err)
 			}
 			fl := &flakyLog{ShardedLog: lg}
-			cfg := Config{Compressor: "fbqs", Tolerance: 5, Shards: 2, MaxTrailKeys: 7}
+			var ref keyLog
 			healthy, faulty := faultFleet(11)
-			cfg.Persister = fl
-			e, err := New(cfg)
+			e, err := New(Config{
+				Compressor: "fbqs", Tolerance: 5, Shards: 2, MaxTrailKeys: 7,
+				Persister: fl, OnKey: ref.onKey,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,24 +238,18 @@ func TestCloseDrainsParkedTrails(t *testing.T) {
 			if logged == 0 {
 				t.Fatal("no chunk reached the log before the fault")
 			}
-			ref := reference(t, cfg, healthy)
 			fl.fail.Store(true)
-			for _, x := range []*Engine{e, ref} {
-				if err := x.Ingest(faulty); err != nil { // acked: the fault shows only when a trail is appended
-					t.Fatal(err)
-				}
-				if err := x.FlushSessions(); err != nil {
-					t.Fatal(err)
-				}
+			if err := e.Ingest(faulty); err != nil { // acked: the fault shows only when a trail is appended
+				t.Fatal(err)
+			}
+			if err := e.FlushSessions(); err != nil {
+				t.Fatal(err)
 			}
 			st := e.Stats()
 			if st.ParkedTrails == 0 || e.State().Phase != Degraded {
 				t.Fatalf("expected a degraded engine with parked trails: %+v, %+v", e.State(), st)
 			}
-			want := pairSet(ref.Stores().QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, 1<<31), m)
-			if err := ref.Close(); err != nil {
-				t.Fatal(err)
-			}
+			want := ref.all(t)
 
 			fl.fail.Store(!cleared)
 			err = e.Close()
@@ -314,7 +270,7 @@ func TestCloseDrainsParkedTrails(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			got := durablePairSet(t, re, -1e6, -1e6, 1e6, 1e6, 0, 1<<31, m)
+			got := durablePairSet(t, re, -1e6, -1e6, 1e6, 1e6, 0, 1<<31)
 			extra, missing := diffSets(got, want)
 			if extra != 0 || cleared && missing != 0 {
 				t.Fatalf("reopened log: %d extra, %d missing of the %d pairs acked", extra, missing, len(want))
@@ -327,11 +283,110 @@ func TestCloseDrainsParkedTrails(t *testing.T) {
 	}
 }
 
+// bareLog is a Persister and nothing more — no window query, so the
+// engine runs it through the append-only adapter. It keeps what it was
+// handed.
+type bareLog struct {
+	mu   sync.Mutex
+	recs [][]trajstore.GeoKey
+}
+
+func (b *bareLog) Append(_ string, keys []trajstore.GeoKey) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.recs = append(b.recs, keys)
+	return nil
+}
+func (*bareLog) Sync() error  { return nil }
+func (*bareLog) Close() error { return nil }
+
+// TestQueryWindowBarePersisterIsTailsOnly: behind a Persister that cannot
+// be read back, QueryWindow is the tails and nothing else — every emitted
+// pair no appended chunk holds, until FlushSessions appends the rest and
+// the answer is empty. What left the engine is the persister's to serve.
+func TestQueryWindowBarePersisterIsTailsOnly(t *testing.T) {
+	var (
+		ref keyLog
+		lg  bareLog
+	)
+	e, err := New(Config{
+		Compressor: "fbqs", Tolerance: 5, Shards: 2, MaxTrailKeys: 7,
+		Persister: &lg, OnKey: ref.onKey,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, faulty := faultFleet(13)
+	if err := e.Ingest(append(healthy, faulty...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.all(t)
+	appended := 0
+	for _, rec := range lg.recs { // Sync returned: the workers are quiescent
+		for i := 1; i < len(rec); i++ {
+			delete(want, pairKeyOf(geoPoint(rec[i-1]), geoPoint(rec[i])))
+			appended++
+		}
+	}
+	if appended == 0 || len(want) == 0 {
+		t.Fatalf("degenerate: %d pairs appended, %d still on open trails", appended, len(want))
+	}
+	if extra, missing := diffSets(queryAll(t, e), want); extra != 0 || missing != 0 {
+		t.Fatalf("sessions open: %d pairs beyond the open tails, %d of the %d tail pairs missing", extra, missing, len(want))
+	}
+	if err := e.FlushSessions(); err != nil {
+		t.Fatal(err)
+	}
+	if got := queryAll(t, e); len(got) != 0 {
+		t.Fatalf("after FlushSessions: %d pairs reported, but every trail was handed to the persister", len(got))
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueryWindowWithoutPersister: an engine with no Persister keeps no
+// trails, so QueryWindow says so instead of answering empty; ingest, the
+// counters and OnKey — its output — work as ever.
+func TestQueryWindowWithoutPersister(t *testing.T) {
+	var out keyLog
+	e, err := New(Config{Compressor: "fbqs", Tolerance: 5, Shards: 2, OnKey: out.onKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, faulty := faultFleet(17)
+	for _, fixes := range [][]Fix{healthy, faulty} {
+		if err := e.Ingest(fixes); err != nil {
+			t.Fatal(err)
+		}
+		if segs, err := e.QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, 1<<31); !errors.Is(err, ErrNoPersister) || segs != nil {
+			t.Fatalf("QueryWindow = %d segments, %v; want none and ErrNoPersister", len(segs), err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	emitted := 0
+	for _, ks := range out.keys {
+		emitted += len(ks)
+	}
+	st := e.Stats()
+	if st.Fixes != uint64(len(healthy)+len(faulty)) || st.KeyPoints != uint64(emitted) || emitted < 8 || st.Persisted != 0 {
+		t.Fatalf("stats %+v with %d key points through OnKey", st, emitted)
+	}
+	if _, err := e.QueryWindow(0, 0, 1, 1, 0, 1); err != ErrClosed {
+		t.Fatalf("QueryWindow on the closed engine = %v, want ErrClosed", err)
+	}
+}
+
 // TestDurableEngineKeepsNoMirror: on a durable engine, history that has
 // reached the log costs no engine memory. Past several chunk flushes the
-// stores are empty and the heap does not grow with further key points —
-// a few bytes each for the log's own record index, nowhere near the
-// ≈ 540 B each of the in-memory mirror this engine used to keep.
+// heap does not grow with further key points — a few bytes each for the
+// log's own record index, nowhere near the ≈ 540 B each an in-memory
+// Store of the same history costs.
 func TestDurableEngineKeepsNoMirror(t *testing.T) {
 	lg, err := segmentlog.OpenSharded(t.TempDir(), 1, segmentlog.Options{})
 	if err != nil {
@@ -373,9 +428,6 @@ func TestDurableEngineKeepsNoMirror(t *testing.T) {
 	added := st.KeyPoints - keys
 	if added < devices*round*9/10 || st.Persisted < 3*devices*round/64 {
 		t.Fatalf("degenerate run: %d key points added, %d chunks persisted", added, st.Persisted)
-	}
-	if st.Store.Segments != 0 || st.Store.Inserted != 0 {
-		t.Fatalf("durable engine fed its in-memory store: %+v", st.Store)
 	}
 	if perKey := (float64(after) - float64(before)) / float64(added); perKey > 64 {
 		t.Fatalf("heap grew %.0f B per additional key point (%d → %d B over %d keys); history is being mirrored in memory",

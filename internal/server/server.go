@@ -91,16 +91,25 @@ type tenant struct {
 
 // Server serves the bqsd protocol over a listener.
 type Server struct {
-	cfg     Config
-	mPerDeg float64
+	cfg Config
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
 	conns   map[net.Conn]struct{}
 	ln      net.Listener
-	closed  bool
-	closing chan struct{}
+	closing chan struct{} // closed by Shutdown, under mu: the server's whole lifecycle
 	wg      sync.WaitGroup
+}
+
+// shuttingDown reports whether Shutdown has begun. Callers that must not
+// race it — registering a listener, a connection or a tenant — hold s.mu.
+func (s *Server) shuttingDown() bool {
+	select {
+	case <-s.closing:
+		return true
+	default:
+		return false
+	}
 }
 
 // New validates cfg and builds a Server. The engine template must carry
@@ -118,13 +127,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
 	}
-	m := cfg.Engine.MetersPerDegree
-	if m == 0 {
-		m = 1e5 // mirror the engine's default so wire→metric inverts persist exactly
-	}
 	return &Server{
 		cfg:     cfg,
-		mPerDeg: m,
 		tenants: make(map[string]*tenant),
 		conns:   make(map[net.Conn]struct{}),
 		closing: make(chan struct{}),
@@ -135,7 +139,7 @@ func New(cfg Config) (*Server, error) {
 // After Shutdown it returns nil.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.shuttingDown() {
 		s.mu.Unlock()
 		_ = ln.Close() // server already shut down; nothing was served
 		return ErrServerClosed
@@ -145,15 +149,13 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			select {
-			case <-s.closing:
+			if s.shuttingDown() {
 				return nil
-			default:
-				return err
 			}
+			return err
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.shuttingDown() {
 			s.mu.Unlock()
 			_ = conn.Close() // raced with Shutdown; nothing was written
 			return nil
@@ -173,7 +175,7 @@ func (s *Server) tenant(name string) (*tenant, error) {
 		return nil, fmt.Errorf("server: invalid tenant name %q", name)
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.shuttingDown() {
 		s.mu.Unlock()
 		return nil, ErrServerClosed
 	}
@@ -224,11 +226,10 @@ func (s *Server) retryMillis(eng *engine.Engine) uint32 {
 // to call once; later calls return nil immediately.
 func (s *Server) Shutdown() error {
 	s.mu.Lock()
-	if s.closed {
+	if s.shuttingDown() {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
 	close(s.closing)
 	ln := s.ln
 	conns := make([]net.Conn, 0, len(s.conns))
@@ -282,10 +283,7 @@ func (s *Server) Shutdown() error {
 // are. Per-tenant failures are joined; a tenant whose persister still
 // fails stays degraded and can be healed again later.
 func (s *Server) Heal() (healed []string, err error) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.shuttingDown() {
 		return nil, ErrServerClosed
 	}
 	var errs []error
@@ -434,8 +432,8 @@ func (s *Server) ingest(tn *tenant, m proto.Ingest, fixes *[]engine.Fix) proto.I
 		fx := (*fixes)[:0]
 		for _, k := range b.Keys {
 			fx = append(fx, engine.Fix{Device: b.Device, Point: core.Point{
-				X: k.Lon * s.mPerDeg,
-				Y: k.Lat * s.mPerDeg,
+				X: k.Lon * trajstore.MetersPerDegree, // the exact inverse of what the engine persists with
+				Y: k.Lat * trajstore.MetersPerDegree,
 				T: float64(k.T),
 			}})
 		}

@@ -231,6 +231,28 @@ func DeltaValidate(b []byte) bool {
 	return true
 }
 
+// MetersPerDegree is the one flat factor between the projected metric
+// plane the compressors bound their error in and the wire format's
+// degrees: the engine persists with it, the server maps wire fixes back
+// with it and compaction ages in the plane it defines, so the three
+// cannot disagree. GeoKeys quantize at 1e-7°, so positions are stored at
+// 1 cm resolution with a ±9000 km range.
+const MetersPerDegree = 1e5
+
+// WireSeconds clamps a metric-plane timestamp to the wire format's uint32
+// seconds; the fraction is dropped and NaN reads as 0. An out-of-range
+// float→uint32 conversion is implementation-defined in Go, so everything
+// that puts a caller's float64 time on the wire goes through here.
+func WireSeconds(t float64) uint32 {
+	switch {
+	case !(t > 0):
+		return 0
+	case t >= math.MaxUint32:
+		return math.MaxUint32
+	}
+	return uint32(t)
+}
+
 // PointKeysToGeo is a convenience for tests and tools: it treats projected
 // metric points as if they were micro-degree coordinates scaled by the
 // given factors. Real deployments should project properly via the geo
@@ -238,11 +260,7 @@ func DeltaValidate(b []byte) bool {
 func PointKeysToGeo(keys []core.Point, mPerLat, mPerLon float64) []GeoKey {
 	out := make([]GeoKey, len(keys))
 	for i, k := range keys {
-		t := k.T
-		if t < 0 {
-			t = 0
-		}
-		out[i] = GeoKey{Lat: k.Y / mPerLat, Lon: k.X / mPerLon, T: uint32(t)}
+		out[i] = GeoKey{Lat: k.Y / mPerLat, Lon: k.X / mPerLon, T: WireSeconds(k.T)}
 	}
 	return out
 }

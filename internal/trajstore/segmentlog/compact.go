@@ -61,15 +61,12 @@ type CompactionPolicy struct {
 	// (when CoarseTolerance enables ageing at all).
 	MinAge time.Duration
 	// CoarseTolerance, when > 0, enables ageing: qualifying records are
-	// re-compressed at this tolerance, in metres of the MetersPerDegree
-	// plane. Zero disables ageing.
+	// re-compressed at this tolerance, in metres of the
+	// trajstore.MetersPerDegree plane. Zero disables ageing.
 	CoarseTolerance float64
 	// MergeChunks enables re-joining consecutive same-device records
 	// that share their boundary key point.
 	MergeChunks bool
-	// MetersPerDegree maps wire-format degrees to the metric plane the
-	// ageing compressor runs in. Default 1e5, matching the engine.
-	MetersPerDegree float64
 	// Now substitutes the ageing clock; nil means time.Now. Tests use
 	// it to age deterministically.
 	Now func() time.Time
@@ -143,12 +140,6 @@ type devOut struct {
 // CRC-verified), not a whole-file slurp.
 func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	var res CompactionResult
-	if p.MetersPerDegree == 0 {
-		p.MetersPerDegree = 1e5
-	}
-	if !(p.MetersPerDegree > 0) || math.IsInf(p.MetersPerDegree, 0) {
-		return res, fmt.Errorf("segmentlog: MetersPerDegree must be a finite positive number")
-	}
 	if math.IsNaN(p.CoarseTolerance) || p.CoarseTolerance < 0 {
 		return res, fmt.Errorf("segmentlog: CoarseTolerance must be ≥ 0")
 	}
@@ -199,7 +190,6 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	if m.valid && m.gen == genAtSnap &&
 		m.policy.CoarseTolerance == p.CoarseTolerance &&
 		m.policy.MergeChunks == p.MergeChunks &&
-		m.policy.MetersPerDegree == p.MetersPerDegree &&
 		(p.CoarseTolerance == 0 || cutoff < m.nextAgeT1) {
 		return res, nil
 	}
@@ -584,7 +574,7 @@ func ageKeys(keys []trajstore.GeoKey, t1, cutoff uint32, p CompactionPolicy) ([]
 	if err != nil {
 		return nil, fmt.Errorf("segmentlog: age compressor: %w", err)
 	}
-	m := p.MetersPerDegree
+	const m = trajstore.MetersPerDegree
 	pts := make([]core.Point, len(keys))
 	for i, k := range keys {
 		pts[i] = core.Point{X: k.Lon * m, Y: k.Lat * m, T: float64(k.T)}
@@ -611,11 +601,7 @@ func ageKeys(keys []trajstore.GeoKey, t1, cutoff uint32, p CompactionPolicy) ([]
 		if !matched {
 			// Defensive: a compressor that synthesizes points (none of
 			// the built-ins do) still round-trips through the plane.
-			t := kp.T
-			if t < 0 {
-				t = 0
-			}
-			out = append(out, trajstore.GeoKey{Lat: kp.Y / m, Lon: kp.X / m, T: uint32(t)})
+			out = append(out, trajstore.GeoKey{Lat: kp.Y / m, Lon: kp.X / m, T: trajstore.WireSeconds(kp.T)})
 		}
 	}
 	if len(out) < 2 {

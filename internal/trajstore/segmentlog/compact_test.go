@@ -161,7 +161,7 @@ func TestCompactDedup(t *testing.T) {
 // Records younger than MinAge are untouched.
 func TestCompactAgeingBound(t *testing.T) {
 	const (
-		mpd     = 1e5  // metres per degree
+		mpd     = trajstore.MetersPerDegree
 		coarse  = 50.0 // metres
 		nowSec  = 1_000_000
 		oldT    = 100_000 // well past MinAge
@@ -207,7 +207,6 @@ func TestCompactAgeingBound(t *testing.T) {
 	res, err := l.Compact(CompactionPolicy{
 		MinAge:          100_000 * time.Second, // cutoff = 900 000
 		CoarseTolerance: coarse,
-		MetersPerDegree: mpd,
 		Now:             func() time.Time { return time.Unix(nowSec, 0) },
 	})
 	if err != nil {

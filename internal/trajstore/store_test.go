@@ -318,4 +318,20 @@ func TestPointKeysToGeo(t *testing.T) {
 	if gk[1].T != 0 {
 		t.Errorf("negative time not clamped: %+v", gk[1])
 	}
+	// The wire time clamp: a float64 outside uint32 converts to an
+	// implementation-defined value in Go, so the codec clamps it itself.
+	for _, c := range []struct {
+		t    float64
+		want uint32
+	}{
+		{-1, 0}, {0, 0}, {12.9, 12}, {math.MaxUint32, math.MaxUint32}, {5e9, math.MaxUint32},
+		{math.Inf(1), math.MaxUint32}, {math.Inf(-1), 0}, {math.NaN(), 0},
+	} {
+		if got := WireSeconds(c.t); got != c.want {
+			t.Errorf("WireSeconds(%v) = %d, want %d", c.t, got, c.want)
+		}
+		if got := PointKeysToGeo([]core.Point{{T: c.t}}, 1, 1)[0].T; got != c.want {
+			t.Errorf("PointKeysToGeo T=%v → %d, want %d", c.t, got, c.want)
+		}
+	}
 }

@@ -94,23 +94,6 @@ func TestQueryLargeWindowComplete(t *testing.T) {
 	}
 }
 
-// TestShardedQueryWindow: fan-out concatenates per-shard results.
-func TestShardedQueryWindow(t *testing.T) {
-	sh, err := NewSharded(3, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.Shard(0).Insert(pt(0, 0, 10), pt(10, 10, 20))
-	sh.Shard(1).Insert(pt(5, 5, 30), pt(15, 15, 40))
-	sh.Shard(2).Insert(pt(1000, 1000, 10), pt(1010, 1010, 20))
-	if got := len(sh.QueryWindow(-1, -1, 20, 20, 0, 100)); got != 2 {
-		t.Fatalf("QueryWindow across shards returned %d, want 2", got)
-	}
-	if got := len(sh.QueryWindow(-1, -1, 20, 20, 35, 100)); got != 1 {
-		t.Fatalf("time-restricted QueryWindow returned %d, want 1", got)
-	}
-}
-
 // TestQueryWindowPersist: a bare persister has nothing durable to
 // query — the append-only backend answers every window with no records
 // and no error, which the engine reads as "live results only".

@@ -9,7 +9,10 @@ import (
 // procedures) and the Camazotz device model behind Table II.
 
 // Store is the on-device historical trajectory database with
-// error-bounded merging and ageing. Obtain one with NewStore.
+// error-bounded merging and ageing. Obtain one with NewStore. It is a
+// library of its own: the ingestion Engine keeps its history in the
+// Persister, not in a Store, so to put merge-tolerance storage behind
+// an engine feed a Store from EngineConfig.OnKey (examples/fleet).
 type Store = trajstore.Store
 
 // StoreConfig parameterizes a Store.
@@ -24,20 +27,6 @@ type GeoKey = trajstore.GeoKey
 
 // NewStore returns an empty trajectory store.
 func NewStore(cfg StoreConfig) (*Store, error) { return trajstore.NewStore(cfg) }
-
-// StoreStats is a point-in-time snapshot of store bookkeeping, merged
-// across shards with Add.
-type StoreStats = trajstore.Stats
-
-// ShardedStore is a fixed set of independent Stores with fan-out queries
-// and merged stats — the storage layer behind the ingestion Engine
-// (Engine.Stores returns one).
-type ShardedStore = trajstore.Sharded
-
-// NewShardedStore returns n independent stores built from one config.
-func NewShardedStore(n int, cfg StoreConfig) (*ShardedStore, error) {
-	return trajstore.NewSharded(n, cfg)
-}
 
 // EncodeTrajectory serializes key points in the paper's 12-byte-per-sample
 // wire format (int32 micro-degree latitude/longitude + uint32 seconds).
