@@ -68,9 +68,10 @@ type Config struct {
 	// gets per-shard append binding, compaction, durable window queries
 	// and cache/reclaim statistics; one with just these three methods
 	// is used append-only: QueryWindow then sees only what has not been
-	// appended yet. Trails are converted to the wire format's degrees
-	// with trajstore.MetersPerDegree. See trajstore.Persister and
-	// trajstore/segmentlog.
+	// appended yet. Key points reach the wire format's degrees through
+	// trajstore.MetersPerDegree, so with a Persister Ingest refuses a
+	// fix outside ±90°/±180° with trajstore.ErrRange. See
+	// trajstore.Persister and trajstore/segmentlog.
 	Persister trajstore.Persister
 	// CompactInterval, when > 0 and a Persister is configured, runs a
 	// background compaction pass (trajstore.Backend.CompactNow — for
@@ -82,19 +83,20 @@ type Config struct {
 	// periodic compaction; CompactNow remains available.
 	CompactInterval time.Duration
 	// MaxTrailKeys bounds the per-session key-point trail kept for
-	// persistence: a session that accumulates this many key points is
-	// chunked — the trail is persisted as a record and restarted from
-	// its last key point, so long-lived sessions (IdleTimeout 0) use
-	// bounded memory and no record approaches the log's record-size
-	// cap. Consecutive chunks share one overlapping key point so the
-	// polyline stays reconstructable. Default 8192.
+	// persistence (as its encoded block: ≈ 6–7 B a key, ≤ 15): a session
+	// that accumulates this many key points is chunked — the trail is
+	// persisted as a record and restarted from its last key point, so
+	// long-lived sessions (IdleTimeout 0) use bounded memory and no
+	// record approaches the log's record-size cap. Consecutive chunks
+	// share one overlapping key point so the polyline stays
+	// reconstructable. Default 8192.
 	MaxTrailKeys int
 	// Clock substitutes the idle-eviction time source; nil means
 	// time.Now. Tests use it to drive eviction deterministically.
 	Clock func() time.Time
 }
 
-// The transient-persist-failure retry loop (appendGeo): an append that
+// The transient-persist-failure retry loop (appendTrail): an append that
 // fails with a trajstore.TransientErr error is retried up to
 // persistRetries times, sleeping an exponentially growing, jittered
 // delay that starts near persistRetryBase and is capped at
@@ -142,7 +144,8 @@ type Stats struct {
 	KeyPoints       uint64      // key points emitted by all sessions
 	Persisted       uint64      // finalized trajectories handed to the persister
 	ParkedTrails    uint64      // trajectories parked in memory by degraded mode, awaiting Heal
-	Rejected        uint64      // fixes refused by TryIngest backpressure or degraded mode
+	TrailBytes      int64       // encoded key points the log has not accepted yet — open sessions' trails plus parked ones: what a SIGKILL loses and Heal owes
+	Rejected        uint64      // fixes refused by TryIngest backpressure, degraded mode or the wire format's range
 	PersistFailures uint64      // failed persister append/sync attempts (retried ones included)
 	CompactFailures uint64      // failed compaction passes (periodic or CompactNow)
 	CompactReclaim  int64       // net disk bytes freed by published compactions
@@ -207,9 +210,8 @@ type Engine struct {
 type session struct {
 	comp     stream.Compressor
 	lastSeen time.Time
-	keys     []core.Point // key-point trail, kept only when persisting; capped at MaxTrailKeys
-	lo, hi   core.Point   // componentwise min and max over keys: the trail's box and time span
-	chunked  bool         // the trail starts with the previous chunk's last key
+	trail    trajstore.Trail // key points not yet in the log, as the block the log will store; kept only when persisting, capped at MaxTrailKeys
+	chunked  bool            // the trail starts with the previous chunk's last key
 }
 
 // shard is one worker: a queue and a session table.
@@ -228,16 +230,11 @@ type shard struct {
 	// acked data survives the outage and re-appended by drainParked when
 	// Heal succeeds; order matters because a device's chunked records
 	// must land in trail order. Owned by this worker goroutine; parkedN
-	// mirrors len(parked) for the Stats reader.
-	parked  []parkedTrail
-	parkedN atomic.Uint64
-
-	// persist is where this worker appends: its private shard of the
-	// backend when the backend's shard count matches the engine's (both
-	// route devices through trajstore.ShardIndex, so this worker is the
-	// only goroutine appending to it and the write skips the second
-	// routing hash), the whole backend otherwise.
-	persist trajstore.Persister
+	// mirrors len(parked) for the Stats reader and trailBytes sums the
+	// blocks of every session's trail and every parked one.
+	parked     []parkedTrail
+	parkedN    atomic.Uint64
+	trailBytes atomic.Int64
 
 	active    atomic.Int64
 	opened    atomic.Uint64
@@ -260,10 +257,10 @@ type shardMsg struct {
 }
 
 // parkedTrail is one finalized trajectory held in memory while the
-// engine is degraded, awaiting re-append after Heal.
+// engine is degraded, awaiting re-append after Heal. It owns its block.
 type parkedTrail struct {
 	device string
-	keys   []trajstore.GeoKey
+	trail  trajstore.Trail
 }
 
 // fixBatch is a pooled per-shard staging buffer for Ingest.
@@ -332,10 +329,6 @@ func New(cfg Config) (*Engine, error) {
 			eng:      e,
 			in:       make(chan shardMsg, cfg.QueueDepth),
 			sessions: make(map[string]*session),
-			persist:  backend,
-		}
-		if backend.NumShards() == cfg.Shards {
-			sh.persist = backend.ShardPersister(i)
 		}
 		e.shards[i] = sh
 		e.wg.Add(1)
@@ -420,8 +413,8 @@ func (e *Engine) scatterFixes(fixes []Fix) *scatter {
 		return sc
 	}
 	for _, f := range fixes {
-		// The sharded segment log routes by the same hash — the alignment
-		// the per-shard persister fast path depends on.
+		// The sharded segment log routes by the same hash, so with equal
+		// shard counts each worker appends to a log shard all its own.
 		i := trajstore.ShardIndex(f.Device, len(e.shards))
 		b := sc.byShard[i]
 		if b == nil {
@@ -437,7 +430,9 @@ func (e *Engine) scatterFixes(fixes []Fix) *scatter {
 // hands each shard its share of fixes and returns how many it enqueued.
 // Blocking, a send parks on a full queue and an ErrClosed abort recycles
 // the shares not yet sent; non-blocking, a full queue drops that shard's
-// share — ErrBackpressure — and the others still go.
+// share — ErrBackpressure — and the others still go. A fix the wire
+// format cannot carry refuses the whole call before anything is enqueued:
+// sessions encode key points as they emit them, too late to tell the caller.
 func (e *Engine) dispatch(fixes []Fix, block bool) (accepted int, err error) {
 	if _, err := e.admit(opIngest); err != nil {
 		if errors.Is(err, ErrDegraded) {
@@ -446,6 +441,12 @@ func (e *Engine) dispatch(fixes []Fix, block bool) (accepted int, err error) {
 		return 0, err
 	}
 	defer e.inflight.Done()
+	for i := 0; e.persisting && i < len(fixes); i++ {
+		if p := fixes[i].Point; !trajstore.InRange(p.Y/mPerDeg, p.X/mPerDeg) {
+			e.rejected.Add(uint64(len(fixes)))
+			return 0, fmt.Errorf("engine: fix %d of %d (device %q) at x=%g y=%g: %w", i, len(fixes), fixes[i].Device, p.X, p.Y, trajstore.ErrRange)
+		}
+	}
 	sc := e.scatterFixes(fixes)
 	for i, b := range sc.byShard {
 		if b == nil {
@@ -484,8 +485,9 @@ func (e *Engine) dispatch(fixes []Fix, block bool) (accepted int, err error) {
 // returns ErrClosed after (or during) Close. Fixes already handed to a
 // shard before an ErrClosed abort are still processed by the shutdown
 // flush. While the engine is degraded the batch is rejected whole with
-// an error matching ErrDegraded (new fixes could not be made durable).
-// TryIngest is the non-blocking variant.
+// an error matching ErrDegraded (new fixes could not be made durable),
+// and one holding a fix the Persister's wire format cannot carry with an
+// error matching trajstore.ErrRange. TryIngest is the non-blocking variant.
 func (e *Engine) Ingest(fixes []Fix) error {
 	if len(fixes) == 0 {
 		return nil
@@ -671,6 +673,7 @@ func (e *Engine) Stats() Stats {
 		s.KeyPoints += sh.keys.Load()
 		s.Persisted += sh.persisted.Load()
 		s.ParkedTrails += sh.parkedN.Load()
+		s.TrailBytes += sh.trailBytes.Load()
 	}
 	s.Rejected = e.rejected.Load()
 	s.PersistFailures = e.persistFails.Load()
@@ -722,8 +725,8 @@ func (e *Engine) Close() error {
 	var trails, keys int
 	for _, sh := range e.shards {
 		trails += len(sh.parked)
-		for _, p := range sh.parked {
-			keys += len(p.keys)
+		for i := range sh.parked {
+			keys += sh.parked[i].trail.Len()
 		}
 	}
 	var lost error
@@ -750,7 +753,7 @@ func (sh *shard) run() {
 				sh.closeAll()
 				// The closing edge's rule: one last attempt at what is
 				// still parked, stopping at the first failure and without
-				// retrying (closing is closed, so appendGeo does not back
+				// retrying (closing is closed, so appendTrail does not back
 				// off). Close reports what stays behind.
 				sh.drainParked()
 				return
@@ -816,18 +819,20 @@ func (sh *shard) newSession() *session {
 	return &session{comp: comp}
 }
 
-// emit records a finalized key point: it joins the session's trail (and
-// its running box) when there is a persister to hand the trail to, and
-// goes to OnKey.
+// emit records a finalized key point: with a persister to hand the trail
+// to, it is quantized to the wire lattice and encoded onto the session's
+// block here, once; and it goes to OnKey.
 func (sh *shard) emit(device string, s *session, kp core.Point) {
 	if sh.eng.persisting {
-		if len(s.keys) == 0 {
-			s.lo, s.hi = kp, kp
+		was := s.trail.Size()
+		err := s.trail.Add(trajstore.GeoKey{Lat: kp.Y / mPerDeg, Lon: kp.X / mPerDeg, T: trajstore.WireSeconds(kp.T)})
+		if err != nil {
+			// dispatch let only encodable fixes in: the compressor made this up.
+			sh.eng.persistFails.Add(1)
+			sh.eng.transition(evFail, fmt.Errorf("engine: device %q: key point x=%g y=%g: %w", device, kp.X, kp.Y, err), 0)
 		}
-		s.lo = core.Point{X: min(s.lo.X, kp.X), Y: min(s.lo.Y, kp.Y), T: min(s.lo.T, kp.T)}
-		s.hi = core.Point{X: max(s.hi.X, kp.X), Y: max(s.hi.Y, kp.Y), T: max(s.hi.T, kp.T)}
-		s.keys = append(s.keys, kp)
-		if len(s.keys) >= sh.eng.cfg.MaxTrailKeys {
+		sh.trailBytes.Add(int64(s.trail.Size() - was))
+		if s.trail.Len() >= sh.eng.cfg.MaxTrailKeys {
 			sh.persistTrail(device, s, false)
 		}
 	}
@@ -837,54 +842,48 @@ func (sh *shard) emit(device string, s *session, kp core.Point) {
 	}
 }
 
-// persistTrail writes the session's accumulated key-point trail to the
-// persister. A non-final (chunking) flush restarts the trail from its
-// last key point so consecutive records overlap by one key and the
-// polyline stays reconstructable; a final flush skips a trail that is
-// only that overlap (nothing new to record).
+// persistTrail hands the session's trail to the persister. A non-final
+// (chunking) flush restarts the trail from its last key point so
+// consecutive records overlap by one key and the polyline stays
+// reconstructable; a final flush skips a trail that is only that overlap
+// (nothing new to record). A trail the persister does not take is parked
+// on the shard — with the session's buffer, so it aliases nothing — and
+// re-appended, in order, when Heal succeeds: data the engine already
+// accepted survives the outage in memory.
 func (sh *shard) persistTrail(device string, s *session, final bool) {
-	if len(s.keys) == 0 || (final && s.chunked && len(s.keys) == 1) {
-		s.keys, s.chunked = nil, false
-		return
-	}
-	sh.persistGeo(device, trajstore.PointKeysToGeo(s.keys, mPerDeg, mPerDeg))
-	if final {
-		s.keys, s.chunked = nil, false
-		return
-	}
-	last := s.keys[len(s.keys)-1]
-	s.keys = append(s.keys[:0], last)
-	s.lo, s.hi, s.chunked = last, last, true
-}
-
-// persistGeo hands one finalized trajectory to the persister. Transient
-// failures are retried by appendGeo; a terminal failure (or exhausted
-// retries) flips the engine into degraded mode and parks the trajectory
-// on the shard, so data the engine already accepted survives the outage
-// in memory and is re-appended — in order — when Heal succeeds. While
-// anything is parked (or the lifecycle refuses the append) new trails
-// join the park queue rather than jumping it: a device's chunked
-// records must reach the log in trail order. The failure is recorded
-// before the trail is parked, so nothing is ever parked while Healthy.
-func (sh *shard) persistGeo(device string, geo []trajstore.GeoKey) {
-	if len(sh.parked) == 0 {
-		if _, err := sh.eng.admit(opPersist); err == nil {
-			if err = sh.appendGeo(device, geo); err == nil {
-				sh.persisted.Add(1)
-				return
-			}
-			sh.eng.transition(evFail, err, 0)
+	tr, gone := &s.trail, s.trail.Size()
+	if tr.Len() > 0 && !(final && s.chunked && tr.Len() == 1) {
+		if sh.tryAppend(device, tr) {
+			sh.persisted.Add(1)
+		} else {
+			sh.parked = append(sh.parked, parkedTrail{device: device, trail: tr.Take()})
+			sh.parkedN.Add(1)
+			gone = 0 // the bytes only moved
 		}
 	}
-	sh.park(device, geo)
+	if !final {
+		tr.Restart()
+		s.chunked = true
+		gone -= tr.Size()
+	}
+	sh.trailBytes.Add(int64(-gone))
 }
 
-// park retains a finalized trajectory in memory for re-append after
-// Heal. geo is freshly allocated per trail (PointKeysToGeo), so holding
-// it aliases nothing.
-func (sh *shard) park(device string, geo []trajstore.GeoKey) {
-	sh.parked = append(sh.parked, parkedTrail{device: device, keys: geo})
-	sh.parkedN.Add(1)
+// tryAppend appends tr, retrying transient failures (appendTrail); a
+// terminal one flips the engine into degraded mode. While anything is
+// parked (or the lifecycle refuses the append) a new trail must join the
+// park queue rather than jump it: a device's chunked records reach the
+// log in trail order. False means park it; the failure behind that is
+// already recorded, so nothing is ever parked while Healthy.
+func (sh *shard) tryAppend(device string, tr *trajstore.Trail) bool {
+	if _, err := sh.eng.admit(opPersist); err != nil || len(sh.parked) > 0 {
+		return false
+	}
+	err := sh.appendTrail(device, tr)
+	if err != nil {
+		sh.eng.transition(evFail, err, 0)
+	}
+	return err == nil
 }
 
 // drainParked re-appends the trails parked while degraded, oldest
@@ -892,12 +891,13 @@ func (sh *shard) park(device string, geo []trajstore.GeoKey) {
 // parked) so a premature Heal downgrades gracefully.
 func (sh *shard) drainParked() {
 	for len(sh.parked) > 0 {
-		p := sh.parked[0]
-		if err := sh.appendGeo(p.device, p.keys); err != nil {
+		p := &sh.parked[0]
+		if err := sh.appendTrail(p.device, &p.trail); err != nil {
 			sh.eng.transition(evFail, err, 0)
 			return
 		}
-		sh.parked[0] = parkedTrail{} // release the drained trail's memory
+		sh.trailBytes.Add(-int64(p.trail.Size()))
+		*p = parkedTrail{} // release the drained trail's memory
 		sh.parked = sh.parked[1:]
 		sh.parkedN.Add(^uint64(0))
 		sh.persisted.Add(1)
@@ -905,16 +905,17 @@ func (sh *shard) drainParked() {
 	sh.parked = nil
 }
 
-// appendGeo is one persister append wrapped in the transient-failure
-// retry loop: trajstore.TransientErr failures are retried up to
-// persistRetries times behind capped exponential backoff with jitter,
-// and the sleep aborts when Close begins. Terminal failures return
-// immediately. Blocking briefly here is fine — the worker owns its
-// queue, so backpressure propagates naturally to senders.
-func (sh *shard) appendGeo(device string, geo []trajstore.GeoKey) error {
+// appendTrail is one persister append — the engine's one way into
+// storage, for flush, chunk, Heal's drain and Close's alike — wrapped in
+// the transient-failure retry loop: trajstore.TransientErr failures are
+// retried up to persistRetries times behind capped exponential backoff
+// with jitter, and the sleep aborts when Close begins. Terminal failures
+// return immediately. Blocking briefly here is fine — the worker owns
+// its queue, so backpressure propagates naturally to senders.
+func (sh *shard) appendTrail(device string, tr *trajstore.Trail) error {
 	e := sh.eng
 	for attempt := 0; ; attempt++ {
-		err := sh.persist.Append(device, geo)
+		err := e.backend.AppendTrail(device, tr)
 		if err != nil {
 			e.persistFails.Add(1)
 		}

@@ -101,12 +101,13 @@ func (b *scriptBackend) CompactNow() error {
 	return nil
 }
 
-func (b *scriptBackend) Close() error                           { return nil }
-func (b *scriptBackend) NumShards() int                         { return 2 }
-func (b *scriptBackend) ShardPersister(int) trajstore.Persister { return b }
-func (b *scriptBackend) CacheStats() cache.Stats                { return cache.Stats{} }
-func (b *scriptBackend) ReclaimedBytes() int64                  { return 0 }
-func (b *scriptBackend) script(f func(*scriptBackend))          { b.mu.Lock(); f(b); b.mu.Unlock() }
+func (b *scriptBackend) Close() error { return nil }
+func (b *scriptBackend) AppendTrail(device string, t *trajstore.Trail) error {
+	return b.Append(device, t.Keys())
+}
+func (b *scriptBackend) CacheStats() cache.Stats       { return cache.Stats{} }
+func (b *scriptBackend) ReclaimedBytes() int64         { return 0 }
+func (b *scriptBackend) script(f func(*scriptBackend)) { b.mu.Lock(); f(b); b.mu.Unlock() }
 func (b *scriptBackend) records(device string) [][]trajstore.GeoKey {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -22,47 +22,21 @@ import (
 // treat it as any other error, or use the partial slice knowingly.
 var ErrPartialResult = errors.New("engine: partial window result (live data only; durable side failed)")
 
-// pairKey identifies one trajectory segment (a consecutive key-point
-// pair) at the wire format's resolution — 1e-7° coordinates, whole
-// seconds — which is exactly what survives the persist round trip. Live
-// and durable copies of the same segment therefore collide, and the
-// merge drops the durable duplicate.
-type pairKey [6]int64
-
 // mPerDeg is the plane the engine persists and queries in.
 const mPerDeg = trajstore.MetersPerDegree
 
-// pairKeyOf quantizes a metric-plane segment as PointKeysToGeo and the
-// codec would.
-func pairKeyOf(a, b core.Point) pairKey {
-	return pairKey{
-		int64(math.Round(a.Y / mPerDeg * 1e7)), int64(math.Round(a.X / mPerDeg * 1e7)), int64(trajstore.WireSeconds(a.T)),
-		int64(math.Round(b.Y / mPerDeg * 1e7)), int64(math.Round(b.X / mPerDeg * 1e7)), int64(trajstore.WireSeconds(b.T)),
-	}
-}
-
-// geoPoint maps a persisted key back into the projected metric plane.
+// geoPoint maps a wire key back into the projected metric plane. Tails
+// and log records both come through it from the same lattice, so the
+// live and the durable copy of a segment are equal bit for bit.
 func geoPoint(k trajstore.GeoKey) core.Point {
 	return core.Point{X: k.Lon * mPerDeg, Y: k.Lat * mPerDeg, T: float64(k.T)}
 }
 
-// pairInWindow is the in-memory ground-truth predicate applied to one
-// metric-plane segment: bounding boxes intersect (boundaries inclusive,
-// matching geom.Box.Intersects) and the time spans overlap.
-func pairInWindow(a, b core.Point, minX, minY, maxX, maxY, t0, t1 float64) bool {
-	loX, hiX := a.X, b.X
-	if loX > hiX {
-		loX, hiX = hiX, loX
-	}
-	loY, hiY := a.Y, b.Y
-	if loY > hiY {
-		loY, hiY = hiY, loY
-	}
-	loT, hiT := a.T, b.T
-	if loT > hiT {
-		loT, hiT = hiT, loT
-	}
-	return loX <= maxX && hiX >= minX && loY <= maxY && hiY >= minY && loT <= t1 && hiT >= t0
+// bits keys a segment by its end points, bit for bit: an integer key
+// hashes in one pass, where a map hashes float fields one at a time.
+func bits(a, b core.Point) [6]uint64 {
+	f := math.Float64bits
+	return [6]uint64{f(a.X), f(a.Y), f(a.T), f(b.X), f(b.Y), f(b.T)}
 }
 
 // tailsQuery is one QueryWindow's read of the un-persisted trails: each
@@ -75,33 +49,52 @@ type tailsQuery struct {
 	out []trajstore.Segment
 }
 
-// meets reports whether the box spanned by a and b meets the window.
+// meets is the in-memory ground-truth predicate applied to one
+// metric-plane segment: the box spanned by a and b intersects the window
+// (boundaries inclusive, matching geom.Box.Intersects) and the time spans
+// overlap.
 func (q *tailsQuery) meets(a, b core.Point) bool {
-	return pairInWindow(a, b, q.minX, q.minY, q.maxX, q.maxY, q.t0, q.t1)
+	loX, hiX := a.X, b.X
+	if loX > hiX {
+		loX, hiX = hiX, loX
+	}
+	loY, hiY := a.Y, b.Y
+	if loY > hiY {
+		loY, hiY = hiY, loY
+	}
+	loT, hiT := a.T, b.T
+	if loT > hiT {
+		loT, hiT = hiT, loT
+	}
+	return loX <= q.maxX && hiX >= q.minX && loY <= q.maxY && hiY >= q.minY && loT <= q.t1 && hiT >= q.t0
 }
 
 // tails reports this shard's history that no log record holds yet: the
-// parked trails (wire keys; rare, so unpruned) and the open sessions'
-// trails, each skipped whole when its running box misses the window.
+// parked trails and the open sessions' trails, each skipped whole when
+// its bounds miss the window and otherwise read back from its block — at
+// wire resolution, exactly what the log will return for it.
 func (sh *shard) tails(q *tailsQuery) {
 	var out []trajstore.Segment
-	add := func(a, b core.Point) {
-		if q.meets(a, b) {
-			out = append(out, trajstore.Segment{A: a, B: b, Weight: 1, FirstT: a.T, LastT: b.T})
+	add := func(tr *trajstore.Trail) {
+		if b := tr.Bounds(); tr.Len() < 2 || !q.meets(geoPoint(b.Min()), geoPoint(b.Max())) {
+			return
+		}
+		c := tr.Cursor()
+		k, _ := c.Next() // the engine built the block: it parses
+		for a, i := geoPoint(k), 1; i < tr.Len(); i++ {
+			k, _ = c.Next()
+			b := geoPoint(k)
+			if q.meets(a, b) {
+				out = append(out, trajstore.Segment{A: a, B: b, Weight: 1, FirstT: a.T, LastT: b.T})
+			}
+			a = b
 		}
 	}
-	for _, p := range sh.parked {
-		for i := 1; i < len(p.keys); i++ {
-			add(geoPoint(p.keys[i-1]), geoPoint(p.keys[i]))
-		}
+	for i := range sh.parked {
+		add(&sh.parked[i].trail)
 	}
 	for _, s := range sh.sessions {
-		if !q.meets(s.lo, s.hi) {
-			continue
-		}
-		for i := 1; i < len(s.keys); i++ {
-			add(s.keys[i-1], s.keys[i])
-		}
+		add(&s.trail)
 	}
 	q.mu.Lock()
 	q.out = append(q.out, out...)
@@ -120,8 +113,7 @@ func (sh *shard) tails(q *tailsQuery) {
 // the call returns ErrNoPersister.
 //
 // Durable records are split into their consecutive key-point pairs,
-// filtered exactly, and deduplicated against the live set at wire
-// resolution. The tails are read before the log, so a trail flushed
+// filtered exactly, and deduplicated against the live set. The tails are read before the log, so a trail flushed
 // between the two reads is reported once and never zero times; tails and
 // log are otherwise disjoint (consecutive chunks share a key point, not
 // a pair). Segments come back with ID 0 and Weight 1.
@@ -150,23 +142,20 @@ func (e *Engine) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]t
 	if err != nil {
 		return out, fmt.Errorf("%w: %w", ErrPartialResult, err)
 	}
-	seen := make(map[pairKey]bool, len(out))
+	seen := make(map[[6]uint64]bool, len(out))
 	for _, s := range out {
-		seen[pairKeyOf(s.A, s.B)] = true
+		seen[bits(s.A, s.B)] = true
 	}
 	for _, rec := range durable {
 		for i := 0; i+1 < len(rec.Keys); i++ {
-			a := geoPoint(rec.Keys[i])
-			b := geoPoint(rec.Keys[i+1])
+			a, b := geoPoint(rec.Keys[i]), geoPoint(rec.Keys[i+1])
 			if !q.meets(a, b) {
 				continue
 			}
-			k := pairKeyOf(a, b)
-			if seen[k] {
-				continue
+			if k := bits(a, b); !seen[k] {
+				seen[k] = true
+				out = append(out, trajstore.Segment{A: a, B: b, Weight: 1, FirstT: a.T, LastT: b.T})
 			}
-			seen[k] = true
-			out = append(out, trajstore.Segment{A: a, B: b, Weight: 1, FirstT: a.T, LastT: b.T})
 		}
 	}
 	return out, nil

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -37,6 +39,21 @@ func gridWalk(d, n int, rng *rand.Rand) []core.Point {
 	return pts
 }
 
+// pairKey identifies one trajectory segment (a consecutive key-point
+// pair) at the wire format's resolution — 1e-7° coordinates, whole
+// seconds — which is exactly what survives the persist round trip, so
+// the float key points OnKey saw and what storage returns can be
+// compared as sets.
+type pairKey [6]int64
+
+// pairKeyOf quantizes a metric-plane segment as emit and the codec do.
+func pairKeyOf(a, b core.Point) pairKey {
+	return pairKey{
+		int64(math.Round(a.Y / mPerDeg * 1e7)), int64(math.Round(a.X / mPerDeg * 1e7)), int64(trajstore.WireSeconds(a.T)),
+		int64(math.Round(b.Y / mPerDeg * 1e7)), int64(math.Round(b.X / mPerDeg * 1e7)), int64(trajstore.WireSeconds(b.T)),
+	}
+}
+
 // pairSet reduces segments to a set of wire-resolution pair keys.
 func pairSet(segs []trajstore.Segment) map[pairKey]bool {
 	out := make(map[pairKey]bool, len(segs))
@@ -48,14 +65,73 @@ func pairSet(segs []trajstore.Segment) map[pairKey]bool {
 
 // TestPairKeySurvivesPersistRoundTrip: a live segment and its durable
 // copy must collide in QueryWindow's dedup whatever a caller put in T —
-// the time is clamped to the wire's uint32 once, by the codec's rule.
+// the time is clamped to the wire's uint32 once, by the codec's rule —
+// and wherever between two lattice points its coordinates fell. Since
+// a session's trail is the block the log stores, that holds by
+// construction: what QueryWindow reads back from an open session's
+// trail is, bit for bit, what it reads from the log once the trail is
+// flushed. pairKeyOf, the tests' own quantizer, must agree with both.
 func TestPairKeySurvivesPersistRoundTrip(t *testing.T) {
-	for _, T := range []float64{-1, 0, 1700000000.75, math.MaxUint32, 5e9} {
+	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var emitted keyLog
+	e, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 2, Persister: lg, OnKey: emitted.onKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d, T := range []float64{-1, 0, 1700000000.75, math.MaxUint32, 5e9} {
 		a, b := core.Point{X: 12.34, Y: -56.78, T: T}, core.Point{X: 99.01, Y: 3.5, T: T + 30}
 		geo := trajstore.PointKeysToGeo([]core.Point{a, b}, mPerDeg, mPerDeg)
 		if live, durable := pairKeyOf(a, b), pairKeyOf(geoPoint(geo[0]), geoPoint(geo[1])); live != durable {
 			t.Errorf("T=%v: live pair key %v, durable %v", T, live, durable)
 		}
+		dev := fmt.Sprintf("dev-%d", d)
+		for i, p := range []core.Point{a, b, {X: 99.014999, Y: 3.505, T: T + 30.5}, {X: -0.004999, Y: 0.005001, T: T + 31}} {
+			p.X, p.Y = p.X+float64(d)*1000.0005, p.Y+float64(i)*0.015
+			if err := e.IngestOne(dev, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	query := func() map[[2]core.Point]int {
+		segs, err := e.QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[[2]core.Point]int{}
+		for _, s := range segs {
+			out[[2]core.Point{s.A, s.B}]++
+		}
+		return out
+	}
+	tails := query()
+	if st := e.Stats(); st.Persisted != 0 || len(tails) != 15 {
+		t.Fatalf("want 15 pairs, all on open sessions' trails: %d pairs, %+v", len(tails), st)
+	}
+	if err := errors.Join(e.FlushSessions(), e.Sync()); err != nil {
+		t.Fatal(err)
+	}
+	logged := query()
+	if st := e.Stats(); st.Persisted != 5 || st.TrailBytes != 0 || !reflect.DeepEqual(tails, logged) {
+		t.Fatalf("the log returns other segments than the trails did (%+v):\n tails %v\n log   %v", st, tails, logged)
+	}
+	want := map[pairKey]bool{}
+	for _, ks := range emitted.keys { // the workers are quiescent: Sync returned
+		for i := 1; i < len(ks); i++ {
+			want[pairKeyOf(ks[i-1], ks[i])] = true
+		}
+	}
+	got := map[pairKey]bool{}
+	for ab := range logged {
+		got[pairKeyOf(ab[0], ab[1])] = true
+	}
+	if extra, missing := diffSets(got, want); extra != 0 || missing != 0 || len(got) != len(logged) {
+		t.Fatalf("against the emitted key points at wire resolution: %d extra, %d missing, %d of %d distinct", extra, missing, len(got), len(logged))
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -142,10 +218,11 @@ func durablePairSet(t *testing.T, lg *segmentlog.ShardedLog, minX, minY, maxX, m
 		t.Fatal(err)
 	}
 	out := make(map[pairKey]bool)
+	q := tailsQuery{minX: minX, minY: minY, maxX: maxX, maxY: maxY, t0: float64(t0), t1: float64(t1)}
 	for _, rec := range recs {
 		for i := 0; i+1 < len(rec.Keys); i++ {
 			a, b := geoPoint(rec.Keys[i]), geoPoint(rec.Keys[i+1])
-			if pairInWindow(a, b, minX, minY, maxX, maxY, float64(t0), float64(t1)) {
+			if q.meets(a, b) {
 				out[pairKeyOf(a, b)] = true
 			}
 		}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,19 +96,85 @@ func TestQueryWindowTailsWhileChunksLand(t *testing.T) {
 }
 
 // flakyLog is a segment log whose appends and syncs fail on demand with
-// a terminal error.
+// a terminal error. It notes every trail it did take (see trailID).
 type flakyLog struct {
 	*segmentlog.ShardedLog
 	fail atomic.Bool
+
+	mu     sync.Mutex
+	landed []string
 }
 
 var errDiskGone = errors.New("disk gone")
 
-func (f *flakyLog) Append(device string, keys []trajstore.GeoKey) error {
+func (f *flakyLog) AppendTrail(device string, t *trajstore.Trail) error {
 	if f.fail.Load() {
 		return errDiskGone
 	}
-	return f.ShardedLog.Append(device, keys)
+	f.mu.Lock()
+	f.landed = append(f.landed, trailID(device, t))
+	f.mu.Unlock()
+	return f.ShardedLog.AppendTrail(device, t)
+}
+
+// trailID is a trail's device and a copy of its block's bytes.
+func trailID(device string, t *trajstore.Trail) string {
+	return device + "\x00" + string(t.AppendBlock(nil))
+}
+
+// byShard splits trail IDs over n shards, keeping their order.
+func byShard(ids []string, n int) [][]string {
+	out := make([][]string, n)
+	for _, id := range ids {
+		dev, _, _ := strings.Cut(id, "\x00")
+		i := trajstore.ShardIndex(dev, n)
+		out[i] = append(out[i], id)
+	}
+	return out
+}
+
+// parkedTrails has every shard worker report, in park order, the trails
+// it holds parked. Each must be a run of its device's emitted key points
+// — a parked block owns its bytes, so no later chunk of the session it
+// came from may have written into them.
+func parkedTrails(t *testing.T, e *Engine, ref *keyLog) [][]string {
+	t.Helper()
+	out := make([][]string, len(e.shards))
+	err := e.barrier(func(sh *shard) {
+		for i := range sh.parked {
+			p := &sh.parked[i]
+			n := trajstore.ShardIndex(p.device, len(out)) // the worker's own slot
+			out[n] = append(out[n], trailID(p.device, &p.trail))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.mu.Lock()
+	defer ref.mu.Unlock()
+	for _, ids := range out {
+		for _, id := range ids {
+			dev, block, _ := strings.Cut(id, "\x00")
+			keys, err := trajstore.DeltaDecode([]byte(block))
+			if err != nil || len(keys) < 2 {
+				t.Fatalf("%s: parked block of %d keys: %v", dev, len(keys), err)
+			}
+			// The emitted key points as the wire holds them.
+			enc, err := trajstore.DeltaEncode(trajstore.PointKeysToGeo(ref.keys[dev], mPerDeg, mPerDeg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			emitted, _ := trajstore.DeltaDecode(enc)
+			at := 0
+			for at < len(emitted) && emitted[at] != keys[0] {
+				at++
+			}
+			if at+len(keys) > len(emitted) || !reflect.DeepEqual(emitted[at:at+len(keys)], keys) {
+				t.Fatalf("%s: parked block of %d keys is not a run of the emitted key points (from emitted key %d of %d)", dev, len(keys), at, len(emitted))
+			}
+		}
+	}
+	return out
 }
 
 func (f *flakyLog) Sync() error {
@@ -115,9 +183,6 @@ func (f *flakyLog) Sync() error {
 	}
 	return f.ShardedLog.Sync()
 }
-
-// ShardPersister keeps the shard workers' appends on the failing path.
-func (f *flakyLog) ShardPersister(int) trajstore.Persister { return f }
 
 // faultFleet is four devices' 300-fix walks, split in time: the halves
 // the degraded-mode tests ingest before and after the fault.
@@ -177,12 +242,25 @@ func TestQueryWindowParkedTrailsUntilHeal(t *testing.T) {
 	if a, b := diffSets(queryAll(t, e), ref.all(t)); a != 0 || b != 0 {
 		t.Fatalf("degraded, sessions open: %d extra, %d missing", a, b)
 	}
+	// Every session has parked several chunks by now, each taking the
+	// buffer it was built in; evicting the sessions parks what is left
+	// and must leave the earlier blocks as they were.
+	early := parkedTrails(t, e, &ref)
 	if err := e.FlushSessions(); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
 	if st.ParkedTrails == 0 || st.Persisted != logged || st.ActiveSessions != 0 {
 		t.Fatalf("expected everything since the fault parked: %+v", st)
+	}
+	parked := parkedTrails(t, e, &ref)
+	for i := range parked {
+		if len(early[i]) < 4 || len(parked[i]) <= len(early[i]) || !reflect.DeepEqual(parked[i][:len(early[i])], early[i]) {
+			t.Fatalf("shard %d: the %d blocks parked before eviction are not the first of the %d parked after it", i, len(early[i]), len(parked[i]))
+		}
+	}
+	if st.TrailBytes == 0 {
+		t.Fatalf("TrailBytes = 0 with %d trails parked", st.ParkedTrails)
 	}
 	want := ref.all(t)
 	if a, b := diffSets(queryAll(t, e), want); a != 0 || b != 0 {
@@ -193,8 +271,11 @@ func TestQueryWindowParkedTrailsUntilHeal(t *testing.T) {
 	if err := e.Heal(); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.ParkedTrails != 0 || st.Persisted <= logged {
+	if st := e.Stats(); st.ParkedTrails != 0 || st.Persisted <= logged || st.TrailBytes != 0 {
 		t.Fatalf("Heal did not drain the parked trails: %+v", st)
+	}
+	if healed := byShard(fl.landed[logged:], 2); !reflect.DeepEqual(healed, parked) {
+		t.Fatalf("Heal appended other blocks, or in another order, than were parked:\n%q\n%q", healed, parked)
 	}
 	if a, b := diffSets(queryAll(t, e), want); a != 0 || b != 0 {
 		t.Fatalf("healed: %d extra, %d missing (truth %d)", a, b, len(want))
@@ -249,6 +330,7 @@ func TestCloseDrainsParkedTrails(t *testing.T) {
 			if st.ParkedTrails == 0 || e.State().Phase != Degraded {
 				t.Fatalf("expected a degraded engine with parked trails: %+v, %+v", e.State(), st)
 			}
+			parked := parkedTrails(t, e, &ref)
 			want := ref.all(t)
 
 			fl.fail.Store(!cleared)
@@ -256,6 +338,9 @@ func TestCloseDrainsParkedTrails(t *testing.T) {
 			if cleared {
 				if err != nil {
 					t.Fatalf("Close with the fault cleared = %v", err)
+				}
+				if drained := byShard(fl.landed[logged:], 2); !reflect.DeepEqual(drained, parked) {
+					t.Fatalf("Close appended other blocks, or in another order, than were parked:\n%q\n%q", drained, parked)
 				}
 			} else {
 				if !errors.Is(err, ErrDegraded) || !errors.Is(err, errDiskGone) {

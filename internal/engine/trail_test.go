@@ -1,0 +1,354 @@
+package engine
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+
+	"github.com/trajcomp/bqs/internal/core"
+	"github.com/trajcomp/bqs/internal/trajstore"
+	"github.com/trajcomp/bqs/internal/trajstore/segmentlog"
+)
+
+// teeLog is a segment log that also keeps, in append order, what a bare
+// Persister would have been handed for every trail the engine appends.
+type teeLog struct {
+	*segmentlog.ShardedLog
+	mu   sync.Mutex
+	recs []teeRec
+}
+
+type teeRec struct {
+	device string
+	keys   []trajstore.GeoKey
+}
+
+// AppendTrail records and forwards under one lock, so the recorded order
+// is each log shard's file order.
+func (l *teeLog) AppendTrail(device string, t *trajstore.Trail) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.recs = append(l.recs, teeRec{device, t.Keys()})
+	return l.ShardedLog.AppendTrail(device, t)
+}
+
+// logFiles reads every file of a closed log root except its lock.
+func logFiles(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || d.Name() == "LOCK" {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestTrailBlocksMatchLogAppend is the engine → log differential: a
+// session's block, built key by key at emit and only framed by the log,
+// must land as the very bytes the log writes when it is handed the same
+// trail as GeoKeys and encodes it itself. The same run feeds both: the
+// engine appends to a real log through a tee, and what the tee recorded
+// is replayed into a second log with Append(device, keys). Segment
+// files, block indexes and manifests must come out byte-identical — for
+// a trail cap of 2 (every record is chunk overlap plus one key), 16 and
+// the default — and a session whose trail is only the overlap key at its
+// final flush must write nothing.
+func TestTrailBlocksMatchLogAppend(t *testing.T) {
+	for _, maxKeys := range []int{2, 16, 8192} {
+		t.Run(fmt.Sprintf("MaxTrailKeys=%d", maxKeys), func(t *testing.T) {
+			opts := segmentlog.Options{MaxSegmentBytes: 2048}
+			dirA, dirB := t.TempDir(), t.TempDir()
+			lg, err := segmentlog.OpenSharded(dirA, 2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tee := &teeLog{ShardedLog: lg}
+			e, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 2, MaxTrailKeys: maxKeys, Persister: tee})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Device d sends 20+d fixes (every one a key point), off the
+			// lattice in every coordinate so the quantization is exercised.
+			const devices = 24
+			wantRecords, overlapOnly := map[string]int{}, 0
+			for i := 0; i < 20+devices; i++ {
+				var batch []Fix
+				for d := 0; d < devices; d++ {
+					if i < 20+d {
+						batch = append(batch, Fix{Device: fmt.Sprintf("dev-%d", d), Point: core.Point{
+							X: float64(d)*1500.004 + float64(i)*37.123456, Y: float64(i%5)*-211.98765 + float64(d), T: 1000.6 + float64(i*7),
+						}})
+					}
+				}
+				if err := e.Ingest(batch); err != nil {
+					t.Fatal(err)
+				}
+				if i%9 == 0 {
+					if err := e.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for d := 0; d < devices; d++ {
+				// The chunking rule, restated: a record at every maxKeys-th
+				// key, the trail restarting from that key; at the final
+				// flush whatever is more than the overlap.
+				trail, chunked, n := 0, false, 0
+				for k := 0; k < 20+d; k++ {
+					if trail++; trail >= maxKeys {
+						n, trail, chunked = n+1, 1, true
+					}
+				}
+				switch {
+				case chunked && trail == 1:
+					overlapOnly++
+				case trail > 0:
+					n++
+				}
+				wantRecords[fmt.Sprintf("dev-%d", d)] = n
+			}
+			if maxKeys < 8192 && overlapOnly == 0 {
+				t.Fatal("no device ends on an overlap-only trail")
+			}
+			if err := errors.Join(e.FlushSessions(), e.Sync()); err != nil {
+				t.Fatal(err)
+			}
+			if tb := e.Stats().TrailBytes; tb != 0 {
+				t.Fatalf("TrailBytes = %d with every session flushed", tb)
+			}
+			for dev, want := range wantRecords {
+				recs, err := lg.Query(dev, 0, math.MaxUint32)
+				if err != nil || len(recs) != want {
+					t.Fatalf("%s: %d records in the log (%v), want %d", dev, len(recs), err, want)
+				}
+				for i := 1; i < len(recs); i++ {
+					if prev := recs[i-1].Keys; prev[len(prev)-1] != recs[i].Keys[0] {
+						t.Fatalf("%s: records %d and %d do not share a key point", dev, i-1, i)
+					}
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			replay, err := segmentlog.OpenSharded(dirB, 2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range tee.recs {
+				if len(r.keys) < 2 {
+					t.Fatalf("%s: the engine appended a %d-key trail", r.device, len(r.keys))
+				}
+				if err := replay.Append(r.device, r.keys); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := replay.Close(); err != nil {
+				t.Fatal(err)
+			}
+			a, b := logFiles(t, dirA), logFiles(t, dirB)
+			segs := 0
+			for name, want := range b {
+				if got, ok := a[name]; !ok || !bytes.Equal(got, want) {
+					t.Errorf("%s: the engine's log and the replayed one differ (%d vs %d bytes, present %v)", name, len(got), len(want), ok)
+				}
+				if filepath.Ext(name) == ".idx" {
+					segs++
+				}
+			}
+			if len(a) != len(b) || segs == 0 {
+				t.Fatalf("%d files behind the engine, %d replayed, %d sealed block indexes", len(a), len(b), segs)
+			}
+		})
+	}
+}
+
+// heapAlloc is the live heap after two collections: the second empties
+// the sync.Pool victim caches, where the staging batches a burst of
+// Ingest calls left behind would otherwise count.
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestTrailHeapPerBufferedKey is the number the block trail is about: a
+// key point a session has emitted but not flushed costs its encoded
+// bytes and the slack of a growing buffer, not a 24-byte core.Point in a
+// doubling slice (40 B a key before). 2 000 sessions buffer 600 key
+// points each — no chunk, nothing reaches the log — and the heap may
+// grow by at most 14 B for each.
+func TestTrailHeapPerBufferedKey(t *testing.T) {
+	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 2, Persister: lg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const devices, perDevice = 2000, 600
+	names := make([]string, devices)
+	for d := range names {
+		names[d] = fmt.Sprintf("dev-%04d", d)
+	}
+	batch := make([]Fix, 0, devices)
+	feed := func(from, to int) uint64 {
+		for i := from; i < to; i++ {
+			batch = batch[:0]
+			for d, name := range names { // ≈ 100 m steps with a ±40 m zig-zag, 10 s apart
+				batch = append(batch, Fix{Device: name, Point: core.Point{
+					X: float64(d%50)*10000 + float64(i)*100.37, Y: float64(d/50)*10000 + float64(i%2)*40.11, T: float64(1700000000 + 10*i),
+				}})
+			}
+			if err := e.Ingest(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return heapAlloc()
+	}
+	before := feed(0, 1) // every session open, pools and queues at their steady size
+	after := feed(1, perDevice)
+	st := e.Stats()
+	if st.KeyPoints != devices*perDevice || st.Persisted != 0 || st.ActiveSessions != devices {
+		t.Fatalf("degenerate run: %+v", st)
+	}
+	added := float64(devices * (perDevice - 1))
+	perKey, wire := (float64(after)-float64(before))/added, float64(st.TrailBytes)/float64(st.KeyPoints)
+	t.Logf("heap %.1f B per buffered key point (%d → %d B); %.2f B of it the key's encoding", perKey, before, after, wire)
+	if perKey > 14 || wire < 5 || wire > 8 {
+		t.Fatalf("heap grew %.1f B per buffered key point (encoded size %.2f B), want ≤ 14", perKey, wire)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIngestOutOfRangeFix: a fix the wire format cannot carry is refused
+// at the door — the call fails with trajstore.ErrRange before anything is
+// enqueued and is counted in Stats.Rejected — instead of being acked,
+// failing its trail's encode at flush and taking the whole engine into a
+// degraded mode no Heal can leave. The poles and the antimeridian are in
+// range, other devices are unaffected, and an engine with no Persister,
+// which encodes nothing, takes any plane coordinates.
+func TestIngestOutOfRangeFix(t *testing.T) {
+	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 2, Persister: lg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := func(i int) Fix {
+		return Fix{Device: "good", Point: core.Point{X: float64(i) * 25, Y: float64(i%2) * 30, T: float64(100 + i)}}
+	}
+	for i := 0; i < 3; i++ {
+		if err := e.IngestOne("good", good(i).Point); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := map[string]core.Point{
+		"91° N":     {Y: 91 * mPerDeg, T: 1},
+		"181° W":    {X: -181 * mPerDeg, T: 1},
+		"NaN":       {Y: math.NaN(), T: 1},
+		"+Inf":      {X: math.Inf(1), T: 1},
+		"-Inf":      {Y: math.Inf(-1), T: 1},
+		"just over": {Y: math.Nextafter(90*mPerDeg, math.Inf(1)) + 1, T: 1},
+	}
+	var rejected uint64
+	for name, p := range bad {
+		batch := []Fix{good(3), {Device: "stray", Point: p}, good(4)}
+		for call, ingest := range map[string]func() error{
+			"Ingest":    func() error { return e.Ingest(batch) },
+			"TryIngest": func() error { _, err := e.TryIngest(batch); return err },
+			"IngestOne": func() error { return e.IngestOne("stray", p) },
+		} {
+			if err := ingest(); !errors.Is(err, trajstore.ErrRange) {
+				t.Fatalf("%s of a fix at %s = %v, want trajstore.ErrRange", call, name, err)
+			}
+			rejected += uint64(len(batch))
+			if call == "IngestOne" {
+				rejected -= uint64(len(batch) - 1)
+			}
+		}
+	}
+	if n, err := e.TryIngest([]Fix{good(3), {Device: "stray", Point: bad["NaN"]}}); n != 0 || !errors.Is(err, trajstore.ErrRange) {
+		t.Fatalf("TryIngest = %d, %v: fixes were enqueued beside the refused one", n, err)
+	}
+	rejected += 2
+	// The reproduction: five fixes at 95° N, then flush and barrier.
+	north := make([]Fix, 5)
+	for i := range north {
+		north[i] = Fix{Device: "north", Point: core.Point{X: float64(i), Y: 95 * mPerDeg, T: float64(i)}}
+	}
+	if err := e.Ingest(north); !errors.Is(err, trajstore.ErrRange) {
+		t.Fatalf("Ingest at 95° N = %v, want trajstore.ErrRange", err)
+	}
+	rejected += 5
+	if err := errors.Join(e.Sync(), e.Heal()); err != nil {
+		t.Fatalf("Sync, Heal after the refusals = %v", err)
+	}
+	if st := e.Stats(); st.Rejected != rejected || st.Fixes != 3 || st.ActiveSessions != 1 {
+		t.Fatalf("refused calls left a trace: %+v, want %d rejected and the good device's 3 fixes", st, rejected)
+	}
+
+	// Exactly on the range's edge is in range; the good device carries on.
+	edge := []Fix{
+		{Device: "pole", Point: core.Point{X: 180 * mPerDeg, Y: 90 * mPerDeg, T: 5}},
+		{Device: "pole", Point: core.Point{X: -180 * mPerDeg, Y: -90 * mPerDeg, T: 6}},
+		good(3), good(4),
+	}
+	if err := e.Ingest(edge); err != nil {
+		t.Fatalf("Ingest at ±90°/±180° = %v", err)
+	}
+	if err := errors.Join(e.FlushSessions(), e.Sync()); err != nil {
+		t.Fatal(err)
+	}
+	if st, ph := e.Stats(), e.State().Phase; ph != Healthy || st.ParkedTrails != 0 || st.PersistFailures != 0 || st.Persisted != 2 {
+		t.Fatalf("phase %v, %+v: want a healthy engine with two trails persisted", ph, st)
+	}
+	for dev, want := range map[string]int{"good": 5, "pole": 2, "stray": 0, "north": 0} {
+		recs, err := lg.Query(dev, 0, math.MaxUint32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := 0
+		for _, r := range recs {
+			keys += len(r.Keys)
+		}
+		if keys != want {
+			t.Fatalf("%s: %d key points in the log, want %d", dev, keys, want)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var seen int
+	plain, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 1, OnKey: func(string, core.Point) { seen++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(plain.IngestOne("utm", core.Point{X: 500000, Y: 9.9e6, T: 1}), plain.Close()); err != nil || seen != 1 {
+		t.Fatalf("persister-less engine: %v, %d keys seen", err, seen)
+	}
+}

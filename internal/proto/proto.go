@@ -213,6 +213,22 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// appendKeyBlock appends keys' delta-varint block, encoded straight into
+// dst, then shifts it to make room for its length prefix.
+func appendKeyBlock(dst []byte, keys []trajstore.GeoKey) ([]byte, error) {
+	start := len(dst)
+	dst, err := trajstore.AppendDelta(dst, keys)
+	if err != nil {
+		return nil, err
+	}
+	var pre [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(pre[:], uint64(len(dst)-start))
+	dst = append(dst, pre[:w]...)
+	copy(dst[start+w:], dst[start:])
+	copy(dst[start:], pre[:w])
+	return dst, nil
+}
+
 // AppendHello appends h's payload to dst.
 func AppendHello(dst []byte, h Hello) []byte {
 	dst = binary.AppendUvarint(dst, uint64(h.Version))
@@ -231,13 +247,10 @@ func AppendIngest(dst []byte, m Ingest) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, m.Seq)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Batches)))
 	for _, b := range m.Batches {
-		dst = appendString(dst, b.Device)
-		block, err := trajstore.DeltaEncode(b.Keys)
-		if err != nil {
+		var err error
+		if dst, err = appendKeyBlock(appendString(dst, b.Device), b.Keys); err != nil {
 			return nil, err
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(block)))
-		dst = append(dst, block...)
 	}
 	return dst, nil
 }
@@ -303,12 +316,10 @@ func AppendQueryResp(dst []byte, m QueryResp) ([]byte, error) {
 		dst = appendString(dst, r.Device)
 		dst = binary.AppendUvarint(dst, uint64(r.T0))
 		dst = binary.AppendUvarint(dst, uint64(r.T1))
-		block, err := trajstore.DeltaEncode(r.Keys)
-		if err != nil {
+		var err error
+		if dst, err = appendKeyBlock(dst, r.Keys); err != nil {
 			return nil, err
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(block)))
-		dst = append(dst, block...)
 	}
 	return appendString(dst, m.Err), nil
 }
@@ -386,7 +397,7 @@ func (c *cursor) keyBlock() ([]trajstore.GeoKey, error) {
 	// can walk them off the globe); reject here so a decoded batch is
 	// always persistable and re-encodable.
 	for _, k := range keys {
-		if math.Abs(k.Lat) > 90 || math.Abs(k.Lon) > 180 {
+		if !trajstore.InRange(k.Lat, k.Lon) {
 			return nil, fmt.Errorf("%w: %v", ErrMalformed, trajstore.ErrRange)
 		}
 	}

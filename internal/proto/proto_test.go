@@ -233,3 +233,38 @@ func TestParseQueryWindowRejectsNaN(t *testing.T) {
 		t.Fatalf("NaN bound: err = %v, want ErrMalformed", err)
 	}
 }
+
+// TestKeyBlockBytes: a key block encoded straight into the frame buffer
+// and shifted behind its length is, for every length-prefix width and on
+// both sides of each width's boundary, the bytes of "encode into a slice
+// of its own, then copy" — and an unencodable key leaves no partial
+// frame behind.
+func TestKeyBlockBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 17, 18, 19, 20, 21, 22, 23, 24, 2300, 2400, 2500, 2600, 2700, 2800} {
+		keys := testKeys(n)
+		block, err := trajstore.DeltaEncode(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(binary.AppendUvarint([]byte("head"), uint64(len(block))), block...)
+		got, err := appendKeyBlock([]byte("head"), keys)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d keys (%d-byte block): %x, %v; want %x", n, len(block), got, err, want)
+		}
+	}
+	widths := map[int]bool{}
+	for n := 0; n < 3000; n += 25 {
+		block, _ := trajstore.DeltaEncode(testKeys(n))
+		widths[len(binary.AppendUvarint(nil, uint64(len(block))))] = true
+	}
+	if !widths[1] || !widths[2] || !widths[3] {
+		t.Fatalf("length-prefix widths covered: %v, want 1, 2 and 3 bytes", widths)
+	}
+	bad := append(testKeys(3), trajstore.GeoKey{Lat: 91})
+	if got, err := appendKeyBlock([]byte("head"), bad); got != nil || !errors.Is(err, trajstore.ErrRange) {
+		t.Fatalf("block with a key at 91° N = %x, %v", got, err)
+	}
+	if got, err := AppendIngest(nil, Ingest{Batches: []DeviceBatch{{Device: "d", Keys: bad}}}); got != nil || !errors.Is(err, trajstore.ErrRange) {
+		t.Fatalf("AppendIngest with a key at 91° N = %x, %v", got, err)
+	}
+}

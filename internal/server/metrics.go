@@ -83,6 +83,8 @@ func (s *Server) MetricsHandler() http.Handler {
 			func(t *tenantMetrics) interface{} { return t.eng.Persisted })
 		f("bqs_parked_trails", "gauge", "Trajectories parked in memory by degraded mode, awaiting heal.",
 			func(t *tenantMetrics) interface{} { return t.eng.ParkedTrails })
+		f("bqs_trail_bytes", "gauge", "Encoded key points the log has not accepted yet: open sessions' trails plus parked ones.",
+			func(t *tenantMetrics) interface{} { return t.eng.TrailBytes })
 		f("bqs_persist_failures_total", "counter", "Failed persister append/sync attempts, retried ones included.",
 			func(t *tenantMetrics) interface{} { return t.eng.PersistFailures })
 		f("bqs_compact_failures_total", "counter", "Failed compaction passes.",

@@ -74,8 +74,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := c.IngestAll(batches, 20); err != nil {
 		t.Fatalf("IngestAll: %v", err)
 	}
+	// Mid-session (everything processed, nothing flushed) the sessions'
+	// trails are what a SIGKILL would lose; the gauge says how much.
+	if err := c.Sync(false); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if v := metricValue(t, scrape(t, srv), "bqs_trail_bytes", "fleet"); v <= 0 {
+		t.Errorf("bqs_trail_bytes = %v mid-session, want > 0", v)
+	}
 	if err := c.Sync(true); err != nil { // flush sessions to the log
 		t.Fatalf("Sync: %v", err)
+	}
+	if v := metricValue(t, scrape(t, srv), "bqs_trail_bytes", "fleet"); v != 0 {
+		t.Errorf("bqs_trail_bytes = %v after the flush, want 0", v)
 	}
 	// Two identical window queries: the first populates the read cache,
 	// the second hits it.

@@ -2,8 +2,10 @@ package trajstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -240,4 +242,177 @@ func TestDeltaValidateMatchesDecode(t *testing.T) {
 	check([]byte{0x02, 0x02, 0x02, 0x05, 0x02, 0x02, 0x0b}) // t1=5, dt=-6 → t<0
 	check([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})             // count ≫ len
 	check(nil)
+}
+
+// refDeltaEncode is DeltaEncode as it stood before Trail: the reference
+// the one encoder is held to, byte for byte.
+func refDeltaEncode(keys []GeoKey) ([]byte, error) {
+	var out []byte
+	out = binary.AppendUvarint(out, uint64(len(keys)))
+	var pLat, pLon int64
+	var pT uint32
+	for i, k := range keys {
+		if math.Abs(k.Lat) > 90 || math.Abs(k.Lon) > 180 ||
+			math.IsNaN(k.Lat) || math.IsNaN(k.Lon) {
+			return nil, ErrRange
+		}
+		lat := int64(math.Round(k.Lat * 1e7))
+		lon := int64(math.Round(k.Lon * 1e7))
+		if i == 0 {
+			out = binary.AppendVarint(out, lat)
+			out = binary.AppendVarint(out, lon)
+			out = binary.AppendUvarint(out, uint64(k.T))
+		} else {
+			out = binary.AppendVarint(out, lat-pLat)
+			out = binary.AppendVarint(out, lon-pLon)
+			out = binary.AppendVarint(out, int64(k.T)-int64(pT))
+		}
+		pLat, pLon, pT = lat, lon, k.T
+	}
+	return out, nil
+}
+
+// refBounds is what the segment log used to compute from a record's keys
+// at append time (timeBounds, keysBBox): min and max per axis after
+// quantizing each coordinate.
+func refBounds(keys []GeoKey) Bounds {
+	b := Bounds{MinLat: math.MaxInt32, MinLon: math.MaxInt32, MaxLat: math.MinInt32, MaxLon: math.MinInt32, T0: math.MaxUint32}
+	for _, k := range keys {
+		lat, lon := int32(math.Round(k.Lat*1e7)), int32(math.Round(k.Lon*1e7))
+		b.MinLat, b.MaxLat = min(b.MinLat, lat), max(b.MaxLat, lat)
+		b.MinLon, b.MaxLon = min(b.MinLon, lon), max(b.MaxLon, lon)
+		b.T0, b.T1 = min(b.T0, k.T), max(b.T1, k.T)
+	}
+	return b
+}
+
+// checkTrailMatchesDeltaEncode holds Trail, Cursor and AppendDelta to the
+// references for one key sequence; cut picks where the trail is chunked.
+func checkTrailMatchesDeltaEncode(t *testing.T, keys []GeoKey, cut int) {
+	t.Helper()
+	want, werr := refDeltaEncode(keys)
+	got, gerr := DeltaEncode(keys)
+	if (werr == nil) != (gerr == nil) || !bytes.Equal(got, want) {
+		t.Fatalf("DeltaEncode = %x, %v; reference %x, %v", got, gerr, want, werr)
+	}
+	prefix := []byte("prefix")
+	if app, err := AppendDelta(append([]byte(nil), prefix...), keys); (err == nil) != (werr == nil) ||
+		err == nil && !bytes.Equal(app, append(prefix, want...)) {
+		t.Fatalf("AppendDelta behind a prefix = %x, %v; want the prefix then %x", app, err, want)
+	}
+	var tr Trail
+	if err := tr.Add(keys...); (err == nil) != (werr == nil) {
+		t.Fatalf("Trail.Add = %v, reference %v", err, werr)
+	}
+	if werr != nil {
+		return
+	}
+	if block := tr.AppendBlock(nil); !bytes.Equal(block, want) || tr.Len() != len(keys) || tr.Size() != len(want)-uvarintLen(len(keys)) {
+		t.Fatalf("trail of %d keys, %d B: block %x, want %x", tr.Len(), tr.Size(), block, want)
+	}
+	if len(keys) > 0 && tr.Bounds() != refBounds(keys) {
+		t.Fatalf("bounds %+v, reference %+v", tr.Bounds(), refBounds(keys))
+	}
+	dec, err := DeltaDecode(want)
+	if err != nil || !DeltaValidate(want) {
+		t.Fatalf("the block does not read back: %v", err)
+	}
+	if read := tr.Keys(); !reflect.DeepEqual(read, dec) {
+		t.Fatalf("cursor over the trail read %v, DeltaDecode %v", read, dec)
+	}
+	if len(keys) == 0 {
+		return
+	}
+	// Chunking: keys[:cut+1] is flushed and the trail restarts from its
+	// last key on the lattice — which must encode as the float did. The
+	// flushed chunk, taken by a holder, is not the builder's to touch.
+	cut = cut % len(keys)
+	var head Trail
+	if err := head.Add(keys[:cut+1]...); err != nil {
+		t.Fatal(err)
+	}
+	held := head.Take()
+	before := held.AppendBlock(nil)
+	head.Restart()
+	if err := head.Add(keys[cut+1:]...); err != nil {
+		t.Fatal(err)
+	}
+	wantTail, _ := refDeltaEncode(keys[cut:])
+	wantHead, _ := refDeltaEncode(keys[:cut+1])
+	if block := head.AppendBlock(nil); !bytes.Equal(block, wantTail) || head.Bounds() != refBounds(keys[cut:]) {
+		t.Fatalf("restarted at key %d: block %x bounds %+v, want %x %+v", cut, block, head.Bounds(), wantTail, refBounds(keys[cut:]))
+	}
+	if after := held.AppendBlock(nil); !bytes.Equal(after, before) || !bytes.Equal(after, wantHead) {
+		t.Fatalf("taken chunk changed under the builder: %x → %x, want %x", before, after, wantHead)
+	}
+	// The same restart in place (the chunk was appended, not parked)
+	// reuses the buffer and must produce the same bytes.
+	var inPlace Trail
+	if err := inPlace.Add(keys[:cut+1]...); err != nil {
+		t.Fatal(err)
+	}
+	inPlace.Restart()
+	if err := inPlace.Add(keys[cut+1:]...); err != nil {
+		t.Fatal(err)
+	}
+	if block := inPlace.AppendBlock(nil); !bytes.Equal(block, wantTail) {
+		t.Fatalf("restarted in place at key %d: block %x, want %x", cut, block, wantTail)
+	}
+}
+
+func uvarintLen(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
+
+// TestTrailMatchesDeltaEncode runs the property over the seed
+// trajectories, the quantization-boundary cases (1e-7° half steps
+// included) and out-of-range keys at every position.
+func TestTrailMatchesDeltaEncode(t *testing.T) {
+	seqs := fuzzSeedKeys()
+	seqs = append(seqs, nil,
+		[]GeoKey{{Lat: 89.99999996, Lon: 179.99999996, T: 1}, {Lat: -89.99999996, Lon: -179.99999996, T: 2}},
+		[]GeoKey{{Lat: 0.00000005, Lon: -0.00000005, T: 9}, {Lat: 0.00000015, Lon: 0.00000025, T: 3}, {Lat: -0.00000035, Lon: 1e-7, T: 3}},
+		[]GeoKey{{Lat: 10, Lon: 20, T: 1000}, {Lat: 9.9999999, Lon: 19.9999999, T: 1001}, {Lat: -10, Lon: -20, T: 0}, {Lat: 90, Lon: -180, T: math.MaxUint32}},
+	)
+	for _, keys := range seqs {
+		for cut := range max(len(keys), 1) {
+			checkTrailMatchesDeltaEncode(t, keys, cut)
+		}
+	}
+	for _, bad := range []GeoKey{{Lat: 90 + 1e-6}, {Lon: -180 - 1e-6}, {Lat: math.NaN()}, {Lon: math.Inf(1)}, {Lat: math.Inf(-1)}} {
+		for at := 0; at < 3; at++ {
+			keys := []GeoKey{{Lat: 1, Lon: 2, T: 3}, {Lat: 1.5, Lon: 2.5, T: 4}}
+			keys = append(keys[:at:at], append([]GeoKey{bad}, keys[at:]...)...)
+			checkTrailMatchesDeltaEncode(t, keys, 0)
+		}
+	}
+}
+
+// FuzzTrailMatchesDeltaEncode: for any key sequence the fuzzer can
+// reach — FuzzDeltaDecode's corpus read back as keys, each then nudged
+// by up to ± one lattice step in 1/128 steps so half-step ties occur —
+// the builder's bytes are DeltaEncode's of the parent, its bounds are
+// the parent's timeBounds/keysBBox, and the cursor reads what
+// DeltaDecode reads.
+func FuzzTrailMatchesDeltaEncode(f *testing.F) {
+	for _, keys := range fuzzSeedKeys() {
+		enc, err := DeltaEncode(keys)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc, []byte{0}, uint(0))
+		f.Add(enc, []byte{64, 192, 128, 1, 255}, uint(1))
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, []byte{7}, uint(3))
+	f.Fuzz(func(t *testing.T, block, nudge []byte, cut uint) {
+		keys, err := DeltaDecode(block)
+		if err != nil || len(keys) > 4096 {
+			return
+		}
+		for i := range keys {
+			if len(nudge) > 0 {
+				keys[i].Lat += (float64(nudge[(2*i)%len(nudge)]) - 128) / 128 * 1e-7
+				keys[i].Lon += (float64(nudge[(2*i+1)%len(nudge)]) - 128) / 128 * 1e-7
+			}
+		}
+		checkTrailMatchesDeltaEncode(t, keys, int(cut%(1<<20)))
+	})
 }

@@ -26,11 +26,12 @@ func TransientErr(err error) bool {
 
 // Persister is the durability hook of the storage layer: finalized
 // (flushed or evicted) session trajectories are handed to it as wire
-// GeoKeys, and Sync acts as a durability barrier — every Append that
-// returned before Sync must survive a crash once Sync returns. The
-// segmentlog package provides the append-only file implementation;
-// tests substitute in-memory fakes. Implementations must be safe for
-// concurrent use (shard workers append concurrently).
+// GeoKeys — the slice is the implementation's to keep — and Sync acts as
+// a durability barrier: every Append that returned before Sync must
+// survive a crash once Sync returns. The segmentlog package provides the
+// append-only file implementation; tests substitute in-memory fakes.
+// Implementations must be safe for concurrent use (shard workers append
+// concurrently).
 type Persister interface {
 	Append(device string, keys []GeoKey) error
 	Sync() error
@@ -73,13 +74,12 @@ type PersistedRecord struct {
 // must be safe to call concurrently with every other.
 type Backend interface {
 	Persister
-	// NumShards is the shard count; ShardPersister(i) exposes shard i's
-	// private persister. Appends routed to it must only carry devices
-	// for which ShardIndex(device, NumShards()) == i — the engine binds
-	// each shard worker directly to its own log shard when the shard
-	// counts line up.
-	NumShards() int
-	ShardPersister(i int) Persister
+	// AppendTrail is the engine's one way in: Append for a finalized
+	// trajectory held as the block its session built. It must not retain
+	// t's bytes — the session reuses the buffer. Routing by ShardIndex
+	// means an engine with the same shard count has each worker appending
+	// to a log shard of its own.
+	AppendTrail(device string, t *Trail) error
 	// CompactNow runs one compaction pass — rewriting sealed storage
 	// smaller by merging and ageing, see segmentlog.ShardedLog.Compact
 	// — with the implementation's configured policy.
@@ -95,9 +95,11 @@ type Backend interface {
 	ReclaimedBytes() int64
 }
 
-// AppendOnly adapts a bare Persister to Backend: one shard, and nothing
-// to compact, query or count. A nil p yields the "no persister"
-// backend, whose Append, Sync and Close do nothing either.
+// AppendOnly adapts a bare Persister to Backend: nothing to compact,
+// query or count. It is the one place a built trail turns
+// back into GeoKeys: every Append p sees gets a freshly allocated slice
+// it may keep. A nil p yields the "no persister" backend, whose Append,
+// Sync and Close do nothing either.
 func AppendOnly(p Persister) Backend {
 	if p == nil {
 		p = nopPersister{}
@@ -107,11 +109,12 @@ func AppendOnly(p Persister) Backend {
 
 type appendOnly struct{ Persister }
 
-func (a appendOnly) NumShards() int               { return 1 }
-func (a appendOnly) ShardPersister(int) Persister { return a.Persister }
-func (appendOnly) CompactNow() error              { return nil }
-func (appendOnly) CacheStats() cache.Stats        { return cache.Stats{} }
-func (appendOnly) ReclaimedBytes() int64          { return 0 }
+func (a appendOnly) AppendTrail(device string, t *Trail) error {
+	return a.Append(device, t.Keys())
+}
+func (appendOnly) CompactNow() error       { return nil }
+func (appendOnly) CacheStats() cache.Stats { return cache.Stats{} }
+func (appendOnly) ReclaimedBytes() int64   { return 0 }
 func (appendOnly) QueryWindow(_, _, _, _ float64, _, _ uint32) ([]PersistedRecord, error) {
 	return nil, nil
 }

@@ -97,13 +97,13 @@ func formatBlockIndex(segSize int64, metas []recordMeta) []byte {
 		m := &metas[i]
 		out = binary.AppendUvarint(out, uint64(len(m.device)))
 		out = append(out, m.device...)
-		out = binary.LittleEndian.AppendUint32(out, m.t0)
-		out = binary.LittleEndian.AppendUint32(out, m.t1)
+		out = binary.LittleEndian.AppendUint32(out, m.T0)
+		out = binary.LittleEndian.AppendUint32(out, m.T1)
 		out = append(out, idxFlagBBox)
-		out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.minLat))
-		out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.minLon))
-		out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.maxLat))
-		out = binary.LittleEndian.AppendUint32(out, uint32(m.bb.maxLon))
+		out = binary.LittleEndian.AppendUint32(out, uint32(m.MinLat))
+		out = binary.LittleEndian.AppendUint32(out, uint32(m.MinLon))
+		out = binary.LittleEndian.AppendUint32(out, uint32(m.MaxLat))
+		out = binary.LittleEndian.AppendUint32(out, uint32(m.MaxLon))
 		out = binary.AppendUvarint(out, uint64(m.off))
 		out = binary.AppendUvarint(out, uint64(m.bodyLen))
 	}
@@ -173,30 +173,16 @@ func parseBlockIndex(data []byte) (segSize int64, metas []recordMeta, err error)
 		}
 		m.device = string(b[:devLen])
 		b = b[devLen:]
-		if len(b) < 9 {
+		if len(b) < 1+boundsSize {
 			return 0, nil, fmt.Errorf("%w: truncated entry", errBadIndex)
 		}
-		m.t0 = binary.LittleEndian.Uint32(b)
-		m.t1 = binary.LittleEndian.Uint32(b[4:])
-		flags := b[8]
-		b = b[9:]
-		if flags != idxFlagBBox {
-			return 0, nil, fmt.Errorf("%w: unknown entry flags %#x", errBadIndex, flags)
+		if b[8] != idxFlagBBox {
+			return 0, nil, fmt.Errorf("%w: unknown entry flags %#x", errBadIndex, b[8])
 		}
-		if m.t0 > m.t1 {
-			return 0, nil, fmt.Errorf("%w: inverted time bounds", errBadIndex)
+		if m.Bounds, err = readBounds(b, b[9:]); err != nil {
+			return 0, nil, fmt.Errorf("%w: %v", errBadIndex, err)
 		}
-		if len(b) < 16 {
-			return 0, nil, fmt.Errorf("%w: truncated bbox", errBadIndex)
-		}
-		m.bb.minLat = int32(binary.LittleEndian.Uint32(b))
-		m.bb.minLon = int32(binary.LittleEndian.Uint32(b[4:]))
-		m.bb.maxLat = int32(binary.LittleEndian.Uint32(b[8:]))
-		m.bb.maxLon = int32(binary.LittleEndian.Uint32(b[12:]))
-		b = b[16:]
-		if m.bb.minLat > m.bb.maxLat || m.bb.minLon > m.bb.maxLon {
-			return 0, nil, fmt.Errorf("%w: inverted bbox", errBadIndex)
-		}
+		b = b[1+boundsSize:]
 		off, err := next()
 		if err != nil {
 			return 0, nil, err

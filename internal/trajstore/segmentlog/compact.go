@@ -210,7 +210,7 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	for si := 0; si < nSealed; si++ {
 		for _, rm := range l.segRecs[si] {
 			perDev[rm.device] = append(perDev[rm.device], devRef{
-				seg: si, off: rm.off, bodyLen: rm.bodyLen, t0: rm.t0, t1: rm.t1,
+				seg: si, off: rm.off, bodyLen: rm.bodyLen, t0: rm.T0, t1: rm.T1,
 			})
 		}
 		res.RecordsIn += len(l.segRecs[si])
@@ -420,7 +420,7 @@ func (l *shardLog) compactDevice(refs []devRef, sealed []segmentFile, files []vf
 				filepath.Base(sealed[ref.seg].path), ref.off, err)
 			return out
 		}
-		dev, t0, t1, _, payload, err := splitBody(body)
+		dev, b, payload, err := splitBody(body)
 		if err != nil {
 			out.err = fmt.Errorf("%w: %s: record at offset %d unreadable: %v",
 				ErrCorrupt, sealed[ref.seg].path, ref.off, err)
@@ -431,7 +431,7 @@ func (l *shardLog) compactDevice(refs []devRef, sealed []segmentFile, files []vf
 			out.err = fmt.Errorf("segmentlog: compact: decoding sealed record: %w", err)
 			return out
 		}
-		recs = append(recs, compactRecord{device: dev, t0: t0, t1: t1, keys: keys})
+		recs = append(recs, compactRecord{device: dev, t0: b.T0, t1: b.T1, keys: keys})
 		decoded++
 		l.compactLiveAdd(1)
 	}
@@ -651,9 +651,7 @@ func (w *compactWriter) closeCurrent() error {
 		return err
 	}
 	s.idx = true
-	for _, m := range w.cur {
-		s.sum.add(m)
-	}
+	s.sum = sumOf(w.cur)
 	w.segRecs = append(w.segRecs, w.cur)
 	w.cur = nil
 	return nil
@@ -662,10 +660,14 @@ func (w *compactWriter) closeCurrent() error {
 // add encodes and writes one record, rotating to a fresh segment file
 // at the size threshold.
 func (w *compactWriter) add(r compactRecord) error {
-	var err error
-	var bb bbox
-	w.buf, bb, err = encodeRecord(w.buf[:0], r.device, r.t0, r.t1, r.keys)
+	var tr trajstore.Trail
+	err := tr.Add(r.keys...)
 	if err != nil {
+		return fmt.Errorf("segmentlog: %w", err)
+	}
+	b := tr.Bounds()
+	b.T0, b.T1 = r.t0, r.t1
+	if w.buf, err = frameRecord(w.buf[:0], r.device, b, &tr); err != nil {
 		return err
 	}
 	if w.f != nil && w.off > headerSize && w.off+int64(len(w.buf)) > w.l.opts.MaxSegmentBytes {
@@ -696,12 +698,7 @@ func (w *compactWriter) add(r compactRecord) error {
 		return fmt.Errorf("segmentlog: compact: %w", err)
 	}
 	w.cur = append(w.cur, recordMeta{
-		device:  r.device,
-		off:     w.off + recordHeaderSize,
-		bodyLen: len(w.buf) - recordHeaderSize,
-		t0:      r.t0,
-		t1:      r.t1,
-		bb:      bb,
+		device: r.device, off: w.off + recordHeaderSize, bodyLen: len(w.buf) - recordHeaderSize, Bounds: b,
 	})
 	w.off += int64(len(w.buf))
 	return nil

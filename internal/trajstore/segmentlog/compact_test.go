@@ -490,10 +490,10 @@ func TestCompactNowPolicy(t *testing.T) {
 func TestManifestRoundTrip(t *testing.T) {
 	m := manifest{Gen: 42, Segs: []manifestSeg{
 		{Name: "seg-00000009.log", Idx: true, Sum: &segSummary{
-			records: 3, t0: 1000, t1: 2407,
-			bb: bbox{minLat: -386214000, minLon: 1448123000, maxLat: -385900000, maxLon: 1448200000},
+			records: 3,
+			Bounds:  trajstore.Bounds{T0: 1000, T1: 2407, MinLat: -386214000, MinLon: 1448123000, MaxLat: -385900000, MaxLon: 1448200000},
 		}},
-		{Name: "seg-00000005.log", Sum: &segSummary{records: 2, t0: 7, t1: 9, bb: bbox{minLat: -5, minLon: 0, maxLat: -5, maxLon: 12}}},
+		{Name: "seg-00000005.log", Sum: &segSummary{records: 2, Bounds: trajstore.Bounds{T0: 7, T1: 9, MinLat: -5, MinLon: 0, MaxLat: -5, MaxLon: 12}}},
 		{Name: "seg-00000003.log"},
 	}}
 	got, err := parseManifest(formatManifest(m))

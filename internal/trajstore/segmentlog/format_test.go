@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
 
@@ -17,8 +18,8 @@ import (
 // its corpus does not travel with the repository).
 func TestParseBlockIndexRejections(t *testing.T) {
 	metas := []recordMeta{
-		{device: "a", off: headerSize + recordHeaderSize, bodyLen: 40, t0: 1, t1: 2,
-			bb: bbox{minLat: -1, minLon: -2, maxLat: 3, maxLon: 4}},
+		{device: "a", off: headerSize + recordHeaderSize, bodyLen: 40,
+			Bounds: trajstore.Bounds{T0: 1, T1: 2, MinLat: -1, MinLon: -2, MaxLat: 3, MaxLon: 4}},
 	}
 	valid := formatBlockIndex(headerSize+recordHeaderSize+40, metas)
 	if _, _, err := parseBlockIndex(valid); err != nil {
@@ -54,15 +55,15 @@ func TestParseBlockIndexRejections(t *testing.T) {
 		ms   []recordMeta
 	}{
 		{"tiny segment size", 4, metas},
-		{"entry before data start", 64, []recordMeta{{device: "a", off: 2, bodyLen: 20, t0: 1, t1: 2}}},
-		{"entry past segment end", 64, []recordMeta{{device: "a", off: 16, bodyLen: 400, t0: 1, t1: 2}}},
+		{"entry before data start", 64, []recordMeta{{device: "a", off: 2, bodyLen: 20, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
+		{"entry past segment end", 64, []recordMeta{{device: "a", off: 16, bodyLen: 400, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
 		{"overlapping entries", 200, []recordMeta{
-			{device: "a", off: 16, bodyLen: 40, t0: 1, t1: 2},
-			{device: "a", off: 40, bodyLen: 40, t0: 1, t1: 2}}},
-		{"inverted times", 200, []recordMeta{{device: "a", off: 16, bodyLen: 40, t0: 9, t1: 2}}},
-		{"inverted bbox", 200, []recordMeta{{device: "a", off: 16, bodyLen: 40, t0: 1, t1: 2,
-			bb: bbox{minLat: 5, maxLat: -5}}}},
-		{"implausible bodyLen", 1 << 40, []recordMeta{{device: "a", off: 16, bodyLen: MaxRecordBytes + 1, t0: 1, t1: 2}}},
+			{device: "a", off: 16, bodyLen: 40, Bounds: trajstore.Bounds{T0: 1, T1: 2}},
+			{device: "a", off: 40, bodyLen: 40, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
+		{"inverted times", 200, []recordMeta{{device: "a", off: 16, bodyLen: 40, Bounds: trajstore.Bounds{T0: 9, T1: 2}}}},
+		{"inverted bbox", 200, []recordMeta{{device: "a", off: 16, bodyLen: 40,
+			Bounds: trajstore.Bounds{T0: 1, T1: 2, MinLat: 5, MaxLat: -5}}}},
+		{"implausible bodyLen", 1 << 40, []recordMeta{{device: "a", off: 16, bodyLen: MaxRecordBytes + 1, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
 	}
 	for _, c := range bad {
 		if _, _, err := parseBlockIndex(formatBlockIndex(c.size, c.ms)); err == nil {
@@ -106,7 +107,7 @@ func TestParseManifestRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Segs) != 2 || !m.Segs[0].Idx || m.Segs[0].Sum == nil || m.Segs[0].Sum.records != 3 || m.Segs[0].Sum.bb != (bbox{minLat: -5, minLon: -6, maxLat: 7, maxLon: 8}) {
+	if len(m.Segs) != 2 || !m.Segs[0].Idx || m.Segs[0].Sum == nil || m.Segs[0].Sum.records != 3 || m.Segs[0].Sum.Bounds != (trajstore.Bounds{T0: 10, T1: 20, MinLat: -5, MinLon: -6, MaxLat: 7, MaxLon: 8}) {
 		t.Fatalf("manifest misparsed: %+v", m)
 	}
 	if m.Segs[1].Idx || m.Segs[1].Sum != nil {

@@ -99,9 +99,9 @@ func FuzzRecover(f *testing.F) {
 // see TestBlockIndexCorruptionFallsBack.)
 func FuzzBlockIndex(f *testing.F) {
 	metas := []recordMeta{
-		{device: "alpha", off: headerSize + recordHeaderSize, bodyLen: 40, t0: 10, t1: 20,
-			bb: bbox{minLat: -50, minLon: -60, maxLat: 70, maxLon: 80}},
-		{device: "bravo", off: headerSize + 2*recordHeaderSize + 40, bodyLen: 30, t0: 15, t1: 35},
+		{device: "alpha", off: headerSize + recordHeaderSize, bodyLen: 40,
+			Bounds: trajstore.Bounds{T0: 10, T1: 20, MinLat: -50, MinLon: -60, MaxLat: 70, MaxLon: 80}},
+		{device: "bravo", off: headerSize + 2*recordHeaderSize + 40, bodyLen: 30, Bounds: trajstore.Bounds{T0: 15, T1: 35}},
 	}
 	f.Add(formatBlockIndex(headerSize+2*recordHeaderSize+70, metas))
 	f.Add(formatBlockIndex(headerSize, nil))
@@ -131,10 +131,10 @@ func FuzzBlockIndex(f *testing.F) {
 			if m.off < prevEnd+recordHeaderSize || m.off+int64(m.bodyLen) > segSize {
 				t.Fatalf("entry %d outside segment bounds: %+v (segSize %d)", i, m, segSize)
 			}
-			if m.t0 > m.t1 {
+			if m.T0 > m.T1 {
 				t.Fatalf("entry %d has inverted time bounds", i)
 			}
-			if m.bb.minLat > m.bb.maxLat || m.bb.minLon > m.bb.maxLon {
+			if m.MinLat > m.MaxLat || m.MinLon > m.MaxLon {
 				t.Fatalf("entry %d has an inverted bbox", i)
 			}
 			prevEnd = m.off + int64(m.bodyLen)
@@ -150,8 +150,8 @@ func FuzzManifest(f *testing.F) {
 	f.Add(formatManifest(manifest{Gen: 1, Segs: []manifestSeg{{Name: "seg-00000001.log"}}}))
 	f.Add(formatManifest(manifest{Gen: 7, Segs: []manifestSeg{
 		{Name: "seg-00000009.log", Idx: true, Sum: &segSummary{
-			records: 2, t0: 10, t1: 90,
-			bb: bbox{minLat: -100, minLon: -200, maxLat: 300, maxLon: 400},
+			records: 2,
+			Bounds:  trajstore.Bounds{T0: 10, T1: 90, MinLat: -100, MinLon: -200, MaxLat: 300, MaxLon: 400},
 		}},
 		{Name: "seg-00000003.log"},
 	}}))

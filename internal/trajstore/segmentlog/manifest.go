@@ -116,8 +116,8 @@ func formatManifest(m manifest) []byte {
 			b.WriteString(" idx")
 		}
 		if s.Sum != nil {
-			fmt.Fprintf(&b, " sum=%d,%d,%d,%d,%d,%d,%d", s.Sum.records, s.Sum.t0, s.Sum.t1,
-				s.Sum.bb.minLat, s.Sum.bb.minLon, s.Sum.bb.maxLat, s.Sum.bb.maxLon)
+			fmt.Fprintf(&b, " sum=%d,%d,%d,%d,%d,%d,%d", s.Sum.records, s.Sum.T0, s.Sum.T1,
+				s.Sum.MinLat, s.Sum.MinLon, s.Sum.MaxLat, s.Sum.MaxLon)
 		}
 		b.WriteByte('\n')
 	}
@@ -143,19 +143,19 @@ func parseSum(v string) (*segSummary, error) {
 	if nums[0] < 1 || nums[0] > math.MaxInt32 {
 		return nil, fmt.Errorf("bad record count %d", nums[0])
 	}
-	if nums[1] < 0 || nums[2] < 0 || nums[1] > math.MaxUint32 || nums[2] > math.MaxUint32 || nums[1] > nums[2] {
+	if nums[1] < 0 || nums[2] < 0 || nums[1] > math.MaxUint32 || nums[2] > math.MaxUint32 {
 		return nil, fmt.Errorf("bad time bounds")
 	}
 	s.records = int(nums[0])
-	s.t0, s.t1 = uint32(nums[1]), uint32(nums[2])
+	s.T0, s.T1 = uint32(nums[1]), uint32(nums[2])
 	for _, n := range nums[3:] {
 		if n < math.MinInt32 || n > math.MaxInt32 {
 			return nil, fmt.Errorf("bbox field out of range")
 		}
 	}
-	s.bb = bbox{minLat: int32(nums[3]), minLon: int32(nums[4]), maxLat: int32(nums[5]), maxLon: int32(nums[6])}
-	if s.bb.minLat > s.bb.maxLat || s.bb.minLon > s.bb.maxLon {
-		return nil, fmt.Errorf("inverted bbox")
+	s.MinLat, s.MinLon, s.MaxLat, s.MaxLon = int32(nums[3]), int32(nums[4]), int32(nums[5]), int32(nums[6])
+	if !s.Valid() {
+		return nil, fmt.Errorf("inverted bounds")
 	}
 	return s, nil
 }

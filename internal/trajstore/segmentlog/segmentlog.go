@@ -158,8 +158,7 @@ type recordMeta struct {
 	device  string
 	off     int64 // body offset within the segment file
 	bodyLen int
-	t0, t1  uint32
-	bb      bbox
+	trajstore.Bounds
 }
 
 // recordAddr locates one record for the per-device index: the segment
@@ -257,7 +256,6 @@ type shardLog struct {
 	// summary pruning cannot skip and leave the flag set.
 	indexDirty bool
 	active     vfs.File // write handle of segs[len(segs)-1] (nil in RO mode)
-	wbuf       []byte   // record assembly buffer, reused across appends
 	pend       []byte   // appended but not yet written-through bytes
 	off        int64    // logical size of the active segment (incl. pend)
 	// syncedOff is the active-segment offset covered by the last
@@ -303,7 +301,7 @@ func (l *shardLog) compactLiveAdd(n int) {
 func (l *shardLog) addRecordLocked(seg int, m recordMeta) {
 	l.index[m.device] = append(l.index[m.device], recordAddr{seg: int32(seg), pos: int32(len(l.segRecs[seg]))})
 	l.segRecs[seg] = append(l.segRecs[seg], m)
-	l.segs[seg].sum.add(m)
+	l.segs[seg].sum.add(m.Bounds)
 	l.stats.Records++
 }
 
@@ -518,13 +516,7 @@ func (l *shardLog) addSegment(path string, size int64, idx bool, metas []recordM
 // what the index (or a rescan) claims; a structurally valid index that
 // diverges (a stale file from an earlier life of this sequence number,
 // a crafted CRC collision) is rejected.
-func sumMatches(metas []recordMeta, want segSummary) bool {
-	var sum segSummary
-	for _, m := range metas {
-		sum.add(m)
-	}
-	return sum == want
-}
+func sumMatches(metas []recordMeta, want segSummary) bool { return sumOf(metas) == want }
 
 // tryLoadIndex loads a sealed segment through its block index; false
 // means the index is missing, corrupt, stale, or in disagreement with
@@ -571,12 +563,8 @@ func (l *shardLog) ensureSegLoadedLocked(si int) error {
 	// a torn-tail truncation in the fallback scan may have salvaged
 	// fewer records than the manifest summary credited at open.
 	l.stats.Records += len(metas) - int(s.sum.records)
-	var sum segSummary
-	for _, m := range metas {
-		sum.add(m)
-	}
 	l.stats.Bytes += size - s.size
-	s.sum = sum
+	s.sum = sumOf(metas)
 	s.size = size
 	s.idx = idxOK
 	s.lazy = false
@@ -746,13 +734,11 @@ func (l *shardLog) readSegment(path string, final bool) (metas []recordMeta, val
 		if !ok {
 			break
 		}
-		dev, t0, t1, bb, payload, err := splitBody(body)
+		dev, b, payload, err := splitBody(body)
 		if err != nil || !trajstore.DeltaValidate(payload) {
 			break
 		}
-		metas = append(metas, recordMeta{
-			device: dev, off: int64(bodyOff), bodyLen: len(body), t0: t0, t1: t1, bb: bb,
-		})
+		metas = append(metas, recordMeta{device: dev, off: int64(bodyOff), bodyLen: len(body), Bounds: b})
 		valid = int64(next)
 		pos = next
 	}
@@ -784,7 +770,7 @@ func (l *shardLog) readSegment(path string, final bool) (metas []recordMeta, val
 func resyncScan(data []byte, from int) int {
 	for pos := from + 1; pos+recordHeaderSize <= len(data); pos++ {
 		if body, _, _, ok := nextRecord(data, pos); ok {
-			if _, _, _, _, payload, err := splitBody(body); err == nil && trajstore.DeltaValidate(payload) {
+			if _, _, payload, err := splitBody(body); err == nil && trajstore.DeltaValidate(payload) {
 				return pos
 			}
 		}
@@ -821,79 +807,62 @@ func nextRecord(data []byte, pos int) (body []byte, bodyOff, next int, ok bool) 
 const minBodySize = 2 + 4 + 4 + 16 + 1
 
 // splitBody splits a validated record body into its fields.
-func splitBody(body []byte) (device string, t0, t1 uint32, bb bbox, payload []byte, err error) {
+func splitBody(body []byte) (device string, b trajstore.Bounds, payload []byte, err error) {
 	if len(body) < minBodySize {
-		return "", 0, 0, bb, nil, trajstore.ErrShortBuffer
+		return "", b, nil, trajstore.ErrShortBuffer
 	}
 	devLen := int(binary.LittleEndian.Uint16(body))
 	rest := body[2:]
-	if len(rest) < devLen+8+16+1 {
-		return "", 0, 0, bb, nil, trajstore.ErrShortBuffer
+	if len(rest) < devLen+boundsSize+1 {
+		return "", b, nil, trajstore.ErrShortBuffer
 	}
-	device = string(rest[:devLen])
-	rest = rest[devLen:]
-	t0 = binary.LittleEndian.Uint32(rest)
-	t1 = binary.LittleEndian.Uint32(rest[4:])
-	rest = rest[8:]
-	if t0 > t1 {
-		return "", 0, 0, bb, nil, fmt.Errorf("segmentlog: inverted record time bounds")
+	if b, err = readBounds(rest[devLen:], rest[devLen+8:]); err != nil {
+		return "", b, nil, err
 	}
-	bb.minLat = int32(binary.LittleEndian.Uint32(rest))
-	bb.minLon = int32(binary.LittleEndian.Uint32(rest[4:]))
-	bb.maxLat = int32(binary.LittleEndian.Uint32(rest[8:]))
-	bb.maxLon = int32(binary.LittleEndian.Uint32(rest[12:]))
-	if bb.minLat > bb.maxLat || bb.minLon > bb.maxLon {
-		return "", 0, 0, bbox{}, nil, fmt.Errorf("segmentlog: inverted record bounding box")
-	}
-	return device, t0, t1, bb, rest[16:], nil
+	return string(rest[:devLen]), b, rest[devLen+boundsSize:], nil
 }
 
-// encodeRecord appends the full wire form of one record — length prefix,
-// CRC, body — to dst and returns the record's bounding box. Shared by
-// the append path and the compactor so the two can never drift apart on
-// format.
-func encodeRecord(dst []byte, device string, t0, t1 uint32, keys []trajstore.GeoKey) ([]byte, bbox, error) {
+// boundsSize is a record's bounds as its header and its block-index entry
+// carry them: u32 t0, t1 (at times), then — after a flag byte, in the
+// index — the box as 4 × i32 minLat, minLon, maxLat, maxLon (at box).
+const boundsSize = 8 + 16
+
+// readBounds decodes that layout and rejects inverted bounds.
+func readBounds(times, box []byte) (trajstore.Bounds, error) {
+	u := binary.LittleEndian.Uint32
+	b := trajstore.Bounds{T0: u(times), T1: u(times[4:]),
+		MinLat: int32(u(box)), MinLon: int32(u(box[4:])), MaxLat: int32(u(box[8:])), MaxLon: int32(u(box[12:]))}
+	if !b.Valid() {
+		return b, errors.New("segmentlog: inverted record bounds")
+	}
+	return b, nil
+}
+
+// frameRecord appends the full wire form of one record — length prefix,
+// CRC, header, the trail's block — to dst; on an error dst comes back as
+// it was. Shared by the append path and the compactor so the two can
+// never drift apart on format. b is the caller's: the trail's own bounds,
+// except that the compactor keeps a record's indexed time span when
+// ageing thins its keys.
+func frameRecord(dst []byte, device string, b trajstore.Bounds, tr *trajstore.Trail) ([]byte, error) {
 	if len(device) > int(^uint16(0)) {
-		return dst, bbox{}, fmt.Errorf("segmentlog: device ID longer than %d bytes", ^uint16(0))
-	}
-	payload, err := trajstore.DeltaEncode(keys)
-	if err != nil {
-		return dst, bbox{}, fmt.Errorf("segmentlog: %w", err)
-	}
-	bb := keysBBox(keys) // keys are range-validated by DeltaEncode above
-	bodyLen := 2 + len(device) + 8 + 16 + len(payload)
-	if bodyLen > MaxRecordBytes {
-		return dst, bbox{}, fmt.Errorf("segmentlog: record body %d bytes exceeds MaxRecordBytes", bodyLen)
+		return dst, fmt.Errorf("segmentlog: device ID longer than %d bytes", ^uint16(0))
 	}
 	start := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(bodyLen))
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // CRC backpatched below
+	dst = binary.LittleEndian.AppendUint64(dst, 0) // bodyLen and CRC, backpatched below
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(device)))
 	dst = append(dst, device...)
-	dst = binary.LittleEndian.AppendUint32(dst, t0)
-	dst = binary.LittleEndian.AppendUint32(dst, t1)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(bb.minLat))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(bb.minLon))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(bb.maxLat))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(bb.maxLon))
-	dst = append(dst, payload...)
-	body := dst[start+recordHeaderSize:]
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, castagnoli))
-	return dst, bb, nil
-}
-
-// timeBounds returns the min/max timestamps of a non-empty trajectory.
-func timeBounds(keys []trajstore.GeoKey) (t0, t1 uint32) {
-	t0, t1 = keys[0].T, keys[0].T
-	for _, k := range keys[1:] {
-		if k.T < t0 {
-			t0 = k.T
-		}
-		if k.T > t1 {
-			t1 = k.T
-		}
+	for _, v := range [...]uint32{b.T0, b.T1, uint32(b.MinLat), uint32(b.MinLon), uint32(b.MaxLat), uint32(b.MaxLon)} {
+		dst = binary.LittleEndian.AppendUint32(dst, v)
 	}
-	return t0, t1
+	dst = tr.AppendBlock(dst)
+	body := dst[start+recordHeaderSize:]
+	if len(body) > MaxRecordBytes {
+		return dst[:start], fmt.Errorf("segmentlog: record body %d bytes exceeds MaxRecordBytes", len(body))
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, castagnoli))
+	return dst, nil
 }
 
 // rewriteEmpty resets path to a bare header (crash during file creation).
@@ -958,9 +927,20 @@ func syncDir(fsys vfs.FS, dir string) error {
 	return nil
 }
 
-// Append persists one finalized trajectory for device. The record is
-// buffered in the process; it reaches the OS on the next flush and is
-// durable after the next Sync. Empty trajectories are ignored.
+// Append persists one finalized trajectory for device: it builds the
+// keys' block and hands it to AppendTrail, whose contract it shares.
+func (l *shardLog) Append(device string, keys []trajstore.GeoKey) error {
+	var tr trajstore.Trail
+	if err := tr.Add(keys...); err != nil {
+		return fmt.Errorf("segmentlog: %w", err)
+	}
+	return l.AppendTrail(device, &tr)
+}
+
+// AppendTrail persists one finalized trajectory for device, already
+// encoded: the log only frames it. The record is buffered in the
+// process; it reaches the OS on the next flush and is durable after the
+// next Sync. Empty trajectories are ignored, and tr is not retained.
 //
 // An error means the record was NOT accepted — it is not in the log and
 // never will be — so callers may safely retry or re-route it without
@@ -974,11 +954,11 @@ func syncDir(fsys vfs.FS, dir string) error {
 // segment (which stays active and writable, rotation retried by the
 // next append) or salvaged by the poison path — and any durability
 // consequence resurfaces from the next Append or Sync.
-func (l *shardLog) Append(device string, keys []trajstore.GeoKey) error {
-	if len(keys) == 0 {
+func (l *shardLog) AppendTrail(device string, tr *trajstore.Trail) error {
+	if tr.Len() == 0 {
 		return nil
 	}
-	t0, t1 := timeBounds(keys)
+	b := tr.Bounds()
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -994,25 +974,20 @@ func (l *shardLog) Append(device string, keys []trajstore.GeoKey) error {
 		}
 	}
 
-	wbuf, bb, err := encodeRecord(l.wbuf[:0], device, t0, t1, keys)
-	l.wbuf = wbuf[:0] // keep the (possibly grown) buffer for reuse
+	start := len(l.pend)
+	pend, err := frameRecord(l.pend, device, b, tr)
+	l.pend = pend
 	if err != nil {
 		return err
 	}
+	rec := pend[start:]
 
-	seg := len(l.segs) - 1
-	l.addRecordLocked(seg, recordMeta{
-		device:  device,
-		off:     l.off + recordHeaderSize,
-		bodyLen: len(wbuf) - recordHeaderSize,
-		t0:      t0,
-		t1:      t1,
-		bb:      bb,
+	l.addRecordLocked(len(l.segs)-1, recordMeta{
+		device: device, off: l.off + recordHeaderSize, bodyLen: len(rec) - recordHeaderSize, Bounds: b,
 	})
-	l.pend = append(l.pend, wbuf...)
-	l.unsynced = append(l.unsynced, wbuf...) // salvage copy until the next successful fsync
-	l.off += int64(len(wbuf))
-	l.stats.Bytes += int64(len(wbuf))
+	l.unsynced = append(l.unsynced, rec...) // salvage copy until the next successful fsync
+	l.off += int64(len(rec))
+	l.stats.Bytes += int64(len(rec))
 
 	if l.off >= l.opts.MaxSegmentBytes {
 		// The record was accepted above; a rotation failure must not
@@ -1069,10 +1044,7 @@ func (l *shardLog) poisonLocked(cause error) {
 	l.atRisk = append(l.atRisk[:0], recs[keep:]...)
 	l.segRecs[cur] = recs[:keep]
 	l.segs[cur].size = l.syncedOff
-	l.segs[cur].sum = segSummary{bb: emptyBBox()}
-	for _, m := range l.segRecs[cur] {
-		l.segs[cur].sum.add(m)
-	}
+	l.segs[cur].sum = sumOf(l.segRecs[cur])
 	// Withdraw the at-risk records from the per-device index. They are
 	// the newest entries of their devices (appends only extend the
 	// active tail), so popping each device's list tail — newest first —
@@ -1387,18 +1359,11 @@ func (l *shardLog) DeviceSpan(device string) (records int, t0, t1 uint32, ok boo
 	if len(addrs) == 0 {
 		return 0, 0, 0, false
 	}
-	first := l.metaAt(addrs[0])
-	t0, t1 = first.t0, first.t1
+	span := l.metaAt(addrs[0]).Bounds
 	for _, a := range addrs[1:] {
-		m := l.metaAt(a)
-		if m.t0 < t0 {
-			t0 = m.t0
-		}
-		if m.t1 > t1 {
-			t1 = m.t1
-		}
+		span.Union(l.metaAt(a).Bounds)
 	}
-	return len(addrs), t0, t1, true
+	return len(addrs), span.T0, span.T1, true
 }
 
 // metaAt resolves a record address. Callers hold mu.
@@ -1457,7 +1422,7 @@ func (l *shardLog) loadRecord(files *segReader, gen uint64, ref refSnap) (rec Re
 	if err != nil {
 		return Record{}, false, err
 	}
-	dev, t0, t1, _, payload, err := splitBody(body)
+	dev, b, payload, err := splitBody(body)
 	if err != nil {
 		return Record{}, false, fmt.Errorf("segmentlog: indexed record unreadable: %w", err)
 	}
@@ -1465,7 +1430,7 @@ func (l *shardLog) loadRecord(files *segReader, gen uint64, ref refSnap) (rec Re
 	if err != nil {
 		return Record{}, false, fmt.Errorf("segmentlog: %w", err)
 	}
-	rec = Record{Device: dev, T0: t0, T1: t1, Keys: keys}
+	rec = Record{Device: dev, T0: b.T0, T1: b.T1, Keys: keys}
 	l.cachePut(gen, path, ref.off, rec)
 	return rec, false, nil
 }
@@ -1493,7 +1458,7 @@ func (l *shardLog) snapshotRefs(device string, t0, t1 uint32) ([]refSnap, []stri
 	var refs []refSnap
 	for _, a := range l.index[device] {
 		m := l.metaAt(a)
-		if m.t0 <= t1 && m.t1 >= t0 {
+		if m.T0 <= t1 && m.T1 >= t0 {
 			refs = append(refs, refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
 		}
 	}

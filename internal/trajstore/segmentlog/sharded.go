@@ -365,13 +365,8 @@ func (s *ShardedLog) live() error {
 // Dir returns the sharded log's root directory.
 func (s *ShardedLog) Dir() string { return s.dir }
 
-// NumShards returns the shard count (trajstore.Backend).
+// NumShards returns the shard count.
 func (s *ShardedLog) NumShards() int { return len(s.shards) }
-
-// ShardPersister exposes shard i as a Persister (trajstore.Backend):
-// the engine binds each of its shard workers straight to the log shard
-// it owns.
-func (s *ShardedLog) ShardPersister(i int) trajstore.Persister { return s.shards[i] }
 
 // shardFor routes a device to its shard.
 func (s *ShardedLog) shardFor(device string) *shardLog {
@@ -388,6 +383,15 @@ func (s *ShardedLog) Append(device string, keys []trajstore.GeoKey) error {
 		return err
 	}
 	return s.shardFor(device).Append(device, keys)
+}
+
+// AppendTrail is Append for a trajectory already built as its block
+// (trajstore.Backend): the log only frames it.
+func (s *ShardedLog) AppendTrail(device string, tr *trajstore.Trail) error {
+	if err := s.live(); err != nil {
+		return err
+	}
+	return s.shardFor(device).AppendTrail(device, tr)
 }
 
 // Sync is the durability barrier across all shards — every Append that

@@ -18,88 +18,43 @@ import (
 	"github.com/trajcomp/bqs/internal/trajstore"
 )
 
-// bbox is a spatial bounding box in the wire format's 1e-7-degree
-// integer coordinates: the same quantization DeltaEncode applies, so a
-// record's box bounds its decoded key points exactly.
-type bbox struct {
-	minLat, minLon, maxLat, maxLon int32
-}
-
-// emptyBBox is the identity for union: add any point to it.
-func emptyBBox() bbox {
-	return bbox{minLat: math.MaxInt32, minLon: math.MaxInt32, maxLat: math.MinInt32, maxLon: math.MinInt32}
-}
-
-// add grows the box to cover one quantized point.
-func (b *bbox) add(lat, lon int32) {
-	if lat < b.minLat {
-		b.minLat = lat
-	}
-	if lat > b.maxLat {
-		b.maxLat = lat
-	}
-	if lon < b.minLon {
-		b.minLon = lon
-	}
-	if lon > b.maxLon {
-		b.maxLon = lon
-	}
-}
-
-// union grows the box to cover o.
-func (b *bbox) union(o bbox) {
-	b.add(o.minLat, o.minLon)
-	b.add(o.maxLat, o.maxLon)
-}
-
-// intersects reports whether the box overlaps the degree-coordinate
-// window [minX, maxX] × [minY, maxY] (X longitude, Y latitude),
-// boundaries inclusive — matching trajstore's geom.Box.Intersects.
-func (b bbox) intersects(minX, minY, maxX, maxY float64) bool {
-	return float64(b.minLon)/1e7 <= maxX && float64(b.maxLon)/1e7 >= minX &&
-		float64(b.minLat)/1e7 <= maxY && float64(b.maxLat)/1e7 >= minY
-}
-
-// quantizeCoord maps a degree coordinate to the wire format's 1e-7°
-// integer, with exactly the rounding DeltaEncode applies.
-func quantizeCoord(v float64) int32 { return int32(math.Round(v * 1e7)) }
-
-// keysBBox computes the quantized bounding box of a trajectory. The
-// keys must already be range-validated (DeltaEncode does).
-func keysBBox(keys []trajstore.GeoKey) bbox {
-	bb := emptyBBox()
-	for _, k := range keys {
-		bb.add(quantizeCoord(k.Lat), quantizeCoord(k.Lon))
-	}
-	return bb
+// meets reports whether bounds b — a record's, or a segment's union —
+// can hold a key pair inside the degree-coordinate window [minX, maxX] ×
+// [minY, maxY] (X longitude, Y latitude) during [t0, t1], boundaries
+// inclusive — matching trajstore's geom.Box.Intersects. The bounds are on
+// the lattice DeltaEncode quantizes to, so they bound the decoded key
+// points exactly.
+func meets(b trajstore.Bounds, minX, minY, maxX, maxY float64, t0, t1 uint32) bool {
+	return b.T0 <= t1 && b.T1 >= t0 &&
+		float64(b.MinLon)/1e7 <= maxX && float64(b.MaxLon)/1e7 >= minX &&
+		float64(b.MinLat)/1e7 <= maxY && float64(b.MaxLat)/1e7 >= minY
 }
 
 // segSummary is the per-segment metadata union used for segment-level
-// pruning: the time bounds and bounding box of every record in the
-// file. It is maintained incrementally on append, rebuilt from the
-// block index or scan on Open, and published in the MANIFEST for
-// sealed segments.
+// pruning: the bounds of every record in the file (valid when records >
+// 0). It is maintained incrementally on append, rebuilt from the block
+// index or scan on Open, and published in the MANIFEST for sealed
+// segments.
 type segSummary struct {
 	records int
-	t0, t1  uint32 // union of record time bounds; valid when records > 0
-	bb      bbox   // union of record bboxes; valid when records > 0
+	trajstore.Bounds
 }
 
-// add folds one record's metadata into the summary.
-func (s *segSummary) add(m recordMeta) {
+// add folds one record's bounds into the summary.
+func (s *segSummary) add(b trajstore.Bounds) {
 	if s.records == 0 {
-		s.t0, s.t1 = m.t0, m.t1
-		s.bb = emptyBBox()
-	} else {
-		if m.t0 < s.t0 {
-			s.t0 = m.t0
-		}
-		if m.t1 > s.t1 {
-			s.t1 = m.t1
-		}
+		s.Bounds = b
 	}
-	s.bb.union(m.bb)
+	s.Union(b)
 	s.records++
+}
+
+// sumOf summarizes a segment's records.
+func sumOf(metas []recordMeta) (s segSummary) {
+	for i := range metas {
+		s.add(metas[i].Bounds)
+	}
+	return s
 }
 
 // WindowStats reports how a window query was answered: how much the
@@ -232,9 +187,7 @@ func (l *shardLog) snapshotWindow(minX, minY, maxX, maxY float64, t0, t1 uint32)
 	ws.Segments = len(l.segs)
 	for si := range l.segs {
 		sum := &l.segs[si].sum
-		if sum.records == 0 ||
-			sum.t0 > t1 || sum.t1 < t0 ||
-			!sum.bb.intersects(minX, minY, maxX, maxY) {
+		if sum.records == 0 || !meets(sum.Bounds, minX, minY, maxX, maxY, t0, t1) {
 			ws.SegmentsPruned++
 			continue
 		}
@@ -247,7 +200,7 @@ func (l *shardLog) snapshotWindow(minX, minY, maxX, maxY float64, t0, t1 uint32)
 		for pi := range l.segRecs[si] {
 			m := &l.segRecs[si][pi]
 			ws.RecordsIndexed++
-			if m.t0 > t1 || m.t1 < t0 || !m.bb.intersects(minX, minY, maxX, maxY) {
+			if !meets(m.Bounds, minX, minY, maxX, maxY, t0, t1) {
 				ws.RecordsPruned++
 				continue
 			}
