@@ -16,24 +16,11 @@ import (
 // first pushed point, every segment cut, and the flush point. Consecutive
 // key points delimit segments that satisfy the configured deviation bound.
 //
-// A Compressor is not safe for concurrent use.
+// Push, Flush, Reset, Stats, Config and BufferedPoints are the shared
+// decision loop's (segmenter, with P = Point). A Compressor is not safe for
+// concurrent use.
 type Compressor struct {
-	cfg   Config
-	stats Stats
-
-	started  bool
-	origin   Point // current segment start s (local coordinate origin)
-	lastInc  Point // last point verified as a valid segment end
-	lastEmit Point
-	haveEmit bool
-
-	rot            float64 // data-centric rotation angle φ
-	rotSin, rotCos float64 // cached Sincos(-rot)
-	warmupDone     bool    // quadrant structures active
-	warmup         []Point // far points buffered before rotation is fixed
-
-	quads  [4]quadrant
-	buffer []Point // exact mode: tracked far points for deviation scans
+	segmenter[Point, *quadFrame]
 }
 
 // NewCompressor returns a Compressor for the given configuration.
@@ -42,286 +29,99 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Compressor{cfg: cfg}
-	if cfg.RotationWarmup > 0 {
-		c.warmup = make([]Point, 0, cfg.RotationWarmup)
-	}
-	c.startSegment(Point{})
-	c.started = false
-	return c, nil
+	return &Compressor{newSegmenter[Point](cfg, &quadFrame{})}, nil
 }
-
-// Config returns the effective configuration.
-func (c *Compressor) Config() Config { return c.cfg }
-
-// Stats returns the accumulated decision statistics.
-func (c *Compressor) Stats() Stats { return c.stats }
 
 // Tolerance returns the deviation bound in metres.
 func (c *Compressor) Tolerance() float64 { return c.cfg.Tolerance }
-
-// BufferedPoints returns the number of points currently buffered for exact
-// deviation scans (always ≤ RotationWarmup in fast mode).
-func (c *Compressor) BufferedPoints() int { return len(c.buffer) + len(c.warmup) }
 
 // SignificantPointCount returns the number of significant points currently
 // held across all quadrant structures; the paper bounds this by 32
 // (≤ 4 corners + 4 intersections per quadrant).
 func (c *Compressor) SignificantPointCount() int {
 	n := 0
-	for i := range c.quads {
-		n += len(c.quads[i].significantPoints())
+	for i := range c.frame.quads {
+		n += len(c.frame.quads[i].significantPoints())
 	}
 	return n
-}
-
-// Reset clears all state and statistics.
-func (c *Compressor) Reset() {
-	c.stats = Stats{}
-	c.haveEmit = false
-	c.startSegment(Point{})
-	c.started = false
-}
-
-// startSegment re-anchors the local coordinate system at p and clears all
-// per-segment state.
-func (c *Compressor) startSegment(p Point) {
-	c.started = true
-	c.origin = p
-	c.lastInc = p
-	c.rot, c.rotSin, c.rotCos = 0, 0, 1
-	c.warmupDone = c.cfg.RotationWarmup == 0
-	c.warmup = c.warmup[:0]
-	c.buffer = c.buffer[:0]
-	for i := range c.quads {
-		c.quads[i].reset(i)
-	}
-}
-
-// emit records kp as an emitted key point.
-func (c *Compressor) emit(kp Point) {
-	c.lastEmit = kp
-	c.haveEmit = true
-	c.stats.KeyPoints++
-}
-
-// local maps a raw point into the segment's local (translated, rotated)
-// frame. The rotation's sin/cos are cached when the rotation is fixed.
-func (c *Compressor) local(p Point) geom.Vec {
-	x := p.X - c.origin.X
-	y := p.Y - c.origin.Y
-	if c.rot != 0 {
-		x, y = x*c.rotCos-y*c.rotSin, x*c.rotSin+y*c.rotCos
-	}
-	return geom.Vec{X: x, Y: y}
-}
-
-// Push feeds the next point of the stream. It returns a finalized key point
-// and true when a key point was emitted by this push (the first point of a
-// trajectory, a segment cut, or an exact-mode buffer overflow cut).
-// Non-finite points (NaN/Inf coordinates or timestamps — a failed GPS fix)
-// are dropped and counted in Stats.DroppedPoints; they would otherwise
-// poison every subsequent geometric decision.
-func (c *Compressor) Push(p Point) (Point, bool) {
-	if !p.IsFinite() {
-		c.stats.DroppedPoints++
-		return Point{}, false
-	}
-	c.stats.Points++
-	if !c.started {
-		c.startSegment(p)
-		c.emit(p)
-		return p, true
-	}
-	return c.process(p)
-}
-
-// Flush terminates the current trajectory, returning the final key point if
-// one is due. The compressor is left ready for a new trajectory.
-func (c *Compressor) Flush() (Point, bool) {
-	if !c.started {
-		return Point{}, false
-	}
-	kp := c.lastInc
-	emit := !(c.haveEmit && c.lastEmit.Equal(kp))
-	if emit {
-		c.emit(kp)
-	}
-	c.startSegment(Point{})
-	c.started = false
-	return kp, emit
-}
-
-// process runs the BQS decision procedure for point e against the current
-// segment.
-func (c *Compressor) process(e Point) (Point, bool) {
-	d := c.cfg.Tolerance
-
-	if !c.warmupDone {
-		return c.processWarmup(e)
-	}
-
-	// Compute the aggregated bounds over all non-empty quadrants
-	// (Algorithm 1, lines 4-5).
-	le := c.local(e)
-	var dlb, dub float64
-	tracked := 0
-	for i := range c.quads {
-		q := &c.quads[i]
-		if q.n == 0 {
-			continue
-		}
-		tracked += q.n
-		qlb, qub := q.bounds(le, c.cfg.Metric)
-		dlb = math.Max(dlb, qlb)
-		dub = math.Max(dub, qub)
-	}
-
-	if c.cfg.Trace != nil && tracked > 0 {
-		actual := math.NaN()
-		if c.cfg.Mode == ModeExact {
-			actual = MaxDeviation(c.buffer, c.origin, e, c.cfg.Metric)
-		}
-		c.cfg.Trace(TracePoint{Index: c.stats.Points, LB: dlb, UB: dub, Actual: actual})
-	}
-
-	switch {
-	case dub <= d:
-		// Algorithm 1 lines 6-7: no tracked point can deviate beyond d.
-		c.stats.BoundIncludes++
-		return c.include(e)
-	case dlb > d:
-		// Algorithm 1 lines 8-9: some tracked point must deviate beyond d.
-		c.stats.BoundRestarts++
-		return c.restartAt(e)
-	}
-
-	// dlb ≤ d < dub: uncertain.
-	if c.cfg.Mode == ModeFast {
-		// FBQS: cut conservatively instead of scanning a buffer.
-		c.stats.UncertainRestarts++
-		return c.restartAt(e)
-	}
-	c.stats.FullComputations++
-	if MaxDeviation(c.buffer, c.origin, e, c.cfg.Metric) <= d {
-		c.stats.ExactIncludes++
-		return c.include(e)
-	}
-	c.stats.ExactRestarts++
-	return c.restartAt(e)
-}
-
-// processWarmup handles points while the data-centric rotation buffer is
-// still filling: decisions are exact scans over the tiny warmup buffer
-// (constant work, ≤ RotationWarmup points).
-func (c *Compressor) processWarmup(e Point) (Point, bool) {
-	d := c.cfg.Tolerance
-	if len(c.warmup) > 0 {
-		c.stats.FullComputations++
-		if MaxDeviation(c.warmup, c.origin, e, c.cfg.Metric) > d {
-			c.stats.ExactRestarts++
-			return c.restartAt(e)
-		}
-		c.stats.ExactIncludes++
-	} else {
-		c.stats.BoundIncludes++ // trivially safe: nothing tracked yet
-	}
-	return c.include(e)
-}
-
-// include accepts e into the current segment. Near points (within the
-// tolerance of the segment start, Theorem 5.1) are never tracked: they can
-// not push any future deviation beyond the tolerance. Far points enter the
-// warmup buffer or the quadrant structures, and the exact-mode deviation
-// buffer. Returns a key point when a MaxBuffer overflow forces a cut.
-func (c *Compressor) include(e Point) (Point, bool) {
-	c.lastInc = e
-	ev := e.Vec().Sub(c.origin.Vec())
-	if ev.Norm() <= c.cfg.Tolerance {
-		return Point{}, false // Theorem 5.1: safe interior forever; untracked.
-	}
-
-	if !c.warmupDone {
-		c.warmup = append(c.warmup, e)
-		if len(c.warmup) >= c.cfg.RotationWarmup {
-			c.finishWarmup()
-		}
-		return Point{}, false
-	}
-
-	lv := c.local(e)
-	c.quads[quadrantOf(lv)].insert(lv)
-	if c.cfg.Mode == ModeExact {
-		c.buffer = append(c.buffer, e)
-		if c.cfg.MaxBuffer > 0 && len(c.buffer) >= c.cfg.MaxBuffer {
-			// Forced cut at the just-verified point, mirroring the windowed
-			// baselines' buffer-full behaviour.
-			c.stats.BufferOverflows++
-			c.stats.Segments++
-			c.emit(e)
-			c.startSegment(e)
-			return e, true
-		}
-	}
-	return Point{}, false
-}
-
-// finishWarmup fixes the data-centric rotation from the centroid of the
-// warmup points (Section V-D) and replays them into the quadrant
-// structures.
-func (c *Compressor) finishWarmup() {
-	var centroid geom.Vec
-	for _, w := range c.warmup {
-		centroid = centroid.Add(w.Vec().Sub(c.origin.Vec()))
-	}
-	centroid = centroid.Scale(1 / float64(len(c.warmup)))
-	if centroid.Norm() > geom.Eps {
-		c.rot = centroid.Angle()
-		c.rotSin, c.rotCos = math.Sincos(-c.rot)
-	}
-	c.warmupDone = true
-	for _, w := range c.warmup {
-		lw := c.local(w)
-		c.quads[quadrantOf(lw)].insert(lw)
-		if c.cfg.Mode == ModeExact {
-			c.buffer = append(c.buffer, w)
-		}
-	}
-	c.warmup = c.warmup[:0]
-}
-
-// restartAt ends the current segment at the last verified point, emits it,
-// and opens a fresh segment there that absorbs e. In the fresh segment e is
-// always includable: either it is within tolerance of the new origin or
-// nothing is tracked yet, so no recursion is possible.
-func (c *Compressor) restartAt(e Point) (Point, bool) {
-	kp := c.lastInc
-	c.stats.Segments++
-	c.emit(kp)
-	c.startSegment(kp)
-	if _, emitted := c.include(e); emitted {
-		// Unreachable: a fresh segment cannot overflow, but keep the
-		// contract honest if configurations change.
-		return kp, true
-	}
-	return kp, true
 }
 
 // CompressBatch runs a fresh pass over pts and returns the compressed key
 // points. It is a convenience wrapper over Push/Flush that does not disturb
 // accumulated statistics semantics (statistics keep accumulating).
-func (c *Compressor) CompressBatch(pts []Point) []Point {
-	if len(pts) == 0 {
-		return nil
+func (c *Compressor) CompressBatch(pts []Point) []Point { return c.compressBatch(pts) }
+
+// quadFrame is the 2-D frame: four quadrants around the segment start,
+// rotated towards the warmup centroid.
+type quadFrame struct {
+	origin         Point   // current segment start s (local coordinate origin)
+	rot            float64 // data-centric rotation angle φ
+	rotSin, rotCos float64 // cached Sincos(-rot)
+	quads          [4]quadrant
+}
+
+func (f *quadFrame) valid(p Point) bool    { return p.IsFinite() }
+func (f *quadFrame) equal(a, b Point) bool { return a.Equal(b) }
+
+func (f *quadFrame) anchor(p Point) {
+	f.origin = p
+	f.rot, f.rotSin, f.rotCos = 0, 0, 1
+	for i := range f.quads {
+		f.quads[i].reset(i)
 	}
-	out := make([]Point, 0, 16)
-	for _, p := range pts {
-		if kp, ok := c.Push(p); ok {
-			out = append(out, kp)
+}
+
+// orient fixes the rotation from the centroid of the warmup points
+// (Section V-D) and replays them into the quadrant structures.
+func (f *quadFrame) orient(warmup []Point) {
+	var centroid geom.Vec
+	for _, w := range warmup {
+		centroid = centroid.Add(w.Vec().Sub(f.origin.Vec()))
+	}
+	centroid = centroid.Scale(1 / float64(len(warmup)))
+	if centroid.Norm() > geom.Eps {
+		f.rot = centroid.Angle()
+		f.rotSin, f.rotCos = math.Sincos(-f.rot)
+	}
+	for _, w := range warmup {
+		f.insert(w)
+	}
+}
+
+// local maps a raw point into the segment's local (translated, rotated)
+// frame. The rotation's sin/cos are cached when the rotation is fixed.
+func (f *quadFrame) local(p Point) geom.Vec {
+	x := p.X - f.origin.X
+	y := p.Y - f.origin.Y
+	if f.rot != 0 {
+		x, y = x*f.rotCos-y*f.rotSin, x*f.rotSin+y*f.rotCos
+	}
+	return geom.Vec{X: x, Y: y}
+}
+
+func (f *quadFrame) far(p Point, tol float64) bool {
+	return p.Vec().Sub(f.origin.Vec()).Norm() > tol
+}
+
+func (f *quadFrame) insert(p Point) {
+	lv := f.local(p)
+	f.quads[quadrantOf(lv)].insert(lv)
+}
+
+func (f *quadFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
+	le := f.local(e)
+	for i := range f.quads {
+		q := &f.quads[i]
+		if q.n == 0 {
+			continue
 		}
+		qlb, qub := q.bounds(le, metric)
+		dlb = math.Max(dlb, qlb)
+		dub = math.Max(dub, qub)
 	}
-	if kp, ok := c.Flush(); ok {
-		out = append(out, kp)
-	}
-	return out
+	return dlb, dub
+}
+
+func (f *quadFrame) deviation(pts []Point, e Point, metric Metric) float64 {
+	return MaxDeviation(pts, f.origin, e, metric)
 }

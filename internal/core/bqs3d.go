@@ -25,19 +25,10 @@ func (p Point3) Equal(o Point3) bool {
 // MaxDeviation3 returns the maximum 3-D deviation of pts from the path
 // between s and e under the given metric.
 func MaxDeviation3(pts []Point3, s, e Point3, metric Metric) float64 {
-	var maxD float64
-	for _, p := range pts {
-		var d float64
-		if metric == MetricSegment {
-			d = geom.DistToSegment3(p.Vec3(), s.Vec3(), e.Vec3())
-		} else {
-			d = geom.DistToLine3(p.Vec3(), s.Vec3(), e.Vec3())
-		}
-		if d > maxD {
-			maxD = d
-		}
+	if metric == MetricSegment {
+		return maxOver(pts, func(p Point3) float64 { return geom.DistToSegment3(p.Vec3(), s.Vec3(), e.Vec3()) })
 	}
-	return maxD
+	return maxOver(pts, func(p Point3) float64 { return geom.DistToLine3(p.Vec3(), s.Vec3(), e.Vec3()) })
 }
 
 // Compressor3 is the 3-D BQS/FBQS streaming compressor (Section V-G). Its
@@ -48,243 +39,96 @@ func MaxDeviation3(pts []Point3, s, e Point3, metric Metric) float64 {
 // z axis towards the warmup centroid, which keeps the same
 // bound-tightening effect for predominantly planar movement.
 //
-// A Compressor3 is not safe for concurrent use.
+// Push, Flush, Reset, Stats, Config and BufferedPoints are the shared
+// decision loop's (segmenter, with P = Point3); Config.Trace is honoured as
+// in 2-D. A Compressor3 is not safe for concurrent use.
 type Compressor3 struct {
-	cfg   Config
-	stats Stats
-
-	started  bool
-	origin   Point3
-	lastInc  Point3
-	lastEmit Point3
-	haveEmit bool
-
-	rot        float64
-	warmupDone bool
-	warmup     []Point3
-
-	octs   [8]octant
-	buffer []Point3
+	segmenter[Point3, *octFrame]
 }
 
 // NewCompressor3 returns a 3-D compressor for the given configuration.
-// Config.Trace is ignored (no 3-D bound tracing).
 func NewCompressor3(cfg Config) (*Compressor3, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
-	c := &Compressor3{cfg: cfg}
-	if cfg.RotationWarmup > 0 {
-		c.warmup = make([]Point3, 0, cfg.RotationWarmup)
-	}
-	c.startSegment(Point3{})
-	c.started = false
-	return c, nil
+	return &Compressor3{newSegmenter[Point3](cfg, &octFrame{})}, nil
 }
 
-// Config returns the effective configuration.
-func (c *Compressor3) Config() Config { return c.cfg }
+// CompressBatch3 runs a fresh pass over pts and returns the compressed key
+// points.
+func (c *Compressor3) CompressBatch3(pts []Point3) []Point3 { return c.compressBatch(pts) }
 
-// Stats returns the accumulated decision statistics.
-func (c *Compressor3) Stats() Stats { return c.stats }
-
-// BufferedPoints returns the number of points currently buffered.
-func (c *Compressor3) BufferedPoints() int { return len(c.buffer) + len(c.warmup) }
-
-// Reset clears all state and statistics.
-func (c *Compressor3) Reset() {
-	c.stats = Stats{}
-	c.haveEmit = false
-	c.startSegment(Point3{})
-	c.started = false
+// octFrame is the 3-D frame: eight octants around the segment start,
+// rotated about the z axis towards the warmup centroid.
+type octFrame struct {
+	origin Point3
+	rot    float64
+	octs   [8]octant
 }
 
-func (c *Compressor3) startSegment(p Point3) {
-	c.started = true
-	c.origin = p
-	c.lastInc = p
-	c.rot = 0
-	c.warmupDone = c.cfg.RotationWarmup == 0
-	c.warmup = c.warmup[:0]
-	c.buffer = c.buffer[:0]
-	for i := range c.octs {
-		c.octs[i].reset(i)
+func (f *octFrame) valid(p Point3) bool    { return p.Vec3().IsFinite() && finite(p.T) }
+func (f *octFrame) equal(a, b Point3) bool { return a.Equal(b) }
+
+func (f *octFrame) anchor(p Point3) {
+	f.origin = p
+	f.rot = 0
+	for i := range f.octs {
+		f.octs[i].reset(i)
 	}
 }
 
-func (c *Compressor3) emit(kp Point3) {
-	c.lastEmit = kp
-	c.haveEmit = true
-	c.stats.KeyPoints++
+func (f *octFrame) orient(warmup []Point3) {
+	var centroid geom.Vec
+	for _, w := range warmup {
+		centroid = centroid.Add(w.Vec3().Sub(f.origin.Vec3()).XY())
+	}
+	centroid = centroid.Scale(1 / float64(len(warmup)))
+	if centroid.Norm() > geom.Eps {
+		f.rot = centroid.Angle()
+	}
+	for _, w := range warmup {
+		f.insert(w)
+	}
 }
 
 // local maps a raw point into the segment frame (translated, azimuthally
 // rotated).
-func (c *Compressor3) local(p Point3) geom.Vec3 {
-	v := p.Vec3().Sub(c.origin.Vec3())
-	if c.rot != 0 {
-		xy := v.XY().Rotate(-c.rot)
+func (f *octFrame) local(p Point3) geom.Vec3 {
+	v := p.Vec3().Sub(f.origin.Vec3())
+	if f.rot != 0 {
+		xy := v.XY().Rotate(-f.rot)
 		v = geom.V3(xy.X, xy.Y, v.Z)
 	}
 	return v
 }
 
-// Push feeds the next point; it returns a finalized key point when one is
-// emitted. Non-finite points are dropped and counted in
-// Stats.DroppedPoints.
-func (c *Compressor3) Push(p Point3) (Point3, bool) {
-	if !p.Vec3().IsFinite() || math.IsNaN(p.T) || math.IsInf(p.T, 0) {
-		c.stats.DroppedPoints++
-		return Point3{}, false
-	}
-	c.stats.Points++
-	if !c.started {
-		c.startSegment(p)
-		c.emit(p)
-		return p, true
-	}
-	return c.process(p)
+// far: Theorem 5.1 carries over to 3-D verbatim.
+func (f *octFrame) far(p Point3, tol float64) bool {
+	return p.Vec3().Sub(f.origin.Vec3()).Norm() > tol
 }
 
-// Flush terminates the trajectory, returning the final key point if due.
-func (c *Compressor3) Flush() (Point3, bool) {
-	if !c.started {
-		return Point3{}, false
-	}
-	kp := c.lastInc
-	emit := !(c.haveEmit && c.lastEmit.Equal(kp))
-	if emit {
-		c.emit(kp)
-	}
-	c.startSegment(Point3{})
-	c.started = false
-	return kp, emit
+func (f *octFrame) insert(p Point3) {
+	lp := f.local(p)
+	f.octs[octantOf(lp)].insert(lp)
 }
 
-func (c *Compressor3) process(e Point3) (Point3, bool) {
-	d := c.cfg.Tolerance
-
-	if !c.warmupDone {
-		if len(c.warmup) > 0 {
-			c.stats.FullComputations++
-			if MaxDeviation3(c.warmup, c.origin, e, c.cfg.Metric) > d {
-				c.stats.ExactRestarts++
-				return c.restartAt(e)
-			}
-			c.stats.ExactIncludes++
-		} else {
-			c.stats.BoundIncludes++
-		}
-		return c.include(e)
-	}
-
-	le := c.local(e)
-	var dlb, dub float64
-	for i := range c.octs {
-		o := &c.octs[i]
+func (f *octFrame) bounds(e Point3, metric Metric) (dlb, dub float64) {
+	le := f.local(e)
+	for i := range f.octs {
+		o := &f.octs[i]
 		if o.n == 0 {
 			continue
 		}
-		olb, oub := o.bounds(le, c.cfg.Metric)
+		olb, oub := o.bounds(le, metric)
 		dlb = math.Max(dlb, olb)
 		dub = math.Max(dub, oub)
 	}
-
-	switch {
-	case dub <= d:
-		c.stats.BoundIncludes++
-		return c.include(e)
-	case dlb > d:
-		c.stats.BoundRestarts++
-		return c.restartAt(e)
-	}
-	if c.cfg.Mode == ModeFast {
-		c.stats.UncertainRestarts++
-		return c.restartAt(e)
-	}
-	c.stats.FullComputations++
-	if MaxDeviation3(c.buffer, c.origin, e, c.cfg.Metric) <= d {
-		c.stats.ExactIncludes++
-		return c.include(e)
-	}
-	c.stats.ExactRestarts++
-	return c.restartAt(e)
+	return dlb, dub
 }
 
-func (c *Compressor3) include(e Point3) (Point3, bool) {
-	c.lastInc = e
-	ev := e.Vec3().Sub(c.origin.Vec3())
-	if ev.Norm() <= c.cfg.Tolerance {
-		return Point3{}, false // Theorem 5.1 carries over to 3-D verbatim.
-	}
-	if !c.warmupDone {
-		c.warmup = append(c.warmup, e)
-		if len(c.warmup) >= c.cfg.RotationWarmup {
-			c.finishWarmup()
-		}
-		return Point3{}, false
-	}
-	lp := c.local(e)
-	c.octs[octantOf(lp)].insert(lp)
-	if c.cfg.Mode == ModeExact {
-		c.buffer = append(c.buffer, e)
-		if c.cfg.MaxBuffer > 0 && len(c.buffer) >= c.cfg.MaxBuffer {
-			c.stats.BufferOverflows++
-			c.stats.Segments++
-			c.emit(e)
-			c.startSegment(e)
-			return e, true
-		}
-	}
-	return Point3{}, false
-}
-
-func (c *Compressor3) finishWarmup() {
-	var centroid geom.Vec
-	for _, w := range c.warmup {
-		centroid = centroid.Add(w.Vec3().Sub(c.origin.Vec3()).XY())
-	}
-	centroid = centroid.Scale(1 / float64(len(c.warmup)))
-	if centroid.Norm() > geom.Eps {
-		c.rot = centroid.Angle()
-	}
-	c.warmupDone = true
-	for _, w := range c.warmup {
-		lp := c.local(w)
-		c.octs[octantOf(lp)].insert(lp)
-		if c.cfg.Mode == ModeExact {
-			c.buffer = append(c.buffer, w)
-		}
-	}
-	c.warmup = c.warmup[:0]
-}
-
-func (c *Compressor3) restartAt(e Point3) (Point3, bool) {
-	kp := c.lastInc
-	c.stats.Segments++
-	c.emit(kp)
-	c.startSegment(kp)
-	c.include(e)
-	return kp, true
-}
-
-// CompressBatch3 runs a fresh pass over pts and returns the compressed key
-// points.
-func (c *Compressor3) CompressBatch3(pts []Point3) []Point3 {
-	if len(pts) == 0 {
-		return nil
-	}
-	out := make([]Point3, 0, 16)
-	for _, p := range pts {
-		if kp, ok := c.Push(p); ok {
-			out = append(out, kp)
-		}
-	}
-	if kp, ok := c.Flush(); ok {
-		out = append(out, kp)
-	}
-	return out
+func (f *octFrame) deviation(pts []Point3, e Point3, metric Metric) float64 {
+	return MaxDeviation3(pts, f.origin, e, metric)
 }
 
 // TimeSensitive wraps a Compressor3 to compress 2-D points under the
@@ -318,9 +162,11 @@ type errValue string
 
 func (e errValue) Error() string { return string(e) }
 
-// Push feeds the next 2-D point.
+// Push feeds the next 2-D point. Time is measured from the trajectory's
+// first finite point: latching a NaN/Inf timestamp would turn every later
+// z into NaN and drop the whole trajectory.
 func (ts *TimeSensitive) Push(p Point) (Point, bool) {
-	if !ts.open {
+	if !ts.open && p.IsFinite() {
 		ts.t0 = p.T
 		ts.open = true
 	}
@@ -333,6 +179,12 @@ func (ts *TimeSensitive) Flush() (Point, bool) {
 	kp3, ok := ts.inner.Flush()
 	ts.open = false
 	return ts.lower(kp3), ok
+}
+
+// Reset clears all state and statistics.
+func (ts *TimeSensitive) Reset() {
+	ts.inner.Reset()
+	ts.open = false
 }
 
 // Stats returns the accumulated statistics.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/geom"
@@ -335,6 +336,39 @@ func TestTimeSensitiveMetric(t *testing.T) {
 	}
 	if nTS <= nSpatial {
 		t.Errorf("time-sensitive metric kept %d points, want > %d", nTS, nSpatial)
+	}
+}
+
+// One first fix with a NaN/Inf timestamp must cost that fix only: latched
+// as the time origin it would turn every later z into NaN and drop the
+// whole trajectory.
+func TestTimeSensitiveLatchesFirstFinitePoint(t *testing.T) {
+	pts := randomWalk(rand.New(rand.NewSource(9)), 100, 10)
+	compress := func(t *testing.T, pts []Point) ([]Point, Stats) {
+		tsc, err := NewTimeSensitive(Config{Tolerance: 10, Mode: ModeFast}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []Point
+		for _, p := range pts {
+			if kp, ok := tsc.Push(p); ok {
+				keys = append(keys, kp)
+			}
+		}
+		if kp, ok := tsc.Flush(); ok {
+			keys = append(keys, kp)
+		}
+		return keys, tsc.Stats()
+	}
+	want, _ := compress(t, pts)
+	for _, bad := range []Point{{T: math.NaN()}, {T: math.Inf(1)}, {X: math.NaN(), T: 1e6}} {
+		got, s := compress(t, append([]Point{bad}, pts...))
+		if s.DroppedPoints != 1 || s.Points != len(pts) {
+			t.Errorf("first fix %v: dropped %d, processed %d; want 1, %d", bad, s.DroppedPoints, s.Points, len(pts))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("first fix %v: %d key points, the clean stream gives %d", bad, len(got), len(want))
+		}
 	}
 }
 

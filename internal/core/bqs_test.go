@@ -264,24 +264,41 @@ func TestMaxBufferForcesCuts(t *testing.T) {
 }
 
 func TestTraceCallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := randomWalk(rng, 500, 10)
 	var traces []TracePoint
-	c := mustCompressor(t, Config{
+	cfg := Config{
 		Tolerance: 10, Mode: ModeExact, RotationWarmup: 0,
 		Trace: func(tp TracePoint) { traces = append(traces, tp) },
-	})
-	c.CompressBatch(pts)
-	if len(traces) == 0 {
-		t.Fatal("no trace points recorded")
 	}
-	for _, tp := range traces {
-		if tp.LB > tp.UB+1e-9 {
-			t.Errorf("trace %d: lb %v > ub %v", tp.Index, tp.LB, tp.UB)
-		}
-		if !math.IsNaN(tp.Actual) && (tp.Actual < tp.LB-1e-6 || tp.Actual > tp.UB+1e-6) {
-			t.Errorf("trace %d: actual %v outside [%v, %v]", tp.Index, tp.Actual, tp.LB, tp.UB)
-		}
+	for _, row := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"2d", func(t *testing.T) {
+			mustCompressor(t, cfg).CompressBatch(randomWalk(rand.New(rand.NewSource(2)), 500, 10))
+		}},
+		{"3d", func(t *testing.T) {
+			c, err := NewCompressor3(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.CompressBatch3(randomWalk3(rand.New(rand.NewSource(2)), 500, 10))
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			traces = nil
+			row.run(t)
+			if len(traces) == 0 {
+				t.Fatal("no trace points recorded")
+			}
+			for _, tp := range traces {
+				if tp.LB > tp.UB+1e-9 {
+					t.Errorf("trace %d: lb %v > ub %v", tp.Index, tp.LB, tp.UB)
+				}
+				if !math.IsNaN(tp.Actual) && (tp.Actual < tp.LB-1e-6 || tp.Actual > tp.UB+1e-6) {
+					t.Errorf("trace %d: actual %v outside [%v, %v]", tp.Index, tp.Actual, tp.LB, tp.UB)
+				}
+			}
+		})
 	}
 }
 

@@ -105,19 +105,10 @@ func distToSegmentN(p, a, b []float64) float64 {
 // MaxDeviationN returns the maximum deviation of pts from the path between
 // s and e under the metric.
 func MaxDeviationN(pts []PointN, s, e PointN, metric Metric) float64 {
-	var maxD float64
-	for _, p := range pts {
-		var d float64
-		if metric == MetricSegment {
-			d = distToSegmentN(p.C, s.C, e.C)
-		} else {
-			d = distToLineN(p.C, s.C, e.C)
-		}
-		if d > maxD {
-			maxD = d
-		}
+	if metric == MetricSegment {
+		return maxOver(pts, func(p PointN) float64 { return distToSegmentN(p.C, s.C, e.C) })
 	}
-	return maxD
+	return maxOver(pts, func(p PointN) float64 { return distToLineN(p.C, s.C, e.C) })
 }
 
 // orthantN is the bounding structure for one orthant of the local space.
@@ -200,25 +191,10 @@ func (o *orthantN) bounds(le []float64, metric Metric, origin []float64) (dlb, d
 // convexity). Without it, diagonal motion would inflate the axis-aligned
 // box's corners and cripple the fast variant.
 //
-// Not safe for concurrent use.
+// Flush, Reset, Stats, Config and BufferedPoints are the shared decision
+// loop's (segmenter, with P = PointN). Not safe for concurrent use.
 type CompressorN struct {
-	cfg Config
-	dim int
-
-	stats Stats
-
-	started  bool
-	origin   PointN
-	lastInc  PointN
-	lastEmit PointN
-	haveEmit bool
-
-	orthants map[uint32]*orthantN
-
-	basis   [][]float64 // orthonormal rows; nil until the first far point
-	aligned *orthantN   // box over basis coordinates (UB only)
-
-	buffer []PointN
+	segmenter[PointN, *orthFrame]
 }
 
 // MaxDimensions caps the supported dimensionality: the corner enumeration
@@ -226,7 +202,7 @@ type CompressorN struct {
 const MaxDimensions = 8
 
 // NewCompressorN returns a k-dimensional compressor. RotationWarmup is
-// ignored.
+// ignored: the aligned basis needs no warmup buffer.
 func NewCompressorN(cfg Config, dim int) (*CompressorN, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
@@ -235,32 +211,53 @@ func NewCompressorN(cfg Config, dim int) (*CompressorN, error) {
 	if dim < 1 || dim > MaxDimensions {
 		return nil, fmt.Errorf("core: dimension %d outside [1, %d]", dim, MaxDimensions)
 	}
-	c := &CompressorN{cfg: cfg, dim: dim, orthants: make(map[uint32]*orthantN)}
-	return c, nil
+	cfg.RotationWarmup = 0
+	f := &orthFrame{dim: dim, zero: make([]float64, dim), le: make([]float64, dim)}
+	return &CompressorN{newSegmenter[PointN](cfg, f)}, nil
 }
 
 // ErrDimensionMismatch reports a pushed point with the wrong number of
 // coordinates.
 var ErrDimensionMismatch = errors.New("core: point dimension does not match the compressor")
 
-// Stats returns the accumulated decision statistics.
-func (c *CompressorN) Stats() Stats { return c.stats }
-
 // Dim returns the compressor's spatial dimensionality.
-func (c *CompressorN) Dim() int { return c.dim }
+func (c *CompressorN) Dim() int { return c.frame.dim }
 
-// BufferedPoints returns the exact-mode buffer occupancy.
-func (c *CompressorN) BufferedPoints() int { return len(c.buffer) }
+// orthFrame is the k-D frame: one bounding box per occupied orthant around
+// the segment start, plus the movement-aligned box.
+type orthFrame struct {
+	dim    int
+	origin PointN
+	zero   []float64 // the local origin, for orthantN.bounds
+	le     []float64 // scratch: the local end point of the current decision
 
-func (c *CompressorN) startSegment(p PointN) {
-	c.started = true
-	c.origin = p.Clone()
-	c.lastInc = c.origin
-	c.orthants = make(map[uint32]*orthantN, 4)
-	c.basis = nil
-	c.aligned = nil
-	c.buffer = c.buffer[:0]
+	orthants map[uint32]*orthantN
+
+	basis   [][]float64 // orthonormal rows; nil until the first far point
+	aligned *orthantN   // box over basis coordinates (UB only)
 }
+
+func (f *orthFrame) valid(p PointN) bool {
+	for _, v := range p.C {
+		if !finite(v) {
+			return false
+		}
+	}
+	return finite(p.T)
+}
+
+func (f *orthFrame) equal(a, b PointN) bool { return a.Equal(b) }
+
+// anchor copies p: the segment start is also an emitted key point, which
+// the caller owns.
+func (f *orthFrame) anchor(p PointN) {
+	f.origin = p.Clone()
+	f.orthants = make(map[uint32]*orthantN, 4)
+	f.basis = nil
+	f.aligned = nil
+}
+
+func (f *orthFrame) orient([]PointN) {}
 
 // buildBasis constructs an orthonormal basis whose first vector points
 // along dir, completing it with Gram-Schmidt over the standard axes.
@@ -312,9 +309,9 @@ func buildBasis(dir []float64) [][]float64 {
 }
 
 // toBasis expresses v in the aligned basis.
-func (c *CompressorN) toBasis(v []float64) []float64 {
-	out := make([]float64, c.dim)
-	for i, b := range c.basis {
+func (f *orthFrame) toBasis(v []float64) []float64 {
+	out := make([]float64, f.dim)
+	for i, b := range f.basis {
 		var dot float64
 		for j := range v {
 			dot += v[j] * b[j]
@@ -324,17 +321,10 @@ func (c *CompressorN) toBasis(v []float64) []float64 {
 	return out
 }
 
-func (c *CompressorN) emit(kp PointN) {
-	c.lastEmit = kp
-	c.haveEmit = true
-	c.stats.KeyPoints++
-}
-
-// local maps p into the segment frame (translation only).
-func (c *CompressorN) local(p PointN) []float64 {
-	out := make([]float64, c.dim)
-	for i := 0; i < c.dim; i++ {
-		out[i] = p.C[i] - c.origin.C[i]
+// local maps p into the segment frame (translation only), into out.
+func (f *orthFrame) local(p PointN, out []float64) []float64 {
+	for i := range out {
+		out[i] = p.C[i] - f.origin.C[i]
 	}
 	return out
 }
@@ -349,125 +339,68 @@ func orthantIndexN(v []float64) uint32 {
 	return idx
 }
 
-// Push feeds the next point; it returns a finalized key point when one is
-// emitted. Points of the wrong dimension yield an error.
-func (c *CompressorN) Push(p PointN) (PointN, bool, error) {
-	if len(p.C) != c.dim {
-		return PointN{}, false, ErrDimensionMismatch
+// far: Theorem 5.1 holds in any dimension.
+func (f *orthFrame) far(p PointN, tol float64) bool {
+	var norm2 float64
+	for _, v := range f.local(p, f.le) {
+		norm2 += v * v
 	}
-	c.stats.Points++
-	if !c.started {
-		c.startSegment(p)
-		c.emit(c.origin)
-		return c.origin, true, nil
-	}
-	kp, ok := c.process(p)
-	return kp, ok, nil
+	return math.Sqrt(norm2) > tol
 }
 
-// Flush terminates the trajectory.
-func (c *CompressorN) Flush() (PointN, bool) {
-	if !c.started {
-		return PointN{}, false
+func (f *orthFrame) insert(p PointN) {
+	le := f.local(p, make([]float64, f.dim)) // kept: the boxes hold it as a witness
+	idx := orthantIndexN(le)
+	o := f.orthants[idx]
+	if o == nil {
+		o = newOrthantN(f.dim)
+		f.orthants[idx] = o
 	}
-	kp := c.lastInc
-	emit := !(c.haveEmit && c.lastEmit.Equal(kp))
-	if emit {
-		c.emit(kp)
+	o.insert(le)
+	if f.basis == nil {
+		f.basis = buildBasis(le)
+		if f.basis != nil {
+			f.aligned = newOrthantN(f.dim)
+		}
 	}
-	c.started = false
-	return kp, emit
+	if f.aligned != nil {
+		f.aligned.insert(f.toBasis(le))
+	}
 }
 
-func (c *CompressorN) process(e PointN) (PointN, bool) {
-	d := c.cfg.Tolerance
-	le := c.local(e)
-
-	origin := make([]float64, c.dim)
-	var dlb, dub float64
-	for _, o := range c.orthants {
-		olb, oub := o.bounds(le, c.cfg.Metric, origin)
+func (f *orthFrame) bounds(e PointN, metric Metric) (dlb, dub float64) {
+	le := f.local(e, f.le)
+	for _, o := range f.orthants {
+		olb, oub := o.bounds(le, metric, f.zero)
 		dlb = math.Max(dlb, olb)
 		dub = math.Max(dub, oub)
 	}
-	if c.aligned != nil && c.aligned.n > 0 {
+	if f.aligned != nil && f.aligned.n > 0 {
 		// The movement-aligned box yields an independent valid upper bound
 		// (distances are invariant under the orthonormal change of basis);
 		// keep the tighter one.
-		_, alignedUB := c.aligned.bounds(c.toBasis(le), c.cfg.Metric, origin)
+		_, alignedUB := f.aligned.bounds(f.toBasis(le), metric, f.zero)
 		dub = math.Min(dub, alignedUB)
 		if dub < dlb {
 			dub = dlb // both bounds are valid; keep the pair consistent
 		}
 	}
-
-	switch {
-	case dub <= d:
-		c.stats.BoundIncludes++
-		return c.include(e, le)
-	case dlb > d:
-		c.stats.BoundRestarts++
-		return c.restartAt(e)
-	}
-	if c.cfg.Mode == ModeFast {
-		c.stats.UncertainRestarts++
-		return c.restartAt(e)
-	}
-	c.stats.FullComputations++
-	if MaxDeviationN(c.buffer, c.origin, e, c.cfg.Metric) <= d {
-		c.stats.ExactIncludes++
-		return c.include(e, le)
-	}
-	c.stats.ExactRestarts++
-	return c.restartAt(e)
+	return dlb, dub
 }
 
-func (c *CompressorN) include(e PointN, le []float64) (PointN, bool) {
-	e = e.Clone()
-	c.lastInc = e
-	var norm2 float64
-	for _, v := range le {
-		norm2 += v * v
-	}
-	if math.Sqrt(norm2) <= c.cfg.Tolerance {
-		return PointN{}, false // Theorem 5.1 holds in any dimension.
-	}
-	idx := orthantIndexN(le)
-	o := c.orthants[idx]
-	if o == nil {
-		o = newOrthantN(c.dim)
-		c.orthants[idx] = o
-	}
-	o.insert(le)
-	if c.basis == nil {
-		c.basis = buildBasis(le)
-		if c.basis != nil {
-			c.aligned = newOrthantN(c.dim)
-		}
-	}
-	if c.aligned != nil {
-		c.aligned.insert(c.toBasis(le))
-	}
-	if c.cfg.Mode == ModeExact {
-		c.buffer = append(c.buffer, e)
-		if c.cfg.MaxBuffer > 0 && len(c.buffer) >= c.cfg.MaxBuffer {
-			c.stats.BufferOverflows++
-			c.stats.Segments++
-			c.emit(e)
-			c.startSegment(e)
-			return e, true
-		}
-	}
-	return PointN{}, false
+func (f *orthFrame) deviation(pts []PointN, e PointN, metric Metric) float64 {
+	return MaxDeviationN(pts, f.origin, e, metric)
 }
 
-func (c *CompressorN) restartAt(e PointN) (PointN, bool) {
-	kp := c.lastInc
-	c.stats.Segments++
-	c.emit(kp)
-	c.startSegment(kp)
-	c.include(e, c.local(e))
-	return kp, true
+// Push feeds the next point; it returns a finalized key point when one is
+// emitted. Points of the wrong dimension yield an error. The point is
+// copied, so the caller may reuse p.C.
+func (c *CompressorN) Push(p PointN) (PointN, bool, error) {
+	if len(p.C) != c.frame.dim {
+		return PointN{}, false, ErrDimensionMismatch
+	}
+	kp, ok := c.segmenter.Push(p.Clone())
+	return kp, ok, nil
 }
 
 // CompressBatchN runs a fresh pass over pts and returns the compressed key

@@ -37,9 +37,11 @@ func (p Point) Vec() geom.Vec { return geom.Vec{X: p.X, Y: p.Y} }
 func (p Point) Equal(o Point) bool { return p.X == o.X && p.Y == o.Y && p.T == o.T }
 
 // IsFinite reports whether all components are finite numbers.
-func (p Point) IsFinite() bool {
-	return p.Vec().IsFinite() && !math.IsNaN(p.T) && !math.IsInf(p.T, 0)
-}
+func (p Point) IsFinite() bool { return finite(p.X) && finite(p.Y) && finite(p.T) }
+
+// finite is false for NaN and ±Inf; one comparison, so the frames' valid
+// checks inline.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
 // Metric selects the deviation metric. The paper defines deviation with the
 // point-to-line distance "for simplicity of the proof" and notes that the
@@ -200,16 +202,20 @@ func (c Config) Validate() (Config, error) {
 // s and e under the given metric. It is the full computation the bounds are
 // designed to avoid.
 func MaxDeviation(pts []Point, s, e Point, metric Metric) float64 {
+	if metric == MetricSegment {
+		return maxOver(pts, func(p Point) float64 { return geom.DistToSegment(p.Vec(), s.Vec(), e.Vec()) })
+	}
 	line := geom.Line{A: s.Vec(), B: e.Vec()}
+	return maxOver(pts, func(p Point) float64 { return geom.DistToLine(p.Vec(), line) })
+}
+
+// maxOver returns the largest dist over pts: the one max-loop under
+// MaxDeviation, MaxDeviation3 and MaxDeviationN. It and the distance
+// closures inline, so the scan stays a plain loop.
+func maxOver[P any](pts []P, dist func(P) float64) float64 {
 	var maxD float64
 	for _, p := range pts {
-		var d float64
-		if metric == MetricSegment {
-			d = geom.DistToSegment(p.Vec(), s.Vec(), e.Vec())
-		} else {
-			d = geom.DistToLine(p.Vec(), line)
-		}
-		if d > maxD {
+		if d := dist(p); d > maxD {
 			maxD = d
 		}
 	}

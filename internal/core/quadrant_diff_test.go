@@ -207,60 +207,78 @@ func TestQuadrantDifferentialBounds(t *testing.T) {
 	}
 }
 
-// TestQuadrantDifferentialDecisions replays fuzzed random-walk traces
-// through a minimal copy of the compressor decision loop, once backed by
-// the cross-based quadrants and once by the angle-based reference, and
-// requires the exact same include/cut sequence — the property that makes
-// the emitted key points identical.
+// refFrame is the production 2-D frame with the angle-based reference
+// quadrants substituted for the trig-free ones: translation, rotation and
+// the near-point test are quadFrame's, the bounding structure is
+// refQuadrant's.
+type refFrame struct {
+	quadFrame
+	refs [4]refQuadrant
+}
+
+func (f *refFrame) anchor(p Point) {
+	f.quadFrame.anchor(p)
+	for i := range f.refs {
+		f.refs[i].reset(i)
+	}
+}
+
+func (f *refFrame) orient(warmup []Point) {
+	f.quadFrame.orient(warmup)
+	for _, w := range warmup {
+		f.insert(w)
+	}
+}
+
+func (f *refFrame) insert(p Point) {
+	lv := f.local(p)
+	f.refs[quadrantOf(lv)].insert(lv)
+}
+
+func (f *refFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
+	le := f.local(e)
+	for i := range f.refs {
+		lb, ub := f.refs[i].bounds(le, metric)
+		dlb, dub = math.Max(dlb, lb), math.Max(dub, ub)
+	}
+	return dlb, dub
+}
+
+// TestQuadrantDifferentialDecisions runs the decision loop that ships —
+// segmenter — over fuzzed random-walk traces, once on the production
+// quadrant frame and once on the angle-based reference frame, and requires
+// the same key point (or none) from every Push and the same Stats: every
+// include, cut and exact scan falls the same way.
 func TestQuadrantDifferentialDecisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const tol = 10.0
 	for trial := 0; trial < 40; trial++ {
 		pts := randomWalk(rng, 2000, 5+rng.Float64()*20)
-		metric := []Metric{MetricLine, MetricSegment}[trial%2]
-
-		var quads [4]quadrant
-		var refs [4]refQuadrant
-		resetAll := func() {
-			for i := range quads {
-				quads[i].reset(i)
-				refs[i].reset(i)
+		cfg, err := Config{
+			Tolerance:      10,
+			Metric:         []Metric{MetricLine, MetricSegment}[trial%2],
+			Mode:           []Mode{ModeFast, ModeExact}[trial/2%2],
+			RotationWarmup: []int{0, DefaultRotationWarmup}[trial/4%2],
+		}.Validate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prod := newSegmenter[Point](cfg, &quadFrame{})
+		ref := newSegmenter[Point](cfg, &refFrame{})
+		for i, p := range pts {
+			kp, ok := prod.Push(p)
+			rkp, rok := ref.Push(p)
+			if kp != rkp || ok != rok {
+				t.Fatalf("trial %d (%+v) point %d: decisions diverge: cross (%v, %v) vs angle (%v, %v)",
+					trial, cfg, i, kp, ok, rkp, rok)
 			}
 		}
-		resetAll()
-
-		origin := pts[0].Vec()
-		for i, p := range pts[1:] {
-			le := p.Vec().Sub(origin)
-			var lb, ub, rlb, rub float64
-			for qi := range quads {
-				if quads[qi].n > 0 {
-					l, u := quads[qi].bounds(le, metric)
-					lb, ub = math.Max(lb, l), math.Max(ub, u)
-				}
-				if refs[qi].n > 0 {
-					l, u := refs[qi].bounds(le, metric)
-					rlb, rub = math.Max(rlb, l), math.Max(rub, u)
-				}
-			}
-			// FBQS decision: include iff ub ≤ d, cut otherwise (covering
-			// both the dlb > d and the conservative uncertain branches).
-			include := ub <= tol
-			refInclude := rub <= tol
-			if include != refInclude {
-				t.Fatalf("trial %d point %d: decisions diverge (cross ub=%v, angle ub=%v, lb %v vs %v)",
-					trial, i, ub, rub, lb, rlb)
-			}
-			if include {
-				if le.Norm() > tol { // Theorem 5.1: near points are never tracked
-					qi := quadrantOf(le)
-					quads[qi].insert(le)
-					refs[qi].insert(le)
-				}
-			} else {
-				origin = p.Vec()
-				resetAll()
-			}
+		kp, ok := prod.Flush()
+		rkp, rok := ref.Flush()
+		if kp != rkp || ok != rok {
+			t.Fatalf("trial %d: flush diverges: cross (%v, %v) vs angle (%v, %v)", trial, kp, ok, rkp, rok)
+		}
+		if prod.Stats() != ref.Stats() {
+			t.Fatalf("trial %d (%+v): stats diverge:\n cross %+v\n angle %+v", trial, cfg, prod.Stats(), ref.Stats())
 		}
 	}
 }

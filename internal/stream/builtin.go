@@ -18,47 +18,35 @@ const (
 	DefaultGamma = 1.0
 )
 
+// register adds a built-in whose constructor returns its concrete type.
+// The error check is what keeps a failed constructor's typed nil pointer
+// from reaching the caller as a non-nil Compressor.
+func register[C Compressor](name string, construct func(tol float64) (C, error)) {
+	MustRegister(name, func(tol float64) (Compressor, error) {
+		c, err := construct(tol)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	})
+}
+
 func init() {
-	MustRegister("bqs", func(tol float64) (Compressor, error) {
-		c, err := core.NewCompressor(core.Config{Tolerance: tol, Mode: core.ModeExact, RotationWarmup: -1})
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
+	register("bqs", func(tol float64) (*core.Compressor, error) {
+		return core.NewCompressor(core.Config{Tolerance: tol, Mode: core.ModeExact, RotationWarmup: -1})
 	})
-	MustRegister("fbqs", func(tol float64) (Compressor, error) {
-		c, err := core.NewCompressor(core.Config{Tolerance: tol, Mode: core.ModeFast, RotationWarmup: -1})
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
+	register("fbqs", func(tol float64) (*core.Compressor, error) {
+		return core.NewCompressor(core.Config{Tolerance: tol, Mode: core.ModeFast, RotationWarmup: -1})
 	})
-	MustRegister("timesensitive", func(tol float64) (Compressor, error) {
-		c, err := core.NewTimeSensitive(core.Config{Tolerance: tol, Mode: core.ModeFast, RotationWarmup: -1}, DefaultGamma)
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
+	register("timesensitive", func(tol float64) (*core.TimeSensitive, error) {
+		return core.NewTimeSensitive(core.Config{Tolerance: tol, Mode: core.ModeFast, RotationWarmup: -1}, DefaultGamma)
 	})
-	MustRegister("dr", func(tol float64) (Compressor, error) {
-		c, err := baseline.NewDeadReckoning(tol)
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
+	register("dr", baseline.NewDeadReckoning)
+	register("bgd", func(tol float64) (*baseline.BufferedGreedy, error) {
+		return baseline.NewBufferedGreedy(tol, DefaultBufferSize, core.MetricLine)
 	})
-	MustRegister("bgd", func(tol float64) (Compressor, error) {
-		c, err := baseline.NewBufferedGreedy(tol, DefaultBufferSize, core.MetricLine)
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
-	})
-	MustRegister("bdp", func(tol float64) (Compressor, error) {
+	register("bdp", func(tol float64) (Compressor, error) {
 		c, err := baseline.NewBufferedDP(tol, DefaultBufferSize, core.MetricLine)
-		if err != nil {
-			return nil, err
-		}
-		return Adapt(c), nil
+		return Adapt(c), err
 	})
 }

@@ -24,7 +24,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 const goldenTolerance = 10.0
 
 // goldenAlgos are the frozen (name, file) pairs.
-var goldenAlgos = []string{"bqs", "fbqs", "dr"}
+var goldenAlgos = []string{"bqs", "fbqs", "dr", "timesensitive"}
 
 func goldenFixture(t *testing.T) []byte {
 	t.Helper()
