@@ -23,9 +23,11 @@
 // and flock-guarded log directory under -dir. Ingest is explicitly
 // backpressured: a batch landing on a full shard queue is rejected in
 // the ack with a retry-after hint — the daemon never buffers rejected
-// fixes, so memory stays bounded no matter how far the disk falls
-// behind (see `bqsbench -client` for a load generator that honors the
-// hints).
+// fixes, each shard log fsyncs on its own once 256 KiB of accepted
+// records wait, and a query streams stored bytes into one frame, so
+// memory stays bounded no matter how far the disk falls behind or how
+// wide a window is (see `bqsbench -client` for a load generator that
+// honors the hints).
 //
 // On SIGTERM/SIGINT the daemon drains: it stops accepting, aborts idle
 // connection reads, waits up to -drain-timeout for in-flight requests,

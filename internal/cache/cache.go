@@ -1,5 +1,5 @@
 // Package cache provides a byte-budgeted LRU used by the read side of
-// the store: decoded segment-log records are cached keyed by (manifest
+// the store: verified segment-log records are cached keyed by (manifest
 // generation, segment, offset), so a compaction's generation bump
 // orphans stale entries instead of requiring a flush protocol — they
 // simply stop being looked up and age out of the LRU tail.

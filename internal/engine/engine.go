@@ -144,7 +144,7 @@ type Stats struct {
 	KeyPoints       uint64      // key points emitted by all sessions
 	Persisted       uint64      // finalized trajectories handed to the persister
 	ParkedTrails    uint64      // trajectories parked in memory by degraded mode, awaiting Heal
-	TrailBytes      int64       // encoded key points the log has not accepted yet — open sessions' trails plus parked ones: what a SIGKILL loses and Heal owes
+	TrailBytes      int64       // encoded key points the log has not accepted yet — open sessions' trails plus parked ones: what Heal owes and, with the log's own un-fsync'd bytes (segmentlog.Stats.Unsynced), what a SIGKILL loses
 	Rejected        uint64      // fixes refused by TryIngest backpressure, degraded mode or the wire format's range
 	PersistFailures uint64      // failed persister append/sync attempts (retried ones included)
 	CompactFailures uint64      // failed compaction passes (periodic or CompactNow)

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
 )
@@ -221,12 +222,17 @@ func appendKeyBlock(dst []byte, keys []trajstore.GeoKey) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return insertUvarint(dst, start, uint64(len(dst)-start)), nil
+}
+
+// insertUvarint inserts v's varint at dst[at:], shifting what follows.
+func insertUvarint(dst []byte, at int, v uint64) []byte {
 	var pre [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(pre[:], uint64(len(dst)-start))
+	w := binary.PutUvarint(pre[:], v)
 	dst = append(dst, pre[:w]...)
-	copy(dst[start+w:], dst[start:])
-	copy(dst[start:], pre[:w])
-	return dst, nil
+	copy(dst[at+w:], dst[at:])
+	copy(dst[at:], pre[:w])
+	return dst
 }
 
 // AppendHello appends h's payload to dst.
@@ -310,18 +316,52 @@ func AppendQueryTime(dst []byte, m QueryTime) []byte {
 
 // AppendQueryResp appends m's payload to dst.
 func AppendQueryResp(dst []byte, m QueryResp) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, m.Seq)
-	dst = binary.AppendUvarint(dst, uint64(len(m.Records)))
+	b := BeginQueryResp(dst, m.Seq)
 	for _, r := range m.Records {
-		dst = appendString(dst, r.Device)
-		dst = binary.AppendUvarint(dst, uint64(r.T0))
-		dst = binary.AppendUvarint(dst, uint64(r.T1))
+		b.head(r.Device, r.T0, r.T1)
 		var err error
-		if dst, err = appendKeyBlock(dst, r.Keys); err != nil {
+		if b.buf, err = appendKeyBlock(b.buf, r.Keys); err != nil {
 			return nil, err
 		}
 	}
-	return appendString(dst, m.Err), nil
+	return b.Finish(m.Err), nil
+}
+
+// QueryRespBuilder appends a QueryResp payload record by record: the
+// server streams stored blocks through it as the log yields them and
+// AppendQueryResp encodes decoded records through it, so the two cannot
+// drift apart. The record count precedes the records on the wire but is
+// known last: Finish shifts them to make room for it.
+type QueryRespBuilder struct {
+	buf []byte
+	at  int // offset of the record count
+	n   uint64
+}
+
+// BeginQueryResp starts a QueryResp payload at the end of dst.
+func BeginQueryResp(dst []byte, seq uint64) QueryRespBuilder {
+	dst = binary.AppendUvarint(dst, seq)
+	return QueryRespBuilder{buf: dst, at: len(dst)}
+}
+
+func (b *QueryRespBuilder) head(device string, t0, t1 uint32) {
+	b.buf = binary.AppendUvarint(binary.AppendUvarint(appendString(b.buf, device), uint64(t0)), uint64(t1))
+	b.n++
+}
+
+// Block appends one record whose key points are already a delta-varint
+// block — the bytes the segment log stores — and returns the length of
+// what Finish("") would return now.
+func (b *QueryRespBuilder) Block(device string, t0, t1 uint32, block []byte) int {
+	b.head(device, t0, t1)
+	b.buf = append(binary.AppendUvarint(b.buf, uint64(len(block))), block...)
+	return len(b.buf) + (bits.Len64(b.n)+6)/7 + 1 // + the count, + Err's length byte
+}
+
+// Finish writes the record count and the error message and returns the
+// payload — dst included; the builder is spent.
+func (b *QueryRespBuilder) Finish(errMsg string) []byte {
+	return appendString(insertUvarint(b.buf, b.at, b.n), errMsg)
 }
 
 // AppendError appends m's payload to dst.

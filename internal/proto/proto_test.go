@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -266,5 +267,43 @@ func TestKeyBlockBytes(t *testing.T) {
 	}
 	if got, err := AppendIngest(nil, Ingest{Batches: []DeviceBatch{{Device: "d", Keys: bad}}}); got != nil || !errors.Is(err, trajstore.ErrRange) {
 		t.Fatalf("AppendIngest with a key at 91° N = %x, %v", got, err)
+	}
+}
+
+// TestQueryRespBuilder: records streamed into the builder as stored blocks
+// make, for every width of the record count and on both sides of each
+// width's boundary, the payload AppendQueryResp makes of the same records
+// decoded — behind whatever the buffer already held — and Block reports the
+// length Finish will return.
+func TestQueryRespBuilder(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 126, 127, 128, 129, 16383, 16384, 16385} {
+		recs := make([]trajstore.PersistedRecord, n)
+		b := BeginQueryResp([]byte("head"), 77)
+		size := -1
+		for i := range recs {
+			recs[i] = trajstore.PersistedRecord{Device: "dev-" + strconv.Itoa(i%9), T0: uint32(i), T1: uint32(2 * i), Keys: testKeys(i % 5)}
+			block, err := trajstore.DeltaEncode(recs[i].Keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size = b.Block(recs[i].Device, recs[i].T0, recs[i].T1, block)
+		}
+		got := b.Finish("")
+		want, err := AppendQueryResp([]byte("head"), QueryResp{Seq: 77, Records: recs})
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d records: the builder's %d B differ from AppendQueryResp's %d B (%v)", n, len(got), len(want), err)
+		}
+		if n > 0 && size != len(want) {
+			t.Fatalf("%d records: Block said Finish would return %d B, it returned %d B", n, size, len(want))
+		}
+		resp, err := ParseQueryResp(got[len("head"):])
+		if err != nil || resp.Seq != 77 || len(resp.Records) != n {
+			t.Fatalf("%d records: parsed seq %d, %d records, %v", n, resp.Seq, len(resp.Records), err)
+		}
+	}
+	b := BeginQueryResp(nil, 5)
+	b.Block("dev", 1, 2, []byte{0})
+	if resp, err := ParseQueryResp(b.Finish("too big")); err != nil || resp.Err != "too big" || len(resp.Records) != 1 {
+		t.Fatalf("a finished payload with an error message parses to %+v, %v", resp, err)
 	}
 }

@@ -1,0 +1,329 @@
+package server
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"net"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/trajcomp/bqs/internal/engine"
+	"github.com/trajcomp/bqs/internal/proto"
+	"github.com/trajcomp/bqs/internal/trajstore"
+	"github.com/trajcomp/bqs/internal/trajstore/segmentlog"
+)
+
+// captureConn is a connection that keeps what is written to it.
+type captureConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *captureConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+// served runs one query through sendQuery and returns the QueryResp
+// payload the server put on the wire.
+func served(t *testing.T, seq uint64, out *[]byte, read func(visit func(segmentlog.Block) error) error) []byte {
+	t.Helper()
+	var c captureConn
+	if !sendQuery(&c, seq, out, read) {
+		t.Fatal("sendQuery reported a dead connection")
+	}
+	// As handleConn does between frames; a buffer over keepBuf then comes
+	// back from the pool, with the last answer still in it.
+	*out = shed(*out)
+	typ, payload, _, err := proto.ReadFrame(&c.buf, nil)
+	if err != nil || typ != proto.TypeQueryResp || c.buf.Len() != 0 {
+		t.Fatalf("sendQuery wrote type %#x, %v, %d bytes left over; want exactly one QueryResp frame", typ, err, c.buf.Len())
+	}
+	return payload
+}
+
+// refMatch is the window predicate on decoded keys, in degrees: some
+// consecutive pair's box meets the window while their time span overlaps
+// the range — what the log's block walk must reproduce.
+func refMatch(keys []trajstore.GeoKey, q proto.QueryWindow) bool {
+	for i := 0; i+1 < len(keys); i++ {
+		a, b := keys[i], keys[i+1]
+		if math.Min(a.Lon, b.Lon) <= q.MaxLon && math.Max(a.Lon, b.Lon) >= q.MinLon &&
+			math.Min(a.Lat, b.Lat) <= q.MaxLat && math.Max(a.Lat, b.Lat) >= q.MinLat &&
+			min(a.T, b.T) <= q.T1 && max(a.T, b.T) >= q.T0 {
+			return true
+		}
+	}
+	return false
+}
+
+// pairsOf reduces records to per-device sets of consecutive key pairs —
+// what chunk-merging preserves while it moves record boundaries.
+func pairsOf(recs []trajstore.PersistedRecord, keep func(a, b trajstore.GeoKey) bool) map[string]map[[2]trajstore.GeoKey]bool {
+	out := make(map[string]map[[2]trajstore.GeoKey]bool)
+	for _, r := range recs {
+		for i := 0; i+1 < len(r.Keys); i++ {
+			if keep(r.Keys[i], r.Keys[i+1]) {
+				if out[r.Device] == nil {
+					out[r.Device] = make(map[[2]trajstore.GeoKey]bool)
+				}
+				out[r.Device][[2]trajstore.GeoKey{r.Keys[i], r.Keys[i+1]}] = true
+			}
+		}
+	}
+	return out
+}
+
+func byDevice(recs []trajstore.PersistedRecord) map[string][]trajstore.PersistedRecord {
+	m := make(map[string][]trajstore.PersistedRecord)
+	for _, r := range recs {
+		m[r.Device] = append(m[r.Device], r)
+	}
+	return m
+}
+
+// TestServedFrameIsStoredBytes pins the block path end to end at the
+// frame: over a seeded log — sessions chunked at 16 keys, a duplicate, a
+// second shard — in each of its lives (chunked, merged, aged; read cache
+// cold, then warm) and over random windows and per-device ranges, the
+// QueryResp payload the server writes without decoding anything is byte
+// for byte what AppendQueryResp makes of the library's decoded answer, and
+// it parses to the brute-force filter of everything the log holds. While a
+// compaction is re-joining chunks under the queries, record boundaries are
+// in flux, so there the answer is held to the brute force pair by pair.
+func TestServedFrameIsStoredBytes(t *testing.T) {
+	const devices, perDevice, chunk = 12, 200, 16
+	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{MaxSegmentBytes: 2 << 10, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	dev := func(d int) string { return fmt.Sprintf("dev-%03d", d) }
+	appendChunked := func(from, to int) {
+		t.Helper()
+		for d := 0; d < devices; d++ {
+			keys := track(d, to)
+			for lo := from; lo < to-1; lo += chunk - 1 {
+				if err := lg.Append(dev(d), keys[lo:min(lo+chunk, to)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := lg.Append(dev(3), track(3, perDevice)[30:46]); err != nil { // a chunk sent twice: dedup's case
+		t.Fatal(err)
+	}
+	appendChunked(0, perDevice)
+
+	rng := rand.New(rand.NewSource(19))
+	randomWindow := func(seq uint64) proto.QueryWindow {
+		q := proto.QueryWindow{Seq: seq, MinLon: -1, MinLat: -1, MaxLon: 3, MaxLat: 3, T1: math.MaxUint32}
+		switch rng.Intn(8) {
+		case 0: // everything
+		case 1: // nothing
+			q.MinLon, q.MaxLon = 50, 60
+		default:
+			c, w := 0.1*float64(rng.Intn(devices))+rng.Float64()*0.02, rng.Float64()*0.3
+			q.MinLon, q.MaxLon, q.MinLat, q.MaxLat = c-w/3, c+w, c-w, c+w/2
+			if rng.Intn(2) == 0 {
+				q.T0 = 1000 + uint32(rng.Intn(30*perDevice))
+				q.T1 = q.T0 + uint32(rng.Intn(2000))
+			}
+		}
+		return q
+	}
+	everything := func() (all []trajstore.PersistedRecord) {
+		t.Helper()
+		for d := 0; d < devices; d++ {
+			recs, err := lg.Query(dev(d), 0, math.MaxUint32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, recs...)
+		}
+		return all
+	}
+	out := bytes.Repeat([]byte{0xaa}, keepBuf+1) // large enough to travel through the pool, and dirty
+	window := func(q proto.QueryWindow) func(func(segmentlog.Block) error) error {
+		return func(visit func(segmentlog.Block) error) error {
+			_, err := lg.WindowBlocks(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1, visit)
+			return err
+		}
+	}
+	// quiescent holds one stage of the log's life to the byte.
+	quiescent := func(stage string) {
+		t.Helper()
+		all := everything()
+		matched := 0
+		for i := 0; i < 60; i++ {
+			q := randomWindow(uint64(i + 1))
+			var want []trajstore.PersistedRecord
+			for _, r := range all {
+				if refMatch(r.Keys, q) {
+					want = append(want, r)
+				}
+			}
+			matched += len(want)
+			for _, temp := range []string{"cold", "warm"} {
+				got := served(t, q.Seq, &out, window(q))
+				recs, err := lg.QueryWindow(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := proto.AppendQueryResp(nil, proto.QueryResp{Seq: q.Seq, Records: recs})
+				if err != nil || !bytes.Equal(got, ref) {
+					t.Fatalf("%s, %s, window %+v: served %d B, AppendQueryResp(QueryWindow) %d B (%v): not the same bytes", stage, temp, q, len(got), len(ref), err)
+				}
+				resp, err := proto.ParseQueryResp(got)
+				if err != nil || resp.Err != "" || resp.Seq != q.Seq {
+					t.Fatalf("%s, %s, window %+v: served frame parses to seq %d, %q, %v", stage, temp, q, resp.Seq, resp.Err, err)
+				}
+				if !reflect.DeepEqual(byDevice(resp.Records), byDevice(want)) {
+					t.Fatalf("%s, %s, window %+v: served %d records, brute force %d", stage, temp, q, len(resp.Records), len(want))
+				}
+			}
+			// The per-device read, on the same terms.
+			d, t0 := dev(rng.Intn(devices)), 1000+uint32(rng.Intn(30*perDevice))
+			got := served(t, q.Seq, &out, func(visit func(segmentlog.Block) error) error {
+				return lg.DeviceBlocks(d, t0, t0+900, visit)
+			})
+			recs, err := lg.Query(d, t0, t0+900)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref, err := proto.AppendQueryResp(nil, proto.QueryResp{Seq: q.Seq, Records: recs}); err != nil || !bytes.Equal(got, ref) || len(recs) == 0 {
+				t.Fatalf("%s, %s [%d,%d]: served %d B, AppendQueryResp(Query) %d B over %d records (%v)", stage, d, t0, t0+900, len(got), len(ref), len(recs), err)
+			}
+		}
+		if matched == 0 {
+			t.Fatalf("%s: no window matched anything", stage)
+		}
+	}
+
+	quiescent("chunked")
+
+	// Mid-compaction: chunks are re-joined while the queries run.
+	truth := everything()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if res, err := lg.Compact(segmentlog.CompactionPolicy{MergeChunks: true}); err != nil || res.Merged == 0 || res.Deduped != 1 {
+			t.Errorf("Compact = %+v, %v; want merges and the one duplicate dropped", res, err)
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		q := randomWindow(uint64(i + 1))
+		resp, err := proto.ParseQueryResp(served(t, q.Seq, &out, window(q)))
+		if err != nil || resp.Err != "" {
+			t.Fatalf("mid-compaction, window %+v: %q, %v", q, resp.Err, err)
+		}
+		// Every returned record matches, and every matching pair of the
+		// ground truth is in a returned record.
+		for _, r := range resp.Records {
+			if !refMatch(r.Keys, q) {
+				t.Fatalf("mid-compaction, window %+v: served a record of %s that does not enter it", q, r.Device)
+			}
+		}
+		got := pairsOf(resp.Records, func(a, b trajstore.GeoKey) bool { return true })
+		want := pairsOf(truth, func(a, b trajstore.GeoKey) bool { return refMatch([]trajstore.GeoKey{a, b}, q) })
+		for d, pairs := range want {
+			for p := range pairs {
+				if !got[d][p] {
+					t.Fatalf("mid-compaction, window %+v: %s lost the pair %v", q, d, p)
+				}
+			}
+		}
+	}
+	wg.Wait()
+	if st := lg.Stats(); st.Records >= len(truth) {
+		t.Fatalf("the compaction left %d records of %d", st.Records, len(truth))
+	}
+	appendChunked(perDevice-1, perDevice+60) // fresh chunks beside the merged records
+	quiescent("merged")
+
+	res, err := lg.Compact(segmentlog.CompactionPolicy{MergeChunks: true, CoarseTolerance: 450, Now: func() time.Time { return time.Unix(1<<20, 0) }})
+	if err != nil || res.Aged == 0 {
+		t.Fatalf("ageing Compact = %+v, %v; want aged records", res, err)
+	}
+	quiescent("aged")
+}
+
+// TestUnsendableWindowStopsEarly: a window whose answer cannot fit a frame
+// gets the in-band "narrow the window" error — on a connection that stays
+// usable — and the read behind it is stopped at the record that crosses
+// proto.MaxFrame: the frame buffer never holds more than the cap plus that
+// one record, however much the window would have returned.
+func TestUnsendableWindowStopsEarly(t *testing.T) {
+	blk := segmentlog.Block{Device: "dev", T0: 1, T1: 2, Payload: make([]byte, 64<<10)}
+	blk.Payload[0] = 0 // an empty block, padded: the server never looks inside
+	const total = 4 * proto.MaxFrame / (64 << 10)
+	flood := &floodLog{blk: blk, n: total}
+	hookOpenLog(t, func(inner tenantLog) tenantLog {
+		flood.tenantLog = inner
+		return flood
+	})
+	_, addr := startServer(t, Config{Dir: t.TempDir(), Engine: engine.Config{Tolerance: 2, Shards: 1}})
+	c, err := Dial(addr, "fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.QueryWindow(-1, -1, 1, 1, 0, math.MaxUint32)
+	if err == nil || !strings.Contains(err.Error(), "result not sendable") || !strings.Contains(err.Error(), "narrow the window") {
+		t.Fatalf("QueryWindow over the frame cap = %v, want the in-band unsendable error", err)
+	}
+	flood.mu.Lock()
+	visits, stopped := flood.visits, flood.stopped
+	flood.mu.Unlock()
+	per := len(blk.Payload) + len(blk.Device) + 8
+	if visits >= total || visits*per > proto.MaxFrame+per || (visits+1)*per < proto.MaxFrame {
+		t.Fatalf("the read was handed %d records of %d (%d B each): want it stopped at the one crossing %d B", visits, total, per, proto.MaxFrame)
+	}
+	if stopped == nil {
+		t.Fatal("the visitor never told the read to stop")
+	}
+	// The connection is still in step: the next query is answered.
+	if recs, err := c.QueryTime("nobody", 0, 1); err != nil || len(recs) != 0 {
+		t.Fatalf("query after the unsendable one = %d records, %v", len(recs), err)
+	}
+}
+
+// floodLog answers every window with n copies of one block, for as long as
+// the visitor takes them.
+type floodLog struct {
+	tenantLog
+	blk segmentlog.Block
+	n   int
+
+	mu      sync.Mutex
+	visits  int
+	stopped error // what the visitor ended the read with
+}
+
+func (f *floodLog) WindowBlocks(_, _, _, _ float64, _, _ uint32, visit func(segmentlog.Block) error) (segmentlog.WindowStats, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i := 0; i < f.n && f.stopped == nil; i++ {
+		f.visits++
+		f.stopped = visit(f.blk)
+	}
+	return segmentlog.WindowStats{}, f.stopped
+}
+
+// TestShedReleasesLargeBuffers: a frame buffer is kept between frames only
+// up to keepBuf of capacity; one grown by a large frame is let go.
+func TestShedReleasesLargeBuffers(t *testing.T) {
+	small := make([]byte, 100, keepBuf)
+	if got := shed(small); cap(got) != keepBuf || len(got) != 100 {
+		t.Fatalf("shed dropped a %d B buffer (len %d, cap %d)", keepBuf, len(got), cap(got))
+	}
+	if got := shed(make([]byte, 10, keepBuf+1)); got != nil {
+		t.Fatalf("shed kept %d B of capacity", cap(got))
+	}
+	if shed(nil) != nil {
+		t.Fatal("shed(nil) != nil")
+	}
+}

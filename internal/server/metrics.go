@@ -105,7 +105,7 @@ func (s *Server) MetricsHandler() http.Handler {
 			func(t *tenantMetrics) interface{} { return t.queue.Cap })
 		f("bqs_queue_fullness", "gauge", "Worst shard queue occupancy fraction in [0, 1].",
 			func(t *tenantMetrics) interface{} { return t.queue.Fullness() })
-		f("bqs_cache_hits_total", "counter", "Read-cache hits (records served without decode).",
+		f("bqs_cache_hits_total", "counter", "Read-cache hits (records served without a disk read).",
 			func(t *tenantMetrics) interface{} { return t.eng.Cache.Hits })
 		f("bqs_cache_misses_total", "counter", "Read-cache misses.",
 			func(t *tenantMetrics) interface{} { return t.eng.Cache.Misses })
@@ -125,6 +125,8 @@ func (s *Server) MetricsHandler() http.Handler {
 			func(t *tenantMetrics) interface{} { return t.log.Devices })
 		f("bqs_log_bytes", "gauge", "Valid bytes on disk, headers included.",
 			func(t *tenantMetrics) interface{} { return t.log.Bytes })
+		f("bqs_log_unsynced_bytes", "gauge", "Bytes the log accepted that no fsync covers yet; with bqs_trail_bytes, what a SIGKILL now would lose.",
+			func(t *tenantMetrics) interface{} { return t.log.Unsynced })
 		f("bqs_log_generation", "gauge", "Manifest generation, summed over shards.",
 			func(t *tenantMetrics) interface{} { return t.log.Gen })
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -96,6 +96,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
+	// The write-behind gauge: nothing waits for an fsync after the barrier.
+	if v := metricValue(t, scrape(t, srv), "bqs_log_unsynced_bytes", "fleet"); v != 0 {
+		t.Errorf("bqs_log_unsynced_bytes = %v after a Sync, want 0", v)
+	}
+
 	body := scrape(t, srv)
 	for _, m := range []string{
 		"bqs_ingest_fixes_total",
@@ -124,6 +129,62 @@ func TestMetricsEndpoint(t *testing.T) {
 	body2 := scrape(t, srv)
 	if h1, h2 := metricValue(t, body, "bqs_cache_hits_total", "fleet"), metricValue(t, body2, "bqs_cache_hits_total", "fleet"); h2 <= h1 {
 		t.Errorf("cache hits did not advance across scrapes: %v -> %v", h1, h2)
+	}
+}
+
+// TestMetricsUnsyncedBounded: under wire traffic with no barrier at all —
+// sessions chunked at 16 keys, ≈ 1.5 MiB of records into two shards — what
+// the log holds un-fsync'd never exceeds shards × its write-behind bound
+// (segmentlog's maxUnsynced, 256 KiB) at any scrape, is above zero at some,
+// and is zero after the Sync.
+func TestMetricsUnsyncedBounded(t *testing.T) {
+	const shards, bound = 2, 256 << 10
+	srv, addr := startServer(t, Config{
+		Dir:    t.TempDir(),
+		Engine: engine.Config{Tolerance: 2, Shards: shards, MaxTrailKeys: 16},
+	})
+	c, err := Dial(addr, "fleet")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	// The traffic runs beside the test; the test scrapes until it is done.
+	const devices, perDevice = 64, 4000
+	sent := make(chan error, 1)
+	go func() {
+		for lo := 0; lo < perDevice; lo += 500 {
+			batches := make([]proto.DeviceBatch, 0, devices)
+			for d := 0; d < devices; d++ {
+				batches = append(batches, proto.DeviceBatch{Device: fmt.Sprintf("dev-%03d", d), Keys: track(d, perDevice)[lo : lo+500]})
+			}
+			if _, err := c.IngestAll(batches, 50); err != nil {
+				sent <- fmt.Errorf("IngestAll: %w", err)
+				return
+			}
+		}
+		sent <- c.Sync(true)
+	}()
+	var hi float64
+	for running := true; running; {
+		select {
+		case err := <-sent:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+			hi = math.Max(hi, metricValue(t, scrape(t, srv), "bqs_log_unsynced_bytes", "fleet"))
+		}
+	}
+	if hi <= 0 || hi > shards*bound {
+		t.Errorf("bqs_log_unsynced_bytes peaked at %v over the run, want in (0, %d]", hi, shards*bound)
+	}
+	body := scrape(t, srv)
+	if v := metricValue(t, body, "bqs_log_unsynced_bytes", "fleet"); v != 0 {
+		t.Errorf("bqs_log_unsynced_bytes = %v after the Sync, want 0", v)
+	}
+	if v := metricValue(t, body, "bqs_log_bytes", "fleet"); v < 4*shards*bound {
+		t.Errorf("bqs_log_bytes = %v: the run wrote too little to cross the bound", v)
 	}
 }
 

@@ -69,8 +69,8 @@ type Config struct {
 type tenantLog interface {
 	trajstore.Persister
 	NumShards() int
-	Query(device string, t0, t1 uint32) ([]trajstore.PersistedRecord, error)
-	QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]trajstore.PersistedRecord, error)
+	DeviceBlocks(device string, t0, t1 uint32, visit func(segmentlog.Block) error) error
+	WindowBlocks(minX, minY, maxX, maxY float64, t0, t1 uint32, visit func(segmentlog.Block) error) (segmentlog.WindowStats, error)
 	CompactNow() error
 	Stats() segmentlog.Stats
 }
@@ -354,6 +354,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	var fixes []engine.Fix
 	for {
+		buf, out = shed(buf), shed(out)
 		typ, payload, buf, err = proto.ReadFrame(conn, buf)
 		if err != nil {
 			return // EOF, drain deadline, or garbage framing — all terminal
@@ -397,8 +398,10 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.sendError(conn, perr.Error())
 				return
 			}
-			recs, qerr := tn.log.QueryWindow(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1)
-			if !s.sendQueryResp(conn, q.Seq, recs, qerr, &out) {
+			if !sendQuery(conn, q.Seq, &out, func(visit func(segmentlog.Block) error) error {
+				_, err := tn.log.WindowBlocks(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1, visit)
+				return err
+			}) {
 				return
 			}
 		case proto.TypeQueryTime:
@@ -407,8 +410,9 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.sendError(conn, perr.Error())
 				return
 			}
-			recs, qerr := tn.log.Query(q.Device, q.T0, q.T1)
-			if !s.sendQueryResp(conn, q.Seq, recs, qerr, &out) {
+			if !sendQuery(conn, q.Seq, &out, func(visit func(segmentlog.Block) error) error {
+				return tn.log.DeviceBlocks(q.Device, q.T0, q.T1, visit)
+			}) {
 				return
 			}
 		default:
@@ -464,21 +468,47 @@ func (s *Server) ingest(tn *tenant, m proto.Ingest, fixes *[]engine.Fix) proto.I
 	return ack
 }
 
-// sendQueryResp writes a QueryResp, downgrading unencodable or
-// oversized results to an in-band error. Returns false when the
-// connection is dead.
-func (s *Server) sendQueryResp(conn net.Conn, seq uint64, recs []trajstore.PersistedRecord, qerr error, out *[]byte) bool {
-	resp := proto.QueryResp{Seq: seq, Records: recs}
-	if qerr != nil {
-		resp = proto.QueryResp{Seq: seq, Err: qerr.Error()}
+// keepBuf is the most frame buffer a connection keeps between frames.
+const keepBuf = 64 << 10
+
+// shed returns a connection's frame buffer for reuse, unless one large
+// frame (they go up to proto.MaxFrame) grew it past keepBuf: a connection
+// must not pin its high-water mark until it closes. Such a buffer waits in
+// frames for the next query, on any connection, so a run of wide windows
+// does not allocate — zero, and collect — megabytes each; what two GC
+// cycles leave there is freed.
+func shed(b []byte) []byte {
+	if cap(b) > keepBuf {
+		frames.Put(&b)
+		return nil
 	}
-	p, err := proto.AppendQueryResp((*out)[:0], resp)
-	if err == nil && len(p)+1 > proto.MaxFrame {
-		err = proto.ErrFrameTooBig
+	return b
+}
+
+var frames sync.Pool // of *[]byte
+
+// sendQuery answers one query. read streams the matching stored blocks
+// and each is appended to the connection's frame buffer as it arrives:
+// nothing is decoded and nothing but the frame is built. At the record
+// that takes the frame past proto.MaxFrame the read is stopped and the
+// answer is an in-band error, as when the read itself fails; the
+// connection stays usable either way. False means it is dead.
+func sendQuery(conn net.Conn, seq uint64, out *[]byte, read func(visit func(segmentlog.Block) error) error) bool {
+	if p, _ := frames.Get().(*[]byte); p != nil {
+		*out = *p
 	}
+	b, n := proto.BeginQueryResp((*out)[:0], seq), 0
+	err := read(func(blk segmentlog.Block) error {
+		if b.Block(blk.Device, blk.T0, blk.T1, blk.Payload)+1 > proto.MaxFrame {
+			return fmt.Errorf("result not sendable (over %d records): %w — narrow the window", n, proto.ErrFrameTooBig)
+		}
+		n++
+		return nil
+	})
+	p := b.Finish("")
 	if err != nil {
-		resp = proto.QueryResp{Seq: seq, Err: fmt.Sprintf("result not sendable (%d records): %v — narrow the window", len(recs), err)}
-		p, _ = proto.AppendQueryResp((*out)[:0], resp)
+		b = proto.BeginQueryResp(p[:0], seq)
+		p = b.Finish(err.Error())
 	}
 	*out = p
 	return proto.WriteFrame(conn, proto.TypeQueryResp, p) == nil

@@ -12,6 +12,7 @@
 package trajstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -226,13 +227,137 @@ func (t *Trail) Keys() []GeoKey {
 	return keys
 }
 
+// OpenTrail reads a stored block back as the trail that built it, in one
+// walk that checks what Add checked: the block parses and every key is on
+// the globe (ErrRange otherwise). Bytes past the last key are dropped; the
+// trail shares block's bytes until it grows.
+func OpenTrail(block []byte) (Trail, error) {
+	t, _, err := walkBlock(block, nil)
+	return t, err
+}
+
+// Join appends next — a chunk that restarts from t's last key — to t,
+// keeping the shared key once; it reports false, t untouched, when next
+// does not start there. next's deltas already hang off that key, so the
+// result is byte for byte DeltaEncode of the joined keys.
+func (t *Trail) Join(next *Trail) bool {
+	c := next.Cursor()
+	if _, err := c.decode(nil, 1, false); t.n == 0 || err != nil ||
+		c.lat != int64(t.lat) || c.lon != int64(t.lon) || c.t != int64(t.t) {
+		return false
+	}
+	t.body, t.n = append(t.body, c.b...), t.n+next.n-1
+	t.lat, t.lon, t.t = next.lat, next.lon, next.t
+	t.bounds.Union(next.bounds)
+	return true
+}
+
+// Contains reports whether o's keys appear as a contiguous run of t's: at a
+// key of t equal to o's first, the bytes that follow must be o's remaining
+// keys — deltas from equal keys, so equal bytes are equal keys.
+func (t *Trail) Contains(o *Trail) bool {
+	first := o.Cursor()
+	if _, err := first.decode(nil, 1, false); err != nil { // an empty trail is contained in nothing
+		return false
+	}
+	for c := t.Cursor(); c.left >= o.n; {
+		if _, err := c.decode(nil, 1, false); err != nil {
+			break
+		}
+		if c.lat == first.lat && c.lon == first.lon && c.t == first.t && bytes.HasPrefix(c.b, first.b) {
+			return true
+		}
+	}
+	return false
+}
+
 // Cursor walks a delta-varint block key by key: the one reader, under
-// DeltaDecode, DeltaValidate and a Trail's read-back alike.
+// DeltaDecode, OpenTrail, Enters and a Trail's read-back alike.
 type Cursor struct {
 	b           []byte // unread bytes
 	left        int    // keys not yet read
 	lat, lon, t int64  // the last key read, on the lattice
 	first       bool   // the next key is the block's first
+	noting      bool   // wk is kept
+	wk          walk
+}
+
+// Window is a query window on the wire lattice — 1e-7°, whole seconds —
+// bounds inclusive; int64, so that one wider than any key need not wrap.
+type Window struct{ MinLat, MinLon, MaxLat, MaxLon, T0, T1 int64 }
+
+// LatticeWindow puts [minLon, maxLon] × [minLat, maxLat] (degrees) during
+// [t0, t1] on the lattice, so that comparing a key's lattice integers with
+// it is comparing the key's degrees with the float bounds.
+func LatticeWindow(minLon, minLat, maxLon, maxLat float64, t0, t1 uint32) Window {
+	return Window{-atMost(-minLat), -atMost(-minLon), atMost(maxLat), atMost(maxLon), int64(t0), int64(t1)}
+}
+
+// atMost returns the largest lattice value whose degrees — float64(i)/1e7,
+// as latticeKey computes them — are ≤ x, so i ≤ atMost(x) is that float
+// comparison for every in-range i; by symmetry -atMost(-x) is the smallest
+// with degrees ≥ x. x*1e7 is exact to 2^-22 once clamped to ±2^31 (beyond
+// any key), which leaves the answer within one of its floor.
+func atMost(x float64) int64 {
+	i := int64(math.Floor(max(-1<<31, min(x*1e7, 1<<31))))
+	switch {
+	case float64(i+1)/1e7 <= x:
+		i++
+	case float64(i)/1e7 > x:
+		i--
+	}
+	return i
+}
+
+// Meets reports whether bounds b — a record's, or a segment's union — can
+// hold a key pair inside the window: the boxes intersect and the time
+// spans overlap.
+func (w *Window) Meets(b Bounds) bool {
+	return int64(b.T0) <= w.T1 && int64(b.T1) >= w.T0 &&
+		int64(b.MinLon) <= w.MaxLon && int64(b.MaxLon) >= w.MinLon &&
+		int64(b.MinLat) <= w.MaxLat && int64(b.MaxLat) >= w.MinLat
+}
+
+// walk is what a cursor notes about the keys it steps over, for readers
+// that keep none: the box they span — a Window, so that keys off the globe
+// fit — and, when seeking one, whether a consecutive pair of them meets win.
+type walk struct {
+	box, win  Window
+	seek, hit bool
+}
+
+// walkBlock is the one pass under OpenTrail and Enters: the trail block
+// was, and whether a consecutive pair of its keys meets win.
+func walkBlock(block []byte, win *Window) (t Trail, hit bool, err error) {
+	c, err := blockCursor(block)
+	if err != nil {
+		return t, false, err
+	}
+	if c.noting = true; win != nil {
+		c.wk.win, c.wk.seek = *win, true
+	}
+	body, n := c.b, c.left
+	if _, err = c.decode(nil, n, false); err != nil {
+		return t, false, err
+	}
+	b := c.wk.box
+	if n > 0 && (b.MinLat < -90e7 || b.MaxLat > 90e7 || b.MinLon < -180e7 || b.MaxLon > 180e7) {
+		return t, false, ErrRange
+	}
+	used := len(body) - len(c.b)
+	return Trail{body: body[:used:used], n: n, lat: int32(c.lat), lon: int32(c.lon), t: uint32(c.t),
+		bounds: Bounds{int32(b.MinLat), int32(b.MinLon), int32(b.MaxLat), int32(b.MaxLon), uint32(b.T0), uint32(b.T1)}}, c.wk.hit, nil
+}
+
+// Enters walks a stored block once and reports whether it enters w: some
+// consecutive pair of its keys spans a box that intersects the window
+// during a time span that overlaps it — the per-segment test of the
+// in-memory ground truth (Store Query ∩ QueryTime), on lattice integers,
+// so a block of fewer than two keys enters nothing. A nil w asks only
+// that the block be one a read may serve (see DeltaValidate).
+func Enters(block []byte, w *Window) (bool, error) {
+	_, hit, err := walkBlock(block, w)
+	return err == nil && (w == nil || hit), err
 }
 
 // blockCursor opens a DeltaEncode payload: the count, then the keys.
@@ -249,11 +374,13 @@ func blockCursor(b []byte) (Cursor, error) {
 
 // decode steps over the next n keys, appending them to dst when keep is
 // set; an error leaves the cursor where it was. Coordinates are not
-// range-checked (deltas can walk them off the globe); the time must fit
-// the wire.
+// range-checked (deltas can walk them off the globe; a walk notes where
+// they went); the time must fit the wire.
 func (c *Cursor) decode(dst []GeoKey, n int, keep bool) ([]GeoKey, error) {
 	b, left, lat, lon, t, first := c.b, c.left-n, c.lat, c.lon, c.t, c.first
+	wk, noting := c.wk, c.noting // local copies, for the loop to keep in registers
 	for ; n > 0; n-- {
+		plat, plon, pt, was := lat, lon, t, first
 		dlat, w1 := binary.Varint(b)
 		if w1 <= 0 {
 			return nil, ErrShortBuffer
@@ -277,11 +404,23 @@ func (c *Cursor) decode(dst []GeoKey, n int, keep bool) ([]GeoKey, error) {
 			return nil, ErrRange
 		}
 		b, lat, lon = b[w1+w2+w3:], lat+dlat, lon+dlon
+		switch x := &wk.box; {
+		case !noting:
+		case was:
+			*x = Window{lat, lon, lat, lon, t, t}
+		default:
+			x.MinLat, x.MinLon, x.T0 = min(x.MinLat, lat), min(x.MinLon, lon), min(x.T0, t)
+			x.MaxLat, x.MaxLon, x.T1 = max(x.MaxLat, lat), max(x.MaxLon, lon), max(x.T1, t)
+			wk.hit = wk.hit || wk.seek &&
+				min(plat, lat) <= wk.win.MaxLat && max(plat, lat) >= wk.win.MinLat &&
+				min(plon, lon) <= wk.win.MaxLon && max(plon, lon) >= wk.win.MinLon &&
+				min(pt, t) <= wk.win.T1 && max(pt, t) >= wk.win.T0
+		}
 		if keep {
 			dst = append(dst, latticeKey(lat, lon, uint32(t)))
 		}
 	}
-	c.b, c.left, c.lat, c.lon, c.t, c.first = b, left, lat, lon, t, first
+	c.b, c.left, c.lat, c.lon, c.t, c.first, c.wk = b, left, lat, lon, t, first, wk
 	return dst, nil
 }
 
@@ -300,18 +439,13 @@ func DeltaDecode(b []byte) ([]GeoKey, error) {
 	return c.decode(make([]GeoKey, 0, c.left), c.left, true)
 }
 
-// DeltaValidate reports whether b is a structurally valid DeltaEncode
-// payload — exactly the checks DeltaDecode applies, without
-// materializing the key points. The segment log uses it during
-// recovery scans so an indexed record is always servable: a CRC can be
-// forged byte-by-byte (coverage-guided fuzzers do), but a record whose
-// payload does not parse must be treated as torn, not indexed and then
-// failed at read time.
+// DeltaValidate reports whether b is a block a read will serve: it parses,
+// its times fit the wire and its keys lie on the globe. The segment log's
+// recovery scan indexes only such records: a CRC can be forged byte by byte
+// (coverage-guided fuzzers do), and a record must be treated as torn rather
+// than indexed and then failed at read time.
 func DeltaValidate(b []byte) bool {
-	c, err := blockCursor(b)
-	if err == nil {
-		_, err = c.decode(nil, c.left, false)
-	}
+	_, err := Enters(b, nil)
 	return err == nil
 }
 

@@ -207,14 +207,19 @@ func TestDeltaRoundTripQuantizationBoundary(t *testing.T) {
 
 // TestDeltaValidateMatchesDecode pins the contract the segment log's
 // recovery scan relies on: DeltaValidate accepts exactly the payloads
-// DeltaDecode can materialize — over valid encodes, every truncation
-// of one, and a sweep of single-byte corruptions.
+// DeltaDecode can materialize with every key on the globe — the ones a
+// read serves — over valid encodes, every truncation of one, and a sweep
+// of single-byte corruptions.
 func TestDeltaValidateMatchesDecode(t *testing.T) {
 	check := func(b []byte) {
 		t.Helper()
-		_, err := DeltaDecode(b)
-		if got := DeltaValidate(b); got != (err == nil) {
-			t.Fatalf("DeltaValidate=%v but DeltaDecode err=%v for %x", got, err, b)
+		keys, err := DeltaDecode(b)
+		want := err == nil
+		for _, k := range keys {
+			want = want && InRange(k.Lat, k.Lon)
+		}
+		if got := DeltaValidate(b); got != want {
+			t.Fatalf("DeltaValidate=%v but DeltaDecode err=%v, keys %v for %x", got, err, keys, b)
 		}
 	}
 	keys := []GeoKey{
@@ -414,5 +419,160 @@ func FuzzTrailMatchesDeltaEncode(f *testing.F) {
 			}
 		}
 		checkTrailMatchesDeltaEncode(t, keys, int(cut%(1<<20)))
+	})
+}
+
+// checkTrailJoin holds OpenTrail and Join to the references for one
+// in-range key sequence chunked at cut: a stored block reopens as the
+// trail that built it, the two chunks — which share keys[cut] — join into
+// DeltaEncode of all the keys, byte for byte, without touching the blocks
+// they were opened from, and a chunk that does not start at the other's
+// last key is refused.
+func checkTrailJoin(t *testing.T, keys []GeoKey, cut int) {
+	t.Helper()
+	if len(keys) == 0 {
+		var a, b Trail
+		if a.Join(&b) {
+			t.Fatal("joined two empty trails")
+		}
+		return
+	}
+	cut %= len(keys)
+	want, err := refDeltaEncode(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built Trail
+	if err := built.Add(keys...); err != nil {
+		t.Fatal(err)
+	}
+	// A block with bytes past its last key opens as if they were not there.
+	whole, err := OpenTrail(append(append([]byte(nil), want...), 0xde, 0xad))
+	if err != nil || !bytes.Equal(whole.AppendBlock(nil), want) || whole.Len() != built.Len() || whole.Size() != built.Size() || whole.Bounds() != built.Bounds() {
+		t.Fatalf("OpenTrail = %d keys, %d B, %+v, %v; built %d keys, %d B, %+v", whole.Len(), whole.Size(), whole.Bounds(), err, built.Len(), built.Size(), built.Bounds())
+	}
+	// ... and goes on like the trail that built it.
+	next := GeoKey{Lat: -keys[0].Lat / 2, Lon: keys[0].Lon / 3, T: keys[0].T / 2}
+	if err1, err2 := whole.Add(next), built.Add(next); err1 != nil || err2 != nil || !bytes.Equal(whole.AppendBlock(nil), built.AppendBlock(nil)) {
+		t.Fatalf("an opened trail and the built one diverge at the next key: %v %v", err1, err2)
+	}
+
+	headBlock, _ := refDeltaEncode(keys[:cut+1])
+	tailBlock, _ := refDeltaEncode(keys[cut:])
+	headWas, tailWas := append([]byte(nil), headBlock...), append([]byte(nil), tailBlock...)
+	head, err1 := OpenTrail(headBlock)
+	tail, err2 := OpenTrail(tailBlock)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("chunks do not open: %v, %v", err1, err2)
+	}
+	if !head.Join(&tail) {
+		t.Fatalf("chunks sharing key %d refused to join", cut)
+	}
+	if got := head.AppendBlock(nil); !bytes.Equal(got, want) || head.Len() != len(keys) || head.Bounds() != refBounds(keys) {
+		t.Fatalf("joined at key %d: %d keys %+v block %x, want %d keys %+v block %x", cut, head.Len(), head.Bounds(), got, len(keys), refBounds(keys), want)
+	}
+	if !bytes.Equal(headBlock, headWas) || !bytes.Equal(tailBlock, tailWas) || !bytes.Equal(tail.AppendBlock(nil), tailWas) {
+		t.Fatal("Join wrote into a block it was opened from")
+	}
+	// Each chunk is a contiguous run of the whole, the whole of a chunk only
+	// when the chunk is all of it, and nothing contains a run it lacks.
+	whole, _ = OpenTrail(want)
+	if !whole.Contains(&tail) || !whole.Contains(&whole) || whole.Contains(&Trail{}) {
+		t.Fatalf("the trail does not contain its own tail from key %d (or contains nothing)", cut)
+	}
+	if tail.Contains(&whole) != (cut == 0) {
+		t.Fatalf("tail from key %d contains the whole trail: %v", cut, cut != 0)
+	}
+	var other Trail
+	if err := other.Add(keys[cut], next); err != nil {
+		t.Fatal(err)
+	}
+	if b := refBounds([]GeoKey{next}); cut+1 < len(keys) && refBounds(keys[cut+1:cut+2]) != b && whole.Contains(&other) {
+		t.Fatalf("the trail contains a run it does not have, from key %d", cut)
+	}
+	// A joined trail is a trail: it opens, and joins on.
+	if again, err := OpenTrail(head.AppendBlock(nil)); err != nil || again.Len() != len(keys) {
+		t.Fatalf("joined block reopens as %d keys, %v", again.Len(), err)
+	}
+
+	// Refusal: the second chunk starting one key late shares nothing,
+	// unless that key sits on the same lattice point.
+	if cut+1 < len(keys) {
+		lateBlock, _ := refDeltaEncode(keys[cut+1:])
+		late, _ := OpenTrail(lateBlock)
+		head, _ = OpenTrail(headBlock)
+		a, b := refBounds(keys[cut:cut+1]), refBounds(keys[cut+1:cut+2])
+		if joined := head.Join(&late); joined != (a == b) {
+			t.Fatalf("Join across a gap = %v (boundary keys %+v, %+v)", joined, a, b)
+		} else if !joined && (!bytes.Equal(head.AppendBlock(nil), headWas) || head.Len() != cut+1) {
+			t.Fatal("a refused Join changed the trail")
+		}
+	}
+	var empty Trail
+	if head.Join(&empty) || empty.Join(&head) {
+		t.Fatal("joined with an empty trail")
+	}
+}
+
+// TestTrailJoin runs the join property over the seed trajectories and
+// the lattice-boundary cases, chunked at every key.
+func TestTrailJoin(t *testing.T) {
+	seqs := append(fuzzSeedKeys(), nil,
+		[]GeoKey{{Lat: 90, Lon: -180, T: math.MaxUint32}, {Lat: -90, Lon: 180, T: 0}, {Lat: -90, Lon: 180, T: 0}, {Lat: 0.00000005, Lon: -0.00000005, T: 9}},
+		[]GeoKey{{Lat: 1, Lon: 2, T: 3}},
+	)
+	for _, keys := range seqs {
+		for cut := range max(len(keys), 1) {
+			checkTrailJoin(t, keys, cut)
+		}
+	}
+	// What Add refuses, OpenTrail refuses: a block whose deltas walk off
+	// the globe parses (DeltaDecode takes it) but is no trail.
+	off := binary.AppendVarint(binary.AppendVarint([]byte{2}, 89e7), 0)
+	off = binary.AppendVarint(binary.AppendVarint(binary.AppendUvarint(off, 5), 2e7), 0) // lat 89° + 2°
+	off = binary.AppendVarint(off, 1)
+	if _, err := DeltaDecode(off); err != nil {
+		t.Fatalf("fixture does not decode: %v", err)
+	}
+	if _, err := OpenTrail(off); !errors.Is(err, ErrRange) || DeltaValidate(off) {
+		t.Fatalf("OpenTrail(off-globe block) = %v, DeltaValidate %v; want ErrRange, false", err, DeltaValidate(off))
+	}
+}
+
+// TestEntersKeepsNothing: the walk a query runs over every candidate block
+// allocates nothing — no key is materialized to be filtered.
+func TestEntersKeepsNothing(t *testing.T) {
+	block, err := DeltaEncode(fuzzSeedKeys()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := LatticeWindow(-180, -90, 180, 90, 0, math.MaxUint32)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Enters(block, &w); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Enters allocates %v times a block", n)
+	}
+}
+
+// FuzzTrailJoin: for any in-range key sequence the fuzzer can reach and
+// any chunking of it, the joined chunks are DeltaEncode of the joined
+// keys and a non-matching boundary refuses.
+func FuzzTrailJoin(f *testing.F) {
+	for _, keys := range fuzzSeedKeys() {
+		enc, err := DeltaEncode(keys)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc, uint(0))
+		f.Add(enc, uint(len(keys)/2))
+	}
+	f.Fuzz(func(t *testing.T, block []byte, cut uint) {
+		keys, err := DeltaDecode(block)
+		if err != nil || len(keys) > 4096 || !DeltaValidate(block) {
+			return
+		}
+		checkTrailJoin(t, keys, int(cut%(1<<20)))
 	})
 }

@@ -142,9 +142,10 @@ func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 }
 
 // TestCacheHitResultsIsolated: a caller mutating the Keys slice of a
-// cache-served record must not corrupt the cached copy (clone-out), and
-// mutating the slice that populated the cache must not either
-// (clone-in).
+// cache-served record must not corrupt the cached copy, nor must mutating
+// the slices of the query that populated the cache. The cache holds stored
+// bytes and every decode makes slices of its own, so this holds by
+// construction; the scribble stays to say so.
 func TestCacheHitResultsIsolated(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{CacheBytes: 1 << 20})
@@ -238,5 +239,40 @@ func TestShardedCacheSharedBudget(t *testing.T) {
 	}
 	if len(warm) != len(cold) {
 		t.Fatalf("warm sharded query returned %d records, want %d", len(warm), len(cold))
+	}
+}
+
+// TestCacheBudgetHoldsBlocks: an entry is charged what it holds — the
+// stored bytes, ≈ 3 B a key — not the 24 B a decoded key took, so a budget
+// goes several times further. With 64-key records a 1 MiB budget must keep
+// at least three times the records the decoded-record charge (24 B a key
+// plus the same strings and a 96 B allowance) would have let it, stay
+// inside the budget, and serve every resident record without a read.
+func TestCacheBudgetHoldsBlocks(t *testing.T) {
+	const budget, keysPerRecord, devs, recsPerDev = 1 << 20, 64, 50, 80
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{MaxSegmentBytes: 256 << 10, CacheBytes: budget})
+	defer l.Close()
+	fillCells(t, l, devs, recsPerDev, keysPerRecord)
+	_, ws, cs := windowCacheStats(t, l)
+	if ws.RecordsDecoded != devs*recsPerDev {
+		t.Fatalf("cold pass read %d records, want all %d", ws.RecordsDecoded, devs*recsPerDev)
+	}
+	if cs.Evictions == 0 {
+		t.Fatalf("the fixture fits the budget (%+v): it measures nothing", cs)
+	}
+	if cs.Bytes > budget {
+		t.Fatalf("resident %d B over the %d B budget", cs.Bytes, budget)
+	}
+	decodedCharge := 24*keysPerRecord + len(l.segs[0].path) + len("dev-000") + 96
+	if was := budget / decodedCharge; cs.Entries < 3*was {
+		t.Fatalf("1 MiB holds %d records; charged as decoded keys it held %d — want ≥ 3×", cs.Entries, was)
+	}
+	// LRU: the most recent entries are resident; the newest segment's
+	// records come back without touching the disk.
+	last := devs - 1
+	minX, minY, maxX, maxY := cellWindow(last, last)
+	if _, ws, err := l.QueryWindowStats(minX, minY, maxX, maxY, uint32(1000+100*(recsPerDev-1)), math.MaxUint32); err != nil || ws.CacheHits == 0 || ws.RecordsDecoded != 0 {
+		t.Fatalf("resident records not served from the cache: %+v, %v", ws, err)
 	}
 }

@@ -5,7 +5,7 @@
 // keep flowing into the active segment and queries keep reading either
 // generation.
 //
-// Three error-bounded rewrites run per device, in order:
+// Three error-bounded rewrites run per device, in order, on stored blocks:
 //
 //   - Chunk merging: the engine's MaxTrailKeys chunking splits one long
 //     session into consecutive records that overlap by exactly one key
@@ -40,6 +40,7 @@
 package segmentlog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -70,9 +71,9 @@ type CompactionPolicy struct {
 	// Now substitutes the ageing clock; nil means time.Now. Tests use
 	// it to age deterministically.
 	Now func() time.Time
-	// Workers is the number of goroutines decoding and rewriting devices
+	// Workers is the number of goroutines reading and rewriting devices
 	// concurrently. It also bounds the pass's peak memory: at most
-	// Workers devices' decoded records are alive at once (see Compact).
+	// Workers devices' records are alive at once (see Compact).
 	// ≤ 0 means GOMAXPROCS. Like Now, it does not affect the output, so
 	// the memo fast path ignores it.
 	Workers int
@@ -92,32 +93,24 @@ type CompactionResult struct {
 	Gen         uint64 // generation published (0 when there was nothing to do)
 }
 
-// compactRecord is one logical record flowing through the rewrite.
+// compactRecord is one logical record flowing through the rewrite: its
+// indexed time span and its key points as the stored block, opened — keys
+// exist only while ageing re-compresses them.
 type compactRecord struct {
 	device string
 	t0, t1 uint32
-	keys   []trajstore.GeoKey
+	trail  trajstore.Trail
 }
 
 // ageCompressor is the registry compressor ageing re-runs old records
 // through.
 const ageCompressor = "fbqs"
 
-// devRef locates one sealed record of a device for the streaming
-// compactor: enough metadata to read, CRC-verify and decode it without
-// holding the log lock.
-type devRef struct {
-	seg     int // index into the sealed-segment snapshot
-	off     int64
-	bodyLen int
-	t0, t1  uint32
-}
-
 // devOut is one device's rewrite result, handed from a compaction
 // worker to the ordered writer.
 type devOut struct {
 	recs                  []compactRecord
-	decoded               int // sealed records decoded for this device (memory accounting)
+	decoded               int // sealed records read for this device (memory accounting)
 	merged, deduped, aged int
 	nextAgeT1             uint32
 	err                   error
@@ -131,13 +124,12 @@ type devOut struct {
 // published generation is untouched; partially written output files are
 // swept by the next Open.
 //
-// Memory and parallelism: the pass streams — devices are decoded,
-// rewritten and re-encoded one at a time by a pool of Workers
-// goroutines, and a device's decoded records are released as soon as
-// the ordered writer has re-encoded them, so peak usage is bounded by
-// the Workers largest devices, never the whole sealed log. Record reads
-// go through the per-record offsets the block index recovered (pread,
-// CRC-verified), not a whole-file slurp.
+// Memory and parallelism: the pass streams — devices are read and
+// rewritten one at a time by a pool of Workers goroutines, and a device's
+// records are released as soon as the ordered writer has framed them, so
+// peak usage is bounded by the Workers largest devices, never the whole
+// sealed log. Record reads go through the per-record offsets the block
+// index recovered (pread, CRC-verified), not a whole-file slurp.
 func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	var res CompactionResult
 	if math.IsNaN(p.CoarseTolerance) || p.CoarseTolerance < 0 {
@@ -184,7 +176,7 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	// Memo fast path: if the previous pass (same policy) already saw
 	// this exact generation and no record has aged into eligibility
 	// since, this pass is guaranteed to change nothing — skip even the
-	// read+decode work, so a periodic tick on a quiet log is O(1).
+	// read, so a periodic tick on a quiet log is O(1).
 	cutoff := ageCutoff(now(), p.MinAge)
 	m := &l.lastCompact
 	if m.valid && m.gen == genAtSnap &&
@@ -195,8 +187,8 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	}
 
 	// Metadata scan: snapshot the sealed segments and group their record
-	// locations per device in append order — no payload is read or
-	// decoded here. A sealed segment without a live block index (its
+	// locations per device in append order — no payload is read here. A
+	// sealed segment without a live block index (its
 	// write failed at rotation) marks the pass as a reseal: even a
 	// record-identical rewrite is then worthwhile, because the output
 	// carries the sealed indexes the input lacked.
@@ -206,12 +198,10 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 		return res, err
 	}
 	sealed := append([]segmentFile(nil), l.segs[:nSealed]...)
-	perDev := make(map[string][]devRef)
+	perDev := make(map[string][]refSnap)
 	for si := 0; si < nSealed; si++ {
 		for _, rm := range l.segRecs[si] {
-			perDev[rm.device] = append(perDev[rm.device], devRef{
-				seg: si, off: rm.off, bodyLen: rm.bodyLen, t0: rm.T0, t1: rm.T1,
-			})
+			perDev[rm.device] = append(perDev[rm.device], refSnap{seg: si, off: rm.off, bodyLen: rm.bodyLen})
 		}
 		res.RecordsIn += len(l.segRecs[si])
 	}
@@ -225,29 +215,20 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 		}
 	}
 	// Open every sealed file once; workers share the handles via pread.
-	files := make([]vfs.File, len(sealed))
+	files := &segReader{fs: l.fs}
+	defer files.close()
 	for i, sf := range sealed {
-		f, err := l.fs.Open(sf.path)
-		if err != nil {
-			for _, of := range files[:i] {
-				_ = of.Close() // unwind of a failed open; the open error is the story
-			}
-			return res, fmt.Errorf("segmentlog: compact: %w", err)
+		if err := files.open(i, sf.path, len(sealed)); err != nil {
+			return res, fmt.Errorf("compact: %w", err)
 		}
-		files[i] = f
 	}
-	defer func() {
-		for _, f := range files {
-			_ = f.Close() // read-only input handles; every read was CRC-checked
-		}
-	}()
 
-	// Fan the devices out to the worker pool and re-encode the results
-	// in sorted device order (deterministic output; per-device record
-	// order is preserved — the Query contract). The semaphore is the
-	// memory bound: a slot is taken before a device is decoded and
-	// released only after the writer has consumed it, so at most
-	// `workers` devices' decoded records are alive at any moment.
+	// Fan the devices out to the worker pool and write the results in
+	// sorted device order (deterministic output; per-device record order
+	// is preserved — the Query contract). The semaphore is the memory
+	// bound: a slot is taken before a device is read and released only
+	// after the writer has consumed it, so at most `workers` devices'
+	// records are alive at any moment.
 	devices := make([]string, 0, len(perDev))
 	for dev := range perDev {
 		devices = append(devices, dev)
@@ -272,7 +253,7 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range work {
-				results[i] <- l.compactDevice(perDev[devices[i]], sealed, files, p, cutoff)
+				results[i] <- l.compactDevice(perDev[devices[i]], files, p, cutoff)
 			}
 		}()
 	}
@@ -400,39 +381,30 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	return res, nil
 }
 
-// compactDevice is the worker side of the streaming compactor: it
-// decodes one device's sealed records (pread through the indexed
-// offsets, CRC re-verified) and runs the merge/dedup/ageing pipeline on
-// them. Every record was valid when Open indexed it, so anything that
-// fails to validate now is bit rot — the pass must abort (leaving the
-// old generation untouched) rather than drop the record and then
-// delete its only copy. out.decoded is reported even on error so the
+// compactDevice is the worker side of the streaming compactor: it reads
+// one device's sealed records (pread through the indexed offsets, CRC
+// re-verified), opens their blocks and runs the merge/dedup/ageing
+// pipeline on them. Every record was valid when Open indexed it, so
+// anything that fails to validate now is bit rot — the pass must abort
+// (leaving the old generation untouched) rather than drop the record and
+// then delete its only copy. out.decoded is reported even on error so the
 // writer's live-memory accounting stays balanced.
-func (l *shardLog) compactDevice(refs []devRef, sealed []segmentFile, files []vfs.File, p CompactionPolicy, cutoff uint32) (out devOut) {
+func (l *shardLog) compactDevice(refs []refSnap, files *segReader, p CompactionPolicy, cutoff uint32) (out devOut) {
 	out.nextAgeT1 = math.MaxUint32
-	decoded := 0
-	defer func() { out.decoded = decoded }()
 	recs := make([]compactRecord, 0, len(refs))
 	for _, ref := range refs {
-		body, err := readRecordAt(files[ref.seg], ref.off, ref.bodyLen)
+		var tr trajstore.Trail
+		blk, err := files.readBlock(ref)
+		if err == nil {
+			tr, err = trajstore.OpenTrail(blk.Payload)
+		}
 		if err != nil {
 			out.err = fmt.Errorf("compact: %s: record at offset %d: %w (bit rot since open?)",
-				filepath.Base(sealed[ref.seg].path), ref.off, err)
+				filepath.Base(files.paths[ref.seg]), ref.off, err)
 			return out
 		}
-		dev, b, payload, err := splitBody(body)
-		if err != nil {
-			out.err = fmt.Errorf("%w: %s: record at offset %d unreadable: %v",
-				ErrCorrupt, sealed[ref.seg].path, ref.off, err)
-			return out
-		}
-		keys, err := trajstore.DeltaDecode(payload)
-		if err != nil {
-			out.err = fmt.Errorf("segmentlog: compact: decoding sealed record: %w", err)
-			return out
-		}
-		recs = append(recs, compactRecord{device: dev, t0: b.T0, t1: b.T1, keys: keys})
-		decoded++
+		recs = append(recs, compactRecord{device: blk.Device, t0: blk.T0, t1: blk.T1, trail: tr})
+		out.decoded++
 		l.compactLiveAdd(1)
 	}
 	if p.MergeChunks {
@@ -441,17 +413,23 @@ func (l *shardLog) compactDevice(refs []devRef, sealed []segmentFile, files []vf
 	recs, out.deduped = dedupContained(recs)
 	if p.CoarseTolerance > 0 {
 		for i := range recs {
-			if recs[i].t1 > cutoff && recs[i].t1 < out.nextAgeT1 {
-				out.nextAgeT1 = recs[i].t1
+			r := &recs[i]
+			if r.t1 > cutoff { // too young: the pass that must look again
+				out.nextAgeT1 = min(out.nextAgeT1, r.t1)
+				continue
 			}
-			aged, err := ageKeys(recs[i].keys, recs[i].t1, cutoff, p)
+			if r.trail.Len() <= 2 {
+				continue // nothing to thin
+			}
+			aged, err := ageKeys(r.trail.Keys(), p)
+			if err == nil && aged != nil {
+				r.trail = trajstore.Trail{}
+				err = r.trail.Add(aged...)
+				out.aged++
+			}
 			if err != nil {
 				out.err = err
 				return out
-			}
-			if aged != nil {
-				recs[i].keys = aged
-				out.aged++
 			}
 		}
 	}
@@ -461,27 +439,16 @@ func (l *shardLog) compactDevice(refs []devRef, sealed []segmentFile, files []vf
 
 // mergeChunks re-joins consecutive records that overlap by exactly one
 // key point (the engine's chunking invariant: each chunk restarts from
-// the previous chunk's last key). Merging stops before a record would
-// exceed the record-size cap.
+// the previous chunk's last key) by joining their blocks — see Trail.Join.
+// Merging stops before a record would exceed the record-size cap.
 func mergeChunks(recs []compactRecord) (out []compactRecord, merged int) {
-	// Conservative per-key bound for the delta-varint encoding: ≤ 5
-	// bytes per coordinate delta and timestamp delta, plus slack for
-	// the absolute first key and the record header.
-	const perKey, slack = 16, 96
 	out = recs[:0]
 	for _, r := range recs {
 		if len(out) > 0 {
 			prev := &out[len(out)-1]
-			if len(prev.keys) > 0 && len(r.keys) > 0 &&
-				prev.keys[len(prev.keys)-1] == r.keys[0] &&
-				(len(prev.keys)+len(r.keys))*perKey+slack+len(r.device) <= MaxRecordBytes {
-				prev.keys = append(prev.keys, r.keys[1:]...)
-				if r.t0 < prev.t0 {
-					prev.t0 = r.t0
-				}
-				if r.t1 > prev.t1 {
-					prev.t1 = r.t1
-				}
+			if minBodySize+len(r.device)+binary.MaxVarintLen64+prev.trail.Size()+r.trail.Size() <= MaxRecordBytes &&
+				prev.trail.Join(&r.trail) {
+				prev.t0, prev.t1 = min(prev.t0, r.t0), max(prev.t1, r.t1)
 				merged++
 				continue
 			}
@@ -495,7 +462,7 @@ func mergeChunks(recs []compactRecord) (out []compactRecord, merged int) {
 // same device: the record's key points appear as a contiguous run inside
 // the other's. Exact duplicates are the len-equal special case. When an
 // already-kept record is contained in a newer one, the kept record is
-// replaced instead.
+// replaced instead. Blocks are walked only for pairs whose spans nest.
 func dedupContained(recs []compactRecord) (out []compactRecord, dropped int) {
 	var kept []compactRecord
 	for _, r := range recs {
@@ -503,10 +470,10 @@ func dedupContained(recs []compactRecord) (out []compactRecord, dropped int) {
 		filtered := kept[:0]
 		for _, k := range kept {
 			switch {
-			case !contained && k.t0 <= r.t0 && r.t1 <= k.t1 && containsRun(k.keys, r.keys):
+			case !contained && k.t0 <= r.t0 && r.t1 <= k.t1 && k.trail.Contains(&r.trail):
 				contained = true
 				filtered = append(filtered, k)
-			case r.t0 <= k.t0 && k.t1 <= r.t1 && containsRun(r.keys, k.keys):
+			case r.t0 <= k.t0 && k.t1 <= r.t1 && r.trail.Contains(&k.trail):
 				dropped++ // k is swallowed by the newer r
 			default:
 				filtered = append(filtered, k)
@@ -520,30 +487,6 @@ func dedupContained(recs []compactRecord) (out []compactRecord, dropped int) {
 		}
 	}
 	return kept, dropped
-}
-
-// containsRun reports whether needle appears as a contiguous subsequence
-// of hay.
-func containsRun(hay, needle []trajstore.GeoKey) bool {
-	if len(needle) == 0 || len(needle) > len(hay) {
-		return false
-	}
-	for i := 0; i+len(needle) <= len(hay); i++ {
-		if hay[i] != needle[0] {
-			continue
-		}
-		match := true
-		for j := 1; j < len(needle); j++ {
-			if hay[i+j] != needle[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
 }
 
 // ageCutoff converts (now, MinAge) to a uint32 seconds threshold:
@@ -560,16 +503,12 @@ func ageCutoff(now time.Time, minAge time.Duration) uint32 {
 }
 
 // ageKeys re-compresses one record's key points at the coarse tolerance.
-// It returns nil (and no error) when the record does not qualify — too
-// young, too short, or the compressor kept every key. The compressors
-// emit a subset of their input points, so each retained key is returned
-// bit-identical to the original (preserving the wire bytes exactly);
-// every dropped key is within CoarseTolerance of the aged polyline, the
-// bound the compressor guarantees for all input points.
-func ageKeys(keys []trajstore.GeoKey, t1, cutoff uint32, p CompactionPolicy) ([]trajstore.GeoKey, error) {
-	if t1 > cutoff || len(keys) <= 2 {
-		return nil, nil
-	}
+// It returns nil (and no error) when the compressor kept every key. The
+// compressors emit a subset of their input points, so each retained key
+// is returned bit-identical to the original (preserving the wire bytes
+// exactly); every dropped key is within CoarseTolerance of the aged
+// polyline, the bound the compressor guarantees for all input points.
+func ageKeys(keys []trajstore.GeoKey, p CompactionPolicy) ([]trajstore.GeoKey, error) {
 	comp, err := stream.New(ageCompressor, p.CoarseTolerance)
 	if err != nil {
 		return nil, fmt.Errorf("segmentlog: age compressor: %w", err)
@@ -657,17 +596,12 @@ func (w *compactWriter) closeCurrent() error {
 	return nil
 }
 
-// add encodes and writes one record, rotating to a fresh segment file
+// add frames and writes one record, rotating to a fresh segment file
 // at the size threshold.
-func (w *compactWriter) add(r compactRecord) error {
-	var tr trajstore.Trail
-	err := tr.Add(r.keys...)
-	if err != nil {
-		return fmt.Errorf("segmentlog: %w", err)
-	}
-	b := tr.Bounds()
+func (w *compactWriter) add(r compactRecord) (err error) {
+	b := r.trail.Bounds()
 	b.T0, b.T1 = r.t0, r.t1
-	if w.buf, err = frameRecord(w.buf[:0], r.device, b, &tr); err != nil {
+	if w.buf, err = frameRecord(w.buf[:0], r.device, b, &r.trail); err != nil {
 		return err
 	}
 	if w.f != nil && w.off > headerSize && w.off+int64(len(w.buf)) > w.l.opts.MaxSegmentBytes {

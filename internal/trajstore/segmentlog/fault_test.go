@@ -315,3 +315,123 @@ func runFaultSchedule(t *testing.T, seed int64) {
 		}
 	}
 }
+
+// TestWriteBehindBound: with no Sync from the caller at all, the log
+// fsyncs on its own whenever maxUnsynced bytes wait, so what it holds in
+// memory (and a SIGKILL would lose) stays under the bound however much is
+// appended — here 8 MiB into one default-sized segment — every record
+// stays servable throughout, and a Sync leaves nothing behind.
+func TestWriteBehindBound(t *testing.T) {
+	fs := vfs.NewFaultFS(3)
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{FS: fs})
+	keys := genKeys(1, 4000) // ≈ 12 KiB a record
+	records, appended := 0, int64(0)
+	for ; appended < 8<<20; records++ {
+		if err := l.Append(fmt.Sprintf("dev-%d", records%7), keys); err != nil {
+			t.Fatal(err)
+		}
+		st := l.Stats()
+		if st.Unsynced >= maxUnsynced {
+			t.Fatalf("after %d records: %d B unsynced, bound %d", records+1, st.Unsynced, maxUnsynced)
+		}
+		if c := cap(l.unsynced); c > 2*maxUnsynced {
+			t.Fatalf("after %d records: write-behind buffer holds %d B of capacity", records+1, c)
+		}
+		appended = st.Bytes
+	}
+	if got := len(queryAll(t, l, "dev-3")); got != (records+3)/7 {
+		t.Fatalf("dev-3: %d records before any Sync, want %d", got, (records+3)/7)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Unsynced != 0 || st.Records != records {
+		t.Fatalf("after Sync: %+v, want 0 unsynced and %d records", st, records)
+	}
+	// One record larger than the bound passes through, and the capacity
+	// it forced is dropped by the fsync that empties it.
+	big := genKeys(2, 300_000)
+	if err := l.Append("big", big); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Unsynced != 0 || cap(l.unsynced) > 2*maxUnsynced {
+		t.Fatalf("after an oversized record: %d B unsynced, %d B of capacity kept", st.Unsynced, cap(l.unsynced))
+	}
+	// Power loss now: everything an fsync covered is on disk.
+	fs.Crash()
+	l2 := mustOpen(t, dir, Options{})
+	defer l2.Close()
+	if st := l2.Stats(); st.Records != records+1 {
+		t.Fatalf("after the crash: %d records, want %d", st.Records, records+1)
+	}
+	if recs := queryAll(t, l2, "big"); len(recs) != 1 || !reflect.DeepEqual(recs[0].Keys, big) {
+		t.Fatal("the oversized record did not survive the crash intact")
+	}
+}
+
+// TestWriteBehindFsyncFailsInsideAppend: the fsync the bound triggers runs
+// inside AppendTrail, after the record was accepted, so its failure must
+// not fail the append (rotation's contract): the segment is poisoned, and
+// when the salvage cannot run either the failure resurfaces from the next
+// Append or Sync; once the disk recovers, Sync heals and every accepted
+// record is there exactly once.
+func TestWriteBehindFsyncFailsInsideAppend(t *testing.T) {
+	fs := vfs.NewFaultFS(4)
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{FS: fs})
+	keys := genKeys(1, 4000)
+	if err := l.Append("dev", keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil { // a durable watermark above the header
+		t.Fatal(err)
+	}
+	// Every fsync and every new file fails: the threshold fsync poisons
+	// and its salvage cannot start.
+	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Path: "seg-*.log", Fault: vfs.FaultEIO})
+	fs.AddRule(vfs.Rule{Op: vfs.OpOpenFile, Path: "seg-*.log", Fault: vfs.FaultENOSPC})
+	accepted := 1
+	for !l.poisoned {
+		if err := l.Append("dev", keys); err != nil {
+			t.Fatalf("append %d = %v: the fsync at the threshold must not un-accept a record", accepted, err)
+		}
+		if accepted++; accepted > 100 {
+			t.Fatal("the write-behind bound never triggered an fsync")
+		}
+	}
+	if st := l.Stats(); st.Unsynced < maxUnsynced {
+		t.Fatalf("poisoned with %d B in the salvage copy, want the %d B that triggered the fsync", st.Unsynced, maxUnsynced)
+	}
+	// Poisoned: the durable prefix still answers, the rest is withheld.
+	if got := len(queryAll(t, l, "dev")); got != 1 {
+		t.Fatalf("poisoned log serves %d records, want the 1 below the watermark", got)
+	}
+	if err := l.Append("dev", keys); err == nil {
+		t.Fatal("Append on a poisoned log with a sick disk must fail")
+	}
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync on a poisoned log with a sick disk must fail")
+	}
+	fs.ClearRules()
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync after the disk recovered = %v, want nil via salvage", err)
+	}
+	if st := l.Stats(); st.Unsynced != 0 || st.Records != accepted {
+		t.Fatalf("after the heal: %+v, want 0 unsynced and %d records", st, accepted)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := mustOpen(t, dir, Options{})
+	defer l2.Close()
+	recs := queryAll(t, l2, "dev")
+	if len(recs) != accepted {
+		t.Fatalf("reopen: %d records, want %d (each accepted record exactly once)", len(recs), accepted)
+	}
+	for i, r := range recs {
+		if !reflect.DeepEqual(r.Keys, keys) {
+			t.Fatalf("reopen: record %d corrupted", i)
+		}
+	}
+}

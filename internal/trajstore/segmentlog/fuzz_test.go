@@ -1,6 +1,10 @@
 package segmentlog
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -185,5 +189,144 @@ func FuzzManifest(f *testing.F) {
 				t.Fatalf("parser accepted non-canonical segment name %q", m.Segs[i].Name)
 			}
 		}
+	})
+}
+
+// refMeets is the bounds test as it stood before the lattice window: in
+// degrees, on the bounds' lattice values divided out — the reference
+// Window.Meets is held to.
+func refMeets(b trajstore.Bounds, minX, minY, maxX, maxY float64, t0, t1 uint32) bool {
+	return b.T0 <= t1 && b.T1 >= t0 &&
+		float64(b.MinLon)/1e7 <= maxX && float64(b.MaxLon)/1e7 >= minX &&
+		float64(b.MinLat)/1e7 <= maxY && float64(b.MaxLat)/1e7 >= minY
+}
+
+// checkWindowBlock holds the block walk to the decode-then-filter path it
+// replaced, for one payload and one window: the same verdict as
+// windowMatch over DeltaDecode's keys, the same error class when the
+// payload does not decode, and a refusal (ErrRange, what re-encoding the
+// keys for the wire used to report) when a key lies off the globe. The
+// integer bounds test must agree with the float one it replaced, and may
+// never prune a block that matches.
+func checkWindowBlock(t *testing.T, payload []byte, minX, minY, maxX, maxY float64, t0, t1 uint32) {
+	t.Helper()
+	w, err := newWindow(minX, minY, maxX, maxY, t0, t1)
+	if err != nil {
+		return // NaN or inverted: refused before any block is looked at
+	}
+	keys, derr := trajstore.DeltaDecode(payload)
+	inRange := true
+	for _, k := range keys {
+		inRange = inRange && trajstore.InRange(k.Lat, k.Lon)
+	}
+	match, err := trajstore.Enters(payload, w)
+	all, aerr := trajstore.Enters(payload, nil)
+	if (err == nil) != (aerr == nil) || all != (aerr == nil) {
+		t.Fatalf("a nil window must match exactly the blocks any window accepts: %v, %v / %v", all, aerr, err)
+	}
+	switch {
+	case derr != nil:
+		for _, class := range []error{trajstore.ErrShortBuffer, trajstore.ErrRange} {
+			if err == nil || errors.Is(err, class) != errors.Is(derr, class) {
+				t.Fatalf("Enters = %v, DeltaDecode = %v: different error class for %x", err, derr, payload)
+			}
+		}
+	case !inRange:
+		if !errors.Is(err, trajstore.ErrRange) {
+			t.Fatalf("Enters = %v, %v over off-globe keys %v, want ErrRange", match, err, keys)
+		}
+	default:
+		if want := windowMatch(keys, minX, minY, maxX, maxY, t0, t1); err != nil || match != want {
+			t.Fatalf("Enters = %v, %v; windowMatch = %v for keys %v in [%v,%v]×[%v,%v] t[%d,%d] (lattice %+v)",
+				match, err, want, keys, minX, maxX, minY, maxY, t0, t1, *w)
+		}
+		if len(keys) == 0 {
+			return
+		}
+		tr, err := trajstore.OpenTrail(payload)
+		if err != nil {
+			t.Fatalf("OpenTrail refuses a block Enters accepts: %v", err)
+		}
+		if got, want := w.Meets(tr.Bounds()), refMeets(tr.Bounds(), minX, minY, maxX, maxY, t0, t1); got != want || match && !got {
+			t.Fatalf("Meets(%+v) = %v, float reference %v, block matches: %v (lattice %+v)", tr.Bounds(), got, want, match, *w)
+		}
+	}
+}
+
+// TestWindowBlock runs the equivalence over blocks and windows chosen to
+// sit on each other's edges: window bounds exactly on, and one ulp either
+// side of, the degrees of a key's lattice value — where the integer
+// thresholds (trajstore.LatticeWindow) must flip exactly when the float comparison does —
+// plus unbounded, empty-range and off-globe cases.
+func TestWindowBlock(t *testing.T) {
+	enc := func(keys ...trajstore.GeoKey) []byte {
+		b, err := trajstore.DeltaEncode(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	blocks := [][]byte{
+		enc(), enc(trajstore.GeoKey{Lat: 1, Lon: 2, T: 3}),
+		enc(genKeys(3, 12)...), enc(cellKeys(2, 1, 9)...),
+		enc(trajstore.GeoKey{Lat: 90, Lon: -180, T: 0}, trajstore.GeoKey{Lat: -90, Lon: 180, T: math.MaxUint32}),
+		enc(trajstore.GeoKey{Lat: 12.3456789, Lon: -98.7654321, T: 100}, trajstore.GeoKey{Lat: 12.3456790, Lon: -98.7654320, T: 90}),
+		{2, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 5, 2, 2, 2}, // parses; first latitude ≈ 214°
+		{3, 2, 2, 5, 2, 2},                      // truncated
+		{1, 2, 2, 0xff, 0xff, 0xff, 0xff, 0x7f}, // time past uint32
+	}
+	edges := []float64{math.Inf(-1), -180, -98.7654321, -98.76543205, -1e-7, 0, 5e-8, 1e-7, 2, 12.3456789, 12.34567895, 90, 180, 214.7483647, 214.7483648, 1e300, math.Inf(1)}
+	for _, e := range edges[1 : len(edges)-1] {
+		edges = append(edges, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
+	}
+	for _, b := range blocks {
+		for _, lo := range edges {
+			for _, hi := range edges {
+				checkWindowBlock(t, b, lo, lo, hi, hi, 0, math.MaxUint32)
+				checkWindowBlock(t, b, lo, -90, hi, 90, 90, 100)
+				checkWindowBlock(t, b, -180, lo, 180, hi, 101, 101)
+			}
+		}
+	}
+	// The thresholds against their definition, around random lattice
+	// values: the largest lattice value with degrees ≤ x, the smallest ≥ x.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		v := rng.Int63n(1<<32) - 1<<31
+		x := float64(v) / 1e7
+		switch i % 3 {
+		case 1:
+			x = math.Nextafter(x, math.Inf(1))
+		case 2:
+			x = math.Nextafter(x, math.Inf(-1))
+		}
+		w := trajstore.LatticeWindow(x, x, x, x, 0, 0)
+		if hi, lo := w.MaxLon, w.MinLat; !(float64(hi)/1e7 <= x) || float64(hi+1)/1e7 <= x || !(float64(lo)/1e7 >= x) || float64(lo-1)/1e7 >= x {
+			t.Fatalf("LatticeWindow(%v): max %d, min %d: %v ≤ x < %v, %v < x ≤ %v do not hold", x, hi, lo,
+				float64(hi)/1e7, float64(hi+1)/1e7, float64(lo-1)/1e7, float64(lo)/1e7)
+		}
+	}
+}
+
+// FuzzWindowBlock: on arbitrary bytes and arbitrary windows the block
+// walk gives the verdict — or the error class — of decoding the block
+// and filtering its keys, and refuses blocks with keys off the globe.
+func FuzzWindowBlock(f *testing.F) {
+	for i, keys := range [][]trajstore.GeoKey{genKeys(1, 8), cellKeys(1, 2, 6), {{Lat: 89.9999999, Lon: 179.9999999, T: 7}, {Lat: -90, Lon: -180, T: 3}}} {
+		b, err := trajstore.DeltaEncode(keys)
+		if err != nil {
+			f.Fatal(err)
+		}
+		k := keys[len(keys)/2]
+		f.Add(b, k.Lon, k.Lat, k.Lon, k.Lat, k.T, k.T)
+		f.Add(b, -180.0, -90.0, 180.0, 90.0, uint32(0), uint32(math.MaxUint32))
+		f.Add(b[:len(b)-1-i], k.Lon-1e-7, k.Lat, k.Lon+5e-8, k.Lat+1, uint32(0), k.T-1)
+	}
+	f.Add([]byte{2, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 5, 2, 2, 2}, -1.0, -1.0, 300.0, 300.0, uint32(0), uint32(9))
+	f.Fuzz(func(t *testing.T, payload []byte, minX, minY, maxX, maxY float64, t0, t1 uint32) {
+		if n, _ := binary.Uvarint(payload); n > 1<<16 {
+			return // DeltaDecode would allocate for the count before failing
+		}
+		checkWindowBlock(t, payload, minX, minY, maxX, maxY, t0, t1)
 	})
 }

@@ -4,8 +4,8 @@
 //
 // The design follows the constraints of the paper's target platform and
 // the ROADMAP's server-side north star at once: writes are single-pass
-// and sequential (one buffered append per finalized trajectory, fsync
-// only on an explicit Sync barrier), files rotate at a size threshold so
+// and sequential (one buffered append per finalized trajectory, fsync on
+// a Sync barrier or once maxUnsynced bytes wait), files rotate at a size threshold so
 // retention and compaction can operate on whole segments, and recovery
 // is a forward scan that rebuilds the in-memory index (device → record
 // offsets + time bounds + spatial bounding boxes) and truncates a torn
@@ -133,8 +133,8 @@ type Options struct {
 	FS vfs.FS
 	// CacheBytes, when positive, enables the read-side record cache
 	// with that byte budget: query paths serve repeated reads of the
-	// same record from memory, skipping the pread, CRC re-verification
-	// and delta decode. Entries are keyed by manifest generation, so
+	// same record from memory, skipping the pread and CRC
+	// re-verification. Entries are keyed by manifest generation, so
 	// compaction (and every other layout change) invalidates them
 	// without a flush protocol. Zero disables caching — the default,
 	// and the pre-cache behavior exactly.
@@ -191,6 +191,7 @@ type Stats struct {
 	Devices     int    // distinct device IDs
 	Bytes       int64  // total valid bytes on disk, headers included
 	Truncated   int64  // torn/corrupt tail bytes dropped by recovery on Open (detected, not dropped, in read-only mode)
+	Unsynced    int64  // bytes accepted but not yet covered by an fsync: with the engine's TrailBytes, what a SIGKILL now would lose
 	Gen         uint64 // manifest generation currently published
 }
 
@@ -211,7 +212,7 @@ type shardLog struct {
 	compactMu sync.Mutex
 	// lastCompact memoizes the previous pass (guarded by compactMu) so
 	// a periodic tick on an unchanged log returns without re-reading
-	// and re-decoding every sealed segment. gen is the generation the
+	// every sealed segment. gen is the generation the
 	// pass left behind; nextAgeT1 is the smallest record timestamp not
 	// yet old enough to age (MaxUint32 when none) — a later pass with
 	// the same policy can only differ once the cutoff reaches it.
@@ -222,7 +223,7 @@ type shardLog struct {
 		nextAgeT1 uint32
 	}
 
-	// compactLive counts decoded sealed records currently held in
+	// compactLive counts sealed records currently held in
 	// memory by an in-flight streaming compaction; compactLiveHWM is
 	// the high-water mark across passes. They observe the compactor's
 	// bounded-memory invariant (tests assert on the HWM).
@@ -256,19 +257,20 @@ type shardLog struct {
 	// summary pruning cannot skip and leave the flag set.
 	indexDirty bool
 	active     vfs.File // write handle of segs[len(segs)-1] (nil in RO mode)
-	pend       []byte   // appended but not yet written-through bytes
-	off        int64    // logical size of the active segment (incl. pend)
+	off        int64    // logical size of the active segment (incl. unwritten appends)
 	// syncedOff is the active-segment offset covered by the last
 	// successful fsync: everything below it is durable, everything at
 	// or above it exists only in the page cache (and in unsynced).
 	syncedOff int64
-	// unsynced mirrors every byte appended since the last successful
-	// fsync of the active segment (flushed or not). After a failed
-	// fsync the page-cache state of those bytes is unknown — the
-	// kernel may have dropped them — so this buffer is the only copy
-	// salvage (healLocked) can rewrite into a fresh segment. Cleared
-	// on every successful Sync; bounded by MaxSegmentBytes.
+	// unsynced is the write-behind buffer: every record framed since the
+	// last successful fsync of the active segment; its first written bytes
+	// have been passed to the file. After a failed fsync the page-cache
+	// state of those bytes is unknown — the kernel may have dropped them —
+	// so this is the only copy salvage (healLocked) can rewrite into a
+	// fresh segment. The append that takes it to maxUnsynced fsyncs then
+	// and there, so it is bounded by that plus one record.
 	unsynced []byte
+	written  int
 	// poisoned marks the active segment as unusable after a failed
 	// write or fsync: no further byte may be appended to it, and the
 	// records in atRisk are withheld from the index until healLocked
@@ -283,7 +285,7 @@ type shardLog struct {
 	stats  Stats
 }
 
-// compactLiveAdd advances the live decoded-record count and its
+// compactLiveAdd advances the live record count and its
 // high-water mark.
 func (l *shardLog) compactLiveAdd(n int) {
 	live := l.compactLive.Add(int64(n))
@@ -927,20 +929,11 @@ func syncDir(fsys vfs.FS, dir string) error {
 	return nil
 }
 
-// Append persists one finalized trajectory for device: it builds the
-// keys' block and hands it to AppendTrail, whose contract it shares.
-func (l *shardLog) Append(device string, keys []trajstore.GeoKey) error {
-	var tr trajstore.Trail
-	if err := tr.Add(keys...); err != nil {
-		return fmt.Errorf("segmentlog: %w", err)
-	}
-	return l.AppendTrail(device, &tr)
-}
-
 // AppendTrail persists one finalized trajectory for device, already
 // encoded: the log only frames it. The record is buffered in the
 // process; it reaches the OS on the next flush and is durable after the
-// next Sync. Empty trajectories are ignored, and tr is not retained.
+// next Sync, or once maxUnsynced bytes wait. Empty trajectories are
+// ignored, and tr is not retained.
 //
 // An error means the record was NOT accepted — it is not in the log and
 // never will be — so callers may safely retry or re-route it without
@@ -948,12 +941,12 @@ func (l *shardLog) Append(device string, keys []trajstore.GeoKey) error {
 // the log (possibly only in the in-process salvage buffer of a poisoned
 // segment) and will be durable after the next successful Sync.
 //
-// When the append fills the active segment, rotation happens inline. A
-// failed rotation therefore does not fail the append: in every rotation
-// failure mode the record is retained — still pending in the old
-// segment (which stays active and writable, rotation retried by the
-// next append) or salvaged by the poison path — and any durability
-// consequence resurfaces from the next Append or Sync.
+// When the append fills the active segment, rotation happens inline, and
+// an fsync when it fills the write-behind buffer. A failure of either
+// does not fail the append: in every failure mode the record is retained
+// — still pending in the old segment (which stays active and writable,
+// rotation retried by the next append) or salvaged by the poison path —
+// and any durability consequence resurfaces from the next Append or Sync.
 func (l *shardLog) AppendTrail(device string, tr *trajstore.Trail) error {
 	if tr.Len() == 0 {
 		return nil
@@ -974,46 +967,82 @@ func (l *shardLog) AppendTrail(device string, tr *trajstore.Trail) error {
 		}
 	}
 
-	start := len(l.pend)
-	pend, err := frameRecord(l.pend, device, b, tr)
-	l.pend = pend
+	start := len(l.unsynced)
+	buf, err := frameRecord(l.unsynced, device, b, tr)
+	l.unsynced = buf
 	if err != nil {
 		return err
 	}
-	rec := pend[start:]
+	n := len(buf) - start
 
 	l.addRecordLocked(len(l.segs)-1, recordMeta{
-		device: device, off: l.off + recordHeaderSize, bodyLen: len(rec) - recordHeaderSize, Bounds: b,
+		device: device, off: l.off + recordHeaderSize, bodyLen: n - recordHeaderSize, Bounds: b,
 	})
-	l.unsynced = append(l.unsynced, rec...) // salvage copy until the next successful fsync
-	l.off += int64(len(rec))
-	l.stats.Bytes += int64(len(rec))
+	l.off += int64(n)
+	l.stats.Bytes += int64(n)
 
-	if l.off >= l.opts.MaxSegmentBytes {
-		// The record was accepted above; a rotation failure must not
-		// un-accept it (see the contract in the doc comment). The failure
-		// is not lost: a poisoned segment makes the next Append/Sync
-		// report it, and a benign publish failure is retried next append.
+	// Accepted: a failure below must not un-accept the record (see above).
+	switch {
+	case l.off >= l.opts.MaxSegmentBytes:
 		_ = l.rotateLocked()
+	case len(l.unsynced) >= maxUnsynced:
+		_, _ = l.fsyncLocked()
 	}
 	return nil
 }
 
-// flushLocked writes pending bytes through to the active file. A write
-// failure — including a short write, which advances the file offset by
-// an unknown amount and corrupts the tail — poisons the active segment:
+// maxUnsynced bounds what a shard log holds in memory — and a SIGKILL
+// loses of what it accepted — between fsyncs, however rare the caller's
+// Sync barriers and however large the segments.
+const maxUnsynced = 256 << 10
+
+// fsyncLocked writes the buffer's tail through and fsyncs the active
+// segment. A failed fsync is never retried against the same file — the
+// kernel may have dropped the dirty pages, so a later "successful" fsync
+// would silently lose them (the fsyncgate bug). Instead the segment is
+// poisoned and the un-synced records are salvaged into a fresh file;
+// healed reports that, and then too the data IS durable and err is nil.
+func (l *shardLog) fsyncLocked() (healed bool, err error) {
+	if err = l.flushLocked(); err == nil { // a failed flush poisons by itself
+		if err = l.active.Sync(); err == nil {
+			l.durableLocked()
+			return false, nil
+		}
+		err = fmt.Errorf("segmentlog: %w", err)
+		l.poisonLocked(err)
+	}
+	if l.healLocked() == nil {
+		return true, nil
+	}
+	return false, err
+}
+
+// durableLocked records that an fsync covered the whole active segment:
+// the buffer — the salvage copy, which must not outlive the segment its
+// offsets index into — starts over, from nothing if a record outgrew it.
+func (l *shardLog) durableLocked() {
+	l.syncedOff = l.off
+	l.unsynced, l.written = l.unsynced[:0], 0
+	if cap(l.unsynced) > 2*maxUnsynced {
+		l.unsynced = nil
+	}
+}
+
+// flushLocked writes unsynced's unwritten tail through to the active file.
+// A write failure — including a short write, which advances the file offset
+// by an unknown amount and corrupts the tail — poisons the active segment:
 // its on-disk state past the durable watermark is no longer trusted,
 // and salvage (healLocked) must move the at-risk bytes to a fresh file.
 func (l *shardLog) flushLocked() error {
-	if len(l.pend) == 0 {
+	if l.written == len(l.unsynced) {
 		return nil
 	}
-	if _, err := l.active.Write(l.pend); err != nil {
+	if _, err := l.active.Write(l.unsynced[l.written:]); err != nil {
 		err = fmt.Errorf("segmentlog: %w", err)
 		l.poisonLocked(err)
 		return err
 	}
-	l.pend = l.pend[:0]
+	l.written = len(l.unsynced)
 	l.segs[len(l.segs)-1].size = l.off
 	return nil
 }
@@ -1060,7 +1089,7 @@ func (l *shardLog) poisonLocked(cause error) {
 	}
 	l.stats.Records -= len(l.atRisk)
 	l.off = l.syncedOff
-	l.pend = l.pend[:0] // mirrored in unsynced; the old file gets no more writes
+	l.written = len(l.unsynced) // the old file gets no more writes
 	l.recountBytesLocked()
 }
 
@@ -1145,8 +1174,7 @@ func (l *shardLog) healLocked() error {
 	old := l.active
 	l.active = f
 	l.off = headerSize + int64(len(l.unsynced))
-	l.syncedOff = l.off
-	l.unsynced = l.unsynced[:0]
+	l.durableLocked()
 	l.poisoned = false
 	l.poisonErr = nil
 	l.recountBytesLocked()
@@ -1179,32 +1207,13 @@ func (l *shardLog) recountBytesLocked() {
 // references it; an index write failure only costs the acceleration
 // (the segment scans fine), never the rotation.
 func (l *shardLog) rotateLocked() error {
-	if err := l.flushLocked(); err != nil {
-		// flushLocked poisoned the segment; a successful salvage IS the
-		// rotation (old segment sealed at the watermark, at-risk records
-		// re-landed in a fresh fsync'd file), so the append succeeds.
-		if healErr := l.healLocked(); healErr == nil {
-			return nil
-		}
-		return err
-	}
 	// A completed segment file is always fully durable: fsync before
-	// rotating away from it.
-	if err := l.active.Sync(); err != nil {
-		// After a failed fsync the dirty pages' fate is unknown —
-		// retrying the Sync and trusting the file would be the
-		// fsyncgate bug. Poison the segment and salvage instead.
-		err = fmt.Errorf("segmentlog: %w", err)
-		l.poisonLocked(err)
-		if healErr := l.healLocked(); healErr == nil {
-			return nil
-		}
+	// rotating away from it. A successful salvage IS the rotation (old
+	// segment sealed at the watermark, at-risk records re-landed in a
+	// fresh fsync'd file), so the append succeeds.
+	if healed, err := l.fsyncLocked(); healed || err != nil {
 		return err
 	}
-	// The salvage copy must not outlive the segment its offsets index
-	// into.
-	l.syncedOff = l.off
-	l.unsynced = l.unsynced[:0]
 	cur := len(l.segs) - 1
 	sealedIdx := writeBlockIndex(l.fs, l.segs[cur].path, l.off, l.segRecs[cur]) == nil
 	f, seg, err := l.newSegmentFileLocked()
@@ -1244,12 +1253,7 @@ func (l *shardLog) rotateLocked() error {
 
 // Sync flushes buffered records and fsyncs the active segment: every
 // Append that returned before Sync was called is durable once Sync
-// returns. A failed fsync is never retried against the same file —
-// the kernel may have dropped the dirty pages, so a later "successful"
-// fsync would silently lose them (the fsyncgate bug). Instead the
-// active segment is poisoned and the un-synced records are salvaged
-// into a fresh file; when that succeeds the data IS durable and Sync
-// reports success.
+// returns nil — after a salvage, if that is what it took (fsyncLocked).
 func (l *shardLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1269,23 +1273,8 @@ func (l *shardLog) syncLocked() error {
 		}
 		return nil // healLocked fsync'd everything previously appended
 	}
-	if err := l.flushLocked(); err != nil {
-		if healErr := l.healLocked(); healErr == nil {
-			return nil
-		}
-		return err
-	}
-	if err := l.active.Sync(); err != nil {
-		err = fmt.Errorf("segmentlog: %w", err)
-		l.poisonLocked(err)
-		if healErr := l.healLocked(); healErr == nil {
-			return nil
-		}
-		return err
-	}
-	l.syncedOff = l.off
-	l.unsynced = l.unsynced[:0]
-	return nil
+	_, err := l.fsyncLocked()
+	return err
 }
 
 // Close flushes, fsyncs and closes the log. It waits for an in-flight
@@ -1332,6 +1321,7 @@ func (l *shardLog) Stats() Stats {
 	}
 	s.Devices = len(l.index)
 	s.Gen = l.gen
+	s.Unsynced = int64(len(l.unsynced))
 	return s
 }
 
@@ -1369,159 +1359,170 @@ func (l *shardLog) DeviceSpan(device string) (records int, t0, t1 uint32, ok boo
 // metaAt resolves a record address. Callers hold mu.
 func (l *shardLog) metaAt(a recordAddr) *recordMeta { return &l.segRecs[a.seg][a.pos] }
 
-// Query returns the decoded trajectories of device whose time bounds
-// overlap [t0, t1], in append order. Records are read back from disk and
-// CRC-verified. A query racing a concurrent compaction may find a
-// superseded segment already deleted between snapshotting the index and
-// opening the file; it transparently re-snapshots against the newly
-// published generation.
-func (l *shardLog) Query(device string, t0, t1 uint32) ([]Record, error) {
-	for attempt := 0; ; attempt++ {
-		out, retry, err := l.queryOnce(device, t0, t1)
-		if err != nil && retry && attempt < 4 {
-			continue
-		}
-		if err != nil && retry && l.ro {
-			// A read-only handle's index is a static snapshot: it cannot
-			// re-discover the new generation a live writer published, so
-			// retrying is futile. Say what actually happened.
-			return out, fmt.Errorf("segmentlog: log rewritten by a concurrent compaction; reopen to read the new generation: %w", err)
-		}
-		return out, err
+// Block is one stored record as the log holds it and the wire carries it:
+// the header's device and time bounds and the key points' delta-varint
+// block, CRC-verified and walked (trajstore.Enters). Payload is shared with
+// the read cache: copy it, never write it.
+type Block struct {
+	Device  string
+	T0, T1  uint32
+	Payload []byte
+}
+
+// decodeInto is the decode edge, for callers that want GeoKeys rather than
+// bytes: a visitor appending each block as a Record with Keys of its own.
+func decodeInto(out *[]Record) func(Block) error {
+	return func(b Block) error {
+		keys, err := trajstore.DeltaDecode(b.Payload)
+		*out = append(*out, Record{Device: b.Device, T0: b.T0, T1: b.T1, Keys: keys})
+		return err // nil: Enters walked this very block
 	}
 }
 
-// queryOnce is one snapshot-and-read pass; retry is true when the error
-// was a segment file vanishing under a concurrent compaction.
-func (l *shardLog) queryOnce(device string, t0, t1 uint32) (out []Record, retry bool, err error) {
-	refs, segs, gen, err := l.snapshotRefs(device, t0, t1)
-	if err != nil {
-		return nil, false, err
-	}
-	files := newSegReader(l.fs, segs)
+// deviceBlocks visits, in append order, the records of device whose time
+// bounds overlap [t0, t1].
+func (l *shardLog) deviceBlocks(device string, t0, t1 uint32, visit func(Block) error) error {
+	return l.read(nil, new(WindowStats), visit, func() (refs []refSnap, err error) {
+		if err = l.ensureAllLoadedLocked(); err != nil {
+			return nil, err
+		}
+		for _, a := range l.index[device] {
+			if m := l.metaAt(a); m.T0 <= t1 && m.T1 >= t0 {
+				refs = append(refs, refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
+			}
+		}
+		return refs, nil
+	})
+}
+
+// read answers one query: snapshot lists the candidate records, and each
+// is then loaded — from the read cache, else read back from disk and
+// CRC-verified — walked once (trajstore.Enters) and, when it matches, visited;
+// nothing is decoded.
+func (l *shardLog) read(w *trajstore.Window, ws *WindowStats, visit func(Block) error, pick func() ([]refSnap, error)) error {
+	files := segReader{fs: l.fs}
 	defer files.close()
-	for _, ref := range refs {
-		rec, _, err := l.loadRecord(files, gen, ref)
-		if err != nil {
-			return nil, errors.Is(err, fs.ErrNotExist), err
+	refs, cached, gen, err := l.snapshot(&files, pick)
+	for i, ref := range refs {
+		var blk Block
+		if cached != nil {
+			blk = cached[i]
 		}
-		out = append(out, rec)
+		hit := blk.Payload != nil
+		if hit {
+			ws.CacheHits++
+		} else if blk, err = files.readBlock(ref); err != nil {
+			return err
+		} else {
+			ws.RecordsDecoded++
+		}
+		match, err := trajstore.Enters(blk.Payload, w)
+		if err != nil {
+			return fmt.Errorf("segmentlog: indexed record unreadable: %w", err)
+		}
+		// Candidates that fail the exact test are cached too: they survived
+		// the metadata pruning, so the same window (or a neighboring one)
+		// will keep re-reading them.
+		if !hit {
+			l.cache.Put(recKey{gen: gen, path: files.paths[ref.seg], off: ref.off}, blk)
+		}
+		if match {
+			ws.RecordsMatched++
+			if err := visit(blk); err != nil {
+				return err
+			}
+		}
 	}
-	return out, false, nil
+	return err
 }
 
-// loadRecord returns the decoded record at ref in generation gen: from
-// the read cache when present (hit), otherwise read back from disk,
-// CRC-verified, decoded and cached.
-func (l *shardLog) loadRecord(files *segReader, gen uint64, ref refSnap) (rec Record, hit bool, err error) {
-	path := files.paths[ref.seg]
-	if rec, hit = l.cacheGet(gen, path, ref.off); hit {
-		return rec, true, nil
-	}
-	body, err := files.readRecord(ref)
-	if err != nil {
-		return Record{}, false, err
-	}
-	dev, b, payload, err := splitBody(body)
-	if err != nil {
-		return Record{}, false, fmt.Errorf("segmentlog: indexed record unreadable: %w", err)
-	}
-	keys, err := trajstore.DeltaDecode(payload)
-	if err != nil {
-		return Record{}, false, fmt.Errorf("segmentlog: %w", err)
-	}
-	rec = Record{Device: dev, T0: b.T0, T1: b.T1, Keys: keys}
-	l.cachePut(gen, path, ref.off, rec)
-	return rec, false, nil
-}
-
-// snapshotRefs collects, under the lock, the matching refs and the
-// paths of the segments they point into, flushing pending writes
-// first so disk reads observe every indexed record. gen is the
-// manifest generation the snapshot belongs to — the cache epoch of
-// every ref returned.
-func (l *shardLog) snapshotRefs(device string, t0, t1 uint32) ([]refSnap, []string, uint64, error) {
+// snapshot runs pick under the lock, after writing buffered appends
+// through so disk reads observe every indexed record (a flush failure
+// poisons the active segment and withdraws the at-risk records from the
+// index, leaving it consistent: queries keep answering from the durable
+// prefix). Still under the lock it takes what the read cache holds —
+// cached[i] is refs[i]'s block, safe from eviction now — and opens the
+// other candidates' segments while they cannot vanish: a compaction
+// deletes a file only after publishing, under this lock, the generation
+// that drops it (a read-only handle has no such guarantee against its
+// directory's live writer). gen is the snapshot's manifest generation,
+// the cache epoch of its candidates.
+func (l *shardLog) snapshot(files *segReader, pick func() ([]refSnap, error)) (refs []refSnap, cached []Block, gen uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil, nil, 0, ErrClosed
 	}
-	// A flush failure poisons the active segment and withdraws the
-	// at-risk records from the index, leaving it consistent — queries
-	// keep answering from the durable prefix while the log is degraded.
 	if err := l.flushLocked(); err != nil && !l.poisoned {
 		return nil, nil, 0, err
 	}
-	if err := l.ensureAllLoadedLocked(); err != nil {
+	if refs, err = pick(); err != nil {
 		return nil, nil, 0, err
 	}
-	var refs []refSnap
-	for _, a := range l.index[device] {
-		m := l.metaAt(a)
-		if m.T0 <= t1 && m.T1 >= t0 {
-			refs = append(refs, refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
+	if l.cache != nil {
+		cached = make([]Block, len(refs))
+	}
+	for i, ref := range refs {
+		path := l.segs[ref.seg].path
+		if blk, hit := l.cache.Get(recKey{gen: l.gen, path: path, off: ref.off}); hit {
+			cached[i] = blk
+		} else if err := files.open(ref.seg, path, len(l.segs)); err != nil {
+			if l.ro && errors.Is(err, fs.ErrNotExist) {
+				err = fmt.Errorf("segmentlog: log rewritten by a concurrent compaction; reopen to read the new generation: %w", err)
+			}
+			return nil, nil, 0, err
 		}
 	}
-	return refs, l.segPathsLocked(), l.gen, nil
+	return refs, cached, l.gen, nil
 }
 
-// segPathsLocked snapshots the segment file paths, indexed like l.segs.
-func (l *shardLog) segPathsLocked() []string {
-	paths := make([]string, len(l.segs))
-	for i, s := range l.segs {
-		paths[i] = s.path
-	}
-	return paths
-}
-
-// segReader reads CRC-verified record bodies from a segment snapshot,
-// caching one open file handle per segment.
+// segReader reads CRC-verified records through one handle per segment:
+// opened first — seg of n, at path — then shared by any number of readers
+// (preads).
 type segReader struct {
 	fs    vfs.FS
-	paths []string
-	files map[int]vfs.File
-}
-
-func newSegReader(fsys vfs.FS, paths []string) *segReader {
-	return &segReader{fs: fsys, paths: paths, files: make(map[int]vfs.File)}
+	paths []string   // by segment; set once opened
+	files []vfs.File // parallel to paths
 }
 
 func (r *segReader) close() {
 	for _, f := range r.files {
-		_ = f.Close() // read-only handles; every read was CRC-checked
-	}
-}
-
-// readRecord reads ref's record — header and body — and re-verifies the
-// length prefix and CRC: the index-time check does not protect against
-// bit rot between Open and the read.
-func (r *segReader) readRecord(ref refSnap) ([]byte, error) {
-	f := r.files[ref.seg]
-	if f == nil {
-		var err error
-		f, err = r.fs.Open(r.paths[ref.seg])
-		if err != nil {
-			return nil, fmt.Errorf("segmentlog: %w", err)
+		if f != nil {
+			_ = f.Close() // read-only handles; every read was CRC-checked
 		}
-		r.files[ref.seg] = f
 	}
-	return readRecordAt(f, ref.off, ref.bodyLen)
 }
 
-// readRecordAt reads one record — header and body — at a known body
-// offset via pread (safe for concurrent use of a shared handle) and
-// re-verifies the length prefix and CRC against the indexed metadata.
-func readRecordAt(f io.ReaderAt, off int64, bodyLen int) ([]byte, error) {
-	rec := make([]byte, recordHeaderSize+bodyLen)
-	if _, err := f.ReadAt(rec, off-recordHeaderSize); err != nil {
-		return nil, fmt.Errorf("segmentlog: reading record: %w", err)
+func (r *segReader) open(seg int, path string, n int) (err error) {
+	if r.files == nil {
+		r.paths, r.files = make([]string, n), make([]vfs.File, n)
 	}
-	body := rec[recordHeaderSize:]
-	if got := int(binary.LittleEndian.Uint32(rec)); got != bodyLen {
-		return nil, fmt.Errorf("%w: record length changed on disk (%d != %d)", ErrCorrupt, got, bodyLen)
+	if r.files[seg] == nil {
+		if r.files[seg], err = r.fs.Open(path); err != nil {
+			return fmt.Errorf("segmentlog: %w", err)
+		}
+		r.paths[seg] = path
 	}
-	if crc := binary.LittleEndian.Uint32(rec[4:]); crc32.Checksum(body, castagnoli) != crc {
-		return nil, fmt.Errorf("%w: record checksum mismatch at offset %d", ErrCorrupt, off)
+	return nil
+}
+
+// readBlock reads ref's record — header and body — from its opened
+// segment via pread (safe for concurrent use of the shared handle) and
+// re-verifies the length prefix and CRC against the indexed metadata: the
+// index-time check does not protect against bit rot between Open and the
+// read.
+func (r *segReader) readBlock(ref refSnap) (Block, error) {
+	rec := make([]byte, recordHeaderSize+ref.bodyLen)
+	if _, err := r.files[ref.seg].ReadAt(rec, ref.off-recordHeaderSize); err != nil {
+		return Block{}, fmt.Errorf("segmentlog: reading record: %w", err)
 	}
-	return body, nil
+	body, _, next, ok := nextRecord(rec, 0)
+	if !ok || next != len(rec) {
+		return Block{}, fmt.Errorf("%w: record at offset %d no longer matches its length and checksum", ErrCorrupt, ref.off)
+	}
+	dev, b, payload, err := splitBody(body)
+	if err != nil {
+		return Block{}, fmt.Errorf("%w: indexed record unreadable: %v", ErrCorrupt, err)
+	}
+	return Block{Device: dev, T0: b.T0, T1: b.T1, Payload: payload}, nil
 }

@@ -39,6 +39,34 @@ func mustOpen(t *testing.T, dir string, opts Options) *shardLog {
 	return l
 }
 
+// Append, Query and QueryWindowStats are ShardedLog's key-slice edges on
+// one shard log, for the tests that drive a shardLog directly.
+func (l *shardLog) Append(device string, keys []trajstore.GeoKey) error {
+	var tr trajstore.Trail
+	if err := tr.Add(keys...); err != nil {
+		return err
+	}
+	return l.AppendTrail(device, &tr)
+}
+
+func (l *shardLog) Query(device string, t0, t1 uint32) (out []Record, err error) {
+	if err = l.deviceBlocks(device, t0, t1, decodeInto(&out)); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func (l *shardLog) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uint32) (out []Record, ws WindowStats, err error) {
+	w, err := newWindow(minX, minY, maxX, maxY, t0, t1)
+	if err == nil {
+		err = l.windowBlocks(w, &ws, decodeInto(&out))
+	}
+	if err != nil {
+		return nil, ws, err
+	}
+	return out, ws, nil
+}
+
 // queryAll returns every record of a device.
 func queryAll(t *testing.T, l *shardLog, device string) []Record {
 	t.Helper()

@@ -373,20 +373,22 @@ func (s *ShardedLog) shardFor(device string) *shardLog {
 	return s.shards[trajstore.ShardIndex(device, len(s.shards))]
 }
 
-// Append persists one finalized trajectory into the device's shard. The
-// record is buffered in the process and durable after the next Sync;
-// empty trajectories are ignored. An error means the record was NOT
-// accepted, so callers may retry or re-route it without creating
-// duplicates (see shardLog.Append for the rotation-failure contract).
+// Append persists one finalized trajectory: it builds the keys' block and
+// hands it to AppendTrail.
 func (s *ShardedLog) Append(device string, keys []trajstore.GeoKey) error {
-	if err := s.live(); err != nil {
-		return err
+	var tr trajstore.Trail
+	if err := tr.Add(keys...); err != nil {
+		return fmt.Errorf("segmentlog: %w", err)
 	}
-	return s.shardFor(device).Append(device, keys)
+	return s.AppendTrail(device, &tr)
 }
 
-// AppendTrail is Append for a trajectory already built as its block
-// (trajstore.Backend): the log only frames it.
+// AppendTrail persists one finalized trajectory, already built as its
+// block (trajstore.Backend), into the device's shard: the log only frames
+// it. The record is buffered in the process and durable after the next
+// Sync; empty trajectories are ignored. An error means the record was NOT
+// accepted, so callers may retry or re-route it without creating
+// duplicates (see shardLog.AppendTrail for the failure contract).
 func (s *ShardedLog) AppendTrail(device string, tr *trajstore.Trail) error {
 	if err := s.live(); err != nil {
 		return err
@@ -421,15 +423,24 @@ func (s *ShardedLog) Close() error {
 	return err
 }
 
-// Query returns the decoded trajectories of device whose time bounds
-// overlap [t0, t1], in append order, read back from disk (or the read
-// cache) and CRC-verified. A query racing a concurrent compaction
-// transparently retries against the newly published generation.
-func (s *ShardedLog) Query(device string, t0, t1 uint32) ([]Record, error) {
+// DeviceBlocks visits, in append order, the records of device whose time
+// bounds overlap [t0, t1], as the Blocks the log stores: read back from
+// disk (or the read cache), CRC-verified and walked, not decoded. A read
+// racing a concurrent compaction serves the generation it started in; an
+// error from visit ends the read and is returned.
+func (s *ShardedLog) DeviceBlocks(device string, t0, t1 uint32, visit func(Block) error) error {
 	if err := s.live(); err != nil {
+		return err
+	}
+	return s.shardFor(device).deviceBlocks(device, t0, t1, visit)
+}
+
+// Query is DeviceBlocks decoded: each record with Keys of its own.
+func (s *ShardedLog) Query(device string, t0, t1 uint32) (recs []Record, err error) {
+	if err = s.DeviceBlocks(device, t0, t1, decodeInto(&recs)); err != nil {
 		return nil, err
 	}
-	return s.shardFor(device).Query(device, t0, t1)
+	return recs, nil
 }
 
 // DeviceSpan returns the record count and overall time bounds indexed
@@ -462,48 +473,40 @@ func (s *ShardedLog) Stats() Stats {
 		out.Devices += st.Devices
 		out.Bytes += st.Bytes
 		out.Truncated += st.Truncated
+		out.Unsynced += st.Unsynced
 		out.Gen += st.Gen
 	}
 	return out
 }
 
-// QueryWindow answers the spatio-temporal window query across all
-// shards (see window.go for the record contract). Results concatenate
-// in shard order: within a shard they are in log order, but there is no
-// global order across shards — callers needing one must sort.
+// WindowBlocks visits, as stored Blocks, every record with at least one
+// consecutive key-point pair whose bounding box intersects [minX, maxX] ×
+// [minY, maxY] (degrees: X longitude, Y latitude) and whose time span
+// overlaps [t0, t1], and returns the pruning statistics. Shards are read
+// one after the other, each in log order (there is no global order), and
+// nothing is held back: a visitor that copies blocks out keeps the read's
+// memory at one record, one that returns an error ends it there.
+func (s *ShardedLog) WindowBlocks(minX, minY, maxX, maxY float64, t0, t1 uint32, visit func(Block) error) (ws WindowStats, err error) {
+	w, err := newWindow(minX, minY, maxX, maxY, t0, t1)
+	if err == nil {
+		err = s.live()
+	}
+	for i := 0; err == nil && i < len(s.shards); i++ {
+		err = s.shards[i].windowBlocks(w, &ws, visit)
+	}
+	return ws, err
+}
+
+// QueryWindow is WindowBlocks decoded (trajstore.Backend): each record
+// with Keys of its own, concatenated in shard order.
 func (s *ShardedLog) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]Record, error) {
 	recs, _, err := s.QueryWindowStats(minX, minY, maxX, maxY, t0, t1)
 	return recs, err
 }
 
-// QueryWindowStats is QueryWindow plus the pruning statistics summed
-// over shards. Shards are queried concurrently.
-func (s *ShardedLog) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]Record, WindowStats, error) {
-	type shardOut struct {
-		recs []Record
-		ws   WindowStats
-	}
-	if err := s.live(); err != nil {
-		return nil, WindowStats{}, err
-	}
-	outs := make([]shardOut, len(s.shards))
-	err := s.each(func(i int, lg *shardLog) (err error) {
-		outs[i].recs, outs[i].ws, err = lg.QueryWindowStats(minX, minY, maxX, maxY, t0, t1)
-		return err
-	})
-	var recs []Record
-	var ws WindowStats
-	for _, o := range outs {
-		recs = append(recs, o.recs...)
-		ws.Segments += o.ws.Segments
-		ws.SegmentsPruned += o.ws.SegmentsPruned
-		ws.RecordsIndexed += o.ws.RecordsIndexed
-		ws.RecordsPruned += o.ws.RecordsPruned
-		ws.RecordsDecoded += o.ws.RecordsDecoded
-		ws.RecordsMatched += o.ws.RecordsMatched
-		ws.CacheHits += o.ws.CacheHits
-	}
-	if err != nil {
+// QueryWindowStats is QueryWindow plus WindowBlocks' statistics.
+func (s *ShardedLog) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uint32) (recs []Record, ws WindowStats, err error) {
+	if ws, err = s.WindowBlocks(minX, minY, maxX, maxY, t0, t1, decodeInto(&recs)); err != nil {
 		return nil, ws, err
 	}
 	return recs, ws, nil

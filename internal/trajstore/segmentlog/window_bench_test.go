@@ -123,3 +123,61 @@ func BenchmarkQueryWindowCold(b *testing.B) { benchWindowCached(b, 0, false) }
 // BenchmarkQueryWindowCached: the same query with a warm 16 MiB record
 // cache — every record serves from memory (asserted: zero decodes).
 func BenchmarkQueryWindowCached(b *testing.B) { benchWindowCached(b, 16<<20, true) }
+
+// BenchmarkWindowBlocks is the block path the daemon serves from — no
+// record decoded, each matching payload copied into one reused frame
+// buffer — for a selective and a full window, cold (no cache) and served
+// from a warm cache. B/op is the figure: what a query allocates beyond
+// the frame it answers with.
+func BenchmarkWindowBlocks(b *testing.B) {
+	selX0, selY0, selX1, selY1 := cellWindow(10, 11)
+	for _, bc := range []struct {
+		name                   string
+		minX, minY, maxX, maxY float64
+		cacheBytes             int64
+	}{
+		{"selective/cold", selX0, selY0, selX1, selY1, 0},
+		{"selective/cached", selX0, selY0, selX1, selY1, 16 << 20},
+		{"full/cold", -10, -10, 10, 10, 0},
+		{"full/cached", -10, -10, 10, 10, 16 << 20},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := OpenSharded(b.TempDir(), 1, Options{MaxSegmentBytes: 16 << 10, CacheBytes: bc.cacheBytes})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { s.Close() })
+			for d := 0; d < 50; d++ {
+				for r := 0; r < 20; r++ {
+					if err := s.Append(fmt.Sprintf("dev-%03d", d), cellKeys(d, r, 16)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			var frame []byte
+			query := func() WindowStats {
+				frame = frame[:0]
+				ws, err := s.WindowBlocks(bc.minX, bc.minY, bc.maxX, bc.maxY, 0, math.MaxUint32, func(blk Block) error {
+					frame = append(append(frame, blk.Device...), blk.Payload...)
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return ws
+			}
+			ws := query() // populates the cache, sizes the frame
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws = query()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(ws.RecordsMatched), "matched/op")
+			b.ReportMetric(float64(len(frame)), "frame-B/op")
+			if cached := bc.cacheBytes > 0; ws.RecordsMatched == 0 || cached != (ws.CacheHits > 0) || cached == (ws.RecordsDecoded > 0) {
+				b.Fatalf("cache %d B: %+v", bc.cacheBytes, ws)
+			}
+		})
+	}
+}

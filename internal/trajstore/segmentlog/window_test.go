@@ -14,6 +14,41 @@ import (
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
 
+// windowMatch is the reference predicate the block walk (window.check) is
+// held to, on decoded keys and in degrees as the in-memory trajstore
+// ground truth (Query ∩ QueryTime) applies it: the polyline has at least
+// one consecutive key-point pair whose bounding box intersects the window
+// and whose time span overlaps [t0, t1]. Records with fewer than two keys
+// never match.
+func windowMatch(keys []trajstore.GeoKey, minX, minY, maxX, maxY float64, t0, t1 uint32) bool {
+	for i := 0; i+1 < len(keys); i++ {
+		a, b := &keys[i], &keys[i+1]
+		loX, hiX := a.Lon, b.Lon
+		if loX > hiX {
+			loX, hiX = hiX, loX
+		}
+		if loX > maxX || hiX < minX {
+			continue
+		}
+		loY, hiY := a.Lat, b.Lat
+		if loY > hiY {
+			loY, hiY = hiY, loY
+		}
+		if loY > maxY || hiY < minY {
+			continue
+		}
+		loT, hiT := a.T, b.T
+		if loT > hiT {
+			loT, hiT = hiT, loT
+		}
+		if loT > t1 || hiT < t0 {
+			continue
+		}
+		return true
+	}
+	return false
+}
+
 // cellKeys builds record r of device d: a small trajectory confined to
 // the 0.01°-wide cell at (0.1·d, 0.1·d) degrees, with timestamps
 // 1000+100·r onward shared across devices (so purely spatial windows
