@@ -17,9 +17,9 @@ import (
 // ordered filesystem and loses the file on a reordering one; the
 // ALICE crash-consistency study found exactly this bug in most
 // software it examined. The pairing is required within one function
-// because that is the repo's publish idiom (writeManifest,
-// writeShardsFile); a helper that legitimately splits the protocol
-// must carry a //bqslint:ignore with its reasoning.
+// because that is the repo's publish idiom (publishFile, the tree's one
+// rename, under MANIFEST and SHARDS alike); a helper that legitimately
+// splits the protocol must carry a //bqslint:ignore with its reasoning.
 var RenameSync = &Analyzer{
 	Name: "renamesync",
 	Doc:  "a Rename publishing a file must be followed by a directory fsync (syncDir) in the same function",

@@ -65,8 +65,9 @@ type Config struct {
 	// wire format. The engine takes ownership: Sync doubles as the
 	// durability barrier and Close closes the persister. A value that
 	// is a full trajstore.Backend (segmentlog.ShardedLog) additionally
-	// gets per-shard append binding, compaction, durable window queries
-	// and cache/reclaim statistics; one with just these three methods
+	// gets its trails as the blocks they already are (AppendTrail),
+	// compaction, durable window queries and cache/reclaim statistics;
+	// one with just these three methods
 	// is used append-only: QueryWindow then sees only what has not been
 	// appended yet. Key points reach the wire format's degrees through
 	// trajstore.MetersPerDegree, so with a Persister Ingest refuses a

@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
@@ -216,25 +215,7 @@ func writeBlockIndex(fsys vfs.FS, segPath string, segSize int64, metas []recordM
 	if !ok {
 		return fmt.Errorf("segmentlog: %s is not a canonical segment name", segPath)
 	}
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("segmentlog: block index: %w", err)
-	}
-	if _, err := f.Write(formatBlockIndex(segSize, metas)); err != nil {
-		_ = f.Close() // publish failed; the write error is the story
-		fsys.Remove(path)
-		return fmt.Errorf("segmentlog: block index: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // publish failed; the fsync error is the story
-		fsys.Remove(path)
-		return fmt.Errorf("segmentlog: block index: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(path)
-		return fmt.Errorf("segmentlog: block index: %w", err)
-	}
-	return nil
+	return writeFileSync(fsys, "block index", path, formatBlockIndex(segSize, metas))
 }
 
 // loadBlockIndex reads and validates the index of segPath, additionally

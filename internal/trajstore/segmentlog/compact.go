@@ -45,7 +45,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"time"
 
@@ -71,12 +70,6 @@ type CompactionPolicy struct {
 	// Now substitutes the ageing clock; nil means time.Now. Tests use
 	// it to age deterministically.
 	Now func() time.Time
-	// Workers is the number of goroutines reading and rewriting devices
-	// concurrently. It also bounds the pass's peak memory: at most
-	// Workers devices' records are alive at once (see Compact).
-	// ≤ 0 means GOMAXPROCS. Like Now, it does not affect the output, so
-	// the memo fast path ignores it.
-	Workers int
 }
 
 // CompactionResult reports what one Compact call did.
@@ -116,7 +109,7 @@ type devOut struct {
 	err                   error
 }
 
-// Compact rewrites every sealed segment (all but the active one) through
+// compact rewrites every sealed segment (all but the active one) through
 // the merge/dedup/ageing pipeline and atomically publishes the result as
 // a new manifest generation. Appends and queries proceed concurrently;
 // compactions serialize with each other. On any failure — including a
@@ -125,12 +118,13 @@ type devOut struct {
 // swept by the next Open.
 //
 // Memory and parallelism: the pass streams — devices are read and
-// rewritten one at a time by a pool of Workers goroutines, and a device's
+// rewritten one at a time by a pool of workers goroutines, and a device's
 // records are released as soon as the ordered writer has framed them, so
-// peak usage is bounded by the Workers largest devices, never the whole
-// sealed log. Record reads go through the per-record offsets the block
+// peak usage is bounded by the workers largest devices, never the whole
+// sealed log. The count does not affect the output (ShardedLog.Compact
+// derives it). Record reads go through the per-record offsets the block
 // index recovered (pread, CRC-verified), not a whole-file slurp.
-func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
+func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, error) {
 	var res CompactionResult
 	if math.IsNaN(p.CoarseTolerance) || p.CoarseTolerance < 0 {
 		return res, fmt.Errorf("segmentlog: CoarseTolerance must be ≥ 0")
@@ -142,10 +136,6 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 			return res, fmt.Errorf("segmentlog: age compressor: %w", err)
 		}
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	now := time.Now
 	if p.Now != nil {
 		now = p.Now
@@ -154,9 +144,10 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
 
-	// The sealed prefix is immutable from here on: appends only touch
-	// the active segment, rotation only adds files, and competing
-	// compactions are excluded by compactMu.
+	// The sealed prefix is immutable from here on — appends, rotation and
+	// heal only touch the active entry and what follows it, and competing
+	// compactions are excluded by compactMu — so the pass reads it, records
+	// included, without the lock.
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -166,10 +157,10 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 		l.mu.Unlock()
 		return res, ErrReadOnly
 	}
-	nSealed := len(l.segs) - 1
+	sealed := l.segs[: len(l.segs)-1 : len(l.segs)-1]
 	genAtSnap := l.gen
 	l.mu.Unlock()
-	if nSealed == 0 {
+	if len(sealed) == 0 {
 		return res, nil
 	}
 
@@ -186,28 +177,28 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 		return res, nil
 	}
 
-	// Metadata scan: snapshot the sealed segments and group their record
-	// locations per device in append order — no payload is read here. A
-	// sealed segment without a live block index (its
-	// write failed at rotation) marks the pass as a reseal: even a
-	// record-identical rewrite is then worthwhile, because the output
-	// carries the sealed indexes the input lacked.
+	// Each device's sealed records, in append order, are the head of its
+	// index list — the entries below the active segment — and as immutable
+	// as the prefix they point into: an append extends a list, poison and
+	// heal pop and re-add active-segment entries only, and the one rebuild
+	// is this pass's own publish. The pass reads them in place rather than
+	// hold a third entry per sealed record for its whole length.
 	l.mu.Lock()
-	if err := l.ensureAllLoadedLocked(); err != nil {
-		l.mu.Unlock()
-		return res, err
-	}
-	sealed := append([]segmentFile(nil), l.segs[:nSealed]...)
-	perDev := make(map[string][]refSnap)
-	for si := 0; si < nSealed; si++ {
-		for _, rm := range l.segRecs[si] {
-			perDev[rm.device] = append(perDev[rm.device], refSnap{seg: si, off: rm.off, bodyLen: rm.bodyLen})
+	perDev := make(map[string][]recordAddr, len(l.index))
+	for dev, addrs := range l.index {
+		n := sort.Search(len(addrs), func(i int) bool { return int(addrs[i].seg) >= len(sealed) })
+		if n > 0 {
+			perDev[dev] = addrs[:n:n]
 		}
-		res.RecordsIn += len(l.segRecs[si])
 	}
 	l.mu.Unlock()
+	// A sealed segment without a live block index (its write failed at
+	// rotation) marks the pass as a reseal: even a record-identical rewrite
+	// is then worthwhile, because the output carries the sealed indexes the
+	// input lacked.
 	reseal := false
 	for _, sf := range sealed {
+		res.RecordsIn += len(sf.recs)
 		res.SegmentsIn++
 		res.BytesIn += sf.size
 		if !sf.idx {
@@ -253,7 +244,7 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range work {
-				results[i] <- l.compactDevice(perDev[devices[i]], files, p, cutoff)
+				results[i] <- l.compactDevice(perDev[devices[i]], sealed, files, p, cutoff)
 			}
 		}()
 	}
@@ -311,7 +302,7 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 
 	// Seal the output segments and their block indexes (unreferenced
 	// until the manifest rename below).
-	newSegs, newRecs, err := cw.finish()
+	newSegs, err := cw.finish()
 	if err != nil {
 		return res, err
 	}
@@ -320,23 +311,20 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 		res.BytesOut += s.size
 	}
 	// Publish: swap the sealed prefix for the new segments in one
-	// manifest generation, then rebuild the in-memory view to match.
+	// manifest generation, then rebuild the index to match.
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return res, ErrClosed
 	}
-	S := len(sealed)
-	tail := l.segs[S:] // active segment + any sealed during compaction
-	tailRecs := l.segRecs[S:]
-	tailOnlyActive := len(tail) == 1
-	combined := append(append([]segmentFile(nil), newSegs...), tail...)
-	combinedRecs := append(append([][]recordMeta(nil), newRecs...), tailRecs...)
-	if err := writeManifest(l.fs, l.dir, manifest{Gen: l.gen + 1, Segs: manifestSegs(combined)}); err != nil {
+	prev := l.segs
+	tailOnlyActive := len(prev) == len(sealed)+1 // else rotation sealed more during the pass
+	l.segs = append(newSegs, prev[len(sealed):]...)
+	if err := l.writeManifestLocked(); err != nil {
+		l.segs = prev
 		l.mu.Unlock()
 		return res, err
 	}
-	l.gen++
 	res.Gen = l.gen
 	// The generation bump just orphaned every cache entry for the
 	// superseded segments; account the net disk reclaim of this pass.
@@ -344,11 +332,7 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	// the output segments were sealed above and the tail was never an
 	// input.
 	l.reclaimed.Add(res.BytesIn - res.BytesOut)
-
-	l.segs = combined
-	l.segRecs = combinedRecs
 	l.rebuildIndexLocked()
-	l.recountBytesLocked()
 	l.mu.Unlock()
 
 	// Delete the superseded generation — segment files and their block
@@ -382,25 +366,26 @@ func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 }
 
 // compactDevice is the worker side of the streaming compactor: it reads
-// one device's sealed records (pread through the indexed offsets, CRC
-// re-verified), opens their blocks and runs the merge/dedup/ageing
+// one device's sealed records — addrs, into sealed — (pread through the
+// indexed offsets, CRC re-verified), opens their blocks and runs the merge/dedup/ageing
 // pipeline on them. Every record was valid when Open indexed it, so
 // anything that fails to validate now is bit rot — the pass must abort
 // (leaving the old generation untouched) rather than drop the record and
 // then delete its only copy. out.decoded is reported even on error so the
 // writer's live-memory accounting stays balanced.
-func (l *shardLog) compactDevice(refs []refSnap, files *segReader, p CompactionPolicy, cutoff uint32) (out devOut) {
+func (l *shardLog) compactDevice(addrs []recordAddr, sealed []segmentFile, files *segReader, p CompactionPolicy, cutoff uint32) (out devOut) {
 	out.nextAgeT1 = math.MaxUint32
-	recs := make([]compactRecord, 0, len(refs))
-	for _, ref := range refs {
+	recs := make([]compactRecord, 0, len(addrs))
+	for _, a := range addrs {
 		var tr trajstore.Trail
-		blk, err := files.readBlock(ref)
+		m := &sealed[a.seg].recs[a.pos]
+		blk, err := files.readBlock(refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
 		if err == nil {
 			tr, err = trajstore.OpenTrail(blk.Payload)
 		}
 		if err != nil {
 			out.err = fmt.Errorf("compact: %s: record at offset %d: %w (bit rot since open?)",
-				filepath.Base(files.paths[ref.seg]), ref.off, err)
+				filepath.Base(sealed[a.seg].path), m.off, err)
 			return out
 		}
 		recs = append(recs, compactRecord{device: blk.Device, t0: blk.T0, t1: blk.T1, trail: tr})
@@ -559,13 +544,11 @@ func ageKeys(keys []trajstore.GeoKey, p CompactionPolicy) ([]trajstore.GeoKey, e
 // them, so discard (or a crash) just leaves garbage the next Open
 // sweeps.
 type compactWriter struct {
-	l       *shardLog
-	segs    []segmentFile
-	segRecs [][]recordMeta
-	cur     []recordMeta
-	f       vfs.File
-	off     int64
-	buf     []byte
+	l    *shardLog
+	segs []segmentFile // the last one is open (f != nil) or sealed
+	f    vfs.File
+	off  int64
+	buf  []byte
 }
 
 // closeCurrent seals the open output segment: fsync, close, block
@@ -586,13 +569,11 @@ func (w *compactWriter) closeCurrent() error {
 		return err
 	}
 	w.f = nil
-	if err := writeBlockIndex(w.l.fs, s.path, s.size, w.cur); err != nil {
+	if err := writeBlockIndex(w.l.fs, s.path, s.size, s.recs); err != nil {
 		return err
 	}
 	s.idx = true
-	s.sum = sumOf(w.cur)
-	w.segRecs = append(w.segRecs, w.cur)
-	w.cur = nil
+	s.sum = sumOf(s.recs)
 	return nil
 }
 
@@ -614,24 +595,19 @@ func (w *compactWriter) add(r compactRecord) (err error) {
 		seq := w.l.nextSeq
 		w.l.nextSeq++
 		w.l.mu.Unlock()
-		path := filepath.Join(w.l.dir, segName(seq))
-		nf, err := w.l.fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		f, seg, err := w.l.createSegmentFile(seq)
 		if err != nil {
-			return fmt.Errorf("segmentlog: compact: %w", err)
-		}
-		if err := writeHeader(nf); err != nil {
-			_ = nf.Close() // creation failed; discard() sweeps the file
 			return err
 		}
-		w.f = nf
-		w.off = headerSize
-		w.segs = append(w.segs, segmentFile{path: path, size: headerSize})
+		w.f, w.off = f, headerSize
+		w.segs = append(w.segs, seg)
 	}
 	if _, err := w.f.Write(w.buf); err != nil {
 		w.closeCurrent()
 		return fmt.Errorf("segmentlog: compact: %w", err)
 	}
-	w.cur = append(w.cur, recordMeta{
+	s := &w.segs[len(w.segs)-1]
+	s.recs = append(s.recs, recordMeta{
 		device: r.device, off: w.off + recordHeaderSize, bodyLen: len(w.buf) - recordHeaderSize, Bounds: b,
 	})
 	w.off += int64(len(w.buf))
@@ -639,16 +615,16 @@ func (w *compactWriter) add(r compactRecord) (err error) {
 }
 
 // finish seals the last segment and makes the output set durable.
-func (w *compactWriter) finish() ([]segmentFile, [][]recordMeta, error) {
+func (w *compactWriter) finish() ([]segmentFile, error) {
 	if err := w.closeCurrent(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(w.segs) > 0 {
 		if err := syncDir(w.l.fs, w.l.dir); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return w.segs, w.segRecs, nil
+	return w.segs, nil
 }
 
 // discard abandons the output: the files were never referenced by a
@@ -665,5 +641,5 @@ func (w *compactWriter) discard() {
 			w.l.fs.Remove(ip)
 		}
 	}
-	w.segs, w.segRecs, w.cur = nil, nil, nil
+	w.segs = nil
 }

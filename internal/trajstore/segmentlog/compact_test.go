@@ -311,6 +311,7 @@ func verifyFixture(t *testing.T, dir string, want map[string][]trajstore.GeoKey,
 			t.Fatalf("%s: %s polyline diverged after recovery", ctx, dev)
 		}
 	}
+	checkView(t, l)
 	// Recovered log accepts appends and they survive another cycle.
 	extra := genKeys(77, 9)
 	if err := l.Append("post", extra); err != nil {
@@ -324,11 +325,14 @@ func verifyFixture(t *testing.T, dir string, want map[string][]trajstore.GeoKey,
 	if recs := queryAll(t, l2, "post"); len(recs) != 1 || !reflect.DeepEqual(recs[0].Keys, extra) {
 		t.Fatalf("%s: post-recovery append lost", ctx)
 	}
+	checkView(t, l2)
 }
 
-// TestCompactCrashAtEveryStep power-fails compaction at every single
-// filesystem operation it performs — each write, fsync, rename and
-// delete — via vfs.FaultFS, and verifies each reopen recovers exactly
+// TestCompactCrashAtEveryStep power-fails a reopened log at every single
+// filesystem operation of its open (the index reads a compaction works
+// from are the open's), of a synced append into the live tail, of the
+// compaction — each write, fsync, rename and delete — and of the Close
+// after it, via vfs.FaultFS, and verifies each reopen recovers exactly
 // one consistent generation with every committed record intact: the
 // old generation before the MANIFEST rename became durable, the new
 // one after. The crash model is the hostile one: handles drop their
@@ -336,42 +340,51 @@ func verifyFixture(t *testing.T, dir string, want map[string][]trajstore.GeoKey,
 // the directory (a seeded coin flip), so the sweep crosses the
 // crash-after-partial-rename window both ways.
 func TestCompactCrashAtEveryStep(t *testing.T) {
-	// Observer pass: an identical fixture compacted over a ruleless
-	// FaultFS measures the op window (n0, n1] a compaction spans. The
-	// fixture content is deterministic and shard-free, so op k lands on
-	// the same operation in every run.
+	// The script: whatever fails, go on. A tail record a Sync covered
+	// must survive anything the compaction beside it dies of.
+	tail := genKeys(55, 9)
+	script := func(l *shardLog) (tailDurable bool, err error) {
+		tailDurable = l.Append("tail", tail) == nil && l.Sync() == nil
+		_, err = l.Compact(CompactionPolicy{MergeChunks: true})
+		return tailDurable, errors.Join(err, l.Close())
+	}
+	// Observer pass: the script over a ruleless FaultFS counts its ops,
+	// and the compaction's among them. The fixture content is
+	// deterministic and shard-free, so op k lands on the same operation
+	// in every run.
 	probeDir, _ := compactionFixture(t)
 	obs := vfs.NewFaultFS(0)
 	probe := mustOpen(t, probeDir, Options{MaxSegmentBytes: 512, FS: obs})
 	n0 := obs.Ops()
-	if _, err := probe.Compact(CompactionPolicy{MergeChunks: true}); err != nil {
-		t.Fatal(err)
+	if ok, err := script(probe); !ok || err != nil {
+		t.Fatalf("script on a healthy filesystem: tail durable %v, %v", ok, err)
 	}
 	n1 := obs.Ops()
-	probe.Close()
 	if n1-n0 < 10 {
 		t.Fatalf("compaction spanned only %d fs ops; observer pass broken?", n1-n0)
 	}
 
-	for k := n0 + 1; k <= n1; k++ {
+	for k := 1; k <= n1; k++ {
 		k := k
 		t.Run(fmt.Sprintf("op-%03d", k), func(t *testing.T) {
 			t.Parallel()
 			dir, want := compactionFixture(t)
 			fs := vfs.NewFaultFS(int64(k)) // seed varies the torn-rename coin flips
 			fs.AddRule(vfs.Rule{Fault: vfs.FaultCrash, After: k - 1, Count: 1})
-			l, err := openShardLog(dir, Options{MaxSegmentBytes: 512, FS: fs})
-			if err != nil {
+			// An open the crash kills (k ≤ n0) is a legal outcome; past it
+			// the script usually dies at op k — a crash inside a
+			// best-effort step can still report success. Either way the
+			// handle is dead afterwards.
+			if l, err := openShardLog(dir, Options{MaxSegmentBytes: 512, FS: fs}); err == nil {
+				if tailDurable, _ := script(l); tailDurable {
+					want["tail"] = tail
+				}
+			} else if k > n0 {
 				t.Fatalf("open died before the crash point: %v", err)
 			}
-			// The pass usually dies at op k; a crash inside the
-			// best-effort delete sweep can still report success. Either
-			// way the handle is dead afterwards.
-			_, _ = l.Compact(CompactionPolicy{MergeChunks: true})
 			if !fs.Crashed() {
 				t.Fatalf("schedule never crashed: %s", fs)
 			}
-			l.Close()
 			verifyFixture(t, dir, want, fmt.Sprintf("crash at op %d", k))
 		})
 	}
@@ -439,6 +452,73 @@ func TestCompactConcurrentQuery(t *testing.T) {
 	if recs := queryAll(t, l, "writer"); len(recs) != 30 {
 		t.Fatalf("writer records lost during compaction: %d", len(recs))
 	}
+}
+
+// TestCompactBesidePoisonAndHeal: a pass reads each device's sealed
+// records as the head of its index list while the writer extends the same
+// lists, rotates, and — around failed fsyncs — pops their tails and
+// re-adds them. Every polyline must come out whole, and (under -race) the
+// two sides must never touch the same entry.
+func TestCompactBesidePoisonAndHeal(t *testing.T) {
+	fs := vfs.NewFaultFS(11)
+	l := mustOpen(t, t.TempDir(), Options{FS: fs, MaxSegmentBytes: 1024})
+	defer l.Close()
+	const devices = 4
+	tracks := make([][]trajstore.GeoKey, devices)
+	chunks := make([][][]trajstore.GeoKey, devices)
+	for d := range tracks {
+		tracks[d] = genKeys(d+1, 400)
+		chunks[d] = chunkKeys(tracks[d], 8)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	published := 0
+	wg.Add(1)
+	go func() { // failed passes are fine here: the fsync faults hit them too
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				if res, err := l.Compact(CompactionPolicy{MergeChunks: true}); err == nil && res.Gen != 0 {
+					published++
+				}
+			}
+		}
+	}()
+	for i := range chunks[0] {
+		for d := range chunks {
+			if err := l.Append(fmt.Sprintf("dev-%d", d), chunks[d][i]); err != nil {
+				t.Fatalf("append %d/%d: %v", d, i, err)
+			}
+		}
+		if i%10 == 9 { // poison: the at-risk tail leaves the index ...
+			fs.AddRule(vfs.Rule{Op: vfs.OpSync, Path: "seg-*.log", Fault: vfs.FaultEIO})
+			if err := l.Sync(); err == nil {
+				t.Fatal("Sync succeeded while every fsync fails")
+			}
+			fs.ClearRules() // ... and the next append heals it back in
+		}
+	}
+	close(done)
+	wg.Wait()
+	if published == 0 {
+		t.Fatal("no pass published beside the writer: the test proved nothing")
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Compact(CompactionPolicy{MergeChunks: true}); err != nil {
+		t.Fatal(err)
+	}
+	for d := range tracks {
+		if got := stitch(queryAll(t, l, fmt.Sprintf("dev-%d", d))); !reflect.DeepEqual(got, tracks[d]) {
+			t.Errorf("dev-%d: %d keys after compaction beside poison and heal, want %d", d, len(got), len(tracks[d]))
+		}
+	}
+	checkView(t, l)
 }
 
 // TestCompactReadOnlyRefused: a read-only handle cannot compact.

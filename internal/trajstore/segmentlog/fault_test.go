@@ -145,6 +145,7 @@ func TestPoisonedAppendHeals(t *testing.T) {
 	if err := l.Append("dev", rejected); err == nil {
 		t.Fatal("Append on a poisoned log with a sick disk must fail")
 	}
+	checkView(t, l) // poisoned: the withdrawn record is out of every figure
 	// Disk recovers: the next append heals first, then lands.
 	fs.ClearRules()
 	second := genKeys(3, 10)
@@ -154,6 +155,7 @@ func TestPoisonedAppendHeals(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	checkView(t, l)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,6 +316,7 @@ func runFaultSchedule(t *testing.T, seed int64) {
 			t.Fatalf("%s: record %s corrupted after reopen", fs, r.dev)
 		}
 	}
+	checkView(t, l2)
 }
 
 // TestWriteBehindBound: with no Sync from the caller at all, the log

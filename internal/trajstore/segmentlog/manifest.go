@@ -43,7 +43,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -57,7 +56,7 @@ const (
 	// manifestName is the manifest's file name inside the log directory.
 	manifestName = "MANIFEST"
 	// manifestTmpName is the staging name for atomic replacement.
-	manifestTmpName = "MANIFEST.tmp"
+	manifestTmpName = manifestName + tmpSuffix
 	// manifestMagic is the first-line magic + format version.
 	manifestMagic = "BQSMANIFEST 2"
 	// maxManifestSegs bounds the number of seg lines a parser accepts, so
@@ -121,8 +120,7 @@ func formatManifest(m manifest) []byte {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "crc %08x\n", crc32.Checksum(b.Bytes(), castagnoli))
-	return b.Bytes()
+	return sealText(b.Bytes())
 }
 
 // parseSum decodes a "sum=" field value.
@@ -167,24 +165,10 @@ func parseSum(v string) (*segSummary, error) {
 // segment file there is no "valid prefix" to salvage.
 func parseManifest(data []byte) (manifest, error) {
 	var m manifest
-	crcAt := bytes.LastIndex(data, []byte("\ncrc "))
-	if crcAt < 0 {
-		return m, fmt.Errorf("%w: manifest: missing crc line", ErrCorrupt)
+	covered, err := unsealText("manifest", data)
+	if err != nil {
+		return m, err
 	}
-	covered := data[:crcAt+1] // everything the CRC seals, incl. the newline
-	crcLine := string(data[crcAt+1:])
-	if !strings.HasSuffix(crcLine, "\n") {
-		return m, fmt.Errorf("%w: manifest: truncated crc line", ErrCorrupt)
-	}
-	crcHex := strings.TrimSuffix(strings.TrimPrefix(crcLine, "crc "), "\n")
-	want, err := strconv.ParseUint(crcHex, 16, 32)
-	if err != nil || len(crcHex) != 8 {
-		return m, fmt.Errorf("%w: manifest: bad crc field", ErrCorrupt)
-	}
-	if got := crc32.Checksum(covered, castagnoli); got != uint32(want) {
-		return m, fmt.Errorf("%w: manifest: crc mismatch (%08x != %08x)", ErrCorrupt, got, want)
-	}
-
 	sc := bufio.NewScanner(bytes.NewReader(covered))
 	if !sc.Scan() {
 		return m, fmt.Errorf("%w: manifest: empty", ErrCorrupt)
@@ -269,32 +253,7 @@ func readManifest(fsys vfs.FS, dir string) (m manifest, found bool, err error) {
 	return m, true, nil
 }
 
-// writeManifest atomically replaces dir's MANIFEST with m: temp file,
-// fsync, rename, directory fsync. On any error the previous manifest is
-// untouched.
+// writeManifest atomically replaces dir's MANIFEST with m (publishFile).
 func writeManifest(fsys vfs.FS, dir string, m manifest) error {
-	tmp := filepath.Join(dir, manifestTmpName)
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("segmentlog: manifest: %w", err)
-	}
-	if _, err := f.Write(formatManifest(m)); err != nil {
-		_ = f.Close() // publish failed; the write error is the story
-		fsys.Remove(tmp)
-		return fmt.Errorf("segmentlog: manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // publish failed; the fsync error is the story
-		fsys.Remove(tmp)
-		return fmt.Errorf("segmentlog: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("segmentlog: manifest: %w", err)
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("segmentlog: manifest: %w", err)
-	}
-	return syncDir(fsys, dir)
+	return publishFile(fsys, "manifest", dir, manifestName, formatManifest(m))
 }

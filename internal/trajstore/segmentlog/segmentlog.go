@@ -45,6 +45,7 @@
 package segmentlog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -151,7 +152,7 @@ type Record = trajstore.PersistedRecord
 
 // recordMeta is the indexed metadata of one record: where it lives in
 // its segment file and everything a query can prune on without
-// decoding the payload. It is rebuilt on Open from the segment's block
+// decoding the payload. It is read on Open from the segment's block
 // index (or by scanning the file) and is the unit the block index
 // serializes.
 type recordMeta struct {
@@ -162,18 +163,21 @@ type recordMeta struct {
 }
 
 // recordAddr locates one record for the per-device index: the segment
-// slot in shardLog.segs and the position within that segment's meta list.
+// slot in shardLog.segs and the position within that segment's recs.
 type recordAddr struct {
 	seg, pos int32
 }
 
-// segmentFile is one on-disk segment.
+// segmentFile is one on-disk segment and everything the log knows about
+// it, complete from the moment openShardLog returns. size is taken when
+// the segment is loaded or sealed; while a segment is the active one its
+// live size is shardLog.off.
 type segmentFile struct {
 	path string
-	size int64 // valid bytes (post-recovery, including header)
-	idx  bool  // a sealed block-index file is live for this segment
-	lazy bool  // per-record metadata not loaded yet; sum/size come from the manifest/stat
-	sum  segSummary
+	size int64        // valid bytes, header included
+	idx  bool         // a sealed block-index file is live for this segment
+	sum  segSummary   // union of recs' bounds: what a window prunes the whole file on
+	recs []recordMeta // every record, in file order
 }
 
 // refSnap locates one record for a read outside the lock.
@@ -230,11 +234,6 @@ type shardLog struct {
 	compactLive    atomic.Int64
 	compactLiveHWM atomic.Int64
 
-	// loadHook, when non-nil, observes every lazy segment load (called
-	// under mu with the segment path). Test-only: it pins the "cold
-	// segments cost nothing until read" property of lazy opens.
-	loadHook func(path string)
-
 	// cache is the read-side record cache (nil when not configured);
 	// possibly shared with other shard logs. See cache.go.
 	cache *recordCache
@@ -247,17 +246,20 @@ type shardLog struct {
 	closed  bool
 	gen     uint64 // last manifest generation written (or read, in RO mode)
 	nextSeq uint64 // next segment file number to allocate
-	segs    []segmentFile
-	segRecs [][]recordMeta          // parallel to segs: record metadata in file order (nil while a segment is lazy)
-	index   map[string][]recordAddr // device → records, append order; stale while indexDirty
-	// indexDirty is set while at least one lazily deferred segment has
-	// not been folded into the per-device index. Per-device paths call
-	// ensureAllLoadedLocked, which loads every deferred segment and
-	// rebuilds the index; window queries load only the segments their
-	// summary pruning cannot skip and leave the flag set.
-	indexDirty bool
-	active     vfs.File // write handle of segs[len(segs)-1] (nil in RO mode)
-	off        int64    // logical size of the active segment (incl. unwritten appends)
+	// segs is the log's one in-memory view: the live segments in logical
+	// order, the active one last, each carrying its own records. Stats,
+	// the manifest and index are read off it.
+	segs []segmentFile
+	// index lists each device's records in append order. It is derived
+	// from segs: extended by every append, popped and re-added around a
+	// poisoned tail, rebuilt where the segment list is replaced (the end
+	// of open, a compaction publish).
+	index map[string][]recordAddr
+	// truncated counts the torn or corrupt bytes recovery dropped on open
+	// (Stats.Truncated) — the one figure segs cannot reproduce.
+	truncated int64
+	active    vfs.File // write handle of segs[len(segs)-1] (nil in RO mode)
+	off       int64    // logical size of the active segment (incl. unwritten appends)
 	// syncedOff is the active-segment offset covered by the last
 	// successful fsync: everything below it is durable, everything at
 	// or above it exists only in the page cache (and in unsynced).
@@ -282,7 +284,6 @@ type shardLog struct {
 	// even though their segment bytes may be gone) and re-indexed by a
 	// successful heal.
 	atRisk []recordMeta
-	stats  Stats
 }
 
 // compactLiveAdd advances the live record count and its
@@ -297,43 +298,40 @@ func (l *shardLog) compactLiveAdd(n int) {
 	}
 }
 
-// addRecordLocked indexes one record of segment slot seg: the segment's
-// meta list, the per-device index and the segment summary all advance
-// together. Callers hold mu (or are inside openShardLog).
-func (l *shardLog) addRecordLocked(seg int, m recordMeta) {
-	l.index[m.device] = append(l.index[m.device], recordAddr{seg: int32(seg), pos: int32(len(l.segRecs[seg]))})
-	l.segRecs[seg] = append(l.segRecs[seg], m)
-	l.segs[seg].sum.add(m.Bounds)
-	l.stats.Records++
+// addRecordLocked appends one record to the last segment: its record
+// list, its summary and the per-device index advance together. Callers
+// hold mu.
+func (l *shardLog) addRecordLocked(m recordMeta) {
+	seg := len(l.segs) - 1
+	s := &l.segs[seg]
+	l.index[m.device] = append(l.index[m.device], recordAddr{seg: int32(seg), pos: int32(len(s.recs))})
+	s.recs = append(s.recs, m)
+	s.sum.add(m.Bounds)
 }
 
-// rebuildIndexLocked reconstructs the per-device index (and the record
-// count) from segRecs after compaction replaced the segment list.
-// Iterating segments in logical order preserves per-device append
-// order, the Query contract.
+// rebuildIndexLocked reconstructs the per-device index where the segment
+// list was replaced. Iterating segments in logical order preserves
+// per-device append order, the Query contract.
 func (l *shardLog) rebuildIndexLocked() {
 	idx := make(map[string][]recordAddr, len(l.index))
-	records := 0
-	for si := range l.segRecs {
-		for pi := range l.segRecs[si] {
-			dev := l.segRecs[si][pi].device
+	for si := range l.segs {
+		for pi := range l.segs[si].recs {
+			dev := l.segs[si].recs[pi].device
 			idx[dev] = append(idx[dev], recordAddr{seg: int32(si), pos: int32(pi)})
 		}
-		records += len(l.segRecs[si])
 	}
 	l.index = idx
-	l.stats.Records = records
 }
 
 // openShardLog opens (creating if necessary) the shard log in dir: it
 // loads the MANIFEST (falling back to a lexical scan of the segment
 // files when a crash during the directory's first open left none, and
-// publishing one), removes files a crashed compaction left
-// unreferenced, rebuilds the index of every live segment — from its
-// sealed block index when one loads cleanly, by scanning the file
-// otherwise — truncates any torn tail, and readies the last segment for
-// appending. With Options.ReadOnly it does none of the mutating parts —
-// no cleanup, no truncation, no appending.
+// publishing one), loads every live segment's records (loadSegment),
+// truncating any torn tail, removes files a crashed compaction left
+// unreferenced, and readies the last segment for appending: the view is
+// complete, and a damaged segment refused, before it returns. With
+// Options.ReadOnly it does none of the mutating parts — no cleanup, no
+// truncation, no appending.
 func openShardLog(dir string, opts Options) (*shardLog, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = DefaultMaxSegmentBytes
@@ -387,14 +385,16 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 		}
 	}
 	for i, ent := range entries {
-		path := filepath.Join(dir, ent.Name)
-		if err := l.loadSegment(path, ent, i == len(entries)-1); err != nil {
+		seg, err := l.loadSegment(filepath.Join(dir, ent.Name), ent, i == len(entries)-1)
+		if err != nil {
 			return nil, err
 		}
+		l.segs = append(l.segs, seg)
 		if n, ok := parseSegName(ent.Name); ok && n >= l.nextSeq {
 			l.nextSeq = n + 1
 		}
 	}
+	l.rebuildIndexLocked()
 	if l.nextSeq == 0 {
 		l.nextSeq = 1
 	}
@@ -429,10 +429,8 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 			return nil, err
 		}
 		l.segs = append(l.segs, seg)
-		l.segRecs = append(l.segRecs, nil)
 		l.active = f
 		l.off = headerSize
-		l.stats.Bytes += headerSize
 	} else {
 		// Reopen the last segment for appending at its recovered size.
 		last := &l.segs[len(l.segs)-1]
@@ -459,136 +457,29 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 	return l, nil
 }
 
-// loadSegment rebuilds one live segment's index: a sealed segment whose
-// manifest entry carries both a block-index reference and a summary is
-// deferred entirely — the CRC-protected manifest already provides the
-// size-class metadata (record count, time bounds, bbox union) that
-// opens, stats and window-query pruning need, so the segment costs no
-// read and no per-record memory until a query actually touches it (see
-// ensureSegLoadedLocked). Everything else loads eagerly: from the block
-// index when it validates, by a full scan otherwise. On writable opens
-// a sealed segment that had to be scanned gets its block index
-// (re)built from the scan, so the next open is cheap again.
-func (l *shardLog) loadSegment(path string, ent manifestSeg, final bool) error {
+// loadSegment reads one live segment's records — the only loader. A
+// sealed segment the manifest marks idx comes through its block index
+// when that validates: size, CRC and, where the entry carries one, the
+// manifest's summary — both were sealed from the same metadata, so an
+// index that diverges from the CRC-protected manifest (a stale file from
+// an earlier life of this sequence number, a crafted CRC collision) is
+// rejected. Anything else is scanned (readSegment), and on a writable
+// handle a scanned sealed segment gets its block index (re)built, so the
+// next open is cheap again.
+func (l *shardLog) loadSegment(path string, ent manifestSeg, final bool) (segmentFile, error) {
 	if !final && ent.Idx {
-		if ent.Sum != nil {
-			fi, err := l.fs.Stat(path)
-			if err != nil {
-				return fmt.Errorf("segmentlog: %w", err)
+		if size, metas, err := loadBlockIndex(l.fs, path); err == nil {
+			if sum := sumOf(metas); ent.Sum == nil || sum == *ent.Sum {
+				return segmentFile{path: path, size: size, idx: true, sum: sum, recs: metas}, nil
 			}
-			l.segs = append(l.segs, segmentFile{
-				path: path, size: fi.Size(), idx: true, lazy: true, sum: *ent.Sum,
-			})
-			l.segRecs = append(l.segRecs, nil)
-			l.stats.Bytes += fi.Size()
-			l.stats.Records += ent.Sum.records
-			l.indexDirty = true
-			return nil
-		}
-		if l.tryLoadIndex(path, ent) {
-			return nil
 		}
 	}
 	metas, valid, err := l.readSegment(path, final)
 	if err != nil {
-		return err
+		return segmentFile{}, err
 	}
 	idx := !l.ro && !final && writeBlockIndex(l.fs, path, valid, metas) == nil
-	l.addSegment(path, valid, idx, metas)
-	return nil
-}
-
-// addSegment appends one loaded segment and indexes its records.
-func (l *shardLog) addSegment(path string, size int64, idx bool, metas []recordMeta) {
-	seg := len(l.segs)
-	l.segs = append(l.segs, segmentFile{path: path, size: size, idx: idx})
-	l.segRecs = append(l.segRecs, nil)
-	if len(metas) > 0 {
-		l.segRecs[seg] = make([]recordMeta, 0, len(metas))
-	}
-	for _, m := range metas {
-		l.addRecordLocked(seg, m)
-	}
-	l.stats.Bytes += size
-}
-
-// sumMatches reports whether the summary computed from metas reproduces
-// a manifest summary. Both were sealed from the same metadata, so the
-// CRC-protected manifest — the log's source of truth — must agree with
-// what the index (or a rescan) claims; a structurally valid index that
-// diverges (a stale file from an earlier life of this sequence number,
-// a crafted CRC collision) is rejected.
-func sumMatches(metas []recordMeta, want segSummary) bool { return sumOf(metas) == want }
-
-// tryLoadIndex loads a sealed segment through its block index; false
-// means the index is missing, corrupt, stale, or in disagreement with
-// the manifest's segment summary, and the caller must scan the segment
-// file instead.
-func (l *shardLog) tryLoadIndex(path string, ent manifestSeg) bool {
-	size, metas, err := loadBlockIndex(l.fs, path)
-	if err != nil {
-		return false
-	}
-	if ent.Sum != nil && !sumMatches(metas, *ent.Sum) {
-		return false
-	}
-	l.addSegment(path, size, true, metas)
-	return true
-}
-
-// ensureSegLoadedLocked materializes a deferred segment's per-record
-// metadata: through its block index when it validates against the
-// manifest summary, by scanning the segment file otherwise — the damage
-// a scan finds is simply discovered at first touch instead of at open,
-// and a writable scan reseals the block index so the next load is cheap
-// again. The loaded records are NOT folded into the per-device index
-// here — segments may load out of logical order, and the index must
-// list a device's records in append order — so the flag indexDirty
-// stays set until ensureAllLoadedLocked rebuilds it. Callers hold mu.
-func (l *shardLog) ensureSegLoadedLocked(si int) error {
-	s := &l.segs[si]
-	if !s.lazy {
-		return nil
-	}
-	if l.loadHook != nil {
-		l.loadHook(s.path)
-	}
-	size, metas, err := loadBlockIndex(l.fs, s.path)
-	idxOK := err == nil && sumMatches(metas, s.sum)
-	if !idxOK {
-		if metas, size, err = l.readSegment(s.path, false); err != nil {
-			return err
-		}
-		idxOK = !l.ro && writeBlockIndex(l.fs, s.path, size, metas) == nil
-	}
-	// Re-derive the summary and record count from what actually loaded:
-	// a torn-tail truncation in the fallback scan may have salvaged
-	// fewer records than the manifest summary credited at open.
-	l.stats.Records += len(metas) - int(s.sum.records)
-	l.stats.Bytes += size - s.size
-	s.sum = sumOf(metas)
-	s.size = size
-	s.idx = idxOK
-	s.lazy = false
-	l.segRecs[si] = metas
-	l.indexDirty = true
-	return nil
-}
-
-// ensureAllLoadedLocked materializes every deferred segment and rebuilds
-// the per-device index once. Callers hold mu.
-func (l *shardLog) ensureAllLoadedLocked() error {
-	if !l.indexDirty {
-		return nil
-	}
-	for si := range l.segs {
-		if err := l.ensureSegLoadedLocked(si); err != nil {
-			return err
-		}
-	}
-	l.rebuildIndexLocked()
-	l.indexDirty = false
-	return nil
+	return segmentFile{path: path, size: valid, idx: idx, sum: sumOf(metas), recs: metas}, nil
 }
 
 // acquireLock takes the directory's advisory write lock: an flock(2) on
@@ -716,7 +607,7 @@ func (l *shardLog) readSegment(path string, final bool) (metas []recordMeta, val
 		// A crash can leave a freshly rotated file with a partial
 		// header; rewrite it as empty rather than failing the open.
 		if l.ro {
-			l.stats.Truncated += int64(len(data))
+			l.truncated += int64(len(data))
 			return nil, int64(len(data)), nil
 		}
 		if !final {
@@ -760,7 +651,7 @@ func (l *shardLog) readSegment(path string, final bool) (metas []recordMeta, val
 				return nil, 0, fmt.Errorf("segmentlog: truncating torn tail: %w", err)
 			}
 		}
-		l.stats.Truncated += torn
+		l.truncated += torn
 	}
 	return metas, valid, nil
 }
@@ -887,15 +778,12 @@ func writeHeader(f vfs.File) error {
 	return nil
 }
 
-// newSegmentFileLocked creates the next numbered segment file with a
-// header and fsyncs the directory entry. The file is NOT yet published:
-// callers append it to l.segs and rewrite the manifest — until then
-// recovery treats it as unreferenced garbage, so a crash in between
-// loses nothing. Callers hold mu (or are inside openShardLog). The directory
-// fsync matters because a file whose directory entry is not durable can
-// vanish wholesale in a crash, taking "synced" records with it.
-func (l *shardLog) newSegmentFileLocked() (vfs.File, segmentFile, error) {
-	path := filepath.Join(l.dir, segName(l.nextSeq))
+// createSegmentFile creates segment file seq — O_EXCL: a number is never
+// reused — and writes its header. The file is neither durable (no
+// directory fsync) nor published, and nextSeq has not moved: those are
+// each caller's protocol.
+func (l *shardLog) createSegmentFile(seq uint64) (vfs.File, segmentFile, error) {
+	path := filepath.Join(l.dir, segName(seq))
 	f, err := l.fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, segmentFile{}, fmt.Errorf("segmentlog: %w", err)
@@ -905,13 +793,28 @@ func (l *shardLog) newSegmentFileLocked() (vfs.File, segmentFile, error) {
 		l.fs.Remove(path)
 		return nil, segmentFile{}, err
 	}
+	return f, segmentFile{path: path, size: headerSize}, nil
+}
+
+// newSegmentFileLocked creates the next numbered segment file and fsyncs
+// the directory entry. The file is NOT yet published: callers append it
+// to l.segs and rewrite the manifest — until then recovery treats it as
+// unreferenced garbage, so a crash in between loses nothing. Callers
+// hold mu (or are inside openShardLog). The directory fsync matters
+// because a file whose directory entry is not durable can vanish
+// wholesale in a crash, taking "synced" records with it.
+func (l *shardLog) newSegmentFileLocked() (vfs.File, segmentFile, error) {
+	f, seg, err := l.createSegmentFile(l.nextSeq)
+	if err != nil {
+		return nil, segmentFile{}, err
+	}
 	if err := syncDir(l.fs, l.dir); err != nil {
 		_ = f.Close() // creation failed; the file is removed below
-		l.fs.Remove(path)
+		l.fs.Remove(seg.path)
 		return nil, segmentFile{}, err
 	}
 	l.nextSeq++
-	return f, segmentFile{path: path, size: headerSize}, nil
+	return f, seg, nil
 }
 
 // syncDir fsyncs a directory so entries for newly created files are
@@ -927,6 +830,76 @@ func syncDir(fsys vfs.FS, dir string) error {
 		return fmt.Errorf("segmentlog: fsync dir: %w", err)
 	}
 	return nil
+}
+
+// writeFileSync creates (or truncates) path, writes data, fsyncs and
+// closes it — the one durable small-file write; a partial file is removed.
+// what names the file in errors.
+func writeFileSync(fsys vfs.FS, what, path string, data []byte) error {
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("segmentlog: %s: %w", what, err)
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil { // else the write/fsync error is the story
+		err = cerr
+	}
+	if err != nil {
+		fsys.Remove(path)
+		return fmt.Errorf("segmentlog: %s: %w", what, err)
+	}
+	return nil
+}
+
+// publishFile atomically replaces dir/name with data: temp file
+// (name.tmp), fsync, rename, directory fsync — the tree's one rename. On
+// any error the previous file is untouched, and a reader sees either the
+// old content or the new, never a mixture.
+func publishFile(fsys vfs.FS, what, dir, name string, data []byte) error {
+	tmp := filepath.Join(dir, name+tmpSuffix)
+	if err := writeFileSync(fsys, what, tmp, data); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		fsys.Remove(tmp)
+		return fmt.Errorf("segmentlog: %s: %w", what, err)
+	}
+	return syncDir(fsys, dir)
+}
+
+// tmpSuffix marks publishFile's staging file.
+const tmpSuffix = ".tmp"
+
+// sealText appends the trailer that seals the MANIFEST and SHARDS text
+// files: a "crc xxxxxxxx" line carrying the CRC-32C of every preceding
+// byte.
+func sealText(text []byte) []byte {
+	return fmt.Appendf(text, "crc %08x\n", crc32.Checksum(text, castagnoli))
+}
+
+// unsealText checks that trailer and returns the text it covers, final
+// newline included. what names the file in errors.
+func unsealText(what string, data []byte) ([]byte, error) {
+	crcAt := bytes.LastIndex(data, []byte("\ncrc "))
+	if crcAt < 0 {
+		return nil, fmt.Errorf("%w: %s: missing crc line", ErrCorrupt, what)
+	}
+	covered := data[:crcAt+1]
+	crcLine := string(data[crcAt+1:])
+	if !strings.HasSuffix(crcLine, "\n") {
+		return nil, fmt.Errorf("%w: %s: truncated crc line", ErrCorrupt, what)
+	}
+	crcHex := strings.TrimSuffix(strings.TrimPrefix(crcLine, "crc "), "\n")
+	want, err := strconv.ParseUint(crcHex, 16, 32)
+	if err != nil || len(crcHex) != 8 {
+		return nil, fmt.Errorf("%w: %s: bad crc field", ErrCorrupt, what)
+	}
+	if got := crc32.Checksum(covered, castagnoli); got != uint32(want) {
+		return nil, fmt.Errorf("%w: %s: crc mismatch (%08x != %08x)", ErrCorrupt, what, got, want)
+	}
+	return covered, nil
 }
 
 // AppendTrail persists one finalized trajectory for device, already
@@ -975,11 +948,10 @@ func (l *shardLog) AppendTrail(device string, tr *trajstore.Trail) error {
 	}
 	n := len(buf) - start
 
-	l.addRecordLocked(len(l.segs)-1, recordMeta{
+	l.addRecordLocked(recordMeta{
 		device: device, off: l.off + recordHeaderSize, bodyLen: n - recordHeaderSize, Bounds: b,
 	})
 	l.off += int64(n)
-	l.stats.Bytes += int64(n)
 
 	// Accepted: a failure below must not un-accept the record (see above).
 	switch {
@@ -1043,7 +1015,6 @@ func (l *shardLog) flushLocked() error {
 		return err
 	}
 	l.written = len(l.unsynced)
-	l.segs[len(l.segs)-1].size = l.off
 	return nil
 }
 
@@ -1061,24 +1032,21 @@ func (l *shardLog) poisonLocked(cause error) {
 	}
 	l.poisoned = true
 	l.poisonErr = cause
-	cur := len(l.segs) - 1
+	cur := &l.segs[len(l.segs)-1]
 	// Sync and flush always cover whole records, so the watermark is a
 	// record boundary: a meta either starts below it (durable) or at/
 	// above it (at risk) — never straddles.
-	recs := l.segRecs[cur]
-	keep := len(recs)
-	for keep > 0 && recs[keep-1].off-recordHeaderSize >= l.syncedOff {
+	keep := len(cur.recs)
+	for keep > 0 && cur.recs[keep-1].off-recordHeaderSize >= l.syncedOff {
 		keep--
 	}
-	l.atRisk = append(l.atRisk[:0], recs[keep:]...)
-	l.segRecs[cur] = recs[:keep]
-	l.segs[cur].size = l.syncedOff
-	l.segs[cur].sum = sumOf(l.segRecs[cur])
+	l.atRisk = append(l.atRisk[:0], cur.recs[keep:]...)
+	cur.recs = cur.recs[:keep]
+	cur.sum = sumOf(cur.recs)
 	// Withdraw the at-risk records from the per-device index. They are
 	// the newest entries of their devices (appends only extend the
 	// active tail), so popping each device's list tail — newest first —
-	// removes exactly them, without a full rebuild that would drop
-	// still-lazy sealed segments.
+	// removes exactly them.
 	for i := len(l.atRisk) - 1; i >= 0; i-- {
 		dev := l.atRisk[i].device
 		lst := l.index[dev]
@@ -1087,10 +1055,8 @@ func (l *shardLog) poisonLocked(cause error) {
 			delete(l.index, dev)
 		}
 	}
-	l.stats.Records -= len(l.atRisk)
 	l.off = l.syncedOff
 	l.written = len(l.unsynced) // the old file gets no more writes
-	l.recountBytesLocked()
 }
 
 // healLocked salvages a poisoned log: it seals the old active segment
@@ -1117,30 +1083,31 @@ func (l *shardLog) healLocked() error {
 		l.fs.Remove(seg.path)
 		return fmt.Errorf("segmentlog: salvage: %w", err)
 	}
-	cur := len(l.segs) - 1
 	seg.size = headerSize + int64(len(l.unsynced))
-	newSeg := cur
+	watermark := l.syncedOff // where the at-risk offsets count from
+	var old vfs.File
 	var dropPath string
-	if l.syncedOff == headerSize {
+	if watermark == headerSize {
 		// No fsync ever succeeded on the old active file, so nothing in
 		// it is durable — even its 8-byte header may be lost. Sealing it
 		// would publish a segment whose on-disk bytes cannot be trusted;
 		// instead the salvage file takes its manifest slot and the old
 		// file becomes unreferenced debris (removed below, or swept by
 		// the next Open).
-		prevSeg, prevRecs := l.segs[cur], l.segRecs[cur]
-		dropPath = prevSeg.path
+		cur := len(l.segs) - 1
+		prev := l.segs[cur]
 		l.segs[cur] = seg
-		l.segRecs[cur] = nil
 		if err := l.writeManifestLocked(); err != nil {
 			// Without the publish the heal has not happened: a crash now
 			// must land on the old generation. The salvage file is left
 			// on disk (the manifest rename may have landed before the
-			// failure; see rotateLocked) and swept later.
-			l.segs[cur], l.segRecs[cur] = prevSeg, prevRecs
+			// failure; see sealActiveLocked) and swept later.
+			l.segs[cur] = prev
 			_ = f.Close() // heal aborted; the publish error is the story
 			return err
 		}
+		old, dropPath = l.active, prev.path
+		l.active, l.off = f, seg.size
 	} else {
 		// A successful fsync covered everything below the watermark —
 		// header included — so the old file can be sealed there. Its
@@ -1148,36 +1115,23 @@ func (l *shardLog) healLocked() error {
 		// well be intact: left in place, a clean reopen would scan them
 		// AND the salvaged copies, serving duplicates. The truncate
 		// must therefore succeed before the new segment is published.
-		if err := l.fs.Truncate(l.segs[cur].path, l.syncedOff); err != nil {
+		if err := l.fs.Truncate(l.segs[len(l.segs)-1].path, watermark); err != nil {
 			_ = f.Close() // heal aborted; the truncate error is the story
 			l.fs.Remove(seg.path)
 			return fmt.Errorf("segmentlog: salvage: truncating poisoned segment: %w", err)
 		}
-		l.segs[cur].idx = writeBlockIndex(l.fs, l.segs[cur].path, l.syncedOff, l.segRecs[cur]) == nil
-		l.segs = append(l.segs, seg)
-		l.segRecs = append(l.segRecs, nil)
-		if err := l.writeManifestLocked(); err != nil {
-			l.segs = l.segs[:len(l.segs)-1]
-			l.segRecs = l.segRecs[:len(l.segRecs)-1]
-			l.segs[cur].idx = false
-			_ = f.Close() // heal aborted; the publish error is the story
+		if old, err = l.sealActiveLocked(f, seg); err != nil {
 			return err
 		}
-		newSeg = len(l.segs) - 1
 	}
-	salvaged := l.atRisk
+	for _, m := range l.atRisk {
+		m.off += headerSize - watermark
+		l.addRecordLocked(m)
+	}
 	l.atRisk = nil
-	for _, m := range salvaged {
-		m.off = m.off - l.syncedOff + headerSize
-		l.addRecordLocked(newSeg, m)
-	}
-	old := l.active
-	l.active = f
-	l.off = headerSize + int64(len(l.unsynced))
 	l.durableLocked()
 	l.poisoned = false
 	l.poisonErr = nil
-	l.recountBytesLocked()
 	_ = old.Close() // best-effort: the handle points at a superseded file
 	if dropPath != "" {
 		l.fs.Remove(dropPath) // best-effort: unreferenced since the publish
@@ -1185,27 +1139,38 @@ func (l *shardLog) healLocked() error {
 	return nil
 }
 
-// recountBytesLocked recomputes Stats.Bytes from the segment list (the
-// active segment counts its logical size including buffered appends).
-func (l *shardLog) recountBytesLocked() {
-	var bytes int64
-	for i, s := range l.segs {
-		if i == len(l.segs)-1 && !l.ro {
-			bytes += l.off
-		} else {
-			bytes += s.size
-		}
+// sealActiveLocked seals the active segment where it stands (l.off, all
+// of it fsync'd) and makes seg — f, created and durable — the active one:
+// index the old, append the new, publish. The block index is written
+// before the manifest references it, and its failure only costs the
+// acceleration (the segment scans fine). The caller closes the old
+// handle it gets back, after the swap, so the log never points at a
+// closed file. A failed publish leaves the old segment active and
+// writable: the new file stays on disk — the write may have reached the
+// rename before failing, so deleting it could orphan a manifest entry;
+// referenced or not, it is harmless and the next successful publish or
+// Open sweeps it, and its number is not reused. The just-written block
+// index is likewise unreferenced; further appends into the old segment
+// make it stale, which the size check on load detects.
+func (l *shardLog) sealActiveLocked(f vfs.File, seg segmentFile) (old vfs.File, err error) {
+	cur := len(l.segs) - 1
+	l.segs[cur].size = l.off
+	l.segs[cur].idx = writeBlockIndex(l.fs, l.segs[cur].path, l.off, l.segs[cur].recs) == nil
+	l.segs = append(l.segs, seg)
+	if err := l.writeManifestLocked(); err != nil {
+		l.segs = l.segs[:cur+1]
+		l.segs[cur].idx = false
+		_ = f.Close() // never published; the publish error is the story
+		return nil, err
 	}
-	l.stats.Bytes = bytes
+	old = l.active
+	l.active, l.off, l.syncedOff = f, seg.size, seg.size
+	return old, nil
 }
 
-// rotateLocked seals the active segment and starts the next one. The
-// new segment is created and published in the manifest BEFORE the old
-// handle is closed, so a failure at any step leaves the old segment
-// active and writable — the log never points at a closed file. The
-// sealed segment's block index is written before the manifest
-// references it; an index write failure only costs the acceleration
-// (the segment scans fine), never the rotation.
+// rotateLocked seals the active segment and starts the next one; a
+// failure at any step leaves the old segment active and writable
+// (sealActiveLocked).
 func (l *shardLog) rotateLocked() error {
 	// A completed segment file is always fully durable: fsync before
 	// rotating away from it. A successful salvage IS the rotation (old
@@ -1214,35 +1179,14 @@ func (l *shardLog) rotateLocked() error {
 	if healed, err := l.fsyncLocked(); healed || err != nil {
 		return err
 	}
-	cur := len(l.segs) - 1
-	sealedIdx := writeBlockIndex(l.fs, l.segs[cur].path, l.off, l.segRecs[cur]) == nil
 	f, seg, err := l.newSegmentFileLocked()
 	if err != nil {
 		return err
 	}
-	l.segs[cur].idx = sealedIdx
-	l.segs = append(l.segs, seg)
-	l.segRecs = append(l.segRecs, nil)
-	if err := l.writeManifestLocked(); err != nil {
-		// Unpublishable: keep appending to the old segment. The new
-		// (empty) file is left on disk — the write may have reached the
-		// rename before failing, so deleting it could orphan a manifest
-		// entry; whether referenced or not, an empty segment is
-		// harmless and the next successful publish or Open sweeps it.
-		// Its number is not reused. The just-written block index is
-		// likewise unreferenced; further appends into the old segment
-		// make it stale, which the size check on load detects.
-		l.segs = l.segs[:len(l.segs)-1]
-		l.segRecs = l.segRecs[:len(l.segRecs)-1]
-		l.segs[cur].idx = false
-		_ = f.Close() // rotation aborted; the publish error is the story
+	old, err := l.sealActiveLocked(f, seg)
+	if err != nil {
 		return err
 	}
-	old := l.active
-	l.active = f
-	l.off = headerSize
-	l.syncedOff = headerSize // the header was fsync'd by newSegmentFileLocked
-	l.stats.Bytes += headerSize
 	if err := old.Close(); err != nil {
 		// The new segment is already active and the old one was flushed
 		// and fsync'd above, so nothing is lost; surface the failure.
@@ -1257,16 +1201,18 @@ func (l *shardLog) rotateLocked() error {
 func (l *shardLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
-func (l *shardLog) syncLocked() error {
 	if l.closed {
 		return ErrClosed
 	}
 	if l.ro {
 		return ErrReadOnly
 	}
+	return l.syncLocked()
+}
+
+// syncLocked is Sync's body, and Close's: on a writable log, open or
+// closing.
+func (l *shardLog) syncLocked() error {
 	if l.poisoned {
 		if err := l.healLocked(); err != nil {
 			return fmt.Errorf("segmentlog: active segment poisoned (%v); salvage failed: %w", l.poisonErr, err)
@@ -1295,42 +1241,40 @@ func (l *shardLog) Close() error {
 	if l.ro {
 		return nil
 	}
-	l.closed = false // syncLocked (and a salvage within it) must still run
-	err := l.syncLocked()
-	l.closed = true
 	// The close error matters even when the sync already failed: a
 	// write-path close is when the last buffered bytes reach the
 	// kernel, so join both rather than letting either mask the other.
-	return errors.Join(err, l.active.Close())
+	return errors.Join(l.syncLocked(), l.active.Close())
 }
 
-// Stats returns a snapshot of the log's bookkeeping. The device count
-// comes from the per-device index, so the first call after an Open that
-// deferred segments materializes them (best-effort: an unreadable
-// deferred segment surfaces on the query paths, not here).
+// Stats returns a snapshot of the log's bookkeeping, computed from the
+// segment list: no counter is kept beside it but the truncation count.
 func (l *shardLog) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_ = l.ensureAllLoadedLocked()
-	s := l.stats
-	s.Segments = len(l.segs)
+	s := Stats{
+		Segments: len(l.segs), Devices: len(l.index), Truncated: l.truncated,
+		Unsynced: int64(len(l.unsynced)), Gen: l.gen,
+	}
 	for i := range l.segs {
-		if l.segs[i].idx {
+		sf := &l.segs[i]
+		if sf.idx {
 			s.IndexedSegs++
 		}
+		s.Records += len(sf.recs)
+		if i == len(l.segs)-1 && !l.ro {
+			s.Bytes += l.off // the active segment, buffered appends included
+		} else {
+			s.Bytes += sf.size
+		}
 	}
-	s.Devices = len(l.index)
-	s.Gen = l.gen
-	s.Unsynced = int64(len(l.unsynced))
 	return s
 }
 
-// Devices returns the indexed device IDs, sorted. Deferred segments are
-// materialized first (best-effort, as in Stats).
+// Devices returns the indexed device IDs, sorted.
 func (l *shardLog) Devices() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_ = l.ensureAllLoadedLocked()
 	out := make([]string, 0, len(l.index))
 	for dev := range l.index {
 		out = append(out, dev)
@@ -1344,7 +1288,6 @@ func (l *shardLog) Devices() []string {
 func (l *shardLog) DeviceSpan(device string) (records int, t0, t1 uint32, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_ = l.ensureAllLoadedLocked()
 	addrs := l.index[device]
 	if len(addrs) == 0 {
 		return 0, 0, 0, false
@@ -1357,7 +1300,7 @@ func (l *shardLog) DeviceSpan(device string) (records int, t0, t1 uint32, ok boo
 }
 
 // metaAt resolves a record address. Callers hold mu.
-func (l *shardLog) metaAt(a recordAddr) *recordMeta { return &l.segRecs[a.seg][a.pos] }
+func (l *shardLog) metaAt(a recordAddr) *recordMeta { return &l.segs[a.seg].recs[a.pos] }
 
 // Block is one stored record as the log holds it and the wire carries it:
 // the header's device and time bounds and the key points' delta-varint
@@ -1382,16 +1325,13 @@ func decodeInto(out *[]Record) func(Block) error {
 // deviceBlocks visits, in append order, the records of device whose time
 // bounds overlap [t0, t1].
 func (l *shardLog) deviceBlocks(device string, t0, t1 uint32, visit func(Block) error) error {
-	return l.read(nil, new(WindowStats), visit, func() (refs []refSnap, err error) {
-		if err = l.ensureAllLoadedLocked(); err != nil {
-			return nil, err
-		}
+	return l.read(nil, new(WindowStats), visit, func() (refs []refSnap) {
 		for _, a := range l.index[device] {
 			if m := l.metaAt(a); m.T0 <= t1 && m.T1 >= t0 {
 				refs = append(refs, refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
 			}
 		}
-		return refs, nil
+		return refs
 	})
 }
 
@@ -1399,7 +1339,7 @@ func (l *shardLog) deviceBlocks(device string, t0, t1 uint32, visit func(Block) 
 // is then loaded — from the read cache, else read back from disk and
 // CRC-verified — walked once (trajstore.Enters) and, when it matches, visited;
 // nothing is decoded.
-func (l *shardLog) read(w *trajstore.Window, ws *WindowStats, visit func(Block) error, pick func() ([]refSnap, error)) error {
+func (l *shardLog) read(w *trajstore.Window, ws *WindowStats, visit func(Block) error, pick func() []refSnap) error {
 	files := segReader{fs: l.fs}
 	defer files.close()
 	refs, cached, gen, err := l.snapshot(&files, pick)
@@ -1447,7 +1387,7 @@ func (l *shardLog) read(w *trajstore.Window, ws *WindowStats, visit func(Block) 
 // that drops it (a read-only handle has no such guarantee against its
 // directory's live writer). gen is the snapshot's manifest generation,
 // the cache epoch of its candidates.
-func (l *shardLog) snapshot(files *segReader, pick func() ([]refSnap, error)) (refs []refSnap, cached []Block, gen uint64, err error) {
+func (l *shardLog) snapshot(files *segReader, pick func() []refSnap) (refs []refSnap, cached []Block, gen uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -1456,9 +1396,7 @@ func (l *shardLog) snapshot(files *segReader, pick func() ([]refSnap, error)) (r
 	if err := l.flushLocked(); err != nil && !l.poisoned {
 		return nil, nil, 0, err
 	}
-	if refs, err = pick(); err != nil {
-		return nil, nil, 0, err
-	}
+	refs = pick()
 	if l.cache != nil {
 		cached = make([]Block, len(refs))
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -39,8 +40,12 @@ func mustOpen(t *testing.T, dir string, opts Options) *shardLog {
 	return l
 }
 
-// Append, Query and QueryWindowStats are ShardedLog's key-slice edges on
+// Append, Query, QueryWindowStats and Compact are ShardedLog's edges on
 // one shard log, for the tests that drive a shardLog directly.
+func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
+	return l.compact(p, runtime.GOMAXPROCS(0))
+}
+
 func (l *shardLog) Append(device string, keys []trajstore.GeoKey) error {
 	var tr trajstore.Trail
 	if err := tr.Add(keys...); err != nil {
@@ -620,119 +625,4 @@ func TestReadOnlySemantics(t *testing.T) {
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {
 		t.Fatal("read-only open created the directory")
 	}
-}
-
-// TestSealedMidFileCorruptionRefused: a writable Open must not truncate
-// a NON-final (sealed, long-lived) segment at a mid-file bad record
-// when valid records follow — that would silently destroy durable data.
-// A read-only open still salvages the readable prefix, and a genuine
-// torn tail (nothing valid after the cut) is still truncated.
-func TestSealedMidFileCorruptionRefused(t *testing.T) {
-	build := func(t *testing.T) (string, []int64) {
-		dir := t.TempDir()
-		l := mustOpen(t, dir, Options{MaxSegmentBytes: 1 << 20})
-		var ends []int64
-		seg := filepath.Join(dir, segName(1))
-		for i := 0; i < 4; i++ {
-			if err := l.Append("dev", genKeys(i+1, 12)); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			fi, err := os.Stat(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ends = append(ends, fi.Size())
-		}
-		// Seal segment 1 by forcing a rotation via a fresh tiny-threshold
-		// open cycle: reopen with a small threshold and append once.
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		l2 := mustOpen(t, dir, Options{MaxSegmentBytes: ends[3] + 1})
-		// The first append lands in segment 1 and triggers rotation; the
-		// second lands in the fresh segment 2.
-		if err := l2.Append("dev", genKeys(9, 12)); err != nil {
-			t.Fatal(err)
-		}
-		if err := l2.Append("dev", genKeys(10, 12)); err != nil {
-			t.Fatal(err)
-		}
-		if err := l2.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir, ends
-	}
-
-	t.Run("mid-file", func(t *testing.T) {
-		dir, ends := build(t)
-		seg := filepath.Join(dir, segName(1))
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[ends[1]+12] ^= 0x40 // inside record 3 of the sealed segment
-		if err := os.WriteFile(seg, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// With the sealed block index live, Open does not re-read the
-		// segment bytes, so it succeeds — but nothing is silently lost:
-		// reading the rotten record fails loudly with ErrCorrupt (the
-		// per-read CRC check), and the intact records stay readable.
-		l := mustOpen(t, dir, Options{})
-		if _, err := l.Query("dev", 0, ^uint32(0)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Query over a bit-rotted record = %v, want ErrCorrupt", err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Without the index the segment must be rescanned. Sealed
-		// segments load lazily, so the writable Open itself succeeds —
-		// the scan runs at first query touch, and must refuse to
-		// truncate a sealed segment mid-file.
-		idxPath, ok := idxPathFor(seg)
-		if !ok {
-			t.Fatal("no index path for segment 1")
-		}
-		if err := os.Remove(idxPath); err != nil {
-			t.Fatal(err)
-		}
-		lw := mustOpen(t, dir, Options{})
-		if _, err := lw.Query("dev", 0, ^uint32(0)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("query forcing scan of mid-file-corrupt sealed segment = %v, want ErrCorrupt", err)
-		}
-		if err := lw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Read-only salvage still works and reports the loss.
-		ro := mustOpen(t, dir, Options{ReadOnly: true})
-		defer ro.Close()
-		if recs := queryAll(t, ro, "dev"); len(recs) < 2 {
-			t.Fatalf("read-only salvage lost the valid prefix: %d records", len(recs))
-		}
-		if s := ro.Stats(); s.Truncated == 0 {
-			t.Fatal("read-only open did not report the corrupt span")
-		}
-	})
-
-	t.Run("torn-tail", func(t *testing.T) {
-		dir, ends := build(t)
-		seg := filepath.Join(dir, segName(1))
-		// Cut mid-record: everything after the cut is garbage, so the
-		// sealed segment's tail is legitimately torn (unsynced-rotation
-		// crash shape) and may be truncated.
-		if err := os.Truncate(seg, ends[2]+5); err != nil {
-			t.Fatal(err)
-		}
-		l := mustOpen(t, dir, Options{})
-		defer l.Close()
-		if recs := queryAll(t, l, "dev"); len(recs) != 4 { // 3 salvaged + 1 in segment 2
-			t.Fatalf("torn-tail recovery kept %d records, want 4", len(recs))
-		}
-		if s := l.Stats(); s.Truncated == 0 {
-			t.Fatal("torn tail not counted")
-		}
-	})
 }

@@ -1,10 +1,8 @@
 package segmentlog
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -74,9 +72,8 @@ type ShardedLog struct {
 var _ trajstore.Backend = (*ShardedLog)(nil)
 
 const (
-	shardsName    = "SHARDS"
-	shardsTmpName = "SHARDS.tmp"
-	shardsMagic   = "BQSSHARDS 1"
+	shardsName  = "SHARDS"
+	shardsMagic = "BQSSHARDS 1"
 
 	// MaxShards bounds the SHARDS count accepted on open; a corrupt or
 	// hostile count must not make Open allocate unbounded directories.
@@ -89,30 +86,14 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 // formatShards renders the SHARDS file: magic, count, and a CRC-32C
 // sealing both — the same self-validation idiom as the MANIFEST.
 func formatShards(n int) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s\nshards %d\n", shardsMagic, n)
-	fmt.Fprintf(&b, "crc %08x\n", crc32.Checksum(b.Bytes(), castagnoli))
-	return b.Bytes()
+	return sealText(fmt.Appendf(nil, "%s\nshards %d\n", shardsMagic, n))
 }
 
 // parseShards decodes and validates a SHARDS file.
 func parseShards(data []byte) (int, error) {
-	crcAt := bytes.LastIndex(data, []byte("\ncrc "))
-	if crcAt < 0 {
-		return 0, fmt.Errorf("%w: SHARDS: missing crc line", ErrCorrupt)
-	}
-	covered := data[:crcAt+1]
-	crcLine := string(data[crcAt+1:])
-	if !strings.HasSuffix(crcLine, "\n") {
-		return 0, fmt.Errorf("%w: SHARDS: truncated crc line", ErrCorrupt)
-	}
-	crcHex := strings.TrimSuffix(strings.TrimPrefix(crcLine, "crc "), "\n")
-	want, err := strconv.ParseUint(crcHex, 16, 32)
-	if err != nil || len(crcHex) != 8 {
-		return 0, fmt.Errorf("%w: SHARDS: bad crc field", ErrCorrupt)
-	}
-	if got := crc32.Checksum(covered, castagnoli); got != uint32(want) {
-		return 0, fmt.Errorf("%w: SHARDS: crc mismatch (%08x != %08x)", ErrCorrupt, got, want)
+	covered, err := unsealText("SHARDS", data)
+	if err != nil {
+		return 0, err
 	}
 	lines := strings.Split(string(covered), "\n")
 	if len(lines) != 3 || lines[0] != shardsMagic || lines[2] != "" {
@@ -144,32 +125,10 @@ func readShards(fsys vfs.FS, dir string) (n int, found bool, err error) {
 	return n, true, nil
 }
 
-// writeShards atomically publishes dir's SHARDS file: temp file, fsync,
-// rename, directory fsync. This is the commit point of a root's
-// creation.
+// writeShards atomically publishes dir's SHARDS file (publishFile): the
+// commit point of a root's creation.
 func writeShards(fsys vfs.FS, dir string, n int) error {
-	tmp := filepath.Join(dir, shardsTmpName)
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("segmentlog: SHARDS: %w", err)
-	}
-	if _, err := f.Write(formatShards(n)); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		_ = f.Close() // publish failed; the write/fsync error is the story
-		fsys.Remove(tmp)
-		return fmt.Errorf("segmentlog: SHARDS: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("segmentlog: SHARDS: %w", err)
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, shardsName)); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("segmentlog: SHARDS: %w", err)
-	}
-	return syncDir(fsys, dir)
+	return publishFile(fsys, "SHARDS", dir, shardsName, formatShards(n))
 }
 
 // OpenSharded opens (creating if necessary) the segment log rooted at
@@ -517,17 +476,18 @@ func (s *ShardedLog) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uin
 // each result as a new manifest generation; appends and queries proceed
 // concurrently (see compact.go). Shards run concurrently and the
 // results are summed: Gen is the sum of the generations the shards
-// published (0 iff no shard rewrote anything). Policy Workers applies
-// within each shard; shard-level parallelism comes on top, so a
-// CompactNow over S shards with W workers each may decode S×W devices
-// at once.
+// published (0 iff no shard rewrote anything). The shards split
+// GOMAXPROCS workers between them, but none gets fewer than two: with one
+// a pass cannot read the next device while its writer frames the last,
+// which measured slower and, on fleet-cutheavy, 5 MiB more resident.
 func (s *ShardedLog) Compact(p CompactionPolicy) (CompactionResult, error) {
 	if err := s.live(); err != nil {
 		return CompactionResult{}, err
 	}
+	workers := max(2, runtime.GOMAXPROCS(0)/len(s.shards))
 	results := make([]CompactionResult, len(s.shards))
 	err := s.each(func(i int, lg *shardLog) (err error) {
-		results[i], err = lg.Compact(p)
+		results[i], err = lg.compact(p, workers)
 		return err
 	})
 	var out CompactionResult

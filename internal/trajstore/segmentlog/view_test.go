@@ -1,0 +1,365 @@
+// Tests of the log's one in-memory view: every segment is loaded when
+// the open returns, Stats, the device index and the spans are read off
+// that list without touching the disk, a reopened log answers exactly as
+// the live one did, and damage in a sealed segment is found by the open.
+package segmentlog
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
+)
+
+// checkView asserts that what a shard log reports about itself is what it
+// serves: Stats().Records is the sum of what every device's Query returns,
+// Stats().Devices the length of Devices(), each DeviceSpan the count and
+// time hull of that device's records — while poisoned too — and, once
+// everything accepted is on disk (nothing un-synced), Stats().Bytes the
+// size of the files the MANIFEST references.
+func checkView(t *testing.T, l *shardLog) {
+	t.Helper()
+	st, devs := l.Stats(), l.Devices()
+	if st.Devices != len(devs) {
+		t.Fatalf("view: Stats().Devices = %d, Devices() lists %d", st.Devices, len(devs))
+	}
+	served := 0
+	for _, dev := range devs {
+		recs := queryAll(t, l, dev)
+		served += len(recs)
+		t0, t1 := uint32(math.MaxUint32), uint32(0)
+		for _, r := range recs {
+			t0, t1 = min(t0, r.T0), max(t1, r.T1)
+		}
+		if n, s0, s1, ok := l.DeviceSpan(dev); !ok || n != len(recs) || s0 != t0 || s1 != t1 {
+			t.Fatalf("view: DeviceSpan(%s) = (%d, %d, %d, %v), its %d records span [%d, %d]", dev, n, s0, s1, ok, len(recs), t0, t1)
+		}
+	}
+	if st.Records != served {
+		t.Fatalf("view: Stats().Records = %d, the devices' queries serve %d", st.Records, served)
+	}
+	l.mu.Lock()
+	settled := !l.poisoned && len(l.unsynced) == 0 && (!l.ro || l.truncated == 0)
+	l.mu.Unlock()
+	if !settled {
+		return // the active file's size on disk is not the log's to state yet
+	}
+	man, found, err := readManifest(vfs.OS, l.dir)
+	if err != nil || !found {
+		t.Fatalf("view: reading the manifest: %v (found %v)", err, found)
+	}
+	var onDisk int64
+	for _, ms := range man.Segs {
+		fi, err := os.Stat(filepath.Join(l.dir, ms.Name))
+		if err != nil {
+			t.Fatalf("view: %v", err)
+		}
+		onDisk += fi.Size()
+	}
+	if len(man.Segs) != st.Segments || st.Bytes != onDisk {
+		t.Fatalf("view: Stats() = %d segments, %d bytes; the manifest references %d files of %d bytes", st.Segments, st.Bytes, len(man.Segs), onDisk)
+	}
+}
+
+// answers is everything a handle says about a log without being told
+// which device to look at.
+type answers struct {
+	Stats   Stats
+	Devices []string
+	Spans   map[string][3]uint32
+	Windows map[string][]Record
+	Pruning map[string]WindowStats
+}
+
+func snapshotAnswers(t *testing.T, l *shardLog, windows map[string][4]float64) answers {
+	t.Helper()
+	a := answers{Stats: l.Stats(), Devices: l.Devices(), Spans: map[string][3]uint32{},
+		Windows: map[string][]Record{}, Pruning: map[string]WindowStats{}}
+	a.Stats.Gen = 0 // every writable open publishes; the generation is not content
+	for _, dev := range a.Devices {
+		n, t0, t1, _ := l.DeviceSpan(dev)
+		a.Spans[dev] = [3]uint32{uint32(n), t0, t1}
+	}
+	for name, w := range windows {
+		recs, ws, err := l.QueryWindowStats(w[0], w[1], w[2], w[3], 0, math.MaxUint32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Windows[name], a.Pruning[name] = recs, ws
+	}
+	return a
+}
+
+// TestReopenAnswersIdentically: after appends, rotations and a compaction
+// that rewrote the sealed prefix, Stats, Devices, every DeviceSpan and a
+// fixed set of windows — pruning statistics included, the selective one
+// skipping whole segments on their manifest summaries — are the same on
+// the live log, on a read-only handle beside it, after a writable reopen
+// and on a read-only handle after that.
+func TestReopenAnswersIdentically(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{MaxSegmentBytes: 2 << 10}
+	l := mustOpen(t, dir, opts)
+	// Spatially separated devices (cellKeys cells), device-major so sealed
+	// segments cover distinct regions; the repeated record is dedup's input.
+	fill := func(r0, r1 int) {
+		for d := 0; d < 6; d++ {
+			for r := r0; r < r1; r++ {
+				if err := l.Append(fmt.Sprintf("dev-%d", d), cellKeys(d, r, 16)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Append(fmt.Sprintf("dev-%d", d), cellKeys(d, r0, 16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill(0, 20)
+	if res, err := l.Compact(CompactionPolicy{MergeChunks: true}); err != nil || res.Deduped == 0 || res.Gen == 0 {
+		t.Fatalf("compaction rewrote nothing: %+v, %v", res, err)
+	}
+	fill(20, 26) // sealed-since-compaction segments and a live tail
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	minX, minY, maxX, maxY := cellWindow(2, 2)
+	windows := map[string][4]float64{
+		"selective": {minX, minY, maxX, maxY},
+		"all":       {-10, -10, 10, 10},
+		"empty":     {50, 50, 60, 60},
+	}
+	want := snapshotAnswers(t, l, windows)
+	if st := want.Stats; st.IndexedSegs < 3 || st.IndexedSegs != st.Segments-1 || st.Devices != 6 {
+		t.Fatalf("fixture too small: %+v", st)
+	}
+	if ws := want.Pruning["selective"]; ws.SegmentsPruned == 0 || ws.RecordsMatched == 0 {
+		t.Fatalf("selective window pruned no segment or matched nothing: %+v", ws)
+	}
+	checkView(t, l)
+
+	same := func(stage string, h *shardLog) {
+		t.Helper()
+		if got := snapshotAnswers(t, h, windows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s answers differently:\n got %+v\nwant %+v", stage, got.Stats, want.Stats)
+		}
+		checkView(t, h)
+	}
+	roOpts := opts
+	roOpts.ReadOnly = true
+	ro := mustOpen(t, dir, roOpts)
+	same("read-only handle beside the writer", ro)
+	ro.Close()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := mustOpen(t, dir, opts)
+	defer l2.Close()
+	same("writable reopen", l2)
+	ro = mustOpen(t, dir, roOpts)
+	defer ro.Close()
+	same("read-only handle after the reopen", ro)
+}
+
+// TestStatsDoesNoIO: a reopened log's view is complete when the open
+// returns — Stats (every /metrics scrape), Devices and DeviceSpan perform
+// no filesystem operation, the first time or any other.
+func TestStatsDoesNoIO(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{MaxSegmentBytes: 512})
+	fillCells(t, l, 4, 8, 12)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want := l.Stats()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want.IndexedSegs < 3 {
+		t.Fatalf("fixture sealed too few segments: %+v", want)
+	}
+	fs := vfs.NewFaultFS(0) // ruleless: pure op observer
+	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 512, FS: fs})
+	defer l2.Close()
+	before := fs.Ops()
+	st := l2.Stats()
+	devs := l2.Devices()
+	n, _, _, ok := l2.DeviceSpan("dev-002")
+	if d := fs.Ops() - before; d != 0 {
+		t.Fatalf("Stats, Devices and DeviceSpan performed %d fs ops on a reopened log, want 0", d)
+	}
+	if st.Records != want.Records || st.Bytes != want.Bytes || st.Devices != 4 || len(devs) != 4 || !ok || n != 8 {
+		t.Fatalf("reopened view: %+v, %d devices, dev-002 has %d records (%v); was %+v", st, len(devs), n, ok, want)
+	}
+}
+
+// TestSealedDamageAtOpen: whatever is wrong with a sealed segment or
+// its block index is dealt with by OpenSharded — never by whichever scrape
+// or query touches the segment first — writable and read-only. A missing,
+// stale or manifest-contradicting index is an accelerator lost: the
+// segment is scanned, and a writable open rebuilds the index and publishes
+// it. A segment that cannot be read as this format, or whose damage sits
+// in front of valid records, is refused with ErrCorrupt; only a read-only
+// handle salvages the prefix, counting the rest in Stats.Truncated. A torn
+// tail (nothing valid after the cut) is truncated, or skipped read-only.
+// What the open does not re-read — record bytes under a valid index —
+// fails loudly at the read instead (the per-read CRC check).
+func TestSealedDamageAtOpen(t *testing.T) {
+	const sealed, tail = 5, 2 // records in sealed segment 1 and in the active segment 2
+	build := func(t *testing.T) (root, seg string, metas []recordMeta) {
+		root = t.TempDir()
+		s := mustOpenSharded(t, root, 1, Options{MaxSegmentBytes: 1 << 20})
+		for i := 0; i < 4; i++ {
+			if err := s.Append("dev", genKeys(i+1, 12)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg = filepath.Join(root, shardDirName(0), segName(1))
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The next append fills segment 1 past the threshold and rotates.
+		s = mustOpenSharded(t, root, 0, Options{MaxSegmentBytes: fi.Size() + 1})
+		for i := 4; i < sealed+tail; i++ {
+			if err := s.Append("dev", genKeys(i+1, 12)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, metas, err = loadBlockIndex(vfs.OS, seg); err != nil || len(metas) != sealed {
+			t.Fatalf("fixture: segment 1 sealed %d records: %v", len(metas), err)
+		}
+		return root, seg, metas
+	}
+	idxOf := func(seg string) string { p, _ := idxPathFor(seg); return p }
+	rewrite := func(t *testing.T, path string, mutate func([]byte) []byte) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = os.WriteFile(path, mutate(data), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	type outcome int
+	const (
+		served    outcome = iota // opens; every record answered; writable: index rebuilt and published
+		refused                  // OpenSharded = ErrCorrupt
+		salvaged                 // opens with Stats.Truncated > 0 serving the valid prefix
+		readFails                // opens (the index vouches for the bytes); the read = ErrCorrupt
+	)
+	for _, c := range []struct {
+		name     string
+		damage   func(t *testing.T, seg string, metas []recordMeta)
+		writable outcome
+		readOnly outcome
+		prefix   int // records a salvage keeps
+	}{
+		{"idx-missing", func(t *testing.T, seg string, _ []recordMeta) {
+			if err := os.Remove(idxOf(seg)); err != nil {
+				t.Fatal(err)
+			}
+		}, served, served, 0},
+		{"idx-stale", func(t *testing.T, seg string, metas []recordMeta) {
+			// The index of an earlier, shorter life of the file.
+			short := metas[:len(metas)-1]
+			end := short[len(short)-1].off + int64(short[len(short)-1].bodyLen)
+			rewrite(t, idxOf(seg), func([]byte) []byte { return formatBlockIndex(end, short) })
+		}, served, served, 0},
+		{"idx-vs-sum", func(t *testing.T, seg string, metas []recordMeta) {
+			// Right size, valid CRC, one record short of what the manifest sealed.
+			fi, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rewrite(t, idxOf(seg), func([]byte) []byte { return formatBlockIndex(fi.Size(), metas[:len(metas)-1]) })
+		}, served, served, 0},
+		{"v1-header", func(t *testing.T, seg string, _ []recordMeta) {
+			rewrite(t, seg, func(b []byte) []byte { b[6] = 1; return b })
+			if err := os.Remove(idxOf(seg)); err != nil {
+				t.Fatal(err)
+			}
+		}, refused, refused, 0},
+		{"mid-file", func(t *testing.T, seg string, metas []recordMeta) {
+			rewrite(t, seg, func(b []byte) []byte { b[metas[2].off+4] ^= 0x40; return b })
+			if err := os.Remove(idxOf(seg)); err != nil {
+				t.Fatal(err)
+			}
+		}, refused, salvaged, 2},
+		{"torn-tail", func(t *testing.T, seg string, metas []recordMeta) {
+			// An unsynced-rotation crash: cut mid-record, nothing valid after.
+			if err := os.Truncate(seg, metas[3].off+5); err != nil {
+				t.Fatal(err)
+			}
+		}, salvaged, salvaged, 3},
+		{"rot-under-idx", func(t *testing.T, seg string, metas []recordMeta) {
+			rewrite(t, seg, func(b []byte) []byte { b[metas[2].off+4] ^= 0x40; return b })
+		}, readFails, readFails, 0},
+	} {
+		for _, ro := range []bool{false, true} {
+			mode, want := "writable", c.writable
+			if ro {
+				mode, want = "read-only", c.readOnly
+			}
+			t.Run(c.name+"/"+mode, func(t *testing.T) {
+				root, seg, metas := build(t)
+				c.damage(t, seg, metas)
+				before := treeFiles(t, root)
+				s, err := OpenSharded(root, 0, Options{ReadOnly: ro})
+				if want == refused {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("OpenSharded = %v, want ErrCorrupt", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("OpenSharded = %v", err)
+				}
+				defer s.Close()
+				st := s.Stats()
+				recs, err := s.Query("dev", 0, math.MaxUint32)
+				switch want {
+				case readFails:
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("Query over the rotten record = %v, want ErrCorrupt", err)
+					}
+					return
+				case served:
+					if err != nil || len(recs) != sealed+tail || st.Truncated != 0 {
+						t.Fatalf("%d records served (%v), %+v; want all %d and nothing truncated", len(recs), err, st, sealed+tail)
+					}
+				case salvaged:
+					if keep := c.prefix + tail; err != nil || len(recs) != keep || st.Truncated == 0 {
+						t.Fatalf("%d records served (%v), %+v; want the %d-record prefix and the loss counted", len(recs), err, st, keep)
+					}
+				}
+				checkView(t, s.shards[0])
+				if ro {
+					if after := treeFiles(t, root); !reflect.DeepEqual(after, before) {
+						t.Fatal("read-only open modified the directory")
+					}
+					return
+				}
+				// Rebuilt and published: the index on disk covers what the
+				// scan kept, and the manifest this open wrote references it.
+				_, healed, err := loadBlockIndex(vfs.OS, seg)
+				man, _, merr := readManifest(vfs.OS, filepath.Dir(seg))
+				if err != nil || merr != nil || !man.Segs[0].Idx || st.IndexedSegs != st.Segments-1 ||
+					man.Segs[0].Sum == nil || man.Segs[0].Sum.records != len(healed) || len(healed) != len(recs)-tail {
+					t.Fatalf("index not rebuilt and published: %d entries (%v), manifest %+v (%v), %+v", len(healed), err, man.Segs, merr, st)
+				}
+			})
+		}
+	}
+}

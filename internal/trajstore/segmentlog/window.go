@@ -78,21 +78,16 @@ type WindowStats struct {
 // candidate set under the lock, the candidates are walked exactly. The
 // pass's statistics are added to ws.
 func (l *shardLog) windowBlocks(w *trajstore.Window, ws *WindowStats, visit func(Block) error) error {
-	return l.read(w, ws, visit, func() (cands []refSnap, err error) {
+	return l.read(w, ws, visit, func() (cands []refSnap) {
 		ws.Segments += len(l.segs)
 		for si := range l.segs {
-			if sum := &l.segs[si].sum; sum.records == 0 || !w.Meets(sum.Bounds) {
+			s := &l.segs[si]
+			if s.sum.records == 0 || !w.Meets(s.sum.Bounds) {
 				ws.SegmentsPruned++
 				continue
 			}
-			// Deferred segments carry their manifest summary, so the prune
-			// above worked without touching disk; only a segment the window
-			// might actually hit pays its load here.
-			if err := l.ensureSegLoadedLocked(si); err != nil {
-				return nil, err
-			}
-			for pi := range l.segRecs[si] {
-				m := &l.segRecs[si][pi]
+			for pi := range s.recs {
+				m := &s.recs[pi]
 				ws.RecordsIndexed++
 				if !w.Meets(m.Bounds) {
 					ws.RecordsPruned++
@@ -101,6 +96,6 @@ func (l *shardLog) windowBlocks(w *trajstore.Window, ws *WindowStats, visit func
 				cands = append(cands, refSnap{seg: si, off: m.off, bodyLen: m.bodyLen})
 			}
 		}
-		return cands, nil
+		return cands
 	})
 }
