@@ -4,7 +4,7 @@
 // in; the server compresses them online (per-device sessions, bounded
 // deviation), persists finalized trajectories to per-tenant sharded
 // segment logs, and answers spatio-temporal window and per-device
-// time-range queries from disk.
+// time-range queries from the log plus the trails not yet in it.
 //
 // Usage:
 //

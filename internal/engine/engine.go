@@ -66,13 +66,12 @@ type Config struct {
 	// durability barrier and Close closes the persister. A value that
 	// is a full trajstore.Backend (segmentlog.ShardedLog) additionally
 	// gets its trails as the blocks they already are (AppendTrail),
-	// compaction, durable window queries and cache/reclaim statistics;
-	// one with just these three methods
-	// is used append-only: QueryWindow then sees only what has not been
-	// appended yet. Key points reach the wire format's degrees through
-	// trajstore.MetersPerDegree, so with a Persister Ingest refuses a
-	// fix outside ±90°/±180° with trajstore.ErrRange. See
-	// trajstore.Persister and trajstore/segmentlog.
+	// compaction, reads of its records and cache/reclaim statistics; one
+	// with just these three methods is used append-only: a read then sees
+	// only what has not been appended yet. Key points reach the wire
+	// format's degrees through trajstore.MetersPerDegree, so with a
+	// Persister Ingest refuses a fix outside ±90°/±180° with
+	// trajstore.ErrRange. See trajstore.Persister and trajstore/segmentlog.
 	Persister trajstore.Persister
 	// CompactInterval, when > 0 and a Persister is configured, runs a
 	// background compaction pass (trajstore.Backend.CompactNow — for
@@ -114,16 +113,17 @@ var ErrClosed = errors.New("engine: closed")
 // ErrDegraded reports that the engine is in degraded read-only mode: a
 // terminal persister failure (or a transient one that outlived the
 // retry loop) means new fixes cannot be made durable, so
-// Ingest/TryIngest reject them while queries keep answering from the
-// data already stored. Errors carrying it (match with errors.Is) wrap
+// Ingest/TryIngest reject them while queries keep answering from what is
+// stored and parked. Errors carrying it (match with errors.Is) wrap
 // the root cause. Heal — SIGHUP on a bqsd daemon — re-arms ingestion
 // once the fault is cleared; trajectory trails that finalized while
 // degraded are parked in memory and re-appended then (or by Close), so
 // nothing accepted before the fault is lost.
 var ErrDegraded = errors.New("engine: degraded: persistence failing, ingest suspended (queries still served; after clearing the fault call Heal, or send bqsd SIGHUP)")
 
-// ErrNoPersister reports a QueryWindow on an engine built without a
-// Persister: it keeps no history to query — its output is Config.OnKey.
+// ErrNoPersister reports a read (QueryWindow, WindowBlocks, DeviceBlocks)
+// on an engine built without a Persister: it keeps no history to query —
+// its output is Config.OnKey.
 var ErrNoPersister = errors.New("engine: no Persister configured: history is not kept (key points go to OnKey)")
 
 // ErrBackpressure reports that TryIngest found a shard queue full: the
@@ -517,20 +517,20 @@ func (e *Engine) IngestOne(device string, p core.Point) error {
 	return e.Ingest([]Fix{{Device: device, Point: p}})
 }
 
-// barrier has every shard worker run do (nil: nothing) in queue order
-// and waits until all of them have. Like Ingest, the engine lock is not
-// held across the queue sends, and both the sends and the waits abort
+// barrier has the worker of each of shards run do (nil: nothing) in queue
+// order and waits until all of them have. Like Ingest, the engine lock is
+// not held across the queue sends, and both the sends and the waits abort
 // with ErrClosed when Close begins — barriers already enqueued are still
 // honoured by the workers' shutdown drain, so abandoning the wait leaks
 // nothing.
-func (e *Engine) barrier(do func(*shard)) error {
+func (e *Engine) barrier(shards []*shard, do func(*shard)) error {
 	if _, err := e.admit(opCall); err != nil {
 		return err
 	}
 	defer e.inflight.Done()
-	waits := make([]chan struct{}, 0, len(e.shards))
+	waits := make([]chan struct{}, 0, len(shards))
 	var err error
-	for _, sh := range e.shards {
+	for _, sh := range shards {
 		m := shardMsg{do: do, barrier: make(chan struct{})}
 		if err = e.send(sh, m); err != nil {
 			break
@@ -558,7 +558,7 @@ func (e *Engine) barrier(do func(*shard)) error {
 // that triggered it. Useful before reading Stats in tests and benchmarks.
 func (e *Engine) Sync() error {
 	before := e.State()
-	if err := e.barrier(nil); err != nil {
+	if err := e.barrier(e.shards, nil); err != nil {
 		return err
 	}
 	syncErr := e.backend.Sync()
@@ -602,7 +602,7 @@ func (e *Engine) Heal() error {
 		return fmt.Errorf("engine: heal: persister still failing: %w", err)
 	}
 	if healing, ok := e.transition(evHeal, nil, 0); ok {
-		if err := e.barrier((*shard).drainParked); err != nil {
+		if err := e.barrier(e.shards, (*shard).drainParked); err != nil {
 			return err
 		}
 		e.transition(evHealed, nil, healing.gen)
@@ -615,16 +615,16 @@ func (e *Engine) Heal() error {
 // of the automatic eviction ticker, and waits for it to complete.
 // Sessions idle for at least IdleTimeout are flushed and closed; with
 // IdleTimeout 0 the sweep is a no-op.
-func (e *Engine) EvictIdle() error { return e.barrier((*shard).evictIdle) }
+func (e *Engine) EvictIdle() error { return e.barrier(e.shards, (*shard).evictIdle) }
 
 // FlushSessions finalizes every open session now — emitting each
 // compressor's pending tail key points and, with a Persister
 // configured, handing the finalized trails to it — without closing the
 // engine. The next fix for a flushed device opens a fresh session (its
 // compression restarts). Combined with Sync this makes everything
-// ingested before the call durable and queryable from the log; the
-// server's drain and its flush-and-sync frame are built on it.
-func (e *Engine) FlushSessions() error { return e.barrier((*shard).closeAll) }
+// ingested before the call durable; the server's drain and its
+// flush-and-sync frame are built on it.
+func (e *Engine) FlushSessions() error { return e.barrier(e.shards, (*shard).closeAll) }
 
 // QueueStats is a point-in-time snapshot of the per-shard ingest queue
 // occupancy, in batches. A shard pinned at Cap is applying
@@ -843,17 +843,22 @@ func (sh *shard) emit(device string, s *session, kp core.Point) {
 	}
 }
 
+// unrecorded reports whether the trail holds a key no log record does — any
+// but the one the previous chunk ended on: what a flush appends, and what a
+// read serves as a tail.
+func (s *session) unrecorded() bool { return s.trail.Len() > 1 || s.trail.Len() == 1 && !s.chunked }
+
 // persistTrail hands the session's trail to the persister. A non-final
 // (chunking) flush restarts the trail from its last key point so
 // consecutive records overlap by one key and the polyline stays
-// reconstructable; a final flush skips a trail that is only that overlap
-// (nothing new to record). A trail the persister does not take is parked
+// reconstructable; a trail that is only that overlap is skipped (see
+// unrecorded). A trail the persister does not take is parked
 // on the shard — with the session's buffer, so it aliases nothing — and
 // re-appended, in order, when Heal succeeds: data the engine already
 // accepted survives the outage in memory.
 func (sh *shard) persistTrail(device string, s *session, final bool) {
 	tr, gone := &s.trail, s.trail.Size()
-	if tr.Len() > 0 && !(final && s.chunked && tr.Len() == 1) {
+	if s.unrecorded() {
 		if sh.tryAppend(device, tr) {
 			sh.persisted.Add(1)
 		} else {

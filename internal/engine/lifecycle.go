@@ -116,7 +116,7 @@ type op uint8
 
 const (
 	opIngest  op = iota // dispatch: Ingest, TryIngest
-	opCall              // any other call that needs the engine open: barrier, CompactNow, Heal, QueryWindow, Stats
+	opCall              // any other call that needs the engine open: barrier, CompactNow, Heal, a read, Stats
 	opSync              // may Sync (and Heal) report success: is everything acked so far durable
 	opPersist           // a shard worker appending a finalized trail; refused means park it
 )

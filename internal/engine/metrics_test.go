@@ -18,8 +18,8 @@ type windowFailPersister struct{ trajstore.Backend }
 
 var errWindowBoom = errors.New("window boom")
 
-func (windowFailPersister) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]trajstore.PersistedRecord, error) {
-	return nil, errWindowBoom
+func (windowFailPersister) WindowBlocks(_, _, _, _ float64, _, _ uint32, _ func(trajstore.Block) error) error {
+	return errWindowBoom
 }
 
 // TestEngineQueryWindowPartialResult pins the error contract: when the

@@ -113,8 +113,11 @@ func (b *scriptBackend) records(device string) [][]trajstore.GeoKey {
 	defer b.mu.Unlock()
 	return b.held[device]
 }
-func (b *scriptBackend) QueryWindow(_, _, _, _ float64, _, _ uint32) ([]trajstore.PersistedRecord, error) {
-	return nil, nil
+func (b *scriptBackend) WindowBlocks(_, _, _, _ float64, _, _ uint32, _ func(trajstore.Block) error) error {
+	return nil
+}
+func (b *scriptBackend) DeviceBlocks(string, uint32, uint32, func(trajstore.Block) error) error {
+	return nil
 }
 
 // errClass is what model and engine must agree on for every call.
@@ -580,7 +583,7 @@ func TestEngineModel(t *testing.T) {
 					}
 				}
 				// The workers run behind the call: wait them out before looking.
-				if err := e.barrier(nil); err != nil && !errors.Is(err, ErrClosed) {
+				if err := e.barrier(e.shards, nil); err != nil && !errors.Is(err, ErrClosed) {
 					t.Fatal(err)
 				}
 				if classOf(got) != want {
@@ -748,7 +751,7 @@ func TestEngineModelFaultFS(t *testing.T) {
 						closeErr = got
 					}
 				}
-				if err := e.barrier(nil); err != nil && !errors.Is(err, ErrClosed) {
+				if err := e.barrier(e.shards, nil); err != nil && !errors.Is(err, ErrClosed) {
 					t.Fatal(err)
 				}
 				if calls := !strings.Contains(op.kind, "fault") && !strings.HasPrefix(op.kind, "fail-") && op.kind != "close"; calls && (classOf(got) == clsClosed) != (before.Phase >= Closing) {

@@ -217,13 +217,15 @@ func durablePairSet(t *testing.T, lg *segmentlog.ShardedLog, minX, minY, maxX, m
 	if err != nil {
 		t.Fatal(err)
 	}
+	w, err := trajstore.LatticeWindow(minX/m, minY/m, maxX/m, maxY/m, t0, t1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make(map[pairKey]bool)
-	q := tailsQuery{minX: minX, minY: minY, maxX: maxX, maxY: maxY, t0: float64(t0), t1: float64(t1)}
 	for _, rec := range recs {
 		for i := 0; i+1 < len(rec.Keys); i++ {
-			a, b := geoPoint(rec.Keys[i]), geoPoint(rec.Keys[i+1])
-			if q.meets(a, b) {
-				out[pairKeyOf(a, b)] = true
+			if w.MeetsPair(rec.Keys[i], rec.Keys[i+1]) {
+				out[pairKeyOf(geoPoint(rec.Keys[i]), geoPoint(rec.Keys[i+1]))] = true
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -21,7 +23,10 @@ import (
 // moment the query lands on — pair still on a session's trail, chunk
 // just appended, both in between the two reads — every pair emitted
 // before the call is reported, exactly once, and nothing that was never
-// emitted is. Run with -race.
+// emitted is. The block stream under it is held to the same: a trail that
+// grew and was chunked between the two reads comes back from the log as a
+// superset of the tail held, not as equal bytes, and must still be served
+// once. Run with -race.
 func TestQueryWindowTailsWhileChunksLand(t *testing.T) {
 	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{MaxSegmentBytes: 4096})
 	if err != nil {
@@ -70,6 +75,9 @@ func TestQueryWindowTailsWhileChunksLand(t *testing.T) {
 		}
 		before := emitted.all(t)
 		probes = append(probes, probe{before, queryAll(t, e)})
+		if missing, _ := diffSets(before, blockPairs(t, e)); missing != 0 {
+			t.Fatalf("probe %d: the block stream lacks %d of the %d pairs emitted before it", len(probes), missing, len(before))
+		}
 	}
 	if err := e.Sync(); err != nil {
 		t.Fatal(err)
@@ -89,6 +97,113 @@ func TestQueryWindowTailsWhileChunksLand(t *testing.T) {
 	last := probes[len(probes)-1].got
 	if a, b := diffSets(last, final); a != 0 || b != 0 {
 		t.Fatalf("query over the finished stream: %d extra, %d missing", a, b)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// blockPairs reads everything through Engine.WindowBlocks and returns the
+// consecutive key pairs of the blocks served; one served twice — in two
+// blocks, or twice in one — fails the test.
+func blockPairs(t *testing.T, e *Engine) map[pairKey]bool {
+	t.Helper()
+	out := make(map[pairKey]bool)
+	err := e.WindowBlocks(-10, -10, 10, 10, 0, math.MaxUint32, func(blk trajstore.Block) error {
+		keys, err := trajstore.DeltaDecode(blk.Payload)
+		for i := 1; i < len(keys); i++ {
+			k := pairKeyOf(geoPoint(keys[i-1]), geoPoint(keys[i]))
+			if out[k] {
+				t.Fatalf("%s: pair %v served twice in one read (in a block of %d keys, t %d..%d)", blk.Device, k, len(keys), blk.T0, blk.T1)
+			}
+			out[k] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestReadAsksOnlyTheShardsItNeeds: a caller's bad window is refused
+// before any shard worker is asked — it is not a "partial result", as if
+// the disk had failed — and a device read waits for the device's own shard
+// alone. One worker is held inside OnKey, so a barrier sent to it would
+// not return.
+func TestReadAsksOnlyTheShardsItNeeds(t *testing.T) {
+	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck, free := "dev-0", "dev-1"
+	for i := 2; trajstore.ShardIndex(free, 2) == trajstore.ShardIndex(stuck, 2); i++ {
+		free = fmt.Sprintf("dev-%d", i)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	e, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 2, Persister: lg,
+		OnKey: func(device string, _ core.Point) {
+			if device == stuck {
+				close(entered)
+				<-release
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []core.Point{{X: 10, Y: 10, T: 100}, {X: 20, Y: 30, T: 110}, {X: 40, Y: 20, T: 120}} {
+		if err := e.IngestOne(free, p); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			if err := e.IngestOne(stuck, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	<-entered
+	visit := func(blk trajstore.Block) error {
+		if blk.Device != free {
+			t.Errorf("served a block of %s", blk.Device)
+		}
+		return nil
+	}
+	nan := math.NaN()
+	for _, w := range [][4]float64{{1, 0, 0, 1}, {0, 1, 1, 0}, {nan, 0, 1, 1}, {0, 0, 1, nan}} {
+		_, qerr := e.QueryWindow(w[0], w[1], w[2], w[3], 0, 1)
+		berr := e.WindowBlocks(w[0], w[1], w[2], w[3], 0, 1, visit)
+		for _, err := range []error{qerr, berr} {
+			if err == nil || errors.Is(err, ErrPartialResult) {
+				t.Fatalf("window %v: %v, want a refusal that is not ErrPartialResult", w, err)
+			}
+		}
+	}
+	if _, err := e.QueryWindow(0, 0, 1, 1, 2, 1); err == nil || errors.Is(err, ErrPartialResult) {
+		t.Fatalf("inverted time range: %v, want a refusal that is not ErrPartialResult", err)
+	}
+	served := 0
+	err = e.DeviceBlocks(free, 0, math.MaxUint32, func(blk trajstore.Block) error {
+		served++
+		keys, err := trajstore.DeltaDecode(blk.Payload)
+		if len(keys) != 3 || blk.T0 != 100 || blk.T1 != 120 {
+			t.Errorf("served %d keys, t %d..%d; want the three un-flushed key points", len(keys), blk.T0, blk.T1)
+		}
+		return errors.Join(err, visit(blk))
+	})
+	if err != nil || served != 1 {
+		t.Fatalf("DeviceBlocks beside a held shard: %d blocks, %v", served, err)
+	}
+	// A window read does ask every shard: it returns once the held one moves.
+	done := make(chan error, 1)
+	go func() { done <- e.WindowBlocks(-1, -1, 1, 1, 0, 99, visit) }()
+	select {
+	case err := <-done:
+		t.Fatalf("WindowBlocks returned %v past a held shard worker", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -140,7 +255,7 @@ func byShard(ids []string, n int) [][]string {
 func parkedTrails(t *testing.T, e *Engine, ref *keyLog) [][]string {
 	t.Helper()
 	out := make([][]string, len(e.shards))
-	err := e.barrier(func(sh *shard) {
+	err := e.barrier(e.shards, func(sh *shard) {
 		for i := range sh.parked {
 			p := &sh.parked[i]
 			n := trajstore.ShardIndex(p.device, len(out)) // the worker's own slot

@@ -161,11 +161,24 @@ type IngestAck struct {
 	Degraded         bool
 }
 
-// Sync requests the durability barrier: when the ack returns, every fix
-// accepted before the request is processed and (with Flush) every open
-// session has been finalized into the log. Flush makes freshly
-// ingested trajectories visible to queries at the cost of restarting
-// those devices' compression sessions.
+// Sync requests the durability barrier. The service's contract is written
+// down here, once:
+//
+//   - An ingest ack means queued, in memory: the fixes it counts are on
+//     their device's shard queue, behind every fix acked before them.
+//   - A query sees every key point emitted from fixes acked before it,
+//     durable or not — stored records, then the trails no record holds yet
+//     (open sessions', and those parked by degraded mode) — and waits its
+//     turn in the shard queues to do so, as a Sync does. What a compressor
+//     still holds back, the pending end of a segment, is not a key point yet.
+//   - A Sync acked without Err means every fix acked before it is processed
+//     and every record the log was handed is fsync'd. Key points still on a
+//     session's trail (fewer than -trail) are not in the log, so not durable.
+//   - With Flush every open session is finalized first: its compressor emits
+//     the pending end, its trail goes to the log, and the device's next fix
+//     starts compression afresh. After it, everything acked before is durable.
+//   - A SIGKILL may lose what memory alone holds: bqs_trail_bytes plus
+//     bqs_log_unsynced_bytes on /metrics, and the fixes still queued.
 type Sync struct {
 	Seq   uint64
 	Flush bool
@@ -177,9 +190,9 @@ type SyncAck struct {
 	Err string
 }
 
-// QueryWindow asks for every durable record with a trajectory segment
-// intersecting [MinLon, MaxLon] × [MinLat, MaxLat] (degrees) during
-// [T0, T1] (seconds).
+// QueryWindow asks for every run of key points — stored record or
+// un-flushed trail, see Sync — with a trajectory segment intersecting
+// [MinLon, MaxLon] × [MinLat, MaxLat] (degrees) during [T0, T1] (seconds).
 type QueryWindow struct {
 	Seq            uint64
 	MinLon, MinLat float64
@@ -187,7 +200,8 @@ type QueryWindow struct {
 	T0, T1         uint32
 }
 
-// QueryTime asks for one device's durable records overlapping [T0, T1].
+// QueryTime asks for one device's runs of key points — stored records,
+// then un-flushed trails, see Sync — overlapping [T0, T1], oldest first.
 type QueryTime struct {
 	Seq    uint64
 	Device string

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func (c *captureConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
 
 // served runs one query through sendQuery and returns the QueryResp
 // payload the server put on the wire.
-func served(t *testing.T, seq uint64, out *[]byte, read func(visit func(segmentlog.Block) error) error) []byte {
+func served(t *testing.T, seq uint64, out *[]byte, read func(visit func(trajstore.Block) error) error) []byte {
 	t.Helper()
 	var c captureConn
 	if !sendQuery(&c, seq, out, read) {
@@ -84,22 +85,49 @@ func byDevice(recs []trajstore.PersistedRecord) map[string][]trajstore.Persisted
 	return m
 }
 
+// once is a read's rule on a record the log holds twice, by brute force: a
+// record whose keys are a run of an earlier one's of its device is left out.
+func once(recs []trajstore.PersistedRecord) (out []trajstore.PersistedRecord) {
+next:
+	for _, r := range recs {
+		for _, s := range out {
+			for i := 0; s.Device == r.Device && i+len(r.Keys) <= len(s.Keys); i++ {
+				if slices.Equal(s.Keys[i:i+len(r.Keys)], r.Keys) {
+					continue next
+				}
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 // TestServedFrameIsStoredBytes pins the block path end to end at the
-// frame: over a seeded log — sessions chunked at 16 keys, a duplicate, a
-// second shard — in each of its lives (chunked, merged, aged; read cache
-// cold, then warm) and over random windows and per-device ranges, the
-// QueryResp payload the server writes without decoding anything is byte
-// for byte what AppendQueryResp makes of the library's decoded answer, and
-// it parses to the brute-force filter of everything the log holds. While a
-// compaction is re-joining chunks under the queries, record boundaries are
-// in flux, so there the answer is held to the brute force pair by pair.
+// frame, read the way the server reads — through the tenant's engine: over
+// a seeded log — sessions chunked at 16 keys, a duplicate, a second shard —
+// in each of its lives (chunked, merged, aged; read cache cold, then warm)
+// and over random windows and per-device ranges, the QueryResp payload the
+// server writes without decoding anything is byte for byte what
+// AppendQueryResp makes of the library's decoded answer — less the copy of
+// the duplicate while the log holds it (once): the read serves it one time,
+// as Engine.QueryWindow always has — and it parses to the brute-force filter
+// of everything the log holds. While a compaction
+// is re-joining chunks under the queries, record boundaries are in flux,
+// so there the answer is held to the brute force pair by pair. Last, with
+// sessions streaming and nothing flushed, the frame is the log's blocks
+// and then the open trails', as the bytes the log will store for them.
 func TestServedFrameIsStoredBytes(t *testing.T) {
 	const devices, perDevice, chunk = 12, 200, 16
 	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{MaxSegmentBytes: 2 << 10, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lg.Close()
+	var emitted onKeyLog
+	eng, err := engine.New(engine.Config{Tolerance: 2, Shards: 2, MaxTrailKeys: chunk, Persister: lg, OnKey: emitted.onKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
 	dev := func(d int) string { return fmt.Sprintf("dev-%03d", d) }
 	appendChunked := func(from, to int) {
 		t.Helper()
@@ -146,16 +174,16 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 		return all
 	}
 	out := bytes.Repeat([]byte{0xaa}, keepBuf+1) // large enough to travel through the pool, and dirty
-	window := func(q proto.QueryWindow) func(func(segmentlog.Block) error) error {
-		return func(visit func(segmentlog.Block) error) error {
-			_, err := lg.WindowBlocks(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1, visit)
-			return err
+	window := func(q proto.QueryWindow) func(func(trajstore.Block) error) error {
+		return func(visit func(trajstore.Block) error) error {
+			return eng.WindowBlocks(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1, visit)
 		}
 	}
-	// quiescent holds one stage of the log's life to the byte.
-	quiescent := func(stage string) {
+	// quiescent holds one stage of the log's life to the byte; it returns
+	// how many copies of a record the log held the reads left out.
+	quiescent := func(stage string) (copies int) {
 		t.Helper()
-		all := everything()
+		all := once(everything())
 		matched := 0
 		for i := 0; i < 60; i++ {
 			q := randomWindow(uint64(i + 1))
@@ -168,10 +196,12 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 			matched += len(want)
 			for _, temp := range []string{"cold", "warm"} {
 				got := served(t, q.Seq, &out, window(q))
-				recs, err := lg.QueryWindow(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1)
+				held, err := lg.QueryWindow(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1)
 				if err != nil {
 					t.Fatal(err)
 				}
+				recs := once(held)
+				copies += len(held) - len(recs)
 				ref, err := proto.AppendQueryResp(nil, proto.QueryResp{Seq: q.Seq, Records: recs})
 				if err != nil || !bytes.Equal(got, ref) {
 					t.Fatalf("%s, %s, window %+v: served %d B, AppendQueryResp(QueryWindow) %d B (%v): not the same bytes", stage, temp, q, len(got), len(ref), err)
@@ -186,13 +216,15 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 			}
 			// The per-device read, on the same terms.
 			d, t0 := dev(rng.Intn(devices)), 1000+uint32(rng.Intn(30*perDevice))
-			got := served(t, q.Seq, &out, func(visit func(segmentlog.Block) error) error {
-				return lg.DeviceBlocks(d, t0, t0+900, visit)
+			got := served(t, q.Seq, &out, func(visit func(trajstore.Block) error) error {
+				return eng.DeviceBlocks(d, t0, t0+900, visit)
 			})
-			recs, err := lg.Query(d, t0, t0+900)
+			held, err := lg.Query(d, t0, t0+900)
 			if err != nil {
 				t.Fatal(err)
 			}
+			recs := once(held)
+			copies += len(held) - len(recs)
 			if ref, err := proto.AppendQueryResp(nil, proto.QueryResp{Seq: q.Seq, Records: recs}); err != nil || !bytes.Equal(got, ref) || len(recs) == 0 {
 				t.Fatalf("%s, %s [%d,%d]: served %d B, AppendQueryResp(Query) %d B over %d records (%v)", stage, d, t0, t0+900, len(got), len(ref), len(recs), err)
 			}
@@ -200,9 +232,12 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 		if matched == 0 {
 			t.Fatalf("%s: no window matched anything", stage)
 		}
+		return copies
 	}
 
-	quiescent("chunked")
+	if quiescent("chunked") == 0 {
+		t.Fatal("chunked: no read met the chunk the log holds twice")
+	}
 
 	// Mid-compaction: chunks are re-joined while the queries run.
 	truth := everything()
@@ -242,13 +277,72 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 		t.Fatalf("the compaction left %d records of %d", st.Records, len(truth))
 	}
 	appendChunked(perDevice-1, perDevice+60) // fresh chunks beside the merged records
-	quiescent("merged")
+	if n := quiescent("merged"); n != 0 {
+		t.Fatalf("merged: the reads left out %d records of a compacted log", n)
+	}
 
 	res, err := lg.Compact(segmentlog.CompactionPolicy{MergeChunks: true, CoarseTolerance: 450, Now: func() time.Time { return time.Unix(1<<20, 0) }})
 	if err != nil || res.Aged == 0 {
 		t.Fatalf("ageing Compact = %+v, %v; want aged records", res, err)
 	}
 	quiescent("aged")
+
+	// Un-flushed: four fresh devices stream a few fixes each through the
+	// engine — fewer key points than a chunk, so the log has none of them —
+	// and are read back at once: behind the log's records come their
+	// trails, one block a device, holding exactly the key points OnKey has
+	// reported, and the frame is still the canonical encoding of what it
+	// parses to.
+	var fixes []engine.Fix
+	for d := devices; d < devices+4; d++ {
+		fixes = append(fixes, toFixes(dev(d), track(d, chunk-4), trajstore.MetersPerDegree)...)
+	}
+	if err := eng.Ingest(fixes); err != nil {
+		t.Fatal(err)
+	}
+	tail := func(d string) trajstore.PersistedRecord {
+		keys := emitted.all()[d]
+		return trajstore.PersistedRecord{Device: d, T0: keys[0].T, T1: keys[len(keys)-1].T, Keys: keys}
+	}
+	tails := 0
+	for i := 0; i < 60; i++ {
+		q := randomWindow(uint64(i + 1))
+		got := served(t, q.Seq, &out, window(q))
+		resp, err := proto.ParseQueryResp(got)
+		if err != nil || resp.Err != "" {
+			t.Fatalf("un-flushed, window %+v: %q, %v", q, resp.Err, err)
+		}
+		if ref, err := proto.AppendQueryResp(nil, resp); err != nil || !bytes.Equal(got, ref) {
+			t.Fatalf("un-flushed, window %+v: the served frame is not the encoding of the records it parses to (%v)", q, err)
+		}
+		logged, err := lg.QueryWindow(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []trajstore.PersistedRecord
+		for d := devices; d < devices+4; d++ {
+			if r := tail(dev(d)); refMatch(r.Keys, q) {
+				want = append(want, r)
+			}
+		}
+		if len(resp.Records) < len(logged) || !reflect.DeepEqual(resp.Records[:len(logged)], logged) && len(logged) > 0 {
+			t.Fatalf("un-flushed, window %+v: the frame does not start with the log's %d records", q, len(logged))
+		}
+		if !reflect.DeepEqual(byDevice(resp.Records[len(logged):]), byDevice(want)) {
+			t.Fatalf("un-flushed, window %+v: after the log's records the frame holds %+v, want the trails %+v", q, resp.Records[len(logged):], want)
+		}
+		tails += len(want)
+	}
+	if st := eng.Stats(); tails == 0 || st.Persisted != 0 || st.TrailBytes == 0 {
+		t.Fatalf("un-flushed: %d trails matched, engine stats %+v", tails, st)
+	}
+	d := dev(devices + 1)
+	resp, err := proto.ParseQueryResp(served(t, 7, &out, func(visit func(trajstore.Block) error) error {
+		return eng.DeviceBlocks(d, 0, math.MaxUint32, visit)
+	}))
+	if err != nil || !reflect.DeepEqual(resp.Records, []trajstore.PersistedRecord{tail(d)}) {
+		t.Fatalf("un-flushed, %s: served %+v, %v; want its one trail", d, resp.Records, err)
+	}
 }
 
 // TestUnsendableWindowStopsEarly: a window whose answer cannot fit a frame
@@ -257,12 +351,12 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 // proto.MaxFrame: the frame buffer never holds more than the cap plus that
 // one record, however much the window would have returned.
 func TestUnsendableWindowStopsEarly(t *testing.T) {
-	blk := segmentlog.Block{Device: "dev", T0: 1, T1: 2, Payload: make([]byte, 64<<10)}
+	blk := trajstore.Block{Device: "dev", T0: 1, T1: 2, Payload: make([]byte, 64<<10)}
 	blk.Payload[0] = 0 // an empty block, padded: the server never looks inside
 	const total = 4 * proto.MaxFrame / (64 << 10)
 	flood := &floodLog{blk: blk, n: total}
 	hookOpenLog(t, func(inner tenantLog) tenantLog {
-		flood.tenantLog = inner
+		flood.ShardedLog = inner.(*segmentlog.ShardedLog)
 		return flood
 	})
 	_, addr := startServer(t, Config{Dir: t.TempDir(), Engine: engine.Config{Tolerance: 2, Shards: 1}})
@@ -291,11 +385,12 @@ func TestUnsendableWindowStopsEarly(t *testing.T) {
 	}
 }
 
-// floodLog answers every window with n copies of one block, for as long as
-// the visitor takes them.
+// floodLog is the real sharded log — a full trajstore.Backend, so the
+// engine reads it — answering every window with n copies of one block, for
+// as long as the visitor takes them.
 type floodLog struct {
-	tenantLog
-	blk segmentlog.Block
+	*segmentlog.ShardedLog
+	blk trajstore.Block
 	n   int
 
 	mu      sync.Mutex
@@ -303,14 +398,14 @@ type floodLog struct {
 	stopped error // what the visitor ended the read with
 }
 
-func (f *floodLog) WindowBlocks(_, _, _, _ float64, _, _ uint32, visit func(segmentlog.Block) error) (segmentlog.WindowStats, error) {
+func (f *floodLog) WindowBlocks(_, _, _, _ float64, _, _ uint32, visit func(trajstore.Block) error) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i := 0; i < f.n && f.stopped == nil; i++ {
 		f.visits++
 		f.stopped = visit(f.blk)
 	}
-	return segmentlog.WindowStats{}, f.stopped
+	return f.stopped
 }
 
 // TestShedReleasesLargeBuffers: a frame buffer is kept between frames only

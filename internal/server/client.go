@@ -172,8 +172,8 @@ func (c *Client) IngestAll(batches []proto.DeviceBatch, maxRetries int) (accepte
 }
 
 // Sync runs the durability barrier; with flush, open compression
-// sessions are finalized first so everything ingested becomes durable
-// and queryable (at the cost of restarting those sessions).
+// sessions are finalized first so everything ingested becomes durable, at
+// the cost of restarting those sessions (proto.Sync has the contract).
 func (c *Client) Sync(flush bool) error {
 	c.seq++
 	c.enc = proto.AppendSync(c.enc[:0], proto.Sync{Seq: c.seq, Flush: flush})
@@ -197,9 +197,9 @@ func (c *Client) Sync(flush bool) error {
 	return nil
 }
 
-// QueryWindow returns every durable record with a segment intersecting
-// the window: [minLon, maxLon] x [minLat, maxLat] degrees, [t0, t1]
-// seconds.
+// QueryWindow returns every stored record and un-flushed trail (see
+// proto.Sync) with a segment intersecting the window: [minLon, maxLon] x
+// [minLat, maxLat] degrees, [t0, t1] seconds.
 func (c *Client) QueryWindow(minLon, minLat, maxLon, maxLat float64, t0, t1 uint32) ([]trajstore.PersistedRecord, error) {
 	c.seq++
 	c.enc = proto.AppendQueryWindow(c.enc[:0], proto.QueryWindow{
@@ -208,7 +208,8 @@ func (c *Client) QueryWindow(minLon, minLat, maxLon, maxLat float64, t0, t1 uint
 	return c.queryResp(proto.TypeQueryWindow)
 }
 
-// QueryTime returns one device's durable records overlapping [t0, t1].
+// QueryTime returns one device's stored records, then its un-flushed
+// trails, overlapping [t0, t1].
 func (c *Client) QueryTime(device string, t0, t1 uint32) ([]trajstore.PersistedRecord, error) {
 	c.seq++
 	c.enc = proto.AppendQueryTime(c.enc[:0], proto.QueryTime{Seq: c.seq, Device: device, T0: t0, T1: t1})

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -19,12 +21,13 @@ import (
 // batch lands durably; then the disk "fills" (sustained ENOSPC via
 // vfs.FaultFS) and the next durability barrier latches the tenant's
 // engine degraded: ingest acks carry the degraded flag, IngestAll
-// stops resending with ErrDegraded, and queries keep answering from
-// the durable generation. Clearing the fault and calling Server.Heal
-// resumes ingest — and the fixes acked while the disk was sick (parked
-// in memory meanwhile) drain to disk, so no acked data is lost.
+// stops resending with ErrDegraded, and queries keep answering — from
+// the durable generation and from the trails parked in memory. Clearing
+// the fault and calling Server.Heal resumes ingest — and the fixes acked
+// while the disk was sick drain to disk, so no acked data is lost.
 func TestDegradedModeEndToEnd(t *testing.T) {
-	srv, c, fs, _, trackA, trackB := degradedFleet(t)
+	srv, c, fs, _, acked := degradedFleet(t)
+	parkedB := polyline(t, c, "dev-b", "degraded")
 	// Phase 3: the operator clears the fault and heals. The engine
 	// re-probes its persister (salvaging the poisoned segment), drains
 	// the trails parked while degraded, and resumes taking fixes.
@@ -40,11 +43,17 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 		t.Fatalf("Sync after heal: %v", err)
 	}
 
-	// No lost acked fixes: every batch that was acked — including batch
-	// B, acked while the disk was failing — is durable in full.
-	coverage(t, c, "dev-a", trackA, "healed")
-	coverage(t, c, "dev-b", trackB, "healed")
-	coverage(t, c, "dev-d", trackD, "healed")
+	// No lost acked fixes: every batch that was acked — including those
+	// acked while the disk was failing — is durable in full.
+	acked["dev-d"] = trackD
+	for dev, keys := range acked {
+		coverage(t, c, dev, keys, "healed")
+	}
+	// The track that was parked now comes from the log: the same polyline
+	// as while it sat in memory, no pair of it served twice.
+	if got := polyline(t, c, "dev-b", "healed"); !reflect.DeepEqual(got, parkedB) {
+		t.Fatalf("dev-b after Heal: %d key points %v, %d while parked %v", len(got), got, len(parkedB), parkedB)
+	}
 }
 
 // TestHealNoop: Heal on a healthy server (and on one with no tenants
@@ -73,8 +82,43 @@ func TestHealNoop(t *testing.T) {
 	}
 }
 
-// coverage asserts over the wire that a device's durable records span
-// exactly the acked track.
+// polyline is what the wire holds of a device, as bench/oracle.go reads
+// it: QueryTime's records in time order, concatenated, the key point that
+// consecutive chunks share kept once. A consecutive pair served twice
+// fails the test.
+func polyline(t *testing.T, c *Client, dev, ctx string) []trajstore.GeoKey {
+	t.Helper()
+	recs, err := c.QueryTime(dev, 0, math.MaxUint32)
+	if err != nil {
+		t.Fatalf("%s: query %s: %v", ctx, dev, err)
+	}
+	return canonical(t, recs, dev+", "+ctx)
+}
+
+func canonical(t *testing.T, recs []trajstore.PersistedRecord, ctx string) (canon []trajstore.GeoKey) {
+	t.Helper()
+	sort.SliceStable(recs, func(i, j int) bool {
+		return recs[i].T0 < recs[j].T0 || recs[i].T0 == recs[j].T0 && recs[i].T1 < recs[j].T1
+	})
+	seen := map[[2]trajstore.GeoKey]bool{}
+	for _, rec := range recs {
+		for i, k := range rec.Keys {
+			if p := [2]trajstore.GeoKey{rec.Keys[max(i-1, 0)], k}; i > 0 {
+				if seen[p] {
+					t.Fatalf("%s: the pair %v is served twice", ctx, p)
+				}
+				seen[p] = true
+			}
+			if n := len(canon); n == 0 || canon[n-1] != k {
+				canon = append(canon, k)
+			}
+		}
+	}
+	return canon
+}
+
+// coverage asserts over the wire that a device's records span exactly the
+// acked track.
 func coverage(t *testing.T, c *Client, dev string, keys []trajstore.GeoKey, ctx string) {
 	t.Helper()
 	recs, err := c.QueryTime(dev, 0, math.MaxUint32)
@@ -108,11 +152,12 @@ func covers(t *testing.T, recs []trajstore.PersistedRecord, dev string, keys []t
 
 // degradedFleet starts a server over a fault-injected disk and drives
 // its "fleet" tenant into degraded mode: track A lands durably, then the
-// disk "fills" (sustained ENOSPC), track B is acked into memory, and the
-// next flush barrier parks its trail and degrades the engine. The
-// degraded contract is checked on the way: acks carry the flag,
-// IngestAll stops resending, queries keep answering.
-func degradedFleet(t *testing.T) (srv *Server, c *Client, fs *vfs.FaultFS, dir string, trackA, trackB []trajstore.GeoKey) {
+// disk "fills" (sustained ENOSPC), tracks B and E are acked into memory,
+// the next barrier degrades the engine and the flush after it parks their
+// trails. The degraded contract is checked on the way: acks carry the
+// flag, IngestAll stops resending, queries keep answering — the parked
+// track included. acked is every track acked, by device.
+func degradedFleet(t *testing.T) (srv *Server, c *Client, fs *vfs.FaultFS, dir string, acked map[string][]trajstore.GeoKey) {
 	t.Helper()
 	fs, dir = vfs.NewFaultFS(7), t.TempDir()
 	srv, addr := startServer(t, Config{
@@ -127,7 +172,7 @@ func degradedFleet(t *testing.T) (srv *Server, c *Client, fs *vfs.FaultFS, dir s
 	t.Cleanup(func() { c.Close() })
 
 	// Phase 1: healthy ingest, made durable by a flush barrier.
-	trackA = track(0, 40)
+	trackA := track(0, 40)
 	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "dev-a", Keys: trackA}}, 20); err != nil {
 		t.Fatalf("healthy IngestAll: %v", err)
 	}
@@ -137,18 +182,27 @@ func degradedFleet(t *testing.T) (srv *Server, c *Client, fs *vfs.FaultFS, dir s
 	coverage(t, c, "dev-a", trackA, "healthy phase")
 
 	// Phase 2: the disk fills. Batch B is small enough (< MaxTrailKeys
-	// key points) to be accepted entirely into the in-memory session —
-	// the acks are honest, nothing touched the disk yet — and the flush
-	// barrier then forces its trail at the sick disk: ENOSPC is
-	// terminal, so the engine parks the trail and latches degraded.
+	// key points) to sit whole on its session's trail; E's first chunks go
+	// into the log's write-behind buffer. The acks are honest: nothing
+	// has touched the disk yet. The next barrier does — ENOSPC is
+	// terminal, so the engine latches degraded, and the log withdraws E's
+	// chunks, of unknown on-disk state, until it can salvage them — and
+	// the flush barrier after it finalizes both sessions into a degraded
+	// engine, which parks their trails.
 	fs.AddRule(vfs.Rule{Op: vfs.OpWrite, Fault: vfs.FaultENOSPC})
 	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Fault: vfs.FaultENOSPC})
-	trackB = track(1, 10)
-	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "dev-b", Keys: trackB}}, 20); err != nil {
+	trackB, trackE := track(1, 10), track(4, 40)
+	acked = map[string][]trajstore.GeoKey{"dev-a": trackA, "dev-b": trackB, "dev-e": trackE}
+	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "dev-b", Keys: trackB}, {Device: "dev-e", Keys: trackE}}, 20); err != nil {
 		t.Fatalf("IngestAll into memory with sick disk: %v", err)
 	}
-	if err := c.Sync(true); err == nil {
-		t.Fatal("Sync with sustained ENOSPC reported success")
+	for _, flush := range []bool{false, true} {
+		if err := c.Sync(flush); err == nil {
+			t.Fatalf("Sync(%v) with sustained ENOSPC reported success", flush)
+		}
+	}
+	if v := metricValue(t, scrape(t, srv), "bqs_parked_trails", "fleet"); v != 2 {
+		t.Fatalf("bqs_parked_trails = %v after the flush into a degraded engine, want 2", v)
 	}
 
 	// Degraded: acks carry the flag with nothing accepted, and
@@ -165,12 +219,18 @@ func degradedFleet(t *testing.T) (srv *Server, c *Client, fs *vfs.FaultFS, dir s
 		t.Fatalf("IngestAll while degraded = %v, want ErrDegraded", err)
 	}
 
-	// Queries still answer from the durable generation.
+	// Queries still answer: from the durable generation, and — for the
+	// track acked since — from the trail parked in memory.
 	coverage(t, c, "dev-a", trackA, "degraded phase")
-	if recs, err := c.QueryWindow(-1, -1, 2, 2, 0, math.MaxUint32); err != nil || len(recs) == 0 {
-		t.Fatalf("window query while degraded: %d records, err %v", len(recs), err)
+	coverage(t, c, "dev-b", trackB, "degraded phase")
+	recs, err := c.QueryWindow(-1, -1, 2, 2, 0, math.MaxUint32)
+	if err != nil {
+		t.Fatalf("window query while degraded: %v", err)
 	}
-	return srv, c, fs, dir, trackA, trackB
+	if got := canonical(t, byDevice(recs)["dev-b"], "dev-b, window query while degraded"); !reflect.DeepEqual(got, polyline(t, c, "dev-b", "degraded phase")) || len(got) < 3 {
+		t.Fatalf("window query while degraded: dev-b's parked track as %d key points, QueryTime has another polyline", len(got))
+	}
+	return srv, c, fs, dir, acked
 }
 
 // TestShutdownDrainsParkedTrails is the restart path an operator takes
@@ -179,7 +239,7 @@ func degradedFleet(t *testing.T) (srv *Server, c *Client, fs *vfs.FaultFS, dir s
 // parked trails out itself, so the reopened directory holds every acked
 // fix — including the batch acked while the disk was failing.
 func TestShutdownDrainsParkedTrails(t *testing.T) {
-	srv, c, fs, dir, trackA, trackB := degradedFleet(t)
+	srv, c, fs, dir, acked := degradedFleet(t)
 	fs.ClearRules()
 	c.Close()
 	// Shutdown's own Sync still reports the degraded engine — no Heal ran —
@@ -192,7 +252,7 @@ func TestShutdownDrainsParkedTrails(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer lg.Close()
-	for dev, keys := range map[string][]trajstore.GeoKey{"dev-a": trackA, "dev-b": trackB} {
+	for dev, keys := range acked {
 		recs, err := lg.Query(dev, 0, math.MaxUint32)
 		if err != nil {
 			t.Fatal(err)

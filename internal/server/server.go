@@ -1,16 +1,17 @@
 // Package server puts the durable sharded ingestion engine behind a
 // TCP listener speaking the proto frame protocol: batched fix frames
 // in, ack/reject frames out, plus spatio-temporal window and per-device
-// time-range queries answered from the segment log.
+// time-range queries answered by the engine — the log's records, then the
+// trails no record holds yet (proto.Sync states the contract).
 //
 // Each tenant named in a connection's Hello maps to its own engine and
 // sharded-log directory under Config.Dir, opened lazily on first use
 // and flock-guarded by the log itself. Ingest uses the engine's
 // non-blocking TryIngest: a device batch that lands on a full shard
 // queue is rejected in the ack with a retry-after hint — the server
-// never buffers rejected fixes and never blocks a connection goroutine
-// on a wedged persister, so accept/drain liveness does not depend on
-// disk health.
+// never buffers rejected fixes and an ingest frame never blocks its
+// connection goroutine on a wedged persister. Sync and query frames do
+// wait their turn in the shard queues.
 package server
 
 import (
@@ -64,14 +65,13 @@ type Config struct {
 	DrainTimeout time.Duration
 }
 
-// tenantLog is the slice of segmentlog.ShardedLog the server consumes;
-// tests substitute it via openLog to wedge persistence.
+// tenantLog is the slice of segmentlog.ShardedLog the server consumes: the
+// Persister it hands the tenant's engine (which appends to, reads and
+// compacts it as a trajstore.Backend), the shard count, and /metrics'
+// bookkeeping. Tests substitute it via openLog to wedge persistence.
 type tenantLog interface {
 	trajstore.Persister
 	NumShards() int
-	DeviceBlocks(device string, t0, t1 uint32, visit func(segmentlog.Block) error) error
-	WindowBlocks(minX, minY, maxX, maxY float64, t0, t1 uint32, visit func(segmentlog.Block) error) (segmentlog.WindowStats, error)
-	CompactNow() error
 	Stats() segmentlog.Stats
 }
 
@@ -398,9 +398,8 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.sendError(conn, perr.Error())
 				return
 			}
-			if !sendQuery(conn, q.Seq, &out, func(visit func(segmentlog.Block) error) error {
-				_, err := tn.log.WindowBlocks(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1, visit)
-				return err
+			if !sendQuery(conn, q.Seq, &out, func(visit func(trajstore.Block) error) error {
+				return tn.eng.WindowBlocks(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1, visit)
 			}) {
 				return
 			}
@@ -410,8 +409,8 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.sendError(conn, perr.Error())
 				return
 			}
-			if !sendQuery(conn, q.Seq, &out, func(visit func(segmentlog.Block) error) error {
-				return tn.log.DeviceBlocks(q.Device, q.T0, q.T1, visit)
+			if !sendQuery(conn, q.Seq, &out, func(visit func(trajstore.Block) error) error {
+				return tn.eng.DeviceBlocks(q.Device, q.T0, q.T1, visit)
 			}) {
 				return
 			}
@@ -487,18 +486,18 @@ func shed(b []byte) []byte {
 
 var frames sync.Pool // of *[]byte
 
-// sendQuery answers one query. read streams the matching stored blocks
+// sendQuery answers one query. read streams the engine's matching blocks
 // and each is appended to the connection's frame buffer as it arrives:
 // nothing is decoded and nothing but the frame is built. At the record
 // that takes the frame past proto.MaxFrame the read is stopped and the
 // answer is an in-band error, as when the read itself fails; the
 // connection stays usable either way. False means it is dead.
-func sendQuery(conn net.Conn, seq uint64, out *[]byte, read func(visit func(segmentlog.Block) error) error) bool {
+func sendQuery(conn net.Conn, seq uint64, out *[]byte, read func(visit func(trajstore.Block) error) error) bool {
 	if p, _ := frames.Get().(*[]byte); p != nil {
 		*out = *p
 	}
 	b, n := proto.BeginQueryResp((*out)[:0], seq), 0
-	err := read(func(blk segmentlog.Block) error {
+	err := read(func(blk trajstore.Block) error {
 		if b.Block(blk.Device, blk.T0, blk.T1, blk.Payload)+1 > proto.MaxFrame {
 			return fmt.Errorf("result not sendable (over %d records): %w — narrow the window", n, proto.ErrFrameTooBig)
 		}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -170,6 +171,116 @@ func TestLoopbackDifferential(t *testing.T) {
 	for dev, sr := range sM {
 		assertRecordsIdentical(t, "window:"+dev, sr, dM[dev])
 	}
+}
+
+// onKeyLog is an engine's OnKey sink: every device's key points in
+// emission order, on the wire lattice.
+type onKeyLog struct {
+	mu   sync.Mutex
+	keys map[string][]trajstore.GeoKey
+}
+
+func (l *onKeyLog) onKey(device string, kp core.Point) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.keys == nil {
+		l.keys = make(map[string][]trajstore.GeoKey)
+	}
+	l.keys[device] = append(l.keys[device], trajstore.GeoKey{
+		Lat: quant(kp.Y / trajstore.MetersPerDegree), Lon: quant(kp.X / trajstore.MetersPerDegree), T: uint32(kp.T)})
+}
+
+// all copies what has been reported so far.
+func (l *onKeyLog) all() map[string][]trajstore.GeoKey {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string][]trajstore.GeoKey, len(l.keys))
+	for dev, keys := range l.keys {
+		out[dev] = append([]trajstore.GeoKey(nil), keys...)
+	}
+	return out
+}
+
+// TestWireSeesUnflushedKeyPoints is the read contract proto.Sync states:
+// a query sees every key point emitted from fixes acked before it, durable
+// or not. Six devices stream over the wire — chunked at 16 keys, so each
+// has records in the log and a trail still open — and with no Sync of any
+// kind QueryTime and QueryWindow return, device by device, exactly the
+// polyline OnKey has reported, no pair of it twice, while bqs_trail_bytes
+// says part of it is in memory only. The flushing barrier then adds each
+// compressor's finalizing key points and empties the trails.
+func TestWireSeesUnflushedKeyPoints(t *testing.T) {
+	var emitted onKeyLog
+	reported := emitted.all
+	srv, addr := startServer(t, Config{Dir: t.TempDir(), Engine: engine.Config{Tolerance: 2, Shards: 2, MaxTrailKeys: 16, OnKey: emitted.onKey}})
+	c, err := Dial(addr, "fleet")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	const devices, perDevice = 6, 90
+	batches := make([]proto.DeviceBatch, 0, devices)
+	for d := 0; d < devices; d++ {
+		batches = append(batches, proto.DeviceBatch{Device: fmt.Sprintf("dev-%03d", d), Keys: track(d, perDevice)})
+	}
+	if _, err := c.IngestAll(batches, 20); err != nil {
+		t.Fatalf("IngestAll: %v", err)
+	}
+
+	wire := func(ctx string) map[string][]trajstore.GeoKey {
+		t.Helper()
+		recs, err := c.QueryWindow(-1, -1, 2, 2, 0, math.MaxUint32)
+		if err != nil {
+			t.Fatalf("%s: QueryWindow: %v", ctx, err)
+		}
+		out := map[string][]trajstore.GeoKey{}
+		for dev, rs := range byDevice(recs) {
+			out[dev] = canonical(t, rs, dev+", QueryWindow, "+ctx)
+			if got := polyline(t, c, dev, ctx); !reflect.DeepEqual(got, out[dev]) {
+				t.Fatalf("%s, %s: QueryTime has %d key points, QueryWindow %d", ctx, dev, len(got), len(out[dev]))
+			}
+		}
+		return out
+	}
+	// An ack means queued; the query waits its turn behind the fixes, so
+	// once it is back OnKey has reported everything they emit.
+	got := wire("un-flushed")
+	live := reported()
+	same := func(ctx string, got, want map[string][]trajstore.GeoKey) {
+		t.Helper()
+		for dev, keys := range want {
+			if !reflect.DeepEqual(got[dev], keys) {
+				t.Fatalf("%s, %s: the wire holds %d key points, OnKey reported %d:\n%v\n%v", ctx, dev, len(got[dev]), len(keys), got[dev], keys)
+			}
+		}
+		if len(got) != len(want) || len(want) != devices {
+			t.Fatalf("%s: the wire holds %d devices, OnKey reported %d of %d", ctx, len(got), len(want), devices)
+		}
+	}
+	same("un-flushed", got, live)
+	body := scrape(t, srv)
+	if tb, recs := metricValue(t, body, "bqs_trail_bytes", "fleet"), metricValue(t, body, "bqs_log_records", "fleet"); tb <= 0 || recs < devices {
+		t.Fatalf("bqs_trail_bytes = %v, bqs_log_records = %v: want open trails beside logged chunks", tb, recs)
+	}
+
+	if err := c.Sync(true); err != nil {
+		t.Fatalf("Sync(flush): %v", err)
+	}
+	final := reported()
+	for dev, keys := range live {
+		if n := len(keys); len(final[dev]) <= n || !reflect.DeepEqual(final[dev][:n], keys) {
+			t.Fatalf("%s: the flush did not extend the %d key points reported before it: %d after", dev, n, len(final[dev]))
+		}
+	}
+	same("flushed", wire("flushed"), final)
+	if v := metricValue(t, scrape(t, srv), "bqs_trail_bytes", "fleet"); v != 0 {
+		t.Fatalf("bqs_trail_bytes = %v after the flush, want 0", v)
+	}
+	// A caller's bad window is an in-band error, and the connection stays in step.
+	if _, err := c.QueryWindow(1, 0, 0, 1, 0, 1); err == nil || err.Error() != "server: segmentlog: inverted window [1,0]×[0,1] t[0,1]" {
+		t.Fatalf("inverted window = %v, want the in-band refusal", err)
+	}
+	same("after a refused window", wire("after a refused window"), final)
 }
 
 func assertRecordsIdentical(t *testing.T, label string, got, want []trajstore.PersistedRecord) {

@@ -44,8 +44,8 @@ func EncodeGeoKey(dst []byte, k GeoKey) ([]byte, error) {
 		return dst, ErrRange
 	}
 	var buf [WireSize]byte
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(int32(math.Round(k.Lat*1e7))))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(int32(math.Round(k.Lon*1e7))))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(lattice(k.Lat)))
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(lattice(k.Lon)))
 	binary.LittleEndian.PutUint32(buf[8:12], k.T)
 	return append(dst, buf[:]...), nil
 }
@@ -119,6 +119,9 @@ func AppendDelta(dst []byte, keys []GeoKey) ([]byte, error) {
 // InRange reports whether the wire format carries lat, lon (degrees; never NaN, ±Inf).
 func InRange(lat, lon float64) bool { return math.Abs(lat) <= 90 && math.Abs(lon) <= 180 }
 
+// lattice puts in-range degrees on the wire's 1e-7° lattice.
+func lattice(deg float64) int32 { return int32(math.Round(deg * 1e7)) }
+
 // latticeKey maps wire integers — 1e-7°, whole seconds — back to a key.
 func latticeKey(lat, lon int64, t uint32) GeoKey {
 	return GeoKey{Lat: float64(lat) / 1e7, Lon: float64(lon) / 1e7, T: t}
@@ -130,10 +133,6 @@ type Bounds struct {
 	MinLat, MinLon, MaxLat, MaxLon int32
 	T0, T1                         uint32
 }
-
-// Min and Max are the box's corners.
-func (b Bounds) Min() GeoKey { return latticeKey(int64(b.MinLat), int64(b.MinLon), b.T0) }
-func (b Bounds) Max() GeoKey { return latticeKey(int64(b.MaxLat), int64(b.MaxLon), b.T1) }
 
 // Valid reports that neither the box nor the time range is inverted.
 func (b Bounds) Valid() bool {
@@ -166,7 +165,7 @@ func (t *Trail) Add(keys ...GeoKey) error {
 		if !InRange(k.Lat, k.Lon) {
 			return ErrRange
 		}
-		t.add(int32(math.Round(k.Lat*1e7)), int32(math.Round(k.Lon*1e7)), k.T)
+		t.add(lattice(k.Lat), lattice(k.Lon), k.T)
 	}
 	return nil
 }
@@ -271,6 +270,27 @@ func (t *Trail) Contains(o *Trail) bool {
 	return false
 }
 
+// Block is one run of a device's key points as storage holds it and the
+// wire carries it: the keys' time bounds and their delta-varint block — a
+// log record, CRC-verified and walked (Enters), or a trail no record holds
+// yet. Payload may be shared with a read cache: copy it, never write it.
+type Block struct {
+	Device  string
+	T0, T1  uint32
+	Payload []byte
+}
+
+// Contains reports whether o's key points are a run of b's, on the same
+// device (Trail.Contains): a read that has served b has served o.
+func (b Block) Contains(o Block) bool {
+	if b.Device != o.Device || o.T0 < b.T0 || o.T1 > b.T1 {
+		return false
+	}
+	t, err := OpenTrail(b.Payload)
+	ot, oerr := OpenTrail(o.Payload)
+	return err == nil && oerr == nil && t.Contains(&ot)
+}
+
 // Cursor walks a delta-varint block key by key: the one reader, under
 // DeltaDecode, OpenTrail, Enters and a Trail's read-back alike.
 type Cursor struct {
@@ -288,9 +308,18 @@ type Window struct{ MinLat, MinLon, MaxLat, MaxLon, T0, T1 int64 }
 
 // LatticeWindow puts [minLon, maxLon] × [minLat, maxLat] (degrees) during
 // [t0, t1] on the lattice, so that comparing a key's lattice integers with
-// it is comparing the key's degrees with the float bounds.
-func LatticeWindow(minLon, minLat, maxLon, maxLat float64, t0, t1 uint32) Window {
-	return Window{-atMost(-minLat), -atMost(-minLon), atMost(maxLat), atMost(maxLon), int64(t0), int64(t1)}
+// it is comparing the key's degrees with the float bounds. It is the one
+// rule on a caller's window — no bound NaN, nothing inverted — for the log
+// and the engine's tails alike; its errors keep the text, and so the log's
+// name, that a client of the wire has always been sent.
+func LatticeWindow(minLon, minLat, maxLon, maxLat float64, t0, t1 uint32) (Window, error) {
+	if math.IsNaN(minLon) || math.IsNaN(minLat) || math.IsNaN(maxLon) || math.IsNaN(maxLat) {
+		return Window{}, errors.New("segmentlog: window bounds must not be NaN")
+	}
+	if minLon > maxLon || minLat > maxLat || t0 > t1 {
+		return Window{}, fmt.Errorf("segmentlog: inverted window [%g,%g]×[%g,%g] t[%d,%d]", minLon, maxLon, minLat, maxLat, t0, t1)
+	}
+	return Window{-atMost(-minLat), -atMost(-minLon), atMost(maxLat), atMost(maxLon), int64(t0), int64(t1)}, nil
 }
 
 // atMost returns the largest lattice value whose degrees — float64(i)/1e7,
@@ -316,6 +345,13 @@ func (w *Window) Meets(b Bounds) bool {
 	return int64(b.T0) <= w.T1 && int64(b.T1) >= w.T0 &&
 		int64(b.MinLon) <= w.MaxLon && int64(b.MaxLon) >= w.MinLon &&
 		int64(b.MinLat) <= w.MaxLat && int64(b.MaxLat) >= w.MinLat
+}
+
+// MeetsPair is Meets for the segment between two keys, put on the lattice
+// as Trail.Add puts them.
+func (w *Window) MeetsPair(a, b GeoKey) bool {
+	alat, alon, blat, blon := lattice(a.Lat), lattice(a.Lon), lattice(b.Lat), lattice(b.Lon)
+	return w.Meets(Bounds{min(alat, blat), min(alon, blon), max(alat, blat), max(alon, blon), min(a.T, b.T), max(a.T, b.T)})
 }
 
 // walk is what a cursor notes about the keys it steps over, for readers
@@ -422,12 +458,6 @@ func (c *Cursor) decode(dst []GeoKey, n int, keep bool) ([]GeoKey, error) {
 	}
 	c.b, c.left, c.lat, c.lon, c.t, c.first, c.wk = b, left, lat, lon, t, first, wk
 	return dst, nil
-}
-
-// Next decodes the next key; a block has as many as its count says.
-func (c *Cursor) Next() (GeoKey, error) {
-	_, err := c.decode(nil, 1, false)
-	return latticeKey(c.lat, c.lon, uint32(c.t)), err
 }
 
 // DeltaDecode inverts DeltaEncode.

@@ -546,7 +546,7 @@ func TestEntersKeepsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := LatticeWindow(-180, -90, 180, 90, 0, math.MaxUint32)
+	w, _ := LatticeWindow(-180, -90, 180, 90, 0, math.MaxUint32)
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := Enters(block, &w); err != nil {
 			t.Fatal(err)

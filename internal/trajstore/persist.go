@@ -68,10 +68,11 @@ type PersistedRecord struct {
 
 // Backend is the durable storage the ingestion engine runs on: a
 // Persister that is sharded by ShardIndex over the device ID, compacts
-// itself, answers window queries from disk and reports its read-cache
-// and reclaim counters. segmentlog.ShardedLog is the implementation;
-// AppendOnly adapts anything that is only a Persister. Every method
-// must be safe to call concurrently with every other.
+// itself, answers window and per-device queries from disk as the blocks
+// it stores and reports its read-cache and reclaim counters.
+// segmentlog.ShardedLog is the implementation; AppendOnly adapts anything
+// that is only a Persister. Every method must be safe to call
+// concurrently with every other.
 type Backend interface {
 	Persister
 	// AppendTrail is the engine's one way in: Append for a finalized
@@ -84,11 +85,16 @@ type Backend interface {
 	// smaller by merging and ageing, see segmentlog.ShardedLog.Compact
 	// — with the implementation's configured policy.
 	CompactNow() error
-	// QueryWindow returns, in log order, every record with at least one
-	// consecutive key-point pair whose bounding box intersects
-	// [minX, maxX] × [minY, maxY] — the wire format's degrees, X
-	// longitude, Y latitude — and whose time span overlaps [t0, t1].
-	QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]PersistedRecord, error)
+	// WindowBlocks visits, shard by shard and in log order within one,
+	// every stored record with at least one consecutive key-point pair
+	// whose bounding box intersects [minLon, maxLon] × [minLat, maxLat]
+	// (degrees) and whose time span overlaps [t0, t1] (LatticeWindow's rule
+	// on the bounds); DeviceBlocks visits device's records whose time
+	// bounds overlap [t0, t1], in append order. Each is handed over as the
+	// Block stored, nothing decoded; an error from visit ends the read and
+	// is returned.
+	WindowBlocks(minLon, minLat, maxLon, maxLat float64, t0, t1 uint32, visit func(Block) error) error
+	DeviceBlocks(device string, t0, t1 uint32, visit func(Block) error) error
 	// CacheStats snapshots the read-side record cache's counters.
 	CacheStats() cache.Stats
 	// ReclaimedBytes is the cumulative net disk space compaction freed.
@@ -115,9 +121,10 @@ func (a appendOnly) AppendTrail(device string, t *Trail) error {
 func (appendOnly) CompactNow() error       { return nil }
 func (appendOnly) CacheStats() cache.Stats { return cache.Stats{} }
 func (appendOnly) ReclaimedBytes() int64   { return 0 }
-func (appendOnly) QueryWindow(_, _, _, _ float64, _, _ uint32) ([]PersistedRecord, error) {
-	return nil, nil
+func (appendOnly) WindowBlocks(_, _, _, _ float64, _, _ uint32, _ func(Block) error) error {
+	return nil
 }
+func (appendOnly) DeviceBlocks(string, uint32, uint32, func(Block) error) error { return nil }
 
 type nopPersister struct{}
 

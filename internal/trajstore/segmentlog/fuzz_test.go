@@ -210,10 +210,11 @@ func refMeets(b trajstore.Bounds, minX, minY, maxX, maxY float64, t0, t1 uint32)
 // never prune a block that matches.
 func checkWindowBlock(t *testing.T, payload []byte, minX, minY, maxX, maxY float64, t0, t1 uint32) {
 	t.Helper()
-	w, err := newWindow(minX, minY, maxX, maxY, t0, t1)
+	win, err := trajstore.LatticeWindow(minX, minY, maxX, maxY, t0, t1)
 	if err != nil {
 		return // NaN or inverted: refused before any block is looked at
 	}
+	w := &win
 	keys, derr := trajstore.DeltaDecode(payload)
 	inRange := true
 	for _, k := range keys {
@@ -300,7 +301,10 @@ func TestWindowBlock(t *testing.T) {
 		case 2:
 			x = math.Nextafter(x, math.Inf(-1))
 		}
-		w := trajstore.LatticeWindow(x, x, x, x, 0, 0)
+		w, err := trajstore.LatticeWindow(x, x, x, x, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if hi, lo := w.MaxLon, w.MinLat; !(float64(hi)/1e7 <= x) || float64(hi+1)/1e7 <= x || !(float64(lo)/1e7 >= x) || float64(lo-1)/1e7 >= x {
 			t.Fatalf("LatticeWindow(%v): max %d, min %d: %v ≤ x < %v, %v < x ≤ %v do not hold", x, hi, lo,
 				float64(hi)/1e7, float64(hi+1)/1e7, float64(lo-1)/1e7, float64(lo)/1e7)

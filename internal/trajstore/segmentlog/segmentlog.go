@@ -1302,15 +1302,9 @@ func (l *shardLog) DeviceSpan(device string) (records int, t0, t1 uint32, ok boo
 // metaAt resolves a record address. Callers hold mu.
 func (l *shardLog) metaAt(a recordAddr) *recordMeta { return &l.segs[a.seg].recs[a.pos] }
 
-// Block is one stored record as the log holds it and the wire carries it:
-// the header's device and time bounds and the key points' delta-varint
-// block, CRC-verified and walked (trajstore.Enters). Payload is shared with
-// the read cache: copy it, never write it.
-type Block struct {
-	Device  string
-	T0, T1  uint32
-	Payload []byte
-}
+// Block is one stored record as the log holds it and the wire carries it;
+// an alias of trajstore.Block, as Record is of PersistedRecord.
+type Block = trajstore.Block
 
 // decodeInto is the decode edge, for callers that want GeoKeys rather than
 // bytes: a visitor appending each block as a Record with Keys of its own.

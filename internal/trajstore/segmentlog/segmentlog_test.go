@@ -62,9 +62,9 @@ func (l *shardLog) Query(device string, t0, t1 uint32) (out []Record, err error)
 }
 
 func (l *shardLog) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uint32) (out []Record, ws WindowStats, err error) {
-	w, err := newWindow(minX, minY, maxX, maxY, t0, t1)
+	w, err := trajstore.LatticeWindow(minX, minY, maxX, maxY, t0, t1)
 	if err == nil {
-		err = l.windowBlocks(w, &ws, decodeInto(&out))
+		err = l.windowBlocks(&w, &ws, decodeInto(&out))
 	}
 	if err != nil {
 		return nil, ws, err

@@ -383,10 +383,10 @@ func (s *ShardedLog) Close() error {
 }
 
 // DeviceBlocks visits, in append order, the records of device whose time
-// bounds overlap [t0, t1], as the Blocks the log stores: read back from
-// disk (or the read cache), CRC-verified and walked, not decoded. A read
-// racing a concurrent compaction serves the generation it started in; an
-// error from visit ends the read and is returned.
+// bounds overlap [t0, t1], as the Blocks the log stores (trajstore.Backend):
+// read back from disk (or the read cache), CRC-verified and walked, not
+// decoded. A read racing a concurrent compaction serves the generation it
+// started in; an error from visit ends the read and is returned.
 func (s *ShardedLog) DeviceBlocks(device string, t0, t1 uint32, visit func(Block) error) error {
 	if err := s.live(); err != nil {
 		return err
@@ -441,31 +441,39 @@ func (s *ShardedLog) Stats() Stats {
 // WindowBlocks visits, as stored Blocks, every record with at least one
 // consecutive key-point pair whose bounding box intersects [minX, maxX] ×
 // [minY, maxY] (degrees: X longitude, Y latitude) and whose time span
-// overlaps [t0, t1], and returns the pruning statistics. Shards are read
-// one after the other, each in log order (there is no global order), and
-// nothing is held back: a visitor that copies blocks out keeps the read's
-// memory at one record, one that returns an error ends it there.
-func (s *ShardedLog) WindowBlocks(minX, minY, maxX, maxY float64, t0, t1 uint32, visit func(Block) error) (ws WindowStats, err error) {
-	w, err := newWindow(minX, minY, maxX, maxY, t0, t1)
+// overlaps [t0, t1] (trajstore.Backend). Shards are read one after the
+// other, each in log order (there is no global order), and nothing is held
+// back: a visitor that copies blocks out keeps the read's memory at one
+// record, one that returns an error ends it there. The window goes on the
+// wire's integer lattice, where record headers, segment summaries and stored
+// keys live: pruning (Meets) and the exact test (trajstore.Enters) compare
+// integers.
+func (s *ShardedLog) WindowBlocks(minX, minY, maxX, maxY float64, t0, t1 uint32, visit func(Block) error) error {
+	return s.windowBlocks(minX, minY, maxX, maxY, t0, t1, new(WindowStats), visit)
+}
+
+// windowBlocks is WindowBlocks adding the read's pruning statistics to ws.
+func (s *ShardedLog) windowBlocks(minX, minY, maxX, maxY float64, t0, t1 uint32, ws *WindowStats, visit func(Block) error) error {
+	w, err := trajstore.LatticeWindow(minX, minY, maxX, maxY, t0, t1)
 	if err == nil {
 		err = s.live()
 	}
 	for i := 0; err == nil && i < len(s.shards); i++ {
-		err = s.shards[i].windowBlocks(w, &ws, visit)
+		err = s.shards[i].windowBlocks(&w, ws, visit)
 	}
-	return ws, err
+	return err
 }
 
-// QueryWindow is WindowBlocks decoded (trajstore.Backend): each record
-// with Keys of its own, concatenated in shard order.
+// QueryWindow is WindowBlocks decoded: each record with Keys of its own,
+// concatenated in shard order.
 func (s *ShardedLog) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]Record, error) {
 	recs, _, err := s.QueryWindowStats(minX, minY, maxX, maxY, t0, t1)
 	return recs, err
 }
 
-// QueryWindowStats is QueryWindow plus WindowBlocks' statistics.
+// QueryWindowStats is QueryWindow plus the read's statistics.
 func (s *ShardedLog) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uint32) (recs []Record, ws WindowStats, err error) {
-	if ws, err = s.WindowBlocks(minX, minY, maxX, maxY, t0, t1, decodeInto(&recs)); err != nil {
+	if err = s.windowBlocks(minX, minY, maxX, maxY, t0, t1, &ws, decodeInto(&recs)); err != nil {
 		return nil, ws, err
 	}
 	return recs, ws, nil

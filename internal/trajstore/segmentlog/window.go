@@ -9,28 +9,7 @@
 // and the scan-fallback paths return identical results.
 package segmentlog
 
-import (
-	"errors"
-	"fmt"
-	"math"
-
-	"github.com/trajcomp/bqs/internal/trajstore"
-)
-
-// newWindow puts [minX, maxX] × [minY, maxY] (degrees: X longitude, Y
-// latitude) during [t0, t1] on the wire's integer lattice, where record
-// headers, segment summaries and stored keys live: pruning (Meets) and the
-// exact test (trajstore.Enters) compare integers, nothing is decoded.
-func newWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) (*trajstore.Window, error) {
-	if math.IsNaN(minX) || math.IsNaN(minY) || math.IsNaN(maxX) || math.IsNaN(maxY) {
-		return nil, errors.New("segmentlog: window bounds must not be NaN")
-	}
-	if minX > maxX || minY > maxY || t0 > t1 {
-		return nil, fmt.Errorf("segmentlog: inverted window [%g,%g]×[%g,%g] t[%d,%d]", minX, maxX, minY, maxY, t0, t1)
-	}
-	w := trajstore.LatticeWindow(minX, minY, maxX, maxY, t0, t1)
-	return &w, nil
-}
+import "github.com/trajcomp/bqs/internal/trajstore"
 
 // segSummary is the per-segment metadata union used for segment-level
 // pruning: the bounds of every record in the file (valid when records >

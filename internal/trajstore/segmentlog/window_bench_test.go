@@ -157,7 +157,8 @@ func BenchmarkWindowBlocks(b *testing.B) {
 			var frame []byte
 			query := func() WindowStats {
 				frame = frame[:0]
-				ws, err := s.WindowBlocks(bc.minX, bc.minY, bc.maxX, bc.maxY, 0, math.MaxUint32, func(blk Block) error {
+				var ws WindowStats
+				err := s.windowBlocks(bc.minX, bc.minY, bc.maxX, bc.maxY, 0, math.MaxUint32, &ws, func(blk Block) error {
 					frame = append(append(frame, blk.Device...), blk.Payload...)
 					return nil
 				})

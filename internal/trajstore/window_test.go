@@ -1,6 +1,8 @@
 package trajstore
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -95,12 +97,79 @@ func TestQueryLargeWindowComplete(t *testing.T) {
 }
 
 // TestQueryWindowPersist: a bare persister has nothing durable to
-// query — the append-only backend answers every window with no records
-// and no error, which the engine reads as "live results only".
+// query — the append-only backend answers every window and device read
+// with no blocks and no error, which the engine reads as "tails only".
 func TestQueryWindowPersist(t *testing.T) {
 	for _, b := range []Backend{AppendOnly(nil), AppendOnly(&recPersister{})} {
-		if recs, err := b.QueryWindow(0, 0, 1, 1, 0, 1); len(recs) != 0 || err != nil {
-			t.Fatalf("append-only QueryWindow: recs=%v err=%v", recs, err)
+		visit := func(blk Block) error {
+			t.Errorf("append-only backend served a block of %s", blk.Device)
+			return nil
 		}
+		if err := errors.Join(b.WindowBlocks(0, 0, 1, 1, 0, 1, visit), b.DeviceBlocks("d", 0, 1, visit)); err != nil {
+			t.Fatalf("append-only read: %v", err)
+		}
+	}
+}
+
+// TestLatticeWindowRefusesBadBounds: the one rule on a caller's window —
+// no NaN bound, nothing inverted — is LatticeWindow's, so the log and the
+// engine's tails cannot disagree on it. A degenerate (point, instant)
+// window is a window.
+func TestLatticeWindowRefusesBadBounds(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range [][4]float64{{nan, 0, 1, 1}, {0, nan, 1, 1}, {0, 0, nan, 1}, {0, 0, 1, nan}, {2, 0, 1, 1}, {0, 2, 1, 1}} {
+		if _, err := LatticeWindow(c[0], c[1], c[2], c[3], 0, 1); err == nil {
+			t.Errorf("LatticeWindow%v accepted", c)
+		}
+	}
+	if _, err := LatticeWindow(0, 0, 1, 1, 2, 1); err == nil {
+		t.Error("inverted time range accepted")
+	}
+	if w, err := LatticeWindow(1, 2, 1, 2, 3, 3); err != nil || w != (Window{2e7, 1e7, 2e7, 1e7, 3, 3}) {
+		t.Errorf("point window = %+v, %v", w, err)
+	}
+}
+
+// TestBlockContains: a block contains another when it is the same device's
+// and the other's keys are a contiguous run of its own — the rule by which
+// a read that served a log record drops the trail that record absorbed.
+func TestBlockContains(t *testing.T) {
+	keys := make([]GeoKey, 12)
+	for i := range keys {
+		keys[i] = GeoKey{Lat: float64(i%3) * 0.01, Lon: float64(i) * 0.02, T: uint32(100 + 10*i)}
+	}
+	block := func(device string, ks []GeoKey) Block {
+		var tr Trail
+		if err := tr.Add(ks...); err != nil {
+			t.Fatal(err)
+		}
+		b := tr.Bounds()
+		return Block{Device: device, T0: b.T0, T1: b.T1, Payload: tr.AppendBlock(nil)}
+	}
+	whole := block("a", keys)
+	for lo := 0; lo < len(keys); lo++ {
+		for hi := lo + 1; hi <= len(keys); hi++ {
+			run := block("a", keys[lo:hi])
+			if !whole.Contains(run) {
+				t.Fatalf("keys[%d:%d] not found in the whole", lo, hi)
+			}
+			if run.Contains(whole) != (hi-lo == len(keys)) {
+				t.Fatalf("keys[%d:%d] contains the whole", lo, hi)
+			}
+		}
+	}
+	gap := block("a", []GeoKey{keys[2], keys[4]})
+	other := block("b", keys[2:5])
+	moved := keys[3]
+	moved.Lat += 1e-7
+	near := block("a", []GeoKey{keys[2], moved, keys[4]})
+	for name, b := range map[string]Block{"a run with a key missing": gap, "another device's run": other, "a run one lattice step off": near,
+		"an unparseable block": {Device: "a", T0: 100, T1: 110, Payload: []byte{2, 1}}, "an empty block": block("a", nil)} {
+		if whole.Contains(b) {
+			t.Errorf("the whole contains %s", name)
+		}
+	}
+	if (Block{Device: "a", T0: 0, T1: math.MaxUint32, Payload: []byte{9}}).Contains(whole) {
+		t.Error("an unparseable block contains something")
 	}
 }
