@@ -68,17 +68,22 @@ func TestEngineFacade(t *testing.T) {
 	}
 }
 
-// TestEngineCustomCompressor registers a custom compressor and runs the
-// engine with it by name.
-func TestEngineCustomCompressor(t *testing.T) {
-	err := bqs.RegisterCompressor("facade-test-bqs-seg", func(tol float64) (bqs.StreamCompressor, error) {
+// registerFacadeTest registers the custom compressor once per process: the
+// registry is global and refuses a name twice, and CI runs with -count 2.
+var registerFacadeTest = sync.OnceValue(func() error {
+	return bqs.RegisterCompressor("facade-test-bqs-seg", func(tol float64) (bqs.StreamCompressor, error) {
 		c, err := bqs.NewBQS(tol, bqs.WithMetric(bqs.MetricSegment))
 		if err != nil {
 			return nil, err
 		}
 		return c, nil
 	})
-	if err != nil {
+})
+
+// TestEngineCustomCompressor registers a custom compressor and runs the
+// engine with it by name.
+func TestEngineCustomCompressor(t *testing.T) {
+	if err := registerFacadeTest(); err != nil {
 		t.Fatal(err)
 	}
 	found := false

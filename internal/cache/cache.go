@@ -1,14 +1,12 @@
 // Package cache provides a byte-budgeted LRU used by the read side of
-// the store: verified segment-log records are cached keyed by (manifest
-// generation, segment, offset), so a compaction's generation bump
-// orphans stale entries instead of requiring a flush protocol — they
-// simply stop being looked up and age out of the LRU tail.
+// the store: the segment log caches verified records in one, under keys
+// whose bytes never change, so it needs no invalidation (see
+// trajstore/segmentlog/cache.go).
 //
-// The design follows the "LRU with hooks and metrics" shape: a single
-// mutex, an intrusive recency list, a byte budget measured by a
-// caller-supplied size function (an entry count budget is the
-// degenerate size ≡ 1), an optional eviction hook, and counters cheap
-// enough to read on every scrape.
+// A single mutex, an intrusive recency list, a byte budget measured by
+// a caller-supplied size function (an entry count budget is the
+// degenerate size ≡ 1), and counters cheap enough to read on every
+// scrape.
 package cache
 
 import (
@@ -16,17 +14,16 @@ import (
 	"sync"
 )
 
-// Stats is a point-in-time snapshot of a cache's counters. Hits,
-// Misses, Evictions and Invalidations are cumulative since New;
-// Entries and Bytes are current occupancy against Capacity.
+// Stats is a point-in-time snapshot of a cache's counters. Hits, Misses
+// and Evictions are cumulative since New; Entries and Bytes are current
+// occupancy against Capacity.
 type Stats struct {
-	Entries       int
-	Bytes         int64
-	Capacity      int64
-	Hits          uint64
-	Misses        uint64
-	Evictions     uint64
-	Invalidations uint64
+	Entries   int
+	Bytes     int64
+	Capacity  int64
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
 }
 
 // Add accumulates another snapshot into s, for merging per-shard or
@@ -39,7 +36,6 @@ func (s *Stats) Add(o Stats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Evictions += o.Evictions
-	s.Invalidations += o.Invalidations
 }
 
 type entry[K comparable, V any] struct {
@@ -52,28 +48,17 @@ type entry[K comparable, V any] struct {
 // entry count: Put charges each value the size the constructor's size
 // function reports, and evicts from the cold end until the budget
 // holds. A nil *Cache is a valid no-op cache (Get always misses, Put
-// and Invalidate do nothing, Stats is zero), so callers can leave
-// caching unconfigured without branching.
+// does nothing, Stats is zero), so callers can leave caching
+// unconfigured without branching.
 type Cache[K comparable, V any] struct {
-	mu      sync.Mutex
-	max     int64
-	bytes   int64
-	size    func(K, V) int64
-	onEvict func(K, V)
-	ll      *list.List // front = most recent; elements hold *entry[K, V]
-	idx     map[K]*list.Element
+	mu    sync.Mutex
+	max   int64
+	bytes int64
+	size  func(K, V) int64
+	ll    *list.List // front = most recent; elements hold *entry[K, V]
+	idx   map[K]*list.Element
 
-	hits, misses, evictions, invalidations uint64
-}
-
-// Option configures optional cache behavior at construction.
-type Option[K comparable, V any] func(*Cache[K, V])
-
-// WithEvict registers a hook called (outside any hot path, but under
-// the cache lock) for every entry removed by budget pressure or
-// Invalidate. The hook must not call back into the cache.
-func WithEvict[K comparable, V any](fn func(K, V)) Option[K, V] {
-	return func(c *Cache[K, V]) { c.onEvict = fn }
+	hits, misses, evictions uint64
 }
 
 // New builds a cache with the given byte budget. size reports the
@@ -81,20 +66,16 @@ func WithEvict[K comparable, V any](fn func(K, V)) Option[K, V] {
 // positive, and a single entry larger than the whole budget is
 // rejected by Put rather than evicting everything else. A maxBytes
 // ≤ 0 returns nil — the no-op cache.
-func New[K comparable, V any](maxBytes int64, size func(K, V) int64, opts ...Option[K, V]) *Cache[K, V] {
+func New[K comparable, V any](maxBytes int64, size func(K, V) int64) *Cache[K, V] {
 	if maxBytes <= 0 {
 		return nil
 	}
-	c := &Cache[K, V]{
+	return &Cache[K, V]{
 		max:  maxBytes,
 		size: size,
 		ll:   list.New(),
 		idx:  make(map[K]*list.Element),
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
 }
 
 // Get returns the cached value and whether it was present, promoting
@@ -142,37 +123,16 @@ func (c *Cache[K, V]) Put(key K, val V) {
 		c.bytes += sz
 	}
 	for c.bytes > c.max {
-		c.removeLocked(c.ll.Back(), &c.evictions)
+		c.removeLocked(c.ll.Back())
 	}
 }
 
-// Invalidate removes key if present, reporting whether it was. Bulk
-// invalidation is deliberately absent: generation-keyed users never
-// need it, because a generation bump changes the keys being looked up
-// and the orphans age out on their own.
-func (c *Cache[K, V]) Invalidate(key K) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.idx[key]
-	if !ok {
-		return false
-	}
-	c.removeLocked(el, &c.invalidations)
-	return true
-}
-
-func (c *Cache[K, V]) removeLocked(el *list.Element, counter *uint64) {
+func (c *Cache[K, V]) removeLocked(el *list.Element) {
 	e := el.Value.(*entry[K, V])
 	c.ll.Remove(el)
 	delete(c.idx, e.key)
 	c.bytes -= e.size
-	*counter++
-	if c.onEvict != nil {
-		c.onEvict(e.key, e.val)
-	}
+	c.evictions++
 }
 
 // Stats snapshots the counters. Safe on a nil cache (all zero).
@@ -183,12 +143,11 @@ func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Entries:       c.ll.Len(),
-		Bytes:         c.bytes,
-		Capacity:      c.max,
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
+		Entries:   c.ll.Len(),
+		Bytes:     c.bytes,
+		Capacity:  c.max,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
 	}
 }

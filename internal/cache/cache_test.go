@@ -26,15 +26,11 @@ func TestGetPutAndCounters(t *testing.T) {
 }
 
 func TestEvictsColdestUnderByteBudget(t *testing.T) {
-	var evicted []int
-	c := New(10, sizeLen, WithEvict(func(k int, _ string) { evicted = append(evicted, k) }))
+	c := New[int, string](10, sizeLen)
 	c.Put(1, "aaaa") // 4 bytes
 	c.Put(2, "bbbb") // 8 bytes
 	c.Get(1)         // promote 1; now 2 is coldest
 	c.Put(3, "cccc") // 12 bytes: must evict 2
-	if len(evicted) != 1 || evicted[0] != 2 {
-		t.Fatalf("evicted %v; want [2]", evicted)
-	}
 	if _, ok := c.Get(2); ok {
 		t.Fatal("evicted entry still present")
 	}
@@ -73,21 +69,6 @@ func TestOversizedValueNotCached(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New[int, string](100, sizeLen)
-	c.Put(1, "aaaa")
-	if !c.Invalidate(1) {
-		t.Fatal("Invalidate reported absent for present key")
-	}
-	if c.Invalidate(1) {
-		t.Fatal("Invalidate reported present for absent key")
-	}
-	s := c.Stats()
-	if s.Invalidations != 1 || s.Evictions != 0 || s.Entries != 0 || s.Bytes != 0 {
-		t.Fatalf("stats %+v; want exactly 1 invalidation and empty cache", s)
-	}
-}
-
 func TestNilCacheIsNoop(t *testing.T) {
 	var c *Cache[int, string]
 	if c2 := New[int, string](0, sizeLen); c2 != nil {
@@ -97,27 +78,24 @@ func TestNilCacheIsNoop(t *testing.T) {
 	if _, ok := c.Get(1); ok {
 		t.Fatal("nil cache returned a hit")
 	}
-	if c.Invalidate(1) {
-		t.Fatal("nil cache invalidated something")
-	}
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("nil cache stats %+v; want zero", s)
 	}
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Entries: 1, Bytes: 10, Capacity: 100, Hits: 2, Misses: 3, Evictions: 4, Invalidations: 5}
-	b := Stats{Entries: 2, Bytes: 20, Capacity: 200, Hits: 20, Misses: 30, Evictions: 40, Invalidations: 50}
+	a := Stats{Entries: 1, Bytes: 10, Capacity: 100, Hits: 2, Misses: 3, Evictions: 4}
+	b := Stats{Entries: 2, Bytes: 20, Capacity: 200, Hits: 20, Misses: 30, Evictions: 40}
 	a.Add(b)
-	want := Stats{Entries: 3, Bytes: 30, Capacity: 300, Hits: 22, Misses: 33, Evictions: 44, Invalidations: 55}
+	want := Stats{Entries: 3, Bytes: 30, Capacity: 300, Hits: 22, Misses: 33, Evictions: 44}
 	if a != want {
 		t.Fatalf("Add = %+v; want %+v", a, want)
 	}
 }
 
 // TestConcurrentAccess is a -race smoke test: readers, writers and
-// invalidators share the cache, and the byte accounting must still
-// balance afterwards.
+// scrapers share the cache, and the byte accounting must still balance
+// afterwards.
 func TestConcurrentAccess(t *testing.T) {
 	c := New[int, string](1<<10, sizeLen)
 	var wg sync.WaitGroup
@@ -133,7 +111,7 @@ func TestConcurrentAccess(t *testing.T) {
 				case 1:
 					c.Get(k)
 				default:
-					c.Invalidate(k)
+					c.Stats()
 				}
 			}
 		}(g)

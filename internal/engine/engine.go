@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/trajcomp/bqs/internal/cache"
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/stream"
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -66,12 +65,12 @@ type Config struct {
 	// durability barrier and Close closes the persister. A value that
 	// is a full trajstore.Backend (segmentlog.ShardedLog) additionally
 	// gets its trails as the blocks they already are (AppendTrail),
-	// compaction, reads of its records and cache/reclaim statistics; one
-	// with just these three methods is used append-only: a read then sees
-	// only what has not been appended yet. Key points reach the wire
-	// format's degrees through trajstore.MetersPerDegree, so with a
-	// Persister Ingest refuses a fix outside ±90°/±180° with
-	// trajstore.ErrRange. See trajstore.Persister and trajstore/segmentlog.
+	// compaction and reads of its records; one with just these three
+	// methods is used append-only: a read then sees only what has not
+	// been appended yet. Key points reach the wire format's degrees
+	// through trajstore.MetersPerDegree, so with a Persister Ingest
+	// refuses a fix outside ±90°/±180° with trajstore.ErrRange. See
+	// trajstore.Persister and trajstore/segmentlog.
 	Persister trajstore.Persister
 	// CompactInterval, when > 0 and a Persister is configured, runs a
 	// background compaction pass (trajstore.Backend.CompactNow — for
@@ -134,23 +133,21 @@ var ErrNoPersister = errors.New("engine: no Persister configured: history is not
 var ErrBackpressure = errors.New("engine: shard queue full (backpressure)")
 
 // Stats is a point-in-time snapshot of engine activity, merged across
-// shards. It is safe to read after Close: every field comes from
-// atomics or — for the persister-backed fields (Cache, CompactReclaim) —
-// reads zero once Close has begun.
+// shards. It is safe to read after Close: every field comes from atomics.
+// The persister's own counters (read cache, compaction reclaim) are on
+// its Stats — segmentlog.Stats.
 type Stats struct {
-	ActiveSessions  int         // sessions currently open
-	SessionsOpened  uint64      // sessions ever created
-	SessionsEvicted uint64      // sessions closed by idle eviction
-	Fixes           uint64      // fixes accepted by Ingest
-	KeyPoints       uint64      // key points emitted by all sessions
-	Persisted       uint64      // finalized trajectories handed to the persister
-	ParkedTrails    uint64      // trajectories parked in memory by degraded mode, awaiting Heal
-	TrailBytes      int64       // encoded key points the log has not accepted yet — open sessions' trails plus parked ones: what Heal owes and, with the log's own un-fsync'd bytes (segmentlog.Stats.Unsynced), what a SIGKILL loses
-	Rejected        uint64      // fixes refused by TryIngest backpressure, degraded mode or the wire format's range
-	PersistFailures uint64      // failed persister append/sync attempts (retried ones included)
-	CompactFailures uint64      // failed compaction passes (periodic or CompactNow)
-	CompactReclaim  int64       // net disk bytes freed by published compactions
-	Cache           cache.Stats // read-side record cache counters (zero without a cache)
+	ActiveSessions  int    // sessions currently open
+	SessionsOpened  uint64 // sessions ever created
+	SessionsEvicted uint64 // sessions closed by idle eviction
+	Fixes           uint64 // fixes accepted by Ingest
+	KeyPoints       uint64 // key points emitted by all sessions
+	Persisted       uint64 // finalized trajectories handed to the persister
+	ParkedTrails    uint64 // trajectories parked in memory by degraded mode, awaiting Heal
+	TrailBytes      int64  // encoded key points the log has not accepted yet — open sessions' trails plus parked ones: what Heal owes and, with the log's own un-fsync'd bytes (segmentlog.Stats.Unsynced), what a SIGKILL loses
+	Rejected        uint64 // fixes refused by TryIngest backpressure, degraded mode or the wire format's range
+	PersistFailures uint64 // failed persister append/sync attempts (retried ones included)
+	CompactFailures uint64 // failed compaction passes (periodic or CompactNow)
 }
 
 // CompressionRate returns KeyPoints/Fixes (lower is better), 0 when no
@@ -342,11 +339,7 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// compactLoop periodically compacts the persister until Close. A failed
-// pass is counted and recorded in State().CompactErr until a later pass
-// succeeds. It does NOT poison Sync or ingest: the log's published
-// generation (and every durable record) is unaffected, so the engine
-// keeps running. Close reports one still standing.
+// compactLoop periodically compacts the persister until Close.
 func (e *Engine) compactLoop(every time.Duration) {
 	defer e.wg.Done()
 	t := time.NewTicker(every)
@@ -354,16 +347,26 @@ func (e *Engine) compactLoop(every time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			err := e.backend.CompactNow()
-			if err != nil {
-				e.compactFails.Add(1)
-				err = fmt.Errorf("engine: compact: %w", err)
-			}
-			e.transition(evCompacted, err, 0)
+			_ = e.compactPass() // counted and recorded in State().CompactErr
 		case <-e.closing:
 			return
 		}
 	}
+}
+
+// compactPass runs one compaction pass, periodic or explicit. A failed
+// pass is counted and recorded in State().CompactErr until a later pass
+// succeeds. It does NOT poison Sync or ingest: the log's published
+// generation (and every durable record) is unaffected, so the engine
+// keeps running. Close reports one still standing.
+func (e *Engine) compactPass() error {
+	err := e.backend.CompactNow()
+	if err != nil {
+		e.compactFails.Add(1)
+		err = fmt.Errorf("engine: compact: %w", err)
+	}
+	e.transition(evCompacted, err, 0)
+	return err
 }
 
 // CompactNow runs one synchronous compaction pass on the persister; a
@@ -374,11 +377,7 @@ func (e *Engine) CompactNow() error {
 		return err
 	}
 	defer e.inflight.Done()
-	err := e.backend.CompactNow()
-	if err != nil {
-		e.compactFails.Add(1)
-	}
-	return err
+	return e.compactPass()
 }
 
 // send enqueues msg on the shard, parking WITHOUT any engine lock when
@@ -660,10 +659,8 @@ func (e *Engine) QueueStats() QueueStats {
 // Stats returns a merged snapshot of engine activity. Counters are read
 // atomically but not mutually consistent; call Sync first for a quiescent
 // reading. Unlike the mutating entry points, Stats never refuses: every
-// source it reads is safe after Close (shard atomics; the backend's
-// cache and reclaim counters are simply not consulted once Close has
-// begun), so a monitoring scrape racing shutdown gets a coherent final
-// snapshot instead of an error.
+// source it reads is an atomic, safe after Close, so a monitoring scrape
+// racing shutdown gets a coherent final snapshot instead of an error.
 func (e *Engine) Stats() Stats {
 	var s Stats
 	for _, sh := range e.shards {
@@ -679,11 +676,6 @@ func (e *Engine) Stats() Stats {
 	s.Rejected = e.rejected.Load()
 	s.PersistFailures = e.persistFails.Load()
 	s.CompactFailures = e.compactFails.Load()
-	if _, err := e.admit(opCall); err == nil {
-		s.CompactReclaim = e.backend.ReclaimedBytes()
-		s.Cache = e.backend.CacheStats()
-		e.inflight.Done()
-	}
 	return s
 }
 

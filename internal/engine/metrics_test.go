@@ -127,9 +127,9 @@ func TestEngineQueryWindowCloseRace(t *testing.T) {
 	}
 }
 
-// TestEngineStatsCacheCounters: the engine surfaces the persister's
-// read-cache counters through Stats, and Stats stays callable after
-// Close (the persister is detached; cache stats read as absent).
+// TestEngineStatsCacheCounters: the engine's reads go through the log's
+// read cache and show in the log's own Stats (the engine relays nothing),
+// and both Stats stay callable after Close with their final counters.
 func TestEngineStatsCacheCounters(t *testing.T) {
 	dir := t.TempDir()
 	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{CacheBytes: 1 << 20})
@@ -181,25 +181,25 @@ func TestEngineStatsCacheCounters(t *testing.T) {
 		}
 	}
 	query()
-	s := e2.Stats()
-	if s.Cache.Capacity == 0 {
+	s := lg2.Stats().Cache
+	if s.Capacity == 0 {
 		t.Fatal("Stats does not surface the cache capacity")
 	}
-	if s.Cache.Misses == 0 || s.Cache.Entries == 0 {
-		t.Fatalf("cold query left no cache footprint in Stats: %+v", s.Cache)
+	if s.Misses == 0 || s.Entries == 0 {
+		t.Fatalf("cold query left no cache footprint in Stats: %+v", s)
 	}
 	query()
-	s2 := e2.Stats()
-	if s2.Cache.Hits <= s.Cache.Hits {
-		t.Fatalf("warm query did not advance Stats cache hits: %d -> %d", s.Cache.Hits, s2.Cache.Hits)
+	s2 := lg2.Stats().Cache
+	if s2.Hits <= s.Hits {
+		t.Fatalf("warm query did not advance Stats cache hits: %d -> %d", s.Hits, s2.Hits)
 	}
 
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	post := e2.Stats() // must not panic or race; persister is detached
-	if post.Cache.Capacity != 0 {
-		t.Fatalf("post-Close Stats still reports a cache: %+v", post.Cache)
+	post := e2.Stats() // must not panic or race; the persister is closed
+	if got := lg2.Stats().Cache; got != s2 {
+		t.Fatalf("post-Close log Stats lost the cache counters: %+v, want %+v", got, s2)
 	}
 	if post.Fixes == 0 {
 		t.Fatal("post-Close Stats lost the ingest counters")

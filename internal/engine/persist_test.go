@@ -403,6 +403,25 @@ func TestEngineCompactInterval(t *testing.T) {
 		t.Fatalf("Close = %v, want standing compaction failure", err)
 	}
 
+	// An explicit pass is a pass like any other: its failure stands, and
+	// its success clears a standing one — Server.Shutdown's final
+	// CompactNow, then Close, exits clean after a failed background tick.
+	p.fail.Store(true)
+	e, err = New(Config{Compressor: "fbqs", Tolerance: 10, Shards: 1, Persister: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CompactNow(); !errors.Is(err, errCompactBoom) || !errors.Is(e.State().CompactErr, errCompactBoom) {
+		t.Fatalf("failed CompactNow = %v, State().CompactErr = %v: want the failure returned and recorded", err, e.State().CompactErr)
+	}
+	p.fail.Store(false)
+	if err := e.CompactNow(); err != nil || e.State().CompactErr != nil {
+		t.Fatalf("clean CompactNow = %v, State().CompactErr = %v: want both nil", err, e.State().CompactErr)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close after a clean final pass = %v", err)
+	}
+
 	// Validation of the new field.
 	if _, err := New(Config{Compressor: "fbqs", Tolerance: 10, CompactInterval: -time.Second}); err == nil {
 		t.Fatal("negative CompactInterval accepted")

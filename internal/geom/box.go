@@ -18,15 +18,6 @@ func EmptyBox() Box {
 	}
 }
 
-// BoxOf returns the minimal box containing all pts (EmptyBox for none).
-func BoxOf(pts []Vec) Box {
-	b := EmptyBox()
-	for _, p := range pts {
-		b.Extend(p)
-	}
-	return b
-}
-
 // Empty reports whether the box contains no points.
 func (b Box) Empty() bool { return b.Min.X > b.Max.X || b.Min.Y > b.Max.Y }
 
@@ -36,15 +27,6 @@ func (b *Box) Extend(p Vec) {
 	b.Min.Y = math.Min(b.Min.Y, p.Y)
 	b.Max.X = math.Max(b.Max.X, p.X)
 	b.Max.Y = math.Max(b.Max.Y, p.Y)
-}
-
-// ExtendBox grows the box to include the whole of o.
-func (b *Box) ExtendBox(o Box) {
-	if o.Empty() {
-		return
-	}
-	b.Extend(o.Min)
-	b.Extend(o.Max)
 }
 
 // Contains reports whether p lies inside the closed box (with Eps slack).
@@ -69,30 +51,6 @@ func (b Box) Inflate(r float64) Box {
 		return b
 	}
 	return Box{Vec{b.Min.X - r, b.Min.Y - r}, Vec{b.Max.X + r, b.Max.Y + r}}
-}
-
-// Width returns the x extent (0 for empty boxes).
-func (b Box) Width() float64 {
-	if b.Empty() {
-		return 0
-	}
-	return b.Max.X - b.Min.X
-}
-
-// Height returns the y extent (0 for empty boxes).
-func (b Box) Height() float64 {
-	if b.Empty() {
-		return 0
-	}
-	return b.Max.Y - b.Min.Y
-}
-
-// Center returns the box center (zero vector for empty boxes).
-func (b Box) Center() Vec {
-	if b.Empty() {
-		return Vec{}
-	}
-	return Vec{(b.Min.X + b.Max.X) / 2, (b.Min.Y + b.Max.Y) / 2}
 }
 
 // Corners returns the four corners in counter-clockwise order starting from

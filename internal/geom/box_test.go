@@ -14,9 +14,6 @@ func TestEmptyBox(t *testing.T) {
 	if b.Contains(V(0, 0)) {
 		t.Error("empty box contains origin")
 	}
-	if b.Width() != 0 || b.Height() != 0 {
-		t.Error("empty box has nonzero extent")
-	}
 	b.Extend(V(1, 2))
 	if b.Empty() {
 		t.Fatal("box empty after Extend")
@@ -26,9 +23,12 @@ func TestEmptyBox(t *testing.T) {
 	}
 }
 
-func TestBoxOfAndContains(t *testing.T) {
+func TestBoxContains(t *testing.T) {
 	pts := []Vec{{1, 5}, {-2, 3}, {4, -1}}
-	b := BoxOf(pts)
+	b := EmptyBox()
+	for _, p := range pts {
+		b.Extend(p)
+	}
 	for _, p := range pts {
 		if !b.Contains(p) {
 			t.Errorf("box %v misses member %v", b, p)
@@ -62,16 +62,6 @@ func TestBoxIntersectsInflate(t *testing.T) {
 	}
 	if a.Intersects(EmptyBox()) {
 		t.Error("intersects empty box")
-	}
-}
-
-func TestBoxCenterWidthHeight(t *testing.T) {
-	b := Box{V(1, 2), V(5, 8)}
-	if b.Center() != V(3, 5) {
-		t.Errorf("Center = %v", b.Center())
-	}
-	if b.Width() != 4 || b.Height() != 6 {
-		t.Errorf("extent = (%v,%v)", b.Width(), b.Height())
 	}
 }
 
@@ -140,8 +130,8 @@ func TestClipRayEndpointsOnBoundary(t *testing.T) {
 		b := Box{V(minX, minY), V(minX+rng.Float64()*100+0.1, minY+rng.Float64()*100+0.1)}
 		// Direction towards a random interior point guarantees a hit.
 		p := V(
-			b.Min.X+rng.Float64()*b.Width(),
-			b.Min.Y+rng.Float64()*b.Height(),
+			b.Min.X+rng.Float64()*(b.Max.X-b.Min.X),
+			b.Min.Y+rng.Float64()*(b.Max.Y-b.Min.Y),
 		)
 		if p.Norm() < 1e-6 {
 			continue
@@ -163,16 +153,6 @@ func TestClipRayEndpointsOnBoundary(t *testing.T) {
 		if !b.Contains(entry) || !b.Contains(exit) {
 			t.Fatalf("clip endpoints outside box: %v %v box %v", entry, exit, b)
 		}
-	}
-}
-
-func TestExtendBox(t *testing.T) {
-	b := EmptyBox()
-	b.ExtendBox(Box{V(0, 0), V(1, 1)})
-	b.ExtendBox(EmptyBox())
-	b.ExtendBox(Box{V(-1, 4), V(0, 5)})
-	if b.Min != V(-1, 0) || b.Max != V(1, 5) {
-		t.Errorf("ExtendBox = %v", b)
 	}
 }
 

@@ -74,40 +74,3 @@ func InConvexPolygon(p Vec, poly []Vec, tol float64) bool {
 	}
 	return true
 }
-
-// ClipPolygonHalfPlane clips a convex polygon (CCW) against the half-plane
-// on the left side of the directed line a→b (Sutherland–Hodgman, one edge).
-// The result is again convex and CCW; it may be empty.
-func ClipPolygonHalfPlane(poly []Vec, a, b Vec) []Vec {
-	if len(poly) == 0 {
-		return nil
-	}
-	dir := b.Sub(a)
-	inside := func(p Vec) bool { return dir.Cross(p.Sub(a)) >= -Eps }
-	var out []Vec
-	n := len(poly)
-	for i := 0; i < n; i++ {
-		cur, next := poly[i], poly[(i+1)%n]
-		curIn, nextIn := inside(cur), inside(next)
-		if curIn {
-			out = append(out, cur)
-		}
-		if curIn != nextIn {
-			if p, ok := LineIntersection(Line{cur, next}, Line{a, b}); ok {
-				out = append(out, p)
-			}
-		}
-	}
-	return out
-}
-
-// PolygonArea returns the signed area of the polygon (positive when CCW).
-func PolygonArea(poly []Vec) float64 {
-	var s float64
-	n := len(poly)
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		s += poly[i].Cross(poly[j])
-	}
-	return s / 2
-}

@@ -76,49 +76,3 @@ func TestInConvexPolygonEdgeCases(t *testing.T) {
 		t.Error("segment polygon should not contain off-segment point")
 	}
 }
-
-func TestClipPolygonHalfPlane(t *testing.T) {
-	square := []Vec{{0, 0}, {4, 0}, {4, 4}, {0, 4}}
-	// Keep the half-plane left of the upward vertical line x = 2
-	// (direction (0,1) has "left" = x < 2... direction a=(2,0) b=(2,4):
-	// left of a→b is the x<2 side).
-	got := ClipPolygonHalfPlane(square, V(2, 0), V(2, 4))
-	if len(got) != 4 {
-		t.Fatalf("clip result = %v", got)
-	}
-	area := PolygonArea(got)
-	if !almostEq(area, 8, 1e-9) {
-		t.Errorf("clipped area = %v, want 8", area)
-	}
-	for _, p := range got {
-		if p.X > 2+1e-9 {
-			t.Errorf("clip kept point %v beyond the line", p)
-		}
-	}
-}
-
-func TestClipPolygonHalfPlaneNoOp(t *testing.T) {
-	square := []Vec{{0, 0}, {4, 0}, {4, 4}, {0, 4}}
-	got := ClipPolygonHalfPlane(square, V(100, 0), V(100, 1))
-	if !almostEq(PolygonArea(got), 16, 1e-9) {
-		t.Errorf("no-op clip changed area: %v", got)
-	}
-	got = ClipPolygonHalfPlane(square, V(-100, 0), V(-100, 1))
-	if len(got) != 0 {
-		t.Errorf("full clip left %v", got)
-	}
-	if got := ClipPolygonHalfPlane(nil, V(0, 0), V(1, 0)); got != nil {
-		t.Errorf("clip of empty polygon = %v", got)
-	}
-}
-
-func TestPolygonArea(t *testing.T) {
-	ccw := []Vec{{0, 0}, {2, 0}, {2, 2}, {0, 2}}
-	if a := PolygonArea(ccw); !almostEq(a, 4, 1e-12) {
-		t.Errorf("CCW area = %v, want 4", a)
-	}
-	cw := []Vec{{0, 0}, {0, 2}, {2, 2}, {2, 0}}
-	if a := PolygonArea(cw); !almostEq(a, -4, 1e-12) {
-		t.Errorf("CW area = %v, want -4", a)
-	}
-}

@@ -13,9 +13,6 @@ type Line struct {
 // Dir returns the (non-normalized) direction B - A.
 func (l Line) Dir() Vec { return l.B.Sub(l.A) }
 
-// IsDegenerate reports whether the two defining points coincide.
-func (l Line) IsDegenerate() bool { return l.Dir().Norm() < Eps }
-
 // DistToLine returns the perpendicular distance from p to the infinite
 // line l. For a degenerate line it returns the distance to l.A.
 func DistToLine(p Vec, l Line) float64 {
@@ -45,23 +42,6 @@ func DistToSegment(p, a, b Vec) float64 {
 	}
 }
 
-// ClosestOnSegment returns the point of [a, b] closest to p.
-func ClosestOnSegment(p, a, b Vec) Vec {
-	d := b.Sub(a)
-	n2 := d.Norm2()
-	if n2 < Eps*Eps {
-		return a
-	}
-	t := p.Sub(a).Dot(d) / n2
-	if t <= 0 {
-		return a
-	}
-	if t >= 1 {
-		return b
-	}
-	return a.Add(d.Scale(t))
-}
-
 // SideOfLine classifies p against the directed line a→b:
 // +1 left, -1 right, 0 on the line (within Eps of it).
 func SideOfLine(p Vec, a, b Vec) int {
@@ -74,38 +54,6 @@ func SideOfLine(p Vec, a, b Vec) int {
 	default:
 		return 0
 	}
-}
-
-// LineIntersection returns the intersection point of two infinite lines and
-// true, or the zero vector and false when they are parallel (or either is
-// degenerate).
-func LineIntersection(l1, l2 Line) (Vec, bool) {
-	d1 := l1.Dir()
-	d2 := l2.Dir()
-	den := d1.Cross(d2)
-	if math.Abs(den) < Eps {
-		return Vec{}, false
-	}
-	t := l2.A.Sub(l1.A).Cross(d2) / den
-	return l1.A.Add(d1.Scale(t)), true
-}
-
-// SegmentsIntersect reports whether the closed segments [a,b] and [c,d]
-// share at least one point.
-func SegmentsIntersect(a, b, c, d Vec) bool {
-	d1 := SideOfLine(c, a, b)
-	d2 := SideOfLine(d, a, b)
-	d3 := SideOfLine(a, c, d)
-	d4 := SideOfLine(b, c, d)
-	if d1 != d2 && d3 != d4 && d1 != 0 && d2 != 0 && d3 != 0 && d4 != 0 {
-		return true
-	}
-	onSeg := func(p, a, b Vec) bool {
-		return SideOfLine(p, a, b) == 0 &&
-			p.X >= math.Min(a.X, b.X)-Eps && p.X <= math.Max(a.X, b.X)+Eps &&
-			p.Y >= math.Min(a.Y, b.Y)-Eps && p.Y <= math.Max(a.Y, b.Y)+Eps
-	}
-	return onSeg(c, a, b) || onSeg(d, a, b) || onSeg(a, c, d) || onSeg(b, c, d)
 }
 
 // MaxDistToLine returns the maximum perpendicular distance from any point in

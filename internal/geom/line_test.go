@@ -63,19 +63,6 @@ func TestSegmentDistAtLeastLineDist(t *testing.T) {
 	}
 }
 
-func TestClosestOnSegment(t *testing.T) {
-	a, b := V(0, 0), V(10, 0)
-	if got := ClosestOnSegment(V(5, 3), a, b); got != V(5, 0) {
-		t.Errorf("ClosestOnSegment = %v, want (5,0)", got)
-	}
-	if got := ClosestOnSegment(V(-5, 3), a, b); got != a {
-		t.Errorf("ClosestOnSegment beyond a = %v, want a", got)
-	}
-	if got := ClosestOnSegment(V(50, 3), a, b); got != b {
-		t.Errorf("ClosestOnSegment beyond b = %v, want b", got)
-	}
-}
-
 func TestSideOfLine(t *testing.T) {
 	a, b := V(0, 0), V(10, 0)
 	if got := SideOfLine(V(5, 1), a, b); got != 1 {
@@ -86,37 +73,6 @@ func TestSideOfLine(t *testing.T) {
 	}
 	if got := SideOfLine(V(5, 0), a, b); got != 0 {
 		t.Errorf("on-line point side = %d, want 0", got)
-	}
-}
-
-func TestLineIntersection(t *testing.T) {
-	p, ok := LineIntersection(Line{V(0, 0), V(10, 10)}, Line{V(0, 10), V(10, 0)})
-	if !ok {
-		t.Fatal("expected intersection")
-	}
-	if !almostEq(p.X, 5, 1e-9) || !almostEq(p.Y, 5, 1e-9) {
-		t.Errorf("intersection = %v, want (5,5)", p)
-	}
-	if _, ok := LineIntersection(Line{V(0, 0), V(1, 0)}, Line{V(0, 1), V(1, 1)}); ok {
-		t.Error("parallel lines reported intersecting")
-	}
-}
-
-func TestSegmentsIntersect(t *testing.T) {
-	cases := []struct {
-		a, b, c, d Vec
-		want       bool
-	}{
-		{V(0, 0), V(10, 10), V(0, 10), V(10, 0), true},
-		{V(0, 0), V(1, 1), V(2, 2), V(3, 3), false},    // collinear disjoint
-		{V(0, 0), V(2, 2), V(1, 1), V(3, 3), true},     // collinear overlap
-		{V(0, 0), V(1, 0), V(0.5, 0), V(0.5, 5), true}, // T junction
-		{V(0, 0), V(1, 0), V(2, 1), V(3, 1), false},
-	}
-	for i, c := range cases {
-		if got := SegmentsIntersect(c.a, c.b, c.c, c.d); got != c.want {
-			t.Errorf("case %d: SegmentsIntersect = %v, want %v", i, got, c.want)
-		}
 	}
 }
 

@@ -24,14 +24,6 @@ func PlaneFromPoints(a, b, c Vec3) (Plane, bool) {
 // normal side) assuming a unit normal.
 func (pl Plane) Eval(p Vec3) float64 { return pl.N.Dot(p) - pl.D }
 
-// InclinationToXY returns the dihedral angle between the plane and the XY
-// plane, in [0, π/2].
-func (pl Plane) InclinationToXY() float64 {
-	cos := math.Abs(pl.N.Unit().Z)
-	cos = math.Max(-1, math.Min(1, cos))
-	return math.Acos(cos)
-}
-
 // Box3 is an axis-aligned box in 3-space (the paper's "bounding right
 // rectangular prism"). Like Box it must be created with EmptyBox3.
 type Box3 struct {
@@ -120,66 +112,4 @@ func ClipPolygonPlane3(poly []Vec3, pl Plane) []Vec3 {
 		}
 	}
 	return out
-}
-
-// LinePolygonDist3 returns the minimum distance between the infinite 3-D
-// line (la, lb) and the closed planar convex polygon poly. If the line
-// pierces the polygon the distance is 0.
-func LinePolygonDist3(poly []Vec3, la, lb Vec3) float64 {
-	n := len(poly)
-	switch n {
-	case 0:
-		return math.Inf(1)
-	case 1:
-		return DistToLine3(poly[0], la, lb)
-	case 2:
-		return SegmentLineDist3(poly[0], poly[1], la, lb)
-	}
-	// Piercing test: does the line cross the polygon's plane inside it?
-	if pl, ok := PlaneFromPoints(poly[0], poly[1], poly[2]); ok {
-		dir := lb.Sub(la)
-		den := pl.N.Dot(dir)
-		if math.Abs(den) > Eps {
-			t := (pl.D - pl.N.Dot(la)) / den
-			hit := la.Add(dir.Scale(t))
-			if pointInPlanarPolygon(hit, poly, pl.N) {
-				return 0
-			}
-		}
-	}
-	minD := math.Inf(1)
-	for i := 0; i < n; i++ {
-		d := SegmentLineDist3(poly[i], poly[(i+1)%n], la, lb)
-		if d < minD {
-			minD = d
-		}
-	}
-	return minD
-}
-
-// pointInPlanarPolygon reports whether p (assumed on the polygon's plane)
-// lies inside the convex polygon with the given plane normal.
-func pointInPlanarPolygon(p Vec3, poly []Vec3, normal Vec3) bool {
-	n := len(poly)
-	sign := 0.0
-	for i := 0; i < n; i++ {
-		a, b := poly[i], poly[(i+1)%n]
-		c := b.Sub(a).Cross(p.Sub(a)).Dot(normal)
-		if math.Abs(c) < Eps {
-			continue
-		}
-		if sign == 0 {
-			sign = c
-		} else if sign*c < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// LineRectDist3 returns the minimum distance between the infinite line
-// (la, lb) and the axis-aligned rectangle given as a 4-vertex polygon.
-// It is a convenience wrapper over LinePolygonDist3 used for prism faces.
-func LineRectDist3(rect []Vec3, la, lb Vec3) float64 {
-	return LinePolygonDist3(rect, la, lb)
 }

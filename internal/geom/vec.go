@@ -84,19 +84,6 @@ func Lerp(a, b Vec, t float64) Vec {
 	return Vec{a.X + (b.X-a.X)*t, a.Y + (b.Y-a.Y)*t}
 }
 
-// Centroid returns the arithmetic mean of pts. It returns the zero vector
-// for an empty slice.
-func Centroid(pts []Vec) Vec {
-	if len(pts) == 0 {
-		return Vec{}
-	}
-	var c Vec
-	for _, p := range pts {
-		c = c.Add(p)
-	}
-	return c.Scale(1 / float64(len(pts)))
-}
-
 // NormalizeAngle maps an angle in radians into [0, 2π).
 func NormalizeAngle(a float64) float64 {
 	a = math.Mod(a, 2*math.Pi)
@@ -104,14 +91,4 @@ func NormalizeAngle(a float64) float64 {
 		a += 2 * math.Pi
 	}
 	return a
-}
-
-// AngleDiff returns the absolute smallest difference between two angles,
-// in [0, π].
-func AngleDiff(a, b float64) float64 {
-	d := math.Abs(NormalizeAngle(a) - NormalizeAngle(b))
-	if d > math.Pi {
-		d = 2*math.Pi - d
-	}
-	return d
 }

@@ -117,15 +117,3 @@ func SegmentLineDist3(a, b, la, lb Vec3) float64 {
 	p := a.Add(u.Scale(s))
 	return DistToLine3(p, la, lb)
 }
-
-// MaxDistToLine3 returns the maximum distance from pts to the 3-D line and
-// the attaining index, or (0, -1) for no points.
-func MaxDistToLine3(pts []Vec3, a, b Vec3) (float64, int) {
-	maxD, arg := 0.0, -1
-	for i, p := range pts {
-		if d := DistToLine3(p, a, b); d > maxD {
-			maxD, arg = d, i
-		}
-	}
-	return maxD, arg
-}

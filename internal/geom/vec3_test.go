@@ -123,17 +123,6 @@ func TestPlaneFromPoints(t *testing.T) {
 	}
 }
 
-func TestPlaneInclination(t *testing.T) {
-	horizontal, _ := PlaneFromPoints(V3(0, 0, 0), V3(1, 0, 0), V3(0, 1, 0))
-	if got := horizontal.InclinationToXY(); !almostEq(got, 0, 1e-9) {
-		t.Errorf("horizontal inclination = %v", got)
-	}
-	vertical, _ := PlaneFromPoints(V3(0, 0, 0), V3(1, 0, 0), V3(0, 0, 1))
-	if got := vertical.InclinationToXY(); !almostEq(got, math.Pi/2, 1e-9) {
-		t.Errorf("vertical inclination = %v", got)
-	}
-}
-
 func TestBox3Basics(t *testing.T) {
 	b := EmptyBox3()
 	if !b.Empty() {
@@ -196,39 +185,11 @@ func TestClipPolygonPlane3(t *testing.T) {
 	}
 }
 
-func TestLinePolygonDist3(t *testing.T) {
-	square := []Vec3{{-1, -1, 2}, {1, -1, 2}, {1, 1, 2}, {-1, 1, 2}}
-	// Vertical line through the square: pierces it, distance 0.
-	if d := LinePolygonDist3(square, V3(0, 0, 0), V3(0, 0, 1)); !almostEq(d, 0, 1e-9) {
-		t.Errorf("piercing distance = %v, want 0", d)
-	}
-	// Vertical line off to the side: distance 1 in x.
-	if d := LinePolygonDist3(square, V3(2, 0, 0), V3(2, 0, 1)); !almostEq(d, 1, 1e-9) {
-		t.Errorf("side distance = %v, want 1", d)
-	}
-	// Horizontal line above the square plane: vertical gap of 3.
-	if d := LinePolygonDist3(square, V3(-5, 0, 5), V3(5, 0, 5)); !almostEq(d, 3, 1e-9) {
-		t.Errorf("above distance = %v, want 3", d)
-	}
-	if d := LinePolygonDist3(nil, V3(0, 0, 0), V3(1, 0, 0)); !math.IsInf(d, 1) {
-		t.Errorf("empty polygon distance = %v, want +Inf", d)
-	}
-}
-
 func TestVec3IsFinite(t *testing.T) {
 	if !V3(1, 2, 3).IsFinite() {
 		t.Error("finite reported non-finite")
 	}
 	if V3(math.NaN(), 0, 0).IsFinite() || V3(0, math.Inf(1), 0).IsFinite() {
 		t.Error("non-finite reported finite")
-	}
-}
-
-func TestMaxDistToLine3(t *testing.T) {
-	pts := []Vec3{{0, 1, 0}, {0, -7, 3}, {0, 2, 1}}
-	d, i := MaxDistToLine3(pts, V3(0, 0, 0), V3(1, 0, 0))
-	want := math.Sqrt(49 + 9)
-	if i != 1 || !almostEq(d, want, 1e-9) {
-		t.Errorf("MaxDistToLine3 = (%v,%d), want (%v,1)", d, i, want)
 	}
 }

@@ -129,16 +129,6 @@ func TestLerp(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	if got := Centroid(nil); got != V(0, 0) {
-		t.Errorf("Centroid(nil) = %v", got)
-	}
-	pts := []Vec{{0, 0}, {2, 0}, {2, 2}, {0, 2}}
-	if got := Centroid(pts); got != V(1, 1) {
-		t.Errorf("Centroid = %v, want (1,1)", got)
-	}
-}
-
 func TestNormalizeAngle(t *testing.T) {
 	cases := []struct{ in, want float64 }{
 		{0, 0},
@@ -150,14 +140,5 @@ func TestNormalizeAngle(t *testing.T) {
 		if got := NormalizeAngle(c.in); !almostEq(got, c.want, 1e-12) {
 			t.Errorf("NormalizeAngle(%v) = %v, want %v", c.in, got, c.want)
 		}
-	}
-}
-
-func TestAngleDiff(t *testing.T) {
-	if got := AngleDiff(0.1, 2*math.Pi-0.1); !almostEq(got, 0.2, 1e-12) {
-		t.Errorf("AngleDiff wraparound = %v, want 0.2", got)
-	}
-	if got := AngleDiff(0, math.Pi); !almostEq(got, math.Pi, 1e-12) {
-		t.Errorf("AngleDiff opposite = %v, want π", got)
 	}
 }

@@ -90,7 +90,7 @@ func (s *Server) MetricsHandler() http.Handler {
 		f("bqs_compact_failures_total", "counter", "Failed compaction passes.",
 			func(t *tenantMetrics) interface{} { return t.eng.CompactFailures })
 		f("bqs_compact_reclaimed_bytes", "counter", "Net disk bytes freed by published compactions.",
-			func(t *tenantMetrics) interface{} { return t.eng.CompactReclaim })
+			func(t *tenantMetrics) interface{} { return t.log.Reclaimed })
 		f("bqs_degraded", "gauge", "1 while the engine is in degraded read-only mode.",
 			func(t *tenantMetrics) interface{} { return b2i(t.degraded) })
 		f("bqs_queue_depth", "gauge", "Queued ingest batches, summed over shards.",
@@ -106,17 +106,17 @@ func (s *Server) MetricsHandler() http.Handler {
 		f("bqs_queue_fullness", "gauge", "Worst shard queue occupancy fraction in [0, 1].",
 			func(t *tenantMetrics) interface{} { return t.queue.Fullness() })
 		f("bqs_cache_hits_total", "counter", "Read-cache hits (records served without a disk read).",
-			func(t *tenantMetrics) interface{} { return t.eng.Cache.Hits })
+			func(t *tenantMetrics) interface{} { return t.log.Cache.Hits })
 		f("bqs_cache_misses_total", "counter", "Read-cache misses.",
-			func(t *tenantMetrics) interface{} { return t.eng.Cache.Misses })
+			func(t *tenantMetrics) interface{} { return t.log.Cache.Misses })
 		f("bqs_cache_evictions_total", "counter", "Read-cache entries evicted by budget pressure.",
-			func(t *tenantMetrics) interface{} { return t.eng.Cache.Evictions })
+			func(t *tenantMetrics) interface{} { return t.log.Cache.Evictions })
 		f("bqs_cache_entries", "gauge", "Read-cache resident entries.",
-			func(t *tenantMetrics) interface{} { return t.eng.Cache.Entries })
+			func(t *tenantMetrics) interface{} { return t.log.Cache.Entries })
 		f("bqs_cache_bytes", "gauge", "Read-cache resident bytes.",
-			func(t *tenantMetrics) interface{} { return t.eng.Cache.Bytes })
+			func(t *tenantMetrics) interface{} { return t.log.Cache.Bytes })
 		f("bqs_cache_capacity_bytes", "gauge", "Read-cache byte budget (0 when caching is off).",
-			func(t *tenantMetrics) interface{} { return t.eng.Cache.Capacity })
+			func(t *tenantMetrics) interface{} { return t.log.Cache.Capacity })
 		f("bqs_log_segments", "gauge", "Segment files across all shards.",
 			func(t *tenantMetrics) interface{} { return t.log.Segments })
 		f("bqs_log_records", "gauge", "Records indexed in the segment log.",

@@ -47,13 +47,15 @@ func metricValue(t *testing.T, body, name, tenant string) float64 {
 
 // TestMetricsEndpoint is the integration test of the scrape path: after
 // real ingest over the wire and a warmed-up window query, /metrics must
-// report nonzero ingest, log and cache counters for the tenant — and an
-// empty server must scrape cleanly with headers only.
+// report nonzero ingest, log and cache counters for the tenant, and the
+// reclaim counter after a compaction pass — and an empty server must
+// scrape cleanly with headers only.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Dir:    t.TempDir(),
 		Engine: engine.Config{Tolerance: 2, Shards: 2, MaxTrailKeys: 16},
-		Log:    segmentlog.Options{CacheBytes: 1 << 20},
+		Log: segmentlog.Options{CacheBytes: 1 << 20, MaxSegmentBytes: 1024,
+			Compaction: &segmentlog.CompactionPolicy{MergeChunks: true}},
 	})
 
 	// Before any tenant connects: headers render, no samples, no panic.
@@ -129,6 +131,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	body2 := scrape(t, srv)
 	if h1, h2 := metricValue(t, body, "bqs_cache_hits_total", "fleet"), metricValue(t, body2, "bqs_cache_hits_total", "fleet"); h2 <= h1 {
 		t.Errorf("cache hits did not advance across scrapes: %v -> %v", h1, h2)
+	}
+	// A pass that merges the 16-key chunks frees disk: the log's own counter.
+	if v := metricValue(t, body2, "bqs_compact_reclaimed_bytes", "fleet"); v != 0 {
+		t.Errorf("bqs_compact_reclaimed_bytes = %v before any pass, want 0", v)
+	}
+	tn, err := srv.tenant("fleet")
+	if err != nil {
+		t.Fatalf("tenant: %v", err)
+	}
+	if err := tn.eng.CompactNow(); err != nil {
+		t.Fatalf("CompactNow: %v", err)
+	}
+	if v := metricValue(t, scrape(t, srv), "bqs_compact_reclaimed_bytes", "fleet"); v <= 0 {
+		t.Errorf("bqs_compact_reclaimed_bytes = %v after a merging pass, want > 0", v)
 	}
 }
 

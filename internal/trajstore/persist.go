@@ -3,8 +3,6 @@ package trajstore
 import (
 	"errors"
 	"syscall"
-
-	"github.com/trajcomp/bqs/internal/cache"
 )
 
 // TransientErr classifies a persist-path failure: true for errors that
@@ -68,11 +66,10 @@ type PersistedRecord struct {
 
 // Backend is the durable storage the ingestion engine runs on: a
 // Persister that is sharded by ShardIndex over the device ID, compacts
-// itself, answers window and per-device queries from disk as the blocks
-// it stores and reports its read-cache and reclaim counters.
-// segmentlog.ShardedLog is the implementation; AppendOnly adapts anything
-// that is only a Persister. Every method must be safe to call
-// concurrently with every other.
+// itself and answers window and per-device queries from disk as the
+// blocks it stores. segmentlog.ShardedLog is the implementation;
+// AppendOnly adapts anything that is only a Persister. Every method must
+// be safe to call concurrently with every other.
 type Backend interface {
 	Persister
 	// AppendTrail is the engine's one way in: Append for a finalized
@@ -95,17 +92,13 @@ type Backend interface {
 	// is returned.
 	WindowBlocks(minLon, minLat, maxLon, maxLat float64, t0, t1 uint32, visit func(Block) error) error
 	DeviceBlocks(device string, t0, t1 uint32, visit func(Block) error) error
-	// CacheStats snapshots the read-side record cache's counters.
-	CacheStats() cache.Stats
-	// ReclaimedBytes is the cumulative net disk space compaction freed.
-	ReclaimedBytes() int64
 }
 
-// AppendOnly adapts a bare Persister to Backend: nothing to compact,
-// query or count. It is the one place a built trail turns
-// back into GeoKeys: every Append p sees gets a freshly allocated slice
-// it may keep. A nil p yields the "no persister" backend, whose Append,
-// Sync and Close do nothing either.
+// AppendOnly adapts a bare Persister to Backend: nothing to compact or
+// query. It is the one place a built trail turns back into GeoKeys: every
+// Append p sees gets a freshly allocated slice it may keep. A nil p yields
+// the "no persister" backend, whose Append, Sync and Close do nothing
+// either.
 func AppendOnly(p Persister) Backend {
 	if p == nil {
 		p = nopPersister{}
@@ -118,9 +111,7 @@ type appendOnly struct{ Persister }
 func (a appendOnly) AppendTrail(device string, t *Trail) error {
 	return a.Append(device, t.Keys())
 }
-func (appendOnly) CompactNow() error       { return nil }
-func (appendOnly) CacheStats() cache.Stats { return cache.Stats{} }
-func (appendOnly) ReclaimedBytes() int64   { return 0 }
+func (appendOnly) CompactNow() error { return nil }
 func (appendOnly) WindowBlocks(_, _, _, _ float64, _, _ uint32, _ func(Block) error) error {
 	return nil
 }

@@ -59,12 +59,13 @@ func pairSets(recs []Record) map[string]map[[6]float64]bool {
 	return out
 }
 
-// TestCacheHitsAndInvalidationAcrossCompaction is the tentpole's core
-// contract: a cold query decodes and populates, a warm repeat serves
-// every record from the cache without a single decode, a compaction's
-// generation bump invalidates everything at once (no flush call — the
-// keys just stop matching), and the post-compaction re-population makes
-// the next repeat warm again. Results are bit-identical at every stage.
+// TestCacheHitsAndInvalidationAcrossCompaction is the cache's core
+// contract: a cold query reads and populates, a warm repeat serves every
+// record from the cache without a single read, a compaction costs exactly
+// the records it rewrote (they live at fresh paths; no flush call — the old
+// keys just stop being looked up) while the untouched active segment stays
+// warm, and the re-population makes the next repeat warm again. Results
+// are bit-identical at every stage.
 func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{MaxSegmentBytes: 1024, CacheBytes: 1 << 20})
@@ -101,8 +102,8 @@ func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 		t.Fatalf("cache hit counter did not advance: %d -> %d", cs.Hits, ws2.Hits)
 	}
 
-	// Compaction publishes a new generation: every resident entry is
-	// keyed to the old one and can never be looked up again.
+	// Compaction rewrites the sealed segments under fresh paths: those
+	// records miss once; the active segment's, which no pass touches, hit.
 	genBefore := l.Stats().Gen
 	res, err := l.Compact(CompactionPolicy{MergeChunks: true})
 	if err != nil {
@@ -114,15 +115,19 @@ func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 	if l.Stats().Gen <= genBefore {
 		t.Fatal("compaction did not bump the manifest generation")
 	}
+	active := len(l.segs[len(l.segs)-1].recs)
+	if active == 0 {
+		t.Fatal("fixture left the active segment empty: nothing can stay warm")
+	}
 	postCompact, pws, ps := windowCacheStats(t, l)
-	if pws.CacheHits != 0 {
-		t.Fatalf("first post-compaction query hit the stale generation %d times", pws.CacheHits)
+	if pws.CacheHits != active {
+		t.Fatalf("first post-compaction query hit %d times, want the active segment's %d records", pws.CacheHits, active)
 	}
-	if pws.RecordsDecoded == 0 {
-		t.Fatal("post-compaction query decoded nothing — stale entries served?")
+	if pws.RecordsDecoded != res.RecordsOut {
+		t.Fatalf("post-compaction query read %d records, want the %d rewritten ones — stale entries served?", pws.RecordsDecoded, res.RecordsOut)
 	}
-	if ps.Misses <= ws2.Misses {
-		t.Fatalf("post-compaction query recorded no misses: %d -> %d", ws2.Misses, ps.Misses)
+	if ps.Misses != ws2.Misses+uint64(res.RecordsOut) {
+		t.Fatalf("post-compaction misses %d -> %d, want one per rewritten record (%d)", ws2.Misses, ps.Misses, res.RecordsOut)
 	}
 	// Compaction merges chunks, so record boundaries legitimately change;
 	// the trajectory segments (consecutive key pairs) must not.
@@ -130,7 +135,7 @@ func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 		t.Fatal("post-compaction results diverge from pre-compaction results")
 	}
 
-	// And the new generation's entries serve the next repeat warm.
+	// And the rewritten records' entries serve the next repeat warm.
 	rewarm, rws, _ := windowCacheStats(t, l)
 	if !reflect.DeepEqual(rewarm, postCompact) {
 		t.Fatal("re-warmed results diverge")
@@ -138,6 +143,33 @@ func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 	if rws.RecordsDecoded != 0 || rws.CacheHits == 0 {
 		t.Fatalf("cache did not re-populate after compaction: decoded=%d hits=%d",
 			rws.RecordsDecoded, rws.CacheHits)
+	}
+}
+
+// TestCacheSurvivesRotation: a rotation publishes a manifest generation
+// and changes no stored byte, so it costs a warm cache nothing — the repeat
+// of a warmed window reads only the records appended since.
+func TestCacheSurvivesRotation(t *testing.T) {
+	l := mustOpen(t, t.TempDir(), Options{MaxSegmentBytes: 1024, CacheBytes: 1 << 20})
+	defer l.Close()
+	fillCells(t, l, 4, 4, 8)
+	cold, _, _ := windowCacheStats(t, l)
+	if _, ws, _ := windowCacheStats(t, l); ws.RecordsDecoded != 0 || ws.CacheHits != len(cold) {
+		t.Fatalf("window not warm before the rotation: %+v", ws)
+	}
+	gen, added := l.Stats().Gen, 0
+	for ; l.Stats().Gen == gen; added++ {
+		if err := l.Append("dev-late", cellKeys(1, 100+added, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, ws, _ := windowCacheStats(t, l)
+	if ws.CacheHits != len(cold) || ws.RecordsDecoded != added {
+		t.Fatalf("after a rotation: %d hits, %d reads; want the %d warm records hit and only the %d new ones read",
+			ws.CacheHits, ws.RecordsDecoded, len(cold), added)
+	}
+	if !reflect.DeepEqual(after[:len(cold)], cold) {
+		t.Fatal("warm records changed across the rotation")
 	}
 }
 
@@ -206,7 +238,7 @@ func TestCacheDisabledByDefault(t *testing.T) {
 }
 
 // TestShardedCacheSharedBudget: all shards feed one cache; per-shard
-// queries populate it and ShardedLog.CacheStats sees the union, while a
+// queries populate it and ShardedLog.Stats().Cache sees the union, while a
 // repeated sharded window query is served warm.
 func TestShardedCacheSharedBudget(t *testing.T) {
 	dir := t.TempDir()
@@ -226,7 +258,7 @@ func TestShardedCacheSharedBudget(t *testing.T) {
 	if cws.CacheHits != 0 {
 		t.Fatalf("cold sharded query hit %d times", cws.CacheHits)
 	}
-	cs := s.CacheStats()
+	cs := s.Stats().Cache
 	if cs.Entries == 0 || cs.Misses == 0 {
 		t.Fatalf("cold sharded query did not populate the shared cache: %+v", cs)
 	}

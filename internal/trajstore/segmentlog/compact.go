@@ -192,18 +192,10 @@ func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, e
 		}
 	}
 	l.mu.Unlock()
-	// A sealed segment without a live block index (its write failed at
-	// rotation) marks the pass as a reseal: even a record-identical rewrite
-	// is then worthwhile, because the output carries the sealed indexes the
-	// input lacked.
-	reseal := false
 	for _, sf := range sealed {
 		res.RecordsIn += len(sf.recs)
 		res.SegmentsIn++
 		res.BytesIn += sf.size
-		if !sf.idx {
-			reseal = true
-		}
 	}
 	// Open every sealed file once; workers share the handles via pread.
 	files := &segReader{fs: l.fs}
@@ -286,9 +278,10 @@ func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, e
 	// already-compacted (or incompressible) log costs one streaming read
 	// pass, not a generation bump and fsync storm every interval — and
 	// the memo below makes the next tick O(1). (RecordsIn == 0 with
-	// sealed segments present still publishes, to drop the empty files;
-	// a reseal pass publishes to gain block indexes.)
-	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && res.RecordsIn > 0 && !reseal {
+	// sealed segments present still publishes, to drop the empty files. A
+	// sealed segment whose block index failed to write at rotation is not a
+	// reason to rewrite: the next writable open re-seals it, loadSegment.)
+	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && res.RecordsIn > 0 {
 		cw.discard()
 		res.RecordsOut = res.RecordsIn
 		res.SegmentsOut = res.SegmentsIn
@@ -326,8 +319,8 @@ func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, e
 		return res, err
 	}
 	res.Gen = l.gen
-	// The generation bump just orphaned every cache entry for the
-	// superseded segments; account the net disk reclaim of this pass.
+	// The superseded segments' cache entries are orphans from here on (no
+	// record points at those paths); account the net disk reclaim of this pass.
 	// BytesOut is complete here even though res is still being built:
 	// the output segments were sealed above and the tail was never an
 	// input.
@@ -537,9 +530,8 @@ func ageKeys(keys []trajstore.GeoKey, p CompactionPolicy) ([]trajstore.GeoKey, e
 // compactWriter packs a stream of records into fresh segment files
 // (respecting the rotation threshold), fsyncs each on seal, and writes
 // a block index next to it, so every output segment has a live index.
-// An index write failure aborts the pass: proceeding without one would
-// leave the output permanently flagged for resealing, turning every
-// periodic tick into a full rewrite. The
+// An index write failure aborts the pass: the old generation is whole, and
+// nothing is gained by publishing segments the next open must scan. The
 // files are unreferenced until the caller publishes a manifest naming
 // them, so discard (or a crash) just leaves garbage the next Open
 // sweeps.

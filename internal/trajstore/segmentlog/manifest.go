@@ -257,3 +257,32 @@ func readManifest(fsys vfs.FS, dir string) (m manifest, found bool, err error) {
 func writeManifest(fsys vfs.FS, dir string, m manifest) error {
 	return publishFile(fsys, "manifest", dir, manifestName, formatManifest(m))
 }
+
+// manifestSegs builds the manifest entries for a logical segment list.
+// Sealed segments publish their block-index reference and bbox/time
+// summary; the final entry is the active segment, whose summary is
+// still growing, so it carries none.
+func manifestSegs(segs []segmentFile) []manifestSeg {
+	out := make([]manifestSeg, len(segs))
+	for i, s := range segs {
+		ms := manifestSeg{Name: filepath.Base(s.path), Idx: s.idx}
+		if i < len(segs)-1 && s.sum.records > 0 {
+			sum := s.sum
+			ms.Sum = &sum
+		}
+		out[i] = ms
+	}
+	return out
+}
+
+// writeManifestLocked atomically publishes the current live segment list
+// under the next generation number. Callers hold mu (or are inside
+// openShardLog).
+func (l *shardLog) writeManifestLocked() error {
+	m := manifest{Gen: l.gen + 1, Segs: manifestSegs(l.segs)}
+	if err := writeManifest(l.fs, l.dir, m); err != nil {
+		return err
+	}
+	l.gen = m.Gen
+	return nil
+}

@@ -1,0 +1,311 @@
+// Opening a shard log: manifest, every segment's records (block index, else
+// scan), torn-tail recovery and the sweep of unreferenced files.
+package segmentlog
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+
+	"github.com/trajcomp/bqs/internal/trajstore"
+	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
+)
+
+// openShardLog opens (creating if necessary) the shard log in dir: it
+// loads the MANIFEST (falling back to a lexical scan of the segment
+// files when a crash during the directory's first open left none, and
+// publishing one), loads every live segment's records (loadSegment),
+// truncating any torn tail, removes files a crashed compaction left
+// unreferenced, and readies the last segment for appending: the view is
+// complete, and a damaged segment refused, before it returns. With
+// Options.ReadOnly it does none of the mutating parts — no cleanup, no
+// truncation, no appending.
+func openShardLog(dir string, opts Options) (*shardLog, error) {
+	if opts.MaxSegmentBytes <= 0 {
+		opts.MaxSegmentBytes = DefaultMaxSegmentBytes
+	}
+	if opts.MaxSegmentBytes < headerSize+recordHeaderSize {
+		return nil, fmt.Errorf("segmentlog: MaxSegmentBytes %d too small", opts.MaxSegmentBytes)
+	}
+	fsys := opts.FS
+	if fsys == nil {
+		fsys = vfs.OS
+	}
+	l := &shardLog{dir: dir, opts: opts, ro: opts.ReadOnly, fs: fsys, index: make(map[string][]recordAddr)}
+	if opts.cache != nil {
+		l.cache = opts.cache
+	} else {
+		l.cache = newRecordCache(opts.CacheBytes)
+	}
+	if l.ro {
+		fi, err := l.fs.Stat(dir)
+		if err != nil {
+			return nil, fmt.Errorf("segmentlog: %w", err)
+		}
+		if !fi.IsDir() {
+			return nil, fmt.Errorf("segmentlog: %s is not a directory", dir)
+		}
+	} else if err := l.fs.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("segmentlog: %w", err)
+	}
+
+	man, found, err := readManifest(l.fs, dir)
+	if err != nil {
+		return nil, err
+	}
+	var entries []manifestSeg
+	if found {
+		l.gen = man.Gen
+		entries = man.Segs
+	} else {
+		// No manifest was ever published here, so no compaction ever
+		// ran either: files were only appended in sequence and lexical
+		// order is logical order.
+		globbed, err := l.fs.Glob(filepath.Join(dir, "seg-*.log"))
+		if err != nil {
+			return nil, fmt.Errorf("segmentlog: %w", err)
+		}
+		sort.Strings(globbed)
+		for _, p := range globbed {
+			if _, ok := parseSegName(filepath.Base(p)); ok {
+				entries = append(entries, manifestSeg{Name: filepath.Base(p)})
+			}
+		}
+	}
+	for i, ent := range entries {
+		seg, err := l.loadSegment(filepath.Join(dir, ent.Name), ent, i == len(entries)-1)
+		if err != nil {
+			return nil, err
+		}
+		l.segs = append(l.segs, seg)
+		if n, ok := parseSegName(ent.Name); ok && n >= l.nextSeq {
+			l.nextSeq = n + 1
+		}
+	}
+	l.rebuildIndexLocked()
+	if l.nextSeq == 0 {
+		l.nextSeq = 1
+	}
+	// Sweep crashed-compaction leftovers only AFTER the referenced set
+	// scanned clean: if a referenced segment turns out unreadable, an
+	// unpublished compactor output may be the only intact copy of its
+	// data — deleting it first would destroy the salvage option. The
+	// sweep's live set is the OLD manifest plus the block indexes
+	// loadSegment just (re)built — those are published by the manifest
+	// written below, so deleting them here would leave that manifest
+	// referencing missing files.
+	if found && !l.ro {
+		keep := make(map[string]bool)
+		for i := range l.segs {
+			if l.segs[i].idx {
+				if n, ok := parseSegName(filepath.Base(l.segs[i].path)); ok {
+					keep[idxName(n)] = true
+				}
+			}
+		}
+		if err := cleanUnreferenced(l.fs, dir, man, keep); err != nil {
+			return nil, err
+		}
+	}
+
+	if l.ro {
+		return l, nil
+	}
+	if len(l.segs) == 0 {
+		f, seg, err := l.newSegmentFileLocked()
+		if err != nil {
+			return nil, err
+		}
+		l.segs = append(l.segs, seg)
+		l.active = f
+		l.off = headerSize
+	} else {
+		// Reopen the last segment for appending at its recovered size.
+		last := &l.segs[len(l.segs)-1]
+		f, err := l.fs.OpenFile(last.path, os.O_RDWR, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("segmentlog: %w", err)
+		}
+		if _, err := f.Seek(last.size, io.SeekStart); err != nil {
+			_ = f.Close() // open failed; the seek error is the story
+			return nil, fmt.Errorf("segmentlog: %w", err)
+		}
+		l.active = f
+		l.off = last.size
+	}
+	// Whatever recovery read back from disk is the durable baseline.
+	l.syncedOff = l.off
+	// Publish the live set: after a successful writable open the
+	// MANIFEST always exists and matches memory (sealing any recovery
+	// edits under a fresh generation).
+	if err := l.writeManifestLocked(); err != nil {
+		_ = l.active.Close() // open failed; the publish error is the story
+		return nil, err
+	}
+	return l, nil
+}
+
+// loadSegment reads one live segment's records — the only loader. A
+// sealed segment the manifest marks idx comes through its block index
+// when that validates: size, CRC and, where the entry carries one, the
+// manifest's summary — both were sealed from the same metadata, so an
+// index that diverges from the CRC-protected manifest (a stale file from
+// an earlier life of this sequence number, a crafted CRC collision) is
+// rejected. Anything else is scanned (readSegment), and on a writable
+// handle a scanned sealed segment gets its block index (re)built, so the
+// next open is cheap again.
+func (l *shardLog) loadSegment(path string, ent manifestSeg, final bool) (segmentFile, error) {
+	if !final && ent.Idx {
+		if size, metas, err := loadBlockIndex(l.fs, path); err == nil {
+			if sum := sumOf(metas); ent.Sum == nil || sum == *ent.Sum {
+				return segmentFile{path: path, size: size, idx: true, sum: sum, recs: metas}, nil
+			}
+		}
+	}
+	metas, valid, err := l.readSegment(path, final)
+	if err != nil {
+		return segmentFile{}, err
+	}
+	idx := !l.ro && !final && writeBlockIndex(l.fs, path, valid, metas) == nil
+	return segmentFile{path: path, size: valid, idx: idx, sum: sumOf(metas), recs: metas}, nil
+}
+
+// readSegment reads one segment file and returns the metadata of its
+// valid records and its valid size, handling an invalid tail. Dropping
+// bytes after the first invalid record is only sound where a crash
+// could actually tear a write: the final (active-to-be) segment, or a
+// genuinely record-free tail left by an unsynced rotation. A
+// *non-final* segment whose bad record is followed by more valid
+// records is mid-file corruption of data that was once durable — now
+// that compaction makes sealed segments long-lived archives, that must
+// fail (ErrCorrupt) rather than silently destroy everything after the
+// rotten byte. Read-only handles stay lenient throughout: they modify
+// nothing and exist to salvage whatever is readable.
+func (l *shardLog) readSegment(path string, final bool) (metas []recordMeta, valid int64, err error) {
+	data, err := l.fs.ReadFile(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("segmentlog: %w", err)
+	}
+	if len(data) < headerSize {
+		// A crash can leave a freshly rotated file with a partial
+		// header; rewrite it as empty rather than failing the open.
+		if l.ro {
+			l.truncated += int64(len(data))
+			return nil, int64(len(data)), nil
+		}
+		if !final {
+			return nil, 0, fmt.Errorf("%w: %s: sealed segment shorter than its header", ErrCorrupt, filepath.Base(path))
+		}
+		return nil, headerSize, l.rewriteEmpty(path)
+	}
+	if [6]byte(data[:6]) != magic {
+		return nil, 0, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
+	}
+	if data[6] != version {
+		return nil, 0, fmt.Errorf("%w: %s: unsupported version %d", ErrCorrupt, filepath.Base(path), data[6])
+	}
+	valid = headerSize
+	for pos := headerSize; ; {
+		body, bodyOff, next, ok := nextRecord(data, pos)
+		if !ok {
+			break
+		}
+		dev, b, payload, err := splitBody(body)
+		if err != nil || !trajstore.DeltaValidate(payload) {
+			break
+		}
+		metas = append(metas, recordMeta{device: dev, off: int64(bodyOff), bodyLen: len(body), Bounds: b})
+		valid = int64(next)
+		pos = next
+	}
+	if torn := int64(len(data)) - valid; torn > 0 {
+		if !l.ro && !final {
+			// Distinguish an unsynced-rotation torn tail (nothing valid
+			// after the cut — safe to drop) from mid-file corruption
+			// (valid records still follow the bad one — refusing is the
+			// only non-destructive option).
+			if off := resyncScan(data, int(valid)); off >= 0 {
+				return nil, 0, fmt.Errorf("%w: %s: invalid record at offset %d but valid data at %d — refusing to truncate a sealed segment mid-file",
+					ErrCorrupt, filepath.Base(path), valid, off)
+			}
+		}
+		if !l.ro {
+			if err := l.fs.Truncate(path, valid); err != nil {
+				return nil, 0, fmt.Errorf("segmentlog: truncating torn tail: %w", err)
+			}
+		}
+		l.truncated += torn
+	}
+	return metas, valid, nil
+}
+
+// resyncScan looks for a valid, decodable record anywhere after from;
+// it returns the offset of the first one, or -1. Used to tell mid-file
+// corruption apart from a torn tail (a false positive needs random
+// bytes to pass both plausibility checks and CRC-32C, ~2^-32).
+func resyncScan(data []byte, from int) int {
+	for pos := from + 1; pos+recordHeaderSize <= len(data); pos++ {
+		if body, _, _, ok := nextRecord(data, pos); ok {
+			if _, _, payload, err := splitBody(body); err == nil && trajstore.DeltaValidate(payload) {
+				return pos
+			}
+		}
+	}
+	return -1
+}
+
+// rewriteEmpty resets path to a bare header (crash during file creation).
+func (l *shardLog) rewriteEmpty(path string) error {
+	f, err := l.fs.OpenFile(path, os.O_RDWR|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("segmentlog: %w", err)
+	}
+	defer f.Close()
+	return writeHeader(f)
+}
+
+// cleanUnreferenced removes files a crashed compaction or rotation left
+// behind: a stale manifest temp file, and canonical segment or
+// block-index files the manifest does not reference (either a new
+// generation that was never published, or a superseded generation whose
+// deletion was interrupted). keep names extra files the caller intends
+// to publish in the next manifest (freshly rebuilt block indexes). Only
+// called on writable opens with a validated manifest in hand.
+func cleanUnreferenced(fsys vfs.FS, dir string, man manifest, keep map[string]bool) error {
+	live := make(map[string]bool, 2*len(man.Segs)+len(keep))
+	for name := range keep {
+		live[name] = true
+	}
+	for _, s := range man.Segs {
+		live[s.Name] = true
+		if s.Idx {
+			if n, ok := parseSegName(s.Name); ok {
+				live[idxName(n)] = true
+			}
+		}
+	}
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("segmentlog: %w", err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		stale := name == manifestTmpName
+		if _, ok := parseSegName(name); ok && !live[name] {
+			stale = true
+		}
+		if _, ok := parseIdxName(name); ok && !live[name] {
+			stale = true
+		}
+		if stale {
+			if err := fsys.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return fmt.Errorf("segmentlog: removing unreferenced %s: %w", name, err)
+			}
+		}
+	}
+	return nil
+}

@@ -421,9 +421,10 @@ func (s *ShardedLog) Devices() []string {
 
 // Stats sums the per-shard bookkeeping. Devices is exact (each device
 // lives in exactly one shard); Gen is the sum of the shard generations,
-// so it is monotonic and moves iff some shard published.
+// so it is monotonic and moves iff some shard published; Cache is the one
+// cache the shards share. It does no I/O and stays callable after Close.
 func (s *ShardedLog) Stats() Stats {
-	var out Stats
+	out := Stats{Cache: s.cache.Stats()}
 	for _, lg := range s.shards {
 		st := lg.Stats()
 		out.Segments += st.Segments
@@ -434,6 +435,7 @@ func (s *ShardedLog) Stats() Stats {
 		out.Truncated += st.Truncated
 		out.Unsynced += st.Unsynced
 		out.Gen += st.Gen
+		out.Reclaimed += st.Reclaimed
 	}
 	return out
 }
