@@ -202,6 +202,24 @@ func BenchmarkBQS4DPerPoint(b *testing.B) {
 
 // --- Ingestion engine: fleet throughput at 1k and 10k devices.
 
+// fleetBatches is the engine benchmarks' traffic: rounds batches of one
+// fix per device, a per-device zig-zag that advances each round so
+// compressor decisions (and some key-point emissions) actually happen.
+func fleetBatches(devices, rounds int) [][]Fix {
+	batches := make([][]Fix, rounds)
+	for r := range batches {
+		batch := make([]Fix, devices)
+		for d := range batch {
+			batch[d] = Fix{
+				Device: "dev-" + strconv.Itoa(d),
+				Point:  Point{X: float64(r * 40), Y: float64(d%50) + float64(r%2)*25, T: float64(r)},
+			}
+		}
+		batches[r] = batch
+	}
+	return batches
+}
+
 // benchEngineIngest pushes pre-generated interleaved batches (one fix
 // per device per batch, rotating through a small set of positions)
 // through the engine; reported bytes/op is the 24-byte fix payload.
@@ -225,21 +243,7 @@ func benchEngineIngest(b *testing.B, devices int, persist bool) {
 	defer e.Close()
 
 	const rounds = 8
-	batches := make([][]Fix, rounds)
-	for r := range batches {
-		batch := make([]Fix, devices)
-		for d := 0; d < devices; d++ {
-			// A per-device zig-zag: advances each round so compressor
-			// decisions (and some key-point emissions) actually happen.
-			x := float64(r * 40)
-			y := float64(d%50) + float64(r%2)*25
-			batch[d] = Fix{
-				Device: "dev-" + strconv.Itoa(d),
-				Point:  Point{X: x, Y: y, T: float64(r)},
-			}
-		}
-		batches[r] = batch
-	}
+	batches := fleetBatches(devices, rounds)
 
 	b.ReportAllocs()
 	b.SetBytes(int64(devices) * 24)
@@ -263,22 +267,42 @@ func BenchmarkEngineIngest10kDevices(b *testing.B) { benchEngineIngest(b, 10000,
 func BenchmarkEngineIngestPersist1kDevices(b *testing.B)  { benchEngineIngest(b, 1000, true) }
 func BenchmarkEngineIngestPersist10kDevices(b *testing.B) { benchEngineIngest(b, 10000, true) }
 
+// BenchmarkEngineFlushSessions1kDevices measures the flush barrier's cut:
+// each op sends every device one fix and flushes, so 1000 sessions are
+// re-armed from their last key point, flushed, and their trails appended
+// (no fsync: that is Sync's). ns/session is the op over the fleet, the
+// ingest included — a flush with no fix since it is a no-op.
+func BenchmarkEngineFlushSessions1kDevices(b *testing.B) {
+	const devices, rounds = 1000, 8
+	lg, err := OpenShardedSegmentLog(b.TempDir(), 1, SegmentLogOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEngine(EngineConfig{Compressor: "fbqs", Tolerance: 10, Shards: 0, Persister: lg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	batches := fleetBatches(devices, rounds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.Ingest(batches[i%rounds]); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.FlushSessions(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/devices, "ns/session")
+}
+
 // BenchmarkEnginePersistClose measures the durable flush itself: each op
 // ingests a small fleet and Closes the engine, which writes and fsyncs
 // every finalized session trajectory through the segment log.
 func BenchmarkEnginePersistClose(b *testing.B) {
-	const devices, rounds = 200, 8
-	batches := make([][]Fix, rounds)
-	for r := range batches {
-		batch := make([]Fix, devices)
-		for d := 0; d < devices; d++ {
-			batch[d] = Fix{
-				Device: "dev-" + strconv.Itoa(d),
-				Point:  Point{X: float64(r * 40), Y: float64(d%50) + float64(r%2)*25, T: float64(r)},
-			}
-		}
-		batches[r] = batch
-	}
+	batches := fleetBatches(200, 8)
 	dir := b.TempDir()
 	b.ReportAllocs()
 	b.ResetTimer()

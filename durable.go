@@ -100,9 +100,9 @@ func QueryLogWindow(lg *ShardedSegmentLog, minX, minY, maxX, maxY float64, t0, t
 }
 
 // OpenDurableEngine opens a sharded segment log in dir and starts an
-// ingestion engine persisting into it: every session finalized by idle
-// eviction or Close durably lands on disk, Sync is the durability
-// barrier, and Close closes the log. The log is history's one home:
+// ingestion engine persisting into it: every session ended by idle
+// eviction or Close, or cut by FlushSessions, durably lands on disk, Sync
+// is the durability barrier, and Close closes the log. The log is history's one home:
 // Engine.QueryWindow answers from it plus the open sessions' trails, and
 // resident memory is those trails plus the queues whatever the history's
 // size. Any Persister already set in cfg is

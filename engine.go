@@ -10,8 +10,11 @@ import (
 // sessions, routing fixes to shard workers by a hash of the device ID so
 // each device's stream is compressed in arrival order by exactly one
 // goroutine, with key points flowing to EngineConfig.OnKey and, as
-// finalized trails, into the Persister (see OpenDurableEngine) — the one
-// place history is kept. Without a Persister the engine is a pure
+// trails, into the Persister (see OpenDurableEngine) — the one place
+// history is kept. FlushSessions hands every open trail over without
+// ending a trajectory: a device's next fix continues from the key point
+// the flush ended on, so a flush costs at most one key point per device
+// and compaction re-joins the records. Without a Persister the engine is a pure
 // compressor fan-out: OnKey is its output and QueryWindow returns
 // ErrNoPersister.
 //

@@ -128,7 +128,7 @@ func (o *refOctant) computeSignificant() []geom.Vec3 {
 	hs := o.halfSpaces()
 	var out []geom.Vec3
 	for _, face := range o.prism.Faces() {
-		poly := face
+		poly := face[:]
 		for _, h := range hs {
 			poly = geom.ClipPolygonPlane3(poly, h)
 			if len(poly) == 0 {

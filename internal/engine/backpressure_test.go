@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,59 +316,93 @@ func TestTryIngestSurfacesPersistError(t *testing.T) {
 }
 
 // TestFlushSessions checks the explicit flush barrier: every open
-// session is finalized and persisted without closing the engine, and a
-// device's next fix starts a fresh session.
+// session's trail is persisted without closing the engine, the sessions
+// stay open, and a device's next fixes continue its trajectory — the
+// record they end up in starts on the key point the flush ended on.
 func TestFlushSessions(t *testing.T) {
 	dir := t.TempDir()
 	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{Compressor: "fbqs", Tolerance: 5, Shards: 2, Persister: lg})
+	var now atomic.Int64
+	e, err := New(Config{Compressor: "fbqs", Tolerance: 5, Shards: 2, Persister: lg,
+		IdleTimeout: time.Hour, Clock: func() time.Time { return time.Unix(now.Load(), 0) }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 
 	const devices = 6
-	for d := 0; d < devices; d++ {
-		track := deviceTrack(int64(d)+1, 80)
-		for _, p := range track {
+	tracks := make([][]core.Point, devices)
+	for d := range tracks {
+		tracks[d] = deviceTrack(int64(d)+1, 160)
+		for _, p := range tracks[d][:80] {
 			if err := e.IngestOne(fmt.Sprintf("dev-%d", d), p); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := e.FlushSessions(); err != nil {
-		t.Fatal(err)
+	flush := func() Stats {
+		t.Helper()
+		if err := errors.Join(e.FlushSessions(), e.Sync()); err != nil {
+			t.Fatal(err)
+		}
+		return e.Stats()
 	}
-	if err := e.Sync(); err != nil {
-		t.Fatal(err)
+	s := flush()
+	if s.ActiveSessions != devices || s.SessionsOpened != devices {
+		t.Fatalf("after FlushSessions: %d sessions active, %d opened; a flush ends none and opens none (%d devices)", s.ActiveSessions, s.SessionsOpened, devices)
 	}
-	s := e.Stats()
-	if s.ActiveSessions != 0 {
-		t.Fatalf("ActiveSessions = %d after FlushSessions, want 0", s.ActiveSessions)
+	if s.Persisted != devices || s.TrailBytes != 0 {
+		t.Fatalf("Persisted = %d, TrailBytes = %d; want %d, 0", s.Persisted, s.TrailBytes, devices)
 	}
-	if s.Persisted != devices {
-		t.Fatalf("Persisted = %d, want %d", s.Persisted, devices)
+	if again := flush(); again != s {
+		t.Fatalf("a second flush with no fix between changed the engine: %+v, was %+v", again, s)
+	}
+	// The engine stays usable; a flushed device's session goes on.
+	for _, p := range tracks[0][80:] {
+		if err := e.IngestOne("dev-0", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s = flush(); s.ActiveSessions != devices || s.SessionsOpened != devices || s.Persisted != devices+1 {
+		t.Fatalf("after dev-0 reported on and a flush: %+v", s)
 	}
 	for d := 0; d < devices; d++ {
 		recs, err := lg.Query(fmt.Sprintf("dev-%d", d), 0, ^uint32(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != 1 {
-			t.Fatalf("dev-%d: %d records after flush, want 1", d, len(recs))
+		want := 1
+		if d == 0 {
+			want = 2
+		}
+		if len(recs) != want {
+			t.Fatalf("dev-%d: %d records, want %d", d, len(recs), want)
+		}
+		if d == 0 && recs[1].Keys[0] != recs[0].Keys[len(recs[0].Keys)-1] {
+			t.Fatalf("dev-0: the second record starts at %+v, the first ended on %+v", recs[1].Keys[0], recs[0].Keys[len(recs[0].Keys)-1])
 		}
 	}
-	// The engine stays usable; a flushed device reopens a session.
-	if err := e.IngestOne("dev-0", core.Point{X: 1, Y: 1, T: 1}); err != nil {
+	// Ending a flushed session — all but dev-1's by idle eviction, that one
+	// by Close — is a plain delete: the log has all of it.
+	now.Store(3000)
+	if err := e.IngestOne("dev-1", tracks[1][80]); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Sync(); err != nil {
+	s = flush()
+	now.Store(3000 + 3000)
+	if err := e.EvictIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if s := e.Stats(); s.SessionsOpened != devices+1 {
-		t.Fatalf("SessionsOpened = %d, want %d", s.SessionsOpened, devices+1)
+	if got := e.Stats(); got.ActiveSessions != 1 || got.SessionsEvicted != devices-1 || got.Persisted != s.Persisted || got.KeyPoints != s.KeyPoints {
+		t.Fatalf("evicting flushed sessions: %+v, was %+v", got, s)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats(); got.ActiveSessions != 0 || got.Persisted != s.Persisted || got.KeyPoints != s.KeyPoints {
+		t.Fatalf("closing over a flushed session: %+v, was %+v", got, s)
 	}
 }

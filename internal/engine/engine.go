@@ -10,9 +10,9 @@
 // exactly one goroutine in arrival order — per-device output is
 // byte-identical to running the same compressor single-threaded, while
 // distinct devices scale across shards without locks on the hot path.
-// Sessions are created on first fix, evicted (with a final Flush) after
-// an idle timeout, and their compressor state is recycled through a
-// sync.Pool.
+// Sessions are created on first fix, cut by FlushSessions (the trajectory
+// goes on), evicted (with a final Flush) after an idle timeout, and their
+// compressor state is recycled through a sync.Pool.
 package engine
 
 import (
@@ -59,9 +59,11 @@ type Config struct {
 	// distinct devices may call it concurrently. Without a Persister it
 	// is the engine's only output.
 	OnKey func(device string, kp core.Point)
-	// Persister, when non-nil, durably records every finalized session
-	// trajectory (on idle eviction and on Close) in the delta-varint
-	// wire format. The engine takes ownership: Sync doubles as the
+	// Persister, when non-nil, durably records every session's trail —
+	// when the session ends (idle eviction, Close), and where
+	// FlushSessions or MaxTrailKeys cuts it, each piece starting on the
+	// key point the last ended on — in the delta-varint wire format. The
+	// engine takes ownership: Sync doubles as the
 	// durability barrier and Close closes the persister. A value that
 	// is a full trajstore.Backend (segmentlog.ShardedLog) additionally
 	// gets its trails as the blocks they already are (AppendTrail),
@@ -137,14 +139,14 @@ var ErrBackpressure = errors.New("engine: shard queue full (backpressure)")
 // The persister's own counters (read cache, compaction reclaim) are on
 // its Stats — segmentlog.Stats.
 type Stats struct {
-	ActiveSessions  int    // sessions currently open
-	SessionsOpened  uint64 // sessions ever created
+	ActiveSessions  int    // sessions currently open: devices seen and not yet idle-evicted — a flush ends none
+	SessionsOpened  uint64 // sessions ever created: a device's first fix, or its first since an eviction — a flush opens none
 	SessionsEvicted uint64 // sessions closed by idle eviction
 	Fixes           uint64 // fixes accepted by Ingest
 	KeyPoints       uint64 // key points emitted by all sessions
-	Persisted       uint64 // finalized trajectories handed to the persister
-	ParkedTrails    uint64 // trajectories parked in memory by degraded mode, awaiting Heal
-	TrailBytes      int64  // encoded key points the log has not accepted yet — open sessions' trails plus parked ones: what Heal owes and, with the log's own un-fsync'd bytes (segmentlog.Stats.Unsynced), what a SIGKILL loses
+	Persisted       uint64 // trails handed to the persister: one per ended session, chunk or flush's cut with a key point no record held
+	ParkedTrails    uint64 // trails parked in memory by degraded mode, awaiting Heal
+	TrailBytes      int64  // trails holding a key point the log has not accepted yet, as the blocks it will store — open sessions' plus parked ones, never a trail that is only the key a record ended on: what Heal owes and, with the log's own un-fsync'd bytes (segmentlog.Stats.Unsynced), what a SIGKILL loses
 	Rejected        uint64 // fixes refused by TryIngest backpressure, degraded mode or the wire format's range
 	PersistFailures uint64 // failed persister append/sync attempts (retried ones included)
 	CompactFailures uint64 // failed compaction passes (periodic or CompactNow)
@@ -206,8 +208,10 @@ type Engine struct {
 
 // session is the per-device state, owned by exactly one shard worker.
 type session struct {
-	comp     stream.Compressor
+	comp     stream.Compressor // nil from a flush's cut until the next fix re-arms it (arm)
 	lastSeen time.Time
+	last     core.Point // the last key point emitted, if keyed: where a cut session's compressor starts again
+	keyed    bool
 	trail    trajstore.Trail // key points not yet in the log, as the block the log will store; kept only when persisting, capped at MaxTrailKeys
 	chunked  bool            // the trail starts with the previous chunk's last key
 }
@@ -616,14 +620,18 @@ func (e *Engine) Heal() error {
 // IdleTimeout 0 the sweep is a no-op.
 func (e *Engine) EvictIdle() error { return e.barrier(e.shards, (*shard).evictIdle) }
 
-// FlushSessions finalizes every open session now — emitting each
-// compressor's pending tail key points and, with a Persister
-// configured, handing the finalized trails to it — without closing the
-// engine. The next fix for a flushed device opens a fresh session (its
-// compression restarts). Combined with Sync this makes everything
-// ingested before the call durable; the server's drain and its
-// flush-and-sync frame are built on it.
-func (e *Engine) FlushSessions() error { return e.barrier(e.shards, (*shard).closeAll) }
+// FlushSessions cuts every open session now, without closing the engine:
+// each compressor emits its pending end as a key point and, with a
+// Persister configured, the session's trail goes to it — so combined with
+// Sync everything ingested before the call is durable; the server's drain
+// and its flush-and-sync frame are built on it. No trajectory ends: the
+// device's next fix continues from that key point and the record it lands
+// in starts with it, so a flush costs a device at most one key point and
+// compaction (MergeChunks) re-joins the records. A flushed session stays
+// open, holding that key, until idle eviction or Close ends it.
+func (e *Engine) FlushSessions() error {
+	return e.barrier(e.shards, func(sh *shard) { sh.closeAll(false) })
+}
 
 // QueueStats is a point-in-time snapshot of the per-shard ingest queue
 // occupancy, in batches. A shard pinned at Cap is applying
@@ -743,7 +751,7 @@ func (sh *shard) run() {
 		select {
 		case msg, ok := <-sh.in:
 			if !ok {
-				sh.closeAll()
+				sh.closeAll(true)
 				// The closing edge's rule: one last attempt at what is
 				// still parked, stopping at the first failure and without
 				// retrying (closing is closed, so appendTrail does not back
@@ -785,10 +793,13 @@ func (sh *shard) ingestBatch(fixes []Fix) {
 			device = f.Device
 			s = sh.sessions[device]
 			if s == nil {
-				s = sh.newSession()
+				s = new(session)
 				sh.sessions[device] = s
 				sh.active.Add(1)
 				sh.opened.Add(1)
+			}
+			if s.comp == nil {
+				sh.arm(s)
 			}
 		}
 		s.lastSeen = now
@@ -798,35 +809,49 @@ func (sh *shard) ingestBatch(fixes []Fix) {
 	}
 }
 
-// newSession builds a session, reusing pooled compressor state when
-// available.
-func (sh *shard) newSession() *session {
+// arm gives a session — new, or cut by a flush — its compressor, pooled
+// state when there is some. A cut session continues from its last key
+// point: pushed back as the compressor's first point, which a compressor
+// keeps at once — the key the trail restarts from, stored and reported
+// already, so what that Push returns is dropped.
+func (sh *shard) arm(s *session) {
 	if v := sh.eng.pool.Get(); v != nil {
-		return &session{comp: v.(stream.Compressor)}
+		s.comp = v.(stream.Compressor)
+	} else {
+		comp, err := stream.New(sh.eng.cfg.Compressor, sh.eng.cfg.Tolerance)
+		if err != nil {
+			// Unreachable: New validated the (name, tolerance) pair.
+			panic(fmt.Sprintf("engine: compressor factory failed after validation: %v", err))
+		}
+		s.comp = comp
 	}
-	comp, err := stream.New(sh.eng.cfg.Compressor, sh.eng.cfg.Tolerance)
-	if err != nil {
-		// Unreachable: New validated the (name, tolerance) pair.
-		panic(fmt.Sprintf("engine: compressor factory failed after validation: %v", err))
+	if s.keyed {
+		s.comp.Push(s.last)
+		if sh.eng.persisting {
+			s.trail.Restart()
+			s.chunked = true
+		}
 	}
-	return &session{comp: comp}
 }
 
 // emit records a finalized key point: with a persister to hand the trail
 // to, it is quantized to the wire lattice and encoded onto the session's
 // block here, once; and it goes to OnKey.
 func (sh *shard) emit(device string, s *session, kp core.Point) {
+	s.last, s.keyed = kp, true
 	if sh.eng.persisting {
-		was := s.trail.Size()
+		was := s.owed()
 		err := s.trail.Add(trajstore.GeoKey{Lat: kp.Y / mPerDeg, Lon: kp.X / mPerDeg, T: trajstore.WireSeconds(kp.T)})
 		if err != nil {
 			// dispatch let only encodable fixes in: the compressor made this up.
 			sh.eng.persistFails.Add(1)
 			sh.eng.transition(evFail, fmt.Errorf("engine: device %q: key point x=%g y=%g: %w", device, kp.X, kp.Y, err), 0)
 		}
-		sh.trailBytes.Add(int64(s.trail.Size() - was))
+		sh.trailBytes.Add(s.owed() - was)
 		if s.trail.Len() >= sh.eng.cfg.MaxTrailKeys {
-			sh.persistTrail(device, s, false)
+			sh.persistTrail(device, s)
+			s.trail.Restart()
+			s.chunked = true
 		}
 	}
 	sh.keys.Add(1)
@@ -840,31 +865,36 @@ func (sh *shard) emit(device string, s *session, kp core.Point) {
 // read serves as a tail.
 func (s *session) unrecorded() bool { return s.trail.Len() > 1 || s.trail.Len() == 1 && !s.chunked }
 
-// persistTrail hands the session's trail to the persister. A non-final
-// (chunking) flush restarts the trail from its last key point so
+// owed is the session's share of Stats.TrailBytes: its trail's block while
+// that is unrecorded, nothing while it is only the key a record already ends on.
+func (s *session) owed() int64 {
+	if !s.unrecorded() {
+		return 0
+	}
+	return int64(s.trail.Size())
+}
+
+// persistTrail hands the session's trail to the persister and leaves it
+// spent: the caller ends the session or — a chunk at once, a flush's cut
+// at the next fix — restarts the trail from its last key point, so
 // consecutive records overlap by one key and the polyline stays
-// reconstructable; a trail that is only that overlap is skipped (see
-// unrecorded). A trail the persister does not take is parked
-// on the shard — with the session's buffer, so it aliases nothing — and
-// re-appended, in order, when Heal succeeds: data the engine already
-// accepted survives the outage in memory.
-func (sh *shard) persistTrail(device string, s *session, final bool) {
-	tr, gone := &s.trail, s.trail.Size()
+// reconstructable (Trail.Join, the compactor's MergeChunks). A trail that
+// is only that overlap is skipped (see unrecorded). A trail the
+// persister does not take is parked on the shard — with the session's
+// buffer, so it aliases nothing — and re-appended, in order, when Heal
+// succeeds: data the engine already accepted survives the outage in memory.
+func (sh *shard) persistTrail(device string, s *session) {
+	gone := s.owed()
 	if s.unrecorded() {
-		if sh.tryAppend(device, tr) {
+		if sh.tryAppend(device, &s.trail) {
 			sh.persisted.Add(1)
 		} else {
-			sh.parked = append(sh.parked, parkedTrail{device: device, trail: tr.Take()})
+			sh.parked = append(sh.parked, parkedTrail{device: device, trail: s.trail.Take()})
 			sh.parkedN.Add(1)
 			gone = 0 // the bytes only moved
 		}
 	}
-	if !final {
-		tr.Restart()
-		s.chunked = true
-		gone -= tr.Size()
-	}
-	sh.trailBytes.Add(int64(-gone))
+	sh.trailBytes.Add(-gone)
 }
 
 // tryAppend appends tr, retrying transient failures (appendTrail); a
@@ -937,22 +967,36 @@ func backoff(attempt int) time.Duration {
 }
 
 // closeSession flushes the session's compressor, emits the tail key
-// points, persists the finalized trail (empty without a persister) and
-// recycles resettable compressor state into the pool.
-func (sh *shard) closeSession(device string, s *session) {
-	for _, kp := range stream.FlushAll(s.comp) {
-		sh.emit(device, s, kp)
+// points, persists the trail (empty without a persister) and recycles
+// resettable compressor state into the pool. Final, the session is over.
+// Otherwise it is cut: until the next fix re-arms it (arm), restarting the
+// trail from the key point the flush ended on as a chunk does, the session
+// holds that key and nothing else — no compressor, no trail buffer. A cut
+// session has nothing to hand over: cut again it is left alone, ended it
+// is a plain delete.
+func (sh *shard) closeSession(device string, s *session, final bool) {
+	if s.comp != nil {
+		for _, kp := range stream.FlushAll(s.comp) {
+			sh.emit(device, s, kp)
+		}
+		if r, ok := s.comp.(stream.Resetter); ok {
+			r.Reset()
+			sh.eng.pool.Put(s.comp)
+		}
+		s.comp = nil
+	} else if !final {
+		return
 	}
-	sh.persistTrail(device, s, true)
-	if r, ok := s.comp.(stream.Resetter); ok {
-		r.Reset()
-		sh.eng.pool.Put(s.comp)
+	sh.persistTrail(device, s)
+	if final || !s.keyed { // or nothing to continue from
+		delete(sh.sessions, device)
+		sh.active.Add(-1)
+		return
 	}
-	delete(sh.sessions, device)
-	sh.active.Add(-1)
+	s.trail.Take() // the buffer goes, the key to restart from stays
 }
 
-// evictIdle closes every session idle for at least IdleTimeout.
+// evictIdle ends every session idle for at least IdleTimeout.
 func (sh *shard) evictIdle() {
 	d := sh.eng.cfg.IdleTimeout
 	if d <= 0 {
@@ -961,15 +1005,16 @@ func (sh *shard) evictIdle() {
 	now := sh.eng.clock()
 	for device, s := range sh.sessions {
 		if now.Sub(s.lastSeen) >= d {
-			sh.closeSession(device, s)
+			sh.closeSession(device, s, true)
 			sh.evicted.Add(1)
 		}
 	}
 }
 
-// closeAll flushes and closes every session (engine shutdown).
-func (sh *shard) closeAll() {
+// closeAll flushes every session: final ends them (engine shutdown), else
+// cuts them (FlushSessions).
+func (sh *shard) closeAll(final bool) {
 	for device, s := range sh.sessions {
-		sh.closeSession(device, s)
+		sh.closeSession(device, s, final)
 	}
 }

@@ -194,6 +194,17 @@ func (m *model) parkedTrails() (n int) {
 	return n
 }
 
+// owed reports whether a key point is in no record the backend holds: a
+// trail is parked, or a session's is more than the last record's end key.
+func (m *model) owed() bool {
+	for _, s := range m.sess {
+		if !(s.chunked && s.n == 1) {
+			return true
+		}
+	}
+	return m.parkedTrails() > 0
+}
+
 // fail is evFail.
 func (m *model) fail() {
 	switch m.phase {
@@ -261,18 +272,23 @@ func (m *model) fix(dev string) {
 	s.seen = m.now
 	s.n++
 	if s.n >= m.maxKeys {
-		m.persist(mRec{dev, s.from, s.n})
-		s.from, s.n, s.chunked = s.from+s.n-1, 1, true
+		m.closeSession(dev, false)
 	}
 }
 
-// final is closeSession.
-func (m *model) final(dev string) {
+// closeSession is persistTrail under closeSession or a chunk: the trail
+// goes out unless it is only the key the last record ended on; final, the
+// session is over, else — a chunk, a flush's cut — it restarts from that key.
+func (m *model) closeSession(dev string, final bool) {
 	s := m.sess[dev]
-	delete(m.sess, dev)
-	if s.n > 0 && !(s.chunked && s.n == 1) {
+	if !(s.chunked && s.n == 1) {
 		m.persist(mRec{dev, s.from, s.n})
 	}
+	if final {
+		delete(m.sess, dev)
+		return
+	}
+	s.from, s.n, s.chunked = s.from+s.n-1, 1, true
 }
 
 func (m *model) devices() []string {
@@ -315,13 +331,15 @@ func (m *model) sync() errClass {
 	return clsNil
 }
 
+// flush is FlushSessions, which cuts every session, or (idleOnly)
+// EvictIdle, which ends the idle ones.
 func (m *model) flush(idleOnly bool) errClass {
 	if m.phase >= Closing {
 		return clsClosed
 	}
 	for _, d := range m.devices() {
 		if !idleOnly || m.now-m.sess[d].seen >= m.idle {
-			m.final(d)
+			m.closeSession(d, idleOnly)
 		}
 	}
 	return clsNil
@@ -371,7 +389,7 @@ func (m *model) close() errClass {
 	}
 	m.phase = Closing
 	for _, d := range m.devices() {
-		m.final(d)
+		m.closeSession(d, true)
 	}
 	for sh := range m.parked {
 		m.drain(sh)
@@ -608,6 +626,12 @@ func TestEngineModel(t *testing.T) {
 				}
 				if int(stats.Rejected) != m.rejected {
 					t.Fatalf("op %d %s: engine rejected %d fixes, model %d", step, op.kind, stats.Rejected, m.rejected)
+				}
+				if stats.ActiveSessions != len(m.sess) {
+					t.Fatalf("op %d %s: engine has %d sessions open, model %d", step, op.kind, stats.ActiveSessions, len(m.sess))
+				}
+				if owed := m.owed(); (stats.TrailBytes > 0) != owed || stats.TrailBytes < 0 {
+					t.Fatalf("op %d %s: TrailBytes = %d, model owes the log something: %v", step, op.kind, stats.TrailBytes, owed)
 				}
 				for dev, want := range m.held {
 					if got := heldRecs(dev, b.records(dev)); !reflect.DeepEqual(got, want) {

@@ -358,14 +358,14 @@ func TestQueryWindowParkedTrailsUntilHeal(t *testing.T) {
 		t.Fatalf("degraded, sessions open: %d extra, %d missing", a, b)
 	}
 	// Every session has parked several chunks by now, each taking the
-	// buffer it was built in; evicting the sessions parks what is left
+	// buffer it was built in; flushing the sessions parks what is left
 	// and must leave the earlier blocks as they were.
 	early := parkedTrails(t, e, &ref)
 	if err := e.FlushSessions(); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.ParkedTrails == 0 || st.Persisted != logged || st.ActiveSessions != 0 {
+	if st.ParkedTrails == 0 || st.Persisted != logged {
 		t.Fatalf("expected everything since the fault parked: %+v", st)
 	}
 	parked := parkedTrails(t, e, &ref)

@@ -74,10 +74,12 @@ func (b Box3) Corners() [8]Vec3 {
 }
 
 // Faces returns the six faces of the box as quadrilaterals (each a 4-vertex
-// planar polygon).
-func (b Box3) Faces() [6][]Vec3 {
+// planar polygon). Arrays, not slices: go 1.24.0 builds a [6][]Vec3 literal
+// of non-constant values in one static buffer, which concurrent callers —
+// the engine's shard workers under "timesensitive" — then share.
+func (b Box3) Faces() [6][4]Vec3 {
 	c := b.Corners()
-	return [6][]Vec3{
+	return [6][4]Vec3{
 		{c[0], c[1], c[2], c[3]}, // z = min
 		{c[4], c[5], c[6], c[7]}, // z = max
 		{c[0], c[1], c[5], c[4]}, // y = min

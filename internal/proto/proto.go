@@ -174,9 +174,11 @@ type IngestAck struct {
 //   - A Sync acked without Err means every fix acked before it is processed
 //     and every record the log was handed is fsync'd. Key points still on a
 //     session's trail (fewer than -trail) are not in the log, so not durable.
-//   - With Flush every open session is finalized first: its compressor emits
-//     the pending end, its trail goes to the log, and the device's next fix
-//     starts compression afresh. After it, everything acked before is durable.
+//   - With Flush every open session is cut first: its compressor emits the
+//     pending end, its trail goes to the log, and the device's trajectory
+//     continues from that key point: a flush costs at most one key point per
+//     device and compaction re-joins the records. After it, everything acked
+//     before is durable.
 //   - A SIGKILL may lose what memory alone holds: bqs_trail_bytes plus
 //     bqs_log_unsynced_bytes on /metrics, and the fixes still queued.
 type Sync struct {

@@ -172,8 +172,8 @@ func (c *Client) IngestAll(batches []proto.DeviceBatch, maxRetries int) (accepte
 }
 
 // Sync runs the durability barrier; with flush, open compression
-// sessions are finalized first so everything ingested becomes durable, at
-// the cost of restarting those sessions (proto.Sync has the contract).
+// sessions are cut first so everything ingested becomes durable, at the
+// cost of at most one key point a device (proto.Sync has the contract).
 func (c *Client) Sync(flush bool) error {
 	c.seq++
 	c.enc = proto.AppendSync(c.enc[:0], proto.Sync{Seq: c.seq, Flush: flush})

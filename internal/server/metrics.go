@@ -73,17 +73,17 @@ func (s *Server) MetricsHandler() http.Handler {
 			func(t *tenantMetrics) interface{} { return t.eng.KeyPoints })
 		f("bqs_ingest_rejected_total", "counter", "Fixes refused by backpressure or degraded mode.",
 			func(t *tenantMetrics) interface{} { return t.eng.Rejected })
-		f("bqs_sessions_active", "gauge", "Device sessions currently open.",
+		f("bqs_sessions_active", "gauge", "Device sessions currently open: devices seen and not idle-evicted since; a flush ends none.",
 			func(t *tenantMetrics) interface{} { return t.eng.ActiveSessions })
-		f("bqs_sessions_opened_total", "counter", "Device sessions ever created.",
+		f("bqs_sessions_opened_total", "counter", "Device sessions ever created: a device's first fix, or its first since an eviction; a flush opens none.",
 			func(t *tenantMetrics) interface{} { return t.eng.SessionsOpened })
 		f("bqs_sessions_evicted_total", "counter", "Sessions closed by idle eviction.",
 			func(t *tenantMetrics) interface{} { return t.eng.SessionsEvicted })
-		f("bqs_persisted_trails_total", "counter", "Finalized trajectories handed to the persister.",
+		f("bqs_persisted_trails_total", "counter", "Trails handed to the persister: ended sessions, chunks and flushes' cuts.",
 			func(t *tenantMetrics) interface{} { return t.eng.Persisted })
 		f("bqs_parked_trails", "gauge", "Trajectories parked in memory by degraded mode, awaiting heal.",
 			func(t *tenantMetrics) interface{} { return t.eng.ParkedTrails })
-		f("bqs_trail_bytes", "gauge", "Encoded key points the log has not accepted yet: open sessions' trails plus parked ones.",
+		f("bqs_trail_bytes", "gauge", "Trails holding a key point the log has not accepted yet, in encoded bytes: open sessions' plus parked ones; 0 after a flush.",
 			func(t *tenantMetrics) interface{} { return t.eng.TrailBytes })
 		f("bqs_persist_failures_total", "counter", "Failed persister append/sync attempts, retried ones included.",
 			func(t *tenantMetrics) interface{} { return t.eng.PersistFailures })

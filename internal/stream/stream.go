@@ -23,6 +23,9 @@ import (
 // satisfies it directly or through a thin adapter.
 type Compressor interface {
 	// Push feeds the next point and returns a finalized key point, if any.
+	// A trajectory's first point is its first key point and is returned by
+	// the Push that fed it: the engine restarts a flushed session from its
+	// last key point on that.
 	Push(core.Point) (core.Point, bool)
 	// Flush terminates the trajectory and returns the final key point, if
 	// one is due.
