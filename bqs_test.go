@@ -312,3 +312,19 @@ func TestTimeSensitivePublic(t *testing.T) {
 		t.Errorf("time-sensitive kept %d", n)
 	}
 }
+
+// TestValidateErrorBoundSeesEveryFix: the facade's check is the one walk
+// (internal/core's table test has its definition): a fix that shares a key
+// point's second and one past the last key point are measured, not skipped.
+func TestValidateErrorBoundSeesEveryFix(t *testing.T) {
+	a, b, c, d := Point{T: 10}, Point{Y: 100, T: 10}, Point{X: 10, T: 11}, Point{X: 910, T: 12}
+	if worst, ok := ValidateErrorBound([]Point{a, b, c}, []Point{a, c}, 25, MetricLine); ok || worst != 100 {
+		t.Errorf("a fix 100 m off sharing a key's second: worst %v, ok %v", worst, ok)
+	}
+	if worst, ok := ValidateErrorBound([]Point{a, c, d}, []Point{a, c}, 25, MetricLine); ok || worst != 900 {
+		t.Errorf("a fix 900 m past the last key: worst %v, ok %v", worst, ok)
+	}
+	if worst, ok := ValidateErrorBound([]Point{a, c}, []Point{a, c}, 25, MetricSegment); !ok || worst != 0 {
+		t.Errorf("keys == orig: worst %v, ok %v", worst, ok)
+	}
+}

@@ -68,7 +68,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		keys = c.CompressBatch(pts)
+		keys = stream.Compress(c, pts)
 		defer func() {
 			fmt.Fprintf(os.Stderr, "pruning power: %.3f\n", c.Stats().PruningPower())
 		}()
@@ -77,23 +77,13 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		for _, p := range pts {
-			keys = append(keys, c.Push(p)...)
-		}
-		keys = append(keys, c.Flush()...)
+		keys = stream.Compress(stream.Adapt(c), pts)
 	case "bgd":
 		c, err := baseline.NewBufferedGreedy(*tol, *buf, metric)
 		if err != nil {
 			fail(err)
 		}
-		for _, p := range pts {
-			if kp, ok := c.Push(p); ok {
-				keys = append(keys, kp)
-			}
-		}
-		if kp, ok := c.Flush(); ok {
-			keys = append(keys, kp)
-		}
+		keys = stream.Compress(c, pts)
 	case "dp":
 		keys, err = baseline.DouglasPeucker(pts, *tol, metric)
 		if err != nil {
@@ -117,31 +107,11 @@ func main() {
 		fail(err)
 	}
 
-	worst := worstDeviation(pts, keys, metric)
+	worst := core.Deviation(pts, keys, metric.Dist)
 	fmt.Fprintf(os.Stderr,
 		"%s: %d → %d points (rate %.2f%%), worst deviation %.2f m (d = %.1f m), %.1f ms\n",
 		*algo, len(pts), len(keys), 100*float64(len(keys))/float64(len(pts)),
 		worst, *tol, float64(elapsed.Microseconds())/1000)
-}
-
-func worstDeviation(orig, keys []core.Point, metric core.Metric) float64 {
-	var worst float64
-	ki := 0
-	for _, p := range orig {
-		for ki+1 < len(keys) && keys[ki+1].T < p.T {
-			ki++
-		}
-		if ki+1 >= len(keys) {
-			break
-		}
-		if p.T <= keys[ki].T || p.T >= keys[ki+1].T {
-			continue
-		}
-		if d := core.MaxDeviation([]core.Point{p}, keys[ki], keys[ki+1], metric); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 func fail(err error) {

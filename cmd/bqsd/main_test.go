@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"os/exec"
 	"path/filepath"
@@ -170,5 +172,26 @@ func TestDaemonRequiresDir(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "-dir is required") {
 		t.Fatalf("unhelpful error:\n%s", out)
+	}
+}
+
+// TestDaemonRefusesUnusableEngine: flags no tenant engine could be built
+// from stop the daemon before it listens, instead of failing every Hello.
+func TestDaemonRefusesUnusableEngine(t *testing.T) {
+	bin := buildCmd(t)
+	for _, args := range [][]string{
+		{"-compressor", "nosuch"},
+		{"-trail", "-5", "-idle", "-1s"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0", "-dir", t.TempDir()}, args...)...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() <= 0 {
+			t.Fatalf("bqsd %v: err = %v, want a non-zero exit (a kill by the timeout is the daemon running):\n%s", args, err, out)
+		}
+		if strings.Contains(string(out), "listening") || !strings.Contains(string(out), "Config.Engine") {
+			t.Fatalf("bqsd %v listened, or did not say what was wrong:\n%s", args, out)
+		}
 	}
 }

@@ -54,24 +54,13 @@ func ReconstructionError(orig, keys []Point, p Distribution) (maxErr, meanErr fl
 }
 
 // ValidateErrorBound verifies the paper's central guarantee over a
-// compressed trajectory: every original point must lie within tolerance of
-// the compressed segment (matched by timestamp) it falls into. It returns
-// the worst observed deviation and whether the bound holds.
+// compressed trajectory: every original point lies within tolerance of the
+// compressed segment (matched by timestamp) it falls into, under metric. It
+// returns the worst observed deviation and whether the bound holds.
+// DESIGN.md's "The contract" defines the walk — segment ends are inclusive,
+// and a point no segment covers is measured against the nearest end key —
+// and names the distance each registered compressor is held to.
 func ValidateErrorBound(orig, keys []Point, tolerance float64, metric Metric) (worst float64, ok bool) {
-	ki := 0
-	for _, p := range orig {
-		for ki+1 < len(keys) && keys[ki+1].T < p.T {
-			ki++
-		}
-		if ki+1 >= len(keys) {
-			break
-		}
-		if p.T <= keys[ki].T || p.T >= keys[ki+1].T {
-			continue
-		}
-		if d := core.MaxDeviation([]Point{p}, keys[ki], keys[ki+1], metric); d > worst {
-			worst = d
-		}
-	}
+	worst = core.Deviation(orig, keys, metric.Dist)
 	return worst, worst <= tolerance*(1+1e-9)
 }

@@ -62,7 +62,7 @@ func TestBufferedDPErrorBound(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		pts := randomWalk(rng, 400, 10)
 		keys := runBDP(t, pts, 10, 32)
-		if got := maxSegmentError(pts, keys, core.MetricLine); got > 10*(1+1e-9) {
+		if got := core.Deviation(pts, keys, core.MetricLine.Dist); got > 10*(1+1e-9) {
 			t.Fatalf("trial %d: BDP error %v > 10", trial, got)
 		}
 		if !keys[0].Equal(pts[0]) || !keys[len(keys)-1].Equal(pts[len(pts)-1]) {
@@ -126,7 +126,7 @@ func TestBufferedGreedyErrorBound(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		pts := randomWalk(rng, 400, 10)
 		keys := runBGD(t, pts, 10, 32)
-		if got := maxSegmentError(pts, keys, core.MetricLine); got > 10*(1+1e-9) {
+		if got := core.Deviation(pts, keys, core.MetricLine.Dist); got > 10*(1+1e-9) {
 			t.Fatalf("trial %d: BGD error %v > 10", trial, got)
 		}
 		if !keys[0].Equal(pts[0]) || !keys[len(keys)-1].Equal(pts[len(pts)-1]) {

@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"github.com/trajcomp/bqs/internal/core"
-	"github.com/trajcomp/bqs/internal/geom"
 )
 
 // ErrBadTolerance reports a non-positive or non-finite tolerance.
@@ -63,7 +62,7 @@ func DouglasPeucker(pts []core.Point, tolerance float64, metric core.Metric) ([]
 		a, b := pts[s.lo], pts[s.hi]
 		maxD, arg := 0.0, -1
 		for i := s.lo + 1; i < s.hi; i++ {
-			d := deviation(pts[i], a, b, metric)
+			d := metric.Dist(pts[i], a, b)
 			if d > maxD {
 				maxD, arg = d, i
 			}
@@ -81,11 +80,4 @@ func DouglasPeucker(pts []core.Point, tolerance float64, metric core.Metric) ([]
 		}
 	}
 	return out, nil
-}
-
-func deviation(p, a, b core.Point, metric core.Metric) float64 {
-	if metric == core.MetricSegment {
-		return geom.DistToSegment(p.Vec(), a.Vec(), b.Vec())
-	}
-	return geom.DistToLine(p.Vec(), geom.Line{A: a.Vec(), B: b.Vec()})
 }

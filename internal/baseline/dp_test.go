@@ -32,25 +32,6 @@ func randomWalk(rng *rand.Rand, n int, step float64) []core.Point {
 	return pts
 }
 
-// maxSegmentError mirrors the core test helper: worst deviation of any
-// original point from its compressed segment (matched by timestamp).
-func maxSegmentError(orig, keys []core.Point, metric core.Metric) float64 {
-	var worst float64
-	for ki := 0; ki+1 < len(keys); ki++ {
-		s, e := keys[ki], keys[ki+1]
-		var interior []core.Point
-		for _, p := range orig {
-			if p.T > s.T && p.T < e.T {
-				interior = append(interior, p)
-			}
-		}
-		if d := core.MaxDeviation(interior, s, e, metric); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 func TestDouglasPeuckerStraightLine(t *testing.T) {
 	var pts []core.Point
 	for i := 0; i < 100; i++ {
@@ -92,7 +73,7 @@ func TestDouglasPeuckerErrorBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := maxSegmentError(pts, out, metric); got > tol*(1+1e-9) {
+			if got := core.Deviation(pts, out, metric.Dist); got > tol*(1+1e-9) {
 				t.Fatalf("trial %d metric %v: error %v > %v", trial, metric, got, tol)
 			}
 			if !out[0].Equal(pts[0]) || !out[len(out)-1].Equal(pts[len(pts)-1]) {

@@ -58,12 +58,8 @@ func (c *DeadReckoning) PushV(p core.Point, vx, vy float64) (core.Point, bool) {
 		c.reports++
 		return p, true
 	}
-	dt := p.T - c.anchor.T
-	predX := c.anchor.X + c.vx*dt
-	predY := c.anchor.Y + c.vy*dt
-	drift := geom.V(p.X-predX, p.Y-predY).Norm()
 	c.prev, c.havePrev = p, true
-	if drift > c.tolerance {
+	if drift(c.anchor, c.vx, c.vy, p) > c.tolerance {
 		c.anchor, c.vx, c.vy = p, vx, vy
 		c.reports++
 		return p, true
@@ -76,13 +72,25 @@ func (c *DeadReckoning) PushV(p core.Point, vx, vy float64) (core.Point, bool) {
 func (c *DeadReckoning) Push(p core.Point) (core.Point, bool) {
 	var vx, vy float64
 	if c.havePrev {
-		dt := p.T - c.prev.T
-		if dt > 0 && !math.IsInf(dt, 0) {
-			vx = (p.X - c.prev.X) / dt
-			vy = (p.Y - c.prev.Y) / dt
-		}
+		vx, vy = finiteDiff(c.prev, p)
 	}
 	return c.PushV(p, vx, vy)
+}
+
+// drift is how far p lies from where the report anchor, moving at
+// (vx, vy), says it is at p's time.
+func drift(anchor core.Point, vx, vy float64, p core.Point) float64 {
+	dt := p.T - anchor.T
+	return geom.V(p.X-(anchor.X+vx*dt), p.Y-(anchor.Y+vy*dt)).Norm()
+}
+
+// finiteDiff estimates p's velocity from the sample before it; zero when
+// no time passed between them.
+func finiteDiff(prev, p core.Point) (vx, vy float64) {
+	if dt := p.T - prev.T; dt > 0 && !math.IsInf(dt, 0) {
+		vx, vy = (p.X-prev.X)/dt, (p.Y-prev.Y)/dt
+	}
+	return vx, vy
 }
 
 // Flush closes the trajectory; dead reckoning has no pending state, so it
@@ -97,9 +105,37 @@ func (c *DeadReckoning) Flush() (core.Point, bool) {
 // Stats returns samples consumed and reports issued.
 func (c *DeadReckoning) Stats() (points, reports int) { return c.points, c.reports }
 
-// ReconstructAt returns the dead-reckoned position estimate at time t for
-// an anchor report (p, vx, vy); exposed for reconstruction-error tests.
-func ReconstructAt(p core.Point, vx, vy, t float64) core.Point {
-	dt := t - p.T
-	return core.Point{X: p.X + vx*dt, Y: p.Y + vy*dt, T: t}
+// DeadReckoningError replays reports — the points a DeadReckoning returned,
+// in order — over the fixes it was fed and returns the worst distance of
+// any unreported fix from where the last report before it, moving at that
+// report's velocity, says it is: the error the tolerance bounds. vel holds
+// the velocity PushV got with each fix; nil means Push's finite
+// differences. A fix with no report before it has nothing to be held to,
+// and a report that is none of the fixes is no report of theirs: +Inf.
+func DeadReckoningError(fixes []core.Point, vel []geom.Vec, reports []core.Point) (worst float64) {
+	var anchor core.Point
+	var av geom.Vec
+	ri := 0
+	for i, p := range fixes {
+		var v geom.Vec
+		if vel != nil {
+			v = vel[i]
+		} else if i > 0 {
+			v.X, v.Y = finiteDiff(fixes[i-1], p)
+		}
+		switch {
+		case ri < len(reports) && p.Equal(reports[ri]):
+			anchor, av, ri = p, v, ri+1
+		case ri == 0:
+			return math.Inf(1)
+		default:
+			if d := drift(anchor, av.X, av.Y, p); d > worst {
+				worst = d
+			}
+		}
+	}
+	if ri < len(reports) {
+		return math.Inf(1)
+	}
+	return worst
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/core"
+	"github.com/trajcomp/bqs/internal/geom"
 )
 
 func TestDeadReckoningConstantVelocityNeverReports(t *testing.T) {
@@ -44,14 +45,17 @@ func TestDeadReckoningTurnTriggersReport(t *testing.T) {
 
 func TestDeadReckoningReconstructionErrorBounded(t *testing.T) {
 	// At each sample instant the DR reconstruction (linear extrapolation
-	// from the last report) is within tolerance by construction.
+	// from the last report) is within tolerance by construction — and the
+	// replay that says so is no rubber stamp: take any one report away and
+	// the fixes it anchored are held to a prediction that was given up
+	// because it had drifted past the tolerance.
 	rng := rand.New(rand.NewSource(9))
 	tol := 10.0
 	c, _ := NewDeadReckoning(tol)
 	x, y := 0.0, 0.0
 	heading := 0.0
-	var anchor core.Point
-	var avx, avy float64
+	var fixes, reports []core.Point
+	var vel []geom.Vec
 	for i := 0; i < 2000; i++ {
 		heading += rng.NormFloat64() * 0.2
 		vx := math.Cos(heading) * 10
@@ -59,13 +63,39 @@ func TestDeadReckoningReconstructionErrorBounded(t *testing.T) {
 		x += vx
 		y += vy
 		p := core.Point{X: x, Y: y, T: float64(i)}
+		fixes, vel = append(fixes, p), append(vel, geom.V(vx, vy))
 		if kp, ok := c.PushV(p, vx, vy); ok {
-			anchor, avx, avy = kp, vx, vy
+			reports = append(reports, kp)
 		}
-		rec := ReconstructAt(anchor, avx, avy, p.T)
-		if err := math.Hypot(rec.X-p.X, rec.Y-p.Y); err > tol+1e-9 {
-			t.Fatalf("step %d: reconstruction error %v > %v", i, err, tol)
+	}
+	if worst := DeadReckoningError(fixes, vel, reports); worst > tol+1e-9 {
+		t.Fatalf("reconstruction error %v > %v", worst, tol)
+	}
+	if len(reports) < 3 {
+		t.Fatalf("only %d reports", len(reports))
+	}
+	for drop := range reports {
+		less := append(append([]core.Point{}, reports[:drop]...), reports[drop+1:]...)
+		if worst := DeadReckoningError(fixes, vel, less); worst <= tol {
+			t.Fatalf("without report %d of %d the replay still reads %v ≤ %v", drop, len(reports), worst, tol)
 		}
+	}
+	// The same with the velocities Push estimates.
+	c.Flush()
+	reports = reports[:0]
+	for _, p := range fixes {
+		if kp, ok := c.Push(p); ok {
+			reports = append(reports, kp)
+		}
+	}
+	if worst := DeadReckoningError(fixes, nil, reports); worst > tol+1e-9 {
+		t.Fatalf("finite differences: reconstruction error %v > %v", worst, tol)
+	}
+	if worst := DeadReckoningError(fixes, nil, reports[:len(reports)-1]); worst <= tol {
+		t.Fatalf("finite differences: without the last report the replay still reads %v ≤ %v", worst, tol)
+	}
+	if worst := DeadReckoningError(nil, nil, nil); worst != 0 {
+		t.Errorf("nothing fed, nothing reported: %v", worst)
 	}
 }
 
@@ -178,20 +208,8 @@ func TestSquishEMuBoundsSED(t *testing.T) {
 	}
 	// The SQUISH-E priority is an upper bound on the true SED introduced by
 	// the removals: verify the actual SED of every removed point.
-	ki := 0
-	for _, p := range pts {
-		for ki+1 < len(out) && out[ki+1].T < p.T {
-			ki++
-		}
-		if ki+1 >= len(out) {
-			break
-		}
-		if p.T <= out[ki].T || p.T >= out[ki+1].T {
-			continue
-		}
-		if d := sed(p, out[ki], out[ki+1]); d > mu*(1+1e-9) {
-			t.Fatalf("removed point %v has SED %v > μ=%v", p, d, mu)
-		}
+	if worst := core.Deviation(pts, out, core.SyncDist); worst > mu*(1+1e-9) {
+		t.Fatalf("a removed point has SED %v > μ=%v", worst, mu)
 	}
 }
 
@@ -217,15 +235,15 @@ func TestSedBasic(t *testing.T) {
 	a := core.Point{X: 0, Y: 0, T: 0}
 	b := core.Point{X: 10, Y: 0, T: 10}
 	// On-time point on the path: SED 0.
-	if d := sed(core.Point{X: 5, Y: 0, T: 5}, a, b); !almostEq(d, 0, 1e-12) {
+	if d := core.SyncDist(core.Point{X: 5, Y: 0, T: 5}, a, b); !almostEq(d, 0, 1e-12) {
 		t.Errorf("on-path SED = %v", d)
 	}
 	// Spatially on the path but temporally early: SED is the along-track gap.
-	if d := sed(core.Point{X: 5, Y: 0, T: 2}, a, b); !almostEq(d, 3, 1e-12) {
+	if d := core.SyncDist(core.Point{X: 5, Y: 0, T: 2}, a, b); !almostEq(d, 3, 1e-12) {
 		t.Errorf("early SED = %v, want 3", d)
 	}
 	// Degenerate time span falls back to anchor distance.
-	if d := sed(core.Point{X: 3, Y: 4, T: 0}, a, core.Point{X: 1, Y: 1, T: 0}); !almostEq(d, 5, 1e-12) {
+	if d := core.SyncDist(core.Point{X: 3, Y: 4, T: 0}, a, core.Point{X: 1, Y: 1, T: 0}); !almostEq(d, 5, 1e-12) {
 		t.Errorf("degenerate SED = %v, want 5", d)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"github.com/trajcomp/bqs/internal/core"
-	"github.com/trajcomp/bqs/internal/geom"
 )
 
 // SQUISH-E (Muckell et al., GeoInformatica 2013) is the related-work
@@ -54,36 +53,21 @@ func (h *sqHeap) Pop() interface{} {
 	return n
 }
 
-// sed returns the synchronized Euclidean distance of p from the segment
-// (a, b): the distance between p and the point of (a, b) at p's timestamp.
-func sed(p, a, b core.Point) float64 {
-	dt := b.T - a.T
-	if dt <= 0 {
-		return p.Vec().Dist(a.Vec())
-	}
-	f := (p.T - a.T) / dt
-	if f < 0 {
-		f = 0
-	} else if f > 1 {
-		f = 1
-	}
-	proj := geom.Lerp(a.Vec(), b.Vec(), f)
-	return p.Vec().Dist(proj)
-}
-
-// squish is the shared machinery: maintain a buffer of capacity cap; when
-// full, remove the minimum-priority interior point, inflating neighbours'
-// accumulated error.
+// squish is the shared machinery, STTrace's too: maintain a buffer of
+// capacity cap; when full, remove the minimum-priority interior point and,
+// when accumulate is set (SQUISH-E), inflate its neighbours' accumulated
+// error by its priority.
 type squish struct {
-	all  []*sqPoint
-	h    sqHeap
-	head int
-	tail int
-	cap  int
+	all        []*sqPoint
+	h          sqHeap
+	head       int
+	tail       int
+	cap        int
+	accumulate bool
 }
 
-func newSquish(capacity int) *squish {
-	return &squish{head: -1, tail: -1, cap: capacity}
+func newSquish(capacity int, accumulate bool) *squish {
+	return &squish{head: -1, tail: -1, cap: capacity, accumulate: accumulate}
 }
 
 func (s *squish) push(p core.Point) {
@@ -113,7 +97,7 @@ func (s *squish) refresh(i int) {
 	if n.prev < 0 || n.next < 0 || n.heapIdx < 0 {
 		return
 	}
-	n.pri = n.acc + sed(n.p, s.all[n.prev].p, s.all[n.next].p)
+	n.pri = n.acc + core.SyncDist(n.p, s.all[n.prev].p, s.all[n.next].p)
 	heap.Fix(&s.h, n.heapIdx)
 }
 
@@ -144,8 +128,10 @@ func (s *squish) removeMin() {
 	p, nx := victim.prev, victim.next
 	s.all[p].next = nx
 	s.all[nx].prev = p
-	s.all[p].acc = maxf(s.all[p].acc, victim.pri)
-	s.all[nx].acc = maxf(s.all[nx].acc, victim.pri)
+	if s.accumulate {
+		s.all[p].acc = maxf(s.all[p].acc, victim.pri)
+		s.all[nx].acc = maxf(s.all[nx].acc, victim.pri)
+	}
 	s.refresh(p)
 	s.refresh(nx)
 }
@@ -193,7 +179,7 @@ func SquishELambda(pts []core.Point, lambda float64) ([]core.Point, error) {
 	if capacity < 2 {
 		capacity = 2
 	}
-	s := newSquish(capacity)
+	s := newSquish(capacity, true)
 	for _, p := range pts {
 		s.push(p)
 	}
@@ -212,7 +198,7 @@ func SquishEMu(pts []core.Point, mu float64) ([]core.Point, error) {
 		copy(out, pts)
 		return out, nil
 	}
-	s := newSquish(0) // unbounded buffer: load everything first
+	s := newSquish(0, true) // unbounded buffer: load everything first
 	for _, p := range pts {
 		s.push(p)
 	}

@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"container/heap"
-
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/geom"
 )
@@ -20,43 +18,9 @@ import (
 //
 // Not safe for concurrent use.
 type STTrace struct {
-	capacity  int
 	threshold float64 // prediction-deviation filter (0 keeps every sample)
-
-	nodes   []*stNode
-	h       stHeap
-	lastIdx int // most recent kept node (an endpoint: never evicted)
-
-	points int
-}
-
-type stNode struct {
-	p          core.Point
-	pri        float64
-	prev, next int
-	heapIdx    int
-}
-
-type stHeap struct{ nodes []*stNode }
-
-func (h stHeap) Len() int           { return len(h.nodes) }
-func (h stHeap) Less(i, j int) bool { return h.nodes[i].pri < h.nodes[j].pri }
-func (h stHeap) Swap(i, j int) {
-	h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i]
-	h.nodes[i].heapIdx = i
-	h.nodes[j].heapIdx = j
-}
-func (h *stHeap) Push(x interface{}) {
-	n := x.(*stNode)
-	n.heapIdx = len(h.nodes)
-	h.nodes = append(h.nodes, n)
-}
-func (h *stHeap) Pop() interface{} {
-	old := h.nodes
-	n := old[len(old)-1]
-	n.heapIdx = -1
-	h.nodes = old[:len(old)-1]
-	return n
+	kept      *squish // the bounded sample, ranked by SED alone: nothing accumulates
+	points    int
 }
 
 // NewSTTrace returns an STTrace sampler holding at most capacity points.
@@ -68,18 +32,19 @@ func NewSTTrace(capacity int, threshold float64) (*STTrace, error) {
 	if threshold < 0 {
 		return nil, ErrBadTolerance
 	}
-	return &STTrace{capacity: capacity, threshold: threshold, lastIdx: -1}, nil
+	return &STTrace{threshold: threshold, kept: newSquish(capacity, false)}, nil
 }
 
 // Push feeds the next sample. Points filtered by the prediction test are
 // dropped; otherwise the point joins the sample and the least-significant
-// interior point is evicted once the capacity is exceeded.
+// interior point is evicted once the capacity is exceeded (the two
+// endpoints are never evicted).
 func (c *STTrace) Push(p core.Point) {
 	c.points++
-	if c.threshold > 0 && c.lastIdx >= 0 {
-		last := c.nodes[c.lastIdx]
+	if c.threshold > 0 && c.kept.tail >= 0 {
+		last := c.kept.all[c.kept.tail]
 		if last.prev >= 0 {
-			prev := c.nodes[last.prev]
+			prev := c.kept.all[last.prev]
 			dt := last.p.T - prev.p.T
 			if dt > 0 {
 				vx := (last.p.X - prev.p.X) / dt
@@ -92,69 +57,11 @@ func (c *STTrace) Push(p core.Point) {
 			}
 		}
 	}
-	idx := len(c.nodes)
-	n := &stNode{p: p, prev: c.lastIdx, next: -1, heapIdx: -1}
-	if c.lastIdx >= 0 {
-		c.nodes[c.lastIdx].next = idx
-	}
-	c.nodes = append(c.nodes, n)
-	c.lastIdx = idx
-	heap.Push(&c.h, n)
-	// The previous tail just became interior: give it its real priority.
-	if n.prev >= 0 && c.nodes[n.prev].prev >= 0 {
-		c.refresh(n.prev)
-	}
-	if c.h.Len() > c.capacity {
-		c.evict()
-	}
-}
-
-func (c *STTrace) refresh(i int) {
-	n := c.nodes[i]
-	if n.prev < 0 || n.next < 0 || n.heapIdx < 0 {
-		return
-	}
-	n.pri = sed(n.p, c.nodes[n.prev].p, c.nodes[n.next].p)
-	heap.Fix(&c.h, n.heapIdx)
-}
-
-// evict removes the lowest-priority interior node from the kept polyline.
-// The two endpoints (head: prev == -1; tail: next == -1) are protected.
-func (c *STTrace) evict() {
-	var endpoints []*stNode
-	var victim *stNode
-	for c.h.Len() > 0 {
-		n := heap.Pop(&c.h).(*stNode)
-		if n.prev >= 0 && n.next >= 0 {
-			victim = n
-			break
-		}
-		endpoints = append(endpoints, n)
-	}
-	for _, k := range endpoints {
-		heap.Push(&c.h, k)
-	}
-	if victim == nil {
-		return
-	}
-	p, nx := victim.prev, victim.next
-	c.nodes[p].next = nx
-	c.nodes[nx].prev = p
-	c.refresh(p)
-	c.refresh(nx)
+	c.kept.push(p)
 }
 
 // Result returns the kept sample in temporal order.
-func (c *STTrace) Result() []core.Point {
-	if len(c.nodes) == 0 {
-		return nil
-	}
-	var out []core.Point
-	for i := 0; i >= 0; i = c.nodes[i].next {
-		out = append(out, c.nodes[i].p)
-	}
-	return out
-}
+func (c *STTrace) Result() []core.Point { return c.kept.result() }
 
 // Stats returns samples consumed and currently kept.
-func (c *STTrace) Stats() (points, kept int) { return c.points, c.h.Len() }
+func (c *STTrace) Stats() (points, kept int) { return c.points, c.kept.h.Len() }

@@ -108,14 +108,14 @@ func TestSTTraceUnboundedErrorVsBQS(t *testing.T) {
 	for _, p := range pts {
 		st.Push(p)
 	}
-	stErr := maxSegmentError(pts, st.Result(), core.MetricLine)
+	stErr := core.Deviation(pts, st.Result(), core.MetricLine.Dist)
 
 	fb, err := core.NewCompressor(core.Config{Tolerance: 10, Mode: core.ModeFast})
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := fb.CompressBatch(pts)
-	fbErr := maxSegmentError(pts, keys, core.MetricLine)
+	fbErr := core.Deviation(pts, keys, core.MetricLine.Dist)
 	if fbErr > 10*(1+1e-9) {
 		t.Errorf("FBQS bound broken: %v", fbErr)
 	}

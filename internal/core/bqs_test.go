@@ -123,7 +123,7 @@ func TestRightAngleTurnKeepsCorner(t *testing.T) {
 	if !found {
 		t.Errorf("no key point near the corner; keys = %v", keys)
 	}
-	if err := maxSegmentError(pts, keys, MetricLine); err > 2+1e-9 {
+	if err := Deviation(pts, keys, MetricLine.Dist); err > 2+1e-9 {
 		t.Errorf("corner trajectory error %v > tolerance", err)
 	}
 }
@@ -156,7 +156,7 @@ func TestErrorBoundInvariant(t *testing.T) {
 					if !keys[len(keys)-1].Equal(pts[len(pts)-1]) {
 						t.Fatalf("last key point %v != last point %v (mode %v)", keys[len(keys)-1], pts[len(pts)-1], mode)
 					}
-					err := maxSegmentError(pts, keys, metric)
+					err := Deviation(pts, keys, metric.Dist)
 					if err > tol*(1+1e-9) {
 						t.Fatalf("trial %d mode %v metric %v warmup %d tol %v: error %v exceeds bound",
 							trial, mode, metric, w, tol, err)
@@ -250,7 +250,7 @@ func TestMaxBufferForcesCuts(t *testing.T) {
 	if len(keys) < 2000/32 {
 		t.Errorf("expected ≥ %d keys from forced cuts, got %d", 2000/32, len(keys))
 	}
-	if err := maxSegmentError(pts, keys, MetricLine); err > 10 {
+	if err := Deviation(pts, keys, MetricLine.Dist); err > 10 {
 		t.Errorf("error bound broken under overflow cuts: %v", err)
 	}
 
@@ -344,7 +344,7 @@ func TestDuplicatePointsHandled(t *testing.T) {
 	if len(keys) < 2 {
 		t.Fatalf("keys = %v", keys)
 	}
-	if err := maxSegmentError(pts, keys, MetricLine); err > 5 {
+	if err := Deviation(pts, keys, MetricLine.Dist); err > 5 {
 		t.Errorf("duplicate-point stream error %v", err)
 	}
 }
@@ -362,7 +362,7 @@ func TestReturnToStartSplitsSegment(t *testing.T) {
 		{-50, 0, 4},
 	}
 	keys := c.CompressBatch(pts)
-	if err := maxSegmentError(pts, keys, MetricLine); err > 2+1e-9 {
+	if err := Deviation(pts, keys, MetricLine.Dist); err > 2+1e-9 {
 		t.Fatalf("error %v > 2; keys = %v", err, keys)
 	}
 }

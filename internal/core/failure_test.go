@@ -46,7 +46,7 @@ func TestNonFinitePointsDropped(t *testing.T) {
 				t.Fatalf("mode %v: non-finite key point %v", mode, k)
 			}
 		}
-		if err := maxSegmentError(clean, keys, MetricLine); err > 10*(1+1e-9) {
+		if err := Deviation(clean, keys, MetricLine.Dist); err > 10*(1+1e-9) {
 			t.Errorf("mode %v: bound broken after corruption: %v", mode, err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestQuickErrorBound(t *testing.T) {
 		if len(pts) > 0 && len(keys) == 0 {
 			return false
 		}
-		return maxSegmentError(pts, keys, MetricLine) <= tol*(1+1e-9)
+		return Deviation(pts, keys, MetricLine.Dist) <= tol*(1+1e-9)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -203,7 +203,7 @@ func TestQuickIdempotent(t *testing.T) {
 		again := c2.CompressBatch(keys)
 		// Compressing a compressed trajectory may only drop points that are
 		// now collinear; it must never break the bound against the keys.
-		return maxSegmentError(keys, again, MetricLine) <= tol*(1+1e-9)
+		return Deviation(keys, again, MetricLine.Dist) <= tol*(1+1e-9)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)

@@ -33,39 +33,3 @@ func randomWalk(rng *rand.Rand, n int, step float64) []Point {
 	}
 	return pts
 }
-
-// segmentsOf splits the original points into compressed segments using the
-// key points (matched by timestamp, which the generators keep unique) and
-// returns, for each consecutive key pair, the slice of original points with
-// timestamps in between (exclusive).
-func segmentsOf(orig, keys []Point) [][3]interface{} {
-	var out [][3]interface{}
-	ki := 0
-	for ki+1 < len(keys) {
-		s, e := keys[ki], keys[ki+1]
-		var interior []Point
-		for _, p := range orig {
-			if p.T > s.T && p.T < e.T {
-				interior = append(interior, p)
-			}
-		}
-		out = append(out, [3]interface{}{s, e, interior})
-		ki++
-	}
-	return out
-}
-
-// maxSegmentError returns the largest deviation of any original point from
-// its compressed segment, over the whole trajectory.
-func maxSegmentError(orig, keys []Point, metric Metric) float64 {
-	var worst float64
-	for _, seg := range segmentsOf(orig, keys) {
-		s := seg[0].(Point)
-		e := seg[1].(Point)
-		interior := seg[2].([]Point)
-		if d := MaxDeviation(interior, s, e, metric); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}

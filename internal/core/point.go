@@ -209,6 +209,63 @@ func MaxDeviation(pts []Point, s, e Point, metric Metric) float64 {
 	return maxOver(pts, func(p Point) float64 { return geom.DistToLine(p.Vec(), line) })
 }
 
+// Dist is the deviation of one point from the path between s and e under
+// the metric: Deviation's parameter for the polyline compressors.
+func (m Metric) Dist(p, s, e Point) float64 {
+	if m == MetricSegment {
+		return geom.DistToSegment(p.Vec(), s.Vec(), e.Vec())
+	}
+	return geom.DistToLine(p.Vec(), geom.Line{A: s.Vec(), B: e.Vec()})
+}
+
+// SyncDist is the time-synchronised distance of p from the segment (s, e):
+// from p to where the segment, clamped to its ends, is at p's timestamp
+// (SED, the error SQUISH-E and STTrace rank by).
+func SyncDist(p, s, e Point) float64 {
+	f := 0.0
+	if dt := e.T - s.T; dt > 0 {
+		f = min(max((p.T-s.T)/dt, 0), 1)
+	}
+	return p.Vec().Dist(geom.Lerp(s.Vec(), e.Vec(), f))
+}
+
+// Deviation is the paper's contract, written once (DESIGN.md, "The
+// contract"): the worst distance of any point of orig from the polyline
+// through keys, each measured with dist against the segment whose time span
+// holds its timestamp. Both slices are in time order.
+//
+// A span is closed at both ends: a point sharing a key's timestamp is held
+// to a segment that key ends — the nearer, for a key between two, since
+// time alone cannot say on which side of it the point was taken — which
+// reads 0 for the key itself. A point no segment covers (ahead of the first
+// key, past the last, any point when there is one key) is measured against
+// the nearest end key, as the segment from that key to itself. Points and
+// no key: nothing was kept, +Inf.
+func Deviation(orig, keys []Point, dist func(p, s, e Point) float64) (worst float64) {
+	last := len(keys) - 1
+	if last < 0 && len(orig) > 0 {
+		return math.Inf(1)
+	}
+	ki := 0
+	for _, p := range orig {
+		for ki < last && keys[ki+1].T < p.T {
+			ki++
+		}
+		s, e := keys[ki], keys[min(ki+1, last)]
+		if p.T < s.T {
+			e = s // ahead of the first key
+		}
+		d := dist(p, s, e)
+		if p.T == e.T && ki+1 < last {
+			d = min(d, dist(p, e, keys[ki+2]))
+		}
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
 // maxOver returns the largest dist over pts: the one max-loop under
 // MaxDeviation, MaxDeviation3 and MaxDeviationN. It and the distance
 // closures inline, so the scan stays a plain loop.

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/trajcomp/bqs/internal/baseline"
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/stream"
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -152,9 +151,9 @@ func TestCutHoldsBoundEveryCompressor(t *testing.T) {
 						t.Fatalf("%s: record %d (%d keys from %+v) does not join the one before it", dev, i, len(rec), rec[0])
 					}
 				}
-				want := trajstore.PointKeysToGeo(keys, mPerDeg, mPerDeg)
-				for i := range want {
-					want[i] = quantize(want[i])
+				want := make([]trajstore.GeoKey, len(keys))
+				for i, k := range keys {
+					want[i] = quantize(trajstore.PlaneKey(k))
 				}
 				if got := whole.Keys(); len(got) != len(want) {
 					t.Fatalf("%s: the records join to %d keys, OnKey got %d", dev, len(got), len(want))
@@ -165,7 +164,7 @@ func TestCutHoldsBoundEveryCompressor(t *testing.T) {
 						}
 					}
 				}
-				if worst := cutDeviation(name, track, keys, cut.cutAt[dev]); worst > cutTol*(1+1e-9) {
+				if worst := cutDeviation(t, name, track, keys, cut.cutAt[dev]); worst > cutTol*(1+1e-9) {
 					t.Errorf("%s: worst deviation %g exceeds the bound %g", dev, worst, cutTol)
 				}
 			}
@@ -177,47 +176,33 @@ func TestCutHoldsBoundEveryCompressor(t *testing.T) {
 }
 
 // cutDeviation is the worst deviation of a device's fixes from what its key
-// points say, measured as internal/stream's bound test measures it per
-// name: for "dr" the dead-reckoning prediction error, re-anchored at rest
-// on the last report where a flush cut the session (cutAt: fixes in when it
-// ran), for every other name the distance to the enclosing segment of the
-// polyline.
-func cutDeviation(name string, track, keys []core.Point, cutAt []int) (worst float64) {
-	if name != "dr" {
-		ki := 0
-		for _, p := range track {
-			for ki+1 < len(keys) && keys[ki+1].T < p.T {
-				ki++
-			}
-			if ki+1 < len(keys) && p.T > keys[ki].T && p.T < keys[ki+1].T {
-				worst = math.Max(worst, core.MaxDeviation([]core.Point{p}, keys[ki], keys[ki+1], core.MetricLine))
-			}
+// points say, as the compressor states its bound (stream.Deviation, which
+// TestRegistryErrorBound holds every name to on whole tracks), taken over
+// the pieces the flushes cut the track into (cutAt: fixes in when each
+// ran). A cut restarts the compressor, at the device's next fix, from the
+// last key point at rest, so each piece after the first begins with the
+// key the one before it ended on — for a polyline compressor the fix the
+// flush made a key, for "dr" its last report.
+func cutDeviation(t *testing.T, name string, track, keys []core.Point, cutAt []int) (worst float64) {
+	t.Helper()
+	start, k0 := 0, 0
+	for _, end := range append(cutAt[:len(cutAt):len(cutAt)], len(track)) {
+		if end == start {
+			continue // cut twice with no fix between
 		}
-		return worst
-	}
-	reported := map[float64]bool{}
-	for _, k := range keys {
-		reported[k.T] = true
-	}
-	var anchor, prev core.Point
-	var avx, avy float64
-	for i, p := range track {
-		for len(cutAt) > 0 && cutAt[0] == i {
-			if cutAt = cutAt[1:]; i > 0 {
-				prev, avx, avy = anchor, 0, 0
-			}
+		orig, k1 := track[start:end], k0
+		for k1 < len(keys) && keys[k1].T <= orig[len(orig)-1].T {
+			k1++
 		}
-		var vx, vy float64
-		if dt := p.T - prev.T; i > 0 && dt > 0 {
-			vx, vy = (p.X-prev.X)/dt, (p.Y-prev.Y)/dt
+		if start > 0 {
+			orig = append([]core.Point{keys[k0]}, orig...)
 		}
-		if reported[p.T] {
-			anchor, avx, avy = p, vx, vy
-		} else {
-			rec := baseline.ReconstructAt(anchor, avx, avy, p.T)
-			worst = math.Max(worst, math.Hypot(p.X-rec.X, p.Y-rec.Y))
+		d, err := stream.Deviation(name, orig, keys[k0:k1])
+		if err != nil {
+			t.Fatal(err)
 		}
-		prev = p
+		worst = math.Max(worst, d)
+		start, k0 = end, k1-1
 	}
 	return worst
 }

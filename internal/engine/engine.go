@@ -70,8 +70,8 @@ type Config struct {
 	// compaction and reads of its records; one with just these three
 	// methods is used append-only: a read then sees only what has not
 	// been appended yet. Key points reach the wire format's degrees
-	// through trajstore.MetersPerDegree, so with a Persister Ingest
-	// refuses a fix outside ±90°/±180° with trajstore.ErrRange. See
+	// through trajstore.PlaneKey, so with a Persister Ingest refuses a
+	// fix outside ±90°/±180° (trajstore.InPlane) with trajstore.ErrRange. See
 	// trajstore.Persister and trajstore/segmentlog.
 	Persister trajstore.Persister
 	// CompactInterval, when > 0 and a Persister is configured, runs a
@@ -446,7 +446,7 @@ func (e *Engine) dispatch(fixes []Fix, block bool) (accepted int, err error) {
 	}
 	defer e.inflight.Done()
 	for i := 0; e.persisting && i < len(fixes); i++ {
-		if p := fixes[i].Point; !trajstore.InRange(p.Y/mPerDeg, p.X/mPerDeg) {
+		if p := fixes[i].Point; !trajstore.InPlane(p) {
 			e.rejected.Add(uint64(len(fixes)))
 			return 0, fmt.Errorf("engine: fix %d of %d (device %q) at x=%g y=%g: %w", i, len(fixes), fixes[i].Device, p.X, p.Y, trajstore.ErrRange)
 		}
@@ -841,7 +841,7 @@ func (sh *shard) emit(device string, s *session, kp core.Point) {
 	s.last, s.keyed = kp, true
 	if sh.eng.persisting {
 		was := s.owed()
-		err := s.trail.Add(trajstore.GeoKey{Lat: kp.Y / mPerDeg, Lon: kp.X / mPerDeg, T: trajstore.WireSeconds(kp.T)})
+		err := s.trail.Add(trajstore.PlaneKey(kp))
 		if err != nil {
 			// dispatch let only encodable fixes in: the compressor made this up.
 			sh.eng.persistFails.Add(1)

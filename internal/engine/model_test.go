@@ -824,7 +824,7 @@ func logCovers(t *testing.T, lg *segmentlog.ShardedLog, dev string) int {
 	for _, r := range recs {
 		from := int(r.Keys[0].T)
 		for j, k := range r.Keys {
-			want := quantize(trajstore.PointKeysToGeo([]core.Point{modelPoint(dev, from+j)}, 1e5, 1e5)[0])
+			want := quantize(trajstore.PlaneKey(modelPoint(dev, from+j)))
 			if k != want {
 				t.Fatalf("%s: record key %+v is not fix %d (%+v)", dev, k, from+j, want)
 			}

@@ -34,7 +34,7 @@ func expectGeo(t *testing.T, comp string, tol float64, track []core.Point) []tra
 		t.Fatal(err)
 	}
 	keys := stream.Compress(c, track)
-	geo := trajstore.PointKeysToGeo(keys, mPerDeg, mPerDeg)
+	geo := trajstore.PointKeysToGeo(keys, trajstore.MetersPerDegree, trajstore.MetersPerDegree)
 	for i := range geo {
 		geo[i] = quantize(geo[i])
 	}

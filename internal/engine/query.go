@@ -20,14 +20,6 @@ import (
 // it as any other error, or use the partial answer knowingly.
 var ErrPartialResult = errors.New("engine: partial window result (live data only; durable side failed)")
 
-// mPerDeg is the plane the engine persists and queries in.
-const mPerDeg = trajstore.MetersPerDegree
-
-// geoPoint maps a wire key back into the projected metric plane.
-func geoPoint(k trajstore.GeoKey) core.Point {
-	return core.Point{X: k.Lon * mPerDeg, Y: k.Lat * mPerDeg, T: float64(k.T)}
-}
-
 // tailsRead is one read's pass over the trails no log record holds yet;
 // mu orders the shard workers adding to it against each other.
 type tailsRead struct {
@@ -172,14 +164,15 @@ func (e *Engine) DeviceBlocks(device string, t0, t1 uint32, visit func(trajstore
 // ErrPartialResult the slice holds what was read before the failure plus
 // the live side: a documented partial view.
 func (e *Engine) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]trajstore.Segment, error) {
-	minLon, minLat, maxLon, maxLat := minX/mPerDeg, minY/mPerDeg, maxX/mPerDeg, maxY/mPerDeg
+	lo, hi := trajstore.PlaneKey(core.Point{X: minX, Y: minY}), trajstore.PlaneKey(core.Point{X: maxX, Y: maxY})
+	minLon, minLat, maxLon, maxLat := lo.Lon, lo.Lat, hi.Lon, hi.Lat
 	w, _ := trajstore.LatticeWindow(minLon, minLat, maxLon, maxLat, t0, t1) // WindowBlocks refuses a bad one before it visits
 	var out []trajstore.Segment
 	err := e.WindowBlocks(minLon, minLat, maxLon, maxLat, t0, t1, func(blk trajstore.Block) error {
 		keys, err := trajstore.DeltaDecode(blk.Payload)
 		for i := 1; i < len(keys); i++ {
 			if w.MeetsPair(keys[i-1], keys[i]) {
-				a, b := geoPoint(keys[i-1]), geoPoint(keys[i])
+				a, b := trajstore.PlanePoint(keys[i-1]), trajstore.PlanePoint(keys[i])
 				out = append(out, trajstore.Segment{A: a, B: b, Weight: 1, FirstT: a.T, LastT: b.T})
 			}
 		}

@@ -48,9 +48,10 @@ type pairKey [6]int64
 
 // pairKeyOf quantizes a metric-plane segment as emit and the codec do.
 func pairKeyOf(a, b core.Point) pairKey {
+	ka, kb := trajstore.PlaneKey(a), trajstore.PlaneKey(b)
 	return pairKey{
-		int64(math.Round(a.Y / mPerDeg * 1e7)), int64(math.Round(a.X / mPerDeg * 1e7)), int64(trajstore.WireSeconds(a.T)),
-		int64(math.Round(b.Y / mPerDeg * 1e7)), int64(math.Round(b.X / mPerDeg * 1e7)), int64(trajstore.WireSeconds(b.T)),
+		int64(math.Round(ka.Lat * 1e7)), int64(math.Round(ka.Lon * 1e7)), int64(ka.T),
+		int64(math.Round(kb.Lat * 1e7)), int64(math.Round(kb.Lon * 1e7)), int64(kb.T),
 	}
 }
 
@@ -83,8 +84,8 @@ func TestPairKeySurvivesPersistRoundTrip(t *testing.T) {
 	}
 	for d, T := range []float64{-1, 0, 1700000000.75, math.MaxUint32, 5e9} {
 		a, b := core.Point{X: 12.34, Y: -56.78, T: T}, core.Point{X: 99.01, Y: 3.5, T: T + 30}
-		geo := trajstore.PointKeysToGeo([]core.Point{a, b}, mPerDeg, mPerDeg)
-		if live, durable := pairKeyOf(a, b), pairKeyOf(geoPoint(geo[0]), geoPoint(geo[1])); live != durable {
+		geo := trajstore.PointKeysToGeo([]core.Point{a, b}, trajstore.MetersPerDegree, trajstore.MetersPerDegree)
+		if live, durable := pairKeyOf(a, b), pairKeyOf(trajstore.PlanePoint(geo[0]), trajstore.PlanePoint(geo[1])); live != durable {
 			t.Errorf("T=%v: live pair key %v, durable %v", T, live, durable)
 		}
 		dev := fmt.Sprintf("dev-%d", d)
@@ -212,12 +213,12 @@ func queryAll(t *testing.T, e *Engine) map[pairKey]bool {
 // window query — the durable side of the differential comparison.
 func durablePairSet(t *testing.T, lg *segmentlog.ShardedLog, minX, minY, maxX, maxY float64, t0, t1 uint32) map[pairKey]bool {
 	t.Helper()
-	const m = mPerDeg
-	recs, err := lg.QueryWindow(minX/m, minY/m, maxX/m, maxY/m, t0, t1)
+	lo, hi := trajstore.PlaneKey(core.Point{X: minX, Y: minY}), trajstore.PlaneKey(core.Point{X: maxX, Y: maxY})
+	recs, err := lg.QueryWindow(lo.Lon, lo.Lat, hi.Lon, hi.Lat, t0, t1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := trajstore.LatticeWindow(minX/m, minY/m, maxX/m, maxY/m, t0, t1)
+	w, err := trajstore.LatticeWindow(lo.Lon, lo.Lat, hi.Lon, hi.Lat, t0, t1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func durablePairSet(t *testing.T, lg *segmentlog.ShardedLog, minX, minY, maxX, m
 	for _, rec := range recs {
 		for i := 0; i+1 < len(rec.Keys); i++ {
 			if w.MeetsPair(rec.Keys[i], rec.Keys[i+1]) {
-				out[pairKeyOf(geoPoint(rec.Keys[i]), geoPoint(rec.Keys[i+1]))] = true
+				out[pairKeyOf(trajstore.PlanePoint(rec.Keys[i]), trajstore.PlanePoint(rec.Keys[i+1]))] = true
 			}
 		}
 	}

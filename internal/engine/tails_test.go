@@ -112,7 +112,7 @@ func blockPairs(t *testing.T, e *Engine) map[pairKey]bool {
 	err := e.WindowBlocks(-10, -10, 10, 10, 0, math.MaxUint32, func(blk trajstore.Block) error {
 		keys, err := trajstore.DeltaDecode(blk.Payload)
 		for i := 1; i < len(keys); i++ {
-			k := pairKeyOf(geoPoint(keys[i-1]), geoPoint(keys[i]))
+			k := pairKeyOf(trajstore.PlanePoint(keys[i-1]), trajstore.PlanePoint(keys[i]))
 			if out[k] {
 				t.Fatalf("%s: pair %v served twice in one read (in a block of %d keys, t %d..%d)", blk.Device, k, len(keys), blk.T0, blk.T1)
 			}
@@ -275,7 +275,7 @@ func parkedTrails(t *testing.T, e *Engine, ref *keyLog) [][]string {
 				t.Fatalf("%s: parked block of %d keys: %v", dev, len(keys), err)
 			}
 			// The emitted key points as the wire holds them.
-			enc, err := trajstore.DeltaEncode(trajstore.PointKeysToGeo(ref.keys[dev], mPerDeg, mPerDeg))
+			enc, err := trajstore.DeltaEncode(trajstore.PointKeysToGeo(ref.keys[dev], trajstore.MetersPerDegree, trajstore.MetersPerDegree))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -527,7 +527,7 @@ func TestQueryWindowBarePersisterIsTailsOnly(t *testing.T) {
 	appended := 0
 	for _, rec := range lg.recs { // Sync returned: the workers are quiescent
 		for i := 1; i < len(rec); i++ {
-			delete(want, pairKeyOf(geoPoint(rec[i-1]), geoPoint(rec[i])))
+			delete(want, pairKeyOf(trajstore.PlanePoint(rec[i-1]), trajstore.PlanePoint(rec[i])))
 			appended++
 		}
 	}

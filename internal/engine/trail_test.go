@@ -275,12 +275,12 @@ func TestIngestOutOfRangeFix(t *testing.T) {
 		}
 	}
 	bad := map[string]core.Point{
-		"91° N":     {Y: 91 * mPerDeg, T: 1},
-		"181° W":    {X: -181 * mPerDeg, T: 1},
+		"91° N":     trajstore.PlanePoint(trajstore.GeoKey{Lat: 91, T: 1}),
+		"181° W":    trajstore.PlanePoint(trajstore.GeoKey{Lon: -181, T: 1}),
 		"NaN":       {Y: math.NaN(), T: 1},
 		"+Inf":      {X: math.Inf(1), T: 1},
 		"-Inf":      {Y: math.Inf(-1), T: 1},
-		"just over": {Y: math.Nextafter(90*mPerDeg, math.Inf(1)) + 1, T: 1},
+		"just over": {Y: math.Nextafter(trajstore.PlanePoint(trajstore.GeoKey{Lat: 90}).Y, math.Inf(1)) + 1, T: 1},
 	}
 	var rejected uint64
 	for name, p := range bad {
@@ -306,7 +306,7 @@ func TestIngestOutOfRangeFix(t *testing.T) {
 	// The reproduction: five fixes at 95° N, then flush and barrier.
 	north := make([]Fix, 5)
 	for i := range north {
-		north[i] = Fix{Device: "north", Point: core.Point{X: float64(i), Y: 95 * mPerDeg, T: float64(i)}}
+		north[i] = Fix{Device: "north", Point: core.Point{X: float64(i), Y: trajstore.PlanePoint(trajstore.GeoKey{Lat: 95}).Y, T: float64(i)}}
 	}
 	if err := e.Ingest(north); !errors.Is(err, trajstore.ErrRange) {
 		t.Fatalf("Ingest at 95° N = %v, want trajstore.ErrRange", err)
@@ -321,8 +321,8 @@ func TestIngestOutOfRangeFix(t *testing.T) {
 
 	// Exactly on the range's edge is in range; the good device carries on.
 	edge := []Fix{
-		{Device: "pole", Point: core.Point{X: 180 * mPerDeg, Y: 90 * mPerDeg, T: 5}},
-		{Device: "pole", Point: core.Point{X: -180 * mPerDeg, Y: -90 * mPerDeg, T: 6}},
+		{Device: "pole", Point: trajstore.PlanePoint(trajstore.GeoKey{Lat: 90, Lon: 180, T: 5})},
+		{Device: "pole", Point: trajstore.PlanePoint(trajstore.GeoKey{Lat: -90, Lon: -180, T: 6})},
 		good(3), good(4),
 	}
 	if err := e.Ingest(edge); err != nil {

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"github.com/trajcomp/bqs/internal/baseline"
@@ -75,8 +74,8 @@ func Ablation(ds Dataset, tolerance float64) (AblationResult, error) {
 		if err != nil {
 			return res, err
 		}
-		res.SquishSEDWorst = worstSED(ds.Points, sq)
-		res.BQSDevWorst, _ = validateBound(ds.Points, bqsKeys, tolerance)
+		res.SquishSEDWorst = core.Deviation(ds.Points, sq, core.SyncDist)
+		res.BQSDevWorst = core.Deviation(ds.Points, bqsKeys, core.MetricLine.Dist)
 		res.Rows = append(res.Rows, AblationRow{
 			Name: fmt.Sprintf("SQUISH-E(λ=%.0f)", lambda),
 			Rate: float64(len(sq)) / float64(len(ds.Points)),
@@ -84,32 +83,6 @@ func Ablation(ds Dataset, tolerance float64) (AblationResult, error) {
 		})
 	}
 	return res, nil
-}
-
-// worstSED returns the worst synchronized Euclidean distance of any
-// original point from the compressed trajectory.
-func worstSED(orig, keys []core.Point) float64 {
-	var worst float64
-	ki := 0
-	for _, p := range orig {
-		for ki+1 < len(keys) && keys[ki+1].T < p.T {
-			ki++
-		}
-		if ki+1 >= len(keys) {
-			break
-		}
-		s, e := keys[ki], keys[ki+1]
-		if p.T <= s.T || p.T >= e.T {
-			continue
-		}
-		f := (p.T - s.T) / (e.T - s.T)
-		dx := p.X - (s.X + f*(e.X-s.X))
-		dy := p.Y - (s.Y + f*(e.Y-s.Y))
-		if d := dx*dx + dy*dy; d > worst {
-			worst = d
-		}
-	}
-	return math.Sqrt(worst)
 }
 
 // String renders the ablation results.

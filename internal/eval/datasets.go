@@ -7,7 +7,6 @@ package eval
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/synth"
@@ -40,18 +39,6 @@ type Suite struct {
 	Walk     Dataset
 	Combined Dataset // bat + vehicle merged into one stream (Table III)
 	BufSize  int     // windowed baselines' buffer (the paper uses 32)
-}
-
-var (
-	suiteOnce sync.Once
-	suiteFull *Suite
-)
-
-// FullSuite returns the cached full-scale suite (generation takes a few
-// seconds the first time).
-func FullSuite() *Suite {
-	suiteOnce.Do(func() { suiteFull = NewSuite(ScaleFull) })
-	return suiteFull
 }
 
 // NewSuite generates a fresh suite at the given scale.

@@ -49,8 +49,10 @@ func TestRunAllAlgorithms(t *testing.T) {
 		if r.Keys < 2 || r.Keys > r.Points {
 			t.Errorf("%s: keys = %d of %d", algo, r.Keys, r.Points)
 		}
-		if !r.BoundOK {
-			t.Errorf("%s: error bound violated (worst %v)", algo, r.WorstDev)
+		// Measured for every algorithm, DR's replay included: every one of
+		// them discards fixes on this trace, so the figure is above zero.
+		if !r.BoundOK || !(r.WorstDev > 0 && r.WorstDev <= 10*(1+1e-9)) {
+			t.Errorf("%s: error bound violated (worst %v, BoundOK %v)", algo, r.WorstDev, r.BoundOK)
 		}
 		if r.Rate <= 0 || r.Rate > 1 {
 			t.Errorf("%s: rate = %v", algo, r.Rate)

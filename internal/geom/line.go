@@ -42,20 +42,6 @@ func DistToSegment(p, a, b Vec) float64 {
 	}
 }
 
-// SideOfLine classifies p against the directed line a→b:
-// +1 left, -1 right, 0 on the line (within Eps of it).
-func SideOfLine(p Vec, a, b Vec) int {
-	c := b.Sub(a).Cross(p.Sub(a))
-	switch {
-	case c > Eps:
-		return 1
-	case c < -Eps:
-		return -1
-	default:
-		return 0
-	}
-}
-
 // MaxDistToLine returns the maximum perpendicular distance from any point in
 // pts to the line l, along with the index of the attaining point. It returns
 // (0, -1) for an empty slice.

@@ -63,19 +63,6 @@ func TestSegmentDistAtLeastLineDist(t *testing.T) {
 	}
 }
 
-func TestSideOfLine(t *testing.T) {
-	a, b := V(0, 0), V(10, 0)
-	if got := SideOfLine(V(5, 1), a, b); got != 1 {
-		t.Errorf("left point side = %d, want 1", got)
-	}
-	if got := SideOfLine(V(5, -1), a, b); got != -1 {
-		t.Errorf("right point side = %d, want -1", got)
-	}
-	if got := SideOfLine(V(5, 0), a, b); got != 0 {
-		t.Errorf("on-line point side = %d, want 0", got)
-	}
-}
-
 func TestMaxDistToLine(t *testing.T) {
 	pts := []Vec{{1, 1}, {2, -5}, {3, 2}}
 	d, i := MaxDistToLine(pts, Line{V(0, 0), V(10, 0)})

@@ -9,17 +9,6 @@ type Plane struct {
 	D float64
 }
 
-// PlaneFromPoints builds the plane through three points, oriented by the
-// right-hand rule a→b→c. ok is false when the points are (nearly) collinear.
-func PlaneFromPoints(a, b, c Vec3) (Plane, bool) {
-	n := b.Sub(a).Cross(c.Sub(a))
-	if n.Norm() < Eps {
-		return Plane{}, false
-	}
-	n = n.Unit()
-	return Plane{N: n, D: n.Dot(a)}, true
-}
-
 // Eval returns the signed distance of p from the plane (positive on the
 // normal side) assuming a unit normal.
 func (pl Plane) Eval(p Vec3) float64 { return pl.N.Dot(p) - pl.D }

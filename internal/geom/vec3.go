@@ -88,32 +88,3 @@ func DistToSegment3(p, a, b Vec3) float64 {
 		return p.Dist(a.Add(d.Scale(t)))
 	}
 }
-
-// SegmentLineDist3 returns the minimum distance between the closed segment
-// [a, b] and the infinite line through la, lb.
-func SegmentLineDist3(a, b, la, lb Vec3) float64 {
-	u := b.Sub(a)   // segment direction
-	v := lb.Sub(la) // line direction
-	if v.Norm() < Eps {
-		return DistToSegment3(la, a, b)
-	}
-	if u.Norm() < Eps {
-		return DistToLine3(a, la, lb)
-	}
-	w := a.Sub(la)
-	uu := u.Dot(u)
-	uv := u.Dot(v)
-	vv := v.Dot(v)
-	uw := u.Dot(w)
-	vw := v.Dot(w)
-	den := uu*vv - uv*uv
-	var s float64 // parameter along segment, clamped to [0,1]
-	if math.Abs(den) < Eps {
-		s = 0 // parallel: any point of the segment works; take a.
-	} else {
-		s = (uv*vw - vv*uw) / den
-		s = math.Max(0, math.Min(1, s))
-	}
-	p := a.Add(u.Scale(s))
-	return DistToLine3(p, la, lb)
-}

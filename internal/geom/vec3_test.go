@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -61,65 +60,6 @@ func TestDistToSegment3(t *testing.T) {
 	}
 	if got := DistToSegment3(V3(13, 4, 0), a, b); !almostEq(got, 5, 1e-12) {
 		t.Errorf("after b = %v, want 5", got)
-	}
-}
-
-func TestSegmentLineDist3(t *testing.T) {
-	// Segment parallel to the line at distance 2.
-	d := SegmentLineDist3(V3(0, 2, 0), V3(5, 2, 0), V3(0, 0, 0), V3(1, 0, 0))
-	if !almostEq(d, 2, 1e-9) {
-		t.Errorf("parallel = %v, want 2", d)
-	}
-	// Crossing (skew at 0 distance in projection).
-	d = SegmentLineDist3(V3(-1, 0, 0), V3(1, 0, 0), V3(0, -1, 0), V3(0, 1, 0))
-	if !almostEq(d, 0, 1e-9) {
-		t.Errorf("crossing = %v, want 0", d)
-	}
-	// Skew lines: segment above the line by 3 in z.
-	d = SegmentLineDist3(V3(-1, 0, 3), V3(1, 0, 3), V3(0, -1, 0), V3(0, 1, 0))
-	if !almostEq(d, 3, 1e-9) {
-		t.Errorf("skew = %v, want 3", d)
-	}
-}
-
-func TestSegmentLineDist3BruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 300; i++ {
-		a := V3(rng.NormFloat64()*10, rng.NormFloat64()*10, rng.NormFloat64()*10)
-		b := V3(rng.NormFloat64()*10, rng.NormFloat64()*10, rng.NormFloat64()*10)
-		la := V3(rng.NormFloat64()*10, rng.NormFloat64()*10, rng.NormFloat64()*10)
-		lb := V3(rng.NormFloat64()*10, rng.NormFloat64()*10, rng.NormFloat64()*10)
-		got := SegmentLineDist3(a, b, la, lb)
-		// Brute force: sample the segment densely.
-		minD := math.Inf(1)
-		for k := 0; k <= 500; k++ {
-			p := a.Add(b.Sub(a).Scale(float64(k) / 500))
-			if d := DistToLine3(p, la, lb); d < minD {
-				minD = d
-			}
-		}
-		if got > minD+1e-6 {
-			t.Fatalf("SegmentLineDist3 = %v > sampled min %v", got, minD)
-		}
-		if got < minD-0.15 { // sampling resolution slack
-			t.Fatalf("SegmentLineDist3 = %v way below sampled min %v", got, minD)
-		}
-	}
-}
-
-func TestPlaneFromPoints(t *testing.T) {
-	pl, ok := PlaneFromPoints(V3(0, 0, 1), V3(1, 0, 1), V3(0, 1, 1))
-	if !ok {
-		t.Fatal("plane construction failed")
-	}
-	if !almostEq(pl.Eval(V3(5, 5, 1)), 0, 1e-9) {
-		t.Error("point on plane has nonzero eval")
-	}
-	if !almostEq(math.Abs(pl.Eval(V3(0, 0, 3))), 2, 1e-9) {
-		t.Errorf("signed distance = %v, want ±2", pl.Eval(V3(0, 0, 3)))
-	}
-	if _, ok := PlaneFromPoints(V3(0, 0, 0), V3(1, 1, 1), V3(2, 2, 2)); ok {
-		t.Error("collinear points produced a plane")
 	}
 }
 

@@ -295,7 +295,7 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 	// parses to.
 	var fixes []engine.Fix
 	for d := devices; d < devices+4; d++ {
-		fixes = append(fixes, toFixes(dev(d), track(d, chunk-4), trajstore.MetersPerDegree)...)
+		fixes = append(fixes, toFixes(dev(d), track(d, chunk-4))...)
 	}
 	if err := eng.Ingest(fixes); err != nil {
 		t.Fatal(err)

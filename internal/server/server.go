@@ -24,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/engine"
 	"github.com/trajcomp/bqs/internal/proto"
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -112,15 +111,21 @@ func (s *Server) shuttingDown() bool {
 	}
 }
 
-// New validates cfg and builds a Server. The engine template must carry
-// a positive Tolerance — failing here beats failing on every Hello.
+// New validates cfg and builds a Server. The engine template must be one
+// engine.New accepts — compressor name, tolerance, the limits — which is
+// proved by building a persister-less engine from it and closing it:
+// failing here beats failing on every Hello.
 func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("server: Config.Dir is required")
 	}
-	if !(cfg.Engine.Tolerance > 0) {
-		return nil, errors.New("server: Config.Engine.Tolerance must be positive")
+	probe := cfg.Engine
+	probe.Persister, probe.Shards = nil, 1
+	eng, err := engine.New(probe)
+	if err != nil {
+		return nil, fmt.Errorf("server: Config.Engine: %w", err)
 	}
+	_ = eng.Close() // nothing was ingested and there is no persister to fail
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = DefaultRetryAfter
 	}
@@ -434,11 +439,8 @@ func (s *Server) ingest(tn *tenant, m proto.Ingest, fixes *[]engine.Fix) proto.I
 	for i, b := range m.Batches {
 		fx := (*fixes)[:0]
 		for _, k := range b.Keys {
-			fx = append(fx, engine.Fix{Device: b.Device, Point: core.Point{
-				X: k.Lon * trajstore.MetersPerDegree, // the exact inverse of what the engine persists with
-				Y: k.Lat * trajstore.MetersPerDegree,
-				T: float64(k.T),
-			}})
+			// PlanePoint: the exact inverse of what the engine persists with.
+			fx = append(fx, engine.Fix{Device: b.Device, Point: trajstore.PlanePoint(k)})
 		}
 		*fixes = fx
 		n, err := tn.eng.TryIngest(fx)

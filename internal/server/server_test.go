@@ -17,6 +17,7 @@ import (
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/engine"
 	"github.com/trajcomp/bqs/internal/proto"
+	"github.com/trajcomp/bqs/internal/stream"
 	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog"
 )
@@ -60,12 +61,10 @@ func track(dev, n int) []trajstore.GeoKey {
 
 // toFixes converts wire keys to engine fixes exactly as the server
 // does.
-func toFixes(device string, keys []trajstore.GeoKey, mPerDeg float64) []engine.Fix {
+func toFixes(device string, keys []trajstore.GeoKey) []engine.Fix {
 	fixes := make([]engine.Fix, len(keys))
 	for i, k := range keys {
-		fixes[i] = engine.Fix{Device: device, Point: core.Point{
-			X: k.Lon * mPerDeg, Y: k.Lat * mPerDeg, T: float64(k.T),
-		}}
+		fixes[i] = engine.Fix{Device: device, Point: trajstore.PlanePoint(k)}
 	}
 	return fixes
 }
@@ -112,7 +111,7 @@ func TestLoopbackDifferential(t *testing.T) {
 			part := tracks[d][chunk*per : (chunk+1)*per]
 			dev := fmt.Sprintf("dev-%03d", d)
 			batches = append(batches, proto.DeviceBatch{Device: dev, Keys: part})
-			fixes = append(fixes, toFixes(dev, part, 1e5)...)
+			fixes = append(fixes, toFixes(dev, part)...)
 		}
 		if _, err := c.IngestAll(batches, 20); err != nil {
 			t.Fatalf("chunk %d: IngestAll: %v", chunk, err)
@@ -186,8 +185,8 @@ func (l *onKeyLog) onKey(device string, kp core.Point) {
 	if l.keys == nil {
 		l.keys = make(map[string][]trajstore.GeoKey)
 	}
-	l.keys[device] = append(l.keys[device], trajstore.GeoKey{
-		Lat: quant(kp.Y / trajstore.MetersPerDegree), Lon: quant(kp.X / trajstore.MetersPerDegree), T: uint32(kp.T)})
+	k := trajstore.PlaneKey(kp)
+	l.keys[device] = append(l.keys[device], trajstore.GeoKey{Lat: quant(k.Lat), Lon: quant(k.Lon), T: k.T})
 }
 
 // all copies what has been reported so far.
@@ -660,6 +659,29 @@ func TestProtocolViolationGetsErrorFrame(t *testing.T) {
 	}
 	if m, err := proto.ParseError(payload); err != nil || m.Err == "" {
 		t.Fatalf("error frame %+v, %v", m, err)
+	}
+}
+
+// TestNewRefusesUnusableTemplate: an engine template no tenant could ever
+// open is refused when the server is built, not on every Hello.
+func TestNewRefusesUnusableTemplate(t *testing.T) {
+	for name, ec := range map[string]engine.Config{
+		"unregistered compressor":  {Tolerance: 2, Compressor: "nosuch"},
+		"zero tolerance":           {},
+		"NaN tolerance":            {Tolerance: math.NaN()},
+		"negative MaxTrailKeys":    {Tolerance: 2, MaxTrailKeys: -5},
+		"negative IdleTimeout":     {Tolerance: 2, IdleTimeout: -time.Second},
+		"negative CompactInterval": {Tolerance: 2, CompactInterval: -time.Second},
+	} {
+		if s, err := New(Config{Dir: t.TempDir(), Engine: ec}); err == nil {
+			_ = s.Shutdown()
+			t.Errorf("%s: New accepted the template", name)
+		} else if !strings.Contains(err.Error(), "Config.Engine") {
+			t.Errorf("%s: New = %v, want it to name Config.Engine", name, err)
+		}
+	}
+	if _, err := New(Config{Dir: t.TempDir(), Engine: engine.Config{Tolerance: 2, Compressor: "nosuch"}}); !errors.Is(err, stream.ErrUnknownCompressor) {
+		t.Errorf("New = %v, want stream.ErrUnknownCompressor", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"github.com/trajcomp/bqs/internal/core"
 )
 
 // Factory constructs a Compressor with the given deviation tolerance in
@@ -23,15 +25,31 @@ var ErrDuplicateCompressor = fmt.Errorf("stream: compressor already registered")
 // ErrNilFactory reports a Register call with a nil factory.
 var ErrNilFactory = fmt.Errorf("stream: nil compressor factory")
 
+// entry is one registered name: how to build it, and what its tolerance
+// bounds — the worst a track strays from what the key points the compressor
+// made of it say.
+type entry struct {
+	factory   Factory
+	deviation func(orig, keys []core.Point) float64
+}
+
+// polyline is the bound a name states unless its registration says
+// otherwise: the line distance to the polyline's time-matched segment.
+func polyline(orig, keys []core.Point) float64 {
+	return core.Deviation(orig, keys, core.MetricLine.Dist)
+}
+
 var (
 	regMu    sync.RWMutex
-	registry = make(map[string]Factory)
+	registry = make(map[string]entry)
 )
 
 // Register makes a compressor constructible by name. Names are
 // case-sensitive and must be non-empty; registering a name twice is an
 // error (the first registration wins). Safe for concurrent use.
-func Register(name string, f Factory) error {
+func Register(name string, f Factory) error { return register(name, f, polyline) }
+
+func register(name string, f Factory, deviation func(orig, keys []core.Point) float64) error {
 	if f == nil {
 		return fmt.Errorf("%w: %q", ErrNilFactory, name)
 	}
@@ -43,7 +61,7 @@ func Register(name string, f Factory) error {
 	if _, dup := registry[name]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateCompressor, name)
 	}
-	registry[name] = f
+	registry[name] = entry{f, deviation}
 	return nil
 }
 
@@ -58,13 +76,34 @@ func MustRegister(name string, f Factory) {
 // an unknown name (ErrUnknownCompressor, listing the registered names)
 // from a factory failure (e.g. an invalid tolerance).
 func New(name string, tolerance float64) (Compressor, error) {
+	ent, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return ent.factory(tolerance)
+}
+
+func lookup(name string) (entry, error) {
 	regMu.RLock()
-	f, ok := registry[name]
+	ent, ok := registry[name]
 	regMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q (registered: %v)", ErrUnknownCompressor, name, Names())
+		return ent, fmt.Errorf("%w: %q (registered: %v)", ErrUnknownCompressor, name, Names())
 	}
-	return f(tolerance)
+	return ent, nil
+}
+
+// Deviation measures what the named compressor's tolerance bounds: how far
+// the track orig strays, at worst, from what keys — the key points that
+// compressor made of it — say. Every registered name is held to
+// Deviation(name, orig, Compress(c, orig)) ≤ tolerance; DESIGN.md's "The
+// contract" has the distance behind each name.
+func Deviation(name string, orig, keys []core.Point) (float64, error) {
+	ent, err := lookup(name)
+	if err != nil {
+		return 0, err
+	}
+	return ent.deviation(orig, keys), nil
 }
 
 // Names returns the registered compressor names, sorted.

@@ -20,7 +20,8 @@ import (
 
 // Compressor is the common streaming interface: every online algorithm in
 // this repository (BQS, FBQS, BGD, DR, time-sensitive 3-D wrappers)
-// satisfies it directly or through a thin adapter.
+// satisfies it directly or through a thin adapter. What a registered one's
+// tolerance bounds is Deviation's to say (DESIGN.md, "The contract").
 type Compressor interface {
 	// Push feeds the next point and returns a finalized key point, if any.
 	// A trajectory's first point is its first key point and is returned by

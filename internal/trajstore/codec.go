@@ -481,11 +481,30 @@ func DeltaValidate(b []byte) bool {
 
 // MetersPerDegree is the one flat factor between the projected metric
 // plane the compressors bound their error in and the wire format's
-// degrees: the engine persists with it, the server maps wire fixes back
-// with it and compaction ages in the plane it defines, so the three
-// cannot disagree. GeoKeys quantize at 1e-7°, so positions are stored at
-// 1 cm resolution with a ±9000 km range.
+// degrees. The three functions below are the only code that applies it:
+// the engine persists and refuses with them, the server maps wire fixes
+// back with them and compaction ages in the plane they define, so the
+// three cannot disagree. GeoKeys quantize at 1e-7°, so positions are stored
+// at 1 cm resolution with a ±9000 km range. The plane is flat: off the
+// equator a metre of X is not a metre east–west (DESIGN.md, "The contract").
 const MetersPerDegree = 1e5
+
+// PlanePoint maps a wire key into the metric plane: X from the longitude,
+// Y from the latitude. PlaneKey of the result quantizes back to the same
+// key of the wire's lattice.
+func PlanePoint(k GeoKey) core.Point {
+	return core.Point{X: k.Lon * MetersPerDegree, Y: k.Lat * MetersPerDegree, T: float64(k.T)}
+}
+
+// PlaneKey maps a plane point to the key the wire carries for it, before
+// quantization; the time goes through WireSeconds.
+func PlaneKey(p core.Point) GeoKey {
+	return GeoKey{Lat: p.Y / MetersPerDegree, Lon: p.X / MetersPerDegree, T: WireSeconds(p.T)}
+}
+
+// InPlane reports whether the wire format carries p's position: InRange of
+// its PlaneKey, so never for NaN or ±Inf.
+func InPlane(p core.Point) bool { return InRange(p.Y/MetersPerDegree, p.X/MetersPerDegree) }
 
 // WireSeconds clamps a metric-plane timestamp to the wire format's uint32
 // seconds; the fraction is dropped and NaN reads as 0. An out-of-range

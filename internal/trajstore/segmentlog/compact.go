@@ -61,8 +61,8 @@ type CompactionPolicy struct {
 	// (when CoarseTolerance enables ageing at all).
 	MinAge time.Duration
 	// CoarseTolerance, when > 0, enables ageing: qualifying records are
-	// re-compressed at this tolerance, in metres of the
-	// trajstore.MetersPerDegree plane. Zero disables ageing.
+	// re-compressed at this tolerance in the trajstore.PlanePoint plane —
+	// DESIGN.md's "The contract" has what it bounds. Zero disables ageing.
 	CoarseTolerance float64
 	// MergeChunks enables re-joining consecutive same-device records
 	// that share their boundary key point.
@@ -491,10 +491,9 @@ func ageKeys(keys []trajstore.GeoKey, p CompactionPolicy) ([]trajstore.GeoKey, e
 	if err != nil {
 		return nil, fmt.Errorf("segmentlog: age compressor: %w", err)
 	}
-	const m = trajstore.MetersPerDegree
 	pts := make([]core.Point, len(keys))
 	for i, k := range keys {
-		pts[i] = core.Point{X: k.Lon * m, Y: k.Lat * m, T: float64(k.T)}
+		pts[i] = trajstore.PlanePoint(k)
 	}
 	kps := stream.Compress(comp, pts)
 	if len(kps) >= len(keys) {
@@ -518,7 +517,7 @@ func ageKeys(keys []trajstore.GeoKey, p CompactionPolicy) ([]trajstore.GeoKey, e
 		if !matched {
 			// Defensive: a compressor that synthesizes points (none of
 			// the built-ins do) still round-trips through the plane.
-			out = append(out, trajstore.GeoKey{Lat: kp.Y / m, Lon: kp.X / m, T: trajstore.WireSeconds(kp.T)})
+			out = append(out, trajstore.PlaneKey(kp))
 		}
 	}
 	if len(out) < 2 {

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/geom"
+	"github.com/trajcomp/bqs/internal/stream"
 	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
@@ -157,11 +159,11 @@ func TestCompactDedup(t *testing.T) {
 // TestCompactAgeingBound is the error-bound acceptance test: every aged
 // record's retained keys are a subset of the originals, and every
 // dropped original key stays within CoarseTolerance of the aged
-// polyline (measured in the same metric plane the compressor ran in).
-// Records younger than MinAge are untouched.
+// polyline (measured in the same metric plane the compressor ran in,
+// through the same trajstore.PlanePoint). Records younger than MinAge are
+// untouched.
 func TestCompactAgeingBound(t *testing.T) {
 	const (
-		mpd     = trajstore.MetersPerDegree
 		coarse  = 50.0 // metres
 		nowSec  = 1_000_000
 		oldT    = 100_000 // well past MinAge
@@ -235,19 +237,31 @@ func TestCompactAgeingBound(t *testing.T) {
 		}
 		j++
 	}
-	// Error bound: every original key is within coarse of the aged
-	// polyline in the metric plane.
-	toVec := func(k trajstore.GeoKey) geom.Vec { return geom.V(k.Lon*mpd, k.Lat*mpd) }
-	for _, k := range oldKeys {
-		p := toVec(k)
-		best := p.Dist(toVec(aged[0]))
-		for i := 0; i+1 < len(aged); i++ {
-			if d := geom.DistToSegment(p, toVec(aged[i]), toVec(aged[i+1])); d < best {
+	// Error bound, as the ageing compressor states it (DESIGN.md, "The
+	// contract"): every original key within coarse of the aged polyline's
+	// time-matched segment.
+	plane := func(keys []trajstore.GeoKey) []core.Point {
+		pts := make([]core.Point, len(keys))
+		for i, k := range keys {
+			pts[i] = trajstore.PlanePoint(k)
+		}
+		return pts
+	}
+	orig, kept := plane(oldKeys), plane(aged)
+	if worst, err := stream.Deviation(ageCompressor, orig, kept); err != nil || worst > coarse*(1+1e-9) {
+		t.Fatalf("an original key deviates %.3f m from its segment of the aged polyline (bound %g): %v", worst, coarse, err)
+	}
+	// And the weaker form of the same sentence, which asks no timestamp to
+	// line up: within coarse of the nearest segment.
+	for _, p := range orig {
+		best := p.Vec().Dist(kept[0].Vec())
+		for i := 0; i+1 < len(kept); i++ {
+			if d := geom.DistToSegment(p.Vec(), kept[i].Vec(), kept[i+1].Vec()); d < best {
 				best = d
 			}
 		}
 		if best > coarse+1e-6 {
-			t.Fatalf("original key %+v deviates %.3f m from aged polyline (bound %g)", k, best, coarse)
+			t.Fatalf("original key %+v deviates %.3f m from aged polyline (bound %g)", p, best, coarse)
 		}
 	}
 	// Aged record keeps its original indexed time span.
