@@ -110,14 +110,16 @@ func (f *quadFrame) insert(p Point) {
 
 func (f *quadFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
 	le := f.local(e)
+	norm := math.Hypot(le.X, le.Y)
+	inv := 1 / norm
 	for i := range f.quads {
 		q := &f.quads[i]
 		if q.n == 0 {
 			continue
 		}
-		qlb, qub := q.bounds(le, metric)
-		dlb = math.Max(dlb, qlb)
-		dub = math.Max(dub, qub)
+		qlb, qub := q.bounds(le, norm, inv, metric)
+		dlb = max(dlb, qlb)
+		dub = max(dub, qub)
 	}
 	return dlb, dub
 }

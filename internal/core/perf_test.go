@@ -45,8 +45,8 @@ func TestQuadrantBoundsZeroAllocs(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(2000, func() {
 		e := ends[i%len(ends)]
-		q.bounds(e, MetricLine)
-		q.bounds(e, MetricSegment)
+		q.boundsAt(e, MetricLine)
+		q.boundsAt(e, MetricSegment)
 		i++
 	})
 	if allocs != 0 {
@@ -91,6 +91,6 @@ func BenchmarkQuadrantBounds(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.bounds(ends[i&63], MetricLine)
+		q.boundsAt(ends[i&63], MetricLine)
 	}
 }

@@ -165,25 +165,24 @@ func (q *quadrant) computeIntersections() (l1, l2, u1, u2 geom.Vec, ok bool) {
 // every tracked point.
 //
 // The path line passes through the local origin, so the point-to-line
-// distance is |le × p| / |le|; the 1/|le| factor is hoisted and the ~10
-// distance evaluations are written out inline — the closure-based
+// distance is |le × p| / |le|; norm is that |le| and inv its inverse,
+// computed once per end point by the frame for all four quadrants, and the
+// ~10 distance evaluations are written out inline — the closure-based
 // formulation kept the compiler from flattening them and is the other
 // reason (besides the trig) this function used to dominate the decision
 // loop.
 //
 // An empty quadrant contributes (0, 0).
-func (q *quadrant) bounds(le geom.Vec, metric Metric) (dlb, dub float64) {
+func (q *quadrant) bounds(le geom.Vec, norm, inv float64, metric Metric) (dlb, dub float64) {
 	if q.n == 0 {
 		return 0, 0
 	}
-	norm := math.Hypot(le.X, le.Y)
 	if norm < geom.Eps {
 		return q.boundsDegenerate()
 	}
 	if !q.sigValid {
 		q.refreshSignificant()
 	}
-	inv := 1 / norm
 
 	dl1 := lineDist(le, inv, q.l1)
 	dl2 := lineDist(le, inv, q.l2)
@@ -194,35 +193,35 @@ func (q *quadrant) bounds(le geom.Vec, metric Metric) (dlb, dub float64) {
 	// each box edge, all on one side of any line through the origin (two
 	// origin lines only meet at the origin), so the distance function is
 	// affine over each chord/edge and endpoint minima are valid witnesses.
-	dlb = math.Max(
-		math.Min(dl1, dl2),
-		math.Min(du1, du2),
+	dlb = max(
+		min(dl1, dl2),
+		min(du1, du2),
 	)
 
 	if q.lineInQuadrant(le) {
 		// Theorems 5.3 / 5.4: line in the quadrant.
 		dcn := lineDist(le, inv, q.cn)
 		dcf := lineDist(le, inv, q.cf)
-		dlb = math.Max(dlb, math.Max(dcn, dcf))
+		dlb = max(dlb, max(dcn, dcf))
 		if !q.clipOK {
 			// Clip fallback: the substituted witness points are not hull
 			// vertices, so revert to the always-valid Theorem 5.2 corners.
 			return dlb, q.cornerUB(le, inv, metric)
 		}
 		if metric == MetricSegment {
-			dub = max4(
+			dub = max(
 				geom.DistToSegment(q.l1, geom.Vec{}, le),
 				geom.DistToSegment(q.l2, geom.Vec{}, le),
 				geom.DistToSegment(q.u1, geom.Vec{}, le),
 				geom.DistToSegment(q.u2, geom.Vec{}, le),
 			)
-			dub = math.Max(dub, math.Max(
+			dub = max(dub, max(
 				geom.DistToSegment(q.cn, geom.Vec{}, le),
 				geom.DistToSegment(q.cf, geom.Vec{}, le),
 			))
 			return dlb, dub
 		}
-		return dlb, max4(dl1, dl2, du1, du2)
+		return dlb, max(dl1, dl2, du1, du2)
 	}
 
 	// Theorem 5.5: line not in the quadrant.
@@ -232,11 +231,11 @@ func (q *quadrant) bounds(le geom.Vec, metric Metric) (dlb, dub float64) {
 	d1 := lineDist(le, inv, c1)
 	d2 := lineDist(le, inv, q.box.Max)
 	d3 := lineDist(le, inv, c3)
-	dlb = math.Max(dlb, thirdLargest(d0, d1, d2, d3))
+	dlb = max(dlb, thirdLargest(d0, d1, d2, d3))
 	if metric == MetricSegment {
 		return dlb, q.cornerUB(le, inv, metric)
 	}
-	return dlb, max4(d0, d1, d2, d3)
+	return dlb, max(d0, d1, d2, d3)
 }
 
 // boundsDegenerate handles a degenerate path line (|le| below Eps), for
@@ -251,7 +250,7 @@ func (q *quadrant) boundsDegenerate() (dlb, dub float64) {
 		q.refreshSignificant()
 	}
 	dlb = math.Hypot(q.cn.X, q.cn.Y)
-	dub = max4(
+	dub = max(
 		math.Hypot(q.box.Min.X, q.box.Min.Y),
 		math.Hypot(q.box.Max.X, q.box.Min.Y),
 		math.Hypot(q.box.Max.X, q.box.Max.Y),
@@ -274,14 +273,14 @@ func (q *quadrant) cornerUB(le geom.Vec, inv float64, metric Metric) float64 {
 	c1 := geom.Vec{X: q.box.Max.X, Y: q.box.Min.Y}
 	c3 := geom.Vec{X: q.box.Min.X, Y: q.box.Max.Y}
 	if metric == MetricSegment {
-		return max4(
+		return max(
 			geom.DistToSegment(q.box.Min, geom.Vec{}, le),
 			geom.DistToSegment(c1, geom.Vec{}, le),
 			geom.DistToSegment(q.box.Max, geom.Vec{}, le),
 			geom.DistToSegment(c3, geom.Vec{}, le),
 		)
 	}
-	return max4(
+	return max(
 		lineDist(le, inv, q.box.Min),
 		lineDist(le, inv, c1),
 		lineDist(le, inv, q.box.Max),
@@ -299,10 +298,6 @@ func (q *quadrant) significantPoints() []geom.Vec {
 	c := q.box.Corners()
 	l1, l2, u1, u2, _ := q.intersections()
 	return []geom.Vec{c[0], c[1], c[2], c[3], l1, l2, u1, u2}
-}
-
-func max4(a, b, c, d float64) float64 {
-	return math.Max(math.Max(a, b), math.Max(c, d))
 }
 
 // thirdLargest returns the third largest of four values.

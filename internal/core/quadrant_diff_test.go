@@ -84,12 +84,11 @@ func (q *refQuadrant) nearFarCorners() (cn, cf geom.Vec) {
 	}
 }
 
-func (q *refQuadrant) bounds(le geom.Vec, metric Metric) (dlb, dub float64) {
+func (q *refQuadrant) bounds(le geom.Vec, norm float64, metric Metric) (dlb, dub float64) {
 	if q.n == 0 {
 		return 0, 0
 	}
 	theta := le.Angle()
-	norm := math.Hypot(le.X, le.Y)
 	degenerate := norm < geom.Eps
 	var inv float64
 	if !degenerate {
@@ -117,12 +116,12 @@ func (q *refQuadrant) bounds(le geom.Vec, metric Metric) (dlb, dub float64) {
 	if !degenerate && q.lineInQuadrant(theta) {
 		dlb = math.Max(dlb, math.Max(distLine(cn), distLine(cf)))
 		if clipOK {
-			dub = max4(distUB(l1), distUB(l2), distUB(u1), distUB(u2))
+			dub = max(distUB(l1), distUB(l2), distUB(u1), distUB(u2))
 			if metric == MetricSegment {
 				dub = math.Max(dub, math.Max(distUB(cn), distUB(cf)))
 			}
 		} else {
-			dub = max4(distUB(corners[0]), distUB(corners[1]), distUB(corners[2]), distUB(corners[3]))
+			dub = max(distUB(corners[0]), distUB(corners[1]), distUB(corners[2]), distUB(corners[3]))
 		}
 		return dlb, dub
 	}
@@ -133,7 +132,7 @@ func (q *refQuadrant) bounds(le geom.Vec, metric Metric) (dlb, dub float64) {
 	} else {
 		dlb = distLine(cn)
 	}
-	dub = max4(distUB(corners[0]), distUB(corners[1]), distUB(corners[2]), distUB(corners[3]))
+	dub = max(distUB(corners[0]), distUB(corners[1]), distUB(corners[2]), distUB(corners[3]))
 	return dlb, dub
 }
 
@@ -197,8 +196,8 @@ func TestQuadrantDifferentialBounds(t *testing.T) {
 			e = geom.V(0, e.Y)
 		}
 		for _, m := range []Metric{MetricLine, MetricSegment} {
-			lb, ub := q.bounds(e, m)
-			rlb, rub := r.bounds(e, m)
+			lb, ub := q.boundsAt(e, m)
+			rlb, rub := r.bounds(e, math.Hypot(e.X, e.Y), m)
 			if !relClose(lb, rlb) || !relClose(ub, rub) {
 				t.Fatalf("trial %d quad %d metric %v e=%v: bounds diverge: cross (%v,%v) vs angle (%v,%v)",
 					trial, idx, m, e, lb, ub, rlb, rub)
@@ -237,8 +236,9 @@ func (f *refFrame) insert(p Point) {
 
 func (f *refFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
 	le := f.local(e)
+	norm := math.Hypot(le.X, le.Y)
 	for i := range f.refs {
-		lb, ub := f.refs[i].bounds(le, metric)
+		lb, ub := f.refs[i].bounds(le, norm, metric)
 		dlb, dub = math.Max(dlb, lb), math.Max(dub, ub)
 	}
 	return dlb, dub

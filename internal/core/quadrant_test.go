@@ -1,11 +1,19 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/geom"
 )
+
+// boundsAt evaluates one quadrant as quadFrame.bounds does its four, with
+// |le| and its inverse taken once.
+func (q *quadrant) boundsAt(le geom.Vec, metric Metric) (dlb, dub float64) {
+	norm := math.Hypot(le.X, le.Y)
+	return q.bounds(le, norm, 1/norm, metric)
+}
 
 func TestQuadrantOf(t *testing.T) {
 	cases := []struct {
@@ -149,7 +157,7 @@ func TestQuadrantSingletonBoundsAreExact(t *testing.T) {
 		q.reset(quadrantOf(p))
 		q.insert(p)
 		e := geom.V(rng.NormFloat64()*100, rng.NormFloat64()*100)
-		lb, ub := q.bounds(e, MetricLine)
+		lb, ub := q.boundsAt(e, MetricLine)
 		truth := geom.DistToLine(p, geom.Line{B: e})
 		if lb > truth+1e-9 || ub < truth-1e-9 {
 			t.Fatalf("singleton bounds [%v,%v] miss truth %v (p=%v e=%v)", lb, ub, truth, p, e)
@@ -206,7 +214,7 @@ func TestQuadrantBoundsSandwich(t *testing.T) {
 			e = geom.V(0, e.Y)
 		}
 		for _, m := range metrics {
-			lb, ub := q.bounds(e, m)
+			lb, ub := q.boundsAt(e, m)
 			var truth float64
 			if m == MetricSegment {
 				truth, _ = geom.MaxDistToSegment(pts, geom.Vec{}, e)
@@ -262,7 +270,7 @@ func TestSignificantPointsHullContainsAll(t *testing.T) {
 func TestBoundsEmptyQuadrant(t *testing.T) {
 	var q quadrant
 	q.reset(0)
-	lb, ub := q.bounds(geom.V(1, 1), MetricLine)
+	lb, ub := q.boundsAt(geom.V(1, 1), MetricLine)
 	if lb != 0 || ub != 0 {
 		t.Errorf("empty quadrant bounds = %v,%v", lb, ub)
 	}

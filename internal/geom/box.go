@@ -23,10 +23,10 @@ func (b Box) Empty() bool { return b.Min.X > b.Max.X || b.Min.Y > b.Max.Y }
 
 // Extend grows the box to include p.
 func (b *Box) Extend(p Vec) {
-	b.Min.X = math.Min(b.Min.X, p.X)
-	b.Min.Y = math.Min(b.Min.Y, p.Y)
-	b.Max.X = math.Max(b.Max.X, p.X)
-	b.Max.Y = math.Max(b.Max.Y, p.Y)
+	b.Min.X = min(b.Min.X, p.X)
+	b.Min.Y = min(b.Min.Y, p.Y)
+	b.Max.X = max(b.Max.X, p.X)
+	b.Max.Y = max(b.Max.Y, p.Y)
 }
 
 // Contains reports whether p lies inside the closed box (with Eps slack).
@@ -86,8 +86,8 @@ func (b Box) ClipRay(origin, dir Vec) (t0, t1 float64, ok bool) {
 		if ta > tb {
 			ta, tb = tb, ta
 		}
-		t0 = math.Max(t0, ta)
-		t1 = math.Min(t1, tb)
+		t0 = max(t0, ta)
+		t1 = min(t1, tb)
 	}
 	// y slab
 	if math.Abs(dir.Y) < Eps {
@@ -100,8 +100,8 @@ func (b Box) ClipRay(origin, dir Vec) (t0, t1 float64, ok bool) {
 		if ta > tb {
 			ta, tb = tb, ta
 		}
-		t0 = math.Max(t0, ta)
-		t1 = math.Min(t1, tb)
+		t0 = max(t0, ta)
+		t1 = min(t1, tb)
 	}
 	if t0 > t1+Eps {
 		return 0, 0, false
