@@ -29,7 +29,7 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compressor{newSegmenter[Point](cfg, &quadFrame{})}, nil
+	return &Compressor{newSegmenter[Point](cfg, &quadFrame{tol: cfg.Tolerance})}, nil
 }
 
 // Tolerance returns the deviation bound in metres.
@@ -37,7 +37,8 @@ func (c *Compressor) Tolerance() float64 { return c.cfg.Tolerance }
 
 // SignificantPointCount returns the number of significant points currently
 // held across all quadrant structures; the paper bounds this by 32
-// (≤ 4 corners + 4 intersections per quadrant).
+// (≤ 4 corners + 4 intersections per quadrant); with the slope fan's 22
+// scalars they are a segment's whole state, whatever its length.
 func (c *Compressor) SignificantPointCount() int {
 	n := 0
 	for i := range c.frame.quads {
@@ -52,12 +53,15 @@ func (c *Compressor) SignificantPointCount() int {
 func (c *Compressor) CompressBatch(pts []Point) []Point { return c.compressBatch(pts) }
 
 // quadFrame is the 2-D frame: four quadrants around the segment start,
-// rotated towards the warmup centroid.
+// rotated towards the warmup centroid, and the slope fan over the same
+// tracked points.
 type quadFrame struct {
 	origin         Point   // current segment start s (local coordinate origin)
 	rot            float64 // data-centric rotation angle φ
 	rotSin, rotCos float64 // cached Sincos(-rot)
+	tol            float64 // the compressor's tolerance, see fanBound
 	quads          [4]quadrant
+	fan            slopeFan
 }
 
 func (f *quadFrame) valid(p Point) bool    { return p.IsFinite() }
@@ -69,6 +73,7 @@ func (f *quadFrame) anchor(p Point) {
 	for i := range f.quads {
 		f.quads[i].reset(i)
 	}
+	f.fan = slopeFan{}
 }
 
 // orient fixes the rotation from the centroid of the warmup points
@@ -106,6 +111,7 @@ func (f *quadFrame) far(p Point, tol float64) bool {
 func (f *quadFrame) insert(p Point) {
 	lv := f.local(p)
 	f.quads[quadrantOf(lv)].insert(lv)
+	f.fan.insert(lv)
 }
 
 func (f *quadFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
@@ -121,7 +127,22 @@ func (f *quadFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
 		dlb = max(dlb, qlb)
 		dub = max(dub, qub)
 	}
-	return dlb, dub
+	return dlb, f.fanBound(le, norm, metric, dlb, dub)
+}
+
+// fanBound returns the smaller of the quadrants' upper bound and the slope
+// fan's. The fan is asked only where it can change the decision — the
+// quadrants' bounds straddle the tolerance — and only where its bound is one:
+// under the line metric (a segment distance can exceed the line distance it
+// bounds) and for a path line long enough to have a direction. A NaN from it
+// compares false: the paper's bound stands.
+func (f *quadFrame) fanBound(le geom.Vec, norm float64, metric Metric, dlb, dub float64) float64 {
+	if metric == MetricLine && dlb <= f.tol && f.tol < dub && norm >= geom.Eps {
+		if fub := f.fan.upper(le, 1/norm); fub < dub {
+			return fub
+		}
+	}
+	return dub
 }
 
 func (f *quadFrame) deviation(pts []Point, e Point, metric Metric) float64 {

@@ -220,16 +220,18 @@ func TestStatsConsistency(t *testing.T) {
 }
 
 func TestFastModeConstantSpace(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	pts := randomWalk(rng, 5000, 20)
-	c := mustCompressor(t, Config{Tolerance: 5, Mode: ModeFast})
-	for _, p := range pts {
-		c.Push(p)
-		if got := c.BufferedPoints(); got > DefaultRotationWarmup {
-			t.Fatalf("fast mode buffered %d points", got)
-		}
-		if got := c.SignificantPointCount(); got > 32 {
-			t.Fatalf("significant points = %d > 32", got)
+	for _, warmup := range []int{0, DefaultRotationWarmup} {
+		rng := rand.New(rand.NewSource(14))
+		pts := append(randomWalk(rng, 5000, 20), smoothWalk(rng, 5000)...)
+		c := mustCompressor(t, Config{Tolerance: 5, Mode: ModeFast, RotationWarmup: warmup})
+		for _, p := range pts {
+			c.Push(p)
+			if got := c.BufferedPoints(); got > warmup {
+				t.Fatalf("fast mode, warm-up %d: buffered %d points", warmup, got)
+			}
+			if got := c.SignificantPointCount(); got > 32 {
+				t.Fatalf("significant points = %d > 32", got)
+			}
 		}
 	}
 }
@@ -275,6 +277,13 @@ func TestTraceCallback(t *testing.T) {
 	}{
 		{"2d", func(t *testing.T) {
 			mustCompressor(t, cfg).CompressBatch(randomWalk(rand.New(rand.NewSource(2)), 500, 10))
+		}},
+		// Long thin segments in a rotated frame: the upper bound traced, and
+		// decided on, is the slope fan's wherever the quadrants' straddled.
+		{"2d-smooth", func(t *testing.T) {
+			rotated := cfg
+			rotated.RotationWarmup = DefaultRotationWarmup
+			mustCompressor(t, rotated).CompressBatch(smoothWalk(rand.New(rand.NewSource(2)), 5000))
 		}},
 		{"3d", func(t *testing.T) {
 			c, err := NewCompressor3(cfg)

@@ -268,13 +268,13 @@ func Deviation(orig, keys []Point, dist func(p, s, e Point) float64) (worst floa
 
 // maxOver returns the largest dist over pts: the one max-loop under
 // MaxDeviation, MaxDeviation3 and MaxDeviationN. It and the distance
-// closures inline, so the scan stays a plain loop.
+// closures inline, so the scan stays a plain loop. The builtin max keeps a
+// NaN — a distance whose arithmetic overflowed — so the scan's caller cuts
+// on it (deviation ≤ d is false) instead of never seeing it.
 func maxOver[P any](pts []P, dist func(P) float64) float64 {
 	var maxD float64
 	for _, p := range pts {
-		if d := dist(p); d > maxD {
-			maxD = d
-		}
+		maxD = max(maxD, dist(p))
 	}
 	return maxD
 }

@@ -202,24 +202,21 @@ func (q *quadrant) bounds(le geom.Vec, norm, inv float64, metric Metric) (dlb, d
 		// Theorems 5.3 / 5.4: line in the quadrant.
 		dcn := lineDist(le, inv, q.cn)
 		dcf := lineDist(le, inv, q.cf)
-		dlb = max(dlb, max(dcn, dcf))
+		dlb = max(dlb, dcn, dcf)
 		if !q.clipOK {
 			// Clip fallback: the substituted witness points are not hull
 			// vertices, so revert to the always-valid Theorem 5.2 corners.
 			return dlb, q.cornerUB(le, inv, metric)
 		}
 		if metric == MetricSegment {
-			dub = max(
+			return dlb, max(
 				geom.DistToSegment(q.l1, geom.Vec{}, le),
 				geom.DistToSegment(q.l2, geom.Vec{}, le),
 				geom.DistToSegment(q.u1, geom.Vec{}, le),
 				geom.DistToSegment(q.u2, geom.Vec{}, le),
-			)
-			dub = max(dub, max(
 				geom.DistToSegment(q.cn, geom.Vec{}, le),
 				geom.DistToSegment(q.cf, geom.Vec{}, le),
-			))
-			return dlb, dub
+			)
 		}
 		return dlb, max(dl1, dl2, du1, du2)
 	}

@@ -207,9 +207,9 @@ func TestQuadrantDifferentialBounds(t *testing.T) {
 }
 
 // refFrame is the production 2-D frame with the angle-based reference
-// quadrants substituted for the trig-free ones: translation, rotation and
-// the near-point test are quadFrame's, the bounding structure is
-// refQuadrant's.
+// quadrants substituted for the trig-free ones: translation, rotation, the
+// near-point test and the slope fan are quadFrame's, the bounding structure
+// is refQuadrant's.
 type refFrame struct {
 	quadFrame
 	refs [4]refQuadrant
@@ -232,6 +232,7 @@ func (f *refFrame) orient(warmup []Point) {
 func (f *refFrame) insert(p Point) {
 	lv := f.local(p)
 	f.refs[quadrantOf(lv)].insert(lv)
+	f.fan.insert(lv)
 }
 
 func (f *refFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
@@ -241,7 +242,7 @@ func (f *refFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
 		lb, ub := f.refs[i].bounds(le, norm, metric)
 		dlb, dub = math.Max(dlb, lb), math.Max(dub, ub)
 	}
-	return dlb, dub
+	return dlb, f.fanBound(le, norm, metric, dlb, dub)
 }
 
 // TestQuadrantDifferentialDecisions runs the decision loop that ships —
@@ -262,8 +263,8 @@ func TestQuadrantDifferentialDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prod := newSegmenter[Point](cfg, &quadFrame{})
-		ref := newSegmenter[Point](cfg, &refFrame{})
+		prod := newSegmenter[Point](cfg, &quadFrame{tol: cfg.Tolerance})
+		ref := newSegmenter[Point](cfg, &refFrame{quadFrame: quadFrame{tol: cfg.Tolerance}})
 		for i, p := range pts {
 			kp, ok := prod.Push(p)
 			rkp, rok := ref.Push(p)
