@@ -72,7 +72,7 @@ func main() {
 		segBytes     = flag.Int64("segbytes", 0, "segment file rotation size in bytes (0 = log default)")
 		cacheMB      = flag.Int64("cache-mb", 0, "read-side record cache budget per tenant, in MiB (0 = off)")
 		metricsAddr  = flag.String("metrics", "", "HTTP listen address for /metrics (empty = no metrics endpoint)")
-		compactEvery = flag.Duration("compact-interval", 0, "background merge/dedup compaction interval per tenant (0 = off)")
+		compactEvery = flag.Duration("compact-interval", 0, "per-tenant merge/dedup compaction: a tick this often rewrites what was sealed since the last one, the drain seals and merges the whole log (0 = neither)")
 		retryAfter   = flag.Duration("retry-after", server.DefaultRetryAfter, "base backpressure retry hint sent to clients")
 		drain        = flag.Duration("drain-timeout", server.DefaultDrainTimeout, "max wait for in-flight connections on shutdown")
 	)

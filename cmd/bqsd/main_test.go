@@ -8,6 +8,7 @@ import (
 	"math"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -52,11 +53,13 @@ func (l *logBuffer) String() string {
 // TestDaemonLifecycle is the full smoke pass: start on an ephemeral
 // port, ingest over the wire, flush + query, SIGHUP (the heal lever: a
 // logged no-op on a healthy daemon, which keeps serving), SIGTERM-drain,
-// then reopen the tenant's log directory and check it recovered clean.
+// then reopen the tenant's log directory and check it recovered clean and
+// at rest: the drain's pass sealed the active segment, so every device
+// written is one record — no two of its records chain.
 func TestDaemonLifecycle(t *testing.T) {
 	bin := buildCmd(t)
 	dir := t.TempDir()
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-dir", dir, "-tol", "2")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-dir", dir, "-tol", "2", "-trail", "16", "-compact-interval", "1h")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -158,9 +161,23 @@ func TestDaemonLifecycle(t *testing.T) {
 	if n := lg.Stats().Truncated; n != 0 {
 		t.Fatalf("recovery truncated %d bytes after a clean drain", n)
 	}
-	got, err := lg.Query("probe", 0, math.MaxUint32)
-	if err != nil || len(got) != len(recs) {
-		t.Fatalf("reopened log: %d records, err %v; want %d", len(got), err, len(recs))
+	// The wire answered 16-key chunks and two flushes' cuts, each starting
+	// on the key point the last ended on; the drain left them joined.
+	var want []trajstore.GeoKey
+	for i, r := range recs {
+		if i > 0 && r.Keys[0] != want[len(want)-1] {
+			t.Fatalf("record %d of the wire's answer does not start where record %d ended", i, i-1)
+		}
+		want = append(want[:max(len(want)-1, 0)], r.Keys...)
+	}
+	if len(recs) < 5 {
+		t.Fatalf("the wire answered %d records for 80 fixes chunked at 16 and flushed twice", len(recs))
+	}
+	for _, dev := range lg.Devices() {
+		got, err := lg.Query(dev, 0, math.MaxUint32)
+		if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0].Keys, want) {
+			t.Fatalf("reopened log: %s has %d records, err %v; want one holding the wire's %d key points", dev, len(got), err, len(want))
+		}
 	}
 }
 

@@ -14,7 +14,7 @@
 //	                                          # spatio-temporal query, all devices
 //	bqsrecover -dir logdir -repair            # truncate a crash-torn tail in place
 //	bqsrecover -dir logdir -compact [-merge-chunks=false]
-//	          [-age 24h -coarse-tol 50]       # merge + age sealed segments
+//	          [-age 24h -coarse-tol 50]       # seal the last segment, merge + age all
 //
 // -window decodes every record (any device, log order) with a
 // trajectory segment entering the given degree rectangle during the
@@ -31,7 +31,7 @@
 // touched, no lock is taken, and a crash-torn tail is reported but left
 // in place — safe to point at a directory a live engine owns. -repair
 // performs the engine's own recovery (truncating the torn tail) and
-// -compact rewrites sealed segments; both take the directory's exclusive
+// -compact seals the last segment and rewrites them all; both take the directory's exclusive
 // write lock and refuse to run while another process holds it.
 //
 // Timestamps are the wire format's uint32 seconds. The exit status is
@@ -58,7 +58,7 @@ func main() {
 	t1 := flag.Uint64("t1", math.MaxUint32, "window end, seconds")
 	csv := flag.Bool("csv", false, "with -device or -window: emit CSV instead of a listing")
 	repair := flag.Bool("repair", false, "open read-write: truncate any crash-torn tail in place (takes the directory lock)")
-	compact := flag.Bool("compact", false, "compact sealed segments (implies -repair)")
+	compact := flag.Bool("compact", false, "seal the last segment and compact the whole log (implies -repair)")
 	mergeChunks := flag.Bool("merge-chunks", true, "with -compact: merge consecutive chunked records of a device")
 	age := flag.Duration("age", 0, "with -compact: re-compress records older than this at -coarse-tol (0 with a tolerance set ages everything)")
 	coarseTol := flag.Float64("coarse-tol", 0, "with -compact: ageing tolerance in metres (0 disables ageing)")
@@ -102,11 +102,11 @@ func main() {
 	fmt.Fprintln(os.Stderr)
 
 	if *compact {
-		res, err := lg.Compact(segmentlog.CompactionPolicy{
-			MinAge:          *age,
-			CoarseTolerance: *coarseTol,
-			MergeChunks:     *mergeChunks,
-		})
+		err := lg.Seal() // as a daemon's drain does: the pass reaches every record
+		if err != nil {
+			fail(err)
+		}
+		res, err := lg.Compact(segmentlog.CompactionPolicy{MinAge: *age, CoarseTolerance: *coarseTol, MergeChunks: *mergeChunks})
 		if err != nil {
 			fail(err)
 		}

@@ -155,9 +155,9 @@ func TestSmokeRecoverTornTail(t *testing.T) {
 func TestSmokeRecoverCompact(t *testing.T) {
 	bin := buildCmd(t)
 	dir := t.TempDir()
-	// Tiny rotation threshold so the chunked records land in sealed
-	// segments the compactor may rewrite.
-	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{MaxSegmentBytes: 32})
+	// A rotation threshold of two records: the first two chunks land in a
+	// sealed segment, the third stays in the active one.
+	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{MaxSegmentBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,6 +170,9 @@ func TestSmokeRecoverCompact(t *testing.T) {
 		if err := lg.Append("gamma", keys[c[0]:c[1]]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if st := lg.Stats(); st.Segments != 2 || st.Records != 3 {
+		t.Fatalf("fixture: %+v, want two chunks sealed and one in the active segment", st)
 	}
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
@@ -187,8 +190,14 @@ func TestSmokeRecoverCompact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query after compaction: %v", err)
 	}
+	// One record, the last chunk — still in the active segment when the tool
+	// opened the log — included: each key point once, no boundary twice.
 	if lines := strings.Count(string(out), "\n"); lines != len(keys) {
 		t.Fatalf("compacted log returned %d CSV points, want %d:\n%s", lines, len(keys), out)
+	}
+	out, err = exec.Command(bin, "-dir", dir, "-device", "gamma").Output()
+	if err != nil || strings.Count(string(out), "trajectory ") != 1 {
+		t.Fatalf("after -compact the device lists as (%v), want one trajectory:\n%s", err, out)
 	}
 }
 

@@ -27,9 +27,9 @@ type SegmentLogOptions = segmentlog.Options
 // SegmentLogRecord is one persisted trajectory, decoded.
 type SegmentLogRecord = segmentlog.Record
 
-// SegmentLogStats is a snapshot of a log's contents and of the two
-// counters only the log keeps: its read cache's (Cache) and the disk its
-// compactions freed (Reclaimed). EngineStats relays neither.
+// SegmentLogStats is a snapshot of a log's contents and of the counters
+// only the log keeps: its read cache's (Cache), what its compactions wrote
+// (Rewritten) and the disk they freed (Reclaimed). EngineStats relays none.
 type SegmentLogStats = segmentlog.Stats
 
 // LogWindowStats reports how a durable window query was answered: how

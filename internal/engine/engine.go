@@ -75,13 +75,13 @@ type Config struct {
 	// trajstore.Persister and trajstore/segmentlog.
 	Persister trajstore.Persister
 	// CompactInterval, when > 0 and a Persister is configured, runs a
-	// background compaction pass (trajstore.Backend.CompactNow — for
-	// segmentlog.ShardedLog, the policy it was opened with) on the
-	// persister this often. A failed pass leaves the published data
-	// intact, so it does not poison the Sync durability barrier; it is
-	// reported by State().CompactErr (self-healing on the next
-	// successful pass) and by Close if still standing. Zero disables
-	// periodic compaction; CompactNow remains available.
+	// background compaction pass over what changed since the last one
+	// (trajstore.Backend.CompactNow(false) — for segmentlog.ShardedLog, with
+	// the policy it was opened with) this often. A failed pass leaves the
+	// published data intact, so it does not poison the Sync barrier; it is
+	// reported by State().CompactErr (self-healing on the next successful
+	// pass) and by Close if still standing. Zero disables it; CompactNow,
+	// the pass over everything, remains available.
 	CompactInterval time.Duration
 	// MaxTrailKeys bounds the per-session key-point trail kept for
 	// persistence (as its encoded block: ≈ 6–7 B a key, ≤ 15): a session
@@ -351,20 +351,19 @@ func (e *Engine) compactLoop(every time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			_ = e.compactPass() // counted and recorded in State().CompactErr
+			_ = e.compactPass(false) // counted and recorded in State().CompactErr
 		case <-e.closing:
 			return
 		}
 	}
 }
 
-// compactPass runs one compaction pass, periodic or explicit. A failed
+// compactPass runs one compaction pass, periodic or explicit (all). A failed
 // pass is counted and recorded in State().CompactErr until a later pass
-// succeeds. It does NOT poison Sync or ingest: the log's published
-// generation (and every durable record) is unaffected, so the engine
-// keeps running. Close reports one still standing.
-func (e *Engine) compactPass() error {
-	err := e.backend.CompactNow()
+// succeeds. It does NOT poison Sync or ingest: the log's published generation
+// (and every durable record) is unaffected. Close reports one still standing.
+func (e *Engine) compactPass(all bool) error {
+	err := e.backend.CompactNow(all)
 	if err != nil {
 		e.compactFails.Add(1)
 		err = fmt.Errorf("engine: compact: %w", err)
@@ -373,15 +372,15 @@ func (e *Engine) compactPass() error {
 	return err
 }
 
-// CompactNow runs one synchronous compaction pass on the persister; a
-// no-op when there is no persister or it is append-only. Close waits for
-// an in-flight pass before closing the persister.
+// CompactNow runs one synchronous compaction pass over everything the
+// persister holds (a segment log seals its active segments first); a no-op
+// with no persister or an append-only one. Close waits out a pass in flight.
 func (e *Engine) CompactNow() error {
 	if _, err := e.admit(opCall); err != nil {
 		return err
 	}
 	defer e.inflight.Done()
-	return e.compactPass()
+	return e.compactPass(true)
 }
 
 // send enqueues msg on the shard, parking WITHOUT any engine lock when

@@ -90,7 +90,7 @@ func (b *scriptBackend) Sync() error {
 	return nil
 }
 
-func (b *scriptBackend) CompactNow() error {
+func (b *scriptBackend) CompactNow(bool) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.compactFail {

@@ -332,17 +332,21 @@ func TestEngineCloseJoinsErrors(t *testing.T) {
 	}
 }
 
-// compactingPersister counts CompactNow calls.
+// compactingPersister counts CompactNow calls, the explicit ones (all) apart.
 type compactingPersister struct {
 	trajstore.Backend
 	compactions atomic.Int64
+	explicit    atomic.Int64
 	fail        atomic.Bool
 }
 
 var errCompactBoom = errors.New("compact boom")
 
-func (p *compactingPersister) CompactNow() error {
+func (p *compactingPersister) CompactNow(all bool) error {
 	p.compactions.Add(1)
+	if all {
+		p.explicit.Add(1)
+	}
 	if p.fail.Load() {
 		return errCompactBoom
 	}
@@ -368,11 +372,11 @@ func TestEngineCompactInterval(t *testing.T) {
 	for p.compactions.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if p.compactions.Load() == 0 {
-		t.Fatal("periodic compaction never fired")
+	if p.compactions.Load() == 0 || p.explicit.Load() != 0 {
+		t.Fatalf("%d periodic passes, %d of them over everything: want ticks, each over what changed", p.compactions.Load(), p.explicit.Load())
 	}
-	if err := e.CompactNow(); err != nil {
-		t.Fatal(err)
+	if err := e.CompactNow(); err != nil || p.explicit.Load() != 1 {
+		t.Fatalf("CompactNow = %v after %d explicit passes, want nil and the one", err, p.explicit.Load())
 	}
 
 	p.fail.Store(true)

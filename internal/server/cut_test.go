@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -116,5 +118,82 @@ func TestFlushCutsOnePolyline(t *testing.T) {
 				t.Fatalf("after compaction: %d records (%v), want one holding OnKey's %d key points", len(recs), err, len(want))
 			}
 		})
+	}
+}
+
+// TestShutdownLeavesOneRecordPerDevice: a drain finishes the merge. Devices
+// report through -trail 16 chunking and periodic Sync(flush) into segments
+// far too large to rotate, so every chunk and every cut is still in the
+// active segment when Shutdown comes; its pass seals that segment first, and
+// the reopened log holds each device as one record spelling OnKey's sequence.
+// A second clean cycle over the log at rest adds no file.
+func TestShutdownLeavesOneRecordPerDevice(t *testing.T) {
+	var emitted onKeyLog
+	dir := t.TempDir()
+	cfg := Config{
+		Dir:    dir,
+		Engine: engine.Config{Tolerance: 2, Shards: 2, MaxTrailKeys: 16, OnKey: emitted.onKey},
+		Log:    segmentlog.Options{Compaction: &segmentlog.CompactionPolicy{MergeChunks: true}},
+	}
+	srv, addr := startServer(t, cfg)
+	c, err := Dial(addr, "fleet")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	const devices, rounds, perRound = 5, 3, 40
+	for r := 0; r < rounds; r++ {
+		for d := 0; d < devices; d++ {
+			batch := proto.DeviceBatch{Device: fmt.Sprintf("dev-%d", d), Keys: track(d, rounds*perRound)[r*perRound : (r+1)*perRound]}
+			if _, err := c.IngestAll([]proto.DeviceBatch{batch}, 20); err != nil {
+				t.Fatalf("IngestAll: %v", err)
+			}
+		}
+		if err := c.Sync(true); err != nil {
+			t.Fatalf("Sync(flush) %d: %v", r, err)
+		}
+	}
+	c.Close()
+	if err := srv.Shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	files := func() []string {
+		names, _ := filepath.Glob(filepath.Join(dir, "fleet", "shard-*", "seg-*"))
+		return names
+	}
+	check := func(ctx string) {
+		t.Helper()
+		lg, err := segmentlog.OpenSharded(filepath.Join(dir, "fleet"), 0, segmentlog.Options{ReadOnly: true})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", ctx, err)
+		}
+		defer lg.Close()
+		want := emitted.all()
+		if devs := lg.Devices(); len(devs) != devices || len(want) != devices {
+			t.Fatalf("%s: the log holds devices %v, OnKey reported %d", ctx, devs, len(want))
+		}
+		for dev, keys := range want {
+			recs, err := lg.Query(dev, 0, math.MaxUint32)
+			if err != nil || len(recs) != 1 || !reflect.DeepEqual(recs[0].Keys, keys) {
+				t.Fatalf("%s: %s has %d records (%v), want one holding OnKey's %d key points", ctx, dev, len(recs), err, len(keys))
+			}
+		}
+	}
+	check("after the drain")
+	atRest := files()
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New over the drained directory: %v", err)
+	}
+	if _, err := srv2.tenant("fleet"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv2.Shutdown(); err != nil {
+		t.Fatalf("second Shutdown: %v", err)
+	}
+	check("after a second clean cycle")
+	if again := files(); !reflect.DeepEqual(again, atRest) {
+		t.Fatalf("a clean cycle over a log at rest changed its files: %v → %v", atRest, again)
 	}
 }

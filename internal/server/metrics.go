@@ -53,13 +53,12 @@ func metricFamily(b *strings.Builder, name, typ, help string, ts []tenantMetrics
 }
 
 // MetricsHandler serves the server's internals in the Prometheus text
-// format: per tenant, the ingest counters (fixes, key points,
-// rejections), session lifecycle, queue occupancy, persist/compact
-// failure tallies and compaction reclaim, the read-side cache
-// (hits/misses/evictions/size), and the segment log's shape
-// (segments, records, bytes, generation). Scraping is safe at any
-// time, including during Shutdown — each number is an atomic or
-// mutex-guarded snapshot read.
+// format: per tenant, the ingest counters (fixes, key points, rejections),
+// session lifecycle, queue occupancy, persist/compact failure tallies, what
+// compaction wrote and reclaimed, the read-side cache (hits/misses/
+// evictions/size), and the segment log's shape (segments, records, bytes,
+// generation). Scraping is safe at any time, including during Shutdown —
+// each number is an atomic or mutex-guarded snapshot read.
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ts := s.snapshotMetrics()
@@ -89,6 +88,8 @@ func (s *Server) MetricsHandler() http.Handler {
 			func(t *tenantMetrics) interface{} { return t.eng.PersistFailures })
 		f("bqs_compact_failures_total", "counter", "Failed compaction passes.",
 			func(t *tenantMetrics) interface{} { return t.eng.CompactFailures })
+		f("bqs_compact_rewritten_bytes_total", "counter", "Bytes written by published compactions; over what was appended, the write amplification.",
+			func(t *tenantMetrics) interface{} { return t.log.Rewritten })
 		f("bqs_compact_reclaimed_bytes", "counter", "Net disk bytes freed by published compactions.",
 			func(t *tenantMetrics) interface{} { return t.log.Reclaimed })
 		f("bqs_degraded", "gauge", "1 while the engine is in degraded read-only mode.",

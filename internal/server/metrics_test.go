@@ -133,8 +133,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("cache hits did not advance across scrapes: %v -> %v", h1, h2)
 	}
 	// A pass that merges the 16-key chunks frees disk: the log's own counter.
-	if v := metricValue(t, body2, "bqs_compact_reclaimed_bytes", "fleet"); v != 0 {
-		t.Errorf("bqs_compact_reclaimed_bytes = %v before any pass, want 0", v)
+	for _, m := range []string{"bqs_compact_reclaimed_bytes", "bqs_compact_rewritten_bytes_total"} {
+		if v := metricValue(t, body2, m, "fleet"); v != 0 {
+			t.Errorf("%s = %v before any pass, want 0", m, v)
+		}
 	}
 	tn, err := srv.tenant("fleet")
 	if err != nil {
@@ -143,8 +145,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := tn.eng.CompactNow(); err != nil {
 		t.Fatalf("CompactNow: %v", err)
 	}
-	if v := metricValue(t, scrape(t, srv), "bqs_compact_reclaimed_bytes", "fleet"); v <= 0 {
+	body3 := scrape(t, srv)
+	if v := metricValue(t, body3, "bqs_compact_reclaimed_bytes", "fleet"); v <= 0 {
 		t.Errorf("bqs_compact_reclaimed_bytes = %v after a merging pass, want > 0", v)
+	}
+	// What the pass wrote is what it left of the log: everything, merged.
+	if w, size := metricValue(t, body3, "bqs_compact_rewritten_bytes_total", "fleet"), metricValue(t, body3, "bqs_log_bytes", "fleet"); w <= 0 || w > size {
+		t.Errorf("bqs_compact_rewritten_bytes_total = %v after one pass over a log of %v bytes, want in (0, that]", w, size)
 	}
 }
 

@@ -227,8 +227,8 @@ func (s *Server) retryMillis(eng *engine.Engine) uint32 {
 
 // Shutdown drains and closes the server: stop accepting, abort idle
 // connection reads, wait up to DrainTimeout for handlers, then flush
-// sessions, sync, run a final compaction and close every tenant. Safe
-// to call once; later calls return nil immediately.
+// sessions, sync, run a final compaction — the explicit pass, which leaves
+// each log fully merged — and close every tenant. Later calls return nil.
 func (s *Server) Shutdown() error {
 	s.mu.Lock()
 	if s.shuttingDown() {

@@ -504,7 +504,7 @@ type compactFailLog struct{ *segmentlog.ShardedLog }
 
 var errCompactBoom = errors.New("compact: out of scratch space")
 
-func (compactFailLog) CompactNow() error { return errCompactBoom }
+func (compactFailLog) CompactNow(bool) error { return errCompactBoom }
 
 // TestCompactFailureDoesNotStopIngest is the regression test for acks
 // that carried a standing background-compaction failure: every fix was

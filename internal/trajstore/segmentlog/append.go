@@ -77,11 +77,8 @@ func (l *shardLog) AppendTrail(device string, tr *trajstore.Trail) error {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.ro {
-		return ErrReadOnly
+	if err := l.writableLocked(); err != nil {
+		return err
 	}
 	if l.poisoned {
 		if err := l.healLocked(); err != nil {
@@ -344,17 +341,38 @@ func (l *shardLog) rotateLocked() error {
 	return nil
 }
 
+// seal rotates a non-empty active segment out, so that a compaction pass
+// reaches its records: a drain's last chunks are merged with the ones before
+// them. An empty one stays — a clean restart adds no file — and a poisoned
+// one is the next append's or Sync's to heal.
+func (l *shardLog) seal() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.writableLocked(); err != nil || l.poisoned || l.off == headerSize {
+		return err
+	}
+	return l.rotateLocked()
+}
+
+// writableLocked refuses a mutating operation on a closed or read-only log.
+func (l *shardLog) writableLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	if l.ro {
+		return ErrReadOnly
+	}
+	return nil
+}
+
 // Sync flushes buffered records and fsyncs the active segment: every
 // Append that returned before Sync was called is durable once Sync
 // returns nil — after a salvage, if that is what it took (fsyncLocked).
 func (l *shardLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.ro {
-		return ErrReadOnly
+	if err := l.writableLocked(); err != nil {
+		return err
 	}
 	return l.syncLocked()
 }

@@ -70,7 +70,7 @@ func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{MaxSegmentBytes: 1024, CacheBytes: 1 << 20})
 	defer l.Close()
-	fillChunked(t, l, 6, 40, 8)
+	fillChunked(t, l, 6, 160, 8)
 
 	// Cold: nothing resident, every candidate is a miss and a decode.
 	cold, cws, cs := windowCacheStats(t, l)
@@ -143,6 +143,35 @@ func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 	if rws.RecordsDecoded != 0 || rws.CacheHits == 0 {
 		t.Fatalf("cache did not re-populate after compaction: decoded=%d hits=%d",
 			rws.RecordsDecoded, rws.CacheHits)
+	}
+
+	// A tick consumes what was sealed since the last pass, not the tier that
+	// pass left — too large for so small a run to reach back over: that
+	// tier's blocks, where they were, are still hits, as the active
+	// segment's are; only the tick's own output is read.
+	older := l.Stats().Segments - 1
+	late := cellKeys(7, 0, 160)
+	for lo := 0; l.Stats().Segments < older+2; lo += 7 {
+		if err := l.Append("dev-late", late[lo:lo+8]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tier, run := segBytes(l.segs[:older]), segBytes(l.segs[older:older+1]); tier <= tierRatio*run {
+		t.Fatalf("fixture: a run of %d bytes reaches back over a tier of %d", run, tier)
+	}
+	_, _, _ = windowCacheStats(t, l) // warm what was just appended
+	untouched := l.Stats().Records - len(l.segs[older].recs)
+	tick, err := l.compact(CompactionPolicy{MergeChunks: true}, false, 2)
+	if err != nil || tick.Merged == 0 || tick.SegmentsIn != 1 {
+		t.Fatalf("tick = %+v, %v; want the one newly sealed segment merged", tick, err)
+	}
+	postTick, tws, _ := windowCacheStats(t, l)
+	if tws.CacheHits != untouched || tws.RecordsDecoded != tick.RecordsOut {
+		t.Fatalf("after a tick: %d hits, %d reads; want the %d records it did not consume hit and its %d read",
+			tws.CacheHits, tws.RecordsDecoded, untouched, tick.RecordsOut)
+	}
+	if n := l.Stats().Records - tick.RecordsOut - len(l.segs[len(l.segs)-1].recs); !reflect.DeepEqual(postTick[:n], rewarm[:n]) {
+		t.Fatal("the older tier's records changed across a tick")
 	}
 }
 

@@ -1,28 +1,29 @@
 // Compaction: the paper's Section V-F maintenance procedures applied to
-// the durable log. Closed (sealed) segment files are immutable, so a
-// compactor can re-read them wholesale, rewrite their contents smaller,
-// and atomically swap the result in via the MANIFEST — while appends
-// keep flowing into the active segment and queries keep reading either
-// generation.
+// the durable log. Sealed segment files are immutable, so a pass can re-read
+// a contiguous run of them, rewrite it smaller, and atomically put the
+// result in the run's place via the MANIFEST — while appends keep flowing
+// into the active segment and queries keep reading either generation.
+//
+// Which run: a periodic pass takes what was sealed since the last pass and,
+// behind it, earlier passes' outputs (tiers) while tierRatio allows — it
+// costs what changed; an explicit pass takes every tier (compact).
 //
 // Three error-bounded rewrites run per device, in order, on stored blocks:
 //
-//   - Chunk merging: the engine's MaxTrailKeys chunking splits one long
-//     session into consecutive records that overlap by exactly one key
-//     point (engine.persistTrail). Merging re-joins them, dropping the
-//     duplicated boundary keys — a pure dedup, the polyline is
-//     unchanged.
+//   - Chunk merging: the engine's MaxTrailKeys chunking and its flushes cut
+//     one long session into consecutive records that overlap by exactly one
+//     key point. Merging re-joins them, dropping the duplicated boundary
+//     keys — a pure dedup, the polyline is unchanged.
 //   - Overlap dedup: a record whose key points appear as a contiguous
 //     run inside another record of the same device (a re-ingested
-//     historical trajectory, an exact duplicate) is dropped — the
-//     paper's merge procedure specialized to the exact-overlap case the
-//     wire format can prove.
-//   - Ageing: records older than CompactionPolicy.MinAge are decoded
-//     and re-run through the FBQS compressor at CoarseTolerance
-//     (Liu et al.'s amnesic compression: fidelity decays with age, but
-//     stays error-bounded). The compressor emits a subset of the input
-//     points, so retained keys are bit-identical and every dropped key
-//     lies within CoarseTolerance of the aged polyline.
+//     trajectory, an exact duplicate) is dropped — the paper's merge
+//     procedure specialized to the exact overlap the wire format can prove.
+//   - Ageing: records older than CompactionPolicy.MinAge are decoded and
+//     re-run through the FBQS compressor at CoarseTolerance (Liu et al.'s
+//     amnesic compression: fidelity decays with age, but stays
+//     error-bounded). The compressor emits a subset of its input, so
+//     retained keys are bit-identical and every dropped key lies within
+//     CoarseTolerance of the aged polyline.
 //
 // Publish protocol (crash-safe at every step):
 //
@@ -45,6 +46,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -105,99 +107,100 @@ type devOut struct {
 	recs                  []compactRecord
 	decoded               int // sealed records read for this device (memory accounting)
 	merged, deduped, aged int
-	nextAgeT1             uint32
 	err                   error
 }
 
-// compact rewrites every sealed segment (all but the active one) through
-// the merge/dedup/ageing pipeline and atomically publishes the result as
-// a new manifest generation. Appends and queries proceed concurrently;
-// compactions serialize with each other. On any failure — including a
-// sealed record that no longer validates (bit rot since open) — the
-// published generation is untouched; partially written output files are
-// swept by the next Open.
-//
-// Memory and parallelism: the pass streams — devices are read and
-// rewritten one at a time by a pool of workers goroutines, and a device's
-// records are released as soon as the ordered writer has framed them, so
-// peak usage is bounded by the workers largest devices, never the whole
-// sealed log. The count does not affect the output (ShardedLog.Compact
-// derives it). Record reads go through the per-record offsets the block
-// index recovered (pread, CRC-verified), not a whole-file slurp.
-func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, error) {
+// tierRatio is the selection rule's constant: a pass reaches back over an
+// earlier pass's output only while that tier is no larger than tierRatio
+// times the bytes it already holds. At 2 every tier left standing is more
+// than twice the next — log2(log size) tiers at most — and a rewrite leaves
+// a byte in a tier at least 1.5 times the one it was in.
+const tierRatio = 2
+
+// compact runs one pass: it selects a contiguous run of sealed segments,
+// rewrites it through the merge/dedup/ageing pipeline and atomically
+// publishes the result in the run's place as a new manifest generation.
+// A periodic pass (all false) selects what was sealed since the last pass
+// and, behind it, older tiers by tierRatio — so a tick costs what changed
+// and leaves every other segment, its cache entries included, as it is. An
+// explicit pass (all) selects every tier: after seal, it leaves a log at
+// rest fully merged. Appends and queries proceed concurrently; compactions
+// serialize with each other. On any failure — including a sealed record
+// that no longer validates (bit rot since open) — the published generation
+// is untouched; partially written output files are swept by the next Open.
+// workers bounds the devices in memory at once, and cannot reach the output.
+func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (CompactionResult, error) {
 	var res CompactionResult
-	if math.IsNaN(p.CoarseTolerance) || p.CoarseTolerance < 0 {
-		return res, fmt.Errorf("segmentlog: CoarseTolerance must be ≥ 0")
-	}
-	if p.CoarseTolerance > 0 {
-		// Validate the tolerance up front so a bad policy fails before
-		// any IO.
+	if p.CoarseTolerance != 0 { // a bad tolerance — negative, NaN — fails before any IO
 		if _, err := stream.New(ageCompressor, p.CoarseTolerance); err != nil {
 			return res, fmt.Errorf("segmentlog: age compressor: %w", err)
 		}
 	}
-	now := time.Now
-	if p.Now != nil {
-		now = p.Now
-	}
-
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
-
-	// The sealed prefix is immutable from here on — appends, rotation and
-	// heal only touch the active entry and what follows it, and competing
-	// compactions are excluded by compactMu — so the pass reads it, records
-	// included, without the lock.
 	l.mu.Lock()
-	if l.closed {
+	if err := l.writableLocked(); err != nil {
 		l.mu.Unlock()
-		return res, ErrClosed
+		return res, err
 	}
-	if l.ro {
-		l.mu.Unlock()
-		return res, ErrReadOnly
+	// The selection: [lo, hi) of segs, tiers[t:] and the run after them.
+	hi := len(l.segs) - 1
+	lo, t := 0, len(l.tiers)
+	for _, n := range l.tiers {
+		lo += n
 	}
-	sealed := l.segs[: len(l.segs)-1 : len(l.segs)-1]
-	genAtSnap := l.gen
-	l.mu.Unlock()
-	if len(sealed) == 0 {
-		return res, nil
-	}
-
-	// Memo fast path: if the previous pass (same policy) already saw
-	// this exact generation and no record has aged into eligibility
-	// since, this pass is guaranteed to change nothing — skip even the
-	// read, so a periodic tick on a quiet log is O(1).
-	cutoff := ageCutoff(now(), p.MinAge)
-	m := &l.lastCompact
-	if m.valid && m.gen == genAtSnap &&
-		m.policy.CoarseTolerance == p.CoarseTolerance &&
-		m.policy.MergeChunks == p.MergeChunks &&
-		(p.CoarseTolerance == 0 || cutoff < m.nextAgeT1) {
-		return res, nil
-	}
-
-	// Each device's sealed records, in append order, are the head of its
-	// index list — the entries below the active segment — and as immutable
-	// as the prefix they point into: an append extends a list, poison and
-	// heal pop and re-add active-segment entries only, and the one rebuild
-	// is this pass's own publish. The pass reads them in place rather than
-	// hold a third entry per sealed record for its whole length.
-	l.mu.Lock()
-	perDev := make(map[string][]recordAddr, len(l.index))
-	for dev, addrs := range l.index {
-		n := sort.Search(len(addrs), func(i int) bool { return int(addrs[i].seg) >= len(sealed) })
-		if n > 0 {
-			perDev[dev] = addrs[:n:n]
+	fresh := lo < hi
+	for held := segBytes(l.segs[lo:hi]); t > 0; t-- {
+		older := segBytes(l.segs[lo-l.tiers[t-1] : lo])
+		if !all && older > tierRatio*held {
+			break
 		}
+		lo, held = lo-l.tiers[t-1], held+older
+	}
+	// The selected segments are immutable from here on — appends, rotation
+	// and heal only touch the active entry and what follows it, compactMu
+	// excludes other passes — so this one reads them, records included,
+	// without the lock.
+	sealed := l.segs[lo:hi:hi]
+	l.mu.Unlock()
+
+	// Nothing selected — or nothing sealed since a pass left the whole prefix
+	// behind, and this one merges as that one did and ages nothing (what may
+	// age moves with the clock): it cannot change anything — skip even the
+	// read, so a repeated pass over a log at rest is O(1).
+	if m := l.lastFull; len(sealed) == 0 || !fresh && m.valid && m.merge == p.MergeChunks && p.CoarseTolerance == 0 {
+		return res, nil
+	}
+	// settle records a finished pass, published or not: its selection is one
+	// tier of n segments now.
+	settle := func(n int) {
+		l.tiers = append(l.tiers[:t], n)
+		l.lastFull.valid, l.lastFull.merge = lo == 0, p.MergeChunks
+	}
+	cutoff := ageCutoff(p)
+	// Each device's selected records, in append order, are the stretch of
+	// its index list that points into [lo, hi), as immutable as the segments
+	// (an append extends a list, poison and heal pop and re-add active-segment
+	// entries, the one redo is this pass's publish): read in place.
+	perDev := make(map[string][]recordAddr)
+	for i := range sealed {
+		for pi := range sealed[i].recs {
+			perDev[sealed[i].recs[pi].device] = nil
+		}
+		res.RecordsIn += len(sealed[i].recs)
+	}
+	res.SegmentsIn, res.BytesIn = len(sealed), segBytes(sealed)
+	devices := make([]string, 0, len(perDev))
+	l.mu.Lock()
+	for dev := range perDev {
+		addrs := l.index[dev]
+		from := sort.Search(len(addrs), func(k int) bool { return int(addrs[k].seg) >= lo })
+		to := sort.Search(len(addrs), func(k int) bool { return int(addrs[k].seg) >= hi })
+		perDev[dev], devices = addrs[from:to:to], append(devices, dev)
 	}
 	l.mu.Unlock()
-	for _, sf := range sealed {
-		res.RecordsIn += len(sf.recs)
-		res.SegmentsIn++
-		res.BytesIn += sf.size
-	}
-	// Open every sealed file once; workers share the handles via pread.
+	sort.Strings(devices)
+	// Open every selected file once; workers share the handles via pread.
 	files := &segReader{fs: l.fs}
 	defer files.close()
 	for i, sf := range sealed {
@@ -212,11 +215,6 @@ func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, e
 	// bound: a slot is taken before a device is read and released only
 	// after the writer has consumed it, so at most `workers` devices'
 	// records are alive at any moment.
-	devices := make([]string, 0, len(perDev))
-	for dev := range perDev {
-		devices = append(devices, dev)
-	}
-	sort.Strings(devices)
 	results := make([]chan devOut, len(devices))
 	for i := range results {
 		results[i] = make(chan devOut, 1)
@@ -230,19 +228,15 @@ func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, e
 		}
 		close(work)
 	}()
-	if workers > len(devices) {
-		workers = len(devices)
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(devices)); w++ {
 		go func() {
 			for i := range work {
-				results[i] <- l.compactDevice(perDev[devices[i]], sealed, files, p, cutoff)
+				results[i] <- l.compactDevice(perDev[devices[i]], lo, sealed, files, p, cutoff)
 			}
 		}()
 	}
 
 	cw := &compactWriter{l: l}
-	nextAgeT1 := uint32(math.MaxUint32)
 	var firstErr error
 	for i := range devices {
 		out := <-results[i] //bqslint:ignore lockedsend compactMu serializes compactions and every worker sends exactly once, so this receive under the lock always drains
@@ -253,9 +247,6 @@ func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, e
 				res.Merged += out.merged
 				res.Deduped += out.deduped
 				res.Aged += out.aged
-				if out.nextAgeT1 < nextAgeT1 {
-					nextAgeT1 = out.nextAgeT1
-				}
 				for _, r := range out.recs {
 					if err := cw.add(r); err != nil {
 						firstErr = err
@@ -274,22 +265,15 @@ func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, e
 	}
 
 	// Nothing changed at the record level: discard the (byte-identical)
-	// output and skip the publish, so a periodic compaction tick on an
-	// already-compacted (or incompressible) log costs one streaming read
-	// pass, not a generation bump and fsync storm every interval — and
-	// the memo below makes the next tick O(1). (RecordsIn == 0 with
-	// sealed segments present still publishes, to drop the empty files. A
-	// sealed segment whose block index failed to write at rotation is not a
-	// reason to rewrite: the next writable open re-seals it, loadSegment.)
+	// output and skip the publish — no generation bump, no fsync storm — and
+	// the selection is a tier from here on, which no tick reads again before
+	// tierRatio says so. (RecordsIn == 0 still publishes, to drop the empty
+	// files. A sealed segment whose block index failed to write at rotation is
+	// no reason to rewrite: the next writable open re-seals it, loadSegment.)
 	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && res.RecordsIn > 0 {
 		cw.discard()
-		res.RecordsOut = res.RecordsIn
-		res.SegmentsOut = res.SegmentsIn
-		res.BytesOut = res.BytesIn
-		l.lastCompact.valid = true
-		l.lastCompact.gen = genAtSnap // a rotation since the snapshot makes this miss: conservative
-		l.lastCompact.policy = p
-		l.lastCompact.nextAgeT1 = nextAgeT1
+		res.RecordsOut, res.SegmentsOut, res.BytesOut = res.RecordsIn, res.SegmentsIn, res.BytesIn
+		settle(len(sealed))
 		return res, nil
 	}
 
@@ -299,20 +283,13 @@ func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, e
 	if err != nil {
 		return res, err
 	}
-	res.SegmentsOut = len(newSegs)
-	for _, s := range newSegs {
-		res.BytesOut += s.size
-	}
-	// Publish: swap the sealed prefix for the new segments in one
-	// manifest generation, then rebuild the index to match.
+	res.SegmentsOut, res.BytesOut = len(newSegs), segBytes(newSegs)
+	// Publish: in one manifest generation the new segments take the
+	// selection's place — what lies before and after it (more, if a rotation
+	// sealed during the pass) stays as it is — and the index follows from lo.
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return res, ErrClosed
-	}
 	prev := l.segs
-	tailOnlyActive := len(prev) == len(sealed)+1 // else rotation sealed more during the pass
-	l.segs = append(newSegs, prev[len(sealed):]...)
+	l.segs = slices.Concat(prev[:lo], newSegs, prev[hi:])
 	if err := l.writeManifestLocked(); err != nil {
 		l.segs = prev
 		l.mu.Unlock()
@@ -320,17 +297,16 @@ func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, e
 	}
 	res.Gen = l.gen
 	// The superseded segments' cache entries are orphans from here on (no
-	// record points at those paths); account the net disk reclaim of this pass.
-	// BytesOut is complete here even though res is still being built:
-	// the output segments were sealed above and the tail was never an
-	// input.
-	l.reclaimed.Add(res.BytesIn - res.BytesOut)
-	l.rebuildIndexLocked()
+	// record points at those paths); account what the pass wrote and freed.
+	l.rewritten += res.BytesOut
+	l.reclaimed += res.BytesIn - res.BytesOut
+	l.reindexLocked(lo)
 	l.mu.Unlock()
+	settle(len(newSegs))
 
-	// Delete the superseded generation — segment files and their block
-	// indexes. Failures (and crashes) here are benign: the files are
-	// unreferenced and the next Open sweeps them.
+	// Delete the superseded segment files and their block indexes.
+	// Failures (and crashes) here are benign: the files are unreferenced
+	// and the next Open sweeps them.
 	for _, sf := range sealed {
 		if err := l.fs.Remove(sf.path); err != nil && !os.IsNotExist(err) {
 			return res, fmt.Errorf("segmentlog: removing superseded %s: %w", sf.path, err)
@@ -341,44 +317,38 @@ func (l *shardLog) compact(p CompactionPolicy, workers int) (CompactionResult, e
 			}
 		}
 	}
-	if err := syncDir(l.fs, l.dir); err != nil {
-		return res, err
-	}
-	// The published generation is now the compactor's own output; if no
-	// rotation sealed fresh segments mid-pass, the next same-policy tick
-	// can skip until new data (or a newly eligible record) appears.
-	if tailOnlyActive {
-		l.lastCompact.valid = true
-		l.lastCompact.gen = res.Gen
-		l.lastCompact.policy = p
-		l.lastCompact.nextAgeT1 = nextAgeT1
-	} else {
-		l.lastCompact.valid = false
-	}
-	return res, nil
+	return res, syncDir(l.fs, l.dir)
 }
 
-// compactDevice is the worker side of the streaming compactor: it reads
-// one device's sealed records — addrs, into sealed — (pread through the
-// indexed offsets, CRC re-verified), opens their blocks and runs the merge/dedup/ageing
-// pipeline on them. Every record was valid when Open indexed it, so
+// segBytes sums the on-disk sizes of segs.
+func segBytes(segs []segmentFile) (n int64) {
+	for i := range segs {
+		n += segs[i].size
+	}
+	return n
+}
+
+// compactDevice is the worker side of the streaming compactor: it reads one
+// device's selected records — addrs, into sealed from segment lo on — (pread
+// through the indexed offsets, CRC re-verified), opens their blocks and runs
+// the pipeline on them. Every record was valid when Open indexed it, so
 // anything that fails to validate now is bit rot — the pass must abort
 // (leaving the old generation untouched) rather than drop the record and
 // then delete its only copy. out.decoded is reported even on error so the
 // writer's live-memory accounting stays balanced.
-func (l *shardLog) compactDevice(addrs []recordAddr, sealed []segmentFile, files *segReader, p CompactionPolicy, cutoff uint32) (out devOut) {
-	out.nextAgeT1 = math.MaxUint32
+func (l *shardLog) compactDevice(addrs []recordAddr, lo int, sealed []segmentFile, files *segReader, p CompactionPolicy, cutoff uint32) (out devOut) {
 	recs := make([]compactRecord, 0, len(addrs))
 	for _, a := range addrs {
 		var tr trajstore.Trail
-		m := &sealed[a.seg].recs[a.pos]
-		blk, err := files.readBlock(refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
+		seg := int(a.seg) - lo
+		m := &sealed[seg].recs[a.pos]
+		blk, err := files.readBlock(refSnap{seg: seg, off: m.off, bodyLen: m.bodyLen})
 		if err == nil {
 			tr, err = trajstore.OpenTrail(blk.Payload)
 		}
 		if err != nil {
 			out.err = fmt.Errorf("compact: %s: record at offset %d: %w (bit rot since open?)",
-				filepath.Base(sealed[a.seg].path), m.off, err)
+				filepath.Base(sealed[seg].path), m.off, err)
 			return out
 		}
 		recs = append(recs, compactRecord{device: blk.Device, t0: blk.T0, t1: blk.T1, trail: tr})
@@ -392,12 +362,8 @@ func (l *shardLog) compactDevice(addrs []recordAddr, sealed []segmentFile, files
 	if p.CoarseTolerance > 0 {
 		for i := range recs {
 			r := &recs[i]
-			if r.t1 > cutoff { // too young: the pass that must look again
-				out.nextAgeT1 = min(out.nextAgeT1, r.t1)
-				continue
-			}
-			if r.trail.Len() <= 2 {
-				continue // nothing to thin
+			if r.t1 > cutoff || r.trail.Len() <= 2 {
+				continue // too young, or nothing to thin
 			}
 			aged, err := ageKeys(r.trail.Keys(), p)
 			if err == nil && aged != nil {
@@ -467,17 +433,14 @@ func dedupContained(recs []compactRecord) (out []compactRecord, dropped int) {
 	return kept, dropped
 }
 
-// ageCutoff converts (now, MinAge) to a uint32 seconds threshold:
-// records whose t1 ≤ cutoff qualify for ageing.
-func ageCutoff(now time.Time, minAge time.Duration) uint32 {
-	c := now.Unix() - int64(minAge/time.Second)
-	if c < 0 {
-		return 0
+// ageCutoff converts the policy's clock and MinAge to a uint32 seconds
+// threshold: records whose t1 ≤ cutoff qualify for ageing.
+func ageCutoff(p CompactionPolicy) uint32 {
+	now := time.Now
+	if p.Now != nil {
+		now = p.Now
 	}
-	if c > math.MaxUint32 {
-		return math.MaxUint32
-	}
-	return uint32(c)
+	return uint32(min(max(now().Unix()-int64(p.MinAge/time.Second), 0), math.MaxUint32))
 }
 
 // ageKeys re-compresses one record's key points at the coarse tolerance.

@@ -352,55 +352,77 @@ func verifyFixture(t *testing.T, dir string, want map[string][]trajstore.GeoKey,
 // one after. The crash model is the hostile one: handles drop their
 // un-synced bytes and an un-synced rename may or may not have reached
 // the directory (a seeded coin flip), so the sweep crosses the
-// crash-after-partial-rename window both ways.
+// crash-after-partial-rename window both ways. The pass is an explicit one
+// over the whole sealed prefix (op-NNN), then a tick that replaces a run in
+// mid-list (mid-op-NNN): a chunked device appended first seals segments
+// behind the fixture's, too few to reach back over them, and the tail record
+// sits in the active segment after them.
 func TestCompactCrashAtEveryStep(t *testing.T) {
-	// The script: whatever fails, go on. A tail record a Sync covered
-	// must survive anything the compaction beside it dies of.
-	tail := genKeys(55, 9)
-	script := func(l *shardLog) (tailDurable bool, err error) {
-		tailDurable = l.Append("tail", tail) == nil && l.Sync() == nil
-		_, err = l.Compact(CompactionPolicy{MergeChunks: true})
-		return tailDurable, errors.Join(err, l.Close())
-	}
-	// Observer pass: the script over a ruleless FaultFS counts its ops,
-	// and the compaction's among them. The fixture content is
-	// deterministic and shard-free, so op k lands on the same operation
-	// in every run.
-	probeDir, _ := compactionFixture(t)
-	obs := vfs.NewFaultFS(0)
-	probe := mustOpen(t, probeDir, Options{MaxSegmentBytes: 512, FS: obs})
-	n0 := obs.Ops()
-	if ok, err := script(probe); !ok || err != nil {
-		t.Fatalf("script on a healthy filesystem: tail durable %v, %v", ok, err)
-	}
-	n1 := obs.Ops()
-	if n1-n0 < 10 {
-		t.Fatalf("compaction spanned only %d fs ops; observer pass broken?", n1-n0)
-	}
-
-	for k := 1; k <= n1; k++ {
-		k := k
-		t.Run(fmt.Sprintf("op-%03d", k), func(t *testing.T) {
-			t.Parallel()
-			dir, want := compactionFixture(t)
-			fs := vfs.NewFaultFS(int64(k)) // seed varies the torn-rename coin flips
-			fs.AddRule(vfs.Rule{Fault: vfs.FaultCrash, After: k - 1, Count: 1})
-			// An open the crash kills (k ≤ n0) is a legal outcome; past it
-			// the script usually dies at op k — a crash inside a
-			// best-effort step can still report success. Either way the
-			// handle is dead afterwards.
-			if l, err := openShardLog(dir, Options{MaxSegmentBytes: 512, FS: fs}); err == nil {
-				if tailDurable, _ := script(l); tailDurable {
-					want["tail"] = tail
+	// The script: whatever fails, go on. What a Sync covered must survive
+	// anything the compaction beside it dies of.
+	tail, mid := genKeys(55, 9), genKeys(66, 48)
+	for _, tick := range []bool{false, true} {
+		prefix := "op"
+		if tick {
+			prefix = "mid-op"
+		}
+		script := func(l *shardLog) (durable bool, res CompactionResult, err error) {
+			durable = true
+			if tick {
+				for _, chunk := range chunkKeys(mid, 8) {
+					durable = l.Append("mid", chunk) == nil && durable
 				}
-			} else if k > n0 {
-				t.Fatalf("open died before the crash point: %v", err)
 			}
-			if !fs.Crashed() {
-				t.Fatalf("schedule never crashed: %s", fs)
-			}
-			verifyFixture(t, dir, want, fmt.Sprintf("crash at op %d", k))
-		})
+			durable = l.Append("tail", tail) == nil && durable && l.Sync() == nil
+			res, err = l.compact(CompactionPolicy{MergeChunks: true}, !tick, 2)
+			return durable, res, errors.Join(err, l.Close())
+		}
+		// Observer pass: the script over a ruleless FaultFS counts its ops,
+		// and the compaction's among them. The fixture content is
+		// deterministic and shard-free, so op k lands on the same operation
+		// in every run.
+		probeDir, _ := compactionFixture(t)
+		obs := vfs.NewFaultFS(0)
+		probe := mustOpen(t, probeDir, Options{MaxSegmentBytes: 512, FS: obs})
+		n0, older := obs.Ops(), probe.Stats().Segments-1
+		ok, res, err := script(probe)
+		if !ok || err != nil || res.Gen == 0 {
+			t.Fatalf("%s: script on a healthy filesystem: durable %v, %+v, %v", prefix, ok, res, err)
+		}
+		if tick && (res.SegmentsIn == 0 || res.SegmentsIn >= older) {
+			t.Fatalf("tick consumed %d segments behind a tier of %d: not a run in mid-list", res.SegmentsIn, older)
+		}
+		n1 := obs.Ops()
+		if n1-n0 < 10 {
+			t.Fatalf("compaction spanned only %d fs ops; observer pass broken?", n1-n0)
+		}
+
+		for k := 1; k <= n1; k++ {
+			t.Run(fmt.Sprintf("%s-%03d", prefix, k), func(t *testing.T) {
+				t.Parallel()
+				dir, want := compactionFixture(t)
+				fs := vfs.NewFaultFS(int64(k)) // seed varies the torn-rename coin flips
+				fs.AddRule(vfs.Rule{Fault: vfs.FaultCrash, After: k - 1, Count: 1})
+				// An open the crash kills (k ≤ n0) is a legal outcome; past it
+				// the script usually dies at op k — a crash inside a
+				// best-effort step can still report success. Either way the
+				// handle is dead afterwards.
+				if l, err := openShardLog(dir, Options{MaxSegmentBytes: 512, FS: fs}); err == nil {
+					if durable, _, _ := script(l); durable {
+						want["tail"] = tail
+						if tick {
+							want["mid"] = mid
+						}
+					}
+				} else if k > n0 {
+					t.Fatalf("open died before the crash point: %v", err)
+				}
+				if !fs.Crashed() {
+					t.Fatalf("schedule never crashed: %s", fs)
+				}
+				verifyFixture(t, dir, want, fmt.Sprintf("crash at op %d", k))
+			})
+		}
 	}
 }
 
@@ -551,7 +573,7 @@ func TestCompactNowPolicy(t *testing.T) {
 	dir := t.TempDir()
 	want := fillCompactionFixture(t, mustOpenSharded(t, dir, 1, Options{MaxSegmentBytes: 512}))
 	l := mustOpenSharded(t, dir, 1, Options{MaxSegmentBytes: 512})
-	if err := l.CompactNow(); err != nil { // no policy: no-op
+	if err := l.CompactNow(true); err != nil { // no policy: no-op
 		t.Fatal(err)
 	}
 	g0 := l.Stats().Gen
@@ -562,7 +584,7 @@ func TestCompactNowPolicy(t *testing.T) {
 		Compaction:      &CompactionPolicy{MergeChunks: true},
 	})
 	defer l.Close()
-	if err := l.CompactNow(); err != nil {
+	if err := l.CompactNow(true); err != nil {
 		t.Fatal(err)
 	}
 	if g := l.Stats().Gen; g <= g0 {

@@ -86,7 +86,8 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 			l.nextSeq = n + 1
 		}
 	}
-	l.rebuildIndexLocked()
+	l.reindexLocked(0)
+	l.tiers = []int{max(len(l.segs)-1, 0)} // what is sealed, one tier
 	if l.nextSeq == 0 {
 		l.nextSeq = 1
 	}

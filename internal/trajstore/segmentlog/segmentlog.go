@@ -188,6 +188,7 @@ type Stats struct {
 	Truncated   int64  // torn/corrupt tail bytes dropped by recovery on Open (detected, not dropped, in read-only mode)
 	Unsynced    int64  // bytes accepted but not yet covered by an fsync: with the engine's TrailBytes, what a SIGKILL now would lose
 	Gen         uint64 // manifest generation currently published
+	Rewritten   int64  // bytes the compactions published over this handle's lifetime wrote (BytesOut per pass): over what was appended, the write amplification
 	Reclaimed   int64  // net disk bytes freed by the compactions published over this handle's lifetime (BytesIn − BytesOut per pass)
 	// Cache is the read cache's counters, all zero when none is configured.
 	// The shards share one cache: ShardedLog.Stats sets it once, not summed.
@@ -209,46 +210,40 @@ type shardLog struct {
 	// compactMu serializes compactions; it is never held together with
 	// mu except for the brief publish step.
 	compactMu sync.Mutex
-	// lastCompact memoizes the previous pass (guarded by compactMu) so
-	// a periodic tick on an unchanged log returns without re-reading
-	// every sealed segment. gen is the generation the
-	// pass left behind; nextAgeT1 is the smallest record timestamp not
-	// yet old enough to age (MaxUint32 when none) — a later pass with
-	// the same policy can only differ once the cutoff reaches it.
-	lastCompact struct {
-		valid     bool
-		gen       uint64
-		policy    CompactionPolicy // Now is ignored in comparisons
-		nextAgeT1 uint32
-	}
+	// tiers are the segment counts of earlier passes' output runs, oldest
+	// first, over the head of segs — what follows them, the active segment
+	// aside, was sealed since the last pass. They live in memory only: an
+	// open takes all that is sealed for one tier. lastFull says the last pass
+	// selected from the first segment on (valid) and whether it merged: with
+	// nothing sealed since, one like it changes nothing. Guarded by compactMu.
+	tiers    []int
+	lastFull struct{ valid, merge bool }
 
-	// compactLive counts sealed records currently held in
-	// memory by an in-flight streaming compaction; compactLiveHWM is
-	// the high-water mark across passes. They observe the compactor's
-	// bounded-memory invariant (tests assert on the HWM).
+	// compactLive counts the records an in-flight pass holds in memory,
+	// compactLiveHWM its high-water mark across passes: they observe the
+	// compactor's bounded-memory invariant (tests assert on the HWM).
 	compactLive    atomic.Int64
 	compactLiveHWM atomic.Int64
 
 	// cache is the read-side record cache (nil when not configured);
 	// possibly shared with other shard logs. See cache.go.
 	cache *recordCache
-	// reclaimed accumulates net disk bytes freed by published
-	// compactions (BytesIn − BytesOut per pass) over this handle's
-	// lifetime.
-	reclaimed atomic.Int64
 
-	mu      sync.Mutex
-	closed  bool
-	gen     uint64 // last manifest generation written (or read, in RO mode)
-	nextSeq uint64 // next segment file number to allocate
+	mu sync.Mutex
+	// rewritten and reclaimed sum, over the passes this handle published,
+	// the bytes written (BytesOut) and the net disk freed (BytesIn − BytesOut).
+	rewritten, reclaimed int64
+	closed               bool
+	gen                  uint64 // last manifest generation written (or read, in RO mode)
+	nextSeq              uint64 // next segment file number to allocate
 	// segs is the log's one in-memory view: the live segments in logical
 	// order, the active one last, each carrying its own records. Stats,
 	// the manifest and index are read off it.
 	segs []segmentFile
 	// index lists each device's records in append order. It is derived
 	// from segs: extended by every append, popped and re-added around a
-	// poisoned tail, rebuilt where the segment list is replaced (the end
-	// of open, a compaction publish).
+	// poisoned tail, redone from where the segment list is replaced (the
+	// end of open: all of it; a compaction publish: its selection on).
 	index map[string][]recordAddr
 	// truncated counts the torn or corrupt bytes recovery dropped on open
 	// (Stats.Truncated) — the one figure segs cannot reproduce.
@@ -304,18 +299,21 @@ func (l *shardLog) addRecordLocked(m recordMeta) {
 	s.sum.add(m.Bounds)
 }
 
-// rebuildIndexLocked reconstructs the per-device index where the segment
-// list was replaced. Iterating segments in logical order preserves
-// per-device append order, the Query contract.
-func (l *shardLog) rebuildIndexLocked() {
-	idx := make(map[string][]recordAddr, len(l.index))
-	for si := range l.segs {
+// reindexLocked redoes the per-device index from segment slot lo on, where
+// the segment list was replaced (0: all of it): every list keeps its entries
+// below lo and gets the rest anew. Iterating segments in logical order
+// preserves per-device append order, the Query contract; the cost is the
+// device count and the records from lo on, not the log.
+func (l *shardLog) reindexLocked(lo int) {
+	for dev, addrs := range l.index {
+		l.index[dev] = addrs[:sort.Search(len(addrs), func(k int) bool { return int(addrs[k].seg) >= lo })]
+	}
+	for si := lo; si < len(l.segs); si++ {
 		for pi := range l.segs[si].recs {
 			dev := l.segs[si].recs[pi].device
-			idx[dev] = append(idx[dev], recordAddr{seg: int32(si), pos: int32(pi)})
+			l.index[dev] = append(l.index[dev], recordAddr{seg: int32(si), pos: int32(pi)})
 		}
 	}
-	l.index = idx
 }
 
 // Stats returns a snapshot of the log's bookkeeping, computed from the
@@ -325,7 +323,7 @@ func (l *shardLog) Stats() Stats {
 	defer l.mu.Unlock()
 	s := Stats{
 		Segments: len(l.segs), Devices: len(l.index), Truncated: l.truncated,
-		Unsynced: int64(len(l.unsynced)), Gen: l.gen, Reclaimed: l.reclaimed.Load(),
+		Unsynced: int64(len(l.unsynced)), Gen: l.gen, Rewritten: l.rewritten, Reclaimed: l.reclaimed,
 	}
 	for i := range l.segs {
 		sf := &l.segs[i]

@@ -43,7 +43,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *shardLog {
 // Append, Query, QueryWindowStats and Compact are ShardedLog's edges on
 // one shard log, for the tests that drive a shardLog directly.
 func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
-	return l.compact(p, runtime.GOMAXPROCS(0))
+	return l.compact(p, true, runtime.GOMAXPROCS(0))
 }
 
 func (l *shardLog) Append(device string, keys []trajstore.GeoKey) error {

@@ -237,7 +237,7 @@ func TestShardedCloseIdempotent(t *testing.T) {
 		_, cerr := s.Compact(CompactionPolicy{})
 		for op, err := range map[string]error{
 			"Append": s.Append("alpha", genKeys(2, 5)), "Sync": s.Sync(),
-			"Compact": cerr, "CompactNow": s.CompactNow(),
+			"Compact": cerr, "CompactNow": s.CompactNow(true),
 			"Query": qerr, "QueryWindow": werr, "QueryWindowStats": wserr,
 		} {
 			if err != ErrClosed {
@@ -550,7 +550,7 @@ func TestCompactBoundedMemory(t *testing.T) {
 	defer l.Close()
 
 	const workers = 2
-	res, err := l.compact(CompactionPolicy{MergeChunks: true}, workers)
+	res, err := l.compact(CompactionPolicy{MergeChunks: true}, true, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,11 +596,11 @@ func TestCompactParallelMatchesSequential(t *testing.T) {
 
 	seq, devices := build(t)
 	par, _ := build(t)
-	rSeq, err := seq.compact(CompactionPolicy{MergeChunks: true}, 1)
+	rSeq, err := seq.compact(CompactionPolicy{MergeChunks: true}, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rPar, err := par.compact(CompactionPolicy{MergeChunks: true}, 4)
+	rPar, err := par.compact(CompactionPolicy{MergeChunks: true}, true, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

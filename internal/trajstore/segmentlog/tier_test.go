@@ -1,0 +1,220 @@
+// Tests of the compaction selection: a periodic pass consumes the run
+// sealed since the last one and the older tiers tierRatio trips, an
+// explicit pass every tier, and the two agree on what the log holds.
+package segmentlog
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"github.com/trajcomp/bqs/internal/trajstore"
+	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
+)
+
+// deviceBlocksOf copies out every stored block of every device, in the
+// order the log serves them.
+func deviceBlocksOf(t *testing.T, l *shardLog) map[string][]Block {
+	t.Helper()
+	out := make(map[string][]Block)
+	for _, dev := range l.Devices() {
+		err := l.deviceBlocks(dev, 0, math.MaxUint32, func(b Block) error {
+			b.Payload = append([]byte(nil), b.Payload...)
+			out[dev] = append(out[dev], b)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestTickedLogMatchesExplicitTwin is the differential test of the selection:
+// a seeded random schedule of appends (each device's chained chunks), seals,
+// ticks, explicit passes, poison → heal and reopen runs against a log
+// and its twin, which is handed the same records and never ticks. After every
+// step each log serves what it says it holds (checkView) and both spell the
+// same polylines; after a final seal and explicit pass on both, every device
+// holds the same blocks in the same order — whatever runs the ticks replaced
+// in place on the way.
+func TestTickedLogMatchesExplicitTwin(t *testing.T) {
+	const devices, steps = 5, 160
+	policy := CompactionPolicy{MergeChunks: true}
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			var logs [2]*shardLog // the ticked one, its twin
+			var fss [2]*vfs.FaultFS
+			dirs := [2]string{t.TempDir(), t.TempDir()}
+			open := func() {
+				for i := range logs {
+					fss[i] = vfs.NewFaultFS(seed)
+					logs[i] = mustOpen(t, dirs[i], Options{MaxSegmentBytes: 700, FS: fss[i]})
+				}
+			}
+			open()
+			defer func() { logs[0].Close(); logs[1].Close() }()
+			both := func(what string, f func(l *shardLog) error) {
+				t.Helper()
+				for i, l := range logs {
+					if err := f(l); err != nil {
+						t.Fatalf("%s on log %d: %v", what, i, err)
+					}
+				}
+			}
+			tracks := make([][][]trajstore.GeoKey, devices)
+			next := make([]int, devices)
+			for d := range tracks {
+				tracks[d] = chunkKeys(genKeys(int(seed)*10+d, 8*steps), 8)
+			}
+			ticks, runs := 0, 0
+			for step := 0; step < steps; step++ {
+				switch op := rng.Intn(20); {
+				case op < 11: // a device's next chunk
+					d := rng.Intn(devices)
+					both("append", func(l *shardLog) error { return l.Append(fmt.Sprintf("dev-%d", d), tracks[d][next[d]]) })
+					next[d]++
+				case op < 13:
+					both("seal", (*shardLog).seal)
+				case op < 17:
+					sealed := logs[0].Stats().Segments - 1
+					res, err := logs[0].compact(policy, false, 2)
+					if err != nil {
+						t.Fatalf("tick: %v", err)
+					}
+					if ticks++; res.Gen != 0 && res.SegmentsIn < sealed {
+						runs++ // published behind segments it left alone
+					}
+				case op < 18:
+					both("explicit pass", func(l *shardLog) error { _, err := l.compact(policy, true, 2); return err })
+				case op < 19: // every fsync fails: the un-synced tail leaves the index, then heals back in
+					for i, l := range logs {
+						l.mu.Lock()
+						dirty := len(l.unsynced) > 0
+						l.mu.Unlock()
+						fss[i].AddRule(vfs.Rule{Op: vfs.OpSync, Path: "seg-*.log", Fault: vfs.FaultEIO})
+						if err := l.Sync(); dirty && err == nil {
+							t.Fatalf("log %d: Sync succeeded while every fsync fails", i)
+						}
+						checkView(t, l)
+						fss[i].ClearRules()
+					}
+					both("heal", (*shardLog).Sync)
+				default:
+					both("close", (*shardLog).Close)
+					open()
+				}
+				for _, l := range logs {
+					checkView(t, l)
+				}
+				for d := 0; d < devices; d++ {
+					dev := fmt.Sprintf("dev-%d", d)
+					if a, b := stitch(queryAll(t, logs[0], dev)), stitch(queryAll(t, logs[1], dev)); !reflect.DeepEqual(a, b) {
+						t.Fatalf("step %d: %s spells %d key points on the ticked log, %d on its twin", step, dev, len(a), len(b))
+					}
+				}
+			}
+			if ticks == 0 || runs == 0 {
+				t.Fatalf("%d ticks, %d of them replacing a run behind older segments: the schedule proved nothing", ticks, runs)
+			}
+			both("final seal", (*shardLog).seal)
+			both("final pass", func(l *shardLog) error { _, err := l.compact(policy, true, 2); return err })
+			a, b := deviceBlocksOf(t, logs[0]), deviceBlocksOf(t, logs[1])
+			if !reflect.DeepEqual(a, b) {
+				for dev := range b {
+					if !reflect.DeepEqual(a[dev], b[dev]) {
+						t.Errorf("%s: %d blocks on the ticked log, %d on its twin, or not the same ones", dev, len(a[dev]), len(b[dev]))
+					}
+				}
+				t.Fatal("the ticked log and its twin differ after a final explicit pass on both")
+			}
+			for _, l := range logs {
+				checkView(t, l)
+			}
+		})
+	}
+}
+
+// countFS counts the bytes written to segment and block-index files.
+type countFS struct {
+	vfs.FS
+	written atomic.Int64
+}
+
+type countFile struct {
+	vfs.File
+	n *atomic.Int64
+}
+
+func (c *countFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), "seg-") {
+		return f, err
+	}
+	return &countFile{File: f, n: &c.written}, nil
+}
+
+func (f *countFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.n.Add(int64(n))
+	return n, err
+}
+
+// TestTickCostFollowsWhatChanged holds compaction to its budget: over N ticks
+// of a log that seals k segments between them, the passes together write no
+// more segment and index bytes than the appends did times log2(N) — a byte is
+// rewritten when the tier it lives in grows by half or more, not at every
+// tick. The same schedule with every pass explicit, what a tick was before
+// the selection, writes N/2 times what was appended and must blow the same
+// budget, or the bound proves nothing. (The MANIFEST is outside the count: a
+// publish rewrites it whole, a rotation's as a pass's.)
+func TestTickCostFollowsWhatChanged(t *testing.T) {
+	const ticks, perTick, devices = 64, 2, 8
+	cost := func(all bool) (appended, compacted int64, segments int) {
+		fs := &countFS{FS: vfs.OS}
+		l := mustOpen(t, t.TempDir(), Options{MaxSegmentBytes: 4 << 10, FS: fs})
+		defer l.Close()
+		chunks := make([][][]trajstore.GeoKey, devices)
+		for d := range chunks {
+			chunks[d] = chunkedKeys(d, ticks*perTick*8, 16)
+		}
+		for tick, c := 0, 0; tick < ticks; tick++ {
+			before := fs.written.Load()
+			for sealed := l.Stats().Segments + perTick; l.Stats().Segments < sealed; c++ {
+				if err := l.Append(fmt.Sprintf("dev-%d", c%devices), chunks[c%devices][c/devices]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			mid := fs.written.Load()
+			if _, err := l.compact(CompactionPolicy{MergeChunks: true}, all, 2); err != nil {
+				t.Fatal(err)
+			}
+			appended += mid - before
+			compacted += fs.written.Load() - mid
+		}
+		checkView(t, l)
+		return appended, compacted, l.Stats().Segments
+	}
+	budget := func(appended int64) int64 { return int64(float64(appended) * math.Log2(ticks)) }
+	appended, compacted, segments := cost(false)
+	t.Logf("ticks: appended %d B, compaction wrote %d B (%.2f×) into %d segments", appended, compacted, float64(compacted)/float64(appended), segments)
+	if compacted > budget(appended) {
+		t.Fatalf("%d ticks wrote %d bytes for %d appended: over appended × log2(N) = %d", ticks, compacted, appended, budget(appended))
+	}
+	appended, compacted, _ = cost(true)
+	t.Logf("explicit passes: appended %d B, compaction wrote %d B (%.2f×)", appended, compacted, float64(compacted)/float64(appended))
+	if compacted <= budget(appended) {
+		t.Fatalf("full rewrites stayed within the budget (%d ≤ %d): the schedule is too short to tell them from ticks", compacted, budget(appended))
+	}
+}

@@ -80,7 +80,7 @@ func snapshotAnswers(t *testing.T, l *shardLog, windows map[string][4]float64) a
 	t.Helper()
 	a := answers{Stats: l.Stats(), Devices: l.Devices(), Spans: map[string][3]uint32{},
 		Windows: map[string][]Record{}, Pruning: map[string]WindowStats{}}
-	a.Stats.Gen, a.Stats.Reclaimed = 0, 0 // every writable open publishes, and reclaim is counted per handle: neither is content
+	a.Stats.Gen, a.Stats.Rewritten, a.Stats.Reclaimed = 0, 0, 0 // every writable open publishes, and compaction is counted per handle: none is content
 	for _, dev := range a.Devices {
 		n, t0, t1, _ := l.DeviceSpan(dev)
 		a.Spans[dev] = [3]uint32{uint32(n), t0, t1}
