@@ -48,7 +48,7 @@ func main() {
 		len(keys), len(points), 100*rate)
 	worst, ok := bqs.ValidateErrorBound(points, keys, 10, bqs.MetricLine)
 	fmt.Printf("worst deviation %.2f m (bound 10 m): %v\n", worst, ok)
-	fmt.Printf("peak compressor state: %d significant points (paper's ceiling: 32) + the slope fan's 22 scalars\n", maxState)
+	fmt.Printf("peak compressor state: %d significant points (paper's ceiling: 32) + the tangent wedge's 2 vectors\n", maxState)
 
 	// Storage lifetime on the Camazotz budget (Table II).
 	model := bqs.DefaultStorageModel()

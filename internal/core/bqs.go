@@ -37,8 +37,8 @@ func (c *Compressor) Tolerance() float64 { return c.cfg.Tolerance }
 
 // SignificantPointCount returns the number of significant points currently
 // held across all quadrant structures; the paper bounds this by 32
-// (≤ 4 corners + 4 intersections per quadrant); with the slope fan's 22
-// scalars they are a segment's whole state, whatever its length.
+// (≤ 4 corners + 4 intersections per quadrant); with the tangent wedge's two
+// vectors they are a segment's whole state, whatever its length.
 func (c *Compressor) SignificantPointCount() int {
 	n := 0
 	for i := range c.frame.quads {
@@ -53,15 +53,15 @@ func (c *Compressor) SignificantPointCount() int {
 func (c *Compressor) CompressBatch(pts []Point) []Point { return c.compressBatch(pts) }
 
 // quadFrame is the 2-D frame: four quadrants around the segment start,
-// rotated towards the warmup centroid, and the slope fan over the same
+// rotated towards the warmup centroid, and the tangent wedge over the same
 // tracked points.
 type quadFrame struct {
 	origin         Point   // current segment start s (local coordinate origin)
 	rot            float64 // data-centric rotation angle φ
 	rotSin, rotCos float64 // cached Sincos(-rot)
-	tol            float64 // the compressor's tolerance, see fanBound
+	tol            float64 // the compressor's tolerance ε, the wedge's radius
 	quads          [4]quadrant
-	fan            slopeFan
+	wedge          wedge
 }
 
 func (f *quadFrame) valid(p Point) bool    { return p.IsFinite() }
@@ -73,7 +73,7 @@ func (f *quadFrame) anchor(p Point) {
 	for i := range f.quads {
 		f.quads[i].reset(i)
 	}
-	f.fan = slopeFan{}
+	f.wedge.reset()
 }
 
 // orient fixes the rotation from the centroid of the warmup points
@@ -104,14 +104,17 @@ func (f *quadFrame) local(p Point) geom.Vec {
 	return geom.Vec{X: x, Y: y}
 }
 
+// far is the wedge's test, r² > ε², before the rotation; an r² that
+// overflowed is far whatever ε² did.
 func (f *quadFrame) far(p Point, tol float64) bool {
-	return p.Vec().Sub(f.origin.Vec()).Norm() > tol
+	r2 := p.Vec().Sub(f.origin.Vec()).Norm2()
+	return r2 > tol*tol || r2 > math.MaxFloat64
 }
 
 func (f *quadFrame) insert(p Point) {
 	lv := f.local(p)
 	f.quads[quadrantOf(lv)].insert(lv)
-	f.fan.insert(lv)
+	f.wedge.insert(lv, f.tol)
 }
 
 func (f *quadFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
@@ -127,20 +130,17 @@ func (f *quadFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
 		dlb = max(dlb, qlb)
 		dub = max(dub, qub)
 	}
-	return dlb, f.fanBound(le, norm, metric, dlb, dub)
+	return dlb, f.wedgeBound(le, norm, metric, dlb, dub)
 }
 
-// fanBound returns the smaller of the quadrants' upper bound and the slope
-// fan's. The fan is asked only where it can change the decision — the
-// quadrants' bounds straddle the tolerance — and only where its bound is one:
-// under the line metric (a segment distance can exceed the line distance it
-// bounds) and for a path line long enough to have a direction. A NaN from it
-// compares false: the paper's bound stands.
-func (f *quadFrame) fanBound(le geom.Vec, norm float64, metric Metric, dlb, dub float64) float64 {
-	if metric == MetricLine && dlb <= f.tol && f.tol < dub && norm >= geom.Eps {
-		if fub := f.fan.upper(le, 1/norm); fub < dub {
-			return fub
-		}
+// wedgeBound lowers the quadrants' upper bound to ε where the tangent wedge
+// admits the path line. The wedge is asked only where it can change the
+// decision — the quadrants' bounds straddle the tolerance — and only where
+// it is a bound: under the line metric (a segment distance can exceed the
+// line distance) and for a path line long enough to have a direction.
+func (f *quadFrame) wedgeBound(le geom.Vec, norm float64, metric Metric, dlb, dub float64) float64 {
+	if metric == MetricLine && dlb <= f.tol && f.tol < dub && norm >= geom.Eps && f.wedge.admits(le) {
+		return f.tol
 	}
 	return dub
 }

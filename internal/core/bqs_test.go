@@ -279,7 +279,8 @@ func TestTraceCallback(t *testing.T) {
 			mustCompressor(t, cfg).CompressBatch(randomWalk(rand.New(rand.NewSource(2)), 500, 10))
 		}},
 		// Long thin segments in a rotated frame: the upper bound traced, and
-		// decided on, is the slope fan's wherever the quadrants' straddled.
+		// decided on, is the tolerance wherever the tangent wedge admitted the
+		// path line.
 		{"2d-smooth", func(t *testing.T) {
 			rotated := cfg
 			rotated.RotationWarmup = DefaultRotationWarmup

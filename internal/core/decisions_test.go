@@ -27,16 +27,24 @@ var updateDecisions = flag.Bool("update", false, "rewrite testdata/decisions.gol
 
 const decisionTolerance = 10.0
 
-// digestDecisions pushes two trajectories through one compressor — a plain
-// walk, then a walk followed by its own reversal — flushing after each,
-// and hashes every emitted key point's Float64bits.
-func digestDecisions[P any](seed int64, walk func(*rand.Rand) []P,
-	push func(P) (P, bool), flush func() (P, bool), floats func(P) []float64) []byte {
+// decisionTraces are the two trajectories of the pin: a plain walk, then a
+// walk followed by its own reversal.
+func decisionTraces[P any](seed int64, walk func(*rand.Rand) []P) [][]P {
 	out := walk(rand.New(rand.NewSource(seed)))
 	back := walk(rand.New(rand.NewSource(seed + 1)))
 	for i := len(back) - 2; i >= 0; i-- {
 		back = append(back, back[i])
 	}
+	return [][]P{out, back}
+}
+
+// decisionWalk is the 2-D compressor's walk in the pin.
+func decisionWalk(rng *rand.Rand) []Point { return randomWalk(rng, 1000, 12) }
+
+// digestDecisions pushes decisionTraces through one compressor, flushing
+// after each, and hashes every emitted key point's Float64bits.
+func digestDecisions[P any](seed int64, walk func(*rand.Rand) []P,
+	push func(P) (P, bool), flush func() (P, bool), floats func(P) []float64) []byte {
 	h := sha256.New()
 	emit := func(kp P, ok bool) {
 		if !ok {
@@ -48,7 +56,7 @@ func digestDecisions[P any](seed int64, walk func(*rand.Rand) []P,
 			h.Write(b[:])
 		}
 	}
-	for _, pts := range [][]P{out, back} {
+	for _, pts := range decisionTraces(seed, walk) {
 		for _, p := range pts {
 			emit(push(p))
 		}
@@ -65,7 +73,7 @@ var decisionRunners = []struct {
 }{
 	{"Compressor", func(t *testing.T, cfg Config) ([]byte, Stats) {
 		c := mustCompressor(t, cfg)
-		sum := digestDecisions(100, func(rng *rand.Rand) []Point { return randomWalk(rng, 1000, 12) },
+		sum := digestDecisions(100, decisionWalk,
 			c.Push, c.Flush, func(p Point) []float64 { return []float64{p.X, p.Y, p.T} })
 		return sum, c.Stats()
 	}},
@@ -101,6 +109,7 @@ func runDecisionsN(t *testing.T, cfg Config, k int) ([]byte, Stats) {
 
 func TestDecisionsGolden(t *testing.T) {
 	var got bytes.Buffer
+	sums := map[string]string{}
 	for _, r := range decisionRunners {
 		for _, mode := range []Mode{ModeExact, ModeFast} {
 			for _, metric := range []Metric{MetricLine, MetricSegment} {
@@ -110,10 +119,23 @@ func TestDecisionsGolden(t *testing.T) {
 							Tolerance: decisionTolerance, Mode: mode, Metric: metric,
 							RotationWarmup: warmup, MaxBuffer: maxBuf,
 						})
-						fmt.Fprintf(&got, "%s/%v/%v/warmup=%d/maxbuf=%d %x %+v\n",
-							r.name, mode, metric, warmup, maxBuf, sum, stats)
+						name := fmt.Sprintf("%s/%v/%v/warmup=%d/maxbuf=%d", r.name, mode, metric, warmup, maxBuf)
+						sums[name] = fmt.Sprintf("%x", sum)
+						fmt.Fprintf(&got, "%s %s %+v\n", name, sums[name], stats)
 					}
 				}
+			}
+		}
+	}
+	// Whatever the file says: under the line metric the 2-D FBQS emits the
+	// unbuffered BQS's key points (the tangent wedge is exact; it is not a
+	// segment-metric bound, and those rows stay apart).
+	for _, warmup := range []int{0, -1} {
+		for _, maxBuf := range []int{0, 32} {
+			fbqs := fmt.Sprintf("Compressor/fbqs/line/warmup=%d/maxbuf=%d", warmup, maxBuf)
+			bqs := fmt.Sprintf("Compressor/bqs/line/warmup=%d/maxbuf=0", warmup)
+			if sums[fbqs] != sums[bqs] {
+				t.Errorf("%s hashes to %s, %s to %s", fbqs, sums[fbqs], bqs, sums[bqs])
 			}
 		}
 	}

@@ -54,6 +54,35 @@ func TestQuadrantBoundsZeroAllocs(t *testing.T) {
 	}
 }
 
+// wedgeTrack is a long thin run of local points, 12 m steps within a few
+// metres of the x axis, and path-line directions on both sides of what the
+// wedge over them admits.
+func wedgeTrack() (track, ends [64]geom.Vec) {
+	rng := rand.New(rand.NewSource(19))
+	for i := range track {
+		track[i] = geom.V(12*float64(i+2), rng.NormFloat64()*3)
+		ends[i] = geom.V(800, rng.NormFloat64()*8)
+	}
+	return track, ends
+}
+
+func TestWedgeZeroAllocs(t *testing.T) {
+	track, ends := wedgeTrack()
+	var w wedge
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		if i&63 == 0 {
+			w = wedge{}
+		}
+		w.insert(track[i&63], 10)
+		w.admits(ends[i&63])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("wedge insert + admits = %v allocs/op, want 0", allocs)
+	}
+}
+
 // benchmarkCorePush drives a single compressor over a pre-generated
 // correlated random walk, one fix per op; SetBytes(24) makes the reported
 // MB/s convertible to fixes/s (24 bytes per fix) for the benchmark JSON
@@ -93,4 +122,24 @@ func BenchmarkQuadrantBounds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q.boundsAt(ends[i&63], MetricLine)
 	}
+}
+
+// BenchmarkWedge is what the tangent wedge costs a tracked point: one insert
+// and one question, over segments of 64 points.
+func BenchmarkWedge(b *testing.B) {
+	track, ends := wedgeTrack()
+	var w wedge
+	admitted := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&63 == 0 {
+			w = wedge{}
+		}
+		w.insert(track[i&63], 10)
+		if w.admits(ends[i&63]) {
+			admitted++
+		}
+	}
+	b.ReportMetric(float64(admitted)/float64(b.N), "admitted/op")
 }

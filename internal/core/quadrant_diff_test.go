@@ -208,7 +208,7 @@ func TestQuadrantDifferentialBounds(t *testing.T) {
 
 // refFrame is the production 2-D frame with the angle-based reference
 // quadrants substituted for the trig-free ones: translation, rotation, the
-// near-point test and the slope fan are quadFrame's, the bounding structure
+// near-point test and the tangent wedge are quadFrame's, the bounding structure
 // is refQuadrant's.
 type refFrame struct {
 	quadFrame
@@ -232,7 +232,7 @@ func (f *refFrame) orient(warmup []Point) {
 func (f *refFrame) insert(p Point) {
 	lv := f.local(p)
 	f.refs[quadrantOf(lv)].insert(lv)
-	f.fan.insert(lv)
+	f.wedge.insert(lv, f.tol)
 }
 
 func (f *refFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
@@ -242,7 +242,7 @@ func (f *refFrame) bounds(e Point, metric Metric) (dlb, dub float64) {
 		lb, ub := f.refs[i].bounds(le, norm, metric)
 		dlb, dub = math.Max(dlb, lb), math.Max(dub, ub)
 	}
-	return dlb, f.fanBound(le, norm, metric, dlb, dub)
+	return dlb, f.wedgeBound(le, norm, metric, dlb, dub)
 }
 
 // TestQuadrantDifferentialDecisions runs the decision loop that ships —

@@ -75,4 +75,17 @@ func TestGoldenKeyPoints(t *testing.T) {
 			}
 		})
 	}
+	// "bqs" and "fbqs" bound the line distance, and under it FBQS's tangent
+	// wedge is exact: the two pins are one.
+	bqs, err := os.ReadFile(filepath.Join("testdata", "golden_bqs.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fbqs, err := os.ReadFile(filepath.Join("testdata", "golden_fbqs.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bqs, fbqs) {
+		t.Error("golden_fbqs.csv differs from golden_bqs.csv")
+	}
 }
