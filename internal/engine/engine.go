@@ -180,8 +180,9 @@ type Engine struct {
 	batchPool   sync.Pool // *fixBatch
 	scatterPool sync.Pool // *scatter, byShard sized to len(shards)
 
-	// The lifecycle (lifecycle.go). state is written only by transition
-	// and read through admit and State; inflight counts the callers admit
+	// The lifecycle (lifecycle.go). state is installed Healthy by New before
+	// any goroutine starts, then written only by transition and read
+	// through admit and State; inflight counts the callers admit
 	// let in — queue senders, callers inside a persister operation — for
 	// Close to wait out, and mu orders that registration against Close
 	// entering Closing, nothing else.
@@ -317,6 +318,7 @@ func New(cfg Config) (*Engine, error) {
 		persisting: cfg.Persister != nil,
 		closing:    make(chan struct{}),
 	}
+	e.state.Store(&State{})
 	if e.clock == nil {
 		e.clock = time.Now
 	}

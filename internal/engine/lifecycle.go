@@ -74,8 +74,7 @@ var edges = [...][Closed + 1]Phase{
 // trail is parked, so Healthy implies that no shard holds a parked trail.
 func (e *Engine) transition(ev event, err error, gen uint64) (State, bool) {
 	for {
-		old := e.state.Load()
-		cur := snapshot(old)
+		cur := e.state.Load()
 		to := edges[ev][cur.Phase]
 		if to == refuse || ev == evHealed && cur.gen != gen || ev == evFail && to == cur.Phase && cur.Cause != nil {
 			return *cur, false
@@ -93,22 +92,11 @@ func (e *Engine) transition(ev event, err error, gen uint64) (State, bool) {
 		case evCompacted:
 			next.CompactErr = err
 		}
-		if e.state.CompareAndSwap(old, &next) {
+		if e.state.CompareAndSwap(cur, &next) {
 			return next, true
 		}
 	}
 }
-
-// snapshot resolves a loaded e.state: nil, the zero value New leaves in
-// place, is born — the Healthy snapshot every engine starts from.
-func snapshot(p *State) *State {
-	if p == nil {
-		return &born
-	}
-	return p
-}
-
-var born State
 
 // op is what admit is asked to let through. The first two are counted in
 // e.inflight when admitted; the others only ask for the verdict.
@@ -143,7 +131,7 @@ func (e *Engine) admit(o op) (State, error) {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 	}
-	st := *snapshot(e.state.Load())
+	st := *e.state.Load()
 	switch admits[o][st.Phase] {
 	case ErrClosed:
 		return st, ErrClosed
@@ -157,4 +145,4 @@ func (e *Engine) admit(o op) (State, error) {
 }
 
 // State returns the current lifecycle snapshot.
-func (e *Engine) State() State { return *snapshot(e.state.Load()) }
+func (e *Engine) State() State { return *e.state.Load() }

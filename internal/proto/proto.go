@@ -445,17 +445,11 @@ func (c *cursor) keyBlock() ([]trajstore.GeoKey, error) {
 	if err != nil || n > uint64(len(c.b)) {
 		return nil, ErrMalformed
 	}
+	// DeltaDecode refuses keys off the globe, so a decoded batch is always
+	// persistable and re-encodable.
 	keys, err := trajstore.DeltaDecode(c.b[:n])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	// DeltaDecode bounds the timestamp but not the coordinates (deltas
-	// can walk them off the globe); reject here so a decoded batch is
-	// always persistable and re-encodable.
-	for _, k := range keys {
-		if !trajstore.InRange(k.Lat, k.Lon) {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, trajstore.ErrRange)
-		}
 	}
 	c.b = c.b[n:]
 	return keys, nil

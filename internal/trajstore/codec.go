@@ -377,7 +377,7 @@ func walkBlock(block []byte, win *Window) (t Trail, hit bool, err error) {
 		return t, false, err
 	}
 	b := c.wk.box
-	if n > 0 && (b.MinLat < -90e7 || b.MaxLat > 90e7 || b.MinLon < -180e7 || b.MaxLon > 180e7) {
+	if !onGlobe(b) {
 		return t, false, ErrRange
 	}
 	used := len(body) - len(c.b)
@@ -460,13 +460,25 @@ func (c *Cursor) decode(dst []GeoKey, n int, keep bool) ([]GeoKey, error) {
 	return dst, nil
 }
 
-// DeltaDecode inverts DeltaEncode.
+// onGlobe reports whether a walk's box, on the lattice, lies within
+// ±90°/±180° — the keys Add takes. The zero box, an empty walk's, does.
+func onGlobe(b Window) bool {
+	return b.MinLat >= -90e7 && b.MaxLat <= 90e7 && b.MinLon >= -180e7 && b.MaxLon <= 180e7
+}
+
+// DeltaDecode inverts DeltaEncode: in the same walk it refuses, with
+// ErrRange, a block whose deltas take a key off the globe, as OpenTrail does.
 func DeltaDecode(b []byte) ([]GeoKey, error) {
 	c, err := blockCursor(b)
 	if err != nil {
 		return nil, err
 	}
-	return c.decode(make([]GeoKey, 0, c.left), c.left, true)
+	c.noting = true
+	keys, err := c.decode(make([]GeoKey, 0, c.left), c.left, true)
+	if err == nil && !onGlobe(c.wk.box) {
+		return nil, ErrRange
+	}
+	return keys, err
 }
 
 // DeltaValidate reports whether b is a block a read will serve: it parses,

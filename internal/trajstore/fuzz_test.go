@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -22,8 +23,8 @@ func fuzzSeedKeys() [][]GeoKey {
 }
 
 // FuzzDeltaDecode checks DeltaDecode never panics or over-allocates on
-// arbitrary input, and that accepted input re-encodes losslessly:
-// decode→encode→decode must be a fixed point.
+// arbitrary input, and that it inverts DeltaEncode: whatever it accepts
+// re-encodes, and decode→encode→decode is a fixed point.
 func FuzzDeltaDecode(f *testing.F) {
 	for _, keys := range fuzzSeedKeys() {
 		enc, err := DeltaEncode(keys)
@@ -41,18 +42,9 @@ func FuzzDeltaDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Anything DeltaDecode accepts must re-encode, or be out of the
-		// encoder's domain (decode tolerates coordinates past ±90/±180
-		// that the encoder rejects — that asymmetry is fine, but the
-		// values must still be finite).
-		for _, k := range keys {
-			if math.IsNaN(k.Lat) || math.IsInf(k.Lat, 0) || math.IsNaN(k.Lon) || math.IsInf(k.Lon, 0) {
-				t.Fatalf("decoded non-finite key %+v", k)
-			}
-		}
 		enc, err := DeltaEncode(keys)
 		if err != nil {
-			return
+			t.Fatalf("decoded keys do not re-encode: %v", err)
 		}
 		again, err := DeltaDecode(enc)
 		if err != nil {
@@ -207,18 +199,19 @@ func TestDeltaRoundTripQuantizationBoundary(t *testing.T) {
 
 // TestDeltaValidateMatchesDecode pins the contract the segment log's
 // recovery scan relies on: DeltaValidate accepts exactly the payloads
-// DeltaDecode can materialize with every key on the globe — the ones a
-// read serves — over valid encodes, every truncation of one, and a sweep
-// of single-byte corruptions.
+// DeltaDecode accepts — every key on the globe, the ones a read serves —
+// over valid encodes, every truncation of one, and a sweep of single-byte
+// corruptions.
 func TestDeltaValidateMatchesDecode(t *testing.T) {
 	check := func(b []byte) {
 		t.Helper()
 		keys, err := DeltaDecode(b)
-		want := err == nil
 		for _, k := range keys {
-			want = want && InRange(k.Lat, k.Lon)
+			if !InRange(k.Lat, k.Lon) {
+				t.Fatalf("DeltaDecode materialized off-globe key %+v from %x", k, b)
+			}
 		}
-		if got := DeltaValidate(b); got != want {
+		if got := DeltaValidate(b); got != (err == nil) {
 			t.Fatalf("DeltaValidate=%v but DeltaDecode err=%v, keys %v for %x", got, err, keys, b)
 		}
 	}
@@ -391,6 +384,45 @@ func TestTrailMatchesDeltaEncode(t *testing.T) {
 	}
 }
 
+// TestPlaneRoundTripKeepsBytes is the lattice property that compaction's
+// ageing and the server's wire → plane → trail path rely on: for a key on
+// the wire's lattice, Trail.Add(PlaneKey(PlanePoint(k))) writes the bytes
+// Trail.Add(k) writes. It runs over every combination of the boundary
+// values — ±90°, ±180°, 0, ±1e-7° and the steps inside the edges, T 0, 1
+// and MaxUint32 — and over random lattice keys, each alone and all as one
+// trail (so the deltas between them too).
+func TestPlaneRoundTripKeepsBytes(t *testing.T) {
+	var keys []GeoKey
+	for _, lat := range []int64{-90e7, -90e7 + 1, -1, 0, 1, 90e7 - 1, 90e7} {
+		for _, lon := range []int64{-180e7, -180e7 + 1, -1, 0, 1, 180e7 - 1, 180e7} {
+			for _, ts := range []uint32{0, 1, math.MaxUint32} {
+				keys = append(keys, latticeKey(lat, lon, ts))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 100_000 {
+		keys = append(keys, latticeKey(rng.Int63n(180e7+1)-90e7, rng.Int63n(360e7+1)-180e7, rng.Uint32()))
+	}
+	var direct, round Trail
+	for _, k := range keys {
+		var a, b Trail
+		if err := a.Add(k); err != nil {
+			t.Fatalf("Add(%+v): %v", k, err)
+		}
+		back := PlaneKey(PlanePoint(k))
+		if err := b.Add(back); err != nil || !bytes.Equal(a.AppendBlock(nil), b.AppendBlock(nil)) {
+			t.Fatalf("key %+v comes back from the plane as %+v: block %x, want %x (%v)", k, back, b.AppendBlock(nil), a.AppendBlock(nil), err)
+		}
+		if err := errors.Join(direct.Add(k), round.Add(back)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(direct.AppendBlock(nil), round.AppendBlock(nil)) || direct.Bounds() != round.Bounds() {
+		t.Fatalf("a trail of %d keys differs after the plane round trip", len(keys))
+	}
+}
+
 // FuzzTrailMatchesDeltaEncode: for any key sequence the fuzzer can
 // reach — FuzzDeltaDecode's corpus read back as keys, each then nudged
 // by up to ± one lattice step in 1/128 steps so half-step ties occur —
@@ -526,16 +558,21 @@ func TestTrailJoin(t *testing.T) {
 			checkTrailJoin(t, keys, cut)
 		}
 	}
-	// What Add refuses, OpenTrail refuses: a block whose deltas walk off
-	// the globe parses (DeltaDecode takes it) but is no trail.
+	// What Add refuses, every reader refuses: a block whose deltas walk off
+	// the globe parses but is no trail.
 	off := binary.AppendVarint(binary.AppendVarint([]byte{2}, 89e7), 0)
 	off = binary.AppendVarint(binary.AppendVarint(binary.AppendUvarint(off, 5), 2e7), 0) // lat 89° + 2°
 	off = binary.AppendVarint(off, 1)
-	if _, err := DeltaDecode(off); err != nil {
-		t.Fatalf("fixture does not decode: %v", err)
+	c, err := blockCursor(off)
+	if err == nil {
+		_, err = c.decode(nil, c.left, false)
 	}
-	if _, err := OpenTrail(off); !errors.Is(err, ErrRange) || DeltaValidate(off) {
-		t.Fatalf("OpenTrail(off-globe block) = %v, DeltaValidate %v; want ErrRange, false", err, DeltaValidate(off))
+	if err != nil {
+		t.Fatalf("fixture does not parse: %v", err)
+	}
+	_, derr := DeltaDecode(off)
+	if _, err := OpenTrail(off); !errors.Is(err, ErrRange) || !errors.Is(derr, ErrRange) || DeltaValidate(off) {
+		t.Fatalf("OpenTrail(off-globe block) = %v, DeltaDecode %v, DeltaValidate %v; want ErrRange, ErrRange, false", err, derr, DeltaValidate(off))
 	}
 }
 

@@ -1,8 +1,10 @@
 // Compaction: the paper's Section V-F maintenance procedures applied to
 // the durable log. Sealed segment files are immutable, so a pass can re-read
-// a contiguous run of them, rewrite it smaller, and atomically put the
-// result in the run's place via the MANIFEST — while appends keep flowing
-// into the active segment and queries keep reading either generation.
+// a contiguous run of them — each device's records gathered from the run
+// itself, in segment then file order — rewrite it smaller, and atomically
+// put the result in the run's place via the MANIFEST — while appends keep
+// flowing into the active segment and queries keep reading either
+// generation.
 //
 // Which run: a periodic pass takes what was sealed since the last pass and,
 // behind it, earlier passes' outputs (tiers) while tierRatio allows — it
@@ -21,8 +23,10 @@
 //   - Ageing: records older than CompactionPolicy.MinAge are decoded and
 //     re-run through the FBQS compressor at CoarseTolerance (Liu et al.'s
 //     amnesic compression: fidelity decays with age, but stays
-//     error-bounded). The compressor emits a subset of its input, so
-//     retained keys are bit-identical and every dropped key lies within
+//     error-bounded). The compressor emits a subset of its input and
+//     trajstore.PlaneKey maps a plane point back to exactly its key's
+//     lattice integers, so the aged record is its kept keys re-encoded —
+//     each with its original bytes — and every dropped key lies within
 //     CoarseTolerance of the aged polyline.
 //
 // Publish protocol (crash-safe at every step):
@@ -47,7 +51,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"time"
 
 	"github.com/trajcomp/bqs/internal/core"
@@ -178,28 +181,22 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 		l.lastFull.valid, l.lastFull.merge = lo == 0, p.MergeChunks
 	}
 	cutoff := ageCutoff(p)
-	// Each device's selected records, in append order, are the stretch of
-	// its index list that points into [lo, hi), as immutable as the segments
-	// (an append extends a list, poison and heal pop and re-add active-segment
-	// entries, the one redo is this pass's publish): read in place.
+	// Each device's selected records in append order — segment order, then
+	// file order — as addresses into sealed.
 	perDev := make(map[string][]recordAddr)
+	var devices []string
 	for i := range sealed {
 		for pi := range sealed[i].recs {
-			perDev[sealed[i].recs[pi].device] = nil
+			dev := sealed[i].recs[pi].device
+			if perDev[dev] == nil {
+				devices = append(devices, dev)
+			}
+			perDev[dev] = append(perDev[dev], recordAddr{seg: int32(i), pos: int32(pi)})
 		}
 		res.RecordsIn += len(sealed[i].recs)
 	}
 	res.SegmentsIn, res.BytesIn = len(sealed), segBytes(sealed)
-	devices := make([]string, 0, len(perDev))
-	l.mu.Lock()
-	for dev := range perDev {
-		addrs := l.index[dev]
-		from := sort.Search(len(addrs), func(k int) bool { return int(addrs[k].seg) >= lo })
-		to := sort.Search(len(addrs), func(k int) bool { return int(addrs[k].seg) >= hi })
-		perDev[dev], devices = addrs[from:to:to], append(devices, dev)
-	}
-	l.mu.Unlock()
-	sort.Strings(devices)
+	slices.Sort(devices)
 	// Open every selected file once; workers share the handles via pread.
 	files := &segReader{fs: l.fs}
 	defer files.close()
@@ -231,7 +228,7 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	for w := 0; w < min(workers, len(devices)); w++ {
 		go func() {
 			for i := range work {
-				results[i] <- l.compactDevice(perDev[devices[i]], lo, sealed, files, p, cutoff)
+				results[i] <- l.compactDevice(perDev[devices[i]], sealed, files, p, cutoff)
 			}
 		}()
 	}
@@ -329,26 +326,25 @@ func segBytes(segs []segmentFile) (n int64) {
 }
 
 // compactDevice is the worker side of the streaming compactor: it reads one
-// device's selected records — addrs, into sealed from segment lo on — (pread
-// through the indexed offsets, CRC re-verified), opens their blocks and runs
-// the pipeline on them. Every record was valid when Open indexed it, so
+// device's selected records — addrs, into sealed — (pread through the
+// indexed offsets, CRC re-verified), opens their blocks and runs the
+// pipeline on them. Every record was valid when Open indexed it, so
 // anything that fails to validate now is bit rot — the pass must abort
 // (leaving the old generation untouched) rather than drop the record and
 // then delete its only copy. out.decoded is reported even on error so the
 // writer's live-memory accounting stays balanced.
-func (l *shardLog) compactDevice(addrs []recordAddr, lo int, sealed []segmentFile, files *segReader, p CompactionPolicy, cutoff uint32) (out devOut) {
+func (l *shardLog) compactDevice(addrs []recordAddr, sealed []segmentFile, files *segReader, p CompactionPolicy, cutoff uint32) (out devOut) {
 	recs := make([]compactRecord, 0, len(addrs))
 	for _, a := range addrs {
 		var tr trajstore.Trail
-		seg := int(a.seg) - lo
-		m := &sealed[seg].recs[a.pos]
-		blk, err := files.readBlock(refSnap{seg: seg, off: m.off, bodyLen: m.bodyLen})
+		m := &sealed[a.seg].recs[a.pos]
+		blk, err := files.readBlock(refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
 		if err == nil {
 			tr, err = trajstore.OpenTrail(blk.Payload)
 		}
 		if err != nil {
 			out.err = fmt.Errorf("compact: %s: record at offset %d: %w (bit rot since open?)",
-				filepath.Base(sealed[seg].path), m.off, err)
+				filepath.Base(sealed[a.seg].path), m.off, err)
 			return out
 		}
 		recs = append(recs, compactRecord{device: blk.Device, t0: blk.T0, t1: blk.T1, trail: tr})
@@ -365,15 +361,13 @@ func (l *shardLog) compactDevice(addrs []recordAddr, lo int, sealed []segmentFil
 			if r.t1 > cutoff || r.trail.Len() <= 2 {
 				continue // too young, or nothing to thin
 			}
-			aged, err := ageKeys(r.trail.Keys(), p)
-			if err == nil && aged != nil {
-				r.trail = trajstore.Trail{}
-				err = r.trail.Add(aged...)
-				out.aged++
-			}
+			aged, err := ageTrail(&r.trail, p.CoarseTolerance)
 			if err != nil {
 				out.err = err
 				return out
+			}
+			if aged {
+				out.aged++
 			}
 		}
 	}
@@ -443,50 +437,34 @@ func ageCutoff(p CompactionPolicy) uint32 {
 	return uint32(min(max(now().Unix()-int64(p.MinAge/time.Second), 0), math.MaxUint32))
 }
 
-// ageKeys re-compresses one record's key points at the coarse tolerance.
-// It returns nil (and no error) when the compressor kept every key. The
-// compressors emit a subset of their input points, so each retained key
-// is returned bit-identical to the original (preserving the wire bytes
-// exactly); every dropped key is within CoarseTolerance of the aged
-// polyline, the bound the compressor guarantees for all input points.
-func ageKeys(keys []trajstore.GeoKey, p CompactionPolicy) ([]trajstore.GeoKey, error) {
-	comp, err := stream.New(ageCompressor, p.CoarseTolerance)
+// ageTrail re-compresses one record's key points at the coarse tolerance
+// and, when the compressor dropped some and kept a polyline, re-encodes the
+// trail from the ones it kept; it reports whether it did. A compressor
+// emits a subset of its input, and PlaneKey puts PlanePoint(k) back on k's
+// lattice integers, so every kept key keeps its wire bytes; every dropped
+// key is within tol of the aged polyline, the bound the compressor
+// guarantees for all input points.
+func ageTrail(tr *trajstore.Trail, tol float64) (bool, error) {
+	comp, err := stream.New(ageCompressor, tol)
 	if err != nil {
-		return nil, fmt.Errorf("segmentlog: age compressor: %w", err)
+		return false, fmt.Errorf("segmentlog: age compressor: %w", err)
 	}
+	keys := tr.Keys()
 	pts := make([]core.Point, len(keys))
 	for i, k := range keys {
 		pts[i] = trajstore.PlanePoint(k)
 	}
 	kps := stream.Compress(comp, pts)
-	if len(kps) >= len(keys) {
-		return nil, nil // nothing gained
+	if len(kps) >= len(pts) || len(kps) < 2 {
+		return false, nil // nothing gained, or no polyline left
 	}
-	out := make([]trajstore.GeoKey, 0, len(kps))
-	j := 0
+	*tr = trajstore.Trail{}
 	for _, kp := range kps {
-		// Key points are emitted in input order; advance to the source
-		// point and keep its exact original GeoKey.
-		matched := false
-		for j < len(pts) {
-			if pts[j] == kp {
-				out = append(out, keys[j])
-				j++
-				matched = true
-				break
-			}
-			j++
-		}
-		if !matched {
-			// Defensive: a compressor that synthesizes points (none of
-			// the built-ins do) still round-trips through the plane.
-			out = append(out, trajstore.PlaneKey(kp))
+		if err := tr.Add(trajstore.PlaneKey(kp)); err != nil {
+			return false, err
 		}
 	}
-	if len(out) < 2 {
-		return nil, nil
-	}
-	return out, nil
+	return true, nil
 }
 
 // compactWriter packs a stream of records into fresh segment files

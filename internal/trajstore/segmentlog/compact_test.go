@@ -3,6 +3,7 @@ package segmentlog
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -277,6 +278,78 @@ func TestCompactAgeingBound(t *testing.T) {
 	l.Close()
 }
 
+// TestCompactAgeingKeepsEdgeBytes ages records that hug the edges of the
+// wire's range, where plane coordinates are largest — one along the ±180°
+// seam and across it, one at each pole, their times reaching 0 and
+// MaxUint32 — and checks that every key an aged record keeps has the wire
+// bytes of an original key, in order.
+func TestCompactAgeingKeepsEdgeBytes(t *testing.T) {
+	const n = 400
+	// edge walks n lattice-exact keys: along runs in 3-step strides, across
+	// wiggles up to 600 steps (6 m) inward from the edge it starts on.
+	edge := func(key func(along, across int64) (lat, lon int64), t0 uint32) []trajstore.GeoKey {
+		keys := make([]trajstore.GeoKey, n)
+		for i := range keys {
+			lat, lon := key(int64(i)*30, int64(i%7)*100)
+			keys[i] = trajstore.GeoKey{Lat: float64(lat) / 1e7, Lon: float64(lon) / 1e7, T: t0 + uint32(i)}
+		}
+		return keys
+	}
+	seam := edge(func(along, across int64) (int64, int64) {
+		if along < n/2*30 {
+			return along, 180e7 - across
+		}
+		return along, -180e7 + across
+	}, 1_000)
+	seam[n/2-1].Lon, seam[n/2].Lon = 180, -180 // the crossing, exactly on the seam
+	tracks := map[string][]trajstore.GeoKey{
+		"seam":  seam,
+		"north": edge(func(along, across int64) (int64, int64) { return 90e7 - across, along - 180e7 }, 0),
+		"south": edge(func(along, across int64) (int64, int64) { return -90e7 + across, 180e7 - along }, math.MaxUint32-n+1),
+	}
+
+	l := mustOpen(t, t.TempDir(), Options{MaxSegmentBytes: 2048})
+	defer l.Close()
+	for _, dev := range []string{"seam", "north", "south"} {
+		if err := l.Append(dev, tracks[dev]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.seal(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.Compact(CompactionPolicy{CoarseTolerance: 50, Now: func() time.Time { return time.Unix(1<<40, 0) }})
+	if err != nil || res.Aged < len(tracks) {
+		t.Fatalf("Compact = %+v, %v; want every track aged", res, err)
+	}
+	wire := func(k trajstore.GeoKey) string {
+		b, err := trajstore.EncodeGeoKey(nil, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for dev, orig := range tracks {
+		recs := queryAll(t, l, dev)
+		if len(recs) != 1 || len(recs[0].Keys) >= n {
+			t.Fatalf("%s: %d records after ageing, want one shorter than %d keys", dev, len(recs), n)
+		}
+		j := 0
+		for _, k := range recs[0].Keys {
+			for j < n && wire(orig[j]) != wire(k) {
+				j++
+			}
+			if j == n {
+				t.Fatalf("%s: aged key %+v has no original's bytes, in order", dev, k)
+			}
+			j++
+		}
+		if first, last := recs[0].Keys[0], recs[0].Keys[len(recs[0].Keys)-1]; wire(first) != wire(orig[0]) || wire(last) != wire(orig[n-1]) {
+			t.Fatalf("%s: aged record runs %+v → %+v, want the track's ends %+v → %+v", dev, first, last, orig[0], orig[n-1])
+		}
+	}
+}
+
 // compactionFixture builds a deterministic chunked multi-device log and
 // returns the directory plus the expected per-device stitched polylines.
 func compactionFixture(t *testing.T) (string, map[string][]trajstore.GeoKey) {
@@ -490,11 +563,11 @@ func TestCompactConcurrentQuery(t *testing.T) {
 	}
 }
 
-// TestCompactBesidePoisonAndHeal: a pass reads each device's sealed
-// records as the head of its index list while the writer extends the same
-// lists, rotates, and — around failed fsyncs — pops their tails and
-// re-adds them. Every polyline must come out whole, and (under -race) the
-// two sides must never touch the same entry.
+// TestCompactBesidePoisonAndHeal: a pass gathers each device's sealed
+// records from the run it selected while the writer extends the device's
+// index list and the active segment, rotates, and — around failed fsyncs —
+// pops their tails and re-adds them. Every polyline must come out whole,
+// and (under -race) the two sides must never touch the same entry.
 func TestCompactBesidePoisonAndHeal(t *testing.T) {
 	fs := vfs.NewFaultFS(11)
 	l := mustOpen(t, t.TempDir(), Options{FS: fs, MaxSegmentBytes: 1024})
@@ -507,9 +580,11 @@ func TestCompactBesidePoisonAndHeal(t *testing.T) {
 		chunks[d] = chunkKeys(tracks[d], 8)
 	}
 
-	done := make(chan struct{})
+	done, published := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
-	published := 0
+	var once sync.Once
+	stop := sync.OnceFunc(func() { close(done); wg.Wait() })
+	defer stop()
 	wg.Add(1)
 	go func() { // failed passes are fine here: the fsync faults hit them too
 		defer wg.Done()
@@ -519,12 +594,19 @@ func TestCompactBesidePoisonAndHeal(t *testing.T) {
 				return
 			default:
 				if res, err := l.Compact(CompactionPolicy{MergeChunks: true}); err == nil && res.Gen != 0 {
-					published++
+					once.Do(func() { close(published) })
 				}
 			}
 		}
 	}()
 	for i := range chunks[0] {
+		if i == len(chunks[0])/2 { // the writer can outrun every pass; halfway, one must have published
+			select {
+			case <-published:
+			case <-time.After(10 * time.Second):
+				t.Fatal("no pass published beside the writer: the test proved nothing")
+			}
+		}
 		for d := range chunks {
 			if err := l.Append(fmt.Sprintf("dev-%d", d), chunks[d][i]); err != nil {
 				t.Fatalf("append %d/%d: %v", d, i, err)
@@ -538,11 +620,7 @@ func TestCompactBesidePoisonAndHeal(t *testing.T) {
 			fs.ClearRules() // ... and the next append heals it back in
 		}
 	}
-	close(done)
-	wg.Wait()
-	if published == 0 {
-		t.Fatal("no pass published beside the writer: the test proved nothing")
-	}
+	stop()
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}

@@ -203,11 +203,11 @@ func refMeets(b trajstore.Bounds, minX, minY, maxX, maxY float64, t0, t1 uint32)
 
 // checkWindowBlock holds the block walk to the decode-then-filter path it
 // replaced, for one payload and one window: the same verdict as
-// windowMatch over DeltaDecode's keys, the same error class when the
-// payload does not decode, and a refusal (ErrRange, what re-encoding the
-// keys for the wire used to report) when a key lies off the globe. The
-// integer bounds test must agree with the float one it replaced, and may
-// never prune a block that matches.
+// windowMatch over DeltaDecode's keys, and the same error class when the
+// payload does not decode — ErrRange, what re-encoding the keys for the
+// wire used to report, when a key lies off the globe. The integer bounds
+// test must agree with the float one it replaced, and may never prune a
+// block that matches.
 func checkWindowBlock(t *testing.T, payload []byte, minX, minY, maxX, maxY float64, t0, t1 uint32) {
 	t.Helper()
 	win, err := trajstore.LatticeWindow(minX, minY, maxX, maxY, t0, t1)
@@ -216,41 +216,32 @@ func checkWindowBlock(t *testing.T, payload []byte, minX, minY, maxX, maxY float
 	}
 	w := &win
 	keys, derr := trajstore.DeltaDecode(payload)
-	inRange := true
-	for _, k := range keys {
-		inRange = inRange && trajstore.InRange(k.Lat, k.Lon)
-	}
 	match, err := trajstore.Enters(payload, w)
 	all, aerr := trajstore.Enters(payload, nil)
 	if (err == nil) != (aerr == nil) || all != (aerr == nil) {
 		t.Fatalf("a nil window must match exactly the blocks any window accepts: %v, %v / %v", all, aerr, err)
 	}
-	switch {
-	case derr != nil:
+	if derr != nil {
 		for _, class := range []error{trajstore.ErrShortBuffer, trajstore.ErrRange} {
 			if err == nil || errors.Is(err, class) != errors.Is(derr, class) {
 				t.Fatalf("Enters = %v, DeltaDecode = %v: different error class for %x", err, derr, payload)
 			}
 		}
-	case !inRange:
-		if !errors.Is(err, trajstore.ErrRange) {
-			t.Fatalf("Enters = %v, %v over off-globe keys %v, want ErrRange", match, err, keys)
-		}
-	default:
-		if want := windowMatch(keys, minX, minY, maxX, maxY, t0, t1); err != nil || match != want {
-			t.Fatalf("Enters = %v, %v; windowMatch = %v for keys %v in [%v,%v]×[%v,%v] t[%d,%d] (lattice %+v)",
-				match, err, want, keys, minX, maxX, minY, maxY, t0, t1, *w)
-		}
-		if len(keys) == 0 {
-			return
-		}
-		tr, err := trajstore.OpenTrail(payload)
-		if err != nil {
-			t.Fatalf("OpenTrail refuses a block Enters accepts: %v", err)
-		}
-		if got, want := w.Meets(tr.Bounds()), refMeets(tr.Bounds(), minX, minY, maxX, maxY, t0, t1); got != want || match && !got {
-			t.Fatalf("Meets(%+v) = %v, float reference %v, block matches: %v (lattice %+v)", tr.Bounds(), got, want, match, *w)
-		}
+		return
+	}
+	if want := windowMatch(keys, minX, minY, maxX, maxY, t0, t1); err != nil || match != want {
+		t.Fatalf("Enters = %v, %v; windowMatch = %v for keys %v in [%v,%v]×[%v,%v] t[%d,%d] (lattice %+v)",
+			match, err, want, keys, minX, maxX, minY, maxY, t0, t1, *w)
+	}
+	if len(keys) == 0 {
+		return
+	}
+	tr, err := trajstore.OpenTrail(payload)
+	if err != nil {
+		t.Fatalf("OpenTrail refuses a block Enters accepts: %v", err)
+	}
+	if got, want := w.Meets(tr.Bounds()), refMeets(tr.Bounds(), minX, minY, maxX, maxY, t0, t1); got != want || match && !got {
+		t.Fatalf("Meets(%+v) = %v, float reference %v, block matches: %v (lattice %+v)", tr.Bounds(), got, want, match, *w)
 	}
 }
 
