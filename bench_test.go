@@ -153,7 +153,8 @@ func benchBuffered(b *testing.B, algo eval.Algo, buf int) {
 	b.SetBytes(int64(len(ds.Points)) * 24)
 }
 
-// --- Ablations: rotation and metric effects on the core loop.
+// --- Ablations: rotation and metric effects on the core loop. The rotation
+// pair runs BQS: FBQS under the line metric has no rotation to fix.
 
 func benchCore(b *testing.B, cfg core.Config) {
 	b.Helper()
@@ -171,11 +172,11 @@ func benchCore(b *testing.B, cfg core.Config) {
 }
 
 func BenchmarkAblationRotationOn(b *testing.B) {
-	benchCore(b, core.Config{Tolerance: 10, Mode: core.ModeFast, RotationWarmup: 5})
+	benchCore(b, core.Config{Tolerance: 10, Mode: core.ModeExact, RotationWarmup: 5})
 }
 
 func BenchmarkAblationRotationOff(b *testing.B) {
-	benchCore(b, core.Config{Tolerance: 10, Mode: core.ModeFast, RotationWarmup: 0})
+	benchCore(b, core.Config{Tolerance: 10, Mode: core.ModeExact, RotationWarmup: 0})
 }
 
 func BenchmarkAblationSegmentMetric(b *testing.B) {

@@ -80,6 +80,7 @@ func WithMetric(m Metric) Option {
 
 // WithRotationWarmup sets the size of the data-centric-rotation warmup
 // buffer (default 5, as suggested by the paper). 0 disables the rotation.
+// FBQS under the line metric ignores it: its tangent wedge has no rotation.
 func WithRotationWarmup(n int) Option {
 	return func(c *core.Config) { c.RotationWarmup = n }
 }
@@ -112,9 +113,10 @@ func NewBQS(tolerance float64, opts ...Option) (*BQS, error) {
 }
 
 // NewFBQS returns the fast BQS compressor (Section V-E): constant time and
-// space per point — it keeps no buffer and conservatively cuts the segment
-// whenever the bounds are inconclusive, trading a small amount of
-// compression rate for O(1) complexity.
+// space per point, no buffer. Under the line metric (the default) its state
+// is the tangent wedge, which answers what BQS's buffer scan answers; under
+// the segment metric it cuts whenever the quadrant bounds are inconclusive,
+// trading a small amount of compression rate for O(1) complexity.
 func NewFBQS(tolerance float64, opts ...Option) (*BQS, error) {
 	cfg := core.Config{Tolerance: tolerance, Mode: core.ModeFast, RotationWarmup: -1}
 	for _, o := range opts {

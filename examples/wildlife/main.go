@@ -30,14 +30,12 @@ func main() {
 	}
 
 	var keys []bqs.Point
-	maxState := 0
+	maxPoints := 0
 	for _, p := range points {
 		if kp, ok := c.Push(p); ok {
 			keys = append(keys, kp)
 		}
-		if n := c.SignificantPointCount(); n > maxState {
-			maxState = n
-		}
+		maxPoints = max(maxPoints, c.SignificantPointCount()+c.BufferedPoints())
 	}
 	if kp, ok := c.Flush(); ok {
 		keys = append(keys, kp)
@@ -48,7 +46,7 @@ func main() {
 		len(keys), len(points), 100*rate)
 	worst, ok := bqs.ValidateErrorBound(points, keys, 10, bqs.MetricLine)
 	fmt.Printf("worst deviation %.2f m (bound 10 m): %v\n", worst, ok)
-	fmt.Printf("peak compressor state: %d significant points (paper's ceiling: 32) + the tangent wedge's 2 vectors\n", maxState)
+	fmt.Printf("peak compressor state: %d points held (paper's ceiling: 32); the tangent wedge's 2 unit vectors decide every fix\n", maxPoints)
 
 	// Storage lifetime on the Camazotz budget (Table II).
 	model := bqs.DefaultStorageModel()

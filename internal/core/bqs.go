@@ -17,32 +17,41 @@ import (
 // key points delimit segments that satisfy the configured deviation bound.
 //
 // Push, Flush, Reset, Stats, Config and BufferedPoints are the shared
-// decision loop's (segmenter, with P = Point). A Compressor is not safe for
-// concurrent use.
+// decision loop's (segmenter, with P = Point, over the frame NewCompressor
+// picks). A Compressor is not safe for concurrent use.
 type Compressor struct {
-	segmenter[Point, *quadFrame]
+	segmenter[Point]
 }
 
-// NewCompressor returns a Compressor for the given configuration.
+// NewCompressor returns a Compressor for the given configuration. FBQS under
+// the line metric runs on the tangent wedge alone, which has no rotation to
+// fix (Config reports RotationWarmup 0); the rest run on the quadrants.
 func NewCompressor(cfg Config) (*Compressor, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
-	return &Compressor{newSegmenter[Point](cfg, &quadFrame{tol: cfg.Tolerance})}, nil
+	line := lineFrame{tol: cfg.Tolerance}
+	if cfg.Mode == ModeFast && cfg.Metric == MetricLine {
+		cfg.RotationWarmup = 0
+		return &Compressor{newSegmenter[Point](cfg, &line)}, nil
+	}
+	return &Compressor{newSegmenter[Point](cfg, &quadFrame{lineFrame: line})}, nil
 }
 
 // Tolerance returns the deviation bound in metres.
 func (c *Compressor) Tolerance() float64 { return c.cfg.Tolerance }
 
 // SignificantPointCount returns the number of significant points currently
-// held across all quadrant structures; the paper bounds this by 32
-// (≤ 4 corners + 4 intersections per quadrant); with the tangent wedge's two
-// vectors they are a segment's whole state, whatever its length.
+// held across all quadrant structures: at most 32, the paper's bound (4
+// corners + 4 intersections each), and none under FBQS's line metric, whose
+// whole state is the tangent wedge's two vectors.
 func (c *Compressor) SignificantPointCount() int {
 	n := 0
-	for i := range c.frame.quads {
-		n += len(c.frame.quads[i].significantPoints())
+	if f, ok := c.frame.(*quadFrame); ok {
+		for i := range f.quads {
+			n += len(f.quads[i].significantPoints())
+		}
 	}
 	return n
 }
@@ -52,28 +61,65 @@ func (c *Compressor) SignificantPointCount() int {
 // accumulated statistics semantics (statistics keep accumulating).
 func (c *Compressor) CompressBatch(pts []Point) []Point { return c.compressBatch(pts) }
 
-// quadFrame is the 2-D frame: four quadrants around the segment start,
-// rotated towards the warmup centroid, and the tangent wedge over the same
-// tracked points.
-type quadFrame struct {
-	origin         Point   // current segment start s (local coordinate origin)
-	rot            float64 // data-centric rotation angle φ
-	rotSin, rotCos float64 // cached Sincos(-rot)
-	tol            float64 // the compressor's tolerance ε, the wedge's radius
-	quads          [4]quadrant
-	wedge          wedge
+// lineFrame is FBQS's frame under the line metric: the segment start and the
+// tangent wedge, which answers exactly whether a path line keeps every
+// tracked point within ε — no bounding structure, no rotation, no warm-up.
+type lineFrame struct {
+	origin Point   // current segment start s (local coordinate origin)
+	tol    float64 // the compressor's tolerance ε, the wedge's radius
+	wedge  wedge
 }
 
-func (f *quadFrame) valid(p Point) bool    { return p.IsFinite() }
-func (f *quadFrame) equal(a, b Point) bool { return a.Equal(b) }
+func (f *lineFrame) valid(p Point) bool    { return p.IsFinite() }
+func (f *lineFrame) equal(a, b Point) bool { return a.Equal(b) }
+
+func (f *lineFrame) anchor(p Point) {
+	f.origin = p
+	f.wedge.reset()
+}
+
+func (f *lineFrame) orient([]Point) {} // NewCompressor gives it no warm-up
+
+// far is the wedge's test, r² > ε², before any rotation; an r² that
+// overflowed is far whatever ε² did.
+func (f *lineFrame) far(p Point, tol float64) bool {
+	r2 := p.Vec().Sub(f.origin.Vec()).Norm2()
+	return r2 > tol*tol || r2 > math.MaxFloat64
+}
+
+func (f *lineFrame) insert(p Point) { f.wedge.insert(p.Vec().Sub(f.origin.Vec()), f.tol) }
+
+// bounds is the wedge's verdict on the path line start → e as a bound pair:
+// [0, ε] admitted, (ε, ∞] refused. A line shorter than Eps has no direction,
+// and every tracked point is farther than ε from the start: refused.
+func (f *lineFrame) bounds(e Point, _ Metric) (dlb, dub float64) {
+	le := e.Vec().Sub(f.origin.Vec())
+	if f.wedge.lo == (geom.Vec{}) || le.Norm2() >= geom.Eps*geom.Eps && f.wedge.admits(le) {
+		return 0, f.tol
+	}
+	return math.Nextafter(f.tol, math.Inf(1)), math.Inf(1)
+}
+
+func (f *lineFrame) deviation(pts []Point, e Point, metric Metric) float64 {
+	return MaxDeviation(pts, f.origin, e, metric)
+}
+
+// quadFrame is the 2-D frame of BQS and of FBQS's segment metric: four
+// quadrants around the segment start, rotated towards the warmup centroid,
+// beside the line frame's tangent wedge over the same tracked points.
+type quadFrame struct {
+	lineFrame
+	rot            float64 // data-centric rotation angle φ
+	rotSin, rotCos float64 // cached Sincos(-rot)
+	quads          [4]quadrant
+}
 
 func (f *quadFrame) anchor(p Point) {
-	f.origin = p
+	f.lineFrame.anchor(p)
 	f.rot, f.rotSin, f.rotCos = 0, 0, 1
 	for i := range f.quads {
 		f.quads[i].reset(i)
 	}
-	f.wedge.reset()
 }
 
 // orient fixes the rotation from the centroid of the warmup points
@@ -102,13 +148,6 @@ func (f *quadFrame) local(p Point) geom.Vec {
 		x, y = x*f.rotCos-y*f.rotSin, x*f.rotSin+y*f.rotCos
 	}
 	return geom.Vec{X: x, Y: y}
-}
-
-// far is the wedge's test, r² > ε², before the rotation; an r² that
-// overflowed is far whatever ε² did.
-func (f *quadFrame) far(p Point, tol float64) bool {
-	r2 := p.Vec().Sub(f.origin.Vec()).Norm2()
-	return r2 > tol*tol || r2 > math.MaxFloat64
 }
 
 func (f *quadFrame) insert(p Point) {
@@ -143,8 +182,4 @@ func (f *quadFrame) wedgeBound(le geom.Vec, norm float64, metric Metric, dlb, du
 		return f.tol
 	}
 	return dub
-}
-
-func (f *quadFrame) deviation(pts []Point, e Point, metric Metric) float64 {
-	return MaxDeviation(pts, f.origin, e, metric)
 }

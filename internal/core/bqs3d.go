@@ -43,7 +43,7 @@ func MaxDeviation3(pts []Point3, s, e Point3, metric Metric) float64 {
 // decision loop's (segmenter, with P = Point3); Config.Trace is honoured as
 // in 2-D. A Compressor3 is not safe for concurrent use.
 type Compressor3 struct {
-	segmenter[Point3, *octFrame]
+	segmenter[Point3]
 }
 
 // NewCompressor3 returns a 3-D compressor for the given configuration.

@@ -219,18 +219,31 @@ func TestStatsConsistency(t *testing.T) {
 	}
 }
 
+// TestFastModeConstantSpace: FBQS holds nothing that grows with the segment.
+// Under the segment metric that is the warm-up and the quadrants' 32
+// significant points at most; under the line metric, the wedge alone: no
+// point buffered, none significant, no warm-up.
 func TestFastModeConstantSpace(t *testing.T) {
-	for _, warmup := range []int{0, DefaultRotationWarmup} {
-		rng := rand.New(rand.NewSource(14))
-		pts := append(randomWalk(rng, 5000, 20), smoothWalk(rng, 5000)...)
-		c := mustCompressor(t, Config{Tolerance: 5, Mode: ModeFast, RotationWarmup: warmup})
-		for _, p := range pts {
-			c.Push(p)
-			if got := c.BufferedPoints(); got > warmup {
-				t.Fatalf("fast mode, warm-up %d: buffered %d points", warmup, got)
+	for _, metric := range []Metric{MetricLine, MetricSegment} {
+		for _, warmup := range []int{0, DefaultRotationWarmup} {
+			rng := rand.New(rand.NewSource(14))
+			pts := append(randomWalk(rng, 5000, 20), smoothWalk(rng, 5000)...)
+			c := mustCompressor(t, Config{Tolerance: 5, Mode: ModeFast, Metric: metric, RotationWarmup: warmup})
+			maxBuf, maxSig := warmup, 32
+			if metric == MetricLine {
+				maxBuf, maxSig = 0, 0
 			}
-			if got := c.SignificantPointCount(); got > 32 {
-				t.Fatalf("significant points = %d > 32", got)
+			if got := c.Config().RotationWarmup; got != maxBuf {
+				t.Errorf("%v, warm-up %d: Config reports warm-up %d", metric, warmup, got)
+			}
+			for _, p := range pts {
+				c.Push(p)
+				if got := c.BufferedPoints(); got > maxBuf {
+					t.Fatalf("%v, warm-up %d: buffered %d points, want ≤ %d", metric, warmup, got, maxBuf)
+				}
+				if got := c.SignificantPointCount(); got > maxSig {
+					t.Fatalf("%v: significant points = %d > %d", metric, got, maxSig)
+				}
 			}
 		}
 	}
@@ -362,18 +375,22 @@ func TestDuplicatePointsHandled(t *testing.T) {
 func TestReturnToStartSplitsSegment(t *testing.T) {
 	// Out-and-back along the same line with a large lateral excursion:
 	// coming back near the start must not corrupt the bound (the
-	// theorem-5.1 corner case described in DESIGN.md).
-	c := mustCompressor(t, Config{Tolerance: 2, RotationWarmup: 0})
-	pts := []Point{
-		{0, 0, 0},
-		{50, 0, 1},
-		{50, 50, 2},
-		{1, 0.5, 3}, // near the start again
-		{-50, 0, 4},
+	// theorem-5.1 corner case described in DESIGN.md). Nor may coming back
+	// onto the start, or within Eps of it: a path line with no direction,
+	// which must cut while the excursion is tracked.
+	tracks := [][]Point{
+		{{0, 0, 0}, {50, 0, 1}, {50, 50, 2}, {1, 0.5, 3}, {-50, 0, 4}},
+		{{0, 0, 0}, {50, 0, 1}, {0, 0, 2}, {0, -50, 3}},
+		{{0, 0, 0}, {50, 0, 1}, {1e-10, -1e-10, 2}, {0, -50, 3}},
 	}
-	keys := c.CompressBatch(pts)
-	if err := Deviation(pts, keys, MetricLine.Dist); err > 2+1e-9 {
-		t.Fatalf("error %v > 2; keys = %v", err, keys)
+	for i, pts := range tracks {
+		for _, mode := range []Mode{ModeExact, ModeFast} {
+			c := mustCompressor(t, Config{Tolerance: 2, Mode: mode, RotationWarmup: 0})
+			keys := c.CompressBatch(pts)
+			if err := Deviation(pts, keys, MetricLine.Dist); err > 2+1e-9 {
+				t.Fatalf("track %d %v: error %v > 2; keys = %v", i, mode, err, keys)
+			}
+		}
 	}
 }
 

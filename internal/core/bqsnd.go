@@ -194,7 +194,7 @@ func (o *orthantN) bounds(le []float64, metric Metric, origin []float64) (dlb, d
 // Flush, Reset, Stats, Config and BufferedPoints are the shared decision
 // loop's (segmenter, with P = PointN). Not safe for concurrent use.
 type CompressorN struct {
-	segmenter[PointN, *orthFrame]
+	segmenter[PointN]
 }
 
 // MaxDimensions caps the supported dimensionality: the corner enumeration
@@ -221,7 +221,7 @@ func NewCompressorN(cfg Config, dim int) (*CompressorN, error) {
 var ErrDimensionMismatch = errors.New("core: point dimension does not match the compressor")
 
 // Dim returns the compressor's spatial dimensionality.
-func (c *CompressorN) Dim() int { return c.frame.dim }
+func (c *CompressorN) Dim() int { return c.frame.(*orthFrame).dim }
 
 // orthFrame is the k-D frame: one bounding box per occupied orthant around
 // the segment start, plus the movement-aligned box.
@@ -396,7 +396,7 @@ func (f *orthFrame) deviation(pts []PointN, e PointN, metric Metric) float64 {
 // emitted. Points of the wrong dimension yield an error. The point is
 // copied, so the caller may reuse p.C.
 func (c *CompressorN) Push(p PointN) (PointN, bool, error) {
-	if len(p.C) != c.frame.dim {
+	if len(p.C) != c.Dim() {
 		return PointN{}, false, ErrDimensionMismatch
 	}
 	kp, ok := c.segmenter.Push(p.Clone())

@@ -19,8 +19,8 @@ func TestPushFastZeroAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	pts := randomWalk(rng, 4096, 15)
-	// Reach steady state: the warmup slice is at capacity and a few
-	// segments (including cuts) have been processed.
+	// Reach steady state: a few segments (including cuts) have been
+	// processed.
 	for _, p := range pts {
 		c.Push(p)
 	}

@@ -109,7 +109,8 @@ type Config struct {
 	Metric Metric
 	// RotationWarmup is the number of far points buffered before the
 	// data-centric rotation is fixed. 0 disables rotation; negative values
-	// select DefaultRotationWarmup.
+	// select DefaultRotationWarmup. Ignored by the 2-D compressor in ModeFast
+	// under MetricLine, whose tangent wedge has no rotation to fix.
 	RotationWarmup int
 	// MaxBuffer caps the exact-mode deviation buffer; when the cap is
 	// reached the segment is cut at the current point, mirroring the

@@ -123,22 +123,13 @@ func (q *quadrant) lineInQuadrant(dir geom.Vec) bool {
 	return prod < 0 || dir.X == 0
 }
 
-// intersections returns the (cached) entry/exit points of the lower and
-// upper bounding lines with the bounding box (the significant points l1,
-// l2, u1, u2). When a clip degenerates numerically the extreme witness
-// point is substituted and ok is false, signalling that the caller must
-// fall back to the corner-based upper bound.
-func (q *quadrant) intersections() (l1, l2, u1, u2 geom.Vec, ok bool) {
-	if !q.sigValid {
-		q.refreshSignificant()
-	}
-	return q.l1, q.l2, q.u1, q.u2, q.clipOK
-}
-
-// computeIntersections clips both bounding lines against the box. The
-// extreme witness points double as the ray directions: the clip is
-// scale-invariant along the ray, so reconstructing a unit direction from
-// the bounding angle (a Sincos per refresh) is unnecessary.
+// computeIntersections clips both bounding lines against the box: the entry
+// and exit points l1, l2, u1, u2 are the significant points on them. When a
+// clip degenerates numerically the extreme witness point is substituted and
+// ok is false, signalling that bounds must fall back to the corner-based
+// upper bound. The extreme witness points double as the ray directions: the
+// clip is scale-invariant along the ray, so reconstructing a unit direction
+// from the bounding angle (a Sincos per refresh) is unnecessary.
 func (q *quadrant) computeIntersections() (l1, l2, u1, u2 geom.Vec, ok bool) {
 	ok = true
 	var okL, okU bool
@@ -292,9 +283,11 @@ func (q *quadrant) significantPoints() []geom.Vec {
 	if q.n == 0 {
 		return nil
 	}
+	if !q.sigValid {
+		q.refreshSignificant()
+	}
 	c := q.box.Corners()
-	l1, l2, u1, u2, _ := q.intersections()
-	return []geom.Vec{c[0], c[1], c[2], c[3], l1, l2, u1, u2}
+	return []geom.Vec{c[0], c[1], c[2], c[3], q.l1, q.l2, q.u1, q.u2}
 }
 
 // thirdLargest returns the third largest of four values.

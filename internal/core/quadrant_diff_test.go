@@ -263,8 +263,9 @@ func TestQuadrantDifferentialDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prod := newSegmenter[Point](cfg, &quadFrame{tol: cfg.Tolerance})
-		ref := newSegmenter[Point](cfg, &refFrame{quadFrame: quadFrame{tol: cfg.Tolerance}})
+		line := lineFrame{tol: cfg.Tolerance}
+		prod := newSegmenter[Point](cfg, &quadFrame{lineFrame: line})
+		ref := newSegmenter[Point](cfg, &refFrame{quadFrame: quadFrame{lineFrame: line}})
 		for i, p := range pts {
 			kp, ok := prod.Push(p)
 			rkp, rok := ref.Push(p)

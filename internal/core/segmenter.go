@@ -3,13 +3,13 @@ package core
 import "math"
 
 // frame is the geometry Algorithm 1 runs over: one dimensionality's
-// bounding structure (four quadrants, eight octants, k-D orthant boxes),
-// anchored at the current segment start. The decision loop in segmenter
-// owns every decision and every counter; a frame answers only what
-// geometry must. bounds and insert take the raw point — mapping it into
-// the local (translated, rotated) coordinates is the frame's business — so
-// that mapping, the per-quadrant loop and the bound evaluation stay
-// concrete, inlinable code behind one dynamic call each.
+// bounding structure (four quadrants, eight octants, k-D orthant boxes, or
+// FBQS's tangent wedge alone), anchored at the current segment start. The
+// decision loop in segmenter owns every decision and every counter; a frame
+// answers only what geometry must. bounds and insert take the raw point —
+// mapping it into the local (translated, rotated) coordinates is the frame's
+// business — so that mapping, the per-quadrant loop and the bound evaluation
+// stay concrete, inlinable code behind one dynamic call each.
 type frame[P any] interface {
 	// valid reports whether every component of p is a finite number.
 	valid(p P) bool
@@ -38,12 +38,12 @@ type frame[P any] interface {
 
 // segmenter is Algorithm 1, written once: the streaming BQS/FBQS decision
 // procedure over any frame. Compressor, Compressor3 and CompressorN are
-// this loop instantiated with their frame; their Push, Flush, Reset, Stats,
-// Config and BufferedPoints are the methods below.
-type segmenter[P any, F frame[P]] struct {
+// this loop instantiated with their point type and handed their frame; their
+// Push, Flush, Reset, Stats, Config and BufferedPoints are the methods below.
+type segmenter[P any] struct {
 	cfg   Config
 	stats Stats
-	frame F
+	frame frame[P]
 
 	started  bool
 	lastInc  P // last point verified as a valid segment end
@@ -57,8 +57,8 @@ type segmenter[P any, F frame[P]] struct {
 }
 
 // newSegmenter returns an idle loop over f; cfg must have been validated.
-func newSegmenter[P any, F frame[P]](cfg Config, f F) segmenter[P, F] {
-	s := segmenter[P, F]{cfg: cfg, frame: f}
+func newSegmenter[P any](cfg Config, f frame[P]) segmenter[P] {
+	s := segmenter[P]{cfg: cfg, frame: f}
 	if cfg.RotationWarmup > 0 {
 		s.warmup = make([]P, 0, cfg.RotationWarmup)
 	}
@@ -67,17 +67,17 @@ func newSegmenter[P any, F frame[P]](cfg Config, f F) segmenter[P, F] {
 }
 
 // Config returns the effective configuration.
-func (s *segmenter[P, F]) Config() Config { return s.cfg }
+func (s *segmenter[P]) Config() Config { return s.cfg }
 
 // Stats returns the accumulated decision statistics.
-func (s *segmenter[P, F]) Stats() Stats { return s.stats }
+func (s *segmenter[P]) Stats() Stats { return s.stats }
 
 // BufferedPoints returns the number of points currently buffered for exact
 // deviation scans (always ≤ RotationWarmup in fast mode).
-func (s *segmenter[P, F]) BufferedPoints() int { return len(s.buffer) + len(s.warmup) }
+func (s *segmenter[P]) BufferedPoints() int { return len(s.buffer) + len(s.warmup) }
 
 // Reset clears all state and statistics.
-func (s *segmenter[P, F]) Reset() {
+func (s *segmenter[P]) Reset() {
 	s.stats = Stats{}
 	s.haveEmit = false
 	s.idle()
@@ -85,7 +85,7 @@ func (s *segmenter[P, F]) Reset() {
 
 // idle clears the per-segment state and waits for the first point of a
 // trajectory.
-func (s *segmenter[P, F]) idle() {
+func (s *segmenter[P]) idle() {
 	var zero P
 	s.startSegment(zero)
 	s.started = false
@@ -93,7 +93,7 @@ func (s *segmenter[P, F]) idle() {
 
 // startSegment re-anchors the local coordinate system at p and clears all
 // per-segment state.
-func (s *segmenter[P, F]) startSegment(p P) {
+func (s *segmenter[P]) startSegment(p P) {
 	s.started = true
 	s.lastInc = p
 	s.warmupDone = s.cfg.RotationWarmup == 0
@@ -104,7 +104,7 @@ func (s *segmenter[P, F]) startSegment(p P) {
 }
 
 // emit records kp as an emitted key point.
-func (s *segmenter[P, F]) emit(kp P) {
+func (s *segmenter[P]) emit(kp P) {
 	s.lastEmit = kp
 	s.haveEmit = true
 	s.stats.KeyPoints++
@@ -116,7 +116,7 @@ func (s *segmenter[P, F]) emit(kp P) {
 // Non-finite points (NaN/Inf coordinates or timestamps — a failed GPS fix)
 // are dropped and counted in Stats.DroppedPoints; they would otherwise
 // poison every subsequent geometric decision.
-func (s *segmenter[P, F]) Push(p P) (P, bool) {
+func (s *segmenter[P]) Push(p P) (P, bool) {
 	if !s.frame.valid(p) {
 		s.stats.DroppedPoints++
 		var none P
@@ -134,7 +134,7 @@ func (s *segmenter[P, F]) Push(p P) (P, bool) {
 // Flush terminates the current trajectory, returning the final key point if
 // one is due. The compressor is left ready for a new trajectory (statistics
 // keep accumulating; use Reset to clear everything).
-func (s *segmenter[P, F]) Flush() (P, bool) {
+func (s *segmenter[P]) Flush() (P, bool) {
 	if !s.started {
 		var none P
 		return none, false
@@ -150,7 +150,7 @@ func (s *segmenter[P, F]) Flush() (P, bool) {
 
 // process runs the BQS decision procedure for point e against the current
 // segment.
-func (s *segmenter[P, F]) process(e P) (P, bool) {
+func (s *segmenter[P]) process(e P) (P, bool) {
 	d := s.cfg.Tolerance
 
 	// scanned is what a full deviation computation has to visit.
@@ -205,7 +205,7 @@ func (s *segmenter[P, F]) process(e P) (P, bool) {
 // not push any future deviation beyond the tolerance. Far points enter the
 // warmup buffer or the bounding structure, and the exact-mode deviation
 // buffer. Returns a key point when a MaxBuffer overflow forces a cut.
-func (s *segmenter[P, F]) include(e P) (P, bool) {
+func (s *segmenter[P]) include(e P) (P, bool) {
 	var none P
 	s.lastInc = e
 	if !s.frame.far(e, s.cfg.Tolerance) {
@@ -250,7 +250,7 @@ func (s *segmenter[P, F]) include(e P) (P, bool) {
 // buffer when there is one, and without one MaxBuffer 1 (the only cap a
 // single point reaches) cuts at every far point, so nothing is ever
 // tracked to restart from.
-func (s *segmenter[P, F]) restartAt(e P) (P, bool) {
+func (s *segmenter[P]) restartAt(e P) (P, bool) {
 	kp := s.lastInc
 	s.stats.Segments++
 	s.emit(kp)
@@ -260,7 +260,7 @@ func (s *segmenter[P, F]) restartAt(e P) (P, bool) {
 }
 
 // compressBatch pushes pts and flushes, returning the key points.
-func (s *segmenter[P, F]) compressBatch(pts []P) []P {
+func (s *segmenter[P]) compressBatch(pts []P) []P {
 	if len(pts) == 0 {
 		return nil
 	}

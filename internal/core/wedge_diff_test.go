@@ -28,11 +28,13 @@ func streetGrid(seed int64, n int) []core.Point {
 }
 
 // TestWedgeDifferentialFBQSIsBQS: under the line metric the tangent wedge
-// answers the question BQS's buffer scan answers, so FBQS emits BQS's key
-// points bit for bit — on the decision pin's traces, DESIGN.md's table set
+// answers the question BQS's buffer scan answers, so FBQS — NewCompressor's
+// line frame, the wedge alone — emits the key points of BQS over its
+// quadrants bit for bit: on the decision pin's traces, DESIGN.md's table set
 // (40 walks × 20 000 fixes), the bat and vehicle traces and a street grid,
-// with and without the data-centric rotation. The one licence to differ is a
-// two-arc intersection the wedge kept one arc of, and the frame counts those.
+// with BQS rotated and not (FBQS ignores the warm-up). The one licence to
+// differ is a two-arc intersection the wedge kept one arc of, and the frame
+// counts those.
 func TestWedgeDifferentialFBQSIsBQS(t *testing.T) {
 	type trace struct {
 		name string

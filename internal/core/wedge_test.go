@@ -177,7 +177,7 @@ func walkFrames(seed int64, trials int, visit func(c frameCase)) {
 						pts[i] = raw(v)
 						pts[i].T = float64(i + 1)
 					}
-					f := &quadFrame{tol: set.eps * scale}
+					f := &quadFrame{lineFrame: lineFrame{tol: set.eps * scale}}
 					f.anchor(raw(geom.Vec{}))
 					rest := pts
 					if warmup > 0 {
@@ -331,7 +331,7 @@ func TestWedgePoisonedByOverflow(t *testing.T) {
 			}
 		}
 	}
-	f := &quadFrame{tol: 10}
+	f := &quadFrame{lineFrame: lineFrame{tol: 10}}
 	f.anchor(Point{})
 	f.insert(Point{X: math.Inf(1), Y: 5})
 	f.anchor(Point{X: 1, Y: 1})
@@ -395,13 +395,17 @@ func smoothWalk(rng *rand.Rand, n int) []Point {
 	return pts
 }
 
-// TestFrameStateIsCounted pins what the wedge adds to a session: two vectors
-// and the dropped-arc counter, beside the tolerance they are built against
-// (TestFastModeConstantSpace: nothing that grows with the segment).
+// TestFrameStateIsCounted pins what a 2-D frame holds
+// (TestFastModeConstantSpace: nothing that grows with the segment). FBQS's
+// line frame is the segment start, the tolerance and the wedge — two vectors
+// and the dropped-arc counter — in at most 80 B; the quadrant frame is that
+// plus the rotation and four quadrants.
 func TestFrameStateIsCounted(t *testing.T) {
-	const parent = unsafe.Sizeof(Point{}) + 3*8 // origin, rot, rotSin, rotCos
-	grew := unsafe.Sizeof(quadFrame{}) - parent - 4*unsafe.Sizeof(quadrant{})
-	if got := unsafe.Sizeof(wedge{}); got > 48 || grew != got+8 {
-		t.Errorf("wedge is %d B and quadFrame grew by %d B over its quadrants, want a wedge ≤ 48 B + the tolerance", got, grew)
+	w, line := unsafe.Sizeof(wedge{}), unsafe.Sizeof(lineFrame{})
+	if w > 48 || line != unsafe.Sizeof(Point{})+8+w || line > 80 {
+		t.Errorf("wedge is %d B and the line frame %d B, want a wedge ≤ 48 B + the start and the tolerance, ≤ 80 B", w, line)
+	}
+	if quad := unsafe.Sizeof(quadFrame{}); quad != line+3*8+4*unsafe.Sizeof(quadrant{}) {
+		t.Errorf("quadFrame is %d B, want the line frame's %d B + the rotation + four quadrants", quad, line)
 	}
 }

@@ -221,8 +221,8 @@ func TestTable1Scaling(t *testing.T) {
 		t.Errorf("BGD per-point exponent = %v, want ≈ 1", r.BGDExponent)
 	}
 	for _, row := range r.Rows {
-		if row.FBQSSpace > 8 {
-			t.Errorf("n=%d: FBQS buffered %d points", row.N, row.FBQSSpace)
+		if row.FBQSSpace != 0 {
+			t.Errorf("n=%d: FBQS buffered %d points, want 0: the tangent wedge buffers none", row.N, row.FBQSSpace)
 		}
 	}
 	if !strings.Contains(r.String(), "Table I") {

@@ -20,7 +20,7 @@ type Table1Row struct {
 	FBQSPerPt time.Duration // flat in n (O(1) per point)
 	BGDPerPt  time.Duration // grows linearly in n with unbounded buffer
 	BDPPerPt  time.Duration
-	FBQSSpace int // buffered points (constant)
+	FBQSSpace int // peak buffered points (constant)
 	BGDSpace  int // buffered points (linear)
 }
 
@@ -64,6 +64,11 @@ func Table1(sizes []int) (Table1Result, error) {
 		start := time.Now()
 		fb.CompressBatch(pts)
 		fbqsPer := time.Since(start) / time.Duration(n)
+		fbqsSpace := 0 // the peak, over an untimed second pass: a flushed compressor holds nothing
+		for _, p := range pts {
+			fb.Push(p)
+			fbqsSpace = max(fbqsSpace, fb.BufferedPoints())
+		}
 
 		// Unbounded-buffer BGD: buffer size n+1 never fills.
 		bgd, err := baseline.NewBufferedGreedy(10, n+1, core.MetricLine)
@@ -93,7 +98,7 @@ func Table1(sizes []int) (Table1Result, error) {
 
 		res.Rows = append(res.Rows, Table1Row{
 			N: n, FBQSPerPt: fbqsPer, BGDPerPt: bgdPer, BDPPerPt: bdpPer,
-			FBQSSpace: fb.BufferedPoints(), BGDSpace: n,
+			FBQSSpace: fbqsSpace, BGDSpace: n,
 		})
 	}
 	res.FBQSExponent = fitExponent(res.Rows, func(r Table1Row) float64 { return float64(r.FBQSPerPt) })

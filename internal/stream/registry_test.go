@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/core"
@@ -39,6 +40,42 @@ func TestRegistryBuiltins(t *testing.T) {
 		if len(keys) > 0 && !keys[0].Equal(pts[0]) {
 			t.Errorf("%q: first key %v, want first point %v", n, keys[0], pts[0])
 		}
+	}
+}
+
+// TestFBQSSessionBytes is what one engine session's compressor costs the
+// heap: "fbqs", warmed over a zigzag that tracks far points and cuts, holds
+// the decision loop and the tangent wedge — about 370 B, where the quadrant
+// frame and its rotation warm-up took 1.3 KB.
+func TestFBQSSessionBytes(t *testing.T) {
+	const n, limit = 2000, 400
+	var pts []core.Point
+	for i := 0; i < 40; i++ {
+		pts = append(pts, core.Point{X: 30 * float64(i), Y: 40 * float64(i%7), T: float64(i)})
+	}
+	held := make([]Compressor, n)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := range held {
+		c, err := New("fbqs", 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts {
+			c.Push(p)
+		}
+		held[i] = c
+	}
+	per := (int64(heap()) - int64(before)) / n
+	runtime.KeepAlive(held)
+	t.Logf("%d B per warmed fbqs compressor", per)
+	if per > limit {
+		t.Errorf("a warmed fbqs compressor holds %d B of heap, want ≤ %d", per, limit)
 	}
 }
 
