@@ -262,20 +262,12 @@ func TestStoreAPI(t *testing.T) {
 		t.Errorf("store len = %d", st.Len())
 	}
 	gk := []GeoKey{{Lat: -27.5, Lon: 153.0, T: 1000}}
-	enc, err := EncodeTrajectory(gk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, _, err := DecodeTrajectory(enc)
-	if err != nil || len(dec) != 1 {
-		t.Fatalf("decode: %v %v", dec, err)
-	}
 	denc, err := DeltaEncodeTrajectory(gk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DeltaDecodeTrajectory(denc); err != nil {
-		t.Fatal(err)
+	if dec, err := DeltaDecodeTrajectory(denc); err != nil || len(dec) != 1 {
+		t.Fatalf("decode: %v %v", dec, err)
 	}
 }
 

@@ -65,14 +65,10 @@ func main() {
 		// is already metric, so scale roughly for the size illustration.
 		geoKeys[i] = bqs.GeoKey{Lat: k.Y / 111000, Lon: k.X / 111000, T: uint32(k.T)}
 	}
-	fixed, err := bqs.EncodeTrajectory(geoKeys)
-	if err != nil {
-		log.Fatal(err)
-	}
 	delta, err := bqs.DeltaEncodeTrajectory(geoKeys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("flash cost of the month: %.1f KB fixed wire format, %.1f KB delta-encoded\n",
-		float64(len(fixed))/1024, float64(len(delta))/1024)
+	fmt.Printf("flash cost of the month: %.1f KB at the paper's %d B per sample, %.1f KB delta-encoded\n",
+		float64(len(keys)*model.SampleBytes)/1024, model.SampleBytes, float64(len(delta))/1024)
 }

@@ -1,14 +1,14 @@
 // Package trajstore is the on-device trajectory database of Section V-F:
-// it stores compressed trajectory segments, serializes them in the
-// 12-byte-per-sample wire format the paper budgets for ("Each GPS sample
-// requires at least 12 bytes storage (latitude, longitude, timestamp)"),
-// spatially indexes them, and implements the two maintenance procedures —
-// error-bounded merging (deduplicating a new segment against similar
-// historical segments) and error-bounded ageing (re-compressing old
-// trajectories at a coarser tolerance). Durability hangs off two
-// interfaces: Persister, the three-method append hook, and Backend, the
-// full durable store the ingestion engine runs on (the segmentlog
-// subpackage implements it).
+// it stores compressed trajectory segments, serializes them as
+// delta-varint blocks of 1e-7° lattice keys (the paper budgets "at least
+// 12 bytes storage (latitude, longitude, timestamp)" per GPS sample, which
+// WireSize keeps as the unit of the store's size), spatially indexes them,
+// and implements the two maintenance procedures — error-bounded merging
+// (deduplicating a new segment against similar historical segments) and
+// error-bounded ageing (re-compressing old trajectories at a coarser
+// tolerance). Durability hangs off two interfaces: Persister, the
+// three-method append hook, and Backend, the full durable store the
+// ingestion engine runs on (the segmentlog subpackage implements it).
 package trajstore
 
 import (
@@ -21,12 +21,12 @@ import (
 	"github.com/trajcomp/bqs/internal/core"
 )
 
-// WireSize is the encoded size of one key point: int32 latitude and
-// longitude in 1e-7 degrees plus a uint32 timestamp in seconds — the
-// paper's 12-byte GPS sample.
+// WireSize is the paper's 12-byte GPS sample — int32 latitude and
+// longitude plus a uint32 timestamp — the unit Store.StorageBytes counts
+// in; no encoder writes that layout.
 const WireSize = 12
 
-// ErrShortBuffer reports a truncated wire record.
+// ErrShortBuffer reports a truncated block.
 var ErrShortBuffer = errors.New("trajstore: short buffer")
 
 // ErrRange reports a coordinate outside the encodable range.
@@ -38,73 +38,11 @@ type GeoKey struct {
 	T        uint32  // seconds since the epoch
 }
 
-// EncodeGeoKey appends the 12-byte wire form of k to dst.
-func EncodeGeoKey(dst []byte, k GeoKey) ([]byte, error) {
-	if !InRange(k.Lat, k.Lon) {
-		return dst, ErrRange
-	}
-	var buf [WireSize]byte
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(lattice(k.Lat)))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(lattice(k.Lon)))
-	binary.LittleEndian.PutUint32(buf[8:12], k.T)
-	return append(dst, buf[:]...), nil
-}
-
-// DecodeGeoKey decodes one wire record from b.
-func DecodeGeoKey(b []byte) (GeoKey, error) {
-	if len(b) < WireSize {
-		return GeoKey{}, ErrShortBuffer
-	}
-	lat := int32(binary.LittleEndian.Uint32(b[0:4]))
-	lon := int32(binary.LittleEndian.Uint32(b[4:8]))
-	t := binary.LittleEndian.Uint32(b[8:12])
-	return latticeKey(int64(lat), int64(lon), t), nil
-}
-
-// EncodeTrajectory encodes a compressed trajectory (its key points) into
-// the wire format: a uint32 count followed by count records.
-func EncodeTrajectory(keys []GeoKey) ([]byte, error) {
-	out := make([]byte, 4, 4+len(keys)*WireSize)
-	binary.LittleEndian.PutUint32(out, uint32(len(keys)))
-	var err error
-	for _, k := range keys {
-		out, err = EncodeGeoKey(out, k)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// DecodeTrajectory decodes a wire-format trajectory and returns the key
-// points and the number of bytes consumed.
-func DecodeTrajectory(b []byte) ([]GeoKey, int, error) {
-	if len(b) < 4 {
-		return nil, 0, ErrShortBuffer
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	need := 4 + n*WireSize
-	if len(b) < need {
-		return nil, 0, ErrShortBuffer
-	}
-	keys := make([]GeoKey, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		k, err := DecodeGeoKey(b[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		keys[i] = k
-		off += WireSize
-	}
-	return keys, off, nil
-}
-
-// DeltaEncode encodes key points with varint deltas (an extension beyond
-// the paper's fixed 12-byte format): the first record is absolute, then
-// each subsequent record stores zig-zag varint deltas of the 1e-7-degree
-// coordinates and the timestamp. Typical compressed trajectories shrink by
-// another ~40-60%.
+// DeltaEncode encodes key points as the block the log stores and the wire
+// carries: a uvarint count, the first key absolute, then each subsequent
+// key as zig-zag varint deltas of the 1e-7-degree coordinates and the
+// timestamp. A compressed trajectory takes about 6–8 bytes a key against
+// WireSize's 12.
 func DeltaEncode(keys []GeoKey) ([]byte, error) { return AppendDelta(nil, keys) }
 
 // AppendDelta appends DeltaEncode(keys) to dst, with no buffer of its own.

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// fuzzSeedKeys are representative valid trajectories used to seed both
+// fuzzSeedKeys are representative valid trajectories used to seed the
 // fuzz targets: ordinary values, the poles/antimeridian boundary, tiny
 // negative deltas and duplicate timestamps.
 func fuzzSeedKeys() [][]GeoKey {
@@ -57,47 +57,6 @@ func FuzzDeltaDecode(f *testing.F) {
 			if again[i] != keys[i] {
 				t.Fatalf("round trip changed key %d: %+v → %+v", i, keys[i], again[i])
 			}
-		}
-	})
-}
-
-// FuzzDecodeTrajectory checks the fixed-width decoder never panics or
-// over-allocates, and round-trips what it accepts.
-func FuzzDecodeTrajectory(f *testing.F) {
-	for _, keys := range fuzzSeedKeys() {
-		enc, err := EncodeTrajectory(keys)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(enc)
-		for _, cut := range []int{0, 3, 4, len(enc) - 1} {
-			f.Add(enc[:cut])
-		}
-	}
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // count 2^32-1 with no payload
-	f.Fuzz(func(t *testing.T, data []byte) {
-		keys, n, err := DecodeTrajectory(data)
-		if err != nil {
-			return
-		}
-		if n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		if n != 4+len(keys)*WireSize {
-			t.Fatalf("consumed %d bytes for %d keys", n, len(keys))
-		}
-		enc, err := EncodeTrajectory(keys)
-		if err != nil {
-			// The decoder tolerates raw int32 coordinates past ±90/±180
-			// that the encoder's domain check rejects; only that
-			// asymmetry may fail here.
-			if !errors.Is(err, ErrRange) {
-				t.Fatalf("decoded keys failed to re-encode: %v", err)
-			}
-			return
-		}
-		if !bytes.Equal(enc, data[:n]) {
-			t.Fatalf("re-encode differs from input prefix")
 		}
 	})
 }

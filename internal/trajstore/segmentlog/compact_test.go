@@ -323,7 +323,7 @@ func TestCompactAgeingKeepsEdgeBytes(t *testing.T) {
 		t.Fatalf("Compact = %+v, %v; want every track aged", res, err)
 	}
 	wire := func(k trajstore.GeoKey) string {
-		b, err := trajstore.EncodeGeoKey(nil, k)
+		b, err := trajstore.DeltaEncode([]trajstore.GeoKey{k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -708,11 +708,11 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestLegacyAdopt: a directory without a MANIFEST — a crash
-// during its first open — is adopted on open by scanning its segment
-// files in lexical order, and afterwards unreferenced segment files are
-// swept.
-func TestManifestLegacyAdopt(t *testing.T) {
+// TestOpenSweepsUnreferenced: the writable open's sweep, run against the
+// list it just published, removes a segment file that list does not name
+// (a crashed compaction's output) and a stale MANIFEST.tmp, and loses no
+// record.
+func TestOpenSweepsUnreferenced(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{MaxSegmentBytes: 128})
 	for i := 0; i < 8; i++ {
@@ -723,22 +723,6 @@ func TestManifestLegacyAdopt(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crashed first open: no MANIFEST.
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatal(err)
-	}
-	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 256})
-	if recs := queryAll(t, l2, "dev"); len(recs) != 8 {
-		t.Fatalf("manifest-less open lost records: %d", len(recs))
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("open did not publish a manifest: %v", err)
-	}
-
-	// An unreferenced (crashed-compaction) segment file is swept.
 	stray := filepath.Join(dir, segName(900))
 	if err := os.WriteFile(stray, []byte("BQSLOG\x01\x00"), 0o644); err != nil {
 		t.Fatal(err)
@@ -747,15 +731,15 @@ func TestManifestLegacyAdopt(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l3 := mustOpen(t, dir, Options{MaxSegmentBytes: 256})
-	defer l3.Close()
+	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 256})
+	defer l2.Close()
 	if _, err := os.Stat(stray); !os.IsNotExist(err) {
 		t.Fatalf("unreferenced segment not swept: %v", err)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("stale MANIFEST.tmp not swept: %v", err)
 	}
-	if recs := queryAll(t, l3, "dev"); len(recs) != 8 {
+	if recs := queryAll(t, l2, "dev"); len(recs) != 8 {
 		t.Fatalf("sweep lost records: %d", len(recs))
 	}
 }

@@ -1,6 +1,7 @@
 package segmentlog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -13,10 +14,11 @@ import (
 	"github.com/trajcomp/bqs/internal/trajstore"
 )
 
-// FuzzRecover feeds arbitrary bytes to Open as a segment file: recovery
-// must never panic, and whatever it salvages must be stable — a second
-// open of the recovered directory sees the same records and truncates
-// nothing further.
+// FuzzRecover feeds arbitrary bytes to Open as the active segment a
+// MANIFEST names: recovery must never panic, and whatever it salvages
+// must be stable — a second open of the recovered directory sees the
+// same records and truncates nothing further. The well-formed seed opens
+// with both its records.
 func FuzzRecover(f *testing.F) {
 	// Seed: a well-formed file with two records...
 	dir := f.TempDir()
@@ -46,20 +48,28 @@ func FuzzRecover(f *testing.F) {
 	f.Add([]byte("BQSLOG\x01\x00"))
 	f.Add([]byte("garbage that is not a log at all"))
 
+	man := formatManifest(manifest{Gen: 1, Segs: []manifestSeg{{Name: "seg-00000001.log"}}})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "seg-00000001.log")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := errors.Join(os.WriteFile(filepath.Join(dir, "seg-00000001.log"), data, 0o644),
+			os.WriteFile(filepath.Join(dir, manifestName), man, 0o644)); err != nil {
 			t.Fatal(err)
 		}
+		seed := bytes.Equal(data, valid)
 		l, err := openShardLog(dir, Options{})
 		if err != nil {
+			if seed {
+				t.Fatalf("the well-formed seed does not open: %v", err)
+			}
 			return // structurally rejected (bad magic/version) is fine
 		}
 		s1 := l.Stats()
 		recs1, err := l.Query("dev", 0, ^uint32(0))
 		if err != nil {
 			t.Fatalf("Query on recovered log: %v", err)
+		}
+		if seed && len(recs1) != 2 {
+			t.Fatalf("the well-formed seed recovers %d records, want 2", len(recs1))
 		}
 		if err := l.Close(); err != nil {
 			t.Fatalf("Close: %v", err)

@@ -234,10 +234,9 @@ func parseManifest(data []byte) (manifest, error) {
 	return m, nil
 }
 
-// readManifest loads dir's MANIFEST. found is false when none exists
-// (an empty directory, or one whose first open crashed before its
-// publish); a present-but-invalid manifest is an
-// error — guessing at segment order risks serving records out of order.
+// readManifest loads dir's MANIFEST. found is false when none exists; a
+// present-but-invalid manifest is an error — guessing at segment order
+// risks serving records out of order.
 func readManifest(fsys vfs.FS, dir string) (m manifest, found bool, err error) {
 	data, err := fsys.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {

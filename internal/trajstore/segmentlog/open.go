@@ -9,21 +9,20 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
 
 // openShardLog opens (creating if necessary) the shard log in dir: it
-// loads the MANIFEST (falling back to a lexical scan of the segment
-// files when a crash during the directory's first open left none, and
-// publishing one), loads every live segment's records (loadSegment),
-// truncating any torn tail, removes files a crashed compaction left
-// unreferenced, and readies the last segment for appending: the view is
-// complete, and a damaged segment refused, before it returns. With
-// Options.ReadOnly it does none of the mutating parts — no cleanup, no
-// truncation, no appending.
+// loads the MANIFEST — the only source of the segment list; a directory
+// without one is fresh, or refused with ErrCorrupt if it holds segments —
+// loads every live segment's records (loadSegment), truncating any torn
+// tail, readies the last segment for appending, publishes the list and
+// removes the files it does not name: the view is complete, and a damaged
+// segment refused, before it returns. With Options.ReadOnly it does none
+// of the mutating parts — no truncation, no appending, no publish, no
+// cleanup.
 func openShardLog(dir string, opts Options) (*shardLog, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = DefaultMaxSegmentBytes
@@ -57,32 +56,27 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	var entries []manifestSeg
-	if found {
-		l.gen = man.Gen
-		entries = man.Segs
-	} else {
-		// No manifest was ever published here, so no compaction ever
-		// ran either: files were only appended in sequence and lexical
-		// order is logical order.
-		globbed, err := l.fs.Glob(filepath.Join(dir, "seg-*.log"))
+	if !found {
+		// Every shard publishes its MANIFEST before its root commits, so
+		// a directory without one is fresh. Segment files there have no
+		// order to read them in: file names are not it, since a
+		// compaction's outputs outnumber the newer data behind them.
+		segs, err := l.fs.Glob(filepath.Join(dir, "seg-*.log"))
 		if err != nil {
 			return nil, fmt.Errorf("segmentlog: %w", err)
 		}
-		sort.Strings(globbed)
-		for _, p := range globbed {
-			if _, ok := parseSegName(filepath.Base(p)); ok {
-				entries = append(entries, manifestSeg{Name: filepath.Base(p)})
-			}
+		if len(segs) > 0 {
+			return nil, fmt.Errorf("%w: %s: segment files but no %s", ErrCorrupt, dir, manifestName)
 		}
 	}
-	for i, ent := range entries {
-		seg, err := l.loadSegment(filepath.Join(dir, ent.Name), ent, i == len(entries)-1)
+	l.gen = man.Gen
+	for i, ent := range man.Segs {
+		seg, err := l.loadSegment(filepath.Join(dir, ent.Name), ent, i == len(man.Segs)-1)
 		if err != nil {
 			return nil, err
 		}
 		l.segs = append(l.segs, seg)
-		if n, ok := parseSegName(ent.Name); ok && n >= l.nextSeq {
+		if n, _ := parseSegName(ent.Name); n >= l.nextSeq {
 			l.nextSeq = n + 1
 		}
 	}
@@ -90,27 +84,6 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 	l.tiers = []int{max(len(l.segs)-1, 0)} // what is sealed, one tier
 	if l.nextSeq == 0 {
 		l.nextSeq = 1
-	}
-	// Sweep crashed-compaction leftovers only AFTER the referenced set
-	// scanned clean: if a referenced segment turns out unreadable, an
-	// unpublished compactor output may be the only intact copy of its
-	// data — deleting it first would destroy the salvage option. The
-	// sweep's live set is the OLD manifest plus the block indexes
-	// loadSegment just (re)built — those are published by the manifest
-	// written below, so deleting them here would leave that manifest
-	// referencing missing files.
-	if found && !l.ro {
-		keep := make(map[string]bool)
-		for i := range l.segs {
-			if l.segs[i].idx {
-				if n, ok := parseSegName(filepath.Base(l.segs[i].path)); ok {
-					keep[idxName(n)] = true
-				}
-			}
-		}
-		if err := cleanUnreferenced(l.fs, dir, man, keep); err != nil {
-			return nil, err
-		}
 	}
 
 	if l.ro {
@@ -145,6 +118,14 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 	// edits under a fresh generation).
 	if err := l.writeManifestLocked(); err != nil {
 		_ = l.active.Close() // open failed; the publish error is the story
+		return nil, err
+	}
+	// Sweep crashed-compaction leftovers only now: had a referenced
+	// segment been unreadable the open failed above, and an unpublished
+	// compactor output may be the only intact copy of its data. The live
+	// set is the list just published, rebuilt block indexes included.
+	if err := cleanUnreferenced(l.fs, dir, manifestSegs(l.segs)); err != nil {
+		_ = l.active.Close() // open failed; the sweep error is the story
 		return nil, err
 	}
 	return l, nil
@@ -271,17 +252,12 @@ func (l *shardLog) rewriteEmpty(path string) error {
 
 // cleanUnreferenced removes files a crashed compaction or rotation left
 // behind: a stale manifest temp file, and canonical segment or
-// block-index files the manifest does not reference (either a new
-// generation that was never published, or a superseded generation whose
-// deletion was interrupted). keep names extra files the caller intends
-// to publish in the next manifest (freshly rebuilt block indexes). Only
-// called on writable opens with a validated manifest in hand.
-func cleanUnreferenced(fsys vfs.FS, dir string, man manifest, keep map[string]bool) error {
-	live := make(map[string]bool, 2*len(man.Segs)+len(keep))
-	for name := range keep {
-		live[name] = true
-	}
-	for _, s := range man.Segs {
+// block-index files the published list segs does not reference (either a
+// new generation that was never published, or a superseded generation
+// whose deletion was interrupted).
+func cleanUnreferenced(fsys vfs.FS, dir string, segs []manifestSeg) error {
+	live := make(map[string]bool, 2*len(segs))
+	for _, s := range segs {
 		live[s.Name] = true
 		if s.Idx {
 			if n, ok := parseSegName(s.Name); ok {

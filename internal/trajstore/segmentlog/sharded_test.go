@@ -215,6 +215,50 @@ func TestShardedCrashedCreationRebuilt(t *testing.T) {
 	}
 }
 
+// TestMissingManifestRefused: a shard's segment list comes only from its
+// MANIFEST. A compaction's outputs carry higher file numbers than the
+// newer data behind them, so file-name order would serve a compacted
+// shard out of order: a shard directory holding segments but no MANIFEST
+// is refused, writable and read-only, and the refusal touches no file.
+func TestMissingManifestRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpenSharded(t, dir, 1, Options{MaxSegmentBytes: 256})
+	for i := range 12 {
+		for range 2 {
+			if err := s.Append("dev", genKeys(i+1, 6)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if res, err := s.Compact(CompactionPolicy{}); err != nil || res.Deduped == 0 || res.Gen == 0 {
+		t.Fatalf("Compact = %+v, %v; want duplicates dropped and a publish", res, err)
+	}
+	for i := 12; i < 14; i++ {
+		if err := s.Append("dev", genKeys(i+1, 6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(dir, shardDirName(0))
+	if err := os.Remove(filepath.Join(shard, manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	before := treeFiles(t, shard)
+	for _, ro := range []bool{false, true} {
+		if lg, err := OpenSharded(dir, 1, Options{ReadOnly: ro}); !errors.Is(err, ErrCorrupt) {
+			if err == nil {
+				lg.Close()
+			}
+			t.Fatalf("open (read-only %v) of a shard without its MANIFEST = %v, want ErrCorrupt", ro, err)
+		}
+		if after := treeFiles(t, shard); !reflect.DeepEqual(after, before) {
+			t.Fatalf("a refused open (read-only %v) changed the shard's files", ro)
+		}
+	}
+}
+
 // TestShardedCloseIdempotent: Close is nil on repeat (engine.Close
 // closes the persister it was given, and the caller's own deferred
 // Close must not then report a spurious error), and every operation

@@ -325,10 +325,10 @@ func TestBlockIndexCorruptionFallsBack(t *testing.T) {
 
 // TestHealedIndexSurvivesSweep: when the manifest does not reference a
 // sealed v2 segment's index (a rotation whose manifest publish failed),
-// the writable Open that scans and re-seals the index must not let the
-// unreferenced-file sweep — which runs against the OLD manifest —
-// delete what it just wrote; the manifest published at the end of Open
-// references the healed index, and the next Open loads through it.
+// the writable Open that scans and re-seals the index publishes a
+// manifest that references it, so the unreferenced-file sweep — which
+// runs against that list — keeps what it just wrote, and the next Open
+// loads through it.
 func TestHealedIndexSurvivesSweep(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{MaxSegmentBytes: 1024})

@@ -355,9 +355,9 @@ func (st *Store) removeChainLocked(chain []core.Point) {
 	}
 }
 
-// StorageBytes returns the wire-format size of the store's contents: each
-// distinct chain point costs WireSize bytes. It is the quantity the
-// device's flash budget constrains.
+// StorageBytes returns the store's contents in the paper's fixed sample
+// budget: each distinct chain point costs WireSize bytes. It is the
+// quantity the device's flash budget (Table II) constrains.
 func (st *Store) StorageBytes() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

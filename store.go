@@ -21,27 +21,16 @@ type StoreConfig = trajstore.Config
 // StoredSegment is one stored compressed segment with merge bookkeeping.
 type StoredSegment = trajstore.Segment
 
-// GeoKey is a key point in the 12-byte wire format's geographic
-// coordinates.
+// GeoKey is a key point in the wire's geographic coordinates: degrees on
+// a 1e-7° lattice and whole seconds.
 type GeoKey = trajstore.GeoKey
 
 // NewStore returns an empty trajectory store.
 func NewStore(cfg StoreConfig) (*Store, error) { return trajstore.NewStore(cfg) }
 
-// EncodeTrajectory serializes key points in the paper's 12-byte-per-sample
-// wire format (int32 micro-degree latitude/longitude + uint32 seconds).
-func EncodeTrajectory(keys []GeoKey) ([]byte, error) {
-	return trajstore.EncodeTrajectory(keys)
-}
-
-// DecodeTrajectory inverts EncodeTrajectory, returning the key points and
-// bytes consumed.
-func DecodeTrajectory(b []byte) ([]GeoKey, int, error) {
-	return trajstore.DecodeTrajectory(b)
-}
-
 // DeltaEncodeTrajectory serializes key points with zig-zag varint deltas —
-// an extension that typically halves the wire size again.
+// the block the durable log stores, about 6–8 bytes a key point against
+// the paper's 12 per sample.
 func DeltaEncodeTrajectory(keys []GeoKey) ([]byte, error) {
 	return trajstore.DeltaEncode(keys)
 }
