@@ -173,11 +173,11 @@ type Engine struct {
 	backend trajstore.Backend
 	pool    sync.Pool // recycled stream.Compressor values (all Resetters)
 
-	// Ingest staging: per-shard fix slices and the scatter table that
-	// distributes a caller batch over them are pooled, so the steady-state
+	// Ingest staging: per-shard batches and the scatter table that
+	// distributes a caller's fixes over them are pooled, so the steady-state
 	// ingest path performs no allocation — shard workers return each batch
 	// to batchPool once it has been drained.
-	batchPool   sync.Pool // *fixBatch
+	batchPool   sync.Pool // *batch
 	scatterPool sync.Pool // *scatter, byShard sized to len(shards)
 
 	// The lifecycle (lifecycle.go). state is installed Healthy by New before
@@ -209,12 +209,13 @@ type Engine struct {
 
 // session is the per-device state, owned by exactly one shard worker.
 type session struct {
+	device   string            // the name it was opened under, which every emit and append passes on: one string per device, not one per batch
 	comp     stream.Compressor // nil from a flush's cut until the next fix re-arms it (arm)
 	lastSeen time.Time
-	last     core.Point // the last key point emitted, if keyed: where a cut session's compressor starts again
-	keyed    bool
+	last     core.Point      // the last key point emitted, if keyed: where a cut session's compressor starts again
 	trail    trajstore.Trail // key points not yet in the log, as the block the log will store; kept only when persisting, capped at MaxTrailKeys
-	chunked  bool            // the trail starts with the previous chunk's last key
+	keyed    bool
+	chunked  bool // the trail starts with the previous chunk's last key; beside keyed, so the name costs a session no size class
 }
 
 // shard is one worker: a queue and a session table.
@@ -254,7 +255,7 @@ type shard struct {
 // (when non-nil) is closed once the message — and everything queued
 // before it — has been processed.
 type shardMsg struct {
-	batch   *fixBatch
+	batch   *batch
 	do      func(*shard)
 	barrier chan struct{}
 }
@@ -266,17 +267,28 @@ type parkedTrail struct {
 	trail  trajstore.Trail
 }
 
-// fixBatch is a pooled per-shard staging buffer for Ingest.
-type fixBatch struct{ fixes []Fix }
+// batch is a pooled unit of queued ingest: fixes, or one device's block.
+type batch struct {
+	fixes  []Fix
+	device string
+	block  []byte
+}
 
 // scatter is a pooled table distributing one caller batch over the shards.
-type scatter struct{ byShard []*fixBatch }
+type scatter struct{ byShard []*batch }
 
 // getBatch returns a pooled (or fresh) staging buffer, emptied.
-func (e *Engine) getBatch() *fixBatch {
-	b := e.batchPool.Get().(*fixBatch)
+func (e *Engine) getBatch() *batch {
+	b := e.batchPool.Get().(*batch)
 	b.fixes = b.fixes[:0]
 	return b
+}
+
+// putBatch pools b unless a block grew it past 64 KiB, as server.shed does.
+func (e *Engine) putBatch(b *batch) {
+	if cap(b.block) <= 64<<10 {
+		e.batchPool.Put(b)
+	}
 }
 
 // New returns a started engine; callers must Close it to flush sessions
@@ -322,8 +334,8 @@ func New(cfg Config) (*Engine, error) {
 	if e.clock == nil {
 		e.clock = time.Now
 	}
-	e.batchPool.New = func() any { return &fixBatch{} }
-	e.scatterPool.New = func() any { return &scatter{byShard: make([]*fixBatch, len(e.shards))} }
+	e.batchPool.New = func() any { return &batch{} }
+	e.scatterPool.New = func() any { return &scatter{byShard: make([]*batch, len(e.shards))} }
 	if _, ok := probe.(stream.Resetter); ok {
 		e.pool.Put(probe) // the probe seeds the pool instead of being wasted
 	}
@@ -385,26 +397,32 @@ func (e *Engine) CompactNow() error {
 	return e.compactPass(true)
 }
 
-// send enqueues msg on the shard, parking WITHOUT any engine lock when
-// the queue is full. A send in flight when Close begins aborts with
-// ErrClosed (recycling the batch) instead of wedging shutdown behind a
-// stalled shard. The non-blocking fast path keeps the common case a
-// single channel operation.
-func (e *Engine) send(sh *shard, msg shardMsg) error {
+// send enqueues msg on the shard. A full queue refuses it — ErrBackpressure,
+// its n fixes counted rejected — unless block: then it parks WITHOUT any
+// engine lock, and aborts with ErrClosed when Close begins instead of wedging
+// shutdown behind a stalled shard. A refused batch is recycled. The
+// non-blocking fast path keeps the common case a single channel operation.
+func (e *Engine) send(sh *shard, msg shardMsg, n int, block bool) error {
 	select {
 	case sh.in <- msg:
 		return nil
 	default:
 	}
-	select {
-	case sh.in <- msg:
-		return nil
-	case <-e.closing:
-		if msg.batch != nil {
-			e.batchPool.Put(msg.batch)
+	err := ErrBackpressure
+	if block {
+		select {
+		case sh.in <- msg:
+			return nil
+		case <-e.closing:
+			err = ErrClosed
 		}
-		return ErrClosed
+	} else {
+		e.rejected.Add(uint64(n))
 	}
+	if msg.batch != nil {
+		e.putBatch(msg.batch)
+	}
+	return err
 }
 
 // scatterFixes distributes a caller batch over per-shard staging buffers
@@ -460,23 +478,13 @@ func (e *Engine) dispatch(fixes []Fix, block bool) (accepted int, err error) {
 		sc.byShard[i] = nil
 		// Read before the send: the worker may drain and recycle b, and
 		// another sender refill it, before this goroutine runs again.
-		n, msg := len(b.fixes), shardMsg{batch: b}
-		switch {
-		case err == ErrClosed:
-			e.batchPool.Put(b)
-		case block:
-			if err = e.send(e.shards[i], msg); err == nil {
-				accepted += n
-			}
-		default:
-			select {
-			case e.shards[i].in <- msg:
-				accepted += n
-			default:
-				err = ErrBackpressure
-				e.rejected.Add(uint64(n))
-				e.batchPool.Put(b)
-			}
+		n := len(b.fixes)
+		if err == ErrClosed {
+			e.putBatch(b)
+		} else if serr := e.send(e.shards[i], shardMsg{batch: b}, n, block); serr != nil {
+			err = serr
+		} else {
+			accepted += n
 		}
 	}
 	e.scatterPool.Put(sc)
@@ -516,6 +524,27 @@ func (e *Engine) TryIngest(fixes []Fix) (accepted int, err error) {
 	return e.dispatch(fixes, false)
 }
 
+// TryIngestTrail is TryIngest for one device's fixes held as a block in the
+// wire's degrees, as the server hands on a frame's validated batches: accepted
+// or refused whole. The block is copied into the shard's queue, one message
+// of about its wire size, and the worker pushes each key through
+// trajstore.PlanePoint. Its keys are on the globe, so ErrRange cannot arise.
+func (e *Engine) TryIngestTrail(device string, tr *trajstore.Trail) error {
+	if _, err := e.admit(opIngest); err != nil {
+		if errors.Is(err, ErrDegraded) {
+			e.rejected.Add(uint64(tr.Len()))
+		}
+		return err
+	}
+	defer e.inflight.Done()
+	if tr.Len() == 0 {
+		return nil
+	}
+	b := e.getBatch()
+	b.device, b.block = device, tr.AppendBlock(b.block[:0])
+	return e.send(e.shards[trajstore.ShardIndex(device, len(e.shards))], shardMsg{batch: b}, tr.Len(), false)
+}
+
 // IngestOne routes a single fix; a convenience wrapper over Ingest.
 func (e *Engine) IngestOne(device string, p core.Point) error {
 	return e.Ingest([]Fix{{Device: device, Point: p}})
@@ -536,7 +565,7 @@ func (e *Engine) barrier(shards []*shard, do func(*shard)) error {
 	var err error
 	for _, sh := range shards {
 		m := shardMsg{do: do, barrier: make(chan struct{})}
-		if err = e.send(sh, m); err != nil {
+		if err = e.send(sh, m, 0, true); err != nil {
 			break
 		}
 		waits = append(waits, m.barrier)
@@ -764,8 +793,8 @@ func (sh *shard) run() {
 				msg.do(sh)
 			}
 			if msg.batch != nil {
-				sh.ingestBatch(msg.batch.fixes)
-				sh.eng.batchPool.Put(msg.batch)
+				sh.ingestBatch(msg.batch)
+				sh.eng.putBatch(msg.batch)
 			}
 			if msg.barrier != nil {
 				close(msg.barrier)
@@ -776,38 +805,51 @@ func (sh *shard) run() {
 	}
 }
 
-// ingestBatch feeds a shard batch into its sessions, creating sessions on
-// first contact. The clock is read once per batch — idle eviction only
-// needs batch-level granularity — and the session lookup is hoisted
-// across runs of consecutive fixes for the same device, so a device
-// reporting a burst of fixes costs a single map hit.
-func (sh *shard) ingestBatch(fixes []Fix) {
+// ingestBatch feeds a shard batch into its sessions: a block is one device's
+// run, decoded key by key into the plane. The clock is read once per batch —
+// idle eviction only needs batch-level granularity — and the session lookup
+// is hoisted across runs of consecutive fixes for the same device.
+func (sh *shard) ingestBatch(b *batch) {
 	now := sh.eng.clock()
-	sh.fixes.Add(uint64(len(fixes)))
-	var (
-		device string
-		s      *session
-	)
-	for i := range fixes {
-		f := &fixes[i]
-		if s == nil || f.Device != device {
-			device = f.Device
-			s = sh.sessions[device]
-			if s == nil {
-				s = new(session)
-				sh.sessions[device] = s
-				sh.active.Add(1)
-				sh.opened.Add(1)
+	if len(b.fixes) == 0 {
+		s, n := sh.session(b.device, now), uint64(0)
+		c, _ := trajstore.BlockCursor(b.block) // a trail's: it parses
+		for k, ok := c.Next(); ok; k, ok = c.Next() {
+			if kp, ok := s.comp.Push(trajstore.PlanePoint(k)); ok {
+				sh.emit(s, kp)
 			}
-			if s.comp == nil {
-				sh.arm(s)
-			}
+			n++
 		}
-		s.lastSeen = now
+		sh.fixes.Add(n)
+		return
+	}
+	sh.fixes.Add(uint64(len(b.fixes)))
+	var s *session
+	for i := range b.fixes {
+		f := &b.fixes[i]
+		if s == nil || f.Device != s.device {
+			s = sh.session(f.Device, now)
+		}
 		if kp, ok := s.comp.Push(f.Point); ok {
-			sh.emit(device, s, kp)
+			sh.emit(s, kp)
 		}
 	}
+}
+
+// session returns device's session, armed, seen now; a new one keeps device.
+func (sh *shard) session(device string, now time.Time) *session {
+	s := sh.sessions[device]
+	if s == nil {
+		s = &session{device: device}
+		sh.sessions[device] = s
+		sh.active.Add(1)
+		sh.opened.Add(1)
+	}
+	if s.comp == nil {
+		sh.arm(s)
+	}
+	s.lastSeen = now
+	return s
 }
 
 // arm gives a session — new, or cut by a flush — its compressor, pooled
@@ -838,26 +880,26 @@ func (sh *shard) arm(s *session) {
 // emit records a finalized key point: with a persister to hand the trail
 // to, it is quantized to the wire lattice and encoded onto the session's
 // block here, once; and it goes to OnKey.
-func (sh *shard) emit(device string, s *session, kp core.Point) {
+func (sh *shard) emit(s *session, kp core.Point) {
 	s.last, s.keyed = kp, true
 	if sh.eng.persisting {
 		was := s.owed()
 		err := s.trail.Add(trajstore.PlaneKey(kp))
 		if err != nil {
-			// dispatch let only encodable fixes in: the compressor made this up.
+			// Only encodable fixes got in: the compressor made this up.
 			sh.eng.persistFails.Add(1)
-			sh.eng.transition(evFail, fmt.Errorf("engine: device %q: key point x=%g y=%g: %w", device, kp.X, kp.Y, err), 0)
+			sh.eng.transition(evFail, fmt.Errorf("engine: device %q: key point x=%g y=%g: %w", s.device, kp.X, kp.Y, err), 0)
 		}
 		sh.trailBytes.Add(s.owed() - was)
 		if s.trail.Len() >= sh.eng.cfg.MaxTrailKeys {
-			sh.persistTrail(device, s)
+			sh.persistTrail(s)
 			s.trail.Restart()
 			s.chunked = true
 		}
 	}
 	sh.keys.Add(1)
 	if sh.eng.cfg.OnKey != nil {
-		sh.eng.cfg.OnKey(device, kp)
+		sh.eng.cfg.OnKey(s.device, kp)
 	}
 }
 
@@ -884,13 +926,13 @@ func (s *session) owed() int64 {
 // persister does not take is parked on the shard — with the session's
 // buffer, so it aliases nothing — and re-appended, in order, when Heal
 // succeeds: data the engine already accepted survives the outage in memory.
-func (sh *shard) persistTrail(device string, s *session) {
+func (sh *shard) persistTrail(s *session) {
 	gone := s.owed()
 	if s.unrecorded() {
-		if sh.tryAppend(device, &s.trail) {
+		if sh.tryAppend(s.device, &s.trail) {
 			sh.persisted.Add(1)
 		} else {
-			sh.parked = append(sh.parked, parkedTrail{device: device, trail: s.trail.Take()})
+			sh.parked = append(sh.parked, parkedTrail{device: s.device, trail: s.trail.Take()})
 			sh.parkedN.Add(1)
 			gone = 0 // the bytes only moved
 		}
@@ -975,10 +1017,10 @@ func backoff(attempt int) time.Duration {
 // holds that key and nothing else — no compressor, no trail buffer. A cut
 // session has nothing to hand over: cut again it is left alone, ended it
 // is a plain delete.
-func (sh *shard) closeSession(device string, s *session, final bool) {
+func (sh *shard) closeSession(s *session, final bool) {
 	if s.comp != nil {
 		for _, kp := range stream.FlushAll(s.comp) {
-			sh.emit(device, s, kp)
+			sh.emit(s, kp)
 		}
 		if r, ok := s.comp.(stream.Resetter); ok {
 			r.Reset()
@@ -988,9 +1030,9 @@ func (sh *shard) closeSession(device string, s *session, final bool) {
 	} else if !final {
 		return
 	}
-	sh.persistTrail(device, s)
+	sh.persistTrail(s)
 	if final || !s.keyed { // or nothing to continue from
-		delete(sh.sessions, device)
+		delete(sh.sessions, s.device)
 		sh.active.Add(-1)
 		return
 	}
@@ -1004,9 +1046,9 @@ func (sh *shard) evictIdle() {
 		return
 	}
 	now := sh.eng.clock()
-	for device, s := range sh.sessions {
+	for _, s := range sh.sessions {
 		if now.Sub(s.lastSeen) >= d {
-			sh.closeSession(device, s, true)
+			sh.closeSession(s, true)
 			sh.evicted.Add(1)
 		}
 	}
@@ -1015,7 +1057,7 @@ func (sh *shard) evictIdle() {
 // closeAll flushes every session: final ends them (engine shutdown), else
 // cuts them (FlushSessions).
 func (sh *shard) closeAll(final bool) {
-	for device, s := range sh.sessions {
-		sh.closeSession(device, s, final)
+	for _, s := range sh.sessions {
+		sh.closeSession(s, final)
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -247,6 +249,145 @@ func TestTrailHeapPerBufferedKey(t *testing.T) {
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parkWorkers has every shard worker block on a queued message until the
+// returned release is called, and returns once all of them are blocked.
+func parkWorkers(t *testing.T, e *Engine) (release func()) {
+	t.Helper()
+	gate, parked := make(chan struct{}), make(chan struct{}, len(e.shards))
+	for _, sh := range e.shards {
+		if err := e.send(sh, shardMsg{do: func(*shard) { parked <- struct{}{}; <-gate }}, 0, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range e.shards {
+		<-parked
+	}
+	return func() { close(gate) }
+}
+
+// TestQueuedBlockHeap is the number TryIngestTrail is about: a fix waiting
+// in a shard queue costs its wire bytes and its share of one pooled batch,
+// not a 40-byte Fix in a per-shard staging slice. With the workers parked,
+// 2 000 device blocks of 100 fixes are queued, and the heap may grow by at
+// most 8 B a queued fix; the same fixes queued through TryIngest, as the
+// server queued them before, cost at least 40.
+func TestQueuedBlockHeap(t *testing.T) {
+	e, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 2, QueueDepth: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks, perBlock = 2000, 100
+	names, trails, fixes := make([]string, blocks), make([]trajstore.Trail, blocks), make([][]Fix, blocks)
+	for i := range trails {
+		names[i] = fmt.Sprintf("dev-%04d", i)
+		for j := 0; j < perBlock; j++ { // ≈ 1 m steps a second: the wire's ≈ 4.5 B a fix
+			k := trajstore.GeoKey{Lat: 10 + float64(i%50)*0.01 + float64(j%7)*3e-6, Lon: 20 + float64(i/50)*0.01 + float64(j)*1e-5, T: uint32(1700000000 + j)}
+			if err := trails[i].Add(k); err != nil {
+				t.Fatal(err)
+			}
+			fixes[i] = append(fixes[i], Fix{Device: names[i], Point: trajstore.PlanePoint(k)})
+		}
+	}
+	queued := func(ingest func(i int) (int, error)) float64 {
+		release := parkWorkers(t, e)
+		before := heapAlloc()
+		for i := range blocks {
+			if n, err := ingest(i); n != perBlock || err != nil {
+				t.Fatalf("block %d: %d fixes accepted, %v", i, n, err)
+			}
+		}
+		after := heapAlloc()
+		release()
+		if err := e.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return (float64(after) - float64(before)) / (blocks * perBlock)
+	}
+	asBlocks := queued(func(i int) (int, error) { return perBlock, e.TryIngestTrail(names[i], &trails[i]) })
+	asFixes := queued(func(i int) (int, error) { return e.TryIngest(fixes[i]) })
+	runtime.KeepAlive(fixes) // the caller's, before and after: only the queue's copy counts
+	wire := 0
+	for i := range trails {
+		wire += trails[i].Size()
+	}
+	t.Logf("heap %.1f B per queued fix as a block (%.2f B of it the wire's), %.1f B as fixes", asBlocks, float64(wire)/(blocks*perBlock), asFixes)
+	if asBlocks > 8 || asFixes < 40 {
+		t.Fatalf("heap grew %.1f B per fix queued as a block, want ≤ 8 (%.1f as fixes)", asBlocks, asFixes)
+	}
+	if st := e.Stats(); st.Fixes != 2*blocks*perBlock || st.KeyPoints != st.Fixes || st.Rejected != 0 {
+		t.Fatalf("queued fixes were not all pushed: %+v", st)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// nameLog is a backend that notes, per device, the string data under every
+// name AppendTrail was handed.
+type nameLog struct {
+	trajstore.Backend
+	mu    sync.Mutex
+	names map[string]map[*byte]int
+}
+
+func (l *nameLog) AppendTrail(device string, t *trajstore.Trail) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.names[device] == nil {
+		l.names[device] = map[*byte]int{}
+	}
+	l.names[device][unsafe.StringData(device)]++
+	return nil
+}
+
+// TestRecordsShareSessionName: every record a session appends — chunks,
+// flush cuts and its final trail, fed by Ingest and TryIngestTrail calls
+// each carrying its own copy of the name — is appended under the one string
+// the session was opened with, so a log's record metadata pins one name per
+// device, not the name of every frame that carried a fix.
+func TestRecordsShareSessionName(t *testing.T) {
+	lg := &nameLog{Backend: trajstore.AppendOnly(nil), names: map[string]map[*byte]int{}}
+	e, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 2, MaxTrailKeys: 3, Persister: lg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	devices := []string{"bus-1", "bus-2", "bus-3"}
+	for i := 0; i < 12; i++ {
+		for d, dev := range devices {
+			k := trajstore.GeoKey{Lat: float64(d), Lon: float64(i) * 1e-3, T: uint32(100 + i)}
+			var err error
+			if (i+d)%2 == 0 {
+				err = e.Ingest([]Fix{{Device: strings.Clone(dev), Point: trajstore.PlanePoint(k)}})
+			} else {
+				var tr trajstore.Trail
+				if err = tr.Add(k); err == nil {
+					err = e.TryIngestTrail(strings.Clone(dev), &tr)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%5 == 4 {
+			if err := e.FlushSessions(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range devices {
+		appends := 0
+		for _, n := range lg.names[dev] {
+			appends += n
+		}
+		if len(lg.names[dev]) != 1 || appends < 4 {
+			t.Fatalf("%s: %d appends under %d distinct strings, want ≥ 4 under one", dev, appends, len(lg.names[dev]))
+		}
 	}
 }
 

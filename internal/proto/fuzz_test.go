@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -43,7 +44,9 @@ func FuzzFrameDecode(f *testing.F) {
 				reparse(t, payload, AppendHelloAck(nil, m))
 			}
 		case TypeIngest:
-			if m, err := ParseIngest(payload); err == nil {
+			m, err := ParseIngest(payload)
+			walkParity(t, payload, m, err)
+			if err == nil {
 				p2, err := AppendIngest(nil, m)
 				if err != nil {
 					t.Fatalf("decoded Ingest fails to re-encode: %v", err)
@@ -85,6 +88,42 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// walkParity holds the daemon's path to ParseIngest's: IngestFrame.Walk
+// accepts exactly the payloads ParseIngest does (m, err), with the same seq
+// and devices, and each trail's keys read one by one with Cursor.Next — as
+// a shard worker reads them — are ParseIngest's keys and DeltaDecode's of
+// the trail's block.
+func walkParity(t *testing.T, payload []byte, m Ingest, err error) {
+	t.Helper()
+	var f IngestFrame
+	werr := f.Walk(payload)
+	if (werr == nil) != (err == nil) {
+		t.Fatalf("Walk = %v, ParseIngest = %v", werr, err)
+	}
+	if err != nil {
+		return
+	}
+	if f.Seq != m.Seq || len(f.Batches) != len(m.Batches) {
+		t.Fatalf("Walk: seq %d, %d batches; ParseIngest: seq %d, %d batches", f.Seq, len(f.Batches), m.Seq, len(m.Batches))
+	}
+	for i, b := range f.Batches {
+		var next []trajstore.GeoKey
+		for c := b.Trail.Cursor(); ; {
+			k, ok := c.Next()
+			if !ok {
+				break
+			}
+			next = append(next, k)
+		}
+		decoded, derr := trajstore.DeltaDecode(b.Trail.AppendBlock(nil))
+		want := m.Batches[i]
+		if b.Device != want.Device || derr != nil || len(next) != b.Trail.Len() ||
+			!slices.Equal(next, want.Keys) || !slices.Equal(decoded, want.Keys) {
+			t.Fatalf("batch %d: Walk %q %v, ParseIngest %q %v, DeltaDecode %v (%v)", i, b.Device, next, want.Device, want.Keys, decoded, derr)
+		}
+	}
 }
 
 // reparse asserts a successfully decoded payload re-encodes to bytes

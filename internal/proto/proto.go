@@ -2,7 +2,8 @@
 // frames over a byte stream, reusing the storage layer's delta-varint
 // idiom for trajectory payloads (trajstore.DeltaEncode — the same bytes
 // the segment log persists, so a batch travels, lands on disk and is
-// queried back in one representation).
+// queried back in one representation; the daemon queues each Ingest batch
+// as those bytes, see IngestFrame.Walk).
 //
 // Framing: every frame is a 4-byte little-endian length N (1 ≤ N ≤
 // MaxFrame) followed by N bytes — a 1-byte frame type and the message
@@ -141,6 +142,18 @@ type DeviceBatch struct {
 type Ingest struct {
 	Seq     uint64
 	Batches []DeviceBatch
+}
+
+// IngestFrame is an Ingest payload walked, not decoded (Walk).
+type IngestFrame struct {
+	Seq     uint64
+	Batches []TrailBatch
+}
+
+// TrailBatch is one device's batch of an IngestFrame, its block in place.
+type TrailBatch struct {
+	Device string
+	Trail  trajstore.Trail
 }
 
 // IngestAck answers an Ingest frame. Accepted counts fixes enqueued;
@@ -439,20 +452,17 @@ func (c *cursor) byte() (byte, error) {
 	return v, nil
 }
 
-// keyBlock reads a length-prefixed delta-varint key block.
-func (c *cursor) keyBlock() ([]trajstore.GeoKey, error) {
+// block reads a length-prefixed key block through open, a trajstore reader: each refuses keys off the globe.
+func block[T any](c *cursor, open func([]byte) (T, error)) (v T, err error) {
 	n, err := c.uvarint()
 	if err != nil || n > uint64(len(c.b)) {
-		return nil, ErrMalformed
+		return v, ErrMalformed
 	}
-	// DeltaDecode refuses keys off the globe, so a decoded batch is always
-	// persistable and re-encodable.
-	keys, err := trajstore.DeltaDecode(c.b[:n])
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	if v, err = open(c.b[:n]); err != nil {
+		return v, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	c.b = c.b[n:]
-	return keys, nil
+	return v, nil
 }
 
 // done reports trailing garbage as ErrMalformed: payloads are exact.
@@ -491,30 +501,40 @@ func ParseHelloAck(p []byte) (HelloAck, error) {
 	return HelloAck{Version: uint32(v), Err: msg}, c.done()
 }
 
-// ParseIngest decodes an Ingest payload.
-func ParseIngest(p []byte) (Ingest, error) {
-	c := cursor{p}
-	seq, err := c.uvarint()
-	if err != nil {
-		return Ingest{}, err
+// Walk parses an Ingest payload into f, reusing its storage, and opens every
+// block with trajstore.OpenTrail: what it accepts is valid whole, sharing p.
+func (f *IngestFrame) Walk(p []byte) (err error) {
+	c, n := cursor{p}, uint64(0)
+	f.Batches = f.Batches[:0]
+	if f.Seq, err = c.uvarint(); err == nil {
+		n, err = c.uvarint()
 	}
-	n, err := c.uvarint()
-	if err != nil || n > uint64(len(c.b)) { // every batch needs ≥ 2 bytes
-		return Ingest{}, ErrMalformed
+	if err != nil || n > uint64(len(c.b)/3) { // ≥ 3 bytes a batch; appended, so the count sizes nothing
+		return ErrMalformed
 	}
-	m := Ingest{Seq: seq, Batches: make([]DeviceBatch, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		dev, err := c.str()
-		if err != nil {
-			return Ingest{}, err
+	for ; n > 0; n-- {
+		b := TrailBatch{}
+		if b.Device, err = c.str(); err == nil {
+			b.Trail, err = block(&c, trajstore.OpenTrail)
 		}
-		keys, err := c.keyBlock()
 		if err != nil {
-			return Ingest{}, err
+			return err
 		}
-		m.Batches = append(m.Batches, DeviceBatch{Device: dev, Keys: keys})
+		f.Batches = append(f.Batches, b)
 	}
-	return m, c.done()
+	return c.done()
+}
+
+// ParseIngest decodes an Ingest payload: Walk, then each trail's keys.
+func ParseIngest(p []byte) (m Ingest, err error) {
+	var f IngestFrame
+	if err = f.Walk(p); err == nil {
+		m = Ingest{Seq: f.Seq, Batches: make([]DeviceBatch, len(f.Batches))}
+		for i, b := range f.Batches {
+			m.Batches[i] = DeviceBatch{Device: b.Device, Keys: b.Trail.Keys()}
+		}
+	}
+	return m, err
 }
 
 // ParseIngestAck decodes an IngestAck payload.
@@ -532,15 +552,12 @@ func ParseIngestAck(p []byte) (IngestAck, error) {
 	if err != nil || n > uint64(len(c.b)) {
 		return IngestAck{}, ErrMalformed
 	}
-	if n > 0 {
-		a.Rejected = make([]uint32, 0, n)
-		for i := uint64(0); i < n; i++ {
-			r, err := c.u32()
-			if err != nil {
-				return IngestAck{}, err
-			}
-			a.Rejected = append(a.Rejected, r)
+	for i := uint64(0); i < n; i++ { // appended, as Walk's batches are; none leaves Rejected nil
+		r, err := c.u32()
+		if err != nil {
+			return IngestAck{}, err
 		}
+		a.Rejected = append(a.Rejected, r)
 	}
 	if a.RetryAfterMillis, err = c.u32(); err != nil {
 		return IngestAck{}, err
@@ -639,13 +656,10 @@ func ParseQueryResp(p []byte) (QueryResp, error) {
 		return QueryResp{}, err
 	}
 	n, err := c.uvarint()
-	if err != nil || n > uint64(len(c.b)) {
+	if err != nil || n > uint64(len(c.b)/5) { // a record takes ≥ 5 bytes: device, t0, t1, block length, count
 		return QueryResp{}, ErrMalformed
 	}
-	if n > 0 {
-		m.Records = make([]trajstore.PersistedRecord, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n; i++ { // appended, as Walk's batches are
 		var r trajstore.PersistedRecord
 		if r.Device, err = c.str(); err != nil {
 			return QueryResp{}, err
@@ -656,7 +670,7 @@ func ParseQueryResp(p []byte) (QueryResp, error) {
 		if r.T1, err = c.u32(); err != nil {
 			return QueryResp{}, err
 		}
-		if r.Keys, err = c.keyBlock(); err != nil {
+		if r.Keys, err = block(&c, trajstore.DeltaDecode); err != nil {
 			return QueryResp{}, err
 		}
 		m.Records = append(m.Records, r)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -220,6 +221,38 @@ func TestParseIngestRejectsHugeCount(t *testing.T) {
 	p = binary.AppendUvarint(p, 1<<40) // absurd batch count
 	if _, err := ParseIngest(p); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("huge count: err = %v, want ErrMalformed", err)
+	}
+
+	// A frame-sized payload whose count the bytes could almost hold — just
+	// under the payload's length, or exactly what its minimum encoding allows
+	// — must not make a parser allocate more than twice the payload before it
+	// fails: a count sizes nothing the bytes do not back.
+	body := make([]byte, MaxFrame-16)
+	hostile := func(n int) []byte {
+		return append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), uint64(n)), body...)
+	}
+	var frame IngestFrame
+	for name, c := range map[string]struct {
+		minBytes int
+		parse    func([]byte) error
+	}{
+		"ParseIngest":      {3, func(p []byte) error { _, err := ParseIngest(p); return err }},
+		"IngestFrame.Walk": {3, frame.Walk},
+		"ParseQueryResp":   {5, func(p []byte) error { _, err := ParseQueryResp(p); return err }},
+	} {
+		for _, n := range []int{len(body) - 1, len(body) / c.minBytes} {
+			p := hostile(n)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := c.parse(p)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("%s, count %d over %d bytes: err = %v, want ErrMalformed", name, n, len(p), err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2*uint64(len(p)) {
+				t.Fatalf("%s, count %d over %d bytes: allocated %d bytes before failing", name, n, len(p), grew)
+			}
+		}
 	}
 }
 

@@ -7,7 +7,8 @@
 // Each tenant named in a connection's Hello maps to its own engine and
 // sharded-log directory under Config.Dir, opened lazily on first use
 // and flock-guarded by the log itself. Ingest uses the engine's
-// non-blocking TryIngest: a device batch that lands on a full shard
+// non-blocking TryIngestTrail, which queues each device batch as the block
+// the frame carried: a device batch that lands on a full shard
 // queue is rejected in the ack with a retry-after hint — the server
 // never buffers rejected fixes and an ingest frame never blocks its
 // connection goroutine on a wedged persister. Sync and query frames do
@@ -218,11 +219,7 @@ func (t *tenant) open(s *Server) {
 func (s *Server) retryMillis(eng *engine.Engine) uint32 {
 	d := s.cfg.RetryAfter
 	d += time.Duration(float64(d) * eng.QueueStats().Fullness())
-	ms := d.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	return uint32(ms)
+	return uint32(max(d.Milliseconds(), 1))
 }
 
 // Shutdown drains and closes the server: stop accepting, abort idle
@@ -357,21 +354,24 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	var fixes []engine.Fix
+	var frame proto.IngestFrame
 	for {
 		buf, out = shed(buf), shed(out)
+		if cap(frame.Batches) > keepBatches {
+			frame.Batches = nil
+		}
 		typ, payload, buf, err = proto.ReadFrame(conn, buf)
 		if err != nil {
 			return // EOF, drain deadline, or garbage framing — all terminal
 		}
 		switch typ {
 		case proto.TypeIngest:
-			m, perr := proto.ParseIngest(payload)
-			if perr != nil {
+			if perr := frame.Walk(payload); perr != nil {
 				s.sendError(conn, perr.Error())
 				return
 			}
-			ack := s.ingest(tn, m, &fixes)
+			ack := s.ingest(tn, &frame)
+			clear(frame.Batches) // the trails alias buf, which shed may hand on
 			out = proto.AppendIngestAck(out[:0], ack)
 			if err := proto.WriteFrame(conn, proto.TypeIngestAck, out); err != nil {
 				return
@@ -426,27 +426,21 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// ingest runs one Ingest frame through TryIngest batch by batch. A
-// device maps to exactly one shard, so each batch is accepted or
-// rejected whole; rejected indices plus a retry hint go back in the
-// ack. ack.Err is set only when a batch was refused for good (degraded
-// engine, or closed) — the client learns the backend is sick now, not
-// at the next Sync barrier. A failed background-compaction pass is not
-// such a refusal: every fix was accepted and stays durable, so it shows
-// in bqs_compact_failures_total and at Shutdown, never in an ack.
-func (s *Server) ingest(tn *tenant, m proto.Ingest, fixes *[]engine.Fix) proto.IngestAck {
-	ack := proto.IngestAck{Seq: m.Seq}
-	for i, b := range m.Batches {
-		fx := (*fixes)[:0]
-		for _, k := range b.Keys {
-			// PlanePoint: the exact inverse of what the engine persists with.
-			fx = append(fx, engine.Fix{Device: b.Device, Point: trajstore.PlanePoint(k)})
-		}
-		*fixes = fx
-		n, err := tn.eng.TryIngest(fx)
-		ack.Accepted += uint64(n)
-		switch {
+// ingest runs one walked Ingest frame through TryIngestTrail batch by batch.
+// A device maps to exactly one shard, so each batch is accepted or rejected
+// whole; rejected indices plus a retry hint go back in the ack. ack.Err is
+// set only when a batch was refused for good (degraded engine, or closed) —
+// the client learns the backend is sick now, not at the next Sync barrier.
+// A failed background-compaction pass is not such a refusal: every fix was
+// accepted and stays durable, so it shows in bqs_compact_failures_total and
+// at Shutdown, never in an ack.
+func (s *Server) ingest(tn *tenant, f *proto.IngestFrame) proto.IngestAck {
+	ack := proto.IngestAck{Seq: f.Seq}
+	for i := range f.Batches {
+		b := &f.Batches[i]
+		switch err := tn.eng.TryIngestTrail(b.Device, &b.Trail); {
 		case err == nil:
+			ack.Accepted += uint64(b.Trail.Len())
 		case errors.Is(err, engine.ErrBackpressure):
 			ack.Rejected = append(ack.Rejected, uint32(i))
 		case errors.Is(err, engine.ErrDegraded):
@@ -469,8 +463,9 @@ func (s *Server) ingest(tn *tenant, m proto.Ingest, fixes *[]engine.Fix) proto.I
 	return ack
 }
 
-// keepBuf is the most frame buffer a connection keeps between frames.
-const keepBuf = 64 << 10
+// keepBuf is the most frame buffer a connection keeps between frames, and
+// keepBatches (≈ 90 KiB) the most walked batches.
+const keepBuf, keepBatches = 64 << 10, 1 << 10
 
 // shed returns a connection's frame buffer for reuse, unless one large
 // frame (they go up to proto.MaxFrame) grew it past keepBuf: a connection

@@ -160,7 +160,7 @@ func (t *Trail) Cursor() Cursor { return Cursor{b: t.body, left: t.n, first: tru
 // Keys decodes the trail into a slice the caller may keep.
 func (t *Trail) Keys() []GeoKey {
 	c := t.Cursor()
-	keys, _ := c.decode(make([]GeoKey, 0, t.n), t.n, true) // Add built the block, so it parses
+	keys, _ := c.decode(make([]GeoKey, 0, t.n), t.n, true, nil) // Add built the block, so it parses
 	return keys
 }
 
@@ -179,7 +179,7 @@ func OpenTrail(block []byte) (Trail, error) {
 // result is byte for byte DeltaEncode of the joined keys.
 func (t *Trail) Join(next *Trail) bool {
 	c := next.Cursor()
-	if _, err := c.decode(nil, 1, false); t.n == 0 || err != nil ||
+	if _, err := c.decode(nil, 1, false, nil); t.n == 0 || err != nil ||
 		c.lat != int64(t.lat) || c.lon != int64(t.lon) || c.t != int64(t.t) {
 		return false
 	}
@@ -194,11 +194,11 @@ func (t *Trail) Join(next *Trail) bool {
 // keys — deltas from equal keys, so equal bytes are equal keys.
 func (t *Trail) Contains(o *Trail) bool {
 	first := o.Cursor()
-	if _, err := first.decode(nil, 1, false); err != nil { // an empty trail is contained in nothing
+	if _, err := first.decode(nil, 1, false, nil); err != nil { // an empty trail is contained in nothing
 		return false
 	}
 	for c := t.Cursor(); c.left >= o.n; {
-		if _, err := c.decode(nil, 1, false); err != nil {
+		if _, err := c.decode(nil, 1, false, nil); err != nil {
 			break
 		}
 		if c.lat == first.lat && c.lon == first.lon && c.t == first.t && bytes.HasPrefix(c.b, first.b) {
@@ -236,8 +236,16 @@ type Cursor struct {
 	left        int    // keys not yet read
 	lat, lon, t int64  // the last key read, on the lattice
 	first       bool   // the next key is the block's first
-	noting      bool   // wk is kept
-	wk          walk
+}
+
+// Next reads the next key, at wire resolution; false at the end or bad bytes.
+func (c *Cursor) Next() (k GeoKey, ok bool) {
+	if ok = c.left > 0; ok {
+		one := [1]GeoKey{}
+		_, err := c.decode(one[:0], 1, true, nil)
+		k, ok = one[0], err == nil
+	}
+	return k, ok
 }
 
 // Window is a query window on the wire lattice — 1e-7°, whole seconds —
@@ -303,24 +311,25 @@ type walk struct {
 // walkBlock is the one pass under OpenTrail and Enters: the trail block
 // was, and whether a consecutive pair of its keys meets win.
 func walkBlock(block []byte, win *Window) (t Trail, hit bool, err error) {
-	c, err := blockCursor(block)
+	c, err := BlockCursor(block)
 	if err != nil {
 		return t, false, err
 	}
-	if c.noting = true; win != nil {
-		c.wk.win, c.wk.seek = *win, true
+	var wk walk
+	if win != nil {
+		wk.win, wk.seek = *win, true
 	}
 	body, n := c.b, c.left
-	if _, err = c.decode(nil, n, false); err != nil {
+	if _, err = c.decode(nil, n, false, &wk); err != nil {
 		return t, false, err
 	}
-	b := c.wk.box
+	b := wk.box
 	if !onGlobe(b) {
 		return t, false, ErrRange
 	}
 	used := len(body) - len(c.b)
 	return Trail{body: body[:used:used], n: n, lat: int32(c.lat), lon: int32(c.lon), t: uint32(c.t),
-		bounds: Bounds{int32(b.MinLat), int32(b.MinLon), int32(b.MaxLat), int32(b.MaxLon), uint32(b.T0), uint32(b.T1)}}, c.wk.hit, nil
+		bounds: Bounds{int32(b.MinLat), int32(b.MinLon), int32(b.MaxLat), int32(b.MaxLon), uint32(b.T0), uint32(b.T1)}}, wk.hit, nil
 }
 
 // Enters walks a stored block once and reports whether it enters w: some
@@ -334,8 +343,8 @@ func Enters(block []byte, w *Window) (bool, error) {
 	return err == nil && (w == nil || hit), err
 }
 
-// blockCursor opens a DeltaEncode payload: the count, then the keys.
-func blockCursor(b []byte) (Cursor, error) {
+// BlockCursor opens a DeltaEncode payload for Next: the count, then the keys.
+func BlockCursor(b []byte) (Cursor, error) {
 	n, off := binary.Uvarint(b)
 	if off <= 0 {
 		return Cursor{}, ErrShortBuffer
@@ -347,12 +356,12 @@ func blockCursor(b []byte) (Cursor, error) {
 }
 
 // decode steps over the next n keys, appending them to dst when keep is
-// set; an error leaves the cursor where it was. Coordinates are not
-// range-checked (deltas can walk them off the globe; a walk notes where
-// they went); the time must fit the wire.
-func (c *Cursor) decode(dst []GeoKey, n int, keep bool) ([]GeoKey, error) {
+// set and noting where they go in wk when it is not nil; an error leaves
+// the cursor where it was. Coordinates are not range-checked (deltas can
+// walk them off the globe; a walk notes where they went); the time must fit
+// the wire.
+func (c *Cursor) decode(dst []GeoKey, n int, keep bool, wk *walk) ([]GeoKey, error) {
 	b, left, lat, lon, t, first := c.b, c.left-n, c.lat, c.lon, c.t, c.first
-	wk, noting := c.wk, c.noting // local copies, for the loop to keep in registers
 	for ; n > 0; n-- {
 		plat, plon, pt, was := lat, lon, t, first
 		dlat, w1 := binary.Varint(b)
@@ -378,11 +387,12 @@ func (c *Cursor) decode(dst []GeoKey, n int, keep bool) ([]GeoKey, error) {
 			return nil, ErrRange
 		}
 		b, lat, lon = b[w1+w2+w3:], lat+dlat, lon+dlon
-		switch x := &wk.box; {
-		case !noting:
+		switch {
+		case wk == nil:
 		case was:
-			*x = Window{lat, lon, lat, lon, t, t}
+			wk.box = Window{lat, lon, lat, lon, t, t}
 		default:
+			x := &wk.box
 			x.MinLat, x.MinLon, x.T0 = min(x.MinLat, lat), min(x.MinLon, lon), min(x.T0, t)
 			x.MaxLat, x.MaxLon, x.T1 = max(x.MaxLat, lat), max(x.MaxLon, lon), max(x.T1, t)
 			wk.hit = wk.hit || wk.seek &&
@@ -394,7 +404,7 @@ func (c *Cursor) decode(dst []GeoKey, n int, keep bool) ([]GeoKey, error) {
 			dst = append(dst, latticeKey(lat, lon, uint32(t)))
 		}
 	}
-	c.b, c.left, c.lat, c.lon, c.t, c.first, c.wk = b, left, lat, lon, t, first, wk
+	c.b, c.left, c.lat, c.lon, c.t, c.first = b, left, lat, lon, t, first
 	return dst, nil
 }
 
@@ -407,13 +417,13 @@ func onGlobe(b Window) bool {
 // DeltaDecode inverts DeltaEncode: in the same walk it refuses, with
 // ErrRange, a block whose deltas take a key off the globe, as OpenTrail does.
 func DeltaDecode(b []byte) ([]GeoKey, error) {
-	c, err := blockCursor(b)
+	c, err := BlockCursor(b)
 	if err != nil {
 		return nil, err
 	}
-	c.noting = true
-	keys, err := c.decode(make([]GeoKey, 0, c.left), c.left, true)
-	if err == nil && !onGlobe(c.wk.box) {
+	var wk walk
+	keys, err := c.decode(make([]GeoKey, 0, c.left), c.left, true, &wk)
+	if err == nil && !onGlobe(wk.box) {
 		return nil, ErrRange
 	}
 	return keys, err
