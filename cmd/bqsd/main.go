@@ -24,10 +24,10 @@
 // backpressured: a batch landing on a full shard queue is rejected in
 // the ack with a retry-after hint — the daemon never buffers rejected
 // fixes, each shard log fsyncs on its own once 256 KiB of accepted
-// records wait, and a query streams stored bytes into one frame, so
-// memory stays bounded no matter how far the disk falls behind or how
-// wide a window is (see `bqsbench -client` for a load generator that
-// honors the hints).
+// records wait, and a query's answer is the stored blocks its read holds,
+// uncopied and cut off at proto.MaxFrame (4 MiB) of them, so memory stays
+// bounded no matter how far the disk falls behind or how wide a window is
+// (see `bqsbench -client` for a load generator that honors the hints).
 //
 // On SIGTERM/SIGINT the daemon drains: it stops accepting, aborts idle
 // connection reads, waits up to -drain-timeout for in-flight requests,

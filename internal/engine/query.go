@@ -129,8 +129,9 @@ func (e *Engine) read(shards []*shard, q *tailsRead, log func(visit func(trajsto
 // span overlaps [t0, t1]: the Persister's records shard by shard in log
 // order, then the open sessions' and parked trails (see read). visit runs
 // on the caller's goroutine once the shard workers have handed over and
-// moved on, so a slow one holds up no ingest. An inverted or NaN window is
-// refused before any shard is asked, by the log's own rule
+// moved on, so a slow one holds up no ingest; a block outlives its visit
+// (trajstore.Block), a trail's copied for the read. An inverted or NaN
+// window is refused before any shard is asked, by the log's own rule
 // (trajstore.LatticeWindow). Behind an append-only Persister the tails are
 // the whole answer; with no Persister no trail is kept: ErrNoPersister.
 func (e *Engine) WindowBlocks(minLon, minLat, maxLon, maxLat float64, t0, t1 uint32, visit func(trajstore.Block) error) error {
@@ -145,8 +146,8 @@ func (e *Engine) WindowBlocks(minLon, minLat, maxLon, maxLat float64, t0, t1 uin
 
 // DeviceBlocks visits device's runs of key points whose time bounds
 // overlap [t0, t1], oldest first: its records in append order, then its
-// trails (see read). Only the device's own shard is asked, and visit runs
-// after its worker has moved on, as for WindowBlocks.
+// trails (see read). Only the device's own shard is asked; when visit runs
+// and how long a block lives are as for WindowBlocks.
 func (e *Engine) DeviceBlocks(device string, t0, t1 uint32, visit func(trajstore.Block) error) error {
 	q := tailsRead{device: device, w: trajstore.Window{
 		MinLat: math.MinInt64, MinLon: math.MinInt64, MaxLat: math.MaxInt64, MaxLon: math.MaxInt64, T0: int64(t0), T1: int64(t1)}}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -124,6 +125,70 @@ func blockPairs(t *testing.T, e *Engine) map[pairKey]bool {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestKeptTailsOutliveTheRead is the Block lifetime contract for the
+// blocks an engine adds to the log's: every payload a read hands over —
+// records and open sessions' tails — kept past its visit without a copy,
+// still holds the bytes it held then after the sessions ingest on, chunk
+// into the log and are cut by a flush.
+func TestKeptTailsOutliveTheRead(t *testing.T) {
+	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{CacheBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Compressor: "fbqs", Tolerance: 5, Shards: 2, MaxTrailKeys: 24, Persister: lg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	const devices, fixesPer, rounds = 6, 400, 4
+	tracks := make([][]core.Point, devices)
+	for d := range tracks {
+		tracks[d] = gridWalk(d, fixesPer*rounds, rng)
+	}
+	var kept, copies [][]byte
+	tails := 0
+	for r := 0; r < rounds; r++ {
+		var batch []Fix
+		for d := range tracks {
+			for _, p := range tracks[d][r*fixesPer : (r+1)*fixesPer] {
+				batch = append(batch, Fix{Device: fmt.Sprintf("dev-%d", d), Point: p})
+			}
+		}
+		if err := e.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		err := e.WindowBlocks(-10, -10, 10, 10, 0, math.MaxUint32, func(blk trajstore.Block) error {
+			kept, copies = append(kept, blk.Payload), append(copies, bytes.Clone(blk.Payload))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Stats().TrailBytes > 0 { // the read waited for the workers: trails were open, and served
+			tails++
+		}
+		if r == 1 {
+			if err := e.FlushSessions(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); tails < rounds-1 || st.Persisted < devices*rounds {
+		t.Fatalf("degenerate run: %d reads met open trails, %d chunks persisted", tails, st.Persisted)
+	}
+	for i := range kept {
+		if !bytes.Equal(kept[i], copies[i]) {
+			t.Fatalf("payload %d of %d changed after its visit", i, len(kept))
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestReadAsksOnlyTheShardsItNeeds: a caller's bad window is refused

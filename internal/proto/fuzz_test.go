@@ -81,6 +81,7 @@ func FuzzFrameDecode(f *testing.F) {
 					t.Fatalf("decoded QueryResp fails to re-encode: %v", err)
 				}
 				reparse(t, payload, p2)
+				writerFrame(t, m) // the server's writer sends the same frame
 			}
 		case TypeError:
 			if m, err := ParseError(payload); err == nil {

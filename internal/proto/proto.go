@@ -3,7 +3,8 @@
 // idiom for trajectory payloads (trajstore.DeltaEncode — the same bytes
 // the segment log persists, so a batch travels, lands on disk and is
 // queried back in one representation; the daemon queues each Ingest batch
-// as those bytes, see IngestFrame.Walk).
+// as those bytes, see IngestFrame.Walk, and answers a query with the
+// blocks its read visited, uncopied, see QueryRespWriter).
 //
 // Framing: every frame is a 4-byte little-endian length N (1 ≤ N ≤
 // MaxFrame) followed by N bytes — a 1-byte frame type and the message
@@ -34,6 +35,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"net"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
 )
@@ -44,7 +46,10 @@ const Version = 1
 
 // MaxFrame caps a frame's body (type byte + payload). Large enough for
 // an ingest batch of ~100k fixes or a fat query response; small enough
-// that a malicious length prefix cannot balloon memory.
+// that a malicious length prefix cannot balloon memory. It bounds a query
+// answer too: the server stops a read at the record that takes the frame
+// past it (QueryRespWriter.Block reports the size), so an answer holds at
+// most MaxFrame of the blocks the read visited.
 const MaxFrame = 4 << 20
 
 // Frame types.
@@ -251,17 +256,12 @@ func appendKeyBlock(dst []byte, keys []trajstore.GeoKey) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return insertUvarint(dst, start, uint64(len(dst)-start)), nil
-}
-
-// insertUvarint inserts v's varint at dst[at:], shifting what follows.
-func insertUvarint(dst []byte, at int, v uint64) []byte {
 	var pre [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(pre[:], v)
+	w := binary.PutUvarint(pre[:], uint64(len(dst)-start))
 	dst = append(dst, pre[:w]...)
-	copy(dst[at+w:], dst[at:])
-	copy(dst[at:], pre[:w])
-	return dst
+	copy(dst[start+w:], dst[start:])
+	copy(dst[start:], pre[:w])
+	return dst, nil
 }
 
 // AppendHello appends h's payload to dst.
@@ -343,54 +343,92 @@ func AppendQueryTime(dst []byte, m QueryTime) []byte {
 	return dst
 }
 
+// appendHead appends a QueryResp record's head up to its block's length:
+// device, t0, t1. AppendQueryResp and QueryRespWriter both write it here.
+func appendHead(dst []byte, device string, t0, t1 uint32) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(appendString(dst, device), uint64(t0)), uint64(t1))
+}
+
 // AppendQueryResp appends m's payload to dst.
 func AppendQueryResp(dst []byte, m QueryResp) ([]byte, error) {
-	b := BeginQueryResp(dst, m.Seq)
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, m.Seq), uint64(len(m.Records)))
 	for _, r := range m.Records {
-		b.head(r.Device, r.T0, r.T1)
 		var err error
-		if b.buf, err = appendKeyBlock(b.buf, r.Keys); err != nil {
+		if dst, err = appendKeyBlock(appendHead(dst, r.Device, r.T0, r.T1), r.Keys); err != nil {
 			return nil, err
 		}
 	}
-	return b.Finish(m.Err), nil
+	return appendString(dst, m.Err), nil
 }
 
-// QueryRespBuilder appends a QueryResp payload record by record: the
-// server streams stored blocks through it as the log yields them and
-// AppendQueryResp encodes decoded records through it, so the two cannot
-// drift apart. The record count precedes the records on the wire but is
-// known last: Finish shifts them to make room for it.
-type QueryRespBuilder struct {
-	buf []byte
-	at  int // offset of the record count
-	n   uint64
+// QueryRespWriter writes a QueryResp frame around key blocks it never
+// copies — the stored bytes a read hands over, which must stay unchanged
+// until WriteTo, as trajstore.Block promises. Block encodes a record's head
+// (device, t0, t1, block length); WriteTo sends Seq and the record count
+// ahead of the heads and blocks as net.Buffers (writev on TCP): the bytes
+// of WriteFrame(dst, TypeQueryResp, AppendQueryResp(…)) of them decoded.
+type QueryRespWriter struct {
+	Seq uint64
+	Err string
+
+	n     uint64
+	size  int           // the records' bytes
+	heads []byte        // a chunk of heads, filled before the next is made
+	pages []net.Buffers // the frame's head, then head, block, head, block, …
+	front [4 + 1 + 2*binary.MaxVarintLen64]byte
 }
 
-// BeginQueryResp starts a QueryResp payload at the end of dst.
-func BeginQueryResp(dst []byte, seq uint64) QueryRespBuilder {
-	dst = binary.AppendUvarint(dst, seq)
-	return QueryRespBuilder{buf: dst, at: len(dst)}
+// maxPage caps a page's records: pages double from 16 up to it and, like
+// heads' chunks, never grow, so no answer is copied as a growing slice is.
+const maxPage = 256
+
+// Block adds a record whose key points are a delta-varint block and returns
+// the frame body's length, type byte included, with an empty Err.
+func (w *QueryRespWriter) Block(device string, t0, t1 uint32, block []byte) int {
+	if k := len(w.pages); k == 0 || len(w.pages[k-1])+3 > cap(w.pages[k-1]) { // room for a record and the tail
+		p := make(net.Buffers, 0, 2*(maxPage>>(4-min(k, 4)))+2)
+		if k == 0 {
+			p = append(p, nil) // the frame's head
+		}
+		w.pages = append(w.pages, p)
+	}
+	if need := len(device) + 4*binary.MaxVarintLen32; cap(w.heads)-len(w.heads) < need {
+		w.heads = make([]byte, 0, max(need, 4<<10))
+	}
+	at := len(w.heads)
+	w.heads = binary.AppendUvarint(appendHead(w.heads, device, t0, t1), uint64(len(block)))
+	p := &w.pages[len(w.pages)-1]
+	*p = append(*p, w.heads[at:len(w.heads):len(w.heads)], block)
+	w.n++
+	w.size += len(w.heads) - at + len(block)
+	return 1 + uvarintLen(w.Seq) + uvarintLen(w.n) + w.size + 1
 }
 
-func (b *QueryRespBuilder) head(device string, t0, t1 uint32) {
-	b.buf = binary.AppendUvarint(binary.AppendUvarint(appendString(b.buf, device), uint64(t0)), uint64(t1))
-	b.n++
-}
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// Block appends one record whose key points are already a delta-varint
-// block — the bytes the segment log stores — and returns the length of
-// what Finish("") would return now.
-func (b *QueryRespBuilder) Block(device string, t0, t1 uint32, block []byte) int {
-	b.head(device, t0, t1)
-	b.buf = append(binary.AppendUvarint(b.buf, uint64(len(block))), block...)
-	return len(b.buf) + (bits.Len64(b.n)+6)/7 + 1 // + the count, + Err's length byte
-}
-
-// Finish writes the record count and the error message and returns the
-// payload — dst included; the builder is spent.
-func (b *QueryRespBuilder) Finish(errMsg string) []byte {
-	return appendString(insertUvarint(b.buf, b.at, b.n), errMsg)
+// WriteTo writes the frame to dst, a page a writev, and spends w. A body over
+// MaxFrame is refused with ErrFrameTooBig before anything is written.
+func (w *QueryRespWriter) WriteTo(dst io.Writer) (int64, error) {
+	if len(w.pages) == 0 {
+		w.pages = []net.Buffers{make(net.Buffers, 1, 2)}
+	}
+	tail := appendString(nil, w.Err)
+	front := binary.AppendUvarint(binary.AppendUvarint(append(w.front[:4], TypeQueryResp), w.Seq), w.n)
+	body := len(front) - 4 + w.size + len(tail)
+	if body > MaxFrame {
+		return 0, ErrFrameTooBig
+	}
+	binary.LittleEndian.PutUint32(front, uint32(body))
+	last := len(w.pages) - 1
+	w.pages[0][0], w.pages[last] = front, append(w.pages[last], tail)
+	var sent int64
+	for _, p := range w.pages {
+		n, err := p.WriteTo(dst)
+		if sent += n; err != nil {
+			return sent, err
+		}
+	}
+	return sent, nil
 }
 
 // AppendError appends m's payload to dst.

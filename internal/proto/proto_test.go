@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -303,40 +304,70 @@ func TestKeyBlockBytes(t *testing.T) {
 	}
 }
 
-// TestQueryRespBuilder: records streamed into the builder as stored blocks
-// make, for every width of the record count and on both sides of each
-// width's boundary, the payload AppendQueryResp makes of the same records
-// decoded — behind whatever the buffer already held — and Block reports the
-// length Finish will return.
-func TestQueryRespBuilder(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 126, 127, 128, 129, 16383, 16384, 16385} {
+// writerFrame writes m through QueryRespWriter, each record's keys handed
+// over as their stored block, and checks that the frame is
+// WriteFrame(TypeQueryResp, AppendQueryResp(m)) byte for byte and that the
+// last Block reported its body's length.
+func writerFrame(t *testing.T, m QueryResp) []byte {
+	t.Helper()
+	w, size := QueryRespWriter{Seq: m.Seq, Err: m.Err}, 0
+	for _, r := range m.Records {
+		block, err := trajstore.DeltaEncode(r.Keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = w.Block(r.Device, r.T0, r.T1, block)
+	}
+	var got, want bytes.Buffer
+	n, err := w.WriteTo(&got)
+	if err != nil || n != int64(got.Len()) {
+		t.Fatalf("%d records: WriteTo = %d, %v; wrote %d B", len(m.Records), n, err, got.Len())
+	}
+	p, err := AppendQueryResp(nil, m)
+	if err == nil {
+		err = WriteFrame(&want, TypeQueryResp, p)
+	}
+	if err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("%d records, Err %q: the writer's %d B differ from the %d B frame of AppendQueryResp (%v)", len(m.Records), m.Err, got.Len(), want.Len(), err)
+	}
+	if body := got.Len() - 4 - len(appendString(nil, m.Err)) + 1; len(m.Records) > 0 && size != body {
+		t.Fatalf("%d records: Block reported a %d B body, WriteTo sent %d B with an empty Err", len(m.Records), size, body)
+	}
+	return got.Bytes()
+}
+
+// TestQueryRespWriter: the frame the writer assembles around stored blocks
+// is the one AppendQueryResp's payload makes — at each step of the record
+// count's varint width, with zero-key records, device names of 0 and 300
+// bytes, for answers of many pages and for the in-band error — and it
+// parses back to the records.
+func TestQueryRespWriter(t *testing.T) {
+	long := strings.Repeat("d", 300)
+	for _, n := range []int{0, 1, 127, 128, 16384} {
 		recs := make([]trajstore.PersistedRecord, n)
-		b := BeginQueryResp([]byte("head"), 77)
-		size := -1
 		for i := range recs {
-			recs[i] = trajstore.PersistedRecord{Device: "dev-" + strconv.Itoa(i%9), T0: uint32(i), T1: uint32(2 * i), Keys: testKeys(i % 5)}
-			block, err := trajstore.DeltaEncode(recs[i].Keys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			size = b.Block(recs[i].Device, recs[i].T0, recs[i].T1, block)
+			dev := []string{"", "dev-" + strconv.Itoa(i%9), long}[i%3]
+			recs[i] = trajstore.PersistedRecord{Device: dev, T0: uint32(i), T1: uint32(2 * i), Keys: testKeys(i % 5)}
 		}
-		got := b.Finish("")
-		want, err := AppendQueryResp([]byte("head"), QueryResp{Seq: 77, Records: recs})
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%d records: the builder's %d B differ from AppendQueryResp's %d B (%v)", n, len(got), len(want), err)
-		}
-		if n > 0 && size != len(want) {
-			t.Fatalf("%d records: Block said Finish would return %d B, it returned %d B", n, size, len(want))
-		}
-		resp, err := ParseQueryResp(got[len("head"):])
+		frame := writerFrame(t, QueryResp{Seq: 77, Records: recs})
+		resp, err := ParseQueryResp(frame[5:])
 		if err != nil || resp.Seq != 77 || len(resp.Records) != n {
 			t.Fatalf("%d records: parsed seq %d, %d records, %v", n, resp.Seq, len(resp.Records), err)
 		}
 	}
-	b := BeginQueryResp(nil, 5)
-	b.Block("dev", 1, 2, []byte{0})
-	if resp, err := ParseQueryResp(b.Finish("too big")); err != nil || resp.Err != "too big" || len(resp.Records) != 1 {
-		t.Fatalf("a finished payload with an error message parses to %+v, %v", resp, err)
+	for _, m := range []QueryResp{
+		{Seq: 5, Err: "result not sendable — narrow the window"},
+		{Seq: 1 << 40, Records: []trajstore.PersistedRecord{{Device: "dev", T0: 1, T1: 2}}, Err: long},
+	} {
+		if resp, err := ParseQueryResp(writerFrame(t, m)[5:]); err != nil || resp.Err != m.Err {
+			t.Fatalf("an answer with an error message parses to %+v, %v", resp, err)
+		}
+	}
+	// A frame over the cap is refused before a byte is written.
+	w := QueryRespWriter{Seq: 1}
+	w.Block("dev", 1, 2, make([]byte, MaxFrame))
+	var sink bytes.Buffer
+	if n, err := w.WriteTo(&sink); !errors.Is(err, ErrFrameTooBig) || n != 0 || sink.Len() != 0 {
+		t.Fatalf("WriteTo over MaxFrame = %d, %v; wrote %d B", n, err, sink.Len())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -28,16 +29,27 @@ type captureConn struct {
 func (c *captureConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
 
 // served runs one query through sendQuery and returns the QueryResp
-// payload the server put on the wire.
-func served(t *testing.T, seq uint64, out *[]byte, read func(visit func(trajstore.Block) error) error) []byte {
+// payload the server put on the wire. The answer is written from the
+// blocks the read handed over, kept, not copied, so each must still hold
+// the bytes it held at its visit when the frame leaves: served checks them
+// against copies taken then.
+func served(t *testing.T, seq uint64, read func(visit func(trajstore.Block) error) error) []byte {
 	t.Helper()
 	var c captureConn
-	if !sendQuery(&c, seq, out, read) {
+	var kept, copies [][]byte
+	if !sendQuery(&c, seq, func(visit func(trajstore.Block) error) error {
+		return read(func(b trajstore.Block) error {
+			kept, copies = append(kept, b.Payload), append(copies, bytes.Clone(b.Payload))
+			return visit(b)
+		})
+	}) {
 		t.Fatal("sendQuery reported a dead connection")
 	}
-	// As handleConn does between frames; a buffer over keepBuf then comes
-	// back from the pool, with the last answer still in it.
-	*out = shed(*out)
+	for i := range kept {
+		if !bytes.Equal(kept[i], copies[i]) {
+			t.Fatalf("block %d of %d changed between its visit and the write", i, len(kept))
+		}
+	}
 	typ, payload, _, err := proto.ReadFrame(&c.buf, nil)
 	if err != nil || typ != proto.TypeQueryResp || c.buf.Len() != 0 {
 		t.Fatalf("sendQuery wrote type %#x, %v, %d bytes left over; want exactly one QueryResp frame", typ, err, c.buf.Len())
@@ -173,7 +185,6 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 		}
 		return all
 	}
-	out := bytes.Repeat([]byte{0xaa}, keepBuf+1) // large enough to travel through the pool, and dirty
 	window := func(q proto.QueryWindow) func(func(trajstore.Block) error) error {
 		return func(visit func(trajstore.Block) error) error {
 			return eng.WindowBlocks(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1, visit)
@@ -195,7 +206,7 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 			}
 			matched += len(want)
 			for _, temp := range []string{"cold", "warm"} {
-				got := served(t, q.Seq, &out, window(q))
+				got := served(t, q.Seq, window(q))
 				held, err := lg.QueryWindow(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1)
 				if err != nil {
 					t.Fatal(err)
@@ -216,7 +227,7 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 			}
 			// The per-device read, on the same terms.
 			d, t0 := dev(rng.Intn(devices)), 1000+uint32(rng.Intn(30*perDevice))
-			got := served(t, q.Seq, &out, func(visit func(trajstore.Block) error) error {
+			got := served(t, q.Seq, func(visit func(trajstore.Block) error) error {
 				return eng.DeviceBlocks(d, t0, t0+900, visit)
 			})
 			held, err := lg.Query(d, t0, t0+900)
@@ -251,7 +262,7 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 	}()
 	for i := 0; i < 200; i++ {
 		q := randomWindow(uint64(i + 1))
-		resp, err := proto.ParseQueryResp(served(t, q.Seq, &out, window(q)))
+		resp, err := proto.ParseQueryResp(served(t, q.Seq, window(q)))
 		if err != nil || resp.Err != "" {
 			t.Fatalf("mid-compaction, window %+v: %q, %v", q, resp.Err, err)
 		}
@@ -307,7 +318,7 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 	tails := 0
 	for i := 0; i < 60; i++ {
 		q := randomWindow(uint64(i + 1))
-		got := served(t, q.Seq, &out, window(q))
+		got := served(t, q.Seq, window(q))
 		resp, err := proto.ParseQueryResp(got)
 		if err != nil || resp.Err != "" {
 			t.Fatalf("un-flushed, window %+v: %q, %v", q, resp.Err, err)
@@ -337,7 +348,7 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 		t.Fatalf("un-flushed: %d trails matched, engine stats %+v", tails, st)
 	}
 	d := dev(devices + 1)
-	resp, err := proto.ParseQueryResp(served(t, 7, &out, func(visit func(trajstore.Block) error) error {
+	resp, err := proto.ParseQueryResp(served(t, 7, func(visit func(trajstore.Block) error) error {
 		return eng.DeviceBlocks(d, 0, math.MaxUint32, visit)
 	}))
 	if err != nil || !reflect.DeepEqual(resp.Records, []trajstore.PersistedRecord{tail(d)}) {
@@ -348,8 +359,8 @@ func TestServedFrameIsStoredBytes(t *testing.T) {
 // TestUnsendableWindowStopsEarly: a window whose answer cannot fit a frame
 // gets the in-band "narrow the window" error — on a connection that stays
 // usable — and the read behind it is stopped at the record that crosses
-// proto.MaxFrame: the frame buffer never holds more than the cap plus that
-// one record, however much the window would have returned.
+// proto.MaxFrame: the answer never holds more than the cap plus that one
+// record, however much the window would have returned.
 func TestUnsendableWindowStopsEarly(t *testing.T) {
 	blk := trajstore.Block{Device: "dev", T0: 1, T1: 2, Payload: make([]byte, 64<<10)}
 	blk.Payload[0] = 0 // an empty block, padded: the server never looks inside
@@ -408,17 +419,97 @@ func (f *floodLog) WindowBlocks(_, _, _, _ float64, _, _ uint32, visit func(traj
 	return f.stopped
 }
 
-// TestShedReleasesLargeBuffers: a frame buffer is kept between frames only
-// up to keepBuf of capacity; one grown by a large frame is let go.
+// TestShedReleasesLargeBuffers: a frame buffer grown past keepBuf by a
+// large frame is dropped, not kept until the connection closes.
 func TestShedReleasesLargeBuffers(t *testing.T) {
-	small := make([]byte, 100, keepBuf)
-	if got := shed(small); cap(got) != keepBuf || len(got) != 100 {
-		t.Fatalf("shed dropped a %d B buffer (len %d, cap %d)", keepBuf, len(got), cap(got))
-	}
 	if got := shed(make([]byte, 10, keepBuf+1)); got != nil {
 		t.Fatalf("shed kept %d B of capacity", cap(got))
 	}
-	if shed(nil) != nil {
-		t.Fatal("shed(nil) != nil")
+}
+
+// countConn is a connection that counts what is written to it and keeps
+// nothing.
+type countConn struct {
+	net.Conn
+	n int
+}
+
+func (c *countConn) Write(p []byte) (int, error) { c.n += len(p); return len(p), nil }
+
+// TestQueryAnswerCopiesNoPayload: an answer is written from the blocks the
+// read handed over. Over 1 000 blocks of 2 KiB sendQuery allocates a head
+// and two slice headers a record — under 64 B — plus a constant, never the
+// 2 MiB of payload, and the frame it writes is the full answer.
+func TestQueryAnswerCopiesNoPayload(t *testing.T) {
+	const records, size, perRecord, constant = 1000, 2 << 10, 64, 32 << 10
+	blk := trajstore.Block{Device: "dev", T0: 1, T1: 2, Payload: make([]byte, size)}
+	read := func(visit func(trajstore.Block) error) error {
+		for range records {
+			if err := visit(blk); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var c countConn
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ok := sendQuery(&c, 1, read)
+	runtime.ReadMemStats(&after)
+	if !ok {
+		t.Fatal("sendQuery reported a dead connection")
+	}
+	head := 1 + len(blk.Device) + 1 + 1 + 2 // device, t0, t1, block length
+	if want := 4 + 1 + 1 + 2 + records*(head+size) + 1; c.n != want {
+		t.Fatalf("sendQuery wrote %d B, want the %d B frame of %d records", c.n, want, records)
+	}
+	grew := after.TotalAlloc - before.TotalAlloc
+	if grew >= records*perRecord+constant {
+		t.Fatalf("sendQuery allocated %d B for %d records of %d B: %.0f B a record", grew, records, size, float64(grew)/records)
+	}
+	t.Logf("sendQuery allocated %d B for %d records of %d B", grew, records, size)
+}
+
+// BenchmarkServerQuery is the daemon's answer to a full window without the
+// socket: Engine.WindowBlocks over a one-shard log of 2 000 records (100
+// devices × 20 chunks of 16 keys), warm in the read cache, through sendQuery
+// to a connection that keeps nothing. B/op is the figure: what an answer
+// allocates beyond the blocks the read already holds.
+func BenchmarkServerQuery(b *testing.B) {
+	const devices, chunks, chunk = 100, 20, 16
+	lg, err := segmentlog.OpenSharded(b.TempDir(), 1, segmentlog.Options{CacheBytes: 16 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := engine.New(engine.Config{Tolerance: 2, Shards: 1, Persister: lg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	for d := range devices {
+		keys := track(d, chunks*(chunk-1)+1)
+		for lo := 0; lo+1 < len(keys); lo += chunk - 1 {
+			if err := lg.Append(fmt.Sprintf("dev-%03d", d), keys[lo:lo+chunk]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	read := func(visit func(trajstore.Block) error) error {
+		return e.WindowBlocks(-180, -90, 180, 90, 0, math.MaxUint32, visit)
+	}
+	var c countConn
+	if !sendQuery(&c, 1, read) { // warms the cache
+		b.Fatal("sendQuery reported a dead connection")
+	}
+	if st := lg.Stats(); st.Records != devices*chunks {
+		b.Fatalf("the log holds %d records, want %d", st.Records, devices*chunks)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if !sendQuery(&c, 1, read) {
+			b.Fatal("sendQuery reported a dead connection")
+		}
 	}
 }

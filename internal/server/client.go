@@ -48,29 +48,14 @@ func Dial(addr, tenant string) (*Client, error) {
 // NewClient performs the Hello handshake on an established connection.
 // On error the connection is left to the caller to close.
 func NewClient(conn net.Conn, tenant string) (*Client, error) {
-	c := &Client{conn: conn}
-	c.enc = proto.AppendHello(c.enc[:0], proto.Hello{Version: proto.Version, Tenant: tenant})
-	if err := proto.WriteFrame(conn, proto.TypeHello, c.enc); err != nil {
-		return nil, err
+	c := &Client{conn: conn, enc: proto.AppendHello(nil, proto.Hello{Version: proto.Version, Tenant: tenant})}
+	// A HelloAck carries no seq; c.seq is 0 until the first request.
+	ack, err := exchange(c, proto.TypeHello, proto.TypeHelloAck, proto.ParseHelloAck, func(proto.HelloAck) uint64 { return 0 })
+	if err == nil && ack.Err != "" {
+		err = fmt.Errorf("server: %s", ack.Err)
 	}
-	typ, payload, buf, err := proto.ReadFrame(conn, c.buf)
 	if err != nil {
 		return nil, err
-	}
-	c.buf = buf
-	if typ == proto.TypeError {
-		m, _ := proto.ParseError(payload)
-		return nil, fmt.Errorf("server: %s", m.Err)
-	}
-	if typ != proto.TypeHelloAck {
-		return nil, fmt.Errorf("server: unexpected handshake frame %#x", typ)
-	}
-	ack, err := proto.ParseHelloAck(payload)
-	if err != nil {
-		return nil, err
-	}
-	if ack.Err != "" {
-		return nil, fmt.Errorf("server: %s", ack.Err)
 	}
 	return c, nil
 }
@@ -78,22 +63,29 @@ func NewClient(conn net.Conn, tenant string) (*Client, error) {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends one frame and reads the response, translating an
-// in-band Error frame (which the server follows with a close).
-func (c *Client) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
-	if err := proto.WriteFrame(c.conn, typ, payload); err != nil {
-		return 0, nil, err
+// exchange sends c.enc as a typ frame and parses the answer, which must be
+// a want frame whose Seq (read by seq) is c.seq. An in-band Error frame,
+// which the server follows with a close, is returned as the error.
+func exchange[T any](c *Client, typ, want byte, parse func([]byte) (T, error), seq func(T) uint64) (m T, err error) {
+	if err = proto.WriteFrame(c.conn, typ, c.enc); err != nil {
+		return m, err
 	}
-	rtyp, rp, buf, err := proto.ReadFrame(c.conn, c.buf)
+	rtyp, payload, buf, err := proto.ReadFrame(c.conn, c.buf)
 	if err != nil {
-		return 0, nil, err
+		return m, err
 	}
 	c.buf = buf
 	if rtyp == proto.TypeError {
-		m, _ := proto.ParseError(rp)
-		return 0, nil, fmt.Errorf("server: %s", m.Err)
+		e, _ := proto.ParseError(payload)
+		return m, fmt.Errorf("server: %s", e.Err)
 	}
-	return rtyp, rp, nil
+	if rtyp != want {
+		return m, fmt.Errorf("server: unexpected frame %#x", rtyp)
+	}
+	if m, err = parse(payload); err == nil && seq(m) != c.seq {
+		err = fmt.Errorf("server: reply seq %d, want %d", seq(m), c.seq)
+	}
+	return m, err
 }
 
 // Ingest sends one batch frame and returns the server's ack verbatim;
@@ -107,21 +99,7 @@ func (c *Client) Ingest(batches []proto.DeviceBatch) (proto.IngestAck, error) {
 		return proto.IngestAck{}, err
 	}
 	c.enc = enc
-	typ, payload, err := c.roundTrip(proto.TypeIngest, enc)
-	if err != nil {
-		return proto.IngestAck{}, err
-	}
-	if typ != proto.TypeIngestAck {
-		return proto.IngestAck{}, fmt.Errorf("server: unexpected frame %#x", typ)
-	}
-	ack, err := proto.ParseIngestAck(payload)
-	if err != nil {
-		return proto.IngestAck{}, err
-	}
-	if ack.Seq != c.seq {
-		return proto.IngestAck{}, fmt.Errorf("server: ack seq %d, want %d", ack.Seq, c.seq)
-	}
-	return ack, nil
+	return exchange(c, proto.TypeIngest, proto.TypeIngestAck, proto.ParseIngestAck, func(a proto.IngestAck) uint64 { return a.Seq })
 }
 
 // IngestAll sends batches and keeps resending backpressure-rejected
@@ -177,24 +155,11 @@ func (c *Client) IngestAll(batches []proto.DeviceBatch, maxRetries int) (accepte
 func (c *Client) Sync(flush bool) error {
 	c.seq++
 	c.enc = proto.AppendSync(c.enc[:0], proto.Sync{Seq: c.seq, Flush: flush})
-	typ, payload, err := c.roundTrip(proto.TypeSync, c.enc)
-	if err != nil {
-		return err
+	ack, err := exchange(c, proto.TypeSync, proto.TypeSyncAck, proto.ParseSyncAck, func(a proto.SyncAck) uint64 { return a.Seq })
+	if err == nil && ack.Err != "" {
+		err = fmt.Errorf("server: %s", ack.Err)
 	}
-	if typ != proto.TypeSyncAck {
-		return fmt.Errorf("server: unexpected frame %#x", typ)
-	}
-	ack, err := proto.ParseSyncAck(payload)
-	if err != nil {
-		return err
-	}
-	if ack.Seq != c.seq {
-		return fmt.Errorf("server: ack seq %d, want %d", ack.Seq, c.seq)
-	}
-	if ack.Err != "" {
-		return fmt.Errorf("server: %s", ack.Err)
-	}
-	return nil
+	return err
 }
 
 // QueryWindow returns every stored record and un-flushed trail (see
@@ -217,22 +182,12 @@ func (c *Client) QueryTime(device string, t0, t1 uint32) ([]trajstore.PersistedR
 }
 
 func (c *Client) queryResp(reqType byte) ([]trajstore.PersistedRecord, error) {
-	typ, payload, err := c.roundTrip(reqType, c.enc)
+	resp, err := exchange(c, reqType, proto.TypeQueryResp, proto.ParseQueryResp, func(r proto.QueryResp) uint64 { return r.Seq })
+	if err == nil && resp.Err != "" {
+		err = fmt.Errorf("server: %s", resp.Err)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if typ != proto.TypeQueryResp {
-		return nil, fmt.Errorf("server: unexpected frame %#x", typ)
-	}
-	resp, err := proto.ParseQueryResp(payload)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Seq != c.seq {
-		return nil, fmt.Errorf("server: resp seq %d, want %d", resp.Seq, c.seq)
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("server: %s", resp.Err)
 	}
 	return resp.Records, nil
 }

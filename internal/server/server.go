@@ -371,7 +371,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 			ack := s.ingest(tn, &frame)
-			clear(frame.Batches) // the trails alias buf, which shed may hand on
+			clear(frame.Batches) // the trails alias buf, which shed may drop
 			out = proto.AppendIngestAck(out[:0], ack)
 			if err := proto.WriteFrame(conn, proto.TypeIngestAck, out); err != nil {
 				return
@@ -403,7 +403,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.sendError(conn, perr.Error())
 				return
 			}
-			if !sendQuery(conn, q.Seq, &out, func(visit func(trajstore.Block) error) error {
+			if !sendQuery(conn, q.Seq, func(visit func(trajstore.Block) error) error {
 				return tn.eng.WindowBlocks(q.MinLon, q.MinLat, q.MaxLon, q.MaxLat, q.T0, q.T1, visit)
 			}) {
 				return
@@ -414,7 +414,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.sendError(conn, perr.Error())
 				return
 			}
-			if !sendQuery(conn, q.Seq, &out, func(visit func(trajstore.Block) error) error {
+			if !sendQuery(conn, q.Seq, func(visit func(trajstore.Block) error) error {
 				return tn.eng.DeviceBlocks(q.Device, q.T0, q.T1, visit)
 			}) {
 				return
@@ -469,45 +469,35 @@ const keepBuf, keepBatches = 64 << 10, 1 << 10
 
 // shed returns a connection's frame buffer for reuse, unless one large
 // frame (they go up to proto.MaxFrame) grew it past keepBuf: a connection
-// must not pin its high-water mark until it closes. Such a buffer waits in
-// frames for the next query, on any connection, so a run of wide windows
-// does not allocate — zero, and collect — megabytes each; what two GC
-// cycles leave there is freed.
+// must not pin its high-water mark until it closes.
 func shed(b []byte) []byte {
 	if cap(b) > keepBuf {
-		frames.Put(&b)
 		return nil
 	}
 	return b
 }
 
-var frames sync.Pool // of *[]byte
-
 // sendQuery answers one query. read streams the engine's matching blocks
-// and each is appended to the connection's frame buffer as it arrives:
-// nothing is decoded and nothing but the frame is built. At the record
-// that takes the frame past proto.MaxFrame the read is stopped and the
-// answer is an in-band error, as when the read itself fails; the
-// connection stays usable either way. False means it is dead.
-func sendQuery(conn net.Conn, seq uint64, out *[]byte, read func(visit func(trajstore.Block) error) error) bool {
-	if p, _ := frames.Get().(*[]byte); p != nil {
-		*out = *p
-	}
-	b, n := proto.BeginQueryResp((*out)[:0], seq), 0
+// and each joins the answer as the slice the read handed over, behind a
+// head proto.QueryRespWriter encodes: nothing is decoded or copied, and the
+// frame leaves as net.Buffers (writev). At the record that takes the frame
+// past proto.MaxFrame the read is stopped and the answer is an in-band
+// error, as when the read itself fails; the connection stays usable either
+// way. False means it is dead.
+func sendQuery(conn net.Conn, seq uint64, read func(visit func(trajstore.Block) error) error) bool {
+	w, n := proto.QueryRespWriter{Seq: seq}, 0
 	err := read(func(blk trajstore.Block) error {
-		if b.Block(blk.Device, blk.T0, blk.T1, blk.Payload)+1 > proto.MaxFrame {
+		if w.Block(blk.Device, blk.T0, blk.T1, blk.Payload) > proto.MaxFrame {
 			return fmt.Errorf("result not sendable (over %d records): %w — narrow the window", n, proto.ErrFrameTooBig)
 		}
 		n++
 		return nil
 	})
-	p := b.Finish("")
 	if err != nil {
-		b = proto.BeginQueryResp(p[:0], seq)
-		p = b.Finish(err.Error())
+		w = proto.QueryRespWriter{Seq: seq, Err: err.Error()}
 	}
-	*out = p
-	return proto.WriteFrame(conn, proto.TypeQueryResp, p) == nil
+	_, err = w.WriteTo(conn)
+	return err == nil
 }
 
 func (s *Server) sendError(conn net.Conn, msg string) {

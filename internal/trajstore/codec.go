@@ -211,7 +211,8 @@ func (t *Trail) Contains(o *Trail) bool {
 // Block is one run of a device's key points as storage holds it and the
 // wire carries it: the keys' time bounds and their delta-varint block — a
 // log record, CRC-verified and walked (Enters), or a trail no record holds
-// yet. Payload may be shared with a read cache: copy it, never write it.
+// yet. Nobody writes a Payload once it is handed over — a fresh pread, a
+// read cache's entry or a copy of the read's own — so a visitor may keep it.
 type Block struct {
 	Device  string
 	T0, T1  uint32

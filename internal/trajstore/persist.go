@@ -88,8 +88,8 @@ type Backend interface {
 	// (degrees) and whose time span overlaps [t0, t1] (LatticeWindow's rule
 	// on the bounds); DeviceBlocks visits device's records whose time
 	// bounds overlap [t0, t1], in append order. Each is handed over as the
-	// Block stored, nothing decoded; an error from visit ends the read and
-	// is returned.
+	// Block stored, nothing decoded, unchanged after visit returns whatever
+	// the log does next (Block); an error from visit ends the read.
 	WindowBlocks(minLon, minLat, maxLon, maxLat float64, t0, t1 uint32, visit func(Block) error) error
 	DeviceBlocks(device string, t0, t1 uint32, visit func(Block) error) error
 }

@@ -1,8 +1,12 @@
 package segmentlog
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 
@@ -241,6 +245,56 @@ func TestCacheHitResultsIsolated(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("record %d: cached keys were corrupted by caller mutation", i)
+		}
+	}
+}
+
+// TestKeptBlocksOutliveTheRead is the Block lifetime contract a query's
+// answer stands on (the server writes it from the payloads its read handed
+// over, uncopied): every payload kept past its visit still holds the bytes it
+// held then — while a read cache a few records large evicts what it served
+// and serves it again, appends go on, and a compaction publishes a
+// generation that deletes the segments the payloads were read from.
+func TestKeptBlocksOutliveTheRead(t *testing.T) {
+	s := mustOpenSharded(t, t.TempDir(), 1, Options{MaxSegmentBytes: 1024, CacheBytes: 1 << 10})
+	defer s.Close()
+	l := s.shards[0]
+	fillChunked(t, l, 6, 160, 8)
+	var kept, copies [][]byte
+	keep := func(b Block) error {
+		kept, copies = append(kept, b.Payload), append(copies, bytes.Clone(b.Payload))
+		return nil
+	}
+	for range 2 {
+		err := errors.Join(
+			s.WindowBlocks(-1, -1, 10, 10, 0, math.MaxUint32, keep),
+			s.DeviceBlocks("dev-003", 0, math.MaxUint32, keep),
+			s.DeviceBlocks("dev-000", 1000, 1000, keep), // its first chunk: the same record twice, a hit
+			s.DeviceBlocks("dev-000", 1000, 1000, keep),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cs := s.Stats().Cache; cs.Evictions == 0 || cs.Hits == 0 || cs.Misses == 0 {
+		t.Fatalf("the reads did not miss, evict and hit (%+v): the fixture measures nothing", cs)
+	}
+	var read []string
+	for _, seg := range l.segs[:len(l.segs)-1] {
+		read = append(read, seg.path)
+	}
+	fillChunked(t, l, 8, 40, 8) // appends go on, and chunk what the pass merges
+	if res, err := s.Compact(CompactionPolicy{MergeChunks: true}); err != nil || res.Merged == 0 {
+		t.Fatalf("Compact = %+v, %v; want merges", res, err)
+	}
+	for _, p := range read {
+		if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("segment %s, which the reads came from, survived the compaction: %v", p, err)
+		}
+	}
+	for i := range kept {
+		if !bytes.Equal(kept[i], copies[i]) {
+			t.Fatalf("payload %d of %d changed after its visit", i, len(kept))
 		}
 	}
 }
