@@ -19,8 +19,8 @@ import (
 // set it spins up an in-process bqsd-equivalent on a loopback listener
 // (persisting into persistDir, or a temporary directory) and drives it;
 // with clientAddr set it drives an external daemon instead. Fixes flow
-// through the real wire protocol either way — encode, TCP, decode,
-// TryIngest with retry-after honoring. The throughput it prints is a
+// through the real wire protocol either way — encode, TCP, the frame's
+// walk, TryIngestTrail per device batch, retry-after hints honored. The throughput it prints is a
 // progress report for this host; the figure of record for the wire path
 // is bench/'s server.ingest_kfix_per_s.
 func runServerBench(serve bool, clientAddr string, devices, shards, fixesPer int, compName string, tol float64, persistDir string, trailKeys int, segBytes int64) error {

@@ -9,8 +9,8 @@
 // Usage:
 //
 //	bqsd -dir data [-addr 127.0.0.1:4980] [-tol 10] [-shards N]
-//	     [-queue N] [-idle 5m] [-trail N] [-segbytes N] [-cache-mb N]
-//	     [-compact-interval 10m] [-retry-after 50ms] [-drain-timeout 10s]
+//	     [-idle 5m] [-trail N] [-segbytes N] [-cache-mb N]
+//	     [-compact-interval 10m] [-drain-timeout 10s]
 //	     [-metrics 127.0.0.1:4981]
 //
 // With -metrics set, an HTTP listener serves /metrics: per-tenant
@@ -21,10 +21,11 @@
 //
 // Each tenant named in a connection's handshake gets its own engine
 // and flock-guarded log directory under -dir. Ingest is explicitly
-// backpressured: a batch landing on a full shard queue is rejected in
-// the ack with a retry-after hint — the daemon never buffers rejected
-// fixes, each shard log fsyncs on its own once 256 KiB of accepted
-// records wait, and a query's answer is the stored blocks its read holds,
+// backpressured: a batch landing on a full shard queue (256 batches) is
+// rejected in the ack with a retry-after hint of 50 to 100 ms, longer the
+// fuller the worst queue — the daemon never buffers rejected fixes,
+// each shard log fsyncs on its own once 256 KiB of accepted records
+// wait, and a query's answer is the stored blocks its read holds,
 // uncopied and cut off at proto.MaxFrame (4 MiB) of them, so memory stays
 // bounded no matter how far the disk falls behind or how wide a window is
 // (see `bqsbench -client` for a load generator that honors the hints).
@@ -66,14 +67,12 @@ func main() {
 		compressor   = flag.String("compressor", "", "compressor each session runs (default: engine default, fbqs)")
 		tol          = flag.Float64("tol", 10, "deviation tolerance in metres")
 		shards       = flag.Int("shards", 0, "shards per tenant engine/log (0 = GOMAXPROCS; an existing log keeps its persisted count)")
-		queue        = flag.Int("queue", 0, "per-shard ingest queue depth in batches (0 = engine default)")
 		idle         = flag.Duration("idle", 0, "evict a device session after this long without a fix (0 = only on drain)")
 		trail        = flag.Int("trail", 0, "max per-session key points before chunking to disk (0 = engine default)")
 		segBytes     = flag.Int64("segbytes", 0, "segment file rotation size in bytes (0 = log default)")
 		cacheMB      = flag.Int64("cache-mb", 0, "read-side record cache budget per tenant, in MiB (0 = off)")
 		metricsAddr  = flag.String("metrics", "", "HTTP listen address for /metrics (empty = no metrics endpoint)")
 		compactEvery = flag.Duration("compact-interval", 0, "per-tenant merge/dedup compaction: a tick this often rewrites what was sealed since the last one, the drain seals and merges the whole log (0 = neither)")
-		retryAfter   = flag.Duration("retry-after", server.DefaultRetryAfter, "base backpressure retry hint sent to clients")
 		drain        = flag.Duration("drain-timeout", server.DefaultDrainTimeout, "max wait for in-flight connections on shutdown")
 	)
 	flag.Parse()
@@ -93,13 +92,11 @@ func main() {
 			Compressor:      *compressor,
 			Tolerance:       *tol,
 			Shards:          *shards,
-			QueueDepth:      *queue,
 			IdleTimeout:     *idle,
 			MaxTrailKeys:    *trail,
 			CompactInterval: *compactEvery,
 		},
 		Log:          logOpts,
-		RetryAfter:   *retryAfter,
 		DrainTimeout: *drain,
 	})
 	if err != nil {

@@ -55,8 +55,9 @@ var ErrLogReadOnly = segmentlog.ErrReadOnly
 // ErrDegraded reports that an engine is in degraded read-only mode: a
 // terminal persister failure (full disk, corrupt log) — or a transient
 // one (I/O hiccup, timeout) that outlived the engine's short retry
-// loop — means new fixes cannot be made durable, so Ingest/TryIngest
-// reject them while queries keep answering. Match with errors.Is; the
+// loop — means new fixes cannot be made durable, so Engine.Ingest (and
+// the server's TryIngestTrail) reject them while queries keep answering;
+// Ingest(nil) asks without sending a fix. Match with errors.Is; the
 // error wraps the root cause. Engine.Heal — SIGHUP on a bqsd daemon —
 // re-arms ingestion once the fault is cleared, re-appending the
 // trajectories parked in memory meanwhile; Engine.State reports the

@@ -20,7 +20,7 @@ func TestOpenDurableEngineRestart(t *testing.T) {
 		cfg := DefaultWalkConfig(int64(d) + 1)
 		cfg.N = 80
 		for _, p := range GenerateWalk(cfg).Points() {
-			if err := e.IngestOne(fmt.Sprintf("dev-%d", d), p); err != nil {
+			if err := e.Ingest([]Fix{{Device: fmt.Sprintf("dev-%d", d), Point: p}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -65,7 +65,7 @@ func TestOpenDurableEngineRestart(t *testing.T) {
 	cfg := DefaultWalkConfig(99)
 	cfg.N = 40
 	for _, p := range GenerateWalk(cfg).Points() {
-		if err := e2.IngestOne("dev-0", p); err != nil {
+		if err := e2.Ingest([]Fix{{Device: "dev-0", Point: p}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestDurableShutdownRace(t *testing.T) {
 			cfg.N = 20000
 			dev := fmt.Sprintf("dev-%d", g)
 			for _, p := range GenerateWalk(cfg).Points() {
-				if err := e.IngestOne(dev, p); err != nil {
+				if err := e.Ingest([]Fix{{Device: dev, Point: p}}); err != nil {
 					return // ErrClosed once Close wins the race
 				}
 			}
@@ -161,7 +161,7 @@ func TestCompactLogFacade(t *testing.T) {
 	cfg := DefaultWalkConfig(42)
 	cfg.N = 4000
 	for _, p := range GenerateWalk(cfg).Points() {
-		if err := e.IngestOne("roamer", p); err != nil {
+		if err := e.Ingest([]Fix{{Device: "roamer", Point: p}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -63,7 +63,7 @@ func TestEngineFacade(t *testing.T) {
 	if inserted, merged := store.Stats(); merged == 0 {
 		t.Fatalf("collinear duplicate paths did not merge: %d inserted, 0 merged", inserted)
 	}
-	if err := e.IngestOne("late", bqs.Point{X: 1, Y: 1, T: 1}); !errors.Is(err, bqs.ErrEngineClosed) {
+	if err := e.Ingest([]bqs.Fix{{Device: "late", Point: bqs.Point{X: 1, Y: 1, T: 1}}}); !errors.Is(err, bqs.ErrEngineClosed) {
 		t.Fatalf("ingest after close = %v, want ErrEngineClosed", err)
 	}
 }
@@ -109,7 +109,7 @@ func TestEngineCustomCompressor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pts {
-		if err := e.IngestOne("d", p); err != nil {
+		if err := e.Ingest([]bqs.Fix{{Device: "d", Point: p}}); err != nil {
 			t.Fatal(i, err)
 		}
 	}

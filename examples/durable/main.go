@@ -42,7 +42,7 @@ func main() {
 		cfg.N = fixesPer
 		id := fmt.Sprintf("bat-%03d", d)
 		for _, p := range bqs.GenerateWalk(cfg).Points() {
-			if err := e.IngestOne(id, p); err != nil {
+			if err := e.Ingest([]bqs.Fix{{Device: id, Point: p}}); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -104,7 +104,7 @@ func main() {
 	cfg := bqs.DefaultWalkConfig(777)
 	cfg.N = 50
 	for _, p := range bqs.GenerateWalk(cfg).Points() {
-		if err := e2.IngestOne("bat-new", p); err != nil {
+		if err := e2.Ingest([]bqs.Fix{{Device: "bat-new", Point: p}}); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -68,28 +68,45 @@ func wedgeTrack(n int) []core.Point {
 	return pts
 }
 
-// wedgeEngine builds a 1-shard, depth-1 engine on a wedged persister and
-// drives it until the worker is parked inside Append and the shard
-// queue is full: the exact state in which the old Ingest deadlocked
-// Close. It returns the engine and the wedged persister.
+// wedgeBatch is wedgeTrack(n) as one device's fixes.
+func wedgeBatch(n int) []Fix {
+	track := wedgeTrack(n)
+	batch := make([]Fix, len(track))
+	for i, p := range track {
+		batch[i] = Fix{Device: "wedge", Point: p}
+	}
+	return batch
+}
+
+// wedgeTrail is wedgeTrack(n) as the block the server hands TryIngestTrail.
+func wedgeTrail(t *testing.T, n int) *trajstore.Trail {
+	t.Helper()
+	var tr trajstore.Trail
+	for _, p := range wedgeTrack(n) {
+		if err := tr.Add(trajstore.PlaneKey(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &tr
+}
+
+// wedgeEngine builds a 1-shard engine on a wedged persister and drives it
+// until the worker is parked inside Append and all queueDepth slots of the
+// shard queue are taken behind it: the exact state in which the old
+// Ingest deadlocked Close. It returns the engine.
 func wedgeEngine(t *testing.T, wp *wedgedPersister) *Engine {
 	t.Helper()
 	e, err := New(Config{
 		Compressor:   "fbqs",
 		Tolerance:    1,
 		Shards:       1,
-		QueueDepth:   1,
 		Persister:    wp,
 		MaxTrailKeys: 2, // persist after every 2 key points
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	track := wedgeTrack(8)
-	batch := make([]Fix, len(track))
-	for i, p := range track {
-		batch[i] = Fix{Device: "wedge", Point: p}
-	}
+	batch := wedgeBatch(8)
 	if err := e.Ingest(batch); err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +116,10 @@ func wedgeEngine(t *testing.T, wp *wedgedPersister) *Engine {
 		t.Fatal("worker never reached the persister")
 	}
 	// Fill the queue behind the wedged worker.
-	if err := e.Ingest(batch); err != nil {
-		t.Fatal(err)
+	for range queueDepth {
+		if err := e.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return e
 }
@@ -117,11 +136,7 @@ func TestEngineCloseUnderWedgedPersister(t *testing.T) {
 	e := wedgeEngine(t, wp)
 
 	// Park an Ingest on the full queue, lock-free.
-	track := wedgeTrack(8)
-	batch := make([]Fix, len(track))
-	for i, p := range track {
-		batch[i] = Fix{Device: "wedge", Point: p}
-	}
+	batch := wedgeBatch(8)
 	ingestDone := make(chan error, 1)
 	go func() { ingestDone <- e.Ingest(batch) }()
 	select {
@@ -144,8 +159,8 @@ func TestEngineCloseUnderWedgedPersister(t *testing.T) {
 		t.Fatal("Ingest still parked after Close began: shutdown-liveness regression")
 	}
 	// New senders are refused immediately too.
-	if _, err := e.TryIngest(batch); !errors.Is(err, ErrClosed) {
-		t.Fatalf("TryIngest during Close = %v, want ErrClosed", err)
+	if err := e.TryIngestTrail("wedge", wedgeTrail(t, 8)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("TryIngestTrail during Close = %v, want ErrClosed", err)
 	}
 
 	// Close still owes the worker a drain (durability): it must be
@@ -207,51 +222,51 @@ func TestEngineSyncAbortsOnClose(t *testing.T) {
 	}
 }
 
-// TestTryIngestBackpressure checks the non-blocking path end to end:
-// accepted counts are exact, a full shard queue rejects with
-// ErrBackpressure instead of blocking, QueueStats reports the
-// occupancy, and the queue drains back to accepting once the stall
-// clears.
+// TestTryIngestBackpressure checks the server's door end to end: a full
+// shard queue refuses a trail at once with ErrBackpressure instead of
+// blocking, counting its fixes in Stats.Rejected, QueueStats reports the
+// occupancy, and the same trail is accepted once the stall clears.
 func TestTryIngestBackpressure(t *testing.T) {
 	wp := newWedgedPersister()
 	e := wedgeEngine(t, wp) // worker wedged, queue full
+	tr := wedgeTrail(t, 8)
 
-	track := wedgeTrack(8)
-	batch := make([]Fix, len(track))
-	for i, p := range track {
-		batch[i] = Fix{Device: "wedge", Point: p}
-	}
-
-	if qs := e.QueueStats(); qs.Cap != 1 || len(qs.Len) != 1 || qs.Len[0] != 1 {
-		t.Fatalf("QueueStats = %+v, want Cap 1, Len [1]", qs)
+	if qs := e.QueueStats(); qs.Cap != 256 || len(qs.Len) != 1 || qs.Len[0] != 256 {
+		t.Fatalf("QueueStats = %+v, want Cap 256, Len [256]", qs)
 	} else if qs.Fullness() != 1 {
 		t.Fatalf("Fullness = %v, want 1", qs.Fullness())
 	}
 
 	start := time.Now()
-	n, err := e.TryIngest(batch)
+	err := e.TryIngestTrail("wedge", tr)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("TryIngest took %v; must not block", elapsed)
+		t.Fatalf("TryIngestTrail took %v; must not block", elapsed)
 	}
-	if n != 0 || !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("TryIngest on full queue = (%d, %v), want (0, ErrBackpressure)", n, err)
+	if !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("TryIngestTrail on a full queue = %v, want ErrBackpressure", err)
+	}
+	if got := e.Stats().Rejected; got != uint64(tr.Len()) {
+		t.Fatalf("Stats.Rejected = %d after refusing a %d-fix trail", got, tr.Len())
 	}
 
-	// Unwedge cleanly: the queue drains and the same batch is accepted.
+	// Unwedge cleanly: the queue drains and the same trail is accepted.
 	wp.releaseWith(nil)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		n, err = e.TryIngest(batch)
+		err = e.TryIngestTrail("wedge", tr)
 		if err == nil {
 			break
 		}
 		if !errors.Is(err, ErrBackpressure) || time.Now().After(deadline) {
-			t.Fatalf("TryIngest after unwedge = (%d, %v)", n, err)
+			t.Fatalf("TryIngestTrail after unwedge = %v", err)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n != len(batch) {
-		t.Fatalf("accepted %d fixes, want %d", n, len(batch))
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Fixes != uint64((1+queueDepth)*8+tr.Len()) {
+		t.Fatalf("Stats = %+v: want every Ingest fix and the accepted trail's processed", st)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -260,9 +275,9 @@ func TestTryIngestBackpressure(t *testing.T) {
 
 // TestTryIngestSurfacesPersistError is the sick-backend bugfix test: a
 // persist failure latched mid-stream used to surface only at the next
-// Sync/Close; TryIngest must report it on the very next call so a
-// client (or the server acking its frames) learns before the
-// durability barrier.
+// Sync/Close; the next call through either door must report it so a
+// client (or the server acking its frames) learns before the durability
+// barrier.
 func TestTryIngestSurfacesPersistError(t *testing.T) {
 	fp := &failingPersister{} // fails from the first Append
 	e, err := New(Config{
@@ -275,28 +290,24 @@ func TestTryIngestSurfacesPersistError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	track := wedgeTrack(16)
-	batch := make([]Fix, len(track))
-	for i, p := range track {
-		batch[i] = Fix{Device: "sick", Point: p}
-	}
-	if _, err := e.TryIngest(batch); err != nil {
-		t.Fatalf("first TryIngest = %v before any persist could fail", err)
+	tr := wedgeTrail(t, 16)
+	if err := e.TryIngestTrail("sick", tr); err != nil {
+		t.Fatalf("first TryIngestTrail = %v before any persist could fail", err)
 	}
 	// The failure latches asynchronously in the shard worker; poll with
 	// the empty-batch health probe, never through Sync.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err = e.TryIngest(nil); err != nil {
+		if err = e.Ingest(nil); err != nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("TryIngest never surfaced the latched persist error")
+			t.Fatal("Ingest(nil) never surfaced the latched persist error")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !errors.Is(err, errPersistBoom) {
-		t.Fatalf("TryIngest = %v, want the persist failure", err)
+	if !errors.Is(err, ErrDegraded) || !errors.Is(err, errPersistBoom) {
+		t.Fatalf("Ingest(nil) = %v, want ErrDegraded wrapping the persist failure", err)
 	}
 	if err := e.Sync(); !errors.Is(err, errPersistBoom) {
 		t.Fatalf("Sync() = %v, want the persist failure", err)
@@ -304,14 +315,52 @@ func TestTryIngestSurfacesPersistError(t *testing.T) {
 	// A terminal persist failure degrades the engine: further batches
 	// are rejected whole with a distinguishable ErrDegraded that still
 	// wraps the root cause.
-	if n, err := e.TryIngest(batch); n != 0 || !errors.Is(err, ErrDegraded) || !errors.Is(err, errPersistBoom) {
-		t.Fatalf("TryIngest while degraded = (%d, %v), want (0, ErrDegraded wrapping the cause)", n, err)
+	if err := e.TryIngestTrail("sick", tr); !errors.Is(err, ErrDegraded) || !errors.Is(err, errPersistBoom) {
+		t.Fatalf("TryIngestTrail while degraded = %v, want ErrDegraded wrapping the cause", err)
+	}
+	if got := e.Stats().Rejected; got != uint64(tr.Len()) {
+		t.Fatalf("Stats.Rejected = %d, want the refused trail's %d fixes", got, tr.Len())
 	}
 	if st := e.State(); st.Phase != Degraded || !errors.Is(st.Cause, errPersistBoom) {
 		t.Fatalf("State() = %+v after a terminal persist failure, want Degraded with the cause", st)
 	}
 	if err := e.Close(); !errors.Is(err, errPersistBoom) {
 		t.Fatalf("Close = %v, want the latched persist error", err)
+	}
+}
+
+// TestIngestNilProbe holds Ingest(nil) to Close's promise and to the
+// probe's: it asks the lifecycle, not the queue. Healthy it is nil,
+// degraded it reports ErrDegraded wrapping the cause, closed ErrClosed —
+// and no answer moves Stats.Rejected, since it carries no fix.
+func TestIngestNilProbe(t *testing.T) {
+	e, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 2, Persister: &failingPersister{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Ingest(nil); err != nil {
+		t.Fatalf("Ingest(nil) on a healthy engine = %v", err)
+	}
+	if err := e.Ingest(wedgeBatch(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(e.FlushSessions(), e.Sync()); !errors.Is(err, errPersistBoom) {
+		t.Fatalf("flush and Sync = %v, want the persist failure", err)
+	}
+	if err := e.Ingest(nil); !errors.Is(err, ErrDegraded) || !errors.Is(err, errPersistBoom) {
+		t.Fatalf("Ingest(nil) on a degraded engine = %v, want ErrDegraded wrapping the cause", err)
+	}
+	if got := e.Stats().Rejected; got != 0 {
+		t.Fatalf("Stats.Rejected = %d after probes only", got)
+	}
+	if err := e.Close(); !errors.Is(err, errPersistBoom) {
+		t.Fatalf("Close = %v, want the loss report", err)
+	}
+	if err := e.Ingest(nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Ingest(nil) on a closed engine = %v, want ErrClosed", err)
+	}
+	if got := e.Stats().Rejected; got != 0 {
+		t.Fatalf("Stats.Rejected = %d after probes only", got)
 	}
 }
 
@@ -338,7 +387,7 @@ func TestFlushSessions(t *testing.T) {
 	for d := range tracks {
 		tracks[d] = deviceTrack(int64(d)+1, 160)
 		for _, p := range tracks[d][:80] {
-			if err := e.IngestOne(fmt.Sprintf("dev-%d", d), p); err != nil {
+			if err := e.Ingest([]Fix{{Device: fmt.Sprintf("dev-%d", d), Point: p}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -362,7 +411,7 @@ func TestFlushSessions(t *testing.T) {
 	}
 	// The engine stays usable; a flushed device's session goes on.
 	for _, p := range tracks[0][80:] {
-		if err := e.IngestOne("dev-0", p); err != nil {
+		if err := e.Ingest([]Fix{{Device: "dev-0", Point: p}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -388,7 +437,7 @@ func TestFlushSessions(t *testing.T) {
 	// Ending a flushed session — all but dev-1's by idle eviction, that one
 	// by Close — is a plain delete: the log has all of it.
 	now.Store(3000)
-	if err := e.IngestOne("dev-1", tracks[1][80]); err != nil {
+	if err := e.Ingest([]Fix{{Device: "dev-1", Point: tracks[1][80]}}); err != nil {
 		t.Fatal(err)
 	}
 	s = flush()

@@ -5,11 +5,14 @@
 // the Persister — history's one home; the engine itself keeps only what
 // has not reached it yet.
 //
-// Fixes are batched into Ingest and routed to a shard worker by an
-// FNV-1a hash of the device ID, so each device's stream is processed by
-// exactly one goroutine in arrival order — per-device output is
-// byte-identical to running the same compressor single-threaded, while
-// distinct devices scale across shards without locks on the hot path.
+// Fixes are routed to a shard worker by an FNV-1a hash of the device ID,
+// so each device's stream is processed by exactly one goroutine in arrival
+// order — per-device output is byte-identical to running the same
+// compressor single-threaded, while distinct devices scale across shards
+// without locks on the hot path. There are two ways in: Ingest takes a
+// batch of fixes and waits for room on a full shard queue; TryIngestTrail,
+// the server's, takes one device's fixes as a wire block and is refused
+// with ErrBackpressure instead.
 // Sessions are created on first fix, cut by FlushSessions (the trajectory
 // goes on), evicted (with a final Flush) after an idle timeout, and their
 // compressor state is recycled through a sync.Pool.
@@ -46,10 +49,6 @@ type Config struct {
 	Tolerance float64
 	// Shards is the number of worker goroutines. Default GOMAXPROCS.
 	Shards int
-	// QueueDepth is the per-shard ingest queue depth in batches;
-	// senders block when a shard falls this far behind (backpressure).
-	// Default 256.
-	QueueDepth int
 	// IdleTimeout evicts a session — flushing its compressor — after
 	// this long without a fix. 0 disables idle eviction: sessions then
 	// live until Close.
@@ -108,14 +107,19 @@ const (
 	persistRetryCap  = 500 * time.Millisecond
 )
 
+// queueDepth is each shard's ingest queue, in messages. A shard this far
+// behind (a stalled persister) makes Ingest wait and TryIngestTrail refuse,
+// which bounds what a stall holds in memory and scales the server's hints.
+const queueDepth = 256
+
 // ErrClosed reports an operation on a closed engine.
 var ErrClosed = errors.New("engine: closed")
 
 // ErrDegraded reports that the engine is in degraded read-only mode: a
 // terminal persister failure (or a transient one that outlived the
 // retry loop) means new fixes cannot be made durable, so
-// Ingest/TryIngest reject them while queries keep answering from what is
-// stored and parked. Errors carrying it (match with errors.Is) wrap
+// Ingest/TryIngestTrail reject them while queries keep answering from what
+// is stored and parked. Errors carrying it (match with errors.Is) wrap
 // the root cause. Heal — SIGHUP on a bqsd daemon — re-arms ingestion
 // once the fault is cleared; trajectory trails that finalized while
 // degraded are parked in memory and re-appended then (or by Close), so
@@ -127,10 +131,10 @@ var ErrDegraded = errors.New("engine: degraded: persistence failing, ingest susp
 // its output is Config.OnKey.
 var ErrNoPersister = errors.New("engine: no Persister configured: history is not kept (key points go to OnKey)")
 
-// ErrBackpressure reports that TryIngest found a shard queue full: the
-// engine is processing slower than fixes arrive (typically a persister
-// stalled on disk). Callers should back off and retry rather than
-// buffer unboundedly — the server layer turns this into a reject frame
+// ErrBackpressure reports that TryIngestTrail found its shard queue full:
+// the engine is processing slower than fixes arrive (typically a persister
+// stalled on disk). Callers should back off and retry rather than buffer
+// unboundedly — the server turns it into a rejected batch in the ack,
 // with a retry-after hint.
 var ErrBackpressure = errors.New("engine: shard queue full (backpressure)")
 
@@ -147,7 +151,7 @@ type Stats struct {
 	Persisted       uint64 // trails handed to the persister: one per ended session, chunk or flush's cut with a key point no record held
 	ParkedTrails    uint64 // trails parked in memory by degraded mode, awaiting Heal
 	TrailBytes      int64  // trails holding a key point the log has not accepted yet, as the blocks it will store — open sessions' plus parked ones, never a trail that is only the key a record ended on: what Heal owes and, with the log's own un-fsync'd bytes (segmentlog.Stats.Unsynced), what a SIGKILL loses
-	Rejected        uint64 // fixes refused by TryIngest backpressure, degraded mode or the wire format's range
+	Rejected        uint64 // fixes refused by TryIngestTrail backpressure, degraded mode or the wire format's range
 	PersistFailures uint64 // failed persister append/sync attempts (retried ones included)
 	CompactFailures uint64 // failed compaction passes (periodic or CompactNow)
 }
@@ -302,9 +306,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
 	if cfg.IdleTimeout < 0 {
 		return nil, errors.New("engine: IdleTimeout must be ≥ 0")
 	}
@@ -343,7 +344,7 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		sh := &shard{
 			eng:      e,
-			in:       make(chan shardMsg, cfg.QueueDepth),
+			in:       make(chan shardMsg, queueDepth),
 			sessions: make(map[string]*session),
 		}
 		e.shards[i] = sh
@@ -397,32 +398,25 @@ func (e *Engine) CompactNow() error {
 	return e.compactPass(true)
 }
 
-// send enqueues msg on the shard. A full queue refuses it — ErrBackpressure,
-// its n fixes counted rejected — unless block: then it parks WITHOUT any
-// engine lock, and aborts with ErrClosed when Close begins instead of wedging
-// shutdown behind a stalled shard. A refused batch is recycled. The
+// send enqueues msg on the shard, parking on a full queue WITHOUT any
+// engine lock; it aborts with ErrClosed when Close begins instead of wedging
+// shutdown behind a stalled shard, and recycles an unsent batch. The
 // non-blocking fast path keeps the common case a single channel operation.
-func (e *Engine) send(sh *shard, msg shardMsg, n int, block bool) error {
+func (e *Engine) send(sh *shard, msg shardMsg) error {
 	select {
 	case sh.in <- msg:
 		return nil
 	default:
 	}
-	err := ErrBackpressure
-	if block {
-		select {
-		case sh.in <- msg:
-			return nil
-		case <-e.closing:
-			err = ErrClosed
-		}
-	} else {
-		e.rejected.Add(uint64(n))
+	select {
+	case sh.in <- msg:
+		return nil
+	case <-e.closing:
 	}
 	if msg.batch != nil {
 		e.putBatch(msg.batch)
 	}
-	return err
+	return ErrClosed
 }
 
 // scatterFixes distributes a caller batch over per-shard staging buffers
@@ -449,86 +443,55 @@ func (e *Engine) scatterFixes(fixes []Fix) *scatter {
 	return sc
 }
 
-// dispatch is the body of Ingest (block) and TryIngest (!block): it
-// hands each shard its share of fixes and returns how many it enqueued.
-// Blocking, a send parks on a full queue and an ErrClosed abort recycles
-// the shares not yet sent; non-blocking, a full queue drops that shard's
-// share — ErrBackpressure — and the others still go. A fix the wire
-// format cannot carry refuses the whole call before anything is enqueued:
-// sessions encode key points as they emit them, too late to tell the caller.
-func (e *Engine) dispatch(fixes []Fix, block bool) (accepted int, err error) {
+// Ingest routes a batch of fixes to their shards. Fixes for the same
+// device are processed in slice order; the engine does not retain the
+// slice. It blocks when a target shard's queue is full — without
+// holding the engine lock, so a blocked Ingest never delays Close — and
+// returns ErrClosed after (or during) Close; shares already handed to a
+// shard are still processed by the shutdown flush. A degraded engine
+// rejects the batch whole with an error matching ErrDegraded and wrapping
+// the persist failure, so Ingest(nil) is a cheap health probe; a fix the
+// Persister's wire format cannot carry refuses it with trajstore.ErrRange
+// before anything is enqueued (sessions encode key points too late to
+// tell the caller).
+func (e *Engine) Ingest(fixes []Fix) error {
 	if _, err := e.admit(opIngest); err != nil {
 		if errors.Is(err, ErrDegraded) {
 			e.rejected.Add(uint64(len(fixes)))
 		}
-		return 0, err
+		return err
 	}
 	defer e.inflight.Done()
 	for i := 0; e.persisting && i < len(fixes); i++ {
 		if p := fixes[i].Point; !trajstore.InPlane(p) {
 			e.rejected.Add(uint64(len(fixes)))
-			return 0, fmt.Errorf("engine: fix %d of %d (device %q) at x=%g y=%g: %w", i, len(fixes), fixes[i].Device, p.X, p.Y, trajstore.ErrRange)
+			return fmt.Errorf("engine: fix %d of %d (device %q) at x=%g y=%g: %w", i, len(fixes), fixes[i].Device, p.X, p.Y, trajstore.ErrRange)
 		}
 	}
 	sc := e.scatterFixes(fixes)
+	var err error
 	for i, b := range sc.byShard {
 		if b == nil {
 			continue
 		}
 		sc.byShard[i] = nil
-		// Read before the send: the worker may drain and recycle b, and
-		// another sender refill it, before this goroutine runs again.
-		n := len(b.fixes)
-		if err == ErrClosed {
+		if err != nil {
 			e.putBatch(b)
-		} else if serr := e.send(e.shards[i], shardMsg{batch: b}, n, block); serr != nil {
-			err = serr
 		} else {
-			accepted += n
+			err = e.send(e.shards[i], shardMsg{batch: b})
 		}
 	}
 	e.scatterPool.Put(sc)
-	return accepted, err
-}
-
-// Ingest routes a batch of fixes to their shards. Fixes for the same
-// device are processed in slice order; the engine does not retain the
-// slice. It blocks when a target shard's queue is full — without
-// holding the engine lock, so a blocked Ingest never delays Close — and
-// returns ErrClosed after (or during) Close. Fixes already handed to a
-// shard before an ErrClosed abort are still processed by the shutdown
-// flush. While the engine is degraded the batch is rejected whole with
-// an error matching ErrDegraded (new fixes could not be made durable),
-// and one holding a fix the Persister's wire format cannot carry with an
-// error matching trajstore.ErrRange. TryIngest is the non-blocking variant.
-func (e *Engine) Ingest(fixes []Fix) error {
-	if len(fixes) == 0 {
-		return nil
-	}
-	_, err := e.dispatch(fixes, true)
 	return err
 }
 
-// TryIngest is the non-blocking Ingest: fixes whose shard queue has
-// room are enqueued, fixes bound for a full shard are dropped as a unit
-// (per-shard granularity — a batch routed entirely to one shard is
-// accepted or rejected whole). It returns how many fixes were accepted
-// and ErrBackpressure when any were not; callers own retrying the
-// remainder after a backoff. A degraded engine (see ErrDegraded)
-// rejects the whole batch with an error matching ErrDegraded and
-// wrapping the persist failure behind it, so a caller streaming fixes
-// learns the backend is sick on the next call, not at the next Sync
-// barrier; TryIngest(nil) is a cheap health probe. The server layer
-// builds its reject-with-retry-after frames on this.
-func (e *Engine) TryIngest(fixes []Fix) (accepted int, err error) {
-	return e.dispatch(fixes, false)
-}
-
-// TryIngestTrail is TryIngest for one device's fixes held as a block in the
-// wire's degrees, as the server hands on a frame's validated batches: accepted
-// or refused whole. The block is copied into the shard's queue, one message
-// of about its wire size, and the worker pushes each key through
-// trajstore.PlanePoint. Its keys are on the globe, so ErrRange cannot arise.
+// TryIngestTrail routes one device's fixes, held as a block in the wire's
+// degrees as the server hands on a frame's validated batches, and never
+// blocks: a full shard queue refuses it whole with ErrBackpressure, its
+// fixes counted in Stats.Rejected, and a degraded engine as Ingest does.
+// The block is copied into one queue message of about its wire size; the
+// worker pushes each key through trajstore.PlanePoint, and keys on the
+// globe cannot raise ErrRange.
 func (e *Engine) TryIngestTrail(device string, tr *trajstore.Trail) error {
 	if _, err := e.admit(opIngest); err != nil {
 		if errors.Is(err, ErrDegraded) {
@@ -542,12 +505,14 @@ func (e *Engine) TryIngestTrail(device string, tr *trajstore.Trail) error {
 	}
 	b := e.getBatch()
 	b.device, b.block = device, tr.AppendBlock(b.block[:0])
-	return e.send(e.shards[trajstore.ShardIndex(device, len(e.shards))], shardMsg{batch: b}, tr.Len(), false)
-}
-
-// IngestOne routes a single fix; a convenience wrapper over Ingest.
-func (e *Engine) IngestOne(device string, p core.Point) error {
-	return e.Ingest([]Fix{{Device: device, Point: p}})
+	select {
+	case e.shards[trajstore.ShardIndex(device, len(e.shards))].in <- shardMsg{batch: b}:
+		return nil
+	default:
+	}
+	e.putBatch(b)
+	e.rejected.Add(uint64(tr.Len()))
+	return ErrBackpressure
 }
 
 // barrier has the worker of each of shards run do (nil: nothing) in queue
@@ -565,7 +530,7 @@ func (e *Engine) barrier(shards []*shard, do func(*shard)) error {
 	var err error
 	for _, sh := range shards {
 		m := shardMsg{do: do, barrier: make(chan struct{})}
-		if err = e.send(sh, m, 0, true); err != nil {
+		if err = e.send(sh, m); err != nil {
 			break
 		}
 		waits = append(waits, m.barrier)
@@ -664,11 +629,11 @@ func (e *Engine) FlushSessions() error {
 }
 
 // QueueStats is a point-in-time snapshot of the per-shard ingest queue
-// occupancy, in batches. A shard pinned at Cap is applying
-// backpressure: Ingest would block and TryIngest rejects.
+// occupancy, in messages. A shard pinned at Cap is applying
+// backpressure: Ingest would block and TryIngestTrail is refused.
 type QueueStats struct {
-	Cap int   // per-shard queue capacity (Config.QueueDepth)
-	Len []int // queued batches per shard
+	Cap int   // per-shard queue capacity, the same for every engine (256)
+	Len []int // queued messages per shard
 }
 
 // Fullness returns the worst shard's occupancy fraction in [0, 1] —
@@ -687,7 +652,7 @@ func (q QueueStats) Fullness() float64 {
 // QueueStats samples the ingest queue depths. Like Stats, the snapshot
 // is advisory — depths move concurrently.
 func (e *Engine) QueueStats() QueueStats {
-	qs := QueueStats{Cap: e.cfg.QueueDepth, Len: make([]int, len(e.shards))}
+	qs := QueueStats{Cap: queueDepth, Len: make([]int, len(e.shards))}
 	for i, sh := range e.shards {
 		qs.Len[i] = len(sh.in)
 	}

@@ -170,7 +170,7 @@ func TestEngineIdleEviction(t *testing.T) {
 	if err := e.Ingest(fixes); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestOne("b", core.Point{X: 1, Y: 2, T: 3}); err != nil {
+	if err := e.Ingest([]Fix{{Device: "b", Point: core.Point{X: 1, Y: 2, T: 3}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Sync(); err != nil {
@@ -187,7 +187,7 @@ func TestEngineIdleEviction(t *testing.T) {
 
 	// Advance past the idle timeout, keep "b" fresh, sweep.
 	now.Store(11)
-	if err := e.IngestOne("b", core.Point{X: 2, Y: 2, T: 4}); err != nil {
+	if err := e.Ingest([]Fix{{Device: "b", Point: core.Point{X: 2, Y: 2, T: 4}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.EvictIdle(); err != nil {
@@ -214,7 +214,7 @@ func TestEngineIdleEviction(t *testing.T) {
 
 	// Re-contact after eviction opens a fresh session (exercising the
 	// compressor pool).
-	if err := e.IngestOne("a", core.Point{X: 9, Y: 9, T: 100}); err != nil {
+	if err := e.Ingest([]Fix{{Device: "a", Point: core.Point{X: 9, Y: 9, T: 100}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Sync(); err != nil {
@@ -231,7 +231,7 @@ func TestEngineClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestOne("a", core.Point{X: 1, Y: 1, T: 1}); err != nil {
+	if err := e.Ingest([]Fix{{Device: "a", Point: core.Point{X: 1, Y: 1, T: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -240,7 +240,7 @@ func TestEngineClosed(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal("second Close should be a no-op, got", err)
 	}
-	if err := e.IngestOne("a", core.Point{X: 2, Y: 2, T: 2}); !errors.Is(err, ErrClosed) {
+	if err := e.Ingest([]Fix{{Device: "a", Point: core.Point{X: 2, Y: 2, T: 2}}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Ingest after Close = %v, want ErrClosed", err)
 	}
 	if err := e.Sync(); !errors.Is(err, ErrClosed) {
@@ -291,7 +291,7 @@ func TestEngineChaos(t *testing.T) {
 			track := deviceTrack(int64(w), 300)
 			for i, p := range track {
 				dev := fmt.Sprintf("shared-%d", i%40) // overlap across workers
-				if err := e.IngestOne(dev, p); err != nil {
+				if err := e.Ingest([]Fix{{Device: dev, Point: p}}); err != nil {
 					t.Errorf("Ingest: %v", err)
 					return
 				}

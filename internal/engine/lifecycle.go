@@ -103,7 +103,7 @@ func (e *Engine) transition(ev event, err error, gen uint64) (State, bool) {
 type op uint8
 
 const (
-	opIngest  op = iota // Ingest, TryIngest (dispatch) and TryIngestTrail
+	opIngest  op = iota // Ingest and TryIngestTrail
 	opCall              // any other call that needs the engine open: barrier, CompactNow, Heal, a read, Stats
 	opSync              // may Sync (and Heal) report success: is everything acked so far durable
 	opPersist           // a shard worker appending a finalized trail; refused means park it

@@ -39,7 +39,7 @@ func TestEngineQueryWindowPartialResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	track := gridWalk(0, 200, rng)
 	for i := range track {
-		if err := e.IngestOne("roamer", track[i]); err != nil {
+		if err := e.Ingest([]Fix{{Device: "roamer", Point: track[i]}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestEngineQueryWindowCloseRace(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(iter)))
 		track := gridWalk(0, 150, rng)
 		for i := range track {
-			if err := e.IngestOne("roamer", track[i]); err != nil {
+			if err := e.Ingest([]Fix{{Device: "roamer", Point: track[i]}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -147,7 +147,7 @@ func TestEngineStatsCacheCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	track := gridWalk(0, 300, rng)
 	for i := range track {
-		if err := e.IngestOne("roamer", track[i]); err != nil {
+		if err := e.Ingest([]Fix{{Device: "roamer", Point: track[i]}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func TestEngineStatsCacheCounters(t *testing.T) {
 	}
 
 	for i := 0; i < 20; i++ { // some live traffic so post-Close counters are nonzero
-		if err := e2.IngestOne("walker", track[i]); err != nil {
+		if err := e2.Ingest([]Fix{{Device: "walker", Point: track[i]}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -407,7 +407,7 @@ func (m *model) close() errClass {
 // mOp is one step of a driven sequence.
 type mOp struct {
 	kind string
-	devs []string // ingest, try-ingest: one fix per entry, in order
+	devs []string // ingest, try-ingest: one fix per entry, in order (try-ingest: one trail per device)
 }
 
 // genOps draws a seeded op sequence. It always ends in a close, half the
@@ -467,6 +467,36 @@ func modelFixes(devs []string, sent map[string]int) []Fix {
 		next[d]++
 	}
 	return fixes
+}
+
+// deviceRuns splits an op's device list into one run per device, in order of
+// first appearance: the batches of a frame carrying those fixes.
+func deviceRuns(devs []string) [][]string {
+	var runs [][]string
+	at := map[string]int{}
+	for _, d := range devs {
+		i, ok := at[d]
+		if !ok {
+			i = len(runs)
+			at[d] = i
+			runs = append(runs, nil)
+		}
+		runs[i] = append(runs[i], d)
+	}
+	return runs
+}
+
+// modelTrail is a device run's next fixes as the block the server hands
+// TryIngestTrail: the wire keys of the points Ingest would have taken.
+func modelTrail(t *testing.T, run []string, sent map[string]int) *trajstore.Trail {
+	t.Helper()
+	var tr trajstore.Trail
+	for _, f := range modelFixes(run, sent) {
+		if err := tr.Add(trajstore.PlaneKey(f.Point)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &tr
 }
 
 // modelSeeds is how many seeded sequences the model tests run:
@@ -560,8 +590,19 @@ func TestEngineModel(t *testing.T) {
 				case "ingest":
 					got, want = e.Ingest(modelFixes(op.devs, m.acked)), m.ingest(op.devs)
 				case "try-ingest":
-					_, got = e.TryIngest(modelFixes(op.devs, m.acked))
-					want = m.ingest(op.devs)
+					// One TryIngestTrail per device, as the server hands on a
+					// frame's batches, each waited out before the next: a
+					// worker's persist failure may degrade the engine between
+					// two of them, and the model takes them in the same order.
+					for _, run := range deviceRuns(op.devs) {
+						got = e.TryIngestTrail(run[0], modelTrail(t, run, m.acked))
+						if err := e.barrier(e.shards, nil); err != nil && !errors.Is(err, ErrClosed) {
+							t.Fatal(err)
+						}
+						if want = m.ingest(run); classOf(got) != want {
+							t.Fatalf("op %d %s: TryIngestTrail(%s) = %v, model wants class %d", step, op.kind, run[0], got, want)
+						}
+					}
 				case "sync":
 					got, want = e.Sync(), m.sync()
 				case "flush":
@@ -730,19 +771,28 @@ func TestEngineModelFaultFS(t *testing.T) {
 				before := e.State()
 				var got error
 				switch op.kind {
-				case "ingest", "try-ingest":
-					fixes := modelFixes(op.devs, acked)
-					if op.kind == "ingest" {
-						got = e.Ingest(fixes)
-					} else {
-						_, got = e.TryIngest(fixes)
-					}
-					if (got == nil) != (before.Phase == Healthy) {
+				case "ingest":
+					if got = e.Ingest(modelFixes(op.devs, acked)); (got == nil) != (before.Phase == Healthy) {
 						t.Fatalf("op %d %s: %v while %s", step, op.kind, got, before.Phase)
 					}
 					if got == nil {
 						for _, d := range op.devs {
 							acked[d]++
+						}
+					}
+				case "try-ingest":
+					for _, run := range deviceRuns(op.devs) {
+						// Waited out one by one, as in TestEngineModel.
+						phase := e.State().Phase
+						got = e.TryIngestTrail(run[0], modelTrail(t, run, acked))
+						if err := e.barrier(e.shards, nil); err != nil && !errors.Is(err, ErrClosed) {
+							t.Fatal(err)
+						}
+						if (got == nil) != (phase == Healthy) {
+							t.Fatalf("op %d %s: TryIngestTrail(%s) = %v while %s", step, op.kind, run[0], got, phase)
+						}
+						if got == nil {
+							acked[run[0]] += len(run)
 						}
 					}
 				case "sync":

@@ -143,7 +143,7 @@ func TestEnginePersistOnEviction(t *testing.T) {
 
 	track := deviceTrack(7, 90)
 	for _, p := range track {
-		if err := e.IngestOne("roamer", p); err != nil {
+		if err := e.Ingest([]Fix{{Device: "roamer", Point: p}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestEnginePersistTrailChunking(t *testing.T) {
 	}
 	track := deviceTrack(13, 2000)
 	for _, p := range track {
-		if err := e.IngestOne("long", p); err != nil {
+		if err := e.Ingest([]Fix{{Device: "long", Point: p}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,7 +279,7 @@ func TestEnginePersistErrorSurfaced(t *testing.T) {
 	}
 	for d := 0; d < 4; d++ {
 		for i := 0; i < 3; i++ {
-			if err := e.IngestOne(fmt.Sprintf("d%d", d), core.Point{X: float64(i * 30), Y: float64(d), T: float64(i)}); err != nil {
+			if err := e.Ingest([]Fix{{Device: fmt.Sprintf("d%d", d), Point: core.Point{X: float64(i * 30), Y: float64(d), T: float64(i)}}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -318,7 +318,7 @@ func TestEngineCloseJoinsErrors(t *testing.T) {
 	}
 	for d := 0; d < 4; d++ {
 		for i := 0; i < 3; i++ {
-			if err := e.IngestOne(fmt.Sprintf("d%d", d), core.Point{X: float64(i * 30), Y: float64(d), T: float64(i)}); err != nil {
+			if err := e.Ingest([]Fix{{Device: fmt.Sprintf("d%d", d), Point: core.Point{X: float64(i * 30), Y: float64(d), T: float64(i)}}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -456,7 +456,7 @@ func TestEngineDurableCompaction(t *testing.T) {
 	}
 	track := deviceTrack(21, 3000)
 	for _, p := range track {
-		if err := e.IngestOne("long", p); err != nil {
+		if err := e.Ingest([]Fix{{Device: "long", Point: p}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -91,7 +91,7 @@ func TestPairKeySurvivesPersistRoundTrip(t *testing.T) {
 		dev := fmt.Sprintf("dev-%d", d)
 		for i, p := range []core.Point{a, b, {X: 99.014999, Y: 3.505, T: T + 30.5}, {X: -0.004999, Y: 0.005001, T: T + 31}} {
 			p.X, p.Y = p.X+float64(d)*1000.0005, p.Y+float64(i)*0.015
-			if err := e.IngestOne(dev, p); err != nil {
+			if err := e.Ingest([]Fix{{Device: dev, Point: p}}); err != nil {
 				t.Fatal(err)
 			}
 		}

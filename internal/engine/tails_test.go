@@ -217,11 +217,11 @@ func TestReadAsksOnlyTheShardsItNeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range []core.Point{{X: 10, Y: 10, T: 100}, {X: 20, Y: 30, T: 110}, {X: 40, Y: 20, T: 120}} {
-		if err := e.IngestOne(free, p); err != nil {
+		if err := e.Ingest([]Fix{{Device: free, Point: p}}); err != nil {
 			t.Fatal(err)
 		}
 		if i == 2 {
-			if err := e.IngestOne(stuck, p); err != nil {
+			if err := e.Ingest([]Fix{{Device: stuck, Point: p}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -704,54 +704,85 @@ func TestDurableEngineKeepsNoMirror(t *testing.T) {
 }
 
 // TestTryIngestAckCount is the regression test for the ack-miscount
-// race: TryIngest must take a batch's size before handing the pooled
-// buffer to the worker, which may recycle it — and another sender refill
-// it — at once. Two senders push fixed-size one-device batches through a
-// shallow queue: each ack is the whole batch or nothing, and accepted
-// plus rejected adds up to what was sent. Run with -race; the spare Ps
-// let the worker overtake its sender even on a two-CPU box.
+// race: the count a sender is told must not be read off the pooled buffer
+// the worker may recycle — and another sender refill — at once. Two
+// senders push fixed-size one-device trails through TryIngestTrail while the
+// test keeps parking the workers until a queue fills, so refusals are
+// forced: each refused trail is counted whole in
+// Stats.Rejected, and processed plus rejected adds up to what was sent.
+// Run with -race; the spare Ps let the worker overtake its sender even on
+// a two-CPU box.
 func TestTryIngestAckCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	e, err := New(Config{Compressor: "fbqs", Tolerance: 10, Shards: 2, QueueDepth: 2})
+	e, err := New(Config{Compressor: "fbqs", Tolerance: 10, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const senders, rounds, size = 2, 4000, 24
-	var accepted, sent atomic.Uint64
+	var accepted, refused, sent atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			batch := make([]Fix, size)
+			dev := fmt.Sprintf("dev-%d", g)
 			for r := 0; r < rounds; r++ {
-				for i := range batch {
-					batch[i] = Fix{Device: fmt.Sprintf("dev-%d", g), Point: core.Point{X: float64(r), Y: float64(i), T: float64(r*size + i)}}
+				var tr trajstore.Trail
+				for i := 0; i < size; i++ {
+					if err := tr.Add(trajstore.PlaneKey(core.Point{X: float64(r), Y: float64(i), T: float64(r*size + i)})); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-				n, err := e.TryIngest(batch)
-				if err != nil && !errors.Is(err, ErrBackpressure) {
+				switch err := e.TryIngestTrail(dev, &tr); {
+				case err == nil:
+					accepted.Add(size)
+				case errors.Is(err, ErrBackpressure):
+					refused.Add(size)
+				default:
 					t.Error(err)
 					return
 				}
-				if n != 0 && n != size || (n == size) != (err == nil) {
-					t.Errorf("sender %d round %d: ack %d of a %d-fix one-device batch, err %v", g, r, n, size, err)
-					return
-				}
-				accepted.Add(uint64(n))
 				sent.Add(size)
 			}
 		}(g)
 	}
-	wg.Wait()
+	// The refusals: park every worker, wait for a full queue (or the
+	// senders' end), release, again.
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for {
+		release := parkWorkers(t, e)
+		for e.QueueStats().Fullness() < 1 && !isClosed(done) {
+			runtime.Gosched()
+		}
+		release()
+		if isClosed(done) {
+			break
+		}
+	}
 	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.Fixes != accepted.Load() || accepted.Load()+st.Rejected != sent.Load() {
+	if refused.Load() == 0 || st.Rejected != refused.Load() {
+		t.Fatalf("%d fixes refused, Stats.Rejected %d: want refusals forced and counted", refused.Load(), st.Rejected)
+	}
+	if st.Fixes != accepted.Load() || st.Fixes+st.Rejected != sent.Load() {
 		t.Fatalf("acked %d + rejected %d of %d sent; the workers processed %d",
 			accepted.Load(), st.Rejected, sent.Load(), st.Fixes)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// isClosed reports whether ch is closed, without blocking.
+func isClosed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }

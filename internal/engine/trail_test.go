@@ -258,7 +258,7 @@ func parkWorkers(t *testing.T, e *Engine) (release func()) {
 	t.Helper()
 	gate, parked := make(chan struct{}), make(chan struct{}, len(e.shards))
 	for _, sh := range e.shards {
-		if err := e.send(sh, shardMsg{do: func(*shard) { parked <- struct{}{}; <-gate }}, 0, true); err != nil {
+		if err := e.send(sh, shardMsg{do: func(*shard) { parked <- struct{}{}; <-gate }}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,18 +271,25 @@ func parkWorkers(t *testing.T, e *Engine) (release func()) {
 // TestQueuedBlockHeap is the number TryIngestTrail is about: a fix waiting
 // in a shard queue costs its wire bytes and its share of one pooled batch,
 // not a 40-byte Fix in a per-shard staging slice. With the workers parked,
-// 2 000 device blocks of 100 fixes are queued, and the heap may grow by at
-// most 8 B a queued fix; the same fixes queued through TryIngest, as the
-// server queued them before, cost at least 40.
+// both queues are filled — 512 device blocks of 100 fixes — and the heap
+// may grow by at most 8 B a queued fix; the same fixes queued through
+// Ingest, as the server queued them before, cost at least 40.
 func TestQueuedBlockHeap(t *testing.T) {
-	e, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 2, QueueDepth: 4096})
+	e, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const blocks, perBlock = 2000, 100
-	names, trails, fixes := make([]string, blocks), make([]trajstore.Trail, blocks), make([][]Fix, blocks)
+	const blocks, perBlock = 2 * queueDepth, 100
+	names, trails, fixes := make([]string, 0, blocks), make([]trajstore.Trail, blocks), make([][]Fix, blocks)
+	perShard := make([]int, len(e.shards))
+	for n := 0; len(names) < blocks; n++ { // queueDepth of them a shard: both queues full
+		name := fmt.Sprintf("dev-%04d", n)
+		if sh := trajstore.ShardIndex(name, len(e.shards)); perShard[sh] < queueDepth {
+			names = append(names, name)
+			perShard[sh]++
+		}
+	}
 	for i := range trails {
-		names[i] = fmt.Sprintf("dev-%04d", i)
 		for j := 0; j < perBlock; j++ { // ≈ 1 m steps a second: the wire's ≈ 4.5 B a fix
 			k := trajstore.GeoKey{Lat: 10 + float64(i%50)*0.01 + float64(j%7)*3e-6, Lon: 20 + float64(i/50)*0.01 + float64(j)*1e-5, T: uint32(1700000000 + j)}
 			if err := trails[i].Add(k); err != nil {
@@ -291,12 +298,12 @@ func TestQueuedBlockHeap(t *testing.T) {
 			fixes[i] = append(fixes[i], Fix{Device: names[i], Point: trajstore.PlanePoint(k)})
 		}
 	}
-	queued := func(ingest func(i int) (int, error)) float64 {
+	queued := func(ingest func(i int) error) float64 {
 		release := parkWorkers(t, e)
 		before := heapAlloc()
 		for i := range blocks {
-			if n, err := ingest(i); n != perBlock || err != nil {
-				t.Fatalf("block %d: %d fixes accepted, %v", i, n, err)
+			if err := ingest(i); err != nil {
+				t.Fatalf("block %d: %v", i, err)
 			}
 		}
 		after := heapAlloc()
@@ -306,8 +313,8 @@ func TestQueuedBlockHeap(t *testing.T) {
 		}
 		return (float64(after) - float64(before)) / (blocks * perBlock)
 	}
-	asBlocks := queued(func(i int) (int, error) { return perBlock, e.TryIngestTrail(names[i], &trails[i]) })
-	asFixes := queued(func(i int) (int, error) { return e.TryIngest(fixes[i]) })
+	asBlocks := queued(func(i int) error { return e.TryIngestTrail(names[i], &trails[i]) })
+	asFixes := queued(func(i int) error { return e.Ingest(fixes[i]) })
 	runtime.KeepAlive(fixes) // the caller's, before and after: only the queue's copy counts
 	wire := 0
 	for i := range trails {
@@ -411,7 +418,7 @@ func TestIngestOutOfRangeFix(t *testing.T) {
 		return Fix{Device: "good", Point: core.Point{X: float64(i) * 25, Y: float64(i%2) * 30, T: float64(100 + i)}}
 	}
 	for i := 0; i < 3; i++ {
-		if err := e.IngestOne("good", good(i).Point); err != nil {
+		if err := e.Ingest([]Fix{{Device: "good", Point: good(i).Point}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,25 +432,13 @@ func TestIngestOutOfRangeFix(t *testing.T) {
 	}
 	var rejected uint64
 	for name, p := range bad {
-		batch := []Fix{good(3), {Device: "stray", Point: p}, good(4)}
-		for call, ingest := range map[string]func() error{
-			"Ingest":    func() error { return e.Ingest(batch) },
-			"TryIngest": func() error { _, err := e.TryIngest(batch); return err },
-			"IngestOne": func() error { return e.IngestOne("stray", p) },
-		} {
-			if err := ingest(); !errors.Is(err, trajstore.ErrRange) {
-				t.Fatalf("%s of a fix at %s = %v, want trajstore.ErrRange", call, name, err)
+		for _, batch := range [][]Fix{{good(3), {Device: "stray", Point: p}, good(4)}, {{Device: "stray", Point: p}}} {
+			if err := e.Ingest(batch); !errors.Is(err, trajstore.ErrRange) {
+				t.Fatalf("Ingest of %d fixes, one at %s = %v, want trajstore.ErrRange", len(batch), name, err)
 			}
 			rejected += uint64(len(batch))
-			if call == "IngestOne" {
-				rejected -= uint64(len(batch) - 1)
-			}
 		}
 	}
-	if n, err := e.TryIngest([]Fix{good(3), {Device: "stray", Point: bad["NaN"]}}); n != 0 || !errors.Is(err, trajstore.ErrRange) {
-		t.Fatalf("TryIngest = %d, %v: fixes were enqueued beside the refused one", n, err)
-	}
-	rejected += 2
 	// The reproduction: five fixes at 95° N, then flush and barrier.
 	north := make([]Fix, 5)
 	for i := range north {
@@ -497,7 +492,7 @@ func TestIngestOutOfRangeFix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := errors.Join(plain.IngestOne("utm", core.Point{X: 500000, Y: 9.9e6, T: 1}), plain.Close()); err != nil || seen != 1 {
+	if err := errors.Join(plain.Ingest([]Fix{{Device: "utm", Point: core.Point{X: 500000, Y: 9.9e6, T: 1}}}), plain.Close()); err != nil || seen != 1 {
 		t.Fatalf("persister-less engine: %v, %d keys seen", err, seen)
 	}
 }

@@ -39,9 +39,10 @@ func blocksOf(t *testing.T, e *engine.Engine, devices []string) map[string][]tra
 // (TryIngestTrail), and through ParseIngest, PlanePoint and Engine.Ingest.
 // The frames chunk trails (MaxTrailKeys 4), are cut by flushes, carry an
 // empty batch and keys exactly at ±90°/±180°, and the first way sees
-// batches refused by backpressure — its shard workers parked in OnKey — and
-// resent. Every device's DeviceBlocks must be byte for byte the same, before
-// and after the final flush, and so must Stats, but for the refusals.
+// batches refused by backpressure — its shard workers parked in OnKey behind
+// queues filled to capacity — and resent, with a hint of 50 to 100 ms.
+// Every device's DeviceBlocks must be byte for byte the same, before and
+// after the final flush, and so must Stats, but for the refusals.
 func TestIngestPathsAgree(t *testing.T) {
 	gate, parked := make(chan struct{}), make(chan struct{}, 64)
 	open := func(onKey func(string, core.Point)) *engine.Engine {
@@ -49,7 +50,7 @@ func TestIngestPathsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := engine.New(engine.Config{Tolerance: 2, Shards: 2, QueueDepth: 4, MaxTrailKeys: 4, Persister: lg, OnKey: onKey})
+		e, err := engine.New(engine.Config{Tolerance: 2, Shards: 2, MaxTrailKeys: 4, Persister: lg, OnKey: onKey})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,15 +64,20 @@ func TestIngestPathsAgree(t *testing.T) {
 		}
 	})
 	engB := open(nil)
-	srv, tn := &Server{cfg: Config{RetryAfter: DefaultRetryAfter}}, &tenant{name: "a", eng: engA}
+	srv, tn := &Server{}, &tenant{name: "a", eng: engA}
 
-	var devices, parkers []string
+	var devices, parkers, fillers []string
 	for d := 0; d < 12; d++ {
 		devices = append(devices, fmt.Sprintf("dev-%03d", d))
 	}
 	for i := 0; len(parkers) < 2; i++ { // one parker per shard
 		if name := fmt.Sprintf("park-%d", i); trajstore.ShardIndex(name, 2) == len(parkers) {
 			parkers = append(parkers, name)
+		}
+	}
+	for i := 0; len(fillers) < 2; i++ { // and one filler, whose batches fill its queue
+		if name := fmt.Sprintf("fill-%d", i); trajstore.ShardIndex(name, 2) == len(fillers) {
+			fillers = append(fillers, name)
 		}
 	}
 	pole := []trajstore.GeoKey{
@@ -110,6 +116,9 @@ func TestIngestPathsAgree(t *testing.T) {
 			ack := srv.ingest(tn, &f)
 			if ack.Err != "" || ack.Degraded {
 				t.Fatalf("ack %+v", ack)
+			}
+			if hint := ack.RetryAfterMillis; len(ack.Rejected) > 0 && (hint < 50 || hint > 100) {
+				t.Fatalf("retry hint %d ms, want 50 to 100", hint)
 			}
 			var again []proto.DeviceBatch
 			for _, i := range ack.Rejected {
@@ -158,6 +167,14 @@ func TestIngestPathsAgree(t *testing.T) {
 			for range parkers {
 				<-parked
 			}
+			var fill []proto.DeviceBatch
+			for d, dev := range fillers {
+				for k := 0; k < engA.QueueStats().Cap; k++ {
+					fill = append(fill, proto.DeviceBatch{Device: dev, Keys: []trajstore.GeoKey{{Lat: 2 + float64(d), Lon: 2 + float64(k)*1e-4, T: uint32(k + 1)}}})
+				}
+			}
+			viaTrails(fill, nil)
+			viaFixes(fill)
 			refused = func() { close(gate) }
 		}
 		viaTrails(bs, refused)
@@ -172,7 +189,7 @@ func TestIngestPathsAgree(t *testing.T) {
 		}
 	}
 
-	all := append(append(devices, parkers...), "pole", "idle")
+	all := append(append(append(devices, parkers...), fillers...), "pole", "idle")
 	compare := func(when string) {
 		t.Helper()
 		if err := errors.Join(engA.Sync(), engB.Sync()); err != nil {
@@ -225,7 +242,7 @@ func BenchmarkServerFrame(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	srv, tn := &Server{cfg: Config{RetryAfter: DefaultRetryAfter}}, &tenant{name: "bench", eng: e}
+	srv, tn := &Server{}, &tenant{name: "bench", eng: e}
 	const devices, perDevice = 50, 100
 	batches := make([]proto.DeviceBatch, devices)
 	for d := range batches {

@@ -57,9 +57,6 @@ type Config struct {
 	Engine engine.Config
 	// Log is the per-tenant segment-log options template.
 	Log segmentlog.Options
-	// RetryAfter is the base retry hint attached to backpressure
-	// rejections. Default DefaultRetryAfter.
-	RetryAfter time.Duration
 	// DrainTimeout bounds Shutdown's wait for in-flight connections.
 	// Default DefaultDrainTimeout.
 	DrainTimeout time.Duration
@@ -127,9 +124,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: Config.Engine: %w", err)
 	}
 	_ = eng.Close() // nothing was ingested and there is no persister to fail
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
 	}
@@ -213,13 +207,13 @@ func (t *tenant) open(s *Server) {
 	t.eng, t.log = eng, lg
 }
 
-// retryMillis derives the backpressure hint: the base interval, scaled
+// retryMillis derives the backpressure hint: DefaultRetryAfter, scaled
 // up to 2x by the worst shard queue's occupancy so a nearly-drained
 // queue invites a quick retry and a pinned one backs clients off.
-func (s *Server) retryMillis(eng *engine.Engine) uint32 {
-	d := s.cfg.RetryAfter
+func retryMillis(eng *engine.Engine) uint32 {
+	d := DefaultRetryAfter
 	d += time.Duration(float64(d) * eng.QueueStats().Fullness())
-	return uint32(max(d.Milliseconds(), 1))
+	return uint32(d.Milliseconds())
 }
 
 // Shutdown drains and closes the server: stop accepting, abort idle
@@ -455,7 +449,7 @@ func (s *Server) ingest(tn *tenant, f *proto.IngestFrame) proto.IngestAck {
 		}
 	}
 	if len(ack.Rejected) > 0 {
-		ack.RetryAfterMillis = s.retryMillis(tn.eng)
+		ack.RetryAfterMillis = retryMillis(tn.eng)
 	}
 	if !ack.Degraded && tn.eng.State().Cause != nil {
 		ack.Degraded = true // e.g. an empty Ingest frame used as a probe
