@@ -13,11 +13,14 @@
 //	     [-compact-interval 10m] [-drain-timeout 10s]
 //	     [-metrics 127.0.0.1:4981]
 //
-// With -metrics set, an HTTP listener serves /metrics: per-tenant
-// ingest, session, queue, persist/compact-failure, read-cache and
-// segment-log counters in the Prometheus text format. -cache-mb sizes
-// the per-tenant read cache that makes repeated window queries serve
-// from memory (0 disables it).
+// With -metrics set, a second listener answers HTTP/1.1 GET /metrics:
+// per-tenant ingest, session, queue, persist/compact-failure, read-cache
+// and segment-log counters in the Prometheus text format. It is a small
+// responder (server.ServeMetrics), not net/http — every answer closes its
+// connection, other paths get 404 — so the daemon links no HTTP/2, TLS or
+// gzip code; it stays up through the drain. -cache-mb sizes the
+// per-tenant read cache that makes repeated window queries serve from
+// memory (0 disables it).
 //
 // Each tenant named in a connection's handshake gets its own engine
 // and flock-guarded log directory under -dir. Ingest is explicitly
@@ -50,7 +53,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -111,18 +113,16 @@ func main() {
 	fmt.Printf("bqsd: listening on %s\n", ln.Addr())
 	log.Printf("bqsd: data dir %s, tolerance %g m", *dir, *tol)
 
-	var msrv *http.Server
+	var mln net.Listener
+	metricsDone := make(chan struct{})
 	if *metricsAddr != "" {
-		mln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
+		if mln, err = net.Listen("tcp", *metricsAddr); err != nil {
 			log.Fatalf("bqsd: metrics: %v", err)
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", srv.MetricsHandler())
-		msrv = &http.Server{Handler: mux}
 		fmt.Printf("bqsd: metrics on http://%s/metrics\n", mln.Addr())
 		go func() {
-			if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {
+			defer close(metricsDone)
+			if err := srv.ServeMetrics(mln); err != nil {
 				log.Printf("bqsd: metrics server: %v", err)
 			}
 		}()
@@ -148,10 +148,14 @@ func main() {
 		}
 		serving = false
 	}
-	if msrv != nil {
-		_ = msrv.Close() // scrape connections carry no durable state
+	// /metrics stays up through the drain, so its flush, sync and final
+	// compaction can be watched; it closes once they are done.
+	err = srv.Shutdown()
+	if mln != nil {
+		_ = mln.Close() // scrape connections carry no durable state
+		<-metricsDone
 	}
-	if err := srv.Shutdown(); err != nil {
+	if err != nil {
 		log.Fatalf("bqsd: drain: %v", err)
 	}
 	log.Print("bqsd: drained clean")

@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
+	"net"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -59,7 +62,7 @@ func (l *logBuffer) String() string {
 func TestDaemonLifecycle(t *testing.T) {
 	bin := buildCmd(t)
 	dir := t.TempDir()
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-dir", dir, "-tol", "2", "-trail", "16", "-compact-interval", "1h")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-metrics", "127.0.0.1:0", "-dir", dir, "-tol", "2", "-trail", "16", "-compact-interval", "1h")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +84,11 @@ func TestDaemonLifecycle(t *testing.T) {
 	if !strings.Contains(addr, ":") {
 		t.Fatalf("cannot parse address from %q", line)
 	}
+	// The second announces /metrics, the line bench/ parses.
+	if !sc.Scan() || !strings.HasPrefix(sc.Text(), "bqsd: metrics on http://") {
+		t.Fatalf("no metrics line: %q, %v", sc.Text(), sc.Err())
+	}
+	metricsURL := strings.TrimPrefix(sc.Text(), "bqsd: metrics on ")
 
 	c, err := server.Dial(addr, "smoke")
 	if err != nil {
@@ -136,9 +144,43 @@ func TestDaemonLifecycle(t *testing.T) {
 	recs = more
 	c.Close()
 
+	// net/http's client reads /metrics off the daemon's own responder.
+	resp, err := http.Get(metricsURL)
+	if err != nil {
+		t.Fatalf("scrape: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 || !strings.Contains(string(body), `bqs_ingest_fixes_total{tenant="smoke"} 80`) {
+		t.Fatalf("scrape: HTTP %d, err %v, body:\n%s", resp.StatusCode, err, body)
+	}
+
+	// A scrape in flight when SIGTERM lands is still answered: /metrics
+	// stays up through the drain, and the daemon waits for it.
+	scrapeConn, err := net.Dial("tcp", strings.TrimSuffix(strings.TrimPrefix(metricsURL, "http://"), "/metrics"))
+	if err != nil {
+		t.Fatalf("dial metrics: %v", err)
+	}
+	defer scrapeConn.Close()
+	if _, err := scrapeConn.Write([]byte("GET /metrics HTTP/1.1\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+
 	// SIGTERM must drain and exit 0 …
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("signal: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(logs.String(), "draining"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("no drain line after SIGTERM; the daemon logged:\n%s", logs.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, err := scrapeConn.Write([]byte("\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if answer, err := io.ReadAll(scrapeConn); err != nil || !bytes.HasPrefix(answer, []byte("HTTP/1.1 200 OK\r\n")) || !bytes.Contains(answer, []byte(`bqs_ingest_fixes_total{tenant="smoke"} 80`)) {
+		t.Fatalf("scrape across the drain: err %v, answer:\n%s", err, answer)
 	}
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()

@@ -1,30 +1,87 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
-	"net/http/httptest"
+	"net"
+	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/trajcomp/bqs/internal/engine"
 	"github.com/trajcomp/bqs/internal/proto"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog"
 )
 
-// scrape GETs the metrics handler and returns the exposition body.
+// serveMetrics runs s.ServeMetrics on a loopback listener and returns its
+// address and a stop func that closes the listener and reports what
+// ServeMetrics returned.
+func serveMetrics(t *testing.T, s *Server) (addr string, stop func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.ServeMetrics(ln) }()
+	return ln.Addr().String(), func() {
+		ln.Close()
+		if err := <-done; err != nil {
+			t.Errorf("ServeMetrics returned %v after its listener closed, want nil", err)
+		}
+	}
+}
+
+var scrapeClient = &http.Client{Timeout: 10 * time.Second}
+
+// fetch GETs path from the responder at addr with net/http's client and
+// holds the answer to what every answer must be: HTTP/1.1, a
+// Content-Length equal to the body, and the connection closed after it.
+func fetch(addr, path string) (*http.Response, string, error) {
+	resp, err := scrapeClient.Get("http://" + addr + path)
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	switch {
+	case err != nil:
+		return nil, "", err
+	case resp.Proto != "HTTP/1.1" || !resp.Close:
+		return nil, "", fmt.Errorf("GET %s: %s, Connection close %v; want HTTP/1.1, close", path, resp.Proto, resp.Close)
+	case resp.ContentLength != int64(len(body)):
+		return nil, "", fmt.Errorf("GET %s: Content-Length %d, body %d bytes", path, resp.ContentLength, len(body))
+	}
+	return resp, string(body), nil
+}
+
+// metricsType is the exposition format's content type.
+const metricsType = "text/plain; version=0.0.4; charset=utf-8"
+
+// scrape GETs /metrics from s over a loopback socket and returns the
+// exposition body.
 func scrape(t *testing.T, s *Server) string {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	s.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("metrics scrape: HTTP %d", rec.Code)
+	addr, stop := serveMetrics(t, s)
+	defer stop()
+	resp, body, err := fetch(addr, "/metrics")
+	if err != nil {
+		t.Fatalf("metrics scrape: %v", err)
 	}
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("metrics Content-Type = %q", ct)
+	if resp.StatusCode != 200 {
+		t.Fatalf("metrics scrape: HTTP %d", resp.StatusCode)
 	}
-	return rec.Body.String()
+	if ct := resp.Header.Get("Content-Type"); ct != metricsType {
+		t.Fatalf("metrics Content-Type = %q, want %q", ct, metricsType)
+	}
+	return body
 }
 
 // metricValue extracts one sample (by family name and tenant label)
@@ -224,4 +281,209 @@ func TestMetricsLabelEscaping(t *testing.T) {
 	if !strings.Contains(b.String(), want) {
 		t.Fatalf("escaped sample %q missing from:\n%s", want, b.String())
 	}
+}
+
+// TestMetricsResponder drives ServeMetrics over a real socket: a scrape is
+// the renderer's text with its content type and length, a query string is
+// ignored, anything but GET /metrics is a 404, and a request head past the
+// cap is closed at once with no answer.
+func TestMetricsResponder(t *testing.T) {
+	srv, addr := startServer(t, Config{Dir: t.TempDir(), Engine: engine.Config{Tolerance: 2, Shards: 2, MaxTrailKeys: 16}})
+	c, err := Dial(addr, "fleet")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "dev-000", Keys: track(0, 90)}}, 20); err != nil {
+		t.Fatalf("IngestAll: %v", err)
+	}
+	if err := c.Sync(true); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	// Nothing moves now, so the scrape and the renderer agree byte for byte.
+	var want bytes.Buffer
+	if err := srv.WriteMetrics(&want); err != nil {
+		t.Fatalf("WriteMetrics: %v", err)
+	}
+	if got := scrape(t, srv); got != want.String() {
+		t.Fatalf("scrape body differs from WriteMetrics:\n%s\nwant:\n%s", got, want.String())
+	}
+
+	maddr, stop := serveMetrics(t, srv)
+	defer stop()
+	for path, status := range map[string]int{
+		"/metrics?name[]=bqs_log_bytes": 200,
+		"/":                             404,
+		"/metrics/":                     404,
+		"/debug/pprof/":                 404,
+	} {
+		resp, body, err := fetch(maddr, path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		if resp.StatusCode != status {
+			t.Errorf("GET %s: HTTP %d, want %d", path, resp.StatusCode, status)
+		}
+		if status == 200 && !strings.Contains(body, `bqs_log_bytes{tenant="fleet"}`) {
+			t.Errorf("GET %s: no bqs_log_bytes sample in:\n%s", path, body)
+		}
+	}
+	if resp, err := scrapeClient.Post("http://"+maddr+"/metrics", "text/plain", nil); err != nil {
+		t.Fatalf("POST /metrics: %v", err)
+	} else if resp.Body.Close(); resp.StatusCode != 404 {
+		t.Errorf("POST /metrics: HTTP %d, want 404", resp.StatusCode)
+	}
+
+	// A head whose lines end in a bare LF is a head too.
+	conn, err := net.Dial("tcp", maddr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if _, err := conn.Write([]byte("GET /metrics HTTP/1.0\n\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if answer, err := io.ReadAll(conn); err != nil || !bytes.HasPrefix(answer, []byte("HTTP/1.1 200 OK\r\n")) {
+		t.Fatalf("bare-LF head: %q, %v; want a 200", answer, err)
+	}
+	conn.Close()
+
+	// A head that fills the cap without ending is closed unanswered, long
+	// before the read deadline.
+	conn, err = net.Dial("tcp", maddr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	head := "GET /metrics HTTP/1.1\r\nX-Pad: " + strings.Repeat("a", maxScrapeHead)
+	if _, err := conn.Write([]byte(head[:maxScrapeHead])); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * scrapeTimeout))
+	if n, err := conn.Read(make([]byte, 64)); n != 0 || err == nil {
+		t.Fatalf("over-cap head: read %d bytes, err %v; want the connection closed with no answer", n, err)
+	}
+	if d := time.Since(start); d > scrapeTimeout/2 {
+		t.Errorf("over-cap head closed after %v, want at once", d)
+	}
+}
+
+// TestMetricsConcurrentScrapes: more scrapers than the responder serves at
+// once, scraping in a loop while a client ingests, all answered whole
+// (run it under -race).
+func TestMetricsConcurrentScrapes(t *testing.T) {
+	srv, addr := startServer(t, Config{Dir: t.TempDir(), Engine: engine.Config{Tolerance: 2, Shards: 2, MaxTrailKeys: 16}})
+	c, err := Dial(addr, "fleet")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	maddr, stop := serveMetrics(t, srv)
+	defer stop()
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var scrapes atomic.Int64
+	for i := 0; i < 2*maxScrapes; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					if n == 0 {
+						t.Error("a scraper never got to scrape")
+					}
+					return
+				default:
+				}
+				scrapes.Add(1)
+				resp, body, err := fetch(maddr, "/metrics")
+				if err != nil {
+					t.Errorf("scrape: %v", err)
+					return
+				}
+				if resp.StatusCode != 200 || !strings.HasSuffix(body, "\n") || !strings.Contains(body, "# TYPE bqs_log_generation gauge") {
+					t.Errorf("scrape: HTTP %d, body:\n%s", resp.StatusCode, body)
+					return
+				}
+			}
+		}()
+	}
+	const devices, perDevice = 64, 2000
+	batches := make([]proto.DeviceBatch, 0, devices)
+	for d := 0; d < devices; d++ {
+		batches = append(batches, proto.DeviceBatch{Device: fmt.Sprintf("dev-%03d", d), Keys: track(d, perDevice)})
+	}
+	_, err = c.IngestAll(batches, 10)
+	if err == nil {
+		err = c.Sync(true)
+	}
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	t.Logf("%d scrapes during the ingest", scrapes.Load())
+	if v := metricValue(t, scrape(t, srv), "bqs_ingest_fixes_total", "fleet"); v != devices*perDevice {
+		t.Errorf("bqs_ingest_fixes_total = %v, want %d", v, devices*perDevice)
+	}
+}
+
+// TestServeMetricsWaitsForHandlers: once its listener closes ServeMetrics
+// still waits for the scrape in flight, which is answered, and it leaves
+// no handler goroutine behind.
+func TestServeMetricsWaitsForHandlers(t *testing.T) {
+	srv, err := New(Config{Dir: t.TempDir(), Engine: engine.Config{Tolerance: 2}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Shutdown()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeMetrics(ln) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /metrics HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	// The handler is in flight once the responder has taken the connection;
+	// the listen backlog alone would not keep ServeMetrics waiting.
+	for !handlersRunning() {
+		time.Sleep(time.Millisecond)
+	}
+	ln.Close()
+	select {
+	case err := <-done:
+		t.Fatalf("ServeMetrics returned %v with a scrape in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := conn.Write([]byte("\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	resp, err := io.ReadAll(conn)
+	if err != nil || !strings.HasPrefix(string(resp), "HTTP/1.1 200 OK\r\n") {
+		t.Fatalf("in-flight scrape: %q, %v; want a 200", resp, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("ServeMetrics: %v", err)
+	}
+	for deadline := time.Now().Add(time.Second); handlersRunning(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a scrape handler goroutine outlived ServeMetrics")
+		}
+	}
+}
+
+// handlersRunning reports whether any goroutine is inside a scrape handler.
+func handlersRunning() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*Server).ServeMetrics.func"))
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"sync"
 	"time"
@@ -43,9 +42,19 @@ const (
 	DefaultDrainTimeout = 10 * time.Second
 )
 
-// tenantName admits one path component: no separators, no dot-prefixed
-// names (which also excludes "." and ".."), bounded length.
-var tenantName = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
+// validTenant admits one path component, the names
+// [a-zA-Z0-9][a-zA-Z0-9._-]{0,63}: no separators, no dot-prefixed names
+// (which also excludes "." and ".."), bounded length.
+func validTenant(name string) bool {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		alnum := 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+		if !alnum && (i == 0 || c != '.' && c != '_' && c != '-') {
+			return false
+		}
+	}
+	return len(name) > 0 && len(name) <= 64
+}
 
 // Config parameterizes a Server.
 type Config struct {
@@ -171,7 +180,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // use. The open runs outside s.mu (directory recovery can be slow);
 // concurrent Hellos for the same tenant serialize on the tenant's once.
 func (s *Server) tenant(name string) (*tenant, error) {
-	if !tenantName.MatchString(name) {
+	if !validTenant(name) {
 		return nil, fmt.Errorf("server: invalid tenant name %q", name)
 	}
 	s.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -615,6 +616,23 @@ func TestTenantIsolationAndValidation(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(filepath.Dir(dir), "evil")); !os.IsNotExist(err) {
 		t.Fatalf("traversal escaped the data dir: %v", err)
+	}
+}
+
+// TestValidTenantMatchesPattern holds the tenant-name byte loop to the
+// pattern it implements: every byte value alone and in first, middle and
+// last position, and the lengths around the bounds.
+func TestValidTenantMatchesPattern(t *testing.T) {
+	pattern := regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
+	names := []string{"", "a", strings.Repeat("a", 64), strings.Repeat("a", 65), "a" + strings.Repeat(".", 63), "a" + strings.Repeat("-", 64)}
+	for c := 0; c < 256; c++ {
+		b := string([]byte{byte(c)})
+		names = append(names, b, b+"a", "a"+b+"a", "a"+b, b+strings.Repeat("a", 63), strings.Repeat("a", 63)+b)
+	}
+	for _, name := range names {
+		if got, want := validTenant(name), pattern.MatchString(name); got != want {
+			t.Errorf("validTenant(%q) = %v, pattern says %v", name, got, want)
+		}
 	}
 }
 
