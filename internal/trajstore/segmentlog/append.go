@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
@@ -95,7 +96,7 @@ func (l *shardLog) AppendTrail(device string, tr *trajstore.Trail) error {
 	n := len(buf) - start
 
 	l.addRecordLocked(recordMeta{
-		device: device, off: l.off + recordHeaderSize, bodyLen: n - recordHeaderSize, Bounds: b,
+		dev: l.internLocked([]byte(device)), off: uint32(l.off + recordHeaderSize), bodyLen: uint32(n - recordHeaderSize), Bounds: b,
 	})
 	l.off += int64(n)
 
@@ -183,7 +184,7 @@ func (l *shardLog) poisonLocked(cause error) {
 	// record boundary: a meta either starts below it (durable) or at/
 	// above it (at risk) — never straddles.
 	keep := len(cur.recs)
-	for keep > 0 && cur.recs[keep-1].off-recordHeaderSize >= l.syncedOff {
+	for keep > 0 && int64(cur.recs[keep-1].off)-recordHeaderSize >= l.syncedOff {
 		keep--
 	}
 	l.atRisk = append(l.atRisk[:0], cur.recs[keep:]...)
@@ -194,12 +195,8 @@ func (l *shardLog) poisonLocked(cause error) {
 	// active tail), so popping each device's list tail — newest first —
 	// removes exactly them.
 	for i := len(l.atRisk) - 1; i >= 0; i-- {
-		dev := l.atRisk[i].device
-		lst := l.index[dev]
-		l.index[dev] = lst[:len(lst)-1]
-		if len(lst) == 1 {
-			delete(l.index, dev)
-		}
+		lst := &l.index[l.atRisk[i].dev]
+		*lst = (*lst)[:len(*lst)-1]
 	}
 	l.off = l.syncedOff
 	l.written = len(l.unsynced) // the old file gets no more writes
@@ -271,7 +268,7 @@ func (l *shardLog) healLocked() error {
 		}
 	}
 	for _, m := range l.atRisk {
-		m.off += headerSize - watermark
+		m.off = uint32(int64(m.off) + headerSize - watermark)
 		l.addRecordLocked(m)
 	}
 	l.atRisk = nil
@@ -301,7 +298,8 @@ func (l *shardLog) healLocked() error {
 func (l *shardLog) sealActiveLocked(f vfs.File, seg segmentFile) (old vfs.File, err error) {
 	cur := len(l.segs) - 1
 	l.segs[cur].size = l.off
-	l.segs[cur].idx = writeBlockIndex(l.fs, l.segs[cur].path, l.off, l.segs[cur].recs) == nil
+	l.segs[cur].recs = slices.Clone(l.segs[cur].recs) // sealed, it grows no more: shed append's spare room
+	l.segs[cur].idx = writeBlockIndex(l.fs, l.segs[cur].path, l.off, l.segs[cur].recs, l.names) == nil
 	l.segs = append(l.segs, seg)
 	if err := l.writeManifestLocked(); err != nil {
 		l.segs = l.segs[:cur+1]

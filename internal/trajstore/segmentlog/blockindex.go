@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"strings"
 
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
@@ -64,15 +65,10 @@ func idxName(n uint64) string { return fmt.Sprintf("seg-%08d.idx", n) }
 // parseIdxName extracts the sequence number from a canonical index file
 // name; ok is false for anything else.
 func parseIdxName(name string) (uint64, bool) {
-	const pre, suf = "seg-", ".idx"
-	if len(name) < len(pre)+len(suf) || name[:len(pre)] != pre || name[len(name)-len(suf):] != suf {
-		return 0, false
+	if base, ok := strings.CutSuffix(name, ".idx"); ok {
+		return parseSegName(base + ".log")
 	}
-	n, ok := parseSegName(name[:len(name)-len(suf)] + ".log")
-	if !ok {
-		return 0, false
-	}
-	return n, true
+	return 0, false
 }
 
 // idxPathFor derives the index file path of a segment file path.
@@ -85,8 +81,8 @@ func idxPathFor(segPath string) (string, bool) {
 }
 
 // formatBlockIndex renders the index of one sealed segment: its valid
-// size and per-record metadata in file order.
-func formatBlockIndex(segSize int64, metas []recordMeta) []byte {
+// size and per-record metadata in file order, each device named from names.
+func formatBlockIndex(segSize int64, metas []recordMeta, names []string) []byte {
 	out := make([]byte, 0, idxHeaderSize+16+len(metas)*32)
 	out = append(out, idxMagic[:]...)
 	out = append(out, idxVersion, version)
@@ -94,8 +90,8 @@ func formatBlockIndex(segSize int64, metas []recordMeta) []byte {
 	out = binary.AppendUvarint(out, uint64(len(metas)))
 	for i := range metas {
 		m := &metas[i]
-		out = binary.AppendUvarint(out, uint64(len(m.device)))
-		out = append(out, m.device...)
+		out = binary.AppendUvarint(out, uint64(len(names[m.dev])))
+		out = append(out, names[m.dev]...)
 		out = binary.LittleEndian.AppendUint32(out, m.T0)
 		out = binary.LittleEndian.AppendUint32(out, m.T1)
 		out = append(out, idxFlagBBox)
@@ -113,10 +109,11 @@ func formatBlockIndex(segSize int64, metas []recordMeta) []byte {
 // structural defect is an error: entries must be in strictly increasing
 // file order, inside the recorded segment size and individually
 // plausible, so a loaded index can never address bytes a scan would not
-// have indexed. (Queries still CRC-verify each record they read, so
+// have indexed — nor an offset past 32 bits, the segment size being at
+// most maxSegmentSize. (Queries still CRC-verify each record they read, so
 // even a colliding-CRC forgery cannot produce wrong results — only a
-// read error.)
-func parseBlockIndex(data []byte) (segSize int64, metas []recordMeta, err error) {
+// read error.) Each entry's device is numbered by intern.
+func parseBlockIndex(data []byte, intern func([]byte) uint32) (segSize int64, metas []recordMeta, err error) {
 	if len(data) < idxHeaderSize+4 {
 		return 0, nil, fmt.Errorf("%w: short file", errBadIndex)
 	}
@@ -147,7 +144,7 @@ func parseBlockIndex(data []byte) (segSize int64, metas []recordMeta, err error)
 	if err != nil {
 		return 0, nil, err
 	}
-	if size < headerSize || size > 1<<62 {
+	if size < headerSize || size > maxSegmentSize {
 		return 0, nil, fmt.Errorf("%w: implausible segment size %d", errBadIndex, size)
 	}
 	segSize = int64(size)
@@ -170,7 +167,7 @@ func parseBlockIndex(data []byte) (segSize int64, metas []recordMeta, err error)
 		if devLen > uint64(^uint16(0)) || devLen > uint64(len(b)) {
 			return 0, nil, fmt.Errorf("%w: implausible device length %d", errBadIndex, devLen)
 		}
-		m.device = string(b[:devLen])
+		m.dev = intern(b[:devLen])
 		b = b[devLen:]
 		if len(b) < 1+boundsSize {
 			return 0, nil, fmt.Errorf("%w: truncated entry", errBadIndex)
@@ -190,15 +187,14 @@ func parseBlockIndex(data []byte) (segSize int64, metas []recordMeta, err error)
 		if err != nil {
 			return 0, nil, err
 		}
-		m.off = int64(off)
-		m.bodyLen = int(bodyLen)
 		if bodyLen < minBodySize || bodyLen > MaxRecordBytes {
 			return 0, nil, fmt.Errorf("%w: implausible body length %d", errBadIndex, bodyLen)
 		}
-		if m.off < prevEnd+recordHeaderSize || m.off+int64(m.bodyLen) > segSize {
+		if int64(off) < prevEnd+recordHeaderSize || int64(off+bodyLen) > segSize {
 			return 0, nil, fmt.Errorf("%w: entry outside segment bounds", errBadIndex)
 		}
-		prevEnd = m.off + int64(m.bodyLen)
+		m.off, m.bodyLen = uint32(off), uint32(bodyLen)
+		prevEnd = int64(off + bodyLen)
 		metas = append(metas, m)
 	}
 	if len(b) != 0 {
@@ -210,20 +206,20 @@ func parseBlockIndex(data []byte) (segSize int64, metas []recordMeta, err error)
 // writeBlockIndex persists (and fsyncs) the index of one sealed
 // segment next to it. The write is not atomic: a torn index fails the
 // CRC on load and degrades to a scan, never to wrong results.
-func writeBlockIndex(fsys vfs.FS, segPath string, segSize int64, metas []recordMeta) error {
+func writeBlockIndex(fsys vfs.FS, segPath string, segSize int64, metas []recordMeta, names []string) error {
 	path, ok := idxPathFor(segPath)
 	if !ok {
 		return fmt.Errorf("segmentlog: %s is not a canonical segment name", segPath)
 	}
-	return writeFileSync(fsys, "block index", path, formatBlockIndex(segSize, metas))
+	return writeFileSync(fsys, "block index", path, formatBlockIndex(segSize, metas, names))
 }
 
 // loadBlockIndex reads and validates the index of segPath, additionally
 // requiring the segment file's current size to equal the indexed size —
 // a sealed segment never changes, so any difference means the index
 // belongs to an earlier life of the file (an unpublished rotation) and
-// must not be trusted.
-func loadBlockIndex(fsys vfs.FS, segPath string) (segSize int64, metas []recordMeta, err error) {
+// must not be trusted. Devices are numbered by intern.
+func loadBlockIndex(fsys vfs.FS, segPath string, intern func([]byte) uint32) (segSize int64, metas []recordMeta, err error) {
 	path, ok := idxPathFor(segPath)
 	if !ok {
 		return 0, nil, fmt.Errorf("%w: non-canonical segment name", errBadIndex)
@@ -232,7 +228,7 @@ func loadBlockIndex(fsys vfs.FS, segPath string) (segSize int64, metas []recordM
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", errBadIndex, err)
 	}
-	segSize, metas, err = parseBlockIndex(data)
+	segSize, metas, err = parseBlockIndex(data, intern)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -19,7 +19,7 @@ import "github.com/trajcomp/bqs/internal/cache"
 // recKey identifies one immutable record body of one log.
 type recKey struct {
 	path string
-	off  int64
+	off  uint32
 }
 
 // recordCache is the concrete cache type the log embeds: a record's Block,

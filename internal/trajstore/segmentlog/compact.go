@@ -51,6 +51,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"time"
 
 	"github.com/trajcomp/bqs/internal/core"
@@ -95,7 +96,7 @@ type CompactionResult struct {
 // indexed time span and its key points as the stored block, opened — keys
 // exist only while ageing re-compresses them.
 type compactRecord struct {
-	device string
+	dev    uint32 // device number: shardLog.names[dev] is its ID
 	t0, t1 uint32
 	trail  trajstore.Trail
 }
@@ -163,8 +164,9 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	// The selected segments are immutable from here on — appends, rotation
 	// and heal only touch the active entry and what follows it, compactMu
 	// excludes other passes — so this one reads them, records included,
-	// without the lock.
+	// without the lock; and names through a snapshot: no entry is rewritten.
 	sealed := l.segs[lo:hi:hi]
+	names := l.names
 	l.mu.Unlock()
 
 	// Nothing selected — or nothing sealed since a pass left the whole prefix
@@ -182,21 +184,31 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	}
 	cutoff := ageCutoff(p)
 	// Each device's selected records in append order — segment order, then
-	// file order — as addresses into sealed.
-	perDev := make(map[string][]recordAddr)
-	var devices []string
+	// file order — as addresses into sealed, placed by a count and a fill:
+	// device dev's are addrs[start[dev]:start[dev+1]].
+	start := make([]int32, len(names)+1)
 	for i := range sealed {
-		for pi := range sealed[i].recs {
-			dev := sealed[i].recs[pi].device
-			if perDev[dev] == nil {
-				devices = append(devices, dev)
-			}
-			perDev[dev] = append(perDev[dev], recordAddr{seg: int32(i), pos: int32(pi)})
+		for _, m := range sealed[i].recs {
+			start[m.dev+1]++
 		}
 		res.RecordsIn += len(sealed[i].recs)
 	}
+	var devices []uint32
+	for dev := range names {
+		if start[dev+1] > 0 {
+			devices = append(devices, uint32(dev))
+		}
+		start[dev+1] += start[dev]
+	}
+	addrs, next := make([]recordAddr, res.RecordsIn), slices.Clone(start)
+	for i := range sealed {
+		for pi, m := range sealed[i].recs {
+			addrs[next[m.dev]] = recordAddr{seg: int32(i), pos: int32(pi)}
+			next[m.dev]++
+		}
+	}
 	res.SegmentsIn, res.BytesIn = len(sealed), segBytes(sealed)
-	slices.Sort(devices)
+	slices.SortFunc(devices, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
 	// Open every selected file once; workers share the handles via pread.
 	files := &segReader{fs: l.fs}
 	defer files.close()
@@ -228,12 +240,13 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	for w := 0; w < min(workers, len(devices)); w++ {
 		go func() {
 			for i := range work {
-				results[i] <- l.compactDevice(perDev[devices[i]], sealed, files, p, cutoff)
+				dev := devices[i]
+				results[i] <- l.compactDevice(addrs[start[dev]:start[dev+1]], len(names[dev]), sealed, files, p, cutoff)
 			}
 		}()
 	}
 
-	cw := &compactWriter{l: l}
+	cw := &compactWriter{l: l, names: names}
 	var firstErr error
 	for i := range devices {
 		out := <-results[i] //bqslint:ignore lockedsend compactMu serializes compactions and every worker sends exactly once, so this receive under the lock always drains
@@ -326,14 +339,14 @@ func segBytes(segs []segmentFile) (n int64) {
 }
 
 // compactDevice is the worker side of the streaming compactor: it reads one
-// device's selected records — addrs, into sealed — (pread through the
-// indexed offsets, CRC re-verified), opens their blocks and runs the
-// pipeline on them. Every record was valid when Open indexed it, so
+// device's selected records — addrs, into sealed; its ID is devLen bytes —
+// (pread through the indexed offsets, CRC re-verified), opens their blocks
+// and runs the pipeline on them. Every record was valid when Open indexed it, so
 // anything that fails to validate now is bit rot — the pass must abort
 // (leaving the old generation untouched) rather than drop the record and
 // then delete its only copy. out.decoded is reported even on error so the
 // writer's live-memory accounting stays balanced.
-func (l *shardLog) compactDevice(addrs []recordAddr, sealed []segmentFile, files *segReader, p CompactionPolicy, cutoff uint32) (out devOut) {
+func (l *shardLog) compactDevice(addrs []recordAddr, devLen int, sealed []segmentFile, files *segReader, p CompactionPolicy, cutoff uint32) (out devOut) {
 	recs := make([]compactRecord, 0, len(addrs))
 	for _, a := range addrs {
 		var tr trajstore.Trail
@@ -347,12 +360,12 @@ func (l *shardLog) compactDevice(addrs []recordAddr, sealed []segmentFile, files
 				filepath.Base(sealed[a.seg].path), m.off, err)
 			return out
 		}
-		recs = append(recs, compactRecord{device: blk.Device, t0: blk.T0, t1: blk.T1, trail: tr})
+		recs = append(recs, compactRecord{dev: m.dev, t0: blk.T0, t1: blk.T1, trail: tr})
 		out.decoded++
 		l.compactLiveAdd(1)
 	}
 	if p.MergeChunks {
-		recs, out.merged = mergeChunks(recs)
+		recs, out.merged = mergeChunks(recs, devLen)
 	}
 	recs, out.deduped = dedupContained(recs)
 	if p.CoarseTolerance > 0 {
@@ -378,13 +391,13 @@ func (l *shardLog) compactDevice(addrs []recordAddr, sealed []segmentFile, files
 // mergeChunks re-joins consecutive records that overlap by exactly one
 // key point (the engine's chunking invariant: each chunk restarts from
 // the previous chunk's last key) by joining their blocks — see Trail.Join.
-// Merging stops before a record would exceed the record-size cap.
-func mergeChunks(recs []compactRecord) (out []compactRecord, merged int) {
+// Merging stops before a record (of a devLen-byte ID) would exceed the cap.
+func mergeChunks(recs []compactRecord, devLen int) (out []compactRecord, merged int) {
 	out = recs[:0]
 	for _, r := range recs {
 		if len(out) > 0 {
 			prev := &out[len(out)-1]
-			if minBodySize+len(r.device)+binary.MaxVarintLen64+prev.trail.Size()+r.trail.Size() <= MaxRecordBytes &&
+			if minBodySize+devLen+binary.MaxVarintLen64+prev.trail.Size()+r.trail.Size() <= MaxRecordBytes &&
 				prev.trail.Join(&r.trail) {
 				prev.t0, prev.t1 = min(prev.t0, r.t0), max(prev.t1, r.t1)
 				merged++
@@ -476,11 +489,12 @@ func ageTrail(tr *trajstore.Trail, tol float64) (bool, error) {
 // them, so discard (or a crash) just leaves garbage the next Open
 // sweeps.
 type compactWriter struct {
-	l    *shardLog
-	segs []segmentFile // the last one is open (f != nil) or sealed
-	f    vfs.File
-	off  int64
-	buf  []byte
+	l     *shardLog
+	names []string      // the pass's snapshot of shardLog.names
+	segs  []segmentFile // the last one is open (f != nil) or sealed
+	f     vfs.File
+	off   int64
+	buf   []byte
 }
 
 // closeCurrent seals the open output segment: fsync, close, block
@@ -501,10 +515,11 @@ func (w *compactWriter) closeCurrent() error {
 		return err
 	}
 	w.f = nil
-	if err := writeBlockIndex(w.l.fs, s.path, s.size, s.recs); err != nil {
+	if err := writeBlockIndex(w.l.fs, s.path, s.size, s.recs, w.names); err != nil {
 		return err
 	}
 	s.idx = true
+	s.recs = slices.Clone(s.recs) // as a rotation seals, without append's spare room
 	s.sum = sumOf(s.recs)
 	return nil
 }
@@ -514,7 +529,7 @@ func (w *compactWriter) closeCurrent() error {
 func (w *compactWriter) add(r compactRecord) (err error) {
 	b := r.trail.Bounds()
 	b.T0, b.T1 = r.t0, r.t1
-	if w.buf, err = frameRecord(w.buf[:0], r.device, b, &r.trail); err != nil {
+	if w.buf, err = frameRecord(w.buf[:0], w.names[r.dev], b, &r.trail); err != nil {
 		return err
 	}
 	if w.f != nil && w.off > headerSize && w.off+int64(len(w.buf)) > w.l.opts.MaxSegmentBytes {
@@ -540,7 +555,7 @@ func (w *compactWriter) add(r compactRecord) (err error) {
 	}
 	s := &w.segs[len(w.segs)-1]
 	s.recs = append(s.recs, recordMeta{
-		device: r.device, off: w.off + recordHeaderSize, bodyLen: len(w.buf) - recordHeaderSize, Bounds: b,
+		dev: r.dev, off: uint32(w.off + recordHeaderSize), bodyLen: uint32(len(w.buf) - recordHeaderSize), Bounds: b,
 	})
 	w.off += int64(len(w.buf))
 	return nil

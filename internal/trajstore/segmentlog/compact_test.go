@@ -7,7 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -560,6 +564,109 @@ func TestCompactConcurrentQuery(t *testing.T) {
 	wg.Wait()
 	if recs := queryAll(t, l, "writer"); len(recs) != 30 {
 		t.Fatalf("writer records lost during compaction: %d", len(recs))
+	}
+}
+
+// TestNameTableUnderConcurrency: periodic and full compaction passes run
+// while the writer brings in devices no shard has named before and readers
+// query devices and windows — the -race test of the shard's name table,
+// which the writer extends under the lock while a pass groups and names its
+// selection from a snapshot. Every device query returns its own whole
+// polyline, every block a window visits names a written device, and after
+// a last full pass each device is one record holding its track.
+func TestNameTableUnderConcurrency(t *testing.T) {
+	s := mustOpenSharded(t, t.TempDir(), 2, Options{MaxSegmentBytes: 1024, Compaction: &CompactionPolicy{MergeChunks: true}})
+	defer s.Close()
+	const devices = 40
+	name := func(d int) string { return fmt.Sprintf("dev-%03d", d) }
+	tracks := make([][]trajstore.GeoKey, devices)
+	for d := range tracks {
+		tracks[d] = genKeys(d+1, 43)
+	}
+	var written, served atomic.Int32 // devices whose every chunk is appended; queries answered
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	running := func(body func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := body(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	running(func(i int) error { return s.CompactNow(i%3 == 2) }) // two ticks, then a full pass
+	for r := 0; r < 2; r++ {
+		running(func(i int) error {
+			n := int(written.Load())
+			if n == 0 {
+				runtime.Gosched()
+				return nil
+			}
+			d := (i*7 + r) % n
+			var recs []Record
+			if err := s.DeviceBlocks(name(d), 0, math.MaxUint32, decodeInto(&recs)); err != nil {
+				return err
+			}
+			for _, rec := range recs {
+				if rec.Device != name(d) {
+					return fmt.Errorf("a query of %s served a record of %q", name(d), rec.Device)
+				}
+			}
+			if got := stitch(recs); !reflect.DeepEqual(got, tracks[d]) {
+				return fmt.Errorf("%s: %d keys served, want %d", name(d), len(got), len(tracks[d]))
+			}
+			served.Add(1)
+			return s.WindowBlocks(-180, -90, 180, 90, 0, math.MaxUint32, func(b Block) error {
+				if d, err := strconv.Atoi(strings.TrimPrefix(b.Device, "dev-")); err != nil || d >= devices {
+					return fmt.Errorf("a window visited a record of %q", b.Device)
+				}
+				return nil
+			})
+		})
+	}
+	for d := range tracks {
+		// The writer can outrun both sides; halfway, a pass must have
+		// published and a query must have been answered.
+		for deadline := time.Now().Add(10 * time.Second); d == devices/2 && (s.Stats().Rewritten == 0 || served.Load() == 0); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no pass published or no query answered beside the writer: the test proved nothing")
+			}
+		}
+		for _, chunk := range chunkKeys(tracks[d], 8) {
+			if err := s.Append(name(d), chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		written.Add(1)
+	}
+	close(stop)
+	wg.Wait()
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CompactNow(true); err != nil {
+		t.Fatal(err)
+	}
+	for d := range tracks {
+		recs, err := s.Query(name(d), 0, math.MaxUint32)
+		if err != nil || len(recs) != 1 || !reflect.DeepEqual(recs[0].Keys, tracks[d]) {
+			t.Fatalf("%s after the last full pass: %d records (%v), want its track as one", name(d), len(recs), err)
+		}
+	}
+	if st := s.Stats(); st.Devices != devices || len(s.Devices()) != devices {
+		t.Fatalf("Stats().Devices = %d, Devices() lists %d; want %d", st.Devices, len(s.Devices()), devices)
+	}
+	for _, lg := range s.shards {
+		checkView(t, lg)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"syscall"
@@ -168,6 +169,82 @@ func TestPoisonedAppendHeals(t *testing.T) {
 	if !reflect.DeepEqual(recs[0].Keys, first) || !reflect.DeepEqual(recs[1].Keys, second) {
 		t.Fatal("surviving records corrupted")
 	}
+}
+
+// TestPoisonWithdrawsTheDevice: a device whose only records sit above the
+// durable watermark when an fsync fails leaves the view with them — while
+// the log is poisoned it is not in Devices, not counted in Stats().Devices
+// and not found by DeviceSpan, though the shard's name table still numbers
+// it — and a heal brings it back.
+func TestPoisonWithdrawsTheDevice(t *testing.T) {
+	fs := vfs.NewFaultFS(4)
+	l := mustOpen(t, t.TempDir(), Options{FS: fs})
+	defer l.Close()
+	if err := l.Append("durable", genKeys(1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append("fresh", genKeys(2, 10)); err != nil {
+		t.Fatal(err)
+	}
+	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Path: "seg-*.log", Fault: vfs.FaultEIO})
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync succeeded while every fsync fails")
+	}
+	if devs := l.Devices(); !reflect.DeepEqual(devs, []string{"durable"}) {
+		t.Fatalf("poisoned: Devices() = %q, want only the durable device", devs)
+	}
+	if n := l.Stats().Devices; n != 1 {
+		t.Fatalf("poisoned: Stats().Devices = %d, want 1", n)
+	}
+	if _, _, _, ok := l.DeviceSpan("fresh"); ok {
+		t.Fatal("poisoned: DeviceSpan found the withdrawn device")
+	}
+	checkView(t, l)
+
+	fs.ClearRules()
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync after the disk recovered: %v", err)
+	}
+	if devs := l.Devices(); !reflect.DeepEqual(devs, []string{"durable", "fresh"}) {
+		t.Fatalf("healed: Devices() = %q, want both devices", devs)
+	}
+	if n, _, _, ok := l.DeviceSpan("fresh"); !ok || n != 1 || l.Stats().Devices != 2 {
+		t.Fatalf("healed: DeviceSpan(fresh) = (%d, %v), Stats().Devices = %d; want its record back and 2 devices", n, ok, l.Stats().Devices)
+	}
+	checkView(t, l)
+}
+
+// TestFailedFirstOpenReopens: a fresh shard's first open that fails to
+// publish its MANIFEST leaves a header-only segment behind. That file holds
+// no record, so the next open treats the directory as fresh — where segment
+// files with records and no MANIFEST are refused (TestMissingManifestRefused)
+// — sweeps it and takes appends. (Seeds 39 and 155 of a 256-seed
+// TestFaultMatrix found it.)
+func TestFailedFirstOpenReopens(t *testing.T) {
+	dir := t.TempDir()
+	fs := vfs.NewFaultFS(5)
+	fs.AddRule(vfs.Rule{Op: vfs.OpRename, Fault: vfs.FaultEIO, Count: 1})
+	if _, err := openShardLog(dir, Options{FS: fs}); err == nil {
+		t.Fatal("first open published its MANIFEST through a failing rename")
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(1))); err != nil {
+		t.Fatalf("fixture: the failed open left no segment behind: %v", err)
+	}
+	l := mustOpen(t, dir, Options{})
+	defer l.Close()
+	if err := l.Append("dev", genKeys(1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
+		t.Fatalf("the failed open's segment was not swept: %v", err)
+	}
+	checkView(t, l)
 }
 
 // faultSeeds returns how many seeded schedules TestFaultMatrix runs:

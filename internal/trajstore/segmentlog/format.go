@@ -40,20 +40,20 @@ func nextRecord(data []byte, pos int) (body []byte, bodyOff, next int, ok bool) 
 // ≥1-byte payload (the delta-varint count).
 const minBodySize = 2 + 4 + 4 + 16 + 1
 
-// splitBody splits a validated record body into its fields.
-func splitBody(body []byte) (device string, b trajstore.Bounds, payload []byte, err error) {
+// splitBody splits a validated record body into its fields, slices of it.
+func splitBody(body []byte) (device []byte, b trajstore.Bounds, payload []byte, err error) {
 	if len(body) < minBodySize {
-		return "", b, nil, trajstore.ErrShortBuffer
+		return nil, b, nil, trajstore.ErrShortBuffer
 	}
 	devLen := int(binary.LittleEndian.Uint16(body))
 	rest := body[2:]
 	if len(rest) < devLen+boundsSize+1 {
-		return "", b, nil, trajstore.ErrShortBuffer
+		return nil, b, nil, trajstore.ErrShortBuffer
 	}
 	if b, err = readBounds(rest[devLen:], rest[devLen+8:]); err != nil {
-		return "", b, nil, err
+		return nil, b, nil, err
 	}
-	return string(rest[:devLen]), b, rest[devLen+boundsSize:], nil
+	return rest[:devLen], b, rest[devLen+boundsSize:], nil
 }
 
 // boundsSize is a record's bounds as its header and its block-index entry

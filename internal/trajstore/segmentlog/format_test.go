@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -18,11 +19,12 @@ import (
 // its corpus does not travel with the repository).
 func TestParseBlockIndexRejections(t *testing.T) {
 	metas := []recordMeta{
-		{device: "a", off: headerSize + recordHeaderSize, bodyLen: 40,
+		{off: headerSize + recordHeaderSize, bodyLen: 40,
 			Bounds: trajstore.Bounds{T0: 1, T1: 2, MinLat: -1, MinLon: -2, MaxLat: 3, MaxLon: 4}},
 	}
-	valid := formatBlockIndex(headerSize+recordHeaderSize+40, metas)
-	if _, _, err := parseBlockIndex(valid); err != nil {
+	names := []string{"a"} // every entry's dev 0
+	valid := formatBlockIndex(headerSize+recordHeaderSize+40, metas, names)
+	if _, _, err := parseBlockIndex(valid, nameLog().internLocked); err != nil {
 		t.Fatalf("canonical index rejected: %v", err)
 	}
 	corrupt := func(mutate func([]byte) []byte) []byte {
@@ -43,7 +45,7 @@ func TestParseBlockIndexRejections(t *testing.T) {
 		"trailing bytes":  corrupt(func(b []byte) []byte { return append(b, 0xaa) }),
 	}
 	for name, data := range cases {
-		if _, _, err := parseBlockIndex(data); err == nil {
+		if _, _, err := parseBlockIndex(data, nameLog().internLocked); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -55,22 +57,78 @@ func TestParseBlockIndexRejections(t *testing.T) {
 		ms   []recordMeta
 	}{
 		{"tiny segment size", 4, metas},
-		{"entry before data start", 64, []recordMeta{{device: "a", off: 2, bodyLen: 20, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
-		{"entry past segment end", 64, []recordMeta{{device: "a", off: 16, bodyLen: 400, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
+		{"entry before data start", 64, []recordMeta{{off: 2, bodyLen: 20, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
+		{"entry past segment end", 64, []recordMeta{{off: 16, bodyLen: 400, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
 		{"overlapping entries", 200, []recordMeta{
-			{device: "a", off: 16, bodyLen: 40, Bounds: trajstore.Bounds{T0: 1, T1: 2}},
-			{device: "a", off: 40, bodyLen: 40, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
-		{"inverted times", 200, []recordMeta{{device: "a", off: 16, bodyLen: 40, Bounds: trajstore.Bounds{T0: 9, T1: 2}}}},
-		{"inverted bbox", 200, []recordMeta{{device: "a", off: 16, bodyLen: 40,
+			{off: 16, bodyLen: 40, Bounds: trajstore.Bounds{T0: 1, T1: 2}},
+			{off: 40, bodyLen: 40, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
+		{"inverted times", 200, []recordMeta{{off: 16, bodyLen: 40, Bounds: trajstore.Bounds{T0: 9, T1: 2}}}},
+		{"inverted bbox", 200, []recordMeta{{off: 16, bodyLen: 40,
 			Bounds: trajstore.Bounds{T0: 1, T1: 2, MinLat: 5, MaxLat: -5}}}},
-		{"implausible bodyLen", 1 << 40, []recordMeta{{device: "a", off: 16, bodyLen: MaxRecordBytes + 1, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
+		{"implausible bodyLen", maxSegmentSize, []recordMeta{{off: 16, bodyLen: MaxRecordBytes + 1, Bounds: trajstore.Bounds{T0: 1, T1: 2}}}},
 	}
 	for _, c := range bad {
-		if _, _, err := parseBlockIndex(formatBlockIndex(c.size, c.ms)); err == nil {
+		if _, _, err := parseBlockIndex(formatBlockIndex(c.size, c.ms, names), nameLog().internLocked); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
 }
+
+// TestOffsetsFit32Bits: a recordMeta holds offsets in 32 bits, so no
+// segment may pass maxSegmentSize. An open refuses a MaxSegmentBytes a
+// segment could overshoot that with one record; a block index with an
+// offset past 32 bits is a bad index; and a segment file larger than that
+// (a sparse one here) is refused with ErrCorrupt, writable and read-only,
+// and left as it was — never read with its offsets cut short.
+func TestOffsetsFit32Bits(t *testing.T) {
+	limit := int64(maxSegmentSize - recordHeaderSize - MaxRecordBytes)
+	if _, err := openShardLog(t.TempDir(), Options{MaxSegmentBytes: limit + 1}); err == nil || !strings.Contains(err.Error(), "32-bit") {
+		t.Fatalf("MaxSegmentBytes one past the limit: open = %v, want an error naming the 32-bit limit", err)
+	}
+	l := mustOpen(t, t.TempDir(), Options{MaxSegmentBytes: limit})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The formatter cannot write a wider offset, so the entry is built by
+	// hand: segment size, one entry naming "a", times, flags, box, offset,
+	// body length.
+	entry := make([]byte, boundsSize+1)
+	entry[8] = idxFlagBBox
+	wide := binary.AppendUvarint(append(idxMagic[:], idxVersion, version), maxSegmentSize)
+	wide = append(binary.AppendUvarint(binary.AppendUvarint(wide, 1), 1), 'a')
+	wide = binary.AppendUvarint(binary.AppendUvarint(append(wide, entry...), maxSegmentSize), 40)
+	if _, _, err := parseBlockIndex(formatBlockIndexReseal(wide), nameLog().internLocked); !errors.Is(err, errBadIndex) {
+		t.Fatalf("offset 2^32 in a block index: parse = %v, want errBadIndex", err)
+	}
+
+	root := t.TempDir()
+	s := mustOpenSharded(t, root, 1, Options{})
+	if err := s.Append("dev", genKeys(1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(root, shardDirName(0), segName(1))
+	if err := os.Truncate(seg, maxSegmentSize+1); err != nil {
+		t.Skipf("no sparse %d-byte file here: %v", int64(maxSegmentSize+1), err)
+	}
+	for _, ro := range []bool{false, true} {
+		if _, err := OpenSharded(root, 0, Options{ReadOnly: ro}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ReadOnly=%v over a segment past 2^32 bytes: open = %v, want ErrCorrupt", ro, err)
+		}
+		if fi, err := os.Stat(seg); err != nil {
+			t.Fatal(err)
+		} else if fi.Size() != maxSegmentSize+1 {
+			t.Fatalf("ReadOnly=%v: the refused segment is %d bytes now", ro, fi.Size())
+		}
+	}
+}
+
+// nameLog is a shard log holding nothing but an empty name table: what the
+// block-index codec numbers devices through when it is driven alone.
+func nameLog() *shardLog { return &shardLog{ids: map[string]uint32{}} }
 
 // formatBlockIndexReseal re-appends a valid CRC to mutated index bytes.
 func formatBlockIndexReseal(b []byte) []byte {

@@ -104,22 +104,26 @@ func FuzzRecover(f *testing.F) {
 
 // FuzzBlockIndex feeds arbitrary bytes to the block-index parser: it
 // must never panic, anything it accepts must round-trip through the
-// formatter (re-rendering and re-parsing yields the identical value —
-// a hostile-but-CRC-valid encoding may use non-minimal varints, so
-// byte identity is not required), and every accepted entry must lie
+// formatter and the name table (re-rendering from the table the parse
+// filled and re-parsing into a fresh one yields the identical entries
+// naming the identical devices — a hostile-but-CRC-valid encoding may use
+// non-minimal varints, so byte identity is not required), every accepted
+// entry must name a device the table holds, and every accepted entry must lie
 // inside the declared segment bounds in strictly increasing order —
 // the invariants that let Open trust a loaded index instead of
 // scanning. (End-to-end, a corrupt index only ever degrades to a scan;
 // see TestBlockIndexCorruptionFallsBack.)
 func FuzzBlockIndex(f *testing.F) {
+	names := []string{"alpha", "bravo"}
 	metas := []recordMeta{
-		{device: "alpha", off: headerSize + recordHeaderSize, bodyLen: 40,
+		{dev: 0, off: headerSize + recordHeaderSize, bodyLen: 40,
 			Bounds: trajstore.Bounds{T0: 10, T1: 20, MinLat: -50, MinLon: -60, MaxLat: 70, MaxLon: 80}},
-		{device: "bravo", off: headerSize + 2*recordHeaderSize + 40, bodyLen: 30, Bounds: trajstore.Bounds{T0: 15, T1: 35}},
+		{dev: 1, off: headerSize + 2*recordHeaderSize + 40, bodyLen: 30, Bounds: trajstore.Bounds{T0: 15, T1: 35}},
+		{dev: 0, off: headerSize + 3*recordHeaderSize + 70, bodyLen: 30, Bounds: trajstore.Bounds{T0: 36, T1: 40}},
 	}
-	f.Add(formatBlockIndex(headerSize+2*recordHeaderSize+70, metas))
-	f.Add(formatBlockIndex(headerSize, nil))
-	v1 := formatBlockIndex(headerSize+recordHeaderSize+40, metas[:1])
+	f.Add(formatBlockIndex(headerSize+3*recordHeaderSize+100, metas, names))
+	f.Add(formatBlockIndex(headerSize, nil, nil))
+	v1 := formatBlockIndex(headerSize+recordHeaderSize+40, metas[:1], names)
 	v1[7] = 1 // an index over a version-1 segment: rejected
 	f.Add(formatBlockIndexReseal(v1[:len(v1)-4]))
 	f.Add([]byte("BQSIDX\x01\x02"))
@@ -127,22 +131,28 @@ func FuzzBlockIndex(f *testing.F) {
 	f.Add([]byte("garbage that is not an index"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		segSize, metas, err := parseBlockIndex(data)
+		nt, nt2 := nameLog(), nameLog()
+		segSize, metas, err := parseBlockIndex(data, nt.internLocked)
 		if err != nil {
 			return // structurally rejected is fine
 		}
-		re := formatBlockIndex(segSize, metas)
-		segSize2, metas2, err := parseBlockIndex(re)
+		re := formatBlockIndex(segSize, metas, nt.names)
+		segSize2, metas2, err := parseBlockIndex(re, nt2.internLocked)
 		if err != nil {
 			t.Fatalf("re-rendered index rejected: %v", err)
 		}
-		if segSize2 != segSize || !reflect.DeepEqual(metas2, metas) {
-			t.Fatalf("round trip changed index: (%d,%+v) → (%d,%+v)",
-				segSize, metas, segSize2, metas2)
+		// Both tables number names in order of first appearance, so equal
+		// entries carry equal numbers; the names are compared too.
+		if segSize2 != segSize || !reflect.DeepEqual(metas2, metas) || !reflect.DeepEqual(nt2.names, nt.names) {
+			t.Fatalf("round trip changed index: (%d,%+v,%q) → (%d,%+v,%q)",
+				segSize, metas, nt.names, segSize2, metas2, nt2.names)
 		}
 		prevEnd := int64(headerSize)
 		for i, m := range metas {
-			if m.off < prevEnd+recordHeaderSize || m.off+int64(m.bodyLen) > segSize {
+			if int(m.dev) >= len(nt.names) || nt.ids[nt.names[m.dev]] != m.dev {
+				t.Fatalf("entry %d names device %d, not in the table %q", i, m.dev, nt.names)
+			}
+			if int64(m.off) < prevEnd+recordHeaderSize || int64(m.off)+int64(m.bodyLen) > segSize {
 				t.Fatalf("entry %d outside segment bounds: %+v (segSize %d)", i, m, segSize)
 			}
 			if m.T0 > m.T1 {
@@ -151,7 +161,7 @@ func FuzzBlockIndex(f *testing.F) {
 			if m.MinLat > m.MaxLat || m.MinLon > m.MaxLon {
 				t.Fatalf("entry %d has an inverted bbox", i)
 			}
-			prevEnd = m.off + int64(m.bodyLen)
+			prevEnd = int64(m.off) + int64(m.bodyLen)
 		}
 	})
 }

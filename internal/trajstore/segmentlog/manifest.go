@@ -246,10 +246,7 @@ func readManifest(fsys vfs.FS, dir string) (m manifest, found bool, err error) {
 		return manifest{}, false, fmt.Errorf("segmentlog: %w", err)
 	}
 	m, err = parseManifest(data)
-	if err != nil {
-		return manifest{}, true, err
-	}
-	return m, true, nil
+	return m, true, err
 }
 
 // writeManifest atomically replaces dir's MANIFEST with m (publishFile).
@@ -264,12 +261,11 @@ func writeManifest(fsys vfs.FS, dir string, m manifest) error {
 func manifestSegs(segs []segmentFile) []manifestSeg {
 	out := make([]manifestSeg, len(segs))
 	for i, s := range segs {
-		ms := manifestSeg{Name: filepath.Base(s.path), Idx: s.idx}
+		out[i] = manifestSeg{Name: filepath.Base(s.path), Idx: s.idx}
 		if i < len(segs)-1 && s.sum.records > 0 {
 			sum := s.sum
-			ms.Sum = &sum
+			out[i].Sum = &sum
 		}
-		out[i] = ms
 	}
 	return out
 }

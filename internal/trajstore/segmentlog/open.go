@@ -30,11 +30,14 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 	if opts.MaxSegmentBytes < headerSize+recordHeaderSize {
 		return nil, fmt.Errorf("segmentlog: MaxSegmentBytes %d too small", opts.MaxSegmentBytes)
 	}
+	if limit := int64(maxSegmentSize - recordHeaderSize - MaxRecordBytes); opts.MaxSegmentBytes > limit {
+		return nil, fmt.Errorf("segmentlog: MaxSegmentBytes %d above %d: one record past it, a segment would outgrow 32-bit record offsets", opts.MaxSegmentBytes, limit)
+	}
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = vfs.OS
 	}
-	l := &shardLog{dir: dir, opts: opts, ro: opts.ReadOnly, fs: fsys, index: make(map[string][]recordAddr)}
+	l := &shardLog{dir: dir, opts: opts, ro: opts.ReadOnly, fs: fsys, nextSeq: 1, ids: make(map[string]uint32)}
 	if opts.cache != nil {
 		l.cache = opts.cache
 	} else {
@@ -57,16 +60,21 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 		return nil, err
 	}
 	if !found {
-		// Every shard publishes its MANIFEST before its root commits, so
-		// a directory without one is fresh. Segment files there have no
-		// order to read them in: file names are not it, since a
-		// compaction's outputs outnumber the newer data behind them.
+		// Every shard publishes its MANIFEST before its root commits, so a
+		// directory without one is fresh, and a segment there holding no
+		// record is a failed first open's, swept by the publish. Others have
+		// no order to read them in: not file names, which compaction skews.
 		segs, err := l.fs.Glob(filepath.Join(dir, "seg-*.log"))
 		if err != nil {
 			return nil, fmt.Errorf("segmentlog: %w", err)
 		}
-		if len(segs) > 0 {
-			return nil, fmt.Errorf("%w: %s: segment files but no %s", ErrCorrupt, dir, manifestName)
+		for _, p := range segs {
+			if fi, err := l.fs.Stat(p); err != nil || fi.Size() > headerSize {
+				return nil, fmt.Errorf("%w: %s: segment files but no %s", ErrCorrupt, dir, manifestName)
+			}
+			if n, ok := parseSegName(filepath.Base(p)); ok {
+				l.nextSeq = max(l.nextSeq, n+1)
+			}
 		}
 	}
 	l.gen = man.Gen
@@ -82,9 +90,6 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 	}
 	l.reindexLocked(0)
 	l.tiers = []int{max(len(l.segs)-1, 0)} // what is sealed, one tier
-	if l.nextSeq == 0 {
-		l.nextSeq = 1
-	}
 
 	if l.ro {
 		return l, nil
@@ -142,7 +147,7 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 // next open is cheap again.
 func (l *shardLog) loadSegment(path string, ent manifestSeg, final bool) (segmentFile, error) {
 	if !final && ent.Idx {
-		if size, metas, err := loadBlockIndex(l.fs, path); err == nil {
+		if size, metas, err := loadBlockIndex(l.fs, path, l.internLocked); err == nil {
 			if sum := sumOf(metas); ent.Sum == nil || sum == *ent.Sum {
 				return segmentFile{path: path, size: size, idx: true, sum: sum, recs: metas}, nil
 			}
@@ -152,7 +157,7 @@ func (l *shardLog) loadSegment(path string, ent manifestSeg, final bool) (segmen
 	if err != nil {
 		return segmentFile{}, err
 	}
-	idx := !l.ro && !final && writeBlockIndex(l.fs, path, valid, metas) == nil
+	idx := !l.ro && !final && writeBlockIndex(l.fs, path, valid, metas, l.names) == nil
 	return segmentFile{path: path, size: valid, idx: idx, sum: sumOf(metas), recs: metas}, nil
 }
 
@@ -165,9 +170,12 @@ func (l *shardLog) loadSegment(path string, ent manifestSeg, final bool) (segmen
 // records is mid-file corruption of data that was once durable — now
 // that compaction makes sealed segments long-lived archives, that must
 // fail (ErrCorrupt) rather than silently destroy everything after the
-// rotten byte. Read-only handles stay lenient throughout: they modify
-// nothing and exist to salvage whatever is readable.
+// rotten byte. Read-only handles stay lenient, modifying nothing and
+// salvaging what is readable; a file past 32-bit offsets fails both.
 func (l *shardLog) readSegment(path string, final bool) (metas []recordMeta, valid int64, err error) {
+	if fi, err := l.fs.Stat(path); err == nil && fi.Size() > maxSegmentSize {
+		return nil, 0, fmt.Errorf("%w: %s: %d bytes, past 32-bit record offsets", ErrCorrupt, filepath.Base(path), fi.Size())
+	}
 	data, err := l.fs.ReadFile(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("segmentlog: %w", err)
@@ -200,7 +208,7 @@ func (l *shardLog) readSegment(path string, final bool) (metas []recordMeta, val
 		if err != nil || !trajstore.DeltaValidate(payload) {
 			break
 		}
-		metas = append(metas, recordMeta{device: dev, off: int64(bodyOff), bodyLen: len(body), Bounds: b})
+		metas = append(metas, recordMeta{dev: l.internLocked(dev), off: uint32(bodyOff), bodyLen: uint32(len(body)), Bounds: b})
 		valid = int64(next)
 		pos = next
 	}

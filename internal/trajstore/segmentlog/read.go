@@ -29,7 +29,7 @@ func decodeInto(out *[]Record) func(Block) error {
 // bounds overlap [t0, t1].
 func (l *shardLog) deviceBlocks(device string, t0, t1 uint32, visit func(Block) error) error {
 	return l.read(nil, new(WindowStats), visit, func() (refs []refSnap) {
-		for _, a := range l.index[device] {
+		for _, a := range l.addrsLocked(device) {
 			if m := l.metaAt(a); m.T0 <= t1 && m.T1 >= t0 {
 				refs = append(refs, refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
 			}
@@ -152,8 +152,8 @@ func (r *segReader) open(seg int, path string, n int) (err error) {
 // index-time check does not protect against bit rot between Open and the
 // read.
 func (r *segReader) readBlock(ref refSnap) (Block, error) {
-	rec := make([]byte, recordHeaderSize+ref.bodyLen)
-	if _, err := r.files[ref.seg].ReadAt(rec, ref.off-recordHeaderSize); err != nil {
+	rec := make([]byte, recordHeaderSize+int(ref.bodyLen))
+	if _, err := r.files[ref.seg].ReadAt(rec, int64(ref.off)-recordHeaderSize); err != nil {
 		return Block{}, fmt.Errorf("segmentlog: reading record: %w", err)
 	}
 	body, _, next, ok := nextRecord(rec, 0)
@@ -164,5 +164,5 @@ func (r *segReader) readBlock(ref refSnap) (Block, error) {
 	if err != nil {
 		return Block{}, fmt.Errorf("%w: indexed record unreadable: %v", ErrCorrupt, err)
 	}
-	return Block{Device: dev, T0: b.T0, T1: b.T1, Payload: payload}, nil
+	return Block{Device: string(dev), T0: b.T0, T1: b.T1, Payload: payload}, nil
 }

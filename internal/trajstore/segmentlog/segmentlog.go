@@ -72,6 +72,9 @@ const (
 	// DefaultMaxSegmentBytes is the rotation threshold when Options
 	// leaves it zero.
 	DefaultMaxSegmentBytes = 64 << 20
+	// maxSegmentSize caps a segment file, so that its record offsets fit
+	// recordMeta's 32 bits (openShardLog bounds MaxSegmentBytes by it).
+	maxSegmentSize = 1 << 32
 	// lockName is the advisory lock file granting a process exclusive
 	// write access to a log root.
 	lockName = "LOCK"
@@ -103,7 +106,7 @@ var ErrCorrupt = errors.New("segmentlog: corrupt segment file")
 // Options parameterizes OpenSharded.
 type Options struct {
 	// MaxSegmentBytes rotates the active segment file once its size
-	// reaches this threshold. Default DefaultMaxSegmentBytes.
+	// reaches this threshold (4 GiB less one record at most). Default DefaultMaxSegmentBytes.
 	MaxSegmentBytes int64
 	// ReadOnly opens the log purely for inspection: no directory lock is
 	// taken and nothing on disk is modified — a torn tail is skipped
@@ -145,12 +148,12 @@ type Record = trajstore.PersistedRecord
 // its segment file and everything a query can prune on without
 // decoding the payload. It is read on Open from the segment's block
 // index (or by scanning the file) and is the unit the block index
-// serializes.
+// serializes. It is 36 bytes: one is resident per record.
 type recordMeta struct {
-	device  string
-	off     int64 // body offset within the segment file
-	bodyLen int
 	trajstore.Bounds
+	dev     uint32 // device number: shardLog.names[dev] is its ID
+	off     uint32 // body offset within the segment file, below maxSegmentSize
+	bodyLen uint32
 }
 
 // recordAddr locates one record for the per-device index: the segment
@@ -173,9 +176,8 @@ type segmentFile struct {
 
 // refSnap locates one record for a read outside the lock.
 type refSnap struct {
-	seg     int
-	off     int64
-	bodyLen int
+	seg          int
+	off, bodyLen uint32
 }
 
 // Stats is a point-in-time snapshot of the log's contents.
@@ -240,11 +242,15 @@ type shardLog struct {
 	// order, the active one last, each carrying its own records. Stats,
 	// the manifest and index are read off it.
 	segs []segmentFile
-	// index lists each device's records in append order. It is derived
-	// from segs: extended by every append, popped and re-added around a
+	// names numbers the devices in segs (ids maps back; internLocked),
+	// never renumbering, so a prefix taken under mu stays valid without it.
+	// index lists each device's records in append order, empty while all
+	// are withdrawn: extended by every append, popped and re-added around a
 	// poisoned tail, redone from where the segment list is replaced (the
 	// end of open: all of it; a compaction publish: its selection on).
-	index map[string][]recordAddr
+	names []string
+	ids   map[string]uint32
+	index [][]recordAddr
 	// truncated counts the torn or corrupt bytes recovery dropped on open
 	// (Stats.Truncated) — the one figure segs cannot reproduce.
 	truncated int64
@@ -294,9 +300,31 @@ func (l *shardLog) compactLiveAdd(n int) {
 func (l *shardLog) addRecordLocked(m recordMeta) {
 	seg := len(l.segs) - 1
 	s := &l.segs[seg]
-	l.index[m.device] = append(l.index[m.device], recordAddr{seg: int32(seg), pos: int32(len(s.recs))})
+	l.index[m.dev] = append(l.index[m.dev], recordAddr{seg: int32(seg), pos: int32(len(s.recs))})
 	s.recs = append(s.recs, m)
 	s.sum.add(m.Bounds)
+}
+
+// internLocked returns device's number, giving a new device the next one
+// and an empty index list; a known device costs no allocation. Callers
+// hold mu (or are inside openShardLog).
+func (l *shardLog) internLocked(device []byte) uint32 {
+	id, ok := l.ids[string(device)]
+	if !ok {
+		id = uint32(len(l.names))
+		l.names = append(l.names, string(device))
+		l.ids[l.names[id]] = id
+		l.index = append(l.index, nil)
+	}
+	return id
+}
+
+// addrsLocked returns device's indexed records. Callers hold mu.
+func (l *shardLog) addrsLocked(device string) []recordAddr {
+	if id, ok := l.ids[device]; ok {
+		return l.index[id]
+	}
+	return nil
 }
 
 // reindexLocked redoes the per-device index from segment slot lo on, where
@@ -310,7 +338,7 @@ func (l *shardLog) reindexLocked(lo int) {
 	}
 	for si := lo; si < len(l.segs); si++ {
 		for pi := range l.segs[si].recs {
-			dev := l.segs[si].recs[pi].device
+			dev := l.segs[si].recs[pi].dev
 			l.index[dev] = append(l.index[dev], recordAddr{seg: int32(si), pos: int32(pi)})
 		}
 	}
@@ -322,8 +350,13 @@ func (l *shardLog) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := Stats{
-		Segments: len(l.segs), Devices: len(l.index), Truncated: l.truncated,
+		Segments: len(l.segs), Truncated: l.truncated,
 		Unsynced: int64(len(l.unsynced)), Gen: l.gen, Rewritten: l.rewritten, Reclaimed: l.reclaimed,
+	}
+	for _, addrs := range l.index {
+		if len(addrs) > 0 {
+			s.Devices++
+		}
 	}
 	for i := range l.segs {
 		sf := &l.segs[i]
@@ -345,8 +378,10 @@ func (l *shardLog) Devices() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]string, 0, len(l.index))
-	for dev := range l.index {
-		out = append(out, dev)
+	for dev, addrs := range l.index {
+		if len(addrs) > 0 {
+			out = append(out, l.names[dev])
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -357,7 +392,7 @@ func (l *shardLog) Devices() []string {
 func (l *shardLog) DeviceSpan(device string) (records int, t0, t1 uint32, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	addrs := l.index[device]
+	addrs := l.addrsLocked(device)
 	if len(addrs) == 0 {
 		return 0, 0, 0, false
 	}

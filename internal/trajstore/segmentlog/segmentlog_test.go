@@ -31,7 +31,7 @@ func genKeys(seed, n int) []trajstore.GeoKey {
 	return keys
 }
 
-func mustOpen(t *testing.T, dir string, opts Options) *shardLog {
+func mustOpen(t testing.TB, dir string, opts Options) *shardLog {
 	t.Helper()
 	l, err := openShardLog(dir, opts)
 	if err != nil {

@@ -119,10 +119,7 @@ func readShards(fsys vfs.FS, dir string) (n int, found bool, err error) {
 		return 0, false, fmt.Errorf("segmentlog: %w", err)
 	}
 	n, err = parseShards(data)
-	if err != nil {
-		return 0, true, err
-	}
-	return n, true, nil
+	return n, true, err
 }
 
 // writeShards atomically publishes dir's SHARDS file (publishFile): the
@@ -149,11 +146,8 @@ func OpenSharded(dir string, shards int, opts Options) (*ShardedLog, error) {
 	if fsys == nil {
 		fsys = vfs.OS
 	}
-	s := &ShardedLog{dir: dir, ro: opts.ReadOnly, fs: fsys, compaction: opts.Compaction}
-	if opts.cache == nil {
-		opts.cache = newRecordCache(opts.CacheBytes)
-	}
-	s.cache = opts.cache
+	opts.cache = newRecordCache(opts.CacheBytes)
+	s := &ShardedLog{dir: dir, ro: opts.ReadOnly, fs: fsys, compaction: opts.Compaction, cache: opts.cache}
 	// Refuse before anything is created or locked, so a refused
 	// directory is left byte-for-byte untouched.
 	if err := refuseSingleLog(s.fs, dir); err != nil {
@@ -229,9 +223,7 @@ func (s *ShardedLog) openShards(n int, opts Options) error {
 // failed-open unwind paths.
 func (s *ShardedLog) closeShards() {
 	for _, lg := range s.shards {
-		if lg != nil {
-			_ = lg.Close() // unwind of a failed open; the open error is the story
-		}
+		_ = lg.Close() // unwind of a failed open; the open error is the story
 	}
 	s.shards = nil
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
@@ -197,6 +198,99 @@ func TestStatsDoesNoIO(t *testing.T) {
 	}
 }
 
+// indexFixture appends 50 000 four-key records, 100 for each of 500
+// devices round-robin, to l, sealing the last segment when seal says so;
+// it returns the record count.
+func indexFixture(tb testing.TB, l *shardLog, seal bool) int {
+	tb.Helper()
+	const devices, perDevice = 500, 100
+	names := make([]string, devices)
+	for d := range names {
+		names[d] = fmt.Sprintf("dev-%03d", d)
+	}
+	for c := 0; c < perDevice; c++ {
+		for d, name := range names {
+			if err := l.Append(name, chunkAt(d, c, 4)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	err := l.Sync()
+	if seal && err == nil {
+		err = l.seal()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return devices * perDevice
+}
+
+// heapAfterGC is the live heap, collected first.
+func heapAfterGC() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestIndexBytesPerRecord holds the resident cost of the one view: the heap
+// a shard log keeps per record — its recordMeta, its index entry, what the
+// index lists' growth leaves spare, the salvage buffer and the segments'
+// share — after 50 000 appends over 500 devices and 64 KiB segments, and
+// after a reopen of that log through its block indexes. Appended, it holds
+// too that a sealed segment's record list sheds append's spare room.
+func TestIndexBytesPerRecord(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{MaxSegmentBytes: 64 << 10}
+	perRecord := func(open func() (*shardLog, int)) float64 {
+		base := heapAfterGC()
+		l, n := open()
+		held := heapAfterGC() - base
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(held) / float64(n)
+	}
+	appended := perRecord(func() (*shardLog, int) {
+		l := mustOpen(t, dir, opts)
+		return l, indexFixture(t, l, false)
+	})
+	reopened := perRecord(func() (*shardLog, int) {
+		l := mustOpen(t, dir, opts)
+		return l, l.Stats().Records
+	})
+	t.Logf("heap per record: %.1f B appended, %.1f B reopened", appended, reopened)
+	if appended > 56 || reopened > 56 {
+		t.Fatalf("heap per record: %.1f B appended, %.1f B reopened; at most 56 each", appended, reopened)
+	}
+}
+
+// BenchmarkOpen reopens a sealed 50 000-record, 500-device log read-only:
+// every segment through its block index, nothing written. B/op and
+// allocs/op are what building the one view costs.
+func BenchmarkOpen(b *testing.B) {
+	dir := b.TempDir()
+	opts := Options{MaxSegmentBytes: 64 << 10}
+	l := mustOpen(b, dir, opts)
+	n := indexFixture(b, l, true)
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	opts.ReadOnly = true
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := openShardLog(dir, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := l.Stats(); st.Records != n || st.IndexedSegs != st.Segments-1 {
+			b.Fatalf("reopened %+v, want %d records and every sealed segment indexed", st, n)
+		}
+		l.Close()
+	}
+}
+
 // TestSealedDamageAtOpen: whatever is wrong with a sealed segment or
 // its block index is dealt with by OpenSharded — never by whichever scrape
 // or query touches the segment first — writable and read-only. A missing,
@@ -236,7 +330,7 @@ func TestSealedDamageAtOpen(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, metas, err = loadBlockIndex(vfs.OS, seg); err != nil || len(metas) != sealed {
+		if _, metas, err = loadBlockIndex(vfs.OS, seg, nameLog().internLocked); err != nil || len(metas) != sealed {
 			t.Fatalf("fixture: segment 1 sealed %d records: %v", len(metas), err)
 		}
 		return root, seg, metas
@@ -274,8 +368,8 @@ func TestSealedDamageAtOpen(t *testing.T) {
 		{"idx-stale", func(t *testing.T, seg string, metas []recordMeta) {
 			// The index of an earlier, shorter life of the file.
 			short := metas[:len(metas)-1]
-			end := short[len(short)-1].off + int64(short[len(short)-1].bodyLen)
-			rewrite(t, idxOf(seg), func([]byte) []byte { return formatBlockIndex(end, short) })
+			end := int64(short[len(short)-1].off + short[len(short)-1].bodyLen)
+			rewrite(t, idxOf(seg), func([]byte) []byte { return formatBlockIndex(end, short, []string{"dev"}) })
 		}, served, served, 0},
 		{"idx-vs-sum", func(t *testing.T, seg string, metas []recordMeta) {
 			// Right size, valid CRC, one record short of what the manifest sealed.
@@ -283,7 +377,7 @@ func TestSealedDamageAtOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rewrite(t, idxOf(seg), func([]byte) []byte { return formatBlockIndex(fi.Size(), metas[:len(metas)-1]) })
+			rewrite(t, idxOf(seg), func([]byte) []byte { return formatBlockIndex(fi.Size(), metas[:len(metas)-1], []string{"dev"}) })
 		}, served, served, 0},
 		{"v1-header", func(t *testing.T, seg string, _ []recordMeta) {
 			rewrite(t, seg, func(b []byte) []byte { b[6] = 1; return b })
@@ -299,7 +393,7 @@ func TestSealedDamageAtOpen(t *testing.T) {
 		}, refused, salvaged, 2},
 		{"torn-tail", func(t *testing.T, seg string, metas []recordMeta) {
 			// An unsynced-rotation crash: cut mid-record, nothing valid after.
-			if err := os.Truncate(seg, metas[3].off+5); err != nil {
+			if err := os.Truncate(seg, int64(metas[3].off)+5); err != nil {
 				t.Fatal(err)
 			}
 		}, salvaged, salvaged, 3},
@@ -353,7 +447,7 @@ func TestSealedDamageAtOpen(t *testing.T) {
 				}
 				// Rebuilt and published: the index on disk covers what the
 				// scan kept, and the manifest this open wrote references it.
-				_, healed, err := loadBlockIndex(vfs.OS, seg)
+				_, healed, err := loadBlockIndex(vfs.OS, seg, nameLog().internLocked)
 				man, _, merr := readManifest(vfs.OS, filepath.Dir(seg))
 				if err != nil || merr != nil || !man.Segs[0].Idx || st.IndexedSegs != st.Segments-1 ||
 					man.Segs[0].Sum == nil || man.Segs[0].Sum.records != len(healed) || len(healed) != len(recs)-tail {
