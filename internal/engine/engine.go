@@ -151,6 +151,7 @@ type Stats struct {
 	Persisted       uint64 // trails handed to the persister: one per ended session, chunk or flush's cut with a key point no record held
 	ParkedTrails    uint64 // trails parked in memory by degraded mode, awaiting Heal
 	TrailBytes      int64  // trails holding a key point the log has not accepted yet, as the blocks it will store — open sessions' plus parked ones, never a trail that is only the key a record ended on: what Heal owes and, with the log's own un-fsync'd bytes (segmentlog.Stats.Unsynced), what a SIGKILL loses
+	TrailPagesBytes int64  // what the shards' trail page pools have mapped outside the Go heap (trajstore.PagePool), which Go's memory stats do not count; 0 once no page is out after a flush
 	Rejected        uint64 // fixes refused by TryIngestTrail backpressure, degraded mode or the wire format's range
 	PersistFailures uint64 // failed persister append/sync attempts (retried ones included)
 	CompactFailures uint64 // failed compaction passes (periodic or CompactNow)
@@ -217,7 +218,7 @@ type session struct {
 	comp     stream.Compressor // nil from a flush's cut until the next fix re-arms it (arm)
 	lastSeen time.Time
 	last     core.Point      // the last key point emitted, if keyed: where a cut session's compressor starts again
-	trail    trajstore.Trail // key points not yet in the log, as the block the log will store; kept only when persisting, capped at MaxTrailKeys
+	trail    trajstore.Trail // key points not yet in the log, as the block the log will store, in the shard's pages; kept only when persisting, capped at MaxTrailKeys
 	keyed    bool
 	chunked  bool // the trail starts with the previous chunk's last key; beside keyed, so the name costs a session no size class
 }
@@ -243,6 +244,7 @@ type shard struct {
 	parked     []parkedTrail
 	parkedN    atomic.Uint64
 	trailBytes atomic.Int64
+	pages      trajstore.PagePool // the trails' bytes, outside the Go heap: this worker's alone, then Close's
 
 	active    atomic.Int64
 	opened    atomic.Uint64
@@ -265,7 +267,7 @@ type shardMsg struct {
 }
 
 // parkedTrail is one finalized trajectory held in memory while the
-// engine is degraded, awaiting re-append after Heal. It owns its block.
+// engine is degraded, awaiting re-append after Heal. It owns its pages.
 type parkedTrail struct {
 	device string
 	trail  trajstore.Trail
@@ -675,6 +677,7 @@ func (e *Engine) Stats() Stats {
 		s.Persisted += sh.persisted.Load()
 		s.ParkedTrails += sh.parkedN.Load()
 		s.TrailBytes += sh.trailBytes.Load()
+		s.TrailPagesBytes += sh.pages.Mapped()
 	}
 	s.Rejected = e.rejected.Load()
 	s.PersistFailures = e.persistFails.Load()
@@ -719,11 +722,13 @@ func (e *Engine) Close() error {
 	}
 	st, _ := e.transition(evClosed, nil, 0)
 	var trails, keys int
-	for _, sh := range e.shards {
+	for _, sh := range e.shards { // the workers are gone: their pools are Close's
 		trails += len(sh.parked)
 		for i := range sh.parked {
 			keys += sh.parked[i].trail.Len()
+			sh.parked[i].trail.Release() // dropped
 		}
+		sh.pages.Unmap()
 	}
 	var lost error
 	if trails > 0 {
@@ -805,7 +810,7 @@ func (sh *shard) ingestBatch(b *batch) {
 func (sh *shard) session(device string, now time.Time) *session {
 	s := sh.sessions[device]
 	if s == nil {
-		s = &session{device: device}
+		s = &session{device: device, trail: sh.pages.NewTrail()}
 		sh.sessions[device] = s
 		sh.active.Add(1)
 		sh.opened.Add(1)
@@ -889,7 +894,7 @@ func (s *session) owed() int64 {
 // reconstructable (Trail.Join, the compactor's MergeChunks). A trail that
 // is only that overlap is skipped (see unrecorded). A trail the
 // persister does not take is parked on the shard — with the session's
-// buffer, so it aliases nothing — and re-appended, in order, when Heal
+// pages, so it aliases nothing — and re-appended, in order, when Heal
 // succeeds: data the engine already accepted survives the outage in memory.
 func (sh *shard) persistTrail(s *session) {
 	gone := s.owed()
@@ -933,7 +938,8 @@ func (sh *shard) drainParked() {
 			return
 		}
 		sh.trailBytes.Add(-int64(p.trail.Size()))
-		*p = parkedTrail{} // release the drained trail's memory
+		p.trail.Release()
+		*p = parkedTrail{} // and its name
 		sh.parked = sh.parked[1:]
 		sh.parkedN.Add(^uint64(0))
 		sh.persisted.Add(1)
@@ -979,7 +985,7 @@ func backoff(attempt int) time.Duration {
 // resettable compressor state into the pool. Final, the session is over.
 // Otherwise it is cut: until the next fix re-arms it (arm), restarting the
 // trail from the key point the flush ended on as a chunk does, the session
-// holds that key and nothing else — no compressor, no trail buffer. A cut
+// holds that key and nothing else — no compressor, no trail page. A cut
 // session has nothing to hand over: cut again it is left alone, ended it
 // is a plain delete.
 func (sh *shard) closeSession(s *session, final bool) {
@@ -996,12 +1002,11 @@ func (sh *shard) closeSession(s *session, final bool) {
 		return
 	}
 	sh.persistTrail(s)
+	s.trail.Release()      // the pages go, the key to restart from stays
 	if final || !s.keyed { // or nothing to continue from
 		delete(sh.sessions, s.device)
 		sh.active.Add(-1)
-		return
 	}
-	s.trail.Take() // the buffer goes, the key to restart from stays
 }
 
 // evictIdle ends every session idle for at least IdleTimeout.
@@ -1017,12 +1022,14 @@ func (sh *shard) evictIdle() {
 			sh.evicted.Add(1)
 		}
 	}
+	sh.pages.Unmap()
 }
 
 // closeAll flushes every session: final ends them (engine shutdown), else
-// cuts them (FlushSessions).
+// cuts them (FlushSessions). Then only parked trails hold pages.
 func (sh *shard) closeAll(final bool) {
 	for _, s := range sh.sessions {
 		sh.closeSession(s, final)
 	}
+	sh.pages.Unmap()
 }

@@ -546,8 +546,10 @@ func lossReport(t *testing.T, err error) (trails, keys int) {
 }
 
 // checkInvariants asserts what must hold of the engine after every op,
-// whatever the backend does: Healthy implies nothing parked, and a Sync
-// that returned nil ran under one Healthy snapshot.
+// whatever the backend does: Healthy implies nothing parked, a Sync that
+// returned nil ran under one Healthy snapshot, and each shard's page pool
+// has out exactly the pages its session and parked trails hold — counted
+// on the worker, in a barrier — until Close, after which nothing is mapped.
 func checkInvariants(t *testing.T, step int, op mOp, e *Engine, before State, err error) {
 	t.Helper()
 	st, stats := e.State(), e.Stats()
@@ -559,6 +561,32 @@ func checkInvariants(t *testing.T, step int, op mOp, e *Engine, before State, er
 	}
 	if (st.Cause != nil) != (st.Phase == Degraded || st.Phase == Healing) && st.Phase < Closing {
 		t.Fatalf("op %d %s: phase %s with cause %v", step, op.kind, st.Phase, st.Cause)
+	}
+	if st.Phase == Closed { // the workers are gone
+		for i, sh := range e.shards {
+			if out, mapped := sh.pages.Out(), sh.pages.Mapped(); out != 0 || mapped != 0 || stats.TrailPagesBytes != 0 {
+				t.Fatalf("op %d %s: closed, shard %d has %d trail pages out and %d B mapped", step, op.kind, i, out, mapped)
+			}
+		}
+		return
+	}
+	var mu sync.Mutex
+	var unbalanced []string
+	if berr := e.barrier(e.shards, func(sh *shard) {
+		held := 0
+		for _, s := range sh.sessions {
+			held += s.trail.Pages()
+		}
+		for i := range sh.parked {
+			held += sh.parked[i].trail.Pages()
+		}
+		if out := sh.pages.Out(); out != held {
+			mu.Lock()
+			unbalanced = append(unbalanced, fmt.Sprintf("%d pages out, its trails hold %d", out, held))
+			mu.Unlock()
+		}
+	}); berr != nil || len(unbalanced) > 0 {
+		t.Fatalf("op %d %s: page balance: %v %v", step, op.kind, unbalanced, berr)
 	}
 }
 

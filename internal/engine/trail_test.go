@@ -197,12 +197,15 @@ func heapAlloc() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestTrailHeapPerBufferedKey is the number the block trail is about: a
-// key point a session has emitted but not flushed costs its encoded
-// bytes and the slack of a growing buffer, not a 24-byte core.Point in a
-// doubling slice (40 B a key before). 2 000 sessions buffer 600 key
-// points each — no chunk, nothing reaches the log — and the heap may
-// grow by at most 14 B for each.
+// TestTrailHeapPerBufferedKey is the number the paged trail is about: a
+// key point a session has emitted but not flushed costs its encoded bytes
+// once, in pages mapped outside the Go heap, not a 24-byte core.Point in a
+// doubling slice (40 B a key before blocks) nor a growing heap buffer that
+// the GC's goal counts twice (6.7 B a key before pages). 2 000 sessions
+// buffer 600 key points each — no chunk, nothing reaches the log: the heap
+// may grow by at most 1 B a key (the page lists) and the pools may map at
+// most 8 (the encoding and each trail's last page's room); after a flush
+// and a sync no page is out and nothing stays mapped.
 func TestTrailHeapPerBufferedKey(t *testing.T) {
 	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{})
 	if err != nil {
@@ -243,9 +246,19 @@ func TestTrailHeapPerBufferedKey(t *testing.T) {
 	}
 	added := float64(devices * (perDevice - 1))
 	perKey, wire := (float64(after)-float64(before))/added, float64(st.TrailBytes)/float64(st.KeyPoints)
-	t.Logf("heap %.1f B per buffered key point (%d → %d B); %.2f B of it the key's encoding", perKey, before, after, wire)
-	if perKey > 14 || wire < 5 || wire > 8 {
-		t.Fatalf("heap grew %.1f B per buffered key point (encoded size %.2f B), want ≤ 14", perKey, wire)
+	mapped := float64(st.TrailPagesBytes) / float64(st.KeyPoints)
+	t.Logf("heap %.1f B per buffered key point (%d → %d B); pages mapped %.2f B a key, %.2f B of it the key's encoding", perKey, before, after, mapped, wire)
+	if perKey > 1 || wire < 5 || wire > 8 || mapped > 8 {
+		t.Fatalf("heap grew %.1f B and pools mapped %.2f B per buffered key point (encoded size %.2f B), want ≤ 1 and ≤ 8", perKey, mapped, wire)
+	}
+	if err := e.FlushSessions(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.TrailPagesBytes != 0 || st.TrailBytes != 0 {
+		t.Fatalf("after a flush and a sync the pools map %d B for %d B of trail, want 0", st.TrailPagesBytes, st.TrailBytes)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

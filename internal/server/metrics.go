@@ -171,6 +171,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		func(t *tenantMetrics) interface{} { return t.eng.ParkedTrails })
 	f("bqs_trail_bytes", "gauge", "Trails holding a key point the log has not accepted yet, in encoded bytes: open sessions' plus parked ones; 0 after a flush.",
 		func(t *tenantMetrics) interface{} { return t.eng.TrailBytes })
+	f("bqs_trail_pages_bytes", "gauge", "Bytes the engine's trail page pools have mapped outside the Go heap, which Go's memory stats do not count; 0 after a flush with nothing parked.",
+		func(t *tenantMetrics) interface{} { return t.eng.TrailPagesBytes })
 	f("bqs_persist_failures_total", "counter", "Failed persister append/sync attempts, retried ones included.",
 		func(t *tenantMetrics) interface{} { return t.eng.PersistFailures })
 	f("bqs_compact_failures_total", "counter", "Failed compaction passes.",

@@ -12,11 +12,11 @@
 package trajstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/trajcomp/bqs/internal/core"
 )
@@ -47,11 +47,11 @@ func DeltaEncode(keys []GeoKey) ([]byte, error) { return AppendDelta(nil, keys) 
 
 // AppendDelta appends DeltaEncode(keys) to dst, with no buffer of its own.
 func AppendDelta(dst []byte, keys []GeoKey) ([]byte, error) {
-	t := Trail{body: binary.AppendUvarint(dst, uint64(len(keys)))}
+	t := Trail{cur: binary.AppendUvarint(dst, uint64(len(keys)))}
 	if err := t.Add(keys...); err != nil {
 		return nil, err
 	}
-	return t.body, nil
+	return t.cur, nil
 }
 
 // InRange reports whether the wire format carries lat, lon (degrees; never NaN, ±Inf).
@@ -87,11 +87,15 @@ func (b *Bounds) Union(o Bounds) {
 // Trail is a run of key points held as the delta-varint block the log
 // stores and the wire carries. It is the one encoder: Add quantizes a key
 // to the lattice, appends its varints and widens the bounds, so nothing
-// downstream walks the keys again. The zero value is an empty trail.
+// downstream walks the keys again. Its bytes sit in pages — one growing
+// buffer on the heap, fixed ones from a PagePool, the blocks a Join took
+// in — and no key spans two. The zero value is an empty trail on the heap.
 type Trail struct {
-	body     []byte // the keys' varints: DeltaEncode's bytes after the count
-	n        int
-	lat, lon int32 // the last key, which the next is stored as a delta from
+	full     [][]byte  // the pages before cur, in order
+	cur      []byte    // the page Add writes: the block's last bytes
+	pool     *PagePool // where the pages come from and go back to; nil: the heap
+	size, n  int       // the keys' bytes (DeltaEncode's after the count), the keys
+	lat, lon int32     // the last key, which the next is stored as a delta from
 	t        uint32
 	bounds   Bounds
 }
@@ -111,7 +115,13 @@ func (t *Trail) Add(keys ...GeoKey) error {
 // add appends a lattice key: a block's first absolute (its time unsigned),
 // the others as deltas from the key before.
 func (t *Trail) add(lat, lon int32, ts uint32) {
-	body := t.body
+	if t.pool != nil && cap(t.cur)-len(t.cur) < maxKeyBytes {
+		if t.cur != nil {
+			t.full = append(t.full, t.cur)
+		}
+		t.cur = t.pool.get()
+	}
+	body := t.cur
 	if t.n == 0 {
 		body = binary.AppendVarint(body, int64(lat))
 		body = binary.AppendVarint(body, int64(lon))
@@ -123,39 +133,62 @@ func (t *Trail) add(lat, lon int32, ts uint32) {
 		body = binary.AppendVarint(body, int64(ts)-int64(t.t))
 		t.bounds.Union(Bounds{lat, lon, lat, lon, ts, ts})
 	}
-	t.body, t.lat, t.lon, t.t = body, lat, lon, ts
+	t.size += len(body) - len(t.cur)
+	t.cur, t.lat, t.lon, t.t = body, lat, lon, ts
 	t.n++
 }
 
-// Restart begins the next chunk in the same buffer: the trail becomes its
-// own last key — the one consecutive chunks share — taken from the
-// lattice, not recomputed from floats. The trail must have held a key.
+// Restart begins the next chunk in the first page, giving back the rest:
+// the trail becomes its own last key — the one consecutive chunks share —
+// taken from the lattice, not recomputed from floats. It must have held one.
 func (t *Trail) Restart() {
-	lat, lon := t.lat, t.lon
-	t.body, t.n = t.body[:0], 0
-	t.add(lat, lon, t.t)
+	first := t.cur
+	if len(t.full) > 0 {
+		first, t.full = t.full[0], t.full[1:]
+		t.Release()
+	}
+	t.cur, t.size, t.n = first[:0], 0, 0
+	t.add(t.lat, t.lon, t.t)
 }
 
-// Take returns the trail with its buffer, for a holder that outlives the
+// Take returns the trail with its pages, for a holder that outlives the
 // builder's next write, and leaves t empty but able to Restart.
 func (t *Trail) Take() Trail {
 	out := *t
-	t.body, t.n = nil, 0
+	t.full, t.cur, t.size, t.n = nil, nil, 0, 0
 	return out
+}
+
+// Release gives the trail's pages back to its pool — the log has its
+// bytes, or nobody wants them — and leaves it empty but able to Restart.
+func (t *Trail) Release() {
+	for _, pg := range t.full {
+		t.pool.put(pg)
+	}
+	t.pool.put(t.cur)
+	t.Take()
 }
 
 // Len counts the keys, Size their bytes; Bounds needs Len > 0 to mean anything.
 func (t *Trail) Len() int       { return t.n }
-func (t *Trail) Size() int      { return len(t.body) }
+func (t *Trail) Size() int      { return t.size }
 func (t *Trail) Bounds() Bounds { return t.bounds }
 
-// AppendBlock appends the trail as DeltaEncode writes it: count, then keys.
+// Pages counts the pages a pooled trail has out of its pool.
+func (t *Trail) Pages() int { return len(t.full) + min(cap(t.cur), 1) }
+
+// AppendBlock appends the trail as DeltaEncode writes it — count, then
+// keys — growing dst once: the one way a pooled page's bytes leave it.
 func (t *Trail) AppendBlock(dst []byte) []byte {
-	return append(binary.AppendUvarint(dst, uint64(t.n)), t.body...)
+	dst = binary.AppendUvarint(slices.Grow(dst, binary.MaxVarintLen64+t.size), uint64(t.n))
+	for _, pg := range t.full {
+		dst = append(dst, pg...)
+	}
+	return append(dst, t.cur...)
 }
 
 // Cursor reads the trail's keys back, at wire resolution.
-func (t *Trail) Cursor() Cursor { return Cursor{b: t.body, left: t.n, first: true} }
+func (t *Trail) Cursor() Cursor { return Cursor{pages: t.full, last: t.cur, left: t.n, first: true} }
 
 // Keys decodes the trail into a slice the caller may keep.
 func (t *Trail) Keys() []GeoKey {
@@ -167,45 +200,67 @@ func (t *Trail) Keys() []GeoKey {
 // OpenTrail reads a stored block back as the trail that built it, in one
 // walk that checks what Add checked: the block parses and every key is on
 // the globe (ErrRange otherwise). Bytes past the last key are dropped; the
-// trail shares block's bytes until it grows.
+// trail is one heap page, block's bytes, until it grows.
 func OpenTrail(block []byte) (Trail, error) {
 	t, _, err := walkBlock(block, nil)
 	return t, err
 }
 
 // Join appends next — a chunk that restarts from t's last key — to t,
-// keeping the shared key once; it reports false, t untouched, when next
-// does not start there. next's deltas already hang off that key, so the
-// result is byte for byte DeltaEncode of the joined keys.
+// keeping the shared key once: next's pages follow t's, the first without
+// that key, and a pooled next is left empty. It reports false, t
+// untouched, when next does not start there or is another pool's. next's
+// deltas hang off that key, so the result is DeltaEncode of the keys.
 func (t *Trail) Join(next *Trail) bool {
 	c := next.Cursor()
-	if _, err := c.decode(nil, 1, false, nil); t.n == 0 || err != nil ||
+	if _, err := c.decode(nil, 1, false, nil); t.n == 0 || err != nil || t.pool != next.pool ||
 		c.lat != int64(t.lat) || c.lon != int64(t.lon) || c.t != int64(t.t) {
 		return false
 	}
-	t.body, t.n = append(t.body, c.b...), t.n+next.n-1
+	full, cur := append(append(t.full, t.cur), next.full...), next.cur
+	head := &cur // next's first page, whose first key t has
+	if len(next.full) > 0 {
+		head = &full[len(t.full)+1]
+	}
+	skip := len(*head) - len(c.b)
+	t.size, t.n = t.size+next.size-skip, t.n+next.n-1
 	t.lat, t.lon, t.t = next.lat, next.lon, next.t
 	t.bounds.Union(next.bounds)
+	if t.pool != nil { // a pooled page keeps its start: the pool takes it back by it
+		*head = (*head)[:copy(*head, (*head)[skip:])]
+		next.Take() // its pages are t's now
+	} else {
+		*head = (*head)[skip:]
+		cur = cur[:len(cur):len(cur)] // t's next Add copies: the spare room is next's
+	}
+	t.full, t.cur = full, cur
 	return true
 }
 
-// Contains reports whether o's keys appear as a contiguous run of t's: at a
-// key of t equal to o's first, the bytes that follow must be o's remaining
-// keys — deltas from equal keys, so equal bytes are equal keys.
+// Contains reports whether o's keys appear as a contiguous run of t's; an
+// empty trail is contained in nothing.
 func (t *Trail) Contains(o *Trail) bool {
-	first := o.Cursor()
-	if _, err := first.decode(nil, 1, false, nil); err != nil { // an empty trail is contained in nothing
-		return false
-	}
-	for c := t.Cursor(); c.left >= o.n; {
-		if _, err := c.decode(nil, 1, false, nil); err != nil {
-			break
-		}
-		if c.lat == first.lat && c.lon == first.lon && c.t == first.t && bytes.HasPrefix(c.b, first.b) {
+	for c := t.Cursor(); o.n > 0 && c.left >= o.n; {
+		if sameRun(c, o.Cursor()) {
 			return true
+		}
+		if _, err := c.decode(nil, 1, false, nil); err != nil {
+			return false
 		}
 	}
 	return false
+}
+
+// sameRun reports whether a's next keys are all of b's, on copies of both.
+func sameRun(a, b Cursor) bool {
+	for b.left > 0 {
+		_, errA := a.decode(nil, 1, false, nil)
+		_, errB := b.decode(nil, 1, false, nil)
+		if errA != nil || errB != nil || a.lat != b.lat || a.lon != b.lon || a.t != b.t {
+			return false
+		}
+	}
+	return true
 }
 
 // Block is one run of a device's key points as storage holds it and the
@@ -233,10 +288,11 @@ func (b Block) Contains(o Block) bool {
 // Cursor walks a delta-varint block key by key: the one reader, under
 // DeltaDecode, OpenTrail, Enters and a Trail's read-back alike.
 type Cursor struct {
-	b           []byte // unread bytes
-	left        int    // keys not yet read
-	lat, lon, t int64  // the last key read, on the lattice
-	first       bool   // the next key is the block's first
+	b, last     []byte   // unread bytes of the page being read; a trail's last page
+	pages       [][]byte // a trail's pages before last, those not begun
+	left        int      // keys not yet read
+	lat, lon, t int64    // the last key read, on the lattice
+	first       bool     // the next key is the block's first
 }
 
 // Next reads the next key, at wire resolution; false at the end or bad bytes.
@@ -329,7 +385,7 @@ func walkBlock(block []byte, win *Window) (t Trail, hit bool, err error) {
 		return t, false, ErrRange
 	}
 	used := len(body) - len(c.b)
-	return Trail{body: body[:used:used], n: n, lat: int32(c.lat), lon: int32(c.lon), t: uint32(c.t),
+	return Trail{cur: body[:used:used], size: used, n: n, lat: int32(c.lat), lon: int32(c.lon), t: uint32(c.t),
 		bounds: Bounds{int32(b.MinLat), int32(b.MinLon), int32(b.MaxLat), int32(b.MaxLon), uint32(b.T0), uint32(b.T1)}}, wk.hit, nil
 }
 
@@ -362,8 +418,14 @@ func BlockCursor(b []byte) (Cursor, error) {
 // walk them off the globe; a walk notes where they went); the time must fit
 // the wire.
 func (c *Cursor) decode(dst []GeoKey, n int, keep bool, wk *walk) ([]GeoKey, error) {
-	b, left, lat, lon, t, first := c.b, c.left-n, c.lat, c.lon, c.t, c.first
+	b, pages, last, left, lat, lon, t, first := c.b, c.pages, c.last, c.left-n, c.lat, c.lon, c.t, c.first
 	for ; n > 0; n-- {
+		for len(b) == 0 && len(pages) > 0 { // between keys: no key spans two pages
+			b, pages = pages[0], pages[1:]
+		}
+		if len(b) == 0 {
+			b, last = last, nil
+		}
 		plat, plon, pt, was := lat, lon, t, first
 		dlat, w1 := binary.Varint(b)
 		if w1 <= 0 {
@@ -405,7 +467,7 @@ func (c *Cursor) decode(dst []GeoKey, n int, keep bool, wk *walk) ([]GeoKey, err
 			dst = append(dst, latticeKey(lat, lon, uint32(t)))
 		}
 	}
-	c.b, c.left, c.lat, c.lon, c.t, c.first = b, left, lat, lon, t, first
+	c.b, c.pages, c.last, c.left, c.lat, c.lon, c.t, c.first = b, pages, last, left, lat, lon, t, first
 	return dst, nil
 }
 

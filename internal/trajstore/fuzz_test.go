@@ -315,6 +315,7 @@ func checkTrailMatchesDeltaEncode(t *testing.T, keys []GeoKey, cut int) {
 	if block := inPlace.AppendBlock(nil); !bytes.Equal(block, wantTail) {
 		t.Fatalf("restarted in place at key %d: block %x, want %x", cut, block, wantTail)
 	}
+	checkPagedTrail(t, keys, cut)
 }
 
 func uvarintLen(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
@@ -387,7 +388,8 @@ func TestPlaneRoundTripKeepsBytes(t *testing.T) {
 // by up to ± one lattice step in 1/128 steps so half-step ties occur —
 // the builder's bytes are DeltaEncode's of the parent, its bounds are
 // the parent's timeBounds/keysBBox, and the cursor reads what
-// DeltaDecode reads.
+// DeltaDecode reads; built in pool pages, it reads as built on the heap
+// (checkPagedTrail).
 func FuzzTrailMatchesDeltaEncode(f *testing.F) {
 	for _, keys := range fuzzSeedKeys() {
 		enc, err := DeltaEncode(keys)
@@ -510,10 +512,12 @@ func checkTrailJoin(t *testing.T, keys []GeoKey, cut int) {
 	if head.Join(&empty) || empty.Join(&head) {
 		t.Fatal("joined with an empty trail")
 	}
+	checkPagedJoin(t, keys, cut, next)
 }
 
 // TestTrailJoin runs the join property over the seed trajectories and
-// the lattice-boundary cases, chunked at every key.
+// the lattice-boundary cases, chunked at every key, and Contains over a
+// haystack joined from records.
 func TestTrailJoin(t *testing.T) {
 	seqs := append(fuzzSeedKeys(), nil,
 		[]GeoKey{{Lat: 90, Lon: -180, T: math.MaxUint32}, {Lat: -90, Lon: 180, T: 0}, {Lat: -90, Lon: 180, T: 0}, {Lat: 0.00000005, Lon: -0.00000005, T: 9}},
@@ -522,6 +526,43 @@ func TestTrailJoin(t *testing.T) {
 	for _, keys := range seqs {
 		for cut := range max(len(keys), 1) {
 			checkTrailJoin(t, keys, cut)
+		}
+	}
+	// A haystack joined from three records is three pages, so a run sought
+	// in it crosses their breaks: every run of its keys is in it, as in the
+	// one-block trail of them, and none with a key moved by a lattice step.
+	walk := make([]GeoKey, 40)
+	for i := range walk {
+		walk[i] = GeoKey{Lat: -37.8 + float64(i%3)*1e-4, Lon: 144.9 + float64(i)*1e-3, T: uint32(1700000000 + 10*i)}
+	}
+	var hay Trail
+	for _, r := range [][2]int{{0, 10}, {10, 25}, {25, 39}} {
+		blk, _ := refDeltaEncode(walk[r[0] : r[1]+1])
+		rec, err := OpenTrail(blk)
+		if err != nil || hay.Len() > 0 && !hay.Join(&rec) {
+			t.Fatalf("record %v does not join: %v", r, err)
+		}
+		if hay.Len() == 0 {
+			hay = rec
+		}
+	}
+	block, _ := DeltaEncode(walk)
+	flat, _ := OpenTrail(block)
+	if hay.Pages() != 3 || !bytes.Equal(hay.AppendBlock(nil), block) {
+		t.Fatalf("the haystack is %d pages: %x, want %x", hay.Pages(), hay.AppendBlock(nil), block)
+	}
+	for from := 0; from < len(walk); from += 3 {
+		for to := from; to < len(walk); to += 4 {
+			var run, moved Trail
+			off := append([]GeoKey(nil), walk[from:to+1]...)
+			off[len(off)/2].Lat += 1e-7
+			if err := errors.Join(run.Add(walk[from:to+1]...), moved.Add(off...)); err != nil {
+				t.Fatal(err)
+			}
+			if !hay.Contains(&run) || !flat.Contains(&run) || hay.Contains(&moved) || flat.Contains(&moved) {
+				t.Fatalf("keys %d..%d: in the haystack %v, moved %v; in one block %v, moved %v",
+					from, to, hay.Contains(&run), hay.Contains(&moved), flat.Contains(&run), flat.Contains(&moved))
+			}
 		}
 	}
 	// What Add refuses, every reader refuses: a block whose deltas walk off
@@ -561,7 +602,8 @@ func TestEntersKeepsNothing(t *testing.T) {
 
 // FuzzTrailJoin: for any in-range key sequence the fuzzer can reach and
 // any chunking of it, the joined chunks are DeltaEncode of the joined
-// keys and a non-matching boundary refuses.
+// keys and a non-matching boundary refuses; chunks in pool pages join and
+// contain as heap ones do (checkPagedJoin).
 func FuzzTrailJoin(f *testing.F) {
 	for _, keys := range fuzzSeedKeys() {
 		enc, err := DeltaEncode(keys)

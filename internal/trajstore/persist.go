@@ -73,8 +73,8 @@ type PersistedRecord struct {
 type Backend interface {
 	Persister
 	// AppendTrail is the engine's one way in: Append for a finalized
-	// trajectory held as the block its session built. It must not retain
-	// t's bytes — the session reuses the buffer. Routing by ShardIndex
+	// trajectory held as the block its session built. It must copy what it
+	// keeps (AppendBlock, Keys): t's pages return to a pool. Routing by ShardIndex
 	// means an engine with the same shard count has each worker appending
 	// to a log shard of its own.
 	AppendTrail(device string, t *Trail) error

@@ -291,15 +291,17 @@ func TestPointKeysToGeo(t *testing.T) {
 }
 
 // BenchmarkTrailAdd prices what a session pays per emitted key point:
-// quantize, append three varints, widen the bounds. One op is one key;
-// the trail is chunked at the engine's default 8192 and restarts in its
-// own buffer, so the steady state allocates nothing.
+// quantize, append three varints, widen the bounds, in a pool's pages as
+// a session's trail. One op is one key; the trail is chunked at the
+// engine's default 8192 and restarts in its first page, the others back
+// in the pool, so the steady state maps and allocates nothing.
 func BenchmarkTrailAdd(b *testing.B) {
 	keys := make([]GeoKey, 1024)
 	for i := range keys { // ≈ 100 m zig-zag steps, 10 s apart: 6 B a key
 		keys[i] = GeoKey{Lat: -37.8 + float64(i%2)*4e-4, Lon: 144.9 + float64(i)*1e-3, T: uint32(1700000000 + 10*i)}
 	}
-	var tr Trail
+	var pool PagePool
+	tr := pool.NewTrail()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if tr.Len() >= 8192 {
@@ -310,4 +312,6 @@ func BenchmarkTrailAdd(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(tr.Size())/float64(tr.Len()), "B/key")
+	tr.Release()
+	pool.Unmap()
 }
