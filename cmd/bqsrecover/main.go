@@ -18,8 +18,8 @@
 //
 // -window decodes every record (any device, log order) with a
 // trajectory segment entering the given degree rectangle during the
-// [-t0, -t1] range, pruning via the sealed block indexes where present;
-// a pruning summary goes to stderr. -csv emits device,lat,lon,t rows.
+// [-t0, -t1] range, pruning on the segment and record bounds the open
+// read; a pruning summary goes to stderr. -csv emits device,lat,lon,t rows.
 //
 // -dir is a log root as OpenDurableEngine and bqsd write it: a SHARDS
 // file plus shard-NNN/ subdirectories. Roots are never re-sharded by

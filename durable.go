@@ -13,8 +13,8 @@ import (
 // restartable. Finalized session trajectories are appended in the
 // delta-varint wire format, Engine.Sync is the durability barrier, and
 // on reopen the log truncates any torn tail left by a crash and rebuilds
-// its device/time index from the sealed block indexes (scanning where
-// one is missing). There is one log type — ShardedSegmentLog, a single
+// its device/time index by scanning every segment's record headers.
+// There is one log type — ShardedSegmentLog, a single
 // shard being the n = 1 case — and one on-disk format.
 
 // Persister is the durability hook consumed by the engine: Append
@@ -91,8 +91,9 @@ func OpenShardedSegmentLog(dir string, shards int, opts SegmentLogOptions) (*Sha
 // log: every record — across all devices, in log order within a shard
 // and shard order across them — with at least
 // one trajectory segment entering [minX, maxX] × [minY, maxY] (degrees:
-// X longitude, Y latitude) during [t0, t1]. Sealed block indexes and
-// manifest summaries prune the candidate set; candidates are decoded
+// X longitude, Y latitude) during [t0, t1]. Per-segment summaries and
+// per-record bounds, both held in memory since the open, prune the
+// candidate set; candidates are decoded
 // and tested exactly. Engine.QueryWindow is the metric-plane
 // counterpart that additionally merges the open sessions' un-flushed
 // trails.

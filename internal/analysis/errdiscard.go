@@ -7,10 +7,10 @@ import (
 
 // ErrDiscard reports discarded error results from durability-critical
 // calls: Append, Sync, Flush, Close, and the
-// publish-shaped helpers (writeManifest*, writeBlockIndex*,
-// writeShards*, publish*). These are the calls whose errors ARE the
-// durability contract — an Append or Sync whose error vanishes turns
-// "the data is on disk" into "the data is probably on disk", which is
+// publish-shaped helpers (writeManifest*, writeShards*, publish*).
+// These are the calls whose errors ARE the durability contract — an
+// Append or Sync whose error vanishes turns "the data is on disk" into
+// "the data is probably on disk", which is
 // the exact bug class the PR 8 fsync-poisoning work exists to surface.
 //
 // Policy, from strictest to loosest:
@@ -44,7 +44,6 @@ var criticalNames = map[string]bool{
 func publishShaped(name string) bool {
 	return strings.HasPrefix(name, "publish") ||
 		strings.HasPrefix(name, "writeManifest") ||
-		strings.HasPrefix(name, "writeBlockIndex") ||
 		strings.HasPrefix(name, "writeShards")
 }
 

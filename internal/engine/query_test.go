@@ -327,7 +327,7 @@ func TestDifferentialWindowQueries(t *testing.T) {
 		}
 	}
 
-	// Leg 1: clean reopen (block-index load path).
+	// Leg 1: clean reopen.
 	lg2, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{})
 	if err != nil {
 		t.Fatal(err)

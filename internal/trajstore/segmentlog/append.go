@@ -284,26 +284,20 @@ func (l *shardLog) healLocked() error {
 
 // sealActiveLocked seals the active segment where it stands (l.off, all
 // of it fsync'd) and makes seg — f, created and durable — the active one:
-// index the old, append the new, publish. The block index is written
-// before the manifest references it, and its failure only costs the
-// acceleration (the segment scans fine). The caller closes the old
+// index the old, append the new, publish. The caller closes the old
 // handle it gets back, after the swap, so the log never points at a
 // closed file. A failed publish leaves the old segment active and
 // writable: the new file stays on disk — the write may have reached the
 // rename before failing, so deleting it could orphan a manifest entry;
 // referenced or not, it is harmless and the next successful publish or
-// Open sweeps it, and its number is not reused. The just-written block
-// index is likewise unreferenced; further appends into the old segment
-// make it stale, which the size check on load detects.
+// Open sweeps it, and its number is not reused.
 func (l *shardLog) sealActiveLocked(f vfs.File, seg segmentFile) (old vfs.File, err error) {
 	cur := len(l.segs) - 1
 	l.segs[cur].size = l.off
 	l.segs[cur].recs = slices.Clone(l.segs[cur].recs) // sealed, it grows no more: shed append's spare room
-	l.segs[cur].idx = writeBlockIndex(l.fs, l.segs[cur].path, l.off, l.segs[cur].recs, l.names) == nil
 	l.segs = append(l.segs, seg)
 	if err := l.writeManifestLocked(); err != nil {
 		l.segs = l.segs[:cur+1]
-		l.segs[cur].idx = false
 		_ = f.Close() // never published; the publish error is the story
 		return nil, err
 	}

@@ -278,8 +278,7 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	// output and skip the publish — no generation bump, no fsync storm — and
 	// the selection is a tier from here on, which no tick reads again before
 	// tierRatio says so. (RecordsIn == 0 still publishes, to drop the empty
-	// files. A sealed segment whose block index failed to write at rotation is
-	// no reason to rewrite: the next writable open re-seals it, loadSegment.)
+	// files.)
 	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && res.RecordsIn > 0 {
 		cw.discard()
 		res.RecordsOut, res.SegmentsOut, res.BytesOut = res.RecordsIn, res.SegmentsIn, res.BytesIn
@@ -287,8 +286,8 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 		return res, nil
 	}
 
-	// Seal the output segments and their block indexes (unreferenced
-	// until the manifest rename below).
+	// Seal the output segments (unreferenced until the manifest rename
+	// below).
 	newSegs, err := cw.finish()
 	if err != nil {
 		return res, err
@@ -314,17 +313,12 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	l.mu.Unlock()
 	settle(len(newSegs))
 
-	// Delete the superseded segment files and their block indexes.
+	// Delete the superseded segment files.
 	// Failures (and crashes) here are benign: the files are unreferenced
 	// and the next Open sweeps them.
 	for _, sf := range sealed {
 		if err := l.fs.Remove(sf.path); err != nil && !os.IsNotExist(err) {
 			return res, fmt.Errorf("segmentlog: removing superseded %s: %w", sf.path, err)
-		}
-		if ip, ok := idxPathFor(sf.path); ok {
-			if err := l.fs.Remove(ip); err != nil && !os.IsNotExist(err) {
-				return res, fmt.Errorf("segmentlog: removing superseded %s: %w", ip, err)
-			}
 		}
 	}
 	return res, syncDir(l.fs, l.dir)
@@ -481,10 +475,7 @@ func ageTrail(tr *trajstore.Trail, tol float64) (bool, error) {
 }
 
 // compactWriter packs a stream of records into fresh segment files
-// (respecting the rotation threshold), fsyncs each on seal, and writes
-// a block index next to it, so every output segment has a live index.
-// An index write failure aborts the pass: the old generation is whole, and
-// nothing is gained by publishing segments the next open must scan. The
+// (respecting the rotation threshold) and fsyncs each on seal. The
 // files are unreferenced until the caller publishes a manifest naming
 // them, so discard (or a crash) just leaves garbage the next Open
 // sweeps.
@@ -497,8 +488,7 @@ type compactWriter struct {
 	buf   []byte
 }
 
-// closeCurrent seals the open output segment: fsync, close, block
-// index, summary.
+// closeCurrent seals the open output segment: fsync, close, summary.
 func (w *compactWriter) closeCurrent() error {
 	if w.f == nil {
 		return nil
@@ -515,10 +505,6 @@ func (w *compactWriter) closeCurrent() error {
 		return err
 	}
 	w.f = nil
-	if err := writeBlockIndex(w.l.fs, s.path, s.size, s.recs, w.names); err != nil {
-		return err
-	}
-	s.idx = true
 	s.recs = slices.Clone(s.recs) // as a rotation seals, without append's spare room
 	s.sum = sumOf(s.recs)
 	return nil
@@ -584,9 +570,6 @@ func (w *compactWriter) discard() {
 	}
 	for _, s := range w.segs {
 		w.l.fs.Remove(s.path)
-		if ip, ok := idxPathFor(s.path); ok {
-			w.l.fs.Remove(ip)
-		}
 	}
 	w.segs = nil
 }

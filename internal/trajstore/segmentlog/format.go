@@ -50,27 +50,18 @@ func splitBody(body []byte) (device []byte, b trajstore.Bounds, payload []byte, 
 	if len(rest) < devLen+boundsSize+1 {
 		return nil, b, nil, trajstore.ErrShortBuffer
 	}
-	if b, err = readBounds(rest[devLen:], rest[devLen+8:]); err != nil {
-		return nil, b, nil, err
+	u, h := binary.LittleEndian.Uint32, rest[devLen:]
+	b = trajstore.Bounds{T0: u(h), T1: u(h[4:]),
+		MinLat: int32(u(h[8:])), MinLon: int32(u(h[12:])), MaxLat: int32(u(h[16:])), MaxLon: int32(u(h[20:]))}
+	if !b.Valid() {
+		return nil, b, nil, errors.New("segmentlog: inverted record bounds")
 	}
 	return rest[:devLen], b, rest[devLen+boundsSize:], nil
 }
 
-// boundsSize is a record's bounds as its header and its block-index entry
-// carry them: u32 t0, t1 (at times), then — after a flag byte, in the
-// index — the box as 4 × i32 minLat, minLon, maxLat, maxLon (at box).
+// boundsSize is a record's bounds as its header carries them: u32 t0, t1,
+// then the box as 4 × i32 minLat, minLon, maxLat, maxLon.
 const boundsSize = 8 + 16
-
-// readBounds decodes that layout and rejects inverted bounds.
-func readBounds(times, box []byte) (trajstore.Bounds, error) {
-	u := binary.LittleEndian.Uint32
-	b := trajstore.Bounds{T0: u(times), T1: u(times[4:]),
-		MinLat: int32(u(box)), MinLon: int32(u(box[4:])), MaxLat: int32(u(box[8:])), MaxLon: int32(u(box[12:]))}
-	if !b.Valid() {
-		return b, errors.New("segmentlog: inverted record bounds")
-	}
-	return b, nil
-}
 
 // frameRecord appends the full wire form of one record — length prefix,
 // CRC, header, the trail's block — to dst; on an error dst comes back as

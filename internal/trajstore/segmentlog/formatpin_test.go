@@ -3,12 +3,14 @@ package segmentlog
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,7 +48,7 @@ func v2Track(d, t, n int) []trajstore.GeoKey {
 // segments are compacted — merge, dedup and ageing through the coarse
 // compressor under a fixed clock — and a second wave of appends then
 // rotates past the compacted generation, so each shard ends with
-// compacted, rotated-and-indexed and active segments.
+// compacted, rotated and active segments.
 func buildV2Log(t testing.TB, dir string) {
 	t.Helper()
 	lg, err := OpenSharded(dir, 2, v2Options())
@@ -167,10 +169,12 @@ func treeFiles(t testing.TB, root string) map[string][]byte {
 // changed no byte of current-format data. Reading: a read-only open of
 // the parent-written fixture answers Stats, Devices, Query and
 // QueryWindow exactly as the golden file recorded. Writing: the same
-// script run through this tree's writer — append, rotation, block
-// index, compaction, manifest publish, SHARDS — produces a tree whose
-// every file (seg-*.log, seg-*.idx, MANIFEST, SHARDS) is byte-identical
-// to the fixture.
+// script run through this tree's writer — append, rotation, compaction,
+// manifest publish, SHARDS — produces a tree whose every seg-*.log and
+// SHARDS is byte-identical to the fixture, whose every MANIFEST is the
+// fixture's without the legacy "idx" and "sum=" fields, and which holds
+// no seg-*.idx: the fixture's writer sealed a block index beside each
+// segment, this one writes none.
 func TestFormatPinV2Fixture(t *testing.T) {
 	want := treeFiles(t, v2Fixture)
 	var segs, idxs int
@@ -217,13 +221,104 @@ func TestFormatPinV2Fixture(t *testing.T) {
 	rebuilt := treeFiles(t, dir)
 	delete(rebuilt, lockName)
 	for name, b := range want {
+		switch {
+		case filepath.Ext(name) == ".idx":
+			continue
+		case filepath.Base(name) == manifestName:
+			b = withoutLegacyFields(t, b)
+		}
 		if !bytes.Equal(rebuilt[name], b) {
 			t.Errorf("%s: this tree wrote %d bytes that differ from the fixture's %d", name, len(rebuilt[name]), len(b))
 		}
 	}
 	for name := range rebuilt {
-		if _, ok := want[name]; !ok {
-			t.Errorf("%s: written by this tree, absent from the fixture", name)
+		if _, ok := want[name]; !ok || filepath.Ext(name) == ".idx" {
+			t.Errorf("%s: written by this tree, which writes no block index and nothing absent from the fixture", name)
 		}
+	}
+}
+
+// withoutLegacyFields is a fixture MANIFEST as this tree writes it: every
+// seg line cut to its segment name, the CRC line re-sealed.
+func withoutLegacyFields(t testing.TB, manifest []byte) []byte {
+	t.Helper()
+	covered, err := unsealText("manifest", manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(covered), "\n")
+	for i, ln := range lines {
+		if f := strings.Fields(ln); len(f) > 2 && f[0] == "seg" {
+			lines[i] = f[0] + " " + f[1] + "\n"
+		}
+	}
+	return sealText([]byte(strings.Join(lines, "")))
+}
+
+// TestWritableOpenSweepsLegacyIndexes: a writable open of a copy of the
+// fixture, whose writer sealed a block index beside each segment, removes
+// every seg-*.idx and publishes MANIFESTs without the "idx" and "sum="
+// fields; a read-only reopen of the copy then answers exactly as the
+// golden file recorded, but for the generation that open published in
+// each shard.
+func TestWritableOpenSweepsLegacyIndexes(t *testing.T) {
+	fixture := treeFiles(t, v2Fixture)
+	dir := t.TempDir()
+	idxs := 0
+	for name, b := range fixture {
+		if filepath.Ext(name) == ".idx" {
+			idxs++
+		}
+		p := filepath.Join(dir, filepath.FromSlash(name))
+		if err := errors.Join(os.MkdirAll(filepath.Dir(p), 0o755), os.WriteFile(p, b, 0o644)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if idxs == 0 {
+		t.Fatal("fixture holds no block index to sweep")
+	}
+	lg, err := OpenSharded(dir, 0, v2Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := len(lg.shards)
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range treeFiles(t, dir) {
+		if filepath.Ext(name) == ".idx" {
+			t.Errorf("%s survived the writable open", name)
+		}
+		if filepath.Base(name) != manifestName {
+			continue
+		}
+		if strings.Contains(string(b), " idx") || strings.Contains(string(b), " sum=") {
+			t.Errorf("%s still carries the legacy fields:\n%s", name, b)
+		}
+		if _, err := parseManifest(b); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+
+	opts := v2Options()
+	opts.ReadOnly = true
+	ro, err := OpenSharded(dir, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	got := v2Snapshot(t, ro)
+	raw, err := os.ReadFile(v2Fixture + ".golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden v2Golden
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	golden.Stats.Gen += uint64(shards) // the writable open's publish, one a shard
+	if !reflect.DeepEqual(got, golden) {
+		gj, _ := json.MarshalIndent(got, "", " ")
+		t.Fatalf("the swept copy answers differently from v2log.golden.json; got:\n%s", gj)
 	}
 }

@@ -1,6 +1,6 @@
-// Durable small-file helpers: the directory fsync, the one durable write and
-// the one atomic replace every MANIFEST, SHARDS and block-index file goes
-// through, the CRC trailer that seals the two text files, and the root LOCK.
+// Durable small-file helpers: the directory fsync, the one atomic replace
+// every MANIFEST and SHARDS file goes through, the CRC trailer that seals
+// the two text files, and the root LOCK.
 package segmentlog
 
 import (
@@ -32,11 +32,14 @@ func syncDir(fsys vfs.FS, dir string) error {
 	return nil
 }
 
-// writeFileSync creates (or truncates) path, writes data, fsyncs and
-// closes it — the one durable small-file write; a partial file is removed.
-// what names the file in errors.
-func writeFileSync(fsys vfs.FS, what, path string, data []byte) error {
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// publishFile atomically replaces dir/name with data: temp file
+// (name.tmp), write, fsync, rename, directory fsync — the tree's one durable
+// small-file write and its one rename; a partial temp file is removed. On
+// any error the previous file is untouched, and a reader sees either the
+// old content or the new, never a mixture. what names the file in errors.
+func publishFile(fsys vfs.FS, what, dir, name string, data []byte) error {
+	tmp := filepath.Join(dir, name+tmpSuffix)
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("segmentlog: %s: %w", what, err)
 	}
@@ -46,23 +49,10 @@ func writeFileSync(fsys vfs.FS, what, path string, data []byte) error {
 	if cerr := f.Close(); err == nil { // else the write/fsync error is the story
 		err = cerr
 	}
+	if err == nil {
+		err = fsys.Rename(tmp, filepath.Join(dir, name))
+	}
 	if err != nil {
-		fsys.Remove(path)
-		return fmt.Errorf("segmentlog: %s: %w", what, err)
-	}
-	return nil
-}
-
-// publishFile atomically replaces dir/name with data: temp file
-// (name.tmp), fsync, rename, directory fsync — the tree's one rename. On
-// any error the previous file is untouched, and a reader sees either the
-// old content or the new, never a mixture.
-func publishFile(fsys vfs.FS, what, dir, name string, data []byte) error {
-	tmp := filepath.Join(dir, name+tmpSuffix)
-	if err := writeFileSync(fsys, what, tmp, data); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		fsys.Remove(tmp)
 		return fmt.Errorf("segmentlog: %s: %w", what, err)
 	}

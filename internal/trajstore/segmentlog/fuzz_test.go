@@ -102,83 +102,13 @@ func FuzzRecover(f *testing.F) {
 	})
 }
 
-// FuzzBlockIndex feeds arbitrary bytes to the block-index parser: it
-// must never panic, anything it accepts must round-trip through the
-// formatter and the name table (re-rendering from the table the parse
-// filled and re-parsing into a fresh one yields the identical entries
-// naming the identical devices — a hostile-but-CRC-valid encoding may use
-// non-minimal varints, so byte identity is not required), every accepted
-// entry must name a device the table holds, and every accepted entry must lie
-// inside the declared segment bounds in strictly increasing order —
-// the invariants that let Open trust a loaded index instead of
-// scanning. (End-to-end, a corrupt index only ever degrades to a scan;
-// see TestBlockIndexCorruptionFallsBack.)
-func FuzzBlockIndex(f *testing.F) {
-	names := []string{"alpha", "bravo"}
-	metas := []recordMeta{
-		{dev: 0, off: headerSize + recordHeaderSize, bodyLen: 40,
-			Bounds: trajstore.Bounds{T0: 10, T1: 20, MinLat: -50, MinLon: -60, MaxLat: 70, MaxLon: 80}},
-		{dev: 1, off: headerSize + 2*recordHeaderSize + 40, bodyLen: 30, Bounds: trajstore.Bounds{T0: 15, T1: 35}},
-		{dev: 0, off: headerSize + 3*recordHeaderSize + 70, bodyLen: 30, Bounds: trajstore.Bounds{T0: 36, T1: 40}},
-	}
-	f.Add(formatBlockIndex(headerSize+3*recordHeaderSize+100, metas, names))
-	f.Add(formatBlockIndex(headerSize, nil, nil))
-	v1 := formatBlockIndex(headerSize+recordHeaderSize+40, metas[:1], names)
-	v1[7] = 1 // an index over a version-1 segment: rejected
-	f.Add(formatBlockIndexReseal(v1[:len(v1)-4]))
-	f.Add([]byte("BQSIDX\x01\x02"))
-	f.Add([]byte{})
-	f.Add([]byte("garbage that is not an index"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		nt, nt2 := nameLog(), nameLog()
-		segSize, metas, err := parseBlockIndex(data, nt.internLocked)
-		if err != nil {
-			return // structurally rejected is fine
-		}
-		re := formatBlockIndex(segSize, metas, nt.names)
-		segSize2, metas2, err := parseBlockIndex(re, nt2.internLocked)
-		if err != nil {
-			t.Fatalf("re-rendered index rejected: %v", err)
-		}
-		// Both tables number names in order of first appearance, so equal
-		// entries carry equal numbers; the names are compared too.
-		if segSize2 != segSize || !reflect.DeepEqual(metas2, metas) || !reflect.DeepEqual(nt2.names, nt.names) {
-			t.Fatalf("round trip changed index: (%d,%+v,%q) → (%d,%+v,%q)",
-				segSize, metas, nt.names, segSize2, metas2, nt2.names)
-		}
-		prevEnd := int64(headerSize)
-		for i, m := range metas {
-			if int(m.dev) >= len(nt.names) || nt.ids[nt.names[m.dev]] != m.dev {
-				t.Fatalf("entry %d names device %d, not in the table %q", i, m.dev, nt.names)
-			}
-			if int64(m.off) < prevEnd+recordHeaderSize || int64(m.off)+int64(m.bodyLen) > segSize {
-				t.Fatalf("entry %d outside segment bounds: %+v (segSize %d)", i, m, segSize)
-			}
-			if m.T0 > m.T1 {
-				t.Fatalf("entry %d has inverted time bounds", i)
-			}
-			if m.MinLat > m.MaxLat || m.MinLon > m.MaxLon {
-				t.Fatalf("entry %d has an inverted bbox", i)
-			}
-			prevEnd = int64(m.off) + int64(m.bodyLen)
-		}
-	})
-}
-
 // FuzzManifest feeds arbitrary bytes to the manifest parser: it must
 // never panic, and whatever it accepts must round-trip — re-rendering a
 // parsed manifest and parsing it again yields the identical value, the
 // invariant Open's "manifest is the source of truth" logic rests on.
 func FuzzManifest(f *testing.F) {
 	f.Add(formatManifest(manifest{Gen: 1, Segs: []manifestSeg{{Name: "seg-00000001.log"}}}))
-	f.Add(formatManifest(manifest{Gen: 7, Segs: []manifestSeg{
-		{Name: "seg-00000009.log", Idx: true, Sum: &segSummary{
-			records: 2,
-			Bounds:  trajstore.Bounds{T0: 10, T1: 90, MinLat: -100, MinLon: -200, MaxLat: 300, MaxLon: 400},
-		}},
-		{Name: "seg-00000003.log"},
-	}}))
+	f.Add(sealText([]byte("BQSMANIFEST 2\ngen 7\nseg seg-00000009.log idx sum=2,10,90,-100,-200,300,400\nseg seg-00000003.log\n")))
 	f.Add(formatManifest(manifest{Gen: 0}))
 	f.Add([]byte("BQSMANIFEST 2\ngen 3\nseg seg-00000004.log idx sum=1,5,5\ncrc 00000000\n"))
 	f.Add([]byte("BQSMANIFEST 1\ngen 1\nseg seg-00000001.log\ncrc 00000000\n"))

@@ -10,23 +10,18 @@
 //
 //	BQSMANIFEST 2
 //	gen 7
-//	seg seg-00000009.log idx sum=3,1000,2407,-386214000,1448123000,-385900000,1448200000
+//	seg seg-00000009.log
 //	seg seg-00000003.log
 //	crc 5f3a91c2
 //
 // The first line is magic + format version. "gen" is the generation
 // number, incremented on every publish (open, rotation, compaction).
 // Each "seg" line names one live segment file, base name only, in
-// logical (oldest-first) order; the active segment is last.
-// Two optional fields follow the name on sealed segments:
-//
-//   - "idx" declares the segment's sealed block-index file
-//     (seg-NNNNNNNN.idx, see blockindex.go) live — Open loads the
-//     segment through it, and the unreferenced-file sweep spares it.
-//   - "sum=records,t0,t1,minLat,minLon,maxLat,maxLon" is the
-//     segment-level summary used for window-query pruning: the record
-//     count, the union of record time bounds, and the union of record
-//     bounding boxes in 1e-7°.
+// logical (oldest-first) order; the active segment is last. Older
+// versions wrote two more fields after a sealed segment's name — "idx"
+// (a block-index file beside it) and "sum=…" (a summary of its records);
+// a parser accepts them, in that order, and ignores them, and a writable
+// open republishes the list without them.
 //
 // The final "crc" line carries the CRC-32C of every preceding byte, so
 // a damaged manifest is detected rather than silently reordering the
@@ -43,7 +38,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -66,9 +60,7 @@ const (
 
 // manifestSeg is one live segment as recorded in the MANIFEST.
 type manifestSeg struct {
-	Name string      // canonical segment file base name
-	Idx  bool        // the derived block-index file is live
-	Sum  *segSummary // sealed-segment summary; nil when unknown or active
+	Name string // canonical segment file base name
 }
 
 // manifest is the decoded MANIFEST content.
@@ -110,52 +102,9 @@ func formatManifest(m manifest) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\ngen %d\n", manifestMagic, m.Gen)
 	for _, s := range m.Segs {
-		fmt.Fprintf(&b, "seg %s", s.Name)
-		if s.Idx {
-			b.WriteString(" idx")
-		}
-		if s.Sum != nil {
-			fmt.Fprintf(&b, " sum=%d,%d,%d,%d,%d,%d,%d", s.Sum.records, s.Sum.T0, s.Sum.T1,
-				s.Sum.MinLat, s.Sum.MinLon, s.Sum.MaxLat, s.Sum.MaxLon)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "seg %s\n", s.Name)
 	}
 	return sealText(b.Bytes())
-}
-
-// parseSum decodes a "sum=" field value.
-func parseSum(v string) (*segSummary, error) {
-	parts := strings.Split(v, ",")
-	if len(parts) != 7 {
-		return nil, fmt.Errorf("%d fields", len(parts))
-	}
-	nums := make([]int64, len(parts))
-	for i, p := range parts {
-		n, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		nums[i] = n
-	}
-	s := &segSummary{}
-	if nums[0] < 1 || nums[0] > math.MaxInt32 {
-		return nil, fmt.Errorf("bad record count %d", nums[0])
-	}
-	if nums[1] < 0 || nums[2] < 0 || nums[1] > math.MaxUint32 || nums[2] > math.MaxUint32 {
-		return nil, fmt.Errorf("bad time bounds")
-	}
-	s.records = int(nums[0])
-	s.T0, s.T1 = uint32(nums[1]), uint32(nums[2])
-	for _, n := range nums[3:] {
-		if n < math.MinInt32 || n > math.MaxInt32 {
-			return nil, fmt.Errorf("bbox field out of range")
-		}
-	}
-	s.MinLat, s.MinLon, s.MaxLat, s.MaxLon = int32(nums[3]), int32(nums[4]), int32(nums[5]), int32(nums[6])
-	if !s.Valid() {
-		return nil, fmt.Errorf("inverted bounds")
-	}
-	return s, nil
 }
 
 // parseManifest decodes and validates manifest bytes. Every structural
@@ -200,23 +149,13 @@ func parseManifest(data []byte) (manifest, error) {
 		if seen[ms.Name] {
 			return m, fmt.Errorf("%w: manifest: duplicate segment %q", ErrCorrupt, ms.Name)
 		}
-		// Optional fields, fixed order so format∘parse is the identity:
-		// "idx", then "sum=...".
+		// The legacy fields, in the order they were written: "idx", then
+		// "sum=...". Nothing reads them.
 		i := 1
 		if i < len(fields) && fields[i] == "idx" {
-			ms.Idx = true
 			i++
 		}
-		if i < len(fields) {
-			v, ok := strings.CutPrefix(fields[i], "sum=")
-			if !ok {
-				return m, fmt.Errorf("%w: manifest: unexpected field %q", ErrCorrupt, fields[i])
-			}
-			sum, err := parseSum(v)
-			if err != nil {
-				return m, fmt.Errorf("%w: manifest: bad summary %q: %v", ErrCorrupt, fields[i], err)
-			}
-			ms.Sum = sum
+		if i < len(fields) && strings.HasPrefix(fields[i], "sum=") {
 			i++
 		}
 		if i != len(fields) {
@@ -254,27 +193,14 @@ func writeManifest(fsys vfs.FS, dir string, m manifest) error {
 	return publishFile(fsys, "manifest", dir, manifestName, formatManifest(m))
 }
 
-// manifestSegs builds the manifest entries for a logical segment list.
-// Sealed segments publish their block-index reference and bbox/time
-// summary; the final entry is the active segment, whose summary is
-// still growing, so it carries none.
-func manifestSegs(segs []segmentFile) []manifestSeg {
-	out := make([]manifestSeg, len(segs))
-	for i, s := range segs {
-		out[i] = manifestSeg{Name: filepath.Base(s.path), Idx: s.idx}
-		if i < len(segs)-1 && s.sum.records > 0 {
-			sum := s.sum
-			out[i].Sum = &sum
-		}
-	}
-	return out
-}
-
 // writeManifestLocked atomically publishes the current live segment list
 // under the next generation number. Callers hold mu (or are inside
 // openShardLog).
 func (l *shardLog) writeManifestLocked() error {
-	m := manifest{Gen: l.gen + 1, Segs: manifestSegs(l.segs)}
+	m := manifest{Gen: l.gen + 1, Segs: make([]manifestSeg, len(l.segs))}
+	for i, s := range l.segs {
+		m.Segs[i].Name = filepath.Base(s.path)
+	}
 	if err := writeManifest(l.fs, l.dir, m); err != nil {
 		return err
 	}

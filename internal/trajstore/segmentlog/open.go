@@ -1,5 +1,5 @@
-// Opening a shard log: manifest, every segment's records (block index, else
-// scan), torn-tail recovery and the sweep of unreferenced files.
+// Opening a shard log: manifest, every segment's records (a scan of each
+// file), torn-tail recovery and the sweep of unreferenced files.
 package segmentlog
 
 import (
@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
@@ -79,7 +80,7 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 	}
 	l.gen = man.Gen
 	for i, ent := range man.Segs {
-		seg, err := l.loadSegment(filepath.Join(dir, ent.Name), ent, i == len(man.Segs)-1)
+		seg, err := l.loadSegment(filepath.Join(dir, ent.Name), i == len(man.Segs)-1)
 		if err != nil {
 			return nil, err
 		}
@@ -128,77 +129,54 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 	// Sweep crashed-compaction leftovers only now: had a referenced
 	// segment been unreadable the open failed above, and an unpublished
 	// compactor output may be the only intact copy of its data. The live
-	// set is the list just published, rebuilt block indexes included.
-	if err := cleanUnreferenced(l.fs, dir, manifestSegs(l.segs)); err != nil {
+	// set is the list just published.
+	if err := cleanUnreferenced(l.fs, dir, l.segs); err != nil {
 		_ = l.active.Close() // open failed; the sweep error is the story
 		return nil, err
 	}
 	return l, nil
 }
 
-// loadSegment reads one live segment's records — the only loader. A
-// sealed segment the manifest marks idx comes through its block index
-// when that validates: size, CRC and, where the entry carries one, the
-// manifest's summary — both were sealed from the same metadata, so an
-// index that diverges from the CRC-protected manifest (a stale file from
-// an earlier life of this sequence number, a crafted CRC collision) is
-// rejected. Anything else is scanned (readSegment), and on a writable
-// handle a scanned sealed segment gets its block index (re)built, so the
-// next open is cheap again.
-func (l *shardLog) loadSegment(path string, ent manifestSeg, final bool) (segmentFile, error) {
-	if !final && ent.Idx {
-		if size, metas, err := loadBlockIndex(l.fs, path, l.internLocked); err == nil {
-			if sum := sumOf(metas); ent.Sum == nil || sum == *ent.Sum {
-				return segmentFile{path: path, size: size, idx: true, sum: sum, recs: metas}, nil
-			}
-		}
-	}
-	metas, valid, err := l.readSegment(path, final)
-	if err != nil {
-		return segmentFile{}, err
-	}
-	idx := !l.ro && !final && writeBlockIndex(l.fs, path, valid, metas, l.names) == nil
-	return segmentFile{path: path, size: valid, idx: idx, sum: sumOf(metas), recs: metas}, nil
-}
-
-// readSegment reads one segment file and returns the metadata of its
-// valid records and its valid size, handling an invalid tail. Dropping
-// bytes after the first invalid record is only sound where a crash
-// could actually tear a write: the final (active-to-be) segment, or a
-// genuinely record-free tail left by an unsynced rotation. A
-// *non-final* segment whose bad record is followed by more valid
-// records is mid-file corruption of data that was once durable — now
-// that compaction makes sealed segments long-lived archives, that must
-// fail (ErrCorrupt) rather than silently destroy everything after the
-// rotten byte. Read-only handles stay lenient, modifying nothing and
-// salvaging what is readable; a file past 32-bit offsets fails both.
-func (l *shardLog) readSegment(path string, final bool) (metas []recordMeta, valid int64, err error) {
+// loadSegment reads one live segment file — the only loader: a sealed
+// segment is its own index — and returns it with the metadata of its valid
+// records and its valid size, handling an invalid tail. Dropping bytes
+// after the first invalid record is only sound where a crash could
+// actually tear a write: the final (active-to-be) segment, or a genuinely
+// record-free tail left by an unsynced rotation. A *non-final* segment
+// whose bad record is followed by more valid records is mid-file
+// corruption of data that was once durable — now that compaction makes
+// sealed segments long-lived archives, that must fail (ErrCorrupt) rather
+// than silently destroy everything after the rotten byte. Read-only
+// handles stay lenient, modifying nothing and salvaging what is readable;
+// a file past 32-bit offsets fails both.
+func (l *shardLog) loadSegment(path string, final bool) (segmentFile, error) {
 	if fi, err := l.fs.Stat(path); err == nil && fi.Size() > maxSegmentSize {
-		return nil, 0, fmt.Errorf("%w: %s: %d bytes, past 32-bit record offsets", ErrCorrupt, filepath.Base(path), fi.Size())
+		return segmentFile{}, fmt.Errorf("%w: %s: %d bytes, past 32-bit record offsets", ErrCorrupt, filepath.Base(path), fi.Size())
 	}
 	data, err := l.fs.ReadFile(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("segmentlog: %w", err)
+		return segmentFile{}, fmt.Errorf("segmentlog: %w", err)
 	}
 	if len(data) < headerSize {
 		// A crash can leave a freshly rotated file with a partial
 		// header; rewrite it as empty rather than failing the open.
 		if l.ro {
 			l.truncated += int64(len(data))
-			return nil, int64(len(data)), nil
+			return segmentFile{path: path, size: int64(len(data))}, nil
 		}
 		if !final {
-			return nil, 0, fmt.Errorf("%w: %s: sealed segment shorter than its header", ErrCorrupt, filepath.Base(path))
+			return segmentFile{}, fmt.Errorf("%w: %s: sealed segment shorter than its header", ErrCorrupt, filepath.Base(path))
 		}
-		return nil, headerSize, l.rewriteEmpty(path)
+		return segmentFile{path: path, size: headerSize}, l.rewriteEmpty(path)
 	}
 	if [6]byte(data[:6]) != magic {
-		return nil, 0, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
+		return segmentFile{}, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
 	}
 	if data[6] != version {
-		return nil, 0, fmt.Errorf("%w: %s: unsupported version %d", ErrCorrupt, filepath.Base(path), data[6])
+		return segmentFile{}, fmt.Errorf("%w: %s: unsupported version %d", ErrCorrupt, filepath.Base(path), data[6])
 	}
-	valid = headerSize
+	var metas []recordMeta
+	valid := int64(headerSize)
 	for pos := headerSize; ; {
 		body, bodyOff, next, ok := nextRecord(data, pos)
 		if !ok {
@@ -219,18 +197,21 @@ func (l *shardLog) readSegment(path string, final bool) (metas []recordMeta, val
 			// (valid records still follow the bad one — refusing is the
 			// only non-destructive option).
 			if off := resyncScan(data, int(valid)); off >= 0 {
-				return nil, 0, fmt.Errorf("%w: %s: invalid record at offset %d but valid data at %d — refusing to truncate a sealed segment mid-file",
+				return segmentFile{}, fmt.Errorf("%w: %s: invalid record at offset %d but valid data at %d — refusing to truncate a sealed segment mid-file",
 					ErrCorrupt, filepath.Base(path), valid, off)
 			}
 		}
 		if !l.ro {
 			if err := l.fs.Truncate(path, valid); err != nil {
-				return nil, 0, fmt.Errorf("segmentlog: truncating torn tail: %w", err)
+				return segmentFile{}, fmt.Errorf("segmentlog: truncating torn tail: %w", err)
 			}
 		}
 		l.truncated += torn
 	}
-	return metas, valid, nil
+	if !final {
+		metas = slices.Clone(metas) // sealed, it grows no more: shed the scan's spare room
+	}
+	return segmentFile{path: path, size: valid, sum: sumOf(metas), recs: metas}, nil
 }
 
 // resyncScan looks for a valid, decodable record anywhere after from;
@@ -259,19 +240,15 @@ func (l *shardLog) rewriteEmpty(path string) error {
 }
 
 // cleanUnreferenced removes files a crashed compaction or rotation left
-// behind: a stale manifest temp file, and canonical segment or
-// block-index files the published list segs does not reference (either a
-// new generation that was never published, or a superseded generation
-// whose deletion was interrupted).
-func cleanUnreferenced(fsys vfs.FS, dir string, segs []manifestSeg) error {
-	live := make(map[string]bool, 2*len(segs))
+// behind: a stale manifest temp file, canonical segment files the published
+// list segs does not reference (either a new generation that was never
+// published, or a superseded generation whose deletion was interrupted), and
+// every "seg-*.idx" — the block index older versions wrote beside a sealed
+// segment, which nothing reads.
+func cleanUnreferenced(fsys vfs.FS, dir string, segs []segmentFile) error {
+	live := make(map[string]bool, len(segs))
 	for _, s := range segs {
-		live[s.Name] = true
-		if s.Idx {
-			if n, ok := parseSegName(s.Name); ok {
-				live[idxName(n)] = true
-			}
-		}
+		live[filepath.Base(s.path)] = true
 	}
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -279,14 +256,9 @@ func cleanUnreferenced(fsys vfs.FS, dir string, segs []manifestSeg) error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		stale := name == manifestTmpName
-		if _, ok := parseSegName(name); ok && !live[name] {
-			stale = true
-		}
-		if _, ok := parseIdxName(name); ok && !live[name] {
-			stale = true
-		}
-		if stale {
+		_, seg := parseSegName(name)
+		legacyIdx, _ := filepath.Match("seg-*.idx", name)
+		if name == manifestTmpName || seg && !live[name] || legacyIdx {
 			if err := fsys.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 				return fmt.Errorf("segmentlog: removing unreferenced %s: %w", name, err)
 			}

@@ -11,17 +11,16 @@
 // offsets + time bounds + spatial bounding boxes) and truncates a torn
 // tail left by a crash mid-write. Everything before the last completed
 // Sync is durable; a torn record after it is detected by length/CRC
-// validation and dropped. Sealed segments additionally carry a block
-// index file (see blockindex.go) so reopening a large log does not
-// re-read every byte, and window queries (see window.go) prune records
-// spatially without decoding them.
+// validation and dropped. A sealed segment is its own index: every open
+// scans it, and window queries (see window.go) prune records spatially
+// on the metadata the scan kept, without decoding them.
 //
 // On-disk layout. A log root (see sharded.go) holds SHARDS, the writer
 // LOCK and one shard directory per shard. A shard directory holds a
 // MANIFEST (see manifest.go) naming the live segment files in logical
-// order, numbered segment files "seg-00000001.log", "seg-00000002.log",
-// ..., and their sealed block indexes "seg-00000001.idx". There is one
-// on-disk format; a file or manifest carrying any other version is
+// order and the numbered segment files "seg-00000001.log",
+// "seg-00000002.log", .... There is one on-disk format; a file or
+// manifest carrying any other version is
 // rejected with ErrCorrupt. Segment numbers are allocated from a
 // monotonic sequence and never reused while referenced; after compaction
 // (see compact.go) a low-numbered file may be superseded by a
@@ -98,9 +97,7 @@ var ErrLocked = errors.New("segmentlog: directory locked by another process")
 // ErrCorrupt reports a structurally invalid segment file or manifest
 // (bad magic, unsupported version, sealed CRC mismatch) that recovery
 // cannot interpret at all; torn or checksum-failing records are
-// recovered from silently and do not raise it. A corrupt block-index
-// file never raises it either — the index is an accelerator and falls
-// back to scanning the segment.
+// recovered from silently and do not raise it.
 var ErrCorrupt = errors.New("segmentlog: corrupt segment file")
 
 // Options parameterizes OpenSharded.
@@ -146,9 +143,8 @@ type Record = trajstore.PersistedRecord
 
 // recordMeta is the indexed metadata of one record: where it lives in
 // its segment file and everything a query can prune on without
-// decoding the payload. It is read on Open from the segment's block
-// index (or by scanning the file) and is the unit the block index
-// serializes. It is 36 bytes: one is resident per record.
+// decoding the payload. Open reads it from the record's header by
+// scanning the segment file. It is 36 bytes: one is resident per record.
 type recordMeta struct {
 	trajstore.Bounds
 	dev     uint32 // device number: shardLog.names[dev] is its ID
@@ -169,7 +165,6 @@ type recordAddr struct {
 type segmentFile struct {
 	path string
 	size int64        // valid bytes, header included
-	idx  bool         // a sealed block-index file is live for this segment
 	sum  segSummary   // union of recs' bounds: what a window prunes the whole file on
 	recs []recordMeta // every record, in file order
 }
@@ -182,16 +177,15 @@ type refSnap struct {
 
 // Stats is a point-in-time snapshot of the log's contents.
 type Stats struct {
-	Segments    int    // segment files
-	IndexedSegs int    // sealed segments with a live block index
-	Records     int    // records indexed
-	Devices     int    // distinct device IDs
-	Bytes       int64  // total valid bytes on disk, headers included
-	Truncated   int64  // torn/corrupt tail bytes dropped by recovery on Open (detected, not dropped, in read-only mode)
-	Unsynced    int64  // bytes accepted but not yet covered by an fsync: with the engine's TrailBytes, what a SIGKILL now would lose
-	Gen         uint64 // manifest generation currently published
-	Rewritten   int64  // bytes the compactions published over this handle's lifetime wrote (BytesOut per pass): over what was appended, the write amplification
-	Reclaimed   int64  // net disk bytes freed by the compactions published over this handle's lifetime (BytesIn − BytesOut per pass)
+	Segments  int    // segment files
+	Records   int    // records indexed
+	Devices   int    // distinct device IDs
+	Bytes     int64  // total valid bytes on disk, headers included
+	Truncated int64  // torn/corrupt tail bytes dropped by recovery on Open (detected, not dropped, in read-only mode)
+	Unsynced  int64  // bytes accepted but not yet covered by an fsync: with the engine's TrailBytes, what a SIGKILL now would lose
+	Gen       uint64 // manifest generation currently published
+	Rewritten int64  // bytes the compactions published over this handle's lifetime wrote (BytesOut per pass): over what was appended, the write amplification
+	Reclaimed int64  // net disk bytes freed by the compactions published over this handle's lifetime (BytesIn − BytesOut per pass)
 	// Cache is the read cache's counters, all zero when none is configured.
 	// The shards share one cache: ShardedLog.Stats sets it once, not summed.
 	Cache cache.Stats
@@ -360,9 +354,6 @@ func (l *shardLog) Stats() Stats {
 	}
 	for i := range l.segs {
 		sf := &l.segs[i]
-		if sf.idx {
-			s.IndexedSegs++
-		}
 		s.Records += len(sf.recs)
 		if i == len(l.segs)-1 && !l.ro {
 			s.Bytes += l.off // the active segment, buffered appends included

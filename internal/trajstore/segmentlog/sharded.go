@@ -22,7 +22,7 @@ import (
 // package and the trajstore.Backend the ingestion engine persists into.
 // It fans one logical log out over N independent shard logs (N = 1 for
 // the single case), each in its own subdirectory with its own MANIFEST,
-// segment files and block indexes. Devices are routed by
+// and segment files. Devices are routed by
 // trajstore.ShardIndex — the same function the ingestion engine uses —
 // so when engine and log shard counts agree, each engine shard appends
 // into a log shard no other worker touches: appends, flushes, Syncs and
@@ -420,7 +420,6 @@ func (s *ShardedLog) Stats() Stats {
 	for _, lg := range s.shards {
 		st := lg.Stats()
 		out.Segments += st.Segments
-		out.IndexedSegs += st.IndexedSegs
 		out.Records += st.Records
 		out.Devices += st.Devices
 		out.Bytes += st.Bytes

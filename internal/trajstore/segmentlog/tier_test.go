@@ -143,7 +143,7 @@ func TestTickedLogMatchesExplicitTwin(t *testing.T) {
 	}
 }
 
-// countFS counts the bytes written to segment and block-index files.
+// countFS counts the bytes written to segment files.
 type countFS struct {
 	vfs.FS
 	written atomic.Int64
@@ -170,7 +170,7 @@ func (f *countFile) Write(p []byte) (int, error) {
 
 // TestTickCostFollowsWhatChanged holds compaction to its budget: over N ticks
 // of a log that seals k segments between them, the passes together write no
-// more segment and index bytes than the appends did times log2(N) — a byte is
+// more segment bytes than the appends did times log2(N) — a byte is
 // rewritten when the tier it lives in grows by half or more, not at every
 // tick. The same schedule with every pass explicit, what a tick was before
 // the selection, writes N/2 times what was appended and must blow the same

@@ -1,6 +1,6 @@
 // Package vfs abstracts the filesystem operations the segment log
 // performs, so the entire durable stack — appends, rotation, manifest
-// publish, block-index sealing, compaction, sharded migration — can run
+// publish, compaction, sharded migration — can run
 // against an injected failing filesystem in tests while production code
 // pays nothing for the seam.
 //

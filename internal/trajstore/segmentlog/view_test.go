@@ -99,7 +99,7 @@ func snapshotAnswers(t *testing.T, l *shardLog, windows map[string][4]float64) a
 // TestReopenAnswersIdentically: after appends, rotations and a compaction
 // that rewrote the sealed prefix, Stats, Devices, every DeviceSpan and a
 // fixed set of windows — pruning statistics included, the selective one
-// skipping whole segments on their manifest summaries — are the same on
+// skipping whole segments on their summaries — are the same on
 // the live log, on a read-only handle beside it, after a writable reopen
 // and on a read-only handle after that.
 func TestReopenAnswersIdentically(t *testing.T) {
@@ -135,7 +135,7 @@ func TestReopenAnswersIdentically(t *testing.T) {
 		"empty":     {50, 50, 60, 60},
 	}
 	want := snapshotAnswers(t, l, windows)
-	if st := want.Stats; st.IndexedSegs < 3 || st.IndexedSegs != st.Segments-1 || st.Devices != 6 {
+	if st := want.Stats; st.Segments < 4 || st.Devices != 6 {
 		t.Fatalf("fixture too small: %+v", st)
 	}
 	if ws := want.Pruning["selective"]; ws.SegmentsPruned == 0 || ws.RecordsMatched == 0 {
@@ -180,7 +180,7 @@ func TestStatsDoesNoIO(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if want.IndexedSegs < 3 {
+	if want.Segments < 4 {
 		t.Fatalf("fixture sealed too few segments: %+v", want)
 	}
 	fs := vfs.NewFaultFS(0) // ruleless: pure op observer
@@ -237,7 +237,7 @@ func heapAfterGC() int64 {
 // a shard log keeps per record — its recordMeta, its index entry, what the
 // index lists' growth leaves spare, the salvage buffer and the segments'
 // share — after 50 000 appends over 500 devices and 64 KiB segments, and
-// after a reopen of that log through its block indexes. Appended, it holds
+// after a reopen of that log, which scans every segment. Appended, it holds
 // too that a sealed segment's record list sheds append's spare room.
 func TestIndexBytesPerRecord(t *testing.T) {
 	dir := t.TempDir()
@@ -266,7 +266,7 @@ func TestIndexBytesPerRecord(t *testing.T) {
 }
 
 // BenchmarkOpen reopens a sealed 50 000-record, 500-device log read-only:
-// every segment through its block index, nothing written. B/op and
+// every segment scanned, nothing written. B/op and
 // allocs/op are what building the one view costs.
 func BenchmarkOpen(b *testing.B) {
 	dir := b.TempDir()
@@ -284,24 +284,21 @@ func BenchmarkOpen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st := l.Stats(); st.Records != n || st.IndexedSegs != st.Segments-1 {
-			b.Fatalf("reopened %+v, want %d records and every sealed segment indexed", st, n)
+		if st := l.Stats(); st.Records != n {
+			b.Fatalf("reopened %+v, want %d records", st, n)
 		}
 		l.Close()
 	}
 }
 
-// TestSealedDamageAtOpen: whatever is wrong with a sealed segment or
-// its block index is dealt with by OpenSharded — never by whichever scrape
-// or query touches the segment first — writable and read-only. A missing,
-// stale or manifest-contradicting index is an accelerator lost: the
-// segment is scanned, and a writable open rebuilds the index and publishes
-// it. A segment that cannot be read as this format, or whose damage sits
-// in front of valid records, is refused with ErrCorrupt; only a read-only
-// handle salvages the prefix, counting the rest in Stats.Truncated. A torn
-// tail (nothing valid after the cut) is truncated, or skipped read-only.
-// What the open does not re-read — record bytes under a valid index —
-// fails loudly at the read instead (the per-read CRC check).
+// TestSealedDamageAtOpen: whatever is wrong with a sealed segment is dealt
+// with by OpenSharded's scan — never by whichever scrape or query touches the
+// segment first — writable and read-only. A segment that cannot be read as
+// this format, or whose damage sits in front of valid records, is refused
+// with ErrCorrupt; only a read-only handle salvages the prefix, counting the
+// rest in Stats.Truncated. A torn tail (nothing valid after the cut) is
+// truncated, or skipped read-only. What the open did not see — bytes that
+// rot after it — fails loudly at the read instead (the per-read CRC check).
 func TestSealedDamageAtOpen(t *testing.T) {
 	const sealed, tail = 5, 2 // records in sealed segment 1 and in the active segment 2
 	build := func(t *testing.T) (root, seg string, metas []recordMeta) {
@@ -330,12 +327,12 @@ func TestSealedDamageAtOpen(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, metas, err = loadBlockIndex(vfs.OS, seg, nameLog().internLocked); err != nil || len(metas) != sealed {
-			t.Fatalf("fixture: segment 1 sealed %d records: %v", len(metas), err)
+		sf, err := (&shardLog{fs: vfs.OS, ro: true, ids: map[string]uint32{}}).loadSegment(seg, false)
+		if err != nil || len(sf.recs) != sealed {
+			t.Fatalf("fixture: segment 1 sealed %d records: %v", len(sf.recs), err)
 		}
-		return root, seg, metas
+		return root, seg, sf.recs
 	}
-	idxOf := func(seg string) string { p, _ := idxPathFor(seg); return p }
 	rewrite := func(t *testing.T, path string, mutate func([]byte) []byte) {
 		t.Helper()
 		data, err := os.ReadFile(path)
@@ -348,10 +345,8 @@ func TestSealedDamageAtOpen(t *testing.T) {
 	}
 	type outcome int
 	const (
-		served    outcome = iota // opens; every record answered; writable: index rebuilt and published
-		refused                  // OpenSharded = ErrCorrupt
-		salvaged                 // opens with Stats.Truncated > 0 serving the valid prefix
-		readFails                // opens (the index vouches for the bytes); the read = ErrCorrupt
+		refused  outcome = iota // OpenSharded = ErrCorrupt
+		salvaged                // opens with Stats.Truncated > 0 serving the valid prefix
 	)
 	for _, c := range []struct {
 		name     string
@@ -360,36 +355,11 @@ func TestSealedDamageAtOpen(t *testing.T) {
 		readOnly outcome
 		prefix   int // records a salvage keeps
 	}{
-		{"idx-missing", func(t *testing.T, seg string, _ []recordMeta) {
-			if err := os.Remove(idxOf(seg)); err != nil {
-				t.Fatal(err)
-			}
-		}, served, served, 0},
-		{"idx-stale", func(t *testing.T, seg string, metas []recordMeta) {
-			// The index of an earlier, shorter life of the file.
-			short := metas[:len(metas)-1]
-			end := int64(short[len(short)-1].off + short[len(short)-1].bodyLen)
-			rewrite(t, idxOf(seg), func([]byte) []byte { return formatBlockIndex(end, short, []string{"dev"}) })
-		}, served, served, 0},
-		{"idx-vs-sum", func(t *testing.T, seg string, metas []recordMeta) {
-			// Right size, valid CRC, one record short of what the manifest sealed.
-			fi, err := os.Stat(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rewrite(t, idxOf(seg), func([]byte) []byte { return formatBlockIndex(fi.Size(), metas[:len(metas)-1], []string{"dev"}) })
-		}, served, served, 0},
 		{"v1-header", func(t *testing.T, seg string, _ []recordMeta) {
 			rewrite(t, seg, func(b []byte) []byte { b[6] = 1; return b })
-			if err := os.Remove(idxOf(seg)); err != nil {
-				t.Fatal(err)
-			}
 		}, refused, refused, 0},
 		{"mid-file", func(t *testing.T, seg string, metas []recordMeta) {
 			rewrite(t, seg, func(b []byte) []byte { b[metas[2].off+4] ^= 0x40; return b })
-			if err := os.Remove(idxOf(seg)); err != nil {
-				t.Fatal(err)
-			}
 		}, refused, salvaged, 2},
 		{"torn-tail", func(t *testing.T, seg string, metas []recordMeta) {
 			// An unsynced-rotation crash: cut mid-record, nothing valid after.
@@ -397,9 +367,6 @@ func TestSealedDamageAtOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, salvaged, salvaged, 3},
-		{"rot-under-idx", func(t *testing.T, seg string, metas []recordMeta) {
-			rewrite(t, seg, func(b []byte) []byte { b[metas[2].off+4] ^= 0x40; return b })
-		}, readFails, readFails, 0},
 	} {
 		for _, ro := range []bool{false, true} {
 			mode, want := "writable", c.writable
@@ -423,37 +390,34 @@ func TestSealedDamageAtOpen(t *testing.T) {
 				defer s.Close()
 				st := s.Stats()
 				recs, err := s.Query("dev", 0, math.MaxUint32)
-				switch want {
-				case readFails:
-					if !errors.Is(err, ErrCorrupt) {
-						t.Fatalf("Query over the rotten record = %v, want ErrCorrupt", err)
-					}
-					return
-				case served:
-					if err != nil || len(recs) != sealed+tail || st.Truncated != 0 {
-						t.Fatalf("%d records served (%v), %+v; want all %d and nothing truncated", len(recs), err, st, sealed+tail)
-					}
-				case salvaged:
-					if keep := c.prefix + tail; err != nil || len(recs) != keep || st.Truncated == 0 {
-						t.Fatalf("%d records served (%v), %+v; want the %d-record prefix and the loss counted", len(recs), err, st, keep)
-					}
+				if keep := c.prefix + tail; err != nil || len(recs) != keep || st.Truncated == 0 {
+					t.Fatalf("%d records served (%v), %+v; want the %d-record prefix and the loss counted", len(recs), err, st, keep)
 				}
 				checkView(t, s.shards[0])
 				if ro {
 					if after := treeFiles(t, root); !reflect.DeepEqual(after, before) {
 						t.Fatal("read-only open modified the directory")
 					}
-					return
-				}
-				// Rebuilt and published: the index on disk covers what the
-				// scan kept, and the manifest this open wrote references it.
-				_, healed, err := loadBlockIndex(vfs.OS, seg, nameLog().internLocked)
-				man, _, merr := readManifest(vfs.OS, filepath.Dir(seg))
-				if err != nil || merr != nil || !man.Segs[0].Idx || st.IndexedSegs != st.Segments-1 ||
-					man.Segs[0].Sum == nil || man.Segs[0].Sum.records != len(healed) || len(healed) != len(recs)-tail {
-					t.Fatalf("index not rebuilt and published: %d entries (%v), manifest %+v (%v), %+v", len(healed), err, man.Segs, merr, st)
 				}
 			})
 		}
+	}
+	for _, ro := range []bool{false, true} {
+		mode := "writable"
+		if ro {
+			mode = "read-only"
+		}
+		t.Run("rot-after-open/"+mode, func(t *testing.T) {
+			root, seg, metas := build(t)
+			s, err := OpenSharded(root, 0, Options{ReadOnly: ro})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			rewrite(t, seg, func(b []byte) []byte { b[metas[2].off+4] ^= 0x40; return b })
+			if _, err := s.Query("dev", 0, math.MaxUint32); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Query over the rotten record = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }

@@ -2,20 +2,18 @@
 // the cross-device counterpart of the per-device Query: it returns
 // every record whose trajectory actually enters an axis-aligned window
 // during a time range, pruning with two metadata tiers before touching
-// any payload — per-segment summaries (the manifest-level bbox/time
-// union of a whole file) and per-record bounding boxes (from the block
-// index / record headers). The bounding structures only ever prune: a
-// candidate record's block is walked and tested exactly, so the indexed
-// and the scan-fallback paths return identical results.
+// any payload — per-segment summaries (the bbox/time union of a whole
+// file) and per-record bounding boxes (from the record headers). The
+// bounding structures only ever prune: a candidate record's block is
+// walked and tested exactly.
 package segmentlog
 
 import "github.com/trajcomp/bqs/internal/trajstore"
 
 // segSummary is the per-segment metadata union used for segment-level
 // pruning: the bounds of every record in the file (valid when records >
-// 0). It is maintained incrementally on append, rebuilt from the block
-// index or scan on Open, and published in the MANIFEST for sealed
-// segments.
+// 0). It is maintained incrementally on append and rebuilt by the scan on
+// Open.
 type segSummary struct {
 	records int
 	trajstore.Bounds
@@ -40,7 +38,7 @@ func sumOf(metas []recordMeta) (s segSummary) {
 
 // WindowStats reports how a window query was answered: how much the
 // two pruning tiers saved and how many records had to be read. The
-// selectivity win of the block index is RecordsDecoded versus the
+// selectivity win of the metadata is RecordsDecoded versus the
 // total record count a full scan would read.
 type WindowStats struct {
 	Segments       int // segments in the snapshot

@@ -9,7 +9,7 @@ import (
 // benchWindowLog builds the window-query benchmark fixture: 50 devices
 // in separate spatial cells, 20 records each (device-major, so sealed
 // segments cover distinct regions), rotated into multiple sealed
-// segments with block indexes.
+// segments.
 func benchWindowLog(b *testing.B) (*shardLog, int) {
 	b.Helper()
 	dir := b.TempDir()
@@ -26,8 +26,8 @@ func benchWindowLog(b *testing.B) (*shardLog, int) {
 		}
 	}
 	s := l.Stats()
-	if s.IndexedSegs == 0 {
-		b.Fatalf("benchmark log has no sealed block indexes: %+v", s)
+	if s.Segments < 2 {
+		b.Fatalf("benchmark log has no sealed segment: %+v", s)
 	}
 	return l, s.Records
 }

@@ -3,15 +3,12 @@ package segmentlog
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
-	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
 
 // windowMatch is the reference predicate the block walk (window.check) is
@@ -217,8 +214,8 @@ func TestQueryWindowSelectivity(t *testing.T) {
 	}
 }
 
-// TestQueryWindowSurvivesReopenAndCompact: identical results through
-// the block-index load path and after a compaction rewrite.
+// TestQueryWindowSurvivesReopenAndCompact: identical results after a
+// reopen, which scans every segment, and after a compaction rewrite.
 func TestQueryWindowSurvivesReopenAndCompact(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{MaxSegmentBytes: 2048})
@@ -229,10 +226,10 @@ func TestQueryWindowSurvivesReopenAndCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: sealed segments come back through their block indexes.
+	// Reopen: sealed segments come back through the scan.
 	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 2048})
-	if s := l2.Stats(); s.IndexedSegs == 0 || s.IndexedSegs != s.Segments-1 {
-		t.Fatalf("sealed segments not index-loaded: %+v", s)
+	if s := l2.Stats(); s.Segments < 2 {
+		t.Fatalf("no sealed segment to reload: %+v", s)
 	}
 	if got := byDevice(mustWindow(t, l2, minX, minY, maxX, maxY)); !reflect.DeepEqual(got, want) {
 		t.Fatal("window results changed across reopen")
@@ -259,137 +256,6 @@ func mustWindow(t *testing.T, l *shardLog, minX, minY, maxX, maxY float64) []Rec
 		t.Fatal(err)
 	}
 	return recs
-}
-
-// TestBlockIndexCorruptionFallsBack flips every byte of a sealed block
-// index in turn: the log must open and answer the window query
-// identically every time — a bad index degrades to a scan, never to
-// wrong results. Read-only mode is used so the open cannot heal the
-// index between flips.
-func TestBlockIndexCorruptionFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{MaxSegmentBytes: 1024})
-	fillCells(t, l, 4, 8, 12)
-	minX, minY, maxX, maxY := cellWindow(1, 2)
-	want := byDevice(mustWindow(t, l, minX, minY, maxX, maxY))
-	if s := l.Stats(); s.IndexedSegs == 0 {
-		t.Fatalf("no sealed block index to corrupt: %+v", s)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	idxPath := filepath.Join(dir, idxName(1))
-	orig, err := os.ReadFile(idxPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(stage string) {
-		t.Helper()
-		ro := mustOpen(t, dir, Options{ReadOnly: true})
-		defer ro.Close()
-		if got := byDevice(mustWindow(t, ro, minX, minY, maxX, maxY)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: window results diverged", stage)
-		}
-	}
-	for i := 0; i < len(orig); i++ {
-		mut := append([]byte(nil), orig...)
-		mut[i] ^= 0xff
-		if err := os.WriteFile(idxPath, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("flip byte %d", i))
-	}
-	for _, cut := range []int{0, 1, len(orig) / 2, len(orig) - 1} {
-		if err := os.WriteFile(idxPath, orig[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("truncate to %d", cut))
-	}
-	if err := os.Remove(idxPath); err != nil {
-		t.Fatal(err)
-	}
-	check("missing index")
-
-	// A writable open scans past the damage and reseals the index.
-	lw := mustOpen(t, dir, Options{MaxSegmentBytes: 2048})
-	if s := lw.Stats(); s.IndexedSegs != s.Segments-1 {
-		t.Fatalf("writable open did not heal the block index: %+v", s)
-	}
-	if got := byDevice(mustWindow(t, lw, minX, minY, maxX, maxY)); !reflect.DeepEqual(got, want) {
-		t.Fatal("healed index changed window results")
-	}
-	if err := lw.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHealedIndexSurvivesSweep: when the manifest does not reference a
-// sealed v2 segment's index (a rotation whose manifest publish failed),
-// the writable Open that scans and re-seals the index publishes a
-// manifest that references it, so the unreferenced-file sweep — which
-// runs against that list — keeps what it just wrote, and the next Open
-// loads through it.
-func TestHealedIndexSurvivesSweep(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{MaxSegmentBytes: 1024})
-	fillCells(t, l, 6, 8, 12)
-	minX, minY, maxX, maxY := cellWindow(1, 2)
-	want := byDevice(mustWindow(t, l, minX, minY, maxX, maxY))
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Strip the idx references (and summaries) from the manifest and
-	// remove the index files, as if no rotation ever published them.
-	man, found, err := readManifest(vfs.OS, dir)
-	if err != nil || !found {
-		t.Fatalf("readManifest: %v found=%v", err, found)
-	}
-	sealed := 0
-	for i := range man.Segs {
-		if man.Segs[i].Idx {
-			sealed++
-		}
-		man.Segs[i].Idx = false
-		man.Segs[i].Sum = nil
-	}
-	if sealed == 0 {
-		t.Fatal("fixture produced no sealed indexes")
-	}
-	man.Gen++
-	if err := writeManifest(vfs.OS, dir, man); err != nil {
-		t.Fatal(err)
-	}
-	idxFiles, _ := filepath.Glob(filepath.Join(dir, "seg-*.idx"))
-	for _, p := range idxFiles {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The healing open must scan, re-seal the indexes, and leave them
-	// on disk — referenced by the manifest it publishes.
-	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 2048})
-	if s := l2.Stats(); s.IndexedSegs != s.Segments-1 {
-		t.Fatalf("healing open did not reseal the indexes: %+v", s)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	left, _ := filepath.Glob(filepath.Join(dir, "seg-*.idx"))
-	if len(left) != sealed {
-		t.Fatalf("sweep ate the healed indexes: %d on disk, want %d", len(left), sealed)
-	}
-	// And the next open actually loads through them, with identical
-	// query results.
-	l3 := mustOpen(t, dir, Options{MaxSegmentBytes: 2048})
-	defer l3.Close()
-	if s := l3.Stats(); s.IndexedSegs != s.Segments-1 {
-		t.Fatalf("healed indexes not loaded on reopen: %+v", s)
-	}
-	if got := byDevice(mustWindow(t, l3, minX, minY, maxX, maxY)); !reflect.DeepEqual(got, want) {
-		t.Fatal("window results changed across index healing")
-	}
 }
 
 // TestQueryWindowConcurrent exercises QueryWindow racing Append-driven
