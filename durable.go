@@ -9,13 +9,12 @@ import (
 )
 
 // Durable persistence: the append-only, CRC-checksummed segment log
-// (internal/trajstore/segmentlog) makes the ingestion engine
-// restartable. Finalized session trajectories are appended in the
-// delta-varint wire format, Engine.Sync is the durability barrier, and
-// on reopen the log truncates any torn tail left by a crash and rebuilds
-// its device/time index by scanning every segment's record headers.
-// There is one log type — ShardedSegmentLog, a single
-// shard being the n = 1 case — and one on-disk format.
+// (internal/trajstore/segmentlog) makes the ingestion engine restartable.
+// Finalized session trajectories are appended Rice-coded, Engine.Sync is
+// the durability barrier, and on reopen the log truncates any torn tail
+// left by a crash and rebuilds its device/time index by scanning every
+// segment's record headers. There is one log type — ShardedSegmentLog, a
+// single shard being the n = 1 case — and one on-disk format it writes.
 
 // Persister is the durability hook consumed by the engine: Append
 // receives every finalized trajectory, Sync is the durability barrier.

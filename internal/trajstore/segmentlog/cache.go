@@ -1,4 +1,4 @@
-// Read-side record cache: verified record payloads keyed by (segment
+// Read-side record cache: verified records' blocks keyed by (segment
 // path, record offset). The bytes at a (path, off) never change while
 // the cache lives: appends only extend a file, a sealed file is never
 // written again, segment numbers are never reused, heal and compaction
@@ -6,8 +6,8 @@
 // there is no invalidation protocol: a rotation costs nothing, and the
 // entries of files a compaction deletes or a heal cuts off simply stop
 // being looked up and age out of the LRU tail. A cache hit serves from
-// memory and therefore skips the pread and the CRC re-verification; the
-// CRC was verified when the entry was populated.
+// memory and therefore skips the pread, the CRC re-verification and the
+// unpacking; the CRC was verified when the entry was populated.
 //
 // One cache is shared by all shard logs of a ShardedLog (a single
 // budget for the tree); the path component of the key includes the
@@ -28,9 +28,9 @@ type recKey struct {
 type recordCache = cache.Cache[recKey, Block]
 
 // newRecordCache builds a record cache with the given byte budget (nil —
-// off — when maxBytes ≤ 0). An entry is charged what it holds: the stored
-// bytes, the key strings, and a fixed allowance for the record header the
-// payload's buffer also pins and for struct, list and map overhead.
+// off — when maxBytes ≤ 0). An entry is charged what it holds: the block,
+// unpacked into a buffer of its own, the key strings, and a fixed allowance
+// for struct, list and map overhead.
 func newRecordCache(maxBytes int64) *recordCache {
 	return cache.New(maxBytes, func(k recKey, v Block) int64 {
 		return int64(len(k.path)+len(v.Device)+len(v.Payload)) + 128

@@ -72,7 +72,7 @@ func pairSets(recs []Record) map[string]map[[6]float64]bool {
 // are bit-identical at every stage.
 func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{MaxSegmentBytes: 1024, CacheBytes: 1 << 20})
+	l := mustOpen(t, dir, Options{MaxSegmentBytes: 1000, CacheBytes: 1 << 20})
 	defer l.Close()
 	fillChunked(t, l, 6, 160, 8)
 

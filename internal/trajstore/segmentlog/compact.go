@@ -45,7 +45,6 @@
 package segmentlog
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -212,8 +211,8 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	// Open every selected file once; workers share the handles via pread.
 	files := &segReader{fs: l.fs}
 	defer files.close()
-	for i, sf := range sealed {
-		if err := files.open(i, sf.path, len(sealed)); err != nil {
+	for i := range sealed {
+		if err := files.open(i, &sealed[i], len(sealed)); err != nil {
 			return res, fmt.Errorf("compact: %w", err)
 		}
 	}
@@ -278,8 +277,9 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	// output and skip the publish — no generation bump, no fsync storm — and
 	// the selection is a tier from here on, which no tick reads again before
 	// tierRatio says so. (RecordsIn == 0 still publishes, to drop the empty
-	// files.)
-	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && res.RecordsIn > 0 {
+	// files, and a version-2 segment in the selection, to rewrite it.)
+	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && res.RecordsIn > 0 &&
+		!slices.ContainsFunc(sealed, func(s segmentFile) bool { return s.legacy }) {
 		cw.discard()
 		res.RecordsOut, res.SegmentsOut, res.BytesOut = res.RecordsIn, res.SegmentsIn, res.BytesIn
 		settle(len(sealed))
@@ -385,13 +385,13 @@ func (l *shardLog) compactDevice(addrs []recordAddr, devLen int, sealed []segmen
 // mergeChunks re-joins consecutive records that overlap by exactly one
 // key point (the engine's chunking invariant: each chunk restarts from
 // the previous chunk's last key) by joining their blocks — see Trail.Join.
-// Merging stops before a record (of a devLen-byte ID) would exceed the cap.
+// Merging stops at a trajstore.PackedBound over the cap (≈ 466 000 keys).
 func mergeChunks(recs []compactRecord, devLen int) (out []compactRecord, merged int) {
 	out = recs[:0]
 	for _, r := range recs {
 		if len(out) > 0 {
 			prev := &out[len(out)-1]
-			if minBodySize+devLen+binary.MaxVarintLen64+prev.trail.Size()+r.trail.Size() <= MaxRecordBytes &&
+			if minBodySize+devLen+trajstore.PackedBound(prev.trail.Len()+r.trail.Len()) <= MaxRecordBytes &&
 				prev.trail.Join(&r.trail) {
 				prev.t0, prev.t1 = min(prev.t0, r.t0), max(prev.t1, r.t1)
 				merged++

@@ -107,6 +107,47 @@ func TestCompactMergeChunks(t *testing.T) {
 
 // TestCompactDedup: exact duplicates and fully-contained records of the
 // same device are dropped; partial overlaps and other devices survive.
+// TestMergeCapIsPackedBound pins where a merge stops: while the two
+// records' keys keep minBodySize + ID + trajstore.PackedBound under
+// MaxRecordBytes — ≈ 466 000 keys, every code priced as an escape —
+// whatever the blocks' real size, so a merged record always frames.
+func TestMergeCapIsPackedBound(t *testing.T) {
+	const devLen = 6
+	perKey := trajstore.PackedBound(2) - trajstore.PackedBound(1)
+	limit := (MaxRecordBytes-minBodySize-devLen-trajstore.PackedBound(1))/perKey + 1
+	if minBodySize+devLen+trajstore.PackedBound(limit) > MaxRecordBytes || minBodySize+devLen+trajstore.PackedBound(limit+1) <= MaxRecordBytes {
+		t.Fatalf("limit %d is not the last key count under the cap", limit)
+	}
+	if limit < 460_000 || limit > 470_000 {
+		t.Fatalf("merge cap %d keys, want ≈ 466 000", limit)
+	}
+	// chunk is keys [from, to) of one zig-zag; consecutive chunks share a key.
+	chunk := func(from, to int) compactRecord {
+		var tr trajstore.Trail
+		for i := from; i < to; i++ {
+			if err := tr.Add(trajstore.GeoKey{Lat: float64(i%7) * 1e-4, Lon: float64(i) * 1e-5, T: uint32(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return compactRecord{t0: uint32(from), t1: uint32(to - 1), trail: tr}
+	}
+	for _, over := range []int{0, 1} {
+		half := limit / 2
+		recs := []compactRecord{chunk(0, half), chunk(half-1, limit+over-1)} // Len sum: limit + over
+		out, merged := mergeChunks(recs, devLen)
+		if want := 1 - over; merged != want || len(out) != 2-want {
+			t.Fatalf("%d keys a pair: merged %d into %d records, want %d merge", limit+over, merged, len(out), want)
+		}
+		if over == 0 {
+			framed, err := frameRecord(nil, "dev-00", out[0].trail.Bounds(), &out[0].trail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("merged %d keys: %d B framed, %d B as delta varints, cap %d B", out[0].trail.Len(), len(framed), out[0].trail.Size(), MaxRecordBytes)
+		}
+	}
+}
+
 func TestCompactDedup(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{MaxSegmentBytes: 256})
@@ -354,12 +395,18 @@ func TestCompactAgeingKeepsEdgeBytes(t *testing.T) {
 	}
 }
 
+// crashSegBytes is the rotation threshold of the compaction fixtures and the
+// crash tests over them: small enough that the fixture seals several
+// segments and a pass writes several, so each step of the publish protocol
+// recurs among the crash points.
+const crashSegBytes = 300
+
 // compactionFixture builds a deterministic chunked multi-device log and
 // returns the directory plus the expected per-device stitched polylines.
 func compactionFixture(t *testing.T) (string, map[string][]trajstore.GeoKey) {
 	t.Helper()
 	dir := t.TempDir()
-	return dir, fillCompactionFixture(t, mustOpen(t, dir, Options{MaxSegmentBytes: 512}))
+	return dir, fillCompactionFixture(t, mustOpen(t, dir, Options{MaxSegmentBytes: crashSegBytes}))
 }
 
 // fillCompactionFixture writes the fixture content through l — a shard
@@ -460,7 +507,7 @@ func TestCompactCrashAtEveryStep(t *testing.T) {
 		// in every run.
 		probeDir, _ := compactionFixture(t)
 		obs := vfs.NewFaultFS(0)
-		probe := mustOpen(t, probeDir, Options{MaxSegmentBytes: 512, FS: obs})
+		probe := mustOpen(t, probeDir, Options{MaxSegmentBytes: crashSegBytes, FS: obs})
 		n0, older := obs.Ops(), probe.Stats().Segments-1
 		ok, res, err := script(probe)
 		if !ok || err != nil || res.Gen == 0 {
@@ -484,7 +531,7 @@ func TestCompactCrashAtEveryStep(t *testing.T) {
 				// the script usually dies at op k — a crash inside a
 				// best-effort step can still report success. Either way the
 				// handle is dead afterwards.
-				if l, err := openShardLog(dir, Options{MaxSegmentBytes: 512, FS: fs}); err == nil {
+				if l, err := openShardLog(dir, Options{MaxSegmentBytes: crashSegBytes, FS: fs}); err == nil {
 					if durable, _, _ := script(l); durable {
 						want["tail"] = tail
 						if tick {

@@ -37,7 +37,7 @@ func nextRecord(data []byte, pos int) (body []byte, bodyOff, next int, ok bool) 
 
 // minBodySize is the smallest legal body: device length prefix (may be
 // zero bytes of ID), both time bounds, the 16-byte bounding box, and a
-// ≥1-byte payload (the delta-varint count).
+// ≥1-byte payload (the key count).
 const minBodySize = 2 + 4 + 4 + 16 + 1
 
 // splitBody splits a validated record body into its fields, slices of it.
@@ -64,9 +64,9 @@ func splitBody(body []byte) (device []byte, b trajstore.Bounds, payload []byte, 
 const boundsSize = 8 + 16
 
 // frameRecord appends the full wire form of one record — length prefix,
-// CRC, header, the trail's block — to dst; on an error dst comes back as
-// it was. Shared by the append path and the compactor so the two can
-// never drift apart on format. b is the caller's: the trail's own bounds,
+// CRC, header, the trail's packed block — to dst; on an error dst comes
+// back as it was. Shared by the append path and the compactor so the two
+// can never drift apart on format. b is the caller's: the trail's own bounds,
 // except that the compactor keeps a record's indexed time span when
 // ageing thins its keys.
 func frameRecord(dst []byte, device string, b trajstore.Bounds, tr *trajstore.Trail) ([]byte, error) {
@@ -80,7 +80,7 @@ func frameRecord(dst []byte, device string, b trajstore.Bounds, tr *trajstore.Tr
 	for _, v := range [...]uint32{b.T0, b.T1, uint32(b.MinLat), uint32(b.MinLon), uint32(b.MaxLat), uint32(b.MaxLon)} {
 		dst = binary.LittleEndian.AppendUint32(dst, v)
 	}
-	dst = tr.AppendBlock(dst)
+	dst = tr.AppendPacked(dst)
 	body := dst[start+recordHeaderSize:]
 	if len(body) > MaxRecordBytes {
 		return dst[:start], fmt.Errorf("segmentlog: record body %d bytes exceeds MaxRecordBytes", len(body))
@@ -88,6 +88,16 @@ func frameRecord(dst []byte, device string, b trajstore.Bounds, tr *trajstore.Tr
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, castagnoli))
 	return dst, nil
+}
+
+// validPayload reports whether a read will serve payload; scratch: its unpacking.
+func validPayload(payload []byte, legacy bool, scratch *[]byte) bool {
+	if legacy {
+		return trajstore.DeltaValidate(payload)
+	}
+	var err error
+	*scratch, err = trajstore.UnpackBlock((*scratch)[:0], payload)
+	return err == nil
 }
 
 func writeHeader(f vfs.File) error {

@@ -106,7 +106,7 @@ func (l *shardLog) snapshot(files *segReader, pick func() []refSnap) (refs []ref
 		path := l.segs[ref.seg].path
 		if blk, hit := l.cache.Get(recKey{path: path, off: ref.off}); hit {
 			cached[i] = blk
-		} else if err := files.open(ref.seg, path, len(l.segs)); err != nil {
+		} else if err := files.open(ref.seg, &l.segs[ref.seg], len(l.segs)); err != nil {
 			if l.ro && errors.Is(err, fs.ErrNotExist) {
 				err = fmt.Errorf("segmentlog: log rewritten by a concurrent compaction; reopen to read the new generation: %w", err)
 			}
@@ -117,12 +117,12 @@ func (l *shardLog) snapshot(files *segReader, pick func() []refSnap) (refs []ref
 }
 
 // segReader reads CRC-verified records through one handle per segment:
-// opened first — seg of n, at path — then shared by any number of readers
-// (preads).
+// opened first — seg of n — then shared by any number of readers (preads).
 type segReader struct {
-	fs    vfs.FS
-	paths []string   // by segment; set once opened
-	files []vfs.File // parallel to paths
+	fs     vfs.FS
+	paths  []string   // by segment; set once opened
+	legacy []bool     // parallel to paths: the segment is version 2
+	files  []vfs.File // parallel to paths
 }
 
 func (r *segReader) close() {
@@ -133,26 +133,26 @@ func (r *segReader) close() {
 	}
 }
 
-func (r *segReader) open(seg int, path string, n int) (err error) {
+func (r *segReader) open(seg int, sf *segmentFile, n int) (err error) {
 	if r.files == nil {
-		r.paths, r.files = make([]string, n), make([]vfs.File, n)
+		r.paths, r.legacy, r.files = make([]string, n), make([]bool, n), make([]vfs.File, n)
 	}
 	if r.files[seg] == nil {
-		if r.files[seg], err = r.fs.Open(path); err != nil {
+		if r.files[seg], err = r.fs.Open(sf.path); err != nil {
 			return fmt.Errorf("segmentlog: %w", err)
 		}
-		r.paths[seg] = path
+		r.paths[seg], r.legacy[seg] = sf.path, sf.legacy
 	}
 	return nil
 }
 
 // readBlock reads ref's record — header and body — from its opened
-// segment via pread (safe for concurrent use of the shared handle) and
-// re-verifies the length prefix and CRC against the indexed metadata: the
-// index-time check does not protect against bit rot between Open and the
-// read.
+// segment via pread (safe for concurrent use of the shared handle),
+// re-verifies the length prefix and CRC against the indexed metadata (bit
+// rot between Open and the read) and returns its block, copied out at size.
 func (r *segReader) readBlock(ref refSnap) (Block, error) {
-	rec := make([]byte, recordHeaderSize+int(ref.bodyLen))
+	n := recordHeaderSize + int(ref.bodyLen)
+	rec := make([]byte, n, 3*n) // and room to unpack after it
 	if _, err := r.files[ref.seg].ReadAt(rec, int64(ref.off)-recordHeaderSize); err != nil {
 		return Block{}, fmt.Errorf("segmentlog: reading record: %w", err)
 	}
@@ -161,8 +161,11 @@ func (r *segReader) readBlock(ref refSnap) (Block, error) {
 		return Block{}, fmt.Errorf("%w: record at offset %d no longer matches its length and checksum", ErrCorrupt, ref.off)
 	}
 	dev, b, payload, err := splitBody(body)
+	if err == nil && !r.legacy[ref.seg] {
+		payload, err = trajstore.UnpackBlock(rec[n:], payload)
+	}
 	if err != nil {
 		return Block{}, fmt.Errorf("%w: indexed record unreadable: %v", ErrCorrupt, err)
 	}
-	return Block{Device: string(dev), T0: b.T0, T1: b.T1, Payload: payload}, nil
+	return Block{Device: string(dev), T0: b.T0, T1: b.T1, Payload: append([]byte(nil), payload...)}, nil
 }

@@ -1,6 +1,6 @@
 // Package segmentlog is the durable persistence layer of the trajectory
 // database: an append-only, CRC-checksummed log of finalized compressed
-// trajectories in the trajstore delta-varint wire format.
+// trajectories, stored as trajstore.Trail.AppendPacked writes them.
 //
 // The design follows the constraints of the paper's target platform and
 // the ROADMAP's server-side north star at once: writes are single-pass
@@ -19,13 +19,13 @@
 // LOCK and one shard directory per shard. A shard directory holds a
 // MANIFEST (see manifest.go) naming the live segment files in logical
 // order and the numbered segment files "seg-00000001.log",
-// "seg-00000002.log", .... There is one on-disk format; a file or
-// manifest carrying any other version is
-// rejected with ErrCorrupt. Segment numbers are allocated from a
-// monotonic sequence and never reused while referenced; after compaction
-// (see compact.go) a low-numbered file may be superseded by a
-// higher-numbered one holding older data, which is why the MANIFEST —
-// not directory order — defines the log. Each segment file starts with
+// "seg-00000002.log", .... Writers emit segment version 3; version 2 is
+// read until a compaction rewrites it; any other version is rejected with
+// ErrCorrupt. Segment numbers are allocated from a monotonic sequence and
+// never reused while referenced; after compaction (see compact.go) a
+// low-numbered file may be superseded by a higher-numbered one holding
+// older data, which is why the MANIFEST — not directory order — defines
+// the log. Each segment file starts with
 // an 8-byte header — magic "BQSLOG" plus a version byte and a zero pad —
 // followed by length-prefixed records:
 //
@@ -36,7 +36,7 @@
 //	  u32 t0, u32 t1       time bounds of the trajectory (seconds)
 //	  4 × i32              spatial bounding box in 1e-7°
 //	                       (minLat, minLon, maxLat, maxLon)
-//	  payload              trajstore.DeltaEncode of the key points
+//	  payload              the packed key points (version 2: delta-varint)
 //
 // A record is valid iff its length prefix fits in the file, bodyLen is
 // plausible (≤ MaxRecordBytes) and the CRC matches; the first invalid
@@ -60,10 +60,10 @@ const (
 	headerSize = 8
 	// recordHeaderSize prefixes every record: u32 bodyLen + u32 crc32c.
 	recordHeaderSize = 8
-	// version is the format version byte of every segment file: record
-	// bodies carry a spatial bounding box between the time bounds and
-	// the payload.
-	version = 2
+	// version is the format version byte of every segment file written:
+	// record bodies carry a spatial bounding box between the time bounds
+	// and the payload, a packed block (version 2, still read: the block).
+	version, legacyVersion = 3, 2
 	// MaxRecordBytes caps a single record body. A length prefix above it
 	// is treated as corruption, bounding allocation on malicious or
 	// damaged input. 16 MiB ≈ 1.5 M key points per trajectory.
@@ -163,10 +163,11 @@ type recordAddr struct {
 // the segment is loaded or sealed; while a segment is the active one its
 // live size is shardLog.off.
 type segmentFile struct {
-	path string
-	size int64        // valid bytes, header included
-	sum  segSummary   // union of recs' bounds: what a window prunes the whole file on
-	recs []recordMeta // every record, in file order
+	path   string
+	legacy bool         // a version-2 file: its payloads are read as stored
+	size   int64        // valid bytes, header included
+	sum    segSummary   // union of recs' bounds: what a window prunes the whole file on
+	recs   []recordMeta // every record, in file order
 }
 
 // refSnap locates one record for a read outside the lock.

@@ -489,7 +489,7 @@ func TestShardedDifferential(t *testing.T) {
 func TestShardedCompactCrashAtEveryStep(t *testing.T) {
 	build := func(t *testing.T) (string, map[string][]trajstore.GeoKey) {
 		dir := t.TempDir()
-		s := mustOpenSharded(t, dir, 2, Options{MaxSegmentBytes: 512})
+		s := mustOpenSharded(t, dir, 2, Options{MaxSegmentBytes: crashSegBytes})
 		want := map[string][]trajstore.GeoKey{}
 		for d := 0; d < 8; d++ {
 			dev := fmt.Sprintf("dev-%d", d)
@@ -519,7 +519,7 @@ func TestShardedCompactCrashAtEveryStep(t *testing.T) {
 	// global op counter.
 	probeDir, _ := build(t)
 	obs := vfs.NewFaultFS(0)
-	probe := mustOpenSharded(t, probeDir, 0, Options{MaxSegmentBytes: 512, FS: obs})
+	probe := mustOpenSharded(t, probeDir, 0, Options{MaxSegmentBytes: crashSegBytes, FS: obs})
 	n0 := obs.Ops()
 	if _, err := probe.shards[0].Compact(CompactionPolicy{MergeChunks: true}); err != nil {
 		t.Fatal(err)
@@ -542,7 +542,7 @@ func TestShardedCompactCrashAtEveryStep(t *testing.T) {
 			// An open the crash kills (k ≤ n0) is a legal outcome; past it
 			// the pass usually dies at op k — a crash inside the
 			// best-effort delete sweep can still report success.
-			if s, err := OpenSharded(dir, 0, Options{MaxSegmentBytes: 512, FS: fs}); err == nil {
+			if s, err := OpenSharded(dir, 0, Options{MaxSegmentBytes: crashSegBytes, FS: fs}); err == nil {
 				_, _ = s.shards[0].Compact(CompactionPolicy{MergeChunks: true})
 				s.Close()
 			} else if k > n0 {

@@ -5,8 +5,10 @@
 package segmentlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,6 +16,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
 
@@ -361,6 +364,9 @@ func TestSealedDamageAtOpen(t *testing.T) {
 		{"mid-file", func(t *testing.T, seg string, metas []recordMeta) {
 			rewrite(t, seg, func(b []byte) []byte { b[metas[2].off+4] ^= 0x40; return b })
 		}, refused, salvaged, 2},
+		{"packed-payload-resealed", func(t *testing.T, seg string, metas []recordMeta) {
+			rewrite(t, seg, func(b []byte) []byte { breakPacked(t, b, metas[2]); return b })
+		}, refused, salvaged, 2},
 		{"torn-tail", func(t *testing.T, seg string, metas []recordMeta) {
 			// An unsynced-rotation crash: cut mid-record, nothing valid after.
 			if err := os.Truncate(seg, int64(metas[3].off)+5); err != nil {
@@ -419,5 +425,62 @@ func TestSealedDamageAtOpen(t *testing.T) {
 				t.Fatalf("Query over the rotten record = %v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// breakPacked damages the packed payload of record m in segment bytes b —
+// its first Rice parameter set past 24 — and re-seals the record's CRC:
+// bytes only decoding can refuse.
+func breakPacked(t testing.TB, b []byte, m recordMeta) {
+	t.Helper()
+	body := b[m.off : m.off+m.bodyLen]
+	_, _, payload, err := splitBody(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	for f := 0; f < 4; f++ { // the count and the first key's lat, lon and t
+		_, n := binary.Uvarint(payload[k:])
+		k += n
+	}
+	if _, err := trajstore.UnpackBlock(nil, payload); err != nil || k+3 > len(payload) {
+		t.Fatalf("fixture: record at %d holds no packed deltas to break (%v)", m.off, err)
+	}
+	payload[k] = 64
+	binary.LittleEndian.PutUint32(b[m.off-4:], crc32.Checksum(body, castagnoli))
+}
+
+// TestActivePackedDamageIsTorn: the damage breakPacked does to the last
+// record of the active segment is a torn tail — the open truncates it,
+// writable, and keeps every record before it.
+func TestActivePackedDamageIsTorn(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{})
+	for i := 0; i < 3; i++ {
+		if err := l.Append("dev", genKeys(i+1, 12)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := l.segs[0].recs[2]
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segName(1))
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	breakPacked(t, b, last)
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l = mustOpen(t, dir, Options{})
+	defer l.Close()
+	recs := queryAll(t, l, "dev")
+	if st := l.Stats(); len(recs) != 2 || st.Truncated != int64(recordHeaderSize+last.bodyLen) {
+		t.Fatalf("%d records served, %+v; want 2 and the broken record truncated", len(recs), st)
+	}
+	if fi, err := os.Stat(seg); err != nil || fi.Size() != int64(last.off)-recordHeaderSize {
+		t.Fatalf("segment not cut where the broken record began: %v, %v", fi.Size(), err)
 	}
 }
