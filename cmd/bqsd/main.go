@@ -20,7 +20,10 @@
 // connection, other paths get 404 — so the daemon links no HTTP/2, TLS or
 // gzip code; it stays up through the drain. -cache-mb sizes the
 // per-tenant read cache that makes repeated window queries serve from
-// memory (0 disables it).
+// memory (0 disables it). -compact-interval gives each tenant log a
+// merge/dedup compaction policy that the log itself ticks that often (a
+// negative one is refused before listening); its drain then seals and
+// merges the whole log.
 //
 // Each tenant named in a connection's handshake gets its own engine
 // and flock-guarded log directory under -dir. Ingest is explicitly
@@ -74,7 +77,7 @@ func main() {
 		segBytes     = flag.Int64("segbytes", 0, "segment file rotation size in bytes (0 = log default)")
 		cacheMB      = flag.Int64("cache-mb", 0, "read-side record cache budget per tenant, in MiB (0 = off)")
 		metricsAddr  = flag.String("metrics", "", "HTTP listen address for /metrics (empty = no metrics endpoint)")
-		compactEvery = flag.Duration("compact-interval", 0, "per-tenant merge/dedup compaction: a tick this often rewrites what was sealed since the last one, the drain seals and merges the whole log (0 = neither)")
+		compactEvery = flag.Duration("compact-interval", 0, "per-tenant merge/dedup compaction: each log ticks this often, rewriting what was sealed since the last tick, and the drain seals and merges the whole log (0 = neither)")
 		drain        = flag.Duration("drain-timeout", server.DefaultDrainTimeout, "max wait for in-flight connections on shutdown")
 	)
 	flag.Parse()
@@ -85,18 +88,17 @@ func main() {
 	}
 
 	logOpts := segmentlog.Options{MaxSegmentBytes: *segBytes, CacheBytes: *cacheMB << 20}
-	if *compactEvery > 0 {
-		logOpts.Compaction = &segmentlog.CompactionPolicy{MergeChunks: true}
+	if *compactEvery != 0 { // server.New refuses a negative period
+		logOpts.Compaction = &segmentlog.CompactionPolicy{MergeChunks: true, Every: *compactEvery}
 	}
 	srv, err := server.New(server.Config{
 		Dir: *dir,
 		Engine: engine.Config{
-			Compressor:      *compressor,
-			Tolerance:       *tol,
-			Shards:          *shards,
-			IdleTimeout:     *idle,
-			MaxTrailKeys:    *trail,
-			CompactInterval: *compactEvery,
+			Compressor:   *compressor,
+			Tolerance:    *tol,
+			Shards:       *shards,
+			IdleTimeout:  *idle,
+			MaxTrailKeys: *trail,
 		},
 		Log:          logOpts,
 		DrainTimeout: *drain,

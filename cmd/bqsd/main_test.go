@@ -234,14 +234,20 @@ func TestDaemonRequiresDir(t *testing.T) {
 	}
 }
 
-// TestDaemonRefusesUnusableEngine: flags no tenant engine could be built
-// from stop the daemon before it listens, instead of failing every Hello.
+// TestDaemonRefusesUnusableEngine: flags no tenant engine or log could be
+// built from stop the daemon before it listens, instead of failing every
+// Hello.
 func TestDaemonRefusesUnusableEngine(t *testing.T) {
 	bin := buildCmd(t)
-	for _, args := range [][]string{
-		{"-compressor", "nosuch"},
-		{"-trail", "-5", "-idle", "-1s"},
+	for _, c := range []struct {
+		args []string
+		want string // the template the error names
+	}{
+		{[]string{"-compressor", "nosuch"}, "Config.Engine"},
+		{[]string{"-trail", "-5", "-idle", "-1s"}, "Config.Engine"},
+		{[]string{"-compact-interval", "-1s"}, "Config.Log"},
 	} {
+		args := c.args
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0", "-dir", t.TempDir()}, args...)...).CombinedOutput()
 		cancel()
@@ -249,7 +255,7 @@ func TestDaemonRefusesUnusableEngine(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() <= 0 {
 			t.Fatalf("bqsd %v: err = %v, want a non-zero exit (a kill by the timeout is the daemon running):\n%s", args, err, out)
 		}
-		if strings.Contains(string(out), "listening") || !strings.Contains(string(out), "Config.Engine") {
+		if strings.Contains(string(out), "listening") || !strings.Contains(string(out), c.want) {
 			t.Fatalf("bqsd %v listened, or did not say what was wrong:\n%s", args, out)
 		}
 	}

@@ -116,9 +116,10 @@ func OpenDurableEngine(dir string, cfg EngineConfig) (*Engine, error) {
 }
 
 // OpenDurableEngineWithLog is OpenDurableEngine with explicit log
-// options. With logOpts.Compaction set and cfg.CompactInterval > 0 the
-// engine periodically compacts the log in the background, reclaiming
-// disk while preserving the error bound.
+// options. With logOpts.Compaction set, Engine.CompactNow seals and compacts
+// the whole log, and with its Every > 0 the log also compacts what changed
+// periodically in the background, reclaiming disk while preserving the
+// error bound.
 func OpenDurableEngineWithLog(dir string, logOpts SegmentLogOptions, cfg EngineConfig) (*Engine, error) {
 	lg, err := segmentlog.OpenSharded(dir, cfg.Shards, logOpts)
 	if err != nil {

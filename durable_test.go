@@ -90,19 +90,18 @@ func TestOpenDurableEngineRestart(t *testing.T) {
 }
 
 // TestDurableShutdownRace pins the shutdown ordering: Close must wait
-// for every shard's persist queue, the background compaction ticker and
-// any in-flight CompactNow before closing the sharded log — so the
+// for every shard's persist queue and any in-flight CompactNow before
+// closing the sharded log, which stops its compaction ticker first — so the
 // directory's flock is never released under a live writer. The proof is
 // twofold: the race detector sees no conflicting access while ingest
 // and compaction race Close, and an immediate reopen succeeds because
 // the lock really was free when Close returned.
 func TestDurableShutdownRace(t *testing.T) {
 	dir := t.TempDir()
-	policy := CompactionPolicy{MergeChunks: true}
+	policy := CompactionPolicy{MergeChunks: true, Every: time.Millisecond}
 	e, err := OpenDurableEngineWithLog(dir,
 		SegmentLogOptions{MaxSegmentBytes: 4 << 10, Compaction: &policy},
-		EngineConfig{Compressor: "fbqs", Tolerance: 5, Shards: 4, MaxTrailKeys: 8,
-			CompactInterval: time.Millisecond},
+		EngineConfig{Compressor: "fbqs", Tolerance: 5, Shards: 4, MaxTrailKeys: 8},
 	)
 	if err != nil {
 		t.Fatal(err)

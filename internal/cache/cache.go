@@ -26,18 +26,6 @@ type Stats struct {
 	Evictions uint64
 }
 
-// Add accumulates another snapshot into s, for merging per-shard or
-// per-tenant caches into one report. Capacity sums too: the result
-// describes the aggregate budget.
-func (s *Stats) Add(o Stats) {
-	s.Entries += o.Entries
-	s.Bytes += o.Bytes
-	s.Capacity += o.Capacity
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-}
-
 type entry[K comparable, V any] struct {
 	key  K
 	val  V

@@ -83,16 +83,6 @@ func TestNilCacheIsNoop(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Entries: 1, Bytes: 10, Capacity: 100, Hits: 2, Misses: 3, Evictions: 4}
-	b := Stats{Entries: 2, Bytes: 20, Capacity: 200, Hits: 20, Misses: 30, Evictions: 40}
-	a.Add(b)
-	want := Stats{Entries: 3, Bytes: 30, Capacity: 300, Hits: 22, Misses: 33, Evictions: 44}
-	if a != want {
-		t.Fatalf("Add = %+v; want %+v", a, want)
-	}
-}
-
 // TestConcurrentAccess is a -race smoke test: readers, writers and
 // scrapers share the cache, and the byte accounting must still balance
 // afterwards.

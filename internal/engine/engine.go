@@ -73,15 +73,6 @@ type Config struct {
 	// fix outside ±90°/±180° (trajstore.InPlane) with trajstore.ErrRange. See
 	// trajstore.Persister and trajstore/segmentlog.
 	Persister trajstore.Persister
-	// CompactInterval, when > 0 and a Persister is configured, runs a
-	// background compaction pass over what changed since the last one
-	// (trajstore.Backend.CompactNow(false) — for segmentlog.ShardedLog, with
-	// the policy it was opened with) this often. A failed pass leaves the
-	// published data intact, so it does not poison the Sync barrier; it is
-	// reported by State().CompactErr (self-healing on the next successful
-	// pass) and by Close if still standing. Zero disables it; CompactNow,
-	// the pass over everything, remains available.
-	CompactInterval time.Duration
 	// MaxTrailKeys bounds the per-session key-point trail kept for
 	// persistence (as its encoded block: ≈ 6–7 B a key, ≤ 15): a session
 	// that accumulates this many key points is chunked — the trail is
@@ -140,7 +131,7 @@ var ErrBackpressure = errors.New("engine: shard queue full (backpressure)")
 
 // Stats is a point-in-time snapshot of engine activity, merged across
 // shards. It is safe to read after Close: every field comes from atomics.
-// The persister's own counters (read cache, compaction reclaim) are on
+// The persister's own counters (read cache, compaction) are on
 // its Stats — segmentlog.Stats.
 type Stats struct {
 	ActiveSessions  int    // sessions currently open: devices seen and not yet idle-evicted — a flush ends none
@@ -154,7 +145,6 @@ type Stats struct {
 	TrailPagesBytes int64  // what the shards' trail page pools have mapped outside the Go heap (trajstore.PagePool), which Go's memory stats do not count; 0 once no page is out after a flush
 	Rejected        uint64 // fixes refused by TryIngestTrail backpressure, degraded mode or the wire format's range
 	PersistFailures uint64 // failed persister append/sync attempts (retried ones included)
-	CompactFailures uint64 // failed compaction passes (periodic or CompactNow)
 }
 
 // CompressionRate returns KeyPoints/Fixes (lower is better), 0 when no
@@ -194,22 +184,20 @@ type Engine struct {
 	state    atomic.Pointer[State]
 	mu       sync.RWMutex
 	inflight sync.WaitGroup
-	wg       sync.WaitGroup // the shard workers and the compaction ticker
+	wg       sync.WaitGroup // the shard workers
 
 	// closing is closed when Close begins: senders parked on a full
 	// shard queue select on it so a stalled shard (wedged persister,
-	// full disk) cannot wedge shutdown, and it ends the periodic
-	// compaction goroutine.
+	// full disk) cannot wedge shutdown.
 	closing chan struct{}
 
 	persisting bool // cfg.Persister != nil, cached for the hot path
 
 	// Failure/reject tallies for Stats. Engine-global atomics, not
 	// per-shard stripes: every increment is on a slow path (a refused
-	// batch, a failed append attempt, a failed compaction pass).
+	// batch, a failed append attempt).
 	rejected     atomic.Uint64
 	persistFails atomic.Uint64
-	compactFails atomic.Uint64
 }
 
 // session is the per-device state, owned by exactly one shard worker.
@@ -311,9 +299,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.IdleTimeout < 0 {
 		return nil, errors.New("engine: IdleTimeout must be ≥ 0")
 	}
-	if cfg.CompactInterval < 0 {
-		return nil, errors.New("engine: CompactInterval must be ≥ 0")
-	}
 	probe, err := stream.New(cfg.Compressor, cfg.Tolerance)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
@@ -353,51 +338,22 @@ func New(cfg Config) (*Engine, error) {
 		e.wg.Add(1)
 		go sh.run()
 	}
-	if cfg.CompactInterval > 0 && e.persisting {
-		e.wg.Add(1)
-		go e.compactLoop(cfg.CompactInterval)
-	}
 	return e, nil
 }
 
-// compactLoop periodically compacts the persister until Close.
-func (e *Engine) compactLoop(every time.Duration) {
-	defer e.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			_ = e.compactPass(false) // counted and recorded in State().CompactErr
-		case <-e.closing:
-			return
-		}
-	}
-}
-
-// compactPass runs one compaction pass, periodic or explicit (all). A failed
-// pass is counted and recorded in State().CompactErr until a later pass
-// succeeds. It does NOT poison Sync or ingest: the log's published generation
-// (and every durable record) is unaffected. Close reports one still standing.
-func (e *Engine) compactPass(all bool) error {
-	err := e.backend.CompactNow(all)
-	if err != nil {
-		e.compactFails.Add(1)
-		err = fmt.Errorf("engine: compact: %w", err)
-	}
-	e.transition(evCompacted, err, 0)
-	return err
-}
-
-// CompactNow runs one synchronous compaction pass over everything the
-// persister holds (a segment log seals its active segments first); a no-op
-// with no persister or an append-only one. Close waits out a pass in flight.
+// CompactNow runs the persister's drain pass (trajstore.Backend.CompactNow:
+// a segment log seals its active segments, then compacts everything with its
+// policy); a no-op with no persister or an append-only one. Close waits out
+// a pass in flight.
 func (e *Engine) CompactNow() error {
 	if _, err := e.admit(opCall); err != nil {
 		return err
 	}
 	defer e.inflight.Done()
-	return e.compactPass(true)
+	if err := e.backend.CompactNow(); err != nil {
+		return fmt.Errorf("engine: compact: %w", err)
+	}
+	return nil
 }
 
 // send enqueues msg on the shard, parking on a full queue WITHOUT any
@@ -681,7 +637,6 @@ func (e *Engine) Stats() Stats {
 	}
 	s.Rejected = e.rejected.Load()
 	s.PersistFailures = e.persistFails.Load()
-	s.CompactFailures = e.compactFails.Load()
 	return s
 }
 
@@ -698,7 +653,7 @@ func (e *Engine) Close() error {
 	e.mu.Lock()
 	_, ok := e.transition(evClose, nil, 0)
 	if ok {
-		close(e.closing) // aborts senders parked on full shard queues, ends compactLoop
+		close(e.closing) // aborts senders parked on full shard queues
 	}
 	e.mu.Unlock()
 	if !ok {
@@ -734,7 +689,7 @@ func (e *Engine) Close() error {
 	if trails > 0 {
 		lost = fmt.Errorf("%w; still failing at close: dropped %d parked trails (%d key points)", st.degradedErr(), trails, keys)
 	}
-	return errors.Join(closeErr, lost, st.CompactErr)
+	return errors.Join(closeErr, lost)
 }
 
 // run is the shard worker loop: single-goroutine ownership of the

@@ -24,14 +24,11 @@ func (p Phase) String() string {
 	return [...]string{"healthy", "degraded", "healing", "closing", "closed"}[p]
 }
 
-// State is one snapshot of the lifecycle. CompactErr rides along without
-// being a phase: a failed compaction pass leaves every durable record
-// intact, so it refuses nothing.
+// State is one snapshot of the lifecycle.
 type State struct {
-	Phase      Phase
-	Cause      error     // the persist failure behind Degraded (the first one wins); nil once healed
-	Since      time.Time // when Cause latched, by Config.Clock
-	CompactErr error     // the last background compaction pass's failure; nil after a successful one
+	Phase Phase
+	Cause error     // the persist failure behind Degraded (the first one wins); nil once healed
+	Since time.Time // when Cause latched, by Config.Clock
 
 	gen uint64 // phase changes so far: tells one Healthy (or Healing) period from the next
 }
@@ -43,27 +40,25 @@ func (s State) degradedErr() error { return fmt.Errorf("%w: %w", ErrDegraded, s.
 type event uint8
 
 const (
-	evFail      event = iota // a persist failure proved terminal; err is the cause
-	evHeal                   // Heal's probe succeeded
-	evHealed                 // every shard's drain barrier returned; gen names the Healing snapshot it ran under
-	evClose                  // Close began
-	evClosed                 // Close closed the persister
-	evCompacted              // a background compaction pass ended; err is its failure or nil
+	evFail   event = iota // a persist failure proved terminal; err is the cause
+	evHeal                // Heal's probe succeeded
+	evHealed              // every shard's drain barrier returned; gen names the Healing snapshot it ran under
+	evClose               // Close began
+	evClosed              // Close closed the persister
 )
 
 const refuse Phase = 0xff // the event does not apply in this phase
 
-// edges[ev][from] is the phase ev moves the lifecycle to. Two rows keep
-// the phase and set a field: evCompacted, and evFail while Closing (the
-// final flush failed: the cause latches for Close's last drain).
+// edges[ev][from] is the phase ev moves the lifecycle to. One row keeps
+// the phase and sets a field: evFail while Closing (the final flush
+// failed: the cause latches for Close's last drain).
 var edges = [...][Closed + 1]Phase{
-	//            Healthy   Degraded  Healing   Closing  Closed
-	evFail:      {Degraded, refuse, Degraded, Closing, refuse},
-	evHeal:      {refuse, Healing, refuse, refuse, refuse},
-	evHealed:    {refuse, refuse, Healthy, refuse, refuse},
-	evClose:     {Closing, Closing, Closing, refuse, refuse},
-	evClosed:    {refuse, refuse, refuse, Closed, refuse},
-	evCompacted: {Healthy, Degraded, Healing, Closing, refuse},
+	//         Healthy   Degraded  Healing   Closing  Closed
+	evFail:   {Degraded, refuse, Degraded, Closing, refuse},
+	evHeal:   {refuse, Healing, refuse, refuse, refuse},
+	evHealed: {refuse, refuse, Healthy, refuse, refuse},
+	evClose:  {Closing, Closing, Closing, refuse, refuse},
+	evClosed: {refuse, refuse, refuse, Closed, refuse},
 }
 
 // transition is the only writer of e.state: it applies ev if edges allows
@@ -89,8 +84,6 @@ func (e *Engine) transition(ev event, err error, gen uint64) (State, bool) {
 			next.Cause, next.Since = err, e.clock()
 		case evHealed:
 			next.Cause, next.Since = nil, time.Time{}
-		case evCompacted:
-			next.CompactErr = err
 		}
 		if e.state.CompareAndSwap(cur, &next) {
 			return next, true

@@ -90,7 +90,7 @@ func (b *scriptBackend) Sync() error {
 	return nil
 }
 
-func (b *scriptBackend) CompactNow(bool) error {
+func (b *scriptBackend) CompactNow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.compactFail {
@@ -175,7 +175,6 @@ type model struct {
 	appendFails, syncFails int
 	appendDown, syncDown   bool
 	compactFail            bool
-	compactErr             bool // the last pass failed: State().CompactErr stands
 }
 
 func newModel(shards, maxKeys int, idle int64) *model {
@@ -373,7 +372,6 @@ func (m *model) compact() errClass {
 	if m.phase >= Closing {
 		return clsClosed
 	}
-	m.compactErr = m.compactFail
 	if m.compactFail {
 		m.compactFail = false
 		return clsOther
@@ -381,8 +379,7 @@ func (m *model) compact() errClass {
 	return clsNil
 }
 
-// close is Close: the final flush, then every shard's last drain; a loss
-// report outranks a standing compaction failure in the joined error's class.
+// close is Close: the final flush, then every shard's last drain.
 func (m *model) close() errClass {
 	if m.phase >= Closing {
 		return clsNil
@@ -395,11 +392,8 @@ func (m *model) close() errClass {
 		m.drain(sh)
 	}
 	m.phase = Closed
-	switch {
-	case m.parkedTrails() > 0:
+	if m.parkedTrails() > 0 {
 		return clsDegraded
-	case m.compactErr:
-		return clsOther
 	}
 	return clsNil
 }
@@ -729,7 +723,7 @@ func TestEngineModel(t *testing.T) {
 					t.Fatalf("%s: finalized trails %v do not cover the %d acked fixes", dev, recs, m.acked[dev])
 				}
 			}
-			if !errors.Is(closeErr, ErrDegraded) { // nil, or only a standing compaction failure
+			if !errors.Is(closeErr, ErrDegraded) {
 				if held != total {
 					t.Fatalf("Close = %v, no loss report, but the backend holds %d of %d key points", closeErr, held, total)
 				}
@@ -864,8 +858,10 @@ func TestEngineModelFaultFS(t *testing.T) {
 				}
 				checkInvariants(t, step, op, e, before, got)
 			}
-			// Close joins the standing compaction failure last: alone, nothing was lost.
-			lossless := closeErr == nil || strings.HasPrefix(closeErr.Error(), "engine: compact: ")
+			// The log's Close returns a standing compaction failure (after any
+			// shard's close error): alone, with no loss report, nothing was lost.
+			lossless := closeErr == nil || !errors.Is(closeErr, ErrDegraded) &&
+				strings.HasPrefix(closeErr.Error(), "engine: persister close: segmentlog: last compaction pass: ")
 			if !lossless && !errors.Is(closeErr, ErrDegraded) && !strings.Contains(closeErr.Error(), "persister close") {
 				t.Fatalf("Close = %v, want nil, a loss report, the log's close error or a standing compaction failure", closeErr)
 			}

@@ -332,109 +332,33 @@ func TestEngineCloseJoinsErrors(t *testing.T) {
 	}
 }
 
-// compactingPersister counts CompactNow calls, the explicit ones (all) apart.
-type compactingPersister struct {
-	trajstore.Backend
-	compactions atomic.Int64
-	explicit    atomic.Int64
-	fail        atomic.Bool
-}
+// compactingPersister is a backend whose compaction pass fails.
+type compactingPersister struct{ trajstore.Backend }
 
 var errCompactBoom = errors.New("compact boom")
 
-func (p *compactingPersister) CompactNow(all bool) error {
-	p.compactions.Add(1)
-	if all {
-		p.explicit.Add(1)
-	}
-	if p.fail.Load() {
-		return errCompactBoom
-	}
-	return nil
-}
+func (compactingPersister) CompactNow() error { return errCompactBoom }
 
-// TestEngineCompactInterval checks the periodic compaction hook fires,
-// CompactNow works on demand, and a compaction failure is latched and
-// surfaced like any persister failure.
-func TestEngineCompactInterval(t *testing.T) {
-	p := &compactingPersister{Backend: trajstore.AppendOnly(nil)}
-	e, err := New(Config{
-		Compressor:      "fbqs",
-		Tolerance:       10,
-		Shards:          1,
-		Persister:       p,
-		CompactInterval: time.Millisecond,
-	})
+// TestEngineCompactNowWrapsBackendError: the engine runs no compaction of
+// its own — periodic passes are the log's — and CompactNow returns the
+// backend's pass error, wrapped, without latching it: Sync and Close stay
+// clean.
+func TestEngineCompactNowWrapsBackendError(t *testing.T) {
+	e, err := New(Config{Compressor: "fbqs", Tolerance: 10, Shards: 1, Persister: compactingPersister{trajstore.AppendOnly(nil)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.compactions.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if err := e.CompactNow(); !errors.Is(err, errCompactBoom) || err.Error() != "engine: compact: compact boom" {
+		t.Fatalf("CompactNow = %v, want the backend's failure, wrapped", err)
 	}
-	if p.compactions.Load() == 0 || p.explicit.Load() != 0 {
-		t.Fatalf("%d periodic passes, %d of them over everything: want ticks, each over what changed", p.compactions.Load(), p.explicit.Load())
-	}
-	if err := e.CompactNow(); err != nil || p.explicit.Load() != 1 {
-		t.Fatalf("CompactNow = %v after %d explicit passes, want nil and the one", err, p.explicit.Load())
-	}
-
-	p.fail.Store(true)
-	for e.State().CompactErr == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := e.State().CompactErr; !errors.Is(err, errCompactBoom) {
-		t.Fatalf("State().CompactErr = %v, want the compaction failure", err)
-	}
-	// A compaction failure is NOT a durability event: Sync stays clean.
-	if err := e.Sync(); err != nil {
-		t.Fatalf("Sync poisoned by a compaction failure: %v", err)
-	}
-	// It self-heals once a pass succeeds again...
-	p.fail.Store(false)
-	for e.State().CompactErr != nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := e.State().CompactErr; err != nil {
-		t.Fatalf("State().CompactErr did not clear after a successful pass: %v", err)
-	}
-	// ...and a still-standing one is reported by Close.
-	p.fail.Store(true)
-	for e.State().CompactErr == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := e.Close(); !errors.Is(err, errCompactBoom) {
-		t.Fatalf("Close = %v, want standing compaction failure", err)
-	}
-
-	// An explicit pass is a pass like any other: its failure stands, and
-	// its success clears a standing one — Server.Shutdown's final
-	// CompactNow, then Close, exits clean after a failed background tick.
-	p.fail.Store(true)
-	e, err = New(Config{Compressor: "fbqs", Tolerance: 10, Shards: 1, Persister: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CompactNow(); !errors.Is(err, errCompactBoom) || !errors.Is(e.State().CompactErr, errCompactBoom) {
-		t.Fatalf("failed CompactNow = %v, State().CompactErr = %v: want the failure returned and recorded", err, e.State().CompactErr)
-	}
-	p.fail.Store(false)
-	if err := e.CompactNow(); err != nil || e.State().CompactErr != nil {
-		t.Fatalf("clean CompactNow = %v, State().CompactErr = %v: want both nil", err, e.State().CompactErr)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatalf("Close after a clean final pass = %v", err)
-	}
-
-	// Validation of the new field.
-	if _, err := New(Config{Compressor: "fbqs", Tolerance: 10, CompactInterval: -time.Second}); err == nil {
-		t.Fatal("negative CompactInterval accepted")
+	if err := errors.Join(e.Sync(), e.Close()); err != nil {
+		t.Fatalf("Sync, Close after a failed pass = %v, want nil", err)
 	}
 }
 
-// TestEngineDurableCompaction is the end-to-end periodic path: a real
+// TestEngineDurableCompaction is the end-to-end drain pass: a real
 // segment log with a compaction policy, chunked sessions, and the
-// engine's own hook shrinking it.
+// engine's CompactNow shrinking it.
 func TestEngineDurableCompaction(t *testing.T) {
 	dir := t.TempDir()
 	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{

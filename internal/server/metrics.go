@@ -176,7 +176,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	f("bqs_persist_failures_total", "counter", "Failed persister append/sync attempts, retried ones included.",
 		func(t *tenantMetrics) interface{} { return t.eng.PersistFailures })
 	f("bqs_compact_failures_total", "counter", "Failed compaction passes.",
-		func(t *tenantMetrics) interface{} { return t.eng.CompactFailures })
+		func(t *tenantMetrics) interface{} { return t.log.CompactFailures })
 	f("bqs_compact_rewritten_bytes_total", "counter", "Bytes written by published compactions; over what was appended, the write amplification.",
 		func(t *tenantMetrics) interface{} { return t.log.Rewritten })
 	f("bqs_compact_reclaimed_bytes", "counter", "Net disk bytes freed by published compactions.",

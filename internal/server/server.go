@@ -120,11 +120,15 @@ func (s *Server) shuttingDown() bool {
 
 // New validates cfg and builds a Server. The engine template must be one
 // engine.New accepts — compressor name, tolerance, the limits — which is
-// proved by building a persister-less engine from it and closing it:
-// failing here beats failing on every Hello.
+// proved by building a persister-less engine from it and closing it, and
+// the log template's compaction period must not be negative: failing here
+// beats failing on every Hello.
 func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("server: Config.Dir is required")
+	}
+	if p := cfg.Log.Compaction; p != nil && p.Every < 0 {
+		return nil, fmt.Errorf("server: Config.Log: CompactionPolicy.Every %v is negative", p.Every)
 	}
 	probe := cfg.Engine
 	probe.Persister, probe.Shards = nil, 1
@@ -178,7 +182,8 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // tenant returns the namespace for name, opening engine + log on first
 // use. The open runs outside s.mu (directory recovery can be slow);
-// concurrent Hellos for the same tenant serialize on the tenant's once.
+// concurrent Hellos for the same tenant serialize on the tenant's once. A
+// failed open is forgotten, so the next Hello tries again.
 func (s *Server) tenant(name string) (*tenant, error) {
 	if !validTenant(name) {
 		return nil, fmt.Errorf("server: invalid tenant name %q", name)
@@ -195,6 +200,13 @@ func (s *Server) tenant(name string) (*tenant, error) {
 	}
 	s.mu.Unlock()
 	t.once.Do(func() { t.open(s) })
+	if t.err != nil {
+		s.mu.Lock()
+		if s.tenants[name] == t {
+			delete(s.tenants, name)
+		}
+		s.mu.Unlock()
+	}
 	return t, t.err
 }
 

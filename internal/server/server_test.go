@@ -501,29 +501,19 @@ func TestPersistErrorSurfacesInAck(t *testing.T) {
 	}
 }
 
-// compactFailLog is the real sharded log — still a full
-// trajstore.Backend, so the engine runs its durable path — whose every
-// compaction pass fails.
-type compactFailLog struct{ *segmentlog.ShardedLog }
-
-var errCompactBoom = errors.New("compact: out of scratch space")
-
-func (compactFailLog) CompactNow(bool) error { return errCompactBoom }
-
 // TestCompactFailureDoesNotStopIngest is the regression test for acks
 // that carried a standing background-compaction failure: every fix was
 // accepted and durable, yet IngestAll aborted on the non-empty ack.Err
 // and stopped the client's stream. A failed pass is not a durability
 // event (the published generation is untouched), so ingest, Sync and
 // queries must carry on; the failure shows in the metrics and at
-// Shutdown only.
+// Shutdown only. Every pass of this log's policy fails: its ageing
+// tolerance is unusable.
 func TestCompactFailureDoesNotStopIngest(t *testing.T) {
-	hookOpenLog(t, func(inner tenantLog) tenantLog {
-		return compactFailLog{inner.(*segmentlog.ShardedLog)}
-	})
 	srv, addr := startServer(t, Config{
 		Dir:    t.TempDir(),
-		Engine: engine.Config{Tolerance: 2, Shards: 2, MaxTrailKeys: 16, CompactInterval: time.Millisecond},
+		Engine: engine.Config{Tolerance: 2, Shards: 2, MaxTrailKeys: 16},
+		Log:    segmentlog.Options{Compaction: &segmentlog.CompactionPolicy{Every: time.Millisecond, CoarseTolerance: -1}},
 	})
 	c, err := Dial(addr, "fleet")
 	if err != nil {
@@ -535,7 +525,7 @@ func TestCompactFailureDoesNotStopIngest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tenant: %v", err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); tn.eng.Stats().CompactFailures == 0; {
+	for deadline := time.Now().Add(10 * time.Second); tn.log.Stats().CompactFailures == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("no background compaction pass failed")
 		}
@@ -566,7 +556,7 @@ func TestCompactFailureDoesNotStopIngest(t *testing.T) {
 	if v := metricValue(t, body, "bqs_degraded", "fleet"); v != 0 {
 		t.Errorf("bqs_degraded = %v, want 0", v)
 	}
-	if err := srv.Shutdown(); !errors.Is(err, errCompactBoom) {
+	if err := srv.Shutdown(); err == nil || !strings.Contains(err.Error(), "age compressor") {
 		t.Errorf("Shutdown = %v, want it to report the compaction failure", err)
 	}
 }
@@ -683,16 +673,15 @@ func TestProtocolViolationGetsErrorFrame(t *testing.T) {
 	}
 }
 
-// TestNewRefusesUnusableTemplate: an engine template no tenant could ever
-// open is refused when the server is built, not on every Hello.
+// TestNewRefusesUnusableTemplate: an engine or log template no tenant
+// could ever open is refused when the server is built, not on every Hello.
 func TestNewRefusesUnusableTemplate(t *testing.T) {
 	for name, ec := range map[string]engine.Config{
-		"unregistered compressor":  {Tolerance: 2, Compressor: "nosuch"},
-		"zero tolerance":           {},
-		"NaN tolerance":            {Tolerance: math.NaN()},
-		"negative MaxTrailKeys":    {Tolerance: 2, MaxTrailKeys: -5},
-		"negative IdleTimeout":     {Tolerance: 2, IdleTimeout: -time.Second},
-		"negative CompactInterval": {Tolerance: 2, CompactInterval: -time.Second},
+		"unregistered compressor": {Tolerance: 2, Compressor: "nosuch"},
+		"zero tolerance":          {},
+		"NaN tolerance":           {Tolerance: math.NaN()},
+		"negative MaxTrailKeys":   {Tolerance: 2, MaxTrailKeys: -5},
+		"negative IdleTimeout":    {Tolerance: 2, IdleTimeout: -time.Second},
 	} {
 		if s, err := New(Config{Dir: t.TempDir(), Engine: ec}); err == nil {
 			_ = s.Shutdown()
@@ -704,6 +693,39 @@ func TestNewRefusesUnusableTemplate(t *testing.T) {
 	if _, err := New(Config{Dir: t.TempDir(), Engine: engine.Config{Tolerance: 2, Compressor: "nosuch"}}); !errors.Is(err, stream.ErrUnknownCompressor) {
 		t.Errorf("New = %v, want stream.ErrUnknownCompressor", err)
 	}
+	negative := segmentlog.Options{Compaction: &segmentlog.CompactionPolicy{MergeChunks: true, Every: -time.Second}}
+	if s, err := New(Config{Dir: t.TempDir(), Engine: engine.Config{Tolerance: 2}, Log: negative}); err == nil {
+		_ = s.Shutdown()
+		t.Error("New accepted a negative CompactionPolicy.Every")
+	} else if !strings.Contains(err.Error(), "Config.Log") {
+		t.Errorf("New = %v, want it to name Config.Log", err)
+	}
+}
+
+// TestFailedTenantOpenIsRetried: a Hello whose tenant could not be opened
+// — here another writer holds the directory's LOCK — fails, and once the
+// cause has cleared the next Hello opens the tenant.
+func TestFailedTenantOpenIsRetried(t *testing.T) {
+	dir := t.TempDir()
+	_, addr := startServer(t, Config{Dir: dir, Engine: engine.Config{Tolerance: 2, Shards: 1}})
+	holder, err := segmentlog.OpenSharded(filepath.Join(dir, "fleet"), 1, segmentlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := Dial(addr, "fleet"); err == nil || !strings.Contains(err.Error(), segmentlog.ErrLocked.Error()) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("Hello while another writer holds the tenant = %v, want %v", err, segmentlog.ErrLocked)
+	}
+	if err := holder.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr, "fleet")
+	if err != nil {
+		t.Fatalf("Hello after the holder closed = %v, want the tenant opened", err)
+	}
+	c.Close()
 }
 
 // TestServeAfterShutdown pins the ErrServerClosed contract.

@@ -78,10 +78,10 @@ type Backend interface {
 	// means an engine with the same shard count has each worker appending
 	// to a log shard of its own.
 	AppendTrail(device string, t *Trail) error
-	// CompactNow runs one compaction pass — rewriting storage smaller by
-	// merging and ageing, see segmentlog.ShardedLog.Compact — with the
-	// configured policy: over everything (all), or over what changed.
-	CompactNow(all bool) error
+	// CompactNow runs the drain's compaction pass — rewriting everything
+	// stored smaller by merging and ageing, see segmentlog.ShardedLog.Compact
+	// — with the configured policy. Periodic passes are the backend's own.
+	CompactNow() error
 	// WindowBlocks visits, shard by shard and in log order within one,
 	// every stored record with at least one consecutive key-point pair
 	// whose bounding box intersects [minLon, maxLon] × [minLat, maxLat]
@@ -111,7 +111,7 @@ type appendOnly struct{ Persister }
 func (a appendOnly) AppendTrail(device string, t *Trail) error {
 	return a.Append(device, t.Keys())
 }
-func (appendOnly) CompactNow(bool) error { return nil }
+func (appendOnly) CompactNow() error { return nil }
 func (appendOnly) WindowBlocks(_, _, _, _ float64, _, _ uint32, _ func(Block) error) error {
 	return nil
 }

@@ -31,7 +31,7 @@ func (p *recPersister) Close() error { p.closes++; return p.err }
 // the three forwarded methods are no-ops too.
 func TestAppendOnlyBackend(t *testing.T) {
 	none := AppendOnly(nil)
-	if err := errors.Join(none.Append("d", []GeoKey{{T: 1}}), none.Sync(), none.CompactNow(true), none.Close()); err != nil {
+	if err := errors.Join(none.Append("d", []GeoKey{{T: 1}}), none.Sync(), none.CompactNow(), none.Close()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,7 +40,7 @@ func TestAppendOnlyBackend(t *testing.T) {
 	if err := errors.Join(b.Append("d", []GeoKey{{T: 1}}), b.Sync(), b.Close()); err != nil || p.appends != 1 || p.syncs != 1 || p.closes != 1 {
 		t.Fatalf("not forwarded: err=%v %+v", err, p)
 	}
-	if err := b.CompactNow(true); err != nil {
+	if err := b.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -61,6 +61,9 @@ import (
 
 // CompactionPolicy parameterizes Compact.
 type CompactionPolicy struct {
+	// Every, when > 0 in a writable log's Options.Compaction, runs a
+	// periodic pass this often until Close; OpenSharded refuses it < 0.
+	Every time.Duration
 	// MinAge: only records whose newest key point (T1) is at least this
 	// old — relative to Now — are aged. Zero ages every sealed record
 	// (when CoarseTolerance enables ageing at all).
@@ -104,8 +107,8 @@ type compactRecord struct {
 // through.
 const ageCompressor = "fbqs"
 
-// devOut is one device's rewrite result, handed from a compaction
-// worker to the ordered writer.
+// devOut is one device's rewrite result, handed from the device's reader
+// to the ordered writer.
 type devOut struct {
 	recs                  []compactRecord
 	decoded               int // sealed records read for this device (memory accounting)
@@ -152,7 +155,6 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	for _, n := range l.tiers {
 		lo += n
 	}
-	fresh := lo < hi
 	for held := segBytes(l.segs[lo:hi]); t > 0; t-- {
 		older := segBytes(l.segs[lo-l.tiers[t-1] : lo])
 		if !all && older > tierRatio*held {
@@ -168,18 +170,8 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	names := l.names
 	l.mu.Unlock()
 
-	// Nothing selected — or nothing sealed since a pass left the whole prefix
-	// behind, and this one merges as that one did and ages nothing (what may
-	// age moves with the clock): it cannot change anything — skip even the
-	// read, so a repeated pass over a log at rest is O(1).
-	if m := l.lastFull; len(sealed) == 0 || !fresh && m.valid && m.merge == p.MergeChunks && p.CoarseTolerance == 0 {
+	if len(sealed) == 0 {
 		return res, nil
-	}
-	// settle records a finished pass, published or not: its selection is one
-	// tier of n segments now.
-	settle := func(n int) {
-		l.tiers = append(l.tiers[:t], n)
-		l.lastFull.valid, l.lastFull.merge = lo == 0, p.MergeChunks
 	}
 	cutoff := ageCutoff(p)
 	// Each device's selected records in append order — segment order, then
@@ -208,7 +200,7 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	}
 	res.SegmentsIn, res.BytesIn = len(sealed), segBytes(sealed)
 	slices.SortFunc(devices, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
-	// Open every selected file once; workers share the handles via pread.
+	// Open every selected file once; readers share the handles via pread.
 	files := &segReader{fs: l.fs}
 	defer files.close()
 	for i := range sealed {
@@ -217,38 +209,27 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 		}
 	}
 
-	// Fan the devices out to the worker pool and write the results in
-	// sorted device order (deterministic output; per-device record order
-	// is preserved — the Query contract). The semaphore is the memory
-	// bound: a slot is taken before a device is read and released only
-	// after the writer has consumed it, so at most `workers` devices'
-	// records are alive at any moment.
-	results := make([]chan devOut, len(devices))
-	for i := range results {
-		results[i] = make(chan devOut, 1)
-	}
-	work := make(chan int)
-	sem := make(chan struct{}, workers)
+	// Read devices concurrently, write them in sorted device order
+	// (deterministic output; per-device record order is the Query contract).
+	// A device's result channel is queued before its reader starts and taken
+	// off only once the writer is done with the one before: the queue's
+	// workers−1 slots and the writer's one are the memory bound.
+	queue := make(chan chan devOut, workers-1)
 	go func() {
-		for i := range devices {
-			sem <- struct{}{}
-			work <- i
+		for _, dev := range devices {
+			out := make(chan devOut, 1)
+			queue <- out
+			go func() {
+				out <- l.compactDevice(addrs[start[dev]:start[dev+1]], len(names[dev]), sealed, files, p, cutoff)
+			}()
 		}
-		close(work)
+		close(queue)
 	}()
-	for w := 0; w < min(workers, len(devices)); w++ {
-		go func() {
-			for i := range work {
-				dev := devices[i]
-				results[i] <- l.compactDevice(addrs[start[dev]:start[dev+1]], len(names[dev]), sealed, files, p, cutoff)
-			}
-		}()
-	}
 
 	cw := &compactWriter{l: l, names: names}
 	var firstErr error
-	for i := range devices {
-		out := <-results[i] //bqslint:ignore lockedsend compactMu serializes compactions and every worker sends exactly once, so this receive under the lock always drains
+	for pending := range queue {
+		out := <-pending //bqslint:ignore lockedsend compactMu serializes compactions and every device's reader sends exactly once, so this receive under the lock always drains
 		if firstErr == nil {
 			if out.err != nil {
 				firstErr = out.err
@@ -266,7 +247,6 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 			}
 		}
 		l.compactLive.Add(-int64(out.decoded))
-		<-sem //bqslint:ignore lockedsend the semaphore slot is released by the worker whose result was just received; the receive cannot block
 	}
 	if firstErr != nil {
 		cw.discard()
@@ -282,7 +262,7 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 		!slices.ContainsFunc(sealed, func(s segmentFile) bool { return s.legacy }) {
 		cw.discard()
 		res.RecordsOut, res.SegmentsOut, res.BytesOut = res.RecordsIn, res.SegmentsIn, res.BytesIn
-		settle(len(sealed))
+		l.tiers = append(l.tiers[:t], len(sealed))
 		return res, nil
 	}
 
@@ -311,7 +291,7 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	l.reclaimed += res.BytesIn - res.BytesOut
 	l.reindexLocked(lo)
 	l.mu.Unlock()
-	settle(len(newSegs))
+	l.tiers = append(l.tiers[:t], len(newSegs)) // the selection is one tier now
 
 	// Delete the superseded segment files.
 	// Failures (and crashes) here are benign: the files are unreferenced
@@ -332,7 +312,7 @@ func segBytes(segs []segmentFile) (n int64) {
 	return n
 }
 
-// compactDevice is the worker side of the streaming compactor: it reads one
+// compactDevice is the reader side of the streaming compactor: it reads one
 // device's selected records — addrs, into sealed; its ID is devLen bytes —
 // (pread through the indexed offsets, CRC re-verified), opens their blocks
 // and runs the pipeline on them. Every record was valid when Open indexed it, so

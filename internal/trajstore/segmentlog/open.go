@@ -37,12 +37,7 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 	if fsys == nil {
 		fsys = vfs.OS
 	}
-	l := &shardLog{dir: dir, opts: opts, ro: opts.ReadOnly, fs: fsys, nextSeq: 1, ids: make(map[string]uint32)}
-	if opts.cache != nil {
-		l.cache = opts.cache
-	} else {
-		l.cache = newRecordCache(opts.CacheBytes)
-	}
+	l := &shardLog{dir: dir, opts: opts, ro: opts.ReadOnly, fs: fsys, nextSeq: 1, ids: make(map[string]uint32), cache: opts.cache}
 	if l.ro {
 		fi, err := l.fs.Stat(dir)
 		if err != nil {

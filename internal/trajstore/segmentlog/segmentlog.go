@@ -112,10 +112,9 @@ type Options struct {
 	// looking at a directory a live engine may own; bqsrecover uses it
 	// by default.
 	ReadOnly bool
-	// Compaction, when non-nil, is the policy CompactNow applies — the
-	// engine's periodic compaction hook reaches the log through it.
-	// Explicit Compact calls pass their own policy and ignore this
-	// field.
+	// Compaction, when non-nil, is the policy CompactNow and, with Every
+	// set, the log's own periodic passes apply. Explicit Compact calls pass
+	// their own policy and ignore this field.
 	Compaction *CompactionPolicy
 	// FS substitutes the filesystem every disk operation goes through.
 	// nil means vfs.OS, the zero-overhead passthrough to the os
@@ -131,8 +130,8 @@ type Options struct {
 	// what a compaction deletes ages out (see cache.go). Zero disables
 	// caching, the default.
 	CacheBytes int64
-	// cache, when non-nil, overrides CacheBytes with an existing cache
-	// instance. OpenSharded sets it so all shard logs share one budget.
+	// cache is the one record cache OpenSharded builds from CacheBytes
+	// for all of its shard logs: one budget.
 	cache *recordCache
 }
 
@@ -178,18 +177,17 @@ type refSnap struct {
 
 // Stats is a point-in-time snapshot of the log's contents.
 type Stats struct {
-	Segments  int    // segment files
-	Records   int    // records indexed
-	Devices   int    // distinct device IDs
-	Bytes     int64  // total valid bytes on disk, headers included
-	Truncated int64  // torn/corrupt tail bytes dropped by recovery on Open (detected, not dropped, in read-only mode)
-	Unsynced  int64  // bytes accepted but not yet covered by an fsync: with the engine's TrailBytes, what a SIGKILL now would lose
-	Gen       uint64 // manifest generation currently published
-	Rewritten int64  // bytes the compactions published over this handle's lifetime wrote (BytesOut per pass): over what was appended, the write amplification
-	Reclaimed int64  // net disk bytes freed by the compactions published over this handle's lifetime (BytesIn − BytesOut per pass)
-	// Cache is the read cache's counters, all zero when none is configured.
-	// The shards share one cache: ShardedLog.Stats sets it once, not summed.
-	Cache cache.Stats
+	Segments        int         // segment files
+	Records         int         // records indexed
+	Devices         int         // distinct device IDs
+	Bytes           int64       // total valid bytes on disk, headers included
+	Truncated       int64       // torn/corrupt tail bytes dropped by recovery on Open (detected, not dropped, in read-only mode)
+	Unsynced        int64       // bytes accepted but not yet covered by an fsync: with the engine's TrailBytes, what a SIGKILL now would lose
+	Gen             uint64      // manifest generation currently published
+	Rewritten       int64       // bytes the compactions published over this handle's lifetime wrote (BytesOut per pass): over what was appended, the write amplification
+	Reclaimed       int64       // net disk bytes freed by the compactions published over this handle's lifetime (BytesIn − BytesOut per pass)
+	CompactFailures uint64      // failed passes of Options.Compaction, periodic ones and CompactNow alike: the sharded log's count, not summed
+	Cache           cache.Stats // the read cache's counters, all zero when none is configured: the shards' one cache, not summed
 }
 
 // shardLog is one shard of a ShardedLog: a complete segment log in its
@@ -210,11 +208,8 @@ type shardLog struct {
 	// tiers are the segment counts of earlier passes' output runs, oldest
 	// first, over the head of segs — what follows them, the active segment
 	// aside, was sealed since the last pass. They live in memory only: an
-	// open takes all that is sealed for one tier. lastFull says the last pass
-	// selected from the first segment on (valid) and whether it merged: with
-	// nothing sealed since, one like it changes nothing. Guarded by compactMu.
-	tiers    []int
-	lastFull struct{ valid, merge bool }
+	// open takes all that is sealed for one tier. Guarded by compactMu.
+	tiers []int
 
 	// compactLive counts the records an in-flight pass holds in memory,
 	// compactLiveHWM its high-water mark across passes: they observe the

@@ -33,6 +33,7 @@ func genKeys(seed, n int) []trajstore.GeoKey {
 
 func mustOpen(t testing.TB, dir string, opts Options) *shardLog {
 	t.Helper()
+	opts.cache = newRecordCache(opts.CacheBytes) // as OpenSharded does
 	l, err := openShardLog(dir, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+	"time"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
@@ -48,13 +49,13 @@ import (
 // SHARDS — the layout that predates sharding — is refused with
 // ErrCorrupt: never migrated, never swept, never treated as empty.
 type ShardedLog struct {
-	dir    string
-	ro     bool
-	fs     vfs.FS // never nil; resolved from Options.FS at open
-	lock   vfs.File
-	shards []*shardLog
-	// compaction is Options.Compaction, the policy CompactNow applies.
-	compaction *CompactionPolicy
+	dir          string
+	lock         vfs.File
+	shards       []*shardLog
+	compaction   *CompactionPolicy     // Options.Compaction: CompactNow's and the ticker's policy
+	stopTick     chan struct{}         // how Close stops the ticker; nil without one
+	compactFails atomic.Uint64         // failed passes: Stats.CompactFailures
+	compactErr   atomic.Pointer[error] // the last pass's error, which Close returns
 	// cache is the read-side record cache shared by every shard log
 	// (nil when Options.CacheBytes is zero): one byte budget for the
 	// whole tree, instead of N independent budgets that would let a
@@ -133,8 +134,8 @@ func writeShards(fsys vfs.FS, dir string, n int) error {
 // yet (≤ 0 means GOMAXPROCS); a directory that does — SHARDS exists —
 // keeps its persisted count, since it determines where every
 // already-stored device lives. Writable opens take the root's exclusive
-// LOCK (ErrLocked when another process holds it). With Options.ReadOnly
-// nothing is created or locked: the directory must already hold a log.
+// LOCK (ErrLocked when another process holds it) and start the periodic
+// passes; read-only ones create, lock and tick nothing, and need a log.
 func OpenSharded(dir string, shards int, opts Options) (*ShardedLog, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -142,19 +143,22 @@ func OpenSharded(dir string, shards int, opts Options) (*ShardedLog, error) {
 	if shards > MaxShards {
 		return nil, fmt.Errorf("segmentlog: shard count %d exceeds MaxShards %d", shards, MaxShards)
 	}
+	if p := opts.Compaction; p != nil && p.Every < 0 {
+		return nil, fmt.Errorf("segmentlog: CompactionPolicy.Every %v is negative", p.Every)
+	}
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = vfs.OS
 	}
 	opts.cache = newRecordCache(opts.CacheBytes)
-	s := &ShardedLog{dir: dir, ro: opts.ReadOnly, fs: fsys, compaction: opts.Compaction, cache: opts.cache}
+	s := &ShardedLog{dir: dir, compaction: opts.Compaction, cache: opts.cache}
 	// Refuse before anything is created or locked, so a refused
 	// directory is left byte-for-byte untouched.
-	if err := refuseSingleLog(s.fs, dir); err != nil {
+	if err := refuseSingleLog(fsys, dir); err != nil {
 		return nil, err
 	}
-	if s.ro {
-		n, found, err := readShards(s.fs, dir)
+	if opts.ReadOnly {
+		n, found, err := readShards(fsys, dir)
 		if err != nil {
 			return nil, err
 		}
@@ -164,10 +168,10 @@ func OpenSharded(dir string, shards int, opts Options) (*ShardedLog, error) {
 		return s, s.openShards(n, opts)
 	}
 
-	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segmentlog: %w", err)
 	}
-	lock, err := acquireLock(s.fs, dir)
+	lock, err := acquireLock(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +183,7 @@ func OpenSharded(dir string, shards int, opts Options) (*ShardedLog, error) {
 		}
 	}()
 
-	n, found, err := readShards(s.fs, dir)
+	n, found, err := readShards(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +192,7 @@ func OpenSharded(dir string, shards int, opts Options) (*ShardedLog, error) {
 		// Shard directories without a SHARDS file are debris of a
 		// creation that crashed before its commit point: rebuild from
 		// scratch.
-		if err := removeShardDirs(s.fs, dir); err != nil {
+		if err := removeShardDirs(fsys, dir); err != nil {
 			return nil, err
 		}
 	}
@@ -196,12 +200,26 @@ func OpenSharded(dir string, shards int, opts Options) (*ShardedLog, error) {
 		return nil, err
 	}
 	if !found {
-		if err := writeShards(s.fs, dir, n); err != nil {
+		if err := writeShards(fsys, dir, n); err != nil {
 			s.closeShards()
 			return nil, err
 		}
 	}
 	ok = true
+	if p := s.compaction; p != nil && p.Every > 0 {
+		s.stopTick = make(chan struct{})
+		go func() { // Close's stop is heard between passes
+			for t := time.NewTicker(p.Every); ; {
+				select {
+				case <-t.C:
+					_ = s.pass(false) // counted, and returned by Close while it stands
+				case <-s.stopTick:
+					t.Stop()
+					return
+				}
+			}
+		}()
+	}
 	return s, nil
 }
 
@@ -313,9 +331,6 @@ func (s *ShardedLog) live() error {
 	return nil
 }
 
-// Dir returns the sharded log's root directory.
-func (s *ShardedLog) Dir() string { return s.dir }
-
 // NumShards returns the shard count.
 func (s *ShardedLog) NumShards() int { return len(s.shards) }
 
@@ -357,19 +372,26 @@ func (s *ShardedLog) Sync() error {
 	return s.each(func(_ int, lg *shardLog) error { return lg.Sync() })
 }
 
-// Close syncs and closes every shard, then releases the top-level lock
-// — strictly last, so no other writer can enter the tree while any
-// shard still has buffered or in-flight state. Each shard's Close
-// serializes behind that shard's running compaction, so a concurrent
-// CompactNow finishes or aborts cleanly first. Further operations
-// return ErrClosed; Close itself is idempotent — a repeated call waits
-// for the first to finish and returns nil.
+// Close stops the periodic passes, syncs and closes every shard, then
+// releases the top-level lock — strictly last, so no other writer can enter
+// the tree while any shard still has buffered or in-flight state. Each
+// shard's Close serializes behind that shard's running compaction, so a
+// concurrent CompactNow finishes or aborts cleanly first; a failed pass no
+// later one cleared is returned. Further operations return ErrClosed;
+// Close itself is idempotent — a repeated call waits for the first to
+// finish and returns nil.
 func (s *ShardedLog) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
+		if s.stopTick != nil {
+			s.stopTick <- struct{}{}
+		}
 		s.closed.Store(true)
 		err = s.each(func(_ int, lg *shardLog) error { return lg.Close() })
 		s.releaseLock()
+		if p := s.compactErr.Load(); p != nil && *p != nil {
+			err = errors.Join(err, fmt.Errorf("segmentlog: last compaction pass: %w", *p))
+		}
 	})
 	return err
 }
@@ -413,10 +435,10 @@ func (s *ShardedLog) Devices() []string {
 
 // Stats sums the per-shard bookkeeping. Devices is exact (each device
 // lives in exactly one shard); Gen is the sum of the shard generations,
-// so it is monotonic and moves iff some shard published; Cache is the one
-// cache the shards share. It does no I/O and stays callable after Close.
+// so it is monotonic and moves iff some shard published; Cache and
+// CompactFailures are the log's. It does no I/O and stays callable after Close.
 func (s *ShardedLog) Stats() Stats {
-	out := Stats{Cache: s.cache.Stats()}
+	out := Stats{Cache: s.cache.Stats(), CompactFailures: s.compactFails.Load()}
 	for _, lg := range s.shards {
 		st := lg.Stats()
 		out.Segments += st.Segments
@@ -521,10 +543,14 @@ func (s *ShardedLog) compact(p CompactionPolicy, all bool) (CompactionResult, er
 	return out, err
 }
 
-// CompactNow runs a pass with the policy configured in Options.Compaction —
-// a periodic one, or (all) a drain's: Seal, then Compact; a no-op when none
-// was configured (trajstore.Backend, the engine's compaction hook).
-func (s *ShardedLog) CompactNow(all bool) error {
+// CompactNow runs the drain's pass with the policy in Options.Compaction —
+// Seal, then Compact; a no-op without one (trajstore.Backend).
+func (s *ShardedLog) CompactNow() error { return s.pass(true) }
+
+// pass runs a pass with the configured policy, periodic or (all) the
+// drain's. A failure, which leaves every durable record as it was, is
+// counted and stands — Close returns it — until a later pass succeeds.
+func (s *ShardedLog) pass(all bool) error {
 	err := s.live()
 	if s.compaction == nil || err != nil {
 		return err
@@ -535,5 +561,9 @@ func (s *ShardedLog) CompactNow(all bool) error {
 	if err == nil {
 		_, err = s.compact(*s.compaction, all)
 	}
+	if err != nil {
+		s.compactFails.Add(1)
+	}
+	s.compactErr.Store(&err)
 	return err
 }

@@ -281,7 +281,7 @@ func TestShardedCloseIdempotent(t *testing.T) {
 		_, cerr := s.Compact(CompactionPolicy{})
 		for op, err := range map[string]error{
 			"Append": s.Append("alpha", genKeys(2, 5)), "Sync": s.Sync(),
-			"Compact": cerr, "CompactNow": s.CompactNow(true),
+			"Compact": cerr, "CompactNow": s.CompactNow(),
 			"Query": qerr, "QueryWindow": werr, "QueryWindowStats": wserr,
 		} {
 			if err != ErrClosed {

@@ -4,6 +4,7 @@
 package segmentlog
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,7 +13,9 @@ import (
 	"reflect"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
@@ -216,5 +219,76 @@ func TestTickCostFollowsWhatChanged(t *testing.T) {
 	t.Logf("explicit passes: appended %d B, compaction wrote %d B (%.2f×)", appended, compacted, float64(compacted)/float64(appended))
 	if compacted <= budget(appended) {
 		t.Fatalf("full rewrites stayed within the budget (%d ≤ %d): the schedule is too short to tell them from ticks", compacted, budget(appended))
+	}
+}
+
+// TestLogTicks: a writable log whose policy sets Every compacts on its own.
+// Its ticks merge a chunked device with no explicit call; a failing pass is
+// counted, returned by Close while it stands and cleared by the next good
+// pass; a read-only open starts no ticker, and a negative Every is refused
+// before anything is created.
+func TestLogTicks(t *testing.T) {
+	dir := t.TempDir()
+	fs := vfs.NewFaultFS(1)
+	opts := Options{MaxSegmentBytes: 512, FS: fs, Compaction: &CompactionPolicy{MergeChunks: true, Every: 2 * time.Millisecond}}
+	appendChunked := func(s *ShardedLog, dev string, seed int) int {
+		chunks := chunkKeys(genKeys(seed, 80), 8)
+		for _, c := range chunks {
+			if err := s.Append(dev, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return len(chunks)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no tick %s within 10 s", what)
+			}
+		}
+	}
+	failReads := vfs.Rule{Op: vfs.OpReadAt, Path: "seg-*.log", Fault: vfs.FaultEIO}
+
+	s := mustOpenSharded(t, dir, 1, opts)
+	chunks := appendChunked(s, "a", 1)
+	waitFor("merged the chunks", func() bool { n, _, _, _ := s.DeviceSpan("a"); return n < chunks })
+	fs.AddRule(failReads)
+	appendChunked(s, "b", 2) // seals segments the failing ticks cannot read
+	waitFor("failed", func() bool { return s.Stats().CompactFailures > 0 })
+	gen := s.Stats().Gen
+	fs.ClearRules()
+	waitFor("succeeded after the failure", func() bool { return s.Stats().Gen > gen })
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close after a good pass = %v, want nil", err)
+	}
+
+	s = mustOpenSharded(t, dir, 1, opts)
+	fs.AddRule(failReads)
+	appendChunked(s, "c", 3)
+	waitFor("failed", func() bool { return s.Stats().CompactFailures > 0 })
+	if err := s.Close(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Close under a standing failure = %v, want the pass's EIO", err)
+	}
+	fs.ClearRules()
+
+	ro := mustOpenSharded(t, dir, 1, Options{ReadOnly: true, Compaction: opts.Compaction})
+	time.Sleep(20 * time.Millisecond) // ticks on a read-only log would fail, and count
+	if ro.stopTick != nil || ro.Stats().CompactFailures != 0 {
+		t.Fatalf("a read-only open ticks: %d failed passes", ro.Stats().CompactFailures)
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := filepath.Join(t.TempDir(), "fresh")
+	if _, err := OpenSharded(fresh, 1, Options{Compaction: &CompactionPolicy{Every: -time.Second}}); err == nil {
+		t.Fatal("a negative Every was accepted")
+	}
+	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+		t.Fatalf("a refused open left %s behind (%v)", fresh, err)
 	}
 }

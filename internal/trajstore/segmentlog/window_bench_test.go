@@ -78,7 +78,7 @@ func BenchmarkQueryWindowFull(b *testing.B) {
 // configuration — see BenchmarkQueryWindowCold) or warm.
 func benchWindowCached(b *testing.B, cacheBytes int64, wantHits bool) {
 	dir := b.TempDir()
-	l, err := openShardLog(dir, Options{MaxSegmentBytes: 16 << 10, CacheBytes: cacheBytes})
+	l, err := openShardLog(dir, Options{MaxSegmentBytes: 16 << 10, CacheBytes: cacheBytes, cache: newRecordCache(cacheBytes)})
 	if err != nil {
 		b.Fatal(err)
 	}
