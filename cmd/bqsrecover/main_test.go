@@ -157,7 +157,7 @@ func TestSmokeRecoverCompact(t *testing.T) {
 	dir := t.TempDir()
 	// A rotation threshold of two records: the first two chunks land in a
 	// sealed segment, the third stays in the active one.
-	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{MaxSegmentBytes: 100})
+	lg, err := segmentlog.OpenSharded(dir, 1, segmentlog.Options{MaxSegmentBytes: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

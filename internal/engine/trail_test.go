@@ -71,7 +71,7 @@ func logFiles(t *testing.T, root string) map[string][]byte {
 func TestTrailBlocksMatchLogAppend(t *testing.T) {
 	for _, maxKeys := range []int{2, 16, 8192} {
 		t.Run(fmt.Sprintf("MaxTrailKeys=%d", maxKeys), func(t *testing.T) {
-			opts := segmentlog.Options{MaxSegmentBytes: 2048}
+			opts := segmentlog.Options{MaxSegmentBytes: 1024}
 			dirA, dirB := t.TempDir(), t.TempDir()
 			lg, err := segmentlog.OpenSharded(dirA, 2, opts)
 			if err != nil {

@@ -236,7 +236,7 @@ func TestMetricsUnsyncedBounded(t *testing.T) {
 	}
 	defer c.Close()
 	// The traffic runs beside the test; the test scrapes until it is done.
-	const devices, perDevice = 64, 4000
+	const devices, perDevice = 64, 5000
 	sent := make(chan error, 1)
 	go func() {
 		for lo := 0; lo < perDevice; lo += 500 {

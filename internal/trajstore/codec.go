@@ -66,15 +66,10 @@ func latticeKey(lat, lon int64, t uint32) GeoKey {
 }
 
 // Bounds is what a block's keys span on the wire lattice: the box and
-// time range a log record's header carries.
+// time range a log record is indexed by.
 type Bounds struct {
 	MinLat, MinLon, MaxLat, MaxLon int32
 	T0, T1                         uint32
-}
-
-// Valid reports that neither the box nor the time range is inverted.
-func (b Bounds) Valid() bool {
-	return b.T0 <= b.T1 && b.MinLat <= b.MaxLat && b.MinLon <= b.MaxLon
 }
 
 // Union widens b to cover o.

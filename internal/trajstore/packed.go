@@ -1,6 +1,6 @@
 // The packed block: how a segment log record holds a trail on disk —
 // DeltaEncode's block with its deltas Rice-coded, one parameter a field.
-// AppendPacked writes it, UnpackBlock turns it back into that block.
+// AppendPacked writes it, UnpackBlock turns it back into that block and its trail.
 package trajstore
 
 import (
@@ -121,25 +121,29 @@ var errTrailing = errors.New("trajstore: bytes after the packed block's last key
 
 // UnpackBlock appends to dst the delta-varint block packed holds, as
 // AppendBlock wrote it, checking in the same pass all DeltaValidate checks
-// (ErrRange: a key off the globe) and that only zero padding follows.
-func UnpackBlock(dst, packed []byte) ([]byte, error) {
+// (ErrRange: a key off the globe) and that only zero padding follows; the
+// trail it returns is that block on dst's tail, its bounds and last key
+// from the same pass.
+func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 	n, off := binary.Uvarint(packed)
 	if off <= 0 {
-		return nil, ErrShortBuffer
+		return nil, Trail{}, ErrShortBuffer
 	}
 	c := Cursor{b: packed[off:], left: int(min(n, 1)), first: true}
 	var wk walk
 	if _, err := c.decode(nil, c.left, false, &wk); err != nil || !onGlobe(wk.box) {
-		return nil, cmp.Or(err, ErrRange)
+		return nil, Trail{}, cmp.Or(err, ErrRange)
 	}
-	if dst = binary.AppendUvarint(dst, n); n > 0 {
+	dst = binary.AppendUvarint(dst, n)
+	body, key, box := len(dst), [3]int64{c.lat, c.lon, c.t}, wk.box
+	if n > 0 {
 		dst = binary.AppendUvarint(binary.AppendVarint(binary.AppendVarint(dst, c.lat), c.lon), uint64(c.t))
 	}
 	b, k := c.b, [3]uint{}
 	if n >= 2 && len(b) < 3 {
-		return nil, ErrShortBuffer
+		return nil, Trail{}, ErrShortBuffer
 	} else if n >= 2 && max(b[0], b[1], b[2]) > maxRiceK {
-		return nil, fmt.Errorf("trajstore: Rice parameter %d out of range", max(b[0], b[1], b[2]))
+		return nil, Trail{}, fmt.Errorf("trajstore: Rice parameter %d out of range", max(b[0], b[1], b[2]))
 	} else if n >= 2 {
 		k, b = [3]uint{uint(b[0]), uint(b[1]), uint(b[2])}, b[3:]
 	}
@@ -150,7 +154,7 @@ func UnpackBlock(dst, packed []byte) ([]byte, error) {
 			acc |= uint64(b[0]) << nb
 		}
 	}
-	for key, i := [3]int64{c.lat, c.lon, c.t}, uint64(1); i < n; i++ {
+	for i := uint64(1); i < n; i++ {
 		for f, kf := range k {
 			load() // now acc holds the whole code, the escape's ones or b's last bits
 			q := uint(bits.TrailingZeros64(^acc))
@@ -159,12 +163,12 @@ func UnpackBlock(dst, packed []byte) ([]byte, error) {
 			case q < riceEscape && q+1+kf <= nb:
 				acc, nb = acc>>(q+1+kf), nb-q-1-kf
 			case q < riceEscape:
-				return nil, ErrShortBuffer
+				return nil, Trail{}, ErrShortBuffer
 			default: // escaped: the ones, then v's 64 bits, 32 at a time
 				acc, nb, v = acc>>riceEscape, nb-riceEscape, 0
 				for half := uint(0); half < 64; half += 32 {
 					if load(); nb < 32 {
-						return nil, ErrShortBuffer
+						return nil, Trail{}, ErrShortBuffer
 					}
 					v, acc, nb = v|acc&math.MaxUint32<<half, acc>>32, nb-32
 				}
@@ -173,13 +177,16 @@ func UnpackBlock(dst, packed []byte) ([]byte, error) {
 			dst = binary.AppendUvarint(dst, v) // AppendVarint of the delta
 		}
 		if uint64(key[0]+90e7) > 180e7 || uint64(key[1]+180e7) > 360e7 || uint64(key[2]) > math.MaxUint32 {
-			return nil, ErrRange
+			return nil, Trail{}, ErrRange
 		}
+		box.MinLat, box.MinLon, box.T0 = min(box.MinLat, key[0]), min(box.MinLon, key[1]), min(box.T0, key[2])
+		box.MaxLat, box.MaxLon, box.T1 = max(box.MaxLat, key[0]), max(box.MaxLon, key[1]), max(box.T1, key[2])
 	}
 	if len(b) > 0 || nb >= 8 || acc != 0 {
-		return nil, errTrailing
+		return nil, Trail{}, errTrailing
 	}
-	return dst, nil
+	return dst, Trail{cur: dst[body:len(dst):len(dst)], size: len(dst) - body, n: int(n), lat: int32(key[0]), lon: int32(key[1]), t: uint32(key[2]),
+		bounds: Bounds{int32(box.MinLat), int32(box.MinLon), int32(box.MaxLat), int32(box.MaxLon), uint32(box.T0), uint32(box.T1)}}, nil
 }
 
 // PackedBound bounds a packed block of n keys: every code an escape.

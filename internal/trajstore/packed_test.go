@@ -84,9 +84,10 @@ func escapes(t *Trail) (esc [3]bool) {
 	return esc
 }
 
-// checkPacked packs t and requires the unpacked block to be t's own bytes,
-// the packed size to be what the choice of parameters costed, and the
-// block to be no larger than PackedBound.
+// checkPacked packs t and requires the unpacked block to be t's own bytes
+// and its trail to read as t down to the last key, the packed size to be
+// what the choice of parameters costed, and the block to be no larger than
+// PackedBound.
 func checkPacked(t *testing.T, name string, tr *Trail) []byte {
 	t.Helper()
 	want := tr.AppendBlock(nil)
@@ -95,9 +96,13 @@ func checkPacked(t *testing.T, name string, tr *Trail) []byte {
 		t.Fatalf("%s: AppendPacked overwrote dst", name)
 	}
 	packed = packed[6:]
-	got, err := UnpackBlock([]byte("x"), packed)
+	got, unpacked, err := UnpackBlock([]byte("x"), packed)
 	if err != nil {
 		t.Fatalf("%s: UnpackBlock: %v", name, err)
+	}
+	sameTrail(t, name+", unpacked", &unpacked, tr)
+	if unpacked.lat != tr.lat || unpacked.lon != tr.lon || unpacked.t != tr.t {
+		t.Fatalf("%s: the unpacked trail ends at %d, %d, %d, the trail at %d, %d, %d", name, unpacked.lat, unpacked.lon, unpacked.t, tr.lat, tr.lon, tr.t)
 	}
 	if !bytes.Equal(got[1:], want) || got[0] != 'x' {
 		t.Fatalf("%s: unpacked block differs from the trail's\n got %x\nwant %x", name, got[1:], want)
@@ -135,7 +140,7 @@ func TestPackedRoundTrip(t *testing.T) {
 		t.Fatalf("escapes written per field (lat, lon, t) = %v; the cases must reach all three", seen)
 	}
 	var empty Trail
-	if got, err := UnpackBlock(nil, empty.AppendPacked(nil)); err != nil || !bytes.Equal(got, empty.AppendBlock(nil)) {
+	if got, _, err := UnpackBlock(nil, empty.AppendPacked(nil)); err != nil || !bytes.Equal(got, empty.AppendBlock(nil)) {
 		t.Fatalf("empty trail: %x, %v", got, err)
 	}
 }
@@ -186,7 +191,7 @@ func TestUnpackRefuses(t *testing.T) {
 		want error
 	}{bad, nil}
 	for name, c := range cases {
-		if _, err := UnpackBlock(nil, c.b); err == nil || c.want != nil && !errors.Is(err, c.want) {
+		if _, _, err := UnpackBlock(nil, c.b); err == nil || c.want != nil && !errors.Is(err, c.want) {
 			t.Errorf("%s: UnpackBlock(%x) = %v, want %v", name, c.b, err, c.want)
 		}
 	}
@@ -229,7 +234,7 @@ func FuzzPackedBlock(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if block, err := UnpackBlock(nil, data); err == nil {
+		if block, _, err := UnpackBlock(nil, data); err == nil {
 			if !DeltaValidate(block) {
 				t.Fatalf("UnpackBlock accepted %x as %x, which DeltaValidate refuses", data, block)
 			}

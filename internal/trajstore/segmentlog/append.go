@@ -28,7 +28,7 @@ func (l *shardLog) createSegmentFile(seq uint64) (vfs.File, segmentFile, error) 
 		l.fs.Remove(path)
 		return nil, segmentFile{}, err
 	}
-	return f, segmentFile{path: path, size: headerSize}, nil
+	return f, segmentFile{path: path, version: version, size: headerSize}, nil
 }
 
 // newSegmentFileLocked creates the next numbered segment file and fsyncs
@@ -74,8 +74,6 @@ func (l *shardLog) AppendTrail(device string, tr *trajstore.Trail) error {
 	if tr.Len() == 0 {
 		return nil
 	}
-	b := tr.Bounds()
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.writableLocked(); err != nil {
@@ -88,7 +86,7 @@ func (l *shardLog) AppendTrail(device string, tr *trajstore.Trail) error {
 	}
 
 	start := len(l.unsynced)
-	buf, err := frameRecord(l.unsynced, device, b, tr)
+	buf, err := frameRecord(l.unsynced, device, tr)
 	l.unsynced = buf
 	if err != nil {
 		return err
@@ -96,7 +94,7 @@ func (l *shardLog) AppendTrail(device string, tr *trajstore.Trail) error {
 	n := len(buf) - start
 
 	l.addRecordLocked(recordMeta{
-		dev: l.internLocked([]byte(device)), off: uint32(l.off + recordHeaderSize), bodyLen: uint32(n - recordHeaderSize), Bounds: b,
+		dev: l.internLocked([]byte(device)), off: uint32(l.off + recordHeaderSize), bodyLen: uint32(n - recordHeaderSize), Bounds: tr.Bounds(),
 	})
 	l.off += int64(n)
 

@@ -74,7 +74,7 @@ func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{MaxSegmentBytes: 1000, CacheBytes: 1 << 20})
 	defer l.Close()
-	fillChunked(t, l, 6, 160, 8)
+	fillChunked(t, l, 6, 240, 8)
 
 	// Cold: nothing resident, every candidate is a miss and a decode.
 	cold, cws, cs := windowCacheStats(t, l)

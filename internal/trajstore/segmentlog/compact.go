@@ -45,6 +45,7 @@
 package segmentlog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -95,12 +96,11 @@ type CompactionResult struct {
 }
 
 // compactRecord is one logical record flowing through the rewrite: its
-// indexed time span and its key points as the stored block, opened — keys
-// exist only while ageing re-compresses them.
+// key points as the stored block, opened, with their bounds — keys exist
+// only while ageing re-compresses them.
 type compactRecord struct {
-	dev    uint32 // device number: shardLog.names[dev] is its ID
-	t0, t1 uint32
-	trail  trajstore.Trail
+	dev   uint32 // device number: shardLog.names[dev] is its ID
+	trail trajstore.Trail
 }
 
 // ageCompressor is the registry compressor ageing re-runs old records
@@ -257,9 +257,9 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	// output and skip the publish — no generation bump, no fsync storm — and
 	// the selection is a tier from here on, which no tick reads again before
 	// tierRatio says so. (RecordsIn == 0 still publishes, to drop the empty
-	// files, and a version-2 segment in the selection, to rewrite it.)
+	// files, and an older version's segment in the selection, to rewrite it.)
 	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && res.RecordsIn > 0 &&
-		!slices.ContainsFunc(sealed, func(s segmentFile) bool { return s.legacy }) {
+		!slices.ContainsFunc(sealed, func(s segmentFile) bool { return s.version != version }) {
 		cw.discard()
 		res.RecordsOut, res.SegmentsOut, res.BytesOut = res.RecordsIn, res.SegmentsIn, res.BytesIn
 		l.tiers = append(l.tiers[:t], len(sealed))
@@ -314,27 +314,23 @@ func segBytes(segs []segmentFile) (n int64) {
 
 // compactDevice is the reader side of the streaming compactor: it reads one
 // device's selected records — addrs, into sealed; its ID is devLen bytes —
-// (pread through the indexed offsets, CRC re-verified), opens their blocks
-// and runs the pipeline on them. Every record was valid when Open indexed it, so
-// anything that fails to validate now is bit rot — the pass must abort
-// (leaving the old generation untouched) rather than drop the record and
-// then delete its only copy. out.decoded is reported even on error so the
-// writer's live-memory accounting stays balanced.
+// (pread through the indexed offsets, CRC re-verified; the walk that
+// unpacks a record opens it) and runs the pipeline on them. Every record was
+// valid when Open indexed it, so anything that fails to validate now is bit
+// rot — the pass must abort (leaving the old generation untouched) rather
+// than drop the record and then delete its only copy. out.decoded is
+// reported even on error so the writer's live-memory accounting balances.
 func (l *shardLog) compactDevice(addrs []recordAddr, devLen int, sealed []segmentFile, files *segReader, p CompactionPolicy, cutoff uint32) (out devOut) {
 	recs := make([]compactRecord, 0, len(addrs))
 	for _, a := range addrs {
-		var tr trajstore.Trail
 		m := &sealed[a.seg].recs[a.pos]
-		blk, err := files.readBlock(refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
-		if err == nil {
-			tr, err = trajstore.OpenTrail(blk.Payload)
-		}
+		_, tr, err := files.readTrail(refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
 		if err != nil {
 			out.err = fmt.Errorf("compact: %s: record at offset %d: %w (bit rot since open?)",
 				filepath.Base(sealed[a.seg].path), m.off, err)
 			return out
 		}
-		recs = append(recs, compactRecord{dev: m.dev, t0: blk.T0, t1: blk.T1, trail: tr})
+		recs = append(recs, compactRecord{dev: m.dev, trail: tr})
 		out.decoded++
 		l.compactLiveAdd(1)
 	}
@@ -345,7 +341,7 @@ func (l *shardLog) compactDevice(addrs []recordAddr, devLen int, sealed []segmen
 	if p.CoarseTolerance > 0 {
 		for i := range recs {
 			r := &recs[i]
-			if r.t1 > cutoff || r.trail.Len() <= 2 {
+			if r.trail.Bounds().T1 > cutoff || r.trail.Len() <= 2 {
 				continue // too young, or nothing to thin
 			}
 			aged, err := ageTrail(&r.trail, p.CoarseTolerance)
@@ -365,15 +361,15 @@ func (l *shardLog) compactDevice(addrs []recordAddr, devLen int, sealed []segmen
 // mergeChunks re-joins consecutive records that overlap by exactly one
 // key point (the engine's chunking invariant: each chunk restarts from
 // the previous chunk's last key) by joining their blocks — see Trail.Join.
-// Merging stops at a trajstore.PackedBound over the cap (≈ 466 000 keys).
+// Merging stops at a body bound — the ID, its longest uvarint length, a
+// trajstore.PackedBound — over the cap (≈ 466 000 keys).
 func mergeChunks(recs []compactRecord, devLen int) (out []compactRecord, merged int) {
 	out = recs[:0]
 	for _, r := range recs {
 		if len(out) > 0 {
 			prev := &out[len(out)-1]
-			if minBodySize+devLen+trajstore.PackedBound(prev.trail.Len()+r.trail.Len()) <= MaxRecordBytes &&
+			if binary.MaxVarintLen16+devLen+trajstore.PackedBound(prev.trail.Len()+r.trail.Len()) <= MaxRecordBytes &&
 				prev.trail.Join(&r.trail) {
-				prev.t0, prev.t1 = min(prev.t0, r.t0), max(prev.t1, r.t1)
 				merged++
 				continue
 			}
@@ -391,14 +387,13 @@ func mergeChunks(recs []compactRecord, devLen int) (out []compactRecord, merged 
 func dedupContained(recs []compactRecord) (out []compactRecord, dropped int) {
 	var kept []compactRecord
 	for _, r := range recs {
-		contained := false
-		filtered := kept[:0]
+		contained, filtered, rb := false, kept[:0], r.trail.Bounds()
 		for _, k := range kept {
-			switch {
-			case !contained && k.t0 <= r.t0 && r.t1 <= k.t1 && k.trail.Contains(&r.trail):
+			switch kb := k.trail.Bounds(); {
+			case !contained && kb.T0 <= rb.T0 && rb.T1 <= kb.T1 && k.trail.Contains(&r.trail):
 				contained = true
 				filtered = append(filtered, k)
-			case r.t0 <= k.t0 && k.t1 <= r.t1 && r.trail.Contains(&k.trail):
+			case rb.T0 <= kb.T0 && kb.T1 <= rb.T1 && r.trail.Contains(&k.trail):
 				dropped++ // k is swallowed by the newer r
 			default:
 				filtered = append(filtered, k)
@@ -493,9 +488,7 @@ func (w *compactWriter) closeCurrent() error {
 // add frames and writes one record, rotating to a fresh segment file
 // at the size threshold.
 func (w *compactWriter) add(r compactRecord) (err error) {
-	b := r.trail.Bounds()
-	b.T0, b.T1 = r.t0, r.t1
-	if w.buf, err = frameRecord(w.buf[:0], w.names[r.dev], b, &r.trail); err != nil {
+	if w.buf, err = frameRecord(w.buf[:0], w.names[r.dev], &r.trail); err != nil {
 		return err
 	}
 	if w.f != nil && w.off > headerSize && w.off+int64(len(w.buf)) > w.l.opts.MaxSegmentBytes {
@@ -521,7 +514,7 @@ func (w *compactWriter) add(r compactRecord) (err error) {
 	}
 	s := &w.segs[len(w.segs)-1]
 	s.recs = append(s.recs, recordMeta{
-		dev: r.dev, off: uint32(w.off + recordHeaderSize), bodyLen: uint32(len(w.buf) - recordHeaderSize), Bounds: b,
+		dev: r.dev, off: uint32(w.off + recordHeaderSize), bodyLen: uint32(len(w.buf) - recordHeaderSize), Bounds: r.trail.Bounds(),
 	})
 	w.off += int64(len(w.buf))
 	return nil

@@ -1,9 +1,11 @@
 package segmentlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -107,15 +109,15 @@ func TestCompactMergeChunks(t *testing.T) {
 
 // TestCompactDedup: exact duplicates and fully-contained records of the
 // same device are dropped; partial overlaps and other devices survive.
-// TestMergeCapIsPackedBound pins where a merge stops: while the two
-// records' keys keep minBodySize + ID + trajstore.PackedBound under
-// MaxRecordBytes — ≈ 466 000 keys, every code priced as an escape —
+// TestMergeCapIsPackedBound pins where a merge stops: while the ID, its
+// longest uvarint length and the two records' trajstore.PackedBound stay
+// under MaxRecordBytes — ≈ 466 000 keys, every code priced as an escape —
 // whatever the blocks' real size, so a merged record always frames.
 func TestMergeCapIsPackedBound(t *testing.T) {
 	const devLen = 6
 	perKey := trajstore.PackedBound(2) - trajstore.PackedBound(1)
-	limit := (MaxRecordBytes-minBodySize-devLen-trajstore.PackedBound(1))/perKey + 1
-	if minBodySize+devLen+trajstore.PackedBound(limit) > MaxRecordBytes || minBodySize+devLen+trajstore.PackedBound(limit+1) <= MaxRecordBytes {
+	limit := (MaxRecordBytes-binary.MaxVarintLen16-devLen-trajstore.PackedBound(1))/perKey + 1
+	if binary.MaxVarintLen16+devLen+trajstore.PackedBound(limit) > MaxRecordBytes || binary.MaxVarintLen16+devLen+trajstore.PackedBound(limit+1) <= MaxRecordBytes {
 		t.Fatalf("limit %d is not the last key count under the cap", limit)
 	}
 	if limit < 460_000 || limit > 470_000 {
@@ -129,7 +131,7 @@ func TestMergeCapIsPackedBound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return compactRecord{t0: uint32(from), t1: uint32(to - 1), trail: tr}
+		return compactRecord{trail: tr}
 	}
 	for _, over := range []int{0, 1} {
 		half := limit / 2
@@ -139,7 +141,7 @@ func TestMergeCapIsPackedBound(t *testing.T) {
 			t.Fatalf("%d keys a pair: merged %d into %d records, want %d merge", limit+over, merged, len(out), want)
 		}
 		if over == 0 {
-			framed, err := frameRecord(nil, "dev-00", out[0].trail.Bounds(), &out[0].trail)
+			framed, err := frameRecord(nil, "dev-00", &out[0].trail)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,6 +325,76 @@ func TestCompactAgeingBound(t *testing.T) {
 	l.Close()
 }
 
+// TestAgeingKeepsTimeSpan: FBQS keeps a trajectory's first and last key
+// points, so an aged record spans the times it spanned, and nothing need
+// keep a span beside its keys. Random walks aged at several tolerances
+// start and end on their original keys; and a log's chunked device, merged
+// and aged to one record, keeps its span in the index, in a query and
+// through a reopen's scan.
+func TestAgeingKeepsTimeSpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	aged := 0
+	for trial := 0; trial < 200; trial++ {
+		keys := make([]trajstore.GeoKey, 3+rng.Intn(300))
+		lat, lon, ts := rng.Float64()*10, rng.Float64()*10, uint32(rng.Intn(1e6))
+		for i := range keys {
+			keys[i] = trajstore.GeoKey{Lat: lat, Lon: lon, T: ts}
+			lat, lon, ts = lat+rng.NormFloat64()*1e-3, lon+rng.NormFloat64()*1e-3, ts+uint32(1+rng.Intn(30))
+		}
+		var tr trajstore.Trail
+		if err := tr.Add(keys...); err != nil {
+			t.Fatal(err)
+		}
+		before, span := tr.Keys(), tr.Bounds()
+		ok, err := ageTrail(&tr, []float64{1, 10, 100, 1000}[trial%4])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			aged++
+		}
+		after, b := tr.Keys(), tr.Bounds()
+		if after[0] != before[0] || after[len(after)-1] != before[len(before)-1] || b.T0 != span.T0 || b.T1 != span.T1 {
+			t.Fatalf("walk %d: aged to %d of %d keys spanning [%d, %d], want the ends kept and [%d, %d]",
+				trial, len(after), len(before), b.T0, b.T1, span.T0, span.T1)
+		}
+	}
+	if aged < 100 {
+		t.Fatalf("only %d of 200 walks aged", aged)
+	}
+
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{MaxSegmentBytes: 256})
+	keys := genKeys(5, 121)
+	for c := 0; c+1 < len(keys); c += 15 {
+		if err := l.Append("dev", keys[c:c+16]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, t0, t1, _ := l.DeviceSpan("dev")
+	if err := l.seal(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.Compact(CompactionPolicy{MergeChunks: true, CoarseTolerance: 50})
+	if err != nil || res.Aged != 1 || res.RecordsOut != 1 {
+		t.Fatalf("compaction = %+v, %v; want the chunks merged and aged to one record", res, err)
+	}
+	span := func(step string, l *shardLog) {
+		t.Helper()
+		recs := queryAll(t, l, "dev")
+		if n, st0, st1, _ := l.DeviceSpan("dev"); n != 1 || st0 != t0 || st1 != t1 || len(recs) != 1 || recs[0].T0 != t0 || recs[0].T1 != t1 {
+			t.Fatalf("%s: %d records spanning [%d, %d] in the index, %d read; want one spanning [%d, %d]", step, n, st0, st1, len(recs), t0, t1)
+		}
+	}
+	span("aged", l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l = mustOpen(t, dir, Options{MaxSegmentBytes: 256})
+	defer l.Close()
+	span("reopened", l)
+}
+
 // TestCompactAgeingKeepsEdgeBytes ages records that hug the edges of the
 // wire's range, where plane coordinates are largest — one along the ±180°
 // seam and across it, one at each pole, their times reaching 0 and
@@ -398,8 +470,10 @@ func TestCompactAgeingKeepsEdgeBytes(t *testing.T) {
 // crashSegBytes is the rotation threshold of the compaction fixtures and the
 // crash tests over them: small enough that the fixture seals several
 // segments and a pass writes several, so each step of the publish protocol
-// recurs among the crash points.
-const crashSegBytes = 300
+// recurs among the crash points. At 180 B the fixture seals 8 segments of
+// its 39 v4 records, the layout 300 B gave the v3 records with their 24 B of
+// bounds, so the sweeps cross as many rolls and publishes as they did.
+const crashSegBytes = 180
 
 // compactionFixture builds a deterministic chunked multi-device log and
 // returns the directory plus the expected per-device stitched polylines.

@@ -1,10 +1,9 @@
 // The segment file format: the file header and the record framing, written
-// (frameRecord) and parsed (nextRecord, splitBody) in one place.
+// (frameRecord) and parsed (nextRecord, splitBody, openRecord) in one place.
 package segmentlog
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -35,51 +34,42 @@ func nextRecord(data []byte, pos int) (body []byte, bodyOff, next int, ok bool) 
 	return body, bodyOff, next, true
 }
 
-// minBodySize is the smallest legal body: device length prefix (may be
-// zero bytes of ID), both time bounds, the 16-byte bounding box, and a
-// ≥1-byte payload (the key count).
-const minBodySize = 2 + 4 + 4 + 16 + 1
+// minBodySize is the smallest legal body, a version-4 one: the device
+// length (a one-byte uvarint, for no bytes of ID) and a one-byte payload
+// (the key count).
+const minBodySize = 1 + 1
 
-// splitBody splits a validated record body into its fields, slices of it.
-func splitBody(body []byte) (device []byte, b trajstore.Bounds, payload []byte, err error) {
-	if len(body) < minBodySize {
-		return nil, b, nil, trajstore.ErrShortBuffer
+// legacyBoundsSize is the bounds versions 2 and 3 put after the ID: the
+// payload's, as TestLegacyHeaderBounds pins, so no read takes them.
+const legacyBoundsSize = 8 + 16
+
+// splitBody splits a validated record body of a version-v segment into
+// its device ID and payload, slices of it.
+func splitBody(body []byte, v byte) (device, payload []byte, err error) {
+	devLen, n, skip := uint64(0), 0, 0
+	if v == version {
+		devLen, n = binary.Uvarint(body)
+	} else if len(body) >= 2 {
+		devLen, n, skip = uint64(binary.LittleEndian.Uint16(body)), 2, legacyBoundsSize
 	}
-	devLen := int(binary.LittleEndian.Uint16(body))
-	rest := body[2:]
-	if len(rest) < devLen+boundsSize+1 {
-		return nil, b, nil, trajstore.ErrShortBuffer
+	if n <= 0 || len(body)-n-skip < 1 || devLen > uint64(len(body)-n-skip-1) {
+		return nil, nil, trajstore.ErrShortBuffer
 	}
-	u, h := binary.LittleEndian.Uint32, rest[devLen:]
-	b = trajstore.Bounds{T0: u(h), T1: u(h[4:]),
-		MinLat: int32(u(h[8:])), MinLon: int32(u(h[12:])), MaxLat: int32(u(h[16:])), MaxLon: int32(u(h[20:]))}
-	if !b.Valid() {
-		return nil, b, nil, errors.New("segmentlog: inverted record bounds")
-	}
-	return rest[:devLen], b, rest[devLen+boundsSize:], nil
+	rest := body[n:]
+	return rest[:devLen], rest[int(devLen)+skip:], nil
 }
 
-// boundsSize is a record's bounds as its header carries them: u32 t0, t1,
-// then the box as 4 × i32 minLat, minLon, maxLat, maxLon.
-const boundsSize = 8 + 16
-
 // frameRecord appends the full wire form of one record — length prefix,
-// CRC, header, the trail's packed block — to dst; on an error dst comes
-// back as it was. Shared by the append path and the compactor so the two
-// can never drift apart on format. b is the caller's: the trail's own bounds,
-// except that the compactor keeps a record's indexed time span when
-// ageing thins its keys.
-func frameRecord(dst []byte, device string, b trajstore.Bounds, tr *trajstore.Trail) ([]byte, error) {
+// CRC, the device ID after its uvarint length, the trail's packed block —
+// to dst; on an error dst comes back as it was. Shared by the append path
+// and the compactor so the two can never drift apart on format.
+func frameRecord(dst []byte, device string, tr *trajstore.Trail) ([]byte, error) {
 	if len(device) > int(^uint16(0)) {
 		return dst, fmt.Errorf("segmentlog: device ID longer than %d bytes", ^uint16(0))
 	}
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, 0) // bodyLen and CRC, backpatched below
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(device)))
-	dst = append(dst, device...)
-	for _, v := range [...]uint32{b.T0, b.T1, uint32(b.MinLat), uint32(b.MinLon), uint32(b.MaxLat), uint32(b.MaxLon)} {
-		dst = binary.LittleEndian.AppendUint32(dst, v)
-	}
+	dst = append(binary.AppendUvarint(dst, uint64(len(device))), device...)
 	dst = tr.AppendPacked(dst)
 	body := dst[start+recordHeaderSize:]
 	if len(body) > MaxRecordBytes {
@@ -90,14 +80,20 @@ func frameRecord(dst []byte, device string, b trajstore.Bounds, tr *trajstore.Tr
 	return dst, nil
 }
 
-// validPayload reports whether a read will serve payload; scratch: its unpacking.
-func validPayload(payload []byte, legacy bool, scratch *[]byte) bool {
-	if legacy {
-		return trajstore.DeltaValidate(payload)
+// openRecord splits body, a version-v segment's record, and opens its
+// payload as the trail of its delta-varint block, in the one walk that
+// checks a read will serve it; dst takes the unpacking (a version-2 payload
+// is the block, which the trail is then a slice of).
+func openRecord(dst, body []byte, v byte) (device, unpacked []byte, tr trajstore.Trail, err error) {
+	device, payload, err := splitBody(body, v)
+	switch {
+	case err != nil:
+	case v == 2:
+		tr, err = trajstore.OpenTrail(payload)
+	default:
+		dst, tr, err = trajstore.UnpackBlock(dst, payload)
 	}
-	var err error
-	*scratch, err = trajstore.UnpackBlock((*scratch)[:0], payload)
-	return err == nil
+	return device, dst, tr, err
 }
 
 func writeHeader(f vfs.File) error {

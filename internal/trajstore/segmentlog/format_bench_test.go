@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -48,7 +47,7 @@ func BenchmarkFrameRecord(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				if buf, err = frameRecord(buf[:0], "dev-00042", tr.Bounds(), tr); err != nil {
+				if buf, err = frameRecord(buf[:0], "dev-00042", tr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -58,32 +57,21 @@ func BenchmarkFrameRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkReadBlock reads one record back as a query or a compaction
-// does — pread, CRC, unpack into a delta-varint block — in ns per key;
-// format=2 reads the same keys from a version-2 segment, where the stored
-// payload is the block.
+// BenchmarkReadBlock reads one record back as a query does — pread, CRC,
+// unpack into a delta-varint block, copy out — in ns per key, for every
+// version read: format=3 frames the same keys with a version-3 header,
+// format=2 stores their block as the payload.
 func BenchmarkReadBlock(b *testing.B) {
-	for _, v := range []byte{version, legacyVersion} {
-		legacy := v == legacyVersion
+	for v := byte(version); v >= oldestVersion; v-- {
 		for _, n := range benchSizes {
 			b.Run(fmt.Sprintf("format=%d/keys=%d", v, n), func(b *testing.B) {
 				tr := benchTrail(b, n)
-				hdr := [headerSize]byte{'B', 'Q', 'S', 'L', 'O', 'G', v}
-				rec, err := frameRecord(hdr[:], "dev-00042", tr.Bounds(), tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if legacy { // the same body with the block as its payload
-					head := rec[headerSize+recordHeaderSize : len(rec)-len(tr.AppendPacked(nil))]
-					body := append(slices.Clone(head), tr.AppendBlock(nil)...)
-					rec = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(hdr[:], uint32(len(body))), crc32.Checksum(body, castagnoli))
-					rec = append(rec, body...)
-				}
+				rec := frameAs(b, []byte{'B', 'Q', 'S', 'L', 'O', 'G', v, 0}, v, "dev-00042", tr)
 				path := filepath.Join(b.TempDir(), segName(1))
 				if err := os.WriteFile(path, rec, 0o644); err != nil {
 					b.Fatal(err)
 				}
-				sf := segmentFile{path: path, legacy: legacy}
+				sf := segmentFile{path: path, version: v}
 				r := segReader{fs: vfs.OS}
 				defer r.close()
 				if err := r.open(0, &sf, 1); err != nil {
@@ -104,4 +92,31 @@ func BenchmarkReadBlock(b *testing.B) {
 			})
 		}
 	}
+}
+
+// frameAs appends tr framed as a version-v segment's record: frameRecord's
+// record for this version; for an older one, the body its writer framed —
+// the u16 ID length, the ID, the trail's bounds, then the payload, in
+// version 2 the delta-varint block.
+func frameAs(t testing.TB, dst []byte, v byte, device string, tr *trajstore.Trail) []byte {
+	t.Helper()
+	if v == version {
+		dst, err := frameRecord(dst, device, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dst
+	}
+	b := tr.Bounds()
+	body := append(binary.LittleEndian.AppendUint16(nil, uint16(len(device))), device...)
+	for _, x := range [...]uint32{b.T0, b.T1, uint32(b.MinLat), uint32(b.MinLon), uint32(b.MaxLat), uint32(b.MaxLon)} {
+		body = binary.LittleEndian.AppendUint32(body, x)
+	}
+	if v == 2 {
+		body = tr.AppendBlock(body)
+	} else {
+		body = tr.AppendPacked(body)
+	}
+	dst = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(dst, uint32(len(body))), crc32.Checksum(body, castagnoli))
+	return append(dst, body...)
 }

@@ -1,6 +1,8 @@
 package segmentlog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
 
@@ -140,4 +143,46 @@ func TestOldFormatsRejected(t *testing.T) {
 		}
 		openBoth(t, root)
 	})
+}
+
+// TestRecordFraming: a version-4 record costs exactly 8 + uvarint(len(dev))
+// + len(dev) bytes around its packed block — length and CRC, then the ID
+// after its length, and no bounds — for every ID length a uvarint step
+// apart up to the longest allowed, and reads back as the trail it framed.
+// An ID one byte longer is refused: by frameRecord, dst as it was, and by
+// an append, which indexes nothing.
+func TestRecordFraming(t *testing.T) {
+	var tr trajstore.Trail
+	if err := tr.Add(genKeys(3, 20)...); err != nil {
+		t.Fatal(err)
+	}
+	packed := tr.AppendPacked(nil)
+	for _, n := range []int{0, 1, 6, 127, 128, 16383, 16384, 1<<16 - 1} {
+		dev := strings.Repeat("d", n)
+		rec, err := frameRecord([]byte("x"), dev, &tr)
+		if err != nil {
+			t.Fatalf("%d-byte ID: %v", n, err)
+		}
+		rec = rec[1:]
+		if frame := len(rec) - len(packed); frame != recordHeaderSize+len(binary.AppendUvarint(nil, uint64(n)))+n {
+			t.Fatalf("%d-byte ID: %d bytes around the packed block", n, frame)
+		}
+		body, _, next, ok := nextRecord(rec, 0)
+		if !ok || next != len(rec) || !bytes.HasSuffix(body, packed) {
+			t.Fatalf("%d-byte ID: the record does not frame its packed block", n)
+		}
+		got, _, back, err := openRecord(nil, body, version)
+		if err != nil || string(got) != dev || back.Bounds() != tr.Bounds() || !bytes.Equal(back.AppendBlock(nil), tr.AppendBlock(nil)) {
+			t.Fatalf("%d-byte ID: reads back as a %d-byte ID, %+v, %v", n, len(got), back.Bounds(), err)
+		}
+	}
+	long := strings.Repeat("d", 1<<16)
+	if rec, err := frameRecord([]byte("x"), long, &tr); err == nil || string(rec) != "x" {
+		t.Fatalf("a %d-byte ID framed: %d bytes, %v", len(long), len(rec), err)
+	}
+	l := mustOpen(t, t.TempDir(), Options{})
+	defer l.Close()
+	if err := l.Append(long, genKeys(3, 20)); err == nil || l.Stats().Records != 0 {
+		t.Fatalf("appending under a %d-byte ID = %v, %+v", len(long), err, l.Stats())
+	}
 }

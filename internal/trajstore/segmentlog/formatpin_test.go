@@ -2,6 +2,7 @@ package segmentlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,11 +30,16 @@ import (
 const v2Fixture = "testdata/v2log"
 
 // v3Fixture is the same script's output from the writer of the commit
-// that introduced segment format 3, with v3log.golden.json beside it: this
-// tree must read it to that golden and write it byte for byte. Like
-// v2Fixture it is written once and never regenerated; a later format gets
-// a fixture of its own, and this one stays as a read fixture.
+// that introduced segment format 3, with v3log.golden.json beside it. Like
+// v2Fixture it is a read fixture, written once and never regenerated.
 const v3Fixture = "testdata/v3log"
+
+// v4Fixture is the script's output — since it seals before its compaction —
+// from the writer of the commit that introduced segment format 4, with
+// v4log.golden.json beside it: this tree must read it to that golden and
+// write it byte for byte. It is written once and never regenerated; a later
+// format gets a fixture of its own, and this one stays as a read fixture.
+const v4Fixture = "testdata/v4log"
 
 // fixtureOptions are the options the fixtures were written with.
 func fixtureOptions() Options { return Options{MaxSegmentBytes: 512} }
@@ -54,10 +60,12 @@ func fixtureTrack(d, t, n int) []trajstore.GeoKey {
 
 // buildFixtureLog runs the fixture script against dir: six devices over
 // two shards append a chunked session each (one chunk again at the end),
-// the sealed segments are compacted — merge, dedup and ageing through the
+// the log is sealed and compacted — merge, dedup and ageing through the
 // coarse compressor under a fixed clock — and a second wave of appends
 // then rotates past the compacted generation, so each shard ends with
-// compacted, rotated and active segments.
+// compacted, rotated and active segments. (The v2 and v3 fixtures' writers
+// compacted without the seal, what rotation had sealed: their records were
+// large enough for that to take the dedup's input.)
 func buildFixtureLog(t testing.TB, dir string) {
 	t.Helper()
 	lg, err := OpenSharded(dir, 2, fixtureOptions())
@@ -80,7 +88,7 @@ func buildFixtureLog(t testing.TB, dir string) {
 			}
 		}
 	}
-	if err := lg.Sync(); err != nil {
+	if err := lg.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	// The fixtures' writers ran one compaction worker per shard; the count
@@ -229,8 +237,8 @@ func checkGolden(t testing.TB, what string, got, want fixtureGolden) {
 }
 
 // segVersions lists, a string per shard of root, the version byte of every
-// segment its MANIFEST names, in order: "2223" is three version-2 segments
-// and a version-3 one.
+// segment its MANIFEST names, in order: "2224" is three version-2 segments
+// and a version-4 one.
 func segVersions(t testing.TB, root string) []string {
 	t.Helper()
 	shards, err := filepath.Glob(filepath.Join(root, "shard-*"))
@@ -279,27 +287,36 @@ func TestFormatPinV2Fixture(t *testing.T) {
 	checkGolden(t, v2Fixture, readOnlySnapshot(t, v2Fixture), readGolden(t, v2Fixture))
 }
 
-// TestFormatPinV3Fixture pins the format this tree writes. Reading: a
-// read-only open of the fixture answers its golden. (Not the v2 fixture's:
-// smaller records rotate elsewhere, so the script's compaction found more
-// chunks sealed to merge and age; TestMixedVersionLog carries the v2
-// fixture's own records through version 3.) Writing: the script run through this tree's writer —
-// append, rotation, compaction, manifest publish, SHARDS — writes every
-// file of the fixture byte for byte and nothing else, every segment
-// version 3.
+// TestFormatPinV3Fixture: this tree reads segment format 3 — the fixture
+// written by the commit that introduced it, every segment version 3 — to
+// the golden answers recorded then, read-only and modifying nothing.
 func TestFormatPinV3Fixture(t *testing.T) {
-	dir := t.TempDir()
-	buildFixtureLog(t, dir)
-	rebuilt := treeFiles(t, dir)
-	delete(rebuilt, lockName)
-	checkGolden(t, v3Fixture, readOnlySnapshot(t, v3Fixture), readGolden(t, v3Fixture))
 	for _, v := range segVersions(t, v3Fixture) {
 		if strings.Trim(v, "3") != "" {
 			t.Fatalf("fixture segment versions %q, want all 3", v)
 		}
 	}
+	checkGolden(t, v3Fixture, readOnlySnapshot(t, v3Fixture), readGolden(t, v3Fixture))
+}
 
-	want := treeFiles(t, v3Fixture)
+// TestFormatPinV4Fixture pins the format this tree writes. Reading: a
+// read-only open of the fixture answers its golden. Writing: the script run
+// through this tree's writer — append, rotation, seal, compaction, manifest
+// publish, SHARDS — writes every file of the fixture byte for byte and
+// nothing else, every segment version 4.
+func TestFormatPinV4Fixture(t *testing.T) {
+	dir := t.TempDir()
+	buildFixtureLog(t, dir)
+	rebuilt := treeFiles(t, dir)
+	delete(rebuilt, lockName)
+	checkGolden(t, v4Fixture, readOnlySnapshot(t, v4Fixture), readGolden(t, v4Fixture))
+	for _, v := range segVersions(t, v4Fixture) {
+		if strings.Trim(v, "4") != "" {
+			t.Fatalf("fixture segment versions %q, want all 4", v)
+		}
+	}
+
+	want := treeFiles(t, v4Fixture)
 	for name, b := range want {
 		if !bytes.Equal(rebuilt[name], b) {
 			t.Errorf("%s: this tree wrote %d bytes that differ from the fixture's %d", name, len(rebuilt[name]), len(b))
@@ -312,11 +329,11 @@ func TestFormatPinV3Fixture(t *testing.T) {
 	}
 }
 
-// withV2ActiveSealed is a v2 fixture's golden as a log answers it once a
-// writable open has sealed each shard's version-2 active segment: one
-// published generation and one empty version-3 segment more a shard, which
-// every window prunes.
-func withV2ActiveSealed(g fixtureGolden, shards int) fixtureGolden {
+// withActiveSealed is an older version's fixture's golden as a log answers
+// it once a writable open has sealed each shard's active segment: one
+// published generation and one empty segment of this version more a shard,
+// which every window prunes.
+func withActiveSealed(g fixtureGolden, shards int) fixtureGolden {
 	g.Stats.Gen += uint64(shards)
 	g.Stats.Segments += shards
 	g.Stats.Bytes += int64(shards * headerSize)
@@ -333,7 +350,7 @@ func withV2ActiveSealed(g fixtureGolden, shards int) fixtureGolden {
 // every seg-*.idx and publishes MANIFESTs without the "idx" and "sum="
 // fields; a read-only reopen of the copy then answers exactly as the
 // golden file recorded, but for what sealing each shard's version-2 active
-// segment added (withV2ActiveSealed).
+// segment added (withActiveSealed).
 func TestWritableOpenSweepsLegacyIndexes(t *testing.T) {
 	fixture := treeFiles(t, v2Fixture)
 	dir := t.TempDir()
@@ -369,29 +386,35 @@ func TestWritableOpenSweepsLegacyIndexes(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	checkGolden(t, "the swept copy", readOnlySnapshot(t, dir), withV2ActiveSealed(readGolden(t, v2Fixture), shards))
+	checkGolden(t, "the swept copy", readOnlySnapshot(t, dir), withActiveSealed(readGolden(t, v2Fixture), shards))
 }
 
-// TestMixedVersionLog carries a copy of the v2 fixture forward, answering
-// its golden at every step: a writable open seals each shard's version-2
-// active segment behind an empty version-3 one; a new device's chunks land
-// in version 3; an explicit compaction after a seal — merging nothing, so
-// that no record changes — still publishes, rewriting every version-2
-// segment as version 3; a read-only reopen reads the result.
+// TestMixedVersionLog carries a copy of each older version's fixture
+// forward, answering its golden at every step: a writable open seals each
+// shard's active segment behind an empty version-4 one; a new device's
+// chunks land in version 4; an explicit compaction after a seal — merging
+// nothing, so that no record changes — still publishes, rewriting every
+// older segment as version 4; a read-only reopen reads the result.
 func TestMixedVersionLog(t *testing.T) {
+	for _, fixture := range []string{v2Fixture, v3Fixture} {
+		t.Run(filepath.Base(fixture), func(t *testing.T) { carryForward(t, fixture) })
+	}
+}
+
+func carryForward(t *testing.T, fixture string) {
 	dir := t.TempDir()
-	writeTree(t, dir, treeFiles(t, v2Fixture))
-	golden := readGolden(t, v2Fixture)
+	writeTree(t, dir, treeFiles(t, fixture))
+	golden, old, cur := readGolden(t, fixture), segVersions(t, fixture)[0][:1], fmt.Sprint(version)
 	lg, err := OpenSharded(dir, 0, fixtureOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lg.Close()
-	checkGolden(t, "the opened copy", fixtureSnapshot(t, lg), withV2ActiveSealed(golden, len(lg.shards)))
+	checkGolden(t, "the opened copy", fixtureSnapshot(t, lg), withActiveSealed(golden, len(lg.shards)))
 	opened := segVersions(t, dir)
 	for _, v := range opened {
-		if !strings.HasSuffix(v, "23") || strings.Trim(v[:len(v)-1], "2") != "" {
-			t.Fatalf("segment versions after a writable open %q, want the fixture's 2s and one 3", opened)
+		if !strings.HasSuffix(v, old+cur) || strings.Trim(v[:len(v)-1], old) != "" {
+			t.Fatalf("segment versions after a writable open %q, want the fixture's %ss and one %s", opened, old, cur)
 		}
 	}
 
@@ -432,8 +455,8 @@ func TestMixedVersionLog(t *testing.T) {
 	}
 	answers("appended", lg, 3)
 	for i, v := range segVersions(t, dir) {
-		if !strings.HasPrefix(v, opened[i][:len(opened[i])-1]) || strings.Trim(v[len(opened[i])-1:], "3") != "" {
-			t.Fatalf("segment versions after the appends %q, want the fixture's 2s and then 3s", v)
+		if !strings.HasPrefix(v, opened[i][:len(opened[i])-1]) || strings.Trim(v[len(opened[i])-1:], cur) != "" {
+			t.Fatalf("segment versions after the appends %q, want the fixture's %ss and then %ss", v, old, cur)
 		}
 	}
 
@@ -446,8 +469,8 @@ func TestMixedVersionLog(t *testing.T) {
 	}
 	answers("compacted", lg, 3)
 	for _, v := range segVersions(t, dir) {
-		if strings.Trim(v, "3") != "" {
-			t.Fatalf("segment versions after compaction %q, want all 3", v)
+		if strings.Trim(v, cur) != "" {
+			t.Fatalf("segment versions after compaction %q, want all %s", v, cur)
 		}
 	}
 	if err := lg.Close(); err != nil {
@@ -461,4 +484,38 @@ func TestMixedVersionLog(t *testing.T) {
 	}
 	defer ro.Close()
 	answers("reopened", ro, 3)
+}
+
+// TestLegacyHeaderBounds: every record of the version-2 and version-3
+// fixtures carries in its header exactly the bounds the walk that validates
+// its payload derives — so that walk is the one source of bounds for every
+// version, and a read skips the 24 header bytes (legacyBoundsSize).
+func TestLegacyHeaderBounds(t *testing.T) {
+	for _, fixture := range []string{v2Fixture, v3Fixture} {
+		records := 0
+		for name, data := range treeFiles(t, fixture) {
+			if filepath.Ext(name) != ".log" {
+				continue
+			}
+			v, pos := data[6], headerSize
+			for body, _, next, ok := nextRecord(data, pos); ok; body, _, next, ok = nextRecord(data, pos) {
+				devLen, u := int(binary.LittleEndian.Uint16(body)), binary.LittleEndian.Uint32
+				h := body[2+devLen:]
+				header := trajstore.Bounds{T0: u(h), T1: u(h[4:]),
+					MinLat: int32(u(h[8:])), MinLon: int32(u(h[12:])), MaxLat: int32(u(h[16:])), MaxLon: int32(u(h[20:]))}
+				_, _, tr, err := openRecord(nil, body, v)
+				if err != nil || tr.Bounds() != header {
+					t.Errorf("%s/%s at %d: header bounds %+v, the payload's %+v (%v)", fixture, name, pos, header, tr.Bounds(), err)
+				}
+				records, pos = records+1, next
+			}
+			if pos != len(data) {
+				t.Fatalf("%s/%s: a record at %d does not frame", fixture, name, pos)
+			}
+		}
+		if records < 20 {
+			t.Fatalf("%s: %d records checked", fixture, records)
+		}
+		t.Logf("%s: %d records, header bounds all the payload's", fixture, records)
+	}
 }

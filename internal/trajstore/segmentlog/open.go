@@ -89,8 +89,8 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 	if l.ro {
 		return l, nil
 	}
-	if len(l.segs) == 0 || l.segs[len(l.segs)-1].legacy {
-		// A fresh log, or a version-2 active segment, sealed as it stands.
+	if len(l.segs) == 0 || l.segs[len(l.segs)-1].version != version {
+		// A fresh log, or an older version's active segment, sealed as it stands.
 		f, seg, err := l.newSegmentFileLocked()
 		if err != nil {
 			return nil, err
@@ -162,14 +162,14 @@ func (l *shardLog) loadSegment(path string, final bool) (segmentFile, error) {
 		if !final {
 			return segmentFile{}, fmt.Errorf("%w: %s: sealed segment shorter than its header", ErrCorrupt, filepath.Base(path))
 		}
-		return segmentFile{path: path, size: headerSize}, l.rewriteEmpty(path)
+		return segmentFile{path: path, version: version, size: headerSize}, l.rewriteEmpty(path)
 	}
 	if [6]byte(data[:6]) != magic {
 		return segmentFile{}, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
 	}
-	legacy := data[6] == legacyVersion
-	if data[6] != version && !legacy {
-		return segmentFile{}, fmt.Errorf("%w: %s: unsupported version %d", ErrCorrupt, filepath.Base(path), data[6])
+	v := data[6]
+	if v < oldestVersion || v > version {
+		return segmentFile{}, fmt.Errorf("%w: %s: unsupported version %d", ErrCorrupt, filepath.Base(path), v)
 	}
 	metas, scratch := []recordMeta(nil), []byte(nil)
 	valid := int64(headerSize)
@@ -178,11 +178,12 @@ func (l *shardLog) loadSegment(path string, final bool) (segmentFile, error) {
 		if !ok {
 			break
 		}
-		dev, b, payload, err := splitBody(body)
-		if err != nil || !validPayload(payload, legacy, &scratch) {
+		dev, unpacked, tr, err := openRecord(scratch[:0], body, v)
+		if err != nil {
 			break
 		}
-		metas = append(metas, recordMeta{dev: l.internLocked(dev), off: uint32(bodyOff), bodyLen: uint32(len(body)), Bounds: b})
+		scratch = unpacked
+		metas = append(metas, recordMeta{dev: l.internLocked(dev), off: uint32(bodyOff), bodyLen: uint32(len(body)), Bounds: tr.Bounds()})
 		valid = int64(next)
 		pos = next
 	}
@@ -192,7 +193,7 @@ func (l *shardLog) loadSegment(path string, final bool) (segmentFile, error) {
 			// after the cut — safe to drop) from mid-file corruption
 			// (valid records still follow the bad one — refusing is the
 			// only non-destructive option).
-			if off := resyncScan(data, int(valid), legacy, &scratch); off >= 0 {
+			if off := resyncScan(data, int(valid), v); off >= 0 {
 				return segmentFile{}, fmt.Errorf("%w: %s: invalid record at offset %d but valid data at %d — refusing to truncate a sealed segment mid-file",
 					ErrCorrupt, filepath.Base(path), valid, off)
 			}
@@ -207,17 +208,17 @@ func (l *shardLog) loadSegment(path string, final bool) (segmentFile, error) {
 	if !final {
 		metas = slices.Clone(metas) // sealed, it grows no more: shed the scan's spare room
 	}
-	return segmentFile{path: path, legacy: legacy, size: valid, sum: sumOf(metas), recs: metas}, nil
+	return segmentFile{path: path, version: v, size: valid, sum: sumOf(metas), recs: metas}, nil
 }
 
 // resyncScan looks for a valid, decodable record anywhere after from;
 // it returns the offset of the first one, or -1. Used to tell mid-file
 // corruption apart from a torn tail (a false positive needs random
 // bytes to pass both plausibility checks and CRC-32C, ~2^-32).
-func resyncScan(data []byte, from int, legacy bool, scratch *[]byte) int {
+func resyncScan(data []byte, from int, v byte) int {
 	for pos := from + 1; pos+recordHeaderSize <= len(data); pos++ {
 		if body, _, _, ok := nextRecord(data, pos); ok {
-			if _, _, payload, err := splitBody(body); err == nil && validPayload(payload, legacy, scratch) {
+			if _, _, _, err := openRecord(nil, body, v); err == nil {
 				return pos
 			}
 		}

@@ -119,10 +119,10 @@ func (l *shardLog) snapshot(files *segReader, pick func() []refSnap) (refs []ref
 // segReader reads CRC-verified records through one handle per segment:
 // opened first — seg of n — then shared by any number of readers (preads).
 type segReader struct {
-	fs     vfs.FS
-	paths  []string   // by segment; set once opened
-	legacy []bool     // parallel to paths: the segment is version 2
-	files  []vfs.File // parallel to paths
+	fs       vfs.FS
+	paths    []string   // by segment; set once opened
+	versions []byte     // parallel to paths: the segment's format version
+	files    []vfs.File // parallel to paths
 }
 
 func (r *segReader) close() {
@@ -135,37 +135,44 @@ func (r *segReader) close() {
 
 func (r *segReader) open(seg int, sf *segmentFile, n int) (err error) {
 	if r.files == nil {
-		r.paths, r.legacy, r.files = make([]string, n), make([]bool, n), make([]vfs.File, n)
+		r.paths, r.versions, r.files = make([]string, n), make([]byte, n), make([]vfs.File, n)
 	}
 	if r.files[seg] == nil {
 		if r.files[seg], err = r.fs.Open(sf.path); err != nil {
 			return fmt.Errorf("segmentlog: %w", err)
 		}
-		r.paths[seg], r.legacy[seg] = sf.path, sf.legacy
+		r.paths[seg], r.versions[seg] = sf.path, sf.version
 	}
 	return nil
 }
 
-// readBlock reads ref's record — header and body — from its opened
+// readTrail reads ref's record — header and body — from its opened
 // segment via pread (safe for concurrent use of the shared handle),
 // re-verifies the length prefix and CRC against the indexed metadata (bit
-// rot between Open and the read) and returns its block, copied out at size.
-func (r *segReader) readBlock(ref refSnap) (Block, error) {
+// rot between Open and the read) and opens its payload: the device ID and
+// the trail, both in bytes this read allocated.
+func (r *segReader) readTrail(ref refSnap) ([]byte, trajstore.Trail, error) {
 	n := recordHeaderSize + int(ref.bodyLen)
 	rec := make([]byte, n, 3*n) // and room to unpack after it
 	if _, err := r.files[ref.seg].ReadAt(rec, int64(ref.off)-recordHeaderSize); err != nil {
-		return Block{}, fmt.Errorf("segmentlog: reading record: %w", err)
+		return nil, trajstore.Trail{}, fmt.Errorf("segmentlog: reading record: %w", err)
 	}
 	body, _, next, ok := nextRecord(rec, 0)
 	if !ok || next != len(rec) {
-		return Block{}, fmt.Errorf("%w: record at offset %d no longer matches its length and checksum", ErrCorrupt, ref.off)
+		return nil, trajstore.Trail{}, fmt.Errorf("%w: record at offset %d no longer matches its length and checksum", ErrCorrupt, ref.off)
 	}
-	dev, b, payload, err := splitBody(body)
-	if err == nil && !r.legacy[ref.seg] {
-		payload, err = trajstore.UnpackBlock(rec[n:], payload)
-	}
+	dev, _, tr, err := openRecord(rec[n:], body, r.versions[ref.seg])
 	if err != nil {
-		return Block{}, fmt.Errorf("%w: indexed record unreadable: %v", ErrCorrupt, err)
+		return nil, tr, fmt.Errorf("%w: indexed record unreadable: %v", ErrCorrupt, err)
 	}
-	return Block{Device: string(dev), T0: b.T0, T1: b.T1, Payload: append([]byte(nil), payload...)}, nil
+	return dev, tr, nil
+}
+
+// readBlock is readTrail's record as a block, copied out at size.
+func (r *segReader) readBlock(ref refSnap) (Block, error) {
+	dev, tr, err := r.readTrail(ref)
+	if err != nil {
+		return Block{}, err
+	}
+	return Block{Device: string(dev), T0: tr.Bounds().T0, T1: tr.Bounds().T1, Payload: tr.AppendBlock(nil)}, nil
 }

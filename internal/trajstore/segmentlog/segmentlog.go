@@ -19,10 +19,10 @@
 // LOCK and one shard directory per shard. A shard directory holds a
 // MANIFEST (see manifest.go) naming the live segment files in logical
 // order and the numbered segment files "seg-00000001.log",
-// "seg-00000002.log", .... Writers emit segment version 3; version 2 is
-// read until a compaction rewrites it; any other version is rejected with
-// ErrCorrupt. Segment numbers are allocated from a monotonic sequence and
-// never reused while referenced; after compaction (see compact.go) a
+// "seg-00000002.log", .... Writers emit segment version 4; versions 3 and
+// 2 are read until a compaction rewrites them; any other version is
+// rejected with ErrCorrupt. Segment numbers are allocated from a monotonic
+// sequence and never reused while referenced; after compaction (see compact.go) a
 // low-numbered file may be superseded by a higher-numbered one holding
 // older data, which is why the MANIFEST — not directory order — defines
 // the log. Each segment file starts with
@@ -32,15 +32,15 @@
 //	u32  bodyLen   little-endian length of body
 //	u32  crc32c    Castagnoli CRC of body
 //	body:
-//	  u16 deviceLen, device ID bytes
-//	  u32 t0, u32 t1       time bounds of the trajectory (seconds)
-//	  4 × i32              spatial bounding box in 1e-7°
-//	                       (minLat, minLon, maxLat, maxLon)
-//	  payload              the packed key points (version 2: delta-varint)
+//	  uvarint deviceLen, device ID bytes
+//	  payload              the packed key points (Trail.AppendPacked)
 //
-// A record is valid iff its length prefix fits in the file, bodyLen is
-// plausible (≤ MaxRecordBytes) and the CRC matches; the first invalid
-// record ends the scan and the file is truncated there.
+// (Versions 3 and 2 frame the ID with a u16 length and put the record's
+// bounds, 24 bytes, before the payload — in version 2 the delta-varint
+// block.) A record is valid iff its length prefix fits in the file, bodyLen
+// is plausible (≤ MaxRecordBytes), the CRC matches and its payload unpacks
+// to keys on the globe — the walk that gives the record's bounds; the first
+// invalid record ends the scan and the file is truncated there.
 package segmentlog
 
 import (
@@ -60,10 +60,9 @@ const (
 	headerSize = 8
 	// recordHeaderSize prefixes every record: u32 bodyLen + u32 crc32c.
 	recordHeaderSize = 8
-	// version is the format version byte of every segment file written:
-	// record bodies carry a spatial bounding box between the time bounds
-	// and the payload, a packed block (version 2, still read: the block).
-	version, legacyVersion = 3, 2
+	// version is the format version byte of every segment file written
+	// (the package comment has its records); from oldestVersion on, read.
+	version, oldestVersion = 4, 2
 	// MaxRecordBytes caps a single record body. A length prefix above it
 	// is treated as corruption, bounding allocation on malicious or
 	// damaged input. 16 MiB ≈ 1.5 M key points per trajectory.
@@ -142,8 +141,8 @@ type Record = trajstore.PersistedRecord
 
 // recordMeta is the indexed metadata of one record: where it lives in
 // its segment file and everything a query can prune on without
-// decoding the payload. Open reads it from the record's header by
-// scanning the segment file. It is 36 bytes: one is resident per record.
+// decoding the payload. Open derives it in the scan that validates each
+// record's payload. It is 36 bytes: one is resident per record.
 type recordMeta struct {
 	trajstore.Bounds
 	dev     uint32 // device number: shardLog.names[dev] is its ID
@@ -162,11 +161,11 @@ type recordAddr struct {
 // the segment is loaded or sealed; while a segment is the active one its
 // live size is shardLog.off.
 type segmentFile struct {
-	path   string
-	legacy bool         // a version-2 file: its payloads are read as stored
-	size   int64        // valid bytes, header included
-	sum    segSummary   // union of recs' bounds: what a window prunes the whole file on
-	recs   []recordMeta // every record, in file order
+	path    string
+	version byte         // the file's format version: how its records are read
+	size    int64        // valid bytes, header included
+	sum     segSummary   // union of recs' bounds: what a window prunes the whole file on
+	recs    []recordMeta // every record, in file order
 }
 
 // refSnap locates one record for a read outside the lock.

@@ -185,14 +185,10 @@ func TestTickCostFollowsWhatChanged(t *testing.T) {
 		fs := &countFS{FS: vfs.OS}
 		l := mustOpen(t, t.TempDir(), Options{MaxSegmentBytes: 4 << 10, FS: fs})
 		defer l.Close()
-		chunks := make([][][]trajstore.GeoKey, devices)
-		for d := range chunks {
-			chunks[d] = chunkedKeys(d, ticks*perTick*8, 16)
-		}
 		for tick, c := 0, 0; tick < ticks; tick++ {
 			before := fs.written.Load()
 			for sealed := l.Stats().Segments + perTick; l.Stats().Segments < sealed; c++ {
-				if err := l.Append(fmt.Sprintf("dev-%d", c%devices), chunks[c%devices][c/devices]); err != nil {
+				if err := l.Append(fmt.Sprintf("dev-%d", c%devices), chunkAt(c%devices, c/devices, 16)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -230,7 +226,7 @@ func TestTickCostFollowsWhatChanged(t *testing.T) {
 func TestLogTicks(t *testing.T) {
 	dir := t.TempDir()
 	fs := vfs.NewFaultFS(1)
-	opts := Options{MaxSegmentBytes: 512, FS: fs, Compaction: &CompactionPolicy{MergeChunks: true, Every: 2 * time.Millisecond}}
+	opts := Options{MaxSegmentBytes: 256, FS: fs, Compaction: &CompactionPolicy{MergeChunks: true, Every: 2 * time.Millisecond}}
 	appendChunked := func(s *ShardedLog, dev string, seed int) int {
 		chunks := chunkKeys(genKeys(seed, 80), 8)
 		for _, c := range chunks {

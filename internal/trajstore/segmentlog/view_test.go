@@ -434,7 +434,7 @@ func TestSealedDamageAtOpen(t *testing.T) {
 func breakPacked(t testing.TB, b []byte, m recordMeta) {
 	t.Helper()
 	body := b[m.off : m.off+m.bodyLen]
-	_, _, payload, err := splitBody(body)
+	_, payload, err := splitBody(body, version)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func breakPacked(t testing.TB, b []byte, m recordMeta) {
 		_, n := binary.Uvarint(payload[k:])
 		k += n
 	}
-	if _, err := trajstore.UnpackBlock(nil, payload); err != nil || k+3 > len(payload) {
+	if _, _, err := trajstore.UnpackBlock(nil, payload); err != nil || k+3 > len(payload) {
 		t.Fatalf("fixture: record at %d holds no packed deltas to break (%v)", m.off, err)
 	}
 	payload[k] = 64

@@ -218,7 +218,7 @@ func TestQueryWindowSelectivity(t *testing.T) {
 // reopen, which scans every segment, and after a compaction rewrite.
 func TestQueryWindowSurvivesReopenAndCompact(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{MaxSegmentBytes: 2048})
+	l := mustOpen(t, dir, Options{MaxSegmentBytes: 1024})
 	fillCells(t, l, 6, 6, 10)
 	minX, minY, maxX, maxY := cellWindow(1, 2)
 	want := byDevice(mustWindow(t, l, minX, minY, maxX, maxY))
@@ -227,7 +227,7 @@ func TestQueryWindowSurvivesReopenAndCompact(t *testing.T) {
 	}
 
 	// Reopen: sealed segments come back through the scan.
-	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 2048})
+	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 1024})
 	if s := l2.Stats(); s.Segments < 2 {
 		t.Fatalf("no sealed segment to reload: %+v", s)
 	}
