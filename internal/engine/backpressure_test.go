@@ -91,7 +91,7 @@ func wedgeTrail(t *testing.T, n int) *trajstore.Trail {
 }
 
 // wedgeEngine builds a 1-shard engine on a wedged persister and drives it
-// until the worker is parked inside Append and all queueDepth slots of the
+// until the worker is parked inside Append and all QueueDepth slots of the
 // shard queue are taken behind it: the exact state in which the old
 // Ingest deadlocked Close. It returns the engine.
 func wedgeEngine(t *testing.T, wp *wedgedPersister) *Engine {
@@ -116,7 +116,7 @@ func wedgeEngine(t *testing.T, wp *wedgedPersister) *Engine {
 		t.Fatal("worker never reached the persister")
 	}
 	// Fill the queue behind the wedged worker.
-	for range queueDepth {
+	for range QueueDepth {
 		if err := e.Ingest(batch); err != nil {
 			t.Fatal(err)
 		}
@@ -224,17 +224,15 @@ func TestEngineSyncAbortsOnClose(t *testing.T) {
 
 // TestTryIngestBackpressure checks the server's door end to end: a full
 // shard queue refuses a trail at once with ErrBackpressure instead of
-// blocking, counting its fixes in Stats.Rejected, QueueStats reports the
+// blocking, counting its fixes in Stats.Rejected, Stats reports the
 // occupancy, and the same trail is accepted once the stall clears.
 func TestTryIngestBackpressure(t *testing.T) {
 	wp := newWedgedPersister()
 	e := wedgeEngine(t, wp) // worker wedged, queue full
 	tr := wedgeTrail(t, 8)
 
-	if qs := e.QueueStats(); qs.Cap != 256 || len(qs.Len) != 1 || qs.Len[0] != 256 {
-		t.Fatalf("QueueStats = %+v, want Cap 256, Len [256]", qs)
-	} else if qs.Fullness() != 1 {
-		t.Fatalf("Fullness = %v, want 1", qs.Fullness())
+	if st := e.Stats(); st.Queued != 256 || st.QueueFullness != 1 {
+		t.Fatalf("Stats = %+v, want 256 messages queued, fullness 1", st)
 	}
 
 	start := time.Now()
@@ -265,7 +263,7 @@ func TestTryIngestBackpressure(t *testing.T) {
 	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.Fixes != uint64((1+queueDepth)*8+tr.Len()) {
+	if st := e.Stats(); st.Fixes != uint64((1+QueueDepth)*8+tr.Len()) {
 		t.Fatalf("Stats = %+v: want every Ingest fix and the accepted trail's processed", st)
 	}
 	if err := e.Close(); err != nil {

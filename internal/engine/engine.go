@@ -98,10 +98,10 @@ const (
 	persistRetryCap  = 500 * time.Millisecond
 )
 
-// queueDepth is each shard's ingest queue, in messages. A shard this far
+// QueueDepth is each shard's ingest queue, in messages. A shard this far
 // behind (a stalled persister) makes Ingest wait and TryIngestTrail refuse,
 // which bounds what a stall holds in memory and scales the server's hints.
-const queueDepth = 256
+const QueueDepth = 256
 
 // ErrClosed reports an operation on a closed engine.
 var ErrClosed = errors.New("engine: closed")
@@ -130,21 +130,24 @@ var ErrNoPersister = errors.New("engine: no Persister configured: history is not
 var ErrBackpressure = errors.New("engine: shard queue full (backpressure)")
 
 // Stats is a point-in-time snapshot of engine activity, merged across
-// shards. It is safe to read after Close: every field comes from atomics.
+// shards. It is safe to read after Close: every field comes from atomics
+// and the queues' lengths.
 // The persister's own counters (read cache, compaction) are on
 // its Stats — segmentlog.Stats.
 type Stats struct {
-	ActiveSessions  int    // sessions currently open: devices seen and not yet idle-evicted — a flush ends none
-	SessionsOpened  uint64 // sessions ever created: a device's first fix, or its first since an eviction — a flush opens none
-	SessionsEvicted uint64 // sessions closed by idle eviction
-	Fixes           uint64 // fixes accepted by Ingest
-	KeyPoints       uint64 // key points emitted by all sessions
-	Persisted       uint64 // trails handed to the persister: one per ended session, chunk or flush's cut with a key point no record held
-	ParkedTrails    uint64 // trails parked in memory by degraded mode, awaiting Heal
-	TrailBytes      int64  // trails holding a key point the log has not accepted yet, as the blocks it will store — open sessions' plus parked ones, never a trail that is only the key a record ended on: what Heal owes and, with the log's own un-fsync'd bytes (segmentlog.Stats.Unsynced), what a SIGKILL loses
-	TrailPagesBytes int64  // what the shards' trail page pools have mapped outside the Go heap (trajstore.PagePool), which Go's memory stats do not count; 0 once no page is out after a flush
-	Rejected        uint64 // fixes refused by TryIngestTrail backpressure, degraded mode or the wire format's range
-	PersistFailures uint64 // failed persister append/sync attempts (retried ones included)
+	ActiveSessions  int     // sessions currently open: devices seen and not yet idle-evicted — a flush ends none
+	SessionsOpened  uint64  // sessions ever created: a device's first fix, or its first since an eviction — a flush opens none
+	SessionsEvicted uint64  // sessions closed by idle eviction
+	Fixes           uint64  // fixes accepted by Ingest
+	KeyPoints       uint64  // key points emitted by all sessions
+	Persisted       uint64  // trails handed to the persister: one per ended session, chunk or flush's cut with a key point no record held
+	ParkedTrails    uint64  // trails parked in memory by degraded mode, awaiting Heal
+	TrailBytes      int64   // trails holding a key point the log has not accepted yet, as the blocks it will store — open sessions' plus parked ones, never a trail that is only the key a record ended on: what Heal owes and, with the log's own un-fsync'd bytes (segmentlog.Stats.Unsynced), what a SIGKILL loses
+	TrailPagesBytes int64   // what the shards' trail page pools have mapped outside the Go heap (trajstore.PagePool), which Go's memory stats do not count; 0 once no page is out after a flush
+	Rejected        uint64  // fixes refused by TryIngestTrail backpressure, degraded mode or what the Persister cannot store (a fix off the globe, a device ID over trajstore.MaxDeviceBytes)
+	PersistFailures uint64  // failed persister append/sync attempts (retried ones included)
+	Queued          int     // messages waiting in the shard queues, summed
+	QueueFullness   float64 // the fullest shard queue's share of QueueDepth, in [0, 1]: at 1 Ingest waits and TryIngestTrail is refused
 }
 
 // CompressionRate returns KeyPoints/Fixes (lower is better), 0 when no
@@ -242,16 +245,13 @@ type shard struct {
 	persisted atomic.Uint64
 }
 
-// shardMsg is a unit of work for a shard worker: do (when non-nil) runs
+// shardMsg is a unit of work for a shard worker: do, when non-nil, runs
 // on the worker, which owns the shard's sessions and parked trails;
-// batch (when non-nil) holds fixes to ingest in a pooled buffer the
-// worker returns to the engine's batch pool after draining; barrier
-// (when non-nil) is closed once the message — and everything queued
-// before it — has been processed.
+// otherwise batch holds fixes to ingest in a pooled buffer the worker
+// returns to the engine's batch pool after draining.
 type shardMsg struct {
-	batch   *batch
-	do      func(*shard)
-	barrier chan struct{}
+	batch *batch
+	do    func(*shard)
 }
 
 // parkedTrail is one finalized trajectory held in memory while the
@@ -331,7 +331,7 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		sh := &shard{
 			eng:      e,
-			in:       make(chan shardMsg, queueDepth),
+			in:       make(chan shardMsg, QueueDepth),
 			sessions: make(map[string]*session),
 		}
 		e.shards[i] = sh
@@ -413,17 +413,15 @@ func (e *Engine) scatterFixes(fixes []Fix) *scatter {
 // before anything is enqueued (sessions encode key points too late to
 // tell the caller).
 func (e *Engine) Ingest(fixes []Fix) error {
-	if _, err := e.admit(opIngest); err != nil {
-		if errors.Is(err, ErrDegraded) {
-			e.rejected.Add(uint64(len(fixes)))
-		}
+	if err := e.admitIngest(len(fixes)); err != nil {
 		return err
 	}
 	defer e.inflight.Done()
 	for i := 0; e.persisting && i < len(fixes); i++ {
-		if p := fixes[i].Point; !trajstore.InPlane(p) {
-			e.rejected.Add(uint64(len(fixes)))
-			return fmt.Errorf("engine: fix %d of %d (device %q) at x=%g y=%g: %w", i, len(fixes), fixes[i].Device, p.X, p.Y, trajstore.ErrRange)
+		if f := &fixes[i]; len(f.Device) > trajstore.MaxDeviceBytes {
+			return e.refuse(len(fixes), fmt.Errorf("engine: fix %d of %d: device ID of %d bytes: %w", i, len(fixes), len(f.Device), trajstore.ErrDeviceID))
+		} else if p := f.Point; !trajstore.InPlane(p) {
+			return e.refuse(len(fixes), fmt.Errorf("engine: fix %d of %d (device %q) at x=%g y=%g: %w", i, len(fixes), f.Device, p.X, p.Y, trajstore.ErrRange))
 		}
 	}
 	sc := e.scatterFixes(fixes)
@@ -446,20 +444,20 @@ func (e *Engine) Ingest(fixes []Fix) error {
 // TryIngestTrail routes one device's fixes, held as a block in the wire's
 // degrees as the server hands on a frame's validated batches, and never
 // blocks: a full shard queue refuses it whole with ErrBackpressure, its
-// fixes counted in Stats.Rejected, and a degraded engine as Ingest does.
-// The block is copied into one queue message of about its wire size; the
-// worker pushes each key through trajstore.PlanePoint, and keys on the
-// globe cannot raise ErrRange.
+// fixes counted in Stats.Rejected, and a degraded engine or a device ID
+// the Persister cannot store as Ingest does. The block is copied into one
+// queue message of about its wire size; the worker pushes each key through
+// trajstore.PlanePoint, and keys on the globe cannot raise ErrRange.
 func (e *Engine) TryIngestTrail(device string, tr *trajstore.Trail) error {
-	if _, err := e.admit(opIngest); err != nil {
-		if errors.Is(err, ErrDegraded) {
-			e.rejected.Add(uint64(tr.Len()))
-		}
+	if err := e.admitIngest(tr.Len()); err != nil {
 		return err
 	}
 	defer e.inflight.Done()
 	if tr.Len() == 0 {
 		return nil
+	}
+	if e.persisting && len(device) > trajstore.MaxDeviceBytes {
+		return e.refuse(tr.Len(), fmt.Errorf("engine: device ID of %d bytes: %w", len(device), trajstore.ErrDeviceID))
 	}
 	b := e.getBatch()
 	b.device, b.block = device, tr.AppendBlock(b.block[:0])
@@ -469,8 +467,23 @@ func (e *Engine) TryIngestTrail(device string, tr *trajstore.Trail) error {
 	default:
 	}
 	e.putBatch(b)
-	e.rejected.Add(uint64(tr.Len()))
-	return ErrBackpressure
+	return e.refuse(tr.Len(), ErrBackpressure)
+}
+
+// admitIngest is Ingest's and TryIngestTrail's admission: an admitted
+// caller owes e.inflight.Done; fixes a degraded engine refuses are counted.
+func (e *Engine) admitIngest(fixes int) error {
+	_, err := e.admit(opIngest)
+	if errors.Is(err, ErrDegraded) {
+		return e.refuse(fixes, err)
+	}
+	return err
+}
+
+// refuse counts a refused call's fixes in Stats.Rejected and returns err.
+func (e *Engine) refuse(fixes int, err error) error {
+	e.rejected.Add(uint64(fixes))
+	return err
 }
 
 // barrier has the worker of each of shards run do (nil: nothing) in queue
@@ -484,23 +497,26 @@ func (e *Engine) barrier(shards []*shard, do func(*shard)) error {
 		return err
 	}
 	defer e.inflight.Done()
-	waits := make([]chan struct{}, 0, len(shards))
-	var err error
-	for _, sh := range shards {
-		m := shardMsg{do: do, barrier: make(chan struct{})}
-		if err = e.send(sh, m); err != nil {
-			break
+	done := make(chan struct{}, len(shards)) // room for every worker: none waits on a caller gone
+	run := func(sh *shard) {
+		if do != nil {
+			do(sh)
 		}
-		waits = append(waits, m.barrier)
+		done <- struct{}{}
 	}
-	for _, w := range waits {
+	for _, sh := range shards {
+		if err := e.send(sh, shardMsg{do: run}); err != nil {
+			return err
+		}
+	}
+	for range shards {
 		select {
-		case <-w:
+		case <-done:
 		case <-e.closing:
 			return ErrClosed
 		}
 	}
-	return err
+	return nil
 }
 
 // Sync blocks until every fix ingested before the call has been fully
@@ -586,45 +602,19 @@ func (e *Engine) FlushSessions() error {
 	return e.barrier(e.shards, func(sh *shard) { sh.closeAll(false) })
 }
 
-// QueueStats is a point-in-time snapshot of the per-shard ingest queue
-// occupancy, in messages. A shard pinned at Cap is applying
-// backpressure: Ingest would block and TryIngestTrail is refused.
-type QueueStats struct {
-	Cap int   // per-shard queue capacity, the same for every engine (256)
-	Len []int // queued messages per shard
-}
-
-// Fullness returns the worst shard's occupancy fraction in [0, 1] —
-// the server scales its retry-after hint by it.
-func (q QueueStats) Fullness() float64 {
-	if q.Cap == 0 {
-		return 0
-	}
-	m := 0
-	for _, n := range q.Len {
-		m = max(m, n)
-	}
-	return float64(m) / float64(q.Cap)
-}
-
-// QueueStats samples the ingest queue depths. Like Stats, the snapshot
-// is advisory — depths move concurrently.
-func (e *Engine) QueueStats() QueueStats {
-	qs := QueueStats{Cap: queueDepth, Len: make([]int, len(e.shards))}
-	for i, sh := range e.shards {
-		qs.Len[i] = len(sh.in)
-	}
-	return qs
-}
-
 // Stats returns a merged snapshot of engine activity. Counters are read
 // atomically but not mutually consistent; call Sync first for a quiescent
 // reading. Unlike the mutating entry points, Stats never refuses: every
-// source it reads is an atomic, safe after Close, so a monitoring scrape
-// racing shutdown gets a coherent final snapshot instead of an error.
+// source it reads is an atomic or a queue's length, safe after Close, so
+// a monitoring scrape racing shutdown gets a coherent final snapshot
+// instead of an error.
 func (e *Engine) Stats() Stats {
 	var s Stats
+	worst := 0
 	for _, sh := range e.shards {
+		n := len(sh.in)
+		s.Queued += n
+		worst = max(worst, n)
 		s.ActiveSessions += int(sh.active.Load())
 		s.SessionsOpened += sh.opened.Load()
 		s.SessionsEvicted += sh.evicted.Load()
@@ -637,6 +627,7 @@ func (e *Engine) Stats() Stats {
 	}
 	s.Rejected = e.rejected.Load()
 	s.PersistFailures = e.persistFails.Load()
+	s.QueueFullness = float64(worst) / QueueDepth
 	return s
 }
 
@@ -716,13 +707,9 @@ func (sh *shard) run() {
 			}
 			if msg.do != nil {
 				msg.do(sh)
-			}
-			if msg.batch != nil {
+			} else {
 				sh.ingestBatch(msg.batch)
 				sh.eng.putBatch(msg.batch)
-			}
-			if msg.barrier != nil {
-				close(msg.barrier)
 			}
 		case <-tick:
 			sh.evictIdle()

@@ -32,7 +32,9 @@ func (everyFix) Push(p core.Point) (core.Point, bool) { return p, true }
 func (everyFix) Flush() (core.Point, bool)            { return core.Point{}, false }
 
 func init() {
-	stream.MustRegister("model-everyfix", func(float64) (stream.Compressor, error) { return everyFix{}, nil })
+	if err := stream.Register("model-everyfix", func(float64) (stream.Compressor, error) { return everyFix{}, nil }); err != nil {
+		panic(err)
+	}
 }
 
 // The errors the scripted backend fails with: one trajstore.TransientErr

@@ -753,7 +753,7 @@ func TestTryIngestAckCount(t *testing.T) {
 	go func() { wg.Wait(); close(done) }()
 	for {
 		release := parkWorkers(t, e)
-		for e.QueueStats().Fullness() < 1 && !isClosed(done) {
+		for e.Stats().QueueFullness < 1 && !isClosed(done) {
 			runtime.Gosched()
 		}
 		release()

@@ -292,12 +292,12 @@ func TestQueuedBlockHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const blocks, perBlock = 2 * queueDepth, 100
+	const blocks, perBlock = 2 * QueueDepth, 100
 	names, trails, fixes := make([]string, 0, blocks), make([]trajstore.Trail, blocks), make([][]Fix, blocks)
 	perShard := make([]int, len(e.shards))
-	for n := 0; len(names) < blocks; n++ { // queueDepth of them a shard: both queues full
+	for n := 0; len(names) < blocks; n++ { // QueueDepth of them a shard: both queues full
 		name := fmt.Sprintf("dev-%04d", n)
-		if sh := trajstore.ShardIndex(name, len(e.shards)); perShard[sh] < queueDepth {
+		if sh := trajstore.ShardIndex(name, len(e.shards)); perShard[sh] < QueueDepth {
 			names = append(names, name)
 			perShard[sh]++
 		}
@@ -507,5 +507,50 @@ func TestIngestOutOfRangeFix(t *testing.T) {
 	}
 	if err := errors.Join(plain.Ingest([]Fix{{Device: "utm", Point: core.Point{X: 500000, Y: 9.9e6, T: 1}}}), plain.Close()); err != nil || seen != 1 {
 		t.Fatalf("persister-less engine: %v, %d keys seen", err, seen)
+	}
+}
+
+// TestIngestOversizedDeviceID: a device ID longer than a log record stores
+// (trajstore.MaxDeviceBytes) is refused at both doors with
+// trajstore.ErrDeviceID before anything is queued, its fixes counted in
+// Stats.Rejected. Acked instead, its trail would fail its append at the
+// flush and degrade the engine for good, parking every other device's
+// trails behind it. An ID of exactly the limit is stored.
+func TestIngestOversizedDeviceID(t *testing.T) {
+	lg, err := segmentlog.OpenSharded(t.TempDir(), 1, segmentlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Compressor: "model-everyfix", Tolerance: 1, Shards: 1, Persister: lg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, edge := strings.Repeat("d", trajstore.MaxDeviceBytes+1), strings.Repeat("e", trajstore.MaxDeviceBytes)
+	fix := func(dev string, i int) Fix {
+		return Fix{Device: dev, Point: core.Point{X: float64(i) * 25, Y: float64(i%2) * 30, T: float64(100 + i)}}
+	}
+	if err := e.Ingest([]Fix{fix("good", 0), fix(long, 1)}); !errors.Is(err, trajstore.ErrDeviceID) {
+		t.Fatalf("Ingest with a %d-byte ID = %v, want trajstore.ErrDeviceID", len(long), err)
+	}
+	tr := wedgeTrail(t, 3)
+	if err := e.TryIngestTrail(long, tr); !errors.Is(err, trajstore.ErrDeviceID) {
+		t.Fatalf("TryIngestTrail with a %d-byte ID = %v, want trajstore.ErrDeviceID", len(long), err)
+	}
+	if err := e.Ingest([]Fix{fix("good", 0), fix(edge, 1), fix("good", 2), fix(edge, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(e.FlushSessions(), e.Sync()); err != nil {
+		t.Fatalf("flush after the refusals = %v", err)
+	}
+	if st, ph := e.Stats(), e.State().Phase; ph != Healthy || st.Rejected != uint64(2+tr.Len()) || st.Fixes != 4 || st.Persisted != 2 {
+		t.Fatalf("phase %v, %+v: want a healthy engine, %d fixes rejected and both devices' trails persisted", ph, st, 2+tr.Len())
+	}
+	for _, dev := range []string{"good", edge} {
+		if recs, err := lg.Query(dev, 0, math.MaxUint32); err != nil || len(recs) != 1 || len(recs[0].Keys) != 2 {
+			t.Fatalf("a %d-byte device holds %d records (%v), want one of 2 key points", len(dev), len(recs), err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -13,42 +13,13 @@ const degToRad = math.Pi / 180
 // coordinates. It is used for travel-distance bookkeeping, not for the
 // compression metric (which lives in the projected plane).
 func Haversine(lat1, lon1, lat2, lon2 float64) float64 {
-	return haversineCos(math.Cos(lat1*degToRad), math.Cos(lat2*degToRad), lat2-lat1, lon2-lon1)
-}
-
-// haversineCos is the haversine kernel with the latitude cosines
-// precomputed by the caller and the deltas still in degrees. PathLength
-// feeds it one fresh cosine per step, reusing the previous step's — the
-// arithmetic is ordered exactly as in Haversine, so the incremental sum
-// is bit-identical to summing Haversine calls.
-func haversineCos(cosPhi1, cosPhi2, dLatDeg, dLonDeg float64) float64 {
-	dPhi := dLatDeg * degToRad
-	dLam := dLonDeg * degToRad
-	s1 := math.Sin(dPhi / 2)
-	s2 := math.Sin(dLam / 2)
-	h := s1*s1 + cosPhi1*cosPhi2*s2*s2
+	s1 := math.Sin((lat2 - lat1) * degToRad / 2)
+	s2 := math.Sin((lon2 - lon1) * degToRad / 2)
+	h := s1*s1 + math.Cos(lat1*degToRad)*math.Cos(lat2*degToRad)*s2*s2
 	if h > 1 {
 		h = 1
 	}
 	return 2 * EarthRadius * math.Asin(math.Sqrt(h))
-}
-
-// PathLength returns the summed haversine length in metres of a lat/lon
-// polyline given as parallel slices. Mismatched or short inputs yield 0.
-// Each step reuses the previous point's latitude cosine, halving the
-// trigonometric work of the naive per-pair evaluation.
-func PathLength(lats, lons []float64) float64 {
-	if len(lats) != len(lons) || len(lats) < 2 {
-		return 0
-	}
-	var total float64
-	cosPrev := math.Cos(lats[0] * degToRad)
-	for i := 1; i < len(lats); i++ {
-		cosCur := math.Cos(lats[i] * degToRad)
-		total += haversineCos(cosPrev, cosCur, lats[i]-lats[i-1], lons[i]-lons[i-1])
-		cosPrev = cosCur
-	}
-	return total
 }
 
 // MetersPerDegree returns the approximate metres per degree of latitude and

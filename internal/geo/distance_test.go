@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -24,60 +23,5 @@ func TestHaversineKnownDistances(t *testing.T) {
 	// Symmetry.
 	if d1, d2 := Haversine(12, 34, -56, 78), Haversine(-56, 78, 12, 34); d1 != d2 {
 		t.Errorf("asymmetric: %v vs %v", d1, d2)
-	}
-}
-
-// PathLength reuses each step's latitude cosine as the next step's; the
-// reordered arithmetic must stay bit-identical to summing Haversine calls.
-func TestPathLengthMatchesHaversineSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(50)
-		lats := make([]float64, n)
-		lons := make([]float64, n)
-		lat, lon := rng.Float64()*160-80, rng.Float64()*360-180
-		for i := range lats {
-			lat += rng.NormFloat64() * 0.01
-			lon += rng.NormFloat64() * 0.01
-			lats[i], lons[i] = lat, lon
-		}
-		var want float64
-		for i := 1; i < n; i++ {
-			want += Haversine(lats[i-1], lons[i-1], lats[i], lons[i])
-		}
-		if got := PathLength(lats, lons); got != want {
-			t.Fatalf("trial %d: PathLength = %v, Haversine sum = %v (diff %v)",
-				trial, got, want, got-want)
-		}
-	}
-}
-
-func TestPathLengthDegenerateInputs(t *testing.T) {
-	if PathLength(nil, nil) != 0 {
-		t.Error("nil slices")
-	}
-	if PathLength([]float64{1}, []float64{2}) != 0 {
-		t.Error("single point")
-	}
-	if PathLength([]float64{1, 2}, []float64{3}) != 0 {
-		t.Error("mismatched lengths")
-	}
-}
-
-func BenchmarkPathLength(b *testing.B) {
-	const n = 1024
-	lats := make([]float64, n)
-	lons := make([]float64, n)
-	rng := rand.New(rand.NewSource(4))
-	lat, lon := 47.0, 8.0
-	for i := range lats {
-		lat += rng.NormFloat64() * 0.001
-		lon += rng.NormFloat64() * 0.001
-		lats[i], lons[i] = lat, lon
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PathLength(lats, lons)
 	}
 }

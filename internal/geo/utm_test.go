@@ -207,22 +207,6 @@ func TestHaversineKnown(t *testing.T) {
 	}
 }
 
-func TestPathLength(t *testing.T) {
-	lats := []float64{0, 0, 0}
-	lons := []float64{0, 1, 2}
-	d := PathLength(lats, lons)
-	want := 2 * Haversine(0, 0, 0, 1)
-	if math.Abs(d-want) > 1 {
-		t.Errorf("PathLength = %v, want %v", d, want)
-	}
-	if PathLength(lats[:1], lons[:1]) != 0 {
-		t.Error("single point path has nonzero length")
-	}
-	if PathLength(lats, lons[:2]) != 0 {
-		t.Error("mismatched slices should yield 0")
-	}
-}
-
 func TestMetersPerDegree(t *testing.T) {
 	perLat, perLon := MetersPerDegree(0)
 	if math.Abs(perLat-110574) > 100 {

@@ -541,6 +541,7 @@ func ParseHelloAck(p []byte) (HelloAck, error) {
 
 // Walk parses an Ingest payload into f, reusing its storage, and opens every
 // block with trajstore.OpenTrail: what it accepts is valid whole, sharing p.
+// A device ID over trajstore.MaxDeviceBytes is malformed: no log stores it.
 func (f *IngestFrame) Walk(p []byte) (err error) {
 	c, n := cursor{p}, uint64(0)
 	f.Batches = f.Batches[:0]
@@ -552,7 +553,9 @@ func (f *IngestFrame) Walk(p []byte) (err error) {
 	}
 	for ; n > 0; n-- {
 		b := TrailBatch{}
-		if b.Device, err = c.str(); err == nil {
+		if b.Device, err = c.str(); len(b.Device) > trajstore.MaxDeviceBytes {
+			return fmt.Errorf("%w: %w", ErrMalformed, trajstore.ErrDeviceID)
+		} else if err == nil {
 			b.Trail, err = block(&c, trajstore.OpenTrail)
 		}
 		if err != nil {

@@ -257,6 +257,23 @@ func TestParseIngestRejectsHugeCount(t *testing.T) {
 	}
 }
 
+// TestWalkRefusesOversizedDeviceID: an ID a log record cannot store is
+// malformed on the wire, so no fix of it is ever acked; the longest one a
+// record stores is taken.
+func TestWalkRefusesOversizedDeviceID(t *testing.T) {
+	keys := []trajstore.GeoKey{{Lat: 1, Lon: 2, T: 3}}
+	var f IngestFrame
+	for n, want := range map[int]error{trajstore.MaxDeviceBytes: nil, trajstore.MaxDeviceBytes + 1: trajstore.ErrDeviceID} {
+		p, err := AppendIngest(nil, Ingest{Seq: 1, Batches: []DeviceBatch{{Device: strings.Repeat("d", n), Keys: keys}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Walk(p); !errors.Is(err, want) || want != nil && !errors.Is(err, ErrMalformed) {
+			t.Fatalf("Walk of a %d-byte device ID = %v, want %v", n, err, want)
+		}
+	}
+}
+
 func TestParseQueryWindowRejectsNaN(t *testing.T) {
 	in := QueryWindow{Seq: 1, MinLon: 1, MinLat: 2, MaxLon: 3, MaxLat: 4, T0: 0, T1: 10}
 	p := AppendQueryWindow(nil, in)

@@ -169,7 +169,7 @@ func TestIngestPathsAgree(t *testing.T) {
 			}
 			var fill []proto.DeviceBatch
 			for d, dev := range fillers {
-				for k := 0; k < engA.QueueStats().Cap; k++ {
+				for k := 0; k < engine.QueueDepth; k++ {
 					fill = append(fill, proto.DeviceBatch{Device: dev, Keys: []trajstore.GeoKey{{Lat: 2 + float64(d), Lon: 2 + float64(k)*1e-4, T: uint32(k + 1)}}})
 				}
 			}

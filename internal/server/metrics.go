@@ -2,7 +2,7 @@
 // segment-log counters rendered in the Prometheus text exposition
 // format. The text is plain on purpose — no client library, no registry
 // objects — because the server already has one source of truth for each
-// number (engine.Stats, engine.QueueStats, segmentlog.Stats) and the
+// number (engine.Stats, segmentlog.Stats) and the
 // scrape path should read those, not maintain a parallel set of
 // instrument objects that can drift. It is served by a small HTTP/1.1
 // responder rather than net/http: one GET, one plain-text answer, and a
@@ -105,7 +105,6 @@ func readHead(conn net.Conn) []byte {
 type tenantMetrics struct {
 	name     string
 	eng      engine.Stats
-	queue    engine.QueueStats
 	degraded bool
 	log      segmentlog.Stats
 }
@@ -119,7 +118,6 @@ func (s *Server) snapshotMetrics() []tenantMetrics {
 		out = append(out, tenantMetrics{
 			name:     t.name,
 			eng:      t.eng.Stats(),
-			queue:    t.eng.QueueStats(),
 			degraded: t.eng.State().Cause != nil,
 			log:      t.log.Stats(),
 		})
@@ -184,17 +182,11 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	f("bqs_degraded", "gauge", "1 while the engine is in degraded read-only mode.",
 		func(t *tenantMetrics) interface{} { return b2i(t.degraded) })
 	f("bqs_queue_depth", "gauge", "Queued ingest batches, summed over shards.",
-		func(t *tenantMetrics) interface{} {
-			n := 0
-			for _, l := range t.queue.Len {
-				n += l
-			}
-			return n
-		})
+		func(t *tenantMetrics) interface{} { return t.eng.Queued })
 	f("bqs_queue_capacity", "gauge", "Per-shard ingest queue capacity in batches.",
-		func(t *tenantMetrics) interface{} { return t.queue.Cap })
+		func(t *tenantMetrics) interface{} { return engine.QueueDepth })
 	f("bqs_queue_fullness", "gauge", "Worst shard queue occupancy fraction in [0, 1].",
-		func(t *tenantMetrics) interface{} { return t.queue.Fullness() })
+		func(t *tenantMetrics) interface{} { return t.eng.QueueFullness })
 	f("bqs_cache_hits_total", "counter", "Read-cache hits (records served without a disk read).",
 		func(t *tenantMetrics) interface{} { return t.log.Cache.Hits })
 	f("bqs_cache_misses_total", "counter", "Read-cache misses.",

@@ -233,7 +233,7 @@ func (t *tenant) open(s *Server) {
 // queue invites a quick retry and a pinned one backs clients off.
 func retryMillis(eng *engine.Engine) uint32 {
 	d := DefaultRetryAfter
-	d += time.Duration(float64(d) * eng.QueueStats().Fullness())
+	d += time.Duration(float64(d) * eng.Stats().QueueFullness)
 	return uint32(d.Milliseconds())
 }
 

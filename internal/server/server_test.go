@@ -673,6 +673,57 @@ func TestProtocolViolationGetsErrorFrame(t *testing.T) {
 	}
 }
 
+// TestOversizedDeviceIDRefused: one device ID longer than a log record
+// stores (trajstore.MaxDeviceBytes) is malformed on the wire: its frame gets
+// an Error and nothing of it is queued. Acked instead, its trail fails its
+// append at the next flush, the tenant degrades for good (Heal re-fails on
+// the same trail) and every other device's fixes are refused or parked.
+// Here the tenant stays healthy and a second device's fixes are acked and
+// durable.
+func TestOversizedDeviceIDRefused(t *testing.T) {
+	dir := t.TempDir()
+	srv, addr := startServer(t, Config{Dir: dir, Engine: engine.Config{Tolerance: 2, Shards: 1}})
+	bad, err := Dial(addr, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	if ack, err := bad.Ingest([]proto.DeviceBatch{{Device: strings.Repeat("d", trajstore.MaxDeviceBytes+1), Keys: track(0, 8)}}); err == nil {
+		t.Errorf("an oversized device ID was answered %+v, want an Error frame", ack)
+	}
+	c, err := Dial(addr, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Sync(true); err != nil {
+		t.Errorf("Sync(flush) after the oversized ID: %v", err)
+	}
+	keys := track(1, 40)
+	if _, err := c.IngestAll([]proto.DeviceBatch{{Device: "dev-1", Keys: keys}}, 20); err != nil {
+		t.Fatalf("a second device's fixes: %v", err)
+	}
+	if err := c.Sync(true); err != nil {
+		t.Fatalf("Sync(flush): %v", err)
+	}
+	if st := srv.openTenants()[0].eng.State(); st.Phase != engine.Healthy {
+		t.Fatalf("tenant %v (%v), want healthy", st.Phase, st.Cause)
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	lg, err := segmentlog.OpenSharded(filepath.Join(dir, "x"), 0, segmentlog.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	recs, err := lg.Query("dev-1", 0, math.MaxUint32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covers(t, recs, "dev-1", keys, "reopened")
+}
+
 // TestNewRefusesUnusableTemplate: an engine or log template no tenant
 // could ever open is refused when the server is built, not on every Hello.
 func TestNewRefusesUnusableTemplate(t *testing.T) {

@@ -65,13 +65,6 @@ func register(name string, f Factory, deviation func(orig, keys []core.Point) fl
 	return nil
 }
 
-// MustRegister is Register for package init paths: it panics on error.
-func MustRegister(name string, f Factory) {
-	if err := Register(name, f); err != nil {
-		panic(err)
-	}
-}
-
 // New constructs a registered compressor by name. The error distinguishes
 // an unknown name (ErrUnknownCompressor, listing the registered names)
 // from a factory failure (e.g. an invalid tolerance).

@@ -1,6 +1,6 @@
 // Package stream provides the streaming plumbing around the compressors:
-// a common interface for all online algorithms, a goroutine pipeline for
-// running compressors against live point sources, and CSV trace IO.
+// a common interface for all online algorithms, a registry that builds
+// them by name, and CSV trace IO.
 //
 // The paper's target platform consumes GPS fixes "in a stream fashion";
 // this package is the Go-native equivalent of that acquisition loop.
@@ -8,7 +8,6 @@ package stream
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -101,40 +100,6 @@ func FlushAll(c Compressor) []core.Point {
 		out = append(out, kp)
 	}
 	return out
-}
-
-// Run drives a compressor over a point channel until the channel closes or
-// the context is cancelled, sending key points to out. It closes out when
-// done and returns the number of points consumed. Flush key points are
-// included.
-func Run(ctx context.Context, c Compressor, in <-chan core.Point, out chan<- core.Point) (int, error) {
-	defer close(out)
-	n := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return n, ctx.Err()
-		case p, ok := <-in:
-			if !ok {
-				for _, kp := range FlushAll(c) {
-					select {
-					case out <- kp:
-					case <-ctx.Done():
-						return n, ctx.Err()
-					}
-				}
-				return n, nil
-			}
-			n++
-			if kp, emitted := c.Push(p); emitted {
-				select {
-				case out <- kp:
-				case <-ctx.Done():
-					return n, ctx.Err()
-				}
-			}
-		}
-	}
 }
 
 // Compress is the batch convenience wrapper: it runs the compressor over

@@ -1,10 +1,8 @@
 package stream
 
 import (
-	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/trajcomp/bqs/internal/baseline"
 	"github.com/trajcomp/bqs/internal/core"
@@ -59,59 +57,6 @@ func TestFlushAllIdempotent(t *testing.T) {
 	}
 	if len(FlushAll(c)) != 0 {
 		t.Error("second FlushAll emitted points")
-	}
-}
-
-func TestRunPipeline(t *testing.T) {
-	c, _ := core.NewCompressor(core.Config{Tolerance: 5})
-	in := make(chan core.Point)
-	out := make(chan core.Point, 64)
-	done := make(chan struct{})
-	var got []core.Point
-	go func() {
-		defer close(done)
-		for kp := range out {
-			got = append(got, kp)
-		}
-	}()
-	go func() {
-		for _, p := range line(100, 10) {
-			in <- p
-		}
-		close(in)
-	}()
-	n, err := Run(context.Background(), c, in, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	if n != 100 {
-		t.Errorf("consumed %d points", n)
-	}
-	if len(got) != 2 {
-		t.Errorf("pipeline emitted %d keys, want 2", len(got))
-	}
-}
-
-func TestRunCancellation(t *testing.T) {
-	c, _ := core.NewCompressor(core.Config{Tolerance: 5})
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan core.Point)
-	out := make(chan core.Point) // unbuffered, nobody reads
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := Run(ctx, c, in, out)
-		errCh <- err
-	}()
-	in <- core.Point{X: 0, T: 0} // first push emits; Run blocks sending
-	cancel()
-	select {
-	case err := <-errCh:
-		if err != context.Canceled {
-			t.Errorf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not return after cancellation")
 	}
 }
 

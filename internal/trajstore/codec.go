@@ -32,6 +32,14 @@ var ErrShortBuffer = errors.New("trajstore: short buffer")
 // ErrRange reports a coordinate outside the encodable range.
 var ErrRange = errors.New("trajstore: coordinate outside the wire format's range")
 
+// MaxDeviceBytes is the longest device ID a log record stores. The wire
+// (proto) and the engine refuse a longer one before any fix of it is
+// acked: a trail the log cannot store would degrade the engine for good.
+const MaxDeviceBytes = 1<<16 - 1
+
+// ErrDeviceID reports a device ID longer than MaxDeviceBytes.
+var ErrDeviceID = fmt.Errorf("trajstore: device ID longer than %d bytes", MaxDeviceBytes)
+
 // GeoKey is a key point in geographic coordinates as stored on the wire.
 type GeoKey struct {
 	Lat, Lon float64 // degrees
@@ -389,7 +397,8 @@ func walkBlock(block []byte, win *Window) (t Trail, hit bool, err error) {
 // during a time span that overlaps it — the per-segment test of the
 // in-memory ground truth (Store Query ∩ QueryTime), on lattice integers,
 // so a block of fewer than two keys enters nothing. A nil w asks only
-// that the block be one a read may serve (see DeltaValidate).
+// that the block be one a read may serve: it parses, its times fit the
+// wire and its keys lie on the globe.
 func Enters(block []byte, w *Window) (bool, error) {
 	_, hit, err := walkBlock(block, w)
 	return err == nil && (w == nil || hit), err
@@ -485,16 +494,6 @@ func DeltaDecode(b []byte) ([]GeoKey, error) {
 		return nil, ErrRange
 	}
 	return keys, err
-}
-
-// DeltaValidate reports whether b is a block a read will serve: it parses,
-// its times fit the wire and its keys lie on the globe. The segment log's
-// recovery scan indexes only such records: a CRC can be forged byte by byte
-// (coverage-guided fuzzers do), and a record must be treated as torn rather
-// than indexed and then failed at read time.
-func DeltaValidate(b []byte) bool {
-	_, err := Enters(b, nil)
-	return err == nil
 }
 
 // MetersPerDegree is the one flat factor between the projected metric

@@ -156,12 +156,17 @@ func TestDeltaRoundTripQuantizationBoundary(t *testing.T) {
 	}
 }
 
-// TestDeltaValidateMatchesDecode pins the contract the segment log's
-// recovery scan relies on: DeltaValidate accepts exactly the payloads
-// DeltaDecode accepts — every key on the globe, the ones a read serves —
-// over valid encodes, every truncation of one, and a sweep of single-byte
-// corruptions.
-func TestDeltaValidateMatchesDecode(t *testing.T) {
+// servable is Enters with no window: whether a read serves block.
+func servable(block []byte) bool {
+	_, err := Enters(block, nil)
+	return err == nil
+}
+
+// TestEntersNilMatchesDecode pins what a read relies on: Enters with no
+// window accepts exactly the payloads DeltaDecode accepts — every key on
+// the globe, the ones a read serves — over valid encodes, every truncation
+// of one, and a sweep of single-byte corruptions.
+func TestEntersNilMatchesDecode(t *testing.T) {
 	check := func(b []byte) {
 		t.Helper()
 		keys, err := DeltaDecode(b)
@@ -170,8 +175,8 @@ func TestDeltaValidateMatchesDecode(t *testing.T) {
 				t.Fatalf("DeltaDecode materialized off-globe key %+v from %x", k, b)
 			}
 		}
-		if got := DeltaValidate(b); got != (err == nil) {
-			t.Fatalf("DeltaValidate=%v but DeltaDecode err=%v, keys %v for %x", got, err, keys, b)
+		if got := servable(b); got != (err == nil) {
+			t.Fatalf("Enters(nil)=%v but DeltaDecode err=%v, keys %v for %x", got, err, keys, b)
 		}
 	}
 	keys := []GeoKey{
@@ -271,7 +276,7 @@ func checkTrailMatchesDeltaEncode(t *testing.T, keys []GeoKey, cut int) {
 		t.Fatalf("bounds %+v, reference %+v", tr.Bounds(), refBounds(keys))
 	}
 	dec, err := DeltaDecode(want)
-	if err != nil || !DeltaValidate(want) {
+	if err != nil || !servable(want) {
 		t.Fatalf("the block does not read back: %v", err)
 	}
 	if read := tr.Keys(); !reflect.DeepEqual(read, dec) {
@@ -578,8 +583,8 @@ func TestTrailJoin(t *testing.T) {
 		t.Fatalf("fixture does not parse: %v", err)
 	}
 	_, derr := DeltaDecode(off)
-	if _, err := OpenTrail(off); !errors.Is(err, ErrRange) || !errors.Is(derr, ErrRange) || DeltaValidate(off) {
-		t.Fatalf("OpenTrail(off-globe block) = %v, DeltaDecode %v, DeltaValidate %v; want ErrRange, ErrRange, false", err, derr, DeltaValidate(off))
+	if _, err := OpenTrail(off); !errors.Is(err, ErrRange) || !errors.Is(derr, ErrRange) || servable(off) {
+		t.Fatalf("OpenTrail(off-globe block) = %v, DeltaDecode %v, Enters(nil) %v; want ErrRange, ErrRange, false", err, derr, servable(off))
 	}
 }
 
@@ -615,7 +620,7 @@ func FuzzTrailJoin(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, block []byte, cut uint) {
 		keys, err := DeltaDecode(block)
-		if err != nil || len(keys) > 4096 || !DeltaValidate(block) {
+		if err != nil || len(keys) > 4096 || !servable(block) {
 			return
 		}
 		checkTrailJoin(t, keys, int(cut%(1<<20)))

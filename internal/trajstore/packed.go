@@ -120,10 +120,10 @@ func (w *bitWriter) rice(v uint64, k uint) {
 var errTrailing = errors.New("trajstore: bytes after the packed block's last key")
 
 // UnpackBlock appends to dst the delta-varint block packed holds, as
-// AppendBlock wrote it, checking in the same pass all DeltaValidate checks
-// (ErrRange: a key off the globe) and that only zero padding follows; the
-// trail it returns is that block on dst's tail, its bounds and last key
-// from the same pass.
+// AppendBlock wrote it, checking in the same pass all Enters(block, nil)
+// checks (ErrRange: a key off the globe) and that only zero padding
+// follows; the trail it returns is that block on dst's tail, its bounds
+// and last key from the same pass.
 func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 	n, off := binary.Uvarint(packed)
 	if off <= 0 {

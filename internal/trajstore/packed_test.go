@@ -158,7 +158,7 @@ func TestPackedSmaller(t *testing.T) {
 	}
 }
 
-// TestUnpackRefuses: what DeltaValidate refuses, and what no packer
+// TestUnpackRefuses: what Enters(block, nil) refuses, and what no packer
 // writes — a parameter past 24, bytes or set bits after the last code.
 func TestUnpackRefuses(t *testing.T) {
 	tr := latticeTrail(packedCases()["two keys"])
@@ -218,7 +218,7 @@ func rawPacked(first [3]int64, deltas ...[3]int64) []byte {
 }
 
 // FuzzPackedBlock: arbitrary bytes never panic UnpackBlock, and whatever it
-// accepts is a block DeltaValidate accepts, which packs back to itself; the
+// accepts is a block Enters(block, nil) accepts, which packs back to itself; the
 // same bytes read as lattice keys pack and unpack to their trail's bytes.
 func FuzzPackedBlock(f *testing.F) {
 	for _, keys := range packedCases() {
@@ -235,8 +235,8 @@ func FuzzPackedBlock(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if block, _, err := UnpackBlock(nil, data); err == nil {
-			if !DeltaValidate(block) {
-				t.Fatalf("UnpackBlock accepted %x as %x, which DeltaValidate refuses", data, block)
+			if !servable(block) {
+				t.Fatalf("UnpackBlock accepted %x as %x, which Enters(nil) refuses", data, block)
 			}
 			tr, err := OpenTrail(block)
 			if err != nil {

@@ -64,8 +64,8 @@ func splitBody(body []byte, v byte) (device, payload []byte, err error) {
 // to dst; on an error dst comes back as it was. Shared by the append path
 // and the compactor so the two can never drift apart on format.
 func frameRecord(dst []byte, device string, tr *trajstore.Trail) ([]byte, error) {
-	if len(device) > int(^uint16(0)) {
-		return dst, fmt.Errorf("segmentlog: device ID longer than %d bytes", ^uint16(0))
+	if len(device) > trajstore.MaxDeviceBytes {
+		return dst, fmt.Errorf("segmentlog: %w", trajstore.ErrDeviceID)
 	}
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, 0) // bodyLen and CRC, backpatched below

@@ -162,10 +162,10 @@ type recordAddr struct {
 // live size is shardLog.off.
 type segmentFile struct {
 	path    string
-	version byte         // the file's format version: how its records are read
-	size    int64        // valid bytes, header included
-	sum     segSummary   // union of recs' bounds: what a window prunes the whole file on
-	recs    []recordMeta // every record, in file order
+	version byte             // the file's format version: how its records are read
+	size    int64            // valid bytes, header included
+	sum     trajstore.Bounds // union of recs' bounds (sumOf): what a window prunes the whole file on
+	recs    []recordMeta     // every record, in file order
 }
 
 // refSnap locates one record for a read outside the lock.
@@ -290,8 +290,11 @@ func (l *shardLog) addRecordLocked(m recordMeta) {
 	seg := len(l.segs) - 1
 	s := &l.segs[seg]
 	l.index[m.dev] = append(l.index[m.dev], recordAddr{seg: int32(seg), pos: int32(len(s.recs))})
+	if len(s.recs) == 0 {
+		s.sum = m.Bounds
+	}
+	s.sum.Union(m.Bounds)
 	s.recs = append(s.recs, m)
-	s.sum.add(m.Bounds)
 }
 
 // internLocked returns device's number, giving a new device the next one

@@ -10,30 +10,16 @@ package segmentlog
 
 import "github.com/trajcomp/bqs/internal/trajstore"
 
-// segSummary is the per-segment metadata union used for segment-level
-// pruning: the bounds of every record in the file (valid when records >
-// 0). It is maintained incrementally on append and rebuilt by the scan on
-// Open.
-type segSummary struct {
-	records int
-	trajstore.Bounds
-}
-
-// add folds one record's bounds into the summary.
-func (s *segSummary) add(b trajstore.Bounds) {
-	if s.records == 0 {
-		s.Bounds = b
-	}
-	s.Union(b)
-	s.records++
-}
-
-// sumOf summarizes a segment's records.
-func sumOf(metas []recordMeta) (s segSummary) {
+// sumOf is a segment's summary for segment-level pruning: the union of
+// its records' bounds, valid when there are records.
+func sumOf(metas []recordMeta) (sum trajstore.Bounds) {
 	for i := range metas {
-		s.add(metas[i].Bounds)
+		if i == 0 {
+			sum = metas[i].Bounds
+		}
+		sum.Union(metas[i].Bounds)
 	}
-	return s
+	return sum
 }
 
 // WindowStats reports how a window query was answered: how much the
@@ -59,7 +45,7 @@ func (l *shardLog) windowBlocks(w *trajstore.Window, ws *WindowStats, visit func
 		ws.Segments += len(l.segs)
 		for si := range l.segs {
 			s := &l.segs[si]
-			if s.sum.records == 0 || !w.Meets(s.sum.Bounds) {
+			if len(s.recs) == 0 || !w.Meets(s.sum) {
 				ws.SegmentsPruned++
 				continue
 			}
