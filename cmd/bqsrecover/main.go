@@ -90,8 +90,8 @@ func main() {
 	defer lg.Close()
 
 	s := lg.Stats()
-	fmt.Fprintf(os.Stderr, "bqsrecover: %d segment file(s), %d records, %d devices, %d bytes, generation %d",
-		s.Segments, s.Records, s.Devices, s.Bytes, s.Gen)
+	fmt.Fprintf(os.Stderr, "bqsrecover: %d segment file(s), %d records, %d devices, %d bytes",
+		s.Segments, s.Records, s.Devices, s.Bytes)
 	if s.Truncated > 0 {
 		if writable {
 			fmt.Fprintf(os.Stderr, " (recovered: dropped %d torn tail bytes)", s.Truncated)
@@ -194,9 +194,9 @@ func reportCompaction(res segmentlog.CompactionResult) {
 	if res.BytesIn > 0 {
 		pct = 100 * float64(saved) / float64(res.BytesIn)
 	}
-	fmt.Printf("compaction: %d → %d records, %d → %d bytes (saved %d, %.1f%%), %d merged, %d deduped, %d aged, generation %d\n",
+	fmt.Printf("compaction: %d → %d records, %d → %d bytes (saved %d, %.1f%%), %d merged, %d deduped, %d aged\n",
 		res.RecordsIn, res.RecordsOut, res.BytesIn, res.BytesOut, saved, pct,
-		res.Merged, res.Deduped, res.Aged, res.Gen)
+		res.Merged, res.Deduped, res.Aged)
 }
 
 // parseWindow decodes "-window minLon,minLat,maxLon,maxLat".

@@ -236,7 +236,9 @@ func TestMetricsUnsyncedBounded(t *testing.T) {
 	}
 	defer c.Close()
 	// The traffic runs beside the test; the test scrapes until it is done.
-	const devices, perDevice = 64, 5000
+	// track's steady zig-zag packs to a few bits a key, so it takes this
+	// many to write past the bound several times over.
+	const devices, perDevice = 64, 12500
 	sent := make(chan error, 1)
 	go func() {
 		for lo := 0; lo < perDevice; lo += 500 {

@@ -100,6 +100,7 @@ type Trail struct {
 	size, n  int       // the keys' bytes (DeltaEncode's after the count), the keys
 	lat, lon int32     // the last key, which the next is stored as a delta from
 	t        uint32
+	aged     uint32 // the ageing watermark: see Aged
 	bounds   Bounds
 }
 
@@ -150,7 +151,7 @@ func (t *Trail) Restart() {
 		first, t.full = t.full[0], t.full[1:]
 		t.Release()
 	}
-	t.cur, t.size, t.n = first[:0], 0, 0
+	t.cur, t.size, t.n, t.aged = first[:0], 0, 0, 0
 	t.add(t.lat, t.lon, t.t)
 }
 
@@ -158,7 +159,7 @@ func (t *Trail) Restart() {
 // builder's next write, and leaves t empty but able to Restart.
 func (t *Trail) Take() Trail {
 	out := *t
-	t.full, t.cur, t.size, t.n = nil, nil, 0, 0
+	t.full, t.cur, t.size, t.n, t.aged = nil, nil, 0, 0, 0
 	return out
 }
 
@@ -176,6 +177,15 @@ func (t *Trail) Release() {
 func (t *Trail) Len() int       { return t.n }
 func (t *Trail) Size() int      { return t.size }
 func (t *Trail) Bounds() Bounds { return t.bounds }
+
+// Aged is the trail's ageing watermark: its leading keys at or before this
+// time have been re-compressed at a log's coarse tolerance — the longest
+// such run — and no later key has; 0 for none. Only a log's compaction
+// sets it (SetAged), and a packed block carries it.
+func (t *Trail) Aged() uint32 { return t.aged }
+
+// SetAged sets the ageing watermark.
+func (t *Trail) SetAged(ts uint32) { t.aged = ts }
 
 // Pages counts the pages a pooled trail has out of its pool.
 func (t *Trail) Pages() int { return len(t.full) + min(cap(t.cur), 1) }
@@ -212,14 +222,18 @@ func OpenTrail(block []byte) (Trail, error) {
 // Join appends next — a chunk that restarts from t's last key — to t,
 // keeping the shared key once: next's pages follow t's, the first without
 // that key, and a pooled next is left empty. It reports false, t
-// untouched, when next does not start there or is another pool's. next's
-// deltas hang off that key, so the result is DeltaEncode of the keys.
+// untouched, when next does not start there, is another pool's, or is
+// aged while t is not aged through its last key: a trail's aged keys are
+// a prefix (Aged), which the join's watermark, the later of the two,
+// keeps. next's deltas hang off that key, so the result is DeltaEncode of
+// the keys.
 func (t *Trail) Join(next *Trail) bool {
 	c := next.Cursor()
 	if _, err := c.decode(nil, 1, false, nil); t.n == 0 || err != nil || t.pool != next.pool ||
-		c.lat != int64(t.lat) || c.lon != int64(t.lon) || c.t != int64(t.t) {
+		c.lat != int64(t.lat) || c.lon != int64(t.lon) || c.t != int64(t.t) || next.aged > 0 && t.bounds.T1 > t.aged {
 		return false
 	}
+	t.aged = max(t.aged, next.aged)
 	full, cur := append(append(t.full, t.cur), next.full...), next.cur
 	head := &cur // next's first page, whose first key t has
 	if len(next.full) > 0 {

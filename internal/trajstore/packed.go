@@ -1,90 +1,231 @@
 // The packed block: how a segment log record holds a trail on disk —
-// DeltaEncode's block with its deltas Rice-coded, one parameter a field.
-// AppendPacked writes it, UnpackBlock turns it back into that block and its trail.
+// DeltaEncode's block with each later key coded in its predecessor's frame
+// and Rice-coded. AppendPacked writes it, UnpackBlock turns it back into
+// that block and its trail; UnpackV4Block reads segment versions 3 and 4's.
 package trajstore
 
 import (
 	"cmp"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 )
 
 const (
 	riceEscape = 32              // a quotient this large is escaped: riceEscape one bits, then the value's 64
 	escapeBits = riceEscape + 64 // what an escape costs, the most any code does
 	maxRiceK   = 24              // so that a code, unless escaped, fits the 56 bits a load brings
+	flagFOR    = 1 << 5          // in a field's head byte: its least follows, a code is the value less it, unsigned
+	flagGCD    = 1 << 6          // in a field's head byte: its divisor follows, a code is the value divided by it
+	flagAged   = 1 << 7          // in the first field's head byte: the ageing watermark follows
 )
 
-// riceTally gathers in one walk what each Rice parameter k costs a field: a
-// value of bit length b costs k+1 bits and v>>k while b ≤ k+5, escapeBits
-// past it. n[b] counts values of bit length b, q[k] sums those v>>k.
-type riceTally struct {
-	n [65]int
-	q [64]uint64
+// turn maps a step (x, y) — Δlon, Δlat — into the frame whose +x is heading
+// h (0 east, 1 north, 2 west, 3 south): a rotation by −90°·h, exact on
+// integers; unturn inverts it. quarter swaps x and y if swap is 1, then
+// negates the first if na is 1 and the second if nb is 1, with no branch: a
+// trajectory's headings follow no pattern a predictor learns.
+func turn(h byte, x, y int64) (int64, int64)   { return quarter(x, y, h&1, h>>1, (h^h>>1)&1) }
+func unturn(h byte, x, y int64) (int64, int64) { return quarter(x, y, h&1, (h^h>>1)&1, h>>1) }
+
+func quarter(x, y int64, swap, na, nb byte) (int64, int64) {
+	m, ma, mb := (x^y)&-int64(swap), -int64(na), -int64(nb)
+	return (x ^ m ^ ma) - ma, (y ^ m ^ mb) - mb
 }
 
-func (r *riceTally) add(v uint64) {
-	b := bits.Len64(v)
-	r.n[b]++
-	for k := max(b-5, 0); k < b; k++ { // below b-5 v escapes, from b on v>>k is 0
-		r.q[k] += v >> k
+// heading is the dominant axis of the step (x, y) as turn numbers it, x
+// winning a tie; for no step, h.
+func heading(h byte, x, y int64) byte {
+	if x|y == 0 {
+		return h
+	}
+	north := byte(uint64(max(x, -x)-max(y, -y)) >> 63) // with no branch, as quarter
+	return north | byte(uint64(x^(x^y)&-int64(north))>>63)<<1
+}
+
+// fieldCode maps one field's values to codes, as its head byte says: less
+// off and unsigned (flagFOR) or zig-zagged, divided by div.
+type fieldCode struct {
+	head     byte
+	off, div int64
+}
+
+func (c *fieldCode) code(v int64) uint64 {
+	if v -= c.off; c.div > 1 { // off is 0 unless flagFOR; div divides every v
+		v /= c.div
+	}
+	if c.head&flagFOR != 0 {
+		return uint64(v)
+	}
+	return uint64(v<<1 ^ v>>63)
+}
+
+// fieldStats is a field's least value, its first, and the greatest common
+// divisor of the values' differences from the first.
+type fieldStats struct {
+	lo, v0 int64
+	g      uint64
+}
+
+func (s *fieldStats) add(v int64) {
+	if s.lo = min(s.lo, v); s.g != 1 {
+		s.g = gcd(s.g, uint64(max(v-s.v0, s.v0-v)))
 	}
 }
 
-// best returns the cheapest parameter for the total values tallied.
-func (r *riceTally) best(total int) (k byte) {
-	short, cost := r.n[0]+r.n[1]+r.n[2]+r.n[3]+r.n[4], math.MaxInt // bit length ≤ j+5
-	for j := range maxRiceK + 1 {
-		short += r.n[j+5]
-		if c := int(r.q[j]) + (j+1)*short + escapeBits*(total-short); c < cost {
-			k, cost = byte(j), c
+// chooseCode picks the code for a field's m values, every third of vals,
+// and leaves each value's code in its place: the values less their least —
+// over a least above 0, a bit saved a value; else when Rice codes of their
+// mean cost less — or zig-zagged, each divided by the values' common
+// divisor where that saves more than its bytes; then the cheapest Rice
+// parameter, from log₂ of the codes' mean on while a neighbour is.
+func chooseCode(vals []int64, m int, st fieldStats) fieldCode {
+	fc := [2]fieldCode{{flagFOR, st.lo, worthDividing(st.g, m)}, {div: worthDividing(gcd(st.g, uint64(max(st.v0, -st.v0))), m)}}
+	c, costs := &fc[0], [2]int{8 * uvarintLen(uint64(st.lo<<1^st.lo>>63)), 0}
+	if st.lo <= 0 || m <= costs[0] {
+		var s0, s1 uint64
+		for i := 0; i < len(vals); i += 3 {
+			s0, s1 = s0+fc[0].code(vals[i]), s1+fc[1].code(vals[i])
+		}
+		for i, sum := range [2]uint64{s0, s1} { // Rice codes of parameter log₂ of their mean, and the divisor
+			k := max(bits.Len64(sum/uint64(m)), 1) - 1
+			costs[i] += m*(k+1) + int(sum>>k) + 8*uvarintLen(uint64(fc[i].div))*int(min(fc[i].div-1, 1))
+		}
+		if costs[0] > costs[1] {
+			c = &fc[1]
 		}
 	}
-	return k
+	sum := uint64(0)
+	for i := 0; i < len(vals); i += 3 {
+		u := c.code(vals[i])
+		sum, vals[i] = sum+u, int64(u)
+	}
+	if c.div > 1 {
+		c.head |= flagGCD
+	}
+	for k := min(max(bits.Len64(sum/uint64(m)), 2)-1, maxRiceK-1); ; {
+		cost := riceCosts(vals, uint(k))
+		j := slices.Index(cost[:], slices.Min(cost[:]))
+		if k += j - 1; j == 1 || k < 1 || k >= maxRiceK {
+			c.head |= byte(k)
+			return *c
+		}
+	}
 }
+
+// riceCosts is what every third of codes costs as Rice codes of parameter
+// k−1, k and k+1 (k ≥ 1), in bits: u costs u>>k and k+1 bits while u>>k <
+// riceEscape, escapeBits past it.
+func riceCosts(codes []int64, k uint) [3]int {
+	var q0, q1, q2 uint64 // the quotients, an escape as escaped says; not an array, which lives in memory
+	for i := 0; i < len(codes); i += 3 {
+		u := uint64(codes[i]) >> (k - 1)
+		if u >= riceEscape { // rare: a quotient escapes
+			q0, q1, q2 = q0+escaped(u, k), q1+escaped(u>>1, k+1), q2+escaped(u>>2, k+2)
+		}
+		q0, q1, q2 = q0+u, q1+u>>1, q2+u>>2
+	}
+	m := (len(codes) + 2) / 3
+	return [3]int{int(q0) + m*int(k), int(q1) + m*int(k+1), int(q2) + m*int(k+2)}
+}
+
+// escaped is what a quotient q adds to riceCosts' count of q and k bits for
+// its code — nothing, or, if q escapes, the rest of escapeBits.
+func escaped(q uint64, k uint) uint64 {
+	if q < riceEscape {
+		return 0
+	}
+	return uint64(escapeBits-int(k)) - q
+}
+
+// worthDividing is g when dividing m values by it saves more bits than its
+// uvarint costs, else 1.
+func worthDividing(g uint64, m int) int64 {
+	if g < 2 || m*(bits.Len64(g)-1) <= 8*uvarintLen(g) {
+		return 1
+	}
+	return int64(g)
+}
+
+func uvarintLen(v uint64) int { return max(bits.Len64(v)+6, 7) / 7 }
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// packScratch lends AppendPacked the field values of a trail's later keys,
+// between the walk that decodes them and the one that codes them.
+var packScratch = sync.Pool{New: func() any { return new([]int64) }}
 
 // AppendPacked appends the trail as a packed block: the count and the first
-// key as AppendBlock writes them; then, for two keys or more, the cheapest
-// Rice parameter (a byte, 0–24) for Δlat, Δlon and Δt, and every later key's
-// zig-zagged deltas as interleaved Rice codes, least significant bit first,
-// zero-padded to a byte. It walks the trail's bytes twice — to choose, to
-// write — allocating only dst's growth.
+// key as AppendBlock writes them; then, for two keys or more, a head and the
+// later keys' codes. A key's step (Δlon, Δlat) is turned so that the step
+// before it points east (heading; east before any): its across and along
+// components and Δt are the three fields. The head is a byte a field — the
+// Rice parameter (0–24) under the flags — then each field's least (varint,
+// flagFOR) and divisor (uvarint, flagGCD), then the watermark (uvarint,
+// flagAged, for two keys or more). The codes follow interleaved, least
+// significant bit first, zero-padded to a byte. It walks the trail's bytes
+// once and allocates only dst's growth.
 func (t *Trail) AppendPacked(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(t.n))
-	var tally [3]riceTally
-	k, out := [3]byte{}, bitWriter{}
-	for pass := 0; pass < 2; pass++ {
-		f := -3 // the field of the next varint; the first key's come first
-		for p := 0; p <= len(t.full); p++ {
-			pg := t.cur
-			if p < len(t.full) {
-				pg = t.full[p]
-			}
-			for len(pg) > 0 { // a block's bytes are its varints, three a key
-				v, n := binary.Uvarint(pg)
-				switch pg = pg[n:]; {
-				case f < 0 && pass == 0:
-					dst = binary.AppendUvarint(dst, v)
-				case f < 0:
-				case pass == 0:
-					tally[f].add(v)
-				default:
-					out.rice(v, uint(k[f]))
-				}
-				if f++; f == 3 {
-					f = 0
-				}
-			}
+	scratch := packScratch.Get().(*[]int64)
+	defer packScratch.Put(scratch)
+	vals, st, h, first := (*scratch)[:0], [3]fieldStats{}, byte(0), true
+	for p := 0; p <= len(t.full); p++ {
+		pg := t.cur
+		if p < len(t.full) {
+			pg = t.full[p]
 		}
-		if t.n < 2 {
-			return dst
-		} else if pass == 0 {
-			k = [3]byte{tally[0].best(t.n - 1), tally[1].best(t.n - 1), tally[2].best(t.n - 1)}
-			out.dst = append(dst, k[:]...)
+		for len(pg) > 0 { // a block's bytes are its varints, three a key
+			zlat, n1 := binary.Uvarint(pg) // Uvarint inlines, Varint does not
+			zlon, n2 := binary.Uvarint(pg[n1:])
+			zt, n3 := binary.Uvarint(pg[n1+n2:])
+			if pg = pg[n1+n2+n3:]; first { // the first key, absolute
+				dst, first = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(dst, zlat), zlon), zt), false
+				continue
+			}
+			dlat, dlon, dt := int64(zlat>>1)^-int64(zlat&1), int64(zlon>>1)^-int64(zlon&1), int64(zt>>1)^-int64(zt&1)
+			x, y := turn(h, dlon, dlat)
+			if len(vals) == 0 {
+				st = [3]fieldStats{{lo: y, v0: y}, {lo: x, v0: x}, {lo: dt, v0: dt}}
+			}
+			st[0].add(y)
+			st[1].add(x)
+			st[2].add(dt)
+			vals, h = append(vals, y, x, dt), heading(h, dlon, dlat)
 		}
+	}
+	if *scratch = vals; t.n < 2 {
+		return dst
+	}
+	codes := [3]fieldCode{chooseCode(vals, t.n-1, st[0]), chooseCode(vals[1:], t.n-1, st[1]), chooseCode(vals[2:], t.n-1, st[2])}
+	if t.aged > 0 {
+		codes[0].head |= flagAged
+	}
+	dst = append(dst, codes[0].head, codes[1].head, codes[2].head)
+	for _, c := range codes {
+		if c.head&flagFOR != 0 {
+			dst = binary.AppendVarint(dst, c.off)
+		}
+		if c.div > 1 {
+			dst = binary.AppendUvarint(dst, uint64(c.div))
+		}
+	}
+	if t.aged > 0 {
+		dst = binary.AppendUvarint(dst, uint64(t.aged))
+	}
+	out, k := bitWriter{dst: dst}, [3]uint{uint(codes[0].head & 31), uint(codes[1].head & 31), uint(codes[2].head & 31)}
+	for i := 0; i < len(vals); i += 3 { // chooseCode left the codes in vals
+		out.rice(uint64(vals[i]), k[0])
+		out.rice(uint64(vals[i+1]), k[1])
+		out.rice(uint64(vals[i+2]), k[2])
 	}
 	for i := uint(0); i < out.n; i += 8 { // the last bits, zero-padded
 		out.dst = append(out.dst, byte(out.acc>>i))
@@ -117,14 +258,23 @@ func (w *bitWriter) rice(v uint64, k uint) {
 	}
 }
 
-var errTrailing = errors.New("trajstore: bytes after the packed block's last key")
+var (
+	errTrailing = errors.New("trajstore: bytes after the packed block's last key")
+	errHead     = errors.New("trajstore: packed head out of range")
+)
 
 // UnpackBlock appends to dst the delta-varint block packed holds, as
 // AppendBlock wrote it, checking in the same pass all Enters(block, nil)
 // checks (ErrRange: a key off the globe) and that only zero padding
-// follows; the trail it returns is that block on dst's tail, its bounds
-// and last key from the same pass.
-func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
+// follows; the trail it returns is that block on dst's tail, its bounds,
+// last key and watermark from the same pass.
+func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) { return unpack(dst, packed, true) }
+
+// UnpackV4Block is UnpackBlock for versions 3 and 4's packing: Δlat, Δlon
+// and Δt zig-zagged, with no turn, no flag and no watermark.
+func UnpackV4Block(dst, packed []byte) ([]byte, Trail, error) { return unpack(dst, packed, false) }
+
+func unpack(dst, packed []byte, v5 bool) ([]byte, Trail, error) {
 	n, off := binary.Uvarint(packed)
 	if off <= 0 {
 		return nil, Trail{}, ErrShortBuffer
@@ -139,55 +289,100 @@ func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 	if n > 0 {
 		dst = binary.AppendUvarint(binary.AppendVarint(binary.AppendVarint(dst, c.lat), c.lon), uint64(c.t))
 	}
-	b, k := c.b, [3]uint{}
+	b, codes, aged, err := c.b, [3]fieldCode{{div: 1}, {div: 1}, {div: 1}}, uint64(0), error(nil)
+	next := func(least uint64) uint64 { // the head's next uvarint, at least least
+		v, w := binary.Uvarint(b)
+		if w <= 0 || v < least {
+			err, w = errHead, 0
+		}
+		b = b[w:]
+		return v
+	}
 	if n >= 2 && len(b) < 3 {
 		return nil, Trail{}, ErrShortBuffer
-	} else if n >= 2 && max(b[0], b[1], b[2]) > maxRiceK {
-		return nil, Trail{}, fmt.Errorf("trajstore: Rice parameter %d out of range", max(b[0], b[1], b[2]))
 	} else if n >= 2 {
-		k, b = [3]uint{uint(b[0]), uint(b[1]), uint(b[2])}, b[3:]
-	}
-	// acc holds nb unread bits of b, zeros above; load tops it up to ≥ 56.
-	acc, nb := uint64(0), uint(0)
-	load := func() {
-		for ; nb < 56 && len(b) > 0; b, nb = b[1:], nb+8 {
-			acc |= uint64(b[0]) << nb
+		head := b[:3]
+		if hi := max(head[0], head[1], head[2]); hi&31 > maxRiceK || !v5 && hi > maxRiceK || (head[1]|head[2])&flagAged != 0 {
+			return nil, Trail{}, errHead
+		}
+		for b = b[3:]; len(head) > 0; head = head[1:] {
+			f := &codes[3-len(head)]
+			if f.head = head[0]; f.head&flagFOR != 0 {
+				u := next(0)
+				f.off = int64(u>>1) ^ -int64(u&1)
+			}
+			if head[0]&flagGCD != 0 {
+				f.div = int64(next(2))
+			}
+		}
+		if codes[0].head&flagAged != 0 {
+			aged = next(0)
 		}
 	}
+	if err != nil || aged > math.MaxUint32 {
+		return nil, Trail{}, errHead
+	}
+	// acc holds nb unread bits of b, and above them only b's next bits or
+	// zeros; h is the heading the next step is turned from.
+	acc, nb, h := uint64(0), uint(0), byte(0)
+	var k, z [3]uint // per field: the Rice parameter, 1 for zig-zagged codes
+	for f, c := range codes {
+		k[f], z[f] = uint(c.head&31), uint(c.head>>5&1^1)
+	}
 	for i := uint64(1); i < n; i++ {
+		var d [3]int64 // across, along, Δt
 		for f, kf := range k {
-			load() // now acc holds the whole code, the escape's ones or b's last bits
+			acc, nb, b = refill(acc, nb, b) // now acc holds the whole code, the escape's ones or b's last bits
 			q := uint(bits.TrailingZeros64(^acc))
-			v := uint64(q)<<kf | acc>>(q+1)&(1<<kf-1)
+			u := uint64(q)<<kf | acc>>(q+1)&(1<<kf-1)
 			switch {
 			case q < riceEscape && q+1+kf <= nb:
 				acc, nb = acc>>(q+1+kf), nb-q-1-kf
 			case q < riceEscape:
 				return nil, Trail{}, ErrShortBuffer
-			default: // escaped: the ones, then v's 64 bits, 32 at a time
-				acc, nb, v = acc>>riceEscape, nb-riceEscape, 0
+			default: // escaped: the ones, then u's 64 bits, 32 at a time
+				acc, nb, u = acc>>riceEscape, nb-riceEscape, 0
 				for half := uint(0); half < 64; half += 32 {
-					if load(); nb < 32 {
+					if acc, nb, b = refill(acc, nb, b); nb < 32 {
 						return nil, Trail{}, ErrShortBuffer
 					}
-					v, acc, nb = v|acc&math.MaxUint32<<half, acc>>32, nb-32
+					u, acc, nb = u|acc&math.MaxUint32<<half, acc>>32, nb-32
 				}
 			}
-			key[f] += int64(v>>1) ^ -int64(v&1)
-			dst = binary.AppendUvarint(dst, v) // AppendVarint of the delta
+			d[f] = (int64(u>>z[f])^-int64(u&uint64(z[f])))*codes[f].div + codes[f].off
 		}
-		if uint64(key[0]+90e7) > 180e7 || uint64(key[1]+180e7) > 360e7 || uint64(key[2]) > math.MaxUint32 {
-			return nil, Trail{}, ErrRange
+		dlon, dlat := unturn(h, d[1], d[0])
+		if v5 {
+			h = heading(h, dlon, dlat)
 		}
+		key[0], key[1], key[2] = key[0]+dlat, key[1]+dlon, key[2]+d[2]
+		dst = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(dst, dlat), dlon), d[2])
 		box.MinLat, box.MinLon, box.T0 = min(box.MinLat, key[0]), min(box.MinLon, key[1]), min(box.T0, key[2])
 		box.MaxLat, box.MaxLon, box.T1 = max(box.MaxLat, key[0]), max(box.MaxLon, key[1]), max(box.T1, key[2])
 	}
 	if len(b) > 0 || nb >= 8 || acc != 0 {
 		return nil, Trail{}, errTrailing
 	}
-	return dst, Trail{cur: dst[body:len(dst):len(dst)], size: len(dst) - body, n: int(n), lat: int32(key[0]), lon: int32(key[1]), t: uint32(key[2]),
+	if !onGlobe(box) || box.T0 < 0 || box.T1 > math.MaxUint32 { // the box holds every key: one check for all
+		return nil, Trail{}, ErrRange
+	}
+	return dst, Trail{cur: dst[body:len(dst):len(dst)], size: len(dst) - body, n: int(n), lat: int32(key[0]), lon: int32(key[1]), t: uint32(key[2]), aged: uint32(aged),
 		bounds: Bounds{int32(box.MinLat), int32(box.MinLon), int32(box.MaxLat), int32(box.MaxLon), uint32(box.T0), uint32(box.T1)}}, nil
 }
 
-// PackedBound bounds a packed block of n keys: every code an escape.
-func PackedBound(n int) int { return 4*binary.MaxVarintLen64 + 3 + max(n-1, 0)*3*escapeBits/8 }
+// refill tops acc's nb unread bits up to at least 56 from b, a word at a
+// time while b holds one — the word's bits above the new nb are b's next,
+// which the next refill puts there again — or to all b has left.
+func refill(acc uint64, nb uint, b []byte) (uint64, uint, []byte) {
+	if len(b) >= 8 {
+		return acc | binary.LittleEndian.Uint64(b)<<nb, nb | 56, b[(63-nb)>>3:]
+	}
+	for ; nb < 56 && len(b) > 0; b, nb = b[1:], nb+8 {
+		acc |= uint64(b[0]) << nb
+	}
+	return acc, nb, b
+}
+
+// PackedBound bounds a packed block of n keys: the count, the first key,
+// every least and divisor, the watermark, every code an escape.
+func PackedBound(n int) int { return 11*binary.MaxVarintLen64 + 3 + max(n-1, 0)*3*escapeBits/8 }

@@ -74,7 +74,7 @@ func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{MaxSegmentBytes: 1000, CacheBytes: 1 << 20})
 	defer l.Close()
-	fillChunked(t, l, 6, 240, 8)
+	fillChunked(t, l, 6, 720, 8)
 
 	// Cold: nothing resident, every candidate is a miss and a decode.
 	cold, cws, cs := windowCacheStats(t, l)
@@ -154,7 +154,7 @@ func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 	// tier's blocks, where they were, are still hits, as the active
 	// segment's are; only the tick's own output is read.
 	older := l.Stats().Segments - 1
-	late := cellKeys(7, 0, 160)
+	late := cellKeys(7, 0, 400)
 	for lo := 0; l.Stats().Segments < older+2; lo += 7 {
 		if err := l.Append("dev-late", late[lo:lo+8]); err != nil {
 			t.Fatal(err)

@@ -20,14 +20,17 @@
 //     run inside another record of the same device (a re-ingested
 //     trajectory, an exact duplicate) is dropped — the paper's merge
 //     procedure specialized to the exact overlap the wire format can prove.
-//   - Ageing: records older than CompactionPolicy.MinAge are decoded and
-//     re-run through the FBQS compressor at CoarseTolerance (Liu et al.'s
-//     amnesic compression: fidelity decays with age, but stays
-//     error-bounded). The compressor emits a subset of its input and
-//     trajstore.PlaneKey maps a plane point back to exactly its key's
-//     lattice integers, so the aged record is its kept keys re-encoded —
-//     each with its original bytes — and every dropped key lies within
-//     CoarseTolerance of the aged polyline.
+//   - Ageing: the key points older than CompactionPolicy.MinAge that a
+//     record's watermark (trajstore.Trail.Aged, carried in its payload)
+//     has not yet passed are re-run through the FBQS compressor at
+//     CoarseTolerance, from the last aged key on (Liu et al.'s amnesic
+//     compression: fidelity decays with age, but stays error-bounded). The
+//     compressor emits a subset of its input and trajstore.PlaneKey maps a
+//     plane point back to exactly its key's lattice integers, so the aged
+//     record is its kept keys re-encoded — each with its original bytes —
+//     and every dropped key lies within CoarseTolerance of the aged
+//     polyline. The watermark then moves past them: a key is aged once,
+//     however many passes select its record again.
 //
 // Publish protocol (crash-safe at every step):
 //
@@ -45,6 +48,7 @@
 package segmentlog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -65,9 +69,9 @@ type CompactionPolicy struct {
 	// Every, when > 0 in a writable log's Options.Compaction, runs a
 	// periodic pass this often until Close; OpenSharded refuses it < 0.
 	Every time.Duration
-	// MinAge: only records whose newest key point (T1) is at least this
-	// old — relative to Now — are aged. Zero ages every sealed record
-	// (when CoarseTolerance enables ageing at all).
+	// MinAge: only a record's leading key points at least this old —
+	// relative to Now — are aged. Zero ages every sealed record (when
+	// CoarseTolerance enables ageing at all).
 	MinAge time.Duration
 	// CoarseTolerance, when > 0, enables ageing: qualifying records are
 	// re-compressed at this tolerance in the trajstore.PlanePoint plane —
@@ -340,11 +344,11 @@ func (l *shardLog) compactDevice(addrs []recordAddr, devLen int, sealed []segmen
 	recs, out.deduped = dedupContained(recs)
 	if p.CoarseTolerance > 0 {
 		for i := range recs {
-			r := &recs[i]
-			if r.trail.Bounds().T1 > cutoff || r.trail.Len() <= 2 {
-				continue // too young, or nothing to thin
+			tr := &recs[i].trail
+			if tr.Len() <= 2 || tr.Bounds().T0 > cutoff || tr.Aged() >= tr.Bounds().T1 {
+				continue // nothing to thin, all too young or all aged
 			}
-			aged, err := ageTrail(&r.trail, p.CoarseTolerance)
+			aged, err := ageTrail(tr, p.CoarseTolerance, cutoff)
 			if err != nil {
 				out.err = err
 				return out
@@ -410,7 +414,7 @@ func dedupContained(recs []compactRecord) (out []compactRecord, dropped int) {
 }
 
 // ageCutoff converts the policy's clock and MinAge to a uint32 seconds
-// threshold: records whose t1 ≤ cutoff qualify for ageing.
+// threshold: a record's leading keys at or before it qualify for ageing.
 func ageCutoff(p CompactionPolicy) uint32 {
 	now := time.Now
 	if p.Now != nil {
@@ -419,33 +423,53 @@ func ageCutoff(p CompactionPolicy) uint32 {
 	return uint32(min(max(now().Unix()-int64(p.MinAge/time.Second), 0), math.MaxUint32))
 }
 
-// ageTrail re-compresses one record's key points at the coarse tolerance
-// and, when the compressor dropped some and kept a polyline, re-encodes the
-// trail from the ones it kept; it reports whether it did. A compressor
-// emits a subset of its input, and PlaneKey puts PlanePoint(k) back on k's
-// lattice integers, so every kept key keeps its wire bytes; every dropped
-// key is within tol of the aged polyline, the bound the compressor
-// guarantees for all input points.
-func ageTrail(tr *trajstore.Trail, tol float64) (bool, error) {
+// ageTrail re-compresses at tol the keys of a record that its watermark
+// has not aged and the cutoff has, once: FBQS runs from the last aged key —
+// the record's first if none is — as its anchor, over the keys up to the
+// last at or before cutoff, and the keys after them stay as they are, the
+// record's last key among them, so chunks still chain. When the compressor
+// dropped some it re-encodes the trail from the aged prefix, the keys it
+// kept and the rest, moves the watermark to the run's end and reports
+// true. A compressor emits a subset of its input, and PlaneKey puts
+// PlanePoint(k) back on k's lattice integers, so every kept key keeps its
+// wire bytes; every dropped key is within tol of the aged polyline, the
+// bound the compressor guarantees for all input points, and no pass ages
+// it again.
+func ageTrail(tr *trajstore.Trail, tol float64, cutoff uint32) (bool, error) {
+	keys := tr.Keys()
+	a, e := 0, 0 // the run: the anchor and its last key
+	for w := tr.Aged(); w > 0 && a+1 < len(keys) && keys[a+1].T <= w; a++ {
+	}
+	for e = a; e+1 < len(keys) && keys[e+1].T <= cutoff; e++ {
+	}
+	if e-a < 2 {
+		return false, nil // nothing to thin
+	}
 	comp, err := stream.New(ageCompressor, tol)
 	if err != nil {
 		return false, fmt.Errorf("segmentlog: age compressor: %w", err)
 	}
-	keys := tr.Keys()
-	pts := make([]core.Point, len(keys))
-	for i, k := range keys {
+	pts, aged := make([]core.Point, e-a+1), uint32(0)
+	for i, k := range keys[a : e+1] {
 		pts[i] = trajstore.PlanePoint(k)
 	}
 	kps := stream.Compress(comp, pts)
 	if len(kps) >= len(pts) || len(kps) < 2 {
 		return false, nil // nothing gained, or no polyline left
 	}
-	*tr = trajstore.Trail{}
+	var out trajstore.Trail
+	err = out.Add(keys[:a]...)
 	for _, kp := range kps {
-		if err := tr.Add(trajstore.PlaneKey(kp)); err != nil {
-			return false, err
-		}
+		err = cmp.Or(err, out.Add(trajstore.PlaneKey(kp)))
 	}
+	for _, k := range keys[:e+1] {
+		aged = max(aged, k.T)
+	}
+	if err = cmp.Or(err, out.Add(keys[e+1:]...)); err != nil {
+		return false, err
+	}
+	out.SetAged(aged)
+	*tr = out
 	return true, nil
 }
 

@@ -244,13 +244,8 @@ func TestCompactAgeingBound(t *testing.T) {
 	if err := l.Append("young", youngKeys); err != nil {
 		t.Fatal(err)
 	}
-	// Roll the active segment over so both records are sealed.
-	for i := 0; i < 4; i++ {
-		if err := l.Append("filler", genKeys(20+i, 40)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Sync(); err != nil {
+	// Seal the active segment so both records are in the pass.
+	if err := l.seal(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -325,6 +320,104 @@ func TestCompactAgeingBound(t *testing.T) {
 	l.Close()
 }
 
+// wanderKeys is n lattice-exact keys of a walk with steps of about 1.5 m a
+// coordinate, 1–5 s apart, from time t0: a track ageing at a few metres
+// thins.
+func wanderKeys(rng *rand.Rand, n int, t0 uint32) []trajstore.GeoKey {
+	keys := make([]trajstore.GeoKey, n)
+	lat, lon, ts := rng.Int63n(1e8), rng.Int63n(1e8), t0
+	for i := range keys {
+		keys[i] = trajstore.GeoKey{Lat: float64(lat) / 1e7, Lon: float64(lon) / 1e7, T: ts}
+		lat, lon, ts = lat+int64(rng.NormFloat64()*150), lon+int64(rng.NormFloat64()*150), ts+uint32(1+rng.Intn(5))
+	}
+	return keys
+}
+
+// TestAgeingOncePerKey is the ageing property: over seeded random schedules
+// of appends (each device's chained chunks), seals, ticks, explicit passes
+// and reopens, with merging and ageing on and an ageing clock that trails
+// the appends, every key ever appended lies within CoarseTolerance — plus
+// lattice slack — of the polyline its device finally serves, and one more
+// pass at an unmoved clock ages nothing. A key aged twice — FBQS re-run on
+// its own output — may drift further: k passes may leave it k·ε_c away.
+func TestAgeingOncePerKey(t *testing.T) {
+	const devices, steps, coarse = 3, 150, 2.0
+	plane := func(keys []trajstore.GeoKey) []core.Point {
+		pts := make([]core.Point, len(keys))
+		for i, k := range keys {
+			pts[i] = trajstore.PlanePoint(k)
+		}
+		return pts
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			var now atomic.Int64 // the ageing clock, seconds; MinAge behind the newest key appended
+			policy := CompactionPolicy{MergeChunks: true, CoarseTolerance: coarse, MinAge: 60 * time.Second,
+				Now: func() time.Time { return time.Unix(now.Load(), 0) }}
+			dir := t.TempDir()
+			l := mustOpen(t, dir, Options{MaxSegmentBytes: 600})
+			defer func() { l.Close() }()
+			tracks, next := make([][][]trajstore.GeoKey, devices), make([]int, devices)
+			for d := range tracks {
+				tracks[d] = chunkKeys(wanderKeys(rng, 6*steps, 1000), 8)
+			}
+			aged := 0
+			for step := 0; step < steps; step++ {
+				var err error
+				var res CompactionResult
+				switch op := rng.Intn(10); {
+				case op < 5:
+					if d := rng.Intn(devices); next[d] < len(tracks[d]) {
+						chunk := tracks[d][next[d]]
+						err = l.Append(fmt.Sprintf("dev-%d", d), chunk)
+						next[d]++
+						now.Store(max(now.Load(), int64(chunk[len(chunk)-1].T)+int64(rng.Intn(120))))
+					}
+				case op < 6:
+					err = l.seal()
+				case op < 8:
+					res, err = l.compact(policy, false, 2)
+				case op < 9:
+					res, err = l.compact(policy, true, 2)
+				default:
+					if err = l.Close(); err == nil {
+						l = mustOpen(t, dir, Options{MaxSegmentBytes: 600})
+					}
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				aged += res.Aged
+			}
+			if err := l.seal(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.compact(policy, true, 2); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := l.compact(policy, true, 2); err != nil || res.Aged != 0 {
+				t.Fatalf("a second pass at an unmoved clock = %+v, %v; want nothing aged", res, err)
+			}
+			for d := range tracks {
+				var orig []trajstore.GeoKey
+				for i, chunk := range tracks[d][:next[d]] {
+					orig = append(orig, chunk[min(i, 1):]...) // chunks share their end keys
+				}
+				served := stitch(queryAll(t, l, fmt.Sprintf("dev-%d", d)))
+				if worst, err := stream.Deviation(ageCompressor, plane(orig), plane(served)); err != nil || worst > coarse*(1+1e-9) {
+					t.Fatalf("dev-%d: an appended key lies %.3f m from the served polyline of %d keys (of %d), bound %g: %v",
+						d, worst, len(served), len(orig), coarse, err)
+				}
+			}
+			if aged == 0 {
+				t.Fatal("the schedule aged nothing: it proved nothing")
+			}
+		})
+	}
+}
+
 // TestAgeingKeepsTimeSpan: FBQS keeps a trajectory's first and last key
 // points, so an aged record spans the times it spanned, and nothing need
 // keep a span beside its keys. Random walks aged at several tolerances
@@ -346,7 +439,7 @@ func TestAgeingKeepsTimeSpan(t *testing.T) {
 			t.Fatal(err)
 		}
 		before, span := tr.Keys(), tr.Bounds()
-		ok, err := ageTrail(&tr, []float64{1, 10, 100, 1000}[trial%4])
+		ok, err := ageTrail(&tr, []float64{1, 10, 100, 1000}[trial%4], math.MaxUint32)
 		if err != nil {
 			t.Fatal(err)
 		}

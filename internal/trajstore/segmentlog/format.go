@@ -34,7 +34,7 @@ func nextRecord(data []byte, pos int) (body []byte, bodyOff, next int, ok bool) 
 	return body, bodyOff, next, true
 }
 
-// minBodySize is the smallest legal body, a version-4 one: the device
+// minBodySize is the smallest legal body, a version-4 or 5 one: the device
 // length (a one-byte uvarint, for no bytes of ID) and a one-byte payload
 // (the key count).
 const minBodySize = 1 + 1
@@ -47,7 +47,7 @@ const legacyBoundsSize = 8 + 16
 // its device ID and payload, slices of it.
 func splitBody(body []byte, v byte) (device, payload []byte, err error) {
 	devLen, n, skip := uint64(0), 0, 0
-	if v == version {
+	if v >= 4 {
 		devLen, n = binary.Uvarint(body)
 	} else if len(body) >= 2 {
 		devLen, n, skip = uint64(binary.LittleEndian.Uint16(body)), 2, legacyBoundsSize
@@ -90,6 +90,8 @@ func openRecord(dst, body []byte, v byte) (device, unpacked []byte, tr trajstore
 	case err != nil:
 	case v == 2:
 		tr, err = trajstore.OpenTrail(payload)
+	case v < version:
+		dst, tr, err = trajstore.UnpackV4Block(dst, payload)
 	default:
 		dst, tr, err = trajstore.UnpackBlock(dst, payload)
 	}

@@ -59,8 +59,9 @@ func BenchmarkFrameRecord(b *testing.B) {
 
 // BenchmarkReadBlock reads one record back as a query does — pread, CRC,
 // unpack into a delta-varint block, copy out — in ns per key, for every
-// version read: format=3 frames the same keys with a version-3 header,
-// format=2 stores their block as the payload.
+// version read: format=4 packs the same keys as that version did (packV4),
+// format=3 frames them with a version-3 header too, format=2 stores their
+// block as the payload.
 func BenchmarkReadBlock(b *testing.B) {
 	for v := byte(version); v >= oldestVersion; v-- {
 		for _, n := range benchSizes {
@@ -96,8 +97,9 @@ func BenchmarkReadBlock(b *testing.B) {
 
 // frameAs appends tr framed as a version-v segment's record: frameRecord's
 // record for this version; for an older one, the body its writer framed —
-// the u16 ID length, the ID, the trail's bounds, then the payload, in
-// version 2 the delta-varint block.
+// in version 4 the ID after its uvarint length; before it the u16 ID
+// length, the ID and the trail's bounds — then the payload: in versions 4
+// and 3 packV4's, in version 2 the delta-varint block.
 func frameAs(t testing.TB, dst []byte, v byte, device string, tr *trajstore.Trail) []byte {
 	t.Helper()
 	if v == version {
@@ -107,16 +109,85 @@ func frameAs(t testing.TB, dst []byte, v byte, device string, tr *trajstore.Trai
 		}
 		return dst
 	}
-	b := tr.Bounds()
-	body := append(binary.LittleEndian.AppendUint16(nil, uint16(len(device))), device...)
-	for _, x := range [...]uint32{b.T0, b.T1, uint32(b.MinLat), uint32(b.MinLon), uint32(b.MaxLat), uint32(b.MaxLon)} {
-		body = binary.LittleEndian.AppendUint32(body, x)
+	b, body := tr.Bounds(), append(binary.AppendUvarint(nil, uint64(len(device))), device...)
+	if v < 4 {
+		body = append(binary.LittleEndian.AppendUint16(nil, uint16(len(device))), device...)
+		for _, x := range [...]uint32{b.T0, b.T1, uint32(b.MinLat), uint32(b.MinLon), uint32(b.MaxLat), uint32(b.MaxLon)} {
+			body = binary.LittleEndian.AppendUint32(body, x)
+		}
 	}
 	if v == 2 {
 		body = tr.AppendBlock(body)
 	} else {
-		body = tr.AppendPacked(body)
+		body = packV4(t, body, tr)
 	}
 	dst = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(dst, uint32(len(body))), crc32.Checksum(body, castagnoli))
 	return append(dst, body...)
+}
+
+// packV4 appends tr packed as segment versions 3 and 4 did: the count and
+// the first key as the block holds them, then — for two keys or more — a
+// Rice parameter a field (Δlat, Δlon, Δt), the cheapest, and every later
+// key's zig-zagged deltas as interleaved Rice codes, least significant bit
+// first, a quotient of 32 or more escaped, zero-padded to a byte.
+func packV4(t testing.TB, dst []byte, tr *trajstore.Trail) []byte {
+	t.Helper()
+	block := tr.AppendBlock(nil)
+	var vals []uint64 // the block's varints, zig-zagged as it holds them
+	for b := block; len(b) > 0; {
+		v, n := binary.Uvarint(b)
+		vals, b = append(vals, v), b[n:]
+	}
+	head := 1 + 3*min(tr.Len(), 1)
+	for _, v := range vals[:head] {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	deltas := vals[head:]
+	if len(deltas) == 0 {
+		return dst
+	}
+	codeLen := func(v uint64, k uint) uint {
+		if v>>k >= 32 {
+			return 32 + 64
+		}
+		return uint(v>>k) + 1 + k
+	}
+	var ks [3]uint
+	for f := range ks {
+		cost := ^uint(0)
+		for k := uint(0); k <= 24; k++ {
+			c := uint(0)
+			for i := f; i < len(deltas); i += 3 {
+				c += codeLen(deltas[i], k)
+			}
+			if c < cost {
+				ks[f], cost = k, c
+			}
+		}
+		dst = append(dst, byte(ks[f]))
+	}
+	var acc, n uint64 // the bits not yet appended, least significant first, and their count
+	put := func(v uint64, bits uint64) {
+		for i := uint64(0); i < bits; i++ {
+			acc |= (v >> i & 1) << n
+			if n++; n == 8 {
+				dst, acc, n = append(dst, byte(acc)), 0, 0
+			}
+		}
+	}
+	for i, v := range deltas {
+		k := ks[i%3]
+		if q := v >> k; q < 32 {
+			put(1<<q-1, uint64(q))
+			put(0, 1)
+			put(v, uint64(k))
+		} else {
+			put(1<<32-1, 32)
+			put(v, 64)
+		}
+	}
+	if n > 0 {
+		dst = append(dst, byte(acc))
+	}
+	return dst
 }

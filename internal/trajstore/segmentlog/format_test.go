@@ -145,10 +145,11 @@ func TestOldFormatsRejected(t *testing.T) {
 	})
 }
 
-// TestRecordFraming: a version-4 record costs exactly 8 + uvarint(len(dev))
-// + len(dev) bytes around its packed block — length and CRC, then the ID
-// after its length, and no bounds — for every ID length a uvarint step
-// apart up to the longest allowed, and reads back as the trail it framed.
+// TestRecordFraming: a version-5 record, framed as version 4's, costs
+// exactly 8 + uvarint(len(dev)) + len(dev) bytes around its packed block —
+// length and CRC, then the ID after its length, and no bounds — for every
+// ID length a uvarint step apart up to the longest allowed, and reads back
+// as the trail it framed.
 // An ID one byte longer is refused: by frameRecord, dst as it was, and by
 // an append, which indexes nothing.
 func TestRecordFraming(t *testing.T) {

@@ -36,10 +36,16 @@ const v3Fixture = "testdata/v3log"
 
 // v4Fixture is the script's output — since it seals before its compaction —
 // from the writer of the commit that introduced segment format 4, with
-// v4log.golden.json beside it: this tree must read it to that golden and
-// write it byte for byte. It is written once and never regenerated; a later
-// format gets a fixture of its own, and this one stays as a read fixture.
+// v4log.golden.json beside it. Like v3Fixture it is a read fixture, written
+// once and never regenerated.
 const v4Fixture = "testdata/v4log"
+
+// v5Fixture is the same script's output from the writer of the commit that
+// introduced segment format 5, with v5log.golden.json beside it: this tree
+// must read it to that golden and write it byte for byte. It is written
+// once and never regenerated; a later format gets a fixture of its own, and
+// this one stays as a read fixture.
+const v5Fixture = "testdata/v5log"
 
 // fixtureOptions are the options the fixtures were written with.
 func fixtureOptions() Options { return Options{MaxSegmentBytes: 512} }
@@ -299,24 +305,36 @@ func TestFormatPinV3Fixture(t *testing.T) {
 	checkGolden(t, v3Fixture, readOnlySnapshot(t, v3Fixture), readGolden(t, v3Fixture))
 }
 
-// TestFormatPinV4Fixture pins the format this tree writes. Reading: a
-// read-only open of the fixture answers its golden. Writing: the script run
-// through this tree's writer — append, rotation, seal, compaction, manifest
-// publish, SHARDS — writes every file of the fixture byte for byte and
-// nothing else, every segment version 4.
+// TestFormatPinV4Fixture: this tree reads segment format 4 — the fixture
+// written by the commit that introduced it, every segment version 4 — to
+// the golden answers recorded then, read-only and modifying nothing.
 func TestFormatPinV4Fixture(t *testing.T) {
-	dir := t.TempDir()
-	buildFixtureLog(t, dir)
-	rebuilt := treeFiles(t, dir)
-	delete(rebuilt, lockName)
-	checkGolden(t, v4Fixture, readOnlySnapshot(t, v4Fixture), readGolden(t, v4Fixture))
 	for _, v := range segVersions(t, v4Fixture) {
 		if strings.Trim(v, "4") != "" {
 			t.Fatalf("fixture segment versions %q, want all 4", v)
 		}
 	}
+	checkGolden(t, v4Fixture, readOnlySnapshot(t, v4Fixture), readGolden(t, v4Fixture))
+}
 
-	want := treeFiles(t, v4Fixture)
+// TestFormatPinV5Fixture pins the format this tree writes. Reading: a
+// read-only open of the fixture answers its golden. Writing: the script run
+// through this tree's writer — append, rotation, seal, compaction with
+// ageing, manifest publish, SHARDS — writes every file of the fixture byte
+// for byte and nothing else, every segment version 5.
+func TestFormatPinV5Fixture(t *testing.T) {
+	dir := t.TempDir()
+	buildFixtureLog(t, dir)
+	rebuilt := treeFiles(t, dir)
+	delete(rebuilt, lockName)
+	checkGolden(t, v5Fixture, readOnlySnapshot(t, v5Fixture), readGolden(t, v5Fixture))
+	for _, v := range segVersions(t, v5Fixture) {
+		if strings.Trim(v, "5") != "" {
+			t.Fatalf("fixture segment versions %q, want all 5", v)
+		}
+	}
+
+	want := treeFiles(t, v5Fixture)
 	for name, b := range want {
 		if !bytes.Equal(rebuilt[name], b) {
 			t.Errorf("%s: this tree wrote %d bytes that differ from the fixture's %d", name, len(rebuilt[name]), len(b))
@@ -391,12 +409,12 @@ func TestWritableOpenSweepsLegacyIndexes(t *testing.T) {
 
 // TestMixedVersionLog carries a copy of each older version's fixture
 // forward, answering its golden at every step: a writable open seals each
-// shard's active segment behind an empty version-4 one; a new device's
-// chunks land in version 4; an explicit compaction after a seal — merging
+// shard's active segment behind an empty version-5 one; a new device's
+// chunks land in version 5; an explicit compaction after a seal — merging
 // nothing, so that no record changes — still publishes, rewriting every
-// older segment as version 4; a read-only reopen reads the result.
+// older segment as version 5; a read-only reopen reads the result.
 func TestMixedVersionLog(t *testing.T) {
-	for _, fixture := range []string{v2Fixture, v3Fixture} {
+	for _, fixture := range []string{v2Fixture, v3Fixture, v4Fixture} {
 		t.Run(filepath.Base(fixture), func(t *testing.T) { carryForward(t, fixture) })
 	}
 }

@@ -20,7 +20,7 @@ import (
 // same records and truncates nothing further. The well-formed seed opens
 // with both its records.
 func FuzzRecover(f *testing.F) {
-	// Seed: a well-formed version-4 file with two records...
+	// Seed: a well-formed version-5 file with two records...
 	dir := f.TempDir()
 	l, err := openShardLog(dir, Options{})
 	if err != nil {
@@ -40,11 +40,11 @@ func FuzzRecover(f *testing.F) {
 	}
 	f.Add(valid)
 	// ...the same with its second record's packed payload broken under a
-	// re-sealed CRC, a version-3 and a version-2 file...
+	// re-sealed CRC, a version-4, a version-3 and a version-2 file...
 	sealed := append([]byte(nil), valid...)
 	breakPacked(f, sealed, l.segs[0].recs[1])
 	f.Add(sealed)
-	for _, old := range []string{filepath.Join(v3Fixture, "shard-000", "seg-00000005.log"), filepath.Join(v2Fixture, "shard-000", "seg-00000006.log")} {
+	for _, old := range []string{filepath.Join(v4Fixture, "shard-000", "seg-00000003.log"), filepath.Join(v3Fixture, "shard-000", "seg-00000005.log"), filepath.Join(v2Fixture, "shard-000", "seg-00000006.log")} {
 		b, err := os.ReadFile(old)
 		if err != nil {
 			f.Fatal(err)

@@ -19,8 +19,8 @@
 // LOCK and one shard directory per shard. A shard directory holds a
 // MANIFEST (see manifest.go) naming the live segment files in logical
 // order and the numbered segment files "seg-00000001.log",
-// "seg-00000002.log", .... Writers emit segment version 4; versions 3 and
-// 2 are read until a compaction rewrites them; any other version is
+// "seg-00000002.log", .... Writers emit segment version 5; versions 4, 3
+// and 2 are read until a compaction rewrites them; any other version is
 // rejected with ErrCorrupt. Segment numbers are allocated from a monotonic
 // sequence and never reused while referenced; after compaction (see compact.go) a
 // low-numbered file may be superseded by a higher-numbered one holding
@@ -35,12 +35,14 @@
 //	  uvarint deviceLen, device ID bytes
 //	  payload              the packed key points (Trail.AppendPacked)
 //
-// (Versions 3 and 2 frame the ID with a u16 length and put the record's
-// bounds, 24 bytes, before the payload — in version 2 the delta-varint
-// block.) A record is valid iff its length prefix fits in the file, bodyLen
-// is plausible (≤ MaxRecordBytes), the CRC matches and its payload unpacks
-// to keys on the globe — the walk that gives the record's bounds; the first
-// invalid record ends the scan and the file is truncated there.
+// (Version 4 packs the payload without the turn, the flags and the ageing
+// watermark — trajstore.UnpackV4Block; versions 3 and 2 also frame the ID
+// with a u16 length and put the record's bounds, 24 bytes, before the
+// payload — in version 2 the delta-varint block.) A record is valid iff its
+// length prefix fits in the file, bodyLen is plausible (≤ MaxRecordBytes),
+// the CRC matches and its payload unpacks to keys on the globe — the walk
+// that gives the record's bounds; the first invalid record ends the scan
+// and the file is truncated there.
 package segmentlog
 
 import (
@@ -62,7 +64,7 @@ const (
 	recordHeaderSize = 8
 	// version is the format version byte of every segment file written
 	// (the package comment has its records); from oldestVersion on, read.
-	version, oldestVersion = 4, 2
+	version, oldestVersion = 5, 2
 	// MaxRecordBytes caps a single record body. A length prefix above it
 	// is treated as corruption, bounding allocation on malicious or
 	// damaged input. 16 MiB ≈ 1.5 M key points per trajectory.

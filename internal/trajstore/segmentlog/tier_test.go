@@ -17,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/trajcomp/bqs/internal/core"
+	"github.com/trajcomp/bqs/internal/stream"
 	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
@@ -46,103 +48,154 @@ func deviceBlocksOf(t *testing.T, l *shardLog) map[string][]Block {
 // step each log serves what it says it holds (checkView) and both spell the
 // same polylines; after a final seal and explicit pass on both, every device
 // holds the same blocks in the same order — whatever runs the ticks replaced
-// in place on the way.
+// in place on the way. With ageing on as well, the ticks age what they
+// select sooner than the twin's passes do, and FBQS's key points depend on
+// where its run starts, so the two polylines differ: then each must hold
+// every appended key within CoarseTolerance after every step, and after the
+// final pass a further one ages nothing on either.
 func TestTickedLogMatchesExplicitTwin(t *testing.T) {
-	const devices, steps = 5, 160
+	for _, ageing := range []bool{false, true} {
+		for seed := int64(1); seed <= 6; seed++ {
+			name := fmt.Sprintf("seed-%d", seed)
+			if ageing {
+				name = "ageing-" + name
+			}
+			t.Run(name, func(t *testing.T) { tickedAndTwin(t, seed, ageing) })
+		}
+	}
+}
+
+func tickedAndTwin(t *testing.T, seed int64, ageing bool) {
+	const devices, steps, coarse = 5, 160, 0.3
 	policy := CompactionPolicy{MergeChunks: true}
-	for seed := int64(1); seed <= 6; seed++ {
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			var logs [2]*shardLog // the ticked one, its twin
-			var fss [2]*vfs.FaultFS
-			dirs := [2]string{t.TempDir(), t.TempDir()}
-			open := func() {
-				for i := range logs {
-					fss[i] = vfs.NewFaultFS(seed)
-					logs[i] = mustOpen(t, dirs[i], Options{MaxSegmentBytes: 700, FS: fss[i]})
-				}
+	if ageing {
+		policy.CoarseTolerance, policy.Now = coarse, func() time.Time { return time.Unix(1<<40, 0) }
+	}
+	t.Parallel()
+	rng := rand.New(rand.NewSource(seed))
+	var logs [2]*shardLog // the ticked one, its twin
+	var fss [2]*vfs.FaultFS
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	open := func() {
+		for i := range logs {
+			fss[i] = vfs.NewFaultFS(seed)
+			logs[i] = mustOpen(t, dirs[i], Options{MaxSegmentBytes: 700, FS: fss[i]})
+		}
+	}
+	open()
+	defer func() { logs[0].Close(); logs[1].Close() }()
+	both := func(what string, f func(l *shardLog) error) {
+		t.Helper()
+		for i, l := range logs {
+			if err := f(l); err != nil {
+				t.Fatalf("%s on log %d: %v", what, i, err)
 			}
-			open()
-			defer func() { logs[0].Close(); logs[1].Close() }()
-			both := func(what string, f func(l *shardLog) error) {
-				t.Helper()
-				for i, l := range logs {
-					if err := f(l); err != nil {
-						t.Fatalf("%s on log %d: %v", what, i, err)
-					}
-				}
+		}
+	}
+	tracks := make([][][]trajstore.GeoKey, devices)
+	next := make([]int, devices)
+	for d := range tracks {
+		tracks[d] = chunkKeys(genKeys(int(seed)*10+d, 8*steps), 8)
+	}
+	ticks, runs, aged := 0, 0, 0
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(20); {
+		case op < 11: // a device's next chunk
+			d := rng.Intn(devices)
+			both("append", func(l *shardLog) error { return l.Append(fmt.Sprintf("dev-%d", d), tracks[d][next[d]]) })
+			next[d]++
+		case op < 13:
+			both("seal", (*shardLog).seal)
+		case op < 17:
+			sealed := logs[0].Stats().Segments - 1
+			res, err := logs[0].compact(policy, false, 2)
+			if err != nil {
+				t.Fatalf("tick: %v", err)
 			}
-			tracks := make([][][]trajstore.GeoKey, devices)
-			next := make([]int, devices)
-			for d := range tracks {
-				tracks[d] = chunkKeys(genKeys(int(seed)*10+d, 8*steps), 8)
+			if ticks++; res.Gen != 0 && res.SegmentsIn < sealed {
+				runs++ // published behind segments it left alone
 			}
-			ticks, runs := 0, 0
-			for step := 0; step < steps; step++ {
-				switch op := rng.Intn(20); {
-				case op < 11: // a device's next chunk
-					d := rng.Intn(devices)
-					both("append", func(l *shardLog) error { return l.Append(fmt.Sprintf("dev-%d", d), tracks[d][next[d]]) })
-					next[d]++
-				case op < 13:
-					both("seal", (*shardLog).seal)
-				case op < 17:
-					sealed := logs[0].Stats().Segments - 1
-					res, err := logs[0].compact(policy, false, 2)
-					if err != nil {
-						t.Fatalf("tick: %v", err)
-					}
-					if ticks++; res.Gen != 0 && res.SegmentsIn < sealed {
-						runs++ // published behind segments it left alone
-					}
-				case op < 18:
-					both("explicit pass", func(l *shardLog) error { _, err := l.compact(policy, true, 2); return err })
-				case op < 19: // every fsync fails: the un-synced tail leaves the index, then heals back in
-					for i, l := range logs {
-						l.mu.Lock()
-						dirty := len(l.unsynced) > 0
-						l.mu.Unlock()
-						fss[i].AddRule(vfs.Rule{Op: vfs.OpSync, Path: "seg-*.log", Fault: vfs.FaultEIO})
-						if err := l.Sync(); dirty && err == nil {
-							t.Fatalf("log %d: Sync succeeded while every fsync fails", i)
-						}
-						checkView(t, l)
-						fss[i].ClearRules()
-					}
-					both("heal", (*shardLog).Sync)
-				default:
-					both("close", (*shardLog).Close)
-					open()
+			aged += res.Aged
+		case op < 18:
+			both("explicit pass", func(l *shardLog) error { _, err := l.compact(policy, true, 2); return err })
+		case op < 19: // every fsync fails: the un-synced tail leaves the index, then heals back in
+			for i, l := range logs {
+				l.mu.Lock()
+				dirty := len(l.unsynced) > 0
+				l.mu.Unlock()
+				fss[i].AddRule(vfs.Rule{Op: vfs.OpSync, Path: "seg-*.log", Fault: vfs.FaultEIO})
+				if err := l.Sync(); dirty && err == nil {
+					t.Fatalf("log %d: Sync succeeded while every fsync fails", i)
 				}
-				for _, l := range logs {
-					checkView(t, l)
-				}
-				for d := 0; d < devices; d++ {
-					dev := fmt.Sprintf("dev-%d", d)
-					if a, b := stitch(queryAll(t, logs[0], dev)), stitch(queryAll(t, logs[1], dev)); !reflect.DeepEqual(a, b) {
-						t.Fatalf("step %d: %s spells %d key points on the ticked log, %d on its twin", step, dev, len(a), len(b))
-					}
-				}
-			}
-			if ticks == 0 || runs == 0 {
-				t.Fatalf("%d ticks, %d of them replacing a run behind older segments: the schedule proved nothing", ticks, runs)
-			}
-			both("final seal", (*shardLog).seal)
-			both("final pass", func(l *shardLog) error { _, err := l.compact(policy, true, 2); return err })
-			a, b := deviceBlocksOf(t, logs[0]), deviceBlocksOf(t, logs[1])
-			if !reflect.DeepEqual(a, b) {
-				for dev := range b {
-					if !reflect.DeepEqual(a[dev], b[dev]) {
-						t.Errorf("%s: %d blocks on the ticked log, %d on its twin, or not the same ones", dev, len(a[dev]), len(b[dev]))
-					}
-				}
-				t.Fatal("the ticked log and its twin differ after a final explicit pass on both")
-			}
-			for _, l := range logs {
 				checkView(t, l)
+				fss[i].ClearRules()
 			}
+			both("heal", (*shardLog).Sync)
+		default:
+			both("close", (*shardLog).Close)
+			open()
+		}
+		for _, l := range logs {
+			checkView(t, l)
+		}
+		for d := 0; d < devices; d++ {
+			dev := fmt.Sprintf("dev-%d", d)
+			a, b := stitch(queryAll(t, logs[0], dev)), stitch(queryAll(t, logs[1], dev))
+			if ageing {
+				var orig []trajstore.GeoKey
+				for i, chunk := range tracks[d][:next[d]] {
+					orig = append(orig, chunk[min(i, 1):]...) // chunks share their end keys
+				}
+				withinCoarse(t, dev, orig, a, coarse)
+				withinCoarse(t, dev, orig, b, coarse)
+			} else if !reflect.DeepEqual(a, b) {
+				t.Fatalf("step %d: %s spells %d key points on the ticked log, %d on its twin", step, dev, len(a), len(b))
+			}
+		}
+	}
+	if ticks == 0 || runs == 0 || ageing && aged == 0 {
+		t.Fatalf("%d ticks, %d of them replacing a run behind older segments, %d records aged: the schedule proved nothing", ticks, runs, aged)
+	}
+	both("final seal", (*shardLog).seal)
+	both("final pass", func(l *shardLog) error { _, err := l.compact(policy, true, 2); return err })
+	if ageing {
+		both("a pass after the last", func(l *shardLog) error {
+			if res, err := l.compact(policy, true, 2); err != nil || res.Aged != 0 {
+				return fmt.Errorf("%+v, %v; want nothing aged", res, err)
+			}
+			return nil
 		})
+		return
+	}
+	a, b := deviceBlocksOf(t, logs[0]), deviceBlocksOf(t, logs[1])
+	if !reflect.DeepEqual(a, b) {
+		for dev := range b {
+			if !reflect.DeepEqual(a[dev], b[dev]) {
+				t.Errorf("%s: %d blocks on the ticked log, %d on its twin, or not the same ones", dev, len(a[dev]), len(b[dev]))
+			}
+		}
+		t.Fatal("the ticked log and its twin differ after a final explicit pass on both")
+	}
+	for _, l := range logs {
+		checkView(t, l)
+	}
+}
+
+// withinCoarse fails unless every key of orig lies within coarse — plus
+// lattice slack — of the polyline served, its time-matched segment, as the
+// ageing compressor bounds it.
+func withinCoarse(t *testing.T, dev string, orig, served []trajstore.GeoKey, coarse float64) {
+	t.Helper()
+	plane := func(keys []trajstore.GeoKey) []core.Point {
+		pts := make([]core.Point, len(keys))
+		for i, k := range keys {
+			pts[i] = trajstore.PlanePoint(k)
+		}
+		return pts
+	}
+	if worst, err := stream.Deviation(ageCompressor, plane(orig), plane(served)); err != nil || worst > coarse*(1+1e-9) {
+		t.Fatalf("%s: an appended key lies %.3f m from the served polyline of %d keys (of %d), bound %g: %v",
+			dev, worst, len(served), len(orig), coarse, err)
 	}
 }
 

@@ -174,7 +174,7 @@ func TestReopenAnswersIdentically(t *testing.T) {
 // no filesystem operation, the first time or any other.
 func TestStatsDoesNoIO(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{MaxSegmentBytes: 512})
+	l := mustOpen(t, dir, Options{MaxSegmentBytes: 384})
 	fillCells(t, l, 4, 8, 12)
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestStatsDoesNoIO(t *testing.T) {
 		t.Fatalf("fixture sealed too few segments: %+v", want)
 	}
 	fs := vfs.NewFaultFS(0) // ruleless: pure op observer
-	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 512, FS: fs})
+	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 384, FS: fs})
 	defer l2.Close()
 	before := fs.Ops()
 	st := l2.Stats()
@@ -446,7 +446,7 @@ func breakPacked(t testing.TB, b []byte, m recordMeta) {
 	if _, _, err := trajstore.UnpackBlock(nil, payload); err != nil || k+3 > len(payload) {
 		t.Fatalf("fixture: record at %d holds no packed deltas to break (%v)", m.off, err)
 	}
-	payload[k] = 64
+	payload[k] = 25
 	binary.LittleEndian.PutUint32(b[m.off-4:], crc32.Checksum(body, castagnoli))
 }
 
