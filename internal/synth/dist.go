@@ -130,16 +130,6 @@ func BatSpeeds() Empirical {
 	)
 }
 
-// CircularMean returns the circular mean of angles in radians.
-func CircularMean(angles []float64) float64 {
-	var s, c float64
-	for _, a := range angles {
-		s += math.Sin(a)
-		c += math.Cos(a)
-	}
-	return math.Atan2(s, c)
-}
-
 // CircularConcentration returns the mean resultant length R ∈ [0, 1] of
 // angles; R → 1 means tight concentration (large kappa).
 func CircularConcentration(angles []float64) float64 {

@@ -16,7 +16,7 @@ func TestVonMisesCircularMoments(t *testing.T) {
 		for i := range angles {
 			angles[i] = vm.Sample(rng)
 		}
-		mean := CircularMean(angles)
+		mean := circularMean(angles)
 		if d := math.Abs(math.Atan2(math.Sin(mean-1.0), math.Cos(mean-1.0))); d > 0.05 {
 			t.Errorf("kappa %v: circular mean %v, want ≈ 1.0", kappa, mean)
 		}
@@ -133,7 +133,7 @@ func checkTrace(t *testing.T, tr Trace, wantN int) {
 func TestWalkMatchesPaperSetup(t *testing.T) {
 	tr := Walk(DefaultWalkConfig(7))
 	checkTrace(t, tr, 30000)
-	minX, minY, maxX, maxY := tr.Extent()
+	minX, minY, maxX, maxY := extent(tr)
 	if minX < -1 || minY < -1 || maxX > 10001 || maxY > 10001 {
 		t.Errorf("walk escaped the 10 km bound: [%v %v %v %v]", minX, minY, maxX, maxY)
 	}
@@ -209,7 +209,7 @@ func TestBatTraceShape(t *testing.T) {
 		t.Errorf("bat moving fraction = %v, want dwell-dominated mix", mf)
 	}
 	// Trips reach foraging distance: ≈ 10 km scale.
-	minX, minY, maxX, maxY := tr.Extent()
+	minX, minY, maxX, maxY := extent(tr)
 	span := math.Max(maxX-minX, maxY-minY)
 	if span < 5000 || span > 60000 {
 		t.Errorf("bat range span = %v m", span)
@@ -262,7 +262,7 @@ func TestTraceHelpers(t *testing.T) {
 	if len(pts) != 3 || pts[1].X != 3 {
 		t.Errorf("Points = %v", pts)
 	}
-	minX, minY, maxX, maxY := tr.Extent()
+	minX, minY, maxX, maxY := extent(tr)
 	if minX != 0 || minY != 0 || maxX != 3 || maxY != 8 {
 		t.Errorf("Extent = %v %v %v %v", minX, minY, maxX, maxY)
 	}
@@ -315,4 +315,25 @@ func TestVehicleCalibration(t *testing.T) {
 	if pp := s.PruningPower(); pp < 0.85 {
 		t.Errorf("vehicle pruning power = %v, want ≥ 0.85", pp)
 	}
+}
+
+// circularMean is the circular mean of angles in radians.
+func circularMean(angles []float64) float64 {
+	var s, c float64
+	for _, a := range angles {
+		s += math.Sin(a)
+		c += math.Cos(a)
+	}
+	return math.Atan2(s, c)
+}
+
+// extent is the bounding rectangle of a trace's observed points.
+func extent(t Trace) (minX, minY, maxX, maxY float64) {
+	minX, minY = math.Inf(1), math.Inf(1)
+	maxX, maxY = math.Inf(-1), math.Inf(-1)
+	for _, s := range t.Samples {
+		minX, minY = math.Min(minX, s.P.X), math.Min(minY, s.P.Y)
+		maxX, maxY = math.Max(maxX, s.P.X), math.Max(maxY, s.P.Y)
+	}
+	return minX, minY, maxX, maxY
 }

@@ -58,19 +58,6 @@ func (t Trace) PathLength() float64 {
 	return total
 }
 
-// Extent returns the bounding rectangle of the observed points.
-func (t Trace) Extent() (minX, minY, maxX, maxY float64) {
-	minX, minY = math.Inf(1), math.Inf(1)
-	maxX, maxY = math.Inf(-1), math.Inf(-1)
-	for _, s := range t.Samples {
-		minX = math.Min(minX, s.P.X)
-		minY = math.Min(minY, s.P.Y)
-		maxX = math.Max(maxX, s.P.X)
-		maxY = math.Max(maxY, s.P.Y)
-	}
-	return minX, minY, maxX, maxY
-}
-
 // noise applies isotropic Gaussian GPS noise with standard deviation sigma
 // to a true position.
 func noise(rng *rand.Rand, x, y, sigma float64) (float64, float64) {

@@ -178,13 +178,11 @@ func (t *Trail) Len() int       { return t.n }
 func (t *Trail) Size() int      { return t.size }
 func (t *Trail) Bounds() Bounds { return t.bounds }
 
-// Aged is the trail's ageing watermark: its leading keys at or before this
-// time have been re-compressed at a log's coarse tolerance — the longest
-// such run — and no later key has; 0 for none. Only a log's compaction
-// sets it (SetAged), and a packed block carries it.
-func (t *Trail) Aged() uint32 { return t.aged }
-
-// SetAged sets the ageing watermark.
+// Aged is the trail's ageing watermark, which SetAged sets: its leading
+// keys at or before this time have been re-compressed at a log's coarse
+// tolerance — the longest such run — and no later key has; 0 for none.
+// Only a log's compaction sets it, and a packed block carries it.
+func (t *Trail) Aged() uint32      { return t.aged }
 func (t *Trail) SetAged(ts uint32) { t.aged = ts }
 
 // Pages counts the pages a pooled trail has out of its pool.
@@ -223,10 +221,9 @@ func OpenTrail(block []byte) (Trail, error) {
 // keeping the shared key once: next's pages follow t's, the first without
 // that key, and a pooled next is left empty. It reports false, t
 // untouched, when next does not start there, is another pool's, or is
-// aged while t is not aged through its last key: a trail's aged keys are
-// a prefix (Aged), which the join's watermark, the later of the two,
-// keeps. next's deltas hang off that key, so the result is DeltaEncode of
-// the keys.
+// aged while t is not aged through its last key: aged keys are a prefix
+// (Aged), the join's watermark the later of the two. next's deltas hang
+// off that key, so the result is DeltaEncode of the keys.
 func (t *Trail) Join(next *Trail) bool {
 	c := next.Cursor()
 	if _, err := c.decode(nil, 1, false, nil); t.n == 0 || err != nil || t.pool != next.pool ||

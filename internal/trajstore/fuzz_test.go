@@ -269,7 +269,7 @@ func checkTrailMatchesDeltaEncode(t *testing.T, keys []GeoKey, cut int) {
 	if werr != nil {
 		return
 	}
-	if block := tr.AppendBlock(nil); !bytes.Equal(block, want) || tr.Len() != len(keys) || tr.Size() != len(want)-uvarintLen(uint64(len(keys))) {
+	if block := tr.AppendBlock(nil); !bytes.Equal(block, want) || tr.Len() != len(keys) || tr.Size() != len(want)-uvarintLen(len(keys)) {
 		t.Fatalf("trail of %d keys, %d B: block %x, want %x", tr.Len(), tr.Size(), block, want)
 	}
 	if len(keys) > 0 && tr.Bounds() != refBounds(keys) {
@@ -322,6 +322,8 @@ func checkTrailMatchesDeltaEncode(t *testing.T, keys []GeoKey, cut int) {
 	}
 	checkPagedTrail(t, keys, cut)
 }
+
+func uvarintLen(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
 
 // TestTrailMatchesDeltaEncode runs the property over the seed
 // trajectories, the quantization-boundary cases (1e-7° half steps

@@ -19,7 +19,6 @@ const (
 	escapeBits = riceEscape + 64 // what an escape costs, the most any code does
 	maxRiceK   = 24              // so that a code, unless escaped, fits the 56 bits a load brings
 	flagFOR    = 1 << 5          // in a field's head byte: its least follows, a code is the value less it, unsigned
-	flagGCD    = 1 << 6          // in a field's head byte: its divisor follows, a code is the value divided by it
 	flagAged   = 1 << 7          // in the first field's head byte: the ageing watermark follows
 )
 
@@ -36,84 +35,12 @@ func quarter(x, y int64, swap, na, nb byte) (int64, int64) {
 	return (x ^ m ^ ma) - ma, (y ^ m ^ mb) - mb
 }
 
-// heading is the dominant axis of the step (x, y) as turn numbers it, x
-// winning a tie; for no step, h.
-func heading(h byte, x, y int64) byte {
-	if x|y == 0 {
-		return h
-	}
-	north := byte(uint64(max(x, -x)-max(y, -y)) >> 63) // with no branch, as quarter
-	return north | byte(uint64(x^(x^y)&-int64(north))>>63)<<1
-}
-
-// fieldCode maps one field's values to codes, as its head byte says: less
-// off and unsigned (flagFOR) or zig-zagged, divided by div.
-type fieldCode struct {
-	head     byte
-	off, div int64
-}
-
-func (c *fieldCode) code(v int64) uint64 {
-	if v -= c.off; c.div > 1 { // off is 0 unless flagFOR; div divides every v
-		v /= c.div
-	}
-	if c.head&flagFOR != 0 {
-		return uint64(v)
-	}
-	return uint64(v<<1 ^ v>>63)
-}
-
-// fieldStats is a field's least value, its first, and the greatest common
-// divisor of the values' differences from the first.
-type fieldStats struct {
-	lo, v0 int64
-	g      uint64
-}
-
-func (s *fieldStats) add(v int64) {
-	if s.lo = min(s.lo, v); s.g != 1 {
-		s.g = gcd(s.g, uint64(max(v-s.v0, s.v0-v)))
-	}
-}
-
-// chooseCode picks the code for a field's m values, every third of vals,
-// and leaves each value's code in its place: the values less their least —
-// over a least above 0, a bit saved a value; else when Rice codes of their
-// mean cost less — or zig-zagged, each divided by the values' common
-// divisor where that saves more than its bytes; then the cheapest Rice
-// parameter, from log₂ of the codes' mean on while a neighbour is.
-func chooseCode(vals []int64, m int, st fieldStats) fieldCode {
-	fc := [2]fieldCode{{flagFOR, st.lo, worthDividing(st.g, m)}, {div: worthDividing(gcd(st.g, uint64(max(st.v0, -st.v0))), m)}}
-	c, costs := &fc[0], [2]int{8 * uvarintLen(uint64(st.lo<<1^st.lo>>63)), 0}
-	if st.lo <= 0 || m <= costs[0] {
-		var s0, s1 uint64
-		for i := 0; i < len(vals); i += 3 {
-			s0, s1 = s0+fc[0].code(vals[i]), s1+fc[1].code(vals[i])
-		}
-		for i, sum := range [2]uint64{s0, s1} { // Rice codes of parameter log₂ of their mean, and the divisor
-			k := max(bits.Len64(sum/uint64(m)), 1) - 1
-			costs[i] += m*(k+1) + int(sum>>k) + 8*uvarintLen(uint64(fc[i].div))*int(min(fc[i].div-1, 1))
-		}
-		if costs[0] > costs[1] {
-			c = &fc[1]
-		}
-	}
-	sum := uint64(0)
-	for i := 0; i < len(vals); i += 3 {
-		u := c.code(vals[i])
-		sum, vals[i] = sum+u, int64(u)
-	}
-	if c.div > 1 {
-		c.head |= flagGCD
-	}
-	for k := min(max(bits.Len64(sum/uint64(m)), 2)-1, maxRiceK-1); ; {
-		cost := riceCosts(vals, uint(k))
-		j := slices.Index(cost[:], slices.Min(cost[:]))
-		if k += j - 1; j == 1 || k < 1 || k >= maxRiceK {
-			c.head |= byte(k)
-			return *c
-		}
-	}
+// veer is the quarter turns from +x to the turned step (x, y)'s dominant
+// axis, x winning a tie, 0 for no step: the next frame turns that much more.
+// Read off the turned step with no branch, it keeps h out of the key chain.
+func veer(x, y int64) byte {
+	left := byte(uint64(max(x, -x)-max(y, -y)) >> 63)
+	return left | byte(uint64(x^(x^y)&-int64(left))>>63)<<1
 }
 
 // riceCosts is what every third of codes costs as Rice codes of parameter
@@ -141,22 +68,32 @@ func escaped(q uint64, k uint) uint64 {
 	return uint64(escapeBits-int(k)) - q
 }
 
-// worthDividing is g when dividing m values by it saves more bits than its
-// uvarint costs, else 1.
-func worthDividing(g uint64, m int) int64 {
-	if g < 2 || m*(bits.Len64(g)-1) <= 8*uvarintLen(g) {
-		return 1
+// chooseCode codes a field's m values, every third of vals, in place: less
+// their least lo, unsigned, when Rice codes of the mean so cost less, lo's
+// varint with them, than zig-zagged ones, else zig-zagged. The head byte is
+// the flag over the cheapest Rice parameter, stepped to from log₂ of the
+// codes' mean while a neighbour costs less.
+func chooseCode(vals []int64, m int, lo int64) (head byte, off int64) {
+	var sFOR, sZig uint64
+	for i := 0; i < len(vals); i += 3 {
+		sFOR, sZig = sFOR+uint64(vals[i]-lo), sZig+uint64(vals[i]<<1^vals[i]>>63)
 	}
-	return int64(g)
-}
-
-func uvarintLen(v uint64) int { return max(bits.Len64(v)+6, 7) / 7 }
-
-func gcd(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
+	sum, kFOR, kZig := sZig, max(bits.Len64(sFOR/uint64(m)), 1)-1, max(bits.Len64(sZig/uint64(m)), 1)-1
+	if m*kFOR+int(sFOR>>kFOR)+8*(max(bits.Len64(uint64(lo<<1^lo>>63))+6, 7)/7) < m*kZig+int(sZig>>kZig) {
+		head, off, sum = flagFOR, lo, sFOR
 	}
-	return a
+	for i := 0; i < len(vals); i += 3 {
+		if vals[i] -= off; head == 0 {
+			vals[i] = vals[i]<<1 ^ vals[i]>>63
+		}
+	}
+	for k := min(max(bits.Len64(sum/uint64(m)), 2)-1, maxRiceK-1); ; {
+		cost := riceCosts(vals, uint(k))
+		j := slices.Index(cost[:], slices.Min(cost[:]))
+		if k += j - 1; j == 1 || k < 1 || k >= maxRiceK {
+			return head | byte(k), off
+		}
+	}
 }
 
 // packScratch lends AppendPacked the field values of a trail's later keys,
@@ -166,18 +103,17 @@ var packScratch = sync.Pool{New: func() any { return new([]int64) }}
 // AppendPacked appends the trail as a packed block: the count and the first
 // key as AppendBlock writes them; then, for two keys or more, a head and the
 // later keys' codes. A key's step (Δlon, Δlat) is turned so that the step
-// before it points east (heading; east before any): its across and along
+// before it points along +x (veer; east before any): its across and along
 // components and Δt are the three fields. The head is a byte a field — the
 // Rice parameter (0–24) under the flags — then each field's least (varint,
-// flagFOR) and divisor (uvarint, flagGCD), then the watermark (uvarint,
-// flagAged, for two keys or more). The codes follow interleaved, least
-// significant bit first, zero-padded to a byte. It walks the trail's bytes
-// once and allocates only dst's growth.
+// flagFOR) and the watermark (uvarint, flagAged). The codes follow
+// interleaved, least significant bit first, zero-padded to a byte. It walks
+// the trail's bytes once and allocates only dst's growth.
 func (t *Trail) AppendPacked(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(t.n))
 	scratch := packScratch.Get().(*[]int64)
 	defer packScratch.Put(scratch)
-	vals, st, h, first := (*scratch)[:0], [3]fieldStats{}, byte(0), true
+	vals, lo, h, first := (*scratch)[:0], [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}, byte(0), true
 	for p := 0; p <= len(t.full); p++ {
 		pg := t.cur
 		if p < len(t.full) {
@@ -191,37 +127,32 @@ func (t *Trail) AppendPacked(dst []byte) []byte {
 				dst, first = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(dst, zlat), zlon), zt), false
 				continue
 			}
-			dlat, dlon, dt := int64(zlat>>1)^-int64(zlat&1), int64(zlon>>1)^-int64(zlon&1), int64(zt>>1)^-int64(zt&1)
-			x, y := turn(h, dlon, dlat)
-			if len(vals) == 0 {
-				st = [3]fieldStats{{lo: y, v0: y}, {lo: x, v0: x}, {lo: dt, v0: dt}}
-			}
-			st[0].add(y)
-			st[1].add(x)
-			st[2].add(dt)
-			vals, h = append(vals, y, x, dt), heading(h, dlon, dlat)
+			dt := int64(zt>>1) ^ -int64(zt&1)
+			x, y := turn(h, int64(zlon>>1)^-int64(zlon&1), int64(zlat>>1)^-int64(zlat&1))
+			lo = [3]int64{min(lo[0], y), min(lo[1], x), min(lo[2], dt)}
+			vals, h = append(vals, y, x, dt), (h+veer(x, y))&3
 		}
 	}
 	if *scratch = vals; t.n < 2 {
 		return dst
 	}
-	codes := [3]fieldCode{chooseCode(vals, t.n-1, st[0]), chooseCode(vals[1:], t.n-1, st[1]), chooseCode(vals[2:], t.n-1, st[2])}
-	if t.aged > 0 {
-		codes[0].head |= flagAged
+	head, off := [3]byte{}, [3]int64{}
+	for f := range head {
+		head[f], off[f] = chooseCode(vals[f:], t.n-1, lo[f])
 	}
-	dst = append(dst, codes[0].head, codes[1].head, codes[2].head)
-	for _, c := range codes {
-		if c.head&flagFOR != 0 {
-			dst = binary.AppendVarint(dst, c.off)
-		}
-		if c.div > 1 {
-			dst = binary.AppendUvarint(dst, uint64(c.div))
+	if t.aged > 0 {
+		head[0] |= flagAged
+	}
+	dst = append(dst, head[:]...)
+	for f, hb := range head {
+		if hb&flagFOR != 0 {
+			dst = binary.AppendVarint(dst, off[f])
 		}
 	}
 	if t.aged > 0 {
 		dst = binary.AppendUvarint(dst, uint64(t.aged))
 	}
-	out, k := bitWriter{dst: dst}, [3]uint{uint(codes[0].head & 31), uint(codes[1].head & 31), uint(codes[2].head & 31)}
+	out, k := bitWriter{dst: dst}, [3]uint{uint(head[0] & 31), uint(head[1] & 31), uint(head[2] & 31)}
 	for i := 0; i < len(vals); i += 3 { // chooseCode left the codes in vals
 		out.rice(uint64(vals[i]), k[0])
 		out.rice(uint64(vals[i+1]), k[1])
@@ -258,23 +189,23 @@ func (w *bitWriter) rice(v uint64, k uint) {
 	}
 }
 
-var (
-	errTrailing = errors.New("trajstore: bytes after the packed block's last key")
-	errHead     = errors.New("trajstore: packed head out of range")
-)
+var errTrailing = errors.New("trajstore: bytes after the packed block's last key")
+var errHead = errors.New("trajstore: packed head out of range")
 
 // UnpackBlock appends to dst the delta-varint block packed holds, as
 // AppendBlock wrote it, checking in the same pass all Enters(block, nil)
 // checks (ErrRange: a key off the globe) and that only zero padding
 // follows; the trail it returns is that block on dst's tail, its bounds,
 // last key and watermark from the same pass.
-func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) { return unpack(dst, packed, true) }
+func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) { return unpack(dst, packed, 3) }
 
 // UnpackV4Block is UnpackBlock for versions 3 and 4's packing: Δlat, Δlon
 // and Δt zig-zagged, with no turn, no flag and no watermark.
-func UnpackV4Block(dst, packed []byte) ([]byte, Trail, error) { return unpack(dst, packed, false) }
+func UnpackV4Block(dst, packed []byte) ([]byte, Trail, error) { return unpack(dst, packed, 0) }
 
-func unpack(dst, packed []byte, v5 bool) ([]byte, Trail, error) {
+// unpack reads a packed block whose headings turn under the mask turns: 3
+// in version 5, 0 in versions 3 and 4, which have no turn and no flag.
+func unpack(dst, packed []byte, turns byte) ([]byte, Trail, error) {
 	n, off := binary.Uvarint(packed)
 	if off <= 0 {
 		return nil, Trail{}, ErrShortBuffer
@@ -289,45 +220,32 @@ func unpack(dst, packed []byte, v5 bool) ([]byte, Trail, error) {
 	if n > 0 {
 		dst = binary.AppendUvarint(binary.AppendVarint(binary.AppendVarint(dst, c.lat), c.lon), uint64(c.t))
 	}
-	b, codes, aged, err := c.b, [3]fieldCode{{div: 1}, {div: 1}, {div: 1}}, uint64(0), error(nil)
-	next := func(least uint64) uint64 { // the head's next uvarint, at least least
-		v, w := binary.Uvarint(b)
-		if w <= 0 || v < least {
-			err, w = errHead, 0
-		}
-		b = b[w:]
-		return v
-	}
+	// acc holds nb unread bits of b, and above them only b's next bits or
+	// zeros; h is the heading the next step is turned from; per field, k is
+	// the Rice parameter, z 1 for zig-zagged codes, lo the least flagFOR adds.
+	b, aged, acc, nb, h := c.b, uint64(0), uint64(0), uint(0), byte(0)
+	k, z, lo := [3]uint{}, [3]uint64{1, 1, 1}, [3]int64{}
 	if n >= 2 && len(b) < 3 {
 		return nil, Trail{}, ErrShortBuffer
 	} else if n >= 2 {
-		head := b[:3]
-		if hi := max(head[0], head[1], head[2]); hi&31 > maxRiceK || !v5 && hi > maxRiceK || (head[1]|head[2])&flagAged != 0 {
+		head, w := [3]byte(b[:3]), 3 // each byte's parameter at most 24, no flag in version 4, flagAged on the first only
+		if max(head[0]&^(flagFOR|flagAged), head[1]&^flagFOR, head[2]&^flagFOR) > maxRiceK || turns == 0 && max(head[0], head[1], head[2]) > maxRiceK {
 			return nil, Trail{}, errHead
 		}
-		for b = b[3:]; len(head) > 0; head = head[1:] {
-			f := &codes[3-len(head)]
-			if f.head = head[0]; f.head&flagFOR != 0 {
-				u := next(0)
-				f.off = int64(u>>1) ^ -int64(u&1)
-			}
-			if head[0]&flagGCD != 0 {
-				f.div = int64(next(2))
+		ok := true // while every varint of the head reads
+		for f, hb := range head {
+			if k[f] = uint(hb & 31); hb&flagFOR != 0 {
+				v, wv := binary.Uvarint(b[w:]) // a varint: Uvarint inlines, Varint does not
+				lo[f], z[f], w, ok = int64(v>>1)^-int64(v&1), 0, w+max(wv, 0), ok && wv > 0
 			}
 		}
-		if codes[0].head&flagAged != 0 {
-			aged = next(0)
+		if head[0]&flagAged != 0 {
+			v, wv := binary.Uvarint(b[w:])
+			aged, w, ok = v, w+max(wv, 0), ok && wv > 0 && v <= math.MaxUint32
 		}
-	}
-	if err != nil || aged > math.MaxUint32 {
-		return nil, Trail{}, errHead
-	}
-	// acc holds nb unread bits of b, and above them only b's next bits or
-	// zeros; h is the heading the next step is turned from.
-	acc, nb, h := uint64(0), uint(0), byte(0)
-	var k, z [3]uint // per field: the Rice parameter, 1 for zig-zagged codes
-	for f, c := range codes {
-		k[f], z[f] = uint(c.head&31), uint(c.head>>5&1^1)
+		if b = b[w:]; !ok {
+			return nil, Trail{}, errHead
+		}
 	}
 	for i := uint64(1); i < n; i++ {
 		var d [3]int64 // across, along, Δt
@@ -349,12 +267,10 @@ func unpack(dst, packed []byte, v5 bool) ([]byte, Trail, error) {
 					u, acc, nb = u|acc&math.MaxUint32<<half, acc>>32, nb-32
 				}
 			}
-			d[f] = (int64(u>>z[f])^-int64(u&uint64(z[f])))*codes[f].div + codes[f].off
+			d[f] = int64(u>>z[f]) ^ -int64(u&z[f]) + lo[f]
 		}
 		dlon, dlat := unturn(h, d[1], d[0])
-		if v5 {
-			h = heading(h, dlon, dlat)
-		}
+		h = (h + veer(d[1], d[0])) & turns
 		key[0], key[1], key[2] = key[0]+dlat, key[1]+dlon, key[2]+d[2]
 		dst = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(dst, dlat), dlon), d[2])
 		box.MinLat, box.MinLon, box.T0 = min(box.MinLat, key[0]), min(box.MinLon, key[1]), min(box.T0, key[2])
@@ -384,5 +300,5 @@ func refill(acc uint64, nb uint, b []byte) (uint64, uint, []byte) {
 }
 
 // PackedBound bounds a packed block of n keys: the count, the first key,
-// every least and divisor, the watermark, every code an escape.
-func PackedBound(n int) int { return 11*binary.MaxVarintLen64 + 3 + max(n-1, 0)*3*escapeBits/8 }
+// every least, the watermark, every code an escape.
+func PackedBound(n int) int { return 8*binary.MaxVarintLen64 + 3 + max(n-1, 0)*3*escapeBits/8 }

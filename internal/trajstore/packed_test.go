@@ -25,8 +25,7 @@ func latticeTrail(keys [][3]int64) *Trail {
 // packedCases are trails whose deltas reach every corner of the code: one
 // key, the widest deltas the globe allows (lon across the antimeridian,
 // lat pole to pole), Δt of 0, negative and 2³²−1, and a field per case
-// whose one large delta among zeros and a unit step — which leave it no
-// divisor — is written as an escape.
+// whose one large delta among many zeros is written as an escape.
 func packedCases() map[string][][3]int64 {
 	cases := map[string][][3]int64{
 		"one key":  {{-375_000_000, 1_449_631_000, 1_700_000_000}},
@@ -44,7 +43,6 @@ func packedCases() map[string][][3]int64 {
 		for i := 12; i < len(keys); i++ {
 			keys[i][f] += big
 		}
-		keys[5][f]++
 		cases[[3]string{"lat escape", "lon escape", "t escape"}[f]] = keys
 	}
 	rng := rand.New(rand.NewSource(42))
@@ -62,7 +60,7 @@ func packedCases() map[string][][3]int64 {
 		walk[i] = [3]int64{lat, lon, ts}
 	}
 	cases["random walk over the antimeridian"] = walk
-	grid := make([][3]int64, 30) // steps of whole 1e-5° along a street, and back: divisors, leasts
+	grid := make([][3]int64, 30) // steps along a street and back: leasts
 	for i := 1; i < len(grid); i++ {
 		grid[i] = [3]int64{grid[i-1][0] + int64(i%4)*100, grid[i-1][1] - int64(3-i%4)*300, grid[i-1][2] + 30}
 	}
@@ -77,8 +75,7 @@ func escapes(t *Trail) (esc [3]bool) {
 	b := t.AppendBlock(nil)
 	_, off := binary.Uvarint(b)
 	var vals []int64
-	var st [3]fieldStats
-	h := byte(0)
+	lo, h := [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}, byte(0)
 	for i := 0; off < len(b); i++ {
 		dlat, n1 := binary.Varint(b[off:])
 		dlon, n2 := binary.Varint(b[off+n1:])
@@ -87,21 +84,16 @@ func escapes(t *Trail) (esc [3]bool) {
 			continue // the first key
 		}
 		x, y := turn(h, dlon, dlat)
-		if h = heading(h, dlon, dlat); len(vals) == 0 {
-			st = [3]fieldStats{{lo: y, v0: y}, {lo: x, v0: x}, {lo: dt, v0: dt}}
-		}
-		st[0].add(y)
-		st[1].add(x)
-		st[2].add(dt)
-		vals = append(vals, y, x, dt)
+		lo = [3]int64{min(lo[0], y), min(lo[1], x), min(lo[2], dt)}
+		vals, h = append(vals, y, x, dt), (h+veer(x, y))&3
 	}
 	for f := range esc {
 		if len(vals) == 0 {
 			break
 		}
-		c := chooseCode(vals[f:], t.Len()-1, st[f])
+		head, _ := chooseCode(vals[f:], t.Len()-1, lo[f])
 		for i := f; i < len(vals); i += 3 {
-			esc[f] = esc[f] || uint64(vals[i])>>(c.head&31) >= riceEscape
+			esc[f] = esc[f] || uint64(vals[i])>>(head&31) >= riceEscape
 		}
 	}
 	return esc
@@ -187,9 +179,9 @@ func packedHead(packed []byte) []byte {
 
 // randomTrail is a trail of up to 60 keys — one and two keys often —
 // whose steps mix what the packing must carry: zero and negative Δt, a
-// far jump now and then (an escape), steps on a coarse grid (a divisor),
-// runs in one direction (a field above 0) and back; and, on half of them,
-// an ageing watermark.
+// far jump now and then (an escape), steps on a coarse grid, runs in one
+// direction (a field above 0) and back; and, on half of them, an ageing
+// watermark.
 func randomTrail(rng *rand.Rand) *Trail {
 	n := []int{1, 2, 3, 1 + rng.Intn(60)}[rng.Intn(4)]
 	grid := []int64{1, 1, 100, 1000}[rng.Intn(4)]
@@ -233,7 +225,7 @@ func TestPackedProperty(t *testing.T) {
 		e := escapes(tr)
 		escaped = escaped || e[0] || e[1] || e[2]
 	}
-	if flags != flagFOR|flagGCD|flagAged || !escaped {
+	if flags != flagFOR|flagAged || !escaped {
 		t.Fatalf("flags written %08b, an escape %v: the trails reached too little of the code", flags, escaped)
 	}
 }
@@ -360,25 +352,6 @@ func TestPackedNoWorse(t *testing.T) {
 	}
 }
 
-// TestPackedGridDivides: keys on a 1e-5° grid — 1 m on the flat plane, a
-// snap ROADMAP item 14 would have the engine make — pack to at most 0.72
-// of version 4's bytes in the records compaction leaves, a device's whole
-// track: the divisor takes the grid's 100 out of every step.
-func TestPackedGridDivides(t *testing.T) {
-	for name, keys := range guardTracks(rand.New(rand.NewSource(5))) {
-		snapped := make([][3]int64, len(keys))
-		for i, k := range keys {
-			snapped[i] = [3]int64{k[0] / 100 * 100, k[1] / 100 * 100, k[2]}
-		}
-		tr := latticeTrail(snapped)
-		v4, v5 := len(packV4(tr)), len(checkPacked(t, name, tr))
-		t.Logf("%s on a 1e-5° grid: %d B at version 4, %d B (%.3f)", name, v4, v5, float64(v5)/float64(v4))
-		if v5*100 > v4*72 {
-			t.Fatalf("%s on a 1e-5° grid: %d B, above 0.72 of version 4's %d", name, v5, v4)
-		}
-	}
-}
-
 // TestPackedSmaller: on a random walk the packed block is at least a
 // tenth smaller than the delta-varint block.
 func TestPackedSmaller(t *testing.T) {
@@ -393,7 +366,8 @@ func TestPackedSmaller(t *testing.T) {
 }
 
 // TestUnpackRefuses: what Enters(block, nil) refuses, and what no packer
-// writes — a parameter past 24, bytes or set bits after the last code.
+// writes — a parameter past 24, a flag where none is, bytes or set bits
+// after the last code.
 func TestUnpackRefuses(t *testing.T) {
 	tr := latticeTrail(packedCases()["two keys"])
 	good := tr.AppendPacked(nil)
@@ -418,12 +392,22 @@ func TestUnpackRefuses(t *testing.T) {
 		"a delta past 2³²": {rawPacked([3]int64{0, 0, math.MaxUint32}, [3]int64{0, 0, 1}), ErrRange},
 		"a time below 0":   {rawPacked([3]int64{0, 0, 0}, [3]int64{0, 0, -1}), ErrRange},
 	}
-	bad := bytes.Clone(good)
-	bad[k+1] = maxRiceK + 1
-	cases["parameter 25"] = struct {
-		b    []byte
-		want error
-	}{bad, nil}
+	// Each head byte is checked on its own: a flag on one lifts no other's
+	// parameter past 24; bit 6 is no flag; flagAged rides the first byte only.
+	for name, h := range map[string][3]byte{
+		"parameter 25":               {0, maxRiceK + 1, 0},
+		"parameter 25 beside a flag": {flagFOR, 0, maxRiceK + 1},
+		"parameter 31 under a flag":  {flagAged | 31, 0, 0},
+		"bit 6":                      {1 << 6, 0, 0},
+		"a watermark on the third":   {0, 0, flagAged},
+	} {
+		bad := bytes.Clone(good)
+		copy(bad[k:], h[:])
+		cases[name] = struct {
+			b    []byte
+			want error
+		}{bad, errHead}
+	}
 	for name, c := range cases {
 		if _, _, err := UnpackBlock(nil, c.b); err == nil || c.want != nil && !errors.Is(err, c.want) {
 			t.Errorf("%s: UnpackBlock(%x) = %v, want %v", name, c.b, err, c.want)

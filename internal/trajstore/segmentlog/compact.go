@@ -20,17 +20,15 @@
 //     run inside another record of the same device (a re-ingested
 //     trajectory, an exact duplicate) is dropped — the paper's merge
 //     procedure specialized to the exact overlap the wire format can prove.
-//   - Ageing: the key points older than CompactionPolicy.MinAge that a
-//     record's watermark (trajstore.Trail.Aged, carried in its payload)
-//     has not yet passed are re-run through the FBQS compressor at
-//     CoarseTolerance, from the last aged key on (Liu et al.'s amnesic
-//     compression: fidelity decays with age, but stays error-bounded). The
-//     compressor emits a subset of its input and trajstore.PlaneKey maps a
-//     plane point back to exactly its key's lattice integers, so the aged
-//     record is its kept keys re-encoded — each with its original bytes —
-//     and every dropped key lies within CoarseTolerance of the aged
-//     polyline. The watermark then moves past them: a key is aged once,
-//     however many passes select its record again.
+//   - Ageing: key points older than CompactionPolicy.MinAge that a record's
+//     watermark (trajstore.Trail.Aged) has not passed are re-run through
+//     the FBQS compressor at CoarseTolerance from the last aged key on
+//     (Liu et al.'s amnesic compression: fidelity decays with age, but
+//     stays error-bounded), and the watermark moves past them: a key is
+//     aged once. The compressor emits a subset of its input and
+//     trajstore.PlaneKey maps a plane point back to its key's lattice
+//     integers, so kept keys keep their bytes and every dropped key lies
+//     within CoarseTolerance of the aged polyline.
 //
 // Publish protocol (crash-safe at every step):
 //
@@ -117,6 +115,7 @@ type devOut struct {
 	recs                  []compactRecord
 	decoded               int // sealed records read for this device (memory accounting)
 	merged, deduped, aged int
+	marked                int // records whose watermark alone moved
 	err                   error
 }
 
@@ -231,7 +230,7 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	}()
 
 	cw := &compactWriter{l: l, names: names}
-	var firstErr error
+	firstErr, marked := error(nil), 0
 	for pending := range queue {
 		out := <-pending //bqslint:ignore lockedsend compactMu serializes compactions and every device's reader sends exactly once, so this receive under the lock always drains
 		if firstErr == nil {
@@ -241,6 +240,7 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 				res.Merged += out.merged
 				res.Deduped += out.deduped
 				res.Aged += out.aged
+				marked += out.marked
 				for _, r := range out.recs {
 					if err := cw.add(r); err != nil {
 						firstErr = err
@@ -262,7 +262,7 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	// the selection is a tier from here on, which no tick reads again before
 	// tierRatio says so. (RecordsIn == 0 still publishes, to drop the empty
 	// files, and an older version's segment in the selection, to rewrite it.)
-	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && res.RecordsIn > 0 &&
+	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && marked == 0 && res.RecordsIn > 0 &&
 		!slices.ContainsFunc(sealed, func(s segmentFile) bool { return s.version != version }) {
 		cw.discard()
 		res.RecordsOut, res.SegmentsOut, res.BytesOut = res.RecordsIn, res.SegmentsIn, res.BytesIn
@@ -345,9 +345,10 @@ func (l *shardLog) compactDevice(addrs []recordAddr, devLen int, sealed []segmen
 	if p.CoarseTolerance > 0 {
 		for i := range recs {
 			tr := &recs[i].trail
-			if tr.Len() <= 2 || tr.Bounds().T0 > cutoff || tr.Aged() >= tr.Bounds().T1 {
-				continue // nothing to thin, all too young or all aged
+			if tr.Bounds().T0 > cutoff || tr.Aged() >= tr.Bounds().T1 {
+				continue // all too young or all aged
 			}
+			w := tr.Aged()
 			aged, err := ageTrail(tr, p.CoarseTolerance, cutoff)
 			if err != nil {
 				out.err = err
@@ -355,7 +356,14 @@ func (l *shardLog) compactDevice(addrs []recordAddr, devLen int, sealed []segmen
 			}
 			if aged {
 				out.aged++
+			} else if tr.Aged() != w {
+				out.marked++
 			}
+		}
+		if p.MergeChunks && out.aged+out.marked > 0 { // a record aged through its last key now takes the next chunk's aged keys
+			var merged int
+			recs, merged = mergeChunks(recs, devLen)
+			out.merged += merged
 		}
 	}
 	out.recs = recs
@@ -423,54 +431,57 @@ func ageCutoff(p CompactionPolicy) uint32 {
 	return uint32(min(max(now().Unix()-int64(p.MinAge/time.Second), 0), math.MaxUint32))
 }
 
-// ageTrail re-compresses at tol the keys of a record that its watermark
-// has not aged and the cutoff has, once: FBQS runs from the last aged key —
-// the record's first if none is — as its anchor, over the keys up to the
-// last at or before cutoff, and the keys after them stay as they are, the
-// record's last key among them, so chunks still chain. When the compressor
-// dropped some it re-encodes the trail from the aged prefix, the keys it
-// kept and the rest, moves the watermark to the run's end and reports
-// true. A compressor emits a subset of its input, and PlaneKey puts
-// PlanePoint(k) back on k's lattice integers, so every kept key keeps its
-// wire bytes; every dropped key is within tol of the aged polyline, the
-// bound the compressor guarantees for all input points, and no pass ages
-// it again.
+// ageTrail ages, once, the keys of a record that its watermark has not
+// aged and the cutoff has: FBQS at tol runs from the last aged key — the
+// record's first if none is — as its anchor, over the keys up to the last
+// at or before cutoff; the keys after them stay as they are, the record's
+// last key among them, so chunks still chain. The watermark moves to the
+// run's end even when the compressor drops nothing, so that a record the
+// cutoff has passed is aged through its last key and the next chunk's aged
+// keys can join it (Trail.Join). It reports whether the compressor dropped
+// keys. PlaneKey puts PlanePoint(k) back on k's lattice integers, so every
+// kept key keeps its wire bytes; every dropped key lies within tol of the
+// aged polyline, the bound the compressor guarantees, and no pass ages it
+// again.
 func ageTrail(tr *trajstore.Trail, tol float64, cutoff uint32) (bool, error) {
 	keys := tr.Keys()
-	a, e := 0, 0 // the run: the anchor and its last key
+	a, e, aged := 0, 0, uint32(0) // the run: the anchor and its last key; the watermark it leaves
 	for w := tr.Aged(); w > 0 && a+1 < len(keys) && keys[a+1].T <= w; a++ {
 	}
 	for e = a; e+1 < len(keys) && keys[e+1].T <= cutoff; e++ {
 	}
-	if e-a < 2 {
-		return false, nil // nothing to thin
-	}
-	comp, err := stream.New(ageCompressor, tol)
-	if err != nil {
-		return false, fmt.Errorf("segmentlog: age compressor: %w", err)
-	}
-	pts, aged := make([]core.Point, e-a+1), uint32(0)
-	for i, k := range keys[a : e+1] {
-		pts[i] = trajstore.PlanePoint(k)
-	}
-	kps := stream.Compress(comp, pts)
-	if len(kps) >= len(pts) || len(kps) < 2 {
-		return false, nil // nothing gained, or no polyline left
-	}
-	var out trajstore.Trail
-	err = out.Add(keys[:a]...)
-	for _, kp := range kps {
-		err = cmp.Or(err, out.Add(trajstore.PlaneKey(kp)))
+	if e == a {
+		return false, nil // no key past the anchor is old enough
 	}
 	for _, k := range keys[:e+1] {
 		aged = max(aged, k.T)
 	}
-	if err = cmp.Or(err, out.Add(keys[e+1:]...)); err != nil {
-		return false, err
+	var kps []core.Point
+	if e-a >= 2 {
+		comp, err := stream.New(ageCompressor, tol)
+		if err != nil {
+			return false, fmt.Errorf("segmentlog: age compressor: %w", err)
+		}
+		pts := make([]core.Point, e-a+1)
+		for i, k := range keys[a : e+1] {
+			pts[i] = trajstore.PlanePoint(k)
+		}
+		kps = stream.Compress(comp, pts)
 	}
-	out.SetAged(aged)
-	*tr = out
-	return true, nil
+	dropped := len(kps) <= e-a && len(kps) >= 2 // some, and a polyline left
+	if dropped {
+		var out trajstore.Trail
+		err := out.Add(keys[:a]...)
+		for _, kp := range kps {
+			err = cmp.Or(err, out.Add(trajstore.PlaneKey(kp)))
+		}
+		if err = cmp.Or(err, out.Add(keys[e+1:]...)); err != nil {
+			return false, err
+		}
+		*tr = out
+	}
+	tr.SetAged(aged)
+	return dropped, nil
 }
 
 // compactWriter packs a stream of records into fresh segment files

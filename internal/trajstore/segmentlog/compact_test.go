@@ -411,11 +411,51 @@ func TestAgeingOncePerKey(t *testing.T) {
 						d, worst, len(served), len(orig), coarse, err)
 				}
 			}
+			for d := range tracks {
+				if n, _, _, _ := l.DeviceSpan(fmt.Sprintf("dev-%d", d)); next[d] > 0 && n != 1 {
+					t.Fatalf("dev-%d: %d records after a pass over every chained chunk, want 1", d, n)
+				}
+			}
 			if aged == 0 {
 				t.Fatal("the schedule aged nothing: it proved nothing")
 			}
 		})
 	}
+}
+
+// TestAgedChunksStillJoin: a record one pass aged up to its second-to-last
+// key, and the straight chunk after it that a tick not reading the first's
+// tier aged whole, join in the next explicit pass — ageing carries the
+// first's watermark to its last key, as it does when the compressor drops
+// nothing — so a device's aged chain does not stay split.
+func TestAgedChunksStillJoin(t *testing.T) {
+	first := wanderKeys(rand.New(rand.NewSource(7)), 401, 1000)
+	second := []trajstore.GeoKey{first[400]}
+	for i := 1; i < 6; i++ {
+		k := second[i-1]
+		second = append(second, trajstore.GeoKey{Lat: k.Lat + 1e-5, Lon: k.Lon, T: k.T + 2})
+	}
+	var now int64
+	policy := CompactionPolicy{MergeChunks: true, CoarseTolerance: 2, Now: func() time.Time { return time.Unix(now, 0) }}
+	l := mustOpen(t, t.TempDir(), Options{})
+	defer l.Close()
+	pass := func(what string, keys []trajstore.GeoKey, cutoff uint32, all bool, want CompactionResult) {
+		t.Helper()
+		if err := l.Append("dev", keys); len(keys) > 0 && err != nil {
+			t.Fatal(err)
+		}
+		if err := l.seal(); err != nil {
+			t.Fatal(err)
+		}
+		now = int64(cutoff)
+		res, err := l.compact(policy, all, 1)
+		if err != nil || res.RecordsIn != want.RecordsIn || res.Aged != want.Aged || res.RecordsOut != want.RecordsOut {
+			t.Fatalf("%s: %+v, %v; want %d records in, %d aged, %d out", what, res, err, want.RecordsIn, want.Aged, want.RecordsOut)
+		}
+	}
+	pass("ageing the first chunk up to its second-to-last key", first, first[399].T, true, CompactionResult{RecordsIn: 1, Aged: 1, RecordsOut: 1})
+	pass("a tick ageing the second chunk alone", second, second[5].T, false, CompactionResult{RecordsIn: 1, Aged: 1, RecordsOut: 1})
+	pass("an explicit pass", nil, second[5].T, true, CompactionResult{RecordsIn: 2, RecordsOut: 1})
 }
 
 // TestAgeingKeepsTimeSpan: FBQS keeps a trajectory's first and last key

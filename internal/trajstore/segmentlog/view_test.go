@@ -446,7 +446,7 @@ func breakPacked(t testing.TB, b []byte, m recordMeta) {
 	if _, _, err := trajstore.UnpackBlock(nil, payload); err != nil || k+3 > len(payload) {
 		t.Fatalf("fixture: record at %d holds no packed deltas to break (%v)", m.off, err)
 	}
-	payload[k] = 25
+	payload[k] = 64
 	binary.LittleEndian.PutUint32(b[m.off-4:], crc32.Checksum(body, castagnoli))
 }
 
