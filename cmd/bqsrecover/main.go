@@ -24,8 +24,8 @@
 // -dir is a log root as OpenDurableEngine and bqsd write it: a SHARDS
 // file plus shard-NNN/ subdirectories. Roots are never re-sharded by
 // this tool, and a root in the older single-log layout (MANIFEST and
-// seg-*.log directly in it) is refused — see DESIGN.md for migrating
-// data that old.
+// seg-*.log directly in it) is refused; DESIGN.md, "Upgrading data older
+// than a9213be", says how to carry data that old forward.
 //
 // By default the directory is opened READ-ONLY: nothing on disk is
 // touched, no lock is taken, and a crash-torn tail is reported but left
