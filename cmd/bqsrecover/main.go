@@ -23,9 +23,9 @@
 //
 // -dir is a log root as OpenDurableEngine and bqsd write it: a SHARDS
 // file plus shard-NNN/ subdirectories. Roots are never re-sharded by
-// this tool, and a root in the older single-log layout (MANIFEST and
-// seg-*.log directly in it) is refused; DESIGN.md, "Upgrading data older
-// than a9213be", says how to carry data that old forward.
+// this tool. Data too old to read — the single-log layout (MANIFEST and
+// seg-*.log directly in the root), a segment older than version 5 — is
+// refused; DESIGN.md, "Upgrading old data", says how to carry it forward.
 //
 // By default the directory is opened READ-ONLY: nothing on disk is
 // touched, no lock is taken, and a crash-torn tail is reported but left

@@ -1,7 +1,7 @@
 // The packed block: how a segment log record holds a trail on disk —
 // DeltaEncode's block with each later key coded in its predecessor's frame
 // and Rice-coded. AppendPacked writes it, UnpackBlock turns it back into
-// that block and its trail; UnpackV4Block reads segment versions 3 and 4's.
+// that block and its trail.
 package trajstore
 
 import (
@@ -197,15 +197,7 @@ var errHead = errors.New("trajstore: packed head out of range")
 // checks (ErrRange: a key off the globe) and that only zero padding
 // follows; the trail it returns is that block on dst's tail, its bounds,
 // last key and watermark from the same pass.
-func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) { return unpack(dst, packed, 3) }
-
-// UnpackV4Block is UnpackBlock for versions 3 and 4's packing: Δlat, Δlon
-// and Δt zig-zagged, with no turn, no flag and no watermark.
-func UnpackV4Block(dst, packed []byte) ([]byte, Trail, error) { return unpack(dst, packed, 0) }
-
-// unpack reads a packed block whose headings turn under the mask turns: 3
-// in version 5, 0 in versions 3 and 4, which have no turn and no flag.
-func unpack(dst, packed []byte, turns byte) ([]byte, Trail, error) {
+func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 	n, off := binary.Uvarint(packed)
 	if off <= 0 {
 		return nil, Trail{}, ErrShortBuffer
@@ -228,8 +220,8 @@ func unpack(dst, packed []byte, turns byte) ([]byte, Trail, error) {
 	if n >= 2 && len(b) < 3 {
 		return nil, Trail{}, ErrShortBuffer
 	} else if n >= 2 {
-		head, w := [3]byte(b[:3]), 3 // each byte's parameter at most 24, no flag in version 4, flagAged on the first only
-		if max(head[0]&^(flagFOR|flagAged), head[1]&^flagFOR, head[2]&^flagFOR) > maxRiceK || turns == 0 && max(head[0], head[1], head[2]) > maxRiceK {
+		head, w := [3]byte(b[:3]), 3 // each byte's parameter at most 24, flagAged on the first only
+		if max(head[0]&^(flagFOR|flagAged), head[1]&^flagFOR, head[2]&^flagFOR) > maxRiceK {
 			return nil, Trail{}, errHead
 		}
 		ok := true // while every varint of the head reads
@@ -270,7 +262,7 @@ func unpack(dst, packed []byte, turns byte) ([]byte, Trail, error) {
 			d[f] = int64(u>>z[f]) ^ -int64(u&z[f]) + lo[f]
 		}
 		dlon, dlat := unturn(h, d[1], d[0])
-		h = (h + veer(d[1], d[0])) & turns
+		h = (h + veer(d[1], d[0])) & 3
 		key[0], key[1], key[2] = key[0]+dlat, key[1]+dlon, key[2]+d[2]
 		dst = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(dst, dlat), dlon), d[2])
 		box.MinLat, box.MinLon, box.T0 = min(box.MinLat, key[0]), min(box.MinLon, key[1]), min(box.T0, key[2])

@@ -261,9 +261,8 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	// output and skip the publish — no generation bump, no fsync storm — and
 	// the selection is a tier from here on, which no tick reads again before
 	// tierRatio says so. (RecordsIn == 0 still publishes, to drop the empty
-	// files, and an older version's segment in the selection, to rewrite it.)
-	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && marked == 0 && res.RecordsIn > 0 &&
-		!slices.ContainsFunc(sealed, func(s segmentFile) bool { return s.version != version }) {
+	// files.)
+	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && marked == 0 && res.RecordsIn > 0 {
 		cw.discard()
 		res.RecordsOut, res.SegmentsOut, res.BytesOut = res.RecordsIn, res.SegmentsIn, res.BytesIn
 		l.tiers = append(l.tiers[:t], len(sealed))

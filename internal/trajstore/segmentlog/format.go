@@ -34,29 +34,18 @@ func nextRecord(data []byte, pos int) (body []byte, bodyOff, next int, ok bool) 
 	return body, bodyOff, next, true
 }
 
-// minBodySize is the smallest legal body, a version-4 or 5 one: the device
-// length (a one-byte uvarint, for no bytes of ID) and a one-byte payload
-// (the key count).
+// minBodySize is the smallest legal body: the device length (a one-byte
+// uvarint, for no bytes of ID) and a one-byte payload (the key count).
 const minBodySize = 1 + 1
 
-// legacyBoundsSize is the bounds versions 2 and 3 put after the ID: the
-// payload's, as TestLegacyHeaderBounds pins, so no read takes them.
-const legacyBoundsSize = 8 + 16
-
-// splitBody splits a validated record body of a version-v segment into
-// its device ID and payload, slices of it.
-func splitBody(body []byte, v byte) (device, payload []byte, err error) {
-	devLen, n, skip := uint64(0), 0, 0
-	if v >= 4 {
-		devLen, n = binary.Uvarint(body)
-	} else if len(body) >= 2 {
-		devLen, n, skip = uint64(binary.LittleEndian.Uint16(body)), 2, legacyBoundsSize
-	}
-	if n <= 0 || len(body)-n-skip < 1 || devLen > uint64(len(body)-n-skip-1) {
+// splitBody splits a validated record body into its device ID and payload,
+// slices of it. The ID must leave the payload at least its one byte.
+func splitBody(body []byte) (device, payload []byte, err error) {
+	devLen, n := binary.Uvarint(body)
+	if n <= 0 || devLen >= uint64(len(body)-n) {
 		return nil, nil, trajstore.ErrShortBuffer
 	}
-	rest := body[n:]
-	return rest[:devLen], rest[int(devLen)+skip:], nil
+	return body[n : n+int(devLen)], body[n+int(devLen):], nil
 }
 
 // frameRecord appends the full wire form of one record — length prefix,
@@ -80,19 +69,12 @@ func frameRecord(dst []byte, device string, tr *trajstore.Trail) ([]byte, error)
 	return dst, nil
 }
 
-// openRecord splits body, a version-v segment's record, and opens its
-// payload as the trail of its delta-varint block, in the one walk that
-// checks a read will serve it; dst takes the unpacking (a version-2 payload
-// is the block, which the trail is then a slice of).
-func openRecord(dst, body []byte, v byte) (device, unpacked []byte, tr trajstore.Trail, err error) {
-	device, payload, err := splitBody(body, v)
-	switch {
-	case err != nil:
-	case v == 2:
-		tr, err = trajstore.OpenTrail(payload)
-	case v < version:
-		dst, tr, err = trajstore.UnpackV4Block(dst, payload)
-	default:
+// openRecord splits body and opens its payload as the trail of its
+// delta-varint block, in the one walk that checks a read will serve it; dst
+// takes the unpacking.
+func openRecord(dst, body []byte) (device, unpacked []byte, tr trajstore.Trail, err error) {
+	device, payload, err := splitBody(body)
+	if err == nil {
 		dst, tr, err = trajstore.UnpackBlock(dst, payload)
 	}
 	return device, dst, tr, err

@@ -55,28 +55,24 @@ func TestOffsetsFit32Bits(t *testing.T) {
 	}
 }
 
-// TestParseManifestRejections covers the field grammar: a seg line may carry
-// the legacy fields "idx" and "sum=…", in that order, and nothing else, and
-// any magic line but the current one is refused.
+// TestParseManifestRejections covers the field grammar: a seg line carries
+// a segment's name and nothing else — not the "idx" and "sum=…" fields
+// older logs wrote after it — and any magic line but the current one is
+// refused.
 func TestParseManifestRejections(t *testing.T) {
-	seal := func(body string) []byte {
-		covered := []byte(body)
-		return []byte(fmt.Sprintf("%scrc %08x\n", covered, crc32.Checksum(covered, castagnoli)))
-	}
 	reject := []struct{ name, body string }{
 		{"unknown field", "BQSMANIFEST 2\ngen 1\nseg seg-00000001.log bogus\n"},
-		{"field after sum", "BQSMANIFEST 2\ngen 1\nseg seg-00000001.log sum=1,2,3,0,0,0,0 idx\n"},
-		{"idx twice", "BQSMANIFEST 2\ngen 1\nseg seg-00000001.log idx idx\n"},
+		{"legacy fields", "BQSMANIFEST 2\ngen 4\nseg seg-00000002.log idx sum=3,10,20,-5,-6,7,8\nseg seg-00000001.log\n"},
 		{"format 1", "BQSMANIFEST 1\ngen 1\nseg seg-00000001.log\n"},
 		{"bad magic", "BQSMANIFEST 3\ngen 1\nseg seg-00000001.log\n"},
 	}
 	for _, c := range reject {
-		if _, err := parseManifest(seal(c.body)); !errors.Is(err, ErrCorrupt) {
+		if _, err := parseManifest(sealText([]byte(c.body))); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: parse error %v, want ErrCorrupt", c.name, err)
 		}
 	}
-	// And the full grammar parses, the legacy fields to nothing.
-	m, err := parseManifest(seal("BQSMANIFEST 2\ngen 4\nseg seg-00000002.log idx sum=3,10,20,-5,-6,7,8\nseg seg-00000001.log\n"))
+	// And the grammar parses.
+	m, err := parseManifest(sealText([]byte("BQSMANIFEST 2\ngen 4\nseg seg-00000002.log\nseg seg-00000001.log\n")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +82,15 @@ func TestParseManifestRejections(t *testing.T) {
 }
 
 // TestOldFormatsRejected: input validation outlived the formats it used
-// to admit. A segment file carrying the version-1 header byte, or a
-// shard MANIFEST in format 1, fails the open with ErrCorrupt — writable
-// and read-only — instead of being read as something it is not. (The
-// version-1 byte on a sealed segment is a row of
-// TestSealedDamageAtOpen.)
+// to admit. A segment file carrying a version byte older than 5 — on a
+// sealed segment or on the active one — a seg line carrying the fields
+// older logs wrote after the name, or a shard MANIFEST in format 1 fails
+// the open with ErrCorrupt, writable and read-only, instead of being read
+// as something it is not, and leaves the shard's files as they were. But
+// for the format-1 manifest, which no sharded log wrote, the error names
+// DESIGN.md's upgrade section.
 func TestOldFormatsRejected(t *testing.T) {
-	build := func(t *testing.T) (root, shard string) {
+	build := func(t *testing.T) (root, shard string, man manifest) {
 		root = t.TempDir()
 		s := mustOpenSharded(t, root, 1, Options{MaxSegmentBytes: 256})
 		for i := 0; i < 12; i++ {
@@ -103,55 +101,99 @@ func TestOldFormatsRejected(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return root, filepath.Join(root, shardDirName(0))
-	}
-	openBoth := func(t *testing.T, root string) {
-		t.Helper()
-		for _, ro := range []bool{true, false} {
-			if _, err := OpenSharded(root, 0, Options{ReadOnly: ro}); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("ReadOnly=%v: error %v, want ErrCorrupt", ro, err)
-			}
-		}
-	}
-	setVersion1 := func(t *testing.T, seg string) {
-		t.Helper()
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[6] = 1
-		if err := os.WriteFile(seg, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	t.Run("v1 header on the active segment", func(t *testing.T) {
-		root, shard := build(t)
+		shard = filepath.Join(root, shardDirName(0))
 		man, _, err := readManifest(vfs.OS, shard)
-		if err != nil {
+		if err != nil || len(man.Segs) < 2 {
+			t.Fatalf("fixture: %d segments, %v", len(man.Segs), err)
+		}
+		return root, shard, man
+	}
+	writeManifestText := func(t *testing.T, shard, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(shard, manifestName), sealText([]byte(body)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		setVersion1(t, filepath.Join(shard, man.Segs[len(man.Segs)-1].Name))
-		openBoth(t, root)
-	})
-	t.Run("format-1 manifest", func(t *testing.T) {
-		root, shard := build(t)
-		body := []byte("BQSMANIFEST 1\ngen 3\nseg seg-00000001.log\n")
-		body = fmt.Appendf(body, "crc %08x\n", crc32.Checksum(body, castagnoli))
-		if err := os.WriteFile(filepath.Join(shard, manifestName), body, 0o644); err != nil {
-			t.Fatal(err)
+	}
+	type row struct {
+		name   string
+		hint   bool // the error names the upgrade section
+		damage func(t *testing.T, shard string, man manifest)
+	}
+	rows := []row{
+		{"legacy seg fields", true, func(t *testing.T, shard string, man manifest) {
+			body := fmt.Sprintf("%s\ngen %d\n", manifestMagic, man.Gen)
+			for i, s := range man.Segs {
+				if body += "seg " + s.Name; i == 0 {
+					body += " idx sum=3,10,20,-5,-6,7,8"
+				}
+				body += "\n"
+			}
+			writeManifestText(t, shard, body)
+		}},
+		{"format-1 manifest", false, func(t *testing.T, shard string, _ manifest) {
+			writeManifestText(t, shard, "BQSMANIFEST 1\ngen 3\nseg seg-00000001.log\n")
+		}},
+	}
+	for v := byte(1); v < version; v++ {
+		for _, active := range []bool{false, true} {
+			name := fmt.Sprintf("v%d header on the sealed segment", v)
+			if active {
+				name = fmt.Sprintf("v%d header on the active segment", v)
+			}
+			rows = append(rows, row{name, true, func(t *testing.T, shard string, man manifest) {
+				seg := man.Segs[0].Name
+				if active {
+					seg = man.Segs[len(man.Segs)-1].Name
+				}
+				data, err := os.ReadFile(filepath.Join(shard, seg))
+				if err == nil {
+					data[6] = v
+					err = os.WriteFile(filepath.Join(shard, seg), data, 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}})
 		}
-		openBoth(t, root)
-	})
+	}
+	for _, c := range rows {
+		t.Run(c.name, func(t *testing.T) {
+			root, shard, man := build(t)
+			c.damage(t, shard, man)
+			before := treeFiles(t, shard)
+			for _, ro := range []bool{true, false} {
+				_, err := OpenSharded(root, 0, Options{ReadOnly: ro})
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("ReadOnly=%v: error %v, want ErrCorrupt", ro, err)
+				}
+				if c.hint && !strings.Contains(err.Error(), `"Upgrading old data"`) {
+					t.Errorf("ReadOnly=%v: %v names no upgrade section", ro, err)
+				}
+				if after := treeFiles(t, shard); !reflect.DeepEqual(after, before) {
+					t.Fatalf("ReadOnly=%v: the refused open modified the shard", ro)
+				}
+			}
+		})
+	}
 }
 
-// TestRecordFraming: a version-5 record, framed as version 4's, costs
-// exactly 8 + uvarint(len(dev)) + len(dev) bytes around its packed block —
-// length and CRC, then the ID after its length, and no bounds — for every
-// ID length a uvarint step apart up to the longest allowed, and reads back
-// as the trail it framed.
+// idOnlyBody is a record body that is only its ID length, 133, with no byte
+// of ID or payload after it.
+var idOnlyBody = []byte{0x85, 0x01}
+
+// sealBody appends body to dst as a record: its length, its CRC, itself.
+func sealBody(dst, body []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	return append(binary.LittleEndian.AppendUint32(dst, crc32.Checksum(body, castagnoli)), body...)
+}
+
+// TestRecordFraming: a record costs exactly 8 + uvarint(len(dev)) +
+// len(dev) bytes around its packed block — length and CRC, then the ID
+// after its length — for every ID length a uvarint step apart up to the
+// longest allowed, and reads back as the trail it framed.
 // An ID one byte longer is refused: by frameRecord, dst as it was, and by
-// an append, which indexes nothing.
+// an append, which indexes nothing. A CRC-valid body that is only its ID
+// length is refused by the read, not sliced past its end.
 func TestRecordFraming(t *testing.T) {
 	var tr trajstore.Trail
 	if err := tr.Add(genKeys(3, 20)...); err != nil {
@@ -172,10 +214,15 @@ func TestRecordFraming(t *testing.T) {
 		if !ok || next != len(rec) || !bytes.HasSuffix(body, packed) {
 			t.Fatalf("%d-byte ID: the record does not frame its packed block", n)
 		}
-		got, _, back, err := openRecord(nil, body, version)
+		got, _, back, err := openRecord(nil, body)
 		if err != nil || string(got) != dev || back.Bounds() != tr.Bounds() || !bytes.Equal(back.AppendBlock(nil), tr.AppendBlock(nil)) {
 			t.Fatalf("%d-byte ID: reads back as a %d-byte ID, %+v, %v", n, len(got), back.Bounds(), err)
 		}
+	}
+	if body, _, _, ok := nextRecord(sealBody(nil, idOnlyBody), 0); !ok {
+		t.Fatal("the ID-length-only record does not frame")
+	} else if _, _, _, err := openRecord(nil, body); err == nil {
+		t.Fatal("a body that is only its ID length opens")
 	}
 	long := strings.Repeat("d", 1<<16)
 	if rec, err := frameRecord([]byte("x"), long, &tr); err == nil || string(rec) != "x" {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -18,7 +19,8 @@ import (
 // MANIFEST names: recovery must never panic, and whatever it salvages
 // must be stable — a second open of the recovered directory sees the
 // same records and truncates nothing further. The well-formed seed opens
-// with both its records.
+// with both its records, and a file under any other version byte is
+// refused with ErrCorrupt.
 func FuzzRecover(f *testing.F) {
 	// Seed: a well-formed version-5 file with two records...
 	dir := f.TempDir()
@@ -40,17 +42,17 @@ func FuzzRecover(f *testing.F) {
 	}
 	f.Add(valid)
 	// ...the same with its second record's packed payload broken under a
-	// re-sealed CRC, a version-4, a version-3 and a version-2 file...
+	// re-sealed CRC, with the version byte before and after this one, and
+	// with a record after it whose body is only its ID length...
 	sealed := append([]byte(nil), valid...)
 	breakPacked(f, sealed, l.segs[0].recs[1])
 	f.Add(sealed)
-	for _, old := range []string{filepath.Join(v4Fixture, "shard-000", "seg-00000003.log"), filepath.Join(v3Fixture, "shard-000", "seg-00000005.log"), filepath.Join(v2Fixture, "shard-000", "seg-00000006.log")} {
-		b, err := os.ReadFile(old)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
+	for _, v := range []byte{version - 1, version + 1} {
+		other := slices.Clone(valid)
+		other[6] = v
+		f.Add(other)
 	}
+	f.Add(sealBody(slices.Clone(valid), idOnlyBody))
 	// ...its truncations...
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:headerSize+3])
@@ -69,6 +71,9 @@ func FuzzRecover(f *testing.F) {
 		}
 		seed := bytes.Equal(data, valid)
 		l, err := openShardLog(dir, Options{})
+		if len(data) >= headerSize && [6]byte(data[:6]) == magic && data[6] != version && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a version-%d file opens with %v, want ErrCorrupt", data[6], err)
+		}
 		if err != nil {
 			if seed {
 				t.Fatalf("the well-formed seed does not open: %v", err)

@@ -17,11 +17,8 @@
 // The first line is magic + format version. "gen" is the generation
 // number, incremented on every publish (open, rotation, compaction).
 // Each "seg" line names one live segment file, base name only, in
-// logical (oldest-first) order; the active segment is last. Older
-// versions wrote two more fields after a sealed segment's name — "idx"
-// (a block-index file beside it) and "sum=…" (a summary of its records);
-// a parser accepts them, in that order, and ignores them, and a writable
-// open republishes the list without them.
+// logical (oldest-first) order; the active segment is last. A field after
+// the name, as older logs wrote ("idx", "sum=…"), is refused.
 //
 // The final "crc" line carries the CRC-32C of every preceding byte, so
 // a damaged manifest is detected rather than silently reordering the
@@ -140,32 +137,21 @@ func parseManifest(data []byte) (manifest, error) {
 		if !ok {
 			return m, fmt.Errorf("%w: manifest: unexpected line %q", ErrCorrupt, line)
 		}
-		fields := strings.Split(rest, " ")
-		var ms manifestSeg
-		ms.Name = fields[0]
-		if _, ok := parseSegName(ms.Name); !ok {
-			return m, fmt.Errorf("%w: manifest: bad segment name %q", ErrCorrupt, ms.Name)
+		name, fields, _ := strings.Cut(rest, " ")
+		if _, ok := parseSegName(name); !ok {
+			return m, fmt.Errorf("%w: manifest: bad segment name %q", ErrCorrupt, name)
 		}
-		if seen[ms.Name] {
-			return m, fmt.Errorf("%w: manifest: duplicate segment %q", ErrCorrupt, ms.Name)
+		if seen[name] {
+			return m, fmt.Errorf("%w: manifest: duplicate segment %q", ErrCorrupt, name)
 		}
-		// The legacy fields, in the order they were written: "idx", then
-		// "sum=...". Nothing reads them.
-		i := 1
-		if i < len(fields) && fields[i] == "idx" {
-			i++
-		}
-		if i < len(fields) && strings.HasPrefix(fields[i], "sum=") {
-			i++
-		}
-		if i != len(fields) {
-			return m, fmt.Errorf("%w: manifest: unexpected field %q", ErrCorrupt, fields[i])
+		if fields != "" {
+			return m, fmt.Errorf("%w: manifest: fields %q after segment %s, as an older log wrote; %s", ErrCorrupt, fields, name, upgradeHint)
 		}
 		if len(m.Segs) >= maxManifestSegs {
 			return m, fmt.Errorf("%w: manifest: too many segments", ErrCorrupt)
 		}
-		seen[ms.Name] = true
-		m.Segs = append(m.Segs, ms)
+		seen[name] = true
+		m.Segs = append(m.Segs, manifestSeg{Name: name})
 	}
 	if err := sc.Err(); err != nil {
 		return m, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)

@@ -119,10 +119,9 @@ func (l *shardLog) snapshot(files *segReader, pick func() []refSnap) (refs []ref
 // segReader reads CRC-verified records through one handle per segment:
 // opened first — seg of n — then shared by any number of readers (preads).
 type segReader struct {
-	fs       vfs.FS
-	paths    []string   // by segment; set once opened
-	versions []byte     // parallel to paths: the segment's format version
-	files    []vfs.File // parallel to paths
+	fs    vfs.FS
+	paths []string   // by segment; set once opened
+	files []vfs.File // parallel to paths
 }
 
 func (r *segReader) close() {
@@ -135,13 +134,13 @@ func (r *segReader) close() {
 
 func (r *segReader) open(seg int, sf *segmentFile, n int) (err error) {
 	if r.files == nil {
-		r.paths, r.versions, r.files = make([]string, n), make([]byte, n), make([]vfs.File, n)
+		r.paths, r.files = make([]string, n), make([]vfs.File, n)
 	}
 	if r.files[seg] == nil {
 		if r.files[seg], err = r.fs.Open(sf.path); err != nil {
 			return fmt.Errorf("segmentlog: %w", err)
 		}
-		r.paths[seg], r.versions[seg] = sf.path, sf.version
+		r.paths[seg] = sf.path
 	}
 	return nil
 }
@@ -161,7 +160,7 @@ func (r *segReader) readTrail(ref refSnap) ([]byte, trajstore.Trail, error) {
 	if !ok || next != len(rec) {
 		return nil, trajstore.Trail{}, fmt.Errorf("%w: record at offset %d no longer matches its length and checksum", ErrCorrupt, ref.off)
 	}
-	dev, _, tr, err := openRecord(rec[n:], body, r.versions[ref.seg])
+	dev, _, tr, err := openRecord(rec[n:], body)
 	if err != nil {
 		return nil, tr, fmt.Errorf("%w: indexed record unreadable: %v", ErrCorrupt, err)
 	}

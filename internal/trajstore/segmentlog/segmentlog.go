@@ -19,15 +19,14 @@
 // LOCK and one shard directory per shard. A shard directory holds a
 // MANIFEST (see manifest.go) naming the live segment files in logical
 // order and the numbered segment files "seg-00000001.log",
-// "seg-00000002.log", .... Writers emit segment version 5; versions 4, 3
-// and 2 are read until a compaction rewrites them; any other version is
-// rejected with ErrCorrupt. Segment numbers are allocated from a monotonic
-// sequence and never reused while referenced; after compaction (see compact.go) a
-// low-numbered file may be superseded by a higher-numbered one holding
-// older data, which is why the MANIFEST — not directory order — defines
-// the log. Each segment file starts with
-// an 8-byte header — magic "BQSLOG" plus a version byte and a zero pad —
-// followed by length-prefixed records:
+// "seg-00000002.log", .... Segments are version 5, the one version
+// written and read; any other is refused with ErrCorrupt. Segment numbers
+// are allocated from a monotonic sequence and never reused while
+// referenced; after compaction (see compact.go) a low-numbered file may be
+// superseded by a higher-numbered one holding older data, which is why the
+// MANIFEST — not directory order — defines the log. Each segment file
+// starts with an 8-byte header — magic "BQSLOG" plus a version byte and a
+// zero pad — followed by length-prefixed records:
 //
 //	u32  bodyLen   little-endian length of body
 //	u32  crc32c    Castagnoli CRC of body
@@ -35,14 +34,10 @@
 //	  uvarint deviceLen, device ID bytes
 //	  payload              the packed key points (Trail.AppendPacked)
 //
-// (Version 4 packs the payload without the turn, the flags and the ageing
-// watermark — trajstore.UnpackV4Block; versions 3 and 2 also frame the ID
-// with a u16 length and put the record's bounds, 24 bytes, before the
-// payload — in version 2 the delta-varint block.) A record is valid iff its
-// length prefix fits in the file, bodyLen is plausible (≤ MaxRecordBytes),
-// the CRC matches and its payload unpacks to keys on the globe — the walk
-// that gives the record's bounds; the first invalid record ends the scan
-// and the file is truncated there.
+// A record is valid iff its length prefix fits in the file, bodyLen is
+// plausible (≤ MaxRecordBytes), the CRC matches and its payload unpacks to
+// keys on the globe — the walk that gives the record's bounds; the first
+// invalid record ends the scan and the file is truncated there.
 package segmentlog
 
 import (
@@ -62,9 +57,9 @@ const (
 	headerSize = 8
 	// recordHeaderSize prefixes every record: u32 bodyLen + u32 crc32c.
 	recordHeaderSize = 8
-	// version is the format version byte of every segment file written
-	// (the package comment has its records); from oldestVersion on, read.
-	version, oldestVersion = 5, 2
+	// version is the format version byte of every segment file, written
+	// and read (the package comment has its records).
+	version = 5
 	// MaxRecordBytes caps a single record body. A length prefix above it
 	// is treated as corruption, bounding allocation on malicious or
 	// damaged input. 16 MiB ≈ 1.5 M key points per trajectory.
@@ -100,6 +95,9 @@ var ErrLocked = errors.New("segmentlog: directory locked by another process")
 // cannot interpret at all; torn or checksum-failing records are
 // recovered from silently and do not raise it.
 var ErrCorrupt = errors.New("segmentlog: corrupt segment file")
+
+// upgradeHint ends each ErrCorrupt that refuses data too old to read.
+const upgradeHint = `DESIGN.md, "Upgrading old data", says how to carry it forward`
 
 // Options parameterizes OpenSharded.
 type Options struct {
@@ -163,11 +161,10 @@ type recordAddr struct {
 // the segment is loaded or sealed; while a segment is the active one its
 // live size is shardLog.off.
 type segmentFile struct {
-	path    string
-	version byte             // the file's format version: how its records are read
-	size    int64            // valid bytes, header included
-	sum     trajstore.Bounds // union of recs' bounds (sumOf): what a window prunes the whole file on
-	recs    []recordMeta     // every record, in file order
+	path string
+	size int64            // valid bytes, header included
+	sum  trajstore.Bounds // union of recs' bounds (sumOf): what a window prunes the whole file on
+	recs []recordMeta     // every record, in file order
 }
 
 // refSnap locates one record for a read outside the lock.

@@ -274,7 +274,7 @@ func refuseSingleLog(fsys vfs.FS, dir string) error {
 		single = len(segs) > 0
 	}
 	if single {
-		return fmt.Errorf(`%w: %s is in the single-log layout (MANIFEST/seg-*.log at the root, no SHARDS), which is no longer read; DESIGN.md, "Upgrading data older than a9213be", says how to carry it forward`, ErrCorrupt, dir)
+		return fmt.Errorf(`%w: %s is in the single-log layout (MANIFEST/seg-*.log at the root, no SHARDS), which is no longer read; %s`, ErrCorrupt, dir, upgradeHint)
 	}
 	return nil
 }

@@ -434,7 +434,7 @@ func TestSealedDamageAtOpen(t *testing.T) {
 func breakPacked(t testing.TB, b []byte, m recordMeta) {
 	t.Helper()
 	body := b[m.off : m.off+m.bodyLen]
-	_, payload, err := splitBody(body, version)
+	_, payload, err := splitBody(body)
 	if err != nil {
 		t.Fatal(err)
 	}
