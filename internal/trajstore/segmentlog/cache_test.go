@@ -165,7 +165,7 @@ func TestCacheHitsAndInvalidationAcrossCompaction(t *testing.T) {
 	}
 	_, _, _ = windowCacheStats(t, l) // warm what was just appended
 	untouched := l.Stats().Records - len(l.segs[older].recs)
-	tick, err := l.compact(CompactionPolicy{MergeChunks: true}, false, 2)
+	tick, err := l.compact(CompactionPolicy{MergeChunks: true}, false)
 	if err != nil || tick.Merged == 0 || tick.SegmentsIn != 1 {
 		t.Fatalf("tick = %+v, %v; want the one newly sealed segment merged", tick, err)
 	}

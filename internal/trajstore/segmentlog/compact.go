@@ -109,16 +109,6 @@ type compactRecord struct {
 // through.
 const ageCompressor = "fbqs"
 
-// devOut is one device's rewrite result, handed from the device's reader
-// to the ordered writer.
-type devOut struct {
-	recs                  []compactRecord
-	decoded               int // sealed records read for this device (memory accounting)
-	merged, deduped, aged int
-	marked                int // records whose watermark alone moved
-	err                   error
-}
-
 // tierRatio is the selection rule's constant: a pass reaches back over an
 // earlier pass's output only while that tier is no larger than tierRatio
 // times the bytes it already holds. At 2 every tier left standing is more
@@ -137,8 +127,10 @@ const tierRatio = 2
 // serialize with each other. On any failure — including a sealed record
 // that no longer validates (bit rot since open) — the published generation
 // is untouched; partially written output files are swept by the next Open.
-// workers bounds the devices in memory at once, and cannot reach the output.
-func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (CompactionResult, error) {
+// The pass is one loop over the selection's devices in name order: each is
+// read, rewritten and written before the next is read, so one device's
+// records are all it holds in memory.
+func (l *shardLog) compact(p CompactionPolicy, all bool) (CompactionResult, error) {
 	var res CompactionResult
 	if p.CoarseTolerance != 0 { // a bad tolerance — negative, NaN — fails before any IO
 		if _, err := stream.New(ageCompressor, p.CoarseTolerance); err != nil {
@@ -203,7 +195,7 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 	}
 	res.SegmentsIn, res.BytesIn = len(sealed), segBytes(sealed)
 	slices.SortFunc(devices, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
-	// Open every selected file once; readers share the handles via pread.
+	// Open every selected file once; the loop reads through the handles by pread.
 	files := &segReader{fs: l.fs}
 	defer files.close()
 	for i := range sealed {
@@ -212,49 +204,25 @@ func (l *shardLog) compact(p CompactionPolicy, all bool, workers int) (Compactio
 		}
 	}
 
-	// Read devices concurrently, write them in sorted device order
-	// (deterministic output; per-device record order is the Query contract).
-	// A device's result channel is queued before its reader starts and taken
-	// off only once the writer is done with the one before: the queue's
-	// workers−1 slots and the writer's one are the memory bound.
-	queue := make(chan chan devOut, workers-1)
-	go func() {
-		for _, dev := range devices {
-			out := make(chan devOut, 1)
-			queue <- out
-			go func() {
-				out <- l.compactDevice(addrs[start[dev]:start[dev+1]], len(names[dev]), sealed, files, p, cutoff)
-			}()
-		}
-		close(queue)
-	}()
-
+	// Devices go out in name order (deterministic output); each keeps its
+	// records' append order, the Query contract.
 	cw := &compactWriter{l: l, names: names}
-	firstErr, marked := error(nil), 0
-	for pending := range queue {
-		out := <-pending //bqslint:ignore lockedsend compactMu serializes compactions and every device's reader sends exactly once, so this receive under the lock always drains
-		if firstErr == nil {
-			if out.err != nil {
-				firstErr = out.err
-			} else {
-				res.Merged += out.merged
-				res.Deduped += out.deduped
-				res.Aged += out.aged
-				marked += out.marked
-				for _, r := range out.recs {
-					if err := cw.add(r); err != nil {
-						firstErr = err
-						break
-					}
-				}
-				res.RecordsOut += len(out.recs)
-			}
+	marked := 0
+	for _, dev := range devices {
+		a := addrs[start[dev]:start[dev+1]]
+		l.compactLive += len(a)
+		l.compactLiveHWM = max(l.compactLiveHWM, l.compactLive)
+		recs, m, err := compactDevice(&res, a, len(names[dev]), sealed, files, p, cutoff)
+		for i := 0; err == nil && i < len(recs); i++ {
+			err = cw.add(recs[i])
 		}
-		l.compactLive.Add(-int64(out.decoded))
-	}
-	if firstErr != nil {
-		cw.discard()
-		return res, firstErr
+		l.compactLive -= len(a)
+		if err != nil {
+			cw.discard()
+			return res, err
+		}
+		marked += m
+		res.RecordsOut += len(recs)
 	}
 
 	// Nothing changed at the record level: discard the (byte-identical)
@@ -315,58 +283,57 @@ func segBytes(segs []segmentFile) (n int64) {
 	return n
 }
 
-// compactDevice is the reader side of the streaming compactor: it reads one
-// device's selected records — addrs, into sealed; its ID is devLen bytes —
-// (pread through the indexed offsets, CRC re-verified; the walk that
-// unpacks a record opens it) and runs the pipeline on them. Every record was
-// valid when Open indexed it, so anything that fails to validate now is bit
-// rot — the pass must abort (leaving the old generation untouched) rather
-// than drop the record and then delete its only copy. out.decoded is
-// reported even on error so the writer's live-memory accounting balances.
-func (l *shardLog) compactDevice(addrs []recordAddr, devLen int, sealed []segmentFile, files *segReader, p CompactionPolicy, cutoff uint32) (out devOut) {
-	recs := make([]compactRecord, 0, len(addrs))
+// compactDevice reads one device's selected records — addrs, into sealed;
+// its ID is devLen bytes — (pread through the indexed offsets, CRC
+// re-verified; the walk that unpacks a record opens it), runs the pipeline
+// on them and adds its merge, dedup and ageing counts to res. It returns the
+// records to write and how many records' watermark alone moved. Every record
+// was valid when Open indexed it, so anything that fails to validate now is
+// bit rot — the pass must abort (leaving the old generation untouched)
+// rather than drop the record and then delete its only copy.
+func compactDevice(res *CompactionResult, addrs []recordAddr, devLen int, sealed []segmentFile, files *segReader, p CompactionPolicy, cutoff uint32) (recs []compactRecord, marked int, err error) {
+	recs = make([]compactRecord, 0, len(addrs))
 	for _, a := range addrs {
 		m := &sealed[a.seg].recs[a.pos]
 		_, tr, err := files.readTrail(refSnap{seg: int(a.seg), off: m.off, bodyLen: m.bodyLen})
 		if err != nil {
-			out.err = fmt.Errorf("compact: %s: record at offset %d: %w (bit rot since open?)",
+			return nil, 0, fmt.Errorf("compact: %s: record at offset %d: %w (bit rot since open?)",
 				filepath.Base(sealed[a.seg].path), m.off, err)
-			return out
 		}
 		recs = append(recs, compactRecord{dev: m.dev, trail: tr})
-		out.decoded++
-		l.compactLiveAdd(1)
 	}
+	var n int
 	if p.MergeChunks {
-		recs, out.merged = mergeChunks(recs, devLen)
+		recs, n = mergeChunks(recs, devLen)
+		res.Merged += n
 	}
-	recs, out.deduped = dedupContained(recs)
+	recs, n = dedupContained(recs)
+	res.Deduped += n
 	if p.CoarseTolerance > 0 {
+		aged := 0
 		for i := range recs {
 			tr := &recs[i].trail
 			if tr.Bounds().T0 > cutoff || tr.Aged() >= tr.Bounds().T1 {
 				continue // all too young or all aged
 			}
 			w := tr.Aged()
-			aged, err := ageTrail(tr, p.CoarseTolerance, cutoff)
+			dropped, err := ageTrail(tr, p.CoarseTolerance, cutoff)
 			if err != nil {
-				out.err = err
-				return out
+				return nil, 0, err
 			}
-			if aged {
-				out.aged++
+			if dropped {
+				aged++
 			} else if tr.Aged() != w {
-				out.marked++
+				marked++
 			}
 		}
-		if p.MergeChunks && out.aged+out.marked > 0 { // a record aged through its last key now takes the next chunk's aged keys
-			var merged int
-			recs, merged = mergeChunks(recs, devLen)
-			out.merged += merged
+		res.Aged += aged
+		if p.MergeChunks && aged+marked > 0 { // a record aged through its last key now takes the next chunk's aged keys
+			recs, n = mergeChunks(recs, devLen)
+			res.Merged += n
 		}
 	}
-	out.recs = recs
-	return out
+	return recs, marked, nil
 }
 
 // mergeChunks re-joins consecutive records that overlap by exactly one

@@ -38,9 +38,7 @@ func chunkedKeys(d, chunks, perChunk int) [][]trajstore.GeoKey {
 // fixture in its own directory outside the timer, so the measured work
 // is exactly the streaming compactor: scan, merge, rewrite, publish.
 // SetBytes carries the pass's input size, so the MB/s column is
-// compacted input bytes per second — the figure the cores axis of the
-// benchmark matrix scales, since the compactor fans per-device work to
-// a GOMAXPROCS-sized worker pool by default.
+// compacted input bytes per second.
 func BenchmarkCompactThroughput(b *testing.B) {
 	root := b.TempDir()
 	var bytesIn int64
@@ -118,7 +116,7 @@ func BenchmarkCompactTick(b *testing.B) {
 				}
 				before := fs.written.Load()
 				b.StartTimer()
-				res, err := l.compact(CompactionPolicy{MergeChunks: true}, false, 2)
+				res, err := l.compact(CompactionPolicy{MergeChunks: true}, false)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -378,9 +378,9 @@ func TestAgeingOncePerKey(t *testing.T) {
 				case op < 6:
 					err = l.seal()
 				case op < 8:
-					res, err = l.compact(policy, false, 2)
+					res, err = l.compact(policy, false)
 				case op < 9:
-					res, err = l.compact(policy, true, 2)
+					res, err = l.compact(policy, true)
 				default:
 					if err = l.Close(); err == nil {
 						l = mustOpen(t, dir, Options{MaxSegmentBytes: 600})
@@ -394,10 +394,10 @@ func TestAgeingOncePerKey(t *testing.T) {
 			if err := l.seal(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := l.compact(policy, true, 2); err != nil {
+			if _, err := l.compact(policy, true); err != nil {
 				t.Fatal(err)
 			}
-			if res, err := l.compact(policy, true, 2); err != nil || res.Aged != 0 {
+			if res, err := l.compact(policy, true); err != nil || res.Aged != 0 {
 				t.Fatalf("a second pass at an unmoved clock = %+v, %v; want nothing aged", res, err)
 			}
 			for d := range tracks {
@@ -448,7 +448,7 @@ func TestAgedChunksStillJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		now = int64(cutoff)
-		res, err := l.compact(policy, all, 1)
+		res, err := l.compact(policy, all)
 		if err != nil || res.RecordsIn != want.RecordsIn || res.Aged != want.Aged || res.RecordsOut != want.RecordsOut {
 			t.Fatalf("%s: %+v, %v; want %d records in, %d aged, %d out", what, res, err, want.RecordsIn, want.Aged, want.RecordsOut)
 		}
@@ -705,7 +705,7 @@ func TestCompactCrashAtEveryStep(t *testing.T) {
 				}
 			}
 			durable = l.Append("tail", tail) == nil && durable && l.Sync() == nil
-			res, err = l.compact(CompactionPolicy{MergeChunks: true}, !tick, 2)
+			res, err = l.compact(CompactionPolicy{MergeChunks: true}, !tick)
 			return durable, res, errors.Join(err, l.Close())
 		}
 		// Observer pass: the script over a ruleless FaultFS counts its ops,

@@ -74,8 +74,8 @@ func buildFixtureLog(t testing.TB, dir string) {
 	if err := lg.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	// The fixture's writer ran one compaction worker per shard; the count
-	// is derived now and cannot reach the bytes.
+	// A pass writes each shard's devices in name order, as the fixture's
+	// writer did.
 	res, err := lg.Compact(CompactionPolicy{
 		MergeChunks: true, CoarseTolerance: 150, MinAge: time.Hour,
 		Now: func() time.Time { return time.Unix(1000+3600+40, 0) },

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -20,11 +19,14 @@ import (
 // must be stable — a second open of the recovered directory sees the
 // same records and truncates nothing further. The well-formed seed opens
 // with both its records, and a file under any other version byte is
-// refused with ErrCorrupt.
+// refused with ErrCorrupt. Every log lives on a memFS: on disk, the
+// file-system calls of creating, opening and removing two logs an input
+// take nearly all of the time.
 func FuzzRecover(f *testing.F) {
 	// Seed: a well-formed version-5 file with two records...
-	dir := f.TempDir()
-	l, err := openShardLog(dir, Options{})
+	const dir = "/log"
+	seedFS := newMemFS()
+	l, err := openShardLog(dir, Options{FS: seedFS})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func FuzzRecover(f *testing.F) {
 	if err := l.Close(); err != nil {
 		f.Fatal(err)
 	}
-	valid, err := os.ReadFile(filepath.Join(dir, "seg-00000001.log"))
+	valid, err := seedFS.ReadFile(filepath.Join(dir, "seg-00000001.log"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -64,13 +66,13 @@ func FuzzRecover(f *testing.F) {
 
 	man := formatManifest(manifest{Gen: 1, Segs: []manifestSeg{{Name: "seg-00000001.log"}}})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := errors.Join(os.WriteFile(filepath.Join(dir, "seg-00000001.log"), data, 0o644),
-			os.WriteFile(filepath.Join(dir, manifestName), man, 0o644)); err != nil {
+		fsys := newMemFS()
+		if err := errors.Join(fsys.MkdirAll(dir, 0o755), writeMemFile(fsys, filepath.Join(dir, "seg-00000001.log"), data),
+			writeMemFile(fsys, filepath.Join(dir, manifestName), man)); err != nil {
 			t.Fatal(err)
 		}
 		seed := bytes.Equal(data, valid)
-		l, err := openShardLog(dir, Options{})
+		l, err := openShardLog(dir, Options{FS: fsys})
 		if len(data) >= headerSize && [6]byte(data[:6]) == magic && data[6] != version && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("a version-%d file opens with %v, want ErrCorrupt", data[6], err)
 		}
@@ -93,7 +95,7 @@ func FuzzRecover(f *testing.F) {
 		}
 
 		// Recovery must be idempotent: reopening truncates nothing more.
-		l2, err := openShardLog(dir, Options{})
+		l2, err := openShardLog(dir, Options{FS: fsys})
 		if err != nil {
 			t.Fatalf("second Open after recovery: %v", err)
 		}

@@ -45,7 +45,6 @@ import (
 	"hash/crc32"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/trajcomp/bqs/internal/cache"
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -212,8 +211,8 @@ type shardLog struct {
 	// compactLive counts the records an in-flight pass holds in memory,
 	// compactLiveHWM its high-water mark across passes: they observe the
 	// compactor's bounded-memory invariant (tests assert on the HWM).
-	compactLive    atomic.Int64
-	compactLiveHWM atomic.Int64
+	// Guarded by compactMu.
+	compactLive, compactLiveHWM int
 
 	// cache is the read-side record cache (nil when not configured);
 	// possibly shared with other shard logs. See cache.go.
@@ -268,18 +267,6 @@ type shardLog struct {
 	// even though their segment bytes may be gone) and re-indexed by a
 	// successful heal.
 	atRisk []recordMeta
-}
-
-// compactLiveAdd advances the live record count and its
-// high-water mark.
-func (l *shardLog) compactLiveAdd(n int) {
-	live := l.compactLive.Add(int64(n))
-	for {
-		hwm := l.compactLiveHWM.Load()
-		if live <= hwm || l.compactLiveHWM.CompareAndSwap(hwm, live) {
-			return
-		}
-	}
 }
 
 // addRecordLocked appends one record to the last segment: its record

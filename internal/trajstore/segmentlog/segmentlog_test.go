@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -44,7 +43,7 @@ func mustOpen(t testing.TB, dir string, opts Options) *shardLog {
 // Append, Query, QueryWindowStats and Compact are ShardedLog's edges on
 // one shard log, for the tests that drive a shardLog directly.
 func (l *shardLog) Compact(p CompactionPolicy) (CompactionResult, error) {
-	return l.compact(p, true, runtime.GOMAXPROCS(0))
+	return l.compact(p, true)
 }
 
 func (l *shardLog) Append(device string, keys []trajstore.GeoKey) error {

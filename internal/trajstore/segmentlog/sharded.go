@@ -513,18 +513,15 @@ func (s *ShardedLog) Seal() error {
 }
 
 // compact is Compact, or with all false a periodic pass over what changed
-// (shardLog.compact). The shards run concurrently and split GOMAXPROCS
-// workers between them, but none gets fewer than two: with one a pass cannot
-// read the next device while its writer frames the last, which measured
-// slower and, on fleet-cutheavy, 5 MiB more resident.
+// (shardLog.compact). The shards' passes run concurrently, each one loop
+// over its own devices.
 func (s *ShardedLog) compact(p CompactionPolicy, all bool) (CompactionResult, error) {
 	if err := s.live(); err != nil {
 		return CompactionResult{}, err
 	}
-	workers := max(2, runtime.GOMAXPROCS(0)/len(s.shards))
 	results := make([]CompactionResult, len(s.shards))
 	err := s.each(func(i int, lg *shardLog) (err error) {
-		results[i], err = lg.compact(p, all, workers)
+		results[i], err = lg.compact(p, all)
 		return err
 	})
 	var out CompactionResult

@@ -573,9 +573,9 @@ func TestShardedCompactCrashAtEveryStep(t *testing.T) {
 	}
 }
 
-// TestCompactBoundedMemory pins the streaming compactor's memory bound:
-// with W workers, at most W devices' decoded records are live at once —
-// the high-water mark stays far under the whole log's record count.
+// TestCompactBoundedMemory pins the compactor's memory bound: a pass
+// holds one device's records at a time — the high-water mark is one
+// device's records, far under the whole log's record count.
 func TestCompactBoundedMemory(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{MaxSegmentBytes: 1 << 10})
@@ -593,68 +593,20 @@ func TestCompactBoundedMemory(t *testing.T) {
 	}
 	defer l.Close()
 
-	const workers = 2
-	res, err := l.compact(CompactionPolicy{MergeChunks: true}, true, workers)
+	res, err := l.compact(CompactionPolicy{MergeChunks: true}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.RecordsIn < devices*perDev/2 {
 		t.Fatalf("compaction saw only %d records; fixture did not seal enough segments", res.RecordsIn)
 	}
-	hwm := l.compactLiveHWM.Load()
-	if hwm == 0 {
+	if hwm := l.compactLiveHWM; hwm == 0 {
 		t.Fatal("compaction decoded nothing (high-water mark 0)")
+	} else if hwm > perDev {
+		t.Fatalf("decoded-record high-water mark %d exceeds one device's %d records (of %d total records)",
+			hwm, perDev, res.RecordsIn)
 	}
-	if max := int64(workers * perDev); hwm > max {
-		t.Fatalf("decoded-record high-water mark %d exceeds the %d-worker bound %d (of %d total records)",
-			hwm, workers, max, res.RecordsIn)
-	}
-	if live := l.compactLive.Load(); live != 0 {
+	if live := l.compactLive; live != 0 {
 		t.Fatalf("live decoded-record count %d after compaction, want 0", live)
-	}
-}
-
-// TestCompactParallelMatchesSequential: the worker count is a
-// performance knob, not a semantic one — 1 and 4 workers produce logs
-// with identical query answers and record counts.
-func TestCompactParallelMatchesSequential(t *testing.T) {
-	build := func(t *testing.T) (*shardLog, []string) {
-		dir := t.TempDir()
-		l := mustOpen(t, dir, Options{MaxSegmentBytes: 1 << 10})
-		var devices []string
-		for d := 0; d < 10; d++ {
-			dev := fmt.Sprintf("dev-%d", d)
-			devices = append(devices, dev)
-			for _, chunk := range chunkedKeys(d, 6, 12) {
-				if err := l.Append(dev, chunk); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := l.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		return l, devices
-	}
-
-	seq, devices := build(t)
-	par, _ := build(t)
-	rSeq, err := seq.compact(CompactionPolicy{MergeChunks: true}, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rPar, err := par.compact(CompactionPolicy{MergeChunks: true}, true, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rSeq.Merged == 0 || rSeq.Merged != rPar.Merged || rSeq.RecordsOut != rPar.RecordsOut {
-		t.Fatalf("sequential %+v vs parallel %+v", rSeq, rPar)
-	}
-	for _, dev := range devices {
-		a, b := queryAll(t, seq, dev), queryAll(t, par, dev)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: sequential and parallel compaction disagree", dev)
-		}
 	}
 }

@@ -108,7 +108,7 @@ func tickedAndTwin(t *testing.T, seed int64, ageing bool) {
 			both("seal", (*shardLog).seal)
 		case op < 17:
 			sealed := logs[0].Stats().Segments - 1
-			res, err := logs[0].compact(policy, false, 2)
+			res, err := logs[0].compact(policy, false)
 			if err != nil {
 				t.Fatalf("tick: %v", err)
 			}
@@ -117,7 +117,7 @@ func tickedAndTwin(t *testing.T, seed int64, ageing bool) {
 			}
 			aged += res.Aged
 		case op < 18:
-			both("explicit pass", func(l *shardLog) error { _, err := l.compact(policy, true, 2); return err })
+			both("explicit pass", func(l *shardLog) error { _, err := l.compact(policy, true); return err })
 		case op < 19: // every fsync fails: the un-synced tail leaves the index, then heals back in
 			for i, l := range logs {
 				l.mu.Lock()
@@ -157,10 +157,10 @@ func tickedAndTwin(t *testing.T, seed int64, ageing bool) {
 		t.Fatalf("%d ticks, %d of them replacing a run behind older segments, %d records aged: the schedule proved nothing", ticks, runs, aged)
 	}
 	both("final seal", (*shardLog).seal)
-	both("final pass", func(l *shardLog) error { _, err := l.compact(policy, true, 2); return err })
+	both("final pass", func(l *shardLog) error { _, err := l.compact(policy, true); return err })
 	if ageing {
 		both("a pass after the last", func(l *shardLog) error {
-			if res, err := l.compact(policy, true, 2); err != nil || res.Aged != 0 {
+			if res, err := l.compact(policy, true); err != nil || res.Aged != 0 {
 				return fmt.Errorf("%+v, %v; want nothing aged", res, err)
 			}
 			return nil
@@ -249,7 +249,7 @@ func TestTickCostFollowsWhatChanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			mid := fs.written.Load()
-			if _, err := l.compact(CompactionPolicy{MergeChunks: true}, all, 2); err != nil {
+			if _, err := l.compact(CompactionPolicy{MergeChunks: true}, all); err != nil {
 				t.Fatal(err)
 			}
 			appended += mid - before
