@@ -12,13 +12,13 @@ import (
 // on an *os.File.
 //
 // Every filesystem operation the log performs must route through the
-// vfs.FS seam introduced in PR 8 — that is what lets FaultFS's
+// vfs.FS seam — that is what lets the in-memory FaultFS's
 // crash-at-every-op and fsync-poison matrices cover it. A raw os call
-// compiles, passes every test, and silently exempts itself from the
-// entire fault-injection story; this analyzer turns that silent
-// coverage hole into a build failure. The vfs package itself (the
-// seam's passthrough implementation) and _test.go files (which stage
-// fixtures and corrupt files on purpose) are exempt.
+// compiles, passes every test on the disk, and silently exempts itself
+// from the entire fault-injection story; this analyzer turns that silent
+// coverage hole into a build failure. The vfs package itself (whose OS
+// passthrough is the seam's one use of the os package) and _test.go
+// files (which stage fixtures and corrupt files on purpose) are exempt.
 var VFSSeam = &Analyzer{
 	Name: "vfsseam",
 	Doc:  "segmentlog filesystem traffic must route through vfs.FS so fault injection covers it",

@@ -767,7 +767,8 @@ func covered(t *testing.T, dev string, recs []mRec) int {
 // segment log on a fault-injecting filesystem. What the log does inside a
 // fault is its own business, so only what must hold regardless is
 // checked: the invariants after every op, that ingest is admitted exactly
-// when Healthy, and on a clean reopen that every record is a run of acked
+// when Healthy, and on a reopen after a power loss (the FaultFS's
+// Restart) that every record is a run of acked
 // fixes chaining onto the last, that everything a nil Sync covered is
 // there, and — when Close returned nil — every acked fix.
 func TestEngineModelFaultFS(t *testing.T) {
@@ -776,7 +777,7 @@ func TestEngineModelFaultFS(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%03d", seed), func(t *testing.T) {
 			t.Parallel()
 			ops := genOps(rand.New(rand.NewSource(seed)), modelOps)
-			dir := t.TempDir()
+			const dir = "/log"
 			fs := vfs.NewFaultFS(seed)
 			lg, err := segmentlog.OpenSharded(dir, modelShards, segmentlog.Options{
 				FS: fs, MaxSegmentBytes: 512, Compaction: &segmentlog.CompactionPolicy{MergeChunks: true},
@@ -868,7 +869,7 @@ func TestEngineModelFaultFS(t *testing.T) {
 				t.Fatalf("Close = %v, want nil, a loss report, the log's close error or a standing compaction failure", closeErr)
 			}
 
-			re, err := segmentlog.OpenSharded(dir, 0, segmentlog.Options{})
+			re, err := segmentlog.OpenSharded(dir, 0, segmentlog.Options{FS: fs.Restart()})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}

@@ -31,7 +31,7 @@ func TestFlushCutsOnePolyline(t *testing.T) {
 			var emitted onKeyLog
 			fs := vfs.NewFaultFS(7)
 			srv, addr := startServer(t, Config{
-				Dir:    t.TempDir(),
+				Dir:    "/srv",
 				Engine: engine.Config{Tolerance: 2, Shards: 1, MaxTrailKeys: 16, OnKey: emitted.onKey},
 				Log:    segmentlog.Options{FS: fs, MaxSegmentBytes: 1024, Compaction: &segmentlog.CompactionPolicy{MergeChunks: true}},
 			})

@@ -159,7 +159,7 @@ func covers(t *testing.T, recs []trajstore.PersistedRecord, dev string, keys []t
 // track included. acked is every track acked, by device.
 func degradedFleet(t *testing.T) (srv *Server, c *Client, fs *vfs.FaultFS, dir string, acked map[string][]trajstore.GeoKey) {
 	t.Helper()
-	fs, dir = vfs.NewFaultFS(7), t.TempDir()
+	fs, dir = vfs.NewFaultFS(7), "/srv"
 	srv, addr := startServer(t, Config{
 		Dir:    dir,
 		Engine: engine.Config{Tolerance: 2, Shards: 1, MaxTrailKeys: 16},
@@ -236,8 +236,9 @@ func degradedFleet(t *testing.T) (srv *Server, c *Client, fs *vfs.FaultFS, dir s
 // TestShutdownDrainsParkedTrails is the restart path an operator takes
 // when no one sent SIGHUP: the fault is cleared, the tenant is still
 // degraded, the daemon is told to drain. The engine's Close writes the
-// parked trails out itself, so the reopened directory holds every acked
-// fix — including the batch acked while the disk was failing.
+// parked trails out itself, so the directory, reopened on the FaultFS's
+// Restart, holds every acked fix — including the batch acked while the
+// disk was failing.
 func TestShutdownDrainsParkedTrails(t *testing.T) {
 	srv, c, fs, dir, acked := degradedFleet(t)
 	fs.ClearRules()
@@ -247,7 +248,7 @@ func TestShutdownDrainsParkedTrails(t *testing.T) {
 	if err := srv.Shutdown(); err != nil && (!errors.Is(err, engine.ErrDegraded) || strings.Contains(err.Error(), "dropped")) {
 		t.Fatalf("Shutdown with the fault cleared = %v", err)
 	}
-	lg, err := segmentlog.OpenSharded(filepath.Join(dir, "fleet"), 0, segmentlog.Options{})
+	lg, err := segmentlog.OpenSharded(filepath.Join(dir, "fleet"), 0, segmentlog.Options{FS: fs.Restart()})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -35,45 +35,55 @@ func chunkedKeys(d, chunks, perChunk int) [][]trajstore.GeoKey {
 
 // BenchmarkCompactThroughput measures one chunk-merge compaction pass
 // over a freshly built multi-segment log. Each iteration rebuilds the
-// fixture in its own directory outside the timer, so the measured work
-// is exactly the streaming compactor: scan, merge, rewrite, publish.
-// SetBytes carries the pass's input size, so the MB/s column is
-// compacted input bytes per second.
+// fixture outside the timer, so the measured work is exactly the
+// streaming compactor: scan, merge, rewrite, publish. The mem row runs on
+// a vfs.FaultFS with no rules, so it measures the compactor's CPU; the
+// disk row writes and fsyncs a directory of its own each iteration, so it
+// adds what the file system costs on the host. SetBytes carries the
+// pass's input size, so the MB/s column is compacted input bytes per
+// second.
 func BenchmarkCompactThroughput(b *testing.B) {
-	root := b.TempDir()
-	var bytesIn int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := fmt.Sprintf("%s/run-%d", root, i)
-		l, err := openShardLog(dir, Options{MaxSegmentBytes: 8 << 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for d := 0; d < 30; d++ {
-			for _, chunk := range chunkedKeys(d, 20, 16) {
-				if err := l.Append(fmt.Sprintf("dev-%03d", d), chunk); err != nil {
+	for _, name := range []string{"mem", "disk"} {
+		b.Run(name, func(b *testing.B) {
+			root := b.TempDir()
+			var bytesIn int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir, opts := memDir, Options{MaxSegmentBytes: 8 << 10, FS: vfs.NewFaultFS(1)}
+				if name == "disk" {
+					dir, opts.FS = fmt.Sprintf("%s/run-%d", root, i), nil
+				}
+				l, err := openShardLog(dir, opts)
+				if err != nil {
 					b.Fatal(err)
 				}
+				for d := 0; d < 30; d++ {
+					for _, chunk := range chunkedKeys(d, 20, 16) {
+						if err := l.Append(fmt.Sprintf("dev-%03d", d), chunk); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				if err := l.Sync(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res, err := l.Compact(CompactionPolicy{MergeChunks: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if res.Gen == 0 || res.Merged == 0 {
+					b.Fatalf("compaction did no work: %+v", res)
+				}
+				bytesIn = res.BytesIn
+				l.Close()
+				b.StartTimer()
 			}
-		}
-		if err := l.Sync(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		res, err := l.Compact(CompactionPolicy{MergeChunks: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if res.Gen == 0 || res.Merged == 0 {
-			b.Fatalf("compaction did no work: %+v", res)
-		}
-		bytesIn = res.BytesIn
-		l.Close()
-		b.StartTimer()
+			b.SetBytes(bytesIn)
+		})
 	}
-	b.SetBytes(bytesIn)
 }
 
 // BenchmarkCompactTick measures one periodic pass over 4 newly sealed
@@ -82,12 +92,13 @@ func BenchmarkCompactThroughput(b *testing.B) {
 // (B-written/op, countFS) are flat in the old count — but for the MANIFEST,
 // which every publish, a rotation's too, rewrites whole. The old segments are
 // one tier, as an open leaves them, and are made one again after every
-// iteration, outside the timer, so each tick meets the same log.
+// iteration, outside the timer, so each tick meets the same log. The log
+// lives on a vfs.FaultFS with no rules, so ns/op is the pass's CPU.
 func BenchmarkCompactTick(b *testing.B) {
 	for _, old := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("old=%d", old), func(b *testing.B) {
-			fs := &countFS{FS: vfs.OS}
-			l, err := openShardLog(b.TempDir(), Options{MaxSegmentBytes: 4 << 10, FS: fs})
+			fs := &countFS{FS: vfs.NewFaultFS(1)}
+			l, err := openShardLog(memDir, Options{MaxSegmentBytes: 4 << 10, FS: fs})
 			if err != nil {
 				b.Fatal(err)
 			}

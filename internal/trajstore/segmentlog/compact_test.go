@@ -608,12 +608,15 @@ func TestCompactAgeingKeepsEdgeBytes(t *testing.T) {
 // bounds, so the sweeps cross as many rolls and publishes as they did.
 const crashSegBytes = 180
 
-// compactionFixture builds a deterministic chunked multi-device log and
-// returns the directory plus the expected per-device stitched polylines.
-func compactionFixture(t *testing.T) (string, map[string][]trajstore.GeoKey) {
+// compactionFixture builds a deterministic chunked multi-device log in
+// memDir on a FaultFS seeded with seed, and returns that filesystem's
+// Restart — what the fixture made durable — plus the expected per-device
+// stitched polylines.
+func compactionFixture(t *testing.T, seed int64) (*vfs.FaultFS, map[string][]trajstore.GeoKey) {
 	t.Helper()
-	dir := t.TempDir()
-	return dir, fillCompactionFixture(t, mustOpen(t, dir, Options{MaxSegmentBytes: crashSegBytes}))
+	fs := vfs.NewFaultFS(seed)
+	want := fillCompactionFixture(t, mustOpen(t, memDir, Options{MaxSegmentBytes: crashSegBytes, FS: fs}))
+	return fs.Restart(), want
 }
 
 // fillCompactionFixture writes the fixture content through l — a shard
@@ -646,10 +649,11 @@ func fillCompactionFixture(t *testing.T, l interface {
 	return want
 }
 
-// verifyFixture checks a reopened log holds exactly the fixture content.
-func verifyFixture(t *testing.T, dir string, want map[string][]trajstore.GeoKey, ctx string) {
+// verifyFixture checks the log in memDir on fs holds exactly the fixture
+// content.
+func verifyFixture(t *testing.T, fs *vfs.FaultFS, want map[string][]trajstore.GeoKey, ctx string) {
 	t.Helper()
-	l := mustOpen(t, dir, Options{MaxSegmentBytes: 512})
+	l := mustOpen(t, memDir, Options{MaxSegmentBytes: 512, FS: fs})
 	defer l.Close()
 	for dev, keys := range want {
 		if got := stitch(queryAll(t, l, dev)); !reflect.DeepEqual(got, keys) {
@@ -665,7 +669,7 @@ func verifyFixture(t *testing.T, dir string, want map[string][]trajstore.GeoKey,
 	if err := l.Close(); err != nil {
 		t.Fatalf("%s: close: %v", ctx, err)
 	}
-	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 512})
+	l2 := mustOpen(t, memDir, Options{MaxSegmentBytes: 512, FS: fs.Restart()})
 	defer l2.Close()
 	if recs := queryAll(t, l2, "post"); len(recs) != 1 || !reflect.DeepEqual(recs[0].Keys, extra) {
 		t.Fatalf("%s: post-recovery append lost", ctx)
@@ -712,9 +716,8 @@ func TestCompactCrashAtEveryStep(t *testing.T) {
 		// and the compaction's among them. The fixture content is
 		// deterministic and shard-free, so op k lands on the same operation
 		// in every run.
-		probeDir, _ := compactionFixture(t)
-		obs := vfs.NewFaultFS(0)
-		probe := mustOpen(t, probeDir, Options{MaxSegmentBytes: crashSegBytes, FS: obs})
+		obs, _ := compactionFixture(t, 0)
+		probe := mustOpen(t, memDir, Options{MaxSegmentBytes: crashSegBytes, FS: obs})
 		n0, older := obs.Ops(), probe.Stats().Segments-1
 		ok, res, err := script(probe)
 		if !ok || err != nil || res.Gen == 0 {
@@ -731,14 +734,13 @@ func TestCompactCrashAtEveryStep(t *testing.T) {
 		for k := 1; k <= n1; k++ {
 			t.Run(fmt.Sprintf("%s-%03d", prefix, k), func(t *testing.T) {
 				t.Parallel()
-				dir, want := compactionFixture(t)
-				fs := vfs.NewFaultFS(int64(k)) // seed varies the torn-rename coin flips
+				fs, want := compactionFixture(t, int64(k)) // seed varies the torn-rename coin flips
 				fs.AddRule(vfs.Rule{Fault: vfs.FaultCrash, After: k - 1, Count: 1})
 				// An open the crash kills (k ≤ n0) is a legal outcome; past it
 				// the script usually dies at op k — a crash inside a
 				// best-effort step can still report success. Either way the
 				// handle is dead afterwards.
-				if l, err := openShardLog(dir, Options{MaxSegmentBytes: crashSegBytes, FS: fs}); err == nil {
+				if l, err := openShardLog(memDir, Options{MaxSegmentBytes: crashSegBytes, FS: fs}); err == nil {
 					if durable, _, _ := script(l); durable {
 						want["tail"] = tail
 						if tick {
@@ -751,7 +753,7 @@ func TestCompactCrashAtEveryStep(t *testing.T) {
 				if !fs.Crashed() {
 					t.Fatalf("schedule never crashed: %s", fs)
 				}
-				verifyFixture(t, dir, want, fmt.Sprintf("crash at op %d", k))
+				verifyFixture(t, fs.Restart(), want, fmt.Sprintf("crash at op %d", k))
 			})
 		}
 	}
@@ -931,7 +933,7 @@ func TestNameTableUnderConcurrency(t *testing.T) {
 // and (under -race) the two sides must never touch the same entry.
 func TestCompactBesidePoisonAndHeal(t *testing.T) {
 	fs := vfs.NewFaultFS(11)
-	l := mustOpen(t, t.TempDir(), Options{FS: fs, MaxSegmentBytes: 1024})
+	l := mustOpen(t, memDir, Options{FS: fs, MaxSegmentBytes: 1024})
 	defer l.Close()
 	const devices = 4
 	tracks := make([][]trajstore.GeoKey, devices)
@@ -998,8 +1000,8 @@ func TestCompactBesidePoisonAndHeal(t *testing.T) {
 
 // TestCompactReadOnlyRefused: a read-only handle cannot compact.
 func TestCompactReadOnlyRefused(t *testing.T) {
-	dir, _ := compactionFixture(t)
-	l := mustOpen(t, dir, Options{ReadOnly: true})
+	fs, _ := compactionFixture(t, 1)
+	l := mustOpen(t, memDir, Options{ReadOnly: true, FS: fs})
 	defer l.Close()
 	if _, err := l.Compact(CompactionPolicy{MergeChunks: true}); err != ErrReadOnly {
 		t.Fatalf("Compact on read-only log = %v, want ErrReadOnly", err)
@@ -1101,17 +1103,17 @@ func TestOpenSweepsUnreferenced(t *testing.T) {
 // TestManifestCorruptRejected: a damaged manifest must fail the open
 // loudly instead of silently reordering the log.
 func TestManifestCorruptRejected(t *testing.T) {
-	dir, _ := compactionFixture(t)
-	path := filepath.Join(dir, manifestName)
-	data, err := os.ReadFile(path)
+	fs, _ := compactionFixture(t, 1)
+	path := filepath.Join(memDir, manifestName)
+	data, err := fs.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x20
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := writeFile(fs, path, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openShardLog(dir, Options{}); err == nil {
+	if _, err := openShardLog(memDir, Options{FS: fs}); err == nil {
 		t.Fatal("corrupt manifest accepted")
 	}
 }
@@ -1161,8 +1163,8 @@ func TestCompactBitRotAborts(t *testing.T) {
 // TestCompactNoopSkipsRewrite: a pass that merges, dedups and ages
 // nothing must not rewrite segments or publish a new generation.
 func TestCompactNoopSkipsRewrite(t *testing.T) {
-	dir, want := compactionFixture(t)
-	l := mustOpen(t, dir, Options{MaxSegmentBytes: 512})
+	fs, want := compactionFixture(t, 1)
+	l := mustOpen(t, memDir, Options{MaxSegmentBytes: 512, FS: fs})
 	defer l.Close()
 	if _, err := l.Compact(CompactionPolicy{MergeChunks: true}); err != nil {
 		t.Fatal(err)

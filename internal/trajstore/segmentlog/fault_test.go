@@ -2,9 +2,9 @@
 // live here — targeted schedules for the fsync-poison/salvage machinery,
 // and TestFaultMatrix, the seeded-schedule acceptance sweep: whatever a
 // schedule injects (ENOSPC, EIO, short writes, power loss), the log must
-// reopen through a clean filesystem to exactly one consistent generation
-// in which every indexed record is servable and every record the API
-// rejected is absent.
+// reopen on the FaultFS's Restart (what a power loss leaves) to exactly
+// one consistent generation in which every indexed record is servable and
+// every record the API rejected is absent.
 package segmentlog
 
 import (
@@ -28,7 +28,7 @@ import (
 // Sync salvages the at-risk records into a fresh file and reports
 // success, because after the salvage everything appended IS durable.
 func TestFsyncPoisonSalvage(t *testing.T) {
-	dir := t.TempDir()
+	const dir = "/log"
 	fs := vfs.NewFaultFS(1)
 	l := mustOpen(t, dir, Options{FS: fs})
 
@@ -69,7 +69,7 @@ func TestFsyncPoisonSalvage(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2 := mustOpen(t, dir, Options{})
+	l2 := mustOpen(t, dir, Options{FS: fs.Restart()})
 	defer l2.Close()
 	recs := queryAll(t, l2, "dev")
 	if len(recs) != len(want)+1 {
@@ -87,7 +87,7 @@ func TestFsyncPoisonSalvage(t *testing.T) {
 // at the durable watermark and only the at-risk tail moves to the fresh
 // segment — nothing below the watermark is rewritten or duplicated.
 func TestFsyncPoisonSealedWatermark(t *testing.T) {
-	dir := t.TempDir()
+	const dir = "/log"
 	fs := vfs.NewFaultFS(2)
 	l := mustOpen(t, dir, Options{FS: fs})
 
@@ -112,7 +112,7 @@ func TestFsyncPoisonSealedWatermark(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2 := mustOpen(t, dir, Options{})
+	l2 := mustOpen(t, dir, Options{FS: fs.Restart()})
 	defer l2.Close()
 	recs := queryAll(t, l2, "dev")
 	if len(recs) != 2 {
@@ -128,7 +128,7 @@ func TestFsyncPoisonSealedWatermark(t *testing.T) {
 // recovers, the very next Append heals into a fresh file first — the
 // poisoned segment never takes another byte.
 func TestPoisonedAppendHeals(t *testing.T) {
-	dir := t.TempDir()
+	const dir = "/log"
 	fs := vfs.NewFaultFS(3)
 	l := mustOpen(t, dir, Options{FS: fs})
 
@@ -160,7 +160,7 @@ func TestPoisonedAppendHeals(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2 := mustOpen(t, dir, Options{})
+	l2 := mustOpen(t, dir, Options{FS: fs.Restart()})
 	defer l2.Close()
 	recs := queryAll(t, l2, "dev")
 	if len(recs) != 2 {
@@ -178,7 +178,7 @@ func TestPoisonedAppendHeals(t *testing.T) {
 // it — and a heal brings it back.
 func TestPoisonWithdrawsTheDevice(t *testing.T) {
 	fs := vfs.NewFaultFS(4)
-	l := mustOpen(t, t.TempDir(), Options{FS: fs})
+	l := mustOpen(t, "/log", Options{FS: fs})
 	defer l.Close()
 	if err := l.Append("durable", genKeys(1, 10)); err != nil {
 		t.Fatal(err)
@@ -224,16 +224,17 @@ func TestPoisonWithdrawsTheDevice(t *testing.T) {
 // — sweeps it and takes appends. (Seeds 39 and 155 of a 256-seed
 // TestFaultMatrix found it.)
 func TestFailedFirstOpenReopens(t *testing.T) {
-	dir := t.TempDir()
+	const dir = "/log"
 	fs := vfs.NewFaultFS(5)
 	fs.AddRule(vfs.Rule{Op: vfs.OpRename, Fault: vfs.FaultEIO, Count: 1})
 	if _, err := openShardLog(dir, Options{FS: fs}); err == nil {
 		t.Fatal("first open published its MANIFEST through a failing rename")
 	}
-	if _, err := os.Stat(filepath.Join(dir, segName(1))); err != nil {
+	fs = fs.Restart()
+	if _, err := fs.Stat(filepath.Join(dir, segName(1))); err != nil {
 		t.Fatalf("fixture: the failed open left no segment behind: %v", err)
 	}
-	l := mustOpen(t, dir, Options{})
+	l := mustOpen(t, dir, Options{FS: fs})
 	defer l.Close()
 	if err := l.Append("dev", genKeys(1, 10)); err != nil {
 		t.Fatal(err)
@@ -241,7 +242,7 @@ func TestFailedFirstOpenReopens(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
+	if _, err := fs.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
 		t.Fatalf("the failed open's segment was not swept: %v", err)
 	}
 	checkView(t, l)
@@ -282,7 +283,7 @@ type faultRec struct {
 // ingest→sync→compact→query workload through it, tolerating whatever
 // errors surface. The invariants checked are absolute:
 //
-//   - the directory reopens through a clean filesystem to one
+//   - the directory reopens after a power loss (Restart) to one
 //     consistent generation;
 //   - every record covered by a successful Sync is served exactly once,
 //     bit-identical;
@@ -303,7 +304,7 @@ func TestFaultMatrix(t *testing.T) {
 
 func runFaultSchedule(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-	dir := t.TempDir()
+	const dir = "/log"
 	fs := vfs.NewFaultFS(seed)
 	faults := []vfs.Fault{vfs.FaultEIO, vfs.FaultENOSPC, vfs.FaultShortWrite, vfs.FaultCrash}
 	ops := []vfs.Op{"", vfs.OpWrite, vfs.OpSync, vfs.OpRename, vfs.OpOpenFile, vfs.OpTruncate, vfs.OpRemove}
@@ -364,8 +365,8 @@ func runFaultSchedule(t *testing.T, seed int64) {
 		}
 	}
 
-	// Acceptance: reopen through the real filesystem.
-	l2, err := openShardLog(dir, Options{MaxSegmentBytes: 600})
+	// Acceptance: reopen what survived a power loss.
+	l2, err := openShardLog(dir, Options{MaxSegmentBytes: 600, FS: fs.Restart()})
 	if err != nil {
 		t.Fatalf("reopen after schedule %s: %v", fs, err)
 	}
@@ -403,7 +404,7 @@ func runFaultSchedule(t *testing.T, seed int64) {
 // stays servable throughout, and a Sync leaves nothing behind.
 func TestWriteBehindBound(t *testing.T) {
 	fs := vfs.NewFaultFS(3)
-	dir := t.TempDir()
+	const dir = "/log"
 	l := mustOpen(t, dir, Options{FS: fs})
 	keys := genKeys(1, 4000) // ≈ 12 KiB a record
 	records, appended := 0, int64(0)
@@ -439,8 +440,7 @@ func TestWriteBehindBound(t *testing.T) {
 		t.Fatalf("after an oversized record: %d B unsynced, %d B of capacity kept", st.Unsynced, cap(l.unsynced))
 	}
 	// Power loss now: everything an fsync covered is on disk.
-	fs.Crash()
-	l2 := mustOpen(t, dir, Options{})
+	l2 := mustOpen(t, dir, Options{FS: fs.Restart()})
 	defer l2.Close()
 	if st := l2.Stats(); st.Records != records+1 {
 		t.Fatalf("after the crash: %d records, want %d", st.Records, records+1)
@@ -458,7 +458,7 @@ func TestWriteBehindBound(t *testing.T) {
 // record is there exactly once.
 func TestWriteBehindFsyncFailsInsideAppend(t *testing.T) {
 	fs := vfs.NewFaultFS(4)
-	dir := t.TempDir()
+	const dir = "/log"
 	l := mustOpen(t, dir, Options{FS: fs})
 	keys := genKeys(1, 4000)
 	if err := l.Append("dev", keys); err != nil {
@@ -503,7 +503,7 @@ func TestWriteBehindFsyncFailsInsideAppend(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2 := mustOpen(t, dir, Options{})
+	l2 := mustOpen(t, dir, Options{FS: fs.Restart()})
 	defer l2.Close()
 	recs := queryAll(t, l2, "dev")
 	if len(recs) != accepted {

@@ -104,7 +104,7 @@ func acquireLock(fsys vfs.FS, dir string) (vfs.File, error) {
 		// directory could not be locked.
 		return nil, fmt.Errorf("segmentlog: locking %s: %w", dir, err)
 	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+	if err := vfs.Flock(f, syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		if err != syscall.EWOULDBLOCK && err != syscall.EAGAIN {
 			// Not contention (e.g. a filesystem without flock support):
 			// report the real error, not a phantom lock holder.

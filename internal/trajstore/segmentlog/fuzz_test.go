@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
+	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
 
 // FuzzRecover feeds arbitrary bytes to Open as the active segment a
@@ -19,13 +20,13 @@ import (
 // must be stable — a second open of the recovered directory sees the
 // same records and truncates nothing further. The well-formed seed opens
 // with both its records, and a file under any other version byte is
-// refused with ErrCorrupt. Every log lives on a memFS: on disk, the
-// file-system calls of creating, opening and removing two logs an input
-// take nearly all of the time.
+// refused with ErrCorrupt. Every log lives on a vfs.FaultFS with no
+// rules: on disk, the file-system calls of creating, opening and removing
+// two logs an input take nearly all of the time.
 func FuzzRecover(f *testing.F) {
 	// Seed: a well-formed version-5 file with two records...
 	const dir = "/log"
-	seedFS := newMemFS()
+	seedFS := vfs.NewFaultFS(1)
 	l, err := openShardLog(dir, Options{FS: seedFS})
 	if err != nil {
 		f.Fatal(err)
@@ -66,9 +67,9 @@ func FuzzRecover(f *testing.F) {
 
 	man := formatManifest(manifest{Gen: 1, Segs: []manifestSeg{{Name: "seg-00000001.log"}}})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fsys := newMemFS()
-		if err := errors.Join(fsys.MkdirAll(dir, 0o755), writeMemFile(fsys, filepath.Join(dir, "seg-00000001.log"), data),
-			writeMemFile(fsys, filepath.Join(dir, manifestName), man)); err != nil {
+		fsys := vfs.NewFaultFS(1)
+		if err := errors.Join(fsys.MkdirAll(dir, 0o755), writeFile(fsys, filepath.Join(dir, "seg-00000001.log"), data),
+			writeFile(fsys, filepath.Join(dir, manifestName), man)); err != nil {
 			t.Fatal(err)
 		}
 		seed := bytes.Equal(data, valid)

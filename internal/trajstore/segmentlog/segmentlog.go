@@ -117,8 +117,9 @@ type Options struct {
 	// FS substitutes the filesystem every disk operation goes through.
 	// nil means vfs.OS, the zero-overhead passthrough to the os
 	// package — production callers never set this. Tests inject
-	// vfs.FaultFS to exercise ENOSPC/EIO/fsync-failure/crash schedules
-	// against the whole durable stack.
+	// vfs.FaultFS, an in-memory filesystem, to exercise
+	// ENOSPC/EIO/fsync-failure/crash schedules against the whole durable
+	// stack, and reopen on its Restart to see what a crash left.
 	FS vfs.FS
 	// CacheBytes, when positive, enables the read-side record cache
 	// with that byte budget: query paths serve repeated reads of the

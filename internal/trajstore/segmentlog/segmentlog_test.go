@@ -30,6 +30,19 @@ func genKeys(seed, n int) []trajstore.GeoKey {
 	return keys
 }
 
+// memDir is where the tests that run on a vfs.FaultFS keep their log.
+const memDir = "/log"
+
+// writeFile creates (or replaces) name on fsys holding data.
+func writeFile(fsys vfs.FS, name string, data []byte) error {
+	f, err := fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	return errors.Join(err, f.Close())
+}
+
 func mustOpen(t testing.TB, dir string, opts Options) *shardLog {
 	t.Helper()
 	opts.cache = newRecordCache(opts.CacheBytes) // as OpenSharded does

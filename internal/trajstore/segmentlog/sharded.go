@@ -301,7 +301,7 @@ func (s *ShardedLog) releaseLock() {
 	if s.lock == nil {
 		return
 	}
-	syscall.Flock(int(s.lock.Fd()), syscall.LOCK_UN)
+	vfs.Flock(s.lock, syscall.LOCK_UN)
 	_ = s.lock.Close() // the unlock above is what matters; nothing was written
 	s.lock = nil
 }

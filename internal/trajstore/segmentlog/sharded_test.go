@@ -293,32 +293,39 @@ func TestShardedCloseIdempotent(t *testing.T) {
 
 // TestLockExcludesSecondWriter: the root LOCK is the only lock in the
 // tree. A second writable open fails with ErrLocked naming the holder's
-// pid while the first holds the root, a read-only open alongside the
+// pid while the first holds the root — on the disk, and on a FaultFS,
+// whose handles lock in its own table — a read-only open alongside the
 // writer succeeds, and the lock is released by Close and by every
 // failed-open unwind path.
 func TestLockExcludesSecondWriter(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpenSharded(t, dir, 2, Options{})
-	if err := s.Append("dev", genKeys(1, 6)); err != nil {
-		t.Fatal(err)
+	ffs := vfs.NewFaultFS(1)
+	for _, c := range []struct {
+		name, dir string
+		fs        vfs.FS
+	}{{"disk", t.TempDir(), nil}, {"faultfs", memDir, ffs}} {
+		t.Run(c.name, func(t *testing.T) {
+			s := mustOpenSharded(t, c.dir, 2, Options{FS: c.fs})
+			if err := s.Append("dev", genKeys(1, 6)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenSharded(c.dir, 2, Options{FS: c.fs})
+			if !errors.Is(err, ErrLocked) || !strings.Contains(err.Error(), fmt.Sprintf("held by pid %d", os.Getpid())) {
+				t.Fatalf("second writable open = %v, want ErrLocked naming pid %d", err, os.Getpid())
+			}
+			ro := mustOpenSharded(t, c.dir, 0, Options{ReadOnly: true, FS: c.fs})
+			if recs, err := ro.Query("dev", 0, math.MaxUint32); err != nil || len(recs) != 1 {
+				t.Fatalf("read-only open of a locked root saw %d records, err %v", len(recs), err)
+			}
+			ro.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			mustOpenSharded(t, c.dir, 0, Options{FS: c.fs}).Close()
+		})
 	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err := OpenSharded(dir, 2, Options{})
-	if !errors.Is(err, ErrLocked) || !strings.Contains(err.Error(), fmt.Sprintf("held by pid %d", os.Getpid())) {
-		t.Fatalf("second writable open = %v, want ErrLocked naming pid %d", err, os.Getpid())
-	}
-	ro := mustOpenSharded(t, dir, 0, Options{ReadOnly: true})
-	if recs, err := ro.Query("dev", 0, math.MaxUint32); err != nil || len(recs) != 1 {
-		t.Fatalf("read-only open of a locked root saw %d records, err %v", len(recs), err)
-	}
-	ro.Close()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mustOpenSharded(t, dir, 0, Options{}).Close()
 
 	// Every failed-open unwind path must drop the lock: after the
 	// injected failure a plain open of the same root has to succeed.
@@ -335,11 +342,10 @@ func TestLockExcludesSecondWriter(t *testing.T) {
 		{"publishing SHARDS", true, vfs.Rule{Op: vfs.OpRename, Path: shardsName, Fault: vfs.FaultENOSPC}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			root := dir
+			root := memDir
 			if c.fresh {
-				root = filepath.Join(t.TempDir(), "root")
+				root = filepath.Join("/fresh", c.name)
 			}
-			ffs := vfs.NewFaultFS(1)
 			ffs.AddRule(c.rule)
 			if s, err := OpenSharded(root, 2, Options{FS: ffs}); err == nil {
 				s.Close()
@@ -347,7 +353,8 @@ func TestLockExcludesSecondWriter(t *testing.T) {
 			} else if errors.Is(err, ErrLocked) {
 				t.Fatalf("open failed on the lock itself: %v", err)
 			}
-			s, err := OpenSharded(root, 2, Options{})
+			ffs.ClearRules()
+			s, err := OpenSharded(root, 2, Options{FS: ffs})
 			if err != nil {
 				t.Fatalf("open after a failed open: %v (lock leaked?)", err)
 			}
@@ -487,9 +494,9 @@ func TestShardedDifferential(t *testing.T) {
 // against one shard of a sharded log: a crash at any hook point leaves
 // that shard consistent and the sharded open recovers the full fleet.
 func TestShardedCompactCrashAtEveryStep(t *testing.T) {
-	build := func(t *testing.T) (string, map[string][]trajstore.GeoKey) {
-		dir := t.TempDir()
-		s := mustOpenSharded(t, dir, 2, Options{MaxSegmentBytes: crashSegBytes})
+	build := func(t *testing.T, seed int64) (*vfs.FaultFS, map[string][]trajstore.GeoKey) {
+		fs := vfs.NewFaultFS(seed)
+		s := mustOpenSharded(t, memDir, 2, Options{MaxSegmentBytes: crashSegBytes, FS: fs})
 		want := map[string][]trajstore.GeoKey{}
 		for d := 0; d < 8; d++ {
 			dev := fmt.Sprintf("dev-%d", d)
@@ -507,7 +514,7 @@ func TestShardedCompactCrashAtEveryStep(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return dir, want
+		return fs.Restart(), want
 	}
 
 	// Observer pass: count the ops of the open (n0 — the index reads a
@@ -517,9 +524,8 @@ func TestShardedCompactCrashAtEveryStep(t *testing.T) {
 	// crash is driven through shards[0].Compact directly because the
 	// sharded Compact fans out in parallel, which would scramble the
 	// global op counter.
-	probeDir, _ := build(t)
-	obs := vfs.NewFaultFS(0)
-	probe := mustOpenSharded(t, probeDir, 0, Options{MaxSegmentBytes: crashSegBytes, FS: obs})
+	obs, _ := build(t, 0)
+	probe := mustOpenSharded(t, memDir, 0, Options{MaxSegmentBytes: crashSegBytes, FS: obs})
 	n0 := obs.Ops()
 	if _, err := probe.shards[0].Compact(CompactionPolicy{MergeChunks: true}); err != nil {
 		t.Fatal(err)
@@ -536,13 +542,12 @@ func TestShardedCompactCrashAtEveryStep(t *testing.T) {
 		k := k
 		t.Run(fmt.Sprintf("op-%03d", k), func(t *testing.T) {
 			t.Parallel()
-			dir, want := build(t)
-			fs := vfs.NewFaultFS(int64(k)) // seed varies the torn-rename coin flips
+			fs, want := build(t, int64(k)) // seed varies the torn-rename coin flips
 			fs.AddRule(vfs.Rule{Fault: vfs.FaultCrash, After: k - 1, Count: 1})
 			// An open the crash kills (k ≤ n0) is a legal outcome; past it
 			// the pass usually dies at op k — a crash inside the
 			// best-effort delete sweep can still report success.
-			if s, err := OpenSharded(dir, 0, Options{MaxSegmentBytes: crashSegBytes, FS: fs}); err == nil {
+			if s, err := OpenSharded(memDir, 0, Options{MaxSegmentBytes: crashSegBytes, FS: fs}); err == nil {
 				_, _ = s.shards[0].Compact(CompactionPolicy{MergeChunks: true})
 				s.Close()
 			} else if k > n0 {
@@ -552,7 +557,7 @@ func TestShardedCompactCrashAtEveryStep(t *testing.T) {
 				t.Fatalf("schedule never crashed: %s", fs)
 			}
 
-			r := mustOpenSharded(t, dir, 0, Options{MaxSegmentBytes: 512})
+			r := mustOpenSharded(t, memDir, 0, Options{MaxSegmentBytes: 512, FS: fs.Restart()})
 			defer r.Close()
 			if st := r.Stats(); st.Devices != 8 {
 				t.Fatalf("crash at op %d lost devices: %+v", k, st)

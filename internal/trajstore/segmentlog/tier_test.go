@@ -74,12 +74,10 @@ func tickedAndTwin(t *testing.T, seed int64, ageing bool) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(seed))
 	var logs [2]*shardLog // the ticked one, its twin
-	var fss [2]*vfs.FaultFS
-	dirs := [2]string{t.TempDir(), t.TempDir()}
+	fss := [2]*vfs.FaultFS{vfs.NewFaultFS(seed), vfs.NewFaultFS(seed)}
 	open := func() {
 		for i := range logs {
-			fss[i] = vfs.NewFaultFS(seed)
-			logs[i] = mustOpen(t, dirs[i], Options{MaxSegmentBytes: 700, FS: fss[i]})
+			logs[i] = mustOpen(t, memDir, Options{MaxSegmentBytes: 700, FS: fss[i]})
 		}
 	}
 	open()
@@ -133,6 +131,9 @@ func tickedAndTwin(t *testing.T, seed int64, ageing bool) {
 			both("heal", (*shardLog).Sync)
 		default:
 			both("close", (*shardLog).Close)
+			for i := range fss {
+				fss[i] = fss[i].Restart()
+			}
 			open()
 		}
 		for _, l := range logs {
@@ -235,8 +236,8 @@ func (f *countFile) Write(p []byte) (int, error) {
 func TestTickCostFollowsWhatChanged(t *testing.T) {
 	const ticks, perTick, devices = 64, 2, 8
 	cost := func(all bool) (appended, compacted int64, segments int) {
-		fs := &countFS{FS: vfs.OS}
-		l := mustOpen(t, t.TempDir(), Options{MaxSegmentBytes: 4 << 10, FS: fs})
+		fs := &countFS{FS: vfs.NewFaultFS(1)}
+		l := mustOpen(t, memDir, Options{MaxSegmentBytes: 4 << 10, FS: fs})
 		defer l.Close()
 		for tick, c := 0, 0; tick < ticks; tick++ {
 			before := fs.written.Load()
@@ -277,7 +278,7 @@ func TestTickCostFollowsWhatChanged(t *testing.T) {
 // pass; a read-only open starts no ticker, and a negative Every is refused
 // before anything is created.
 func TestLogTicks(t *testing.T) {
-	dir := t.TempDir()
+	const dir = memDir
 	fs := vfs.NewFaultFS(1)
 	opts := Options{MaxSegmentBytes: 256, FS: fs, Compaction: &CompactionPolicy{MergeChunks: true, Every: 2 * time.Millisecond}}
 	appendChunked := func(s *ShardedLog, dev string, seed int) int {
@@ -324,7 +325,7 @@ func TestLogTicks(t *testing.T) {
 	}
 	fs.ClearRules()
 
-	ro := mustOpenSharded(t, dir, 1, Options{ReadOnly: true, Compaction: opts.Compaction})
+	ro := mustOpenSharded(t, dir, 1, Options{ReadOnly: true, FS: fs, Compaction: opts.Compaction})
 	time.Sleep(20 * time.Millisecond) // ticks on a read-only log would fail, and count
 	if ro.stopTick != nil || ro.Stats().CompactFailures != 0 {
 		t.Fatalf("a read-only open ticks: %d failed passes", ro.Stats().CompactFailures)

@@ -9,17 +9,18 @@
 //   - OS, a zero-overhead passthrough to the os package. *os.File
 //     satisfies File directly, so the passthrough adds one interface
 //     dispatch per call and no allocation.
-//   - FaultFS (fault.go), a deterministic seeded fault injector that
-//     fails the Nth operation or every operation matching a pattern
-//     with ENOSPC/EIO/short-write/fsync-error, and simulates power
-//     loss with fsyncgate semantics: bytes not covered by a successful
-//     Sync are gone after a crash, and a failed Sync drops the dirty
-//     bytes immediately — retrying it as if the data survived is the
-//     bug the model exists to expose.
+//   - FaultFS (fault.go), an in-memory filesystem and deterministic
+//     seeded fault injector: it fails the Nth operation or every
+//     operation matching a pattern with ENOSPC/EIO/short-write/
+//     fsync-error, and simulates power loss with fsyncgate semantics:
+//     bytes not covered by a successful Sync are gone after a crash,
+//     and a failed Sync drops the dirty bytes immediately — retrying it
+//     as if the data survived is the bug the model exists to expose.
+//     Restart hands a test the durable state to reopen.
 //
 // The interface is intentionally the subset the log uses, not a general
-// filesystem: absolute real paths, os-package signatures, fs.DirEntry
-// and fs.FileInfo results, so call sites translate one-for-one.
+// filesystem: os-package signatures, fs.DirEntry and fs.FileInfo
+// results, so call sites translate one-for-one.
 package vfs
 
 import (
@@ -27,6 +28,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // File is one open file (or directory handle, for directory fsync).
@@ -44,14 +46,14 @@ type File interface {
 	Sync() error
 	// Truncate changes the file's size.
 	Truncate(size int64) error
-	// Fd returns the underlying descriptor, for advisory locks
-	// (flock). Implementations that have no real descriptor may
-	// return ^uintptr(0).
+	// Fd returns the underlying descriptor, which Flock locks.
+	// Implementations that have no real descriptor may return
+	// ^uintptr(0).
 	Fd() uintptr
 }
 
 // FS is the filesystem seam. Methods mirror the os package (plus
-// filepath.Glob); implementations operate on real paths.
+// filepath.Glob).
 type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	Open(name string) (File, error)
@@ -97,3 +99,13 @@ func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name)
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
 func (osFS) Glob(pattern string) ([]string, error)        { return filepath.Glob(pattern) }
+
+// Flock applies or removes an advisory lock on f as flock(2) does, how
+// being syscall.LOCK_EX|syscall.LOCK_NB or syscall.LOCK_UN: a FaultFS
+// handle locks in its filesystem's own table, any other flocks its Fd.
+func Flock(f File, how int) error {
+	if ff, ok := f.(*faultFile); ok {
+		return ff.flock(how)
+	}
+	return syscall.Flock(int(f.Fd()), how)
+}

@@ -53,13 +53,13 @@ func checkView(t *testing.T, l *shardLog) {
 	if !settled {
 		return // the active file's size on disk is not the log's to state yet
 	}
-	man, found, err := readManifest(vfs.OS, l.dir)
+	man, found, err := readManifest(l.fs, l.dir)
 	if err != nil || !found {
 		t.Fatalf("view: reading the manifest: %v (found %v)", err, found)
 	}
 	var onDisk int64
 	for _, ms := range man.Segs {
-		fi, err := os.Stat(filepath.Join(l.dir, ms.Name))
+		fi, err := l.fs.Stat(filepath.Join(l.dir, ms.Name))
 		if err != nil {
 			t.Fatalf("view: %v", err)
 		}
@@ -173,8 +173,8 @@ func TestReopenAnswersIdentically(t *testing.T) {
 // returns — Stats (every /metrics scrape), Devices and DeviceSpan perform
 // no filesystem operation, the first time or any other.
 func TestStatsDoesNoIO(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{MaxSegmentBytes: 384})
+	fs := vfs.NewFaultFS(0) // ruleless: pure op observer
+	l := mustOpen(t, memDir, Options{MaxSegmentBytes: 384, FS: fs})
 	fillCells(t, l, 4, 8, 12)
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -186,8 +186,8 @@ func TestStatsDoesNoIO(t *testing.T) {
 	if want.Segments < 4 {
 		t.Fatalf("fixture sealed too few segments: %+v", want)
 	}
-	fs := vfs.NewFaultFS(0) // ruleless: pure op observer
-	l2 := mustOpen(t, dir, Options{MaxSegmentBytes: 384, FS: fs})
+	fs = fs.Restart()
+	l2 := mustOpen(t, memDir, Options{MaxSegmentBytes: 384, FS: fs})
 	defer l2.Close()
 	before := fs.Ops()
 	st := l2.Stats()
