@@ -50,7 +50,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 // Compressor registry: streaming compressors are constructible by
 // configuration string. The built-in names are "bqs", "fbqs", "dr"
 // (dead reckoning), "timesensitive", "bdp" and "bgd"; RegisterCompressor
-// adds custom ones, which the Engine can then run by name.
+// adds custom ones, which the Engine can then run by name. "fbqs" snaps
+// each key point after the first to a grid point of step ε/5 its tangent
+// wedge admits, so its keys are not all fixes: NewFBQS's are.
 
 // RegisterCompressor makes a compressor constructible by name (e.g. for
 // EngineConfig.Compressor). Registering an existing name is an error.
@@ -58,7 +60,9 @@ func RegisterCompressor(name string, factory func(tolerance float64) (StreamComp
 	return stream.Register(name, factory)
 }
 
-// NewNamedCompressor constructs a registered compressor by name.
+// NewNamedCompressor constructs a registered compressor by name: "fbqs"
+// returns snapped key points, grid points that keep the bound, where
+// NewFBQS returns fixes.
 func NewNamedCompressor(name string, tolerance float64) (StreamCompressor, error) {
 	return stream.New(name, tolerance)
 }

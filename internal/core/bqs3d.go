@@ -69,6 +69,7 @@ type octFrame struct {
 
 func (f *octFrame) valid(p Point3) bool    { return p.Vec3().IsFinite() && finite(p.T) }
 func (f *octFrame) equal(a, b Point3) bool { return a.Equal(b) }
+func (f *octFrame) snap(p Point3) Point3   { return p }
 
 func (f *octFrame) anchor(p Point3) {
 	f.origin = p

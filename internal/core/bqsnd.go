@@ -247,6 +247,7 @@ func (f *orthFrame) valid(p PointN) bool {
 }
 
 func (f *orthFrame) equal(a, b PointN) bool { return a.Equal(b) }
+func (f *orthFrame) snap(p PointN) PointN   { return p }
 
 // anchor copies p: the segment start is also an emitted key point, which
 // the caller owns.

@@ -122,6 +122,13 @@ type Config struct {
 	// deviation when it is available (exact mode only; NaN otherwise).
 	// Used to regenerate Figure 3 of the paper.
 	Trace func(TracePoint)
+	// Snap puts FBQS's key points, under the line metric, on a grid of step
+	// GridStep(Tolerance) anchored at each segment start: a cut or flush
+	// emits the nearest corner of the verified fix's grid cell that the
+	// tangent wedge admits and that lies in the plane the wire stores
+	// (±1.8e7 m by ±9e6 m), else the fix. Only ModeFast under MetricLine
+	// takes it, and only the 2-D Compressor reads it.
+	Snap bool
 }
 
 // TracePoint is one instrumented decision, as plotted in Figure 3.
@@ -195,6 +202,9 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.MaxBuffer < 0 {
 		return c, errors.New("core: MaxBuffer must be ≥ 0")
+	}
+	if c.Snap && (c.Mode != ModeFast || c.Metric != MetricLine) {
+		return c, errors.New("core: Snap moves the keys of ModeFast under MetricLine only")
 	}
 	return c, nil
 }

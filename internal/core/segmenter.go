@@ -34,6 +34,9 @@ type frame[P any] interface {
 	// deviation is the full computation the bounds exist to avoid: the
 	// maximum deviation of pts from the path anchor → e.
 	deviation(pts []P, e P, metric Metric) float64
+	// snap returns the key point a cut or flush at the verified end p
+	// emits: p itself, but for FBQS's grid frame.
+	snap(p P) P
 }
 
 // segmenter is Algorithm 1, written once: the streaming BQS/FBQS decision
@@ -139,7 +142,7 @@ func (s *segmenter[P]) Flush() (P, bool) {
 		var none P
 		return none, false
 	}
-	kp := s.lastInc
+	kp := s.frame.snap(s.lastInc)
 	emit := !(s.haveEmit && s.frame.equal(s.lastEmit, kp))
 	if emit {
 		s.emit(kp)
@@ -243,15 +246,15 @@ func (s *segmenter[P]) include(e P) (P, bool) {
 	return none, false
 }
 
-// restartAt ends the current segment at the last verified point, emits it,
-// and opens a fresh segment there that absorbs e. In the fresh segment e is
-// always includable — either it is within tolerance of the new origin or
-// nothing is tracked yet — and cannot overflow: a far e lands in the warmup
-// buffer when there is one, and without one MaxBuffer 1 (the only cap a
-// single point reaches) cuts at every far point, so nothing is ever
+// restartAt ends the current segment at the last verified point's snap,
+// emits it, and opens a fresh segment there that absorbs e. In the fresh
+// segment e is always includable — either it is within tolerance of the new
+// origin or nothing is tracked yet — and cannot overflow: a far e lands in
+// the warmup buffer when there is one, and without one MaxBuffer 1 (the only
+// cap a single point reaches) cuts at every far point, so nothing is ever
 // tracked to restart from.
 func (s *segmenter[P]) restartAt(e P) (P, bool) {
-	kp := s.lastInc
+	kp := s.frame.snap(s.lastInc)
 	s.stats.Segments++
 	s.emit(kp)
 	s.startSegment(kp)

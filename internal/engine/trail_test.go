@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -507,6 +508,86 @@ func TestIngestOutOfRangeFix(t *testing.T) {
 	}
 	if err := errors.Join(plain.Ingest([]Fix{{Device: "utm", Point: core.Point{X: 500000, Y: 9.9e6, T: 1}}}), plain.Close()); err != nil || seen != 1 {
 		t.Fatalf("persister-less engine: %v, %d keys seen", err, seen)
+	}
+}
+
+// TestSnappedKeysStayOnTheGlobe: the registered "fbqs" snaps key points to
+// a grid, whose nearest point to a fix a metre from the antimeridian or a
+// pole can lie past it. Devices driven in 60 m bands along each edge of the
+// plane, cutting at nearly every fix, keep the engine healthy: every key
+// the compressor reported is in the log.
+func TestSnappedKeysStayOnTheGlobe(t *testing.T) {
+	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	reported := map[string]map[uint32]bool{}
+	e, err := New(Config{Compressor: "fbqs", Tolerance: 10, Shards: 2, Persister: lg, OnKey: func(dev string, kp core.Point) {
+		mu.Lock()
+		defer mu.Unlock()
+		if reported[dev] == nil {
+			reported[dev] = map[uint32]bool{}
+		}
+		reported[dev][trajstore.PlaneKey(kp).T] = true
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := trajstore.PlanePoint(trajstore.GeoKey{Lat: 90, Lon: 180})
+	bands := map[string]func(u, v float64) core.Point{ // u in [0, 60) metres inside the edge, v along it
+		"east":  func(u, v float64) core.Point { return core.Point{X: edge.X - u, Y: v} },
+		"west":  func(u, v float64) core.Point { return core.Point{X: -edge.X + u, Y: -v} },
+		"north": func(u, v float64) core.Point { return core.Point{X: v, Y: edge.Y - u} },
+		"south": func(u, v float64) core.Point { return core.Point{X: -v, Y: -edge.Y + u} },
+		"ne":    func(u, v float64) core.Point { return core.Point{X: edge.X - u, Y: edge.Y - math.Mod(v, 60)} },
+		"sw":    func(u, v float64) core.Point { return core.Point{X: -edge.X + math.Mod(v, 60), Y: -edge.Y + u} },
+	}
+	rng := rand.New(rand.NewSource(52))
+	for i := 0; i < 600; i++ {
+		batch := make([]Fix, 0, len(bands))
+		for dev, at := range bands {
+			p := at(rng.Float64()*60, float64(i)*7)
+			p.T = float64(100 + i)
+			batch = append(batch, Fix{Device: dev, Point: p})
+		}
+		if err := e.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		if i%100 == 99 {
+			if err := e.FlushSessions(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := errors.Join(e.FlushSessions(), e.Sync()); err != nil {
+		t.Fatal(err)
+	}
+	if st, ph := e.Stats(), e.State().Phase; ph != Healthy || st.PersistFailures != 0 || st.ParkedTrails != 0 {
+		t.Fatalf("phase %v, %+v: want a healthy engine", ph, st)
+	}
+	for dev := range bands {
+		recs, err := lg.Query(dev, 0, math.MaxUint32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := map[uint32]bool{}
+		for _, r := range recs {
+			for _, k := range r.Keys {
+				stored[k.T] = true
+			}
+		}
+		if len(reported[dev]) < 300 || len(stored) != len(reported[dev]) {
+			t.Fatalf("%s: %d keys reported, %d stored", dev, len(reported[dev]), len(stored))
+		}
+		for ts := range reported[dev] {
+			if !stored[ts] {
+				t.Fatalf("%s: the key at t=%d is not in the log", dev, ts)
+			}
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -74,8 +74,7 @@ func (v Vec) Rotate(phi float64) Vec {
 
 // IsFinite reports whether both components are finite numbers.
 func (v Vec) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0)
+	return math.Abs(v.X) <= math.MaxFloat64 && math.Abs(v.Y) <= math.MaxFloat64 // false for NaN too
 }
 
 // Lerp returns the linear interpolation between a and b at parameter t,

@@ -9,7 +9,11 @@ import (
 // Built-in registrations: every online algorithm in the repository is
 // constructible by config string. Buffer sizes and the time-sensitive
 // gamma use the paper's defaults; callers needing other parameters
-// register their own closure under a new name.
+// register their own closure under a new name. "fbqs" is the one that
+// snaps (core.Config.Snap): its key points after a run's first are points
+// of a grid of core.GridStep(ε) its tangent wedge admits, where the stored
+// lattice has slack ε does not need, so a stored record's steps share a
+// divisor.
 const (
 	// DefaultBufferSize is the window for the buffered baselines (mid
 	// range of the paper's Table III sweep 32–256).
@@ -56,7 +60,7 @@ func init() {
 		return core.NewCompressor(core.Config{Tolerance: tol, Mode: core.ModeExact, RotationWarmup: -1})
 	}, polyline)
 	builtin("fbqs", func(tol float64) (*core.Compressor, error) {
-		return core.NewCompressor(core.Config{Tolerance: tol, Mode: core.ModeFast, RotationWarmup: -1})
+		return core.NewCompressor(core.Config{Tolerance: tol, Mode: core.ModeFast, RotationWarmup: -1, Snap: true})
 	}, polyline)
 	builtin("timesensitive", func(tol float64) (*core.TimeSensitive, error) {
 		return core.NewTimeSensitive(core.Config{Tolerance: tol, Mode: core.ModeFast, RotationWarmup: -1}, DefaultGamma)

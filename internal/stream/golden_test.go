@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/trajcomp/bqs/internal/core"
 )
 
 // Golden-file regression tests: the exact key-point output of the core
@@ -76,16 +78,21 @@ func TestGoldenKeyPoints(t *testing.T) {
 		})
 	}
 	// "bqs" and "fbqs" bound the line distance, and under it FBQS's tangent
-	// wedge is exact: the two pins are one.
+	// wedge is exact: without the grid "fbqs" snaps to, FBQS keeps the
+	// "bqs" pin's key points.
+	unsnapped, err := core.NewCompressor(core.Config{Tolerance: goldenTolerance, Mode: core.ModeFast, RotationWarmup: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fbqs bytes.Buffer
+	if err := WriteCSV(&fbqs, Compress(unsnapped, pts)); err != nil {
+		t.Fatal(err)
+	}
 	bqs, err := os.ReadFile(filepath.Join("testdata", "golden_bqs.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbqs, err := os.ReadFile(filepath.Join("testdata", "golden_fbqs.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bqs, fbqs) {
-		t.Error("golden_fbqs.csv differs from golden_bqs.csv")
+	if !bytes.Equal(bqs, fbqs.Bytes()) {
+		t.Error("FBQS without the grid differs from golden_bqs.csv")
 	}
 }

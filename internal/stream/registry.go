@@ -88,7 +88,8 @@ func lookup(name string) (entry, error) {
 
 // Deviation measures what the named compressor's tolerance bounds: how far
 // the track orig strays, at worst, from what keys — the key points that
-// compressor made of it — say. Every registered name is held to
+// compressor made of it, which for "fbqs" are snapped grid points, not
+// fixes — say. Every registered name is held to
 // Deviation(name, orig, Compress(c, orig)) ≤ tolerance; DESIGN.md's "The
 // contract" has the distance behind each name.
 func Deviation(name string, orig, keys []core.Point) (float64, error) {

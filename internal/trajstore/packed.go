@@ -19,6 +19,7 @@ const (
 	escapeBits = riceEscape + 64 // what an escape costs, the most any code does
 	maxRiceK   = 24              // so that a code, unless escaped, fits the 56 bits a load brings
 	flagFOR    = 1 << 5          // in a field's head byte: its least follows, a code is the value less it, unsigned
+	flagGrid   = 1 << 6          // in the first field's head byte: the divisor follows, the spatial fields' codes are of steps over it
 	flagAged   = 1 << 7          // in the first field's head byte: the ageing watermark follows
 )
 
@@ -104,16 +105,18 @@ var packScratch = sync.Pool{New: func() any { return new([]int64) }}
 // key as AppendBlock writes them; then, for two keys or more, a head and the
 // later keys' codes. A key's step (Δlon, Δlat) is turned so that the step
 // before it points along +x (veer; east before any): its across and along
-// components and Δt are the three fields. The head is a byte a field — the
-// Rice parameter (0–24) under the flags — then each field's least (varint,
-// flagFOR) and the watermark (uvarint, flagAged). The codes follow
-// interleaved, least significant bit first, zero-padded to a byte. It walks
-// the trail's bytes once and allocates only dst's growth.
+// components, each over the divisor g — the greatest common divisor of every
+// step's, a grid the keys lie on — and Δt are the three fields. The head is
+// a byte a field — the Rice parameter (0–24) under the flags — then each
+// field's least (varint, flagFOR), the watermark (uvarint, flagAged) and g
+// (uvarint, flagGrid, written where g > 1). The codes follow interleaved,
+// least significant bit first, zero-padded to a byte. It walks the trail's
+// bytes once and allocates only dst's growth.
 func (t *Trail) AppendPacked(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(t.n))
 	scratch := packScratch.Get().(*[]int64)
 	defer packScratch.Put(scratch)
-	vals, lo, h, first := (*scratch)[:0], [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}, byte(0), true
+	vals, lo, h, first, g := (*scratch)[:0], [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}, byte(0), true, uint64(0)
 	for p := 0; p <= len(t.full); p++ {
 		pg := t.cur
 		if p < len(t.full) {
@@ -129,6 +132,9 @@ func (t *Trail) AppendPacked(dst []byte) []byte {
 			}
 			dt := int64(zt>>1) ^ -int64(zt&1)
 			x, y := turn(h, int64(zlon>>1)^-int64(zlon&1), int64(zlat>>1)^-int64(zlat&1))
+			if g != 1 { // off every grid, as most records are, g is 1 within a few keys
+				g = divisor(divisor(g, x), y)
+			}
 			lo = [3]int64{min(lo[0], y), min(lo[1], x), min(lo[2], dt)}
 			vals, h = append(vals, y, x, dt), (h+veer(x, y))&3
 		}
@@ -136,12 +142,28 @@ func (t *Trail) AppendPacked(dst []byte) []byte {
 	if *scratch = vals; t.n < 2 {
 		return dst
 	}
+	if g > 1 {
+		// Every spatial value is a multiple of g, so v/g is exact: v >> z
+		// times inv, z g's trailing zeros and inv its odd part's inverse
+		// mod 2⁶⁴ — no divide.
+		z, inv := bits.TrailingZeros64(g), int64(1)
+		for odd := int64(g >> z); inv*odd != 1; {
+			inv *= 2 - odd*inv // Newton's step doubles the low bits inv is right in
+		}
+		for i := 0; i < len(vals); i += 3 {
+			vals[i], vals[i+1] = vals[i]>>z*inv, vals[i+1]>>z*inv
+		}
+		lo[0], lo[1] = lo[0]>>z*inv, lo[1]>>z*inv
+	}
 	head, off := [3]byte{}, [3]int64{}
 	for f := range head {
 		head[f], off[f] = chooseCode(vals[f:], t.n-1, lo[f])
 	}
 	if t.aged > 0 {
 		head[0] |= flagAged
+	}
+	if g > 1 {
+		head[0] |= flagGrid
 	}
 	dst = append(dst, head[:]...)
 	for f, hb := range head {
@@ -151,6 +173,9 @@ func (t *Trail) AppendPacked(dst []byte) []byte {
 	}
 	if t.aged > 0 {
 		dst = binary.AppendUvarint(dst, uint64(t.aged))
+	}
+	if g > 1 {
+		dst = binary.AppendUvarint(dst, g)
 	}
 	out, k := bitWriter{dst: dst}, [3]uint{uint(head[0] & 31), uint(head[1] & 31), uint(head[2] & 31)}
 	for i := 0; i < len(vals); i += 3 { // chooseCode left the codes in vals
@@ -162,6 +187,19 @@ func (t *Trail) AppendPacked(dst []byte) []byte {
 		out.dst = append(out.dst, byte(out.acc>>i))
 	}
 	return out.dst
+}
+
+// divisor is the greatest common divisor of g and |v|, 0 for two zeros: g
+// itself, for one remainder, while v is on g's grid.
+func divisor(g uint64, v int64) uint64 {
+	a := uint64(max(v, -v))
+	if g != 0 && a%g == 0 {
+		return g
+	}
+	for a != 0 {
+		g, a = a, g%a
+	}
+	return g
 }
 
 // bitWriter appends bits to dst, least significant first; acc holds n < 64.
@@ -196,8 +234,10 @@ var errHead = errors.New("trajstore: packed head out of range")
 // AppendBlock wrote it, checking in the same pass all Enters(block, nil)
 // checks (ErrRange: a key off the globe) and that only zero padding
 // follows; the trail it returns is that block on dst's tail, its bounds,
-// last key and watermark from the same pass.
-func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
+// last key and watermark from the same pass. A block carries a divisor
+// (flagGrid) only where gridded says its container allows one: a segment of
+// version 6 on, not of version 5, whose blocks are otherwise the same.
+func UnpackBlock(dst, packed []byte, gridded bool) ([]byte, Trail, error) {
 	n, off := binary.Uvarint(packed)
 	if off <= 0 {
 		return nil, Trail{}, ErrShortBuffer
@@ -213,15 +253,20 @@ func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 		dst = binary.AppendUvarint(binary.AppendVarint(binary.AppendVarint(dst, c.lat), c.lon), uint64(c.t))
 	}
 	// acc holds nb unread bits of b, and above them only b's next bits or
-	// zeros; h is the heading the next step is turned from; per field, k is
-	// the Rice parameter, z 1 for zig-zagged codes, lo the least flagFOR adds.
-	b, aged, acc, nb, h := c.b, uint64(0), uint64(0), uint(0), byte(0)
+	// zeros; h is the heading the next step is turned from; g the divisor;
+	// per field, k is the Rice parameter, z 1 for zig-zagged codes, lo the
+	// least flagFOR adds.
+	b, aged, acc, nb, h, g := c.b, uint64(0), uint64(0), uint(0), byte(0), int64(1)
+	firstFlags := byte(flagFOR | flagAged)
+	if gridded {
+		firstFlags |= flagGrid
+	}
 	k, z, lo := [3]uint{}, [3]uint64{1, 1, 1}, [3]int64{}
 	if n >= 2 && len(b) < 3 {
 		return nil, Trail{}, ErrShortBuffer
 	} else if n >= 2 {
-		head, w := [3]byte(b[:3]), 3 // each byte's parameter at most 24, flagAged on the first only
-		if max(head[0]&^(flagFOR|flagAged), head[1]&^flagFOR, head[2]&^flagFOR) > maxRiceK {
+		head, w := [3]byte(b[:3]), 3 // each byte's parameter at most 24, flagAged and flagGrid on the first only
+		if max(head[0]&^firstFlags, head[1]&^flagFOR, head[2]&^flagFOR) > maxRiceK {
 			return nil, Trail{}, errHead
 		}
 		ok := true // while every varint of the head reads
@@ -234,6 +279,10 @@ func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 		if head[0]&flagAged != 0 {
 			v, wv := binary.Uvarint(b[w:])
 			aged, w, ok = v, w+max(wv, 0), ok && wv > 0 && v <= math.MaxUint32
+		}
+		if head[0]&flagGrid != 0 { // as AppendPacked writes it: 2 up, under 2³² as the steps are
+			v, wv := binary.Uvarint(b[w:])
+			g, w, ok = int64(v), w+max(wv, 0), ok && wv > 0 && v >= 2 && v <= math.MaxUint32
 		}
 		if b = b[w:]; !ok {
 			return nil, Trail{}, errHead
@@ -261,8 +310,9 @@ func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 			}
 			d[f] = int64(u>>z[f]) ^ -int64(u&z[f]) + lo[f]
 		}
-		dlon, dlat := unturn(h, d[1], d[0])
-		h = (h + veer(d[1], d[0])) & 3
+		x, y := d[1]*g, d[0]*g
+		dlon, dlat := unturn(h, x, y)
+		h = (h + veer(x, y)) & 3
 		key[0], key[1], key[2] = key[0]+dlat, key[1]+dlon, key[2]+d[2]
 		dst = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(dst, dlat), dlon), d[2])
 		box.MinLat, box.MinLon, box.T0 = min(box.MinLat, key[0]), min(box.MinLon, key[1]), min(box.T0, key[2])
@@ -292,5 +342,5 @@ func refill(acc uint64, nb uint, b []byte) (uint64, uint, []byte) {
 }
 
 // PackedBound bounds a packed block of n keys: the count, the first key,
-// every least, the watermark, every code an escape.
-func PackedBound(n int) int { return 8*binary.MaxVarintLen64 + 3 + max(n-1, 0)*3*escapeBits/8 }
+// every least, the watermark, the divisor, every code an escape.
+func PackedBound(n int) int { return 9*binary.MaxVarintLen64 + 3 + max(n-1, 0)*3*escapeBits/8 }

@@ -2,10 +2,13 @@ package trajstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/stream"
@@ -111,7 +114,7 @@ func checkPacked(t *testing.T, name string, tr *Trail) []byte {
 		t.Fatalf("%s: AppendPacked overwrote dst", name)
 	}
 	packed = packed[6:]
-	got, unpacked, err := UnpackBlock([]byte("x"), packed)
+	got, unpacked, err := UnpackBlock([]byte("x"), packed, true)
 	if err != nil {
 		t.Fatalf("%s: UnpackBlock: %v", name, err)
 	}
@@ -158,7 +161,7 @@ func TestPackedRoundTrip(t *testing.T) {
 		t.Fatalf("escapes written per field (across, along, Δt) = %v; the cases must reach all three", seen)
 	}
 	var empty Trail
-	if got, _, err := UnpackBlock(nil, empty.AppendPacked(nil)); err != nil || !bytes.Equal(got, empty.AppendBlock(nil)) {
+	if got, _, err := UnpackBlock(nil, empty.AppendPacked(nil), true); err != nil || !bytes.Equal(got, empty.AppendBlock(nil)) {
 		t.Fatalf("empty trail: %x, %v", got, err)
 	}
 }
@@ -211,8 +214,8 @@ func randomTrail(rng *rand.Rand) *Trail {
 
 // TestPackedProperty: UnpackBlock(AppendPacked(t)) is t's block and trail —
 // its last key, bounds and watermark — for random trails, and over them
-// the packing writes every flag and an escape: each of its branches is
-// checked.
+// the packing writes every flag (a divisor where a trail's steps are on a
+// coarse grid) and an escape: each of its branches is checked.
 func TestPackedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	var flags byte
@@ -225,7 +228,7 @@ func TestPackedProperty(t *testing.T) {
 		e := escapes(tr)
 		escaped = escaped || e[0] || e[1] || e[2]
 	}
-	if flags != flagFOR|flagAged || !escaped {
+	if flags != flagFOR|flagAged|flagGrid || !escaped {
 		t.Fatalf("flags written %08b, an escape %v: the trails reached too little of the code", flags, escaped)
 	}
 }
@@ -275,10 +278,11 @@ func packV4(t *Trail) []byte {
 	return w.dst
 }
 
-// guardTracks are lattice keys of the shapes the guards pack: FBQS's key
-// points (10 m) of synth.Walk tracks, a street grid turned 30° with a key
-// at every corner, and Gaussian random walks; each in chunks of 16 keys,
-// as an engine cuts them, and whole, as compaction merges them.
+// guardTracks are lattice keys of the shapes the guards pack: the
+// registered "fbqs"'s key points (10 m, on its grid) of synth.Walk tracks, a
+// street grid turned 30° with a key at every corner, and Gaussian random
+// walks; each in chunks of 16 keys, as an engine cuts them, and whole, as
+// compaction merges them.
 func guardTracks(rng *rand.Rand) map[string][][3]int64 {
 	lattice := func(x, y float64, ts uint32) [3]int64 { // metres on the flat plane
 		return [3]int64{int64(math.Round(y / MetersPerDegree * 1e7)), int64(math.Round(x / MetersPerDegree * 1e7)), int64(ts)}
@@ -312,29 +316,47 @@ func guardTracks(rng *rand.Rand) map[string][][3]int64 {
 	return out
 }
 
+// v5Digests are the SHA-256 of the packings, in TestPackedNoWorse's order,
+// of the records of the guard tracks whose keys no grid holds, as version
+// 5's packer wrote them.
+var v5Digests = map[string]string{
+	"grid":        "f39d98211037473e99883e347785038e3984025054889b67660b82baf3d3d567",
+	"random walk": "681a5a55d17af51e971d00116593a99695ac8f2656046e85a301ff5ddefdbdca",
+}
+
 // TestPackedNoWorse: on every record of every guard track this packing
-// costs at most 2 B more than version 4's, and on the grid, whose
-// turns the frame of the previous step turns onto one axis, less overall.
+// costs at most 2 B more than version 4's, and on the grid, whose turns the
+// frame of the previous step turns onto one axis, less overall. A record off
+// every grid — each of the grid's and the random walk's — carries no
+// divisor and packs to exactly version 5's bytes; the walk's, on "fbqs"'s
+// grid, pack to under three quarters of version 4's.
 func TestPackedNoWorse(t *testing.T) {
 	for name, keys := range guardTracks(rand.New(rand.NewSource(30))) {
-		var v4, v5 int
-		for _, chunk := range [][][3]int64{keys} {
-			for lo := 0; lo+1 < len(chunk); lo += 15 {
-				for _, rec := range [][][3]int64{chunk[lo:min(lo+16, len(chunk))], chunk[lo:]} {
-					tr := latticeTrail(rec)
-					a, b := len(packV4(tr)), len(checkPacked(t, name, tr))
-					if b > a+2 {
-						t.Fatalf("%s: a %d-key record packs to %d B, %d B at version 4", name, len(rec), b, a)
-					}
-					if len(rec) == 16 {
-						v4, v5 = v4+a, v5+b
-					}
+		var v4, v6 int
+		digest := sha256.New()
+		for lo := 0; lo+1 < len(keys); lo += 15 {
+			for _, rec := range [][][3]int64{keys[lo:min(lo+16, len(keys))], keys[lo:]} {
+				tr := latticeTrail(rec)
+				packed := checkPacked(t, name, tr)
+				a, b := len(packV4(tr)), len(packed)
+				if b > a+2 {
+					t.Fatalf("%s: a %d-key record packs to %d B, %d B at version 4", name, len(rec), b, a)
 				}
+				if packedHead(packed)[0]&flagGrid != 0 && name != "walk" {
+					t.Fatalf("%s: a %d-key record off every grid carries a divisor", name, len(rec))
+				}
+				if len(rec) == 16 {
+					v4, v6 = v4+a, v6+b
+				}
+				digest.Write(packed)
 			}
 		}
-		t.Logf("%s: 16-key records %d B at version 4, %d B (%.3f)", name, v4, v5, float64(v5)/float64(v4))
-		if name == "grid" && v5 >= v4 {
-			t.Fatalf("grid: %d B, not less than version 4's %d", v5, v4)
+		t.Logf("%s: 16-key records %d B at version 4, %d B (%.3f)", name, v4, v6, float64(v6)/float64(v4))
+		if want, ok := v5Digests[name]; ok && fmt.Sprintf("%x", digest.Sum(nil)) != want {
+			t.Fatalf("%s: records off every grid pack to other bytes than version 5's", name)
+		}
+		if name == "grid" && v6 >= v4 || name == "walk" && 4*v6 >= 3*v4 {
+			t.Fatalf("%s: %d B against version 4's %d", name, v6, v4)
 		}
 	}
 }
@@ -379,14 +401,23 @@ func TestUnpackRefuses(t *testing.T) {
 		"a delta past 2³²": {rawPacked([3]int64{0, 0, math.MaxUint32}, [3]int64{0, 0, 1}), ErrRange},
 		"a time below 0":   {rawPacked([3]int64{0, 0, 0}, [3]int64{0, 0, -1}), ErrRange},
 	}
+	// A divisor follows the head under flagGrid: as AppendPacked writes it,
+	// 2 up and under 2³², as no step reaches.
+	for name, g := range map[string]uint64{"divisor 0": 0, "divisor 1": 1, "divisor 2³²": 1 << 32} {
+		cases[name] = struct {
+			b    []byte
+			want error
+		}{withDivisor(g), errHead}
+	}
 	// Each head byte is checked on its own: a flag on one lifts no other's
-	// parameter past 24; bit 6 is no flag; flagAged rides the first byte only.
+	// parameter past 24; flagAged and flagGrid ride the first byte only.
 	for name, h := range map[string][3]byte{
 		"parameter 25":               {0, maxRiceK + 1, 0},
 		"parameter 25 beside a flag": {flagFOR, 0, maxRiceK + 1},
 		"parameter 31 under a flag":  {flagAged | 31, 0, 0},
-		"bit 6":                      {1 << 6, 0, 0},
 		"a watermark on the third":   {0, 0, flagAged},
+		"a divisor on the second":    {0, flagGrid, 0},
+		"a divisor on the third":     {0, 0, flagGrid},
 	} {
 		bad := bytes.Clone(good)
 		copy(bad[k:], h[:])
@@ -396,10 +427,27 @@ func TestUnpackRefuses(t *testing.T) {
 		}{bad, errHead}
 	}
 	for name, c := range cases {
-		if _, _, err := UnpackBlock(nil, c.b); err == nil || c.want != nil && !errors.Is(err, c.want) {
+		if _, _, err := UnpackBlock(nil, c.b, true); err == nil || c.want != nil && !errors.Is(err, c.want) {
 			t.Errorf("%s: UnpackBlock(%x) = %v, want %v", name, c.b, err, c.want)
 		}
 	}
+	// The control: a divisor of 2 reads — but not where the block's
+	// segment carries none, as version 5's do not.
+	if _, _, err := UnpackBlock(nil, withDivisor(2), true); err != nil {
+		t.Fatalf("a divisor of 2: %v", err)
+	}
+	if _, _, err := UnpackBlock(nil, withDivisor(2), false); !errors.Is(err, errHead) {
+		t.Errorf("a divisor in a version-5 block: %v, want errHead", err)
+	}
+}
+
+// withDivisor is rawPacked's block of one step (0, 0, 1) — five bits of
+// codes — with flagGrid on its head and g after it.
+func withDivisor(g uint64) []byte {
+	b := rawPacked([3]int64{0, 0, 0}, [3]int64{0, 0, 1})
+	h := len(b) - 4 // the three parameter bytes, then the byte of codes
+	b[h] |= flagGrid
+	return slices.Concat(b[:h+3], binary.AppendUvarint(nil, g), b[h+3:])
 }
 
 // rawPacked writes a packed block of a first key and deltas with no range
@@ -426,9 +474,20 @@ func rawPacked(first [3]int64, deltas ...[3]int64) []byte {
 // accepts is a block Enters(block, nil) accepts whose trail, watermark and
 // all, packs back to itself; the same bytes read as lattice keys pack and
 // unpack to their trail's bytes. The seeds hold every packed case, with a
-// watermark and without.
+// watermark and without, and each case's keys moved onto grids of 100 and
+// 7 lattice steps: blocks with a divisor.
 func FuzzPackedBlock(f *testing.F) {
-	for _, keys := range packedCases() {
+	cases := packedCases()
+	for name, keys := range packedCases() {
+		for _, g := range []int64{100, 7} {
+			on := make([][3]int64, len(keys))
+			for i, k := range keys {
+				on[i] = [3]int64{k[0] / g * g, k[1] / g * g, k[2]}
+			}
+			cases[fmt.Sprintf("%s on a grid of %d", name, g)] = on
+		}
+	}
+	for _, keys := range cases {
 		keys = keys[:min(len(keys), 40)] // small seeds: the fuzzer minimizes what they lead to
 		tr := latticeTrail(keys)
 		f.Add(tr.AppendPacked(nil))
@@ -443,7 +502,7 @@ func FuzzPackedBlock(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if block, unpacked, err := UnpackBlock(nil, data); err == nil {
+		if block, unpacked, err := UnpackBlock(nil, data, true); err == nil {
 			if !servable(block) {
 				t.Fatalf("UnpackBlock accepted %x as %x, which Enters(nil) refuses", data, block)
 			}

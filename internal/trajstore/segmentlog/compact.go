@@ -105,9 +105,16 @@ type compactRecord struct {
 	trail trajstore.Trail
 }
 
-// ageCompressor is the registry compressor ageing re-runs old records
-// through.
+// ageCompressor names the bound ageing keeps, stream.Deviation's: the
+// registered "fbqs"'s, the line distance to the time-matched segment.
+// Ageing runs that FBQS without its grid (newAgeCompressor), so that every
+// aged key is a stored key, on whatever grid its record's keys are.
 const ageCompressor = "fbqs"
+
+// newAgeCompressor is the FBQS ageing re-runs old records through.
+func newAgeCompressor(tol float64) (*core.Compressor, error) {
+	return core.NewCompressor(core.Config{Tolerance: tol, Mode: core.ModeFast, RotationWarmup: -1})
+}
 
 // tierRatio is the selection rule's constant: a pass reaches back over an
 // earlier pass's output only while that tier is no larger than tierRatio
@@ -133,7 +140,7 @@ const tierRatio = 2
 func (l *shardLog) compact(p CompactionPolicy, all bool) (CompactionResult, error) {
 	var res CompactionResult
 	if p.CoarseTolerance != 0 { // a bad tolerance — negative, NaN — fails before any IO
-		if _, err := stream.New(ageCompressor, p.CoarseTolerance); err != nil {
+		if _, err := newAgeCompressor(p.CoarseTolerance); err != nil {
 			return res, fmt.Errorf("segmentlog: age compressor: %w", err)
 		}
 	}
@@ -229,8 +236,11 @@ func (l *shardLog) compact(p CompactionPolicy, all bool) (CompactionResult, erro
 	// output and skip the publish — no generation bump, no fsync storm — and
 	// the selection is a tier from here on, which no tick reads again before
 	// tierRatio says so. (RecordsIn == 0 still publishes, to drop the empty
-	// files.)
-	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && marked == 0 && res.RecordsIn > 0 {
+	// files.) A selection holding a segment an older writer left publishes
+	// too: the pass is what rewrites it at version, so an explicit pass
+	// leaves no version-5 segment behind.
+	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && marked == 0 && res.RecordsIn > 0 &&
+		!slices.ContainsFunc(sealed, func(sf segmentFile) bool { return sf.v != version }) {
 		cw.discard()
 		res.RecordsOut, res.SegmentsOut, res.BytesOut = res.RecordsIn, res.SegmentsIn, res.BytesIn
 		l.tiers = append(l.tiers[:t], len(sealed))
@@ -424,7 +434,7 @@ func ageTrail(tr *trajstore.Trail, tol float64, cutoff uint32) (bool, error) {
 	}
 	var kps []core.Point
 	if e-a >= 2 {
-		comp, err := stream.New(ageCompressor, tol)
+		comp, err := newAgeCompressor(tol)
 		if err != nil {
 			return false, fmt.Errorf("segmentlog: age compressor: %w", err)
 		}

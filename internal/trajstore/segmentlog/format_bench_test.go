@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/trajcomp/bqs/internal/stream"
+	"github.com/trajcomp/bqs/internal/synth"
 	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
@@ -30,62 +32,95 @@ func benchTrail(b *testing.B, n int) *trajstore.Trail {
 	return &tr
 }
 
+// gridTrail is the first n key points the registered "fbqs" keeps (10 m) of
+// a synth.Walk, as a session persists them: on the grid it snaps to, so
+// their record carries a divisor.
+func gridTrail(b *testing.B, n int) *trajstore.Trail {
+	b.Helper()
+	cfg := synth.DefaultWalkConfig(1)
+	cfg.N = 60 * n
+	comp, err := stream.New("fbqs", 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tr trajstore.Trail
+	for _, p := range synth.Walk(cfg).Points() {
+		if kp, ok := comp.Push(p); ok && tr.Len() < n {
+			if err := tr.Add(trajstore.PlaneKey(kp)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if tr.Len() < n {
+		b.Fatalf("%d keys of a %d-fix walk, want %d", tr.Len(), cfg.N, n)
+	}
+	return &tr
+}
+
 // benchSizes are the record sizes the format benchmarks run on: an engine
 // chunk and a compacted device.
 var benchSizes = []int{16, 10_000}
 
+// benchRows are the records the format benchmarks run on: benchTrail's walk
+// at each of benchSizes, and the grid row, gridTrail's.
+func benchRows(b *testing.B, run func(b *testing.B, n int, tr *trajstore.Trail)) {
+	for _, grid := range []bool{false, true} {
+		for _, n := range benchSizes {
+			name, trail := fmt.Sprintf("keys=%d", n), benchTrail
+			if grid {
+				name, trail = "grid/"+name, gridTrail
+			}
+			b.Run(name, func(b *testing.B) { run(b, n, trail(b, n)) })
+		}
+	}
+}
+
 // BenchmarkFrameRecord frames one record — header, packed payload, CRC —
 // as an append or a compaction writes it, in ns per key.
 func BenchmarkFrameRecord(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
-			tr := benchTrail(b, n)
-			var buf []byte
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if buf, err = frameRecord(buf[:0], "dev-00042", tr); err != nil {
-					b.Fatal(err)
-				}
+	benchRows(b, func(b *testing.B, n int, tr *trajstore.Trail) {
+		var buf []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = frameRecord(buf[:0], "dev-00042", tr); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
-			b.ReportMetric(float64(len(buf))/float64(n), "B/key")
-		})
-	}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
+		b.ReportMetric(float64(len(buf))/float64(n), "B/key")
+	})
 }
 
 // BenchmarkReadBlock reads one record back as a query does — pread, CRC,
 // unpack into a delta-varint block, copy out — in ns per key.
 func BenchmarkReadBlock(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
-			tr := benchTrail(b, n)
-			rec, err := frameRecord([]byte{'B', 'Q', 'S', 'L', 'O', 'G', version, 0}, "dev-00042", tr)
-			if err != nil {
+	benchRows(b, func(b *testing.B, n int, tr *trajstore.Trail) {
+		rec, err := frameRecord([]byte{'B', 'Q', 'S', 'L', 'O', 'G', version, 0}, "dev-00042", tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(b.TempDir(), segName(1))
+		if err := os.WriteFile(path, rec, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		r := segReader{fs: vfs.OS}
+		defer r.close()
+		if err := r.open(0, &segmentFile{path: path}, 1); err != nil {
+			b.Fatal(err)
+		}
+		ref := refSnap{off: headerSize + recordHeaderSize, bodyLen: uint32(len(rec) - headerSize - recordHeaderSize)}
+		if blk, err := r.readBlock(ref); err != nil || !bytes.Equal(blk.Payload, tr.AppendBlock(nil)) {
+			b.Fatalf("readBlock = %d bytes, %v; want the trail's block", len(blk.Payload), err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.readBlock(ref); err != nil {
 				b.Fatal(err)
 			}
-			path := filepath.Join(b.TempDir(), segName(1))
-			if err := os.WriteFile(path, rec, 0o644); err != nil {
-				b.Fatal(err)
-			}
-			r := segReader{fs: vfs.OS}
-			defer r.close()
-			if err := r.open(0, &segmentFile{path: path}, 1); err != nil {
-				b.Fatal(err)
-			}
-			ref := refSnap{off: headerSize + recordHeaderSize, bodyLen: uint32(len(rec) - headerSize - recordHeaderSize)}
-			if blk, err := r.readBlock(ref); err != nil || !bytes.Equal(blk.Payload, tr.AppendBlock(nil)) {
-				b.Fatalf("readBlock = %d bytes, %v; want the trail's block", len(blk.Payload), err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.readBlock(ref); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
-		})
-	}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
+	})
 }

@@ -443,10 +443,10 @@ func breakPacked(t testing.TB, b []byte, m recordMeta) {
 		_, n := binary.Uvarint(payload[k:])
 		k += n
 	}
-	if _, _, err := trajstore.UnpackBlock(nil, payload); err != nil || k+3 > len(payload) {
+	if _, _, err := trajstore.UnpackBlock(nil, payload, true); err != nil || k+3 > len(payload) {
 		t.Fatalf("fixture: record at %d holds no packed deltas to break (%v)", m.off, err)
 	}
-	payload[k] = 64
+	payload[k] = 25
 	binary.LittleEndian.PutUint32(b[m.off-4:], crc32.Checksum(body, castagnoli))
 }
 
