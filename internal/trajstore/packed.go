@@ -234,10 +234,8 @@ var errHead = errors.New("trajstore: packed head out of range")
 // AppendBlock wrote it, checking in the same pass all Enters(block, nil)
 // checks (ErrRange: a key off the globe) and that only zero padding
 // follows; the trail it returns is that block on dst's tail, its bounds,
-// last key and watermark from the same pass. A block carries a divisor
-// (flagGrid) only where gridded says its container allows one: a segment of
-// version 6 on, not of version 5, whose blocks are otherwise the same.
-func UnpackBlock(dst, packed []byte, gridded bool) ([]byte, Trail, error) {
+// last key and watermark from the same pass.
+func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 	n, off := binary.Uvarint(packed)
 	if off <= 0 {
 		return nil, Trail{}, ErrShortBuffer
@@ -257,16 +255,12 @@ func UnpackBlock(dst, packed []byte, gridded bool) ([]byte, Trail, error) {
 	// per field, k is the Rice parameter, z 1 for zig-zagged codes, lo the
 	// least flagFOR adds.
 	b, aged, acc, nb, h, g := c.b, uint64(0), uint64(0), uint(0), byte(0), int64(1)
-	firstFlags := byte(flagFOR | flagAged)
-	if gridded {
-		firstFlags |= flagGrid
-	}
 	k, z, lo := [3]uint{}, [3]uint64{1, 1, 1}, [3]int64{}
 	if n >= 2 && len(b) < 3 {
 		return nil, Trail{}, ErrShortBuffer
 	} else if n >= 2 {
 		head, w := [3]byte(b[:3]), 3 // each byte's parameter at most 24, flagAged and flagGrid on the first only
-		if max(head[0]&^firstFlags, head[1]&^flagFOR, head[2]&^flagFOR) > maxRiceK {
+		if max(head[0]&^(flagFOR|flagAged|flagGrid), head[1]&^flagFOR, head[2]&^flagFOR) > maxRiceK {
 			return nil, Trail{}, errHead
 		}
 		ok := true // while every varint of the head reads

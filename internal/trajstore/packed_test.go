@@ -114,7 +114,7 @@ func checkPacked(t *testing.T, name string, tr *Trail) []byte {
 		t.Fatalf("%s: AppendPacked overwrote dst", name)
 	}
 	packed = packed[6:]
-	got, unpacked, err := UnpackBlock([]byte("x"), packed, true)
+	got, unpacked, err := UnpackBlock([]byte("x"), packed)
 	if err != nil {
 		t.Fatalf("%s: UnpackBlock: %v", name, err)
 	}
@@ -161,7 +161,7 @@ func TestPackedRoundTrip(t *testing.T) {
 		t.Fatalf("escapes written per field (across, along, Δt) = %v; the cases must reach all three", seen)
 	}
 	var empty Trail
-	if got, _, err := UnpackBlock(nil, empty.AppendPacked(nil), true); err != nil || !bytes.Equal(got, empty.AppendBlock(nil)) {
+	if got, _, err := UnpackBlock(nil, empty.AppendPacked(nil)); err != nil || !bytes.Equal(got, empty.AppendBlock(nil)) {
 		t.Fatalf("empty trail: %x, %v", got, err)
 	}
 }
@@ -427,17 +427,13 @@ func TestUnpackRefuses(t *testing.T) {
 		}{bad, errHead}
 	}
 	for name, c := range cases {
-		if _, _, err := UnpackBlock(nil, c.b, true); err == nil || c.want != nil && !errors.Is(err, c.want) {
+		if _, _, err := UnpackBlock(nil, c.b); err == nil || c.want != nil && !errors.Is(err, c.want) {
 			t.Errorf("%s: UnpackBlock(%x) = %v, want %v", name, c.b, err, c.want)
 		}
 	}
-	// The control: a divisor of 2 reads — but not where the block's
-	// segment carries none, as version 5's do not.
-	if _, _, err := UnpackBlock(nil, withDivisor(2), true); err != nil {
+	// The control: a divisor of 2 reads.
+	if _, _, err := UnpackBlock(nil, withDivisor(2)); err != nil {
 		t.Fatalf("a divisor of 2: %v", err)
-	}
-	if _, _, err := UnpackBlock(nil, withDivisor(2), false); !errors.Is(err, errHead) {
-		t.Errorf("a divisor in a version-5 block: %v, want errHead", err)
 	}
 }
 
@@ -502,7 +498,7 @@ func FuzzPackedBlock(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if block, unpacked, err := UnpackBlock(nil, data, true); err == nil {
+		if block, unpacked, err := UnpackBlock(nil, data); err == nil {
 			if !servable(block) {
 				t.Fatalf("UnpackBlock accepted %x as %x, which Enters(nil) refuses", data, block)
 			}

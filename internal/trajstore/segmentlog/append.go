@@ -28,7 +28,7 @@ func (l *shardLog) createSegmentFile(seq uint64) (vfs.File, segmentFile, error) 
 		l.fs.Remove(path)
 		return nil, segmentFile{}, err
 	}
-	return f, segmentFile{path: path, v: version, size: headerSize}, nil
+	return f, segmentFile{path: path, size: headerSize}, nil
 }
 
 // newSegmentFileLocked creates the next numbered segment file and fsyncs

@@ -236,11 +236,8 @@ func (l *shardLog) compact(p CompactionPolicy, all bool) (CompactionResult, erro
 	// output and skip the publish — no generation bump, no fsync storm — and
 	// the selection is a tier from here on, which no tick reads again before
 	// tierRatio says so. (RecordsIn == 0 still publishes, to drop the empty
-	// files.) A selection holding a segment an older writer left publishes
-	// too: the pass is what rewrites it at version, so an explicit pass
-	// leaves no version-5 segment behind.
-	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && marked == 0 && res.RecordsIn > 0 &&
-		!slices.ContainsFunc(sealed, func(sf segmentFile) bool { return sf.v != version }) {
+	// files.)
+	if res.Merged == 0 && res.Deduped == 0 && res.Aged == 0 && marked == 0 && res.RecordsIn > 0 {
 		cw.discard()
 		res.RecordsOut, res.SegmentsOut, res.BytesOut = res.RecordsIn, res.SegmentsIn, res.BytesIn
 		l.tiers = append(l.tiers[:t], len(sealed))

@@ -71,12 +71,11 @@ func frameRecord(dst []byte, device string, tr *trajstore.Trail) ([]byte, error)
 
 // openRecord splits body and opens its payload as the trail of its
 // delta-varint block, in the one walk that checks a read will serve it; dst
-// takes the unpacking. v is the version of the segment holding it: a
-// version-5 record is a version-6 one that carries no divisor.
-func openRecord(dst, body []byte, v byte) (device, unpacked []byte, tr trajstore.Trail, err error) {
+// takes the unpacking.
+func openRecord(dst, body []byte) (device, unpacked []byte, tr trajstore.Trail, err error) {
 	device, payload, err := splitBody(body)
 	if err == nil {
-		dst, tr, err = trajstore.UnpackBlock(dst, payload, v >= 6)
+		dst, tr, err = trajstore.UnpackBlock(dst, payload)
 	}
 	return device, dst, tr, err
 }

@@ -134,7 +134,7 @@ func TestOldFormatsRejected(t *testing.T) {
 			writeManifestText(t, shard, "BQSMANIFEST 1\ngen 3\nseg seg-00000001.log\n")
 		}},
 	}
-	for v := byte(1); v < minVersion; v++ {
+	for v := byte(1); v < version; v++ {
 		for _, active := range []bool{false, true} {
 			name := fmt.Sprintf("v%d header on the sealed segment", v)
 			if active {
@@ -214,14 +214,14 @@ func TestRecordFraming(t *testing.T) {
 		if !ok || next != len(rec) || !bytes.HasSuffix(body, packed) {
 			t.Fatalf("%d-byte ID: the record does not frame its packed block", n)
 		}
-		got, _, back, err := openRecord(nil, body, version)
+		got, _, back, err := openRecord(nil, body)
 		if err != nil || string(got) != dev || back.Bounds() != tr.Bounds() || !bytes.Equal(back.AppendBlock(nil), tr.AppendBlock(nil)) {
 			t.Fatalf("%d-byte ID: reads back as a %d-byte ID, %+v, %v", n, len(got), back.Bounds(), err)
 		}
 	}
 	if body, _, _, ok := nextRecord(sealBody(nil, idOnlyBody), 0); !ok {
 		t.Fatal("the ID-length-only record does not frame")
-	} else if _, _, _, err := openRecord(nil, body, version); err == nil {
+	} else if _, _, _, err := openRecord(nil, body); err == nil {
 		t.Fatal("a body that is only its ID length opens")
 	}
 	long := strings.Repeat("d", 1<<16)

@@ -2,15 +2,14 @@ package segmentlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,23 +19,20 @@ import (
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
 
-// v5Fixture and v6Fixture are checked-in sharded roots, each the fixture
-// script's output from the writer of the tree that introduced its segment
-// format, with a golden file — fixtureSnapshot's answers in that tree —
-// beside it. This tree must read each to its golden, and write the newest
-// byte for byte. A fixture is written once and never regenerated; a later
-// format gets a fixture of its own, and one goes when its version stops
-// being read. LOCK (it only carries a pid) is not checked in.
+// v6Fixture is a checked-in sharded root, the fixture script's output from
+// the writer of the tree that introduced segment format 6, with
+// v6log.golden.json — fixtureSnapshot's answers in that tree — beside it:
+// this tree must read it to that golden and write it byte for byte. It is
+// written once and never regenerated; a later format gets a fixture of its
+// own, and this one goes when version 6 stops being read. LOCK (it only
+// carries a pid) is not checked in.
 //
-// Version 5's script stored fixed zig-zag keys; version 6's stores what the
-// registered "fbqs" keeps of a zig-zag of fixes (gridTrack), keys on its
-// grid, so its records carry the packed block's divisor. A change to what
-// "fbqs" keeps changes this input, not the format: it then checks in
-// gridTrack's keys as they are here instead of regenerating the fixture.
-const (
-	v5Fixture = "testdata/v5log"
-	v6Fixture = "testdata/v6log"
-)
+// The script stores what the registered "fbqs" keeps of a zig-zag of fixes
+// (gridTrack), keys on its grid, so its records carry the packed block's
+// divisor. A change to what "fbqs" keeps changes this input, not the
+// format: it then checks in gridTrack's keys as they are here instead of
+// regenerating the fixture.
+const v6Fixture = "testdata/v6log"
 
 // fixtureOptions are the options the fixture was written with.
 func fixtureOptions() Options { return Options{MaxSegmentBytes: 512} }
@@ -230,17 +226,15 @@ func checkGolden(t testing.TB, what string, got, want fixtureGolden) {
 	}
 }
 
-// segVersions lists, a string per shard of root, the version byte of every
-// segment its MANIFEST names, in order: "666" is three version-6
-// segments.
-func segVersions(t testing.TB, root string) []string {
+// checkVersions fails unless every segment the MANIFESTs of root name
+// carries version byte v.
+func checkVersions(t testing.TB, root string, v byte) {
 	t.Helper()
 	shards, err := filepath.Glob(filepath.Join(root, "shard-*"))
 	if err != nil || len(shards) == 0 {
 		t.Fatalf("no shards under %s: %v", root, err)
 	}
-	out := make([]string, len(shards))
-	for i, shard := range shards {
+	for _, shard := range shards {
 		man, _, err := readManifest(vfs.OS, shard)
 		if err != nil {
 			t.Fatal(err)
@@ -250,32 +244,26 @@ func segVersions(t testing.TB, root string) []string {
 			if err != nil || len(b) < headerSize {
 				t.Fatalf("%s: %d bytes, %v", s.Name, len(b), err)
 			}
-			out[i] += fmt.Sprint(b[6])
+			if b[6] != v {
+				t.Fatalf("%s: segment version %d, want %d", s.Name, b[6], v)
+			}
 		}
 	}
-	return out
-}
-
-// TestFormatPinV5Fixture pins that version 5 still reads: a read-only open
-// of the fixture, every segment of it version 5, answers its golden.
-func TestFormatPinV5Fixture(t *testing.T) {
-	checkGolden(t, v5Fixture, readOnlySnapshot(t, v5Fixture), readGolden(t, v5Fixture))
-	checkVersions(t, v5Fixture, "5")
 }
 
 // TestFormatPinV6Fixture pins the format this tree writes. Reading: a
 // read-only open of the fixture answers its golden. Writing: the script run
 // through this tree's writer — append, rotation, seal, compaction with
 // ageing, manifest publish, SHARDS — writes every file of the fixture byte
-// for byte and nothing else, every segment version 6, and some record of it
-// carries a divisor.
+// for byte and nothing else, every segment version 6, and every record of
+// it with two keys or more carries a divisor.
 func TestFormatPinV6Fixture(t *testing.T) {
 	dir := t.TempDir()
 	buildFixtureLog(t, dir)
 	rebuilt := treeFiles(t, dir)
 	delete(rebuilt, lockName)
 	checkGolden(t, v6Fixture, readOnlySnapshot(t, v6Fixture), readGolden(t, v6Fixture))
-	checkVersions(t, v6Fixture, "6")
+	checkVersions(t, v6Fixture, 6)
 
 	want := treeFiles(t, v6Fixture)
 	for name, b := range want {
@@ -288,8 +276,7 @@ func TestFormatPinV6Fixture(t *testing.T) {
 			t.Errorf("%s: written by this tree, absent from the fixture", name)
 		}
 	}
-	// The version-5 reader refuses some record: one carries a divisor.
-	refused := false
+	gridded := 0 // every key lies on "fbqs"'s grid
 	for name, b := range want {
 		if strings.HasSuffix(name, ".log") {
 			for pos := headerSize; ; {
@@ -297,114 +284,17 @@ func TestFormatPinV6Fixture(t *testing.T) {
 				if !ok {
 					break
 				}
-				_, _, _, err := openRecord(nil, body, 5)
-				refused, pos = refused || err != nil, next
+				_, payload, err := splitBody(body)
+				if n, _ := binary.Uvarint(payload); err != nil || n >= 2 && payload[packedHeadOffset(payload)]&flagGrid == 0 {
+					t.Fatalf("%s: the record at %d carries no divisor (%v)", name, pos, err)
+				} else if n >= 2 {
+					gridded++
+				}
+				pos = next
 			}
 		}
 	}
-	if !refused {
+	if gridded == 0 {
 		t.Error("no record of the fixture carries a divisor")
-	}
-}
-
-// copyTree copies every file under root into a fresh directory.
-func copyTree(t *testing.T, root string) string {
-	t.Helper()
-	dst := t.TempDir()
-	for name, b := range treeFiles(t, root) {
-		p := filepath.Join(dst, filepath.FromSlash(name))
-		if err := errors.Join(os.MkdirAll(filepath.Dir(p), 0o755), os.WriteFile(p, b, 0o644)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
-}
-
-// checkVersions fails unless every segment of the fixture root is version v.
-func checkVersions(t *testing.T, root, v string) {
-	t.Helper()
-	for _, vs := range segVersions(t, root) {
-		if strings.Trim(vs, v) != "" {
-			t.Fatalf("%s segment versions %q, want all %s", root, vs, v)
-		}
-	}
-}
-
-// TestVersion5Upgrades: a writable open of the version-5 fixture leaves
-// every segment of it as it was and appends to a new version-6 segment,
-// whose record — a chunk chained to dev-0's last, then keys on "fbqs"'s
-// grid — reads back after the fixture's; Seal and a merging Compact then
-// rewrite every segment at version 6, the two chunks one record, the other
-// shard's too, whose records the pass does not change. A version-6
-// segment relabelled 5 is refused at its first record with a divisor: what
-// version 5 never wrote.
-func TestVersion5Upgrades(t *testing.T) {
-	root := copyTree(t, v5Fixture)
-	before := treeFiles(t, root)
-	lg, err := OpenSharded(root, 0, fixtureOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := readGolden(t, v5Fixture)
-	last := want.Query["dev-0"][len(want.Query["dev-0"])-1].Keys
-	chunk := append([]trajstore.GeoKey{last[len(last)-1]}, gridTrack(0, 20000, 12)...)
-	if err := lg.Append("dev-0", chunk); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	after := treeFiles(t, root)
-	for name, b := range before {
-		if strings.HasSuffix(name, ".log") && !bytes.Equal(after[name], b) {
-			t.Fatalf("%s: a version-5 segment was written to", name)
-		}
-	}
-	for _, vs := range segVersions(t, root) {
-		if vs != "5556" {
-			t.Fatalf("segment versions %q after a writable open, want the fixture's 555 then a new 6", vs)
-		}
-	}
-	got := readOnlySnapshot(t, root)
-	added := got.Query["dev-0"][len(got.Query["dev-0"])-1]
-	if n := len(want.Query["dev-0"]); len(got.Query["dev-0"]) != n+1 || !reflect.DeepEqual(got.Query["dev-0"][:n], want.Query["dev-0"]) || added.T1 < 20000 {
-		t.Fatalf("dev-0 reads %d records, want the fixture's %d and the appended one", len(got.Query["dev-0"]), n)
-	}
-
-	lg, err = OpenSharded(root, 0, fixtureOptions())
-	if err == nil {
-		err = lg.Seal()
-		if err == nil {
-			_, err = lg.Compact(CompactionPolicy{MergeChunks: true})
-		}
-		err = errors.Join(err, lg.Close())
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkVersions(t, root, "6") // the shard whose records the pass left unchanged too
-	merged := readOnlySnapshot(t, root).Query["dev-0"]
-	joined := append(slices.Clone(last), chunk[1:]...)
-	if n := len(merged); n != len(got.Query["dev-0"])-1 || !reflect.DeepEqual(merged[n-1].Keys, joined) {
-		t.Fatalf("dev-0 reads %d records after the merge, want its last chunk and the appended one joined", n)
-	}
-
-	relabelled := copyTree(t, v6Fixture)
-	for name, b := range treeFiles(t, relabelled) {
-		if strings.HasSuffix(name, ".log") {
-			b[6] = 5
-			if err := os.WriteFile(filepath.Join(relabelled, filepath.FromSlash(name)), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	opts := fixtureOptions()
-	opts.ReadOnly = true
-	if lg, err := OpenSharded(relabelled, 0, opts); err == nil {
-		st := lg.Stats()
-		_ = lg.Close() // read-only: nothing to lose
-		if st.Truncated == 0 {
-			t.Fatal("a version-5 segment's records with a divisor were served")
-		}
 	}
 }

@@ -89,10 +89,7 @@ func openShardLog(dir string, opts Options) (*shardLog, error) {
 	if l.ro {
 		return l, nil
 	}
-	if n := len(l.segs); n == 0 || l.segs[n-1].v != version {
-		// A fresh log, or one whose last segment an older writer left:
-		// that one is sealed as it stands, appends go to a new one.
-		l.tiers[0] = n
+	if len(l.segs) == 0 {
 		f, seg, err := l.newSegmentFileLocked()
 		if err != nil {
 			return nil, err
@@ -164,14 +161,13 @@ func (l *shardLog) loadSegment(path string, final bool) (segmentFile, error) {
 		if !final {
 			return segmentFile{}, fmt.Errorf("%w: %s: sealed segment shorter than its header", ErrCorrupt, filepath.Base(path))
 		}
-		return segmentFile{path: path, v: version, size: headerSize}, l.rewriteEmpty(path)
+		return segmentFile{path: path, size: headerSize}, l.rewriteEmpty(path)
 	}
 	if [6]byte(data[:6]) != magic {
 		return segmentFile{}, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
 	}
-	v := data[6]
-	if v < minVersion || v > version {
-		return segmentFile{}, fmt.Errorf("%w: %s: segment version %d, and only %d to %d are read; %s", ErrCorrupt, filepath.Base(path), v, minVersion, version, upgradeHint)
+	if v := data[6]; v != version {
+		return segmentFile{}, fmt.Errorf("%w: %s: segment version %d, and only %d is read; %s", ErrCorrupt, filepath.Base(path), v, version, upgradeHint)
 	}
 	metas, scratch := []recordMeta(nil), []byte(nil)
 	valid := int64(headerSize)
@@ -180,7 +176,7 @@ func (l *shardLog) loadSegment(path string, final bool) (segmentFile, error) {
 		if !ok {
 			break
 		}
-		dev, unpacked, tr, err := openRecord(scratch[:0], body, v)
+		dev, unpacked, tr, err := openRecord(scratch[:0], body)
 		if err != nil {
 			break
 		}
@@ -195,7 +191,7 @@ func (l *shardLog) loadSegment(path string, final bool) (segmentFile, error) {
 			// after the cut — safe to drop) from mid-file corruption
 			// (valid records still follow the bad one — refusing is the
 			// only non-destructive option).
-			if off := resyncScan(data, int(valid), v); off >= 0 {
+			if off := resyncScan(data, int(valid)); off >= 0 {
 				return segmentFile{}, fmt.Errorf("%w: %s: invalid record at offset %d but valid data at %d — refusing to truncate a sealed segment mid-file",
 					ErrCorrupt, filepath.Base(path), valid, off)
 			}
@@ -210,17 +206,17 @@ func (l *shardLog) loadSegment(path string, final bool) (segmentFile, error) {
 	if !final {
 		metas = slices.Clone(metas) // sealed, it grows no more: shed the scan's spare room
 	}
-	return segmentFile{path: path, v: v, size: valid, sum: sumOf(metas), recs: metas}, nil
+	return segmentFile{path: path, size: valid, sum: sumOf(metas), recs: metas}, nil
 }
 
-// resyncScan looks for a valid, decodable record of a version-v segment
-// anywhere after from; it returns the offset of the first one, or -1. Used
-// to tell mid-file corruption apart from a torn tail (a false positive needs
-// random bytes to pass both plausibility checks and CRC-32C, ~2^-32).
-func resyncScan(data []byte, from int, v byte) int {
+// resyncScan looks for a valid, decodable record anywhere after from;
+// it returns the offset of the first one, or -1. Used to tell mid-file
+// corruption apart from a torn tail (a false positive needs random
+// bytes to pass both plausibility checks and CRC-32C, ~2^-32).
+func resyncScan(data []byte, from int) int {
 	for pos := from + 1; pos+recordHeaderSize <= len(data); pos++ {
 		if body, _, _, ok := nextRecord(data, pos); ok {
-			if _, _, _, err := openRecord(nil, body, v); err == nil {
+			if _, _, _, err := openRecord(nil, body); err == nil {
 				return pos
 			}
 		}

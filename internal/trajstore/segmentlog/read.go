@@ -160,7 +160,7 @@ func (r *segReader) readTrail(ref refSnap) ([]byte, trajstore.Trail, error) {
 	if !ok || next != len(rec) {
 		return nil, trajstore.Trail{}, fmt.Errorf("%w: record at offset %d no longer matches its length and checksum", ErrCorrupt, ref.off)
 	}
-	dev, _, tr, err := openRecord(rec[n:], body, version) // its segment's open checked it at its own
+	dev, _, tr, err := openRecord(rec[n:], body)
 	if err != nil {
 		return nil, tr, fmt.Errorf("%w: indexed record unreadable: %v", ErrCorrupt, err)
 	}

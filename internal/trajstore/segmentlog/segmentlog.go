@@ -19,9 +19,8 @@
 // LOCK and one shard directory per shard. A shard directory holds a
 // MANIFEST (see manifest.go) naming the live segment files in logical
 // order and the numbered segment files "seg-00000001.log",
-// "seg-00000002.log", .... Segments are written at version 6 and read at
-// 5 or 6; any other is refused with ErrCorrupt, and appends never go to a
-// version-5 segment: an open whose last one is starts a new. Segment numbers
+// "seg-00000002.log", .... Segments are version 6, the one version
+// written and read; any other is refused with ErrCorrupt. Segment numbers
 // are allocated from a monotonic sequence and never reused while
 // referenced; after compaction (see compact.go) a low-numbered file may be
 // superseded by a higher-numbered one holding older data, which is why the
@@ -57,13 +56,9 @@ const (
 	headerSize = 8
 	// recordHeaderSize prefixes every record: u32 bodyLen + u32 crc32c.
 	recordHeaderSize = 8
-	// version is the format version byte of every segment file written
-	// (the package comment has its records); versions minVersion up to it
-	// are read.
+	// version is the format version byte of every segment file, written
+	// and read (the package comment has its records).
 	version = 6
-	// minVersion is the oldest version read: 5, whose records are version
-	// 6's without the packed block's divisor.
-	minVersion = 5
 	// MaxRecordBytes caps a single record body. A length prefix above it
 	// is treated as corruption, bounding allocation on malicious or
 	// damaged input. 16 MiB ≈ 1.5 M key points per trajectory.
@@ -167,7 +162,6 @@ type recordAddr struct {
 // live size is shardLog.off.
 type segmentFile struct {
 	path string
-	v    byte             // the header's version: appends go only to a segment of this tree's
 	size int64            // valid bytes, header included
 	sum  trajstore.Bounds // union of recs' bounds (sumOf): what a window prunes the whole file on
 	recs []recordMeta     // every record, in file order

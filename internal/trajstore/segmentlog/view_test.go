@@ -438,17 +438,28 @@ func breakPacked(t testing.TB, b []byte, m recordMeta) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := 0
-	for f := 0; f < 4; f++ { // the count and the first key's lat, lon and t
-		_, n := binary.Uvarint(payload[k:])
-		k += n
-	}
-	if _, _, err := trajstore.UnpackBlock(nil, payload, true); err != nil || k+3 > len(payload) {
+	k := packedHeadOffset(payload)
+	if _, _, err := trajstore.UnpackBlock(nil, payload); err != nil || k+3 > len(payload) {
 		t.Fatalf("fixture: record at %d holds no packed deltas to break (%v)", m.off, err)
 	}
 	payload[k] = 25
 	binary.LittleEndian.PutUint32(b[m.off-4:], crc32.Checksum(body, castagnoli))
 }
+
+// packedHeadOffset is where a packed payload's head starts, past the count
+// and the first key's lat, lon and t; a block of two keys or more has one.
+func packedHeadOffset(payload []byte) int {
+	k := 0
+	for f := 0; f < 4; f++ {
+		_, n := binary.Uvarint(payload[k:])
+		k += n
+	}
+	return k
+}
+
+// flagGrid is the packed head's divisor flag (trajstore's packed.go), on
+// its first byte.
+const flagGrid = 1 << 6
 
 // TestActivePackedDamageIsTorn: the damage breakPacked does to the last
 // record of the active segment is a torn tail — the open truncates it,
