@@ -8,6 +8,7 @@ import (
 
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/eval"
+	"github.com/trajcomp/bqs/internal/synth"
 )
 
 // Benchmarks: one (at least) per table and figure of the paper's
@@ -203,27 +204,54 @@ func BenchmarkBQS4DPerPoint(b *testing.B) {
 
 // --- Ingestion engine: fleet throughput at 1k and 10k devices.
 
-// fleetBatches is the engine benchmarks' traffic: rounds batches of one
-// fix per device, a per-device zig-zag that advances each round so
-// compressor decisions (and some key-point emissions) actually happen.
-func fleetBatches(devices, rounds int) [][]Fix {
-	batches := make([][]Fix, rounds)
-	for r := range batches {
-		batch := make([]Fix, devices)
-		for d := range batch {
-			batch[d] = Fix{
-				Device: "dev-" + strconv.Itoa(d),
-				Point:  Point{X: float64(r * 40), Y: float64(d%50) + float64(r%2)*25, T: float64(r)},
+// fleet is the engine benchmarks' traffic: a lap of batches of one fix per
+// device, a second apart. Each device drives its own stretch of a
+// synth.Walk, and each lap carries on where the last one ended — batch moves
+// every fix on by its stretch's displacement and the lap's time — so a
+// track never jumps and its time never runs backwards, and the compressor
+// cuts about as often as on the walk itself.
+type fleet struct {
+	batches [][]Fix
+	lap     []Point // per device, what a lap moves its fixes on by
+}
+
+func newFleet(devices, rounds int) *fleet {
+	cfg := synth.DefaultWalkConfig(1)
+	cfg.N = devices*rounds + 1
+	walk := synth.Walk(cfg).Points()
+	f := &fleet{batches: make([][]Fix, rounds), lap: make([]Point, devices)}
+	for r := range f.batches {
+		f.batches[r] = make([]Fix, devices)
+	}
+	for d := range f.lap {
+		id, stretch := "dev-"+strconv.Itoa(d), walk[d*rounds:(d+1)*rounds+1]
+		for r, p := range stretch[:rounds] {
+			f.batches[r][d] = Fix{Device: id, Point: Point{X: p.X, Y: p.Y, T: float64(r)}}
+		}
+		f.lap[d] = Point{X: stretch[rounds].X - stretch[0].X, Y: stretch[rounds].Y - stretch[0].Y, T: float64(rounds)}
+	}
+	return f
+}
+
+// batch is the i-th batch of the traffic, rounds after rounds: starting a
+// lap past the first, it moves every fix on by a lap, b's timer stopped.
+func (f *fleet) batch(b *testing.B, i int) []Fix {
+	r := i % len(f.batches)
+	if r == 0 && i > 0 {
+		b.StopTimer()
+		for _, batch := range f.batches {
+			for d, l := range f.lap {
+				batch[d].Point = Point{X: batch[d].Point.X + l.X, Y: batch[d].Point.Y + l.Y, T: batch[d].Point.T + l.T}
 			}
 		}
-		batches[r] = batch
+		b.StartTimer()
 	}
-	return batches
+	return f.batches[r]
 }
 
 // benchEngineIngest pushes pre-generated interleaved batches (one fix
-// per device per batch, rotating through a small set of positions)
-// through the engine; reported bytes/op is the 24-byte fix payload.
+// per device per batch, a fleet's laps) through the engine; reported
+// bytes/op is the 24-byte fix payload.
 // With persist set, a segment log is attached, so the measured path
 // includes the durability bookkeeping (per-session key accumulation);
 // the sessions' durable flush happens in Close, timed separately by
@@ -243,13 +271,12 @@ func benchEngineIngest(b *testing.B, devices int, persist bool) {
 	}
 	defer e.Close()
 
-	const rounds = 8
-	batches := fleetBatches(devices, rounds)
-	// One round of every batch first: the sessions open and their
-	// compressors warm outside the timed loop, so a short -benchtime does
-	// not count opening them.
-	for _, batch := range batches {
-		if err := e.Ingest(batch); err != nil {
+	const rounds = 32
+	traffic := newFleet(devices, rounds)
+	// The first lap outside the timed loop: the sessions open and their
+	// compressors warm, so a short -benchtime does not count opening them.
+	for i := 0; i < rounds; i++ {
+		if err := e.Ingest(traffic.batch(b, i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -261,7 +288,7 @@ func benchEngineIngest(b *testing.B, devices int, persist bool) {
 	b.SetBytes(int64(devices) * 24)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.Ingest(batches[i%rounds]); err != nil {
+		if err := e.Ingest(traffic.batch(b, rounds+i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -285,7 +312,7 @@ func BenchmarkEngineIngestPersist10kDevices(b *testing.B) { benchEngineIngest(b,
 // (no fsync: that is Sync's). ns/session is the op over the fleet, the
 // ingest included — a flush with no fix since it is a no-op.
 func BenchmarkEngineFlushSessions1kDevices(b *testing.B) {
-	const devices, rounds = 1000, 8
+	const devices, rounds = 1000, 32
 	lg, err := OpenShardedSegmentLog(b.TempDir(), 1, SegmentLogOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -295,11 +322,11 @@ func BenchmarkEngineFlushSessions1kDevices(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	batches := fleetBatches(devices, rounds)
+	traffic := newFleet(devices, rounds)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.Ingest(batches[i%rounds]); err != nil {
+		if err := e.Ingest(traffic.batch(b, i)); err != nil {
 			b.Fatal(err)
 		}
 		if err := e.FlushSessions(); err != nil {
@@ -314,7 +341,7 @@ func BenchmarkEngineFlushSessions1kDevices(b *testing.B) {
 // ingests a small fleet and Closes the engine, which writes and fsyncs
 // every finalized session trajectory through the segment log.
 func BenchmarkEnginePersistClose(b *testing.B) {
-	batches := fleetBatches(200, 8)
+	batches := newFleet(200, 8).batches
 	dir := b.TempDir()
 	b.ReportAllocs()
 	b.ResetTimer()

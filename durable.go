@@ -10,7 +10,7 @@ import (
 
 // Durable persistence: the append-only, CRC-checksummed segment log
 // (internal/trajstore/segmentlog) makes the ingestion engine restartable.
-// Finalized session trajectories are appended Rice-coded, Engine.Sync is
+// Finalized session trajectories are appended as packed blocks, Engine.Sync is
 // the durability barrier, and on reopen the log truncates any torn tail
 // left by a crash and rebuilds its device/time index by scanning every
 // segment's record headers. There is one log type — ShardedSegmentLog, a

@@ -1,7 +1,8 @@
 // The packed block: how a segment log record holds a trail on disk —
-// DeltaEncode's block with each later key coded in its predecessor's frame
-// and Rice-coded. AppendPacked writes it, UnpackBlock turns it back into
-// that block and its trail.
+// DeltaEncode's block with each later key coded in its predecessor's frame,
+// each field Rice-coded or, where that costs fewer bits, coded with a
+// Huffman table of value buckets. AppendPacked writes it, UnpackBlock turns
+// it back into that block and its trail.
 package trajstore
 
 import (
@@ -15,12 +16,17 @@ import (
 )
 
 const (
-	riceEscape = 32              // a quotient this large is escaped: riceEscape one bits, then the value's 64
-	escapeBits = riceEscape + 64 // what an escape costs, the most any code does
-	maxRiceK   = 24              // so that a code, unless escaped, fits the 56 bits a load brings
-	flagFOR    = 1 << 5          // in a field's head byte: its least follows, a code is the value less it, unsigned
-	flagGrid   = 1 << 6          // in the first field's head byte: the divisor follows, the spatial fields' codes are of steps over it
-	flagAged   = 1 << 7          // in the first field's head byte: the ageing watermark follows
+	riceEscape   = 32                // a quotient this large is escaped: riceEscape one bits, then the value's 64
+	escapeBits   = riceEscape + 64   // what an escape costs, the most any code does
+	maxRiceK     = 24                // so that a code, unless escaped, fits the 56 bits a load brings
+	tableK       = 31                // in a field's head byte, past every Rice parameter: its codes are its table's
+	maxCodeLen   = 11                // the longest code a table gives a bucket
+	buckets      = 252               // value buckets: 0–7 each their own, then four for each bit length 4–64
+	maxTable     = 2 + 2 + buckets/2 // a table's bytes at most: first bucket, count, a code length a nibble
+	minTableKeys = 24                // a shorter record is not counted for a table: on the guard tracks none saves a byte
+	flagFOR      = 1 << 5            // in a field's head byte: its least follows, a code is the value less it, unsigned
+	flagGrid     = 1 << 6            // in the first field's head byte: the divisor follows, the spatial fields' codes are of steps over it
+	flagAged     = 1 << 7            // in the first field's head byte: the ageing watermark follows
 )
 
 // turn maps a step (x, y) — Δlon, Δlat — into the frame whose +x is heading
@@ -69,37 +75,88 @@ func escaped(q uint64, k uint) uint64 {
 	return uint64(escapeBits-int(k)) - q
 }
 
+// fieldCode is how chooseCode codes a field, and what a table for it
+// needs: the head byte, the least flagFOR subtracts and what its Rice codes
+// cost, in bits; where it counted them, the first and last bucket its codes
+// fall in and the bits a table would leave raw.
+type fieldCode struct {
+	head        byte
+	off         int64
+	rice        int
+	first, last uint
+	raw         int
+}
+
 // chooseCode codes a field's m values, every third of vals, in place: less
 // their least lo, unsigned, when Rice codes of the mean so cost less, lo's
 // varint with them, than zig-zagged ones, else zig-zagged. The head byte is
 // the flag over the cheapest Rice parameter, stepped to from log₂ of the
-// codes' mean while a neighbour costs less.
-func chooseCode(vals []int64, m int, lo int64) (head byte, off int64) {
+// codes' mean while a neighbour costs less. With hist, it counts the codes
+// by bucket.
+func chooseCode(vals []int64, m int, lo int64, hist *[buckets]uint32) (c fieldCode) {
 	var sFOR, sZig uint64
 	for i := 0; i < len(vals); i += 3 {
 		sFOR, sZig = sFOR+uint64(vals[i]-lo), sZig+uint64(vals[i]<<1^vals[i]>>63)
 	}
 	sum, kFOR, kZig := sZig, max(bits.Len64(sFOR/uint64(m)), 1)-1, max(bits.Len64(sZig/uint64(m)), 1)-1
 	if m*kFOR+int(sFOR>>kFOR)+8*(max(bits.Len64(uint64(lo<<1^lo>>63))+6, 7)/7) < m*kZig+int(sZig>>kZig) {
-		head, off, sum = flagFOR, lo, sFOR
+		c.head, c.off, sum = flagFOR, lo, sFOR
 	}
 	for i := 0; i < len(vals); i += 3 {
-		if vals[i] -= off; head == 0 {
+		if vals[i] -= c.off; c.head == 0 {
 			vals[i] = vals[i]<<1 ^ vals[i]>>63
+		}
+		if hist != nil {
+			b, _ := bucket(uint64(vals[i]))
+			hist[b]++
+		}
+	}
+	if hist != nil { // the first and last bucket counted, and the raw bits of all: a bucket from 8 up leaves (b − 8)/4 + 1
+		last := uint(buckets - 1)
+		for hist[last] == 0 {
+			last--
+		}
+		c.first, c.last = uint(slices.IndexFunc(hist[:last+1], func(n uint32) bool { return n > 0 })), last
+		for b := max(c.first, 8); b <= last; b++ {
+			c.raw += int(hist[b]) * int((b-8)>>2+1)
 		}
 	}
 	for k := min(max(bits.Len64(sum/uint64(m)), 2)-1, maxRiceK-1); ; {
 		cost := riceCosts(vals, uint(k))
 		j := slices.Index(cost[:], slices.Min(cost[:]))
 		if k += j - 1; j == 1 || k < 1 || k >= maxRiceK {
-			return head | byte(k), off
+			c.head, c.rice = c.head|byte(k), cost[j]
+			return c
 		}
 	}
 }
 
-// packScratch lends AppendPacked the field values of a trail's later keys,
-// between the walk that decodes them and the one that codes them.
-var packScratch = sync.Pool{New: func() any { return new([]int64) }}
+// packBufs is AppendPacked's scratch: the field values of a trail's later
+// keys, between the walk that decodes them and the one that codes them, a
+// field's count of each value bucket — zero between uses — and per field
+// the buckets' codes.
+type packBufs struct {
+	vals []int64
+	hist [buckets]uint32
+	lens [3][buckets]uint8  // a bucket's code length, 0 for none
+	code [3][buckets]uint32 // a bucket's code, its first bit least significant, under its length<<16 and raw bits<<20
+
+	// huffman's: the buckets by count, their weights, the count of codes
+	// of each length.
+	sym      [buckets]uint64
+	w, depth [buckets]int
+}
+
+var packScratch = sync.Pool{New: func() any { return new(packBufs) }}
+
+// When AppendPacked's fields take a table: never (each field's Rice codes,
+// version 6's bytes), where it costs fewer bits, or always (tests reach every
+// table a reader must read with it).
+const (
+	tablesNever = iota
+	tablesWherePaying
+	tablesAlways
+)
 
 // AppendPacked appends the trail as a packed block: the count and the first
 // key as AppendBlock writes them; then, for two keys or more, a head and the
@@ -107,20 +164,25 @@ var packScratch = sync.Pool{New: func() any { return new([]int64) }}
 // before it points along +x (veer; east before any): its across and along
 // components, each over the divisor g — the greatest common divisor of every
 // step's, a grid the keys lie on — and Δt are the three fields. The head is
-// a byte a field — the Rice parameter (0–24) under the flags — then each
-// field's least (varint, flagFOR), the watermark (uvarint, flagAged) and g
-// (uvarint, flagGrid, written where g > 1). The codes follow interleaved,
-// least significant bit first, zero-padded to a byte. It walks the trail's
-// bytes once and allocates only dst's growth.
-func (t *Trail) AppendPacked(dst []byte) []byte {
+// a byte a field — the Rice parameter (0–24), or tableK, under the flags —
+// then each field's least (varint, flagFOR), the watermark (uvarint,
+// flagAged), g (uvarint, flagGrid, written where g > 1) and each tableK
+// field's table (appendTable). A field takes a table only where the table
+// and its codes cost fewer bits than its Rice codes, so no block is larger
+// than with none. The codes follow interleaved, least significant bit
+// first, zero-padded to a byte. It walks the trail's bytes once and
+// allocates only dst's growth.
+func (t *Trail) AppendPacked(dst []byte) []byte { return t.appendPacked(dst, tablesWherePaying) }
+
+func (t *Trail) appendPacked(dst []byte, tables int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(t.n))
-	scratch := packScratch.Get().(*[]int64)
-	defer packScratch.Put(scratch)
-	vals, lo, h, first, g := (*scratch)[:0], [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}, byte(0), true, uint64(0)
-	for p := 0; p <= len(t.full); p++ {
+	p := packScratch.Get().(*packBufs)
+	defer packScratch.Put(p)
+	vals, lo, h, first, g := p.vals[:0], [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}, byte(0), true, uint64(0)
+	for pi := 0; pi <= len(t.full); pi++ {
 		pg := t.cur
-		if p < len(t.full) {
-			pg = t.full[p]
+		if pi < len(t.full) {
+			pg = t.full[pi]
 		}
 		for len(pg) > 0 { // a block's bytes are its varints, three a key
 			zlat, n1 := binary.Uvarint(pg) // Uvarint inlines, Varint does not
@@ -139,7 +201,7 @@ func (t *Trail) AppendPacked(dst []byte) []byte {
 			vals, h = append(vals, y, x, dt), (h+veer(x, y))&3
 		}
 	}
-	if *scratch = vals; t.n < 2 {
+	if p.vals = vals; t.n < 2 {
 		return dst
 	}
 	if g > 1 {
@@ -155,10 +217,17 @@ func (t *Trail) AppendPacked(dst []byte) []byte {
 		}
 		lo[0], lo[1] = lo[0]>>z*inv, lo[1]>>z*inv
 	}
-	head, off := [3]byte{}, [3]int64{}
-	for f := range head {
-		head[f], off[f] = chooseCode(vals[f:], t.n-1, lo[f])
+	var hist *[buckets]uint32 // counted for a table
+	if tables == tablesAlways || tables == tablesWherePaying && t.n >= minTableKeys {
+		hist = &p.hist
 	}
+	var c [3]fieldCode
+	tabled := false
+	for f := range c {
+		c[f] = chooseCode(vals[f:], t.n-1, lo[f], hist)
+		tabled = hist != nil && p.table(f, t.n-1, &c[f], tables == tablesAlways) || tabled
+	}
+	head := [3]byte{c[0].head, c[1].head, c[2].head}
 	if t.aged > 0 {
 		head[0] |= flagAged
 	}
@@ -168,7 +237,7 @@ func (t *Trail) AppendPacked(dst []byte) []byte {
 	dst = append(dst, head[:]...)
 	for f, hb := range head {
 		if hb&flagFOR != 0 {
-			dst = binary.AppendVarint(dst, off[f])
+			dst = binary.AppendVarint(dst, c[f].off)
 		}
 	}
 	if t.aged > 0 {
@@ -177,16 +246,211 @@ func (t *Trail) AppendPacked(dst []byte) []byte {
 	if g > 1 {
 		dst = binary.AppendUvarint(dst, g)
 	}
+	for f, hb := range head {
+		if hb&31 == tableK {
+			dst = appendTable(dst, p.lens[f][c[f].first:c[f].last+1], c[f].first)
+		}
+	}
 	out, k := bitWriter{dst: dst}, [3]uint{uint(head[0] & 31), uint(head[1] & 31), uint(head[2] & 31)}
-	for i := 0; i < len(vals); i += 3 { // chooseCode left the codes in vals
-		out.rice(uint64(vals[i]), k[0])
-		out.rice(uint64(vals[i+1]), k[1])
-		out.rice(uint64(vals[i+2]), k[2])
+	if !tabled {
+		for i := 0; i < len(vals); i += 3 { // chooseCode left the codes in vals
+			out.rice(uint64(vals[i]), k[0])
+			out.rice(uint64(vals[i+1]), k[1])
+			out.rice(uint64(vals[i+2]), k[2])
+		}
+	} else {
+		for i := 0; i < len(vals); i += 3 {
+			for f, kf := range k {
+				if u := uint64(vals[i+f]); kf != tableK {
+					out.rice(u, kf)
+				} else {
+					b, _ := bucket(u)
+					e := p.code[f][b]
+					code, l, r := uint64(e&0xffff), uint(e>>16&15), uint(e>>20)
+					if raw := u & (1<<r - 1); l+r <= 64 {
+						out.put(code|raw<<l, l+r)
+					} else { // more than a put takes: bits no trail's values reach
+						out.put(code, l)
+						out.put(raw, r)
+					}
+				}
+			}
+		}
 	}
 	for i := uint(0); i < out.n; i += 8 { // the last bits, zero-padded
 		out.dst = append(out.dst, byte(out.acc>>i))
 	}
 	return out.dst
+}
+
+// bucket is the value bucket u falls in and the count of its bits a code
+// leaves raw: a value under 8 is its own bucket, with none; one of bit
+// length c ≥ 4 falls in bucket 8 + 4(c − 4) plus its two bits under the
+// leading one, and its c − 3 bits under those follow its code. With no
+// branch: c is 3 for every value under 8, which the same sum puts in its
+// own bucket from 4 up and 4 too far below.
+func bucket(u uint64) (uint, uint) {
+	c := uint(bits.Len64(u | 4))
+	return 4*c - 8 + uint(u>>(c-3))&3 - 4*uint((u>>2-1)>>63), c - 3
+}
+
+// table gives field f, whose m codes chooseCode counted into hist, a
+// Huffman code over their buckets and c's head the parameter tableK where
+// the table and its codes cost fewer bits than c's Rice codes, or always;
+// it reports whether it did, and leaves hist zero.
+func (p *packBufs) table(f, m int, c *fieldCode, always bool) bool {
+	hist := p.hist[c.first : c.last+1]
+	// Every code is a bit at least: a field whose table cannot pay even so
+	// is not built one.
+	fixed := 8*tableBytes(c.first, len(hist)) + c.raw
+	pays := always || fixed+m < c.rice
+	if pays {
+		pays = fixed+p.huffman(f, c.first, hist) < c.rice || always
+	}
+	if clear(hist); pays {
+		c.head = c.head&^31 | tableK
+	}
+	return pays
+}
+
+// tableBytes is what appendTable writes for count buckets from first.
+func tableBytes(first uint, count int) int {
+	return (bits.Len(first|1)+6)/7 + (bits.Len(uint(count))+6)/7 + (count+1)/2
+}
+
+// huffman gives the buckets hist counts — hist[i] is bucket first+i's count
+// — a Huffman code of at most maxCodeLen bits in field f's lens and code,
+// canonical, and returns what the counted values' codes cost, in bits. A
+// lone bucket takes a 1-bit code.
+func (p *packBufs) huffman(f int, first uint, hist []uint32) int {
+	sym := p.sym[:0] // count<<8 | bucket, by count
+	for i, c := range hist {
+		if c > 0 {
+			sym = append(sym, uint64(c)<<8|uint64(first)+uint64(i))
+		}
+	}
+	slices.Sort(sym)
+	n, depth := len(sym), p.depth[:max(len(sym), 2)] // how many codes each length has
+	clear(depth)
+	if n == 1 {
+		depth[1] = 1
+	} else {
+		w := p.w[:n]
+		for i, s := range sym {
+			w[i] = int(s >> 8)
+		}
+		for _, l := range minRedundancy(w) {
+			depth[l]++
+		}
+	}
+	// Lengths past maxCodeLen move up two codes at a time, the Kraft sum
+	// kept (JPEG's Annex K.3): two leaves of the deepest level go, their
+	// parent becomes a leaf and a leaf j shallower becomes a parent of two.
+	for l := len(depth) - 1; l > maxCodeLen; l-- {
+		for depth[l] > 0 {
+			j := l - 2
+			for depth[j] == 0 {
+				j--
+			}
+			depth[l] -= 2 // j+1 may be l−1: one step at a time
+			depth[l-1]++
+			depth[j+1] += 2
+			depth[j]--
+		}
+	}
+	lens, cost, i := p.lens[f][first:int(first)+len(hist)], 0, 0
+	clear(lens)
+	for l := min(maxCodeLen, len(depth)-1); l >= 1; l-- { // the longest codes to the rarest buckets
+		for c := depth[l]; c > 0; c, i = c-1, i+1 {
+			p.lens[f][sym[i]&255] = uint8(l)
+			cost += int(sym[i]>>8) * l
+		}
+	}
+	var codes [buckets]uint16
+	canonical(lens, codes[:len(lens)])
+	for i, l := range lens {
+		_, r := bucket(bucketBase(first + uint(i)))
+		p.code[f][int(first)+i] = uint32(codes[i]) | uint32(l)<<16 | uint32(r)<<20
+	}
+	return cost
+}
+
+// bucketBase is the least value in bucket b.
+func bucketBase(b uint) uint64 {
+	if b < 8 {
+		return uint64(b)
+	}
+	return uint64(4|(b-8)&3) << ((b-8)>>2 + 1)
+}
+
+// minRedundancy turns w, weights in ascending order, into the lengths of a
+// Huffman code for them, in place (Moffat and Katajainen's in-place
+// algorithm): the tree's internal weights, then its parents' depths, then
+// the leaves' depths, longest first. It returns w.
+func minRedundancy(w []int) []int {
+	n := len(w)
+	w[0] += w[1]
+	for next, root, leaf := 1, 0, 2; next < n-1; next++ {
+		if leaf >= n || w[root] < w[leaf] { // the first child: a subtree or a leaf
+			w[next], w[root], root = w[root], next, root+1
+		} else {
+			w[next], leaf = w[leaf], leaf+1
+		}
+		if leaf >= n || root < next && w[root] < w[leaf] { // the second
+			w[next], w[root], root = w[next]+w[root], next, root+1
+		} else {
+			w[next], leaf = w[next]+w[leaf], leaf+1
+		}
+	}
+	w[n-2] = 0
+	for next := n - 3; next >= 0; next-- {
+		w[next] = w[w[next]] + 1
+	}
+	for avail, depth, root, next := 1, 0, n-2, n-1; avail > 0; depth++ {
+		used := 0
+		for ; root >= 0 && w[root] == depth; root-- {
+			used++
+		}
+		for ; avail > used; avail-- {
+			w[next], next = depth, next-1
+		}
+		avail = 2 * used
+	}
+	return w
+}
+
+// canonical sets codes[i] to the canonical code of the bucket whose length
+// is lens[i] — shorter codes first, in bucket order within a length — its
+// bits reversed to be written and read first bit least significant.
+func canonical(lens []uint8, codes []uint16) {
+	var count, next [maxCodeLen + 1]uint16
+	for _, l := range lens {
+		count[l]++
+	}
+	count[0] = 0
+	for l := 1; l <= maxCodeLen; l++ {
+		next[l] = (next[l-1] + count[l-1]) << 1
+	}
+	for i, l := range lens {
+		if l > 0 {
+			codes[i], next[l] = bits.Reverse16(next[l])>>(16-l), next[l]+1
+		}
+	}
+}
+
+// appendTable appends a field's table: its first bucket and the count of
+// buckets it covers (uvarints), then each one's code length, 0 for none, a
+// nibble each, low nibble first, zero-padded to a byte.
+func appendTable(dst []byte, lens []uint8, first uint) []byte {
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(first)), uint64(len(lens)))
+	for i := 0; i < len(lens); i += 2 {
+		hi := byte(0)
+		if i+1 < len(lens) {
+			hi = lens[i+1]
+		}
+		dst = append(dst, lens[i]|hi<<4)
+	}
+	return dst
 }
 
 // divisor is the greatest common divisor of g and |v|, 0 for two zeros: g
@@ -229,6 +493,7 @@ func (w *bitWriter) rice(v uint64, k uint) {
 
 var errTrailing = errors.New("trajstore: bytes after the packed block's last key")
 var errHead = errors.New("trajstore: packed head out of range")
+var errTable = errors.New("trajstore: packed code table is no code")
 
 // UnpackBlock appends to dst the delta-varint block packed holds, as
 // AppendBlock wrote it, checking in the same pass all Enters(block, nil)
@@ -252,16 +517,20 @@ func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 	}
 	// acc holds nb unread bits of b, and above them only b's next bits or
 	// zeros; h is the heading the next step is turned from; g the divisor;
-	// per field, k is the Rice parameter, z 1 for zig-zagged codes, lo the
-	// least flagFOR adds.
+	// per field, k is the Rice parameter or tableK, z 1 for zig-zagged
+	// codes, lo the least flagFOR adds, and for a tableK field mask picks
+	// the bits of luts' entries a code may span.
 	b, aged, acc, nb, h, g := c.b, uint64(0), uint64(0), uint(0), byte(0), int64(1)
-	k, z, lo := [3]uint{}, [3]uint64{1, 1, 1}, [3]int64{}
+	k, z, lo, mask := [3]uint{}, [3]uint64{1, 1, 1}, [3]int64{}, [3]uint64{}
+	var luts *[3][1 << maxCodeLen]uint16
 	if n >= 2 && len(b) < 3 {
 		return nil, Trail{}, ErrShortBuffer
 	} else if n >= 2 {
-		head, w := [3]byte(b[:3]), 3 // each byte's parameter at most 24, flagAged and flagGrid on the first only
-		if max(head[0]&^(flagFOR|flagAged|flagGrid), head[1]&^flagFOR, head[2]&^flagFOR) > maxRiceK {
-			return nil, Trail{}, errHead
+		head, w := [3]byte(b[:3]), 3 // each byte's parameter at most 24 or tableK, flagAged and flagGrid on the first only
+		for f, hb := range head {
+			if v := hb &^ [3]byte{flagFOR | flagAged | flagGrid, flagFOR, flagFOR}[f]; v > maxRiceK && v != tableK {
+				return nil, Trail{}, errHead
+			}
 		}
 		ok := true // while every varint of the head reads
 		for f, hb := range head {
@@ -278,11 +547,28 @@ func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 			v, wv := binary.Uvarint(b[w:])
 			g, w, ok = int64(v), w+max(wv, 0), ok && wv > 0 && v >= 2 && v <= math.MaxUint32
 		}
-		if b = b[w:]; !ok {
+		if !ok {
 			return nil, Trail{}, errHead
 		}
+		if slices.Contains(k[:], tableK) {
+			luts = lutPool.Get().(*[3][1 << maxCodeLen]uint16)
+			defer lutPool.Put(luts)
+		}
+		for f, kf := range k {
+			if kf != tableK {
+				continue
+			}
+			var err error
+			if w, mask[f], err = readTable(b, w, &luts[f]); err != nil {
+				return nil, Trail{}, err
+			}
+		}
+		b = b[w:]
 	}
-	for i := uint64(1); i < n; i++ {
+	// Two loops over the later keys, alike but for the table's branch: on
+	// Rice codes alone, as every record under minTableKeys keys, a branch
+	// for tables costs ≈ 10 % of the unpack even when not taken.
+	for i := uint64(1); i < n && luts == nil; i++ {
 		var d [3]int64 // across, along, Δt
 		for f, kf := range k {
 			acc, nb, b = refill(acc, nb, b) // now acc holds the whole code, the escape's ones or b's last bits
@@ -293,13 +579,54 @@ func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 				acc, nb = acc>>(q+1+kf), nb-q-1-kf
 			case q < riceEscape:
 				return nil, Trail{}, ErrShortBuffer
-			default: // escaped: the ones, then u's 64 bits, 32 at a time
-				acc, nb, u = acc>>riceEscape, nb-riceEscape, 0
-				for half := uint(0); half < 64; half += 32 {
-					if acc, nb, b = refill(acc, nb, b); nb < 32 {
+			default: // escaped: the ones, then u's 64 bits
+				var ok bool
+				if u, acc, nb, b, ok = take(acc>>riceEscape, nb-riceEscape, b, 64); !ok {
+					return nil, Trail{}, ErrShortBuffer
+				}
+			}
+			d[f] = int64(u>>z[f]) ^ -int64(u&z[f]) + lo[f]
+		}
+		x, y := d[1]*g, d[0]*g
+		dlon, dlat := unturn(h, x, y)
+		h = (h + veer(x, y)) & 3
+		key[0], key[1], key[2] = key[0]+dlat, key[1]+dlon, key[2]+d[2]
+		dst = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(dst, dlat), dlon), d[2])
+		box.MinLat, box.MinLon, box.T0 = min(box.MinLat, key[0]), min(box.MinLon, key[1]), min(box.T0, key[2])
+		box.MaxLat, box.MaxLon, box.T1 = max(box.MaxLat, key[0]), max(box.MaxLon, key[1]), max(box.T1, key[2])
+	}
+	for i := uint64(1); i < n && luts != nil; i++ {
+		var d [3]int64 // across, along, Δt
+		for f, kf := range k {
+			acc, nb, b = refill(acc, nb, b) // now acc holds the whole code, the escape's ones or b's last bits
+			var u uint64
+			if kf == tableK {
+				// An entry is the code's length l, the raw bits r that
+				// follow it and the bucket's leading bits, which the raw
+				// ones go under.
+				e := luts[f][acc&mask[f]&(1<<maxCodeLen-1)]
+				l, r := uint(e&15), uint(e>>4&63)
+				if l != 0 && l+r <= nb {
+					u, acc, nb = uint64(e>>10)<<r|acc>>l&(1<<r-1), acc>>(l+r), nb-l-r
+				} else if l == 0 { // no bucket's code
+					return nil, Trail{}, errTable
+				} else if l > nb {
+					return nil, Trail{}, ErrShortBuffer
+				} else { // a long raw run: past what the load brought
+					var ok bool
+					if u, acc, nb, b, ok = take(acc>>l, nb-l, b, r); !ok {
 						return nil, Trail{}, ErrShortBuffer
 					}
-					u, acc, nb = u|acc&math.MaxUint32<<half, acc>>32, nb-32
+					u |= uint64(e>>10) << r
+				}
+			} else if q := uint(bits.TrailingZeros64(^acc)); q < riceEscape && q+1+kf <= nb {
+				u, acc, nb = uint64(q)<<kf|acc>>(q+1)&(1<<kf-1), acc>>(q+1+kf), nb-q-1-kf
+			} else if q < riceEscape {
+				return nil, Trail{}, ErrShortBuffer
+			} else { // escaped: the ones, then u's 64 bits
+				var ok bool
+				if u, acc, nb, b, ok = take(acc>>riceEscape, nb-riceEscape, b, 64); !ok {
+					return nil, Trail{}, ErrShortBuffer
 				}
 			}
 			d[f] = int64(u>>z[f]) ^ -int64(u&z[f]) + lo[f]
@@ -335,6 +662,75 @@ func refill(acc uint64, nb uint, b []byte) (uint64, uint, []byte) {
 	return acc, nb, b
 }
 
+// take reads the next n ≤ 64 bits, least significant first, from acc's
+// nb and then b's, 32 at a time: ok is false where too few are left.
+func take(acc uint64, nb uint, b []byte, n uint) (v, acc2 uint64, nb2 uint, b2 []byte, ok bool) {
+	for got := uint(0); got < n; {
+		c := min(n-got, 32)
+		if acc, nb, b = refill(acc, nb, b); nb < c {
+			return 0, acc, nb, b, false
+		}
+		v, acc, nb, got = v|acc&(1<<c-1)<<got, acc>>c, nb-c, got+c
+	}
+	return v, acc, nb, b, true
+}
+
+// lutPool lends UnpackBlock its tables' lookup tables.
+var lutPool = sync.Pool{New: func() any { return new([3][1 << maxCodeLen]uint16) }}
+
+// readTable reads the table appendTable wrote at b[w:] into lut, an entry
+// for every value of the longest code's bits: the code those bits begin
+// with — its length, 0 for none — the raw bits that follow it and its
+// bucket's leading bits. It returns where the table ends and the mask of
+// the longest code's bits. The lengths must be at most maxCodeLen, over
+// buckets that exist, and complete a code: their Kraft sum is 1, or one
+// bucket has a 1-bit code.
+func readTable(b []byte, w int, lut *[1 << maxCodeLen]uint16) (int, uint64, error) {
+	first, w1 := binary.Uvarint(b[w:])
+	count, w2 := binary.Uvarint(b[w+max(w1, 0):])
+	if w1 <= 0 || w2 <= 0 {
+		return 0, 0, ErrShortBuffer
+	}
+	if w += w1 + w2; count == 0 || first >= buckets || count > buckets-first {
+		return 0, 0, errTable
+	}
+	if len(b)-w < int(count+1)/2 {
+		return 0, 0, ErrShortBuffer
+	}
+	var lens [buckets + 1]uint8
+	for i := range (count + 1) / 2 {
+		lens[2*i], lens[2*i+1] = b[w+int(i)]&15, b[w+int(i)]>>4
+	}
+	kraft, used, longest := 0, 0, uint8(0)
+	for _, l := range lens[:count] {
+		if l > maxCodeLen {
+			return 0, 0, errTable
+		} else if l > 0 {
+			kraft, used, longest = kraft+1<<(maxCodeLen-l), used+1, max(longest, l)
+		}
+	}
+	if lens[count] != 0 || kraft != 1<<maxCodeLen && !(used == 1 && longest == 1) {
+		return 0, 0, errTable
+	}
+	var codes [buckets]uint16
+	canonical(lens[:count], codes[:count])
+	lut[1] = 0 // a lone bucket's code is 0: no code begins with a 1; else the codes fill lut
+	for i, l := range lens[:count] {
+		if l == 0 {
+			continue
+		}
+		base := bucketBase(uint(first) + uint(i))
+		_, r := bucket(base)
+		for j, e := int(codes[i]), uint16(l)|uint16(r)<<4|uint16(base>>r)<<10; j < 1<<longest; j += 1 << l {
+			lut[j] = e
+		}
+	}
+	return w + int(count+1)/2, 1<<longest - 1, nil
+}
+
 // PackedBound bounds a packed block of n keys: the count, the first key,
-// every least, the watermark, the divisor, every code an escape.
-func PackedBound(n int) int { return 9*binary.MaxVarintLen64 + 3 + max(n-1, 0)*3*escapeBits/8 }
+// every least, the watermark, the divisor, every field's table at its
+// longest, every code an escape — longer than any table's code and raw bits.
+func PackedBound(n int) int {
+	return 9*binary.MaxVarintLen64 + 3 + 3*maxTable + max(n-1, 0)*3*escapeBits/8
+}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -68,12 +69,23 @@ func packedCases() map[string][][3]int64 {
 		grid[i] = [3]int64{grid[i-1][0] + int64(i%4)*100, grid[i-1][1] - int64(3-i%4)*300, grid[i-1][2] + 30}
 	}
 	cases["grid"] = grid
+	// Δt over thirteen buckets in Fibonacci counts, 609 keys: an unlimited
+	// Huffman code of them is 12 bits deep, so a table's is cut to 11.
+	var skewed [][3]int64
+	ts = 0
+	for i, c := range []int{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233} {
+		for range c {
+			skewed = append(skewed, [3]int64{int64(i % 3), 0, ts})
+			ts += []int64{16, 0, 14, 1, 12, 2, 10, 3, 8, 4, 7, 5, 6}[i]
+		}
+	}
+	cases["skewed Δt"] = skewed
 	return cases
 }
 
 // escapes reports, per field (across, along, Δt), whether packing t
-// writes an escape: some code's quotient under the parameter AppendPacked
-// chooses reaches riceEscape.
+// writes an escape: the field is Rice-coded and some code's quotient under
+// the parameter AppendPacked chooses reaches riceEscape.
 func escapes(t *Trail) (esc [3]bool) {
 	b := t.AppendBlock(nil)
 	_, off := binary.Uvarint(b)
@@ -94,18 +106,23 @@ func escapes(t *Trail) (esc [3]bool) {
 		if len(vals) == 0 {
 			break
 		}
-		head, _ := chooseCode(vals[f:], t.Len()-1, lo[f])
+		k := chooseCode(vals[f:], t.Len()-1, lo[f], nil).head & 31
+		if packedHead(t.AppendPacked(nil))[f]&31 == tableK {
+			continue
+		}
 		for i := f; i < len(vals); i += 3 {
-			esc[f] = esc[f] || uint64(vals[i])>>(head&31) >= riceEscape
+			esc[f] = esc[f] || uint64(vals[i])>>k >= riceEscape
 		}
 	}
 	return esc
 }
 
 // checkPacked packs t and requires the unpacked block to be t's own bytes
-// and its trail to read as t down to the last key, the packed size to be
-// what the choice of parameters costed, and the block to be no larger than
-// PackedBound.
+// and its trail to read as t down to the last key, and the block to be no
+// larger than PackedBound. It packs t twice more, with no table and with a
+// table on every field, requires each to unpack to the same block and the
+// first to be as large as the packing at least — the same bytes where no
+// field took a table — and returns the packing.
 func checkPacked(t *testing.T, name string, tr *Trail) []byte {
 	t.Helper()
 	want := tr.AppendBlock(nil)
@@ -131,7 +148,55 @@ func checkPacked(t *testing.T, name string, tr *Trail) []byte {
 	if len(packed) > PackedBound(tr.Len()) {
 		t.Fatalf("%s: %d packed bytes above PackedBound(%d) = %d", name, len(packed), tr.Len(), PackedBound(tr.Len()))
 	}
+	rice, tabled := tr.appendPacked(nil, tablesNever), tr.appendPacked(nil, tablesAlways)
+	for _, p := range [][]byte{rice, tabled} {
+		if got, _, err := UnpackBlock(nil, p); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: a packing with tables %v unpacks to %x, %v\nwant %x", name, usesTable(p), got, err, want)
+		}
+		if len(p) > PackedBound(tr.Len()) {
+			t.Fatalf("%s: %d packed bytes above PackedBound(%d) = %d", name, len(p), tr.Len(), PackedBound(tr.Len()))
+		}
+	}
+	if len(packed) > len(rice) || !usesTable(packed) && !bytes.Equal(packed, rice) {
+		t.Fatalf("%s: %d packed bytes (a table %v), %d with Rice codes alone", name, len(packed), usesTable(packed), len(rice))
+	}
 	return packed
+}
+
+// usesTable reports whether a field of packed is table-coded.
+func usesTable(packed []byte) bool {
+	return slices.ContainsFunc(packedHead(packed), func(h byte) bool { return h&31 == tableK })
+}
+
+// packedTables returns the code lengths of each table-coded field of
+// packed, from its first bucket on; nil for a Rice-coded field.
+func packedTables(packed []byte) (lens [3][]uint8) {
+	head := packedHead(packed)
+	if head == nil {
+		return lens
+	}
+	// Past the head: a least a flagFOR, the watermark and the divisor.
+	off, varints := headOffset(packed)+3, int(head[0]>>7&1+head[0]>>6&1)
+	for _, h := range head {
+		varints += int(h >> 5 & 1)
+	}
+	for range varints {
+		_, w := binary.Uvarint(packed[off:])
+		off += w
+	}
+	for f, h := range head {
+		if h&31 != tableK {
+			continue
+		}
+		_, w1 := binary.Uvarint(packed[off:])
+		n, w2 := binary.Uvarint(packed[off+w1:])
+		off += w1 + w2
+		for i := range int(n) {
+			lens[f] = append(lens[f], packed[off+i/2]>>(4*(i%2))&15)
+		}
+		off += (int(n) + 1) / 2
+	}
+	return lens
 }
 
 func TestPackedRoundTrip(t *testing.T) {
@@ -169,15 +234,22 @@ func TestPackedRoundTrip(t *testing.T) {
 // packedHead returns a packed block's head bytes, one a field; nil under
 // two keys.
 func packedHead(packed []byte) []byte {
-	n, off := binary.Uvarint(packed)
-	for f := 0; f < 3 && n > 0; f++ {
+	if n, _ := binary.Uvarint(packed); n < 2 {
+		return nil
+	}
+	off := headOffset(packed)
+	return packed[off : off+3]
+}
+
+// headOffset is where a packed block's head starts, past the count and the
+// first key.
+func headOffset(packed []byte) int {
+	off := 0
+	for range 4 {
 		_, w := binary.Uvarint(packed[off:])
 		off += w
 	}
-	if n < 2 {
-		return nil
-	}
-	return packed[off : off+3]
+	return off
 }
 
 // randomTrail is a trail of up to 60 keys — one and two keys often —
@@ -215,11 +287,26 @@ func randomTrail(rng *rand.Rand) *Trail {
 // TestPackedProperty: UnpackBlock(AppendPacked(t)) is t's block and trail —
 // its last key, bounds and watermark — for random trails, and over them
 // the packing writes every flag (a divisor where a trail's steps are on a
-// coarse grid) and an escape: each of its branches is checked.
+// coarse grid) and an escape. Their packings with a table on every field,
+// and the skewed Δt case's, reach a one-bucket table, an 11-bit code and
+// tables over leasts and over zig-zagged values; tabledBlock's 61 raw bits
+// read back at every alignment a refill leaves. Each branch of both codes
+// is checked.
 func TestPackedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	var flags byte
-	escaped := false
+	escaped, oneBucket, longest, under := false, false, uint8(0), [2]bool{} // under: a table over zig-zagged values, over leasts
+	reach := func(tr *Trail) {
+		p := tr.appendPacked(nil, tablesAlways)
+		lens := packedTables(p)
+		for f, h := range packedHead(p) {
+			used := 0
+			for _, l := range lens[f] {
+				used, longest = used+int(min(l, 1)), max(longest, l)
+			}
+			oneBucket, under[h&flagFOR>>5] = oneBucket || used == 1, true
+		}
+	}
 	for i := 0; i < 3000; i++ {
 		tr := randomTrail(rng)
 		for _, h := range packedHead(checkPacked(t, "random trail", tr)) {
@@ -227,9 +314,80 @@ func TestPackedProperty(t *testing.T) {
 		}
 		e := escapes(tr)
 		escaped = escaped || e[0] || e[1] || e[2]
+		reach(tr)
 	}
-	if flags != flagFOR|flagAged|flagGrid || !escaped {
-		t.Fatalf("flags written %08b, an escape %v: the trails reached too little of the code", flags, escaped)
+	skewed := latticeTrail(packedCases()["skewed Δt"])
+	if lens := packedTables(checkPacked(t, "skewed Δt", skewed)); lens[2] == nil {
+		t.Error("skewed Δt: AppendPacked codes Δt with Rice codes")
+	}
+	reach(skewed)
+	if flags != flagFOR|flagAged|flagGrid || !escaped || !oneBucket || longest != maxCodeLen || under != [2]bool{true, true} {
+		t.Fatalf("flags written %08b, an escape %v, a one-bucket table %v, the longest code %d bits, tables over zig-zagged values and leasts %v: the trails reached too little of the code",
+			flags, escaped, oneBucket, longest, under)
+	}
+	dts, ts := make([]int64, 70), int64(1_000)
+	keys := [][3]int64{{0, 0, ts}}
+	for i := range dts {
+		dts[i] = rng.Int63n(1000)
+		ts += dts[i]
+		keys = append(keys, [3]int64{0, 0, ts})
+	}
+	want := latticeTrail(keys)
+	got, tr, err := UnpackBlock(nil, tabledBlock(1_000, dts))
+	if err != nil || !bytes.Equal(got, want.AppendBlock(nil)) {
+		t.Fatalf("tabledBlock unpacks to %x, %v\nwant %x", got, err, want.AppendBlock(nil))
+	}
+	sameTrail(t, "tabledBlock", &tr, want)
+}
+
+// tabledBlock writes, as no packer would, the packed block of a key at
+// (0, 0, t0) and a key more in place after each of dts: across and along
+// Rice-coded zeros, of parameters 1 and 0, then Δt under a table of bucket
+// 248 alone — a 1-bit code and 61 raw bits, 65 bits a key, so the raw bits
+// meet a refill at every alignment. A Δt is coded as 2⁶³ + r + dt under the
+// least 2⁶³ − r, r a pattern of 61 bits, so that the raw bits are set and
+// clear.
+func tabledBlock(t0 int64, dts []int64) []byte {
+	const r = 0x1555_5555_5555_5555
+	b := binary.AppendUvarint(nil, uint64(1+len(dts)))
+	b = binary.AppendUvarint(binary.AppendVarint(binary.AppendVarint(b, 0), 0), uint64(t0))
+	b = binary.AppendVarint(append(b, 1, 0, flagFOR|tableK), 1<<63-r)
+	w := bitWriter{dst: append(b, 0xf8, 0x01, 1, 1)} // the table: first bucket 248, one bucket, its code 1 bit
+	for _, dt := range dts {
+		w.put(0, 3)                  // across and along
+		w.put(uint64(r+dt)<<1, 1+61) // Δt: the code 0, then the raw bits
+	}
+	for i := uint(0); i < w.n; i += 8 {
+		w.dst = append(w.dst, byte(w.acc>>i))
+	}
+	return w.dst
+}
+
+// TestBucket: bucket puts a value where the format says — under 8 in its
+// own bucket, else of bit length c in bucket 8 + 4(c − 4) plus its two bits
+// under the leading one, c − 3 bits raw — and a value is its bucket's
+// bucketBase plus its raw bits; the 252 buckets end with 2⁶⁴ − 1.
+func TestBucket(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	vals := []uint64{math.MaxUint64}
+	for u := uint64(0); u < 4096; u++ {
+		vals = append(vals, u)
+	}
+	for c := 1; c < 64; c++ {
+		vals = append(vals, 1<<c-1, 1<<c, 1<<c+1, 3<<(c-1), rng.Uint64()>>(64-c))
+	}
+	for _, u := range vals {
+		want, wantRaw := uint(u), uint(0)
+		if c := uint(bits.Len64(u)); u >= 8 {
+			want, wantRaw = 8+4*(c-4)+uint(u>>(c-3))&3, c-3
+		}
+		b, r := bucket(u)
+		if b != want || r != wantRaw || bucketBase(b)|u&(1<<r-1) != u {
+			t.Fatalf("bucket(%d) = %d, %d raw bits, base %d; want %d, %d", u, b, r, bucketBase(b), want, wantRaw)
+		}
+	}
+	if b, _ := bucket(math.MaxUint64); b != buckets-1 {
+		t.Fatalf("2⁶⁴ − 1 falls in bucket %d of %d", b, buckets)
 	}
 }
 
@@ -316,28 +474,30 @@ func guardTracks(rng *rand.Rand) map[string][][3]int64 {
 	return out
 }
 
-// v5Digests are the SHA-256 of the packings, in TestPackedNoWorse's order,
-// of the records of the guard tracks whose keys no grid holds, as version
-// 5's packer wrote them.
+// v5Digests are the SHA-256 of the packings with no table, in
+// TestPackedNoWorse's order, of the records of the guard tracks whose keys
+// no grid holds, as version 5's packer wrote them.
 var v5Digests = map[string]string{
 	"grid":        "f39d98211037473e99883e347785038e3984025054889b67660b82baf3d3d567",
 	"random walk": "681a5a55d17af51e971d00116593a99695ac8f2656046e85a301ff5ddefdbdca",
 }
 
 // TestPackedNoWorse: on every record of every guard track this packing
-// costs at most 2 B more than version 4's, and on the grid, whose turns the
-// frame of the previous step turns onto one axis, less overall. A record off
-// every grid — each of the grid's and the random walk's — carries no
-// divisor and packs to exactly version 5's bytes; the walk's, on "fbqs"'s
-// grid, pack to under three quarters of version 4's.
+// costs at most 2 B more than version 4's and no more than with no table,
+// and on the grid, whose turns the frame of the previous step turns onto
+// one axis, less overall. A record off every grid — each of the grid's and
+// the random walk's — carries no divisor and, with no table, packs to
+// exactly version 5's bytes: so does every such record that uses none, as
+// checkPacked holds it to its packing with no table. The walk's, on
+// "fbqs"'s grid, pack to under three quarters of version 4's.
 func TestPackedNoWorse(t *testing.T) {
 	for name, keys := range guardTracks(rand.New(rand.NewSource(30))) {
-		var v4, v6 int
+		var v4, v7, whole, rice int
 		digest := sha256.New()
 		for lo := 0; lo+1 < len(keys); lo += 15 {
 			for _, rec := range [][][3]int64{keys[lo:min(lo+16, len(keys))], keys[lo:]} {
 				tr := latticeTrail(rec)
-				packed := checkPacked(t, name, tr)
+				packed := checkPacked(t, name, tr) // no larger than with no table
 				a, b := len(packV4(tr)), len(packed)
 				if b > a+2 {
 					t.Fatalf("%s: a %d-key record packs to %d B, %d B at version 4", name, len(rec), b, a)
@@ -346,17 +506,21 @@ func TestPackedNoWorse(t *testing.T) {
 					t.Fatalf("%s: a %d-key record off every grid carries a divisor", name, len(rec))
 				}
 				if len(rec) == 16 {
-					v4, v6 = v4+a, v6+b
+					v4, v7 = v4+a, v7+b
 				}
-				digest.Write(packed)
+				if len(rec) == len(keys) {
+					whole, rice = b, len(tr.appendPacked(nil, tablesNever))
+				}
+				digest.Write(tr.appendPacked(nil, tablesNever))
 			}
 		}
-		t.Logf("%s: 16-key records %d B at version 4, %d B (%.3f)", name, v4, v6, float64(v6)/float64(v4))
+		t.Logf("%s: 16-key records %d B at version 4, %d B (%.3f); the whole track %d B, %d B with no table (%.3f)",
+			name, v4, v7, float64(v7)/float64(v4), whole, rice, float64(whole)/float64(rice))
 		if want, ok := v5Digests[name]; ok && fmt.Sprintf("%x", digest.Sum(nil)) != want {
-			t.Fatalf("%s: records off every grid pack to other bytes than version 5's", name)
+			t.Fatalf("%s: records off every grid pack with no table to other bytes than version 5's", name)
 		}
-		if name == "grid" && v6 >= v4 || name == "walk" && 4*v6 >= 3*v4 {
-			t.Fatalf("%s: %d B against version 4's %d", name, v6, v4)
+		if name == "grid" && v7 >= v4 || name == "walk" && 4*v7 >= 3*v4 {
+			t.Fatalf("%s: %d B against version 4's %d", name, v7, v4)
 		}
 	}
 }
@@ -375,8 +539,9 @@ func TestPackedSmaller(t *testing.T) {
 }
 
 // TestUnpackRefuses: what Enters(block, nil) refuses, and what no packer
-// writes — a parameter past 24, a flag where none is, bytes or set bits
-// after the last code.
+// writes — a parameter past 24 but tableK, a flag where none is, a table
+// that is no code or covers buckets that do not exist, a code no bucket
+// has, bytes or set bits after the last code.
 func TestUnpackRefuses(t *testing.T) {
 	tr := latticeTrail(packedCases()["two keys"])
 	good := tr.AppendPacked(nil)
@@ -414,7 +579,7 @@ func TestUnpackRefuses(t *testing.T) {
 	for name, h := range map[string][3]byte{
 		"parameter 25":               {0, maxRiceK + 1, 0},
 		"parameter 25 beside a flag": {flagFOR, 0, maxRiceK + 1},
-		"parameter 31 under a flag":  {flagAged | 31, 0, 0},
+		"parameter 30 under a flag":  {flagAged | 30, 0, 0},
 		"a watermark on the third":   {0, 0, flagAged},
 		"a divisor on the second":    {0, flagGrid, 0},
 		"a divisor on the third":     {0, 0, flagGrid},
@@ -426,14 +591,56 @@ func TestUnpackRefuses(t *testing.T) {
 			want error
 		}{bad, errHead}
 	}
+	// The two keys with a table on every field: no least, so the first
+	// field's table — bucket 2 alone, a 1-bit code — starts right after the
+	// head, and the codes are one byte, three 0 bits.
+	tabled := tr.appendPacked(nil, tablesAlways)
+	at := headOffset(tabled) + 3
+	if !bytes.Equal(tabled[at:at+3], []byte{2, 1, 1}) {
+		t.Fatalf("fixture: the first table is %x", tabled[at:at+3])
+	}
+	withTable := func(table ...byte) []byte { return slices.Concat(tabled[:at], table, tabled[at+3:]) }
+	for name, c := range map[string]struct {
+		b    []byte
+		want error
+	}{
+		"over-subscribed lengths":        {withTable(2, 3, 0x11, 0x01), errTable},
+		"under-subscribed lengths":       {withTable(2, 2, 0x21), errTable},
+		"a lone 2-bit code":              {withTable(2, 1, 0x02), errTable},
+		"no code at all":                 {withTable(2, 2, 0x00), errTable},
+		"a code length of 12":            {withTable(2, 2, 0xc1), errTable},
+		"a 12-bit code past a full code": {withTable(2, 3, 0x11, 0x0c), errTable},
+		"the padding nibble set":         {withTable(2, 1, 0x11), errTable},
+		"no bucket":                      {withTable(2, 0), errTable},
+		"buckets past the last":          {withTable(0xf8, 0x01, 5, 0x11, 0, 0), errTable},
+		"a first bucket past":            {withTable(0xfc, 0x01, 1, 0x01), errTable},
+		"a table cut in its count":       {tabled[:at+1], ErrShortBuffer},
+		"a table cut in its lengths":     {withTable(2, 3)[:at+2], ErrShortBuffer},
+		"a table cut in its last length": {withTable(2, 3, 0x11)[:at+3], ErrShortBuffer},
+		"a code no bucket has":           {append(bytes.Clone(tabled[:len(tabled)-1]), 1), errTable},
+	} {
+		cases[name] = c
+	}
 	for name, c := range cases {
+		// Each after a block whose table fills every entry of the pooled
+		// lookup tables: a refusal reads nothing a decode left there.
+		if _, _, err := UnpackBlock(nil, withTable(2, 2, 0x11)); err != nil {
+			t.Fatal(err)
+		}
 		if _, _, err := UnpackBlock(nil, c.b); err == nil || c.want != nil && !errors.Is(err, c.want) {
 			t.Errorf("%s: UnpackBlock(%x) = %v, want %v", name, c.b, err, c.want)
 		}
 	}
-	// The control: a divisor of 2 reads.
+	// The controls: a divisor of 2 reads, and so does the first field under
+	// two 1-bit codes, or under a table from bucket 0 whose first two
+	// buckets have no code.
 	if _, _, err := UnpackBlock(nil, withDivisor(2)); err != nil {
 		t.Fatalf("a divisor of 2: %v", err)
+	}
+	for _, table := range [][]byte{{2, 2, 0x11}, {0, 3, 0x00, 0x01}} {
+		if got, _, err := UnpackBlock(nil, withTable(table...)); err != nil || !bytes.Equal(got, tr.AppendBlock(nil)) {
+			t.Fatalf("table %x: %x, %v", table, got, err)
+		}
 	}
 }
 
@@ -471,7 +678,9 @@ func rawPacked(first [3]int64, deltas ...[3]int64) []byte {
 // all, packs back to itself; the same bytes read as lattice keys pack and
 // unpack to their trail's bytes. The seeds hold every packed case, with a
 // watermark and without, and each case's keys moved onto grids of 100 and
-// 7 lattice steps: blocks with a divisor.
+// 7 lattice steps: blocks with a divisor; each packed with a table on every
+// field too (one-bucket tables, tables over leasts and zig-zagged values),
+// the skewed Δt case whole (an 11-bit code) and a tabledBlock (61 raw bits).
 func FuzzPackedBlock(f *testing.F) {
 	cases := packedCases()
 	for name, keys := range packedCases() {
@@ -487,6 +696,7 @@ func FuzzPackedBlock(f *testing.F) {
 		keys = keys[:min(len(keys), 40)] // small seeds: the fuzzer minimizes what they lead to
 		tr := latticeTrail(keys)
 		f.Add(tr.AppendPacked(nil))
+		f.Add(tr.appendPacked(nil, tablesAlways))
 		tr.SetAged(uint32(keys[len(keys)/2][2]))
 		f.Add(tr.AppendPacked(nil))
 		b := make([]byte, 0, 12*len(keys))
@@ -497,6 +707,8 @@ func FuzzPackedBlock(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	f.Add(latticeTrail(cases["skewed Δt"]).appendPacked(nil, tablesAlways))
+	f.Add(tabledBlock(7, []int64{0, 1, 30, 5, 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if block, unpacked, err := UnpackBlock(nil, data); err == nil {
 			if !servable(block) {

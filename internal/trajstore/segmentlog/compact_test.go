@@ -111,10 +111,17 @@ func TestCompactMergeChunks(t *testing.T) {
 // same device are dropped; partial overlaps and other devices survive.
 // TestMergeCapIsPackedBound pins where a merge stops: while the ID, its
 // longest uvarint length and the two records' trajstore.PackedBound stay
-// under MaxRecordBytes — ≈ 466 000 keys, every code priced as an escape —
-// whatever the blocks' real size, so a merged record always frames.
+// under MaxRecordBytes — ≈ 466 000 keys, every code priced as an escape and
+// every field's table as one over all 252 buckets — whatever the blocks'
+// real size, so a merged record always frames.
 func TestMergeCapIsPackedBound(t *testing.T) {
 	const devLen = 6
+	// The count, the first key, three leasts, the watermark and the divisor
+	// (varints), three head bytes; a table's first bucket and count (two
+	// uvarints under 2¹⁴) and 252 code lengths, a nibble each.
+	if head, table := 9*binary.MaxVarintLen64+3, 2+2+252/2; trajstore.PackedBound(1) < head+3*table {
+		t.Fatalf("PackedBound(1) = %d counts no three tables of every bucket", trajstore.PackedBound(1))
+	}
 	perKey := trajstore.PackedBound(2) - trajstore.PackedBound(1)
 	limit := (MaxRecordBytes-binary.MaxVarintLen16-devLen-trajstore.PackedBound(1))/perKey + 1
 	if binary.MaxVarintLen16+devLen+trajstore.PackedBound(limit) > MaxRecordBytes || binary.MaxVarintLen16+devLen+trajstore.PackedBound(limit+1) <= MaxRecordBytes {

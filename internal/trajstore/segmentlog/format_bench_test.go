@@ -58,8 +58,8 @@ func gridTrail(b *testing.B, n int) *trajstore.Trail {
 }
 
 // benchSizes are the record sizes the format benchmarks run on: an engine
-// chunk and a compacted device.
-var benchSizes = []int{16, 10_000}
+// chunk, a device's day once compacted and a compacted device.
+var benchSizes = []int{16, 500, 10_000}
 
 // benchRows are the records the format benchmarks run on: benchTrail's walk
 // at each of benchSizes, and the grid row, gridTrail's.

@@ -82,7 +82,7 @@ func TestParseManifestRejections(t *testing.T) {
 }
 
 // TestOldFormatsRejected: input validation outlived the formats it used
-// to admit. A segment file carrying a version byte older than 5 — on a
+// to admit. A segment file carrying a version byte older than 7 — on a
 // sealed segment or on the active one — a seg line carrying the fields
 // older logs wrote after the name, or a shard MANIFEST in format 1 fails
 // the open with ErrCorrupt, writable and read-only, instead of being read

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -19,20 +20,28 @@ import (
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
 
-// v6Fixture is a checked-in sharded root, the fixture script's output from
-// the writer of the tree that introduced segment format 6, with
-// v6log.golden.json — fixtureSnapshot's answers in that tree — beside it:
-// this tree must read it to that golden and write it byte for byte. It is
-// written once and never regenerated; a later format gets a fixture of its
-// own, and this one goes when version 6 stops being read. LOCK (it only
-// carries a pid) is not checked in.
+// v6Fixture and v7Fixture are checked-in sharded roots, the fixture
+// script's output from the writer of the tree that introduced segment
+// format 6 and 7, each with its golden — fixtureSnapshot's answers in that
+// tree — beside it (v6log.golden.json, v7log.golden.json). This tree reads
+// v7Fixture to its golden and writes it byte for byte; it reads v6Fixture
+// once hop 4 of DESIGN.md's "Upgrading old data" has carried it forward.
+// Each is written once and never regenerated; a later format gets a fixture
+// of its own, and a fixture goes when its version and its upgrade hop do.
+// LOCK (it only carries a pid) is not checked in.
 //
 // The script stores what the registered "fbqs" keeps of a zig-zag of fixes
 // (gridTrack), keys on its grid, so its records carry the packed block's
-// divisor. A change to what "fbqs" keeps changes this input, not the
-// format: it then checks in gridTrack's keys as they are here instead of
-// regenerating the fixture.
-const v6Fixture = "testdata/v6log"
+// divisor; version 7's adds a device of fixtureLongKeys keys, which
+// compaction merges into a record whose fields take tables. A change to
+// what "fbqs" keeps changes this input, not the format: it then checks in
+// gridTrack's keys as they are here instead of regenerating a fixture.
+const (
+	v6Fixture = "testdata/v6log"
+	v7Fixture = "testdata/v7log"
+
+	fixtureLongKeys = 40
+)
 
 // fixtureOptions are the options the fixture was written with.
 func fixtureOptions() Options { return Options{MaxSegmentBytes: 512} }
@@ -63,11 +72,12 @@ func gridTrack(d, t, n int) []trajstore.GeoKey {
 
 // buildFixtureLog runs the fixture script against dir: six devices over
 // two shards append a chunked session each (one chunk again at the end),
-// the log is sealed and compacted — merge, dedup and ageing through the
-// coarse compressor under a fixed clock — and a second wave of appends
-// then rotates past the compacted generation, so each shard ends with
-// compacted, rotated and active segments.
-func buildFixtureLog(t testing.TB, dir string) {
+// and, for long > 0, a seventh long keys after the ageing horizon in
+// engine-sized chunks; the log is sealed and compacted — merge, dedup and
+// ageing through the coarse compressor under a fixed clock — and a second
+// wave of appends then rotates past the compacted generation, so each
+// shard ends with compacted, rotated and active segments.
+func buildFixtureLog(t testing.TB, dir string, long int) {
 	t.Helper()
 	lg, err := OpenSharded(dir, 2, fixtureOptions())
 	if err != nil {
@@ -85,6 +95,13 @@ func buildFixtureLog(t testing.TB, dir string) {
 		}
 		if d == 2 { // a re-ingested chunk: dedup's input
 			if err := lg.Append(dev(d), track[9:19]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if track := gridTrack(devices, 2000, long); long > 0 {
+		for c := 0; c+1 < len(track); c += 15 {
+			if err := lg.Append(dev(devices), track[c:min(c+16, len(track))]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -251,21 +268,34 @@ func checkVersions(t testing.TB, root string, v byte) {
 	}
 }
 
-// TestFormatPinV6Fixture pins the format this tree writes. Reading: a
-// read-only open of the fixture answers its golden. Writing: the script run
-// through this tree's writer — append, rotation, seal, compaction with
-// ageing, manifest publish, SHARDS — writes every file of the fixture byte
-// for byte and nothing else, every segment version 6, and every record of
-// it with two keys or more carries a divisor.
-func TestFormatPinV6Fixture(t *testing.T) {
+// upgradeFixture copies the fixture root into dir as hop 4 of "Upgrading
+// old data" leaves it: byte 6 of every shard-*/seg-*.log set to 7.
+func upgradeFixture(t testing.TB, fixture, dir string) {
+	t.Helper()
+	for name, b := range treeFiles(t, fixture) {
+		if ok, _ := path.Match("shard-*/seg-*.log", name); ok {
+			b[6] = 7
+		}
+		p := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkRebuilt runs the fixture script with long through this tree's writer
+// — append, rotation, seal, compaction with ageing, manifest publish,
+// SHARDS — and fails unless it writes every file of want byte for byte and
+// nothing else.
+func checkRebuilt(t *testing.T, want map[string][]byte, long int) {
+	t.Helper()
 	dir := t.TempDir()
-	buildFixtureLog(t, dir)
+	buildFixtureLog(t, dir, long)
 	rebuilt := treeFiles(t, dir)
 	delete(rebuilt, lockName)
-	checkGolden(t, v6Fixture, readOnlySnapshot(t, v6Fixture), readGolden(t, v6Fixture))
-	checkVersions(t, v6Fixture, 6)
-
-	want := treeFiles(t, v6Fixture)
 	for name, b := range want {
 		if !bytes.Equal(rebuilt[name], b) {
 			t.Errorf("%s: this tree wrote %d bytes that differ from the fixture's %d", name, len(rebuilt[name]), len(b))
@@ -276,7 +306,19 @@ func TestFormatPinV6Fixture(t *testing.T) {
 			t.Errorf("%s: written by this tree, absent from the fixture", name)
 		}
 	}
-	gridded := 0 // every key lies on "fbqs"'s grid
+}
+
+// TestFormatPinV7Fixture pins the format this tree writes. Reading: a
+// read-only open of the fixture answers its golden. Writing: the script run
+// through this tree's writer writes the fixture byte for byte, every
+// segment version 7; every record of it with two keys or more carries a
+// divisor, and one has fields that take tables.
+func TestFormatPinV7Fixture(t *testing.T) {
+	checkGolden(t, v7Fixture, readOnlySnapshot(t, v7Fixture), readGolden(t, v7Fixture))
+	checkVersions(t, v7Fixture, 7)
+	want := treeFiles(t, v7Fixture)
+	checkRebuilt(t, want, fixtureLongKeys)
+	gridded, tabled := 0, 0 // every key lies on "fbqs"'s grid
 	for name, b := range want {
 		if strings.HasSuffix(name, ".log") {
 			for pos := headerSize; ; {
@@ -289,12 +331,31 @@ func TestFormatPinV6Fixture(t *testing.T) {
 					t.Fatalf("%s: the record at %d carries no divisor (%v)", name, pos, err)
 				} else if n >= 2 {
 					gridded++
+					for _, h := range payload[packedHeadOffset(payload):][:3] {
+						if h&31 == tableK {
+							tabled++
+						}
+					}
 				}
 				pos = next
 			}
 		}
 	}
-	if gridded == 0 {
-		t.Error("no record of the fixture carries a divisor")
+	if gridded == 0 || tabled == 0 {
+		t.Errorf("%d records of the fixture carry a divisor, %d fields take a table", gridded, tabled)
 	}
+}
+
+// TestUpgradeV6Fixture: hop 4 of "Upgrading old data" — byte 6 of every
+// shard-*/seg-*.log set to 7, the log closed — carries the version-6
+// fixture forward. A read-only open of the result answers the fixture's
+// golden, every device's records the same; and this tree's writer, running
+// the script that wrote it, writes the result byte for byte: the version-6
+// records are version-7 records that take no table.
+func TestUpgradeV6Fixture(t *testing.T) {
+	dir := t.TempDir()
+	upgradeFixture(t, v6Fixture, dir)
+	checkGolden(t, "the upgraded "+v6Fixture, readOnlySnapshot(t, dir), readGolden(t, v6Fixture))
+	checkVersions(t, dir, 7)
+	checkRebuilt(t, treeFiles(t, dir), 0)
 }

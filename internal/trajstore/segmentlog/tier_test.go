@@ -234,7 +234,7 @@ func (f *countFile) Write(p []byte) (int, error) {
 // budget, or the bound proves nothing. (The MANIFEST is outside the count: a
 // publish rewrites it whole, a rotation's as a pass's.)
 func TestTickCostFollowsWhatChanged(t *testing.T) {
-	const ticks, perTick, devices = 64, 2, 8
+	const ticks, perTick, devices = 128, 2, 8
 	cost := func(all bool) (appended, compacted int64, segments int) {
 		fs := &countFS{FS: vfs.NewFaultFS(1)}
 		l := mustOpen(t, memDir, Options{MaxSegmentBytes: 4 << 10, FS: fs})

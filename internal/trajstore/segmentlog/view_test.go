@@ -458,8 +458,12 @@ func packedHeadOffset(payload []byte) int {
 }
 
 // flagGrid is the packed head's divisor flag (trajstore's packed.go), on
-// its first byte.
-const flagGrid = 1 << 6
+// its first byte; tableK, under a head byte's flags, says a field's codes
+// are its table's.
+const (
+	flagGrid = 1 << 6
+	tableK   = 31
+)
 
 // TestActivePackedDamageIsTorn: the damage breakPacked does to the last
 // record of the active segment is a torn tail — the open truncates it,
