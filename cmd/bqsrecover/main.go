@@ -24,7 +24,7 @@
 // -dir is a log root as OpenDurableEngine and bqsd write it: a SHARDS
 // file plus shard-NNN/ subdirectories. Roots are never re-sharded by
 // this tool. Data too old to read — the single-log layout (MANIFEST and
-// seg-*.log directly in the root), a segment older than version 7 — is
+// seg-*.log directly in the root), a segment older than version 8 — is
 // refused; DESIGN.md, "Upgrading old data", says how to carry it forward.
 //
 // By default the directory is opened READ-ONLY: nothing on disk is

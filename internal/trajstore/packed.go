@@ -27,6 +27,9 @@ const (
 	flagFOR      = 1 << 5            // in a field's head byte: its least follows, a code is the value less it, unsigned
 	flagGrid     = 1 << 6            // in the first field's head byte: the divisor follows, the spatial fields' codes are of steps over it
 	flagAged     = 1 << 7            // in the first field's head byte: the ageing watermark follows
+	flagPace     = 1 << 6            // in the third field's head byte: the pace follows, Δt's codes are of Δt less its step at that pace
+	paceBits     = 12                // the pace's fractional bits
+	maxPace      = 1<<31 - 1         // a step, under 2³² grid units on each axis, times the pace stays under 2⁶³
 )
 
 // turn maps a step (x, y) — Δlon, Δlat — into the frame whose +x is heading
@@ -50,19 +53,18 @@ func veer(x, y int64) byte {
 	return left | byte(uint64(x^(x^y)&-int64(left))>>63)<<1
 }
 
-// riceCosts is what every third of codes costs as Rice codes of parameter
-// k−1, k and k+1 (k ≥ 1), in bits: u costs u>>k and k+1 bits while u>>k <
-// riceEscape, escapeBits past it.
-func riceCosts(codes []int64, k uint) [3]int {
+// riceCosts is what the m codes codes holds, every s-th, cost as Rice codes
+// of parameter k−1, k and k+1 (k ≥ 1), in bits: u costs u>>k and k+1 bits
+// while u>>k < riceEscape, escapeBits past it.
+func riceCosts(codes []int64, s, m int, k uint) [3]int {
 	var q0, q1, q2 uint64 // the quotients, an escape as escaped says; not an array, which lives in memory
-	for i := 0; i < len(codes); i += 3 {
+	for i := 0; i < len(codes); i += s {
 		u := uint64(codes[i]) >> (k - 1)
 		if u >= riceEscape { // rare: a quotient escapes
 			q0, q1, q2 = q0+escaped(u, k), q1+escaped(u>>1, k+1), q2+escaped(u>>2, k+2)
 		}
 		q0, q1, q2 = q0+u, q1+u>>1, q2+u>>2
 	}
-	m := (len(codes) + 2) / 3
 	return [3]int{int(q0) + m*int(k), int(q1) + m*int(k+1), int(q2) + m*int(k+2)}
 }
 
@@ -76,33 +78,54 @@ func escaped(q uint64, k uint) uint64 {
 }
 
 // fieldCode is how chooseCode codes a field, and what a table for it
-// needs: the head byte, the least flagFOR subtracts and what its Rice codes
-// cost, in bits; where it counted them, the first and last bucket its codes
+// needs: the head byte, the least flagFOR subtracts and what its codes cost,
+// in bits — its Rice codes', or its table's and the table's own once it
+// takes one; where it counted them, the first and last bucket its codes
 // fall in and the bits a table would leave raw.
 type fieldCode struct {
 	head        byte
 	off         int64
-	rice        int
+	bits        int
 	first, last uint
 	raw         int
 }
 
-// chooseCode codes a field's m values, every third of vals, in place: less
+// size is what the field adds to its block, in bits: its codes, and its
+// least under flagFOR.
+func (c fieldCode) size() int {
+	return c.bits + int(c.head>>5&1)*8*varintBytes(uint64(c.off<<1^c.off>>63))
+}
+
+// varintBytes is the length of u's uvarint.
+func varintBytes(u uint64) int { return max(bits.Len64(u)+6, 7) / 7 }
+
+// chooseCode codes a field's m values, every s-th of vals, in place: less
 // their least lo, unsigned, when Rice codes of the mean so cost less, lo's
 // varint with them, than zig-zagged ones, else zig-zagged. The head byte is
 // the flag over the cheapest Rice parameter, stepped to from log₂ of the
 // codes' mean while a neighbour costs less. With hist, it counts the codes
 // by bucket.
-func chooseCode(vals []int64, m int, lo int64, hist *[buckets]uint32) (c fieldCode) {
-	var sFOR, sZig uint64
-	for i := 0; i < len(vals); i += 3 {
-		sFOR, sZig = sFOR+uint64(vals[i]-lo), sZig+uint64(vals[i]<<1^vals[i]>>63)
+func chooseCode(vals []int64, s, m int, lo int64, hist *[buckets]uint32) fieldCode {
+	var sum, sZig uint64
+	for i := 0; i < len(vals); i += s {
+		sum, sZig = sum+uint64(vals[i]), sZig+uint64(vals[i]<<1^vals[i]>>63)
 	}
+	return codeField(vals, s, m, lo, sum, sZig, hist)
+}
+
+// codeField is chooseCode given the values' sum and their zig-zagged
+// codes' sum, each mod 2⁶⁴.
+func codeField(vals []int64, s, m int, lo int64, sum, sZig uint64, hist *[buckets]uint32) (c fieldCode) {
+	sFOR := sum - uint64(m)*uint64(lo) // Σ(v − lo), mod 2⁶⁴ as each term's sum is
 	sum, kFOR, kZig := sZig, max(bits.Len64(sFOR/uint64(m)), 1)-1, max(bits.Len64(sZig/uint64(m)), 1)-1
-	if m*kFOR+int(sFOR>>kFOR)+8*(max(bits.Len64(uint64(lo<<1^lo>>63))+6, 7)/7) < m*kZig+int(sZig>>kZig) {
+	if m*kFOR+int(sFOR>>kFOR)+8*varintBytes(uint64(lo<<1^lo>>63)) < m*kZig+int(sZig>>kZig) {
 		c.head, c.off, sum = flagFOR, lo, sFOR
 	}
-	for i := 0; i < len(vals); i += 3 {
+	// The codes, each counted by bucket with hist and priced as riceCosts
+	// prices them at k, stepped to from log₂ of their mean.
+	k := uint(min(max(bits.Len64(sum/uint64(m)), 2)-1, maxRiceK-1))
+	var q0, q1, q2 uint64
+	for i := 0; i < len(vals); i += s {
 		if vals[i] -= c.off; c.head == 0 {
 			vals[i] = vals[i]<<1 ^ vals[i]>>63
 		}
@@ -110,6 +133,11 @@ func chooseCode(vals []int64, m int, lo int64, hist *[buckets]uint32) (c fieldCo
 			b, _ := bucket(uint64(vals[i]))
 			hist[b]++
 		}
+		u := uint64(vals[i]) >> (k - 1) // as riceCosts counts it
+		if u >= riceEscape {
+			q0, q1, q2 = q0+escaped(u, k), q1+escaped(u>>1, k+1), q2+escaped(u>>2, k+2)
+		}
+		q0, q1, q2 = q0+u, q1+u>>1, q2+u>>2
 	}
 	if hist != nil { // the first and last bucket counted, and the raw bits of all: a bucket from 8 up leaves (b − 8)/4 + 1
 		last := uint(buckets - 1)
@@ -121,25 +149,24 @@ func chooseCode(vals []int64, m int, lo int64, hist *[buckets]uint32) (c fieldCo
 			c.raw += int(hist[b]) * int((b-8)>>2+1)
 		}
 	}
-	for k := min(max(bits.Len64(sum/uint64(m)), 2)-1, maxRiceK-1); ; {
-		cost := riceCosts(vals, uint(k))
+	for cost := [3]int{int(q0) + m*int(k), int(q1) + m*int(k+1), int(q2) + m*int(k+2)}; ; cost = riceCosts(vals, s, m, k) {
 		j := slices.Index(cost[:], slices.Min(cost[:]))
-		if k += j - 1; j == 1 || k < 1 || k >= maxRiceK {
-			c.head, c.rice = c.head|byte(k), cost[j]
+		if k += uint(j) - 1; j == 1 || k < 1 || k >= maxRiceK {
+			c.head, c.bits = c.head|byte(k), cost[j]
 			return c
 		}
 	}
 }
 
 // packBufs is AppendPacked's scratch: the field values of a trail's later
-// keys, between the walk that decodes them and the one that codes them, a
-// field's count of each value bucket — zero between uses — and per field
-// the buckets' codes.
+// keys, between the walk that decodes them and the one that codes them,
+// Δt's residuals at the pace, a field's count of each value bucket — zero
+// between uses — and per field the buckets' codes, the residuals' last.
 type packBufs struct {
-	vals []int64
-	hist [buckets]uint32
-	lens [3][buckets]uint8  // a bucket's code length, 0 for none
-	code [3][buckets]uint32 // a bucket's code, its first bit least significant, under its length<<16 and raw bits<<20
+	vals, res []int64
+	hist      [buckets]uint32
+	lens      [4][buckets]uint8  // a bucket's code length, 0 for none
+	code      [4][buckets]uint32 // a bucket's code, its first bit least significant, under its length<<16 and raw bits<<20
 
 	// huffman's: the buckets by count, their weights, the count of codes
 	// of each length.
@@ -149,13 +176,18 @@ type packBufs struct {
 
 var packScratch = sync.Pool{New: func() any { return new(packBufs) }}
 
-// When AppendPacked's fields take a table: never (each field's Rice codes,
-// version 6's bytes), where it costs fewer bits, or always (tests reach every
-// table a reader must read with it).
+// How appendPacked packs, flags over AppendPacked's 0 — a table and the pace
+// each where it costs fewer bits: tests forbid either (paceNever writes
+// version 7's bytes, with tablesNever version 6's), force them where a
+// record has them to take (tests reach every table and pace a reader must
+// read with them), or build every counted field's Huffman code, as without
+// the entropy bound.
 const (
-	tablesNever = iota
-	tablesWherePaying
+	tablesNever = 1 << iota
 	tablesAlways
+	paceNever
+	paceAlways
+	noBound
 )
 
 // AppendPacked appends the trail as a packed block: the count and the first
@@ -166,73 +198,42 @@ const (
 // step's, a grid the keys lie on — and Δt are the three fields. The head is
 // a byte a field — the Rice parameter (0–24), or tableK, under the flags —
 // then each field's least (varint, flagFOR), the watermark (uvarint,
-// flagAged), g (uvarint, flagGrid, written where g > 1) and each tableK
-// field's table (appendTable). A field takes a table only where the table
-// and its codes cost fewer bits than its Rice codes, so no block is larger
-// than with none. The codes follow interleaved, least significant bit
-// first, zero-padded to a byte. It walks the trail's bytes once and
-// allocates only dst's growth.
-func (t *Trail) AppendPacked(dst []byte) []byte { return t.appendPacked(dst, tablesWherePaying) }
+// flagAged), g (uvarint, flagGrid, written where g > 1), the pace q
+// (uvarint, flagPace) and each tableK field's table (appendTable). Under
+// flagPace, Δt's values are Δt less the step's time at q/2¹² a grid unit of
+// its longer component (pace). A field takes a table, and Δt the pace, only
+// where that costs fewer bits, so no block is larger than with neither. The
+// codes follow interleaved, least significant bit first, zero-padded to a
+// byte. It walks the trail's bytes once and allocates only dst's growth.
+func (t *Trail) AppendPacked(dst []byte) []byte { return t.appendPacked(dst, 0) }
 
-func (t *Trail) appendPacked(dst []byte, tables int) []byte {
+// pace is the time a step (across, along) in grid units takes at pace q:
+// its longer component's, q/2¹² a unit, rounded. 0 at q = 0.
+func pace(across, along, q int64) int64 {
+	return (max(across, -across, along, -along)*q + 1<<(paceBits-1)) >> paceBits
+}
+
+func (t *Trail) appendPacked(dst []byte, mode int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(t.n))
 	p := packScratch.Get().(*packBufs)
 	defer packScratch.Put(p)
-	vals, lo, h, first, g := p.vals[:0], [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}, byte(0), true, uint64(0)
-	for pi := 0; pi <= len(t.full); pi++ {
-		pg := t.cur
-		if pi < len(t.full) {
-			pg = t.full[pi]
-		}
-		for len(pg) > 0 { // a block's bytes are its varints, three a key
-			zlat, n1 := binary.Uvarint(pg) // Uvarint inlines, Varint does not
-			zlon, n2 := binary.Uvarint(pg[n1:])
-			zt, n3 := binary.Uvarint(pg[n1+n2:])
-			if pg = pg[n1+n2+n3:]; first { // the first key, absolute
-				dst, first = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(dst, zlat), zlon), zt), false
-				continue
-			}
-			dt := int64(zt>>1) ^ -int64(zt&1)
-			x, y := turn(h, int64(zlon>>1)^-int64(zlon&1), int64(zlat>>1)^-int64(zlat&1))
-			if g != 1 { // off every grid, as most records are, g is 1 within a few keys
-				g = divisor(divisor(g, x), y)
-			}
-			lo = [3]int64{min(lo[0], y), min(lo[1], x), min(lo[2], dt)}
-			vals, h = append(vals, y, x, dt), (h+veer(x, y))&3
-		}
+	first, g, q, c := p.codeFields(t, mode)
+	if t.n > 0 { // the first key, absolute
+		dst = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(dst, first[0]), first[1]), first[2])
 	}
-	if p.vals = vals; t.n < 2 {
+	if t.n < 2 {
 		return dst
 	}
-	if g > 1 {
-		// Every spatial value is a multiple of g, so v/g is exact: v >> z
-		// times inv, z g's trailing zeros and inv its odd part's inverse
-		// mod 2⁶⁴ — no divide.
-		z, inv := bits.TrailingZeros64(g), int64(1)
-		for odd := int64(g >> z); inv*odd != 1; {
-			inv *= 2 - odd*inv // Newton's step doubles the low bits inv is right in
-		}
-		for i := 0; i < len(vals); i += 3 {
-			vals[i], vals[i+1] = vals[i]>>z*inv, vals[i+1]>>z*inv
-		}
-		lo[0], lo[1] = lo[0]>>z*inv, lo[1]>>z*inv
-	}
-	var hist *[buckets]uint32 // counted for a table
-	if tables == tablesAlways || tables == tablesWherePaying && t.n >= minTableKeys {
-		hist = &p.hist
-	}
-	var c [3]fieldCode
-	tabled := false
-	for f := range c {
-		c[f] = chooseCode(vals[f:], t.n-1, lo[f], hist)
-		tabled = hist != nil && p.table(f, t.n-1, &c[f], tables == tablesAlways) || tabled
-	}
+	vals := p.vals
 	head := [3]byte{c[0].head, c[1].head, c[2].head}
 	if t.aged > 0 {
 		head[0] |= flagAged
 	}
 	if g > 1 {
 		head[0] |= flagGrid
+	}
+	if q > 0 {
+		head[2] |= flagPace
 	}
 	dst = append(dst, head[:]...)
 	for f, hb := range head {
@@ -246,13 +247,16 @@ func (t *Trail) appendPacked(dst []byte, tables int) []byte {
 	if g > 1 {
 		dst = binary.AppendUvarint(dst, g)
 	}
+	if q > 0 {
+		dst = binary.AppendUvarint(dst, uint64(q))
+	}
 	for f, hb := range head {
 		if hb&31 == tableK {
 			dst = appendTable(dst, p.lens[f][c[f].first:c[f].last+1], c[f].first)
 		}
 	}
 	out, k := bitWriter{dst: dst}, [3]uint{uint(head[0] & 31), uint(head[1] & 31), uint(head[2] & 31)}
-	if !tabled {
+	if !slices.Contains(k[:], tableK) {
 		for i := 0; i < len(vals); i += 3 { // chooseCode left the codes in vals
 			out.rice(uint64(vals[i]), k[0])
 			out.rice(uint64(vals[i+1]), k[1])
@@ -283,6 +287,93 @@ func (t *Trail) appendPacked(dst []byte, tables int) []byte {
 	return out.dst
 }
 
+// codeFields walks the trail's bytes once: it returns the first key's three
+// uvarints as the block holds them, and for two keys or more the divisor,
+// the pace, 0 for none, and how each field is coded, whose codes it leaves
+// in p.vals — and a tableK field's code in p.lens and p.code.
+func (p *packBufs) codeFields(t *Trail, mode int) (first [3]uint64, g uint64, q int64, c [3]fieldCode) {
+	vals, lo, h, n := p.vals[:0], [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}, byte(0), 0
+	var sl int64 // Σ of each step's longer component: under 2³² a step, so PackedBound's keys' sum fits
+	for pi := 0; pi <= len(t.full); pi++ {
+		pg := t.cur
+		if pi < len(t.full) {
+			pg = t.full[pi]
+		}
+		for ; len(pg) > 0; n++ { // a block's bytes are its varints, three a key
+			zlat, n1 := binary.Uvarint(pg) // Uvarint inlines, Varint does not
+			zlon, n2 := binary.Uvarint(pg[n1:])
+			zt, n3 := binary.Uvarint(pg[n1+n2:])
+			if pg = pg[n1+n2+n3:]; n == 0 {
+				first = [3]uint64{zlat, zlon, zt}
+				continue
+			}
+			dt := int64(zt>>1) ^ -int64(zt&1)
+			x, y := turn(h, int64(zlon>>1)^-int64(zlon&1), int64(zlat>>1)^-int64(zlat&1))
+			if g != 1 { // off every grid, as most records are, g is 1 within a few keys
+				g = divisor(divisor(g, x), y)
+			}
+			lo, sl = [3]int64{min(lo[0], y), min(lo[1], x), min(lo[2], dt)}, sl+max(x, -x, y, -y)
+			vals, h = append(vals, y, x, dt), (h+veer(x, y))&3
+		}
+	}
+	if p.vals = vals; t.n < 2 {
+		return first, g, 0, c
+	}
+	// A record of minTableKeys keys or more is counted for tables and priced
+	// for the pace; a shorter one is neither, unless a test forces them.
+	m, counted := t.n-1, t.n >= minTableKeys
+	var hist *[buckets]uint32
+	if mode&tablesAlways != 0 || mode&tablesNever == 0 && counted {
+		hist = &p.hist
+	}
+	// Every spatial value is a multiple of g, so v/g is exact: v >> z times
+	// inv, z g's trailing zeros and inv its odd part's inverse mod 2⁶⁴ — no
+	// divide; z = 0 and inv = 1 off every grid.
+	z, inv := bits.TrailingZeros64(max(g, 1)), int64(1)
+	for odd := int64(max(g, 1) >> z); inv*odd != 1; {
+		inv *= 2 - odd*inv // Newton's step doubles the low bits inv is right in
+	}
+	lo[0], lo[1], sl = lo[0]>>z*inv, lo[1]>>z*inv, sl>>z*inv
+	// q, the pace: ΣΔt — the last time less the first — over sl, 2¹² a
+	// unit, rounded; 0 past maxPace.
+	if sdt := int64(t.t) - int64(first[2]); sdt > 0 && sl > 0 && (mode&paceAlways != 0 || mode&paceNever == 0 && counted) {
+		if q = (sdt<<(paceBits+1) + sl) / (2 * sl); q > maxPace {
+			q = 0
+		}
+	}
+	// One pass divides the steps by g and takes Δt less each step's time at
+	// the pace, where there is one: the residuals, coded as paced says.
+	res, lo3, sum, sZig := p.res[:0], int64(math.MaxInt64), uint64(0), uint64(0)
+	for i := 0; i < len(vals) && (g > 1 || q > 0); i += 3 {
+		across, along := vals[i]>>z*inv, vals[i+1]>>z*inv
+		if vals[i], vals[i+1] = across, along; q > 0 {
+			r := vals[i+2] - pace(across, along, q)
+			res, lo3, sum, sZig = append(res, r), min(lo3, r), sum+uint64(r), sZig+uint64(r<<1^r>>63)
+		}
+	}
+	var paced fieldCode
+	if p.res = res; q > 0 {
+		if paced = codeField(res, 1, m, lo3, sum, sZig, hist); hist != nil {
+			p.table(3, m, &paced, mode)
+		}
+	}
+	for f := range c {
+		c[f] = chooseCode(vals[f:], 3, m, lo[f], hist)
+		if hist != nil {
+			p.table(f, m, &c[f], mode)
+		}
+	}
+	if q > 0 && (mode&paceAlways != 0 || paced.size()+8*varintBytes(uint64(q)) < c[2].size()) {
+		c[2], p.lens[2], p.code[2] = paced, p.lens[3], p.code[3]
+		for i, r := range res {
+			vals[3*i+2] = r
+		}
+	} else {
+		q = 0
+	}
+	return first, g, q, c
+}
+
 // bucket is the value bucket u falls in and the count of its bits a code
 // leaves raw: a value under 8 is its own bucket, with none; one of bit
 // length c ≥ 4 falls in bucket 8 + 4(c − 4) plus its two bits under the
@@ -294,23 +385,37 @@ func bucket(u uint64) (uint, uint) {
 	return 4*c - 8 + uint(u>>(c-3))&3 - 4*uint((u>>2-1)>>63), c - 3
 }
 
-// table gives field f, whose m codes chooseCode counted into hist, a
-// Huffman code over their buckets and c's head the parameter tableK where
-// the table and its codes cost fewer bits than c's Rice codes, or always;
-// it reports whether it did, and leaves hist zero.
-func (p *packBufs) table(f, m int, c *fieldCode, always bool) bool {
-	hist := p.hist[c.first : c.last+1]
-	// Every code is a bit at least: a field whose table cannot pay even so
-	// is not built one.
+// table gives the field whose m codes chooseCode counted into hist, coded
+// as c says, a Huffman code over their buckets in slot f of lens and code,
+// and c's head the parameter tableK and its bits the table's and its codes',
+// where they cost fewer bits than c's Rice codes, or always under
+// tablesAlways; it leaves hist zero.
+func (p *packBufs) table(f, m int, c *fieldCode, mode int) {
+	hist, always := p.hist[c.first:c.last+1], mode&tablesAlways != 0
+	// Every code is a bit at least, and the codes cost their buckets'
+	// entropy at least, as no prefix code beats it: a field whose table
+	// cannot pay even so is not built one.
 	fixed := 8*tableBytes(c.first, len(hist)) + c.raw
-	pays := always || fixed+m < c.rice
+	pays := always || fixed+m < c.bits && (mode&noBound != 0 || fixed+entropyBits(hist, m) < c.bits)
 	if pays {
-		pays = fixed+p.huffman(f, c.first, hist) < c.rice || always
+		if cost := fixed + p.huffman(f, c.first, hist); cost < c.bits || always {
+			c.head, c.bits = c.head&^31|tableK, cost
+		}
 	}
-	if clear(hist); pays {
-		c.head = c.head&^31 | tableK
+	clear(hist)
+}
+
+// entropyBits bounds from below the bits any prefix code of the m values
+// hist counts by bucket takes: their entropy, m·log₂m − Σ c·log₂c, rounded
+// up after a margin far above float64's rounding error.
+func entropyBits(hist []uint32, m int) int {
+	h := float64(m) * math.Log2(float64(m))
+	for _, c := range hist {
+		if c > 1 {
+			h -= float64(c) * math.Log2(float64(c))
+		}
 	}
-	return pays
+	return int(math.Ceil(h - 1e-3))
 }
 
 // tableBytes is what appendTable writes for count buckets from first.
@@ -517,18 +622,18 @@ func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 	}
 	// acc holds nb unread bits of b, and above them only b's next bits or
 	// zeros; h is the heading the next step is turned from; g the divisor;
-	// per field, k is the Rice parameter or tableK, z 1 for zig-zagged
-	// codes, lo the least flagFOR adds, and for a tableK field mask picks
-	// the bits of luts' entries a code may span.
-	b, aged, acc, nb, h, g := c.b, uint64(0), uint64(0), uint(0), byte(0), int64(1)
+	// q the pace, 0 for none; per field, k is the Rice parameter or tableK,
+	// z 1 for zig-zagged codes, lo the least flagFOR adds, and for a tableK
+	// field mask picks the bits of luts' entries a code may span.
+	b, aged, acc, nb, h, g, q := c.b, uint64(0), uint64(0), uint(0), byte(0), int64(1), int64(0)
 	k, z, lo, mask := [3]uint{}, [3]uint64{1, 1, 1}, [3]int64{}, [3]uint64{}
 	var luts *[3][1 << maxCodeLen]uint16
 	if n >= 2 && len(b) < 3 {
 		return nil, Trail{}, ErrShortBuffer
 	} else if n >= 2 {
-		head, w := [3]byte(b[:3]), 3 // each byte's parameter at most 24 or tableK, flagAged and flagGrid on the first only
+		head, w := [3]byte(b[:3]), 3 // each byte's parameter at most 24 or tableK, flagAged and flagGrid on the first only, flagPace on the third
 		for f, hb := range head {
-			if v := hb &^ [3]byte{flagFOR | flagAged | flagGrid, flagFOR, flagFOR}[f]; v > maxRiceK && v != tableK {
+			if v := hb &^ [3]byte{flagFOR | flagAged | flagGrid, flagFOR, flagFOR | flagPace}[f]; v > maxRiceK && v != tableK {
 				return nil, Trail{}, errHead
 			}
 		}
@@ -546,6 +651,10 @@ func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 		if head[0]&flagGrid != 0 { // as AppendPacked writes it: 2 up, under 2³² as the steps are
 			v, wv := binary.Uvarint(b[w:])
 			g, w, ok = int64(v), w+max(wv, 0), ok && wv > 0 && v >= 2 && v <= math.MaxUint32
+		}
+		if head[2]&flagPace != 0 { // as AppendPacked writes it: 1 up, maxPace at most
+			v, wv := binary.Uvarint(b[w:])
+			q, w, ok = int64(v), w+max(wv, 0), ok && wv > 0 && v >= 1 && v <= maxPace
 		}
 		if !ok {
 			return nil, Trail{}, errHead
@@ -587,11 +696,12 @@ func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 			}
 			d[f] = int64(u>>z[f]) ^ -int64(u&z[f]) + lo[f]
 		}
-		x, y := d[1]*g, d[0]*g
-		dlon, dlat := unturn(h, x, y)
-		h = (h + veer(x, y)) & 3
-		key[0], key[1], key[2] = key[0]+dlat, key[1]+dlon, key[2]+d[2]
-		dst = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(dst, dlat), dlon), d[2])
+		across, along := d[0], d[1]
+		dlon, dlat := unturn(h, along*g, across*g)
+		h = (h + veer(along, across)) & 3 // g > 0 scales neither the step's dominant axis nor its sign
+		dt := d[2] + pace(across, along, q)
+		key[0], key[1], key[2] = key[0]+dlat, key[1]+dlon, key[2]+dt
+		dst = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(dst, dlat), dlon), dt)
 		box.MinLat, box.MinLon, box.T0 = min(box.MinLat, key[0]), min(box.MinLon, key[1]), min(box.T0, key[2])
 		box.MaxLat, box.MaxLon, box.T1 = max(box.MaxLat, key[0]), max(box.MaxLon, key[1]), max(box.T1, key[2])
 	}
@@ -631,11 +741,12 @@ func UnpackBlock(dst, packed []byte) ([]byte, Trail, error) {
 			}
 			d[f] = int64(u>>z[f]) ^ -int64(u&z[f]) + lo[f]
 		}
-		x, y := d[1]*g, d[0]*g
-		dlon, dlat := unturn(h, x, y)
-		h = (h + veer(x, y)) & 3
-		key[0], key[1], key[2] = key[0]+dlat, key[1]+dlon, key[2]+d[2]
-		dst = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(dst, dlat), dlon), d[2])
+		across, along := d[0], d[1]
+		dlon, dlat := unturn(h, along*g, across*g)
+		h = (h + veer(along, across)) & 3 // g > 0 scales neither the step's dominant axis nor its sign
+		dt := d[2] + pace(across, along, q)
+		key[0], key[1], key[2] = key[0]+dlat, key[1]+dlon, key[2]+dt
+		dst = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(dst, dlat), dlon), dt)
 		box.MinLat, box.MinLon, box.T0 = min(box.MinLat, key[0]), min(box.MinLon, key[1]), min(box.T0, key[2])
 		box.MaxLat, box.MaxLon, box.T1 = max(box.MaxLat, key[0]), max(box.MaxLon, key[1]), max(box.T1, key[2])
 	}
@@ -729,8 +840,9 @@ func readTable(b []byte, w int, lut *[1 << maxCodeLen]uint16) (int, uint64, erro
 }
 
 // PackedBound bounds a packed block of n keys: the count, the first key,
-// every least, the watermark, the divisor, every field's table at its
-// longest, every code an escape — longer than any table's code and raw bits.
+// every least, the watermark, the divisor, the pace, every field's table at
+// its longest, every code an escape — longer than any table's code and raw
+// bits.
 func PackedBound(n int) int {
-	return 9*binary.MaxVarintLen64 + 3 + 3*maxTable + max(n-1, 0)*3*escapeBits/8
+	return 10*binary.MaxVarintLen64 + 3 + 3*maxTable + max(n-1, 0)*3*escapeBits/8
 }

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/stream"
 	"github.com/trajcomp/bqs/internal/synth"
 )
@@ -28,8 +29,9 @@ func latticeTrail(keys [][3]int64) *Trail {
 
 // packedCases are trails whose deltas reach every corner of the code: one
 // key, the widest deltas the globe allows (lon across the antimeridian,
-// lat pole to pole), Δt of 0, negative and 2³²−1, and a field per case
-// whose one large delta among many zeros is written as an escape.
+// lat pole to pole), Δt of 0, negative and 2³²−1, a field per case whose
+// one large delta among many zeros is written as an escape, and times that
+// follow the steps (a pace).
 func packedCases() map[string][][3]int64 {
 	cases := map[string][][3]int64{
 		"one key":  {{-375_000_000, 1_449_631_000, 1_700_000_000}},
@@ -80,12 +82,18 @@ func packedCases() map[string][][3]int64 {
 		}
 	}
 	cases["skewed Δt"] = skewed
+	steady := make([][3]int64, 40) // a street walked at a second for each 100 lattice steps, give or take a second: a pace
+	for i := 1; i < len(steady); i++ {
+		step := 100 * (1 + rng.Int63n(8))
+		steady[i] = [3]int64{steady[i-1][0] + step*int64(i%2), steady[i-1][1] + step*int64(1-i%2), steady[i-1][2] + step/100 + rng.Int63n(3) - 1}
+	}
+	cases["steady pace"] = steady
 	return cases
 }
 
-// escapes reports, per field (across, along, Δt), whether packing t
-// writes an escape: the field is Rice-coded and some code's quotient under
-// the parameter AppendPacked chooses reaches riceEscape.
+// escapes reports, per field (across, along, Δt), whether packing t with no
+// pace writes an escape: the field is Rice-coded and some code's quotient
+// under the parameter the packing chooses reaches riceEscape.
 func escapes(t *Trail) (esc [3]bool) {
 	b := t.AppendBlock(nil)
 	_, off := binary.Uvarint(b)
@@ -106,8 +114,8 @@ func escapes(t *Trail) (esc [3]bool) {
 		if len(vals) == 0 {
 			break
 		}
-		k := chooseCode(vals[f:], t.Len()-1, lo[f], nil).head & 31
-		if packedHead(t.AppendPacked(nil))[f]&31 == tableK {
+		k := chooseCode(vals[f:], 3, t.Len()-1, lo[f], nil).head & 31
+		if packedHead(t.appendPacked(nil, paceNever))[f]&31 == tableK {
 			continue
 		}
 		for i := f; i < len(vals); i += 3 {
@@ -119,10 +127,15 @@ func escapes(t *Trail) (esc [3]bool) {
 
 // checkPacked packs t and requires the unpacked block to be t's own bytes
 // and its trail to read as t down to the last key, and the block to be no
-// larger than PackedBound. It packs t twice more, with no table and with a
-// table on every field, requires each to unpack to the same block and the
-// first to be as large as the packing at least — the same bytes where no
-// field took a table — and returns the packing.
+// larger than PackedBound. It packs t five times more — with no pace
+// (version 7's packing), with neither table nor pace (version 6's), with a
+// table on every field and the pace wherever t has one to take, with the
+// pace so forced alone, and with the entropy bound off — and requires each
+// to unpack to the same block; the packing to be no larger than version
+// 7's, and its bytes where it takes no pace; version 7's to be no larger
+// than version 6's, and its bytes where no field took a table; and the
+// packing without the bound to be the packing's bytes. It returns the
+// packing.
 func checkPacked(t *testing.T, name string, tr *Trail) []byte {
 	t.Helper()
 	want := tr.AppendBlock(nil)
@@ -148,19 +161,31 @@ func checkPacked(t *testing.T, name string, tr *Trail) []byte {
 	if len(packed) > PackedBound(tr.Len()) {
 		t.Fatalf("%s: %d packed bytes above PackedBound(%d) = %d", name, len(packed), tr.Len(), PackedBound(tr.Len()))
 	}
-	rice, tabled := tr.appendPacked(nil, tablesNever), tr.appendPacked(nil, tablesAlways)
-	for _, p := range [][]byte{rice, tabled} {
+	v7, rice := tr.appendPacked(nil, paceNever), tr.appendPacked(nil, tablesNever|paceNever)
+	for _, p := range [][]byte{v7, rice, tr.appendPacked(nil, tablesAlways|paceAlways), tr.appendPacked(nil, tablesNever|paceAlways)} {
 		if got, _, err := UnpackBlock(nil, p); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s: a packing with tables %v unpacks to %x, %v\nwant %x", name, usesTable(p), got, err, want)
+			t.Fatalf("%s: a packing with tables %v, a pace %v unpacks to %x, %v\nwant %x", name, usesTable(p), paced(p), got, err, want)
 		}
 		if len(p) > PackedBound(tr.Len()) {
 			t.Fatalf("%s: %d packed bytes above PackedBound(%d) = %d", name, len(p), tr.Len(), PackedBound(tr.Len()))
 		}
 	}
-	if len(packed) > len(rice) || !usesTable(packed) && !bytes.Equal(packed, rice) {
-		t.Fatalf("%s: %d packed bytes (a table %v), %d with Rice codes alone", name, len(packed), usesTable(packed), len(rice))
+	if len(packed) > len(v7) || !paced(packed) && !bytes.Equal(packed, v7) {
+		t.Fatalf("%s: %d packed bytes (a pace %v), %d with no pace", name, len(packed), paced(packed), len(v7))
+	}
+	if len(v7) > len(rice) || !usesTable(v7) && !bytes.Equal(v7, rice) {
+		t.Fatalf("%s: %d packed bytes with no pace (a table %v), %d with Rice codes alone", name, len(v7), usesTable(v7), len(rice))
+	}
+	if unbounded := tr.appendPacked(nil, noBound); !bytes.Equal(unbounded, packed) {
+		t.Fatalf("%s: with the entropy bound off the packing is %x\nwith it %x", name, unbounded, packed)
 	}
 	return packed
+}
+
+// paced reports whether Δt in packed is coded at a pace.
+func paced(packed []byte) bool {
+	head := packedHead(packed)
+	return head != nil && head[2]&flagPace != 0
 }
 
 // usesTable reports whether a field of packed is table-coded.
@@ -175,8 +200,9 @@ func packedTables(packed []byte) (lens [3][]uint8) {
 	if head == nil {
 		return lens
 	}
-	// Past the head: a least a flagFOR, the watermark and the divisor.
-	off, varints := headOffset(packed)+3, int(head[0]>>7&1+head[0]>>6&1)
+	// Past the head: a least a flagFOR, the watermark, the divisor and the
+	// pace.
+	off, varints := headOffset(packed)+3, int(head[0]>>7&1+head[0]>>6&1+head[2]>>6&1)
 	for _, h := range head {
 		varints += int(h >> 5 & 1)
 	}
@@ -203,7 +229,9 @@ func TestPackedRoundTrip(t *testing.T) {
 	var seen [3]bool
 	for name, keys := range packedCases() {
 		tr := latticeTrail(keys)
-		checkPacked(t, name, tr)
+		if p := checkPacked(t, name, tr); name == "steady pace" && !paced(p) {
+			t.Fatalf("%s: AppendPacked codes Δt at no pace", name)
+		}
 		for f, e := range escapes(tr) {
 			seen[f] = seen[f] || e
 		}
@@ -255,11 +283,13 @@ func headOffset(packed []byte) int {
 // randomTrail is a trail of up to 60 keys — one and two keys often —
 // whose steps mix what the packing must carry: zero and negative Δt, a
 // far jump now and then (an escape), steps on a coarse grid, runs in one
-// direction (a field above 0) and back; and, on half of them, an ageing
-// watermark.
+// direction (a field above 0) and back; on a quarter, Δt a second for each
+// grid unit of the step, give or take a second (a pace); and, on half of
+// them, an ageing watermark.
 func randomTrail(rng *rand.Rand) *Trail {
 	n := []int{1, 2, 3, 1 + rng.Intn(60)}[rng.Intn(4)]
 	grid := []int64{1, 1, 100, 1000}[rng.Intn(4)]
+	steady := rng.Intn(4) == 0
 	keys := make([][3]int64, n)
 	lat, lon, ts := rng.Int63n(1e9)-5e8, rng.Int63n(2e9)-1e9, rng.Int63n(1<<31)
 	lat, lon = lat/grid*grid, lon/grid*grid
@@ -275,7 +305,11 @@ func randomTrail(rng *rand.Rand) *Trail {
 		}
 		lat = min(max(lat+dir[0]*step, -9e8), 9e8)
 		lon = min(max(lon+dir[1]*step, -18e8), 18e8)
-		ts = min(max(ts+[]int64{0, -3, 5, 10, 30}[rng.Intn(5)], 0), math.MaxUint32)
+		dt := []int64{0, -3, 5, 10, 30}[rng.Intn(5)]
+		if steady {
+			dt = step/grid + rng.Int63n(3) - 1
+		}
+		ts = min(max(ts+dt, 0), math.MaxUint32)
 	}
 	tr := latticeTrail(keys)
 	if rng.Intn(2) == 0 {
@@ -287,14 +321,15 @@ func randomTrail(rng *rand.Rand) *Trail {
 // TestPackedProperty: UnpackBlock(AppendPacked(t)) is t's block and trail —
 // its last key, bounds and watermark — for random trails, and over them
 // the packing writes every flag (a divisor where a trail's steps are on a
-// coarse grid) and an escape. Their packings with a table on every field,
+// coarse grid, a pace where its times follow its steps) and an escape; the
+// entropy bound changes no packing's bytes (checkPacked). Their packings with a table on every field,
 // and the skewed Δt case's, reach a one-bucket table, an 11-bit code and
 // tables over leasts and over zig-zagged values; tabledBlock's 61 raw bits
 // read back at every alignment a refill leaves. Each branch of both codes
 // is checked.
 func TestPackedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	var flags byte
+	var flags [3]byte
 	escaped, oneBucket, longest, under := false, false, uint8(0), [2]bool{} // under: a table over zig-zagged values, over leasts
 	reach := func(tr *Trail) {
 		p := tr.appendPacked(nil, tablesAlways)
@@ -309,8 +344,8 @@ func TestPackedProperty(t *testing.T) {
 	}
 	for i := 0; i < 3000; i++ {
 		tr := randomTrail(rng)
-		for _, h := range packedHead(checkPacked(t, "random trail", tr)) {
-			flags |= h &^ 31
+		for f, h := range packedHead(checkPacked(t, "random trail", tr)) {
+			flags[f] |= h &^ 31
 		}
 		e := escapes(tr)
 		escaped = escaped || e[0] || e[1] || e[2]
@@ -321,7 +356,7 @@ func TestPackedProperty(t *testing.T) {
 		t.Error("skewed Δt: AppendPacked codes Δt with Rice codes")
 	}
 	reach(skewed)
-	if flags != flagFOR|flagAged|flagGrid || !escaped || !oneBucket || longest != maxCodeLen || under != [2]bool{true, true} {
+	if flags != [3]byte{flagFOR | flagAged | flagGrid, flagFOR, flagFOR | flagPace} || !escaped || !oneBucket || longest != maxCodeLen || under != [2]bool{true, true} {
 		t.Fatalf("flags written %08b, an escape %v, a one-bucket table %v, the longest code %d bits, tables over zig-zagged values and leasts %v: the trails reached too little of the code",
 			flags, escaped, oneBucket, longest, under)
 	}
@@ -436,15 +471,18 @@ func packV4(t *Trail) []byte {
 	return w.dst
 }
 
+// planeKey is the lattice key of a point x, y metres on the flat plane at
+// time ts.
+func planeKey(x, y float64, ts uint32) [3]int64 {
+	return [3]int64{int64(math.Round(y / MetersPerDegree * 1e7)), int64(math.Round(x / MetersPerDegree * 1e7)), int64(ts)}
+}
+
 // guardTracks are lattice keys of the shapes the guards pack: the
 // registered "fbqs"'s key points (10 m, on its grid) of synth.Walk tracks, a
 // street grid turned 30° with a key at every corner, and Gaussian random
 // walks; each in chunks of 16 keys, as an engine cuts them, and whole, as
 // compaction merges them.
 func guardTracks(rng *rand.Rand) map[string][][3]int64 {
-	lattice := func(x, y float64, ts uint32) [3]int64 { // metres on the flat plane
-		return [3]int64{int64(math.Round(y / MetersPerDegree * 1e7)), int64(math.Round(x / MetersPerDegree * 1e7)), int64(ts)}
-	}
 	out := map[string][][3]int64{}
 	for seed := int64(1); seed <= 3; seed++ {
 		cfg := synth.DefaultWalkConfig(seed)
@@ -454,13 +492,13 @@ func guardTracks(rng *rand.Rand) map[string][][3]int64 {
 			panic(err)
 		}
 		for _, p := range stream.Compress(comp, synth.Walk(cfg).Points()) {
-			out["walk"] = append(out["walk"], lattice(p.X, p.Y, uint32(p.T)))
+			out["walk"] = append(out["walk"], planeKey(p.X, p.Y, uint32(p.T)))
 		}
 	}
 	sin, cos := math.Sincos(math.Pi / 6)
 	x, y, ts, dir := 0.0, 0.0, uint32(1_700_000_000), 0
 	for i := 0; i < 3000; i++ {
-		out["grid"] = append(out["grid"], lattice(x*cos-y*sin, x*sin+y*cos, ts))
+		out["grid"] = append(out["grid"], planeKey(x*cos-y*sin, x*sin+y*cos, ts))
 		dir = (dir + []int{1, 3}[rng.Intn(2)]) % 4 // turn left or right at each corner
 		l := 40 + 80*float64(rng.Intn(4))          // blocks of 80 m, one to four long
 		x, y = x+[]float64{l, 0, -l, 0}[dir], y+[]float64{0, l, 0, -l}[dir]
@@ -468,7 +506,7 @@ func guardTracks(rng *rand.Rand) map[string][][3]int64 {
 	}
 	x, y = 0, 0
 	for i := 0; i < 3000; i++ {
-		out["random walk"] = append(out["random walk"], lattice(x, y, ts))
+		out["random walk"] = append(out["random walk"], planeKey(x, y, ts))
 		x, y, ts = x+rng.NormFloat64()*50, y+rng.NormFloat64()*50, ts+uint32(1+rng.Intn(30))
 	}
 	return out
@@ -483,13 +521,13 @@ var v5Digests = map[string]string{
 }
 
 // TestPackedNoWorse: on every record of every guard track this packing
-// costs at most 2 B more than version 4's and no more than with no table,
-// and on the grid, whose turns the frame of the previous step turns onto
-// one axis, less overall. A record off every grid — each of the grid's and
-// the random walk's — carries no divisor and, with no table, packs to
-// exactly version 5's bytes: so does every such record that uses none, as
-// checkPacked holds it to its packing with no table. The walk's, on
-// "fbqs"'s grid, pack to under three quarters of version 4's.
+// costs at most 2 B more than version 4's and no more than with neither
+// table nor pace, and on the grid, whose turns the frame of the previous
+// step turns onto one axis, less overall. A record off every grid — each of
+// the grid's and the random walk's — carries no divisor and, with neither,
+// packs to exactly version 5's bytes: so does every such record that uses
+// neither, as checkPacked holds it to that packing. The walk's, on "fbqs"'s
+// grid, pack to under three quarters of version 4's.
 func TestPackedNoWorse(t *testing.T) {
 	for name, keys := range guardTracks(rand.New(rand.NewSource(30))) {
 		var v4, v7, whole, rice int
@@ -509,12 +547,12 @@ func TestPackedNoWorse(t *testing.T) {
 					v4, v7 = v4+a, v7+b
 				}
 				if len(rec) == len(keys) {
-					whole, rice = b, len(tr.appendPacked(nil, tablesNever))
+					whole, rice = b, len(tr.appendPacked(nil, tablesNever|paceNever))
 				}
-				digest.Write(tr.appendPacked(nil, tablesNever))
+				digest.Write(tr.appendPacked(nil, tablesNever|paceNever))
 			}
 		}
-		t.Logf("%s: 16-key records %d B at version 4, %d B (%.3f); the whole track %d B, %d B with no table (%.3f)",
+		t.Logf("%s: 16-key records %d B at version 4, %d B (%.3f); the whole track %d B, %d B with neither table nor pace (%.3f)",
 			name, v4, v7, float64(v7)/float64(v4), whole, rice, float64(whole)/float64(rice))
 		if want, ok := v5Digests[name]; ok && fmt.Sprintf("%x", digest.Sum(nil)) != want {
 			t.Fatalf("%s: records off every grid pack with no table to other bytes than version 5's", name)
@@ -522,6 +560,117 @@ func TestPackedNoWorse(t *testing.T) {
 		if name == "grid" && v7 >= v4 || name == "walk" && 4*v7 >= 3*v4 {
 			t.Fatalf("%s: %d B against version 4's %d", name, v7, v4)
 		}
+	}
+}
+
+// fbqsKeys are the lattice keys the registered "fbqs" keeps (10 m) of pts.
+func fbqsKeys(pts []core.Point) (keys [][3]int64) {
+	comp, err := stream.New("fbqs", 10)
+	if err != nil {
+		panic(err)
+	}
+	for _, p := range stream.Compress(comp, pts) {
+		keys = append(keys, planeKey(p.X, p.Y, uint32(p.T)))
+	}
+	return keys
+}
+
+// fieldBits is what each field of tr packed in mode costs, in bits: its
+// codes, its least and table, and Δt's pace.
+func fieldBits(tr *Trail, mode int) (b [3]int) {
+	var p packBufs
+	_, _, q, c := p.codeFields(tr, mode)
+	for f := range b {
+		b[f] = c[f].size()
+	}
+	if q > 0 {
+		b[2] += 8 * varintBytes(uint64(q))
+	}
+	return b
+}
+
+// TestPacedTraffic: the pace on traffic the bench does not run — "fbqs"'s
+// key points of synth.Walk (1 Hz), synth.Vehicle (30 s while driving),
+// synth.Bat (60 s in flight) and a street grid driven at a steady 10 m/s, a
+// fix a second, turning every 2 to 4 fixes — each track in 16-key chunks, as
+// an engine cuts them, and whole, as compaction merges them. No record
+// packs larger than with no pace, and the grid's whole track takes one. It
+// logs each whole track's bits a key per field with the pace and without,
+// and what pricing the pace on the 16-key chunks, which AppendPacked does
+// not, would save.
+func TestPacedTraffic(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	var grid []core.Point
+	x, y, dir := 0.0, 0.0, 0
+	for i := 0; i < 20_000; i++ {
+		if grid = append(grid, core.Point{X: x, Y: y, T: float64(1_700_000_000 + i)}); i%3 == 0 && rng.Intn(2) == 0 || i%4 == 0 {
+			dir = (dir + []int{1, 3}[rng.Intn(2)]) % 4
+		}
+		x, y = x+[]float64{10, 0, -10, 0}[dir], y+[]float64{0, 10, 0, -10}[dir]
+	}
+	cfg := synth.DefaultWalkConfig(1)
+	cfg.N = 20_000
+	for _, track := range []struct {
+		name string
+		pts  []core.Point
+	}{
+		{"walk", synth.Walk(cfg).Points()},
+		{"vehicle", synth.Vehicle(synth.DefaultVehicleConfig(1)).Points()},
+		{"bat", synth.Bat(synth.DefaultBatConfig(1)).Points()},
+		{"grid", grid},
+	} {
+		keys := fbqsKeys(track.pts)
+		chunks, saved := 0, 0
+		for lo := 0; lo+1 < len(keys); lo += 15 {
+			for _, rec := range [][][3]int64{keys[lo:min(lo+16, len(keys))], keys[lo:]} {
+				tr := latticeTrail(rec)
+				packed, v7 := tr.AppendPacked(nil), tr.appendPacked(nil, paceNever)
+				if len(packed) > len(v7) {
+					t.Fatalf("%s: a %d-key record packs to %d B with the pace, %d B without", track.name, len(rec), len(packed), len(v7))
+				}
+				if len(rec) == len(keys) && track.name == "grid" && !paced(packed) {
+					t.Fatalf("%s: the whole track takes no pace", track.name)
+				}
+				if len(rec) == 16 {
+					chunks += len(v7)
+					saved += len(v7) - min(len(v7), len(tr.appendPacked(nil, paceAlways)))
+				}
+			}
+		}
+		whole := latticeTrail(keys)
+		with, without := fieldBits(whole, 0), fieldBits(whole, paceNever)
+		perKey := func(b [3]int) string {
+			m := float64(len(keys) - 1)
+			return fmt.Sprintf("across %.2f, along %.2f, Δt %.2f", float64(b[0])/m, float64(b[1])/m, float64(b[2])/m)
+		}
+		t.Logf("%s: %d keys; bits a key with the pace %s, without %s; the pace priced on 16-key chunks would save %d of %d B (%.2f %%)",
+			track.name, len(keys), perKey(with), perKey(without), saved, chunks, 100*float64(saved)/float64(chunks))
+	}
+}
+
+// TestPaceBounds: a pace stays where no product a valid record holds
+// overflows int64. ΣΔt is the last time less the first, under 2³², so
+// 2¹³·ΣΔt fits; a step's longer component is under 2³² grid units, so the
+// sum over PackedBound's longest record fits, and so does its product with
+// a pace up to maxPace. No record takes a pace past maxPace — one step of a
+// unit in 2³² − 1 s would be 2⁴⁴ — and one just under it, 8 193 unit steps
+// in 2³² − 1 s, packs and unpacks.
+func TestPaceBounds(t *testing.T) {
+	const longest, widest = 466_019, 3_600_000_000 // keys a merged record holds; the antimeridian hop
+	if longest*widest > math.MaxInt64/2 || widest*maxPace+1<<paceBits > math.MaxInt64 || math.MaxUint32<<(paceBits+1) > math.MaxInt64 {
+		t.Fatal("a pace's sums or products overflow int64")
+	}
+	if one := latticeTrail([][3]int64{{0, 0, 0}, {1, 0, math.MaxUint32}}); paced(one.appendPacked(nil, paceAlways)) {
+		t.Fatal("one unit step in 2³² − 1 s takes a pace past maxPace")
+	}
+	keys := make([][3]int64, 8194)
+	for i := range keys {
+		keys[i] = [3]int64{int64(i), 0, int64(i) * math.MaxUint32 / 8193}
+	}
+	tr := latticeTrail(keys)
+	checkPacked(t, "8 193 unit steps", tr)
+	if _, _, q, _ := new(packBufs).codeFields(tr, paceAlways); q <= maxPace/2 || q > maxPace || !paced(tr.appendPacked(nil, paceAlways)) {
+		t.Fatalf("8 193 unit steps in 2³² − 1 s: pace %d, want under maxPace and taken", q)
 	}
 }
 
@@ -539,9 +688,10 @@ func TestPackedSmaller(t *testing.T) {
 }
 
 // TestUnpackRefuses: what Enters(block, nil) refuses, and what no packer
-// writes — a parameter past 24 but tableK, a flag where none is, a table
-// that is no code or covers buckets that do not exist, a code no bucket
-// has, bytes or set bits after the last code.
+// writes — a parameter past 24 but tableK, a flag where none is, a divisor
+// or a pace out of range or cut short, a table that is no code or covers
+// buckets that do not exist, a code no bucket has, bytes or set bits after
+// the last code.
 func TestUnpackRefuses(t *testing.T) {
 	tr := latticeTrail(packedCases()["two keys"])
 	good := tr.AppendPacked(nil)
@@ -566,23 +716,35 @@ func TestUnpackRefuses(t *testing.T) {
 		"a delta past 2³²": {rawPacked([3]int64{0, 0, math.MaxUint32}, [3]int64{0, 0, 1}), ErrRange},
 		"a time below 0":   {rawPacked([3]int64{0, 0, 0}, [3]int64{0, 0, -1}), ErrRange},
 	}
-	// A divisor follows the head under flagGrid: as AppendPacked writes it,
-	// 2 up and under 2³², as no step reaches.
-	for name, g := range map[string]uint64{"divisor 0": 0, "divisor 1": 1, "divisor 2³²": 1 << 32} {
+	// A divisor follows the head under flagGrid, then a pace under
+	// flagPace: as AppendPacked writes them, the divisor 2 up and under 2³²,
+	// as no step reaches, the pace 1 up and maxPace at most. The pace's flag
+	// is the divisor's bit on the third byte: moved to the first, a pace of
+	// 1 reads as a divisor of 1.
+	cutPace := withHeadVarint(2, flagPace, 1<<20) // three bytes of varint, then one of codes
+	for name, b := range map[string][]byte{
+		"divisor 0":               withHeadVarint(0, flagGrid, 0),
+		"divisor 1":               withHeadVarint(0, flagGrid, 1),
+		"divisor 2³²":             withHeadVarint(0, flagGrid, 1<<32),
+		"pace 0":                  withHeadVarint(2, flagPace, 0),
+		"a pace past maxPace":     withHeadVarint(2, flagPace, maxPace+1),
+		"a pace cut short":        cutPace[:len(cutPace)-3],
+		"a pace flag on h_across": withHeadVarint(0, flagPace, 1),
+	} {
 		cases[name] = struct {
 			b    []byte
 			want error
-		}{withDivisor(g), errHead}
+		}{b, errHead}
 	}
 	// Each head byte is checked on its own: a flag on one lifts no other's
-	// parameter past 24; flagAged and flagGrid ride the first byte only.
+	// parameter past 24; flagAged and flagGrid ride the first byte only,
+	// flagPace the third.
 	for name, h := range map[string][3]byte{
-		"parameter 25":               {0, maxRiceK + 1, 0},
-		"parameter 25 beside a flag": {flagFOR, 0, maxRiceK + 1},
-		"parameter 30 under a flag":  {flagAged | 30, 0, 0},
-		"a watermark on the third":   {0, 0, flagAged},
-		"a divisor on the second":    {0, flagGrid, 0},
-		"a divisor on the third":     {0, 0, flagGrid},
+		"parameter 25":                      {0, maxRiceK + 1, 0},
+		"parameter 25 beside a flag":        {flagFOR, 0, maxRiceK + 1},
+		"parameter 30 under a flag":         {flagAged | 30, 0, 0},
+		"a watermark on the third":          {0, 0, flagAged},
+		"a divisor or pace flag on h_along": {0, flagGrid, 0},
 	} {
 		bad := bytes.Clone(good)
 		copy(bad[k:], h[:])
@@ -631,11 +793,13 @@ func TestUnpackRefuses(t *testing.T) {
 			t.Errorf("%s: UnpackBlock(%x) = %v, want %v", name, c.b, err, c.want)
 		}
 	}
-	// The controls: a divisor of 2 reads, and so does the first field under
-	// two 1-bit codes, or under a table from bucket 0 whose first two
-	// buckets have no code.
-	if _, _, err := UnpackBlock(nil, withDivisor(2)); err != nil {
-		t.Fatalf("a divisor of 2: %v", err)
+	// The controls: a divisor of 2 reads, so do paces of 1 and maxPace, and
+	// so does the first field under two 1-bit codes, or under a table from
+	// bucket 0 whose first two buckets have no code.
+	for _, b := range [][]byte{withHeadVarint(0, flagGrid, 2), withHeadVarint(2, flagPace, 1), withHeadVarint(2, flagPace, maxPace)} {
+		if _, _, err := UnpackBlock(nil, b); err != nil {
+			t.Fatalf("%x: %v", b, err)
+		}
 	}
 	for _, table := range [][]byte{{2, 2, 0x11}, {0, 3, 0x00, 0x01}} {
 		if got, _, err := UnpackBlock(nil, withTable(table...)); err != nil || !bytes.Equal(got, tr.AppendBlock(nil)) {
@@ -644,13 +808,13 @@ func TestUnpackRefuses(t *testing.T) {
 	}
 }
 
-// withDivisor is rawPacked's block of one step (0, 0, 1) — five bits of
-// codes — with flagGrid on its head and g after it.
-func withDivisor(g uint64) []byte {
+// withHeadVarint is rawPacked's block of one step (0, 0, 1) — five bits of
+// codes — with flag on head byte f and v after the head.
+func withHeadVarint(f int, flag byte, v uint64) []byte {
 	b := rawPacked([3]int64{0, 0, 0}, [3]int64{0, 0, 1})
 	h := len(b) - 4 // the three parameter bytes, then the byte of codes
-	b[h] |= flagGrid
-	return slices.Concat(b[:h+3], binary.AppendUvarint(nil, g), b[h+3:])
+	b[h+f] |= flag
+	return slices.Concat(b[:h+3], binary.AppendUvarint(nil, v), b[h+3:])
 }
 
 // rawPacked writes a packed block of a first key and deltas with no range
@@ -679,8 +843,9 @@ func rawPacked(first [3]int64, deltas ...[3]int64) []byte {
 // unpack to their trail's bytes. The seeds hold every packed case, with a
 // watermark and without, and each case's keys moved onto grids of 100 and
 // 7 lattice steps: blocks with a divisor; each packed with a table on every
-// field too (one-bucket tables, tables over leasts and zig-zagged values),
-// the skewed Δt case whole (an 11-bit code) and a tabledBlock (61 raw bits).
+// field too (one-bucket tables, tables over leasts and zig-zagged values)
+// and with the pace wherever it has one to take, the skewed Δt case whole
+// (an 11-bit code) and a tabledBlock (61 raw bits).
 func FuzzPackedBlock(f *testing.F) {
 	cases := packedCases()
 	for name, keys := range packedCases() {
@@ -697,6 +862,7 @@ func FuzzPackedBlock(f *testing.F) {
 		tr := latticeTrail(keys)
 		f.Add(tr.AppendPacked(nil))
 		f.Add(tr.appendPacked(nil, tablesAlways))
+		f.Add(tr.appendPacked(nil, tablesNever|paceAlways))
 		tr.SetAged(uint32(keys[len(keys)/2][2]))
 		f.Add(tr.AppendPacked(nil))
 		b := make([]byte, 0, 12*len(keys))

@@ -116,10 +116,10 @@ func TestCompactMergeChunks(t *testing.T) {
 // real size, so a merged record always frames.
 func TestMergeCapIsPackedBound(t *testing.T) {
 	const devLen = 6
-	// The count, the first key, three leasts, the watermark and the divisor
-	// (varints), three head bytes; a table's first bucket and count (two
-	// uvarints under 2¹⁴) and 252 code lengths, a nibble each.
-	if head, table := 9*binary.MaxVarintLen64+3, 2+2+252/2; trajstore.PackedBound(1) < head+3*table {
+	// The count, the first key, three leasts, the watermark, the divisor and
+	// the pace (varints), three head bytes; a table's first bucket and count
+	// (two uvarints under 2¹⁴) and 252 code lengths, a nibble each.
+	if head, table := 10*binary.MaxVarintLen64+3, 2+2+252/2; trajstore.PackedBound(1) < head+3*table {
 		t.Fatalf("PackedBound(1) = %d counts no three tables of every bucket", trajstore.PackedBound(1))
 	}
 	perKey := trajstore.PackedBound(2) - trajstore.PackedBound(1)

@@ -20,25 +20,28 @@ import (
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
 
-// v6Fixture and v7Fixture are checked-in sharded roots, the fixture
-// script's output from the writer of the tree that introduced segment
-// format 6 and 7, each with its golden — fixtureSnapshot's answers in that
-// tree — beside it (v6log.golden.json, v7log.golden.json). This tree reads
-// v7Fixture to its golden and writes it byte for byte; it reads v6Fixture
-// once hop 4 of DESIGN.md's "Upgrading old data" has carried it forward.
-// Each is written once and never regenerated; a later format gets a fixture
-// of its own, and a fixture goes when its version and its upgrade hop do.
-// LOCK (it only carries a pid) is not checked in.
+// v6Fixture, v7Fixture and v8Fixture are checked-in sharded roots, the
+// fixture script's output from the writer of the tree that introduced
+// segment format 6, 7 and 8, each with its golden — fixtureSnapshot's
+// answers in that tree — beside it (v6log.golden.json, …). This tree reads
+// v8Fixture to its golden and writes it byte for byte; it reads v6Fixture
+// and v7Fixture once hop 4 of DESIGN.md's "Upgrading old data" has carried
+// them forward. Each is written once and never regenerated; a later format
+// gets a fixture of its own, and a fixture goes when its version and its
+// upgrade hop do. LOCK (it only carries a pid) is not checked in.
 //
 // The script stores what the registered "fbqs" keeps of a zig-zag of fixes
 // (gridTrack), keys on its grid, so its records carry the packed block's
 // divisor; version 7's adds a device of fixtureLongKeys keys, which
-// compaction merges into a record whose fields take tables. A change to
-// what "fbqs" keeps changes this input, not the format: it then checks in
-// gridTrack's keys as they are here instead of regenerating a fixture.
+// compaction merges into a record whose fields take tables, and version
+// 8's one more of as many keys of a steady drive (pacedTrack), merged into
+// a record whose Δt takes the pace. A change to what "fbqs" keeps changes
+// this input, not the format: it then checks in the tracks' keys as they
+// are here instead of regenerating a fixture.
 const (
 	v6Fixture = "testdata/v6log"
 	v7Fixture = "testdata/v7log"
+	v8Fixture = "testdata/v8log"
 
 	fixtureLongKeys = 40
 )
@@ -70,14 +73,37 @@ func gridTrack(d, t, n int) []trajstore.GeoKey {
 	return keys
 }
 
+// pacedTrack is device d's first n key points as gridTrack stores them, of
+// a drive from time t at a steady 1e-4° a second, a fix a second, along a
+// street grid: legs of 4 to 12 s east, then north or south by turns, so
+// that each key's Δt is its step's longer component at that pace.
+func pacedTrack(d, t, n int) []trajstore.GeoKey {
+	comp, err := stream.New("fbqs", 5)
+	if err != nil {
+		panic(err)
+	}
+	var keys []trajstore.GeoKey
+	lat, lon := float64(d), 10*float64(d)
+	for i, leg := 0, 0; len(keys) < n; leg++ {
+		for s := 4 + leg*5%9; s > 0; s, i = s-1, i+1 {
+			if kp, ok := comp.Push(trajstore.PlanePoint(trajstore.GeoKey{Lat: lat, Lon: lon, T: uint32(t + i)})); ok {
+				keys = append(keys, trajstore.PlaneKey(kp))
+			}
+			lat, lon = lat+[]float64{0, 1e-4, 0, -1e-4}[leg%4], lon+[]float64{1e-4, 0, 1e-4, 0}[leg%4]
+		}
+	}
+	return keys[:n]
+}
+
 // buildFixtureLog runs the fixture script against dir: six devices over
-// two shards append a chunked session each (one chunk again at the end),
-// and, for long > 0, a seventh long keys after the ageing horizon in
-// engine-sized chunks; the log is sealed and compacted — merge, dedup and
-// ageing through the coarse compressor under a fixed clock — and a second
-// wave of appends then rotates past the compacted generation, so each
-// shard ends with compacted, rotated and active segments.
-func buildFixtureLog(t testing.TB, dir string, long int) {
+// two shards append a chunked session each (one chunk again at the end);
+// for long > 0, a seventh appends long keys of gridTrack after the ageing
+// horizon in engine-sized chunks, and for paced > 0 an eighth paced keys of
+// pacedTrack so; the log is sealed and compacted — merge, dedup and ageing
+// through the coarse compressor under a fixed clock — and a second wave of
+// appends then rotates past the compacted generation, so each shard ends
+// with compacted, rotated and active segments.
+func buildFixtureLog(t testing.TB, dir string, long, paced int) {
 	t.Helper()
 	lg, err := OpenSharded(dir, 2, fixtureOptions())
 	if err != nil {
@@ -99,9 +125,9 @@ func buildFixtureLog(t testing.TB, dir string, long int) {
 			}
 		}
 	}
-	if track := gridTrack(devices, 2000, long); long > 0 {
+	for d, track := range [][]trajstore.GeoKey{gridTrack(devices, 2000, long), pacedTrack(devices+1, 3000, paced)} {
 		for c := 0; c+1 < len(track); c += 15 {
-			if err := lg.Append(dev(devices), track[c:min(c+16, len(track))]); err != nil {
+			if err := lg.Append(dev(devices+d), track[c:min(c+16, len(track))]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -269,12 +295,12 @@ func checkVersions(t testing.TB, root string, v byte) {
 }
 
 // upgradeFixture copies the fixture root into dir as hop 4 of "Upgrading
-// old data" leaves it: byte 6 of every shard-*/seg-*.log set to 7.
+// old data" leaves it: byte 6 of every shard-*/seg-*.log set to version.
 func upgradeFixture(t testing.TB, fixture, dir string) {
 	t.Helper()
 	for name, b := range treeFiles(t, fixture) {
 		if ok, _ := path.Match("shard-*/seg-*.log", name); ok {
-			b[6] = 7
+			b[6] = version
 		}
 		p := filepath.Join(dir, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
@@ -286,14 +312,14 @@ func upgradeFixture(t testing.TB, fixture, dir string) {
 	}
 }
 
-// checkRebuilt runs the fixture script with long through this tree's writer
-// — append, rotation, seal, compaction with ageing, manifest publish,
-// SHARDS — and fails unless it writes every file of want byte for byte and
-// nothing else.
-func checkRebuilt(t *testing.T, want map[string][]byte, long int) {
+// checkRebuilt runs the fixture script with long and paced through this
+// tree's writer — append, rotation, seal, compaction with ageing, manifest
+// publish, SHARDS — and fails unless it writes every file of want byte for
+// byte and nothing else.
+func checkRebuilt(t *testing.T, want map[string][]byte, long, paced int) {
 	t.Helper()
 	dir := t.TempDir()
-	buildFixtureLog(t, dir, long)
+	buildFixtureLog(t, dir, long, paced)
 	rebuilt := treeFiles(t, dir)
 	delete(rebuilt, lockName)
 	for name, b := range want {
@@ -308,17 +334,17 @@ func checkRebuilt(t *testing.T, want map[string][]byte, long int) {
 	}
 }
 
-// TestFormatPinV7Fixture pins the format this tree writes. Reading: a
+// TestFormatPinV8Fixture pins the format this tree writes. Reading: a
 // read-only open of the fixture answers its golden. Writing: the script run
 // through this tree's writer writes the fixture byte for byte, every
-// segment version 7; every record of it with two keys or more carries a
-// divisor, and one has fields that take tables.
-func TestFormatPinV7Fixture(t *testing.T) {
-	checkGolden(t, v7Fixture, readOnlySnapshot(t, v7Fixture), readGolden(t, v7Fixture))
-	checkVersions(t, v7Fixture, 7)
-	want := treeFiles(t, v7Fixture)
-	checkRebuilt(t, want, fixtureLongKeys)
-	gridded, tabled := 0, 0 // every key lies on "fbqs"'s grid
+// segment version 8; every record of it with two keys or more carries a
+// divisor, one has fields that take tables and one a Δt at a pace.
+func TestFormatPinV8Fixture(t *testing.T) {
+	checkGolden(t, v8Fixture, readOnlySnapshot(t, v8Fixture), readGolden(t, v8Fixture))
+	checkVersions(t, v8Fixture, version)
+	want := treeFiles(t, v8Fixture)
+	checkRebuilt(t, want, fixtureLongKeys, fixtureLongKeys)
+	gridded, tabled, paced := 0, 0, 0 // every key lies on "fbqs"'s grid
 	for name, b := range want {
 		if strings.HasSuffix(name, ".log") {
 			for pos := headerSize; ; {
@@ -330,8 +356,9 @@ func TestFormatPinV7Fixture(t *testing.T) {
 				if n, _ := binary.Uvarint(payload); err != nil || n >= 2 && payload[packedHeadOffset(payload)]&flagGrid == 0 {
 					t.Fatalf("%s: the record at %d carries no divisor (%v)", name, pos, err)
 				} else if n >= 2 {
-					gridded++
-					for _, h := range payload[packedHeadOffset(payload):][:3] {
+					head := payload[packedHeadOffset(payload):][:3]
+					gridded, paced = gridded+1, paced+int(head[2]&flagPace>>6)
+					for _, h := range head {
 						if h&31 == tableK {
 							tabled++
 						}
@@ -341,21 +368,32 @@ func TestFormatPinV7Fixture(t *testing.T) {
 			}
 		}
 	}
-	if gridded == 0 || tabled == 0 {
-		t.Errorf("%d records of the fixture carry a divisor, %d fields take a table", gridded, tabled)
+	if gridded == 0 || tabled == 0 || paced == 0 {
+		t.Errorf("%d records of the fixture carry a divisor, %d fields take a table, %d records a pace", gridded, tabled, paced)
 	}
 }
 
-// TestUpgradeV6Fixture: hop 4 of "Upgrading old data" — byte 6 of every
-// shard-*/seg-*.log set to 7, the log closed — carries the version-6
+// TestUpgradeV7Fixture: hop 4 of "Upgrading old data" — byte 6 of every
+// shard-*/seg-*.log set to 8, the log closed — carries the version-7
 // fixture forward. A read-only open of the result answers the fixture's
-// golden, every device's records the same; and this tree's writer, running
-// the script that wrote it, writes the result byte for byte: the version-6
-// records are version-7 records that take no table.
+// golden, and this tree's writer, running the script that wrote it, writes
+// the result byte for byte: the version-7 records are version-8 records at
+// no pace, and no record of that script takes one.
+func TestUpgradeV7Fixture(t *testing.T) {
+	dir := t.TempDir()
+	upgradeFixture(t, v7Fixture, dir)
+	checkGolden(t, "the upgraded "+v7Fixture, readOnlySnapshot(t, dir), readGolden(t, v7Fixture))
+	checkVersions(t, dir, version)
+	checkRebuilt(t, treeFiles(t, dir), fixtureLongKeys, 0)
+}
+
+// TestUpgradeV6Fixture: hop 4 carries the version-6 fixture forward as it
+// does the version-7 one: the version-6 records are version-8 records that
+// take neither a table nor a pace.
 func TestUpgradeV6Fixture(t *testing.T) {
 	dir := t.TempDir()
 	upgradeFixture(t, v6Fixture, dir)
 	checkGolden(t, "the upgraded "+v6Fixture, readOnlySnapshot(t, dir), readGolden(t, v6Fixture))
-	checkVersions(t, dir, 7)
-	checkRebuilt(t, treeFiles(t, dir), 0)
+	checkVersions(t, dir, version)
+	checkRebuilt(t, treeFiles(t, dir), 0, 0)
 }

@@ -24,7 +24,7 @@ import (
 // rules: on disk, the file-system calls of creating, opening and removing
 // two logs an input take nearly all of the time.
 func FuzzRecover(f *testing.F) {
-	// Seed: a well-formed version-7 file with two records...
+	// Seed: a well-formed version-8 file with two records...
 	const dir = "/log"
 	seedFS := vfs.NewFaultFS(1)
 	l, err := openShardLog(dir, Options{FS: seedFS})

@@ -19,7 +19,7 @@
 // LOCK and one shard directory per shard. A shard directory holds a
 // MANIFEST (see manifest.go) naming the live segment files in logical
 // order and the numbered segment files "seg-00000001.log",
-// "seg-00000002.log", .... Segments are version 7, the one version
+// "seg-00000002.log", .... Segments are version 8, the one version
 // written and read; any other is refused with ErrCorrupt. Segment numbers
 // are allocated from a monotonic sequence and never reused while
 // referenced; after compaction (see compact.go) a low-numbered file may be
@@ -58,7 +58,7 @@ const (
 	recordHeaderSize = 8
 	// version is the format version byte of every segment file, written
 	// and read (the package comment has its records).
-	version = 7
+	version = 8
 	// MaxRecordBytes caps a single record body. A length prefix above it
 	// is treated as corruption, bounding allocation on malicious or
 	// damaged input. 16 MiB ≈ 1.5 M key points per trajectory.

@@ -458,10 +458,11 @@ func packedHeadOffset(payload []byte) int {
 }
 
 // flagGrid is the packed head's divisor flag (trajstore's packed.go), on
-// its first byte; tableK, under a head byte's flags, says a field's codes
-// are its table's.
+// its first byte, and flagPace its pace flag, on its third; tableK, under a
+// head byte's flags, says a field's codes are its table's.
 const (
 	flagGrid = 1 << 6
+	flagPace = 1 << 6
 	tableK   = 31
 )
 
