@@ -50,9 +50,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 // Compressor registry: streaming compressors are constructible by
 // configuration string. The built-in names are "bqs", "fbqs", "dr"
 // (dead reckoning), "timesensitive", "bdp" and "bgd"; RegisterCompressor
-// adds custom ones, which the Engine can then run by name. "fbqs" snaps
-// each key point after the first to a grid point of step ε/5 its tangent
-// wedge admits, so its keys are not all fixes: NewFBQS's are.
+// adds custom ones, which the Engine can then run by name. "fbqs" ends
+// each segment at a point of a grid of step ε/5 within ε of its last fix,
+// so its keys are not all fixes: NewFBQS's are.
 
 // RegisterCompressor makes a compressor constructible by name (e.g. for
 // EngineConfig.Compressor). Registering an existing name is an error.

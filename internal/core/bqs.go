@@ -37,7 +37,7 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 	case cfg.Snap:
 		cfg.RotationWarmup = 0
 		step := GridStep(cfg.Tolerance)
-		return &Compressor{newSegmenter[Point](cfg, &gridFrame{line, step, 1 / step})}, nil
+		return &Compressor{newSegmenter[Point](cfg, &gridFrame{lineFrame: line, step: step, inv: 1 / step})}, nil
 	case cfg.Mode == ModeFast && cfg.Metric == MetricLine:
 		cfg.RotationWarmup = 0
 		return &Compressor{newSegmenter[Point](cfg, &line)}, nil
@@ -98,15 +98,13 @@ func (f *lineFrame) insert(p Point) { f.wedge.insert(p.Vec().Sub(f.origin.Vec())
 
 // bounds is the wedge's verdict on the path line start → e as a bound pair:
 // [0, ε] admitted, (ε, ∞] refused. A line shorter than Eps has no direction,
-// and every tracked point is farther than ε from the start: refused. The
-// refusal's lower bound is the float after ε, by its bits (ε is positive and
-// finite): math.Nextafter is a call every cut.
+// and every tracked point is farther than ε from the start: refused.
 func (f *lineFrame) bounds(e Point, _ Metric) (dlb, dub float64) {
 	le := e.Vec().Sub(f.origin.Vec())
 	if f.wedge.lo == (geom.Vec{}) || le.Norm2() >= geom.Eps*geom.Eps && f.wedge.admits(le) {
 		return 0, f.tol
 	}
-	return math.Float64frombits(math.Float64bits(f.tol) + 1), math.Inf(1)
+	return refused(f.tol)
 }
 
 func (f *lineFrame) deviation(pts []Point, e Point, metric Metric) float64 {
@@ -129,51 +127,162 @@ func GridStep(tol float64) float64 { return max(math.Round(tol*20), 1) / 100 }
 const planeX, planeY = 180 * 1e5, 90 * 1e5
 
 // gridFrame is FBQS's line frame with its key points on a grid of step
-// step anchored at the segment start. The wedge is the set of directions
-// from the start that keep every tracked fix within ε, so a grid point in
-// one of them ends the segment as soundly as the fix does: no share of ε
-// is set aside for the snap, and each segment starts from the key before
-// it, so that the start is a grid point too.
+// step anchored at the segment start s, each holding every fix within ε of
+// the closed segment it ends, not only of the segment's line (DESIGN.md,
+// "The grid"). The segment goes on while some grid point q ≠ s can end it,
+// a joint: q within ε of the newest fix, in the plane the wire stores, in
+// the wedge with that fix's tangent pair inserted (every tracked fix within
+// ε of the line s → q), and under the cap. The cap is r2, the largest
+// |p − s|² of a tracked fix: a fix that projects past q lies within
+// √(|p|² − |q|²) of q, so r2 ≤ |q|² + ε² holds every such fix within ε of
+// q. The wedge's arc lo → hi only narrows, so it keeps the side of the first
+// fix tracked; a fix on the far side of lo lies behind s, off the segment,
+// and sets r2 to +Inf, which no q passes. Between s and q the line distance
+// is the segment distance, and an untracked fix lies within ε of s.
+//
+// bounds keeps a fix's state only if a joint exists for it, so a cut finds
+// the key, the joint of the last fix included, from the state as that fix
+// left it; no joint is kept between fixes.
 type gridFrame struct {
 	lineFrame
 	step, inv float64 // the grid's step and its inverse
+	r2        float64 // the cap: the largest |p − s|² of a tracked fix, +Inf once one lies behind s
 }
 
-// snap returns the key for a cut or flush at the verified fix p: the grid
-// point nearest p (ties to even), else the other corners of p's cell, the
-// first the wedge admits and the stored plane holds, else p. On the four
-// bench workloads the nearest point decided 89.6–99.7 % of snaps, the other
-// corners the rest and the fix none (DESIGN.md, "The grid"). A fix at
-// the start's time with nothing tracked is within ε of the start and so of
-// every line through it: the start is its key, which a flush does not emit
-// twice — the start itself after one fix, or a repeat of the fix the start
-// replaced, pushed again after a re-arm. The admission test is bounds',
-// inline: where a stream cuts at nearly every fix, calling bounds per
-// candidate made the snap a tenth of the engine's ingest.
+func (f *gridFrame) anchor(p Point) {
+	f.lineFrame.anchor(p)
+	f.r2 = 0
+}
+
+// track adds the local fix v to the wedge and the cap if it is far.
+func (f *gridFrame) track(v geom.Vec) {
+	if n := v.Norm2(); n > f.tol*f.tol || n > math.MaxFloat64 {
+		f.wedge.insert(v, f.tol)
+		f.r2 = max(f.r2, n)
+		if v.Dot(f.wedge.lo) < 0 {
+			f.r2 = math.Inf(1)
+		}
+	}
+}
+
+// insert tracks the far fix p if nothing is tracked yet. bounds tracks
+// every fix it admits, so only the first far fix of a segment a cut opened,
+// which no bounds call has seen, comes here untracked.
+func (f *gridFrame) insert(p Point) {
+	if f.wedge.lo == (geom.Vec{}) {
+		f.track(p.Vec().Sub(f.origin.Vec()))
+	}
+}
+
+// bounds answers whether the segment goes on to e: [0, ε] when a joint
+// exists for e, which keeps e tracked, (ε, ∞] when none does, which leaves
+// the state as the last fix included left it. Until a fix is tracked every
+// line through s keeps the bound, so nothing is refused; the first fix
+// tracked ends its segment itself where no joint exists. The corner of e's
+// cell away from s fits most often, so it is asked before the search.
+func (f *gridFrame) bounds(e Point, _ Metric) (dlb, dub float64) {
+	v := e.Vec().Sub(f.origin.Vec())
+	if f.wedge.lo == (geom.Vec{}) {
+		f.track(v)
+		return 0, f.tol
+	}
+	w, r2, tol2 := f.wedge, f.r2, f.tol*f.tol
+	if a, b := w.lo.Cross(v), w.hi.Cross(v); a*a > tol2 && b*b > tol2 && v.Norm2() > tol2 && !w.admits(v) {
+		return refused(f.tol) // e's cone misses the arc: a turn, as on a street grid
+	}
+	f.track(v)
+	if q := (geom.Vec{X: away(v.X*f.inv) * f.step, Y: away(v.Y*f.inv) * f.step}); !f.fits(q, v) {
+		if _, ok := f.search(v); !ok {
+			f.wedge, f.r2 = w, r2
+			return refused(f.tol)
+		}
+	}
+	return 0, f.tol
+}
+
+// snap returns the key for a cut or flush at the last included fix p: its
+// joint, at its time, else p. With nothing tracked a fix at the start's time
+// keys to the start, which a flush does not emit twice — the start itself
+// after one fix, or a repeat of the fix the start replaced, pushed again
+// after a re-arm.
 func (f *gridFrame) snap(p Point) Point {
-	open := f.wedge.lo == (geom.Vec{}) // nothing far tracked: every line through the start keeps the bound
-	if open && p.T == f.origin.T {
+	if f.wedge.lo == (geom.Vec{}) && p.T == f.origin.T {
 		return f.origin
 	}
-	x, y := (p.X-f.origin.X)*f.inv, (p.Y-f.origin.Y)*f.inv
-	i, j := math.RoundToEven(x), math.RoundToEven(y) // one instruction each, where math.Round is a dozen
-	var cs [4][2]float64                             // steps from (i, j): the nearest, then the other corners, ordered once it is refused
-	for k := range cs {
-		if k == 1 { // the one across the grid line p is nearer to, the other, the diagonal
-			di, dj := math.Copysign(1, x-i), math.Copysign(1, y-j)
-			cs[1], cs[2], cs[3] = [2]float64{di, 0}, [2]float64{0, dj}, [2]float64{di, dj}
-			if math.Abs(x-i) < math.Abs(y-j) {
-				cs[1], cs[2] = cs[2], cs[1]
-			}
-		}
-		le := geom.Vec{X: (i + cs[k][0]) * f.step, Y: (j + cs[k][1]) * f.step} // the start has no direction
-		if q := (Point{X: f.origin.X + le.X, Y: f.origin.Y + le.Y, T: p.T}); math.Abs(q.X) <= planeX && math.Abs(q.Y) <= planeY &&
-			(open || le != (geom.Vec{}) && f.wedge.admits(le)) {
-			return q
-		}
+	if q, ok := f.search(p.Vec().Sub(f.origin.Vec())); ok {
+		return Point{X: q.X, Y: q.Y, T: p.T}
 	}
 	return p
 }
+
+// search returns the joint for the local fix v and whether there is one:
+// the first candidate grid point that fits. The candidates are the grid
+// point nearest v (ties to even), the corner of v's cell away from s, then
+// the corners of the cells holding v's feet on the arc's middle direction
+// and its two ends, each foot moved out to the cap's radius √(r2 − ε²) where
+// it falls short of it: a fix that stops just short of the farthest one has
+// no other grid point near it under the cap. The first two decide most
+// searches (DESIGN.md, "The grid").
+func (f *gridFrame) search(v geom.Vec) (geom.Vec, bool) {
+	lo, hi := f.wedge.lo, f.wedge.hi
+	open, mid, need := lo == (geom.Vec{}), lo.Add(hi), f.r2-f.tol*f.tol
+	if need > math.MaxFloat64 || !open && !(mid.Norm2() > 0) {
+		return geom.Vec{}, false // a fix behind s, or a wedge that admits nothing
+	}
+	x, y := v.X*f.inv, v.Y*f.inv
+	var i, j, fi, fj float64
+	for k := 0; k < 14; k++ {
+		switch {
+		case k == 0:
+			// RoundToEven is one instruction, where math.Round is a dozen.
+			i, j = math.RoundToEven(x), math.RoundToEven(y)
+		case k == 1:
+			i, j = away(x), away(y)
+		case open:
+			return geom.Vec{}, false // ε or the plane refused both
+		default:
+			// Corner c&3 of the cell holding foot c>>2: d·t/|d|² for t = v·d,
+			// or d·√need/|d| where that is farther.
+			c := k - 2
+			if c&3 == 0 {
+				d := [3]geom.Vec{mid, lo, hi}[c>>2]
+				dn, t := d.Norm2(), v.Dot(d)
+				if t < 0 || t*t < need*dn {
+					t = math.Sqrt(need * dn)
+				}
+				t *= f.inv / dn
+				fi, fj = math.Floor(d.X*t), math.Floor(d.Y*t)
+			}
+			i, j = fi+float64(c&1), fj+float64(c>>1&1)
+		}
+		if q := (geom.Vec{X: i * f.step, Y: j * f.step}); f.fits(q, v) {
+			return f.origin.Vec().Add(q), true
+		}
+	}
+	return geom.Vec{}, false
+}
+
+// fits reports whether the local grid point q is a joint for the local fix
+// v: not s, within ε of v, under the cap, in the arc on the first tracked
+// fix's side (lo + hi rules out −lo once the arc has closed to a direction)
+// or anywhere while nothing is tracked, and in the stored plane.
+func (f *gridFrame) fits(q, v geom.Vec) bool {
+	lo, hi, tol2, p := f.wedge.lo, f.wedge.hi, f.tol*f.tol, f.origin.Vec().Add(q)
+	return q.Sub(v).Norm2() <= tol2 && q.Norm2() >= f.r2-tol2 && q != (geom.Vec{}) &&
+		(lo == (geom.Vec{}) || lo.Cross(q) >= 0 && q.Cross(hi) >= 0 && q.Dot(lo.Add(hi)) > 0) &&
+		math.Abs(p.X) <= planeX && math.Abs(p.Y) <= planeY
+}
+
+// refused is a frame's bounds where the segment cannot go on: (ε, ∞], the
+// lower bound the float after ε by its bits (ε is positive and finite), as
+// math.Nextafter is a call every cut.
+func refused(tol float64) (dlb, dub float64) {
+	return math.Float64frombits(math.Float64bits(tol) + 1), math.Inf(1)
+}
+
+// away is the end of x's unit cell away from 0: a fix's cell corner away
+// from the segment start, in steps, is never the start.
+func away(x float64) float64 { return math.Copysign(math.Floor(math.Abs(x))+1, x) }
 
 // quadFrame is the 2-D frame of BQS and of FBQS's segment metric: four
 // quadrants around the segment start, rotated towards the warmup centroid,

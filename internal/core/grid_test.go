@@ -3,77 +3,130 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"github.com/trajcomp/bqs/internal/geom"
 )
 
-// TestGridSnap pins the grid frame's snap on a wedge built by hand — the
-// start at the origin, ε = 1 m, points tracked at (100, 0) and (100, 1.5),
-// so that a line keeps both within ε only at slopes of about 0.005 to 0.01 —
-// on a grid of 1 m.
+// TestGridSnap pins where the grid frame ends a segment, on streams small
+// enough to follow by hand: ε = 10 m, a grid of 2 m anchored at the start,
+// the origin at t = 0, one fix tracked at (100, 0) — a line through the
+// start keeps it within ε at slopes within ±0.1005 — then the fix the key
+// is for, at t = 2, and a flush. The key is the first grid point that fits:
+// not the start, within ε of the fix, in the wedge, in the plane, and under
+// the cap, which asks |q|² ≥ r2 − ε² of the largest squared distance r2 of a
+// tracked fix.
 func TestGridSnap(t *testing.T) {
-	f := gridFrame{lineFrame{tol: 1}, 1, 1}
-	f.anchor(Point{T: 10})
-	for i, c := range []struct {
-		p, want Point
-	}{
-		{Point{X: 3.4, Y: -0.2, T: 10}, Point{T: 10}},             // at the start's time, nothing tracked: the start
-		{Point{X: 3.4, Y: -0.2, T: 11}, Point{X: 3, Y: 0, T: 11}}, // nothing tracked: the nearest point
-		{Point{X: 0.3, Y: 0.2, T: 11}, Point{X: 0, Y: 0, T: 11}},  // the start's place, nothing tracked: it is within ε of every line
-		{Point{X: 7, Y: -2, T: 11}, Point{X: 7, Y: -2, T: 11}},    // on the grid already
-		{Point{X: 1.5, Y: -0.5, T: 11}, Point{X: 2, Y: 0, T: 11}}, // a tie rounds to even
-	} {
-		if got := f.snap(c.p); got != c.want {
-			t.Errorf("case %d, nothing tracked: snap(%v) = %v, want %v", i, c.p, got, c.want)
+	keys := func(pts ...Point) []Point {
+		t.Helper()
+		c, err := NewCompressor(Config{Tolerance: 10, Mode: ModeFast, Snap: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return c.CompressBatch(pts)
 	}
-	f.insert(Point{X: 100})
-	f.insert(Point{X: 100, Y: 1.5})
+	s, e1 := Point{}, Point{X: 100, T: 1}
 	for _, c := range []struct {
-		what    string
-		p, want Point
+		what string
+		pts  []Point
+		want []Point
 	}{
-		{"the nearest admitted", Point{X: 120.3, Y: 0.7, T: 12}, Point{X: 120, Y: 1, T: 12}},
-		{"the nearest refused, the one across y admitted", Point{X: 120.3, Y: 0.45, T: 12}, Point{X: 120, Y: 1, T: 12}},
-		{"no corner admitted: the fix", Point{X: 60.3, Y: 0.45, T: 12}, Point{X: 60.3, Y: 0.45, T: 12}},
-		{"the start, which has no direction, and no corner admitted", Point{T: 12}, Point{T: 12}},
-		{"at the start's time, something tracked", Point{X: 120.3, Y: 0.7, T: 10}, Point{X: 120, Y: 1, T: 10}},
+		{"one fix: its nearest grid point", []Point{s, {X: 3.4, Y: -0.2, T: 2}}, []Point{s, {X: 4, T: 2}}},
+		{"the start's place at a later time: the corner away from it", []Point{s, {X: 0.3, Y: 0.2, T: 2}}, []Point{s, {X: 2, Y: 2, T: 2}}},
+		{"the nearest", []Point{s, e1, {X: 150.3, Y: 0.9, T: 2}}, []Point{s, {X: 150, T: 2}}},
+		// (150, 0) is 150.57 m short of the cap's √(150.9² + 0.9² − 10²).
+		{"the nearest under the cap: the corner away", []Point{s, e1, {X: 150.9, Y: 0.9, T: 2}}, []Point{s, {X: 152, Y: 2, T: 2}}},
+		// (150, 16) and (152, 18) lie past the slope of 0.1005 (100, 0)
+		// allows; the fix's foot on the wedge's middle direction lies in the
+		// cell from (150, 10), whose first corner is under the cap.
+		{"both refused: a corner by a foot", []Point{s, e1, {X: 150, Y: 16, T: 2}}, []Point{s, {X: 152, Y: 10, T: 2}}},
+		// No point within ε of (50, 0) is 99.5 m from the start: the segment
+		// ends at (100, 0)'s own grid point, and (50, 0) starts the next.
+		{"back towards the start: a cut", []Point{s, e1, {X: 50, T: 2}}, []Point{s, {X: 100, T: 1}, {X: 50, T: 2}}},
+		// (−20, 0.5) is within ε of the line along (100, 0), behind the
+		// start: no segment from it holds both.
+		{"behind the start: a cut", []Point{s, e1, {X: -20, Y: 0.5, T: 2}}, []Point{s, {X: 100, T: 1}, {X: -20, T: 2}}},
 	} {
-		if got := f.snap(c.p); got != c.want {
-			t.Errorf("%s: snap(%v) = %v, want %v", c.what, c.p, got, c.want)
+		if got := keys(c.pts...); !slices.Equal(got, c.want) {
+			t.Errorf("%s: keys %v, want %v", c.what, got, c.want)
 		}
-	}
-	f.wedge.lo, f.wedge.hi = noDirection, noDirection // no line fits every point
-	if p := (Point{X: 120.3, Y: 0.7, T: 12}); f.snap(p) != p {
-		t.Errorf("a wedge that admits nothing snapped %v to %v", p, f.snap(p))
 	}
 
-	// On the plane's edge the nearest grid point can lie past it: the corner
-	// inside is taken, or where the wedge refuses that, the fix. The grid of
-	// 2 m from 101.7 m inside the edge puts the point nearest a fix 0.5 m
-	// inside it 0.3 m outside, the corner inside 1.7 m inside.
+	// A grid coarser than ε leaves a fix next to the start no grid point
+	// but the start within ε: its key is the fix.
+	f := gridFrame{lineFrame: lineFrame{tol: 1}, step: 1, inv: 1}
+	f.anchor(Point{T: 10})
+	if p := (Point{X: 0.3, Y: 0.2, T: 11}); f.snap(p) != p {
+		t.Errorf("on a grid of ε, snap(%v) = %v, want the fix", p, f.snap(p))
+	}
+
+	// On the plane's edge every candidate for a fix 0.3 m inside it lies
+	// past it, with nothing tracked and with the fix tracked, so the key is
+	// the fix.
 	for _, sx := range []float64{1, -1} {
 		for _, sy := range []float64{1, -1} {
-			start := Point{X: sx * (planeX - 101.7), Y: sy * (planeY - 101.7), T: 1}
 			for _, c := range []struct {
-				what    string
-				track   bool
-				p, want Point
-			}{
-				{"east or west", false, Point{X: sx * (planeX - 0.5), Y: start.Y, T: 2}, Point{X: sx * (planeX - 1.7), Y: start.Y, T: 2}},
-				{"north or south", false, Point{X: start.X, Y: sy * (planeY - 0.5), T: 2}, Point{X: start.X, Y: sy * (planeY - 1.7), T: 2}},
-				{"the corner inside refused", true, Point{X: sx * (planeX - 0.5), Y: start.Y, T: 2}, Point{X: sx * (planeX - 0.5), Y: start.Y, T: 2}},
-			} {
-				f := gridFrame{lineFrame{tol: 1}, 2, 0.5}
-				f.anchor(start)
-				if c.track { // a point 1 km off at a slope of 0.03 narrows the wedge to ±0.001 about it
-					f.insert(Point{X: start.X + sx*1000, Y: start.Y + sy*30})
+				what string
+				p    Point // from the start, mirrored into the quadrant
+			}{{"east or west, near", Point{X: 1.2, Y: 0.3}}, {"north or south, near", Point{X: 0.3, Y: 1.2}}, {"east or west, far", Point{X: 101.2}}} {
+				start := Point{X: sx * (planeX - 1.5), Y: sy * (planeY - 1.5), T: 1}
+				if c.p.X > 50 {
+					start.X = sx * (planeX - 101.5)
 				}
-				got := f.snap(c.p)
-				if math.Abs(got.X) > planeX || math.Abs(got.Y) > planeY || math.Abs(got.X-c.want.X) > 1e-6 || math.Abs(got.Y-c.want.Y) > 1e-6 {
-					t.Errorf("at the edge, %s (%+g, %+g): snap(%v) = %v, want %v", c.what, sx, sy, c.p, got, c.want)
+				fix := Point{X: start.X + sx*c.p.X, Y: start.Y + sy*c.p.Y, T: 2}
+				if got := keys(start, fix); !slices.Equal(got, []Point{start, fix}) {
+					t.Errorf("at the edge, %s (%+g, %+g): keys %v, want the start and the fix", c.what, sx, sy, got)
 				}
 			}
 		}
+	}
+}
+
+// TestGridNeverEndsAtTheStart: a segment whose wedge admits no grid point
+// within ε of the newest fix but its start cuts there, and no key lies where
+// the key before it does. The start is admitted by every wedge (its cross
+// products are 0); as a joint it would end a segment of length zero, under
+// which a line distance is a point distance. Fixes 1 km off at 0 and 15 m
+// across leave slopes of 0.005 to 0.01, which no grid point near the start
+// but the start has.
+func TestGridNeverEndsAtTheStart(t *testing.T) {
+	c, err := NewCompressor(Config{Tolerance: 10, Mode: ModeFast, Snap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := []Point{{}, {X: 1000, T: 1}, {X: 1000, Y: 15, T: 2}, {X: 0.4, Y: 0.3, T: 3}}
+	var keys []Point
+	for i, p := range pts {
+		if i == len(pts)-1 {
+			f := c.frame.(*gridFrame)
+			for x := -6.0; x <= 6; x++ {
+				for y := -6.0; y <= 6; y++ {
+					q := geom.Vec{X: x * f.step, Y: y * f.step}
+					if q != (geom.Vec{}) && q.Dist(p.Vec()) <= 10 && f.wedge.admits(q) {
+						t.Fatalf("the wedge admits %v, within ε of %v", q, p)
+					}
+				}
+			}
+		}
+		kp, ok := c.Push(p)
+		if ok {
+			keys = append(keys, kp)
+		}
+		if cut := i == len(pts)-1; ok != (i == 0 || cut) {
+			t.Fatalf("push %d %v: key %v, %v; want one for the first fix and a cut at the last", i, p, kp, ok)
+		}
+	}
+	if kp, ok := c.Flush(); ok {
+		keys = append(keys, kp)
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i].Vec() == keys[i-1].Vec() {
+			t.Fatalf("keys %v: key %d lies where the key before it does", keys, i)
+		}
+	}
+	if worst := Deviation(pts, keys, MetricSegment.Dist); worst > 10 {
+		t.Fatalf("keys %v: a fix lies %g m from its segment", keys, worst)
 	}
 }
 

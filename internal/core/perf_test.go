@@ -13,24 +13,26 @@ import (
 // escaping slice shows up as a test failure, not just a benchmark drift.
 
 func TestPushFastZeroAllocs(t *testing.T) {
-	c, err := NewCompressor(Config{Tolerance: 10, Mode: ModeFast, RotationWarmup: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	pts := randomWalk(rng, 4096, 15)
-	// Reach steady state: a few segments (including cuts) have been
-	// processed.
-	for _, p := range pts {
-		c.Push(p)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		c.Push(pts[i%len(pts)])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state fast-mode Push = %v allocs/op, want 0", allocs)
+	for _, snap := range []bool{false, true} {
+		c, err := NewCompressor(Config{Tolerance: 10, Mode: ModeFast, RotationWarmup: -1, Snap: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		pts := randomWalk(rng, 4096, 15)
+		// Reach steady state: a few segments (including cuts) have been
+		// processed.
+		for _, p := range pts {
+			c.Push(p)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(2000, func() {
+			c.Push(pts[i%len(pts)])
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state fast-mode Push, Snap %v = %v allocs/op, want 0", snap, allocs)
+		}
 	}
 }
 
@@ -87,11 +89,11 @@ func TestWedgeZeroAllocs(t *testing.T) {
 // correlated random walk, one fix per op; SetBytes(24) makes the reported
 // MB/s convertible to fixes/s (24 bytes per fix) for the benchmark JSON
 // emitter.
-func benchmarkCorePush(b *testing.B, mode Mode) {
+func benchmarkCorePush(b *testing.B, mode Mode, snap bool) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(3))
 	pts := randomWalk(rng, 1<<14, 15)
-	c, err := NewCompressor(Config{Tolerance: 10, Mode: mode, RotationWarmup: -1})
+	c, err := NewCompressor(Config{Tolerance: 10, Mode: mode, RotationWarmup: -1, Snap: snap})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,8 +105,12 @@ func benchmarkCorePush(b *testing.B, mode Mode) {
 	}
 }
 
-func BenchmarkCorePushFast(b *testing.B)  { benchmarkCorePush(b, ModeFast) }
-func BenchmarkCorePushExact(b *testing.B) { benchmarkCorePush(b, ModeExact) }
+func BenchmarkCorePushFast(b *testing.B)  { benchmarkCorePush(b, ModeFast, false) }
+func BenchmarkCorePushExact(b *testing.B) { benchmarkCorePush(b, ModeExact, false) }
+
+// BenchmarkCorePushSnap is the registered "fbqs"'s Push: FBQS on the grid
+// frame, which looks for a joint at every fix.
+func BenchmarkCorePushSnap(b *testing.B) { benchmarkCorePush(b, ModeFast, true) }
 
 func BenchmarkQuadrantBounds(b *testing.B) {
 	var q quadrant

@@ -122,12 +122,13 @@ type Config struct {
 	// deviation when it is available (exact mode only; NaN otherwise).
 	// Used to regenerate Figure 3 of the paper.
 	Trace func(TracePoint)
-	// Snap puts FBQS's key points, under the line metric, on a grid of step
-	// GridStep(Tolerance) anchored at each segment start: a cut or flush
-	// emits the nearest corner of the verified fix's grid cell that the
-	// tangent wedge admits and that lies in the plane the wire stores
-	// (±1.8e7 m by ±9e6 m), else the fix. Only ModeFast under MetricLine
-	// takes it, and only the 2-D Compressor reads it.
+	// Snap ends FBQS's segments, under the line metric, at points of a grid
+	// of step GridStep(Tolerance) anchored at each segment start: a segment
+	// goes on while some grid point within Tolerance of the newest fix, in
+	// the plane the wire stores (±1.8e7 m by ±9e6 m), ends it with every
+	// fix within Tolerance of the closed segment, and a cut or flush emits
+	// that point for the last fix included, else the fix. Only ModeFast
+	// under MetricLine takes it, and only the 2-D Compressor reads it.
 	Snap bool
 }
 

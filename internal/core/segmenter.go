@@ -29,7 +29,8 @@ type frame[P any] interface {
 	// bounds returns the lower and upper bound, aggregated over the whole
 	// structure, on the maximum deviation of the tracked points from the
 	// path anchor → e (Algorithm 1, lines 4-5); (0, 0) when nothing is
-	// tracked.
+	// tracked. FBQS's grid frame alone changes state here: it keeps e
+	// tracked when it admits e, so its insert skips what bounds took.
 	bounds(e P, metric Metric) (dlb, dub float64)
 	// deviation is the full computation the bounds exist to avoid: the
 	// maximum deviation of pts from the path anchor → e.

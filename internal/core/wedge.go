@@ -50,8 +50,14 @@ func (w *wedge) insert(v geom.Vec, eps float64) {
 	// Mod π the new wedge is a → b and −a → −b. The arc can meet both only
 	// when the two widths pass a half turn together, so only while some
 	// tracked point is within √2·ε of the start; the wider piece stays, any
-	// subset of the intersection being sound.
+	// subset of the intersection being sound. Where the arc (lo·hi > 0) and
+	// the new pair (c > ε) are each under a quarter turn, a meet with a → b
+	// is the only one, and −a → −b is not asked.
 	l, h, ok := meet(w.lo, w.hi, a, b)
+	if ok && c2 > eps*eps && w.lo.Dot(w.hi) > 0 {
+		w.lo, w.hi = l, h
+		return
+	}
 	if fl, fh, fok := meet(w.lo, w.hi, a.Scale(-1), b.Scale(-1)); fok {
 		if ok {
 			w.dropped++

@@ -2,30 +2,11 @@ package core_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/synth"
 )
-
-// streetGrid is a cut-heavy track: 60 m steps along a street grid, turning
-// left or right every 2-4 fixes.
-func streetGrid(seed int64, n int) []core.Point {
-	rng := rand.New(rand.NewSource(seed))
-	var x, y float64
-	dir, leg := 0, 0
-	pts := make([]core.Point, n)
-	for i := range pts {
-		if leg == 0 {
-			dir, leg = (dir+1+2*rng.Intn(2))%4, 2+rng.Intn(3)
-		}
-		x, y = x+60*float64([4]int{1, 0, -1, 0}[dir]), y+60*float64([4]int{0, 1, 0, -1}[dir])
-		leg--
-		pts[i] = core.Point{X: x, Y: y, T: float64(i)}
-	}
-	return pts
-}
 
 // TestWedgeDifferentialFBQSIsBQS: under the line metric the tangent wedge
 // answers the question BQS's buffer scan answers, so FBQS — NewCompressor's
@@ -53,7 +34,7 @@ func TestWedgeDifferentialFBQSIsBQS(t *testing.T) {
 	traces = append(traces,
 		trace{"bat", 10, synth.Bat(synth.DefaultBatConfig(7)).Points()},
 		trace{"vehicle", 25, synth.Vehicle(synth.DefaultVehicleConfig(7)).Points()},
-		trace{"grid", 10, streetGrid(7, 20000)},
+		trace{"grid", 10, synth.StreetGrid(7, 20000)},
 	)
 	var fixes, keys, dropped int
 	for _, tr := range traces {

@@ -8,26 +8,9 @@ import (
 
 	"github.com/trajcomp/bqs/internal/core"
 	"github.com/trajcomp/bqs/internal/stream"
+	"github.com/trajcomp/bqs/internal/synth"
 	"github.com/trajcomp/bqs/internal/trajstore"
 )
-
-// gridTrack is a cut-heavy track: 60 m steps along a street grid, turning
-// left or right every 2-4 fixes, a fix every 1-5 s.
-func gridTrack(seed int64, n int) []core.Point {
-	rng := rand.New(rand.NewSource(seed))
-	x, y, t, dir, leg := float64(seed)*500, 0.0, 1000.0, 0, 0
-	pts := make([]core.Point, n)
-	for i := range pts {
-		if leg == 0 {
-			dir, leg = (dir+1+2*rng.Intn(2))%4, 2+rng.Intn(3)
-		}
-		x, y = x+60*float64([4]int{1, 0, -1, 0}[dir]), y+60*float64([4]int{0, 1, 0, -1}[dir])
-		t += float64(1 + rng.Intn(5))
-		leg--
-		pts[i] = core.Point{X: x, Y: y, T: t}
-	}
-	return pts
-}
 
 // cutRun is one engine run of the cut test: the fixes of a few devices fed
 // round-robin, a batch at a time, with FlushSessions where flushAt says.
@@ -101,7 +84,7 @@ func TestCutHoldsBoundEveryCompressor(t *testing.T) {
 	tracks := map[string][]core.Point{}
 	for d := int64(1); d <= 3; d++ {
 		tracks[fmt.Sprintf("walk-%d", d)] = deviceTrack(d, 300)
-		tracks[fmt.Sprintf("grid-%d", d)] = gridTrack(d, 300)
+		tracks[fmt.Sprintf("grid-%d", d)] = synth.StreetGrid(d, 300)
 	}
 	for _, name := range stream.Names() {
 		name := name

@@ -511,11 +511,11 @@ func TestIngestOutOfRangeFix(t *testing.T) {
 	}
 }
 
-// TestSnappedKeysStayOnTheGlobe: the registered "fbqs" snaps key points to
-// a grid, whose nearest point to a fix a metre from the antimeridian or a
-// pole can lie past it. Devices driven in 60 m bands along each edge of the
-// plane, cutting at nearly every fix, keep the engine healthy: every key
-// the compressor reported is in the log.
+// TestSnappedKeysStayOnTheGlobe: the registered "fbqs" ends segments at
+// grid points, whose nearest point to a fix a metre from the antimeridian or
+// a pole can lie past it. Devices driven in 60 m bands along each edge of
+// the plane, cutting at every second fix or so, keep the engine healthy:
+// every key the compressor reported is in the log.
 func TestSnappedKeysStayOnTheGlobe(t *testing.T) {
 	lg, err := segmentlog.OpenSharded(t.TempDir(), 2, segmentlog.Options{})
 	if err != nil {
@@ -535,21 +535,24 @@ func TestSnappedKeysStayOnTheGlobe(t *testing.T) {
 		t.Fatal(err)
 	}
 	edge := trajstore.PlanePoint(trajstore.GeoKey{Lat: 90, Lon: 180})
-	bands := map[string]func(u, v float64) core.Point{ // u in [0, 60) metres inside the edge, v along it
-		"east":  func(u, v float64) core.Point { return core.Point{X: edge.X - u, Y: v} },
-		"west":  func(u, v float64) core.Point { return core.Point{X: -edge.X + u, Y: -v} },
-		"north": func(u, v float64) core.Point { return core.Point{X: v, Y: edge.Y - u} },
-		"south": func(u, v float64) core.Point { return core.Point{X: -v, Y: -edge.Y + u} },
-		"ne":    func(u, v float64) core.Point { return core.Point{X: edge.X - u, Y: edge.Y - math.Mod(v, 60)} },
-		"sw":    func(u, v float64) core.Point { return core.Point{X: -edge.X + math.Mod(v, 60), Y: -edge.Y + u} },
+	bands := []struct { // a slice, not a map, so that every run draws the same tracks
+		dev string
+		at  func(u, v float64) core.Point // u in [0, 60) metres inside the edge, v along it
+	}{
+		{"east", func(u, v float64) core.Point { return core.Point{X: edge.X - u, Y: v} }},
+		{"west", func(u, v float64) core.Point { return core.Point{X: -edge.X + u, Y: -v} }},
+		{"north", func(u, v float64) core.Point { return core.Point{X: v, Y: edge.Y - u} }},
+		{"south", func(u, v float64) core.Point { return core.Point{X: -v, Y: -edge.Y + u} }},
+		{"ne", func(u, v float64) core.Point { return core.Point{X: edge.X - u, Y: edge.Y - math.Mod(v, 60)} }},
+		{"sw", func(u, v float64) core.Point { return core.Point{X: -edge.X + math.Mod(v, 60), Y: -edge.Y + u} }},
 	}
 	rng := rand.New(rand.NewSource(52))
 	for i := 0; i < 600; i++ {
 		batch := make([]Fix, 0, len(bands))
-		for dev, at := range bands {
-			p := at(rng.Float64()*60, float64(i)*7)
+		for _, b := range bands {
+			p := b.at(rng.Float64()*60, float64(i)*7)
 			p.T = float64(100 + i)
-			batch = append(batch, Fix{Device: dev, Point: p})
+			batch = append(batch, Fix{Device: b.dev, Point: p})
 		}
 		if err := e.Ingest(batch); err != nil {
 			t.Fatal(err)
@@ -566,7 +569,8 @@ func TestSnappedKeysStayOnTheGlobe(t *testing.T) {
 	if st, ph := e.Stats(), e.State().Phase; ph != Healthy || st.PersistFailures != 0 || st.ParkedTrails != 0 {
 		t.Fatalf("phase %v, %+v: want a healthy engine", ph, st)
 	}
-	for dev := range bands {
+	for _, b := range bands {
+		dev := b.dev
 		recs, err := lg.Query(dev, 0, math.MaxUint32)
 		if err != nil {
 			t.Fatal(err)

@@ -14,8 +14,9 @@ import (
 // measured — by Deviation, with no branch on the name here — as that name
 // states its bound: the line distance to the time-matched segment unless
 // the registration says otherwise ("dr": the prediction error;
-// "timesensitive": the line distance in (x, y, γt)). Any future Register'd
-// compressor is automatically held to the default.
+// "timesensitive": the line distance in (x, y, γt); "fbqs": the distance to
+// the closed segment). Any future Register'd compressor is automatically
+// held to the default.
 //
 // The log line also gives the 2-D line distance to the polyline, the figure
 // every name but "dr" was held to before each stated its own: for
@@ -73,12 +74,13 @@ func registryTraces() []boundTrace {
 
 // TestDeviationStatesEachBound pins what Deviation measures per name on a
 // track small enough to check by hand: B sits 3 m off the line A–C and
-// 4 s late on it.
+// 4 s late on it; B' 3 m off it and 4 m past C.
 func TestDeviationStatesEachBound(t *testing.T) {
 	a, b, c := core.Point{X: 0, Y: 0, T: 0}, core.Point{X: 5, Y: 3, T: 9}, core.Point{X: 10, Y: 0, T: 10}
 	orig, keys := []core.Point{a, b, c}, []core.Point{a, c}
 	for name, want := range map[string]float64{
-		"fbqs": 3, // |y|: the line distance in the plane
+		"bqs":  3, // |y|: the line distance in the plane
+		"fbqs": 3, // B projects between A and C: the segment distance is the line distance
 		// The line through (0,0,0) and (10,0,10γ), γ = 1: B − A = (5,3,9)
 		// leaves (−2,3,2) once its projection 7·(1,0,1) is taken off.
 		"timesensitive": 4.123105625617661, // √17
@@ -88,6 +90,12 @@ func TestDeviationStatesEachBound(t *testing.T) {
 		got, err := Deviation(name, orig, keys)
 		if err != nil || math.Abs(got-want) > 1e-12 {
 			t.Errorf("Deviation(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	past := []core.Point{a, {X: 14, Y: 3, T: 9}, c}
+	for name, want := range map[string]float64{"bqs": 3, "fbqs": 5} { // "fbqs": |B' − C| = √(4² + 3²)
+		if got, err := Deviation(name, past, keys); err != nil || math.Abs(got-want) > 1e-12 {
+			t.Errorf("Deviation(%q) past C = %v, %v; want %v", name, got, err, want)
 		}
 	}
 	if _, err := Deviation("definitely-not-registered", orig, keys); err == nil {

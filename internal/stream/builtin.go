@@ -11,9 +11,9 @@ import (
 // gamma use the paper's defaults; callers needing other parameters
 // register their own closure under a new name. "fbqs" is the one that
 // snaps (core.Config.Snap): its key points after a run's first are points
-// of a grid of core.GridStep(ε) its tangent wedge admits, where the stored
-// lattice has slack ε does not need, so a stored record's steps share a
-// divisor.
+// of a grid of core.GridStep(ε) within ε of the fix they end a segment at,
+// so a stored record's steps share a divisor, and it bounds the distance
+// to the closed segment.
 const (
 	// DefaultBufferSize is the window for the buffered baselines (mid
 	// range of the paper's Table III sweep 32–256).
@@ -49,6 +49,12 @@ func lifted(orig, keys []core.Point) float64 {
 	})
 }
 
+// segments is what "fbqs" bounds: the distance to the polyline's
+// time-matched closed segment, which is at least the line distance.
+func segments(orig, keys []core.Point) float64 {
+	return core.Deviation(orig, keys, core.MetricSegment.Dist)
+}
+
 // prediction is what "dr" bounds: how far a fix lies from where the last
 // report, extrapolated at Push's finite-difference velocity, says it is.
 func prediction(orig, keys []core.Point) float64 {
@@ -61,7 +67,7 @@ func init() {
 	}, polyline)
 	builtin("fbqs", func(tol float64) (*core.Compressor, error) {
 		return core.NewCompressor(core.Config{Tolerance: tol, Mode: core.ModeFast, RotationWarmup: -1, Snap: true})
-	}, polyline)
+	}, segments)
 	builtin("timesensitive", func(tol float64) (*core.TimeSensitive, error) {
 		return core.NewTimeSensitive(core.Config{Tolerance: tol, Mode: core.ModeFast, RotationWarmup: -1}, DefaultGamma)
 	}, lifted)

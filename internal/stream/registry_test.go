@@ -45,8 +45,8 @@ func TestRegistryBuiltins(t *testing.T) {
 
 // TestFBQSSessionBytes is what one engine session's compressor costs the
 // heap: "fbqs", warmed over a zigzag that tracks far points and cuts, holds
-// the decision loop and the tangent wedge — about 370 B, where the quadrant
-// frame and its rotation warm-up took 1.3 KB.
+// the decision loop, the tangent wedge and the grid frame's step and cap —
+// about 364 B, where the quadrant frame and its rotation warm-up took 1.3 KB.
 func TestFBQSSessionBytes(t *testing.T) {
 	const n, limit = 2000, 400
 	var pts []core.Point

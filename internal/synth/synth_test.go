@@ -197,6 +197,34 @@ func TestWalkDegenerate(t *testing.T) {
 	checkTrace(t, tr, 100)
 }
 
+// TestStreetGridShape: every step is one 60 m block along an axis, 1-5 s
+// after the last, and the track turns a quarter left or right after 2-4
+// blocks; the same seed gives the same track.
+func TestStreetGridShape(t *testing.T) {
+	pts := StreetGrid(3, 2000)
+	if len(pts) != 2000 || pts[0] != StreetGrid(3, 1)[0] {
+		t.Fatalf("%d fixes, first %v: want 2000 and the same start", len(pts), pts[0])
+	}
+	prev, prevStep, run := core.Point{X: 1500, T: 1000}, core.Point{}, 0
+	for i, p := range pts {
+		step := core.Point{X: p.X - prev.X, Y: p.Y - prev.Y}
+		if dt := p.T - prev.T; math.Abs(step.X)+math.Abs(step.Y) != 60 || step.X*step.Y != 0 || dt < 1 || dt > 5 {
+			t.Fatalf("fix %d: step (%g, %g) in %g s", i, step.X, step.Y, dt)
+		}
+		switch turn := step.X*prevStep.Y - step.Y*prevStep.X; {
+		case i == 0 || step == prevStep:
+			run++
+		case turn != 0 && (run < 2 || run > 4):
+			t.Fatalf("fix %d: a turn after %d blocks", i, run)
+		case turn == 0:
+			t.Fatalf("fix %d: the track turned back", i)
+		default:
+			run = 1
+		}
+		prev, prevStep = p, step
+	}
+}
+
 func TestBatTraceShape(t *testing.T) {
 	cfg := DefaultBatConfig(11)
 	cfg.Days = 10

@@ -105,11 +105,11 @@ type compactRecord struct {
 	trail trajstore.Trail
 }
 
-// ageCompressor names the bound ageing keeps, stream.Deviation's: the
-// registered "fbqs"'s, the line distance to the time-matched segment.
-// Ageing runs that FBQS without its grid (newAgeCompressor), so that every
-// aged key is a stored key, on whatever grid its record's keys are.
-const ageCompressor = "fbqs"
+// ageCompressor names the bound ageing keeps, stream.Deviation's: that of
+// "bqs", whose key points ageing's FBQS keeps (newAgeCompressor), the line
+// distance to the time-matched segment. It runs without "fbqs"'s joints, so
+// that every aged key is a stored key, on whatever grid its record's are.
+const ageCompressor = "bqs"
 
 // newAgeCompressor is the FBQS ageing re-runs old records through.
 func newAgeCompressor(tol float64) (*core.Compressor, error) {

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/trajcomp/bqs/internal/stream"
 	"github.com/trajcomp/bqs/internal/trajstore"
 	"github.com/trajcomp/bqs/internal/trajstore/segmentlog/vfs"
 )
@@ -30,14 +29,14 @@ import (
 // gets a fixture of its own, and a fixture goes when its version and its
 // upgrade hop do. LOCK (it only carries a pid) is not checked in.
 //
-// The script stores what the registered "fbqs" keeps of a zig-zag of fixes
+// The script stores what the registered "fbqs" kept of a zig-zag of fixes
 // (gridTrack), keys on its grid, so its records carry the packed block's
 // divisor; version 7's adds a device of fixtureLongKeys keys, which
 // compaction merges into a record whose fields take tables, and version
 // 8's one more of as many keys of a steady drive (pacedTrack), merged into
 // a record whose Δt takes the pace. A change to what "fbqs" keeps changes
-// this input, not the format: it then checks in the tracks' keys as they
-// are here instead of regenerating a fixture.
+// this input, not the format, so the tracks' keys are checked in
+// (fixtureKeysFile) and a fixture is never regenerated for one.
 const (
 	v6Fixture = "testdata/v6log"
 	v7Fixture = "testdata/v7log"
@@ -49,51 +48,47 @@ const (
 // fixtureOptions are the options the fixture was written with.
 func fixtureOptions() Options { return Options{MaxSegmentBytes: 512} }
 
-// gridTrack is device d's first n key points as an engine running the
-// registered "fbqs" at 5 m stores them: the compressor over a deterministic
-// zig-zag of fixes a second apart from time t, on the wire's lattice but off
-// any coarser grid, in a 0.1° cell of its own; each key through the plane
-// and back, as a session persists it.
-func gridTrack(d, t, n int) []trajstore.GeoKey {
-	comp, err := stream.New("fbqs", 5)
+// fixtureKeysFile holds the tracks the fixture script stores, as the
+// writers of the three fixtures had the registered "fbqs" at 5 m keep them,
+// one array of [lat, lon, t] keys a track, named by what it is and its
+// device and first time. That "fbqs" snapped each key to the grid point
+// nearest its fix; the one here ends segments at free grid joints and keeps
+// other keys, so the script reads its input from the file instead of
+// running the compressor.
+const fixtureKeysFile = "testdata/fixture-keys.json"
+
+// fixtureTrack is the first n keys of the checked-in track kind (grid or
+// paced) of device d from time t.
+func fixtureTrack(kind string, d, t, n int) []trajstore.GeoKey {
+	b, err := os.ReadFile(fixtureKeysFile)
 	if err != nil {
 		panic(err)
 	}
-	var keys []trajstore.GeoKey
-	for i := 0; len(keys) < n; i++ {
-		fix := trajstore.GeoKey{
-			Lat: float64(d) + float64((i*37)%11)*1e-5 + float64(i/4%3)*2e-3 + float64(i*i%13)*3e-7,
-			Lon: 10*float64(d) + float64(t+i)*1e-4 + float64(i%5)*7e-7,
-			T:   uint32(t + i),
-		}
-		if kp, ok := comp.Push(trajstore.PlanePoint(fix)); ok {
-			keys = append(keys, trajstore.PlaneKey(kp))
-		}
+	var tracks map[string][][3]float64
+	if err := json.Unmarshal(b, &tracks); err != nil {
+		panic(err)
+	}
+	track := tracks[fmt.Sprintf("%s %d %d", kind, d, t)]
+	if len(track) < n {
+		panic(fmt.Sprintf("%s: %s track of device %d from %d has %d keys, want %d", fixtureKeysFile, kind, d, t, len(track), n))
+	}
+	keys := make([]trajstore.GeoKey, n)
+	for i, k := range track[:n] {
+		keys[i] = trajstore.GeoKey{Lat: k[0], Lon: k[1], T: uint32(k[2])}
 	}
 	return keys
 }
 
-// pacedTrack is device d's first n key points as gridTrack stores them, of
-// a drive from time t at a steady 1e-4° a second, a fix a second, along a
-// street grid: legs of 4 to 12 s east, then north or south by turns, so
-// that each key's Δt is its step's longer component at that pace.
-func pacedTrack(d, t, n int) []trajstore.GeoKey {
-	comp, err := stream.New("fbqs", 5)
-	if err != nil {
-		panic(err)
-	}
-	var keys []trajstore.GeoKey
-	lat, lon := float64(d), 10*float64(d)
-	for i, leg := 0, 0; len(keys) < n; leg++ {
-		for s := 4 + leg*5%9; s > 0; s, i = s-1, i+1 {
-			if kp, ok := comp.Push(trajstore.PlanePoint(trajstore.GeoKey{Lat: lat, Lon: lon, T: uint32(t + i)})); ok {
-				keys = append(keys, trajstore.PlaneKey(kp))
-			}
-			lat, lon = lat+[]float64{0, 1e-4, 0, -1e-4}[leg%4], lon+[]float64{1e-4, 0, 1e-4, 0}[leg%4]
-		}
-	}
-	return keys[:n]
-}
+// gridTrack is device d's first n key points of a zig-zag of fixes a second
+// apart from time t, on the wire's lattice but off any coarser grid, in a
+// 0.1° cell of its own: keys on the grid, so its records carry a divisor.
+func gridTrack(d, t, n int) []trajstore.GeoKey { return fixtureTrack("grid", d, t, n) }
+
+// pacedTrack is device d's first n key points of a drive from time t at a
+// steady 1e-4° a second, a fix a second, along a street grid: legs of 4 to
+// 12 s east, then north or south by turns, so that each key's Δt is its
+// step's longer component at that pace.
+func pacedTrack(d, t, n int) []trajstore.GeoKey { return fixtureTrack("paced", d, t, n) }
 
 // buildFixtureLog runs the fixture script against dir: six devices over
 // two shards append a chunked session each (one chunk again at the end);
