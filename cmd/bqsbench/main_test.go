@@ -1,12 +1,13 @@
 package main
 
 import (
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"github.com/trajcomp/bqs/internal/trajstore/segmentlog"
+	"github.com/trajcomp/bqs/internal/eval"
 )
 
 func buildCmd(t *testing.T) string {
@@ -19,63 +20,47 @@ func buildCmd(t *testing.T) string {
 	return bin
 }
 
-// TestSmokePaperQuick runs one paper experiment at the smoke scale.
+// TestSmokePaperQuick runs one paper experiment at the smoke scale and
+// checks the series -csv writes: one row per tolerance of each dataset.
 func TestSmokePaperQuick(t *testing.T) {
 	bin := buildCmd(t)
-	out, err := exec.Command(bin, "-quick", "-exp", "fig6").CombinedOutput()
+	dir := t.TempDir()
+	out, err := exec.Command(bin, "-quick", "-exp", "fig6", "-csv", dir).CombinedOutput()
 	if err != nil {
 		t.Fatalf("bqsbench -quick -exp fig6: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "Figure 6 — pruning power, bat data") {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
-}
-
-// TestSmokeServeLoopback drives the wire load generator against its
-// in-process server and checks that -persist leaves a log another
-// process can open — how the verify notes and bqsrecover's docs make one.
-func TestSmokeServeLoopback(t *testing.T) {
-	bin := buildCmd(t)
-	dir := filepath.Join(t.TempDir(), "data")
-	out, err := exec.Command(bin, "-serve", "-devices", "8", "-fixes", "200", "-shards", "2", "-persist", dir).CombinedOutput()
-	if err != nil {
-		t.Fatalf("bqsbench -serve: %v\n%s", err, out)
-	}
-	s := string(out)
-	for _, want := range []string{"server ingest: 1600 fixes", "server query (device):", "server query (full window):"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("%q missing from output:\n%s", want, s)
-		}
-	}
-	// The server keeps one log per tenant; the load generator's is "bench".
-	lg, err := segmentlog.OpenSharded(filepath.Join(dir, "bench"), 0, segmentlog.Options{ReadOnly: true})
-	if err != nil {
-		t.Fatalf("reopening the persisted log: %v", err)
-	}
-	defer lg.Close()
-	if lg.NumShards() != 2 {
-		t.Fatalf("log has %d shards, want 2", lg.NumShards())
-	}
-	if st := lg.Stats(); st.Records == 0 {
-		t.Fatalf("persisted log is empty: %+v", st)
-	}
-}
-
-// TestSmokeFlagValidation covers the flag combinations that cannot mean
-// anything: both wire modes at once, and in-process-server settings
-// without the in-process server.
-func TestSmokeFlagValidation(t *testing.T) {
-	bin := buildCmd(t)
-	for _, args := range [][]string{
-		{"-serve", "-client", "127.0.0.1:1"},
-		{"-persist", t.TempDir()},
-		{"-trail", "16"},
-		{"-segbytes", "65536"},
-		{"-client", "127.0.0.1:1", "-persist", t.TempDir()},
+	for name, tols := range map[string][]float64{
+		"fig6_bat.csv":     eval.BatTolerances(),
+		"fig6_vehicle.csv": eval.VehicleTolerances(),
 	} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-			t.Errorf("bqsbench %v: err = %v, want exit status 2\n%s", args, err, out)
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
 		}
+		lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+		if lines[0] != "tolerance,pruning" || len(lines) != 1+len(tols) {
+			t.Errorf("%s: header %q and %d rows, want \"tolerance,pruning\" and %d:\n%s", name, lines[0], len(lines)-1, len(tols), b)
+		}
+	}
+}
+
+// TestSmokeUnknownExperiment: a name no experiment answers to is refused
+// before any dataset is generated, naming the valid ones.
+func TestSmokeUnknownExperiment(t *testing.T) {
+	bin := buildCmd(t)
+	out, err := exec.Command(bin, "-quick", "-exp", "fig9").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("bqsbench -exp fig9: err = %v, want exit status 2\n%s", err, out)
+	}
+	for _, want := range append([]string{`"fig9"`}, experiments...) {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("%s missing from output:\n%s", want, out)
+		}
+	}
+	if strings.Contains(string(out), "generating datasets") {
+		t.Errorf("datasets generated before the name was checked:\n%s", out)
 	}
 }

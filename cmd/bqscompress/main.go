@@ -6,6 +6,10 @@
 //
 //	bqscompress -algo bqs|fbqs|bdp|bgd|dp [-d metres] [-buffer N]
 //	            [-metric line|segment] [-o file] [input.csv]
+//
+// -algo fbqs is the paper's FBQS, which keeps its key points at fixes:
+// they equal those of -algo bqs. It is not the registered "fbqs" that bqsd
+// runs, which ends its segments on grid joints (core.Config.Snap).
 package main
 
 import (
@@ -21,7 +25,7 @@ import (
 )
 
 func main() {
-	algo := flag.String("algo", "fbqs", "algorithm: bqs, fbqs, bdp, bgd or dp")
+	algo := flag.String("algo", "fbqs", "algorithm: bqs, fbqs (keys at fixes, as bqs; not bqsd's snapped fbqs), bdp, bgd or dp")
 	tol := flag.Float64("d", 10, "deviation tolerance in metres")
 	buf := flag.Int("buffer", 32, "buffer size for bdp/bgd")
 	metricName := flag.String("metric", "line", "deviation metric: line or segment")

@@ -34,7 +34,7 @@
 // wait, and a query's answer is the stored blocks its read holds,
 // uncopied and cut off at proto.MaxFrame (4 MiB) of them, so memory stays
 // bounded no matter how far the disk falls behind or how wide a window is
-// (see `bqsbench -client` for a load generator that honors the hints).
+// (server.Client.IngestAll resends rejected batches after the hint).
 //
 // On SIGTERM/SIGINT the daemon drains: it stops accepting, aborts idle
 // connection reads, waits up to -drain-timeout for in-flight requests,
@@ -111,7 +111,7 @@ func main() {
 		log.Fatalf("bqsd: %v", err)
 	}
 	// The bound address goes to stdout on its own line so wrappers
-	// (smoke tests, bqsbench -client scripts) can use -addr :0.
+	// (smoke tests, the end-to-end bench) can use -addr :0.
 	fmt.Printf("bqsd: listening on %s\n", ln.Addr())
 	log.Printf("bqsd: data dir %s, tolerance %g m", *dir, *tol)
 

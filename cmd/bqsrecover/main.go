@@ -1,7 +1,6 @@
 // Command bqsrecover inspects and maintains a segment-log directory
-// written by the durable ingestion engine (bqs.OpenDurableEngine, a
-// bqsd tenant directory, or the one `bqsbench -serve -persist dir`
-// leaves in dir/bench): it lists devices, decodes trajectories, and
+// written by the durable ingestion engine (bqs.OpenDurableEngine or a
+// bqsd tenant directory): it lists devices, decodes trajectories, and
 // runs the merge/ageing compactor.
 //
 // Usage:
