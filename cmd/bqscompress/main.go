@@ -1,15 +1,16 @@
-// Command bqscompress compresses a CSV trace (x,y,t per line) with any of
-// the implemented algorithms and reports the compression rate, the worst
-// observed deviation, and the run time.
+// Command bqscompress compresses a CSV trace (x,y,t per line) with a
+// compressor of the internal/stream registry — the names bqsd's
+// -compressor takes, built the same way — or with Douglas-Peucker, the
+// offline baseline, and reports the compression rate, the worst deviation
+// under the distance that name bounds (stream.Deviation; the line distance
+// for dp), and the run time.
 //
 // Usage:
 //
-//	bqscompress -algo bqs|fbqs|bdp|bgd|dp [-d metres] [-buffer N]
-//	            [-metric line|segment] [-o file] [input.csv]
+//	bqscompress [-algo bdp|bgd|bqs|dr|fbqs|timesensitive|dp] [-d metres]
+//	            [-o file] [input.csv]
 //
-// -algo fbqs is the paper's FBQS, which keeps its key points at fixes:
-// they equal those of -algo bqs. It is not the registered "fbqs" that bqsd
-// runs, which ends its segments on grid joints (core.Config.Snap).
+// An unknown -algo exits 2 naming the algorithms, before any input is read.
 package main
 
 import (
@@ -17,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/trajcomp/bqs/internal/baseline"
@@ -25,20 +28,15 @@ import (
 )
 
 func main() {
-	algo := flag.String("algo", "fbqs", "algorithm: bqs, fbqs (keys at fixes, as bqs; not bqsd's snapped fbqs), bdp, bgd or dp")
+	algos := append(stream.Names(), "dp")
+	algo := flag.String("algo", "fbqs", "algorithm: "+strings.Join(algos, ", "))
 	tol := flag.Float64("d", 10, "deviation tolerance in metres")
-	buf := flag.Int("buffer", 32, "buffer size for bdp/bgd")
-	metricName := flag.String("metric", "line", "deviation metric: line or segment")
 	out := flag.String("o", "-", "output file for compressed points (- for stdout)")
 	flag.Parse()
 
-	metric := core.MetricLine
-	switch *metricName {
-	case "line":
-	case "segment":
-		metric = core.MetricSegment
-	default:
-		fail(fmt.Errorf("unknown metric %q", *metricName))
+	if !slices.Contains(algos, *algo) {
+		fmt.Fprintf(os.Stderr, "bqscompress: unknown algorithm %q (want %s)\n", *algo, strings.Join(algos, ", "))
+		os.Exit(2)
 	}
 
 	var in io.Reader = os.Stdin
@@ -59,42 +57,15 @@ func main() {
 	}
 
 	start := time.Now()
+	var c stream.Compressor // nil for dp
 	var keys []core.Point
-	switch *algo {
-	case "bqs", "fbqs":
-		mode := core.ModeExact
-		if *algo == "fbqs" {
-			mode = core.ModeFast
-		}
-		c, err := core.NewCompressor(core.Config{
-			Tolerance: *tol, Mode: mode, Metric: metric, RotationWarmup: -1,
-		})
-		if err != nil {
-			fail(err)
-		}
+	if *algo == "dp" {
+		keys, err = baseline.DouglasPeucker(pts, *tol, core.MetricLine)
+	} else if c, err = stream.New(*algo, *tol); err == nil {
 		keys = stream.Compress(c, pts)
-		defer func() {
-			fmt.Fprintf(os.Stderr, "pruning power: %.3f\n", c.Stats().PruningPower())
-		}()
-	case "bdp":
-		c, err := baseline.NewBufferedDP(*tol, *buf, metric)
-		if err != nil {
-			fail(err)
-		}
-		keys = stream.Compress(stream.Adapt(c), pts)
-	case "bgd":
-		c, err := baseline.NewBufferedGreedy(*tol, *buf, metric)
-		if err != nil {
-			fail(err)
-		}
-		keys = stream.Compress(c, pts)
-	case "dp":
-		keys, err = baseline.DouglasPeucker(pts, *tol, metric)
-		if err != nil {
-			fail(err)
-		}
-	default:
-		fail(fmt.Errorf("unknown algorithm %q", *algo))
+	}
+	if err != nil {
+		fail(err)
 	}
 	elapsed := time.Since(start)
 
@@ -111,11 +82,17 @@ func main() {
 		fail(err)
 	}
 
-	worst := core.Deviation(pts, keys, metric.Dist)
+	worst := core.Deviation(pts, keys, core.MetricLine.Dist)
+	if *algo != "dp" {
+		worst, _ = stream.Deviation(*algo, pts, keys) // the name is registered: no error
+	}
 	fmt.Fprintf(os.Stderr,
 		"%s: %d → %d points (rate %.2f%%), worst deviation %.2f m (d = %.1f m), %.1f ms\n",
 		*algo, len(pts), len(keys), 100*float64(len(keys))/float64(len(pts)),
 		worst, *tol, float64(elapsed.Microseconds())/1000)
+	if s, ok := c.(interface{ Stats() core.Stats }); ok {
+		fmt.Fprintf(os.Stderr, "pruning power: %.3f\n", s.Stats().PruningPower())
+	}
 }
 
 func fail(err error) {

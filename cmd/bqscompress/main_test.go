@@ -5,8 +5,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/trajcomp/bqs/internal/stream"
 )
 
 func buildCmd(t *testing.T) string {
@@ -36,14 +40,18 @@ func writeZigZag(t *testing.T, path string, n int) {
 	}
 }
 
+// TestSmokeCompress runs every registered name and dp through the command:
+// each keeps between 1 and n−1 of the zigzag's fixes, and the worst
+// deviation it prints, under the distance that name bounds, is within d.
 func TestSmokeCompress(t *testing.T) {
+	const n, d = 100, 5.0
 	bin := buildCmd(t)
 	dir := t.TempDir()
 	in := filepath.Join(dir, "in.csv")
-	writeZigZag(t, in, 100)
-	for _, algo := range []string{"fbqs", "bqs", "dp"} {
+	writeZigZag(t, in, n)
+	for _, algo := range append(stream.Names(), "dp") {
 		outFile := filepath.Join(dir, "out_"+algo+".csv")
-		out, err := exec.Command(bin, "-algo", algo, "-d", "5", "-o", outFile, in).CombinedOutput()
+		out, err := exec.Command(bin, "-algo", algo, "-d", fmt.Sprint(d), "-o", outFile, in).CombinedOutput()
 		if err != nil {
 			t.Fatalf("bqscompress -algo %s: %v\n%s", algo, err, out)
 		}
@@ -52,9 +60,37 @@ func TestSmokeCompress(t *testing.T) {
 			t.Fatal(err)
 		}
 		keys := strings.Count(string(data), "\n")
-		if keys == 0 || keys >= 100 {
-			t.Fatalf("%s: %d key points from 100 samples", algo, keys)
+		if keys == 0 || keys >= n {
+			t.Errorf("%s: %d key points from %d samples", algo, keys, n)
 		}
+		m := worstRE.FindSubmatch(out)
+		if m == nil {
+			t.Fatalf("%s: no worst deviation in\n%s", algo, out)
+		}
+		if worst, _ := strconv.ParseFloat(string(m[1]), 64); worst > d {
+			t.Errorf("%s: worst deviation %g m, want ≤ %g\n%s", algo, worst, d, out)
+		}
+	}
+}
+
+var worstRE = regexp.MustCompile(`worst deviation ([0-9.]+) m`)
+
+// TestSmokeCompressUnknownAlgo: an unknown -algo exits 2 naming every
+// algorithm, and before the input is opened — the path does not exist, and
+// no file error is printed.
+func TestSmokeCompressUnknownAlgo(t *testing.T) {
+	bin := buildCmd(t)
+	out, err := exec.Command(bin, "-algo", "nope", "/nonexistent.csv").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("bqscompress -algo nope: err = %v, want exit status 2\n%s", err, out)
+	}
+	for _, name := range append(stream.Names(), "dp") {
+		if !strings.Contains(string(out), name) {
+			t.Errorf("message does not name %q:\n%s", name, out)
+		}
+	}
+	if strings.Contains(string(out), "nonexistent") {
+		t.Errorf("input opened before the name was checked:\n%s", out)
 	}
 }
 

@@ -4,6 +4,8 @@
 // Usage:
 //
 //	bqsgen -model bat|vehicle|walk [-seed N] [-days N] [-n N] [-o file]
+//
+// An unknown -model exits 2 naming the models, before anything is generated.
 package main
 
 import (
@@ -16,8 +18,11 @@ import (
 	"github.com/trajcomp/bqs/internal/synth"
 )
 
+// models names what -model accepts.
+const models = "bat, vehicle, walk"
+
 func main() {
-	model := flag.String("model", "walk", "trace model: bat, vehicle or walk")
+	model := flag.String("model", "walk", "trace model: "+models)
 	seed := flag.Int64("seed", 1, "random seed")
 	days := flag.Int("days", 14, "tracking days (bat, vehicle)")
 	n := flag.Int("n", 30000, "sample count (walk)")
@@ -39,7 +44,7 @@ func main() {
 		cfg.N = *n
 		tr = synth.Walk(cfg)
 	default:
-		fmt.Fprintf(os.Stderr, "bqsgen: unknown model %q\n", *model)
+		fmt.Fprintf(os.Stderr, "bqsgen: unknown model %q (want %s)\n", *model, models)
 		os.Exit(2)
 	}
 

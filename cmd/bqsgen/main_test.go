@@ -43,9 +43,21 @@ func TestSmokeGenerate(t *testing.T) {
 	}
 }
 
+// TestSmokeGenerateUnknownModel: an unknown -model exits 2 naming every
+// model, and writes no trace.
 func TestSmokeGenerateUnknownModel(t *testing.T) {
 	bin := buildCmd(t)
-	if err := exec.Command(bin, "-model", "submarine").Run(); err == nil {
-		t.Fatal("unknown model accepted")
+	outFile := filepath.Join(t.TempDir(), "trace.csv")
+	out, err := exec.Command(bin, "-model", "submarine", "-o", outFile).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("bqsgen -model submarine: err = %v, want exit status 2\n%s", err, out)
+	}
+	for _, name := range []string{"bat", "vehicle", "walk"} {
+		if !strings.Contains(string(out), name) {
+			t.Errorf("message does not name %q:\n%s", name, out)
+		}
+	}
+	if _, err := os.Stat(outFile); !os.IsNotExist(err) {
+		t.Errorf("a trace was written (stat: %v)", err)
 	}
 }

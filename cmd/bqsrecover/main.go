@@ -12,8 +12,8 @@
 //	bqsrecover -dir logdir -window minLon,minLat,maxLon,maxLat [-t0 N -t1 M]
 //	                                          # spatio-temporal query, all devices
 //	bqsrecover -dir logdir -repair            # truncate a crash-torn tail in place
-//	bqsrecover -dir logdir -compact [-merge-chunks=false]
-//	          [-age 24h -coarse-tol 50]       # seal the last segment, merge + age all
+//	bqsrecover -dir logdir -compact [-age 24h -coarse-tol 50]
+//	                                          # seal the last segment, merge + age all
 //
 // -window decodes every record (any device, log order) with a
 // trajectory segment entering the given degree rectangle during the
@@ -30,8 +30,9 @@
 // touched, no lock is taken, and a crash-torn tail is reported but left
 // in place — safe to point at a directory a live engine owns. -repair
 // performs the engine's own recovery (truncating the torn tail) and
-// -compact seals the last segment and rewrites them all; both take the directory's exclusive
-// write lock and refuse to run while another process holds it.
+// -compact seals the last segment and rewrites them all, merging a device's
+// chunked records as bqsd's compaction does; both take the directory's
+// exclusive write lock and refuse to run while another process holds it.
 //
 // Timestamps are the wire format's uint32 seconds. The exit status is
 // non-zero if the directory is missing or cannot be interpreted as a
@@ -58,7 +59,6 @@ func main() {
 	csv := flag.Bool("csv", false, "with -device or -window: emit CSV instead of a listing")
 	repair := flag.Bool("repair", false, "open read-write: truncate any crash-torn tail in place (takes the directory lock)")
 	compact := flag.Bool("compact", false, "seal the last segment and compact the whole log (implies -repair)")
-	mergeChunks := flag.Bool("merge-chunks", true, "with -compact: merge consecutive chunked records of a device")
 	age := flag.Duration("age", 0, "with -compact: re-compress records older than this at -coarse-tol (0 with a tolerance set ages everything)")
 	coarseTol := flag.Float64("coarse-tol", 0, "with -compact: ageing tolerance in metres (0 disables ageing)")
 	flag.Parse()
@@ -105,7 +105,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		res, err := lg.Compact(segmentlog.CompactionPolicy{MinAge: *age, CoarseTolerance: *coarseTol, MergeChunks: *mergeChunks})
+		res, err := lg.Compact(segmentlog.CompactionPolicy{MinAge: *age, CoarseTolerance: *coarseTol, MergeChunks: true})
 		if err != nil {
 			fail(err)
 		}
